@@ -3,7 +3,8 @@
 This package houses the C extension ``repro._native._kernel`` (the
 event-heap scheduler core, scalar stats counters and the delivery
 trampoline) plus its build glue and Python-side wrappers.  The extension
-is **optional**: a missing compiler or an unbuilt checkout degrades
+is **optional**: a missing compiler, an unbuilt checkout or an
+extension built from another revision (``KERNEL_ABI`` mismatch) degrades
 gracefully — :func:`load_kernel` returns ``None`` and the caller
 (:mod:`repro.sim.kernel`) falls back to the pure-python reference kernel
 with a one-line warning.
@@ -14,6 +15,11 @@ toolchain-less box still installs cleanly).
 """
 
 from typing import Optional
+
+#: The ``KERNEL_ABI`` this checkout's Python side is written against: the
+#: protocol cores pack and index message tuples by position, so an
+#: extension compiled from another revision's source must not be used.
+KERNEL_ABI = 3
 
 _kernel_module = None
 _import_error: Optional[str] = None
@@ -31,10 +37,18 @@ def load_kernel():
         _attempted = True
         try:
             from repro._native import _kernel
-
-            _kernel_module = _kernel
         except ImportError as error:
             _import_error = str(error)
+        else:
+            built = getattr(_kernel, "KERNEL_ABI", None)
+            if built == KERNEL_ABI:
+                _kernel_module = _kernel
+            else:
+                _import_error = (
+                    f"stale extension: built with KERNEL_ABI {built}, this "
+                    f"checkout needs {KERNEL_ABI}; rebuild with "
+                    "`python -m repro._native.build`"
+                )
     return _kernel_module
 
 

@@ -107,6 +107,13 @@ static PyObject *str_observe;       /* "observe"         */
 static PyObject *str_read_kind;     /* "read"            */
 static PyObject *str_write_kind;    /* "write"           */
 static PyObject *str_broadcast_attr; /* "broadcast"      */
+static PyObject *str_view_state;    /* "view_state"      */
+static PyObject *str_view_id;       /* "view_id"         */
+static PyObject *str_retired;       /* "retired"         */
+static PyObject *str_retiring;      /* "retiring"        */
+static PyObject *str_retired_ignored; /* "retired_messages_ignored" */
+static PyObject *str_nacks_sent;    /* "stale_nacks_sent" */
+static PyObject *py_zero = NULL;    /* the int 0 (the static-deployment view) */
 static PyObject *py_one = NULL;     /* the int 1 (counter bumps) */
 static PyObject *scheduler_error = NULL;  /* repro.sim.scheduler.SchedulerError */
 
@@ -117,6 +124,7 @@ static PyObject *msg_read_query = NULL;   /* messages.ReadQuery   */
 static PyObject *msg_read_reply = NULL;   /* messages.ReadReply   */
 static PyObject *msg_write_update = NULL; /* messages.WriteUpdate */
 static PyObject *msg_write_ack = NULL;    /* messages.WriteAck    */
+static PyObject *msg_stale_view_nack = NULL; /* messages.StaleViewNack */
 static PyObject *timestamp_type = NULL;   /* timestamps.Timestamp */
 static PyObject *nullrecord_type = NULL;  /* history._NullRecord  */
 
@@ -2288,10 +2296,14 @@ kernel_quorum_sample(PyObject *module, PyObject *const *args,
  * DeliveryCore — so trace taps and monkeypatches keep working, and the
  * pure-python methods remain the reference implementation.
  *
- * Soft fallback, re-checked on every delivery: an attached adversary,
- * detailed MessageStats, an op-level span (tracing), or the online spec
- * monitor route that message back through the original Python handler,
- * so chaos campaigns and observability runs stay bit-correct.  The
+ * Soft fallback, re-checked on every delivery, is a guard on *state*:
+ * an attached adversary, detailed MessageStats, an op-level span
+ * (tracing), the online spec monitor, or a reply stamped with a newer
+ * view than the client's (it must refresh first) route that message
+ * back through the original Python handler, so chaos campaigns,
+ * observability and membership runs stay bit-correct.  The server's
+ * view gate runs here; anything that is not one of the four Section-4
+ * message types (StaleViewNack, State*, subclasses) takes Python.  The
  * live latency histogram is observed natively in clientcore_finish.
  * RNG draws stay in Python in the pre-existing order here; the quorum
  * sample itself can run natively via ``quorum_sample`` (same bits).
@@ -2311,16 +2323,21 @@ ensure_protocol_types(void)
     msg_read_reply = PyObject_GetAttrString(messages, "ReadReply");
     msg_write_update = PyObject_GetAttrString(messages, "WriteUpdate");
     msg_write_ack = PyObject_GetAttrString(messages, "WriteAck");
+    msg_stale_view_nack = PyObject_GetAttrString(messages, "StaleViewNack");
     Py_DECREF(messages);
     if (msg_read_query == NULL || msg_read_reply == NULL
-        || msg_write_update == NULL || msg_write_ack == NULL)
+        || msg_write_update == NULL || msg_write_ack == NULL
+        || msg_stale_view_nack == NULL)
         goto fail;
     /* Replies are built through tuple.__new__ directly (skipping the
      * generated NamedTuple __new__ frame), which is only valid for
      * tuple subtypes. */
     if (!PyType_Check(msg_read_reply) || !PyType_Check(msg_write_ack)
+        || !PyType_Check(msg_stale_view_nack)
         || !PyType_IsSubtype((PyTypeObject *)msg_read_reply, &PyTuple_Type)
         || !PyType_IsSubtype((PyTypeObject *)msg_write_ack, &PyTuple_Type)
+        || !PyType_IsSubtype((PyTypeObject *)msg_stale_view_nack,
+                             &PyTuple_Type)
         || !PyType_Check(msg_read_query) || !PyType_Check(msg_write_update)) {
         PyErr_SetString(PyExc_TypeError,
                         "register protocol messages must be tuple "
@@ -2348,6 +2365,7 @@ fail:
     Py_CLEAR(msg_read_reply);
     Py_CLEAR(msg_write_update);
     Py_CLEAR(msg_write_ack);
+    Py_CLEAR(msg_stale_view_nack);
     Py_CLEAR(nullrecord_type);
     Py_CLEAR(timestamp_type);
     return -1;
@@ -2391,6 +2409,18 @@ timestamp_gt(PyObject *a, PyObject *b)
     Py_DECREF(a_writer);
     Py_DECREF(b_writer);
     return gt;
+}
+
+/* bool(obj.<name>): 1/0, or -1 with an exception set. */
+static int
+attr_truth(PyObject *obj, PyObject *name)
+{
+    PyObject *value = PyObject_GetAttr(obj, name);
+    if (value == NULL)
+        return -1;
+    int truth = PyObject_IsTrue(value);
+    Py_DECREF(value);
+    return truth;
 }
 
 /* obj.<name> += 1 for the plain-int instance counters. */
@@ -2571,6 +2601,54 @@ servercore_replica(ServerCore *self, PyObject *reg)
                                       reg, NULL);
 }
 
+/* ``ReplicaServer._gate`` plus the reply stamp.  Returns a new
+ * reference to the view id the reply carries — 0 on a static deployment
+ * (no view_state), else state.view_id — or NULL.  NULL with no exception
+ * set means no reply is due, counted here as in Python: a retired server
+ * ignored the request, or an active member nacked an older stamp (a
+ * draining leaver keeps answering those). */
+static PyObject *
+servercore_gate(ServerCore *self, PyObject *src, PyObject *message,
+                PyObject *request_view)
+{
+    PyObject *state = PyObject_GetAttr(self->server, str_view_state);
+    if (state == NULL)
+        return NULL;
+    if (state == Py_None) {
+        Py_DECREF(state);
+        Py_INCREF(py_zero);
+        return py_zero;
+    }
+    PyObject *view_id = NULL;
+    int stale = 0;
+    int retired = attr_truth(state, str_retired);
+    if (retired == 0) {
+        view_id = PyObject_GetAttr(state, str_view_id);
+        stale = view_id == NULL
+            ? -1 : PyObject_RichCompareBool(request_view, view_id, Py_LT);
+        if (stale > 0) {
+            int retiring = attr_truth(state, str_retiring);
+            stale = retiring < 0 ? -1 : !retiring;
+        }
+    }
+    Py_DECREF(state);
+    if (retired > 0)
+        bump_counter(self->server, str_retired_ignored);
+    else if (stale > 0 && bump_counter(self->server, str_nacks_sent) == 0) {
+        PyObject *nack = make_message(
+            msg_stale_view_nack,
+            PyTuple_Pack(3, PyTuple_GET_ITEM(message, 0),
+                         PyTuple_GET_ITEM(message, 1), view_id));
+        if (nack != NULL) {
+            send_message(self->network, self->node_id, src, nack);
+            Py_DECREF(nack);
+        }
+    }
+    if (retired || stale)
+        Py_CLEAR(view_id);
+    return view_id;
+}
+
 static int
 servercore_invoke(ServerCore *self, PyObject *src, PyObject *message)
 {
@@ -2587,74 +2665,63 @@ servercore_invoke(ServerCore *self, PyObject *src, PyObject *message)
         return servercore_run_fallback(self, src, message);
 
     PyObject *msg_type = (PyObject *)Py_TYPE(message);
-    if (msg_type == msg_read_query) {
-        PyObject *reg = PyTuple_GET_ITEM(message, 0);
-        PyObject *op_id = PyTuple_GET_ITEM(message, 1);
-        PyObject *entry = servercore_replica(self, reg);
-        if (entry == NULL)
-            return -1;
-        if (!PyTuple_Check(entry) || PyTuple_GET_SIZE(entry) != 2) {
-            /* Foreign replica layout: let Python unpack (and fail) it. */
-            Py_DECREF(entry);
-            return servercore_run_fallback(self, src, message);
-        }
-        if (bump_counter(self->server, str_reads_served) < 0) {
-            Py_DECREF(entry);
-            return -1;
-        }
-        PyObject *reply = make_message(
-            msg_read_reply,
-            PyTuple_Pack(4, reg, op_id, PyTuple_GET_ITEM(entry, 1),
-                         PyTuple_GET_ITEM(entry, 0)));
+    int is_read = msg_type == msg_read_query;
+    if (!is_read && msg_type != msg_write_update)
+        /* Anything else — StateRequest/StateReply, unknown kinds,
+         * message subclasses — takes the Python handler. */
+        return servercore_run_fallback(self, src, message);
+    PyObject *view_id = servercore_gate(
+        self, src, message, PyTuple_GET_ITEM(message, is_read ? 2 : 4));
+    if (view_id == NULL)
+        return PyErr_Occurred() ? -1 : 0;
+    PyObject *reg = PyTuple_GET_ITEM(message, 0);
+    PyObject *op_id = PyTuple_GET_ITEM(message, 1);
+    PyObject *reply = NULL;
+    PyObject *entry = servercore_replica(self, reg);
+    if (entry == NULL)
+        goto done;
+    if (!PyTuple_Check(entry) || PyTuple_GET_SIZE(entry) != 2) {
+        /* Foreign replica layout: let Python unpack (and fail) it. */
         Py_DECREF(entry);
-        if (reply == NULL)
-            return -1;
-        int rc = send_message(self->network, self->node_id, src, reply);
-        Py_DECREF(reply);
-        return rc;
+        Py_DECREF(view_id);
+        return servercore_run_fallback(self, src, message);
     }
-    if (msg_type == msg_write_update) {
-        PyObject *reg = PyTuple_GET_ITEM(message, 0);
-        PyObject *op_id = PyTuple_GET_ITEM(message, 1);
+    if (is_read) {
+        if (bump_counter(self->server, str_reads_served) == 0)
+            reply = make_message(
+                msg_read_reply,
+                PyTuple_Pack(5, reg, op_id, PyTuple_GET_ITEM(entry, 1),
+                             PyTuple_GET_ITEM(entry, 0), view_id));
+        Py_DECREF(entry);
+    }
+    else {
         PyObject *value = PyTuple_GET_ITEM(message, 2);
         PyObject *ts = PyTuple_GET_ITEM(message, 3);
-        PyObject *entry = servercore_replica(self, reg);
-        if (entry == NULL)
-            return -1;
-        if (!PyTuple_Check(entry) || PyTuple_GET_SIZE(entry) != 2) {
-            Py_DECREF(entry);
-            return servercore_run_fallback(self, src, message);
-        }
         int newer = timestamp_gt(ts, PyTuple_GET_ITEM(entry, 0));
         Py_DECREF(entry);
         if (newer < 0)
-            return -1;
+            goto done;
         if (newer) {
             PyObject *fresh = PyTuple_Pack(2, ts, value);
             if (fresh == NULL)
-                return -1;
+                goto done;
             int rc = PyDict_SetItem(self->replicas, reg, fresh);
             Py_DECREF(fresh);
             if (rc < 0)
-                return -1;
-            if (bump_counter(self->server, str_writes_applied) < 0)
-                return -1;
+                goto done;
         }
-        else {
-            if (bump_counter(self->server, str_stale_updates) < 0)
-                return -1;
-        }
-        PyObject *reply = make_message(msg_write_ack,
-                                       PyTuple_Pack(2, reg, op_id));
-        if (reply == NULL)
-            return -1;
-        int rc = send_message(self->network, self->node_id, src, reply);
-        Py_DECREF(reply);
-        return rc;
+        if (bump_counter(self->server, newer ? str_writes_applied
+                                             : str_stale_updates) == 0)
+            reply = make_message(msg_write_ack,
+                                 PyTuple_Pack(3, reg, op_id, view_id));
     }
-    /* Anything else — unknown kinds, message subclasses — takes the
-     * Python handler, which counts-and-ignores unknown messages. */
-    return servercore_run_fallback(self, src, message);
+done:
+    Py_DECREF(view_id);
+    if (reply == NULL)
+        return -1;
+    int rc = send_message(self->network, self->node_id, src, reply);
+    Py_DECREF(reply);
+    return rc;
 }
 
 static PyObject *
@@ -2722,7 +2789,7 @@ clientcore_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
         return NULL;
     PyObject *fallback = NULL, *network = NULL, *failures = NULL;
     PyObject *stats = NULL, *pending = NULL, *server_index = NULL;
-    PyObject *cache = NULL, *sched = NULL, *monotone_obj = NULL;
+    PyObject *cache = NULL, *sched = NULL;
     fallback = PyObject_GetAttr((PyObject *)Py_TYPE(client), str_on_message);
     if (fallback == NULL)
         goto fail;
@@ -2759,11 +2826,7 @@ clientcore_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
                         "ClientCore needs a native SchedulerCore");
         goto fail;
     }
-    monotone_obj = PyObject_GetAttr(client, str_monotone);
-    if (monotone_obj == NULL)
-        goto fail;
-    int monotone = PyObject_IsTrue(monotone_obj);
-    Py_CLEAR(monotone_obj);
+    int monotone = attr_truth(client, str_monotone);
     if (monotone < 0)
         goto fail;
     ClientCore *self = (ClientCore *)type->tp_alloc(type, 0);
@@ -2790,7 +2853,6 @@ fail:
     Py_XDECREF(server_index);
     Py_XDECREF(cache);
     Py_XDECREF(sched);
-    Py_XDECREF(monotone_obj);
     return NULL;
 }
 
@@ -2912,22 +2974,14 @@ clientcore_finish(ClientCore *self, PyObject *op, PyObject *op_id,
         return -1;
     if (bump_counter(self->client, str_ops_completed) < 0)
         return -1;
-    PyObject *active = PyObject_GetAttr(self->failures, str_active);
-    if (active == NULL)
-        return -1;
-    int under_failure = PyObject_IsTrue(active);
-    Py_DECREF(active);
+    int under_failure = attr_truth(self->failures, str_active);
     if (under_failure < 0)
         return -1;
     if (under_failure
         && bump_counter(self->client, str_ops_under_failure) < 0)
         return -1;
 
-    PyObject *is_read_obj = PyObject_GetAttr(op, str_is_read);
-    if (is_read_obj == NULL)
-        return -1;
-    int is_read = PyObject_IsTrue(is_read_obj);
-    Py_DECREF(is_read_obj);
+    int is_read = attr_truth(op, str_is_read);
     if (is_read < 0)
         return -1;
 
@@ -3161,9 +3215,9 @@ clientcore_invoke(ClientCore *self, PyObject *src, PyObject *message)
         return clientcore_run_fallback(self, src, message);
 
     /* Mutable hooks, re-checked per delivery: detailed stats, an
-     * adversary, or the online spec monitor force the Python handler
-     * for this message.  The latency histogram is observed natively
-     * in clientcore_finish, so it no longer forces a fallback. */
+     * adversary, the online spec monitor or a newer view stamp force
+     * the Python handler for this message.  The latency histogram is
+     * observed natively in clientcore_finish. */
     if (!StatsCore_Check(self->stats))
         return clientcore_run_fallback(self, src, message);
     PyObject *adversary = PyObject_GetAttr(self->network, str_adversary_attr);
@@ -3173,11 +3227,20 @@ clientcore_invoke(ClientCore *self, PyObject *src, PyObject *message)
     Py_DECREF(adversary);
     if (hooked)
         return clientcore_run_fallback(self, src, message);
-    PyObject *monitor_on = PyObject_GetAttr(self->client, str_monitor_on);
-    if (monitor_on == NULL)
+    hooked = attr_truth(self->client, str_monitor_on);
+    if (hooked < 0)
         return -1;
-    hooked = PyObject_IsTrue(monitor_on);
-    Py_DECREF(monitor_on);
+    if (hooked)
+        return clientcore_run_fallback(self, src, message);
+    /* A reply stamped with a newer view than the client's own: the
+     * Python handler refreshes the view before recording the reply. */
+    PyObject *view_id = PyObject_GetAttr(self->client, str_view_id);
+    if (view_id == NULL)
+        return -1;
+    hooked = PyObject_RichCompareBool(
+        PyTuple_GET_ITEM(message, msg_type == msg_read_reply ? 4 : 2),
+        view_id, Py_GT);
+    Py_DECREF(view_id);
     if (hooked < 0)
         return -1;
     if (hooked)
@@ -3412,6 +3475,14 @@ PyInit__kernel(void)
     str_read_kind = PyUnicode_InternFromString("read");
     str_write_kind = PyUnicode_InternFromString("write");
     str_broadcast_attr = PyUnicode_InternFromString("broadcast");
+    str_view_state = PyUnicode_InternFromString("view_state");
+    str_view_id = PyUnicode_InternFromString("view_id");
+    str_retired = PyUnicode_InternFromString("retired");
+    str_retiring = PyUnicode_InternFromString("retiring");
+    str_retired_ignored =
+        PyUnicode_InternFromString("retired_messages_ignored");
+    str_nacks_sent = PyUnicode_InternFromString("stale_nacks_sent");
+    py_zero = PyLong_FromLong(0);
     py_one = PyLong_FromLong(1);
     if (str_active == NULL || str_can_deliver == NULL
         || str_on_message == NULL || str_record_drop == NULL
@@ -3446,7 +3517,10 @@ PyInit__kernel(void)
         || str_floor_attr == NULL || str_cdelay_attr == NULL
         || str_started_attr == NULL || str_observe == NULL
         || str_read_kind == NULL || str_write_kind == NULL
-        || str_broadcast_attr == NULL || py_one == NULL)
+        || str_broadcast_attr == NULL || str_view_state == NULL
+        || str_view_id == NULL || str_retired == NULL
+        || str_retiring == NULL || str_retired_ignored == NULL
+        || str_nacks_sent == NULL || py_zero == NULL || py_one == NULL)
         return NULL;
 
     if (PyType_Ready(&StatsCore_Type) < 0
@@ -3495,7 +3569,7 @@ PyInit__kernel(void)
     if (PyModule_AddObject(module, "ClientCore",
                            (PyObject *)&ClientCore_Type) < 0)
         goto fail;
-    if (PyModule_AddIntConstant(module, "KERNEL_ABI", 2) < 0)
+    if (PyModule_AddIntConstant(module, "KERNEL_ABI", 3) < 0)
         goto fail;
 #ifdef REPRO_HAVE_NPYRANDOM
     if (PyModule_AddIntConstant(module, "HAVE_FAST_RNG", 1) < 0)

@@ -10,7 +10,6 @@ them — without planting bugs in the production protocol code.
 from typing import Any
 
 from repro.registers.client import QuorumRegisterClient, _PendingOp
-from repro.registers.messages import ReadReply, ViewReadReply
 
 
 class RegressingClient(QuorumRegisterClient):
@@ -49,12 +48,9 @@ class RegressingClient(QuorumRegisterClient):
         self._teardown(op)
         self.ops_completed += 1
         now = self.network.scheduler.now
-        replies = [
-            op.replies[i]
-            for i in op.quorum
-            if isinstance(op.replies.get(i), (ReadReply, ViewReadReply))
-        ]
-        worst = min(replies, key=lambda reply: reply.timestamp)
+        worst = min(
+            self._quorum_read_replies(op), key=lambda reply: reply.timestamp
+        )
         op.record.complete(now, worst.value, worst.timestamp)
         if self._monitor_on:
             self.spec_monitor.on_read_complete(

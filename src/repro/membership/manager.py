@@ -29,9 +29,11 @@ refresh from the manager and a re-dispatch under the new view's quorum.
 Determinism: every random choice comes from ``derive_seed`` streams
 keyed by view id (transfer target sampling, per-view per-client quorum
 streams), so membership runs are bit-reproducible from the root seed
-and byte-identical across kernel backends; runs without membership
-events never construct any of this and stay byte-identical to the
-membership-free code.
+and byte-identical across kernel backends — both of which carry view
+traffic natively, since the view id is a field of the four ordinary
+register messages (:mod:`repro.registers.messages`) and view 0 is the
+static deployment.  Runs without membership events never construct any
+of this and stay byte-identical to the membership-free code.
 """
 
 from collections import deque
@@ -387,10 +389,14 @@ class ViewManager:
             "membership_events_skipped": self.events_skipped,
         }
 
-    def view_sizes(self) -> List[Tuple[int, int, int]]:
-        """(view_id, n, k) per installed view — the per-view [R3] sweep."""
+    def view_sizes(self) -> List[List[int]]:
+        """[view_id, n, k] per installed view — the per-view [R3] sweep.
+
+        Lists, not tuples: the rows land in result payloads, which must
+        compare equal to their own JSON round trip through the run cache.
+        """
         return [
-            (v.view_id, len(v.members), v.quorum_system.k) for v in self.views
+            [v.view_id, len(v.members), v.quorum_system.k] for v in self.views
         ]
 
     def __repr__(self) -> str:

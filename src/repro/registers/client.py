@@ -30,10 +30,6 @@ from repro.registers.messages import (
     ReadQuery,
     ReadReply,
     StaleViewNack,
-    ViewReadQuery,
-    ViewReadReply,
-    ViewWriteAck,
-    ViewWriteUpdate,
     WriteAck,
     WriteUpdate,
 )
@@ -192,9 +188,9 @@ class _PendingOp:
         self.members: Optional[List[int]] = None
         self.member_ids: Optional[List[int]] = None
         self.message: Any = None
-        # View id this op is currently dispatched under; None on static
-        # (membership-free) deployments, where messages are unstamped.
-        self.view: Optional[int] = None
+        # View id this op is currently dispatched under (and its requests
+        # are stamped with); 0 for the life of a static deployment.
+        self.view = 0
 
     def complete_against_quorum(self) -> bool:
         """True once every member of the current quorum has replied."""
@@ -262,10 +258,11 @@ class QuorumRegisterClient(Node):
         self.ops_completed = 0
         self.ops_completed_under_failure = 0
         # Dynamic membership (repro.membership): attached post-construction
-        # by the deployment when a schedule is installed; None on static
-        # deployments, where every membership branch below is skipped.
+        # by the deployment when a schedule is installed.  A static
+        # deployment has no manager and stays in view 0 forever.
         self._membership: Optional[Any] = None
         self._view: Optional[Any] = None
+        self.view_id = 0
         self._view_rng: Optional[np.random.Generator] = None
         self.unreachable = 0
         self.stale_nacks = 0
@@ -369,17 +366,10 @@ class QuorumRegisterClient(Node):
             # rounds, and immutability lets retries re-send the same
             # instance.  (A view refresh clears the cache — the stamp
             # changes — but a static deployment never does.)
-            if op.view is None:
-                if op.is_read:
-                    message = ReadQuery(op.register, op.op_id)
-                else:
-                    message = WriteUpdate(
-                        op.register, op.op_id, op.value, op.timestamp
-                    )
-            elif op.is_read:
-                message = ViewReadQuery(op.register, op.op_id, op.view)
+            if op.is_read:
+                message = ReadQuery(op.register, op.op_id, op.view)
             else:
-                message = ViewWriteUpdate(
+                message = WriteUpdate(
                     op.register, op.op_id, op.value, op.timestamp, op.view
                 )
             op.message = message
@@ -438,22 +428,9 @@ class QuorumRegisterClient(Node):
             op.span.event(
                 self.network.scheduler.now, "retry", attempt=op.attempts
             )
-        if self._membership is not None:
-            # Retry time is also view-refresh time: a stalled quorum is
-            # often stalled *because* its members left the view.
-            self._refresh_view()
-            if op.view != self._view.view_id:
-                op.view = self._view.view_id
-                op.message = None  # stamp changed; rebuild next round
-            op.quorum = self._view.sample(self._view_rng)
-        elif op.is_read:
-            op.quorum = self.quorum_system.read_quorum(self.rng)
-        else:
-            op.quorum = self.quorum_system.write_quorum(self.rng)
-        # The member caches follow the quorum; the message does not (its
-        # fields are op-constant).
-        op.members = None
-        op.member_ids = None
+        # Retry time is also view-refresh time: a stalled quorum is
+        # often stalled *because* its members left the view.
+        self._resample(op)
         if op.complete_against_quorum():
             # The fresh quorum is already fully covered by earlier replies.
             self._finish(op)
@@ -518,8 +495,9 @@ class QuorumRegisterClient(Node):
         """Join a view-managed deployment (called by install_membership)."""
         self._membership = manager
         self._view = manager.current_view
+        self.view_id = self._view.view_id
         self._view_rng = manager.client_view_rng(
-            self._view.view_id, self.client_id, self.rng
+            self.view_id, self.client_id, self.rng
         )
 
     def _roster_extended(self, node_id: int) -> None:
@@ -529,13 +507,39 @@ class QuorumRegisterClient(Node):
 
     def _refresh_view(self) -> None:
         """Adopt the manager's current view if it is newer than ours."""
+        if self._membership is None:
+            return  # static deployment: view 0 is the only view
         view = self._membership.current_view
-        if view.view_id != self._view.view_id:
+        if view.view_id != self.view_id:
             self._view = view
+            self.view_id = view.view_id
             self._view_rng = self._membership.client_view_rng(
                 view.view_id, self.client_id, self.rng
             )
             self.view_refreshes += 1
+
+    def _sample_quorum(self, is_read: bool) -> FrozenSet[int]:
+        """Draw a quorum: from the freshest view, or the static system."""
+        if self._membership is not None:
+            self._refresh_view()
+            return self._view.sample(self._view_rng)
+        if is_read:
+            quorum = self.quorum_system.read_quorum(self.rng)
+        else:
+            quorum = self.quorum_system.write_quorum(self.rng)
+        self.quorum_system.validate_quorum(quorum)
+        return quorum
+
+    def _resample(self, op: _PendingOp) -> None:
+        """Move ``op`` to a fresh quorum under the client's current view."""
+        op.quorum = self._sample_quorum(op.is_read)
+        # The member caches follow the quorum; the message is rebuilt
+        # only when its stamp changed (its other fields are op-constant).
+        op.members = None
+        op.member_ids = None
+        if op.view != self.view_id:
+            op.view = self.view_id
+            op.message = None
 
     def _redispatch(self, op: _PendingOp) -> None:
         """Re-dispatch a nacked op under the client's current view.
@@ -544,18 +548,13 @@ class QuorumRegisterClient(Node):
         which view served them — so the op completes as soon as the new
         quorum is covered, possibly immediately.
         """
-        view = self._view
-        if op.view == view.view_id:
+        if op.view == self.view_id:
             return  # duplicate nacks from one stale round; already moved
-        op.view = view.view_id
-        op.quorum = view.sample(self._view_rng)
-        op.members = None
-        op.member_ids = None
-        op.message = None
+        self._resample(op)
         if op.span is not None:
             op.span.event(
                 self.network.scheduler.now, "view_redispatch",
-                view=view.view_id,
+                view=op.view,
             )
         if op.complete_against_quorum():
             self._finish(op)
@@ -572,17 +571,11 @@ class QuorumRegisterClient(Node):
         now = self.network.scheduler.now
         record: ReadRecord = info.history.begin_read(self.client_id, now)
         future = Future(f"read({register}) by c{self.client_id}")
-        if self._membership is not None:
-            self._refresh_view()
-            quorum = self._view.sample(self._view_rng)
-        else:
-            quorum = self.quorum_system.read_quorum(self.rng)
-            self.quorum_system.validate_quorum(quorum)
+        quorum = self._sample_quorum(True)
         op = _PendingOp(
             next(self._op_ids), register, True, quorum, future, record
         )
-        if self._membership is not None:
-            op.view = self._view.view_id
+        op.view = self.view_id
         self.reads_performed += 1
         self._begin(op)
         return future
@@ -603,18 +596,12 @@ class QuorumRegisterClient(Node):
             self.client_id, now, value, timestamp
         )
         future = Future(f"write({register}) by c{self.client_id}")
-        if self._membership is not None:
-            self._refresh_view()
-            quorum = self._view.sample(self._view_rng)
-        else:
-            quorum = self.quorum_system.write_quorum(self.rng)
-            self.quorum_system.validate_quorum(quorum)
+        quorum = self._sample_quorum(False)
         op = _PendingOp(
             next(self._op_ids), register, False, quorum, future, record,
             value=value, timestamp=timestamp,
         )
-        if self._membership is not None:
-            op.view = self._view.view_id
+        op.view = self.view_id
         self.writes_performed += 1
         self._begin(op)
         return future
@@ -624,11 +611,12 @@ class QuorumRegisterClient(Node):
     # ------------------------------------------------------------------ #
 
     def on_message(self, src: int, message: Any) -> None:
-        # The plain-reply branch stays first: it is the only branch a
-        # membership-free run ever takes, and the native client core
-        # recognises exactly these two types — everything view-stamped
-        # soft-falls back here per message.
         if isinstance(message, (ReadReply, WriteAck)):
+            if message.view > self.view_id:
+                # A draining leaver (or newer member) answered an op we
+                # stamped with an old view; the reply is still a valid
+                # answer, and its stamp tells us to refresh.
+                self._refresh_view()
             op = self._pending.get(message.op_id)
             if op is None:
                 return  # late reply for a completed operation
@@ -642,36 +630,21 @@ class QuorumRegisterClient(Node):
                 )
             if op.complete_against_quorum():
                 self._finish(op)
-        elif isinstance(message, (ViewReadReply, ViewWriteAck)):
-            if self._membership is None:
-                return  # view traffic on a static deployment: drop
-            if message.view > self._view.view_id:
-                # A draining leaver (or newer member) answered an op we
-                # stamped with an old view; the reply is still a valid
-                # answer, and its stamp tells us to refresh.
-                self._refresh_view()
-            op = self._pending.get(message.op_id)
-            if op is None:
-                return
-            server_index = self._server_index.get(src)
-            if server_index is None:
-                return
-            op.replies[server_index] = message
-            if op.span is not None:
-                op.span.event(
-                    self.network.scheduler.now, "reply", server=server_index
-                )
-            if op.complete_against_quorum():
-                self._finish(op)
         elif isinstance(message, StaleViewNack):
-            if self._membership is None:
-                return
             self.stale_nacks += 1
             self._refresh_view()
             op = self._pending.get(message.op_id)
             if op is None:
                 return  # op already completed (or expired) elsewhere
             self._redispatch(op)
+
+    def _quorum_read_replies(self, op: _PendingOp) -> List[ReadReply]:
+        """The read replies gathered from members of the op's quorum."""
+        return [
+            op.replies[i]
+            for i in op.quorum
+            if isinstance(op.replies.get(i), ReadReply)
+        ]
 
     def _finish(self, op: _PendingOp) -> None:
         self._teardown(op)
@@ -695,12 +668,9 @@ class QuorumRegisterClient(Node):
             return
         # Read: return the highest-timestamped value among quorum replies,
         # consulting the monotone cache when enabled.
-        quorum_replies = [
-            op.replies[i]
-            for i in op.quorum
-            if isinstance(op.replies.get(i), (ReadReply, ViewReadReply))
-        ]
-        best = max(quorum_replies, key=lambda reply: reply.timestamp)
+        best = max(
+            self._quorum_read_replies(op), key=lambda reply: reply.timestamp
+        )
         value, timestamp = best.value, best.timestamp
         if self.monotone:
             cached = self._cache.get(op.register)

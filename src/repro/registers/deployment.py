@@ -101,8 +101,8 @@ class RegisterDeployment:
             node_id: index for index, node_id in enumerate(self.server_ids)
         }
         # Dynamic membership; stays None unless install_membership is
-        # handed a non-empty schedule, and every membership branch in the
-        # register stack gates on that.
+        # handed a non-empty schedule — a static deployment is view 0
+        # with no manager, no server view state and no view gate.
         self.membership: Optional[Any] = None
 
         self.clients: List[QuorumRegisterClient] = []
@@ -140,7 +140,8 @@ class RegisterDeployment:
         # network's SendCore/DeliveryCore) so trace taps keep working.
         # The factories return None on the pure-python backend and for
         # subclassed nodes; the cores themselves re-check the mutable
-        # hooks per delivery and fall back to the Python methods.
+        # hooks and the view state per delivery and fall back to the
+        # Python methods.
         for server in self.servers:
             core = kernel.make_server_core(server)
             if core is not None:
@@ -221,11 +222,13 @@ class RegisterDeployment:
         """Install a membership timeline; returns the ViewManager.
 
         An **empty** schedule returns None and touches nothing — the
-        deployment stays on the static fast path, byte-identical to one
+        deployment stays static (view 0 forever), byte-identical to one
         that never heard of membership.  Otherwise every server gets a
-        view state, every client switches to view-stamped dispatch, and
-        the manager's events are scheduled.  Imported lazily so static
-        deployments never load the membership package.
+        view state (arming its view gate), every client starts sampling
+        quorums from the manager's views and stamping requests with the
+        view id it dispatched under, and the manager's events are
+        scheduled.  The messages are the same four either way.  Imported
+        lazily so static deployments never load the membership package.
         """
         if len(schedule) == 0:
             return None

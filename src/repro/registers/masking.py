@@ -18,7 +18,7 @@ This module provides
   its last accepted value when no candidate qualifies.
 """
 
-from typing import Any, Dict, List, Tuple
+from typing import Any, Dict, Tuple
 
 from repro.core.timestamps import Timestamp
 from repro.registers.client import QuorumRegisterClient, _PendingOp
@@ -95,14 +95,9 @@ class MaskingClient(QuorumRegisterClient):
             return
         self._teardown(op)
         now = self.network.scheduler.now
-        replies: List[ReadReply] = [
-            op.replies[i]
-            for i in op.quorum
-            if isinstance(op.replies.get(i), ReadReply)
-        ]
         # Count vouchers per (timestamp, value) pair.
         vouch: Dict[Tuple[Timestamp, Any], int] = {}
-        for reply in replies:
+        for reply in self._quorum_read_replies(op):
             key = (reply.timestamp, reply.value)
             vouch[key] = vouch.get(key, 0) + 1
         candidates = [

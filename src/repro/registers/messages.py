@@ -5,6 +5,15 @@ Section 4: a read is a (ReadQuery, ReadReply) exchange with each quorum
 member, a write a (WriteUpdate, WriteAck) exchange.  Messages carry the
 register name so one server can host replicas of many registers.
 
+Every one of the four ends in a ``view`` field: requests carry the view
+id the client dispatched under, replies the server's current view id.
+A static deployment is simply view 0 everywhere — the default, so
+positional construction (``ReadQuery("r0", 1)``) needs no stamp — and
+dynamic membership (:mod:`repro.membership`) raises it.  Both kernel
+backends handle this one family; the control messages below
+(:class:`StaleViewNack`, :class:`StateRequest`, :class:`StateReply`) are
+genuinely different exchanges, handled in Python on receipt.
+
 Messages are frozen tuples (:class:`typing.NamedTuple`): construction is
 a single C-level ``tuple.__new__`` — these are allocated on every quorum
 round, so they sit on the simulation hot path — and immutability lets
@@ -23,11 +32,12 @@ class ReadQuery(NamedTuple):
 
     register: str
     op_id: int
+    view: int = 0
 
     kind = "read_query"
 
     def __repr__(self) -> str:
-        return f"ReadQuery({self.register!r}, op={self.op_id})"
+        return f"ReadQuery({self.register!r}, op={self.op_id}, view={self.view})"
 
 
 class ReadReply(NamedTuple):
@@ -37,13 +47,14 @@ class ReadReply(NamedTuple):
     op_id: int
     value: Any
     timestamp: Timestamp
+    view: int = 0
 
     kind = "read_reply"
 
     def __repr__(self) -> str:
         return (
             f"ReadReply({self.register!r}, op={self.op_id}, v={self.value!r}, "
-            f"ts={self.timestamp.seq})"
+            f"ts={self.timestamp.seq}, view={self.view})"
         )
 
 
@@ -54,13 +65,14 @@ class WriteUpdate(NamedTuple):
     op_id: int
     value: Any
     timestamp: Timestamp
+    view: int = 0
 
     kind = "write_update"
 
     def __repr__(self) -> str:
         return (
             f"WriteUpdate({self.register!r}, op={self.op_id}, v={self.value!r}, "
-            f"ts={self.timestamp.seq})"
+            f"ts={self.timestamp.seq}, view={self.view})"
         )
 
 
@@ -69,90 +81,12 @@ class WriteAck(NamedTuple):
 
     register: str
     op_id: int
+    view: int = 0
 
     kind = "write_ack"
 
     def __repr__(self) -> str:
-        return f"WriteAck({self.register!r}, op={self.op_id})"
-
-
-# --------------------------------------------------------------------- #
-# View-stamped variants (dynamic membership, repro.membership)
-#
-# Deployments with an installed ViewManager exchange these instead of
-# the plain four: requests carry the client's view id, replies the
-# server's, and a server nacks requests stamped with an older view so
-# the client refreshes and re-dispatches.  They are deliberately
-# *distinct types*, not extra fields on the plain messages: the native
-# kernel's protocol cores recognise the four plain NamedTuples by exact
-# type and soft-fall back to the Python handlers per message for
-# anything else, so view-bearing traffic takes the Python path with no
-# C changes — and membership-free runs, which never allocate these,
-# stay byte-identical.  Query/reply kinds reuse the plain labels so
-# per-kind message stats stay comparable across modes.
-# --------------------------------------------------------------------- #
-
-
-class ViewReadQuery(NamedTuple):
-    """Client -> server: a read query stamped with the client's view."""
-
-    register: str
-    op_id: int
-    view: int
-
-    kind = "read_query"
-
-    def __repr__(self) -> str:
-        return f"ViewReadQuery({self.register!r}, op={self.op_id}, v={self.view})"
-
-
-class ViewReadReply(NamedTuple):
-    """Server -> client: replica value/timestamp plus the server's view."""
-
-    register: str
-    op_id: int
-    value: Any
-    timestamp: Timestamp
-    view: int
-
-    kind = "read_reply"
-
-    def __repr__(self) -> str:
-        return (
-            f"ViewReadReply({self.register!r}, op={self.op_id}, "
-            f"v={self.value!r}, ts={self.timestamp.seq}, view={self.view})"
-        )
-
-
-class ViewWriteUpdate(NamedTuple):
-    """Client -> server: a write update stamped with the client's view."""
-
-    register: str
-    op_id: int
-    value: Any
-    timestamp: Timestamp
-    view: int
-
-    kind = "write_update"
-
-    def __repr__(self) -> str:
-        return (
-            f"ViewWriteUpdate({self.register!r}, op={self.op_id}, "
-            f"v={self.value!r}, ts={self.timestamp.seq}, view={self.view})"
-        )
-
-
-class ViewWriteAck(NamedTuple):
-    """Server -> client: write acknowledgement plus the server's view."""
-
-    register: str
-    op_id: int
-    view: int
-
-    kind = "write_ack"
-
-    def __repr__(self) -> str:
-        return f"ViewWriteAck({self.register!r}, op={self.op_id}, view={self.view})"
+        return f"WriteAck({self.register!r}, op={self.op_id}, view={self.view})"
 
 
 class StaleViewNack(NamedTuple):

@@ -5,17 +5,16 @@ Each server keeps, per register, a local replica value and its timestamp
 WriteUpdate installs the value only when its timestamp is newer than the
 stored one, which makes the protocol tolerate message reordering.
 
-Dynamic membership (``repro.membership``) rides on the view-stamped
-message variants: when a :class:`~repro.membership.manager.ViewManager`
-attaches a :class:`~repro.membership.manager.ServerViewState`, the
-server answers ``ViewReadQuery``/``ViewWriteUpdate`` with replies
-carrying its current view id, nacks requests stamped with an older view
-(``StaleViewNack`` — the client refreshes and re-dispatches), serves
-``StateRequest`` catch-up queries from joining replicas, and — once
-retired after its drain window — ignores all traffic, counted.  A
-deployment with no membership schedule never attaches the state, and
-every view-stamped branch sits after the plain-message dispatch, so the
-membership-free hot path is unchanged.
+Every request and reply carries a view id (:mod:`repro.registers.messages`).
+On a static deployment no ``view_state`` is ever attached: requests are
+answered unconditionally and replies are stamped view 0.  When a
+:class:`~repro.membership.manager.ViewManager` attaches a
+:class:`~repro.membership.manager.ServerViewState`, the same two
+branches first pass the view gate — a request stamped with an older view
+is nacked (``StaleViewNack``: the client refreshes and re-dispatches), a
+retired server ignores all traffic, counted — and stamp replies with the
+server's current view id.  The server also serves ``StateRequest``
+catch-up queries from joining replicas.
 """
 
 from typing import Any, Dict, Optional, Tuple
@@ -27,10 +26,6 @@ from repro.registers.messages import (
     StaleViewNack,
     StateReply,
     StateRequest,
-    ViewReadQuery,
-    ViewReadReply,
-    ViewWriteAck,
-    ViewWriteUpdate,
     WriteAck,
     WriteUpdate,
 )
@@ -106,28 +101,28 @@ class ReplicaServer(Node):
         # Replies go through network.send directly: Node.send's attachment
         # checks cost a function call per reply, and every message a
         # server handles produces exactly one reply.
-        if isinstance(message, ReadQuery):
-            timestamp, value = self._replica(message.register)
-            self.reads_served += 1
-            self.network.send(
-                self.node_id,
-                src,
-                ReadReply(message.register, message.op_id, value, timestamp),
-            )
-        elif isinstance(message, WriteUpdate):
-            current_ts, _ = self._replica(message.register)
-            if message.timestamp > current_ts:
-                self._replicas[message.register] = (message.timestamp, message.value)
-                self.writes_applied += 1
+        if isinstance(message, (ReadQuery, WriteUpdate)):
+            state = self.view_state
+            view_id = 0
+            if state is not None:
+                if not self._gate(state, message, src):
+                    return
+                view_id = state.view_id
+            register = message.register
+            current_ts, value = self._replica(register)
+            if isinstance(message, ReadQuery):
+                self.reads_served += 1
+                reply = ReadReply(
+                    register, message.op_id, value, current_ts, view_id
+                )
             else:
-                self.stale_updates_ignored += 1
-            self.network.send(
-                self.node_id, src, WriteAck(message.register, message.op_id)
-            )
-        elif isinstance(message, ViewReadQuery):
-            self._on_view_read(src, message)
-        elif isinstance(message, ViewWriteUpdate):
-            self._on_view_write(src, message)
+                if message.timestamp > current_ts:
+                    self._replicas[register] = (message.timestamp, message.value)
+                    self.writes_applied += 1
+                else:
+                    self.stale_updates_ignored += 1
+                reply = WriteAck(register, message.op_id, view_id)
+            self.network.send(self.node_id, src, reply)
         elif isinstance(message, StateRequest):
             self._on_state_request(src, message)
         elif isinstance(message, StateReply):
@@ -139,11 +134,11 @@ class ReplicaServer(Node):
             self.unknown_messages_ignored += 1
 
     # ------------------------------------------------------------------ #
-    # View-stamped protocol (dynamic membership)
+    # Dynamic membership
     # ------------------------------------------------------------------ #
 
-    def _gate(self, message: Any, src: int) -> bool:
-        """Common view checks; True when the request should be answered.
+    def _gate(self, state: Any, message: Any, src: int) -> bool:
+        """The view check; True when the request should be answered.
 
         Retired servers ignore everything (counted).  An *active* member
         nacks requests stamped with an older view, forcing the client to
@@ -151,7 +146,6 @@ class ReplicaServer(Node):
         carries the new view id, which refreshes the client anyway —
         so in-flight old-view operations complete during the drain.
         """
-        state = self.view_state
         if state.retired:
             self.retired_messages_ignored += 1
             return False
@@ -164,45 +158,6 @@ class ReplicaServer(Node):
             )
             return False
         return True
-
-    def _on_view_read(self, src: int, message: ViewReadQuery) -> None:
-        if self.view_state is None:
-            self.unknown_messages_ignored += 1
-            return
-        if not self._gate(message, src):
-            return
-        timestamp, value = self._replica(message.register)
-        self.reads_served += 1
-        self.network.send(
-            self.node_id,
-            src,
-            ViewReadReply(
-                message.register, message.op_id, value, timestamp,
-                self.view_state.view_id,
-            ),
-        )
-
-    def _on_view_write(self, src: int, message: ViewWriteUpdate) -> None:
-        if self.view_state is None:
-            self.unknown_messages_ignored += 1
-            return
-        if not self._gate(message, src):
-            return
-        current_ts, _ = self._replica(message.register)
-        if message.timestamp > current_ts:
-            self._replicas[message.register] = (
-                message.timestamp, message.value
-            )
-            self.writes_applied += 1
-        else:
-            self.stale_updates_ignored += 1
-        self.network.send(
-            self.node_id,
-            src,
-            ViewWriteAck(
-                message.register, message.op_id, self.view_state.view_id
-            ),
-        )
 
     def _on_state_request(self, src: int, message: StateRequest) -> None:
         state = self.view_state

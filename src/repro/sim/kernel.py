@@ -228,6 +228,9 @@ def make_server_core(server):
     and on a native scheduler, so replies push straight into the C heap.
     The core re-checks the mutable hooks (adversary, detailed stats) per
     delivery and falls back to the Python handler when any is active.
+    The view gate (retired-ignore, stale-view nack) runs in C against
+    the server's current ``view_state``; the ``State*`` transfer
+    messages always take Python.
     """
     if selected_backend() != "native":
         return None
@@ -249,8 +252,10 @@ def make_client_core(client):
     ``_finish``/``_teardown`` completion path, installed as the client's
     ``on_message`` instance attribute.  Exact-type gated like
     :func:`make_server_core`; per-delivery fallback conditions are the
-    adversary, detailed stats, an op-level span and the online spec
-    monitor.  The live latency histogram is observed natively.  Quorum
+    adversary, detailed stats, an op-level span, the online spec monitor
+    and a reply stamped with a newer view than the client's (which must
+    refresh first); ``StaleViewNack`` always takes Python.  The live
+    latency histogram is observed natively.  Quorum
     sampling and retry jitter stay in Python, so the RNG draw order is
     untouched.
     """

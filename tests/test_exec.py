@@ -148,14 +148,24 @@ def test_run_many_progress_in_task_order():
 # --- the on-disk run cache -------------------------------------------------
 
 
+CHURNED_PARAMS = {
+    **TINY_PARAMS,
+    "retry": {"interval": 1.0, "jitter": 0.0, "deadline": 30.0},
+    "membership": {"kind": "churn", "period": 8.0, "batch": 1},
+}
+
+
 def test_cache_roundtrip(tmp_path):
+    """A hit compares ``==`` to the fresh payload, not merely equal as
+    canonical JSON: payloads (membership views included) carry lists."""
     cache = RunCache(root=str(tmp_path))
-    task = RunTask(kind="alg1", params=TINY_PARAMS, seed=17)
-    assert cache.get(task) is MISS
-    result = execute_task(task)
-    cache.put(task, result)
-    assert cache.get(task) == result
-    assert len(cache) == 1
+    for params in (TINY_PARAMS, CHURNED_PARAMS):
+        task = RunTask(kind="alg1", params=params, seed=17)
+        assert cache.get(task) is MISS
+        result = execute_task(task)
+        cache.put(task, result)
+        assert cache.get(task) == result
+    assert len(cache) == 2
 
 
 def test_second_invocation_executes_zero_new_runs(tmp_path):

@@ -585,13 +585,14 @@ def _capture_membership_trace():
 def test_golden_membership_trace_is_unchanged(kernel_backend):
     """Join + retire deliver the exact golden sequence on both backends.
 
-    Parametrized over python and native: the native cores must hand every
-    view-stamped message (and the transfer protocol) to the Python
-    handlers without perturbing event order, times or RNG streams.
+    Parametrized over python and native: the native cores carry the
+    view-stamped messages themselves (nacks at the client and the
+    transfer protocol take the Python handlers) without perturbing event
+    order, times or RNG streams.
     """
     trace, manager, deployment = _capture_membership_trace()
     assert trace == GOLDEN_MEMBERSHIP_TRACE
-    assert manager.view_sizes() == [(0, 4, 2), (1, 5, 2), (2, 4, 2)]
+    assert manager.view_sizes() == [[0, 4, 2], [1, 5, 2], [2, 4, 2]]
     assert manager.state_transfers_completed == 1
     assert manager.state_transfers_incomplete == 0
     assert deployment.pending_ops == 0

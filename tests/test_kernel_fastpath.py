@@ -4,7 +4,7 @@ The native kernel now draws RNG values in C — per-message exponential
 delays, the k-of-n quorum sample — and runs the quorum fan-out
 (``Network.broadcast``) and the live latency histogram natively.  All of
 it is contractually bit-identical to the pure-python reference, so these
-tests pin the contract three ways:
+tests pin the contract four ways:
 
 * **draw-level properties** — the C ``quorum_sample`` and the C
   exponential delay consume the Generator stream exactly as numpy does,
@@ -12,9 +12,13 @@ tests pin the contract three ways:
 * **hardened end-to-end equivalence** — a deployment exercising every
   per-message fallback guard at once (retries + loss + adversary + span
   tracing) produces identical fingerprints on both backends,
+* **differential property** — random seeds, quorum shapes and
+  membership timelines leave both backends with the same delivery trace
+  and the same server, client and view-manager state,
 * **gating** — the fast paths install only on the native backend, fall
-  back per call when a hook flips on mid-run, and the pure-python
-  backend never sees them.
+  back per call when a hook flips on mid-run (a guard on state: churned
+  traffic stays in C), refuse an ABI-stale extension, and the
+  pure-python backend never sees them.
 """
 
 import numpy as np
@@ -23,10 +27,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.adversary.strategies import RandomHostileAdversary
+from repro.membership import MembershipSchedule
 from repro.obs.core import Observability
 from repro.obs.spans import SpanRecorder
 from repro.quorum.probabilistic import ProbabilisticQuorumSystem
+from repro.registers.client import QuorumRegisterClient, RetryPolicy
 from repro.registers.deployment import RegisterDeployment
+from repro.registers.server import ReplicaServer
 from repro.sim import kernel
 from repro.sim.delays import ConstantDelay, ExponentialDelay
 
@@ -172,12 +179,39 @@ def test_hardened_run_is_identical_across_backends(seed):
 
 
 # --------------------------------------------------------------------- #
-# Property: randomized seeds, event-for-event backend equivalence
+# Property: randomized seeds and membership timelines, differential
 # --------------------------------------------------------------------- #
 
 
-def _delivery_trace(backend, seed, n, k, mean):
-    """Full delivery trace of a seeded two-client workload."""
+@st.composite
+def membership_timelines(draw, n):
+    """None (static), or event specs: random joins/leaves or rotating churn."""
+    shape = draw(st.sampled_from(["static", "events", "churn"]))
+    if shape == "static":
+        return None
+    if shape == "churn":
+        return MembershipSchedule.churn(
+            n,
+            period=draw(st.sampled_from([1.5, 3.0, 5.0])),
+            batch=draw(st.integers(min_value=1, max_value=min(n, 3))),
+            horizon=14.0,
+        ).to_specs()
+    return draw(st.lists(
+        st.fixed_dictionaries({
+            "time": st.sampled_from([0.0, 1.0, 2.5, 4.0, 6.5, 9.0, 12.0]),
+            "action": st.sampled_from(["join", "leave"]),
+            "nodes": st.lists(
+                st.integers(min_value=0, max_value=n + 3),
+                min_size=1, max_size=3, unique=True,
+            ),
+        }),
+        min_size=1, max_size=6,
+    ))
+
+
+def _run_state(backend, seed, n, k, mean, timeline=None, loss_rate=0.0):
+    """Everything observable about a seeded two-client workload: the full
+    delivery trace plus every server's, client's and manager's state."""
     with kernel.use_backend(backend):
         deployment = RegisterDeployment(
             ProbabilisticQuorumSystem(n, k),
@@ -185,9 +219,20 @@ def _delivery_trace(backend, seed, n, k, mean):
             delay_model=ExponentialDelay(mean),
             seed=seed,
             record_history=False,
+            loss_rate=loss_rate,
+            # Reconfiguration strands requests at retired servers (and
+            # loss drops them); only the static shape runs retry-free.
+            retry_policy=None if timeline is None else RetryPolicy(
+                interval=3.0, jitter=0.1, deadline=40.0
+            ),
         )
         deployment.declare_register("x", writer=0)
         deployment.declare_register("y", writer=1)
+        manager = None
+        if timeline is not None:
+            manager = deployment.install_membership(
+                MembershipSchedule.from_specs(timeline), drain=3.0
+            )
         trace = []
         network = deployment.network
         original_deliver = network._deliver
@@ -201,30 +246,64 @@ def _delivery_trace(backend, seed, n, k, mean):
         network._deliver = recording_deliver
         a = deployment.handle(0, "x")
         b = deployment.handle(1, "y")
-        for i in range(8):
+
+        def issue(i):
             a.write(i)
             b.read()
+
+        for i in range(8):
+            if timeline is None:
+                issue(i)
+            else:
+                # Spread over the timeline so views change mid-operation.
+                deployment.scheduler.schedule_at(1.75 * i, issue, i)
         deployment.run()
-        return trace
+        return {
+            "trace": trace,
+            "servers": [
+                (dict(server._replicas), server.metric_counters())
+                for server in deployment.servers
+            ],
+            "clients": [
+                {
+                    name: getattr(client, name)
+                    for name in (
+                        "ops_completed", "retries", "timeouts", "unreachable",
+                        "stale_nacks", "view_refreshes", "view_id",
+                        "pending_ops",
+                    )
+                }
+                for client in deployment.clients
+            ],
+            "manager": manager and (
+                manager.metric_counters(), manager.view_sizes()
+            ),
+        }
 
 
 @needs_native
-@settings(max_examples=12, deadline=None)
+@settings(max_examples=25, deadline=None)
 @given(
     seed=st.integers(min_value=0, max_value=2**31 - 1),
     n=st.integers(min_value=2, max_value=40),
     data=st.data(),
 )
 def test_backends_deliver_identical_traces_for_random_seeds(seed, n, data):
-    """For arbitrary seeds and quorum shapes, the native backend delivers
-    the exact event sequence of the python backend — every C draw (delay
-    sampling, quorum choice) consumes the streams identically."""
+    """For arbitrary seeds, quorum shapes and membership timelines, the
+    native backend delivers the exact event sequence of the python
+    backend and leaves every node in the same state — every C draw (delay
+    sampling, quorum choice) consumes the streams identically, and the C
+    view checks take the decisions the Python handlers take."""
     k = data.draw(st.integers(min_value=1, max_value=n))
     mean = data.draw(st.sampled_from([0.5, 1.0, 2.0]))
-    trace_py = _delivery_trace("python", seed, n, k, mean)
-    trace_native = _delivery_trace("native", seed, n, k, mean)
-    assert trace_py == trace_native
-    assert trace_py  # the workload actually produced traffic
+    timeline = data.draw(membership_timelines(n))
+    loss_rate = 0.0 if timeline is None else data.draw(
+        st.sampled_from([0.0, 0.05])
+    )
+    state_py = _run_state("python", seed, n, k, mean, timeline, loss_rate)
+    state_native = _run_state("native", seed, n, k, mean, timeline, loss_rate)
+    assert state_py == state_native
+    assert state_py["trace"]  # the workload actually produced traffic
 
 
 # --------------------------------------------------------------------- #
@@ -294,6 +373,87 @@ def test_python_backend_gets_no_cores():
     with kernel.use_backend("python"):
         assert kernel.make_broadcast_core(network) is None
         assert kernel.native_quorum_sampler() is None
+
+
+@needs_native
+def test_stale_extension_counts_as_not_built(monkeypatch, capsys):
+    """An extension compiled from another revision (``KERNEL_ABI``
+    mismatch) would pack message tuples of the wrong width: it must load
+    as "not built", so native requests soft-fall back with the warning."""
+    import repro._native as native
+
+    monkeypatch.setattr(native, "KERNEL_ABI", native.KERNEL_ABI + 1)
+    for name in ("_kernel_module", "_import_error"):
+        monkeypatch.setattr(native, name, None)
+    monkeypatch.setattr(native, "_attempted", False)
+    monkeypatch.setattr(kernel, "_warned_fallback", False)
+    assert not kernel.native_available()
+    assert "python -m repro._native.build" in kernel.native_import_error()
+    with kernel.use_backend("native"):
+        assert kernel.selected_backend() == "python"
+    assert "falling back" in capsys.readouterr().err
+
+
+@needs_native
+def test_churned_native_run_takes_python_handlers_only_on_view_state(
+    monkeypatch,
+):
+    """Fallback is a guard on state, not a property of the message type:
+    under rotating churn (the ``serve --churn 6.25`` shape, short) the
+    Python handlers run only for ``StaleViewNack``, view-refreshing and
+    ``State*`` deliveries — everything else stays in the C cores."""
+    calls = {ReplicaServer: 0, QuorumRegisterClient: 0}
+    for cls in calls:
+        def counted(self, src, message, _cls=cls, _handler=cls.on_message):
+            calls[_cls] += 1
+            _handler(self, src, message)
+
+        monkeypatch.setattr(cls, "on_message", counted)
+    with kernel.use_backend("native"):
+        deployment = RegisterDeployment(
+            ProbabilisticQuorumSystem(16, 5),
+            num_clients=4,
+            delay_model=ExponentialDelay(1.0),
+            seed=3,
+            retry_policy=RetryPolicy(
+                interval=4.0, max_interval=16.0, jitter=0.1, deadline=60.0
+            ),
+            record_history=False,
+            detailed_stats=False,
+        )
+        for shard in range(8):
+            deployment.declare_register(f"r{shard}", writer=shard % 4)
+        manager = deployment.install_membership(
+            MembershipSchedule.churn(16, period=6.25, batch=1, horizon=150.0),
+            drain=0.5,  # short, so requests still reach retired leavers
+        )
+
+        def issue(i):
+            client = deployment.clients[i % 4]
+            if i % 10 == 0:
+                client.write(f"r{i % 4}", i)
+            else:
+                client.read(f"r{i % 8}")
+
+        for i in range(1200):  # open loop, 8 ops per time unit
+            deployment.scheduler.schedule_at(i / 8.0, issue, i)
+        deployment.run()
+    servers = [server.metric_counters() for server in deployment.servers]
+    assert manager.views_installed > 20
+    assert sum(c["stale_nacks_sent"] for c in servers) > 0
+    assert sum(c["retired_messages_ignored"] for c in servers) > 0
+    # Servers run the view gate (nack, retired-ignore) in C; only the
+    # transfer protocol takes Python — one call at the member serving a
+    # StateRequest, one at the joiner receiving its StateReply.
+    assert calls[ReplicaServer] <= 2 * sum(
+        c["state_requests_served"] for c in servers
+    )
+    # Clients take Python for each nack and each reply that made them
+    # refresh their view.
+    assert calls[QuorumRegisterClient] <= (
+        deployment.total_stale_nacks + deployment.total_view_refreshes
+    )
+    assert sum(calls.values()) < 0.1 * deployment.network.stats.delivered
 
 
 @needs_native

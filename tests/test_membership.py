@@ -180,7 +180,7 @@ class TestJoinAndRetire:
             MembershipSchedule().join(6.0, [4]).leave(14.0, [0]), drain=4.0
         )
         reads = run_chained_ops(deployment)
-        assert manager.view_sizes() == [(0, 4, 2), (1, 5, 2), (2, 4, 2)]
+        assert manager.view_sizes() == [[0, 4, 2], [1, 5, 2], [2, 4, 2]]
         assert manager.state_transfers_completed == 1
         assert manager.state_transfers_incomplete == 0
         assert deployment.pending_ops == 0
@@ -205,7 +205,7 @@ class TestJoinAndRetire:
         run_chained_ops(deployment, ops=4)
         assert manager.views_installed == 0
         assert manager.events_skipped == 2
-        assert manager.view_sizes() == [(0, 4, 2)]
+        assert manager.view_sizes() == [[0, 4, 2]]
 
     def test_last_member_never_retires(self):
         deployment = make_deployment()
@@ -382,9 +382,7 @@ class TestWorkerPayloadShape:
         membership = payload["membership"]
         assert membership["views_installed"] > 0
         assert membership["state_transfers_incomplete"] == 0
-        assert membership["views"][0] == [0, 6, 2] or (
-            membership["views"][0] == (0, 6, 2)
-        )
+        assert membership["views"][0] == [0, 6, 2]
         assert payload["unreachable"] == 0
         assert payload["hung_ops"] == 0
 
@@ -429,6 +427,29 @@ class TestShrinkMembership:
         assert any(
             "membership" in step for step in report["shrink"]["reductions"]
         )
+
+
+class TestMustFailControl:
+    def test_regressing_client_is_caught_across_views(self, kernel_backend):
+        # The deliberately broken client selects replies through the
+        # production client's own helper; once views have changed (so
+        # the replies it mis-ranks carry view stamps > 0) the online
+        # monitor must still fire, on either kernel backend.
+        payload = execute_task(RunTask(
+            kind="alg1",
+            params={
+                **TINY_PARAMS,
+                "max_sim_time": 200.0,
+                "retry": {"interval": 1.0, "jitter": 0.0, "deadline": 30.0},
+                "check_spec_online": True,
+                "broken_client": {"kind": "regressing", "after": 12},
+                "membership": {"kind": "churn", "period": 2.0, "batch": 1},
+            },
+            seed=11,
+        ))
+        assert payload["spec_violation"]["condition"] == "R4"
+        assert payload["membership"]["views_installed"] >= 2
+        assert payload["monitor"]["views_seen"] >= 2
 
 
 class TestServiceChurn:
