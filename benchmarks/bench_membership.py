@@ -7,7 +7,7 @@ from a read quorum of the old view.  This benchmark sweeps the churn
 rate (replica replacements per simulated time unit) and records, per
 point:
 
-* the service-mode SLO (streaming p99, shed fraction, timeouts) under
+* the service-mode SLO (sketch p99, shed fraction, timeouts) under
   open-loop traffic with rotating membership — the degradation curve,
 * a monitored correctness run: the same churn rate under the online
   [R2]/[R4] spec monitor, which must stay clean across every view

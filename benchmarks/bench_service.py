@@ -8,8 +8,8 @@ latency``; past that point the shed fraction climbs and the SLO is no
 longer being met *for the offered load*.  This benchmark climbs a rate
 ladder and records the highest arrival rate at which the service still
 
-* keeps streaming p99 latency at or under ``P99_TARGET`` simulated time
-  units,
+* keeps p99 latency (the log-bucket sketch's, within 0.5% of the exact
+  sample p99) at or under ``P99_TARGET`` simulated time units,
 * sheds at most ``SHED_LIMIT`` of offered requests,
 * rejects nothing by deadline and hangs nothing.
 
@@ -38,7 +38,7 @@ from repro.service import ServiceConfig, run_service
 
 OUTPUT_DIR = pathlib.Path(__file__).resolve().parent / "output"
 
-#: The SLO: streaming p99 over all operations, in simulated time units.
+#: The SLO: sketch p99 over all operations, in simulated time units.
 #: A healthy quorum round under ExponentialDelay(1.0) lands around 3-4
 #: units and the first retry fires at 4, so 14 tolerates one retry in
 #: the tail but fails a rung where retries become the norm.

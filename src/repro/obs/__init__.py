@@ -4,6 +4,9 @@ Layers (bottom-up):
 
 * :mod:`repro.obs.registry` — Counter/Gauge/Histogram instruments with
   labels, snapshot/merge semantics and a no-op null variant,
+* :mod:`repro.obs.quantiles` — the mergeable log-bucket latency sketch
+  (any quantile within a fixed relative error; one integer bump per
+  observation, cheap enough for the service's per-operation path),
 * :mod:`repro.obs.spans` — per-operation span tracing (invoke → quorum
   rounds → retries → response/timeout) with a bounded ring of spans,
 * :mod:`repro.obs.export` — Prometheus text exposition and JSON renderers
@@ -22,11 +25,7 @@ from repro.obs.export import (
     to_prometheus_text,
     validate_prometheus_text,
 )
-from repro.obs.quantiles import (
-    DEFAULT_QUANTILES,
-    P2Quantile,
-    StreamingQuantiles,
-)
+from repro.obs.quantiles import DEFAULT_QUANTILES, StreamingQuantiles
 from repro.obs.registry import (
     DEFAULT_BUCKETS,
     Counter,
@@ -61,7 +60,6 @@ __all__ = [
     "NullRegistry",
     "NullSpanRecorder",
     "Observability",
-    "P2Quantile",
     "Span",
     "SpanEvent",
     "SpanRecorder",

@@ -1,188 +1,111 @@
-"""Streaming quantile estimation: the P² algorithm.
+"""Streaming quantile estimation: a mergeable log-bucket sketch.
 
-Fixed-bucket histograms answer "which bucket does the p99 fall in" — good
-enough for coarse latency tables, but an SLO tracker wants a point
-estimate that sharpens as traffic flows, without storing observations.
-The P² algorithm (Jain & Chlamtac, CACM 1985) maintains five *markers*
-per tracked quantile — the minimum, the maximum, the quantile itself and
-two intermediate points — and nudges their heights by piecewise-parabolic
-interpolation as observations arrive.  O(1) memory and time per
-observation, deterministic (pure float arithmetic in observation order,
-no randomness, no wall clock), and typically within a fraction of a
-percent of the exact sample quantile for unimodal streams.
+An SLO tracker wants latency quantiles without storing observations,
+cheap enough to sit on the service's per-operation path.  The sketch
+(Masson, Rim & Lee, "DDSketch", VLDB 2019) counts observations in
+geometric buckets: ``v > 0`` lands in bucket ``ceil(log_gamma(v))`` with
+``gamma = (1 + ALPHA) / (1 - ALPHA)``, zeros in a bucket of their own.
+Bucket ``i`` covers ``(gamma**(i-1), gamma**i]`` and is reported by its
+midpoint ``2 * gamma**i / (gamma + 1)``, which is within relative error
+:data:`ALPHA` of everything in the bucket.
 
-:class:`P2Quantile` tracks one quantile; :class:`StreamingQuantiles`
-bundles the service-mode SLO set (p50/p99/p999 by default) behind a
-single ``observe``.  Both reject non-finite observations with
+Accuracy contract: for *any* ``q`` in [0, 1], ``value(q)`` is within
+relative error :data:`ALPHA` of the exact nearest-rank sample quantile
+(the ``ceil(q * n)``-th smallest observation, the rank
+:meth:`~repro.obs.registry.Histogram.quantile` targets too) — whatever
+the shape of the distribution.  Observations must be finite and
+non-negative (latencies, sizes; a subnormal's own spacing is coarser
+than :data:`ALPHA`, so the bound covers zero and the normal float
+range); anything else raises
 :class:`~repro.obs.registry.MetricsError`, mirroring
 :class:`~repro.obs.registry.Histogram`.
+
+Cost: ``observe`` is one ``log``, one ``ceil`` and one integer bump;
+memory is one counter per occupied bucket, O(log(max/min) / ALPHA).
+The state is integer counts only, so it does not depend on observation
+order, two sketches merge by adding counts (:meth:`merged` equals the
+sketch of the concatenated streams exactly), and the estimates are
+byte-deterministic across runs and kernel backends.
 """
 
-import math
-from typing import Dict, Sequence, Tuple
+from math import ceil, inf, log, nan
+from typing import Dict, Tuple
 
 from repro.obs.registry import MetricsError
 
 #: The service-mode SLO quantile set.
 DEFAULT_QUANTILES: Tuple[float, ...] = (0.5, 0.99, 0.999)
 
+#: Guaranteed relative error of every reported quantile.
+ALPHA = 0.005
 
-class P2Quantile:
-    """One streaming quantile estimate via the P² marker algorithm.
-
-    The first five observations are held exactly (and the estimate is the
-    exact sample quantile over them); from the sixth on, the five markers
-    take over and memory stays constant.
-    """
-
-    __slots__ = ("q", "count", "_heights", "_positions", "_desired", "_rates")
-
-    def __init__(self, q: float) -> None:
-        if not 0.0 < q < 1.0:
-            raise MetricsError(f"tracked quantile must be in (0, 1), got {q}")
-        self.q = q
-        self.count = 0
-        self._heights: list = []
-        # Marker positions are 1-based observation ranks, per the paper.
-        self._positions = [1.0, 2.0, 3.0, 4.0, 5.0]
-        self._desired = [1.0, 1.0 + 2.0 * q, 1.0 + 4.0 * q, 3.0 + 2.0 * q, 5.0]
-        self._rates = (0.0, q / 2.0, q, (1.0 + q) / 2.0, 1.0)
-
-    def observe(self, value: float) -> None:
-        """Fold one observation into the marker state."""
-        if not math.isfinite(value):
-            raise MetricsError(
-                f"quantile observation must be finite, got {value}"
-            )
-        self.count += 1
-        heights = self._heights
-        if self.count <= 5:
-            heights.append(value)
-            heights.sort()
-            return
-
-        # Locate the cell k whose interval [h_k, h_{k+1}) holds the value,
-        # stretching the extreme markers when it falls outside them.
-        if value < heights[0]:
-            heights[0] = value
-            cell = 0
-        elif value >= heights[4]:
-            heights[4] = value
-            cell = 3
-        else:
-            cell = 0
-            while value >= heights[cell + 1]:
-                cell += 1
-
-        positions = self._positions
-        desired = self._desired
-        for index in range(cell + 1, 5):
-            positions[index] += 1.0
-        for index, rate in enumerate(self._rates):
-            desired[index] += rate
-
-        # Adjust the three interior markers toward their desired positions.
-        for index in (1, 2, 3):
-            drift = desired[index] - positions[index]
-            right_gap = positions[index + 1] - positions[index]
-            left_gap = positions[index - 1] - positions[index]
-            if (drift >= 1.0 and right_gap > 1.0) or (
-                drift <= -1.0 and left_gap < -1.0
-            ):
-                step = 1.0 if drift >= 1.0 else -1.0
-                candidate = self._parabolic(index, step)
-                if not heights[index - 1] < candidate < heights[index + 1]:
-                    candidate = self._linear(index, step)
-                heights[index] = candidate
-                positions[index] += step
-
-    def _parabolic(self, index: int, step: float) -> float:
-        heights = self._heights
-        positions = self._positions
-        p_prev, p_here, p_next = (
-            positions[index - 1], positions[index], positions[index + 1]
-        )
-        h_prev, h_here, h_next = (
-            heights[index - 1], heights[index], heights[index + 1]
-        )
-        return h_here + step / (p_next - p_prev) * (
-            (p_here - p_prev + step) * (h_next - h_here) / (p_next - p_here)
-            + (p_next - p_here - step) * (h_here - h_prev) / (p_here - p_prev)
-        )
-
-    def _linear(self, index: int, step: float) -> float:
-        heights = self._heights
-        positions = self._positions
-        other = index + int(step)
-        return heights[index] + step * (heights[other] - heights[index]) / (
-            positions[other] - positions[index]
-        )
-
-    @property
-    def value(self) -> float:
-        """The current estimate (``nan`` before any observation)."""
-        count = self.count
-        if count == 0:
-            return math.nan
-        heights = self._heights
-        if count <= 5:
-            # Exact sample quantile (linear interpolation, matching
-            # numpy.quantile's default) over the buffered observations.
-            rank = self.q * (count - 1)
-            low = int(rank)
-            if low >= count - 1:
-                return heights[-1]
-            fraction = rank - low
-            return heights[low] + (heights[low + 1] - heights[low]) * fraction
-        return heights[2]
-
-    def __repr__(self) -> str:
-        return f"P2Quantile(q={self.q}, n={self.count}, value={self.value:.6g})"
+_GAMMA = (1.0 + ALPHA) / (1.0 - ALPHA)
+_PER_LOG = 1.0 / log(_GAMMA)
 
 
 class StreamingQuantiles:
-    """A bundle of P² estimators sharing one observation stream."""
+    """Log-bucket quantile sketch over one stream of non-negative values."""
 
-    __slots__ = ("_estimators",)
+    __slots__ = ("_zeros", "_buckets")
 
-    def __init__(
-        self, quantiles: Sequence[float] = DEFAULT_QUANTILES
-    ) -> None:
-        if not quantiles:
-            raise MetricsError("need at least one tracked quantile")
-        if len(set(quantiles)) != len(quantiles):
-            raise MetricsError(f"duplicate tracked quantiles: {quantiles}")
-        self._estimators = {q: P2Quantile(q) for q in sorted(quantiles)}
+    def __init__(self) -> None:
+        self._zeros = 0
+        #: bucket index -> observation count, occupied buckets only.
+        self._buckets: Dict[int, int] = {}
 
     def observe(self, value: float) -> None:
-        for estimator in self._estimators.values():
-            estimator.observe(value)
+        """Count one observation into its bucket."""
+        if 0.0 < value < inf:
+            key = ceil(log(value) * _PER_LOG)
+            try:
+                self._buckets[key] += 1
+            except KeyError:
+                self._buckets[key] = 1
+        elif value == 0.0:
+            self._zeros += 1
+        else:
+            raise MetricsError(
+                "quantile observation must be finite and non-negative, "
+                f"got {value}"
+            )
 
     @property
     def count(self) -> int:
-        for estimator in self._estimators.values():
-            return estimator.count
-        return 0
+        return self._zeros + sum(self._buckets.values())
 
-    @property
-    def quantiles(self) -> Tuple[float, ...]:
-        return tuple(self._estimators)
+    def merged(self, other: "StreamingQuantiles") -> "StreamingQuantiles":
+        """A new sketch of both streams together; neither input changes."""
+        result = StreamingQuantiles()
+        result._zeros = self._zeros + other._zeros
+        buckets = dict(self._buckets)
+        for key, bucket_count in other._buckets.items():
+            buckets[key] = buckets.get(key, 0) + bucket_count
+        result._buckets = buckets
+        return result
 
     def value(self, q: float) -> float:
-        estimator = self._estimators.get(q)
-        if estimator is None:
-            raise MetricsError(
-                f"quantile {q} is not tracked (have {self.quantiles})"
-            )
-        return estimator.value
+        """The ``q``-quantile estimate (``nan`` before any observation)."""
+        if not 0.0 <= q <= 1.0:
+            raise MetricsError(f"quantile must be in [0, 1], got {q}")
+        count = self.count
+        if count == 0:
+            return nan
+        rank = max(1, ceil(q * count))
+        cumulative = self._zeros
+        if cumulative >= rank:
+            return 0.0
+        for key in sorted(self._buckets):
+            cumulative += self._buckets[key]
+            if cumulative >= rank:
+                break
+        return 2.0 * _GAMMA ** key / (_GAMMA + 1.0)
 
     def values(self) -> Dict[float, float]:
-        """All current estimates, keyed by quantile, in ascending order."""
-        return {q: est.value for q, est in self._estimators.items()}
+        """The :data:`DEFAULT_QUANTILES` estimates, keyed by quantile."""
+        return {q: self.value(q) for q in DEFAULT_QUANTILES}
 
     def __repr__(self) -> str:
         rendered = ", ".join(
-            f"p{q * 100:g}={est.value:.6g}"
-            for q, est in self._estimators.items()
+            f"p{q * 100:g}={value:.6g}" for q, value in self.values().items()
         )
         return f"StreamingQuantiles({rendered}, n={self.count})"

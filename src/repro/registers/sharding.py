@@ -17,6 +17,7 @@ search over the precomputed CDF, deterministic per RNG stream.
 """
 
 import zlib
+from bisect import bisect_left
 from typing import Any, List
 
 import numpy as np
@@ -81,7 +82,7 @@ class ZipfKeys:
     draw names a real key.
     """
 
-    __slots__ = ("num_keys", "exponent", "_cdf", "_names")
+    __slots__ = ("num_keys", "exponent", "_cdf", "_cdf_list", "_names")
 
     def __init__(self, num_keys: int, exponent: float = 1.1) -> None:
         if num_keys < 1:
@@ -96,6 +97,9 @@ class ZipfKeys:
         # Guard against float round-off leaving the last CDF entry a hair
         # under 1.0, which would make searchsorted fall off the end.
         self._cdf[-1] = 1.0
+        # The same doubles as a list: one draw bisects it without the
+        # array-call overhead of np.searchsorted (same index, draw for draw).
+        self._cdf_list = self._cdf.tolist()
         width = len(str(num_keys - 1))
         self._names = [f"key-{index:0{width}d}" for index in range(num_keys)]
 
@@ -108,7 +112,7 @@ class ZipfKeys:
 
     def sample_index(self, rng: np.random.Generator) -> int:
         """Draw a key index (0 = hottest)."""
-        return int(np.searchsorted(self._cdf, rng.random(), side="left"))
+        return bisect_left(self._cdf_list, rng.random())
 
     def sample(self, rng: np.random.Generator) -> str:
         """Draw a key name."""

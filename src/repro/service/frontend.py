@@ -10,8 +10,10 @@
 3. routes to one of the deployment's clients — reads round-robin; writes
    according to ``write_mode`` (see below),
 4. on settlement, records the operation's simulated latency into both a
-   fixed-bucket histogram (``repro_service_latency``) and the P²
-   streaming estimators, and bumps the outcome counters.
+   fixed-bucket histogram (``repro_service_latency``) and that kind's
+   log-bucket quantile sketch (one integer bump; see
+   :mod:`repro.obs.quantiles` for its accuracy contract), and bumps the
+   outcome counters.
 
 Write routing.  Any client accepts a put for any key (the front end is
 multi-writer); what differs is which register subsystem executes it:
@@ -33,13 +35,13 @@ multi-writer); what differs is which register subsystem executes it:
 Timed-out operations count separately and do **not** feed the latency
 distributions: a timeout's "latency" is just the deadline, and folding a
 constant into the tail would mask exactly the overload signal the
-estimators exist to surface.
+sketches exist to surface.
 """
 
 from typing import Any, Dict, Optional
 
 from repro.obs.core import DISABLED, Observability
-from repro.obs.quantiles import DEFAULT_QUANTILES, StreamingQuantiles
+from repro.obs.quantiles import StreamingQuantiles
 from repro.registers.client import QuorumUnreachable
 from repro.registers.sharding import ShardedKeyspace
 from repro.sim.futures import Future
@@ -97,11 +99,11 @@ class KeyValueFrontend:
         #: timeouts so a churn run can tell "slow" from "gave up".
         self.unreachable: Dict[str, int] = {"read": 0, "write": 0}
 
-        #: Streaming SLO estimators per kind plus the combined stream.
+        #: Latency sketch per kind; the combined stream is their merge
+        #: (the runner derives it at collection time).
         self.stream_quantiles: Dict[str, StreamingQuantiles] = {
-            "read": StreamingQuantiles(DEFAULT_QUANTILES),
-            "write": StreamingQuantiles(DEFAULT_QUANTILES),
-            "all": StreamingQuantiles(DEFAULT_QUANTILES),
+            "read": StreamingQuantiles(),
+            "write": StreamingQuantiles(),
         }
         metrics = self.observability.metrics
         if metrics.enabled:
@@ -186,7 +188,6 @@ class KeyValueFrontend:
         elapsed = self._scheduler.now - started
         self.completed[kind] += 1
         self.stream_quantiles[kind].observe(elapsed)
-        self.stream_quantiles["all"].observe(elapsed)
         if self._latency is not None:
             self._latency[kind].observe(elapsed)
 

@@ -22,6 +22,7 @@ from repro.adversary import build_adversary
 from repro.membership import MembershipSchedule
 from repro.obs.collect import collect_deployment
 from repro.obs.core import Observability
+from repro.obs.quantiles import StreamingQuantiles
 from repro.quorum.probabilistic import ProbabilisticQuorumSystem
 from repro.registers.atomic import MultiWriterClient
 from repro.registers.client import QuorumRegisterClient, RetryPolicy
@@ -92,13 +93,19 @@ class ServiceConfig:
 
 @dataclass
 class ServiceResult:
-    """Counters, SLO estimates and the deterministic metrics snapshot."""
+    """Counters, SLO estimates and the deterministic metrics snapshot.
+
+    ``streaming`` holds the :data:`SLO_QUANTILES` of the read and write
+    latency sketches and of their merge (``"all"``), each within relative
+    error :data:`repro.obs.quantiles.ALPHA` of the exact sample quantile;
+    ``overflow`` counts, per kind, the latencies past the last finite
+    ``repro_service_latency`` bucket.
+    """
 
     config: ServiceConfig
     offered: int
     counters: Dict[str, Any]
     streaming: Dict[str, Dict[float, float]]
-    histogram_quantiles: Dict[str, Dict[float, float]]
     overflow: Dict[str, int]
     retries: int
     timeouts: int
@@ -135,7 +142,7 @@ class ServiceResult:
         return self.completed / self.config.duration
 
     def quantile(self, kind: str, q: float) -> float:
-        """The streaming (P²) latency estimate for ``kind`` ('all' included)."""
+        """The sketch's latency quantile for ``kind`` ('all' included)."""
         return self.streaming[kind][q]
 
     def slo_table(self) -> str:
@@ -163,26 +170,16 @@ class ServiceResult:
                 f"{m['stale_nacks']} stale nacks, "
                 f"{m['view_refreshes']} view refreshes"
             )
-        lines.append(
-            "  latency             p50       p99      p999  overflow"
-        )
+        lines.append("  latency       p50       p99      p999  overflow")
         for kind in ("read", "write", "all"):
-            stream = self.streaming[kind]
-            hist = self.histogram_quantiles.get(kind)
             cells = "  ".join(
-                f"{stream[q]:8.3f}" for _, q in SLO_QUANTILES
+                f"{self.streaming[kind][q]:8.3f}" for _, q in SLO_QUANTILES
             )
-            lines.append(
-                f"  {kind:<5} (streaming) {cells}"
+            overflow = (
+                sum(self.overflow.values()) if kind == "all"
+                else self.overflow.get(kind, 0)
             )
-            if hist is not None:
-                cells = "  ".join(
-                    f"{hist[q]:8.3f}" for _, q in SLO_QUANTILES
-                )
-                lines.append(
-                    f"  {kind:<5} (histogram) {cells}  "
-                    f"{self.overflow.get(kind, 0):8d}"
-                )
+            lines.append(f"  {kind:<5}    {cells}  {overflow:8d}")
         return "\n".join(lines)
 
 
@@ -273,20 +270,16 @@ def run_service(config: ServiceConfig) -> ServiceResult:
 
     metrics = observability.metrics
     collect_deployment(metrics, deployment)
-    _collect_service(metrics, driver, frontend)
+    # The combined stream is the merge of the per-kind sketches: counts
+    # add, so this equals a third sketch fed every settled operation.
+    sketches = dict(frontend.stream_quantiles)
+    sketches["all"] = sketches["read"].merged(sketches["write"])
+    _collect_service(metrics, driver, frontend, sketches)
 
-    streaming = {
-        kind: stream.values()
-        for kind, stream in frontend.stream_quantiles.items()
-    }
-    histogram_quantiles: Dict[str, Dict[float, float]] = {}
     overflow: Dict[str, int] = {}
     family = metrics.get("repro_service_latency")
     if family is not None:
         for (kind,), histogram in family.series():
-            histogram_quantiles[kind] = {
-                q: histogram.quantile(q) for _, q in SLO_QUANTILES
-            }
             overflow[kind] = histogram.overflow
 
     snapshot = metrics.snapshot()
@@ -294,8 +287,7 @@ def run_service(config: ServiceConfig) -> ServiceResult:
         config=config,
         offered=driver.offered,
         counters=frontend.counters(),
-        streaming=streaming,
-        histogram_quantiles=histogram_quantiles,
+        streaming={kind: sketch.values() for kind, sketch in sketches.items()},
         overflow=overflow,
         retries=deployment.total_retries,
         timeouts=deployment.total_timeouts,
@@ -321,11 +313,12 @@ def run_service(config: ServiceConfig) -> ServiceResult:
 
 
 def _collect_service(metrics: Any, driver: OpenLoopDriver,
-                     frontend: KeyValueFrontend) -> None:
+                     frontend: KeyValueFrontend,
+                     sketches: Dict[str, StreamingQuantiles]) -> None:
     """Service-level counters and SLO gauges into the registry.
 
     Offered/admitted/shed/completed/timeout counters by kind, the
-    backpressure high-water mark, and the streaming quantile estimates as
+    backpressure high-water mark, and the latency sketches' quantiles as
     gauges — everything a dashboard needs to plot the SLO, all derived
     from simulated state only (byte-deterministic per seed).
     """
@@ -369,15 +362,15 @@ def _collect_service(metrics: Any, driver: OpenLoopDriver,
     ).set(frontend.peak_in_flight)
     quantile_gauge = metrics.gauge(
         "repro_service_latency_quantile",
-        "Streaming (P2) latency quantile estimates, by kind.",
+        "Streaming (log-bucket sketch) latency quantile estimates, by kind.",
         labelnames=("kind", "quantile"),
     )
-    for kind in sorted(frontend.stream_quantiles):
-        stream = frontend.stream_quantiles[kind]
-        if stream.count == 0:
+    for kind in sorted(sketches):
+        sketch = sketches[kind]
+        if sketch.count == 0:
             continue  # a NaN gauge tells a dashboard less than no gauge
         for label, q in SLO_QUANTILES:
-            quantile_gauge.labels(kind, label).set(stream.value(q))
+            quantile_gauge.labels(kind, label).set(sketch.value(q))
 
 
 def config_as_dict(config: ServiceConfig) -> Dict[str, Any]:
