@@ -85,7 +85,6 @@ def ladder_run(
         "p50": round(result.quantile("all", 0.5), 4),
         "p99": round(result.quantile("all", 0.99), 4),
         "p999": round(result.quantile("all", 0.999), 4),
-        "overflow": sum(result.overflow.values()),
         "timeouts": result.timeouts,
         "hung_ops": result.hung_ops,
         "peak_in_flight": result.counters["peak_in_flight"],

@@ -11,7 +11,7 @@ Run:  python examples/fault_tolerance.py
 """
 
 from repro import GridQuorumSystem, ProbabilisticQuorumSystem
-from repro.registers import RegisterDeployment
+from repro.registers import RegisterDeployment, RetryPolicy
 from repro.sim.coroutines import spawn
 from repro.sim.delays import ConstantDelay
 
@@ -43,7 +43,8 @@ def main() -> None:
                 num_clients=1,
                 delay_model=ConstantDelay(1.0),
                 seed=17,
-                retry_interval=3.0,    # re-sample a fresh quorum when stalled
+                # re-sample a fresh quorum when stalled
+                retry_policy=RetryPolicy(interval=3.0),
             )
             deployment.space.declare("X", writer=0, initial_value=None)
             # Crash one server per grid row first — the grid's worst case.

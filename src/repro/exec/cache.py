@@ -34,7 +34,11 @@ from repro.exec.task import RunTask, task_key
 #: Format 5 histogram snapshots carry an explicit ``overflow`` count per
 #: series; mixing old and new snapshot shapes in one aggregation would
 #: break byte-identical metrics output, so older entries are invalidated.
-CACHE_FORMAT = 5
+#: Format 6 histogram snapshots are log-bucket sketch states
+#: (``zeros``/``keys``/``counts``/``sum``/``count``), not fixed-bucket
+#: counts; the two shapes cannot be merged, so older entries are
+#: invalidated.
+CACHE_FORMAT = 6
 
 #: Default location, relative to the current working directory (the repo
 #: root in normal use).

@@ -29,10 +29,9 @@ parameterised by small JSON "spec" dicts::
             (either form takes optional "drain", "transfer_retry",
              "transfer_max_attempts" knobs)
 
-plus the scalar params ``loss_rate`` (probabilistic message loss) and the
-legacy ``retry_interval`` shorthand.  Fault and membership specs address
-servers by *index*; the deployment maps them to network node ids at
-install time.
+plus the scalar param ``loss_rate`` (probabilistic message loss).  Fault
+and membership specs address servers by *index*; the deployment maps
+them to network node ids at install time.
 
 Specs are plain data so tasks stay picklable and cache-keyable; workers
 return plain dicts for the same reason.
@@ -282,7 +281,7 @@ def run_alg1_task(task: RunTask) -> Dict[str, Any]:
     """Execute one Alg. 1 run described by ``task.params``.
 
     Recognised params: ``graph``, ``quorum``, ``delay`` (specs, above),
-    ``monotone``, ``max_rounds``, and optionally ``retry_interval``,
+    ``monotone``, ``max_rounds``, and optionally
     ``retry`` (a policy spec), ``loss_rate``, ``max_sim_time``,
     ``faults``, ``membership`` (a membership timeline spec, see
     :func:`build_membership_schedule`), ``adversary`` (a strategy spec,
@@ -305,10 +304,7 @@ def run_alg1_task(task: RunTask) -> Dict[str, Any]:
     # The adversary's time-driven strategies bound their repeating chains
     # by the run's horizon, mirroring the Alg1Runner max_sim_time default.
     horizon = params.get("max_sim_time")
-    if horizon is None and (
-        params.get("retry_interval") is not None
-        or params.get("retry") is not None
-    ):
+    if horizon is None and params.get("retry") is not None:
         horizon = 100.0 * params["max_rounds"]
     adversary = (
         build_adversary(params["adversary"], horizon)
@@ -330,7 +326,6 @@ def run_alg1_task(task: RunTask) -> Dict[str, Any]:
         delay_model=build_delay(params["delay"]),
         seed=task.seed,
         max_rounds=params["max_rounds"],
-        retry_interval=params.get("retry_interval"),
         retry_policy=build_retry_policy(params.get("retry")),
         loss_rate=params.get("loss_rate", 0.0),
         max_sim_time=params.get("max_sim_time"),

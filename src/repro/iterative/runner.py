@@ -96,7 +96,6 @@ class Alg1Runner:
         seed: int = 0,
         max_rounds: int = 1000,
         register_prefix: str = "X",
-        retry_interval: Optional[float] = None,
         retry_policy: Optional[RetryPolicy] = None,
         loss_rate: float = 0.0,
         max_sim_time: Optional[float] = None,
@@ -120,9 +119,7 @@ class Alg1Runner:
         # termination; max_sim_time is the hard stop for such runs.  With
         # retries enabled and no explicit cap, a generous default is
         # derived from the round budget so simulations always terminate.
-        if max_sim_time is None and (
-            retry_interval is not None or retry_policy is not None
-        ):
+        if max_sim_time is None and retry_policy is not None:
             max_sim_time = 100.0 * max_rounds
         self.max_sim_time = max_sim_time
         self.observability = (
@@ -140,7 +137,6 @@ class Alg1Runner:
             delay_model=delay_model,
             monotone=monotone,
             seed=seed,
-            retry_interval=retry_interval,
             retry_policy=retry_policy,
             loss_rate=loss_rate,
             record_history=record_history,

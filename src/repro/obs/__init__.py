@@ -2,11 +2,13 @@
 
 Layers (bottom-up):
 
-* :mod:`repro.obs.registry` — Counter/Gauge/Histogram instruments with
-  labels, snapshot/merge semantics and a no-op null variant,
-* :mod:`repro.obs.quantiles` — the mergeable log-bucket latency sketch
-  (any quantile within a fixed relative error; one integer bump per
-  observation, cheap enough for the service's per-operation path),
+* :mod:`repro.obs.quantiles` — the mergeable log-bucket sketch, the one
+  distribution instrument (any quantile within a fixed relative error;
+  one integer bump per observation, cheap enough for the service's
+  per-operation path),
+* :mod:`repro.obs.registry` — counter, gauge and histogram (= sketch)
+  families with labels, snapshot/merge semantics and a no-op null
+  variant,
 * :mod:`repro.obs.spans` — per-operation span tracing (invoke → quorum
   rounds → retries → response/timeout) with a bounded ring of spans,
 * :mod:`repro.obs.export` — Prometheus text exposition and JSON renderers
@@ -25,14 +27,15 @@ from repro.obs.export import (
     to_prometheus_text,
     validate_prometheus_text,
 )
-from repro.obs.quantiles import DEFAULT_QUANTILES, StreamingQuantiles
+from repro.obs.quantiles import (
+    DEFAULT_QUANTILES,
+    MetricsError,
+    StreamingQuantiles,
+)
 from repro.obs.registry import (
-    DEFAULT_BUCKETS,
     Counter,
     Family,
     Gauge,
-    Histogram,
-    MetricsError,
     MetricsRegistry,
     NULL_REGISTRY,
     NullRegistry,
@@ -46,13 +49,11 @@ from repro.obs.spans import (
 )
 
 __all__ = [
-    "DEFAULT_BUCKETS",
     "DEFAULT_QUANTILES",
     "DISABLED",
     "Counter",
     "Family",
     "Gauge",
-    "Histogram",
     "MetricsError",
     "MetricsRegistry",
     "NULL_RECORDER",

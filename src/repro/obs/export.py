@@ -8,7 +8,11 @@ snapshot shipped back from a worker process.
 The Prometheus renderer follows the text exposition format (version
 0.0.4): ``# HELP``/``# TYPE`` headers, escaped help strings and label
 values, cumulative ``_bucket`` series with an explicit ``le="+Inf"``, and
-``_sum``/``_count`` companions for histograms.  ``validate_prometheus_text``
+``_sum``/``_count`` companions for histograms.  A histogram series is a
+log-bucket sketch (:mod:`repro.obs.quantiles`) with hundreds of fine
+buckets; the exporter coarsens it by one fixed rule — every
+:data:`LE_STRIDE`-th sketch edge is an ``le`` bound — so each exported
+cumulative count is exact, not interpolated.  ``validate_prometheus_text``
 is a small structural parser used by the CI smoke step and the tests to
 prove the output actually parses.
 """
@@ -17,6 +21,12 @@ import json
 import math
 import re
 from typing import Any, Dict, List, Sequence, Tuple
+
+from repro.obs.quantiles import upper_edge
+
+#: Sketch bucket indices per exported ``le`` bound: consecutive bounds
+#: differ by ``gamma**35``, about the square root of 2.
+LE_STRIDE = 35
 
 
 def _escape_help(text: str) -> str:
@@ -53,6 +63,29 @@ def _label_block(
     return "{" + ",".join(pairs) + "}" if pairs else ""
 
 
+def _le_rows(datum: Dict[str, Any]) -> List[Tuple[str, int]]:
+    """``(le, cumulative count)`` rows of one sketch series snapshot.
+
+    Bounds are 0 (when zeros were observed), then every multiple of
+    :data:`LE_STRIDE` from the first to the last occupied stretch of
+    sketch buckets, then ``+Inf``.  Sketch bucket ``key`` covers
+    ``(gamma**(key-1), gamma**key]``, so the count up to a bound is a sum
+    of whole buckets.
+    """
+    cumulative = datum["zeros"]
+    rows = [("0", cumulative)] if cumulative else []
+    coarse: Dict[int, int] = {}
+    for key, count in zip(datum["keys"], datum["counts"]):
+        bound = -(-key // LE_STRIDE) * LE_STRIDE
+        coarse[bound] = coarse.get(bound, 0) + count
+    if coarse:
+        for bound in range(min(coarse), max(coarse) + 1, LE_STRIDE):
+            cumulative += coarse.get(bound, 0)
+            rows.append((_format_value(upper_edge(bound)), cumulative))
+    rows.append(("+Inf", datum["count"]))
+    return rows
+
+
 def to_prometheus_text(snapshot: Dict[str, Any]) -> str:
     """Render a registry snapshot in Prometheus text exposition format."""
     lines: List[str] = []
@@ -66,10 +99,7 @@ def to_prometheus_text(snapshot: Dict[str, Any]) -> str:
         lines.append(f"# TYPE {name} {kind}")
         for values, datum in instrument["series"]:
             if kind == "histogram":
-                cumulative = 0
-                bounds = [_format_value(b) for b in datum["buckets"]] + ["+Inf"]
-                for bound, count in zip(bounds, datum["counts"]):
-                    cumulative += count
+                for bound, cumulative in _le_rows(datum):
                     block = _label_block(
                         labelnames, values, extra=[("le", bound)]
                     )
@@ -77,12 +107,6 @@ def to_prometheus_text(snapshot: Dict[str, Any]) -> str:
                 block = _label_block(labelnames, values)
                 lines.append(f"{name}_sum{block} {_format_value(datum['sum'])}")
                 lines.append(f"{name}_count{block} {datum['count']}")
-                # Explicit overflow count: the +Inf bucket's mass without
-                # cumulative arithmetic, so alerting on "observations the
-                # bucket layout cannot resolve" is a single series.  The
-                # fallback keeps pre-overflow snapshots renderable.
-                overflow = datum.get("overflow", datum["counts"][-1])
-                lines.append(f"{name}_overflow{block} {overflow}")
             else:
                 block = _label_block(labelnames, values)
                 lines.append(f"{name}{block} {_format_value(datum)}")
@@ -176,7 +200,7 @@ def validate_prometheus_text(text: str) -> Dict[str, Dict[str, Any]]:
             ) from None
         name = match.group("name")
         base = name
-        for suffix in ("_bucket", "_sum", "_count", "_overflow"):
+        for suffix in ("_bucket", "_sum", "_count"):
             trimmed = name[: -len(suffix)] if name.endswith(suffix) else None
             if trimmed and declared.get(trimmed) == "histogram":
                 base = trimmed

@@ -8,8 +8,9 @@ the paper's measured quantities:
 
 * **Counter** — monotonically increasing totals (messages sent, retries),
 * **Gauge** — point-in-time values (queue depth, simulated clock),
-* **Histogram** — bucketed distributions (operation latency), with
-  quantile estimation for the p50/p95/p99 latency tables.
+* **Histogram** — distributions (operation latency): the log-bucket
+  sketch of :mod:`repro.obs.quantiles`, any quantile within a fixed
+  relative error.
 
 Merging is **bit-deterministic**: series are stored under sorted label
 tuples, snapshots list them in sorted order, and ``merge_snapshot`` adds
@@ -25,23 +26,9 @@ the simulation kernel itself never pays a per-event metrics call.
 """
 
 import json
-import math
-from bisect import bisect_left
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
-_isfinite = math.isfinite
-
-
-class MetricsError(RuntimeError):
-    """Raised on invalid instrument usage or inconsistent registration."""
-
-
-#: Default histogram buckets (upper bounds, in simulated time units).
-#: Geometric-ish spacing covering sub-delay blips through stalled-op tails;
-#: an implicit +Inf bucket always follows the last bound.
-DEFAULT_BUCKETS: Tuple[float, ...] = (
-    0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 25.0, 50.0, 100.0, 250.0, 1000.0,
-)
+from repro.obs.quantiles import MetricsError, StreamingQuantiles
 
 
 class Counter:
@@ -79,91 +66,11 @@ class Gauge:
         self.value -= amount
 
 
-class Histogram:
-    """A bucketed distribution with sum/count and quantile estimation.
-
-    ``buckets`` are the finite upper bounds (``le`` semantics, strictly
-    increasing); an implicit +Inf bucket follows.  Per-bucket counts are
-    stored non-cumulatively and cumulated only at export time.
-    """
-
-    __slots__ = ("buckets", "counts", "sum", "count")
-    kind = "histogram"
-
-    def __init__(self, buckets: Sequence[float] = DEFAULT_BUCKETS) -> None:
-        bounds = tuple(float(b) for b in buckets)
-        if not bounds or any(
-            b2 <= b1 for b1, b2 in zip(bounds, bounds[1:])
-        ):
-            raise MetricsError(
-                f"histogram buckets must be non-empty and strictly "
-                f"increasing: {bounds}"
-            )
-        self.buckets = bounds
-        self.counts: List[int] = [0] * (len(bounds) + 1)
-        self.sum: float = 0.0
-        self.count: int = 0
-
-    def observe(self, value: float) -> None:
-        """Record one observation.
-
-        Non-finite values are rejected: ``bisect_left`` orders NaN into
-        bucket 0 (every comparison is False) and a single NaN/±inf poisons
-        ``sum`` for the histogram's whole lifetime — a silently corrupt
-        distribution is worse than a loud caller bug.
-        """
-        if not _isfinite(value):
-            raise MetricsError(
-                f"histogram observation must be finite, got {value}"
-            )
-        self.counts[bisect_left(self.buckets, value)] += 1
-        self.sum += value
-        self.count += 1
-
-    @property
-    def overflow(self) -> int:
-        """Observations above the largest finite bound (the +Inf bucket)."""
-        return self.counts[-1]
-
-    def quantile(self, q: float) -> float:
-        """Estimate the ``q``-quantile by linear interpolation in-bucket.
-
-        A quantile target falling in the +Inf overflow bucket returns
-        ``+inf``: the histogram genuinely does not know how far out the
-        tail reaches, and clamping to the largest finite bound would
-        report a flat, fake tail for an overloaded system.  Callers that
-        want bounded output should widen their buckets (and can read
-        :attr:`overflow` to see how much mass escaped).  Returns ``nan``
-        for an empty histogram.
-        """
-        if not 0.0 <= q <= 1.0:
-            raise MetricsError(f"quantile must be in [0, 1], got {q}")
-        if self.count == 0:
-            return float("nan")
-        target = q * self.count
-        cumulative = 0
-        # The first bucket's interval is (-inf, b0].  Interpolation needs a
-        # finite lower edge: 0.0 matches the latency/size semantics of
-        # nonnegative bucket layouts, but with a negative first bound it
-        # would sit *above* the bucket's upper edge and interpolate
-        # backwards — so clamp the seed to the bound itself in that case
-        # (the estimate degrades to the edge value, never beyond it).
-        lower = min(0.0, self.buckets[0])
-        for index, bucket_count in enumerate(self.counts):
-            previous = cumulative
-            cumulative += bucket_count
-            if cumulative >= target and bucket_count:
-                if index >= len(self.buckets):
-                    return math.inf
-                upper = self.buckets[index]
-                fraction = (target - previous) / bucket_count
-                return lower + (upper - lower) * min(max(fraction, 0.0), 1.0)
-            if index < len(self.buckets):
-                lower = self.buckets[index]
-        return self.buckets[-1]
-
-
-_CHILD_TYPES = {"counter": Counter, "gauge": Gauge, "histogram": Histogram}
+_CHILD_TYPES = {
+    "counter": Counter,
+    "gauge": Gauge,
+    "histogram": StreamingQuantiles,
+}
 
 
 class Family:
@@ -174,7 +81,7 @@ class Family:
     ``observe``) act on the unlabeled child and require ``labelnames=()``.
     """
 
-    __slots__ = ("name", "kind", "help", "labelnames", "buckets", "_children")
+    __slots__ = ("name", "kind", "help", "labelnames", "_children")
 
     def __init__(
         self,
@@ -182,13 +89,11 @@ class Family:
         kind: str,
         help: str = "",
         labelnames: Sequence[str] = (),
-        buckets: Optional[Sequence[float]] = None,
     ) -> None:
         self.name = name
         self.kind = kind
         self.help = help
         self.labelnames = tuple(labelnames)
-        self.buckets = tuple(buckets) if buckets is not None else None
         self._children: Dict[Tuple[str, ...], Any] = {}
 
     def labels(self, *values: Any):
@@ -201,11 +106,7 @@ class Family:
             )
         child = self._children.get(key)
         if child is None:
-            if self.kind == "histogram":
-                child = Histogram(self.buckets or DEFAULT_BUCKETS)
-            else:
-                child = _CHILD_TYPES[self.kind]()
-            self._children[key] = child
+            child = self._children[key] = _CHILD_TYPES[self.kind]()
         return child
 
     # Unlabeled conveniences -------------------------------------------- #
@@ -249,11 +150,10 @@ class MetricsRegistry:
         kind: str,
         help: str,
         labelnames: Sequence[str],
-        buckets: Optional[Sequence[float]] = None,
     ) -> Family:
         family = self._families.get(name)
         if family is None:
-            family = Family(name, kind, help, labelnames, buckets)
+            family = Family(name, kind, help, labelnames)
             self._families[name] = family
             return family
         if family.kind != kind or family.labelnames != tuple(labelnames):
@@ -277,14 +177,10 @@ class MetricsRegistry:
         return self._register(name, "gauge", help, labelnames)
 
     def histogram(
-        self,
-        name: str,
-        help: str = "",
-        labelnames: Sequence[str] = (),
-        buckets: Optional[Sequence[float]] = None,
+        self, name: str, help: str = "", labelnames: Sequence[str] = ()
     ) -> Family:
-        """Get or create a histogram family."""
-        return self._register(name, "histogram", help, labelnames, buckets)
+        """Get or create a histogram (log-bucket sketch) family."""
+        return self._register(name, "histogram", help, labelnames)
 
     # Introspection ----------------------------------------------------- #
 
@@ -297,7 +193,7 @@ class MetricsRegistry:
         return self._families.get(name)
 
     def sample(self, name: str, labels: Sequence[Any] = ()) -> Any:
-        """The scalar value (or Histogram) of one series, for tests/CLI.
+        """The scalar value (or sketch) of one series, for tests/CLI.
 
         Raises :class:`MetricsError` for an unknown instrument; an
         unpopulated label combination reads as a fresh child (0 / empty).
@@ -321,16 +217,7 @@ class MetricsRegistry:
             series = []
             for values, child in family.series():
                 if family.kind == "histogram":
-                    # "overflow" duplicates counts[-1] so dashboards (and
-                    # the Prometheus exporter) can read the escaped-mass
-                    # count without knowing the bucket layout.
-                    datum: Any = {
-                        "buckets": list(child.buckets),
-                        "counts": list(child.counts),
-                        "sum": child.sum,
-                        "count": child.count,
-                        "overflow": child.counts[-1],
-                    }
+                    datum: Any = child.snapshot()
                 else:
                     datum = child.value
                 series.append([list(values), datum])
@@ -382,21 +269,7 @@ class MetricsRegistry:
             for values, datum in instrument["series"]:
                 child = family.labels(*values)
                 if family.kind == "histogram":
-                    buckets = tuple(datum["buckets"])
-                    if child.count == 0 and child.buckets != buckets:
-                        # Adopt the incoming bucket layout for a virgin
-                        # child; established layouts must match exactly.
-                        child.buckets = buckets
-                        child.counts = [0] * (len(buckets) + 1)
-                    if child.buckets != buckets:
-                        raise MetricsError(
-                            f"histogram {family.name!r} bucket mismatch: "
-                            f"{child.buckets} vs {buckets}"
-                        )
-                    for index, count in enumerate(datum["counts"]):
-                        child.counts[index] += count
-                    child.sum += datum["sum"]
-                    child.count += datum["count"]
+                    child.merge_snapshot(datum)
                 else:
                     child.value += datum
 
@@ -452,7 +325,7 @@ class NullRegistry:
     def gauge(self, name, help="", labelnames=()):  # noqa: A002
         return NULL_INSTRUMENT
 
-    def histogram(self, name, help="", labelnames=(), buckets=None):  # noqa: A002
+    def histogram(self, name, help="", labelnames=()):  # noqa: A002
         return NULL_INSTRUMENT
 
     def families(self):

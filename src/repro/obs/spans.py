@@ -1,7 +1,7 @@
 """Span-based operation tracing.
 
-Where :class:`~repro.sim.trace.TraceLog` records individual message sends,
-a span records one *operation's* whole lifecycle: invoke, the quorum
+Where a ``Network.add_tap`` callback sees individual message sends, a
+span records one *operation's* whole lifecycle: invoke, the quorum
 rounds it sent, every reply, each retry/backoff resample, and the final
 response (or timeout).  That is the unit the paper reasons about — a read
 or write against a probabilistic quorum — and the unit an operator of the
@@ -12,9 +12,8 @@ RNG stream or schedules an event, so a traced run is event-for-event
 identical to an untraced one (pinned by tests/test_kernel_determinism.py).
 
 The recorder keeps a bounded ring of *finished* spans — newest kept,
-evictions counted — mirroring the fixed ``TraceLog`` cap semantics, and
-offers the queries a debugging session actually needs: slowest-N, by
-kind, by status, arbitrary predicates.
+evictions counted — and offers the queries a debugging session actually
+needs: slowest-N, by kind, by status, arbitrary predicates.
 """
 
 from collections import deque

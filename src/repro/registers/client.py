@@ -214,7 +214,6 @@ class QuorumRegisterClient(Node):
         server_ids: List[int],
         rng: np.random.Generator,
         monotone: bool = False,
-        retry_interval: Optional[float] = None,
         retry_policy: Optional[RetryPolicy] = None,
         retry_rng: Optional[np.random.Generator] = None,
         observability: Optional[Observability] = None,
@@ -237,8 +236,6 @@ class QuorumRegisterClient(Node):
         }
         self.rng = rng
         self.monotone = monotone
-        if retry_policy is None and retry_interval is not None:
-            retry_policy = RetryPolicy(interval=retry_interval)
         self.retry_policy = retry_policy
         # Jitter draws get their own stream (falling back to the quorum
         # stream) so backoff randomisation never perturbs quorum choice.
@@ -291,11 +288,6 @@ class QuorumRegisterClient(Node):
             }
         else:
             self._latency = None
-
-    @property
-    def retry_interval(self) -> Optional[float]:
-        """Base retry interval (None when retries are disabled)."""
-        return self.retry_policy.interval if self.retry_policy else None
 
     @property
     def pending_ops(self) -> int:

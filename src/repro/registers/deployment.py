@@ -7,8 +7,7 @@ register namespace — with every random choice drawn from named streams of
 a single root-seeded :class:`~repro.sim.rng.RngRegistry`.
 
 Fault-tolerance knobs ride along: a :class:`~repro.registers.client.RetryPolicy`
-(or the legacy ``retry_interval`` shorthand) governs client retries and
-per-operation deadlines, ``loss_rate`` turns on probabilistic message
+governs client retries and per-operation deadlines, ``loss_rate`` turns on probabilistic message
 loss, and :meth:`install_schedule` scripts a
 :class:`~repro.sim.failures.FailureSchedule` of timed crash/recover/
 partition/heal events addressed by server index.
@@ -44,7 +43,6 @@ class RegisterDeployment:
         delay_model: Optional[DelayModel] = None,
         monotone: bool = False,
         seed: int = 0,
-        retry_interval: Optional[float] = None,
         retry_policy: Optional[RetryPolicy] = None,
         loss_rate: float = 0.0,
         scheduler: Optional[Scheduler] = None,
@@ -84,8 +82,6 @@ class RegisterDeployment:
             detailed_stats=detailed_stats,
         )
         self.space = RegisterSpace(record_history=record_history)
-        if retry_policy is None and retry_interval is not None:
-            retry_policy = RetryPolicy(interval=retry_interval)
         self.retry_policy = retry_policy
 
         self.servers: List[ReplicaServer] = []

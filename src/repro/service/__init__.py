@@ -6,8 +6,8 @@ production service — the ROADMAP's "millions of simulated clients" axis:
 * :mod:`repro.service.frontend` — :class:`KeyValueFrontend`: get/put over
   a :class:`~repro.registers.sharding.ShardedKeyspace`, with admission
   control (bounded in-flight operations), load-shedding counters and
-  live latency tracking (fixed-bucket histogram + a log-bucket sketch
-  per kind for p50/p99/p999),
+  live latency tracking (one log-bucket sketch per kind, the
+  ``repro_service_latency`` histogram, for p50/p99/p999),
 * :mod:`repro.service.traffic` — :class:`OpenLoopDriver`: schedules
   arrivals from a :mod:`repro.sim.arrivals` process, draws Zipf keys and
   the read/write mix from named RNG streams, and keeps arriving whether

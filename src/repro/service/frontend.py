@@ -9,11 +9,10 @@
    open-loop run from accumulating unbounded in-flight state,
 3. routes to one of the deployment's clients — reads round-robin; writes
    according to ``write_mode`` (see below),
-4. on settlement, records the operation's simulated latency into both a
-   fixed-bucket histogram (``repro_service_latency``) and that kind's
-   log-bucket quantile sketch (one integer bump; see
-   :mod:`repro.obs.quantiles` for its accuracy contract), and bumps the
-   outcome counters.
+4. on settlement, records the operation's simulated latency once, into
+   that kind's log-bucket sketch (see :mod:`repro.obs.quantiles` for its
+   accuracy contract) — the ``repro_service_latency`` histogram series
+   when metrics are on — and bumps the outcome counters.
 
 Write routing.  Any client accepts a put for any key (the front end is
 multi-writer); what differs is which register subsystem executes it:
@@ -45,13 +44,6 @@ from repro.obs.quantiles import StreamingQuantiles
 from repro.registers.client import QuorumUnreachable
 from repro.registers.sharding import ShardedKeyspace
 from repro.sim.futures import Future
-
-#: Service latency buckets, in simulated time units: a healthy quorum
-#: round takes ~2 one-way delays, so the range covers sub-round blips
-#: through many-retry stalls; the +Inf overflow bucket catches the rest.
-SERVICE_LATENCY_BUCKETS = (
-    1.0, 2.0, 3.0, 4.0, 6.0, 8.0, 12.0, 16.0, 24.0, 32.0, 48.0, 64.0, 96.0,
-)
 
 
 class KeyValueFrontend:
@@ -99,26 +91,25 @@ class KeyValueFrontend:
         #: timeouts so a churn run can tell "slow" from "gave up".
         self.unreachable: Dict[str, int] = {"read": 0, "write": 0}
 
-        #: Latency sketch per kind; the combined stream is their merge
-        #: (the runner derives it at collection time).
-        self.stream_quantiles: Dict[str, StreamingQuantiles] = {
-            "read": StreamingQuantiles(),
-            "write": StreamingQuantiles(),
-        }
+        #: Latency sketch per kind — the registry's own series when
+        #: metrics are on; the combined stream is their merge (the runner
+        #: derives it at collection time).
         metrics = self.observability.metrics
         if metrics.enabled:
             latency = metrics.histogram(
                 "repro_service_latency",
                 "Service operation latency in simulated time units, by kind.",
                 labelnames=("kind",),
-                buckets=SERVICE_LATENCY_BUCKETS,
             )
-            self._latency = {
+            self.stream_quantiles: Dict[str, StreamingQuantiles] = {
                 "read": latency.labels("read"),
                 "write": latency.labels("write"),
             }
         else:
-            self._latency = None
+            self.stream_quantiles = {
+                "read": StreamingQuantiles(),
+                "write": StreamingQuantiles(),
+            }
 
     @property
     def total_admitted(self) -> int:
@@ -188,8 +179,6 @@ class KeyValueFrontend:
         elapsed = self._scheduler.now - started
         self.completed[kind] += 1
         self.stream_quantiles[kind].observe(elapsed)
-        if self._latency is not None:
-            self._latency[kind].observe(elapsed)
 
     def counters(self) -> Dict[str, Any]:
         """All backpressure/outcome counters as plain data."""

@@ -97,16 +97,13 @@ class ServiceResult:
 
     ``streaming`` holds the :data:`SLO_QUANTILES` of the read and write
     latency sketches and of their merge (``"all"``), each within relative
-    error :data:`repro.obs.quantiles.ALPHA` of the exact sample quantile;
-    ``overflow`` counts, per kind, the latencies past the last finite
-    ``repro_service_latency`` bucket.
+    error :data:`repro.obs.quantiles.ALPHA` of the exact sample quantile.
     """
 
     config: ServiceConfig
     offered: int
     counters: Dict[str, Any]
     streaming: Dict[str, Dict[float, float]]
-    overflow: Dict[str, int]
     retries: int
     timeouts: int
     hung_ops: int
@@ -170,16 +167,12 @@ class ServiceResult:
                 f"{m['stale_nacks']} stale nacks, "
                 f"{m['view_refreshes']} view refreshes"
             )
-        lines.append("  latency       p50       p99      p999  overflow")
+        lines.append("  latency       p50       p99      p999")
         for kind in ("read", "write", "all"):
             cells = "  ".join(
                 f"{self.streaming[kind][q]:8.3f}" for _, q in SLO_QUANTILES
             )
-            overflow = (
-                sum(self.overflow.values()) if kind == "all"
-                else self.overflow.get(kind, 0)
-            )
-            lines.append(f"  {kind:<5}    {cells}  {overflow:8d}")
+            lines.append(f"  {kind:<5}    {cells}")
         return "\n".join(lines)
 
 
@@ -276,19 +269,12 @@ def run_service(config: ServiceConfig) -> ServiceResult:
     sketches["all"] = sketches["read"].merged(sketches["write"])
     _collect_service(metrics, driver, frontend, sketches)
 
-    overflow: Dict[str, int] = {}
-    family = metrics.get("repro_service_latency")
-    if family is not None:
-        for (kind,), histogram in family.series():
-            overflow[kind] = histogram.overflow
-
     snapshot = metrics.snapshot()
     return ServiceResult(
         config=config,
         offered=driver.offered,
         counters=frontend.counters(),
         streaming={kind: sketch.values() for kind, sketch in sketches.items()},
-        overflow=overflow,
         retries=deployment.total_retries,
         timeouts=deployment.total_timeouts,
         hung_ops=deployment.hung_ops,

@@ -31,7 +31,6 @@ from repro.sim.network import Network, Node
 from repro.sim.rng import RngRegistry
 from repro.sim.metrics import MessageStats
 from repro.sim.failures import FailureEvent, FailureInjector, FailureSchedule
-from repro.sim.trace import TraceEvent, TraceLog
 
 __all__ = [
     "ArrivalProcess",
@@ -56,8 +55,6 @@ __all__ = [
     "RngRegistry",
     "Scheduler",
     "Sleep",
-    "TraceEvent",
-    "TraceLog",
     "UniformDelay",
     "build_arrivals",
     "gather",

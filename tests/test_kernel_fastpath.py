@@ -136,7 +136,7 @@ def _hardened_fingerprint(backend, seed):
             num_clients=2,
             delay_model=ExponentialDelay(1.0),
             seed=seed,
-            retry_interval=4.0,
+            retry_policy=RetryPolicy(interval=4.0),
             loss_rate=0.05,
             observability=obs,
             adversary=adversary,
@@ -329,24 +329,20 @@ def _latency_snapshot(backend):
             handle.write(i)
             reader.read()
         deployment.run()
-        read = obs.metrics.sample("repro_op_latency", ["read"])
-        write = obs.metrics.sample("repro_op_latency", ["write"])
-        return (
-            read.count,
-            write.count,
-            read.quantile(0.5),
-            read.quantile(0.95),
-            write.quantile(0.5),
-        )
+        return {
+            kind: obs.metrics.sample("repro_op_latency", [kind]).snapshot()
+            for kind in ("read", "write")
+        }
 
 
 @needs_native
 def test_native_latency_histogram_matches_python():
     """The C completion path feeds the live latency histogram itself —
-    identical counts and quantiles, no per-message fallback needed."""
-    assert _latency_snapshot("python") == _latency_snapshot("native")
-    counts = _latency_snapshot("native")
-    assert counts[0] == 20 and counts[1] == 20
+    the full sketch state (zeros, buckets, sum, count) is identical, no
+    per-message fallback needed."""
+    native = _latency_snapshot("native")
+    assert _latency_snapshot("python") == native
+    assert native["read"]["count"] == 20 and native["write"]["count"] == 20
 
 
 # --------------------------------------------------------------------- #

@@ -21,20 +21,22 @@ from repro.apps.graphs import chain_graph
 from repro.obs import runtime as obs_runtime
 from repro.obs.core import DISABLED, Observability
 from repro.obs.export import (
+    LE_STRIDE,
     PrometheusFormatError,
     to_json,
     to_prometheus_text,
     validate_prometheus_text,
 )
+from repro.obs.quantiles import ALPHA, StreamingQuantiles, upper_edge
 from repro.obs.registry import (
-    Histogram,
+    Family,
     MetricsError,
     MetricsRegistry,
     NULL_REGISTRY,
 )
 from repro.obs.spans import NULL_RECORDER, SpanRecorder
 from repro.quorum.probabilistic import ProbabilisticQuorumSystem
-from repro.sim.delays import ConstantDelay
+from repro.sim.delays import ConstantDelay, ExponentialDelay
 
 
 TINY_PARAMS = {
@@ -115,77 +117,34 @@ def test_sample_unknown_instrument_raises():
 
 
 def test_histogram_observe_and_quantiles():
-    histogram = Histogram(buckets=(1.0, 2.0, 4.0))
+    histogram = MetricsRegistry().histogram("x").labels()
+    # One class, no fork: the registry's histogram is the sketch.
+    assert type(histogram) is StreamingQuantiles
     for value in (0.5, 0.5, 1.5, 3.0, 100.0):
         histogram.observe(value)
     assert histogram.count == 5
     assert histogram.sum == pytest.approx(105.5)
-    assert histogram.counts == [2, 1, 1, 1]
-    # Median falls in the first bucket; interpolation stays within [0, 1].
-    assert 0.0 < histogram.quantile(0.5) <= 2.0
-    # A quantile landing in the +Inf bucket is above every finite bound;
-    # the honest answer is +inf, never a made-up finite clamp.
-    assert histogram.quantile(1.0) == math.inf
-    assert histogram.overflow == 1
-    assert math.isnan(Histogram().quantile(0.5))
+    # Any quantile, within ALPHA of the nearest-rank sample quantile —
+    # the tail included: no layout for an observation to escape.
+    for q, exact in ((0.0, 0.5), (0.5, 1.5), (0.8, 3.0), (1.0, 100.0)):
+        assert histogram.value(q) == pytest.approx(exact, rel=ALPHA)
+    assert math.isnan(MetricsRegistry().histogram("y").labels().value(0.5))
     with pytest.raises(MetricsError):
-        histogram.quantile(1.5)
-
-
-def test_histogram_overflow_quantile_never_clamps():
-    # Regression: quantile() used to return the largest finite bound for
-    # mass in the +Inf bucket, reporting p99=4.0 for a histogram whose
-    # every observation exceeded 4.0.
-    histogram = Histogram(buckets=(1.0, 2.0, 4.0))
-    for value in (10.0, 50.0, 1000.0):
-        histogram.observe(value)
-    assert histogram.overflow == 3
-    for q in (0.1, 0.5, 0.99, 1.0):
-        assert histogram.quantile(q) == math.inf
-    # One in-range observation: quantiles below the overflow mass stay
-    # finite, the tail is still honest.
-    histogram.observe(0.5)
-    assert histogram.quantile(0.2) <= 1.0
-    assert histogram.quantile(0.9) == math.inf
+        histogram.value(1.5)
 
 
 def test_histogram_rejects_non_finite_observations():
-    # Regression: observe(nan) used to route to bucket 0 (every bisect
-    # comparison is False) and poison sum; observe(inf) inflated sum to
-    # inf.  Both now fail fast and leave the histogram untouched.
-    histogram = Histogram(buckets=(1.0, 2.0))
+    # Regression: a NaN or ±inf observation would poison sum for the
+    # instrument's whole lifetime.  They fail fast (so do negatives: the
+    # log-bucket map has no bucket for them) and leave the state alone.
+    histogram = MetricsRegistry().histogram("x").labels()
     histogram.observe(0.5)
-    for bad in (math.nan, math.inf, -math.inf):
+    before = histogram.snapshot()
+    for bad in (math.nan, math.inf, -math.inf, -1.0):
         with pytest.raises(MetricsError):
             histogram.observe(bad)
-    assert histogram.count == 1
-    assert histogram.sum == pytest.approx(0.5)
-    assert histogram.counts == [1, 0, 0]
-
-
-def test_histogram_negative_bucket_quantiles():
-    # Regression: interpolation seeded the bucket lower edge at 0.0, so a
-    # first bucket with a negative bound interpolated backwards (p50 of
-    # all-mass-in-(-inf,-10] came out near 0, above the bucket's bound).
-    histogram = Histogram(buckets=(-10.0, -5.0, 1.0))
-    for value in (-20.0, -15.0, -12.0):
-        histogram.observe(value)
-    assert histogram.quantile(0.5) <= -10.0
-    assert histogram.quantile(1.0) <= -10.0
-    mixed = Histogram(buckets=(-10.0, -5.0, 1.0))
-    for value in (-12.0, -7.0, 0.5):
-        mixed.observe(value)
-    assert -10.0 <= mixed.quantile(0.5) <= -5.0
-    assert mixed.quantile(0.99) <= 1.0
-
-
-def test_histogram_rejects_bad_buckets():
-    with pytest.raises(MetricsError):
-        Histogram(buckets=())
-    with pytest.raises(MetricsError):
-        Histogram(buckets=(1.0, 1.0))
-    with pytest.raises(MetricsError):
-        Histogram(buckets=(2.0, 1.0))
+    assert histogram.snapshot() == before
+    assert before["count"] == 1 and before["sum"] == 0.5
 
 
 # --- snapshot / merge ------------------------------------------------------
@@ -198,9 +157,7 @@ def populated_registry(scale: int = 1) -> MetricsRegistry:
     ops.labels("read").inc(3 * scale)
     ops.labels("write").inc(scale)
     registry.gauge("pending").set(2 * scale)
-    latency = registry.histogram(
-        "latency", "Latency.", labelnames=("kind",), buckets=(1.0, 10.0)
-    )
+    latency = registry.histogram("latency", "Latency.", labelnames=("kind",))
     latency.labels("read").observe(0.5 * scale)
     latency.labels("read").observe(5.0)
     return registry
@@ -224,22 +181,6 @@ def test_merge_snapshot_adds_counters_gauges_histograms():
     merged = parent.sample("latency", ["read"])
     assert merged.count == 4
     assert merged.sum == pytest.approx(0.5 + 5.0 + 1.0 + 5.0)
-
-
-def test_merge_into_empty_registry_adopts_buckets():
-    parent = MetricsRegistry()
-    parent.merge_snapshot(populated_registry().snapshot())
-    assert parent.sample("latency", ["read"]).buckets == (1.0, 10.0)
-
-
-def test_merge_mismatched_buckets_raises():
-    parent = populated_registry()
-    other = MetricsRegistry()
-    other.histogram(
-        "latency", labelnames=("kind",), buckets=(7.0,)
-    ).labels("read").observe(1.0)
-    with pytest.raises(MetricsError):
-        parent.merge_snapshot(other.snapshot())
 
 
 def test_merge_is_bit_deterministic():
@@ -295,32 +236,21 @@ def test_prometheus_text_round_trips_through_validator():
         for labels, value in latency["samples"]
         if "le" in labels
     ]
-    assert buckets == [("1", 1.0), ("10", 2.0), ("+Inf", 2.0)]
+    # Every ``le`` is a sketch bucket edge from one fixed ladder (every
+    # LE_STRIDE-th edge, whatever the family), so each cumulative count
+    # is exact for the observations 0.5 and 5.0.
+    ladder = {repr(upper_edge(key)) for key in range(-70, 176, LE_STRIDE)}
+    ladder.add("1")  # gamma**0, rendered as an integer
+    assert buckets[-1] == ("+Inf", 2.0)
+    for le, cumulative in buckets[:-1]:
+        assert le in ladder
+        assert cumulative == sum(v <= float(le) for v in (0.5, 5.0))
+    assert [value for _, value in buckets] == sorted(
+        value for _, value in buckets
+    )
+    assert buckets[0][1] == 1.0 and buckets[-2][1] == 2.0
     assert ({"kind": "read"}, 2.0) in latency["samples"]  # latency_count
-
-
-def test_snapshot_and_prometheus_export_overflow():
-    registry = MetricsRegistry()
-    latency = registry.histogram("svc_latency", buckets=(1.0, 2.0))
-    for value in (0.5, 5.0, 7.0):
-        latency.observe(value)
-    snapshot = registry.snapshot()
-    (instrument,) = snapshot["instruments"]
-    ((_, datum),) = instrument["series"]
-    # The snapshot names the overflow count explicitly (it equals the
-    # +Inf bucket's count, but consumers should not have to know that).
-    assert datum["overflow"] == 2
-    assert datum["counts"][-1] == 2
-    text = to_prometheus_text(snapshot)
-    parsed = validate_prometheus_text(text)
-    assert ({}, 2.0) in parsed["svc_latency"]["samples"]  # _overflow
-    assert "svc_latency_overflow 2" in text
-    # Old-format snapshots (no overflow key) still merge cleanly.
-    del datum["overflow"]
-    other = MetricsRegistry()
-    other.histogram("svc_latency", buckets=(1.0, 2.0)).observe(9.0)
-    other.merge_snapshot(snapshot)
-    assert other.sample("svc_latency").overflow == 3
+    assert "_overflow" not in text
 
 
 def test_prometheus_label_escaping():
@@ -395,13 +325,13 @@ def test_null_recorder_is_inert():
 # --- wired collection ------------------------------------------------------
 
 
-def instrumented_run(observability):
+def instrumented_run(observability, seed=7, delay_model=None):
     runner = Alg1Runner(
         ApspACO(chain_graph(5)),
         ProbabilisticQuorumSystem(6, 2),
         monotone=True,
-        delay_model=ConstantDelay(1.0),
-        seed=7,
+        delay_model=delay_model or ConstantDelay(1.0),
+        seed=seed,
         max_rounds=60,
         observability=observability,
     )
@@ -434,7 +364,7 @@ def test_runner_collects_metrics():
     # The live latency histogram saw every completed operation.
     latency = metrics.sample("repro_op_latency", ["read"])
     assert latency.count > 0
-    assert latency.quantile(0.95) >= latency.quantile(0.5) > 0.0
+    assert latency.value(0.95) >= latency.value(0.5) > 0.0
 
 
 def test_runner_records_spans():
@@ -498,6 +428,116 @@ def test_cache_hits_replay_metrics(tmp_path):
     expected = sum(r["messages"] for r in results)
     assert session.metrics.sample("repro_messages_sent_total") == expected
     assert session.metrics.sample("repro_alg1_runs_total") == 2
+
+
+# --- latency sketches survive aggregation ----------------------------------
+
+
+@pytest.fixture
+def observed(monkeypatch):
+    """Every histogram observation made while the fixture is active, as
+    ``{(family name, *label values): [values]}`` — on either kernel
+    backend, since the native client core calls ``observe`` too."""
+    seen = {}
+    owner = {}  # id(sketch) -> (sketch kept alive, series key)
+    labels, observe = Family.labels, StreamingQuantiles.observe
+
+    def recording_labels(self, *values):
+        child = labels(self, *values)
+        if self.kind == "histogram":
+            owner[id(child)] = (child, (self.name, *map(str, values)))
+        return child
+
+    def recording_observe(self, value):
+        seen.setdefault(owner[id(self)][1], []).append(value)
+        observe(self, value)
+
+    monkeypatch.setattr(Family, "labels", recording_labels)
+    monkeypatch.setattr(StreamingQuantiles, "observe", recording_observe)
+    return seen
+
+
+def nearest_rank(values, q):
+    ordered = sorted(values)
+    return ordered[max(1, math.ceil(q * len(ordered))) - 1]
+
+
+def op_latency(snapshot):
+    """The ``repro_op_latency`` instrument of a snapshot, as canonical
+    bytes with the float sums split off."""
+    (instrument,) = [
+        item for item in snapshot["instruments"]
+        if item["name"] == "repro_op_latency"
+    ]
+    sums = [datum.pop("sum") for _, datum in instrument["series"]]
+    return json.dumps(instrument, sort_keys=True).encode(), sums
+
+
+@pytest.mark.parametrize(
+    "delay_model", [ConstantDelay(1.0), ExponentialDelay(1.0)],
+    ids=["constant", "exponential"],
+)
+def test_merged_op_latency_equals_one_registry_fed_everything(
+    delay_model, observed
+):
+    merged = MetricsRegistry()
+    for seed in (7, 8):
+        obs = Observability()
+        instrumented_run(obs, seed=seed, delay_model=delay_model)
+        merged.merge_snapshot(obs.metrics.snapshot())
+    streams = {key: list(values) for key, values in observed.items()}
+
+    single = MetricsRegistry()
+    family = single.histogram(
+        "repro_op_latency",
+        "Operation latency in simulated time units, by op kind.",
+        labelnames=("kind",),
+    )
+    for (_, kind), values in streams.items():
+        for value in values:
+            family.labels(kind).observe(value)
+
+    merged_bytes, merged_sums = op_latency(merged.snapshot())
+    single_bytes, single_sums = op_latency(single.snapshot())
+    # Zeros, buckets and counts are integers: the merge is exact.
+    assert merged_bytes == single_bytes
+    if isinstance(delay_model, ConstantDelay):
+        # Whole-number latencies add exactly, so the float sums (hence
+        # the whole snapshots, byte for byte) agree as well ...
+        assert merged_sums == single_sums
+    else:
+        # ... otherwise they differ by float association only.
+        assert merged_sums == pytest.approx(single_sums, rel=1e-12)
+    # And what was merged still answers quantile queries within ALPHA.
+    for kind in ("read", "write"):
+        values = streams[("repro_op_latency", kind)]
+        sketch = merged.sample("repro_op_latency", [kind])
+        assert sketch.count == len(values) > 20
+        for q in (0.5, 0.99):
+            assert sketch.value(q) == pytest.approx(
+                nearest_rank(values, q), rel=ALPHA * (1.0 + 1e-9)
+            )
+
+
+def test_pooled_sweep_quantiles_within_alpha_of_exact_latencies(observed):
+    params = dict(TINY_PARAMS, delay={"kind": "exponential", "mean": 1.0})
+    tasks = [RunTask("alg1", params, seed=s) for s in (1, 2, 3, 4)]
+    session = Observability()
+    obs_runtime.activate(session)
+    try:
+        run_many(tasks, jobs=2)
+    finally:
+        obs_runtime.deactivate()
+    assert not observed  # the pool workers observed, not this process
+
+    run_many(tasks, jobs=1)  # same seeds in process: the exact latencies
+    reads = observed[("repro_op_latency", "read")]
+    sketch = session.metrics.sample("repro_op_latency", ["read"])
+    assert sketch.count == len(reads) > 100
+    for q in (0.5, 0.99):
+        assert sketch.value(q) == pytest.approx(
+            nearest_rank(reads, q), rel=ALPHA * (1.0 + 1e-9)
+        )
 
 
 def test_parallel_and_serial_merge_identically():

@@ -1,4 +1,5 @@
-"""Quantile estimation: the log-bucket sketch and Histogram.quantile.
+"""Quantile estimation: the log-bucket sketch, alone and as the registry's
+histogram.
 
 Three layers of checks:
 
@@ -9,13 +10,11 @@ Three layers of checks:
    it is permutation-invariant and ``a.merged(b)`` is exactly the sketch
    of the concatenated stream; NaN/±inf/negative input is rejected and
    leaves the sketch untouched.
-2. **Histogram.quantile vs numpy** (hypothesis) — for data within the
-   finite bucket range the histogram's interpolated quantile is within
-   one bucket width of the exact sample quantile; any quantile landing
-   in the +Inf bucket reports exactly ``+inf`` (as opposed to clamping
-   to the largest finite bound).
-3. **Cross-instrument** — sketch and histogram target the same rank, so
-   each sketch quantile lies in the histogram bucket where the cumulative
+2. **The registry's histogram vs numpy** (hypothesis) — the same class
+   reached through ``MetricsRegistry.histogram``, against numpy's
+   inverted-CDF quantile as an independent reference.
+3. **Export** — the Prometheus ``_bucket`` counts are exact, and each
+   sketch quantile lies in the exported bucket where the cumulative
    count crosses ``q``.
 
 The sketch tests keep their historical ``test_p2_*`` / ``streaming``
@@ -25,15 +24,15 @@ accuracy, range, rejection and empty-stream behaviour of
 """
 
 import math
-from bisect import bisect_left
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.obs.export import to_prometheus_text, validate_prometheus_text
 from repro.obs.quantiles import ALPHA, DEFAULT_QUANTILES, StreamingQuantiles
-from repro.obs.registry import Histogram, MetricsError
+from repro.obs.registry import MetricsError, MetricsRegistry
 
 #: ``ALPHA`` plus room for the float rounding of ``log`` at a bucket edge.
 TOLERANCE = ALPHA * (1.0 + 1e-9)
@@ -189,16 +188,14 @@ def test_sketch_is_permutation_invariant(values, seed):
     assert state(sketch_of(shuffled)) == state(sketch_of(values))
 
 
-# --- hypothesis: Histogram.quantile vs numpy -------------------------------
-
-BOUNDS = (1.0, 2.0, 4.0, 8.0, 16.0)
+# --- hypothesis: the registry's histogram vs numpy --------------------------
 
 
 @settings(max_examples=80, deadline=None)
 @given(
     values=st.lists(
         st.floats(
-            min_value=0.0, max_value=30.0,
+            min_value=0.0, max_value=1e6,
             allow_nan=False, allow_infinity=False,
         ),
         min_size=1,
@@ -207,77 +204,54 @@ BOUNDS = (1.0, 2.0, 4.0, 8.0, 16.0)
     q=st.floats(min_value=0.01, max_value=1.0),
 )
 def test_histogram_quantile_matches_numpy_within_bucket_resolution(values, q):
-    histogram = Histogram(buckets=BOUNDS)
+    histogram = MetricsRegistry().histogram("lat").labels()
     for value in values:
         histogram.observe(value)
-    estimate = histogram.quantile(q)
-    # The histogram picks the first bucket whose cumulative count reaches
-    # ceil(q*n) — the bucket holding the inverted-CDF sample quantile.
-    # Its estimate must therefore land inside that bucket's bounds (the
-    # "bounded error" contract: off by at most one bucket's resolution),
-    # and report exactly +inf whenever that sample sits past the last
-    # finite bound.
+    # numpy's inverted-CDF quantile is the nearest-rank sample quantile;
+    # the histogram's bucket resolution is ALPHA everywhere, tail
+    # included — no observation is too large to resolve.
     exact = float(np.quantile(values, q, method="inverted_cdf"))
-    if exact > BOUNDS[-1]:
-        assert estimate == math.inf
-    else:
-        index = bisect_left(BOUNDS, exact)
-        upper = BOUNDS[index]
-        lower = BOUNDS[index - 1] if index else 0.0
-        assert lower <= estimate <= upper
+    assert abs(histogram.value(q) - exact) <= TOLERANCE * exact
 
 
-@settings(max_examples=40, deadline=None)
-@given(
-    values=st.lists(
-        st.floats(
-            min_value=16.001, max_value=1e6,
-            allow_nan=False, allow_infinity=False,
-        ),
-        min_size=1,
-        max_size=50,
-    ),
-)
-def test_histogram_all_overflow_mass_reports_inf_everywhere(values):
-    histogram = Histogram(buckets=BOUNDS)
-    for value in values:
-        histogram.observe(value)
-    assert histogram.overflow == len(values)
-    for q in (0.01, 0.5, 0.99, 1.0):
-        assert histogram.quantile(q) == math.inf
-
-
-# --- cross-check: sketch and Histogram agree on the same stream ------------
+# --- cross-check: sketch quantiles vs the exported bucket counts -----------
 
 
 def test_p2_and_histogram_agree_on_latency_shaped_stream():
     rng = np.random.default_rng(7)
     data = rng.gamma(shape=2.0, scale=2.0, size=3000).tolist()
-    bounds = tuple(float(b) for b in range(1, 33))
-    histogram = Histogram(buckets=bounds)
+    registry = MetricsRegistry()
+    histogram = registry.histogram("lat").labels()
     for value in data:
         histogram.observe(value)
-    streams = sketch_of(data)
+    exported = validate_prometheus_text(
+        to_prometheus_text(registry.snapshot())
+    )["lat"]["samples"]
+    rows = [
+        (float(labels["le"]), count)
+        for labels, count in exported if "le" in labels
+    ]
+    # The exporter coarsens the sketch without interpolating: every
+    # cumulative count is the exact number of observations <= le.
+    for le, count in rows:
+        assert count == sum(value <= le for value in data)
+    assert rows[-1] == (math.inf, len(data))
     for q in DEFAULT_QUANTILES:
-        # Both instruments target rank ceil(q*n): the sketch's estimate
-        # must sit in the bucket that holds it (give or take ALPHA at the
-        # bucket's edges).
-        index = bisect_left(bounds, nearest_rank(data, q))
-        assert index < len(bounds), "stream escaped the histogram"
-        lower = bounds[index - 1] if index else 0.0
+        # Sketch and export target the same rank ceil(q*n): the estimate
+        # sits in the exported bucket where the cumulative count crosses
+        # it (give or take ALPHA at the bucket's edges).
+        rank = math.ceil(q * len(data))
+        index = next(i for i, (_, count) in enumerate(rows) if count >= rank)
+        lower = rows[index - 1][0] if index else 0.0
         assert (
             lower * (1.0 - TOLERANCE)
-            <= streams.value(q)
-            <= bounds[index] * (1.0 + TOLERANCE)
+            <= histogram.value(q)
+            <= rows[index][0] * (1.0 + TOLERANCE)
         ), q
-        assert lower <= histogram.quantile(q) <= bounds[index], q
 
 
 def test_observe_rejection_applies_through_registry_family():
     # The front-door path used by the simulator: family -> child.observe.
-    from repro.obs.registry import MetricsRegistry
-
-    registry = MetricsRegistry()
-    child = registry.histogram("lat", buckets=(1.0,)).labels()
+    child = MetricsRegistry().histogram("lat").labels()
     with pytest.raises(MetricsError):
         child.observe(float("nan"))

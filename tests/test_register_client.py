@@ -5,7 +5,7 @@ import pytest
 from repro.core.timestamps import Timestamp
 from repro.quorum.probabilistic import ProbabilisticQuorumSystem
 from repro.quorum.singleton import SingletonQuorumSystem
-from repro.registers.client import SingleWriterViolation
+from repro.registers.client import RetryPolicy, SingleWriterViolation
 from repro.registers.deployment import RegisterDeployment
 from repro.sim.coroutines import Sleep, spawn
 from repro.sim.delays import ConstantDelay
@@ -157,7 +157,8 @@ def test_concurrent_reads_by_same_client(small_deployment):
 def test_retry_resamples_quorum_after_crash():
     deployment = RegisterDeployment(
         SingletonQuorumSystem(4, coordinator=0), num_clients=1,
-        delay_model=ConstantDelay(1.0), seed=0, retry_interval=5.0,
+        delay_model=ConstantDelay(1.0), seed=0,
+        retry_policy=RetryPolicy(interval=5.0),
     )
     # Singleton always picks server 0 — crash it and the op truly hangs,
     # proving retries alone cannot beat a deterministic quorum choice.
@@ -174,7 +175,8 @@ def test_retry_resamples_quorum_after_crash():
     # The probabilistic system with retry routes around the crash.
     deployment2 = RegisterDeployment(
         ProbabilisticQuorumSystem(4, 1), num_clients=1,
-        delay_model=ConstantDelay(1.0), seed=0, retry_interval=5.0,
+        delay_model=ConstantDelay(1.0), seed=0,
+        retry_policy=RetryPolicy(interval=5.0),
     )
     deployment2.declare_register("X", writer=0, initial_value=0)
     deployment2.crash_server(0)
@@ -190,7 +192,8 @@ def test_retry_resamples_quorum_after_crash():
 def test_late_replies_ignored():
     deployment = RegisterDeployment(
         ProbabilisticQuorumSystem(6, 2), num_clients=1,
-        delay_model=ConstantDelay(1.0), seed=5, retry_interval=0.5,
+        delay_model=ConstantDelay(1.0), seed=5,
+        retry_policy=RetryPolicy(interval=0.5),
     )
     # Retry fires before replies arrive (interval < round trip), so the
     # client receives replies for already-completed rounds; they must not

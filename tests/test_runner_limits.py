@@ -7,6 +7,7 @@ from repro.apps.graphs import chain_graph
 from repro.iterative.runner import Alg1Runner
 from repro.quorum.grid import GridQuorumSystem
 from repro.quorum.probabilistic import ProbabilisticQuorumSystem
+from repro.registers.client import RetryPolicy
 from repro.sim.delays import ConstantDelay
 
 
@@ -21,8 +22,8 @@ def test_max_sim_time_validation():
 def test_retry_enables_default_time_cap():
     aco = ApspACO(chain_graph(4))
     runner = Alg1Runner(
-        aco, ProbabilisticQuorumSystem(4, 2), retry_interval=2.0,
-        max_rounds=50,
+        aco, ProbabilisticQuorumSystem(4, 2),
+        retry_policy=RetryPolicy(interval=2.0), max_rounds=50,
     )
     assert runner.max_sim_time == 100.0 * 50
 
@@ -39,7 +40,7 @@ def test_stalled_run_terminates_at_time_cap():
     # simulation and report non-convergence.
     aco = ApspACO(chain_graph(4))
     runner = Alg1Runner(
-        aco, GridQuorumSystem(2, 2), retry_interval=3.0,
+        aco, GridQuorumSystem(2, 2), retry_policy=RetryPolicy(interval=3.0),
         delay_model=ConstantDelay(1.0), max_sim_time=200.0, seed=1,
     )
     runner.deployment.crash_server(0)
@@ -68,7 +69,7 @@ def test_crash_before_start_with_retry_still_converges():
     aco = ApspACO(chain_graph(5))
     runner = Alg1Runner(
         aco, ProbabilisticQuorumSystem(8, 2), monotone=True, seed=3,
-        retry_interval=5.0, max_rounds=300,
+        retry_policy=RetryPolicy(interval=5.0), max_rounds=300,
     )
     runner.deployment.crash_server(0)
     result = runner.run(check_spec=False)

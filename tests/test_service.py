@@ -19,7 +19,11 @@ import numpy as np
 import pytest
 
 from repro.cli import main as cli_main
-from repro.obs.quantiles import ALPHA
+from repro.obs.core import Observability
+from repro.obs.quantiles import ALPHA, StreamingQuantiles
+from repro.quorum.probabilistic import ProbabilisticQuorumSystem
+from repro.registers.client import OperationTimeout, QuorumUnreachable
+from repro.registers.deployment import RegisterDeployment
 from repro.registers.sharding import ShardedKeyspace, ZipfKeys
 from repro.service import ServiceConfig, run_service
 from repro.service.frontend import KeyValueFrontend
@@ -29,6 +33,7 @@ from repro.sim.arrivals import (
     PoissonArrivals,
     build_arrivals,
 )
+from repro.sim.futures import Future
 
 # --- sharding --------------------------------------------------------------
 
@@ -293,20 +298,6 @@ def test_service_slo_table_renders():
 # --- latency sketches vs the exact settled latencies -----------------------
 
 
-def _crossing_bucket(bounds, counts, q):
-    """The (lower, upper] histogram bucket where the cumulative count
-    reaches rank ceil(q*n), from non-cumulative per-bucket counts."""
-    rank = max(1, math.ceil(q * sum(counts)))
-    cumulative = 0
-    for index, bucket_count in enumerate(counts):
-        cumulative += bucket_count
-        if cumulative >= rank:
-            break
-    lower = bounds[index - 1] if index else 0.0
-    upper = bounds[index] if index < len(bounds) else math.inf
-    return lower, upper
-
-
 @pytest.mark.parametrize(
     "membership",
     [None, {"kind": "churn", "period": 6.25, "batch": 1}],
@@ -338,12 +329,7 @@ def test_service_quantiles_within_alpha_of_exact_latencies(
     latency = {
         item["name"]: item for item in result.snapshot["instruments"]
     }["repro_service_latency"]
-    histograms = {labels[0]: series for labels, series in latency["series"]}
-    bounds = histograms["read"]["buckets"]
-    counts = {kind: series["counts"] for kind, series in histograms.items()}
-    counts["all"] = [
-        r + w for r, w in zip(counts["read"], counts["write"])
-    ]
+    series = {labels[0]: datum for labels, datum in latency["series"]}
 
     tolerance = ALPHA * (1.0 + 1e-9)
     for kind in ("read", "write", "all"):
@@ -352,14 +338,59 @@ def test_service_quantiles_within_alpha_of_exact_latencies(
             sample = ordered[max(1, math.ceil(q * len(ordered))) - 1]
             estimate = result.quantile(kind, q)
             assert abs(estimate - sample) <= tolerance * sample, (kind, q)
-            # Same rank, second instrument: the estimate sits in the
-            # histogram bucket where the cumulative count crosses q.
-            lower, upper = _crossing_bucket(bounds, counts[kind], q)
-            assert (
-                lower * (1.0 - tolerance)
-                <= estimate
-                <= upper * (1.0 + tolerance)
-            ), (kind, q)
+    # The exported histogram series is that same sketch: it saw every
+    # completed operation of its kind, once.
+    for kind in ("read", "write"):
+        assert series[kind]["count"] == result.counters["completed"][kind]
+        assert series[kind]["sum"] == pytest.approx(sum(exact[kind]))
+
+
+def _future(exception=None):
+    future = Future()
+    if exception is None:
+        future.resolve(0)
+    else:
+        future.fail(exception)
+    return future
+
+
+def test_frontend_records_each_settled_latency_once(monkeypatch):
+    observed = []
+    observe = StreamingQuantiles.observe
+
+    def recording(self, value):
+        observed.append(value)
+        observe(self, value)
+
+    monkeypatch.setattr(StreamingQuantiles, "observe", recording)
+    deployment = RegisterDeployment(
+        ProbabilisticQuorumSystem(4, 2), num_clients=1
+    )
+    frontend = KeyValueFrontend(
+        deployment, ShardedKeyspace(2), max_in_flight=8,
+        observability=Observability(),
+    )
+    frontend.in_flight = 3
+    deployment.scheduler.schedule(2.5, lambda: None)
+    deployment.run()
+    frontend._settled("read", 1.0, _future())
+    assert observed == [1.5]
+    frontend._settled("read", 1.0, _future(OperationTimeout("late")))
+    frontend._settled(
+        "write", 1.0, _future(QuorumUnreachable("kv/0", "write", 3))
+    )
+    assert observed == [1.5]
+    assert frontend.completed == {"read": 1, "write": 0}
+    assert frontend.timed_out == {"read": 1, "write": 0}
+    assert frontend.unreachable == {"read": 0, "write": 1}
+    assert frontend.in_flight == 0
+
+    # End to end: a completed serve op bumps two sketches — the client's
+    # repro_op_latency and the front end's repro_service_latency.
+    del observed[:]
+    result = run_service(ServiceConfig(**QUICK))
+    assert result.timeouts == 0 and result.counters["in_flight"] == 0
+    assert len(observed) == 2 * result.completed
 
 
 # --- the serve CLI ---------------------------------------------------------
