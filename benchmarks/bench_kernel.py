@@ -33,8 +33,10 @@ import argparse
 import cProfile
 import io
 import json
+import os
 import pathlib
 import pstats
+import subprocess
 import sys
 import time
 from typing import Callable, Dict, Optional
@@ -290,6 +292,24 @@ def _speedups_vs_baseline(
     return speedups
 
 
+def _git_revision() -> str:
+    """HEAD, marked ``+dirty`` when tracked files differ from it."""
+    def git(*args: str) -> str:
+        return subprocess.run(
+            ["git", *args], capture_output=True, text=True,
+            cwd=pathlib.Path(__file__).parent,
+        ).stdout.strip()
+
+    try:
+        revision = git("rev-parse", "HEAD")
+        dirty = git("status", "--porcelain", "--untracked-files=no")
+    except OSError:
+        return "unknown"
+    if not revision:
+        return "unknown"
+    return revision + ("+dirty" if dirty else "")
+
+
 def write_record(
     suites: Dict[str, Dict[str, Dict[str, float]]], quick: bool,
     path: Optional[pathlib.Path] = None,
@@ -306,6 +326,9 @@ def write_record(
         "benchmark": "simulation-kernel hot path",
         "quick": quick,
         "python": sys.version.split()[0],
+        "git_revision": _git_revision(),
+        "cpu_count": os.cpu_count(),
+        "kernel_info": kernel.kernel_info(),
         "kernel_backends_measured": sorted(suites),
         "current": _rounded(python_results),
     }

@@ -19,7 +19,7 @@ from typing import Optional
 #: The ``KERNEL_ABI`` this checkout's Python side is written against: the
 #: protocol cores pack and index message tuples by position, so an
 #: extension compiled from another revision's source must not be used.
-KERNEL_ABI = 3
+KERNEL_ABI = 4
 
 _kernel_module = None
 _import_error: Optional[str] = None

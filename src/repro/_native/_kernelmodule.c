@@ -38,81 +38,119 @@
 /* Interned strings / cached exception types                          */
 /* ------------------------------------------------------------------ */
 
-static PyObject *str_active;        /* "active"          */
-static PyObject *str_can_deliver;   /* "can_deliver"     */
-static PyObject *str_on_message;    /* "on_message"      */
-static PyObject *str_record_drop;   /* "record_drop"     */
-static PyObject *str_record_delivery; /* "record_delivery" */
-static PyObject *str_record_send;   /* "record_send"     */
-static PyObject *str_fault;         /* "fault"           */
-static PyObject *str_loss;          /* "loss"            */
-static PyObject *str_adversary;     /* "adversary"       */
-static PyObject *str_drop_action;   /* "drop"            */
-static PyObject *str_kind_attr;     /* "kind"            */
-static PyObject *str_dunder_name;   /* "__name__"        */
-static PyObject *str_sample;        /* "sample"          */
-static PyObject *str_random;        /* "random"          */
-static PyObject *str_intercept;     /* "intercept"       */
-static PyObject *str_loss_rate;     /* "loss_rate"       */
-static PyObject *str_taps_attr;     /* "_taps"           */
-static PyObject *str_adversary_attr; /* "_adversary"     */
-static PyObject *str_loss_rng_attr; /* "_loss_rng"       */
-static PyObject *str_deliver_attr;  /* "_deliver"        */
-static PyObject *str_delay_model;   /* "delay_model"     */
-static PyObject *str_rng_attr;      /* "rng"             */
-static PyObject *str_stats_attr;    /* "stats"           */
-static PyObject *str_send_attr;     /* "send"            */
-static PyObject *str_node_id;       /* "node_id"         */
-static PyObject *str_network_attr;  /* "network"         */
-static PyObject *str_seq_attr;      /* "seq"             */
-static PyObject *str_writer_attr;   /* "writer"          */
-static PyObject *str_cancel;        /* "cancel"          */
-static PyObject *str_replies;       /* "replies"         */
-static PyObject *str_quorum;        /* "quorum"          */
-static PyObject *str_span;          /* "span"            */
-static PyObject *str_is_read;       /* "is_read"         */
-static PyObject *str_register_attr; /* "register"        */
-static PyObject *str_record;        /* "record"          */
-static PyObject *str_future_attr;   /* "future"          */
-static PyObject *str_respond;       /* "respond"         */
-static PyObject *str_complete;      /* "complete"        */
-static PyObject *str_resolve;       /* "resolve"         */
-static PyObject *str_retry_handle;  /* "retry_handle"    */
-static PyObject *str_deadline_handle; /* "deadline_handle" */
-static PyObject *str_timestamp_attr; /* "timestamp"      */
-static PyObject *str_value_attr;    /* "value"           */
-static PyObject *str_monotone;      /* "monotone"        */
-static PyObject *str_cache_attr;    /* "_cache"          */
-static PyObject *str_cache_hits;    /* "cache_hits"      */
-static PyObject *str_monitor_on;    /* "_monitor_on"     */
-static PyObject *str_latency_attr;  /* "_latency"        */
-static PyObject *str_pending_attr;  /* "_pending"        */
-static PyObject *str_server_index;  /* "_server_index"   */
-static PyObject *str_replicas_attr; /* "_replicas"       */
-static PyObject *str_reads_served;  /* "reads_served"    */
-static PyObject *str_writes_applied; /* "writes_applied" */
-static PyObject *str_stale_updates; /* "stale_updates_ignored" */
-static PyObject *str_ops_completed; /* "ops_completed"   */
-static PyObject *str_ops_under_failure; /* "ops_completed_under_failure" */
-static PyObject *str_failures_attr; /* "failures"        */
-static PyObject *str_scheduler_attr; /* "scheduler"      */
-static PyObject *str_replica_method; /* "_replica"       */
-static PyObject *str_bit_generator; /* "bit_generator"   */
-static PyObject *str_capsule_attr;  /* "capsule"         */
-static PyObject *str_mean_attr;     /* "_mean"           */
-static PyObject *str_floor_attr;    /* "_floor"          */
-static PyObject *str_cdelay_attr;   /* "_delay"          */
-static PyObject *str_started_attr;  /* "started"         */
-static PyObject *str_observe;       /* "observe"         */
-static PyObject *str_read_kind;     /* "read"            */
-static PyObject *str_write_kind;    /* "write"           */
-static PyObject *str_broadcast_attr; /* "broadcast"      */
-static PyObject *str_view_state;    /* "view_state"      */
-static PyObject *str_view_id;       /* "view_id"         */
-static PyObject *str_retired;       /* "retired"         */
-static PyObject *str_retiring;      /* "retiring"        */
-static PyObject *str_retired_ignored; /* "retired_messages_ignored" */
-static PyObject *str_nacks_sent;    /* "stale_nacks_sent" */
+/* Attribute and method names, interned once at module init. */
+#define INTERNED_STRINGS(X)                                   \
+    X(str_active, "active")                                  \
+    X(str_can_deliver, "can_deliver")                        \
+    X(str_on_message, "on_message")                          \
+    X(str_record_drop, "record_drop")                        \
+    X(str_record_delivery, "record_delivery")                \
+    X(str_record_send, "record_send")                        \
+    X(str_fault, "fault")                                    \
+    X(str_loss, "loss")                                      \
+    X(str_adversary, "adversary")                            \
+    X(str_drop_action, "drop")                               \
+    X(str_kind_attr, "kind")                                 \
+    X(str_dunder_name, "__name__")                           \
+    X(str_sample, "sample")                                  \
+    X(str_random, "random")                                  \
+    X(str_intercept, "intercept")                            \
+    X(str_loss_rate, "loss_rate")                            \
+    X(str_taps_attr, "_taps")                                \
+    X(str_adversary_attr, "_adversary")                      \
+    X(str_loss_rng_attr, "_loss_rng")                        \
+    X(str_deliver_attr, "_deliver")                          \
+    X(str_delay_model, "delay_model")                        \
+    X(str_rng_attr, "rng")                                   \
+    X(str_stats_attr, "stats")                               \
+    X(str_send_attr, "send")                                 \
+    X(str_node_id, "node_id")                                \
+    X(str_network_attr, "network")                           \
+    X(str_seq_attr, "seq")                                   \
+    X(str_writer_attr, "writer")                             \
+    X(str_cancel, "cancel")                                  \
+    X(str_replies, "replies")                                \
+    X(str_quorum, "quorum")                                  \
+    X(str_span, "span")                                      \
+    X(str_is_read, "is_read")                                \
+    X(str_register_attr, "register")                         \
+    X(str_record, "record")                                  \
+    X(str_future_attr, "future")                             \
+    X(str_respond, "respond")                                \
+    X(str_complete, "complete")                              \
+    X(str_resolve, "resolve")                                \
+    X(str_retry_handle, "retry_handle")                      \
+    X(str_deadline_handle, "deadline_handle")                \
+    X(str_timestamp_attr, "timestamp")                       \
+    X(str_value_attr, "value")                               \
+    X(str_monotone, "monotone")                              \
+    X(str_cache_attr, "_cache")                              \
+    X(str_cache_hits, "cache_hits")                          \
+    X(str_monitor_on, "_monitor_on")                         \
+    X(str_latency_attr, "_latency")                          \
+    X(str_pending_attr, "_pending")                          \
+    X(str_server_index, "_server_index")                     \
+    X(str_replicas_attr, "_replicas")                        \
+    X(str_reads_served, "reads_served")                      \
+    X(str_writes_applied, "writes_applied")                  \
+    X(str_stale_updates, "stale_updates_ignored")            \
+    X(str_ops_completed, "ops_completed")                    \
+    X(str_ops_under_failure, "ops_completed_under_failure")  \
+    X(str_failures_attr, "failures")                         \
+    X(str_scheduler_attr, "scheduler")                       \
+    X(str_replica_method, "_replica")                        \
+    X(str_bit_generator, "bit_generator")                    \
+    X(str_capsule_attr, "capsule")                           \
+    X(str_mean_attr, "_mean")                                \
+    X(str_floor_attr, "_floor")                              \
+    X(str_cdelay_attr, "_delay")                             \
+    X(str_started_attr, "started")                           \
+    X(str_observe, "observe")                                \
+    X(str_read_kind, "read")                                 \
+    X(str_write_kind, "write")                               \
+    X(str_broadcast_attr, "broadcast")                       \
+    X(str_view_state, "view_state")                          \
+    X(str_view_id, "view_id")                                \
+    X(str_retired, "retired")                                \
+    X(str_retiring, "retiring")                              \
+    X(str_retired_ignored, "retired_messages_ignored")       \
+    X(str_nacks_sent, "stale_nacks_sent")                    \
+    X(str_trace_on, "_trace_on")                             \
+    X(str_begin, "_begin")                                   \
+    X(str_send_round, "_send_round")                         \
+    X(str_sample_quorum, "_sample_quorum")                   \
+    X(str_info, "info")                                      \
+    X(str_history, "history")                                \
+    X(str_begin_read, "begin_read")                          \
+    X(str_begin_write, "begin_write")                        \
+    X(str_members, "members")                                \
+    X(str_member_ids, "member_ids")                          \
+    X(str_message_attr, "message")                           \
+    X(str_view_attr, "view")                                 \
+    X(str_op_id, "op_id")                                    \
+    X(str_retry_policy, "retry_policy")                      \
+    X(str_retry_rng, "_retry_rng")                           \
+    X(str_delay, "delay")                                    \
+    X(str_deadline, "deadline")                              \
+    X(str_retry, "_retry")                                   \
+    X(str_expire, "_expire")                                 \
+    X(str_membership, "_membership")                         \
+    X(str_quorum_system, "quorum_system")                    \
+    X(str_n, "n")                                            \
+    X(str_k, "k")                                            \
+    X(str_validate_quorum, "validate_quorum")                \
+    X(str_reads_performed, "reads_performed")                \
+    X(str_writes_performed, "writes_performed")              \
+    X(str_space, "space")                                    \
+    X(str_registers_attr, "_registers")                      \
+    X(str_server_ids, "server_ids")                          \
+    X(str_op_ids, "_op_ids")                                 \
+    X(str_write_seq, "_write_seq")                           \
+    X(str_client_id, "client_id")
+
+#define DECLARE_STRING(var, text) static PyObject *var;
+INTERNED_STRINGS(DECLARE_STRING)
+#undef DECLARE_STRING
 static PyObject *py_zero = NULL;    /* the int 0 (the static-deployment view) */
 static PyObject *py_one = NULL;     /* the int 1 (counter bumps) */
 static PyObject *scheduler_error = NULL;  /* repro.sim.scheduler.SchedulerError */
@@ -127,6 +165,14 @@ static PyObject *msg_write_ack = NULL;    /* messages.WriteAck    */
 static PyObject *msg_stale_view_nack = NULL; /* messages.StaleViewNack */
 static PyObject *timestamp_type = NULL;   /* timestamps.Timestamp */
 static PyObject *nullrecord_type = NULL;  /* history._NullRecord  */
+
+/* What the client issue path constructs and tests against, resolved the
+ * first time a ClientCore is built. */
+static PyObject *pending_op_type = NULL;   /* registers.client._PendingOp */
+static PyObject *future_type = NULL;       /* sim.futures.Future */
+static PyObject *null_history_type = NULL; /* history.NullRegisterHistory */
+static PyObject *null_record = NULL;       /* history._NULL_RECORD */
+static PyObject *prob_quorum_type = NULL;  /* ProbabilisticQuorumSystem */
 
 /* Delay-model classes, resolved lazily the first time a delay is
  * sampled natively.  Soft-resolved: when the import fails (stripped
@@ -167,6 +213,42 @@ get_scheduler_error(void)
         }
     }
     return scheduler_error;
+}
+
+/* bool(obj.<name>): 1/0, or -1 with an exception set. */
+static int
+attr_truth(PyObject *obj, PyObject *name)
+{
+    PyObject *value = PyObject_GetAttr(obj, name);
+    if (value == NULL)
+        return -1;
+    int truth = PyObject_IsTrue(value);
+    Py_DECREF(value);
+    return truth;
+}
+
+/* obj.<name> as a C double; -1.0 with an exception set on error. */
+static double
+attr_double(PyObject *obj, PyObject *name)
+{
+    PyObject *value = PyObject_GetAttr(obj, name);
+    if (value == NULL)
+        return -1.0;
+    double out = PyFloat_AsDouble(value);
+    Py_DECREF(value);
+    return out;
+}
+
+/* module.<attr>, imported by name; a new reference or NULL. */
+static PyObject *
+import_attr(const char *module_name, const char *attr)
+{
+    PyObject *module = PyImport_ImportModule(module_name);
+    if (module == NULL)
+        return NULL;
+    PyObject *value = PyObject_GetAttrString(module, attr);
+    Py_DECREF(module);
+    return value;
 }
 
 /* ------------------------------------------------------------------ */
@@ -868,6 +950,28 @@ push_handle_event(SchedulerCore *self, double time, PyObject *callback,
     return (PyObject *)handle;
 }
 
+/* schedule(delay, callback, *argtuple): validate the delay and push.
+ * Steals argtuple, also on failure. */
+static PyObject *
+schedule_after(SchedulerCore *self, PyObject *delay_obj, PyObject *callback,
+               PyObject *argtuple)
+{
+    if (argtuple == NULL)
+        return NULL;
+    double delay = PyFloat_AsDouble(delay_obj);
+    if (delay == -1.0 && PyErr_Occurred()) {
+        Py_DECREF(argtuple);
+        return NULL;
+    }
+    if (delay < 0) {
+        PyErr_Format(get_scheduler_error(),
+                     "cannot schedule into the past (delay=%R)", delay_obj);
+        Py_DECREF(argtuple);
+        return NULL;
+    }
+    return push_handle_event(self, self->now + delay, callback, argtuple);
+}
+
 static PyObject *
 schedulercore_schedule(SchedulerCore *self, PyObject *const *args,
                        Py_ssize_t nargs)
@@ -877,18 +981,7 @@ schedulercore_schedule(SchedulerCore *self, PyObject *const *args,
                         "schedule expects (delay, callback, *args)");
         return NULL;
     }
-    double delay = PyFloat_AsDouble(args[0]);
-    if (delay == -1.0 && PyErr_Occurred())
-        return NULL;
-    if (delay < 0) {
-        PyErr_Format(get_scheduler_error(),
-                     "cannot schedule into the past (delay=%R)", args[0]);
-        return NULL;
-    }
-    PyObject *argtuple = pack_args(args, 2, nargs);
-    if (argtuple == NULL)
-        return NULL;
-    return push_handle_event(self, self->now + delay, args[1], argtuple);
+    return schedule_after(self, args[0], args[1], pack_args(args, 2, nargs));
 }
 
 static PyObject *
@@ -1393,56 +1486,79 @@ bitgen_of(PyObject *rng, PyObject **holder)
 }
 #endif
 
-/* Sample a delay without calling .sample() when the model is one of the
- * two built-ins with exactly transcribable draws.  Returns 1 with *out
- * set on a native draw, 0 when the model isn't eligible (caller falls
- * back to the generic call), -1 on error.  Exactness:
+/* One of the two built-in delay models with exactly transcribable
+ * draws, resolved once for a run of draws between which no Python code
+ * can run: the model's parameters and the Generator's bitgen_t are read
+ * here, and every draw after that is plain C.  Exactness:
  * ``Generator.exponential(scale)`` is one ziggurat draw scaled — the
  * same bits ``random_standard_exponential`` produces — and Python's
  * ``max(floor, v)`` returns v only when strictly greater. */
+typedef struct {
+    double scale;     /* the constant delay, or the exponential's mean */
+    double floor_v;
+    PyObject *holder; /* the BitGenerator kept alive; NULL = constant */
+#ifdef REPRO_HAVE_NPYRANDOM
+    bitgen_t *bg;
+#endif
+} DelayDraws;
+
+/* Returns 1 with *draws ready (release with delay_draws_end), 0 when the
+ * model isn't eligible (the caller takes the generic .sample() /
+ * Python path), -1 on error. */
 static int
-fast_sample_delay(PyObject *delay_model, PyObject *rng, double *out)
+delay_draws_begin(PyObject *delay_model, PyObject *rng, DelayDraws *draws)
 {
     if (!ensure_delay_types())
         return 0;
+    draws->holder = NULL;
+    draws->floor_v = 0.0;
     if ((PyObject *)Py_TYPE(delay_model) == constant_delay_type) {
-        PyObject *delay_obj = PyObject_GetAttr(delay_model, str_cdelay_attr);
-        if (delay_obj == NULL)
-            return -1;
-        double delay = PyFloat_AsDouble(delay_obj);
-        Py_DECREF(delay_obj);
-        if (delay == -1.0 && PyErr_Occurred())
-            return -1;
-        *out = delay;
-        return 1;
+        draws->scale = attr_double(delay_model, str_cdelay_attr);
+        return draws->scale == -1.0 && PyErr_Occurred() ? -1 : 1;
     }
 #ifdef REPRO_HAVE_NPYRANDOM
     if ((PyObject *)Py_TYPE(delay_model) == exponential_delay_type) {
-        PyObject *mean_obj = PyObject_GetAttr(delay_model, str_mean_attr);
-        if (mean_obj == NULL)
+        draws->scale = attr_double(delay_model, str_mean_attr);
+        if (draws->scale == -1.0 && PyErr_Occurred())
             return -1;
-        double mean = PyFloat_AsDouble(mean_obj);
-        Py_DECREF(mean_obj);
-        if (mean == -1.0 && PyErr_Occurred())
+        draws->floor_v = attr_double(delay_model, str_floor_attr);
+        if (draws->floor_v == -1.0 && PyErr_Occurred())
             return -1;
-        PyObject *floor_obj = PyObject_GetAttr(delay_model, str_floor_attr);
-        if (floor_obj == NULL)
-            return -1;
-        double floor_v = PyFloat_AsDouble(floor_obj);
-        Py_DECREF(floor_obj);
-        if (floor_v == -1.0 && PyErr_Occurred())
-            return -1;
-        PyObject *holder;
-        bitgen_t *bg = bitgen_of(rng, &holder);
-        if (bg == NULL)
-            return -1;
-        double v = random_standard_exponential(bg) * mean;
-        Py_DECREF(holder);
-        *out = v > floor_v ? v : floor_v;
-        return 1;
+        draws->bg = bitgen_of(rng, &draws->holder);
+        return draws->bg == NULL ? -1 : 1;
     }
 #endif
     return 0;
+}
+
+static inline double
+delay_draws_next(DelayDraws *draws)
+{
+#ifdef REPRO_HAVE_NPYRANDOM
+    if (draws->holder != NULL) {
+        double v = random_standard_exponential(draws->bg) * draws->scale;
+        return v > draws->floor_v ? v : draws->floor_v;
+    }
+#endif
+    return draws->scale;
+}
+
+static inline void
+delay_draws_end(DelayDraws *draws)
+{
+    Py_XDECREF(draws->holder);
+}
+
+/* The ValueError both send paths raise for a delay <= 0. */
+static void
+raise_nonpositive_delay(double delay)
+{
+    PyObject *delay_obj = PyFloat_FromDouble(delay);
+    if (delay_obj == NULL)
+        return;
+    PyErr_Format(PyExc_ValueError,
+                 "delay model produced non-positive delay %S", delay_obj);
+    Py_DECREF(delay_obj);
 }
 
 /* ------------------------------------------------------------------ */
@@ -1752,7 +1868,8 @@ sendcore_invoke(SendCore *self, PyObject *src, PyObject *dst,
         goto fail;
     }
     double delay;
-    int drawn = fast_sample_delay(delay_model, rng, &delay);
+    DelayDraws draws;
+    int drawn = delay_draws_begin(delay_model, rng, &draws);
     if (drawn < 0) {
         Py_DECREF(delay_model);
         Py_DECREF(rng);
@@ -1780,16 +1897,12 @@ sendcore_invoke(SendCore *self, PyObject *src, PyObject *dst,
         Py_DECREF(delay_obj);
     }
     else {
+        delay = delay_draws_next(&draws);
+        delay_draws_end(&draws);
         Py_DECREF(delay_model);
         Py_DECREF(rng);
         if (delay <= 0) {
-            PyObject *delay_obj = PyFloat_FromDouble(delay);
-            if (delay_obj != NULL) {
-                PyErr_Format(PyExc_ValueError,
-                             "delay model produced non-positive delay %S",
-                             delay_obj);
-                Py_DECREF(delay_obj);
-            }
+            raise_nonpositive_delay(delay);
             goto fail;
         }
     }
@@ -1980,50 +2093,25 @@ broadcastcore_dealloc(BroadcastCore *self)
     Py_TYPE(self)->tp_free((PyObject *)self);
 }
 
-/* The fast-branch preconditions, re-read per call.  1 = native path,
- * 0 = fall back to the Python method, -1 = error. */
+/* The fast-branch preconditions on the network's mutable knobs, re-read
+ * per call.  1 = native path, 0 = fall back to the Python method,
+ * -1 = error. */
 static int
-broadcastcore_eligible(BroadcastCore *self, PyObject *delay_model)
+broadcastcore_eligible(BroadcastCore *self)
 {
     if (!StatsCore_Check(self->stats))
         return 0;
-    if (!ensure_delay_types())
-        return 0;
-    if ((PyObject *)Py_TYPE(delay_model) != constant_delay_type) {
-#ifdef REPRO_HAVE_NPYRANDOM
-        if ((PyObject *)Py_TYPE(delay_model) != exponential_delay_type)
-            return 0;
-#else
-        return 0;
-#endif
-    }
-    PyObject *rate_obj = PyObject_GetAttr(self->network, str_loss_rate);
-    if (rate_obj == NULL)
-        return -1;
-    double loss_rate = PyFloat_AsDouble(rate_obj);
-    Py_DECREF(rate_obj);
+    double loss_rate = attr_double(self->network, str_loss_rate);
     if (loss_rate == -1.0 && PyErr_Occurred())
         return -1;
     if (loss_rate != 0.0)
         return 0;
-    PyObject *taps = PyObject_GetAttr(self->network, str_taps_attr);
-    if (taps == NULL)
-        return -1;
-    int tapped = PyObject_IsTrue(taps);
-    Py_DECREF(taps);
-    if (tapped < 0)
-        return -1;
-    if (tapped)
-        return 0;
-    PyObject *active = PyObject_GetAttr(self->failures, str_active);
-    if (active == NULL)
-        return -1;
-    int faulty = PyObject_IsTrue(active);
-    Py_DECREF(active);
-    if (faulty < 0)
-        return -1;
-    if (faulty)
-        return 0;
+    int tapped = attr_truth(self->network, str_taps_attr);
+    if (tapped != 0)
+        return tapped < 0 ? -1 : 0;
+    int faulty = attr_truth(self->failures, str_active);
+    if (faulty != 0)
+        return faulty < 0 ? -1 : 0;
     PyObject *adversary = PyObject_GetAttr(self->network,
                                            str_adversary_attr);
     if (adversary == NULL)
@@ -2042,17 +2130,24 @@ broadcastcore_invoke(BroadcastCore *self, PyObject *src, PyObject *dsts,
         return -1;
     if (!nonempty)
         return 0;
-    PyObject *delay_model = PyObject_GetAttr(self->network,
-                                             str_delay_model);
-    if (delay_model == NULL)
-        return -1;
-    int eligible = broadcastcore_eligible(self, delay_model);
-    if (eligible < 0) {
+    /* The delay parameters and the bitgen_t are resolved once: no Python
+     * code runs between the draws of one fan-out. */
+    DelayDraws draws;
+    int eligible = broadcastcore_eligible(self);
+    if (eligible > 0) {
+        PyObject *delay_model = PyObject_GetAttr(self->network,
+                                                 str_delay_model);
+        if (delay_model == NULL)
+            return -1;
+        PyObject *rng = PyObject_GetAttr(self->network, str_rng_attr);
+        eligible = rng == NULL
+            ? -1 : delay_draws_begin(delay_model, rng, &draws);
         Py_DECREF(delay_model);
-        return -1;
+        Py_XDECREF(rng);
     }
+    if (eligible < 0)
+        return -1;
     if (!eligible) {
-        Py_DECREF(delay_model);
         PyObject *res = PyObject_CallFunctionObjArgs(
             self->fallback, self->network, src, dsts, message, NULL);
         if (res == NULL)
@@ -2061,60 +2156,40 @@ broadcastcore_invoke(BroadcastCore *self, PyObject *src, PyObject *dsts,
         return 0;
     }
 
+    int rc = -1;
+    PyObject *kind = NULL, *deliver = NULL;
     PyObject *fast = PySequence_Fast(dsts, "dsts must be a sequence");
-    if (fast == NULL) {
-        Py_DECREF(delay_model);
-        return -1;
-    }
+    if (fast == NULL)
+        goto done;
     Py_ssize_t n = PySequence_Fast_GET_SIZE(fast);
     for (Py_ssize_t i = 0; i < n; i++) {
         PyObject *dst = PySequence_Fast_GET_ITEM(fast, i);
         int known = PyDict_Contains(self->nodes, dst);
         if (known < 0)
-            goto fail_fast;
+            goto done;
         if (!known) {
             PyErr_Format(PyExc_KeyError,
                          "unknown destination node %S", dst);
-            goto fail_fast;
+            goto done;
         }
     }
-    PyObject *kind = kind_of(message);
+    kind = kind_of(message);
     if (kind == NULL)
-        goto fail_fast;
+        goto done;
     ((StatsCore *)self->stats)->sent += n;
-
-    PyObject *rng = PyObject_GetAttr(self->network, str_rng_attr);
-    if (rng == NULL)
-        goto fail_kind;
-    PyObject *deliver = PyObject_GetAttr(self->network, str_deliver_attr);
-    if (deliver == NULL) {
-        Py_DECREF(rng);
-        goto fail_kind;
-    }
+    deliver = PyObject_GetAttr(self->network, str_deliver_attr);
+    if (deliver == NULL)
+        goto done;
     for (Py_ssize_t i = 0; i < n; i++) {
-        PyObject *dst = PySequence_Fast_GET_ITEM(fast, i);
-        double delay;
-        int drawn = fast_sample_delay(delay_model, rng, &delay);
-        if (drawn < 0)
-            goto fail_loop;
-        if (drawn == 0) {
-            PyErr_SetString(PyExc_RuntimeError,
-                            "delay model changed type mid-broadcast");
-            goto fail_loop;
-        }
+        double delay = delay_draws_next(&draws);
         if (delay <= 0) {
-            PyObject *delay_obj = PyFloat_FromDouble(delay);
-            if (delay_obj != NULL) {
-                PyErr_Format(PyExc_ValueError,
-                             "delay model produced non-positive delay %S",
-                             delay_obj);
-                Py_DECREF(delay_obj);
-            }
-            goto fail_loop;
+            raise_nonpositive_delay(delay);
+            goto done;
         }
-        PyObject *argtuple = PyTuple_Pack(4, src, dst, message, kind);
+        PyObject *argtuple = PyTuple_Pack(
+            4, src, PySequence_Fast_GET_ITEM(fast, i), message, kind);
         if (argtuple == NULL)
-            goto fail_loop;
+            goto done;
         KEvent ev;
         ev.time = self->sched->now + delay;
         ev.seq = self->sched->seq;
@@ -2124,27 +2199,18 @@ broadcastcore_invoke(BroadcastCore *self, PyObject *src, PyObject *dsts,
         if (heap_push(self->sched, ev) < 0) {
             Py_DECREF(deliver);
             Py_DECREF(argtuple);
-            goto fail_loop;
+            goto done;
         }
         self->sched->seq += 1;
         self->sched->live += 1;
     }
-    Py_DECREF(deliver);
-    Py_DECREF(rng);
-    Py_DECREF(kind);
-    Py_DECREF(fast);
-    Py_DECREF(delay_model);
-    return 0;
-
-fail_loop:
-    Py_DECREF(deliver);
-    Py_DECREF(rng);
-fail_kind:
-    Py_DECREF(kind);
-fail_fast:
-    Py_DECREF(fast);
-    Py_DECREF(delay_model);
-    return -1;
+    rc = 0;
+done:
+    Py_XDECREF(deliver);
+    Py_XDECREF(kind);
+    Py_XDECREF(fast);
+    delay_draws_end(&draws);
+    return rc;
 }
 
 static PyObject *
@@ -2191,21 +2257,8 @@ static PyTypeObject BroadcastCore_Type = {
  * Python expression.  Bounded draws use Lemire rejection
  * (use_masked=0), matching Generator.integers. */
 static PyObject *
-kernel_quorum_sample(PyObject *module, PyObject *const *args,
-                     Py_ssize_t nargs)
+quorum_sample(PyObject *rng, Py_ssize_t n, Py_ssize_t k)
 {
-    if (nargs != 3) {
-        PyErr_SetString(PyExc_TypeError,
-                        "quorum_sample expects (rng, n, k)");
-        return NULL;
-    }
-    PyObject *rng = args[0];
-    Py_ssize_t n = PyLong_AsSsize_t(args[1]);
-    if (n == -1 && PyErr_Occurred())
-        return NULL;
-    Py_ssize_t k = PyLong_AsSsize_t(args[2]);
-    if (k == -1 && PyErr_Occurred())
-        return NULL;
     if (n < 1 || k < 1 || k > n) {
         PyErr_Format(PyExc_ValueError,
                      "quorum_sample needs 1 <= k <= n, got n=%zd k=%zd",
@@ -2272,17 +2325,32 @@ kernel_quorum_sample(PyObject *module, PyObject *const *args,
         PyMem_Free(idx);
     return result;
 }
-#else
+#endif
+
 static PyObject *
 kernel_quorum_sample(PyObject *module, PyObject *const *args,
                      Py_ssize_t nargs)
 {
+#ifdef REPRO_HAVE_NPYRANDOM
+    if (nargs != 3) {
+        PyErr_SetString(PyExc_TypeError,
+                        "quorum_sample expects (rng, n, k)");
+        return NULL;
+    }
+    Py_ssize_t n = PyLong_AsSsize_t(args[1]);
+    if (n == -1 && PyErr_Occurred())
+        return NULL;
+    Py_ssize_t k = PyLong_AsSsize_t(args[2]);
+    if (k == -1 && PyErr_Occurred())
+        return NULL;
+    return quorum_sample(args[0], n, k);
+#else
     PyErr_SetString(PyExc_RuntimeError,
                     "quorum_sample needs a build linked against numpy's "
                     "random library (HAVE_FAST_RNG is 0)");
     return NULL;
-}
 #endif
+}
 
 /* ------------------------------------------------------------------ */
 /* ProtocolCore: the register protocol without Python frames           */
@@ -2291,10 +2359,12 @@ kernel_quorum_sample(PyObject *module, PyObject *const *args,
 /* Native transcriptions of the two per-message protocol callbacks:
  * ``ReplicaServer.on_message`` (ServerCore) and the reply-aggregation
  * path of ``QuorumRegisterClient.on_message`` + ``_finish`` +
- * ``_teardown`` (ClientCore).  Installed as the node's ``on_message``
- * instance attribute — exactly like the network's SendCore /
- * DeliveryCore — so trace taps and monkeypatches keep working, and the
- * pure-python methods remain the reference implementation.
+ * ``_teardown`` (ClientCore), plus the client's issue path (ClientCore's
+ * read / write / _begin / _send_round methods, described where they are
+ * defined).  Installed as instance attributes of the node — exactly
+ * like the network's SendCore / DeliveryCore — so trace taps and
+ * monkeypatches keep working, and the pure-python methods remain the
+ * reference implementation.
  *
  * Soft fallback, re-checked on every delivery, is a guard on *state*:
  * an attached adversary, detailed MessageStats, an op-level span
@@ -2305,8 +2375,8 @@ kernel_quorum_sample(PyObject *module, PyObject *const *args,
  * view gate runs here; anything that is not one of the four Section-4
  * message types (StaleViewNack, State*, subclasses) takes Python.  The
  * live latency histogram is observed natively in clientcore_finish.
- * RNG draws stay in Python in the pre-existing order here; the quorum
- * sample itself can run natively via ``quorum_sample`` (same bits).
+ * No message handler draws from an RNG stream; the issue path does, in
+ * the Python order (see there).
  */
 
 /* Resolve the protocol classes lazily, on first core construction —
@@ -2316,48 +2386,33 @@ ensure_protocol_types(void)
 {
     if (timestamp_type != NULL)
         return 0;
-    PyObject *messages = PyImport_ImportModule("repro.registers.messages");
-    if (messages == NULL)
-        return -1;
-    msg_read_query = PyObject_GetAttrString(messages, "ReadQuery");
-    msg_read_reply = PyObject_GetAttrString(messages, "ReadReply");
-    msg_write_update = PyObject_GetAttrString(messages, "WriteUpdate");
-    msg_write_ack = PyObject_GetAttrString(messages, "WriteAck");
-    msg_stale_view_nack = PyObject_GetAttrString(messages, "StaleViewNack");
-    Py_DECREF(messages);
-    if (msg_read_query == NULL || msg_read_reply == NULL
-        || msg_write_update == NULL || msg_write_ack == NULL
-        || msg_stale_view_nack == NULL)
+    const char *messages = "repro.registers.messages";
+    if ((msg_read_query = import_attr(messages, "ReadQuery")) == NULL
+        || (msg_read_reply = import_attr(messages, "ReadReply")) == NULL
+        || (msg_write_update = import_attr(messages, "WriteUpdate")) == NULL
+        || (msg_write_ack = import_attr(messages, "WriteAck")) == NULL
+        || (msg_stale_view_nack = import_attr(messages,
+                                              "StaleViewNack")) == NULL)
         goto fail;
-    /* Replies are built through tuple.__new__ directly (skipping the
+    /* Messages are built through tuple.__new__ directly (skipping the
      * generated NamedTuple __new__ frame), which is only valid for
      * tuple subtypes. */
-    if (!PyType_Check(msg_read_reply) || !PyType_Check(msg_write_ack)
-        || !PyType_Check(msg_stale_view_nack)
-        || !PyType_IsSubtype((PyTypeObject *)msg_read_reply, &PyTuple_Type)
-        || !PyType_IsSubtype((PyTypeObject *)msg_write_ack, &PyTuple_Type)
-        || !PyType_IsSubtype((PyTypeObject *)msg_stale_view_nack,
-                             &PyTuple_Type)
-        || !PyType_Check(msg_read_query) || !PyType_Check(msg_write_update)) {
-        PyErr_SetString(PyExc_TypeError,
-                        "register protocol messages must be tuple "
-                        "subclasses (typing.NamedTuple)");
-        goto fail;
+    PyObject *built[] = {msg_read_query, msg_read_reply, msg_write_update,
+                         msg_write_ack, msg_stale_view_nack};
+    for (size_t i = 0; i < sizeof(built) / sizeof(built[0]); i++) {
+        if (!PyType_Check(built[i])
+            || !PyType_IsSubtype((PyTypeObject *)built[i], &PyTuple_Type)) {
+            PyErr_SetString(PyExc_TypeError,
+                            "register protocol messages must be tuple "
+                            "subclasses (typing.NamedTuple)");
+            goto fail;
+        }
     }
-    PyObject *history = PyImport_ImportModule("repro.core.history");
-    if (history == NULL)
-        goto fail;
-    nullrecord_type = PyObject_GetAttrString(history, "_NullRecord");
-    Py_DECREF(history);
-    if (nullrecord_type == NULL)
-        goto fail;
-    PyObject *timestamps = PyImport_ImportModule("repro.core.timestamps");
-    if (timestamps == NULL)
-        goto fail;
-    /* Assigned last: non-NULL timestamp_type marks full resolution. */
-    timestamp_type = PyObject_GetAttrString(timestamps, "Timestamp");
-    Py_DECREF(timestamps);
-    if (timestamp_type == NULL)
+    if ((nullrecord_type = import_attr("repro.core.history",
+                                       "_NullRecord")) == NULL
+        /* Assigned last: non-NULL timestamp_type marks full resolution. */
+        || (timestamp_type = import_attr("repro.core.timestamps",
+                                         "Timestamp")) == NULL)
         goto fail;
     return 0;
 fail:
@@ -2368,6 +2423,32 @@ fail:
     Py_CLEAR(msg_stale_view_nack);
     Py_CLEAR(nullrecord_type);
     Py_CLEAR(timestamp_type);
+    return -1;
+}
+
+/* Resolve the classes of the client issue path (see their declarations). */
+static int
+ensure_issue_types(void)
+{
+    if (prob_quorum_type != NULL)
+        return 0;
+    if ((pending_op_type = import_attr("repro.registers.client",
+                                       "_PendingOp")) != NULL
+        && (future_type = import_attr("repro.sim.futures",
+                                      "Future")) != NULL
+        && (null_history_type = import_attr("repro.core.history",
+                                            "NullRegisterHistory")) != NULL
+        && (null_record = import_attr("repro.core.history",
+                                      "_NULL_RECORD")) != NULL
+        /* Assigned last: non-NULL prob_quorum_type marks full resolution. */
+        && (prob_quorum_type = import_attr("repro.quorum.probabilistic",
+                                           "ProbabilisticQuorumSystem"))
+            != NULL)
+        return 0;
+    Py_CLEAR(pending_op_type);
+    Py_CLEAR(future_type);
+    Py_CLEAR(null_history_type);
+    Py_CLEAR(null_record);
     return -1;
 }
 
@@ -2409,18 +2490,6 @@ timestamp_gt(PyObject *a, PyObject *b)
     Py_DECREF(a_writer);
     Py_DECREF(b_writer);
     return gt;
-}
-
-/* bool(obj.<name>): 1/0, or -1 with an exception set. */
-static int
-attr_truth(PyObject *obj, PyObject *name)
-{
-    PyObject *value = PyObject_GetAttr(obj, name);
-    if (value == NULL)
-        return -1;
-    int truth = PyObject_IsTrue(value);
-    Py_DECREF(value);
-    return truth;
 }
 
 /* obj.<name> += 1 for the plain-int instance counters. */
@@ -2775,8 +2844,18 @@ typedef struct {
     PyObject *pending;      /* client._pending dict (shared) */
     PyObject *server_index; /* client._server_index dict (shared) */
     PyObject *cache;        /* client._cache dict (shared) */
-    SchedulerCore *sched;   /* native scheduler (for ``now``) */
+    SchedulerCore *sched;   /* native scheduler (``now``, timer pushes) */
     int monotone;
+    /* Issue path (identity-stable collaborators; the mutable knobs —
+     * retry policy, view, quorum system, rng, tracing — are re-read per
+     * op). */
+    PyObject *registers;    /* client.space._registers dict (shared) */
+    PyObject *server_ids;   /* client.server_ids list (shared; the roster
+                               grows in place under membership) */
+    PyObject *op_ids;       /* client._op_ids iterator */
+    PyObject *write_seq;    /* client._write_seq dict (shared) */
+    PyObject *client_id;
+    PyObject *node_id;
 } ClientCore;
 
 static PyObject *
@@ -2785,11 +2864,14 @@ clientcore_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
     PyObject *client;
     if (!PyArg_ParseTuple(args, "O", &client))
         return NULL;
-    if (ensure_protocol_types() < 0)
+    if (ensure_protocol_types() < 0 || ensure_issue_types() < 0)
         return NULL;
     PyObject *fallback = NULL, *network = NULL, *failures = NULL;
     PyObject *stats = NULL, *pending = NULL, *server_index = NULL;
     PyObject *cache = NULL, *sched = NULL;
+    PyObject *space = NULL, *registers = NULL, *server_ids = NULL;
+    PyObject *op_ids = NULL, *write_seq = NULL, *client_id = NULL;
+    PyObject *node_id = NULL;
     fallback = PyObject_GetAttr((PyObject *)Py_TYPE(client), str_on_message);
     if (fallback == NULL)
         goto fail;
@@ -2829,6 +2911,21 @@ clientcore_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
     int monotone = attr_truth(client, str_monotone);
     if (monotone < 0)
         goto fail;
+    if ((space = PyObject_GetAttr(client, str_space)) == NULL
+        || (registers = PyObject_GetAttr(space, str_registers_attr)) == NULL
+        || (server_ids = PyObject_GetAttr(client, str_server_ids)) == NULL
+        || (op_ids = PyObject_GetAttr(client, str_op_ids)) == NULL
+        || (write_seq = PyObject_GetAttr(client, str_write_seq)) == NULL
+        || (client_id = PyObject_GetAttr(client, str_client_id)) == NULL
+        || (node_id = PyObject_GetAttr(client, str_node_id)) == NULL)
+        goto fail;
+    if (!PyDict_Check(registers) || !PyDict_Check(write_seq)
+        || !PyList_Check(server_ids) || !PyIter_Check(op_ids)) {
+        PyErr_SetString(PyExc_TypeError,
+                        "client.space._registers and _write_seq must be "
+                        "dicts, server_ids a list, _op_ids an iterator");
+        goto fail;
+    }
     ClientCore *self = (ClientCore *)type->tp_alloc(type, 0);
     if (self == NULL)
         goto fail;
@@ -2843,6 +2940,13 @@ clientcore_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
     self->cache = cache;
     self->sched = (SchedulerCore *)sched;
     self->monotone = monotone;
+    Py_DECREF(space);
+    self->registers = registers;
+    self->server_ids = server_ids;
+    self->op_ids = op_ids;
+    self->write_seq = write_seq;
+    self->client_id = client_id;
+    self->node_id = node_id;
     return (PyObject *)self;
 fail:
     Py_XDECREF(fallback);
@@ -2853,6 +2957,13 @@ fail:
     Py_XDECREF(server_index);
     Py_XDECREF(cache);
     Py_XDECREF(sched);
+    Py_XDECREF(space);
+    Py_XDECREF(registers);
+    Py_XDECREF(server_ids);
+    Py_XDECREF(op_ids);
+    Py_XDECREF(write_seq);
+    Py_XDECREF(client_id);
+    Py_XDECREF(node_id);
     return NULL;
 }
 
@@ -2868,6 +2979,12 @@ clientcore_traverse(ClientCore *self, visitproc visit, void *arg)
     Py_VISIT(self->server_index);
     Py_VISIT(self->cache);
     Py_VISIT((PyObject *)self->sched);
+    Py_VISIT(self->registers);
+    Py_VISIT(self->server_ids);
+    Py_VISIT(self->op_ids);
+    Py_VISIT(self->write_seq);
+    Py_VISIT(self->client_id);
+    Py_VISIT(self->node_id);
     return 0;
 }
 
@@ -2883,6 +3000,12 @@ clientcore_clear(ClientCore *self)
     Py_CLEAR(self->server_index);
     Py_CLEAR(self->cache);
     Py_CLEAR(self->sched);
+    Py_CLEAR(self->registers);
+    Py_CLEAR(self->server_ids);
+    Py_CLEAR(self->op_ids);
+    Py_CLEAR(self->write_seq);
+    Py_CLEAR(self->client_id);
+    Py_CLEAR(self->node_id);
     return 0;
 }
 
@@ -3330,6 +3453,548 @@ fail:
     return -1;
 }
 
+/* -------- ClientCore issue path: read / write / _begin / _send_round ---- */
+
+/* QuorumRegisterClient's issue path, transcribed statement for statement
+ * from the Python definitions of the same names and installed beside
+ * ``on_message`` as instance attributes of an exact-type client.  An
+ * operation costs its message round, not its dispatch: register lookup,
+ * history record, Future and _PendingOp, quorum draw, message build,
+ * broadcast and retry/deadline timers run without an interpreter frame
+ * of the client's.  Draw order is the Python order — quorum stream,
+ * then delay stream (inside the broadcast), then the retry-jitter
+ * stream, whose delay still comes from ``RetryPolicy.delay``.
+ *
+ * Per-op guards: span tracing (``client._trace_on``, ``op.span``) and a
+ * call shape other than the positional one take the Python method, which
+ * stays the reference.  BroadcastCore keeps its own per-call guards, so
+ * loss, faults, an adversary or taps change nothing here.  Membership
+ * views and every quorum system other than an exact
+ * ``ProbabilisticQuorumSystem`` draw through one call to the Python
+ * ``_sample_quorum`` — never a whole-op fallback. */
+
+/* (obj.<names[0]>, ..., obj.<names[n-1]>) as a new tuple, or NULL. */
+static PyObject *
+attr_tuple(PyObject *obj, PyObject **names, Py_ssize_t n)
+{
+    PyObject *fields = PyTuple_New(n);
+    if (fields == NULL)
+        return NULL;
+    for (Py_ssize_t i = 0; i < n; i++) {
+        PyObject *value = PyObject_GetAttr(obj, names[i]);
+        if (value == NULL) {
+            Py_DECREF(fields);
+            return NULL;
+        }
+        PyTuple_SET_ITEM(fields, i, value);
+    }
+    return fields;
+}
+
+/* type(client).<name>(client, *args, **kwargs): the Python definition. */
+static PyObject *
+clientcore_python(ClientCore *self, PyObject *name, PyObject *const *args,
+                  Py_ssize_t nargs, PyObject *kwnames)
+{
+    PyObject *function = PyObject_GetAttr(
+        (PyObject *)Py_TYPE(self->client), name);
+    if (function == NULL)
+        return NULL;
+    PyObject *bound = PyMethod_New(function, self->client);
+    Py_DECREF(function);
+    if (bound == NULL)
+        return NULL;
+    PyObject *res = PyObject_Vectorcall(bound, args, (size_t)nargs, kwnames);
+    Py_DECREF(bound);
+    return res;
+}
+
+#ifdef REPRO_HAVE_NPYRANDOM
+/* obj.<name> as a Py_ssize_t; -1 with an exception set on error. */
+static Py_ssize_t
+attr_ssize(PyObject *obj, PyObject *name)
+{
+    PyObject *value = PyObject_GetAttr(obj, name);
+    if (value == NULL)
+        return -1;
+    Py_ssize_t out = PyLong_AsSsize_t(value);
+    Py_DECREF(value);
+    return out;
+}
+
+/* QuorumSystem.validate_quorum's check — non-empty, every member inside
+ * {0..n-1} — in one pass; a violation is raised by the method itself. */
+static int
+validate_quorum(PyObject *system, PyObject *quorum, Py_ssize_t n)
+{
+    int valid = PySet_GET_SIZE(quorum) > 0;
+    PyObject *iter = PyObject_GetIter(quorum);
+    if (iter == NULL)
+        return -1;
+    PyObject *member;
+    while (valid && (member = PyIter_Next(iter)) != NULL) {
+        Py_ssize_t index = PyLong_AsSsize_t(member);
+        Py_DECREF(member);
+        valid = index >= 0 && index < n && !PyErr_Occurred();
+    }
+    Py_DECREF(iter);
+    if (valid)
+        return PyErr_Occurred() ? -1 : 0;
+    PyErr_Clear();
+    PyObject *res = PyObject_CallMethodOneArg(system, str_validate_quorum,
+                                              quorum);
+    if (res == NULL)
+        return -1;
+    Py_DECREF(res);
+    return 0;
+}
+
+/* The static-deployment draw of ``_sample_quorum`` when the quorum system
+ * is an exact ProbabilisticQuorumSystem: quorum_sample directly — the
+ * bits ``quorum()`` produces with or without the class-level sampler
+ * installed, under the same k cap — then the bounds check.  NULL with no
+ * exception set means the client is not in that shape. */
+static PyObject *
+clientcore_static_quorum(ClientCore *self)
+{
+    PyObject *membership = PyObject_GetAttr(self->client, str_membership);
+    if (membership == NULL)
+        return NULL;
+    Py_DECREF(membership);
+    if (membership != Py_None)
+        return NULL;
+    PyObject *system = PyObject_GetAttr(self->client, str_quorum_system);
+    if (system == NULL)
+        return NULL;
+    PyObject *quorum = NULL;
+    if ((PyObject *)Py_TYPE(system) == prob_quorum_type) {
+        Py_ssize_t n = attr_ssize(system, str_n);
+        Py_ssize_t k = attr_ssize(system, str_k);
+        PyObject *rng = PyErr_Occurred() || k > 4096
+            ? NULL : PyObject_GetAttr(self->client, str_rng_attr);
+        if (rng != NULL) {
+            quorum = quorum_sample(rng, n, k);
+            Py_DECREF(rng);
+            if (quorum != NULL && validate_quorum(system, quorum, n) < 0)
+                Py_CLEAR(quorum);
+        }
+    }
+    Py_DECREF(system);
+    return quorum;
+}
+#endif
+
+/* QuorumRegisterClient._sample_quorum: the static draw above, else one
+ * call to the Python method (membership views, every other quorum
+ * system). */
+static PyObject *
+clientcore_sample_quorum(ClientCore *self, int is_read)
+{
+#ifdef REPRO_HAVE_NPYRANDOM
+    PyObject *quorum = clientcore_static_quorum(self);
+    if (quorum != NULL || PyErr_Occurred())
+        return quorum;
+#endif
+    return PyObject_CallMethodOneArg(self->client, str_sample_quorum,
+                                     is_read ? Py_True : Py_False);
+}
+
+/* QuorumRegisterClient._send_round. */
+static int
+clientcore_send_round(ClientCore *self, PyObject *op)
+{
+    PyObject *span = PyObject_GetAttr(op, str_span);
+    if (span == NULL)
+        return -1;
+    Py_DECREF(span);
+    if (span != Py_None) {
+        PyObject *res = clientcore_python(self, str_send_round, &op, 1, NULL);
+        Py_XDECREF(res);
+        return res == NULL ? -1 : 0;
+    }
+
+    int rc = -1;
+    PyObject *member_ids = NULL, *replies = NULL, *servers = NULL;
+    PyObject *message = NULL, *broadcast = NULL;
+    PyObject *members = PyObject_GetAttr(op, str_members);
+    if (members == NULL)
+        return -1;
+    if (members == Py_None) {
+        /* Sorted once per attempt: the quorum is fixed until the next
+         * resample. */
+        PyObject *quorum = PyObject_GetAttr(op, str_quorum);
+        if (quorum == NULL)
+            goto done;
+        Py_SETREF(members, PySequence_List(quorum));
+        Py_DECREF(quorum);
+        if (members == NULL || PyList_Sort(members) < 0
+            || PyObject_SetAttr(op, str_members, members) < 0)
+            goto done;
+        Py_ssize_t n = PyList_GET_SIZE(members);
+        member_ids = PyList_New(n);
+        if (member_ids == NULL)
+            goto done;
+        for (Py_ssize_t i = 0; i < n; i++) {
+            PyObject *node_id = PyObject_GetItem(
+                self->server_ids, PyList_GET_ITEM(members, i));
+            if (node_id == NULL)
+                goto done;
+            PyList_SET_ITEM(member_ids, i, node_id);
+        }
+        if (PyObject_SetAttr(op, str_member_ids, member_ids) < 0)
+            goto done;
+    }
+    else {
+        member_ids = PyObject_GetAttr(op, str_member_ids);
+        if (member_ids == NULL)
+            goto done;
+        if (!PyList_CheckExact(members) || !PyList_CheckExact(member_ids)) {
+            PyErr_SetString(PyExc_TypeError,
+                            "op.members and op.member_ids must be lists");
+            goto done;
+        }
+    }
+    replies = PyObject_GetAttr(op, str_replies);
+    if (replies == NULL)
+        goto done;
+    int answered = PyObject_IsTrue(replies);
+    if (answered < 0)
+        goto done;
+    if (answered) {
+        /* Re-send only to members that have not replied. */
+        servers = PyList_New(0);
+        if (servers == NULL)
+            goto done;
+        Py_ssize_t n = PyList_GET_SIZE(members);
+        if (PyList_GET_SIZE(member_ids) < n)
+            n = PyList_GET_SIZE(member_ids);
+        for (Py_ssize_t i = 0; i < n; i++) {
+            int has = PySequence_Contains(replies,
+                                          PyList_GET_ITEM(members, i));
+            if (has < 0
+                || (!has && PyList_Append(
+                        servers, PyList_GET_ITEM(member_ids, i)) < 0))
+                goto done;
+        }
+    }
+    else {
+        servers = member_ids;
+        Py_INCREF(servers);
+    }
+    if (PyList_GET_SIZE(servers) == 0) {
+        rc = 0;
+        goto done;
+    }
+    message = PyObject_GetAttr(op, str_message_attr);
+    if (message == NULL)
+        goto done;
+    if (message == Py_None) {
+        /* Built once per dispatch and shared by every round. */
+        PyObject *query[] = {str_register_attr, str_op_id, str_view_attr};
+        PyObject *update[] = {str_register_attr, str_op_id, str_value_attr,
+                              str_timestamp_attr, str_view_attr};
+        int is_read = attr_truth(op, str_is_read);
+        if (is_read < 0)
+            goto done;
+        Py_SETREF(message, is_read
+            ? make_message(msg_read_query, attr_tuple(op, query, 3))
+            : make_message(msg_write_update, attr_tuple(op, update, 5)));
+        if (message == NULL
+            || PyObject_SetAttr(op, str_message_attr, message) < 0)
+            goto done;
+    }
+    /* network.broadcast(node_id, servers, message) — straight into
+     * broadcastcore_invoke when the network runs the native fan-out. */
+    broadcast = PyObject_GetAttr(self->network, str_broadcast_attr);
+    if (broadcast == NULL)
+        goto done;
+    if (Py_TYPE(broadcast) == &BroadcastCore_Type)
+        rc = broadcastcore_invoke((BroadcastCore *)broadcast, self->node_id,
+                                  servers, message);
+    else {
+        PyObject *res = PyObject_CallFunctionObjArgs(
+            broadcast, self->node_id, servers, message, NULL);
+        rc = res == NULL ? -1 : 0;
+        Py_XDECREF(res);
+    }
+done:
+    Py_XDECREF(broadcast);
+    Py_XDECREF(message);
+    Py_XDECREF(servers);
+    Py_XDECREF(replies);
+    Py_XDECREF(member_ids);
+    Py_XDECREF(members);
+    return rc;
+}
+
+/* op.<attr> = scheduler.schedule(delay, client.<method>, op.op_id),
+ * pushed straight into the C heap. */
+static int
+clientcore_arm_timer(ClientCore *self, PyObject *op, PyObject *op_id,
+                     PyObject *attr, PyObject *delay, PyObject *method)
+{
+    PyObject *callback = PyObject_GetAttr(self->client, method);
+    if (callback == NULL)
+        return -1;
+    PyObject *handle = schedule_after(self->sched, delay, callback,
+                                      PyTuple_Pack(1, op_id));
+    Py_DECREF(callback);
+    if (handle == NULL)
+        return -1;
+    int rc = PyObject_SetAttr(op, attr, handle);
+    Py_DECREF(handle);
+    return rc;
+}
+
+/* QuorumRegisterClient._begin, spans off (the callers check). */
+static int
+clientcore_begin(ClientCore *self, PyObject *op)
+{
+    int rc = -1;
+    PyObject *policy = NULL, *started = NULL;
+    PyObject *op_id = PyObject_GetAttr(op, str_op_id);
+    if (op_id == NULL)
+        return -1;
+    if (PyDict_SetItem(self->pending, op_id, op) < 0)
+        goto done;
+    started = PyFloat_FromDouble(self->sched->now);
+    if (started == NULL || PyObject_SetAttr(op, str_started_attr, started) < 0)
+        goto done;
+    if (clientcore_send_round(self, op) < 0)
+        goto done;
+    policy = PyObject_GetAttr(self->client, str_retry_policy);
+    if (policy == NULL)
+        goto done;
+    if (policy != Py_None) {
+        /* The delay comes from RetryPolicy.delay, so jitter draws stay
+         * on _retry_rng in the Python order. */
+        PyObject *retry_rng = PyObject_GetAttr(self->client, str_retry_rng);
+        if (retry_rng == NULL)
+            goto done;
+        PyObject *delay = PyObject_CallMethodObjArgs(
+            policy, str_delay, py_zero, retry_rng, NULL);
+        Py_DECREF(retry_rng);
+        if (delay == NULL)
+            goto done;
+        int armed = clientcore_arm_timer(self, op, op_id, str_retry_handle,
+                                         delay, str_retry);
+        Py_DECREF(delay);
+        if (armed < 0)
+            goto done;
+        PyObject *deadline = PyObject_GetAttr(policy, str_deadline);
+        if (deadline == NULL)
+            goto done;
+        armed = deadline == Py_None ? 0 : clientcore_arm_timer(
+            self, op, op_id, str_deadline_handle, deadline, str_expire);
+        Py_DECREF(deadline);
+        if (armed < 0)
+            goto done;
+    }
+    rc = 0;
+done:
+    Py_XDECREF(policy);
+    Py_XDECREF(started);
+    Py_DECREF(op_id);
+    return rc;
+}
+
+/* QuorumRegisterClient.read (value == NULL) and .write, spans off. */
+static PyObject *
+clientcore_issue(ClientCore *self, PyObject *reg, PyObject *value)
+{
+    const int is_read = value == NULL;
+    PyObject *timestamp = NULL, *now_obj = NULL, *history = NULL;
+    PyObject *record = NULL, *label = NULL, *future = NULL, *quorum = NULL;
+    PyObject *op_id = NULL, *op = NULL, *view = NULL, *result = NULL;
+
+    /* space.info(register): the dict probe; a miss raises there. */
+    PyObject *info = PyDict_GetItemWithError(self->registers, reg);
+    if (info != NULL)
+        Py_INCREF(info);
+    else if (PyErr_Occurred())
+        return NULL;
+    else {
+        PyObject *space = PyObject_GetAttr(self->client, str_space);
+        if (space == NULL)
+            return NULL;
+        info = PyObject_CallMethodOneArg(space, str_info, reg);
+        Py_DECREF(space);
+        if (info == NULL)
+            return NULL;
+    }
+
+    if (!is_read) {
+        PyObject *writer = PyObject_GetAttr(info, str_writer_attr);
+        if (writer == NULL)
+            goto done;
+        int foreign = writer == Py_None ? 0 : PyObject_RichCompareBool(
+            writer, self->client_id, Py_NE);
+        Py_DECREF(writer);
+        if (foreign < 0)
+            goto done;
+        if (foreign) {
+            /* SingleWriterViolation: raised by the Python definition. */
+            PyObject *args[2] = {reg, value};
+            result = clientcore_python(self, str_write_kind, args, 2, NULL);
+            goto done;
+        }
+        PyObject *last = PyDict_GetItemWithError(self->write_seq, reg);
+        if (last == NULL && PyErr_Occurred())
+            goto done;
+        PyObject *seq = PyNumber_Add(last != NULL ? last : py_zero, py_one);
+        if (seq == NULL)
+            goto done;
+        if (PyDict_SetItem(self->write_seq, reg, seq) == 0)
+            timestamp = PyObject_CallFunctionObjArgs(
+                timestamp_type, seq, self->client_id, NULL);
+        Py_DECREF(seq);
+        if (timestamp == NULL)
+            goto done;
+    }
+    history = PyObject_GetAttr(info, str_history);
+    if (history == NULL)
+        goto done;
+    if ((PyObject *)Py_TYPE(history) == null_history_type) {
+        /* NullRegisterHistory.begin_*: the shared inert record. */
+        record = null_record;
+        Py_INCREF(record);
+    }
+    else {
+        now_obj = PyFloat_FromDouble(self->sched->now);
+        if (now_obj == NULL)
+            goto done;
+        record = is_read
+            ? PyObject_CallMethodObjArgs(history, str_begin_read,
+                                         self->client_id, now_obj, NULL)
+            : PyObject_CallMethodObjArgs(history, str_begin_write,
+                                         self->client_id, now_obj, value,
+                                         timestamp, NULL);
+        if (record == NULL)
+            goto done;
+    }
+    label = PyUnicode_FromFormat(
+        is_read ? "read(%S) by c%S" : "write(%S) by c%S",
+        reg, self->client_id);
+    if (label == NULL)
+        goto done;
+    future = PyObject_CallOneArg(future_type, label);
+    if (future == NULL)
+        goto done;
+    quorum = clientcore_sample_quorum(self, is_read);
+    if (quorum == NULL)
+        goto done;
+    op_id = PyIter_Next(self->op_ids);
+    if (op_id == NULL) {
+        if (!PyErr_Occurred())
+            PyErr_SetNone(PyExc_StopIteration);
+        goto done;
+    }
+    if (is_read)
+        op = PyObject_CallFunctionObjArgs(
+            pending_op_type, op_id, reg, Py_True, quorum, future, record,
+            NULL);
+    else
+        op = PyObject_CallFunctionObjArgs(
+            pending_op_type, op_id, reg, Py_False, quorum, future, record,
+            value, timestamp, NULL);
+    if (op == NULL)
+        goto done;
+    view = PyObject_GetAttr(self->client, str_view_id);
+    if (view == NULL || PyObject_SetAttr(op, str_view_attr, view) < 0)
+        goto done;
+    if (bump_counter(self->client, is_read ? str_reads_performed
+                                           : str_writes_performed) < 0)
+        goto done;
+    if (clientcore_begin(self, op) < 0)
+        goto done;
+    result = future;
+    Py_INCREF(result);
+done:
+    Py_XDECREF(view);
+    Py_XDECREF(op);
+    Py_XDECREF(op_id);
+    Py_XDECREF(quorum);
+    Py_XDECREF(future);
+    Py_XDECREF(label);
+    Py_XDECREF(record);
+    Py_XDECREF(history);
+    Py_XDECREF(now_obj);
+    Py_XDECREF(timestamp);
+    Py_DECREF(info);
+    return result;
+}
+
+/* 1 when the call must take the Python definition: span tracing is on,
+ * or the call is not the plain positional one.  -1 on error. */
+static int
+clientcore_wants_python(ClientCore *self, Py_ssize_t nargs,
+                        Py_ssize_t expected, PyObject *kwnames)
+{
+    if (nargs != expected
+        || (kwnames != NULL && PyTuple_GET_SIZE(kwnames) != 0))
+        return 1;
+    return attr_truth(self->client, str_trace_on);
+}
+
+static PyObject *
+clientcore_read(ClientCore *self, PyObject *const *args, Py_ssize_t nargs,
+                PyObject *kwnames)
+{
+    int python = clientcore_wants_python(self, nargs, 1, kwnames);
+    if (python < 0)
+        return NULL;
+    if (python)
+        return clientcore_python(self, str_read_kind, args, nargs, kwnames);
+    return clientcore_issue(self, args[0], NULL);
+}
+
+static PyObject *
+clientcore_write(ClientCore *self, PyObject *const *args, Py_ssize_t nargs,
+                 PyObject *kwnames)
+{
+    int python = clientcore_wants_python(self, nargs, 2, kwnames);
+    if (python < 0)
+        return NULL;
+    if (python)
+        return clientcore_python(self, str_write_kind, args, nargs, kwnames);
+    return clientcore_issue(self, args[0], args[1]);
+}
+
+static PyObject *
+clientcore_begin_method(ClientCore *self, PyObject *op)
+{
+    int traced = attr_truth(self->client, str_trace_on);
+    if (traced < 0)
+        return NULL;
+    if (traced)
+        return clientcore_python(self, str_begin, &op, 1, NULL);
+    if (clientcore_begin(self, op) < 0)
+        return NULL;
+    Py_RETURN_NONE;
+}
+
+static PyObject *
+clientcore_send_round_method(ClientCore *self, PyObject *op)
+{
+    if (clientcore_send_round(self, op) < 0)
+        return NULL;
+    Py_RETURN_NONE;
+}
+
+static PyMethodDef clientcore_methods[] = {
+    {"read", (PyCFunction)(void (*)(void))clientcore_read,
+     METH_FASTCALL | METH_KEYWORDS,
+     "QuorumRegisterClient.read: invoke a read, return its future."},
+    {"write", (PyCFunction)(void (*)(void))clientcore_write,
+     METH_FASTCALL | METH_KEYWORDS,
+     "QuorumRegisterClient.write: invoke a write, return its future."},
+    {"_begin", (PyCFunction)clientcore_begin_method, METH_O,
+     "QuorumRegisterClient._begin: register, first round, arm timers."},
+    {"_send_round", (PyCFunction)clientcore_send_round_method, METH_O,
+     "QuorumRegisterClient._send_round: (re)send to unanswered members."},
+    {NULL}
+};
+
 static PyObject *
 clientcore_call(ClientCore *self, PyObject *args, PyObject *kwds)
 {
@@ -3359,14 +4024,16 @@ static PyTypeObject ClientCore_Type = {
     .tp_name = "repro._native._kernel.ClientCore",
     .tp_basicsize = sizeof(ClientCore),
     .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC,
-    .tp_doc = "QuorumRegisterClient reply aggregation as a C callable: "
-              "count replies against the pending quorum, complete the "
-              "op, tear down retry/deadline handles.",
+    .tp_doc = "QuorumRegisterClient in C: called, it aggregates replies "
+              "(count against the pending quorum, complete the op, tear "
+              "down its timers); read/write/_begin/_send_round are the "
+              "issue path.",
     .tp_new = clientcore_new,
     .tp_dealloc = (destructor)clientcore_dealloc,
     .tp_traverse = (traverseproc)clientcore_traverse,
     .tp_clear = (inquiry)clientcore_clear,
     .tp_call = (ternaryfunc)clientcore_call,
+    .tp_methods = clientcore_methods,
     .tp_members = clientcore_members,
 };
 
@@ -3405,122 +4072,14 @@ static struct PyModuleDef kernelmodule = {
 PyMODINIT_FUNC
 PyInit__kernel(void)
 {
-    str_active = PyUnicode_InternFromString("active");
-    str_can_deliver = PyUnicode_InternFromString("can_deliver");
-    str_on_message = PyUnicode_InternFromString("on_message");
-    str_record_drop = PyUnicode_InternFromString("record_drop");
-    str_record_delivery = PyUnicode_InternFromString("record_delivery");
-    str_record_send = PyUnicode_InternFromString("record_send");
-    str_fault = PyUnicode_InternFromString("fault");
-    str_loss = PyUnicode_InternFromString("loss");
-    str_adversary = PyUnicode_InternFromString("adversary");
-    str_drop_action = PyUnicode_InternFromString("drop");
-    str_kind_attr = PyUnicode_InternFromString("kind");
-    str_dunder_name = PyUnicode_InternFromString("__name__");
-    str_sample = PyUnicode_InternFromString("sample");
-    str_random = PyUnicode_InternFromString("random");
-    str_intercept = PyUnicode_InternFromString("intercept");
-    str_loss_rate = PyUnicode_InternFromString("loss_rate");
-    str_taps_attr = PyUnicode_InternFromString("_taps");
-    str_adversary_attr = PyUnicode_InternFromString("_adversary");
-    str_loss_rng_attr = PyUnicode_InternFromString("_loss_rng");
-    str_deliver_attr = PyUnicode_InternFromString("_deliver");
-    str_delay_model = PyUnicode_InternFromString("delay_model");
-    str_rng_attr = PyUnicode_InternFromString("rng");
-    str_stats_attr = PyUnicode_InternFromString("stats");
-    str_send_attr = PyUnicode_InternFromString("send");
-    str_node_id = PyUnicode_InternFromString("node_id");
-    str_network_attr = PyUnicode_InternFromString("network");
-    str_seq_attr = PyUnicode_InternFromString("seq");
-    str_writer_attr = PyUnicode_InternFromString("writer");
-    str_cancel = PyUnicode_InternFromString("cancel");
-    str_replies = PyUnicode_InternFromString("replies");
-    str_quorum = PyUnicode_InternFromString("quorum");
-    str_span = PyUnicode_InternFromString("span");
-    str_is_read = PyUnicode_InternFromString("is_read");
-    str_register_attr = PyUnicode_InternFromString("register");
-    str_record = PyUnicode_InternFromString("record");
-    str_future_attr = PyUnicode_InternFromString("future");
-    str_respond = PyUnicode_InternFromString("respond");
-    str_complete = PyUnicode_InternFromString("complete");
-    str_resolve = PyUnicode_InternFromString("resolve");
-    str_retry_handle = PyUnicode_InternFromString("retry_handle");
-    str_deadline_handle = PyUnicode_InternFromString("deadline_handle");
-    str_timestamp_attr = PyUnicode_InternFromString("timestamp");
-    str_value_attr = PyUnicode_InternFromString("value");
-    str_monotone = PyUnicode_InternFromString("monotone");
-    str_cache_attr = PyUnicode_InternFromString("_cache");
-    str_cache_hits = PyUnicode_InternFromString("cache_hits");
-    str_monitor_on = PyUnicode_InternFromString("_monitor_on");
-    str_latency_attr = PyUnicode_InternFromString("_latency");
-    str_pending_attr = PyUnicode_InternFromString("_pending");
-    str_server_index = PyUnicode_InternFromString("_server_index");
-    str_replicas_attr = PyUnicode_InternFromString("_replicas");
-    str_reads_served = PyUnicode_InternFromString("reads_served");
-    str_writes_applied = PyUnicode_InternFromString("writes_applied");
-    str_stale_updates = PyUnicode_InternFromString("stale_updates_ignored");
-    str_ops_completed = PyUnicode_InternFromString("ops_completed");
-    str_ops_under_failure =
-        PyUnicode_InternFromString("ops_completed_under_failure");
-    str_failures_attr = PyUnicode_InternFromString("failures");
-    str_scheduler_attr = PyUnicode_InternFromString("scheduler");
-    str_replica_method = PyUnicode_InternFromString("_replica");
-    str_bit_generator = PyUnicode_InternFromString("bit_generator");
-    str_capsule_attr = PyUnicode_InternFromString("capsule");
-    str_mean_attr = PyUnicode_InternFromString("_mean");
-    str_floor_attr = PyUnicode_InternFromString("_floor");
-    str_cdelay_attr = PyUnicode_InternFromString("_delay");
-    str_started_attr = PyUnicode_InternFromString("started");
-    str_observe = PyUnicode_InternFromString("observe");
-    str_read_kind = PyUnicode_InternFromString("read");
-    str_write_kind = PyUnicode_InternFromString("write");
-    str_broadcast_attr = PyUnicode_InternFromString("broadcast");
-    str_view_state = PyUnicode_InternFromString("view_state");
-    str_view_id = PyUnicode_InternFromString("view_id");
-    str_retired = PyUnicode_InternFromString("retired");
-    str_retiring = PyUnicode_InternFromString("retiring");
-    str_retired_ignored =
-        PyUnicode_InternFromString("retired_messages_ignored");
-    str_nacks_sent = PyUnicode_InternFromString("stale_nacks_sent");
+#define INTERN_STRING(var, text) \
+    if ((var = PyUnicode_InternFromString(text)) == NULL) \
+        return NULL;
+    INTERNED_STRINGS(INTERN_STRING)
+#undef INTERN_STRING
     py_zero = PyLong_FromLong(0);
     py_one = PyLong_FromLong(1);
-    if (str_active == NULL || str_can_deliver == NULL
-        || str_on_message == NULL || str_record_drop == NULL
-        || str_record_delivery == NULL || str_record_send == NULL
-        || str_fault == NULL || str_loss == NULL || str_adversary == NULL
-        || str_drop_action == NULL || str_kind_attr == NULL
-        || str_dunder_name == NULL || str_sample == NULL
-        || str_random == NULL || str_intercept == NULL
-        || str_loss_rate == NULL || str_taps_attr == NULL
-        || str_adversary_attr == NULL || str_loss_rng_attr == NULL
-        || str_deliver_attr == NULL || str_delay_model == NULL
-        || str_rng_attr == NULL || str_stats_attr == NULL
-        || str_send_attr == NULL || str_node_id == NULL
-        || str_network_attr == NULL || str_seq_attr == NULL
-        || str_writer_attr == NULL || str_cancel == NULL
-        || str_replies == NULL || str_quorum == NULL || str_span == NULL
-        || str_is_read == NULL || str_register_attr == NULL
-        || str_record == NULL || str_future_attr == NULL
-        || str_respond == NULL || str_complete == NULL
-        || str_resolve == NULL || str_retry_handle == NULL
-        || str_deadline_handle == NULL || str_timestamp_attr == NULL
-        || str_value_attr == NULL || str_monotone == NULL
-        || str_cache_attr == NULL || str_cache_hits == NULL
-        || str_monitor_on == NULL || str_latency_attr == NULL
-        || str_pending_attr == NULL || str_server_index == NULL
-        || str_replicas_attr == NULL || str_reads_served == NULL
-        || str_writes_applied == NULL || str_stale_updates == NULL
-        || str_ops_completed == NULL || str_ops_under_failure == NULL
-        || str_failures_attr == NULL || str_scheduler_attr == NULL
-        || str_replica_method == NULL || str_bit_generator == NULL
-        || str_capsule_attr == NULL || str_mean_attr == NULL
-        || str_floor_attr == NULL || str_cdelay_attr == NULL
-        || str_started_attr == NULL || str_observe == NULL
-        || str_read_kind == NULL || str_write_kind == NULL
-        || str_broadcast_attr == NULL || str_view_state == NULL
-        || str_view_id == NULL || str_retired == NULL
-        || str_retiring == NULL || str_retired_ignored == NULL
-        || str_nacks_sent == NULL || py_zero == NULL || py_one == NULL)
+    if (py_zero == NULL || py_one == NULL)
         return NULL;
 
     if (PyType_Ready(&StatsCore_Type) < 0
@@ -3569,7 +4128,7 @@ PyInit__kernel(void)
     if (PyModule_AddObject(module, "ClientCore",
                            (PyObject *)&ClientCore_Type) < 0)
         goto fail;
-    if (PyModule_AddIntConstant(module, "KERNEL_ABI", 3) < 0)
+    if (PyModule_AddIntConstant(module, "KERNEL_ABI", 4) < 0)
         goto fail;
 #ifdef REPRO_HAVE_NPYRANDOM
     if (PyModule_AddIntConstant(module, "HAVE_FAST_RNG", 1) < 0)

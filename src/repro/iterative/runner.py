@@ -148,11 +148,13 @@ class Alg1Runner:
         )
         self.register_names = [f"{register_prefix}{j}" for j in range(aco.m)]
         initial = aco.initial()
+        owners = {
+            j: proc for proc, block in enumerate(self.blocks) for j in block
+        }
         for j, name in enumerate(self.register_names):
-            owner = next(
-                proc for proc, block in enumerate(self.blocks) if j in block
+            self.deployment.declare_register(
+                name, writer=owners[j], initial_value=initial[j]
             )
-            self.deployment.declare_register(name, writer=owner, initial_value=initial[j])
         self.tracker = RoundTracker(p)
         self.monitor = ConvergenceMonitor(aco, self.blocks)
         self._stop = False

@@ -556,6 +556,13 @@ class QuorumRegisterClient(Node):
     # ------------------------------------------------------------------ #
     # Operations
     # ------------------------------------------------------------------ #
+    #
+    # ``read``, ``write``, ``_begin`` and ``_send_round`` are the issue
+    # path.  On the native backend the deployment shadows them, on
+    # exact-type clients, with C transcriptions of these definitions
+    # (``repro.sim.kernel.make_client_core``); a change here must be
+    # made there too, and tests/test_kernel_fastpath.py compares the two
+    # draw for draw.
 
     def read(self, register: str) -> Future:
         """Invoke a read; the future resolves with the returned value."""

@@ -131,13 +131,14 @@ class RegisterDeployment:
             self.network.set_adversary(adversary)
 
         # Native protocol fast path: C transcriptions of the server
-        # handler and the client reply-aggregation path, installed as
-        # ``on_message`` instance attributes (the same pattern as the
-        # network's SendCore/DeliveryCore) so trace taps keep working.
-        # The factories return None on the pure-python backend and for
+        # handler, the client reply-aggregation path and the client
+        # issue path (read, write, _begin, _send_round), installed as
+        # instance attributes (the same pattern as the network's
+        # SendCore/DeliveryCore) so trace taps keep working.  The
+        # factories return None on the pure-python backend and for
         # subclassed nodes; the cores themselves re-check the mutable
-        # hooks and the view state per delivery and fall back to the
-        # Python methods.
+        # hooks, the view state and span tracing per delivery / per
+        # operation and fall back to the Python methods.
         for server in self.servers:
             core = kernel.make_server_core(server)
             if core is not None:
@@ -146,6 +147,8 @@ class RegisterDeployment:
             core = kernel.make_client_core(client)
             if core is not None:
                 client.on_message = core
+                for name in kernel.CLIENT_ISSUE_METHODS:
+                    setattr(client, name, getattr(core, name))
         # Native quorum sampling: bit-identical to rng.choice by
         # contract (verified property tests), so installing it is pure
         # speed.  Class-level on ProbabilisticQuorumSystem — the draw is

@@ -97,8 +97,15 @@ class Future:
 def gather(futures: List[Future], label: str = "gather") -> Future:
     """Return a future resolving to the list of results of ``futures``.
 
-    Fails with the first exception if any input future fails.
+    Results come in input order.  Fails with the first failure observed:
+    inputs that had already failed count, in input order, since their
+    callbacks run at registration.  Once the combined future has settled,
+    later failures and resolutions of inputs are ignored.
     An empty list resolves immediately to ``[]``.
+
+    Each settlement is decided from the future that just settled — its
+    own exception plus a countdown — never by rescanning the inputs, so
+    settling m inputs costs O(m) in total.
     """
     combined = Future(label)
     remaining = len(futures)
@@ -106,17 +113,17 @@ def gather(futures: List[Future], label: str = "gather") -> Future:
         combined.resolve([])
         return combined
 
-    def on_done(_: Future) -> None:
+    def on_done(settled: Future) -> None:
         nonlocal remaining
-        if combined.done:
+        if combined._done:
+            return
+        if settled._exception is not None:
+            combined.fail(settled._exception)
             return
         remaining -= 1
-        for fut in futures:
-            if fut.done and fut.failed:
-                combined.fail(fut.exception)
-                return
         if remaining == 0:
-            combined.resolve([fut.result() for fut in futures])
+            # A failed input never counts down, so every input resolved.
+            combined.resolve([fut._value for fut in futures])
 
     for fut in futures:
         fut.add_callback(on_done)

@@ -4,9 +4,10 @@ The simulation hot path (event heap, drain loop, delivery bookkeeping)
 exists twice: the always-available pure-python reference in
 :mod:`repro.sim.scheduler` / :mod:`repro.sim.metrics`, and an optional C
 extension under :mod:`repro._native`.  Both produce **byte-identical**
-traces — RNG draws stay in Python on both paths, and the native heap
-preserves the exact ``(time, seq)`` total order — so the backend is a
-pure speed knob, never a semantics knob.
+traces — every RNG draw consumes the same stream in the same order (the
+draws made in C reproduce numpy's algorithms bit for bit), and the
+native heap preserves the exact ``(time, seq)`` total order — so the
+backend is a pure speed knob, never a semantics knob.
 
 Selection, in priority order:
 
@@ -245,19 +246,43 @@ def make_server_core(server):
     return module.ServerCore(server)
 
 
-def make_client_core(client):
-    """Build the native client reply-aggregation fast path, or None.
+#: The client methods the native client core also provides; the
+#: deployment installs each as an instance attribute beside
+#: ``on_message``.
+CLIENT_ISSUE_METHODS = ("read", "write", "_begin", "_send_round")
 
-    A C transcription of ``QuorumRegisterClient.on_message`` plus the
-    ``_finish``/``_teardown`` completion path, installed as the client's
-    ``on_message`` instance attribute.  Exact-type gated like
-    :func:`make_server_core`; per-delivery fallback conditions are the
-    adversary, detailed stats, an op-level span, the online spec monitor
-    and a reply stamped with a newer view than the client's (which must
-    refresh first); ``StaleViewNack`` always takes Python.  The live
-    latency histogram is observed natively.  Quorum
-    sampling and retry jitter stay in Python, so the RNG draw order is
-    untouched.
+
+def make_client_core(client):
+    """Build the native client fast path, or None.
+
+    One C object per client, exact-type gated like
+    :func:`make_server_core`, covering both halves of an operation:
+
+    * **Reply aggregation** — called as ``on_message``: a transcription
+      of ``QuorumRegisterClient.on_message`` plus the ``_finish`` /
+      ``_teardown`` completion path.  Per-delivery fallback conditions
+      are the adversary, detailed stats, an op-level span, the online
+      spec monitor and a reply stamped with a newer view than the
+      client's (which must refresh first); ``StaleViewNack`` always
+      takes Python.  The live latency histogram is observed natively.
+    * **Issue** — the methods named in :data:`CLIENT_ISSUE_METHODS`:
+      register lookup, history record, ``Future`` and ``_PendingOp``
+      construction, quorum draw, message build, a direct call into the
+      network's broadcast core (which keeps its own per-call guards and
+      its Python fallback under loss, faults, an adversary or taps) and
+      retry/deadline timers pushed straight into the C heap.  The quorum
+      is drawn by the C ``quorum_sample`` for a static
+      ``ProbabilisticQuorumSystem`` and by one call to the Python
+      ``_sample_quorum`` under membership views and for every other
+      quorum system; the retry delay always comes from
+      ``RetryPolicy.delay``.  Every stream is therefore consumed draw for
+      draw as on the python backend.  Per-op guards: span tracing
+      (``_trace_on`` / ``op.span``) and keyword or malformed calls take
+      the Python methods, which remain the reference definition.
+
+    The class-level ``ProbabilisticQuorumSystem._native_sampler`` install
+    (see :func:`native_quorum_sampler`) is separate and unchanged: view
+    draws, retries' resamples and the python backend still go through it.
     """
     if selected_backend() != "native":
         return None

@@ -12,13 +12,19 @@ tests pin the contract four ways:
 * **hardened end-to-end equivalence** — a deployment exercising every
   per-message fallback guard at once (retries + loss + adversary + span
   tracing) produces identical fingerprints on both backends,
-* **differential property** — random seeds, quorum shapes and
-  membership timelines leave both backends with the same delivery trace
-  and the same server, client and view-manager state,
+* **differential property** — random seeds, quorum shapes, membership
+  timelines and jittered retries leave both backends with the same
+  delivery trace, the same op ids, the same server, client and
+  view-manager state and every RNG stream (quorum, view, retry, delay,
+  loss) at the same position — the C issue path consumed them draw for
+  draw,
 * **gating** — the fast paths install only on the native backend, fall
   back per call when a hook flips on mid-run (a guard on state: churned
   traffic stays in C), refuse an ABI-stale extension, and the
-  pure-python backend never sees them.
+  pure-python backend never sees them; the client issue path is absent
+  from a subclassed client, steps aside per op under span tracing, and
+  stays native over non-probabilistic quorum systems and with recorded
+  histories.
 """
 
 import numpy as np
@@ -27,9 +33,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.adversary.strategies import RandomHostileAdversary
+from repro.chaos.broken import RegressingClient
 from repro.membership import MembershipSchedule
 from repro.obs.core import Observability
 from repro.obs.spans import SpanRecorder
+from repro.quorum.grid import GridQuorumSystem
+from repro.quorum.majority import MajorityQuorumSystem
 from repro.quorum.probabilistic import ProbabilisticQuorumSystem
 from repro.registers.client import QuorumRegisterClient, RetryPolicy
 from repro.registers.deployment import RegisterDeployment
@@ -209,9 +218,29 @@ def membership_timelines(draw, n):
     ))
 
 
-def _run_state(backend, seed, n, k, mean, timeline=None, loss_rate=0.0):
+def _stream_states(deployment):
+    """Where every RNG stream of a deployment stands, by role."""
+    generators = {
+        "delays": deployment.network.rng,
+        "loss": deployment.network._loss_rng,
+    }
+    for client in deployment.clients:
+        generators[f"quorum/{client.client_id}"] = client.rng
+        generators[f"retry/{client.client_id}"] = client._retry_rng
+        if client._view_rng is not None:
+            generators[f"view/{client.client_id}"] = client._view_rng
+    return {
+        role: generator.bit_generator.state
+        for role, generator in generators.items()
+    }
+
+
+def _run_state(
+    backend, seed, n, k, mean, timeline=None, loss_rate=0.0, retry=False
+):
     """Everything observable about a seeded two-client workload: the full
-    delivery trace plus every server's, client's and manager's state."""
+    delivery trace with op ids, the op ids in issue order, every server's,
+    client's and manager's state, and every RNG stream's position."""
     with kernel.use_backend(backend):
         deployment = RegisterDeployment(
             ProbabilisticQuorumSystem(n, k),
@@ -221,10 +250,11 @@ def _run_state(backend, seed, n, k, mean, timeline=None, loss_rate=0.0):
             record_history=False,
             loss_rate=loss_rate,
             # Reconfiguration strands requests at retired servers (and
-            # loss drops them); only the static shape runs retry-free.
-            retry_policy=None if timeline is None else RetryPolicy(
+            # loss drops them), so those shapes need the jittered policy;
+            # the static shape runs with it or retry-free.
+            retry_policy=RetryPolicy(
                 interval=3.0, jitter=0.1, deadline=40.0
-            ),
+            ) if retry or timeline is not None else None,
         )
         deployment.declare_register("x", writer=0)
         deployment.declare_register("y", writer=1)
@@ -238,18 +268,24 @@ def _run_state(backend, seed, n, k, mean, timeline=None, loss_rate=0.0):
         original_deliver = network._deliver
 
         def recording_deliver(src, dst, message, kind):
-            trace.append(
-                (round(deployment.scheduler.now, 9), kind, src, dst)
-            )
+            trace.append((
+                round(deployment.scheduler.now, 9), kind, src, dst,
+                getattr(message, "op_id", None),  # State* carry none
+            ))
             original_deliver(src, dst, message, kind)
 
         network._deliver = recording_deliver
         a = deployment.handle(0, "x")
         b = deployment.handle(1, "y")
+        issued = []
 
         def issue(i):
             a.write(i)
             b.read()
+            # The op just issued holds the client's largest pending id.
+            issued.append(
+                [max(client._pending) for client in deployment.clients]
+            )
 
         for i in range(8):
             if timeline is None:
@@ -260,6 +296,8 @@ def _run_state(backend, seed, n, k, mean, timeline=None, loss_rate=0.0):
         deployment.run()
         return {
             "trace": trace,
+            "issued": issued,
+            "streams": _stream_states(deployment),
             "servers": [
                 (dict(server._replicas), server.metric_counters())
                 for server in deployment.servers
@@ -268,6 +306,7 @@ def _run_state(backend, seed, n, k, mean, timeline=None, loss_rate=0.0):
                 {
                     name: getattr(client, name)
                     for name in (
+                        "reads_performed", "writes_performed",
                         "ops_completed", "retries", "timeouts", "unreachable",
                         "stale_nacks", "view_refreshes", "view_id",
                         "pending_ops",
@@ -289,21 +328,25 @@ def _run_state(backend, seed, n, k, mean, timeline=None, loss_rate=0.0):
     data=st.data(),
 )
 def test_backends_deliver_identical_traces_for_random_seeds(seed, n, data):
-    """For arbitrary seeds, quorum shapes and membership timelines, the
-    native backend delivers the exact event sequence of the python
-    backend and leaves every node in the same state — every C draw (delay
-    sampling, quorum choice) consumes the streams identically, and the C
-    view checks take the decisions the Python handlers take."""
+    """For arbitrary seeds, quorum shapes, membership timelines and
+    jittered retries, the native backend delivers the exact event
+    sequence of the python backend, assigns the same op ids and leaves
+    every node in the same state and every stream at the same position —
+    every C draw (delay sampling, quorum choice) and every draw the C
+    issue path leaves to Python (view quorums, retry jitter) consumes its
+    stream identically, and the C view checks take the decisions the
+    Python handlers take."""
     k = data.draw(st.integers(min_value=1, max_value=n))
     mean = data.draw(st.sampled_from([0.5, 1.0, 2.0]))
     timeline = data.draw(membership_timelines(n))
-    loss_rate = 0.0 if timeline is None else data.draw(
-        st.sampled_from([0.0, 0.05])
-    )
-    state_py = _run_state("python", seed, n, k, mean, timeline, loss_rate)
-    state_native = _run_state("native", seed, n, k, mean, timeline, loss_rate)
+    retry = timeline is not None or data.draw(st.booleans())
+    loss_rate = data.draw(st.sampled_from([0.0, 0.05])) if retry else 0.0
+    shape = (seed, n, k, mean, timeline, loss_rate, retry)
+    state_py = _run_state("python", *shape)
+    state_native = _run_state("native", *shape)
     assert state_py == state_native
     assert state_py["trace"]  # the workload actually produced traffic
+    assert state_py["issued"][-1] == [8, 8]  # ids count up per client
 
 
 # --------------------------------------------------------------------- #
@@ -366,8 +409,13 @@ def test_python_backend_gets_no_cores():
     network = deployment.network
     assert "broadcast" not in vars(network)
     assert "send" not in vars(network)
+    for node in deployment.servers + deployment.clients:
+        assert "on_message" not in vars(node)
+    for name in kernel.CLIENT_ISSUE_METHODS:
+        assert name not in vars(deployment.clients[0])
     with kernel.use_backend("python"):
         assert kernel.make_broadcast_core(network) is None
+        assert kernel.make_client_core(deployment.clients[0]) is None
         assert kernel.native_quorum_sampler() is None
 
 
@@ -487,3 +535,164 @@ def test_broadcast_core_rejects_unknown_destination():
         network.broadcast(
             deployment.clients[0].node_id, [10**9], "probe"
         )
+
+
+# --------------------------------------------------------------------- #
+# Client issue path: where it installs, when it steps aside
+# --------------------------------------------------------------------- #
+
+
+def _count_python_client_methods(monkeypatch):
+    """Wrap the Python definitions the C issue path stands in for (and
+    ``_sample_quorum``, which it may call); returns the call counters."""
+    calls = {}
+    for name in kernel.CLIENT_ISSUE_METHODS + ("_sample_quorum",):
+        calls[name] = 0
+
+        def counted(self, *args, _name=name,
+                    _method=getattr(QuorumRegisterClient, name)):
+            calls[_name] += 1
+            return _method(self, *args)
+
+        monkeypatch.setattr(QuorumRegisterClient, name, counted)
+    return calls
+
+
+def _issue_workload(backend, quorum_system, **deployment_kwargs):
+    """Ten writes and ten reads by two clients over one register each;
+    returns the deployment after the run and the values read."""
+    with kernel.use_backend(backend):
+        deployment = RegisterDeployment(
+            quorum_system,
+            num_clients=2,
+            delay_model=ExponentialDelay(1.0),
+            seed=11,
+            **deployment_kwargs,
+        )
+        deployment.declare_register("x", writer=0, initial_value="x0")
+        deployment.declare_register("y", writer=1, initial_value="y0")
+        values = []
+        for i in range(10):
+            deployment.clients[0].write("x", i)
+            deployment.clients[1].write("y", -i)
+            values.append(deployment.clients[0].read("y"))
+            values.append(deployment.clients[1].read("x"))
+        deployment.run()
+    return deployment, [future.result() for future in values]
+
+
+@needs_native
+def test_native_backend_installs_client_issue_methods():
+    deployment = _build_network("native")
+    from repro._native import load_kernel
+
+    client = deployment.clients[0]
+    core = vars(client)["on_message"]
+    assert isinstance(core, load_kernel().ClientCore)
+    for name in kernel.CLIENT_ISSUE_METHODS:
+        assert vars(client)[name].__self__ is core
+
+
+@needs_native
+def test_issue_path_is_not_installed_for_a_subclassed_client():
+    """Exact-type gate: a subclass overrides protocol methods (here
+    ``_finish``), so it keeps every Python definition."""
+    with kernel.use_backend("native"):
+        deployment = RegisterDeployment(
+            ProbabilisticQuorumSystem(6, 2),
+            num_clients=2,
+            delay_model=ConstantDelay(1.0),
+            seed=1,
+            client_class=RegressingClient,
+        )
+    for client in deployment.clients:
+        assert type(client) is RegressingClient
+        for name in ("on_message",) + kernel.CLIENT_ISSUE_METHODS:
+            assert name not in vars(client)
+
+
+@needs_native
+def test_issue_path_runs_natively_without_spans(monkeypatch):
+    calls = _count_python_client_methods(monkeypatch)
+    deployment, _ = _issue_workload(
+        "native", ProbabilisticQuorumSystem(9, 3)
+    )
+    assert deployment.clients[0].ops_completed == 20
+    assert calls == dict.fromkeys(calls, 0)
+
+
+@needs_native
+def test_issue_path_steps_aside_per_op_when_spans_are_on(monkeypatch):
+    """Span tracing is a per-op guard: with it on every operation takes
+    the Python definitions (one span per op, same results); flipped off
+    on the same deployment, the next operations run in C again."""
+    calls = _count_python_client_methods(monkeypatch)
+    obs = Observability(spans=SpanRecorder())
+    traced, traced_values = _issue_workload(
+        "native", ProbabilisticQuorumSystem(9, 3), observability=obs
+    )
+    assert obs.spans.finished == 40
+    assert calls["read"] == calls["write"] == 20
+    assert calls["_begin"] == calls["_send_round"] == 40
+    plain, plain_values = _issue_workload(
+        "python", ProbabilisticQuorumSystem(9, 3)
+    )
+    assert traced_values == plain_values
+    assert _stream_states(traced) == _stream_states(plain)
+
+    before = dict(calls)
+    client = traced.clients[0]
+    client._trace_on = False
+    future = client.read("x")
+    traced.run()
+    assert future.done and obs.spans.finished == 40
+    assert calls == before
+
+
+@needs_native
+@pytest.mark.parametrize(
+    "make_system",
+    [lambda: MajorityQuorumSystem(7), lambda: GridQuorumSystem(3, 3)],
+    ids=["majority", "grid"],
+)
+def test_issue_path_stays_native_over_other_quorum_systems(
+    monkeypatch, make_system
+):
+    """A non-probabilistic quorum system costs one call to the Python
+    ``_sample_quorum`` per operation — never the whole Python path — and
+    draws from the quorum streams exactly as the python backend does."""
+    calls = _count_python_client_methods(monkeypatch)
+    native, native_values = _issue_workload("native", make_system())
+    assert calls == {**dict.fromkeys(calls, 0), "_sample_quorum": 40}
+    python, python_values = _issue_workload("python", make_system())
+    assert native_values == python_values
+    assert _stream_states(native) == _stream_states(python)
+
+
+def _history_records(deployment):
+    return {
+        name: [
+            (
+                type(record).__name__, record.op_id, record.process,
+                record.invoke_time, record.response_time, record.value,
+                record.timestamp,
+            )
+            for record in deployment.space.history(name).operations()
+        ]
+        for name in deployment.space.names
+    }
+
+
+@needs_native
+def test_issue_path_records_histories_like_the_python_backend(monkeypatch):
+    calls = _count_python_client_methods(monkeypatch)
+    native, _ = _issue_workload(
+        "native", ProbabilisticQuorumSystem(9, 3), record_history=True
+    )
+    assert calls == dict.fromkeys(calls, 0)
+    python, _ = _issue_workload(
+        "python", ProbabilisticQuorumSystem(9, 3), record_history=True
+    )
+    records = _history_records(native)
+    assert records == _history_records(python)
+    assert [len(ops) for ops in records.values()] == [20, 20]
