@@ -1,8 +1,9 @@
 """Optional compiled kernel backend (``REPRO_KERNEL=native``).
 
 This package houses the C extension ``repro._native._kernel`` (the
-event-heap scheduler core, scalar stats counters and the delivery
-trampoline) plus its build glue and Python-side wrappers.  The extension
+event-heap scheduler core, scalar stats counters, the network core and
+the register-protocol cores) plus its build glue and Python-side
+wrappers.  The extension
 is **optional**: a missing compiler, an unbuilt checkout or an
 extension built from another revision (``KERNEL_ABI`` mismatch) degrades
 gracefully — :func:`load_kernel` returns ``None`` and the caller
@@ -19,7 +20,7 @@ from typing import Optional
 #: The ``KERNEL_ABI`` this checkout's Python side is written against: the
 #: protocol cores pack and index message tuples by position, so an
 #: extension compiled from another revision's source must not be used.
-KERNEL_ABI = 4
+KERNEL_ABI = 5
 
 _kernel_module = None
 _import_error: Optional[str] = None

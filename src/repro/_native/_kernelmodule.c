@@ -1,27 +1,30 @@
 /* Native simulation-kernel core (REPRO_KERNEL=native).
  *
- * A CPython extension housing the event-heap scheduler hot path of the
- * simulator: push/pop/cancel with (time, seq) ordering, the inlined
- * run() drain loops, the handle-free uncancellable delivery entries, a
- * scalar-totals MessageStats core, and a C delivery trampoline that
- * re-enters Python only at the algorithm-callback boundary
- * (``node.on_message``).
+ * A CPython extension housing the hot path of the simulator: the
+ * event-heap scheduler (push/pop/cancel with (time, seq) ordering, the
+ * run() drain loops, handle-free uncancellable delivery entries), a
+ * scalar-totals MessageStats core, one network core (Network.send /
+ * .broadcast / ._deliver) and the two register-protocol cores.  A message
+ * travels drain loop -> deliver -> protocol handler -> send without an
+ * interpreter frame; Python is re-entered only where a node, a hook or a
+ * fallback guard asks for it.
  *
- * Contract: byte-identical behaviour to the pure-python kernel in
- * ``repro.sim.scheduler`` / ``repro.sim.metrics`` / ``Network._deliver``.
- * Event ordering is a strict total order on (time, seq) — seq is unique —
- * so the C binary heap pops events in exactly the order heapq does, even
- * though the internal array layout may differ.  All times are IEEE-754
- * doubles on both sides, so ``now + delay`` produces the same bits.
+ * Contract: byte-identical behaviour to the pure-python reference in
+ * ``repro.sim.scheduler`` / ``repro.sim.metrics`` / ``repro.sim.network``
+ * / ``repro.registers``.  Event ordering is a strict total order on
+ * (time, seq) — seq is unique — so the C binary heap pops events in
+ * exactly the order heapq does, even though the internal array layout
+ * may differ.  All times are IEEE-754 doubles on both sides, so
+ * ``now + delay`` produces the same bits.
  *
- * RNG draws: historically all draws happened in Python (numpy) and were
- * handed over as plain floats.  When the build links numpy's exported
- * C random library (REPRO_HAVE_NPYRANDOM), the hottest draws — the
- * per-message exponential delay and the k-of-n quorum sample — run
- * through the same Generator bit stream in C, reproducing numpy's
- * algorithms (Lemire bounded integers, ziggurat exponential, Floyd +
- * descending Fisher-Yates for choice(replace=False)) bit for bit, so
- * the determinism contract still holds draw for draw.
+ * RNG draws: when the build links numpy's exported C random library
+ * (REPRO_HAVE_NPYRANDOM), the hottest draws — the per-message
+ * exponential delay and the k-of-n quorum sample — run through the same
+ * Generator bit stream in C, reproducing numpy's algorithms (Lemire
+ * bounded integers, ziggurat exponential, Floyd + descending
+ * Fisher-Yates for choice(replace=False)) bit for bit; every other draw
+ * is a call to the Generator method the Python reference calls, so the
+ * determinism contract holds draw for draw.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -46,6 +49,7 @@
     X(str_record_drop, "record_drop")                        \
     X(str_record_delivery, "record_delivery")                \
     X(str_record_send, "record_send")                        \
+    X(str_record_sends, "record_sends")                      \
     X(str_fault, "fault")                                    \
     X(str_loss, "loss")                                      \
     X(str_adversary, "adversary")                            \
@@ -63,6 +67,7 @@
     X(str_delay_model, "delay_model")                        \
     X(str_rng_attr, "rng")                                   \
     X(str_stats_attr, "stats")                               \
+    X(str_nodes_attr, "_nodes")                              \
     X(str_send_attr, "send")                                 \
     X(str_node_id, "node_id")                                \
     X(str_network_attr, "network")                           \
@@ -181,9 +186,15 @@ static PyObject *exponential_delay_type = NULL; /* delays.ExponentialDelay */
 static PyObject *constant_delay_type = NULL;    /* delays.ConstantDelay    */
 static int delay_types_unavailable = 0;
 
-/* Forward declarations: the delivery trampoline dispatches straight
- * into the protocol cores (defined after SendCore) without a call
- * through tp_call. */
+/* Forward declarations: the scheduler's drain loop dispatches straight
+ * into the network core's delivery, which dispatches straight into the
+ * protocol cores — each defined further down — without a call through
+ * the type's call slots. */
+typedef struct NetworkCore NetworkCore;
+static PyObject *networkcore_deliver(NetworkCore *self, PyObject *const *args,
+                                     Py_ssize_t nargs);
+static int network_deliver(NetworkCore *self, PyObject *src, PyObject *dst,
+                           PyObject *message, PyObject *kind);
 static PyTypeObject ServerCore_Type;
 static PyTypeObject ClientCore_Type;
 static int protocolcore_invoke(PyObject *core, PyObject *src,
@@ -404,193 +415,6 @@ static PyTypeObject StatsCore_Type = {
     .tp_members = statscore_members,
     .tp_getset = statscore_getset,
     .tp_methods = statscore_methods,
-};
-
-/* ------------------------------------------------------------------ */
-/* DeliveryCore: Network._deliver without a Python frame               */
-/* ------------------------------------------------------------------ */
-
-typedef struct {
-    PyObject_HEAD
-    PyObject *stats;    /* StatsCore or a python MessageStats */
-    PyObject *failures; /* FailureInjector */
-    PyObject *nodes;    /* the Network's {node_id: Node} dict (shared) */
-} DeliveryCore;
-
-static PyTypeObject DeliveryCore_Type;
-
-static PyObject *
-deliverycore_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
-{
-    PyObject *stats, *failures, *nodes;
-    if (!PyArg_ParseTuple(args, "OOO!", &stats, &failures,
-                          &PyDict_Type, &nodes))
-        return NULL;
-    DeliveryCore *self = (DeliveryCore *)type->tp_alloc(type, 0);
-    if (self == NULL)
-        return NULL;
-    Py_INCREF(stats);
-    self->stats = stats;
-    Py_INCREF(failures);
-    self->failures = failures;
-    Py_INCREF(nodes);
-    self->nodes = nodes;
-    return (PyObject *)self;
-}
-
-static int
-deliverycore_traverse(DeliveryCore *self, visitproc visit, void *arg)
-{
-    Py_VISIT(self->stats);
-    Py_VISIT(self->failures);
-    Py_VISIT(self->nodes);
-    return 0;
-}
-
-static int
-deliverycore_clear(DeliveryCore *self)
-{
-    Py_CLEAR(self->stats);
-    Py_CLEAR(self->failures);
-    Py_CLEAR(self->nodes);
-    return 0;
-}
-
-static void
-deliverycore_dealloc(DeliveryCore *self)
-{
-    PyObject_GC_UnTrack(self);
-    deliverycore_clear(self);
-    Py_TYPE(self)->tp_free((PyObject *)self);
-}
-
-/* The body of Network._deliver, mirrored exactly:
- *
- *     failures = self.failures
- *     if failures.active and not failures.can_deliver(src, dst):
- *         self.stats.record_drop(src, dst, kind, reason="fault")
- *         return
- *     self.stats.record_delivery(src, dst, kind)
- *     self._nodes[dst].on_message(src, message)
- *
- * Returns 0 on success, -1 with an exception set on failure.
- */
-static int
-delivery_invoke(DeliveryCore *self, PyObject *src, PyObject *dst,
-                PyObject *message, PyObject *kind)
-{
-    PyObject *active = PyObject_GetAttr(self->failures, str_active);
-    if (active == NULL)
-        return -1;
-    int is_active = PyObject_IsTrue(active);
-    Py_DECREF(active);
-    if (is_active < 0)
-        return -1;
-    if (is_active) {
-        PyObject *ok = PyObject_CallMethodObjArgs(
-            self->failures, str_can_deliver, src, dst, NULL);
-        if (ok == NULL)
-            return -1;
-        int deliverable = PyObject_IsTrue(ok);
-        Py_DECREF(ok);
-        if (deliverable < 0)
-            return -1;
-        if (!deliverable) {
-            if (StatsCore_Check(self->stats)) {
-                ((StatsCore *)self->stats)->dropped += 1;
-            }
-            else {
-                PyObject *res = PyObject_CallMethodObjArgs(
-                    self->stats, str_record_drop, src, dst, kind,
-                    str_fault, NULL);
-                if (res == NULL)
-                    return -1;
-                Py_DECREF(res);
-            }
-            return 0;
-        }
-    }
-    if (StatsCore_Check(self->stats)) {
-        ((StatsCore *)self->stats)->delivered += 1;
-    }
-    else {
-        PyObject *res = PyObject_CallMethodObjArgs(
-            self->stats, str_record_delivery, src, dst, kind, NULL);
-        if (res == NULL)
-            return -1;
-        Py_DECREF(res);
-    }
-    PyObject *node = PyDict_GetItemWithError(self->nodes, dst);
-    if (node == NULL) {
-        if (!PyErr_Occurred())
-            PyErr_SetObject(PyExc_KeyError, dst);
-        return -1;
-    }
-    /* Borrowed node ref stays alive: the nodes dict is never mutated
-     * from inside on_message (nodes are only added during set-up). */
-    Py_INCREF(node);
-    PyObject *handler = PyObject_GetAttr(node, str_on_message);
-    if (handler == NULL) {
-        Py_DECREF(node);
-        return -1;
-    }
-    int rc;
-    if (Py_TYPE(handler) == &ServerCore_Type
-        || Py_TYPE(handler) == &ClientCore_Type) {
-        /* A protocol core installed as the node's instance attribute:
-         * stay in C end to end (the core falls back to the Python
-         * handler itself when a hook demands it). */
-        rc = protocolcore_invoke(handler, src, message);
-    }
-    else {
-        PyObject *res = PyObject_CallFunctionObjArgs(
-            handler, src, message, NULL);
-        rc = res == NULL ? -1 : 0;
-        Py_XDECREF(res);
-    }
-    Py_DECREF(handler);
-    Py_DECREF(node);
-    return rc;
-}
-
-static PyObject *
-deliverycore_call(DeliveryCore *self, PyObject *args, PyObject *kwds)
-{
-    PyObject *src, *dst, *message, *kind;
-    if (kwds != NULL && PyDict_GET_SIZE(kwds) != 0) {
-        PyErr_SetString(PyExc_TypeError,
-                        "delivery takes no keyword arguments");
-        return NULL;
-    }
-    if (!PyArg_UnpackTuple(args, "delivery", 4, 4,
-                           &src, &dst, &message, &kind))
-        return NULL;
-    if (delivery_invoke(self, src, dst, message, kind) < 0)
-        return NULL;
-    Py_RETURN_NONE;
-}
-
-static PyMemberDef deliverycore_members[] = {
-    {"stats", T_OBJECT_EX, offsetof(DeliveryCore, stats), READONLY,
-     "the stats object deliveries are recorded on"},
-    {"failures", T_OBJECT_EX, offsetof(DeliveryCore, failures), READONLY,
-     "the FailureInjector consulted per delivery"},
-    {NULL}
-};
-
-static PyTypeObject DeliveryCore_Type = {
-    PyVarObject_HEAD_INIT(NULL, 0)
-    .tp_name = "repro._native._kernel.DeliveryCore",
-    .tp_basicsize = sizeof(DeliveryCore),
-    .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC,
-    .tp_doc = "Network._deliver as a C callable: fault check, stats "
-              "update, then node.on_message(src, message).",
-    .tp_new = deliverycore_new,
-    .tp_dealloc = (destructor)deliverycore_dealloc,
-    .tp_traverse = (traverseproc)deliverycore_traverse,
-    .tp_clear = (inquiry)deliverycore_clear,
-    .tp_call = (ternaryfunc)deliverycore_call,
-    .tp_members = deliverycore_members,
 };
 
 /* ------------------------------------------------------------------ */
@@ -1027,6 +851,25 @@ schedulercore_call_soon(SchedulerCore *self, PyObject *const *args,
     return push_handle_event(self, self->now, args[0], argtuple);
 }
 
+/* Push a handle-free entry firing callback(*argtuple) at ``time``.
+ * Steals argtuple (NULL is passed through as the error it signals). */
+static int
+push_uncancellable(SchedulerCore *self, double time, PyObject *callback,
+                   PyObject *argtuple)
+{
+    if (argtuple == NULL)
+        return -1;
+    KEvent ev = {time, self->seq, callback, argtuple};
+    if (heap_push(self, ev) < 0) {
+        Py_DECREF(argtuple);
+        return -1;
+    }
+    Py_INCREF(callback);
+    self->seq += 1;
+    self->live += 1;
+    return 0;
+}
+
 static PyObject *
 schedulercore_schedule_uncancellable(SchedulerCore *self,
                                      PyObject *const *args,
@@ -1046,106 +889,35 @@ schedulercore_schedule_uncancellable(SchedulerCore *self,
                      "cannot schedule into the past (delay=%R)", args[0]);
         return NULL;
     }
-    PyObject *argtuple = pack_args(args, 2, nargs);
-    if (argtuple == NULL)
+    if (push_uncancellable(self, self->now + delay, args[1],
+                           pack_args(args, 2, nargs)) < 0)
         return NULL;
-    KEvent ev;
-    ev.time = self->now + delay;
-    ev.seq = self->seq;
-    Py_INCREF(args[1]);
-    ev.obj = args[1];
-    ev.args = argtuple;
-    if (heap_push(self, ev) < 0) {
-        Py_DECREF(ev.obj);
-        Py_DECREF(ev.args);
-        return NULL;
-    }
-    self->seq += 1;
-    self->live += 1;
     Py_RETURN_NONE;
 }
 
-/* schedule_deliveries(delays, callback, src, dsts, message, kind)
- *
- * The batched tail of Network.broadcast: one C call pushes one
- * uncancellable delivery per (delay, dst) pair, validating delays and
- * consuming seq numbers exactly as a Python loop of
- * schedule_uncancellable(delay, callback, src, dst, message, kind)
- * calls would.
- */
-static PyObject *
-schedulercore_schedule_deliveries(SchedulerCore *self,
-                                  PyObject *const *args, Py_ssize_t nargs)
+/* The NetworkCore behind ``callable`` when it is the bound C entry point
+ * ``entry`` — network.send / .broadcast / ._deliver as Network.__init__
+ * installed them — else NULL: the attribute was replaced (a trace
+ * wrapper, a monkeypatch) or never installed (the Python method). */
+static inline NetworkCore *
+networkcore_behind(PyObject *callable, PyCFunction entry)
 {
-    if (nargs != 6) {
-        PyErr_SetString(PyExc_TypeError,
-                        "schedule_deliveries expects (delays, callback, "
-                        "src, dsts, message, kind)");
-        return NULL;
-    }
-    PyObject *delays = PySequence_Fast(args[0], "delays must be a sequence");
-    if (delays == NULL)
-        return NULL;
-    PyObject *dsts = PySequence_Fast(args[3], "dsts must be a sequence");
-    if (dsts == NULL) {
-        Py_DECREF(delays);
-        return NULL;
-    }
-    PyObject *callback = args[1], *src = args[2];
-    PyObject *message = args[4], *kind = args[5];
-    Py_ssize_t n = PySequence_Fast_GET_SIZE(delays);
-    if (PySequence_Fast_GET_SIZE(dsts) != n) {
-        Py_DECREF(delays);
-        Py_DECREF(dsts);
-        PyErr_SetString(PyExc_ValueError,
-                        "delays and dsts must have equal length");
-        return NULL;
-    }
-    for (Py_ssize_t i = 0; i < n; i++) {
-        PyObject *delay_obj = PySequence_Fast_GET_ITEM(delays, i);
-        double delay = PyFloat_AsDouble(delay_obj);
-        if (delay == -1.0 && PyErr_Occurred())
-            goto fail;
-        if (delay <= 0) {
-            PyErr_Format(PyExc_ValueError,
-                         "delay model produced non-positive delay %S",
-                         delay_obj);
-            goto fail;
-        }
-        PyObject *dst = PySequence_Fast_GET_ITEM(dsts, i);
-        PyObject *argtuple = PyTuple_Pack(4, src, dst, message, kind);
-        if (argtuple == NULL)
-            goto fail;
-        KEvent ev;
-        ev.time = self->now + delay;
-        ev.seq = self->seq;
-        Py_INCREF(callback);
-        ev.obj = callback;
-        ev.args = argtuple;
-        if (heap_push(self, ev) < 0) {
-            Py_DECREF(ev.obj);
-            Py_DECREF(ev.args);
-            goto fail;
-        }
-        self->seq += 1;
-        self->live += 1;
-    }
-    Py_DECREF(delays);
-    Py_DECREF(dsts);
-    Py_RETURN_NONE;
-fail:
-    Py_DECREF(delays);
-    Py_DECREF(dsts);
+    if (PyCFunction_CheckExact(callable)
+        && PyCFunction_GET_FUNCTION(callable) == entry)
+        return (NetworkCore *)PyCFunction_GET_SELF(callable);
     return NULL;
 }
 
-/* Invoke callback(*args); the DeliveryCore case skips tp_call. */
+#define NETWORK_ENTRY(function) ((PyCFunction)(void (*)(void))(function))
+
+/* Invoke callback(*args); a native delivery skips the call protocol. */
 static inline int
 dispatch(PyObject *callback, PyObject *args)
 {
-    if (Py_TYPE(callback) == &DeliveryCore_Type
-        && PyTuple_GET_SIZE(args) == 4) {
-        return delivery_invoke((DeliveryCore *)callback,
+    NetworkCore *network = networkcore_behind(
+        callback, NETWORK_ENTRY(networkcore_deliver));
+    if (network != NULL && PyTuple_GET_SIZE(args) == 4) {
+        return network_deliver(network,
                                PyTuple_GET_ITEM(args, 0),
                                PyTuple_GET_ITEM(args, 1),
                                PyTuple_GET_ITEM(args, 2),
@@ -1158,36 +930,42 @@ dispatch(PyObject *callback, PyObject *args)
     return 0;
 }
 
+/* Pop the next heap entry and run it.  Returns 1 when an event ran, 0
+ * when the entry was a cancelled handle (dropped: no counter moves), -1
+ * when the callback raised.  Precondition: len > 0. */
+static inline int
+pop_and_dispatch(SchedulerCore *self)
+{
+    KEvent ev = heap_pop(self);
+    PyObject *callback = ev.obj, *args = ev.args;
+    if (args == NULL) {
+        KernelHandle *handle = (KernelHandle *)ev.obj;
+        handle->dequeued = 1;
+        if (handle->cancelled) {
+            Py_DECREF(ev.obj);
+            return 0;
+        }
+        callback = handle->callback;
+        args = handle->args;
+    }
+    self->live -= 1;
+    self->now = ev.time;
+    self->processed += 1;
+    int rc = dispatch(callback, args);
+    Py_DECREF(ev.obj);
+    Py_XDECREF(ev.args);
+    return rc < 0 ? -1 : 1;
+}
+
 static PyObject *
 schedulercore_step(SchedulerCore *self, PyObject *Py_UNUSED(ignored))
 {
     while (self->len > 0) {
-        KEvent ev = heap_pop(self);
-        PyObject *callback, *args;
-        KernelHandle *handle = NULL;
-        if (ev.args == NULL) {
-            handle = (KernelHandle *)ev.obj;
-            handle->dequeued = 1;
-            if (handle->cancelled) {
-                Py_DECREF(ev.obj);
-                continue;
-            }
-            callback = handle->callback;
-            args = handle->args;
-        }
-        else {
-            callback = ev.obj;
-            args = ev.args;
-        }
-        self->live -= 1;
-        self->now = ev.time;
-        self->processed += 1;
-        int rc = dispatch(callback, args);
-        Py_DECREF(ev.obj);
-        Py_XDECREF(ev.args);
-        if (rc < 0)
+        int ran = pop_and_dispatch(self);
+        if (ran < 0)
             return NULL;
-        Py_RETURN_TRUE;
+        if (ran)
+            Py_RETURN_TRUE;
     }
     Py_RETURN_FALSE;
 }
@@ -1224,83 +1002,33 @@ schedulercore_run(SchedulerCore *self, PyObject *args, PyObject *kwds)
 
     if (!have_until && !have_max && !have_stop_when) {
         /* Fast drain loop: no limit checks, one pop per event. */
-        while (self->len > 0) {
-            if (self->stopped)
-                break;
-            KEvent ev = heap_pop(self);
-            PyObject *callback, *cbargs;
-            if (ev.args == NULL) {
-                KernelHandle *handle = (KernelHandle *)ev.obj;
-                handle->dequeued = 1;
-                if (handle->cancelled) {
-                    Py_DECREF(ev.obj);
-                    continue;
-                }
-                callback = handle->callback;
-                cbargs = handle->args;
-            }
-            else {
-                callback = ev.obj;
-                cbargs = ev.args;
-            }
-            self->live -= 1;
-            self->now = ev.time;
-            self->processed += 1;
-            int rc = dispatch(callback, cbargs);
-            Py_DECREF(ev.obj);
-            Py_XDECREF(ev.args);
-            if (rc < 0)
+        while (self->len > 0 && !self->stopped) {
+            if (pop_and_dispatch(self) < 0)
                 return NULL;
         }
         return PyFloat_FromDouble(self->now);
     }
 
     long long executed = 0;
-    while (self->len > 0) {
-        if (self->stopped)
-            break;
+    while (self->len > 0 && !self->stopped) {
         /* Peek the head; cancelled handle entries are drained without
          * consuming any of the run limits. */
         KEvent *head = &self->heap[0];
-        double head_time;
-        if (head->args == NULL) {
-            KernelHandle *handle = (KernelHandle *)head->obj;
-            if (handle->cancelled) {
-                handle->dequeued = 1;
-                KEvent ev = heap_pop(self);
-                Py_DECREF(ev.obj);
-                continue;
+        int cancelled = head->args == NULL
+            && ((KernelHandle *)head->obj)->cancelled;
+        if (!cancelled) {
+            if (have_until && head->time > until) {
+                self->now = until;
+                break;
             }
-            head_time = handle->time;
+            if (have_max && executed >= max_events)
+                break;
         }
-        else
-            head_time = head->time;
-        if (have_until && head_time > until) {
-            self->now = until;
-            break;
-        }
-        if (have_max && executed >= max_events)
-            break;
-        KEvent ev = heap_pop(self);
-        PyObject *callback, *cbargs;
-        if (ev.args == NULL) {
-            KernelHandle *handle = (KernelHandle *)ev.obj;
-            handle->dequeued = 1;
-            callback = handle->callback;
-            cbargs = handle->args;
-        }
-        else {
-            callback = ev.obj;
-            cbargs = ev.args;
-        }
-        self->live -= 1;
-        self->now = head_time;
-        self->processed += 1;
-        int rc = dispatch(callback, cbargs);
-        Py_DECREF(ev.obj);
-        Py_XDECREF(ev.args);
-        if (rc < 0)
+        int ran = pop_and_dispatch(self);
+        if (ran < 0)
             return NULL;
+        if (!ran)
+            continue;
         executed += 1;
         if (have_stop_when) {
             PyObject *verdict = PyObject_CallNoArgs(stop_when);
@@ -1397,9 +1125,6 @@ static PyMethodDef schedulercore_methods[] = {
     {"schedule_uncancellable",
      (PyCFunction)schedulercore_schedule_uncancellable, METH_FASTCALL,
      "Schedule an event that can never be cancelled; returns no handle."},
-    {"schedule_deliveries",
-     (PyCFunction)schedulercore_schedule_deliveries, METH_FASTCALL,
-     "Push one uncancellable delivery per (delay, dst) pair in one call."},
     {"step", (PyCFunction)schedulercore_step, METH_NOARGS,
      "Execute the next event.  Returns False when the queue is empty."},
     {"run", (PyCFunction)schedulercore_run,
@@ -1562,30 +1287,107 @@ raise_nonpositive_delay(double delay)
 }
 
 /* ------------------------------------------------------------------ */
-/* SendCore: Network.send without a Python frame                       */
+/* NetworkCore: Network.send / .broadcast / ._deliver in C             */
 /* ------------------------------------------------------------------ */
 
-/* The full body of Network.send, transcribed statement for statement —
- * including the operation order the streams depend on: stats/taps
- * first, then the loss draw (always, so the loss stream advances
- * identically however many nodes are crashed), then the fault check,
- * the loss verdict, the adversary, and finally the delay sample and
- * heap push.  Mutable knobs (loss_rate, _taps, _adversary, _loss_rng,
- * _deliver, delay_model, rng) are re-read from the Network on every
- * call so set_message_loss / set_adversary / trace monkeypatches keep
- * working; only the identity-stable collaborators (stats, failures,
- * nodes dict, scheduler) are bound at construction.
- */
-typedef struct {
+/* The message path of ``repro.sim.network`` without a Python frame: one
+ * object per Network whose three methods are installed as the network's
+ * ``send``, ``broadcast`` and ``_deliver`` instance attributes, so a
+ * trace tap or monkeypatch that replaces an attribute keeps working.
+ *
+ * ``send`` is the one definition of what happens to a message,
+ * transcribed statement for statement — including the operation order
+ * the streams depend on: stats and taps first, then the loss draw
+ * (always, so the loss stream advances identically however many nodes
+ * are crashed), then the fault check, the loss verdict, the adversary,
+ * and finally the delay sample and the heap push.  ``broadcast``
+ * validates every destination up front and then has the Python method's
+ * two branches: a tight loop of native delay draws on a healthy network
+ * with a transcribable delay model, and that same per-message pipeline
+ * per destination everywhere else — it never calls the Python
+ * ``broadcast``.  ``_deliver`` is the delivery trampoline: fault check,
+ * stats, then ``node.on_message`` — directly into a protocol core where
+ * one is installed.
+ *
+ * Mutable knobs (loss_rate, _taps, _adversary, _loss_rng, _deliver,
+ * delay_model, rng) are re-read from the Network per message so
+ * set_message_loss / set_adversary / trace monkeypatches keep working;
+ * only the identity-stable collaborators are bound at construction. */
+struct NetworkCore {
     PyObject_HEAD
     PyObject *network;    /* the owning Network (cycle; GC-tracked) */
-    PyObject *stats;
-    PyObject *failures;
+    PyObject *stats;      /* StatsCore or a python MessageStats */
+    PyObject *failures;   /* FailureInjector */
     PyObject *nodes;      /* the Network's {node_id: Node} dict (shared) */
-    SchedulerCore *sched; /* must be a native SchedulerCore */
-} SendCore;
+    SchedulerCore *sched; /* the network's scheduler, always native */
+};
 
-static PyTypeObject SendCore_Type;
+static PyObject *
+networkcore_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
+{
+    PyObject *network;
+    if (!PyArg_ParseTuple(args, "O", &network))
+        return NULL;
+    PyObject *stats = NULL, *failures = NULL, *nodes = NULL, *sched = NULL;
+    if ((stats = PyObject_GetAttr(network, str_stats_attr)) == NULL
+        || (failures = PyObject_GetAttr(network, str_failures_attr)) == NULL
+        || (nodes = PyObject_GetAttr(network, str_nodes_attr)) == NULL
+        || (sched = PyObject_GetAttr(network, str_scheduler_attr)) == NULL)
+        goto fail;
+    if (!PyDict_Check(nodes)
+        || !PyObject_TypeCheck(sched, &SchedulerCore_Type)) {
+        PyErr_SetString(PyExc_TypeError,
+                        "NetworkCore needs network._nodes to be a dict and "
+                        "network.scheduler a native SchedulerCore");
+        goto fail;
+    }
+    NetworkCore *self = (NetworkCore *)type->tp_alloc(type, 0);
+    if (self == NULL)
+        goto fail;
+    Py_INCREF(network);
+    self->network = network;
+    self->stats = stats;
+    self->failures = failures;
+    self->nodes = nodes;
+    self->sched = (SchedulerCore *)sched;
+    return (PyObject *)self;
+fail:
+    Py_XDECREF(stats);
+    Py_XDECREF(failures);
+    Py_XDECREF(nodes);
+    Py_XDECREF(sched);
+    return NULL;
+}
+
+static int
+networkcore_traverse(NetworkCore *self, visitproc visit, void *arg)
+{
+    Py_VISIT(self->network);
+    Py_VISIT(self->stats);
+    Py_VISIT(self->failures);
+    Py_VISIT(self->nodes);
+    Py_VISIT((PyObject *)self->sched);
+    return 0;
+}
+
+static int
+networkcore_clear(NetworkCore *self)
+{
+    Py_CLEAR(self->network);
+    Py_CLEAR(self->stats);
+    Py_CLEAR(self->failures);
+    Py_CLEAR(self->nodes);
+    Py_CLEAR(self->sched);
+    return 0;
+}
+
+static void
+networkcore_dealloc(NetworkCore *self)
+{
+    PyObject_GC_UnTrack(self);
+    networkcore_clear(self);
+    Py_TYPE(self)->tp_free((PyObject *)self);
+}
 
 /* message.kind if truthy, else type(message).__name__ — _kind_of(). */
 static PyObject *
@@ -1610,134 +1412,109 @@ kind_of(PyObject *message)
     return PyObject_GetAttr((PyObject *)Py_TYPE(message), str_dunder_name);
 }
 
-/* stats.record_drop(src, dst, kind, reason) — scalar-fast when native. */
+/* stats.<method>(src, dst, kind[, reason]) for record_send,
+ * record_delivery and record_drop (the only one with a reason) — one
+ * scalar bump, no call, on the native stats core. */
 static int
-stats_record_drop(PyObject *stats, PyObject *src, PyObject *dst,
-                  PyObject *kind, PyObject *reason)
+stats_record(PyObject *stats, PyObject *method, PyObject *src,
+             PyObject *dst, PyObject *kind, PyObject *reason)
 {
     if (StatsCore_Check(stats)) {
-        ((StatsCore *)stats)->dropped += 1;
+        StatsCore *core = (StatsCore *)stats;
+        if (method == str_record_send)
+            core->sent += 1;
+        else if (method == str_record_delivery)
+            core->delivered += 1;
+        else
+            core->dropped += 1;
         return 0;
     }
     PyObject *res = PyObject_CallMethodObjArgs(
-        stats, str_record_drop, src, dst, kind, reason, NULL);
+        stats, method, src, dst, kind, reason, NULL);
     if (res == NULL)
         return -1;
     Py_DECREF(res);
     return 0;
 }
 
-static PyObject *
-sendcore_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
-{
-    PyObject *network;
-    if (!PyArg_ParseTuple(args, "O", &network))
-        return NULL;
-    PyObject *stats = PyObject_GetAttrString(network, "stats");
-    if (stats == NULL)
-        return NULL;
-    PyObject *failures = PyObject_GetAttrString(network, "failures");
-    if (failures == NULL) {
-        Py_DECREF(stats);
-        return NULL;
-    }
-    PyObject *nodes = PyObject_GetAttrString(network, "_nodes");
-    if (nodes == NULL || !PyDict_Check(nodes)) {
-        Py_DECREF(stats);
-        Py_DECREF(failures);
-        Py_XDECREF(nodes);
-        if (!PyErr_Occurred())
-            PyErr_SetString(PyExc_TypeError,
-                            "network._nodes must be a dict");
-        return NULL;
-    }
-    PyObject *sched = PyObject_GetAttrString(network, "scheduler");
-    if (sched == NULL || !PyObject_TypeCheck(sched, &SchedulerCore_Type)) {
-        Py_DECREF(stats);
-        Py_DECREF(failures);
-        Py_DECREF(nodes);
-        Py_XDECREF(sched);
-        if (!PyErr_Occurred())
-            PyErr_SetString(PyExc_TypeError,
-                            "SendCore needs a native SchedulerCore");
-        return NULL;
-    }
-    SendCore *self = (SendCore *)type->tp_alloc(type, 0);
-    if (self == NULL) {
-        Py_DECREF(stats);
-        Py_DECREF(failures);
-        Py_DECREF(nodes);
-        Py_DECREF(sched);
-        return NULL;
-    }
-    Py_INCREF(network);
-    self->network = network;
-    self->stats = stats;
-    self->failures = failures;
-    self->nodes = nodes;
-    self->sched = (SchedulerCore *)sched;
-    return (PyObject *)self;
-}
-
+/* ``failures.active and not failures.can_deliver(src, dst)``: 1 when a
+ * crash or partition destroys the message, 0 when it passes, -1 on
+ * error. */
 static int
-sendcore_traverse(SendCore *self, visitproc visit, void *arg)
+fault_blocks(PyObject *failures, PyObject *src, PyObject *dst)
 {
-    Py_VISIT(self->network);
-    Py_VISIT(self->stats);
-    Py_VISIT(self->failures);
-    Py_VISIT(self->nodes);
-    Py_VISIT((PyObject *)self->sched);
-    return 0;
-}
-
-static int
-sendcore_clear(SendCore *self)
-{
-    Py_CLEAR(self->network);
-    Py_CLEAR(self->stats);
-    Py_CLEAR(self->failures);
-    Py_CLEAR(self->nodes);
-    Py_CLEAR(self->sched);
-    return 0;
-}
-
-static void
-sendcore_dealloc(SendCore *self)
-{
-    PyObject_GC_UnTrack(self);
-    sendcore_clear(self);
-    Py_TYPE(self)->tp_free((PyObject *)self);
-}
-
-static int
-sendcore_invoke(SendCore *self, PyObject *src, PyObject *dst,
-                PyObject *message)
-{
-    int known = PyDict_Contains(self->nodes, dst);
-    if (known < 0)
+    int active = attr_truth(failures, str_active);
+    if (active <= 0)
+        return active;
+    PyObject *ok = PyObject_CallMethodObjArgs(
+        failures, str_can_deliver, src, dst, NULL);
+    if (ok == NULL)
         return -1;
-    if (!known) {
-        PyErr_Format(PyExc_KeyError, "unknown destination node %S", dst);
-        return -1;
+    int deliverable = PyObject_IsTrue(ok);
+    Py_DECREF(ok);
+    return deliverable < 0 ? -1 : !deliverable;
+}
+
+/* ``delay_model.sample(rng, src, dst)`` plus send's positivity check: a
+ * native draw for the transcribable models, the generic method call for
+ * every other.  Returns the delay (> 0), or -1.0 with an exception set. */
+static double
+sample_delay(PyObject *network, PyObject *src, PyObject *dst)
+{
+    double delay = -1.0;
+    PyObject *delay_model = PyObject_GetAttr(network, str_delay_model);
+    if (delay_model == NULL)
+        return -1.0;
+    PyObject *rng = PyObject_GetAttr(network, str_rng_attr);
+    if (rng == NULL) {
+        Py_DECREF(delay_model);
+        return -1.0;
     }
-    PyObject *kind = kind_of(message);
-    if (kind == NULL)
+    DelayDraws draws;
+    int native = delay_draws_begin(delay_model, rng, &draws);
+    if (native > 0) {
+        delay = delay_draws_next(&draws);
+        delay_draws_end(&draws);
+        if (delay <= 0) {
+            raise_nonpositive_delay(delay);
+            delay = -1.0;
+        }
+    }
+    else if (native == 0) {
+        PyObject *delay_obj = PyObject_CallMethodObjArgs(
+            delay_model, str_sample, rng, src, dst, NULL);
+        if (delay_obj != NULL) {
+            delay = PyFloat_AsDouble(delay_obj);
+            if (delay <= 0) {
+                /* Either a failed conversion (-1.0, error set) or a bad
+                 * sample. */
+                if (!PyErr_Occurred())
+                    PyErr_Format(PyExc_ValueError,
+                                 "delay model produced non-positive delay %S",
+                                 delay_obj);
+                delay = -1.0;
+            }
+            Py_DECREF(delay_obj);
+        }
+    }
+    Py_DECREF(delay_model);
+    Py_DECREF(rng);
+    return delay;
+}
+
+/* Network.send from the stats update on: the per-message pipeline.  The
+ * caller has validated dst and resolved kind. */
+static int
+network_send_one(NetworkCore *self, PyObject *src, PyObject *dst,
+                 PyObject *message, PyObject *kind)
+{
+    PyObject *network = self->network;
+    if (stats_record(self->stats, str_record_send, src, dst, kind, NULL) < 0)
         return -1;
 
-    if (StatsCore_Check(self->stats)) {
-        ((StatsCore *)self->stats)->sent += 1;
-    }
-    else {
-        PyObject *res = PyObject_CallMethodObjArgs(
-            self->stats, str_record_send, src, dst, kind, NULL);
-        if (res == NULL)
-            goto fail;
-        Py_DECREF(res);
-    }
-
-    PyObject *taps = PyObject_GetAttr(self->network, str_taps_attr);
+    PyObject *taps = PyObject_GetAttr(network, str_taps_attr);
     if (taps == NULL)
-        goto fail;
+        return -1;
     if (PyList_Check(taps)) {
         for (Py_ssize_t i = 0; i < PyList_GET_SIZE(taps); i++) {
             PyObject *tap = PyList_GET_ITEM(taps, i);
@@ -1747,7 +1524,7 @@ sendcore_invoke(SendCore *self, PyObject *src, PyObject *dst,
             Py_DECREF(tap);
             if (res == NULL) {
                 Py_DECREF(taps);
-                goto fail;
+                return -1;
             }
             Py_DECREF(res);
         }
@@ -1757,426 +1534,197 @@ sendcore_invoke(SendCore *self, PyObject *src, PyObject *dst,
     /* One loss draw per send whenever loss is on, before any fault
      * check, so the loss stream advances identically however many
      * nodes happen to be crashed. */
-    PyObject *rate_obj = PyObject_GetAttr(self->network, str_loss_rate);
-    if (rate_obj == NULL)
-        goto fail;
-    double loss_rate = PyFloat_AsDouble(rate_obj);
-    Py_DECREF(rate_obj);
+    double loss_rate = attr_double(network, str_loss_rate);
     if (loss_rate == -1.0 && PyErr_Occurred())
-        goto fail;
+        return -1;
     int lost = 0;
     if (loss_rate > 0.0) {
-        PyObject *loss_rng = PyObject_GetAttr(self->network,
-                                              str_loss_rng_attr);
+        PyObject *loss_rng = PyObject_GetAttr(network, str_loss_rng_attr);
         if (loss_rng == NULL)
-            goto fail;
-        PyObject *draw = PyObject_CallMethodObjArgs(loss_rng, str_random,
-                                                    NULL);
+            return -1;
+        PyObject *draw = PyObject_CallMethodNoArgs(loss_rng, str_random);
         Py_DECREF(loss_rng);
         if (draw == NULL)
-            goto fail;
+            return -1;
         double value = PyFloat_AsDouble(draw);
         Py_DECREF(draw);
         if (value == -1.0 && PyErr_Occurred())
-            goto fail;
+            return -1;
         lost = value < loss_rate;
     }
-
-    PyObject *active = PyObject_GetAttr(self->failures, str_active);
-    if (active == NULL)
-        goto fail;
-    int is_active = PyObject_IsTrue(active);
-    Py_DECREF(active);
-    if (is_active < 0)
-        goto fail;
-    if (is_active) {
-        PyObject *ok = PyObject_CallMethodObjArgs(
-            self->failures, str_can_deliver, src, dst, NULL);
-        if (ok == NULL)
-            goto fail;
-        int deliverable = PyObject_IsTrue(ok);
-        Py_DECREF(ok);
-        if (deliverable < 0)
-            goto fail;
-        if (!deliverable) {
-            if (stats_record_drop(self->stats, src, dst, kind,
-                                  str_fault) < 0)
-                goto fail;
-            Py_DECREF(kind);
-            return 0;
-        }
-    }
-    if (lost) {
-        if (stats_record_drop(self->stats, src, dst, kind, str_loss) < 0)
-            goto fail;
-        Py_DECREF(kind);
-        return 0;
-    }
+    int blocked = fault_blocks(self->failures, src, dst);
+    if (blocked < 0)
+        return -1;
+    if (blocked || lost)
+        return stats_record(self->stats, str_record_drop, src, dst, kind,
+                            blocked ? str_fault : str_loss);
 
     double extra = 0.0;
-    PyObject *adversary = PyObject_GetAttr(self->network,
-                                           str_adversary_attr);
+    PyObject *adversary = PyObject_GetAttr(network, str_adversary_attr);
     if (adversary == NULL)
-        goto fail;
+        return -1;
     if (adversary != Py_None) {
         PyObject *now_obj = PyFloat_FromDouble(self->sched->now);
-        if (now_obj == NULL) {
+        PyObject *action = now_obj == NULL
+            ? NULL : PyObject_CallMethodObjArgs(
+                adversary, str_intercept, src, dst, message, kind, now_obj,
+                NULL);
+        Py_XDECREF(now_obj);
+        if (action == NULL) {
             Py_DECREF(adversary);
-            goto fail;
+            return -1;
         }
-        PyObject *action = PyObject_CallMethodObjArgs(
-            adversary, str_intercept, src, dst, message, kind, now_obj,
-            NULL);
-        Py_DECREF(now_obj);
-        Py_DECREF(adversary);
-        if (action == NULL)
-            goto fail;
         int dropped = PyObject_RichCompareBool(action, str_drop_action,
                                                Py_EQ);
-        if (dropped < 0) {
-            Py_DECREF(action);
-            goto fail;
-        }
-        if (dropped) {
-            Py_DECREF(action);
-            if (stats_record_drop(self->stats, src, dst, kind,
-                                  str_adversary) < 0)
-                goto fail;
-            Py_DECREF(kind);
-            return 0;
-        }
-        if (action != Py_None) {
+        if (dropped == 0 && action != Py_None) {
             extra = PyFloat_AsDouble(action);
-            if (extra == -1.0 && PyErr_Occurred()) {
-                Py_DECREF(action);
-                goto fail;
-            }
+            if (extra == -1.0 && PyErr_Occurred())
+                dropped = -1;
         }
         Py_DECREF(action);
-    }
-    else {
-        Py_DECREF(adversary);
-    }
-
-    PyObject *delay_model = PyObject_GetAttr(self->network,
-                                             str_delay_model);
-    if (delay_model == NULL)
-        goto fail;
-    PyObject *rng = PyObject_GetAttr(self->network, str_rng_attr);
-    if (rng == NULL) {
-        Py_DECREF(delay_model);
-        goto fail;
-    }
-    double delay;
-    DelayDraws draws;
-    int drawn = delay_draws_begin(delay_model, rng, &draws);
-    if (drawn < 0) {
-        Py_DECREF(delay_model);
-        Py_DECREF(rng);
-        goto fail;
-    }
-    if (!drawn) {
-        PyObject *delay_obj = PyObject_CallMethodObjArgs(
-            delay_model, str_sample, rng, src, dst, NULL);
-        Py_DECREF(delay_model);
-        Py_DECREF(rng);
-        if (delay_obj == NULL)
-            goto fail;
-        delay = PyFloat_AsDouble(delay_obj);
-        if (delay == -1.0 && PyErr_Occurred()) {
-            Py_DECREF(delay_obj);
-            goto fail;
-        }
-        if (delay <= 0) {
-            PyErr_Format(PyExc_ValueError,
-                         "delay model produced non-positive delay %S",
-                         delay_obj);
-            Py_DECREF(delay_obj);
-            goto fail;
-        }
-        Py_DECREF(delay_obj);
-    }
-    else {
-        delay = delay_draws_next(&draws);
-        delay_draws_end(&draws);
-        Py_DECREF(delay_model);
-        Py_DECREF(rng);
-        if (delay <= 0) {
-            raise_nonpositive_delay(delay);
-            goto fail;
+        if (dropped != 0) {
+            Py_DECREF(adversary);
+            return dropped < 0 ? -1 : stats_record(
+                self->stats, str_record_drop, src, dst, kind, str_adversary);
         }
     }
+    Py_DECREF(adversary);
 
-    /* scheduler.schedule_uncancellable(delay + extra, _deliver, src,
-     * dst, message, kind) — inlined: time = now + (delay + extra),
-     * matching the Python operation order bit for bit. */
-    PyObject *deliver = PyObject_GetAttr(self->network, str_deliver_attr);
-    if (deliver == NULL)
-        goto fail;
-    PyObject *argtuple = PyTuple_Pack(4, src, dst, message, kind);
-    if (argtuple == NULL) {
-        Py_DECREF(deliver);
-        goto fail;
-    }
-    KEvent ev;
-    ev.time = self->sched->now + (delay + extra);
-    ev.seq = self->sched->seq;
-    ev.obj = deliver;
-    ev.args = argtuple;
-    if (heap_push(self->sched, ev) < 0) {
-        Py_DECREF(deliver);
-        Py_DECREF(argtuple);
-        goto fail;
-    }
-    self->sched->seq += 1;
-    self->sched->live += 1;
-    Py_DECREF(kind);
-    return 0;
-
-fail:
-    Py_DECREF(kind);
-    return -1;
-}
-
-static PyObject *
-sendcore_call(SendCore *self, PyObject *args, PyObject *kwds)
-{
-    PyObject *src, *dst, *message;
-    if (kwds != NULL && PyDict_GET_SIZE(kwds) != 0) {
-        PyErr_SetString(PyExc_TypeError,
-                        "send takes no keyword arguments");
-        return NULL;
-    }
-    if (!PyArg_UnpackTuple(args, "send", 3, 3, &src, &dst, &message))
-        return NULL;
-    if (sendcore_invoke(self, src, dst, message) < 0)
-        return NULL;
-    Py_RETURN_NONE;
-}
-
-static PyTypeObject SendCore_Type = {
-    PyVarObject_HEAD_INIT(NULL, 0)
-    .tp_name = "repro._native._kernel.SendCore",
-    .tp_basicsize = sizeof(SendCore),
-    .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC,
-    .tp_doc = "Network.send as a C callable: stats, taps, loss draw, "
-              "fault check, adversary, delay sample, heap push.",
-    .tp_new = sendcore_new,
-    .tp_dealloc = (destructor)sendcore_dealloc,
-    .tp_traverse = (traverseproc)sendcore_traverse,
-    .tp_clear = (inquiry)sendcore_clear,
-    .tp_call = (ternaryfunc)sendcore_call,
-};
-
-/* ------------------------------------------------------------------ */
-/* BroadcastCore: Network.broadcast's healthy fast branch in C         */
-/* ------------------------------------------------------------------ */
-
-/* The healthy, loss-free, untapped, adversary-free branch of
- * Network.broadcast — the path every quorum round takes — without a
- * Python frame or the sample_batch list round-trip: membership checks,
- * one scalar stats bump for the whole fan-out, then per destination a
- * native delay draw and an inlined heap push.  Per-destination scalar
- * draws consume the delay stream in exactly the order sample_batch
- * does (a size-n exponential fill is n sequential ziggurat draws), and
- * seq numbers are assigned in destination order either way, so events
- * sort identically.
- *
- * Eligibility is re-checked per call against the same mutable knobs the
- * Python fast branch tests (taps, failures.active, loss_rate,
- * adversary) plus a transcribable delay model; any other configuration
- * falls back to the original Python broadcast method. */
-typedef struct {
-    PyObject_HEAD
-    PyObject *network;    /* the owning Network (cycle; GC-tracked) */
-    PyObject *fallback;   /* type(network).broadcast, unbound */
-    PyObject *stats;
-    PyObject *failures;
-    PyObject *nodes;      /* the Network's {node_id: Node} dict (shared) */
-    SchedulerCore *sched; /* must be a native SchedulerCore */
-} BroadcastCore;
-
-static PyTypeObject BroadcastCore_Type;
-
-static PyObject *
-broadcastcore_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
-{
-    PyObject *network;
-    if (!PyArg_ParseTuple(args, "O", &network))
-        return NULL;
-    PyObject *fallback = PyObject_GetAttr(
-        (PyObject *)Py_TYPE(network), str_broadcast_attr);
-    if (fallback == NULL)
-        return NULL;
-    PyObject *stats = PyObject_GetAttrString(network, "stats");
-    if (stats == NULL) {
-        Py_DECREF(fallback);
-        return NULL;
-    }
-    PyObject *failures = PyObject_GetAttrString(network, "failures");
-    if (failures == NULL) {
-        Py_DECREF(fallback);
-        Py_DECREF(stats);
-        return NULL;
-    }
-    PyObject *nodes = PyObject_GetAttrString(network, "_nodes");
-    if (nodes == NULL || !PyDict_Check(nodes)) {
-        Py_DECREF(fallback);
-        Py_DECREF(stats);
-        Py_DECREF(failures);
-        Py_XDECREF(nodes);
-        if (!PyErr_Occurred())
-            PyErr_SetString(PyExc_TypeError,
-                            "network._nodes must be a dict");
-        return NULL;
-    }
-    PyObject *sched = PyObject_GetAttrString(network, "scheduler");
-    if (sched == NULL || !PyObject_TypeCheck(sched, &SchedulerCore_Type)) {
-        Py_DECREF(fallback);
-        Py_DECREF(stats);
-        Py_DECREF(failures);
-        Py_DECREF(nodes);
-        Py_XDECREF(sched);
-        if (!PyErr_Occurred())
-            PyErr_SetString(PyExc_TypeError,
-                            "BroadcastCore needs a native SchedulerCore");
-        return NULL;
-    }
-    BroadcastCore *self = (BroadcastCore *)type->tp_alloc(type, 0);
-    if (self == NULL) {
-        Py_DECREF(fallback);
-        Py_DECREF(stats);
-        Py_DECREF(failures);
-        Py_DECREF(nodes);
-        Py_DECREF(sched);
-        return NULL;
-    }
-    Py_INCREF(network);
-    self->network = network;
-    self->fallback = fallback;
-    self->stats = stats;
-    self->failures = failures;
-    self->nodes = nodes;
-    self->sched = (SchedulerCore *)sched;
-    return (PyObject *)self;
-}
-
-static int
-broadcastcore_traverse(BroadcastCore *self, visitproc visit, void *arg)
-{
-    Py_VISIT(self->network);
-    Py_VISIT(self->fallback);
-    Py_VISIT(self->stats);
-    Py_VISIT(self->failures);
-    Py_VISIT(self->nodes);
-    Py_VISIT((PyObject *)self->sched);
-    return 0;
-}
-
-static int
-broadcastcore_clear(BroadcastCore *self)
-{
-    Py_CLEAR(self->network);
-    Py_CLEAR(self->fallback);
-    Py_CLEAR(self->stats);
-    Py_CLEAR(self->failures);
-    Py_CLEAR(self->nodes);
-    Py_CLEAR(self->sched);
-    return 0;
-}
-
-static void
-broadcastcore_dealloc(BroadcastCore *self)
-{
-    PyObject_GC_UnTrack(self);
-    broadcastcore_clear(self);
-    Py_TYPE(self)->tp_free((PyObject *)self);
-}
-
-/* The fast-branch preconditions on the network's mutable knobs, re-read
- * per call.  1 = native path, 0 = fall back to the Python method,
- * -1 = error. */
-static int
-broadcastcore_eligible(BroadcastCore *self)
-{
-    if (!StatsCore_Check(self->stats))
-        return 0;
-    double loss_rate = attr_double(self->network, str_loss_rate);
-    if (loss_rate == -1.0 && PyErr_Occurred())
+    double delay = sample_delay(network, src, dst);
+    if (delay <= 0)
         return -1;
-    if (loss_rate != 0.0)
-        return 0;
+    PyObject *deliver = PyObject_GetAttr(network, str_deliver_attr);
+    if (deliver == NULL)
+        return -1;
+    /* scheduler.schedule_uncancellable(delay + extra, self._deliver, src,
+     * dst, message, kind): time = now + (delay + extra), the Python
+     * operation order bit for bit. */
+    int rc = push_uncancellable(
+        self->sched, self->sched->now + (delay + extra), deliver,
+        PyTuple_Pack(4, src, dst, message, kind));
+    Py_DECREF(deliver);
+    return rc;
+}
+
+/* ``dst not in self._nodes`` -> KeyError: 0 when known, else -1. */
+static int
+check_destination(NetworkCore *self, PyObject *dst)
+{
+    int known = PyDict_Contains(self->nodes, dst);
+    if (known == 0)
+        PyErr_Format(PyExc_KeyError, "unknown destination node %S", dst);
+    return known > 0 ? 0 : -1;
+}
+
+/* Network.send. */
+static int
+network_send(NetworkCore *self, PyObject *src, PyObject *dst,
+             PyObject *message)
+{
+    if (check_destination(self, dst) < 0)
+        return -1;
+    PyObject *kind = kind_of(message);
+    if (kind == NULL)
+        return -1;
+    int rc = network_send_one(self, src, dst, message, kind);
+    Py_DECREF(kind);
+    return rc;
+}
+
+/* The branch test of Network.broadcast: 1 on a healthy network (no
+ * taps, no active fault, no loss, no adversary), 0 otherwise, -1 on
+ * error.  Re-read per call, like every mutable knob. */
+static int
+network_is_healthy(NetworkCore *self)
+{
     int tapped = attr_truth(self->network, str_taps_attr);
     if (tapped != 0)
         return tapped < 0 ? -1 : 0;
     int faulty = attr_truth(self->failures, str_active);
     if (faulty != 0)
         return faulty < 0 ? -1 : 0;
+    double loss_rate = attr_double(self->network, str_loss_rate);
+    if (loss_rate == -1.0 && PyErr_Occurred())
+        return -1;
+    if (loss_rate > 0.0)
+        return 0;
     PyObject *adversary = PyObject_GetAttr(self->network,
                                            str_adversary_attr);
     if (adversary == NULL)
         return -1;
-    int hooked = adversary != Py_None;
     Py_DECREF(adversary);
-    return hooked ? 0 : 1;
+    return adversary == Py_None;
 }
 
+/* Network.broadcast.  The healthy branch skips the sample_batch list
+ * round-trip: per-destination scalar draws consume the delay stream in
+ * exactly the order sample_batch does (a size-n exponential fill is n
+ * sequential ziggurat draws) and seq numbers are assigned in destination
+ * order either way, so events sort identically.  The delay parameters
+ * and the bitgen_t are resolved once: no Python code runs between the
+ * draws of one healthy fan-out. */
 static int
-broadcastcore_invoke(BroadcastCore *self, PyObject *src, PyObject *dsts,
-                     PyObject *message)
+network_broadcast(NetworkCore *self, PyObject *src, PyObject *dsts,
+                  PyObject *message)
 {
     int nonempty = PyObject_IsTrue(dsts);
-    if (nonempty < 0)
-        return -1;
-    if (!nonempty)
-        return 0;
-    /* The delay parameters and the bitgen_t are resolved once: no Python
-     * code runs between the draws of one fan-out. */
-    DelayDraws draws;
-    int eligible = broadcastcore_eligible(self);
-    if (eligible > 0) {
-        PyObject *delay_model = PyObject_GetAttr(self->network,
-                                                 str_delay_model);
-        if (delay_model == NULL)
-            return -1;
-        PyObject *rng = PyObject_GetAttr(self->network, str_rng_attr);
-        eligible = rng == NULL
-            ? -1 : delay_draws_begin(delay_model, rng, &draws);
-        Py_DECREF(delay_model);
-        Py_XDECREF(rng);
-    }
-    if (eligible < 0)
-        return -1;
-    if (!eligible) {
-        PyObject *res = PyObject_CallFunctionObjArgs(
-            self->fallback, self->network, src, dsts, message, NULL);
-        if (res == NULL)
-            return -1;
-        Py_DECREF(res);
-        return 0;
-    }
-
-    int rc = -1;
-    PyObject *kind = NULL, *deliver = NULL;
+    if (nonempty <= 0)
+        return nonempty;
     PyObject *fast = PySequence_Fast(dsts, "dsts must be a sequence");
     if (fast == NULL)
-        goto done;
+        return -1;
+    int rc = -1;
+    PyObject *kind = NULL, *deliver = NULL;
+    DelayDraws draws = {0};
     Py_ssize_t n = PySequence_Fast_GET_SIZE(fast);
     for (Py_ssize_t i = 0; i < n; i++) {
-        PyObject *dst = PySequence_Fast_GET_ITEM(fast, i);
-        int known = PyDict_Contains(self->nodes, dst);
-        if (known < 0)
+        if (check_destination(self, PySequence_Fast_GET_ITEM(fast, i)) < 0)
             goto done;
-        if (!known) {
-            PyErr_Format(PyExc_KeyError,
-                         "unknown destination node %S", dst);
-            goto done;
-        }
     }
     kind = kind_of(message);
     if (kind == NULL)
         goto done;
-    ((StatsCore *)self->stats)->sent += n;
+    int batched = network_is_healthy(self);
+    if (batched > 0) {
+        PyObject *delay_model = PyObject_GetAttr(self->network,
+                                                 str_delay_model);
+        if (delay_model == NULL)
+            goto done;
+        PyObject *rng = PyObject_GetAttr(self->network, str_rng_attr);
+        batched = rng == NULL
+            ? -1 : delay_draws_begin(delay_model, rng, &draws);
+        Py_DECREF(delay_model);
+        Py_XDECREF(rng);
+    }
+    if (batched < 0)
+        goto done;
+    if (!batched) {
+        /* for dst in dsts: self.send(src, dst, message) — taps and the
+         * adversary run Python, so the list is re-measured per step. */
+        for (Py_ssize_t i = 0; i < PySequence_Fast_GET_SIZE(fast); i++) {
+            PyObject *dst = PySequence_Fast_GET_ITEM(fast, i);
+            Py_INCREF(dst);
+            int sent = network_send_one(self, src, dst, message, kind);
+            Py_DECREF(dst);
+            if (sent < 0)
+                goto done;
+        }
+        rc = 0;
+        goto done;
+    }
+    /* stats.record_sends(src, len(dsts), kind) */
+    if (StatsCore_Check(self->stats))
+        ((StatsCore *)self->stats)->sent += n;
+    else {
+        PyObject *count = PyLong_FromSsize_t(n);
+        PyObject *res = count == NULL
+            ? NULL : PyObject_CallMethodObjArgs(
+                self->stats, str_record_sends, src, count, kind, NULL);
+        Py_XDECREF(count);
+        if (res == NULL)
+            goto done;
+        Py_DECREF(res);
+    }
     deliver = PyObject_GetAttr(self->network, str_deliver_attr);
     if (deliver == NULL)
         goto done;
@@ -2186,62 +1734,145 @@ broadcastcore_invoke(BroadcastCore *self, PyObject *src, PyObject *dsts,
             raise_nonpositive_delay(delay);
             goto done;
         }
-        PyObject *argtuple = PyTuple_Pack(
-            4, src, PySequence_Fast_GET_ITEM(fast, i), message, kind);
-        if (argtuple == NULL)
+        if (push_uncancellable(
+                self->sched, self->sched->now + delay, deliver,
+                PyTuple_Pack(4, src, PySequence_Fast_GET_ITEM(fast, i),
+                             message, kind)) < 0)
             goto done;
-        KEvent ev;
-        ev.time = self->sched->now + delay;
-        ev.seq = self->sched->seq;
-        Py_INCREF(deliver);
-        ev.obj = deliver;
-        ev.args = argtuple;
-        if (heap_push(self->sched, ev) < 0) {
-            Py_DECREF(deliver);
-            Py_DECREF(argtuple);
-            goto done;
-        }
-        self->sched->seq += 1;
-        self->sched->live += 1;
     }
     rc = 0;
 done:
+    delay_draws_end(&draws);
     Py_XDECREF(deliver);
     Py_XDECREF(kind);
-    Py_XDECREF(fast);
-    delay_draws_end(&draws);
+    Py_DECREF(fast);
     return rc;
 }
 
-static PyObject *
-broadcastcore_call(BroadcastCore *self, PyObject *args, PyObject *kwds)
+/* Network._deliver, mirrored exactly:
+ *
+ *     failures = self.failures
+ *     if failures.active and not failures.can_deliver(src, dst):
+ *         self.stats.record_drop(src, dst, kind, reason="fault")
+ *         return
+ *     self.stats.record_delivery(src, dst, kind)
+ *     self._nodes[dst].on_message(src, message)
+ */
+static int
+network_deliver(NetworkCore *self, PyObject *src, PyObject *dst,
+                PyObject *message, PyObject *kind)
 {
-    PyObject *src, *dsts, *message;
-    if (kwds != NULL && PyDict_GET_SIZE(kwds) != 0) {
+    /* A node that crashed while the message was in flight drops it. */
+    int blocked = fault_blocks(self->failures, src, dst);
+    if (blocked < 0)
+        return -1;
+    if (blocked)
+        return stats_record(self->stats, str_record_drop, src, dst, kind,
+                            str_fault);
+    if (stats_record(self->stats, str_record_delivery, src, dst, kind,
+                     NULL) < 0)
+        return -1;
+    PyObject *node = PyDict_GetItemWithError(self->nodes, dst);
+    if (node == NULL) {
+        if (!PyErr_Occurred())
+            PyErr_SetObject(PyExc_KeyError, dst);
+        return -1;
+    }
+    /* Borrowed node ref stays alive: the nodes dict is never mutated
+     * from inside on_message (nodes are only added during set-up). */
+    Py_INCREF(node);
+    PyObject *handler = PyObject_GetAttr(node, str_on_message);
+    if (handler == NULL) {
+        Py_DECREF(node);
+        return -1;
+    }
+    int rc;
+    if (Py_TYPE(handler) == &ServerCore_Type
+        || Py_TYPE(handler) == &ClientCore_Type) {
+        /* A protocol core installed as the node's instance attribute:
+         * stay in C end to end (the core falls back to the Python
+         * handler itself when a guard demands it). */
+        rc = protocolcore_invoke(handler, src, message);
+    }
+    else {
+        PyObject *res = PyObject_CallFunctionObjArgs(
+            handler, src, message, NULL);
+        rc = res == NULL ? -1 : 0;
+        Py_XDECREF(res);
+    }
+    Py_DECREF(handler);
+    Py_DECREF(node);
+    return rc;
+}
+
+/* The three entry points as Python sees them. */
+static PyObject *
+networkcore_send(NetworkCore *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    if (nargs != 3) {
         PyErr_SetString(PyExc_TypeError,
-                        "broadcast takes no keyword arguments");
+                        "send expects (src, dst, message)");
         return NULL;
     }
-    if (!PyArg_UnpackTuple(args, "broadcast", 3, 3, &src, &dsts, &message))
-        return NULL;
-    if (broadcastcore_invoke(self, src, dsts, message) < 0)
+    if (network_send(self, args[0], args[1], args[2]) < 0)
         return NULL;
     Py_RETURN_NONE;
 }
 
-static PyTypeObject BroadcastCore_Type = {
+static PyObject *
+networkcore_broadcast(NetworkCore *self, PyObject *const *args,
+                      Py_ssize_t nargs)
+{
+    if (nargs != 3) {
+        PyErr_SetString(PyExc_TypeError,
+                        "broadcast expects (src, dsts, message)");
+        return NULL;
+    }
+    if (network_broadcast(self, args[0], args[1], args[2]) < 0)
+        return NULL;
+    Py_RETURN_NONE;
+}
+
+static PyObject *
+networkcore_deliver(NetworkCore *self, PyObject *const *args,
+                    Py_ssize_t nargs)
+{
+    if (nargs != 4) {
+        PyErr_SetString(PyExc_TypeError,
+                        "_deliver expects (src, dst, message, kind)");
+        return NULL;
+    }
+    if (network_deliver(self, args[0], args[1], args[2], args[3]) < 0)
+        return NULL;
+    Py_RETURN_NONE;
+}
+
+static PyMethodDef networkcore_methods[] = {
+    {"send", NETWORK_ENTRY(networkcore_send), METH_FASTCALL,
+     "Network.send: stats, taps, loss draw, fault check, adversary, "
+     "delay sample, heap push."},
+    {"broadcast", NETWORK_ENTRY(networkcore_broadcast), METH_FASTCALL,
+     "Network.broadcast: batched on a healthy network, else send per "
+     "destination."},
+    {"_deliver", NETWORK_ENTRY(networkcore_deliver), METH_FASTCALL,
+     "Network._deliver: fault check, stats update, then "
+     "node.on_message(src, message)."},
+    {NULL}
+};
+
+static PyTypeObject NetworkCore_Type = {
     PyVarObject_HEAD_INIT(NULL, 0)
-    .tp_name = "repro._native._kernel.BroadcastCore",
-    .tp_basicsize = sizeof(BroadcastCore),
+    .tp_name = "repro._native._kernel.NetworkCore",
+    .tp_basicsize = sizeof(NetworkCore),
     .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC,
-    .tp_doc = "Network.broadcast's healthy fast branch as a C callable: "
-              "membership checks, batched stats, native delay draws, "
-              "inlined heap pushes; anything else falls back to Python.",
-    .tp_new = broadcastcore_new,
-    .tp_dealloc = (destructor)broadcastcore_dealloc,
-    .tp_traverse = (traverseproc)broadcastcore_traverse,
-    .tp_clear = (inquiry)broadcastcore_clear,
-    .tp_call = (ternaryfunc)broadcastcore_call,
+    .tp_doc = "The message path of a Network in C: its send, broadcast and "
+              "_deliver methods are installed as the network's instance "
+              "attributes.",
+    .tp_new = networkcore_new,
+    .tp_dealloc = (destructor)networkcore_dealloc,
+    .tp_traverse = (traverseproc)networkcore_traverse,
+    .tp_clear = (inquiry)networkcore_clear,
+    .tp_methods = networkcore_methods,
 };
 
 /* ------------------------------------------------------------------ */
@@ -2362,21 +1993,23 @@ kernel_quorum_sample(PyObject *module, PyObject *const *args,
  * ``_teardown`` (ClientCore), plus the client's issue path (ClientCore's
  * read / write / _begin / _send_round methods, described where they are
  * defined).  Installed as instance attributes of the node — exactly
- * like the network's SendCore / DeliveryCore — so trace taps and
- * monkeypatches keep working, and the pure-python methods remain the
- * reference implementation.
+ * like the network core's entry points — so trace taps and monkeypatches
+ * keep working, and the pure-python methods remain the reference
+ * implementation.
  *
- * Soft fallback, re-checked on every delivery, is a guard on *state*:
- * an attached adversary, detailed MessageStats, an op-level span
- * (tracing), the online spec monitor, or a reply stamped with a newer
- * view than the client's (it must refresh first) route that message
- * back through the original Python handler, so chaos campaigns,
- * observability and membership runs stay bit-correct.  The server's
- * view gate runs here; anything that is not one of the four Section-4
- * message types (StaleViewNack, State*, subclasses) takes Python.  The
- * live latency histogram is observed natively in clientcore_finish.
- * No message handler draws from an RNG stream; the issue path does, in
- * the Python order (see there).
+ * Soft fallback, re-checked on every delivery, is a guard on what the
+ * handler itself reads — the complete list: an op-level span (tracing),
+ * the online spec monitor, a reply stamped with a newer view than the
+ * client's (it must refresh first), and any message that is not an
+ * exact instance of one of the four Section-4 types (StaleViewNack,
+ * State*, subclasses); subclassed nodes never get a core.  Those route
+ * the message through the original Python handler.  Loss, faults, taps,
+ * an adversary and detailed MessageStats are read by no handler — they
+ * matter inside ``send``, which the network core handles — so chaos
+ * campaigns run their handlers here.  The server's view gate runs here
+ * too, and the live latency histogram is observed natively in
+ * clientcore_finish.  No message handler draws from an RNG stream; the
+ * issue path does, in the Python order (see there).
  */
 
 /* Resolve the protocol classes lazily, on first core construction —
@@ -2508,8 +2141,8 @@ bump_counter(PyObject *obj, PyObject *name)
     return rc;
 }
 
-/* network.send(src, dst, message) — straight into sendcore_invoke when
- * the network runs the native send path (the common case). */
+/* network.send(src, dst, message) — straight into the network core's
+ * send when it is the one installed (the common case). */
 static int
 send_message(PyObject *network, PyObject *src, PyObject *dst,
              PyObject *message)
@@ -2518,8 +2151,10 @@ send_message(PyObject *network, PyObject *src, PyObject *dst,
     if (send == NULL)
         return -1;
     int rc;
-    if (Py_TYPE(send) == &SendCore_Type) {
-        rc = sendcore_invoke((SendCore *)send, src, dst, message);
+    NetworkCore *core = networkcore_behind(send,
+                                           NETWORK_ENTRY(networkcore_send));
+    if (core != NULL) {
+        rc = network_send(core, src, dst, message);
     }
     else {
         PyObject *res = PyObject_CallFunctionObjArgs(
@@ -2555,7 +2190,6 @@ typedef struct {
     PyObject *server;   /* the ReplicaServer */
     PyObject *fallback; /* type(server).on_message, unbound */
     PyObject *network;
-    PyObject *stats;    /* network.stats (identity-stable) */
     PyObject *replicas; /* server._replicas dict (shared) */
     PyObject *node_id;  /* server.node_id */
 } ServerCore;
@@ -2568,16 +2202,13 @@ servercore_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
         return NULL;
     if (ensure_protocol_types() < 0)
         return NULL;
-    PyObject *fallback = NULL, *network = NULL, *stats = NULL;
+    PyObject *fallback = NULL, *network = NULL;
     PyObject *replicas = NULL, *node_id = NULL;
     fallback = PyObject_GetAttr((PyObject *)Py_TYPE(server), str_on_message);
     if (fallback == NULL)
         goto fail;
     network = PyObject_GetAttr(server, str_network_attr);
     if (network == NULL)
-        goto fail;
-    stats = PyObject_GetAttr(network, str_stats_attr);
-    if (stats == NULL)
         goto fail;
     replicas = PyObject_GetAttr(server, str_replicas_attr);
     if (replicas == NULL)
@@ -2596,14 +2227,12 @@ servercore_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
     self->server = server;
     self->fallback = fallback;
     self->network = network;
-    self->stats = stats;
     self->replicas = replicas;
     self->node_id = node_id;
     return (PyObject *)self;
 fail:
     Py_XDECREF(fallback);
     Py_XDECREF(network);
-    Py_XDECREF(stats);
     Py_XDECREF(replicas);
     Py_XDECREF(node_id);
     return NULL;
@@ -2615,7 +2244,6 @@ servercore_traverse(ServerCore *self, visitproc visit, void *arg)
     Py_VISIT(self->server);
     Py_VISIT(self->fallback);
     Py_VISIT(self->network);
-    Py_VISIT(self->stats);
     Py_VISIT(self->replicas);
     Py_VISIT(self->node_id);
     return 0;
@@ -2627,7 +2255,6 @@ servercore_clear(ServerCore *self)
     Py_CLEAR(self->server);
     Py_CLEAR(self->fallback);
     Py_CLEAR(self->network);
-    Py_CLEAR(self->stats);
     Py_CLEAR(self->replicas);
     Py_CLEAR(self->node_id);
     return 0;
@@ -2721,18 +2348,6 @@ servercore_gate(ServerCore *self, PyObject *src, PyObject *message,
 static int
 servercore_invoke(ServerCore *self, PyObject *src, PyObject *message)
 {
-    /* Mutable hooks, re-checked per delivery: an adversary or detailed
-     * stats hand the message back to the Python handler. */
-    if (!StatsCore_Check(self->stats))
-        return servercore_run_fallback(self, src, message);
-    PyObject *adversary = PyObject_GetAttr(self->network, str_adversary_attr);
-    if (adversary == NULL)
-        return -1;
-    int hooked = adversary != Py_None;
-    Py_DECREF(adversary);
-    if (hooked)
-        return servercore_run_fallback(self, src, message);
-
     PyObject *msg_type = (PyObject *)Py_TYPE(message);
     int is_read = msg_type == msg_read_query;
     if (!is_read && msg_type != msg_write_update)
@@ -2840,7 +2455,6 @@ typedef struct {
     PyObject *fallback;     /* type(client).on_message, unbound */
     PyObject *network;
     PyObject *failures;
-    PyObject *stats;        /* network.stats (identity-stable) */
     PyObject *pending;      /* client._pending dict (shared) */
     PyObject *server_index; /* client._server_index dict (shared) */
     PyObject *cache;        /* client._cache dict (shared) */
@@ -2867,7 +2481,7 @@ clientcore_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
     if (ensure_protocol_types() < 0 || ensure_issue_types() < 0)
         return NULL;
     PyObject *fallback = NULL, *network = NULL, *failures = NULL;
-    PyObject *stats = NULL, *pending = NULL, *server_index = NULL;
+    PyObject *pending = NULL, *server_index = NULL;
     PyObject *cache = NULL, *sched = NULL;
     PyObject *space = NULL, *registers = NULL, *server_ids = NULL;
     PyObject *op_ids = NULL, *write_seq = NULL, *client_id = NULL;
@@ -2880,9 +2494,6 @@ clientcore_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
         goto fail;
     failures = PyObject_GetAttr(network, str_failures_attr);
     if (failures == NULL)
-        goto fail;
-    stats = PyObject_GetAttr(network, str_stats_attr);
-    if (stats == NULL)
         goto fail;
     pending = PyObject_GetAttr(client, str_pending_attr);
     if (pending == NULL)
@@ -2934,7 +2545,6 @@ clientcore_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
     self->fallback = fallback;
     self->network = network;
     self->failures = failures;
-    self->stats = stats;
     self->pending = pending;
     self->server_index = server_index;
     self->cache = cache;
@@ -2952,7 +2562,6 @@ fail:
     Py_XDECREF(fallback);
     Py_XDECREF(network);
     Py_XDECREF(failures);
-    Py_XDECREF(stats);
     Py_XDECREF(pending);
     Py_XDECREF(server_index);
     Py_XDECREF(cache);
@@ -2974,7 +2583,6 @@ clientcore_traverse(ClientCore *self, visitproc visit, void *arg)
     Py_VISIT(self->fallback);
     Py_VISIT(self->network);
     Py_VISIT(self->failures);
-    Py_VISIT(self->stats);
     Py_VISIT(self->pending);
     Py_VISIT(self->server_index);
     Py_VISIT(self->cache);
@@ -2995,7 +2603,6 @@ clientcore_clear(ClientCore *self)
     Py_CLEAR(self->fallback);
     Py_CLEAR(self->network);
     Py_CLEAR(self->failures);
-    Py_CLEAR(self->stats);
     Py_CLEAR(self->pending);
     Py_CLEAR(self->server_index);
     Py_CLEAR(self->cache);
@@ -3337,20 +2944,10 @@ clientcore_invoke(ClientCore *self, PyObject *src, PyObject *message)
          * kinds are a Python no-op either way. */
         return clientcore_run_fallback(self, src, message);
 
-    /* Mutable hooks, re-checked per delivery: detailed stats, an
-     * adversary, the online spec monitor or a newer view stamp force
-     * the Python handler for this message.  The latency histogram is
-     * observed natively in clientcore_finish. */
-    if (!StatsCore_Check(self->stats))
-        return clientcore_run_fallback(self, src, message);
-    PyObject *adversary = PyObject_GetAttr(self->network, str_adversary_attr);
-    if (adversary == NULL)
-        return -1;
-    int hooked = adversary != Py_None;
-    Py_DECREF(adversary);
-    if (hooked)
-        return clientcore_run_fallback(self, src, message);
-    hooked = attr_truth(self->client, str_monitor_on);
+    /* Re-checked per delivery: the online spec monitor or a newer view
+     * stamp force the Python handler for this message (an op span does
+     * too, below). */
+    int hooked = attr_truth(self->client, str_monitor_on);
     if (hooked < 0)
         return -1;
     if (hooked)
@@ -3467,8 +3064,8 @@ fail:
  *
  * Per-op guards: span tracing (``client._trace_on``, ``op.span``) and a
  * call shape other than the positional one take the Python method, which
- * stays the reference.  BroadcastCore keeps its own per-call guards, so
- * loss, faults, an adversary or taps change nothing here.  Membership
+ * stays the reference.  The network core handles loss, faults, an
+ * adversary and taps per message, so they change nothing here.  Membership
  * views and every quorum system other than an exact
  * ``ProbabilisticQuorumSystem`` draw through one call to the Python
  * ``_sample_quorum`` — never a whole-op fallback. */
@@ -3703,14 +3300,15 @@ clientcore_send_round(ClientCore *self, PyObject *op)
             || PyObject_SetAttr(op, str_message_attr, message) < 0)
             goto done;
     }
-    /* network.broadcast(node_id, servers, message) — straight into
-     * broadcastcore_invoke when the network runs the native fan-out. */
+    /* network.broadcast(node_id, servers, message) — straight into the
+     * network core's fan-out when it is the one installed. */
     broadcast = PyObject_GetAttr(self->network, str_broadcast_attr);
     if (broadcast == NULL)
         goto done;
-    if (Py_TYPE(broadcast) == &BroadcastCore_Type)
-        rc = broadcastcore_invoke((BroadcastCore *)broadcast, self->node_id,
-                                  servers, message);
+    NetworkCore *core = networkcore_behind(
+        broadcast, NETWORK_ENTRY(networkcore_broadcast));
+    if (core != NULL)
+        rc = network_broadcast(core, self->node_id, servers, message);
     else {
         PyObject *res = PyObject_CallFunctionObjArgs(
             broadcast, self->node_id, servers, message, NULL);
@@ -4064,7 +3662,7 @@ static struct PyModuleDef kernelmodule = {
     PyModuleDef_HEAD_INIT,
     .m_name = "repro._native._kernel",
     .m_doc = "Native simulation-kernel hot path (scheduler heap, "
-             "scalar stats, delivery trampoline).",
+             "scalar stats, network core, register-protocol cores).",
     .m_size = -1,
     .m_methods = kernel_methods,
 };
@@ -4082,53 +3680,31 @@ PyInit__kernel(void)
     if (py_zero == NULL || py_one == NULL)
         return NULL;
 
-    if (PyType_Ready(&StatsCore_Type) < 0
-        || PyType_Ready(&DeliveryCore_Type) < 0
-        || PyType_Ready(&KernelHandle_Type) < 0
-        || PyType_Ready(&SchedulerCore_Type) < 0
-        || PyType_Ready(&SendCore_Type) < 0
-        || PyType_Ready(&BroadcastCore_Type) < 0
-        || PyType_Ready(&ServerCore_Type) < 0
-        || PyType_Ready(&ClientCore_Type) < 0)
-        return NULL;
+    struct { const char *name; PyTypeObject *type; } types[] = {
+        {"StatsCore", &StatsCore_Type},
+        {"EventHandle", &KernelHandle_Type},
+        {"SchedulerCore", &SchedulerCore_Type},
+        {"NetworkCore", &NetworkCore_Type},
+        {"ServerCore", &ServerCore_Type},
+        {"ClientCore", &ClientCore_Type},
+    };
+    const size_t ntypes = sizeof(types) / sizeof(types[0]);
+    for (size_t i = 0; i < ntypes; i++) {
+        if (PyType_Ready(types[i].type) < 0)
+            return NULL;
+    }
 
     PyObject *module = PyModule_Create(&kernelmodule);
     if (module == NULL)
         return NULL;
 
-    Py_INCREF(&StatsCore_Type);
-    if (PyModule_AddObject(module, "StatsCore",
-                           (PyObject *)&StatsCore_Type) < 0)
-        goto fail;
-    Py_INCREF(&DeliveryCore_Type);
-    if (PyModule_AddObject(module, "DeliveryCore",
-                           (PyObject *)&DeliveryCore_Type) < 0)
-        goto fail;
-    Py_INCREF(&KernelHandle_Type);
-    if (PyModule_AddObject(module, "EventHandle",
-                           (PyObject *)&KernelHandle_Type) < 0)
-        goto fail;
-    Py_INCREF(&SchedulerCore_Type);
-    if (PyModule_AddObject(module, "SchedulerCore",
-                           (PyObject *)&SchedulerCore_Type) < 0)
-        goto fail;
-    Py_INCREF(&SendCore_Type);
-    if (PyModule_AddObject(module, "SendCore",
-                           (PyObject *)&SendCore_Type) < 0)
-        goto fail;
-    Py_INCREF(&BroadcastCore_Type);
-    if (PyModule_AddObject(module, "BroadcastCore",
-                           (PyObject *)&BroadcastCore_Type) < 0)
-        goto fail;
-    Py_INCREF(&ServerCore_Type);
-    if (PyModule_AddObject(module, "ServerCore",
-                           (PyObject *)&ServerCore_Type) < 0)
-        goto fail;
-    Py_INCREF(&ClientCore_Type);
-    if (PyModule_AddObject(module, "ClientCore",
-                           (PyObject *)&ClientCore_Type) < 0)
-        goto fail;
-    if (PyModule_AddIntConstant(module, "KERNEL_ABI", 4) < 0)
+    for (size_t i = 0; i < ntypes; i++) {
+        Py_INCREF(types[i].type);
+        if (PyModule_AddObject(module, types[i].name,
+                               (PyObject *)types[i].type) < 0)
+            goto fail;
+    }
+    if (PyModule_AddIntConstant(module, "KERNEL_ABI", 5) < 0)
         goto fail;
 #ifdef REPRO_HAVE_NPYRANDOM
     if (PyModule_AddIntConstant(module, "HAVE_FAST_RNG", 1) < 0)

@@ -94,7 +94,7 @@ class NativeMessageStats(_kernel.StatsCore):
     """Scalar-totals message stats backed by C counters.
 
     The drop-in equivalent of ``MessageStats(detailed=False)``: the four
-    ``record_*`` methods are C (and the delivery trampoline bumps the
+    ``record_*`` methods are C (and the network core bumps the
     counters without any method call at all), while the breakdown
     accessors raise :class:`~repro.sim.metrics.DetailNotCollected`
     exactly like the pure-python scalar mode does.

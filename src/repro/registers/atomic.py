@@ -75,6 +75,22 @@ class MultiWriterClient(QuorumRegisterClient):
         # correctness (and history-uniqueness) bug.
         self._mw_last_seq: Dict[str, int] = {}
 
+    @property
+    def pending_ops(self) -> int:
+        """Operations in flight, two-phase ones included."""
+        return super().pending_ops + len(self._two_phase)
+
+    @property
+    def hung_ops(self) -> int:
+        """Operations with no settlement path left.
+
+        A two-phase operation has neither a retry nor a deadline timer:
+        while one is in flight nothing guarantees it ever settles (one
+        lost message strands it), so every one counts, whatever the
+        retry policy of the base-class operations says.
+        """
+        return super().hung_ops + len(self._two_phase)
+
     # ------------------------------------------------------------------ #
 
     def write(self, register: str, value: Any) -> Future:

@@ -124,7 +124,7 @@ class RegisterDeployment:
 
         # The adversary attaches last: it observes a fully-built topology
         # (server ids, injector, scheduler) and starts intercepting from
-        # the first message.  None keeps the network's fast path intact.
+        # the first message.  None keeps broadcast's batched branch.
         self.adversary = adversary
         if adversary is not None:
             adversary.attach(self)
@@ -133,12 +133,14 @@ class RegisterDeployment:
         # Native protocol fast path: C transcriptions of the server
         # handler, the client reply-aggregation path and the client
         # issue path (read, write, _begin, _send_round), installed as
-        # instance attributes (the same pattern as the network's
-        # SendCore/DeliveryCore) so trace taps keep working.  The
+        # instance attributes (the same pattern as the network core's
+        # send/broadcast/_deliver) so trace taps keep working.  The
         # factories return None on the pure-python backend and for
-        # subclassed nodes; the cores themselves re-check the mutable
-        # hooks, the view state and span tracing per delivery / per
-        # operation and fall back to the Python methods.
+        # subclassed nodes; the cores themselves re-check what a handler
+        # reads — span tracing, the spec monitor, the view state, the
+        # exact message type — per delivery / per operation and fall
+        # back to the Python methods.  An adversary, loss, faults, taps
+        # and detailed stats are the network core's business, not theirs.
         for server in self.servers:
             core = kernel.make_server_core(server)
             if core is not None:

@@ -1,9 +1,12 @@
 """Kernel backend selection: pure-python reference vs compiled native.
 
-The simulation hot path (event heap, drain loop, delivery bookkeeping)
-exists twice: the always-available pure-python reference in
-:mod:`repro.sim.scheduler` / :mod:`repro.sim.metrics`, and an optional C
-extension under :mod:`repro._native`.  Both produce **byte-identical**
+The simulation hot path (event heap, drain loop, the per-message network
+path, the register protocol handlers) exists twice: the always-available
+pure-python reference in :mod:`repro.sim.scheduler` /
+:mod:`repro.sim.metrics` / :mod:`repro.sim.network` /
+:mod:`repro.registers`, and an optional C extension under
+:mod:`repro._native` — a scheduler core, a stats core, one network core
+and the two protocol cores.  Both produce **byte-identical**
 traces — every RNG draw consumes the same stream in the same order (the
 draws made in C reproduce numpy's algorithms bit for bit), and the
 native heap preserves the exact ``(time, seq)`` total order — so the
@@ -143,29 +146,20 @@ def make_message_stats(detailed: bool = True, backend: Optional[str] = None):
     return MessageStats(detailed=detailed)
 
 
-def make_delivery_core(stats, failures, nodes):
-    """Build the native delivery trampoline, or None on pure python.
+def make_network_core(network):
+    """Build the native message path of ``network``, or None.
 
-    The trampoline is a C callable with ``Network._deliver``'s exact
-    semantics; :class:`~repro.sim.network.Network` installs it as its
-    ``_deliver`` instance attribute so existing trace taps that wrap
-    ``network._deliver`` keep working on both backends.
-    """
-    if selected_backend() != "native":
-        return None
-    from repro._native import load_kernel
-
-    return load_kernel().DeliveryCore(stats, failures, nodes)
-
-
-def make_send_core(network):
-    """Build the native send fast path, or None on pure python.
-
-    A C callable with ``Network.send``'s exact semantics (stats, taps,
-    loss draw, fault check, adversary, delay sample, heap push), only
-    built when the network's scheduler is itself native so the delivery
-    event can be pushed straight into the C heap.  Installed as the
-    network's ``send`` instance attribute.
+    One C object whose ``send``, ``broadcast`` and ``_deliver`` methods
+    have the exact semantics of the :class:`~repro.sim.network.Network`
+    methods of the same names; the network installs them as instance
+    attributes, so trace taps that wrap ``network._deliver`` keep working
+    on both backends.  ``send`` is the one per-message pipeline (stats,
+    taps, loss draw, fault check, adversary, delay sample, heap push);
+    ``broadcast`` runs a tight loop of native delay draws on a healthy
+    network with a built-in delay model and that same pipeline per
+    destination otherwise — it never calls back into the Python
+    ``broadcast``.  Only built when the network's scheduler is itself
+    native, so delivery events are pushed straight into the C heap.
     """
     if selected_backend() != "native":
         return None
@@ -174,28 +168,7 @@ def make_send_core(network):
     module = load_kernel()
     if not isinstance(network.scheduler, module.SchedulerCore):
         return None
-    return module.SendCore(network)
-
-
-def make_broadcast_core(network):
-    """Build the native broadcast fast path, or None.
-
-    A C callable covering the healthy fast branch of
-    ``Network.broadcast`` (no taps, no active faults, no loss, no
-    adversary, a built-in delay model): membership checks, one batched
-    stats bump, then a native delay draw and inlined heap push per
-    destination.  Any other configuration falls back, per call, to the
-    original Python method.  Installed as the network's ``broadcast``
-    instance attribute, like ``send``/``_deliver``.
-    """
-    if selected_backend() != "native":
-        return None
-    from repro._native import load_kernel
-
-    module = load_kernel()
-    if not isinstance(network.scheduler, module.SchedulerCore):
-        return None
-    return module.BroadcastCore(network)
+    return module.NetworkCore(network)
 
 
 def native_quorum_sampler():
@@ -227,11 +200,12 @@ def make_server_core(server):
     ``ReplicaServer`` type — subclasses (Byzantine replicas, chaos
     mutants) override the handler and must keep their Python semantics —
     and on a native scheduler, so replies push straight into the C heap.
-    The core re-checks the mutable hooks (adversary, detailed stats) per
-    delivery and falls back to the Python handler when any is active.
-    The view gate (retired-ignore, stale-view nack) runs in C against
-    the server's current ``view_state``; the ``State*`` transfer
-    messages always take Python.
+    Loss, faults, taps, an adversary and detailed stats are the network
+    core's business (the reply goes through its ``send``), never a reason
+    to leave C here.  The view gate (retired-ignore, stale-view nack)
+    runs in C against the server's current ``view_state``; what takes the
+    Python handler is any message that is not an exact ``ReadQuery`` /
+    ``WriteUpdate`` — the ``State*`` transfer messages, subclasses.
     """
     if selected_backend() != "native":
         return None
@@ -260,25 +234,26 @@ def make_client_core(client):
 
     * **Reply aggregation** — called as ``on_message``: a transcription
       of ``QuorumRegisterClient.on_message`` plus the ``_finish`` /
-      ``_teardown`` completion path.  Per-delivery fallback conditions
-      are the adversary, detailed stats, an op-level span, the online
-      spec monitor and a reply stamped with a newer view than the
-      client's (which must refresh first); ``StaleViewNack`` always
-      takes Python.  The live latency histogram is observed natively.
+      ``_teardown`` completion path.  The complete per-delivery
+      fallback list is what the handler itself reads: an op-level span,
+      the online spec monitor, a reply stamped with a newer view than
+      the client's (which must refresh first), and any message that is
+      not an exact ``ReadReply`` / ``WriteAck`` (``StaleViewNack``,
+      subclasses).  The live latency histogram is observed natively.
     * **Issue** — the methods named in :data:`CLIENT_ISSUE_METHODS`:
       register lookup, history record, ``Future`` and ``_PendingOp``
       construction, quorum draw, message build, a direct call into the
-      network's broadcast core (which keeps its own per-call guards and
-      its Python fallback under loss, faults, an adversary or taps) and
-      retry/deadline timers pushed straight into the C heap.  The quorum
-      is drawn by the C ``quorum_sample`` for a static
-      ``ProbabilisticQuorumSystem`` and by one call to the Python
-      ``_sample_quorum`` under membership views and for every other
-      quorum system; the retry delay always comes from
-      ``RetryPolicy.delay``.  Every stream is therefore consumed draw for
-      draw as on the python backend.  Per-op guards: span tracing
-      (``_trace_on`` / ``op.span``) and keyword or malformed calls take
-      the Python methods, which remain the reference definition.
+      network core's broadcast (which handles loss, faults, an adversary
+      and taps itself, per message) and retry/deadline timers pushed
+      straight into the C heap.  The quorum is drawn by the C
+      ``quorum_sample`` for a static ``ProbabilisticQuorumSystem`` and by
+      one call to the Python ``_sample_quorum`` under membership views
+      and for every other quorum system; the retry delay always comes
+      from ``RetryPolicy.delay``.  Every stream is therefore consumed
+      draw for draw as on the python backend.  Per-op guards: span
+      tracing (``_trace_on`` / ``op.span``) and keyword or malformed
+      calls take the Python methods, which remain the reference
+      definition.
 
     The class-level ``ProbabilisticQuorumSystem._native_sampler`` install
     (see :func:`native_quorum_sampler`) is separate and unchanged: view

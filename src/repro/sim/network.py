@@ -17,12 +17,15 @@ perturbs delay sampling.  Retrying clients must then tolerate losing any
 individual query, reply, update or ack — the regime of the
 Mostéfaoui–Raynal crash-prone register constructions.
 
-Hot path: a simulated message costs one stats update, one loss draw (when
-loss is on), one fault check, one delay draw and one scheduler push.
-:meth:`Network.broadcast` amortises the delay (and loss) draws over the
-whole destination list with :meth:`DelayModel.sample_batch`, so a k-member
-quorum round pays one vectorized Generator call instead of k scalar ones —
-with a stream-consumption order identical to k individual sends.
+Hot path: :meth:`Network.send` is the one definition of what happens to
+a message — one stats update, the taps, one loss draw (when loss is on),
+one fault check, the adversary, one delay draw and one scheduler push.
+:meth:`Network.broadcast` has exactly two branches: on a healthy network
+(no taps, no active fault, no loss, no adversary) it batches the stats
+update and the delay draws with :meth:`DelayModel.sample_batch`, so a
+k-member quorum round pays one vectorized Generator call instead of k
+scalar ones; in every other configuration it *is* a loop of ``send``.
+Either way the streams are consumed exactly as by k individual sends.
 """
 
 from typing import Any, Callable, Dict, Optional, Sequence
@@ -123,27 +126,17 @@ class Network:
         # the loss or delay streams of messages it passes through, and its
         # drop budget is spent only on otherwise-deliverable traffic.
         self._adversary: Optional[Any] = None
-        # Native kernel backend: replace the _deliver bound method with
-        # the C trampoline (same semantics, no interpreter frame per
-        # delivery).  It is installed as an *instance attribute* so trace
-        # taps that wrap ``network._deliver`` keep working unchanged.
-        deliver_core = kernel.make_delivery_core(
-            self.stats, self.failures, self._nodes
-        )
-        if deliver_core is not None:
-            self._deliver = deliver_core
-        # Same trick for the send hot path: a C callable shadowing the
-        # bound method, re-reading the mutable knobs (loss, taps,
-        # adversary) from this Network on every call.
-        send_core = kernel.make_send_core(self)
-        if send_core is not None:
-            self.send = send_core
-        # And for the quorum fan-out: the C broadcast covers the healthy
-        # fast branch and calls the Python method below for every other
-        # configuration (taps, faults, loss, adversary, exotic delays).
-        broadcast_core = kernel.make_broadcast_core(self)
-        if broadcast_core is not None:
-            self.broadcast = broadcast_core
+        # Native kernel backend: one C core stands in for the three
+        # per-message methods below (same semantics, no interpreter frame
+        # per message).  Its entry points are installed as *instance
+        # attributes*, so trace taps that wrap ``network._deliver`` keep
+        # working unchanged, and each re-reads the mutable knobs (loss,
+        # taps, adversary, delay model) from this Network on every call.
+        core = kernel.make_network_core(self)
+        if core is not None:
+            self.send = core.send
+            self.broadcast = core.broadcast
+            self._deliver = core._deliver
 
     def set_adversary(self, adversary: Optional[Any]) -> None:
         """Install (or with None remove) a message-level adversary.
@@ -246,85 +239,39 @@ class Network:
     def broadcast(self, src: int, dsts: Sequence[int], message: Any) -> None:
         """Send the same message to every destination in ``dsts``.
 
-        Batched hot path: one vectorized loss draw for the whole list and
-        one :meth:`DelayModel.sample_batch` call for the surviving
-        destinations, consuming both RNG streams in exactly the order a
-        loop of :meth:`send` calls would (loss is drawn for every
-        destination, delays only for deliverable, non-lost ones).
+        Exactly a loop of :meth:`send` calls — same stats, same drops,
+        same RNG stream consumption, same delivery events — except that
+        every destination is validated before anything is recorded, and
+        that a healthy network takes the batched branch: one stats update
+        and one :meth:`DelayModel.sample_batch` call for the whole list.
         """
         if not dsts:
-            return
-        if self._loss_rng is self.rng and self.loss_rate > 0.0:
-            # Loss and delays share one stream (explicit caller choice):
-            # draws interleave per destination, so batching would reorder
-            # them.  Fall back to the serial path to preserve the stream.
-            for dst in dsts:
-                self.send(src, dst, message)
             return
         nodes = self._nodes
         for dst in dsts:
             if dst not in nodes:
                 raise KeyError(f"unknown destination node {dst}")
+        if (
+            self._taps
+            or self.failures.active
+            or self.loss_rate > 0.0
+            or self._adversary is not None
+        ):
+            for dst in dsts:
+                self.send(src, dst, message)
+            return
+        # Healthy, loss-free, untapped network — the overwhelmingly
+        # common case: every destination is deliverable.
         kind = _kind_of(message)
-        stats = self.stats
-        taps = self._taps
-        failures = self.failures
-        faults_active = failures.active
-        loss_rate = self.loss_rate
-        adversary = self._adversary
-        extras: Dict[int, float] = {}
-        if not taps and not faults_active and loss_rate == 0.0 and adversary is None:
-            # Healthy, loss-free, untapped network — the overwhelmingly
-            # common case: every destination is deliverable, so batch the
-            # stats update too and skip the per-destination loop.
-            stats.record_sends(src, len(dsts), kind)
-            deliverable = list(dsts)
-        else:
-            loss_draws = (
-                self._loss_rng.random(len(dsts)) if loss_rate > 0.0 else None
-            )
-            now = self.scheduler.now
-            deliverable = []
-            for index, dst in enumerate(dsts):
-                stats.record_send(src, dst, kind)
-                if taps:
-                    for tap in taps:
-                        tap(src, dst, message)
-                if faults_active and not failures.can_deliver(src, dst):
-                    stats.record_drop(src, dst, kind, reason="fault")
-                    continue
-                if loss_draws is not None and loss_draws[index] < loss_rate:
-                    stats.record_drop(src, dst, kind, reason="loss")
-                    continue
-                if adversary is not None:
-                    action = adversary.intercept(src, dst, message, kind, now)
-                    if action == "drop":
-                        stats.record_drop(src, dst, kind, reason="adversary")
-                        continue
-                    if action is not None and action > 0.0:
-                        extras[len(deliverable)] = action
-                deliverable.append(dst)
-        if not deliverable:
-            return
-        delays = self.delay_model.sample_batch(self.rng, src, deliverable)
+        self.stats.record_sends(src, len(dsts), kind)
+        delays = self.delay_model.sample_batch(self.rng, src, dsts)
         deliver = self._deliver
-        schedule_batch = getattr(
-            self.scheduler, "schedule_deliveries", None
-        )
-        if schedule_batch is not None and not extras:
-            # Native scheduler: one C call pushes the whole batch,
-            # validating delays and consuming seq numbers exactly as the
-            # loop below would.
-            schedule_batch(delays, deliver, src, deliverable, message, kind)
-            return
         schedule = self.scheduler.schedule_uncancellable
-        for index, (dst, delay) in enumerate(zip(deliverable, delays)):
+        for dst, delay in zip(dsts, delays):
             if delay <= 0:
                 raise ValueError(
                     f"delay model produced non-positive delay {delay}"
                 )
-            if extras:
-                delay += extras.get(index, 0.0)
             schedule(delay, deliver, src, dst, message, kind)
 
     def __repr__(self) -> str:

@@ -22,6 +22,23 @@ def backend_param(backend):
     return pytest.param(backend, id=backend, marks=marks)
 
 
+STATS_BREAKDOWNS = (
+    "by_sender", "by_receiver", "by_kind", "delivered_by_kind",
+    "dropped_by_kind", "dropped_by_receiver", "dropped_by_reason",
+)
+
+
+def stats_state(stats):
+    """Everything a MessageStats holds: the three totals, plus every
+    breakdown when it collects them (None in scalar-totals mode)."""
+    return {
+        "totals": (stats.sent, stats.delivered, stats.dropped),
+        "breakdowns": {
+            name: dict(getattr(stats, name)) for name in STATS_BREAKDOWNS
+        } if stats.detailed else None,
+    }
+
+
 @pytest.fixture(params=[backend_param(b) for b in BACKENDS])
 def kernel_backend(request):
     """Run the test once per kernel backend (native skips if unbuilt)."""

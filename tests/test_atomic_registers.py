@@ -112,6 +112,30 @@ class TestAtomicityChecker:
 
 
 class TestMultiWriter:
+    @pytest.mark.parametrize("client_class", [MultiWriterClient, AtomicClient])
+    def test_two_phase_ops_count_as_pending_and_hung(self, client_class):
+        # A two-phase operation has no retry and no deadline: on a lossy
+        # network it never settles, and the accounting must say so.
+        deployment = RegisterDeployment(
+            MajorityQuorumSystem(5), num_clients=2,
+            delay_model=ConstantDelay(1.0), seed=3,
+            client_class=client_class, loss_rate=0.999999,
+        )
+        deployment.declare_register("X", writer=None, initial_value=0)
+        client = deployment.clients[0]
+        future = client.write("X", "lost")
+        assert client.pending_ops == client.hung_ops == 1
+        deployment.run()
+        assert not future.done
+        assert client.pending_ops == client.hung_ops == 1
+        assert deployment.pending_ops == deployment.hung_ops == 1
+        # Loss off: the next write completes and leaves the count alone.
+        deployment.network.set_message_loss(0.0)
+        done = client.write("X", "kept")
+        assert client.pending_ops == 2
+        deployment.run()
+        assert done.done and client.pending_ops == client.hung_ops == 1
+
     def test_two_writers_both_values_ordered(self):
         deployment = make_deployment(
             MajorityQuorumSystem(7), MultiWriterClient, seed=1,

@@ -13,15 +13,18 @@ tests pin the contract four ways:
   per-message fallback guard at once (retries + loss + adversary + span
   tracing) produces identical fingerprints on both backends,
 * **differential property** — random seeds, quorum shapes, membership
-  timelines and jittered retries leave both backends with the same
-  delivery trace, the same op ids, the same server, client and
-  view-manager state and every RNG stream (quorum, view, retry, delay,
-  loss) at the same position — the C issue path consumed them draw for
-  draw,
-* **gating** — the fast paths install only on the native backend, fall
-  back per call when a hook flips on mid-run (a guard on state: churned
-  traffic stays in C), refuse an ABI-stale extension, and the
-  pure-python backend never sees them; the client issue path is absent
+  timelines, jittered retries, loss, crash/partition timelines,
+  adversaries and either stats mode leave both backends with the same
+  delivery trace, the same op ids, the same server, client, adversary
+  and view-manager state, the same message stats and every RNG stream
+  (quorum, view, retry, delay, loss) at the same position — the C paths
+  consumed them draw for draw,
+* **gating** — the fast paths install only on the native backend,
+  honour a hook that flips on mid-run from C (the network core) or fall
+  back per message on what a handler reads (churned traffic stays in C;
+  a faulted, adversarial, tapped run with detailed stats executes no
+  Python network or handler frame), refuse an ABI-stale extension, and
+  the pure-python backend never sees them; the client issue path is absent
   from a subclassed client, steps aside per op under span tracing, and
   stays native over non-probabilistic quorum systems and with recorded
   histories.
@@ -32,7 +35,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.adversary.strategies import RandomHostileAdversary
+from repro.adversary.strategies import (
+    RandomHostileAdversary,
+    StaleFavoringAdversary,
+)
 from repro.chaos.broken import RegressingClient
 from repro.membership import MembershipSchedule
 from repro.obs.core import Observability
@@ -45,11 +51,27 @@ from repro.registers.deployment import RegisterDeployment
 from repro.registers.server import ReplicaServer
 from repro.sim import kernel
 from repro.sim.delays import ConstantDelay, ExponentialDelay
+from repro.sim.failures import FailureSchedule
+from repro.sim.network import Network
+from tests.conftest import stats_state
 
 needs_native = pytest.mark.skipif(
     not kernel.native_available(),
     reason=f"native kernel not built: {kernel.native_import_error()}",
 )
+
+
+def _count_calls(monkeypatch, cls, names):
+    """Wrap the class attributes ``cls.<name>`` so every call of the Python
+    definition is counted; returns the counters by name."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        def counted(self, *args, _name=name, _method=getattr(cls, name)):
+            calls[_name] += 1
+            return _method(self, *args)
+
+        monkeypatch.setattr(cls, name, counted)
+    return calls
 
 
 def _fast_rng_available():
@@ -59,6 +81,9 @@ def _fast_rng_available():
 
     return bool(getattr(load_kernel(), "HAVE_FAST_RNG", 0))
 
+
+#: The Network methods the native network core stands in for.
+NETWORK_ENTRY_POINTS = ("send", "broadcast", "_deliver")
 
 needs_fast_rng = pytest.mark.skipif(
     not _fast_rng_available(),
@@ -235,19 +260,52 @@ def _stream_states(deployment):
     }
 
 
+ADVERSARIES = {
+    None: lambda: None,
+    "random_hostile": lambda: RandomHostileAdversary(
+        drop_budget=6, drop_rate=0.3
+    ),
+    "stale_favoring": lambda: StaleFavoringAdversary(
+        drop_budget=6, fresh_write_delay=0.5
+    ),
+}
+
+
+def _install_faults(deployment, faults):
+    """A crash outage of half the servers, or a partition that splits the
+    two clients (each with half the servers) — by network node id, so the
+    partition cuts client/server traffic, not just server/server."""
+    servers = deployment.server_ids
+    half = max(1, len(servers) // 2)
+    schedule = FailureSchedule()
+    if faults == "crash":
+        schedule.outage(1.0, servers[:half], 5.0)
+    else:
+        first, second = (client.node_id for client in deployment.clients)
+        schedule.partition(
+            0.5, [[first] + servers[:half], [second] + servers[half:]]
+        ).heal(6.0)
+    schedule.install(deployment.scheduler, deployment.failures)
+
+
 def _run_state(
-    backend, seed, n, k, mean, timeline=None, loss_rate=0.0, retry=False
+    backend, seed, n, k, mean, timeline=None, loss_rate=0.0, retry=False,
+    detailed=True, faults=None, adversary=None,
 ):
     """Everything observable about a seeded two-client workload: the full
     delivery trace with op ids, the op ids in issue order, every server's,
-    client's and manager's state, and every RNG stream's position."""
+    client's and manager's state, the message stats (with breakdowns when
+    detailed), the adversary's account and every RNG stream's position."""
     with kernel.use_backend(backend):
+        adversary = ADVERSARIES[adversary]()
         deployment = RegisterDeployment(
             ProbabilisticQuorumSystem(n, k),
             num_clients=2,
             delay_model=ExponentialDelay(mean),
             seed=seed,
             record_history=False,
+            detailed_stats=detailed,
+            adversary=adversary,
             loss_rate=loss_rate,
             # Reconfiguration strands requests at retired servers (and
             # loss drops them), so those shapes need the jittered policy;
@@ -263,6 +321,8 @@ def _run_state(
             manager = deployment.install_membership(
                 MembershipSchedule.from_specs(timeline), drain=3.0
             )
+        if faults is not None:
+            _install_faults(deployment, faults)
         trace = []
         network = deployment.network
         original_deliver = network._deliver
@@ -298,6 +358,8 @@ def _run_state(
             "trace": trace,
             "issued": issued,
             "streams": _stream_states(deployment),
+            "stats": stats_state(network.stats),
+            "adversary": adversary and adversary.summary(),
             "servers": [
                 (dict(server._replicas), server.metric_counters())
                 for server in deployment.servers
@@ -328,20 +390,27 @@ def _run_state(
     data=st.data(),
 )
 def test_backends_deliver_identical_traces_for_random_seeds(seed, n, data):
-    """For arbitrary seeds, quorum shapes, membership timelines and
-    jittered retries, the native backend delivers the exact event
-    sequence of the python backend, assigns the same op ids and leaves
-    every node in the same state and every stream at the same position —
-    every C draw (delay sampling, quorum choice) and every draw the C
-    issue path leaves to Python (view quorums, retry jitter) consumes its
-    stream identically, and the C view checks take the decisions the
-    Python handlers take."""
+    """For arbitrary seeds, quorum shapes, membership timelines, jittered
+    retries, loss, crash or partition timelines, adversaries and either
+    stats mode, the native backend delivers the exact event sequence of
+    the python backend, assigns the same op ids and leaves every node, the
+    message stats and the adversary in the same state and every stream at
+    the same position — every C draw (delay sampling, quorum choice) and
+    every draw the C paths leave to Python (view quorums, retry jitter,
+    loss) consumes its stream identically, and the C handlers and view
+    checks take the decisions the Python handlers take."""
     k = data.draw(st.integers(min_value=1, max_value=n))
     mean = data.draw(st.sampled_from([0.5, 1.0, 2.0]))
     timeline = data.draw(membership_timelines(n))
     retry = timeline is not None or data.draw(st.booleans())
     loss_rate = data.draw(st.sampled_from([0.0, 0.05])) if retry else 0.0
-    shape = (seed, n, k, mean, timeline, loss_rate, retry)
+    detailed = data.draw(st.booleans())
+    faults = data.draw(st.sampled_from([None, "crash", "partition"]))
+    adversary = data.draw(st.sampled_from(sorted(ADVERSARIES, key=str)))
+    shape = (
+        seed, n, k, mean, timeline, loss_rate, retry, detailed, faults,
+        adversary,
+    )
     state_py = _run_state("python", *shape)
     state_native = _run_state("native", *shape)
     assert state_py == state_native
@@ -407,14 +476,14 @@ def _build_network(backend):
 def test_python_backend_gets_no_cores():
     deployment = _build_network("python")
     network = deployment.network
-    assert "broadcast" not in vars(network)
-    assert "send" not in vars(network)
+    for name in NETWORK_ENTRY_POINTS:
+        assert name not in vars(network)
     for node in deployment.servers + deployment.clients:
         assert "on_message" not in vars(node)
     for name in kernel.CLIENT_ISSUE_METHODS:
         assert name not in vars(deployment.clients[0])
     with kernel.use_backend("python"):
-        assert kernel.make_broadcast_core(network) is None
+        assert kernel.make_network_core(network) is None
         assert kernel.make_client_core(deployment.clients[0]) is None
         assert kernel.native_quorum_sampler() is None
 
@@ -501,34 +570,119 @@ def test_churned_native_run_takes_python_handlers_only_on_view_state(
 
 
 @needs_native
-def test_native_backend_installs_broadcast_core():
+def test_faulted_native_run_never_enters_python_message_code(monkeypatch):
+    """Loss, crashes, an adversary, a tap and detailed stats all act
+    inside ``send`` / ``_deliver``, which the network core runs in C — so
+    with the spec monitor and spans off, a run under all of them at once
+    executes not one Python frame of the network's three per-message
+    methods or of the two protocol handlers."""
+    calls = {
+        cls.__name__: _count_calls(monkeypatch, cls, names)
+        for cls, names in (
+            (Network, NETWORK_ENTRY_POINTS),
+            (ReplicaServer, ("on_message",)),
+            (QuorumRegisterClient, ("on_message",)),
+        )
+    }
+    with kernel.use_backend("native"):
+        adversary = RandomHostileAdversary(drop_budget=40, drop_rate=0.2)
+        deployment = RegisterDeployment(
+            ProbabilisticQuorumSystem(12, 4),
+            num_clients=4,
+            delay_model=ExponentialDelay(1.0),
+            seed=5,
+            retry_policy=RetryPolicy(
+                interval=4.0, max_interval=16.0, jitter=0.1, deadline=60.0
+            ),
+            loss_rate=0.1,
+            record_history=False,
+            detailed_stats=True,
+            adversary=adversary,
+        )
+        for shard in range(8):
+            deployment.declare_register(f"r{shard}", writer=shard % 4)
+        tapped = []
+        deployment.network.add_tap(
+            lambda src, dst, message: tapped.append(dst)
+        )
+        deployment.install_schedule(
+            FailureSchedule.churn(12, period=5.0, batch=2, outage=3.0,
+                                  horizon=70.0)
+        )
+
+        def issue(i):
+            client = deployment.clients[i % 4]
+            if i % 5 == 0:
+                client.write(f"r{i % 4}", i)
+            else:
+                client.read(f"r{i % 8}")
+
+        for i in range(600):  # open loop, 8 ops per time unit
+            deployment.scheduler.schedule_at(i / 8.0, issue, i)
+        deployment.run()
+    stats = deployment.network.stats
+    assert stats.sent == len(tapped) > 4000
+    assert set(stats.dropped_by_reason) == {"loss", "fault", "adversary"}
+    assert adversary.drops == stats.dropped_by_reason["adversary"] > 0
+    assert sum(c.ops_completed for c in deployment.clients) > 500
+    assert calls == {
+        "Network": dict.fromkeys(NETWORK_ENTRY_POINTS, 0),
+        "ReplicaServer": {"on_message": 0},
+        "QuorumRegisterClient": {"on_message": 0},
+    }
+
+
+@needs_native
+def test_native_backend_installs_network_core():
+    """One core per network: its three entry points are the network's
+    ``send`` / ``broadcast`` / ``_deliver`` instance attributes, and it is
+    the only network type the extension exports."""
     deployment = _build_network("native")
     network = deployment.network
     from repro._native import load_kernel
 
     module = load_kernel()
-    assert isinstance(vars(network)["broadcast"], module.BroadcastCore)
-    assert isinstance(vars(network)["send"], module.SendCore)
+    cores = {vars(network)[name].__self__ for name in NETWORK_ENTRY_POINTS}
+    assert len(cores) == 1
+    assert type(cores.pop()) is module.NetworkCore
+    exported = {
+        name for name, value in vars(module).items() if isinstance(value, type)
+    }
+    assert exported == {
+        "StatsCore", "EventHandle", "SchedulerCore", "NetworkCore",
+        "ServerCore", "ClientCore",
+    }
 
 
 @needs_native
-def test_broadcast_core_falls_back_when_hooks_flip_on():
+def test_network_core_honours_hooks_that_flip_on(monkeypatch):
     """Mid-run mutations (a tap, loss, an adversary) are honoured per
-    call: the C broadcast defers to the Python method, which sees them."""
+    message by the C fan-out itself: the tap runs from C, and the Python
+    ``broadcast`` / ``send`` are never called."""
+    for name in ("send", "broadcast"):
+        def forbidden(self, *args, _name=name):
+            raise AssertionError(f"Python Network.{_name} was called")
+
+        monkeypatch.setattr(Network, name, forbidden)
     deployment = _build_network("native")
     network = deployment.network
     seen = []
     network.add_tap(lambda src, dst, message: seen.append((src, dst)))
     dsts = deployment.server_ids[:4]
-    network.broadcast(deployment.clients[0].node_id, dsts, "probe")
-    assert len(seen) == len(dsts)  # the tap ran: Python path took over
+    src = deployment.clients[0].node_id
+    network.broadcast(src, dsts, "probe")
+    assert seen == [(src, dst) for dst in dsts]
+    network.set_message_loss(0.999999)
+    network.broadcast(src, dsts, "probe")
+    assert len(seen) == 2 * len(dsts)
+    assert network.stats.dropped_by_reason == {"loss": len(dsts)}
     sent_before = network.stats.sent
     network.broadcast(deployment.clients[0].node_id, [], "probe")
     assert network.stats.sent == sent_before  # empty fan-out is a no-op
 
 
 @needs_native
-def test_broadcast_core_rejects_unknown_destination():
+def test_network_core_rejects_unknown_destination():
     deployment = _build_network("native")
     network = deployment.network
     with pytest.raises(KeyError, match="unknown destination node"):
@@ -545,17 +699,10 @@ def test_broadcast_core_rejects_unknown_destination():
 def _count_python_client_methods(monkeypatch):
     """Wrap the Python definitions the C issue path stands in for (and
     ``_sample_quorum``, which it may call); returns the call counters."""
-    calls = {}
-    for name in kernel.CLIENT_ISSUE_METHODS + ("_sample_quorum",):
-        calls[name] = 0
-
-        def counted(self, *args, _name=name,
-                    _method=getattr(QuorumRegisterClient, name)):
-            calls[_name] += 1
-            return _method(self, *args)
-
-        monkeypatch.setattr(QuorumRegisterClient, name, counted)
-    return calls
+    return _count_calls(
+        monkeypatch, QuorumRegisterClient,
+        kernel.CLIENT_ISSUE_METHODS + ("_sample_quorum",),
+    )
 
 
 def _issue_workload(backend, quorum_system, **deployment_kwargs):

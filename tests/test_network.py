@@ -2,11 +2,22 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.sim.delays import ConstantDelay, ExponentialDelay, PerLinkDelay
+from repro.registers.messages import ReadQuery
+from repro.sim import kernel
+from repro.sim.delays import (
+    ConstantDelay,
+    ExponentialDelay,
+    LogNormalDelay,
+    PerLinkDelay,
+    UniformDelay,
+)
 from repro.sim.failures import FailureInjector
 from repro.sim.network import Network, Node
 from repro.sim.scheduler import Scheduler
+from tests.conftest import BACKENDS, backend_param, stats_state
 
 
 class Recorder(Node):
@@ -189,3 +200,147 @@ def test_per_link_delay_routing():
     scheduler.run()
     assert b.received[0][0] == 10.0
     assert c.received[0][0] == 1.0
+
+
+# --------------------------------------------------------------------- #
+# Contract: broadcast(src, dsts, m) == for dst in dsts: send(src, dst, m)
+# --------------------------------------------------------------------- #
+
+DELAY_MODELS = {
+    "constant": lambda: ConstantDelay(1.5),
+    "exponential": lambda: ExponentialDelay(1.0),
+    "uniform": lambda: UniformDelay(0.5, 1.5),
+    "lognormal": lambda: LogNormalDelay(1.0, sigma=0.8),
+    # No native transcription: C draws it through the generic .sample().
+    "per_link_jitter": lambda: PerLinkDelay(
+        {(0, 1): 3.0, (0, 3): 0.25}, default=1.0,
+        jitter=ExponentialDelay(0.2),
+    ),
+}
+
+
+class LoggingNode(Node):
+    """Appends (now, dst, src, message) to a log shared by every node, so
+    the log is the delivery trace in (time, seq) order."""
+
+    def __init__(self, log):
+        super().__init__()
+        self.log = log
+
+    def on_message(self, src, message):
+        self.log.append(
+            (self.network.scheduler.now, self.node_id, src, message)
+        )
+
+
+class ScriptedAdversary:
+    """Cycles through a fixed list of verdicts: None, "drop", extra delay."""
+
+    def __init__(self, script):
+        self.script = script
+        self.seen = []
+
+    def intercept(self, src, dst, message, kind, now):
+        verdict = self.script[len(self.seen) % len(self.script)]
+        self.seen.append((src, dst, kind, now))
+        return verdict
+
+
+def _drive_fan_outs(
+    backend, use_broadcast, *, delay, seed, loss_rate, shared_stream,
+    faulty, script, tapped, detailed, fan_outs,
+):
+    """Six nodes; node 0 fans ``fan_outs`` out at times 0, 0.5, 1.0, ...
+    while a crash/partition timeline runs.  Returns everything observable:
+    delivery trace, stats, tap and adversary logs, both streams' states,
+    and what an unknown destination does afterwards."""
+    with kernel.use_backend(backend):
+        scheduler = kernel.make_scheduler()
+        rng = np.random.default_rng(seed)
+        failures = FailureInjector()
+        network = Network(
+            scheduler, DELAY_MODELS[delay](), rng, failures=failures,
+            loss_rate=loss_rate,
+            loss_rng=rng if shared_stream else np.random.default_rng(seed + 1),
+            detailed_stats=detailed,
+        )
+    log, taps = [], []
+    for _ in range(6):
+        network.add_node(LoggingNode(log))
+    if tapped:
+        network.add_tap(lambda src, dst, message: taps.append((dst, message)))
+    adversary = ScriptedAdversary(script) if script else None
+    network.set_adversary(adversary)
+    if faulty:
+        failures.crash(2)
+        failures.partition([[0, 1, 2, 3], [4]])
+        scheduler.schedule_at(0.75, failures.crash, 3)  # some in flight
+        scheduler.schedule_at(1.25, failures.heal_partition)
+        scheduler.schedule_at(1.75, failures.recover_all)
+
+    def fan_out(index, dsts):
+        # Protocol messages carry a ``kind``; plain payloads use the type.
+        message = ReadQuery("x", index) if index % 2 else f"m{index}"
+        if use_broadcast:
+            network.broadcast(0, dsts, message)
+        else:
+            for dst in dsts:
+                network.send(0, dst, message)
+
+    for index, dsts in enumerate(fan_outs):
+        scheduler.schedule_at(0.5 * index, fan_out, index, dsts)
+    scheduler.run()
+    stats = network.stats
+    observed = {
+        "trace": log,
+        "taps": taps,
+        "adversary": adversary and adversary.seen,
+        "stats": stats_state(stats),
+    }
+    # An unknown destination: the KeyError comes before any stat moves,
+    # any tap runs or any stream is touched.
+    with pytest.raises(KeyError) as raised:
+        if use_broadcast:
+            network.broadcast(0, [1, 99, 2], "late")
+        else:
+            network.send(0, 99, "late")
+    observed["unknown"] = str(raised.value)
+    assert stats_state(stats) == observed["stats"]
+    assert scheduler.pending == 0
+    observed["streams"] = (
+        network.rng.bit_generator.state, network._loss_rng.bit_generator.state,
+    )
+    return observed
+
+
+@pytest.mark.parametrize("backend", [backend_param(b) for b in BACKENDS])
+@settings(max_examples=60, deadline=None)
+@given(
+    delay=st.sampled_from(sorted(DELAY_MODELS)),
+    seed=st.integers(min_value=0, max_value=2**32 - 2),
+    loss_rate=st.sampled_from([0.0, 0.3]),
+    shared_stream=st.booleans(),
+    faulty=st.booleans(),
+    script=st.lists(
+        st.sampled_from([None, "drop", 0.0, 0.75]), max_size=4
+    ),
+    tapped=st.booleans(),
+    detailed=st.booleans(),
+    fan_outs=st.lists(
+        st.lists(st.integers(min_value=1, max_value=5), max_size=5),
+        min_size=1, max_size=6,
+    ),
+)
+def test_broadcast_is_a_loop_of_send(backend, **shape):
+    """The one contract ``broadcast`` has: in every configuration — each
+    delay model, loss on or off (also drawn from the delay stream itself),
+    crashes and a partition, an adversary that passes, drops and delays,
+    taps, scalar or detailed stats — a fan-out leaves exactly what the
+    loop of ``send`` calls leaves: the same deliveries in the same order,
+    the same counters, the same hook calls and both RNG streams at the
+    same position.  On the native backend that also equals the python
+    backend's fan-out."""
+    fanned = _drive_fan_outs(backend, True, **shape)
+    assert fanned == _drive_fan_outs(backend, False, **shape)
+    if backend != "python":
+        assert fanned == _drive_fan_outs("python", True, **shape)

@@ -287,6 +287,28 @@ def test_service_two_phase_mode_completes_loss_free():
     assert result.timeouts == 0
 
 
+def test_service_two_phase_mode_under_loss_reports_its_hung_writes(capsys):
+    """Two-phase writes have no retry or deadline, so loss strands them:
+    ``hung_ops`` must equal what the front end still holds at the horizon,
+    and the CLI must print the warning it documents for this case."""
+    config = dict(write_mode="two_phase", loss_rate=0.2, seed=0)
+    result = run_service(ServiceConfig(**config, **QUICK))
+    assert result.hung_ops == result.counters["in_flight"] > 0
+
+    from repro.cli import main
+
+    assert main([
+        "serve", "--write-mode", "two_phase", "--loss-rate", "0.2",
+        "--duration", "80", "--rate", "2", "--seed", "0",
+    ]) == 0
+    captured = capsys.readouterr()
+    pending = captured.out.split("still pending at horizon: ")[1].split(";")[0]
+    assert int(pending) > 0
+    assert (
+        f"serve: warning: {pending} operation(s) hung" in captured.err
+    )
+
+
 def test_service_slo_table_renders():
     result = run_service(ServiceConfig(**QUICK))
     table = result.slo_table()
