@@ -13,19 +13,12 @@ from repro.experiments.ablations import (
     monotone_ablation,
     topology_ablation,
 )
-from repro.experiments.results import full_scale
 
-from bench_utils import save_and_print
-
-
-def _config():
-    if full_scale():
-        return AblationConfig(num_vertices=34, num_servers=34, runs=5)
-    return AblationConfig.scaled_down()
+from bench_utils import save_and_print, scaled
 
 
 def test_ablation_monotone_cache(benchmark, output_dir):
-    config = _config()
+    config = scaled(AblationConfig)
     table = benchmark.pedantic(
         monotone_ablation, args=(config,), rounds=1, iterations=1
     )
@@ -40,7 +33,7 @@ def test_ablation_monotone_cache(benchmark, output_dir):
 
 
 def test_ablation_delay_distribution(benchmark, output_dir):
-    config = _config()
+    config = scaled(AblationConfig)
     table = benchmark.pedantic(
         delay_ablation, args=(config,), rounds=1, iterations=1
     )
@@ -53,7 +46,7 @@ def test_ablation_delay_distribution(benchmark, output_dir):
 
 
 def test_ablation_topology(benchmark, output_dir):
-    config = _config()
+    config = scaled(AblationConfig)
     table = benchmark.pedantic(
         topology_ablation, args=(config,), rounds=1, iterations=1
     )

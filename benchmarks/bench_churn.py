@@ -11,20 +11,12 @@ Qualitative claims verified:
 """
 
 from repro.experiments.churn import ChurnConfig, churn_table
-from repro.experiments.results import full_scale
 
-from bench_utils import save_and_print
-
-
-def _config():
-    if full_scale():
-        return ChurnConfig(num_vertices=16, churn_periods=(0.0, 40.0, 20.0, 10.0),
-                           runs=3)
-    return ChurnConfig.scaled_down()
+from bench_utils import save_and_print, scaled
 
 
 def test_churn(benchmark, output_dir):
-    config = _config()
+    config = scaled(ChurnConfig)
     table = benchmark.pedantic(
         churn_table, args=(config,), rounds=1, iterations=1
     )

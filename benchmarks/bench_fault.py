@@ -16,21 +16,12 @@ from repro.experiments.fault_tolerance import (
     FaultToleranceConfig,
     fault_tolerance_table,
 )
-from repro.experiments.results import full_scale
 
-from bench_utils import save_and_print
-
-
-def _config():
-    if full_scale():
-        return FaultToleranceConfig(
-            num_vertices=16, num_servers=16, crash_counts=(0, 2, 4, 8, 11)
-        )
-    return FaultToleranceConfig.scaled_down()
+from bench_utils import save_and_print, scaled
 
 
 def test_fault_tolerance(benchmark, output_dir):
-    config = _config()
+    config = scaled(FaultToleranceConfig)
     table = benchmark.pedantic(
         fault_tolerance_table, args=(config,), rounds=1, iterations=1
     )

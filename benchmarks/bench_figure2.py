@@ -18,19 +18,12 @@ from repro.experiments.figure2 import (
     figure2_table,
     run_figure2,
 )
-from repro.experiments.results import full_scale
 
-from bench_utils import save_and_print
-
-
-def _config():
-    if full_scale():
-        return Figure2Config()
-    return Figure2Config.scaled_down()
+from bench_utils import save_and_print, scaled
 
 
 def test_figure2(benchmark, output_dir):
-    config = _config()
+    config = scaled(Figure2Config)
     points = benchmark.pedantic(
         run_figure2, args=(config,), rounds=1, iterations=1
     )

@@ -23,19 +23,12 @@ from repro.experiments.freshness import (
     quorum_level_wait_samples,
     register_level_wait_samples,
 )
-from repro.experiments.results import full_scale
 
-from bench_utils import save_and_print
-
-
-def _config():
-    if full_scale():
-        return FreshnessConfig(num_servers=34, quorum_size=4, trials=100_000)
-    return FreshnessConfig.scaled_down()
+from bench_utils import save_and_print, scaled
 
 
 def test_theorem4_freshness(benchmark, output_dir):
-    config = _config()
+    config = scaled(FreshnessConfig)
     table = benchmark.pedantic(
         freshness_table, args=(config,), rounds=1, iterations=1
     )
@@ -52,7 +45,7 @@ def test_theorem4_freshness(benchmark, output_dir):
 
 
 def test_theorem4_register_level(benchmark):
-    config = _config()
+    config = scaled(FreshnessConfig)
     samples = benchmark.pedantic(
         register_level_wait_samples,
         args=(config,),

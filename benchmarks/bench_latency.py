@@ -15,19 +15,12 @@ Qualitative claims verified:
 
 from repro.analysis.latency import expected_max_of_exponentials
 from repro.experiments.latency import LatencyConfig, latency_table
-from repro.experiments.results import full_scale
 
-from bench_utils import save_and_print
-
-
-def _config():
-    if full_scale():
-        return LatencyConfig()
-    return LatencyConfig.scaled_down()
+from bench_utils import save_and_print, scaled
 
 
 def test_latency_vs_load(benchmark, output_dir):
-    config = _config()
+    config = scaled(LatencyConfig)
     table = benchmark.pedantic(
         latency_table, args=(config,), rounds=1, iterations=1
     )

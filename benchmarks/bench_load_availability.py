@@ -18,19 +18,12 @@ from repro.experiments.load_availability import (
     load_availability_experiment,
     tradeoff_sweep,
 )
-from repro.experiments.results import full_scale
 
-from bench_utils import save_and_print
-
-
-def _config():
-    if full_scale():
-        return LoadAvailabilityConfig(num_servers=63, trials=20_000)
-    return LoadAvailabilityConfig()
+from bench_utils import save_and_print, scaled
 
 
 def test_load_availability_table(benchmark, output_dir):
-    config = _config()
+    config = scaled(LoadAvailabilityConfig)
     table = benchmark.pedantic(
         load_availability_experiment, args=(config,), rounds=1, iterations=1
     )
@@ -55,7 +48,7 @@ def test_load_availability_table(benchmark, output_dir):
 
 
 def test_tradeoff_sweep(benchmark, output_dir):
-    n_values = [16, 36, 64, 144, 256] if full_scale() else [16, 36, 64]
+    n_values = scaled(LoadAvailabilityConfig).tradeoff_n_values
     table = benchmark.pedantic(
         tradeoff_sweep, args=(n_values,), rounds=1, iterations=1
     )

@@ -18,19 +18,12 @@ from repro.experiments.message_complexity import (
     analytic_tables,
     measured_table,
 )
-from repro.experiments.results import full_scale
 
-from bench_utils import save_and_print
-
-
-def _config():
-    if full_scale():
-        return MessageComplexityConfig()
-    return MessageComplexityConfig.scaled_down()
+from bench_utils import save_and_print, scaled
 
 
 def test_message_complexity_analytic(benchmark, output_dir):
-    n_values = [16, 64, 256, 1024] if full_scale() else [16, 64, 256]
+    n_values = scaled(MessageComplexityConfig).analytic_n_values
     availability, load = benchmark.pedantic(
         analytic_tables, args=(n_values, 34, 34), rounds=1, iterations=1
     )
@@ -50,7 +43,7 @@ def test_message_complexity_analytic(benchmark, output_dir):
 
 
 def test_message_complexity_measured(benchmark, output_dir):
-    config = _config()
+    config = scaled(MessageComplexityConfig)
     table = benchmark.pedantic(
         measured_table, args=(config,), rounds=1, iterations=1
     )

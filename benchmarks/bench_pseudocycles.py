@@ -14,22 +14,12 @@ Qualitative claims verified:
 """
 
 from repro.experiments.pseudocycles import PseudocycleConfig, pseudocycle_table
-from repro.experiments.results import full_scale
 
-from bench_utils import save_and_print
-
-
-def _config():
-    if full_scale():
-        return PseudocycleConfig(
-            num_vertices=34, num_servers=34,
-            quorum_sizes=(1, 2, 3, 4, 6, 8, 12), runs=5,
-        )
-    return PseudocycleConfig.scaled_down()
+from bench_utils import save_and_print, scaled
 
 
 def test_rounds_per_pseudocycle(benchmark, output_dir):
-    config = _config()
+    config = scaled(PseudocycleConfig)
     table = benchmark.pedantic(
         pseudocycle_table, args=(config,), rounds=1, iterations=1
     )

@@ -30,15 +30,11 @@ from repro.exec.task import RunTask
 from repro.experiments.figure2 import Figure2Config, run_figure2
 from repro.experiments.results import full_scale
 
+from bench_utils import scaled
+
 MIN_CPUS_FOR_SPEEDUP = 4
 MIN_SPEEDUP = 2.5
 MIN_SPEEDUP_TWO_JOBS = 1.6
-
-
-def _config():
-    if full_scale():
-        return Figure2Config()
-    return Figure2Config.scaled_down()
 
 
 def _points_fingerprint(points):
@@ -68,7 +64,7 @@ def _is_degenerate_record(record):
 
 
 def test_parallel_speedup(output_dir):
-    config = _config()
+    config = scaled(Figure2Config)
     cpus = os.cpu_count() or 1
     degenerate = cpus < 2
     ladder_jobs = sorted({2, default_jobs()} - {1})

@@ -13,7 +13,6 @@ Qualitative claims verified:
 """
 
 from repro.analysis.theory import theorem1_survival_bound
-from repro.experiments.results import full_scale
 from repro.experiments.survival import (
     SurvivalConfig,
     quorum_level_survival,
@@ -21,18 +20,11 @@ from repro.experiments.survival import (
     survival_table,
 )
 
-from bench_utils import save_and_print
-
-
-def _config():
-    if full_scale():
-        return SurvivalConfig(num_servers=34, quorum_size=6, max_lag=15,
-                              trials=100_000)
-    return SurvivalConfig.scaled_down()
+from bench_utils import save_and_print, scaled
 
 
 def test_theorem1_survival(benchmark, output_dir):
-    config = _config()
+    config = scaled(SurvivalConfig)
     table = benchmark.pedantic(
         survival_table, args=(config,), rounds=1, iterations=1
     )
@@ -50,7 +42,7 @@ def test_theorem1_survival(benchmark, output_dir):
 
 
 def test_theorem1_register_level(benchmark, output_dir):
-    config = _config()
+    config = scaled(SurvivalConfig)
     counts = benchmark.pedantic(
         register_level_survival,
         args=(config,),

@@ -12,19 +12,12 @@ Qualitative claims verified:
 """
 
 from repro.experiments.quorum_tuning import TuningConfig, tuning_table
-from repro.experiments.results import full_scale
 
-from bench_utils import save_and_print
-
-
-def _config():
-    if full_scale():
-        return TuningConfig(num_vertices=34, num_servers=64, runs=5)
-    return TuningConfig.scaled_down()
+from bench_utils import save_and_print, scaled
 
 
 def test_quorum_tuning(benchmark, output_dir):
-    config = _config()
+    config = scaled(TuningConfig)
     table = benchmark.pedantic(
         tuning_table, args=(config,), rounds=1, iterations=1
     )

@@ -2688,7 +2688,8 @@ reply_value(PyObject *reply)
     return PyObject_GetAttr(reply, str_value_attr);
 }
 
-/* QuorumRegisterClient._finish + _teardown, transcribed.  ``op`` is a
+/* QuorumRegisterClient._finish — the read decision (_choose) and the
+ * completion path (_settle, with its _teardown) — fused.  ``op`` is a
  * strong reference held by the caller; spans / monitor are guaranteed
  * off by the caller's fallback guards, while the latency histogram is
  * handled natively below. */
@@ -2716,7 +2717,7 @@ clientcore_finish(ClientCore *self, PyObject *op, PyObject *op_id,
         return -1;
 
     /* Live latency histogram: observe(now - op.started) on the op's
-     * kind, exactly where the Python _finish does it — after the
+     * kind, exactly where the Python _settle does it — after the
      * completion counters, before span finish and future resolution. */
     PyObject *latency = PyObject_GetAttr(self->client, str_latency_attr);
     if (latency == NULL)

@@ -8,8 +8,9 @@ Usage::
 Compiles ``_kernelmodule.c`` with the active interpreter's configuration
 (via ``sysconfig``) straight into this package directory, so a
 ``PYTHONPATH=src`` checkout picks it up without installing.  ``pip
-install .`` builds the same extension through ``setup.py`` instead; this
-module exists for source checkouts and CI.
+install .`` builds the same extension through ``setup.py``, which loads
+this file by path and passes :func:`npyrandom_flags` to setuptools, so
+the two builds cannot drift apart in what they compile in.
 
 A missing toolchain is not an error for the package as a whole — the
 runtime falls back to the pure-python kernel — but this command reports
@@ -40,39 +41,37 @@ def compiler() -> str:
     return cc.split()[0]
 
 
-def npyrandom_flags() -> list:
-    """Extra flags linking numpy's exported C random library, if present.
+def npyrandom_flags() -> tuple:
+    """(compile flags, link flags) for numpy's exported C random library.
 
     numpy ships ``libnpyrandom.a`` (the Generator distributions —
     bounded Lemire draws, the ziggurat exponential) as a public static
     library precisely so extensions can draw from a Generator's bit
     stream in C.  When it and the headers are importable, the kernel is
     compiled with ``-DREPRO_HAVE_NPYRANDOM`` and gains the native RNG
-    fast paths (``HAVE_FAST_RNG == 1``); otherwise the extension builds
-    without them and samples delays through Python as before.
+    fast paths (``HAVE_FAST_RNG == 1``); otherwise both lists are empty
+    and the extension builds without them, sampling delays through
+    Python as before.  The link flags must follow the object file so the
+    linker resolves the distribution symbols it references.
     """
     try:
         import numpy
         import numpy.random
     except ImportError:
-        return []
+        return [], []
     archive = (
         pathlib.Path(numpy.random.__path__[0]) / "lib" / "libnpyrandom.a"
     )
-    if not archive.is_file():
-        return []
     header = (
         pathlib.Path(numpy.get_include())
         / "numpy" / "random" / "distributions.h"
     )
-    if not header.is_file():
-        return []
-    return [
-        "-DREPRO_HAVE_NPYRANDOM",
-        f"-I{numpy.get_include()}",
-        str(archive),
-        "-lm",
-    ]
+    if not (archive.is_file() and header.is_file()):
+        return [], []
+    return (
+        ["-DREPRO_HAVE_NPYRANDOM", f"-I{numpy.get_include()}"],
+        [str(archive), "-lm"],
+    )
 
 
 def build(verbose: bool = True) -> pathlib.Path:
@@ -83,6 +82,7 @@ def build(verbose: bool = True) -> pathlib.Path:
     """
     target = extension_path()
     include = sysconfig.get_paths()["include"]
+    compile_flags, link_flags = npyrandom_flags()
     command = [
         compiler(),
         "-O2",
@@ -90,12 +90,12 @@ def build(verbose: bool = True) -> pathlib.Path:
         "-shared",
         "-fno-strict-aliasing",
         f"-I{include}",
+        *compile_flags,
         str(SOURCE),
+        *link_flags,
+        "-o",
+        str(target),
     ]
-    # The archive must follow the source file so the linker resolves
-    # the distribution symbols the object file references.
-    command += npyrandom_flags()
-    command += ["-o", str(target)]
     if verbose:
         print(" ".join(command))
     subprocess.run(command, check=True)

@@ -4,11 +4,15 @@ A chaos pipeline that never fires is indistinguishable from one that
 cannot fire.  These clients break the protocol in controlled, targeted
 ways so tests (and the chaos smoke job) can assert the online monitor
 catches real bugs, the campaign surfaces them, and shrinking reproduces
-them — without planting bugs in the production protocol code.
+them — without planting bugs in the production protocol code.  Only the
+read *decision* (``_choose``) is broken: a mutant's operations still run
+the base client's rounds and its one completion path, so they count,
+time and trace like any other.
 """
 
-from typing import Any
+from typing import Any, Tuple
 
+from repro.core.timestamps import Timestamp
 from repro.registers.client import QuorumRegisterClient, _PendingOp
 
 
@@ -36,24 +40,12 @@ class RegressingClient(QuorumRegisterClient):
         super().__init__(*args, **kwargs)
         self._reads_finished = 0
 
-    def _finish(self, op: _PendingOp) -> None:
-        if not op.is_read:
-            super()._finish(op)
-            return
+    def _choose(self, op: _PendingOp) -> Tuple[Timestamp, Any]:
         self._reads_finished += 1
         if self._reads_finished <= self.regress_after:
-            super()._finish(op)
-            return
-        # Broken path: minimal completion bookkeeping, stalest reply wins.
-        self._teardown(op)
-        self.ops_completed += 1
-        now = self.network.scheduler.now
+            return super()._choose(op)
+        # Broken decision: the stalest reply wins, the cache is skipped.
         worst = min(
             self._quorum_read_replies(op), key=lambda reply: reply.timestamp
         )
-        op.record.complete(now, worst.value, worst.timestamp)
-        if self._monitor_on:
-            self.spec_monitor.on_read_complete(
-                self.client_id, op.record, self.space.info(op.register).history
-            )
-        op.future.resolve(worst.value)
+        return worst.timestamp, worst.value

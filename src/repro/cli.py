@@ -112,63 +112,47 @@ def _emit(tables: List[ResultTable], output: Optional[str], stem: str) -> None:
             table.save(base + ".csv", fmt="csv")
 
 
+def _config(config_class, full: bool):
+    """``--full`` selects the paper-scale configuration — the one
+    ``REPRO_FULL=1`` gives the benchmarks — else the scaled-down one."""
+    return config_class.paper_scale() if full else config_class.scaled_down()
+
+
 def _cmd_figure2(full, output, jobs=None, cache=None, **overrides) -> None:
-    config = Figure2Config() if full else Figure2Config.scaled_down()
+    config = _config(Figure2Config, full)
     points = run_figure2(config, jobs=jobs, cache=cache)
     _emit([figure2_table(config, points)], output, "figure2")
 
 
 def _cmd_survival(full, output, jobs=None, cache=None, **overrides) -> None:
-    config = (
-        SurvivalConfig(num_servers=34, quorum_size=6, max_lag=15,
-                       trials=100_000)
-        if full
-        else SurvivalConfig.scaled_down()
-    )
+    config = _config(SurvivalConfig, full)
     _emit([survival_table(config, jobs=jobs, cache=cache)], output,
           "survival")
 
 
 def _cmd_freshness(full, output, jobs=None, cache=None, **overrides) -> None:
-    config = (
-        FreshnessConfig(num_servers=34, quorum_size=4, trials=100_000)
-        if full
-        else FreshnessConfig.scaled_down()
-    )
+    config = _config(FreshnessConfig, full)
     _emit([freshness_table(config, jobs=jobs, cache=cache)], output,
           "freshness")
 
 
 def _cmd_messages(full, output, jobs=None, cache=None, **overrides) -> None:
-    n_values = [16, 64, 256, 1024] if full else [16, 64, 256]
-    tables = analytic_tables(n_values, m=34, p=34)
-    config = (
-        MessageComplexityConfig()
-        if full
-        else MessageComplexityConfig.scaled_down()
-    )
+    config = _config(MessageComplexityConfig, full)
+    tables = analytic_tables(config.analytic_n_values, m=34, p=34)
     tables.append(measured_table(config, jobs=jobs, cache=cache))
     _emit(tables, output, "messages")
 
 
 def _cmd_load(full, output, jobs=None, cache=None, **overrides) -> None:
     # Analytic + in-process Monte Carlo only; no engine fan-out.
-    config = (
-        LoadAvailabilityConfig(num_servers=63, trials=20_000)
-        if full
-        else LoadAvailabilityConfig()
-    )
+    config = _config(LoadAvailabilityConfig, full)
     tables = [load_availability_experiment(config)]
-    tables.append(tradeoff_sweep([16, 36, 64, 144] if full else [16, 36, 64]))
+    tables.append(tradeoff_sweep(config.tradeoff_n_values))
     _emit(tables, output, "load_availability")
 
 
 def _cmd_ablations(full, output, jobs=None, cache=None, **overrides) -> None:
-    config = (
-        AblationConfig(num_vertices=34, num_servers=34, runs=5)
-        if full
-        else AblationConfig.scaled_down()
-    )
+    config = _config(AblationConfig, full)
     _emit(
         [
             monotone_ablation(config, jobs=jobs, cache=cache),
@@ -181,12 +165,7 @@ def _cmd_ablations(full, output, jobs=None, cache=None, **overrides) -> None:
 
 
 def _cmd_pseudocycles(full, output, jobs=None, cache=None, **overrides) -> None:
-    config = (
-        PseudocycleConfig(num_vertices=34, num_servers=34,
-                          quorum_sizes=(1, 2, 3, 4, 6, 8, 12), runs=5)
-        if full
-        else PseudocycleConfig.scaled_down()
-    )
+    config = _config(PseudocycleConfig, full)
     _emit([pseudocycle_table(config, jobs=jobs, cache=cache)], output,
           "pseudocycles")
 
@@ -201,13 +180,9 @@ def _fault_overrides(overrides: dict) -> dict:
 
 
 def _cmd_fault(full, output, jobs=None, cache=None, **overrides) -> None:
-    config = (
-        FaultToleranceConfig(num_vertices=16, num_servers=16,
-                             crash_counts=(0, 2, 4, 8, 11))
-        if full
-        else FaultToleranceConfig.scaled_down()
+    config = dataclasses.replace(
+        _config(FaultToleranceConfig, full), **_fault_overrides(overrides)
     )
-    config = dataclasses.replace(config, **_fault_overrides(overrides))
     _emit([fault_tolerance_table(config, jobs=jobs, cache=cache)], output,
           "fault_tolerance")
     _emit([degradation_table(config, jobs=jobs, cache=cache)], output,
@@ -215,24 +190,21 @@ def _cmd_fault(full, output, jobs=None, cache=None, **overrides) -> None:
 
 
 def _cmd_latency(full, output, jobs=None, cache=None, **overrides) -> None:
-    config = LatencyConfig() if full else LatencyConfig.scaled_down()
+    config = _config(LatencyConfig, full)
     _emit([latency_table(config, jobs=jobs, cache=cache)], output,
           "latency")
 
 
 def _cmd_tuning(full, output, jobs=None, cache=None, **overrides) -> None:
-    config = (
-        TuningConfig(num_vertices=34, num_servers=64, runs=5)
-        if full
-        else TuningConfig.scaled_down()
-    )
+    config = _config(TuningConfig, full)
     _emit([tuning_table(config, jobs=jobs, cache=cache)], output,
           "quorum_tuning")
 
 
 def _cmd_churn(full, output, jobs=None, cache=None, **overrides) -> None:
-    config = ChurnConfig() if full else ChurnConfig.scaled_down()
-    config = dataclasses.replace(config, **_fault_overrides(overrides))
+    config = dataclasses.replace(
+        _config(ChurnConfig, full), **_fault_overrides(overrides)
+    )
     _emit([churn_table(config, jobs=jobs, cache=cache)], output, "churn")
 
 
@@ -394,12 +366,6 @@ def _run_serve(args, session) -> int:
         f"  simulated {result.sim_time:.1f} time units "
         f"({result.events} events) in {result.wall_seconds:.2f}s wall"
     )
-    if result.hung_ops:
-        print(
-            f"serve: warning: {result.hung_ops} operation(s) hung with no "
-            f"settlement path (two_phase mode under loss has no deadline)",
-            file=sys.stderr,
-        )
     if args.snapshot_out is not None:
         with open(args.snapshot_out, "wb") as fh:
             fh.write(result.snapshot_bytes)
@@ -598,14 +564,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--write-mode", choices=["owner", "two_phase"], default="owner",
-        help="write routing: shard-owner client with retry/deadline "
-             "protection, or ABD two-phase multi-writer (default owner)",
+        help="write routing: every put to its shard's owner client (one "
+             "quorum round), or round-robin over the clients as ABD "
+             "two-phase multi-writer writes (query round + update round); "
+             "both retry, time out and follow view changes (default owner)",
     )
     serve.add_argument(
         "--churn", type=float, metavar="T", default=None,
         help="membership churn: every T time units a batch of fresh "
              "replicas joins and the oldest members retire (view-based "
-             "reconfiguration; requires --write-mode owner)",
+             "reconfiguration)",
     )
     serve.add_argument(
         "--churn-batch", type=int, metavar="N", default=1,

@@ -37,8 +37,11 @@ from repro.exec.task import RunTask, task_key
 #: Format 6 histogram snapshots are log-bucket sketch states
 #: (``zeros``/``keys``/``counts``/``sum``/``count``), not fixed-bucket
 #: counts; the two shapes cannot be merged, so older entries are
-#: invalidated.
-CACHE_FORMAT = 6
+#: invalidated.  Format 7: a ``broken_client`` run's broken reads go
+#: through the one completion path like every other operation, so its
+#: ``ops_under_failure`` (and latency series) can differ from a format 6
+#: payload of the same task.
+CACHE_FORMAT = 7
 
 #: Default location, relative to the current working directory (the repo
 #: root in normal use).

@@ -35,6 +35,10 @@ class AblationConfig:
     seed: int = 31
 
     @classmethod
+    def paper_scale(cls) -> "AblationConfig":
+        return cls(num_vertices=34, num_servers=34, runs=5)
+
+    @classmethod
     def scaled_down(cls) -> "AblationConfig":
         return cls(num_vertices=10, num_servers=10, runs=2, max_rounds=150)
 

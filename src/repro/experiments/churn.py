@@ -46,6 +46,12 @@ class ChurnConfig:
     seed: int = 81
 
     @classmethod
+    def paper_scale(cls) -> "ChurnConfig":
+        # A 16-vertex chain over the 16 replicas, like E-FAULT's paper
+        # scale, so the two fault experiments are read side by side.
+        return cls(num_vertices=16, runs=3)
+
+    @classmethod
     def scaled_down(cls) -> "ChurnConfig":
         return cls(num_vertices=8, churn_periods=(0.0, 20.0), runs=1)
 

@@ -62,6 +62,11 @@ class FaultToleranceConfig:
     seed: int = 51
 
     @classmethod
+    def paper_scale(cls) -> "FaultToleranceConfig":
+        return cls(num_vertices=16, num_servers=16,
+                   crash_counts=(0, 2, 4, 8, 11))
+
+    @classmethod
     def scaled_down(cls) -> "FaultToleranceConfig":
         return cls(num_vertices=8, crash_counts=(0, 2, 6), max_rounds=250)
 

@@ -48,6 +48,11 @@ class Figure2Config:
     variants: Tuple[Tuple[str, bool, bool], ...] = VARIANTS
 
     @classmethod
+    def paper_scale(cls) -> "Figure2Config":
+        """The paper's own parameters (the defaults); ``--full`` runs it."""
+        return cls()
+
+    @classmethod
     def scaled_down(cls) -> "Figure2Config":
         """A minutes-scale version preserving the figure's shape."""
         return cls(

@@ -44,6 +44,10 @@ class FreshnessConfig:
     seed: int = 13
 
     @classmethod
+    def paper_scale(cls) -> "FreshnessConfig":
+        return cls(num_servers=34, quorum_size=4, trials=100_000)
+
+    @classmethod
     def scaled_down(cls) -> "FreshnessConfig":
         return cls(trials=2_000)
 

@@ -39,6 +39,10 @@ class LatencyConfig:
     seed: int = 61
 
     @classmethod
+    def paper_scale(cls) -> "LatencyConfig":
+        return cls()
+
+    @classmethod
     def scaled_down(cls) -> "LatencyConfig":
         return cls(num_servers=16, quorum_sizes=(1, 4, 8, 16),
                    ops_per_client=60)

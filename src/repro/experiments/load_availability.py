@@ -10,7 +10,7 @@ probabilistic escape) is visible in one screen.
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.analysis.theory import naor_wool_load_lower_bound
 from repro.experiments.results import ResultTable
@@ -33,10 +33,18 @@ class LoadAvailabilityConfig:
     trials: int = 4000
     seed: int = 23
     crash_probability: float = 0.25
+    #: The n sweep of :func:`tradeoff_sweep`.
+    tradeoff_n_values: Tuple[int, ...] = (16, 36, 64)
+
+    @classmethod
+    def paper_scale(cls) -> "LoadAvailabilityConfig":
+        return cls(num_servers=63, trials=20_000,
+                   tradeoff_n_values=(16, 36, 64, 144))
 
     @classmethod
     def scaled_down(cls) -> "LoadAvailabilityConfig":
-        return cls(num_servers=15, trials=800)
+        """The defaults: analytic plus a small Monte Carlo, seconds as is."""
+        return cls()
 
 
 def build_systems(n: int) -> Dict[str, QuorumSystem]:

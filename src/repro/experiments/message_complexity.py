@@ -13,7 +13,7 @@ Two regimes, each compared analytically (Eqns 1-3) *and* by measurement
 
 import math
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.analysis.messages import (
     high_availability_comparison,
@@ -39,10 +39,17 @@ class MessageComplexityConfig:
     num_servers: int = 16        # n replicas (grid-friendly square)
     max_rounds: int = 250
     seed: int = 5
+    #: The n sweep of the analytic (Eqns 1-3) tables.
+    analytic_n_values: Tuple[int, ...] = (16, 64, 256, 1024)
+
+    @classmethod
+    def paper_scale(cls) -> "MessageComplexityConfig":
+        return cls()
 
     @classmethod
     def scaled_down(cls) -> "MessageComplexityConfig":
-        return cls(num_vertices=9, num_servers=9, max_rounds=150)
+        return cls(num_vertices=9, num_servers=9, max_rounds=150,
+                   analytic_n_values=(16, 64, 256))
 
 
 def _measure_task(

@@ -41,6 +41,11 @@ class PseudocycleConfig:
     seed: int = 41
 
     @classmethod
+    def paper_scale(cls) -> "PseudocycleConfig":
+        return cls(num_vertices=34, num_servers=34,
+                   quorum_sizes=(1, 2, 3, 4, 6, 8, 12), runs=5)
+
+    @classmethod
     def scaled_down(cls) -> "PseudocycleConfig":
         return cls(num_vertices=10, num_servers=10,
                    quorum_sizes=(1, 2, 4), runs=2)

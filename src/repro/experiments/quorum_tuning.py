@@ -36,6 +36,10 @@ class TuningConfig:
     seed: int = 71
 
     @classmethod
+    def paper_scale(cls) -> "TuningConfig":
+        return cls(num_vertices=34, num_servers=64, runs=5)
+
+    @classmethod
     def scaled_down(cls) -> "TuningConfig":
         return cls(num_vertices=10, num_servers=16,
                    c_values=(0.25, 0.5, 1.0, 2.0), runs=2)

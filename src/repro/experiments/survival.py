@@ -44,6 +44,11 @@ class SurvivalConfig:
     seed: int = 7
 
     @classmethod
+    def paper_scale(cls) -> "SurvivalConfig":
+        return cls(num_servers=34, quorum_size=6, max_lag=15,
+                   trials=100_000)
+
+    @classmethod
     def scaled_down(cls) -> "SurvivalConfig":
         # Smaller n and k so the per-lag decay rate (n-k)/n bites within
         # few lags; keeps the Monte Carlo trials cheap.

@@ -192,6 +192,11 @@ class _PendingOp:
         # are stamped with); 0 for the life of a static deployment.
         self.view = 0
 
+    @property
+    def kind(self) -> str:
+        """The operation the caller invoked, as its span/metric label."""
+        return "read" if self.is_read else "write"
+
     def complete_against_quorum(self) -> bool:
         """True once every member of the current quorum has replied."""
         # frozenset.issubset over the replies dict runs the membership
@@ -376,7 +381,7 @@ class QuorumRegisterClient(Node):
         op.started = self.network.scheduler.now
         if self._trace_on:
             op.span = self.observability.spans.start(
-                "read" if op.is_read else "write",
+                op.kind,
                 op.started,
                 client=self.client_id,
                 register=op.register,
@@ -413,9 +418,7 @@ class QuorumRegisterClient(Node):
         op.attempts += 1
         self.retries += 1
         if self._monitor_on:
-            self.spec_monitor.on_retry(
-                op.register, "read" if op.is_read else "write", op.attempts
-            )
+            self.spec_monitor.on_retry(op.register, op.kind, op.attempts)
         if op.span is not None:
             op.span.event(
                 self.network.scheduler.now, "retry", attempt=op.attempts
@@ -442,17 +445,14 @@ class QuorumRegisterClient(Node):
         self._teardown(op)
         self.timeouts += 1
         if self._monitor_on:
-            self.spec_monitor.on_timeout(
-                op.register, "read" if op.is_read else "write"
-            )
+            self.spec_monitor.on_timeout(op.register, op.kind)
         if op.span is not None:
             self.observability.spans.finish(
                 op.span, self.network.scheduler.now, status="timeout"
             )
-        kind = "read" if op.is_read else "write"
         op.future.fail(
             OperationTimeout(
-                f"{kind}({op.register}) by c{self.client_id} exceeded its "
+                f"{op.kind}({op.register}) by c{self.client_id} exceeded its "
                 f"deadline of {self.retry_policy.deadline} after "
                 f"{op.attempts + 1} attempt(s)"
             )
@@ -462,7 +462,7 @@ class QuorumRegisterClient(Node):
         """Attempt budget exhausted: fail the future with QuorumUnreachable."""
         self._teardown(op)
         self.unreachable += 1
-        kind = "read" if op.is_read else "write"
+        kind = op.kind
         if self._monitor_on:
             self.spec_monitor.on_timeout(op.register, kind)
         if op.span is not None:
@@ -562,7 +562,12 @@ class QuorumRegisterClient(Node):
     # exact-type clients, with C transcriptions of these definitions
     # (``repro.sim.kernel.make_client_core``); a change here must be
     # made there too, and tests/test_kernel_fastpath.py compares the two
-    # draw for draw.
+    # draw for draw.  Completion is a decision, ``_choose`` (what a read
+    # returns), then ``_settle`` (counters, latency, span, history,
+    # monitor, future); ``clientcore_finish`` fuses the two for the
+    # exact type.  A flavour overrides the decision (masking, the chaos
+    # mutant) or follows the query round with an update round on the
+    # same op (``registers/atomic.py``) — never a second completion path.
 
     def read(self, register: str) -> Future:
         """Invoke a read; the future resolves with the returned value."""
@@ -646,31 +651,21 @@ class QuorumRegisterClient(Node):
         ]
 
     def _finish(self, op: _PendingOp) -> None:
-        self._teardown(op)
-        self.ops_completed += 1
-        if self.network.failures.any_failures:
-            self.ops_completed_under_failure += 1
-        now = self.network.scheduler.now
-        if self._latency is not None:
-            kind = "read" if op.is_read else "write"
-            self._latency[kind].observe(now - op.started)
-        if op.span is not None:
-            self.observability.spans.finish(op.span, now, status="ok")
-        if not op.is_read:
-            op.record.respond(now)
-            if self._monitor_on:
-                self.spec_monitor.on_write_complete(
-                    self.client_id, op.record,
-                    self.space.info(op.register).history,
-                )
-            op.future.resolve(None)
-            return
-        # Read: return the highest-timestamped value among quorum replies,
-        # consulting the monotone cache when enabled.
+        """The round's quorum is covered: decide, then settle."""
+        if op.is_read:
+            self._settle(op, *self._choose(op))
+        else:
+            self._settle(op)
+
+    def _choose(self, op: _PendingOp) -> Tuple[Timestamp, Any]:
+        """The read decision: the highest-timestamped quorum reply or,
+        for the monotone variant of Section 6.2, the cached pair when
+        that is newer.  The one thing a flavour overrides to read
+        differently."""
         best = max(
             self._quorum_read_replies(op), key=lambda reply: reply.timestamp
         )
-        value, timestamp = best.value, best.timestamp
+        timestamp, value = best.timestamp, best.value
         if self.monotone:
             cached = self._cache.get(op.register)
             if cached is not None and cached[0] > timestamp:
@@ -678,12 +673,38 @@ class QuorumRegisterClient(Node):
                 self.cache_hits += 1
             else:
                 self._cache[op.register] = (timestamp, value)
-        op.record.complete(now, value, timestamp)
-        if self._monitor_on:
-            self.spec_monitor.on_read_complete(
-                self.client_id, op.record, self.space.info(op.register).history
-            )
-        op.future.resolve(value)
+        return timestamp, value
+
+    def _settle(self, op: _PendingOp, timestamp=None, value=None) -> None:
+        """The one completion path: settle ``op`` as what the caller
+        invoked — a read returning ``value`` at ``timestamp``, or a write
+        (which ignores both)."""
+        self._teardown(op)
+        self.ops_completed += 1
+        if self.network.failures.any_failures:
+            self.ops_completed_under_failure += 1
+        now = self.network.scheduler.now
+        kind = op.kind
+        if self._latency is not None:
+            self._latency[kind].observe(now - op.started)
+        if op.span is not None:
+            self.observability.spans.finish(op.span, now, status="ok")
+        if kind == "read":
+            op.record.complete(now, value, timestamp)
+            if self._monitor_on:
+                self.spec_monitor.on_read_complete(
+                    self.client_id, op.record,
+                    self.space.info(op.register).history,
+                )
+            op.future.resolve(value)
+        else:
+            op.record.respond(now)
+            if self._monitor_on:
+                self.spec_monitor.on_write_complete(
+                    self.client_id, op.record,
+                    self.space.info(op.register).history,
+                )
+            op.future.resolve(None)
 
     def handle(self, register: str) -> "RegisterHandle":
         """A per-register view implementing :class:`AbstractRegister`."""

@@ -15,7 +15,10 @@ This module provides
   attack against a highest-timestamp-wins reader);
 * :class:`MaskingClient` — a client whose reads return the highest
   timestamp vouched by at least ``b + 1`` quorum members, falling back to
-  its last accepted value when no candidate qualifies.
+  its last accepted value when no candidate qualifies.  That rule is the
+  client's *read decision* (``_choose``) and the whole of the flavour:
+  rounds, retries, deadlines, view stamps and the completion path
+  (counters, latency, span, history, monitor) are the base client's.
 """
 
 from typing import Any, Dict, Tuple
@@ -89,12 +92,7 @@ class MaskingClient(QuorumRegisterClient):
         self.masked_reads = 0
         self.fallback_reads = 0
 
-    def _finish(self, op: _PendingOp) -> None:
-        if not op.is_read:
-            super()._finish(op)
-            return
-        self._teardown(op)
-        now = self.network.scheduler.now
+    def _choose(self, op: _PendingOp) -> Tuple[Timestamp, Any]:
         # Count vouchers per (timestamp, value) pair.
         vouch: Dict[Tuple[Timestamp, Any], int] = {}
         for reply in self._quorum_read_replies(op):
@@ -118,12 +116,7 @@ class MaskingClient(QuorumRegisterClient):
             self._accepted[op.register] = (timestamp, value)
         else:
             timestamp, value = previous
-        op.record.complete(now, value, timestamp)
-        if self._monitor_on:
-            self.spec_monitor.on_read_complete(
-                self.client_id, op.record, self.space.info(op.register).history
-            )
-        op.future.resolve(value)
+        return timestamp, value
 
 
 def replace_with_byzantine(deployment, indices, poison_value: Any = "POISON"):

@@ -20,16 +20,17 @@ multi-writer); what differs is which register subsystem executes it:
 * ``"owner"`` (default) — each shard has one owning client
   (``shard % num_clients``) and every put is forwarded to it, the
   primary-per-shard layout of real sharded stores.  Writes then run the
-  plain Section 4 protocol, which carries the full fault-tolerance
-  layer: retries, backoff and per-operation deadlines, so a saturated or
-  lossy deployment rejects writes with ``OperationTimeout`` instead of
-  hanging them.
+  plain Section 4 protocol: one quorum round.
 * ``"two_phase"`` — puts round-robin across clients and run the
   Attiya-Bar-Noy-Dolev two-phase multi-writer protocol
-  (:class:`~repro.registers.atomic.MultiWriterClient`).  Two-phase
-  operations have no retry/deadline path, so this mode is for loss-free,
-  crash-free deployments; under message loss a write can hang and pin
-  its in-flight slot for the rest of the run.
+  (:class:`~repro.registers.atomic.MultiWriterClient`): a query round
+  for the highest timestamp, then an update round that exceeds it.
+
+Either way a put is one pending operation of the register client, with
+the full fault-tolerance layer — resampling retries with backoff, a
+per-operation deadline, view stamps — so a saturated, lossy or churned
+deployment rejects writes with ``OperationTimeout`` instead of hanging
+them, and no admission slot stays pinned past the deadline.
 
 Timed-out operations count separately and do **not** feed the latency
 distributions: a timeout's "latency" is just the deadline, and folding a

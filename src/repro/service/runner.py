@@ -73,8 +73,7 @@ class ServiceConfig:
     #: ``{"kind": "churn", "period": 60.0, "batch": 1}``.  None (the
     #: default) keeps the deployment on the static fast path, and the
     #: run's metrics snapshot stays byte-identical to pre-membership
-    #: builds.  Requires ``write_mode="owner"``: the two-phase
-    #: multi-writer protocol is not view-stamped.
+    #: builds.
     membership: Optional[Dict[str, Any]] = None
     #: Adversary strategy spec for
     #: :func:`repro.adversary.build_adversary` (None: no adversary).
@@ -190,11 +189,6 @@ def run_service(config: ServiceConfig) -> ServiceResult:
         max_attempts=config.max_attempts,
     )
     two_phase = config.write_mode == "two_phase"
-    if config.membership is not None and two_phase:
-        raise ValueError(
-            "membership requires write_mode='owner': the two-phase "
-            "multi-writer protocol is not view-stamped"
-        )
     adversary = (
         build_adversary(config.adversary, horizon=config.duration)
         if config.adversary is not None

@@ -233,8 +233,9 @@ def make_client_core(client):
     :func:`make_server_core`, covering both halves of an operation:
 
     * **Reply aggregation** — called as ``on_message``: a transcription
-      of ``QuorumRegisterClient.on_message`` plus the ``_finish`` /
-      ``_teardown`` completion path.  The complete per-delivery
+      of ``QuorumRegisterClient.on_message`` plus ``_finish`` — the
+      read decision (``_choose``) and the completion path (``_settle``,
+      ``_teardown``), fused.  The complete per-delivery
       fallback list is what the handler itself reads: an op-level span,
       the online spec monitor, a reply stamped with a newer view than
       the client's (which must refresh first), and any message that is

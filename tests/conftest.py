@@ -22,6 +22,13 @@ def backend_param(backend):
     return pytest.param(backend, id=backend, marks=marks)
 
 
+#: Marks a test that compares against, or only exists for, the C backend.
+needs_native = pytest.mark.skipif(
+    not kernel.native_available(),
+    reason=f"native kernel not built: {kernel.native_import_error()}",
+)
+
+
 STATS_BREAKDOWNS = (
     "by_sender", "by_receiver", "by_kind", "delivered_by_kind",
     "dropped_by_kind", "dropped_by_receiver", "dropped_by_reason",
@@ -36,6 +43,23 @@ def stats_state(stats):
         "breakdowns": {
             name: dict(getattr(stats, name)) for name in STATS_BREAKDOWNS
         } if stats.detailed else None,
+    }
+
+
+def stream_states(deployment):
+    """Where every RNG stream of a deployment stands, by role."""
+    generators = {
+        "delays": deployment.network.rng,
+        "loss": deployment.network._loss_rng,
+    }
+    for client in deployment.clients:
+        generators[f"quorum/{client.client_id}"] = client.rng
+        generators[f"retry/{client.client_id}"] = client._retry_rng
+        if client._view_rng is not None:
+            generators[f"view/{client.client_id}"] = client._view_rng
+    return {
+        role: generator.bit_generator.state
+        for role, generator in generators.items()
     }
 
 

@@ -10,18 +10,21 @@ from repro.core.timestamps import Timestamp
 from repro.quorum.majority import MajorityQuorumSystem
 from repro.quorum.probabilistic import ProbabilisticQuorumSystem
 from repro.registers.atomic import AtomicClient, MultiWriterClient
+from repro.registers.client import OperationTimeout, RetryPolicy
 from repro.registers.deployment import RegisterDeployment
 from repro.sim.coroutines import Sleep, spawn
 from repro.sim.delays import ConstantDelay, ExponentialDelay
 
 
-def make_deployment(system, client_class, num_clients=3, seed=0, delay=None):
+def make_deployment(system, client_class, num_clients=3, seed=0, delay=None,
+                    **kwargs):
     deployment = RegisterDeployment(
         system,
         num_clients=num_clients,
         delay_model=delay or ExponentialDelay(1.0),
         seed=seed,
         client_class=client_class,
+        **kwargs,
     )
     deployment.declare_register("X", writer=None, initial_value=0)
     return deployment
@@ -114,8 +117,9 @@ class TestAtomicityChecker:
 class TestMultiWriter:
     @pytest.mark.parametrize("client_class", [MultiWriterClient, AtomicClient])
     def test_two_phase_ops_count_as_pending_and_hung(self, client_class):
-        # A two-phase operation has no retry and no deadline: on a lossy
-        # network it never settles, and the accounting must say so.
+        # A two-phase operation is an ordinary pending op: without a
+        # retry policy a lossy network never settles it, and the base
+        # client's accounting says so.
         deployment = RegisterDeployment(
             MajorityQuorumSystem(5), num_clients=2,
             delay_model=ConstantDelay(1.0), seed=3,
@@ -135,6 +139,30 @@ class TestMultiWriter:
         assert client.pending_ops == 2
         deployment.run()
         assert done.done and client.pending_ops == client.hung_ops == 1
+
+    @pytest.mark.parametrize("client_class", [MultiWriterClient, AtomicClient])
+    @pytest.mark.parametrize("kind", ["write", "read"])
+    def test_two_phase_ops_time_out_under_a_deadline(self, client_class, kind):
+        # ... and with a deadline armed it fails like any other, under
+        # the name the caller invoked, leaving nothing pending or hung.
+        deployment = RegisterDeployment(
+            MajorityQuorumSystem(5), num_clients=2,
+            delay_model=ConstantDelay(1.0), seed=3,
+            client_class=client_class, loss_rate=0.999999,
+            retry_policy=RetryPolicy(interval=2.0, deadline=15.0),
+        )
+        deployment.declare_register("X", writer=None, initial_value=0)
+        client = deployment.clients[0]
+        future = (
+            client.write("X", "lost") if kind == "write" else client.read("X")
+        )
+        assert client.pending_ops == 1 and client.hung_ops == 0
+        deployment.run()
+        assert isinstance(future.exception, OperationTimeout)
+        assert str(future.exception).startswith(f"{kind}(X) by c0 exceeded")
+        assert client.timeouts == 1 and client.retries > 0
+        assert client.pending_ops == client.hung_ops == 0
+        assert deployment.scheduler.now == 15.0
 
     def test_two_writers_both_values_ordered(self):
         deployment = make_deployment(
@@ -214,18 +242,26 @@ class TestMultiWriter:
 
 
 class TestAtomicABD:
-    def run_mixed_workload(self, system, client_class, seed):
+    def run_mixed_workload(self, system, client_class, seed, **kwargs):
         deployment = make_deployment(system, client_class, num_clients=4,
-                                     seed=seed)
+                                     seed=seed, **kwargs)
+
+        def settled(future):
+            try:
+                yield future
+            except OperationTimeout:
+                pass
 
         def writer(cid, count):
             for value in range(count):
-                yield deployment.clients[cid].write("X", f"c{cid}-{value}")
+                yield from settled(
+                    deployment.clients[cid].write("X", f"c{cid}-{value}")
+                )
                 yield Sleep(2.0)
 
         def reader(cid, count):
             for _ in range(count):
-                yield deployment.clients[cid].read("X")
+                yield from settled(deployment.clients[cid].read("X"))
                 yield Sleep(1.0)
 
         spawn(deployment.scheduler, writer(0, 15))
@@ -233,6 +269,7 @@ class TestAtomicABD:
         spawn(deployment.scheduler, reader(2, 40))
         spawn(deployment.scheduler, reader(3, 40))
         deployment.run()
+        assert deployment.pending_ops == deployment.hung_ops == 0
         return deployment.space.history("X")
 
     def test_abd_over_strict_quorums_is_atomic(self):
@@ -241,6 +278,20 @@ class TestAtomicABD:
                 MajorityQuorumSystem(7), AtomicClient, seed
             )
             check_atomic(history)
+
+    def test_abd_stays_atomic_under_loss_with_retries(self):
+        # Both rounds resample and re-send under loss; an operation the
+        # deadline cuts off mid-update stays pending in the history,
+        # which atomicity allows to take effect or not.
+        timed_out = 0
+        for seed in range(20):
+            history = self.run_mixed_workload(
+                MajorityQuorumSystem(7), AtomicClient, seed, loss_rate=0.2,
+                retry_policy=RetryPolicy(interval=3.0, deadline=25.0),
+            )
+            check_atomic(history)
+            timed_out += sum(op.pending for op in history.operations())
+        assert timed_out > 0
 
     def test_plain_client_over_probabilistic_violates_atomicity(self):
         # Sanity: the checker has teeth — the random register is NOT

@@ -140,3 +140,40 @@ def test_trace_spans_prints_slowest_operations(capsys):
 def test_trace_spans_rejects_non_positive(capsys):
     assert main(["fault", "--trace-spans", "0"]) == 2
     assert "--trace-spans must be positive" in capsys.readouterr().err
+
+
+def test_full_and_repro_full_select_the_same_configuration(monkeypatch):
+    """``--full`` and the benchmarks' ``REPRO_FULL=1`` both resolve to the
+    config's own ``paper_scale()`` — the two used to carry separate
+    literals, and the churn and load pairs had drifted apart."""
+    import importlib.util
+    import pathlib
+
+    from repro import cli
+
+    spec = importlib.util.spec_from_file_location(
+        "bench_utils",
+        pathlib.Path(__file__).resolve().parent.parent
+        / "benchmarks" / "bench_utils.py",
+    )
+    bench_utils = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench_utils)
+    configs = [
+        getattr(cli, name) for name in dir(cli) if name.endswith("Config")
+    ]
+    assert len(configs) == 11
+    for config_class in configs:
+        monkeypatch.setenv("REPRO_FULL", "1")
+        assert (
+            bench_utils.scaled(config_class)
+            == cli._config(config_class, True)
+            == config_class.paper_scale()
+        )
+        monkeypatch.setenv("REPRO_FULL", "0")
+        assert (
+            bench_utils.scaled(config_class)
+            == cli._config(config_class, False)
+            == config_class.scaled_down()
+        )
+    assert cli.ChurnConfig.paper_scale().num_vertices == 16
+    assert cli.LoadAvailabilityConfig.paper_scale().tradeoff_n_values[-1] == 144

@@ -39,6 +39,7 @@ from repro.sim.delays import (
 from repro.sim.network import Network, Node
 from repro.sim.rng import derive_seed
 from repro.sim.scheduler import Scheduler
+from tests.conftest import needs_native
 
 # --------------------------------------------------------------------- #
 # Golden event trace
@@ -356,11 +357,6 @@ def test_loss_rng_default_is_deterministic_per_seed():
 # --------------------------------------------------------------------- #
 # Cross-backend equivalence (python vs native, in one process)
 # --------------------------------------------------------------------- #
-
-needs_native = pytest.mark.skipif(
-    not kernel.native_available(),
-    reason=f"native kernel not built: {kernel.native_import_error()}",
-)
 
 
 @needs_native

@@ -53,12 +53,7 @@ from repro.sim import kernel
 from repro.sim.delays import ConstantDelay, ExponentialDelay
 from repro.sim.failures import FailureSchedule
 from repro.sim.network import Network
-from tests.conftest import stats_state
-
-needs_native = pytest.mark.skipif(
-    not kernel.native_available(),
-    reason=f"native kernel not built: {kernel.native_import_error()}",
-)
+from tests.conftest import needs_native, stats_state, stream_states
 
 
 def _count_calls(monkeypatch, cls, names):
@@ -243,23 +238,6 @@ def membership_timelines(draw, n):
     ))
 
 
-def _stream_states(deployment):
-    """Where every RNG stream of a deployment stands, by role."""
-    generators = {
-        "delays": deployment.network.rng,
-        "loss": deployment.network._loss_rng,
-    }
-    for client in deployment.clients:
-        generators[f"quorum/{client.client_id}"] = client.rng
-        generators[f"retry/{client.client_id}"] = client._retry_rng
-        if client._view_rng is not None:
-            generators[f"view/{client.client_id}"] = client._view_rng
-    return {
-        role: generator.bit_generator.state
-        for role, generator in generators.items()
-    }
-
-
 ADVERSARIES = {
     None: lambda: None,
     "random_hostile": lambda: RandomHostileAdversary(
@@ -357,7 +335,7 @@ def _run_state(
         return {
             "trace": trace,
             "issued": issued,
-            "streams": _stream_states(deployment),
+            "streams": stream_states(deployment),
             "stats": stats_state(network.stats),
             "adversary": adversary and adversary.summary(),
             "servers": [
@@ -505,6 +483,47 @@ def test_stale_extension_counts_as_not_built(monkeypatch, capsys):
     with kernel.use_backend("native"):
         assert kernel.selected_backend() == "python"
     assert "falling back" in capsys.readouterr().err
+
+
+@needs_native
+def test_setup_py_builds_what_the_in_place_build_does(tmp_path):
+    """``pip install .`` goes through ``setup.py``; it must compile in the
+    same optional pieces as ``python -m repro._native.build`` — an
+    extension without numpy's C random library loads fine and silently
+    loses the C quorum sampler and the native delay draws."""
+    import pathlib
+    import subprocess
+    import sys
+
+    from repro._native import build, load_kernel
+
+    if build.npyrandom_flags() == ([], []):
+        pytest.skip("this numpy ships no libnpyrandom.a")
+    root = pathlib.Path(__file__).resolve().parent.parent
+    done = subprocess.run(
+        [sys.executable, "setup.py", "-q", "build_ext",
+         "--build-lib", str(tmp_path / "lib"),
+         "--build-temp", str(tmp_path / "tmp")],
+        cwd=root, capture_output=True, text=True,
+    )
+    built = list((tmp_path / "lib" / "repro" / "_native").glob("_kernel*"))
+    assert len(built) == 1, done.stderr
+    # A second copy of the extension stays out of this process.
+    constants = subprocess.run(
+        [sys.executable, "-c",
+         "import importlib.util, sys\n"
+         "spec = importlib.util.spec_from_file_location('_kernel', sys.argv[1])\n"
+         "module = importlib.util.module_from_spec(spec)\n"
+         "spec.loader.exec_module(module)\n"
+         "print(module.KERNEL_ABI, module.HAVE_FAST_RNG)"
+         , str(built[0])],
+        capture_output=True, text=True, check=True,
+    ).stdout.split()
+    in_place = load_kernel()
+    assert constants == [
+        str(in_place.KERNEL_ABI), str(in_place.HAVE_FAST_RNG)
+    ]
+    assert in_place.HAVE_FAST_RNG == 1
 
 
 @needs_native
@@ -785,7 +804,7 @@ def test_issue_path_steps_aside_per_op_when_spans_are_on(monkeypatch):
         "python", ProbabilisticQuorumSystem(9, 3)
     )
     assert traced_values == plain_values
-    assert _stream_states(traced) == _stream_states(plain)
+    assert stream_states(traced) == stream_states(plain)
 
     before = dict(calls)
     client = traced.clients[0]
@@ -813,7 +832,7 @@ def test_issue_path_stays_native_over_other_quorum_systems(
     assert calls == {**dict.fromkeys(calls, 0), "_sample_quorum": 40}
     python, python_values = _issue_workload("python", make_system())
     assert native_values == python_values
-    assert _stream_states(native) == _stream_states(python)
+    assert stream_states(native) == stream_states(python)
 
 
 def _history_records(deployment):

@@ -473,9 +473,15 @@ class TestServiceChurn:
         assert first.snapshot_bytes == second.snapshot_bytes
         assert "membership:" in first.slo_table()
 
-    def test_membership_requires_owner_write_mode(self):
-        with pytest.raises(ValueError, match="write_mode"):
-            run_service(self._config(write_mode="two_phase"))
+    def test_two_phase_under_churn_stays_clean_and_deterministic(self):
+        # Two-phase writes are ordinary pending ops: view-stamped, and
+        # re-dispatched by a stale-view nack in whichever round it hits.
+        first = run_service(self._config(write_mode="two_phase"))
+        second = run_service(self._config(write_mode="two_phase"))
+        assert first.membership["views_installed"] > 0
+        assert first.completed > 0
+        assert first.hung_ops == first.counters["in_flight"] == 0
+        assert first.snapshot_bytes == second.snapshot_bytes
 
     def test_static_service_result_has_no_membership(self):
         result = run_service(self._config(membership=None, duration=40.0))
