@@ -7,22 +7,21 @@ Not a paper table, but the paper motivates each knob:
 * the input topology (M = ⌈log₂ d⌉ drives convergence).
 """
 
+from repro.experiments import EXPERIMENTS
 from repro.experiments.ablations import (
-    AblationConfig,
     delay_ablation,
     monotone_ablation,
     topology_ablation,
 )
 
-from bench_utils import save_and_print, scaled
+from bench_utils import regenerate
 
 
 def test_ablation_monotone_cache(benchmark, output_dir):
-    config = scaled(AblationConfig)
-    table = benchmark.pedantic(
-        monotone_ablation, args=(config,), rounds=1, iterations=1
+    config = EXPERIMENTS["ablations"].config()
+    table = regenerate(
+        benchmark, output_dir, "ablation_monotone", monotone_ablation, config
     )
-    save_and_print(table, output_dir, "ablation_monotone")
     ratios = table.column("plain_over_monotone")
     ks = table.column("k")
     # The cache helps most at the smallest quorum sizes...
@@ -33,11 +32,10 @@ def test_ablation_monotone_cache(benchmark, output_dir):
 
 
 def test_ablation_delay_distribution(benchmark, output_dir):
-    config = scaled(AblationConfig)
-    table = benchmark.pedantic(
-        delay_ablation, args=(config,), rounds=1, iterations=1
+    config = EXPERIMENTS["ablations"].config()
+    table = regenerate(
+        benchmark, output_dir, "ablation_delays", delay_ablation, config
     )
-    save_and_print(table, output_dir, "ablation_delays")
     assert all(table.column("all_converged"))
     rounds = table.column("mean_rounds")
     # Section 7's claim: the round structure averages delays out, so even
@@ -46,11 +44,10 @@ def test_ablation_delay_distribution(benchmark, output_dir):
 
 
 def test_ablation_topology(benchmark, output_dir):
-    config = scaled(AblationConfig)
-    table = benchmark.pedantic(
-        topology_ablation, args=(config,), rounds=1, iterations=1
+    config = EXPERIMENTS["ablations"].config()
+    table = regenerate(
+        benchmark, output_dir, "ablation_topology", topology_ablation, config
     )
-    save_and_print(table, output_dir, "ablation_topology")
     rows = {
         row[0]: dict(zip(table.columns, row)) for row in table.rows
     }

@@ -10,17 +10,15 @@ Qualitative claims verified:
 * churn costs simulated time relative to the calm baseline.
 """
 
-from repro.experiments.churn import ChurnConfig, churn_table
+from repro.experiments import EXPERIMENTS
+from repro.experiments.churn import churn_table
 
-from bench_utils import save_and_print, scaled
+from bench_utils import regenerate
 
 
 def test_churn(benchmark, output_dir):
-    config = scaled(ChurnConfig)
-    table = benchmark.pedantic(
-        churn_table, args=(config,), rounds=1, iterations=1
-    )
-    save_and_print(table, output_dir, "churn")
+    config = EXPERIMENTS["churn"].config()
+    table = regenerate(benchmark, output_dir, "churn", churn_table, config)
 
     assert all(table.column("all_converged"))
     times = table.column("mean_sim_time")

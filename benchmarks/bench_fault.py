@@ -12,20 +12,19 @@ Qualitative claims verified:
 * crashes slow the probabilistic system down but do not stop it.
 """
 
+from repro.experiments import EXPERIMENTS
 from repro.experiments.fault_tolerance import (
-    FaultToleranceConfig,
     fault_tolerance_table,
 )
 
-from bench_utils import save_and_print, scaled
+from bench_utils import regenerate
 
 
 def test_fault_tolerance(benchmark, output_dir):
-    config = scaled(FaultToleranceConfig)
-    table = benchmark.pedantic(
-        fault_tolerance_table, args=(config,), rounds=1, iterations=1
+    config = EXPERIMENTS["fault"].config()
+    table = regenerate(
+        benchmark, output_dir, "fault_tolerance", fault_tolerance_table, config
     )
-    save_and_print(table, output_dir, "fault_tolerance")
 
     rows = {row[0]: dict(zip(table.columns, row)) for row in table.rows}
     assert rows[0]["prob_converged"] and rows[0]["grid_converged"]

@@ -13,17 +13,14 @@ Qualitative claims verified:
 """
 
 from repro.analysis.theory import corollary6_rounds_bound, q_lower_bound
-from repro.experiments.figure2 import (
-    Figure2Config,
-    figure2_table,
-    run_figure2,
-)
+from repro.experiments import EXPERIMENTS
+from repro.experiments.figure2 import figure2_table, run_figure2
 
-from bench_utils import save_and_print, scaled
+from bench_utils import save_and_print
 
 
 def test_figure2(benchmark, output_dir):
-    config = scaled(Figure2Config)
+    config = EXPERIMENTS["figure2"].config()
     points = benchmark.pedantic(
         run_figure2, args=(config,), rounds=1, iterations=1
     )

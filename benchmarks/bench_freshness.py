@@ -16,23 +16,22 @@ Qualitative claims verified:
 import numpy as np
 
 from repro.analysis.theory import q_exact
+from repro.experiments import EXPERIMENTS
 from repro.experiments.freshness import (
-    FreshnessConfig,
     empirical_tail,
     freshness_table,
     quorum_level_wait_samples,
     register_level_wait_samples,
 )
 
-from bench_utils import save_and_print, scaled
+from bench_utils import regenerate
 
 
 def test_theorem4_freshness(benchmark, output_dir):
-    config = scaled(FreshnessConfig)
-    table = benchmark.pedantic(
-        freshness_table, args=(config,), rounds=1, iterations=1
+    config = EXPERIMENTS["freshness"].config()
+    table = regenerate(
+        benchmark, output_dir, "theorem4_freshness", freshness_table, config
     )
-    save_and_print(table, output_dir, "theorem4_freshness")
 
     q = q_exact(config.num_servers, config.quorum_size)
     samples = quorum_level_wait_samples(config)
@@ -45,7 +44,7 @@ def test_theorem4_freshness(benchmark, output_dir):
 
 
 def test_theorem4_register_level(benchmark):
-    config = scaled(FreshnessConfig)
+    config = EXPERIMENTS["freshness"].config()
     samples = benchmark.pedantic(
         register_level_wait_samples,
         args=(config,),

@@ -43,13 +43,11 @@ from typing import Callable, Dict, Optional
 
 import numpy as np
 
-from repro.exec.task import RunTask
-from repro.exec.workers import run_alg1_task
+from repro.exec.workers import alg1_task, run_alg1_task
 from repro.quorum.probabilistic import ProbabilisticQuorumSystem
 from repro.registers.deployment import RegisterDeployment
 from repro.sim import kernel
 from repro.sim.delays import ExponentialDelay
-from repro.sim.rng import derive_seed
 
 OUTPUT_DIR = pathlib.Path(__file__).parent / "output"
 
@@ -185,16 +183,13 @@ def bench_quorum_rounds(
 def bench_figure2_cell(quick: bool) -> Dict[str, float]:
     """One single-process Figure 2 cell, end to end (monotone/async)."""
     n = 8 if quick else 12
-    task = RunTask(
-        kind="alg1",
-        params={
-            "graph": {"kind": "chain", "n": n},
-            "quorum": {"kind": "probabilistic", "n": n, "k": 3},
-            "delay": {"kind": "exponential", "mean": 1.0},
-            "monotone": True,
-            "max_rounds": 120,
-        },
-        seed=derive_seed(2001, "bench-kernel-figure2"),
+    task = alg1_task(
+        (2001, "bench-kernel-figure2"),
+        graph={"kind": "chain", "n": n},
+        quorum={"kind": "probabilistic", "n": n, "k": 3},
+        delay={"kind": "exponential", "mean": 1.0},
+        monotone=True,
+        max_rounds=120,
     )
     start = time.perf_counter()
     result = run_alg1_task(task)

@@ -14,17 +14,17 @@ Qualitative claims verified:
 """
 
 from repro.analysis.latency import expected_max_of_exponentials
-from repro.experiments.latency import LatencyConfig, latency_table
+from repro.experiments import EXPERIMENTS
+from repro.experiments.latency import latency_table
 
-from bench_utils import save_and_print, scaled
+from bench_utils import regenerate
 
 
 def test_latency_vs_load(benchmark, output_dir):
-    config = scaled(LatencyConfig)
-    table = benchmark.pedantic(
-        latency_table, args=(config,), rounds=1, iterations=1
+    config = EXPERIMENTS["latency"].config()
+    table = regenerate(
+        benchmark, output_dir, "latency_vs_load", latency_table, config
     )
-    save_and_print(table, output_dir, "latency_vs_load")
 
     ks = table.column("k")
     read_means = table.column("read_mean")

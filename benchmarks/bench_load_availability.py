@@ -13,21 +13,21 @@ Qualitative claims verified:
 
 import pytest
 
+from repro.experiments import EXPERIMENTS
 from repro.experiments.load_availability import (
-    LoadAvailabilityConfig,
     load_availability_experiment,
     tradeoff_sweep,
 )
 
-from bench_utils import save_and_print, scaled
+from bench_utils import regenerate
 
 
 def test_load_availability_table(benchmark, output_dir):
-    config = scaled(LoadAvailabilityConfig)
-    table = benchmark.pedantic(
-        load_availability_experiment, args=(config,), rounds=1, iterations=1
+    config = EXPERIMENTS["load"].config()
+    table = regenerate(
+        benchmark, output_dir, "load_availability",
+        load_availability_experiment, config,
     )
-    save_and_print(table, output_dir, "load_availability")
 
     rows = {row[0]: dict(zip(table.columns, row)) for row in table.rows}
     prob = rows["probabilistic (k=sqrt n)"]
@@ -48,11 +48,10 @@ def test_load_availability_table(benchmark, output_dir):
 
 
 def test_tradeoff_sweep(benchmark, output_dir):
-    n_values = scaled(LoadAvailabilityConfig).tradeoff_n_values
-    table = benchmark.pedantic(
-        tradeoff_sweep, args=(n_values,), rounds=1, iterations=1
+    n_values = EXPERIMENTS["load"].config().tradeoff_n_values
+    table = regenerate(
+        benchmark, output_dir, "tradeoff_sweep", tradeoff_sweep, n_values
     )
-    save_and_print(table, output_dir, "tradeoff_sweep")
 
     prob_loads = table.column("prob_load")
     majority_loads = table.column("majority_load")

@@ -40,7 +40,8 @@ import sys
 from typing import Any, Dict, List, Optional
 
 from repro.analysis.theory import theorem1_survival_bound
-from repro.exec.task import RunTask, execute_task
+from repro.exec.task import execute_task
+from repro.exec.workers import alg1_task
 from repro.quorum.probabilistic import ProbabilisticQuorumSystem
 from repro.registers.deployment import RegisterDeployment
 from repro.service import ServiceConfig, run_service
@@ -143,27 +144,28 @@ def correctness_point(
     watermarks on a view change.  The churn period is scaled by
     ``CORRECTNESS_TIMESCALE`` to the Alg. 1 run's shorter lifetime.
     """
-    params: Dict[str, Any] = {
-        "graph": {"kind": "chain", "n": 5},
-        "quorum": {"kind": "probabilistic", "n": 8, "k": 3},
-        "delay": {"kind": "exponential", "mean": 1.0},
-        "monotone": True,
-        "max_rounds": 15,
-        "max_sim_time": max_sim_time,
-        "retry": {"interval": 1.0, "backoff": 2.0, "jitter": 0.1,
-                  "deadline": 30.0},
-        "check_spec_online": True,
-    }
+    membership = None
     if period is not None:
-        params["membership"] = {
+        membership = {
             "kind": "churn",
             "period": round(period * CORRECTNESS_TIMESCALE, 3),
             "batch": 1,
             "start": 3.0,
         }
     payload = execute_task(
-        RunTask(kind="alg1", params=params,
-                seed=derive_seed(seed, "bench-membership-correctness"))
+        alg1_task(
+            (seed, "bench-membership-correctness"),
+            graph={"kind": "chain", "n": 5},
+            quorum={"kind": "probabilistic", "n": 8, "k": 3},
+            delay={"kind": "exponential", "mean": 1.0},
+            monotone=True,
+            max_rounds=15,
+            max_sim_time=max_sim_time,
+            retry={"interval": 1.0, "backoff": 2.0, "jitter": 0.1,
+                   "deadline": 30.0},
+            check_spec_online=True,
+            membership=membership,
+        )
     )
     monitor = payload.get("monitor") or {}
     membership = payload.get("membership") or {}

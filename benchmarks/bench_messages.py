@@ -13,17 +13,17 @@ Qualitative claims verified:
   majority and all three systems converge.
 """
 
+from repro.experiments import EXPERIMENTS
 from repro.experiments.message_complexity import (
-    MessageComplexityConfig,
     analytic_tables,
     measured_table,
 )
 
-from bench_utils import save_and_print, scaled
+from bench_utils import regenerate, save_and_print
 
 
 def test_message_complexity_analytic(benchmark, output_dir):
-    n_values = scaled(MessageComplexityConfig).analytic_n_values
+    n_values = EXPERIMENTS["messages"].config().analytic_n_values
     availability, load = benchmark.pedantic(
         analytic_tables, args=(n_values, 34, 34), rounds=1, iterations=1
     )
@@ -43,11 +43,10 @@ def test_message_complexity_analytic(benchmark, output_dir):
 
 
 def test_message_complexity_measured(benchmark, output_dir):
-    config = scaled(MessageComplexityConfig)
-    table = benchmark.pedantic(
-        measured_table, args=(config,), rounds=1, iterations=1
+    config = EXPERIMENTS["messages"].config()
+    table = regenerate(
+        benchmark, output_dir, "messages_measured", measured_table, config
     )
-    save_and_print(table, output_dir, "messages_measured")
 
     rows = {row[0]: dict(zip(table.columns, row)) for row in table.rows}
     prob = rows["probabilistic k=sqrt(n)"]

@@ -13,17 +13,17 @@ Qualitative claims verified:
   observation about the source of the Figure 2 gap.
 """
 
-from repro.experiments.pseudocycles import PseudocycleConfig, pseudocycle_table
+from repro.experiments import EXPERIMENTS
+from repro.experiments.pseudocycles import pseudocycle_table
 
-from bench_utils import save_and_print, scaled
+from bench_utils import regenerate
 
 
 def test_rounds_per_pseudocycle(benchmark, output_dir):
-    config = scaled(PseudocycleConfig)
-    table = benchmark.pedantic(
-        pseudocycle_table, args=(config,), rounds=1, iterations=1
+    config = EXPERIMENTS["pseudocycles"].config()
+    table = regenerate(
+        benchmark, output_dir, "pseudocycles", pseudocycle_table, config
     )
-    save_and_print(table, output_dir, "pseudocycles")
 
     measured = table.column("measured_rounds_per_pc")
     cor7 = table.column("corollary7_bound")

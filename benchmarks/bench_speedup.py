@@ -27,10 +27,9 @@ import time
 from repro.exec.engine import default_jobs, run_many
 from repro.exec.pool import shutdown_pool
 from repro.exec.task import RunTask
-from repro.experiments.figure2 import Figure2Config, run_figure2
+from repro.experiments import EXPERIMENTS
+from repro.experiments.figure2 import run_figure2
 from repro.experiments.results import full_scale
-
-from bench_utils import scaled
 
 MIN_CPUS_FOR_SPEEDUP = 4
 MIN_SPEEDUP = 2.5
@@ -64,7 +63,7 @@ def _is_degenerate_record(record):
 
 
 def test_parallel_speedup(output_dir):
-    config = scaled(Figure2Config)
+    config = EXPERIMENTS["figure2"].config()
     cpus = os.cpu_count() or 1
     degenerate = cpus < 2
     ladder_jobs = sorted({2, default_jobs()} - {1})

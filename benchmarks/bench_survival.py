@@ -13,22 +13,21 @@ Qualitative claims verified:
 """
 
 from repro.analysis.theory import theorem1_survival_bound
+from repro.experiments import EXPERIMENTS
 from repro.experiments.survival import (
-    SurvivalConfig,
     quorum_level_survival,
     register_level_survival,
     survival_table,
 )
 
-from bench_utils import save_and_print, scaled
+from bench_utils import regenerate
 
 
 def test_theorem1_survival(benchmark, output_dir):
-    config = scaled(SurvivalConfig)
-    table = benchmark.pedantic(
-        survival_table, args=(config,), rounds=1, iterations=1
+    config = EXPERIMENTS["survival"].config()
+    table = regenerate(
+        benchmark, output_dir, "theorem1_survival", survival_table, config
     )
-    save_and_print(table, output_dir, "theorem1_survival")
 
     measured = quorum_level_survival(config)
     slack = 0.02 if config.trials >= 10_000 else 0.05
@@ -42,7 +41,7 @@ def test_theorem1_survival(benchmark, output_dir):
 
 
 def test_theorem1_register_level(benchmark, output_dir):
-    config = scaled(SurvivalConfig)
+    config = EXPERIMENTS["survival"].config()
     counts = benchmark.pedantic(
         register_level_survival,
         args=(config,),

@@ -11,17 +11,17 @@ Qualitative claims verified:
   over-provisioning quorums.
 """
 
-from repro.experiments.quorum_tuning import TuningConfig, tuning_table
+from repro.experiments import EXPERIMENTS
+from repro.experiments.quorum_tuning import tuning_table
 
-from bench_utils import save_and_print, scaled
+from bench_utils import regenerate
 
 
 def test_quorum_tuning(benchmark, output_dir):
-    config = scaled(TuningConfig)
-    table = benchmark.pedantic(
-        tuning_table, args=(config,), rounds=1, iterations=1
+    config = EXPERIMENTS["tuning"].config()
+    table = regenerate(
+        benchmark, output_dir, "quorum_tuning", tuning_table, config
     )
-    save_and_print(table, output_dir, "quorum_tuning")
 
     rounds = table.column("mean_rounds")
     loads = table.column("load")

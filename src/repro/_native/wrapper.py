@@ -6,11 +6,11 @@ Python, subclassing the C cores.  Importing this module requires the
 extension to be built — :mod:`repro.sim.kernel` guards the import.
 """
 
-from typing import Any, Callable, Optional, Tuple
+from typing import Optional, Tuple
 
 from repro._native import load_kernel
 from repro.sim.metrics import DetailNotCollected
-from repro.sim.scheduler import RepeatingHandle, SchedulerError
+from repro.sim.scheduler import Scheduler
 
 _kernel = load_kernel()
 if _kernel is None:  # pragma: no cover - guarded by repro.sim.kernel
@@ -21,67 +21,14 @@ class NativeScheduler(_kernel.SchedulerCore):
     """The native scheduler core plus the cold-path Python API.
 
     ``schedule``/``call_soon``/``schedule_uncancellable``/``step``/``run``
-    are C methods on the core; repeating chains fire through
-    :meth:`schedule` so their logic stays byte-identical to
-    :class:`repro.sim.scheduler.Scheduler.schedule_repeating`.
+    are C methods on the core; repeating chains *are*
+    :meth:`repro.sim.scheduler.Scheduler.schedule_repeating`, which only
+    calls ``now``, ``schedule`` and ``schedule_at``.
     """
 
     __slots__ = ()
 
-    def schedule_repeating(
-        self,
-        interval: float,
-        callback: Callable,
-        *args: Any,
-        first_delay: Optional[float] = None,
-        until: Optional[float] = None,
-    ) -> RepeatingHandle:
-        """Run ``callback(*args)`` every ``interval`` until cancelled.
-
-        Semantics identical to the pure-python scheduler: the first
-        occurrence fires after ``first_delay`` (default one interval),
-        ``until`` bounds the chain, occurrence times are computed as
-        ``base + i * interval``, and an occurrence overshooting the
-        horizon by at most ``interval * 1e-9`` (float representation
-        drift) is snapped to fire exactly at ``t == until``.
-        """
-        if interval <= 0:
-            raise SchedulerError(
-                f"repeating interval must be positive, got {interval}"
-            )
-        handle = RepeatingHandle()
-        delay = interval if first_delay is None else first_delay
-        base = self.now + delay
-        tolerance = interval * 1e-9
-        count = 0
-
-        def occurrence(index: int) -> Optional[float]:
-            time = base + index * interval
-            if until is not None and time > until:
-                return until if time - until <= tolerance else None
-            return time
-
-        def fire() -> None:
-            nonlocal count
-            if handle.cancelled:
-                return
-            count += 1
-            next_time = occurrence(count)
-            if next_time is not None:
-                handle._current = self.schedule_at(next_time, fire)
-            else:
-                handle.cancelled = True
-            callback(*args)
-
-        first_time = occurrence(0)
-        if first_time is None:
-            handle.cancelled = True
-            return handle
-        if first_time != base:
-            handle._current = self.schedule_at(first_time, fire)
-        else:
-            handle._current = self.schedule(delay, fire)
-        return handle
+    schedule_repeating = Scheduler.schedule_repeating
 
     def __repr__(self) -> str:
         return (

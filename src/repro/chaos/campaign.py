@@ -26,6 +26,7 @@ import numpy as np
 from repro.chaos.shrink import shrink_violation
 from repro.exec.engine import run_many
 from repro.exec.task import RunTask, execute_task
+from repro.exec.workers import alg1_task
 from repro.sim.rng import derive_seed
 
 #: Bump when the repro document layout changes.
@@ -194,7 +195,9 @@ def generate_task(config: CampaignConfig, index: int) -> RunTask:
         derive_seed(config.seed, "chaos-config", index)
     )
     num_servers = int(rng.integers(5, 9))
-    params: Dict[str, Any] = {
+    # Draw order is the campaign's identity: graph, quorum, delay, retry,
+    # loss, faults, adversary — then membership from its own stream.
+    spec: Dict[str, Any] = {
         "graph": {"kind": "chain", "n": int(rng.integers(4, 7))},
         "quorum": {
             "kind": "probabilistic",
@@ -205,25 +208,17 @@ def generate_task(config: CampaignConfig, index: int) -> RunTask:
             "kind": "exponential",
             "mean": round(float(rng.uniform(0.5, 1.5)), 3),
         },
-        "monotone": True,
-        "max_rounds": config.max_rounds,
-        "max_sim_time": config.max_sim_time,
         "retry": {
             "interval": round(float(rng.uniform(0.5, 2.0)), 3),
             "backoff": 2.0,
             "jitter": 0.1,
             "deadline": round(float(rng.uniform(20.0, 40.0)), 3),
         },
-        "check_spec_online": True,
     }
     if rng.random() < 0.5:
-        params["loss_rate"] = round(float(rng.uniform(0.02, 0.15)), 3)
-    faults = _random_faults(rng, num_servers, config.max_sim_time)
-    if faults is not None:
-        params["faults"] = faults
-    adversary = _random_adversary(rng)
-    if adversary is not None:
-        params["adversary"] = adversary
+        spec["loss_rate"] = round(float(rng.uniform(0.02, 0.15)), 3)
+    spec["faults"] = _random_faults(rng, num_servers, config.max_sim_time)
+    spec["adversary"] = _random_adversary(rng)
     # Membership draws come from their own derived stream, NOT from the
     # config rng: every draw above stays identical to pre-membership
     # campaigns for the same campaign seed, so existing repro documents
@@ -231,25 +226,30 @@ def generate_task(config: CampaignConfig, index: int) -> RunTask:
     membership_rng = np.random.default_rng(
         derive_seed(config.seed, "chaos-membership", index)
     )
-    membership = _random_membership(
+    spec["membership"] = _random_membership(
         membership_rng, num_servers, config.max_sim_time
     )
-    if membership is not None:
-        params["membership"] = membership
-        if "adversary" not in params and membership_rng.random() < 0.5:
-            # Race the reconfiguration itself (drawn from the membership
-            # stream so the base adversary draw above stays untouched).
-            params["adversary"] = {
-                "kind": "view_change_racer",
-                "drop_budget": int(membership_rng.integers(10, 41)),
-                "window": round(float(membership_rng.uniform(3.0, 8.0)), 3),
-            }
+    if (
+        spec["membership"] is not None
+        and spec["adversary"] is None
+        and membership_rng.random() < 0.5
+    ):
+        # Race the reconfiguration itself (drawn from the membership
+        # stream so the base adversary draw above stays untouched).
+        spec["adversary"] = {
+            "kind": "view_change_racer",
+            "drop_budget": int(membership_rng.integers(10, 41)),
+            "window": round(float(membership_rng.uniform(3.0, 8.0)), 3),
+        }
     if config.broken_client is not None:
-        params["broken_client"] = dict(config.broken_client)
-    return RunTask(
-        kind="alg1",
-        params=params,
-        seed=derive_seed(config.seed, "chaos-run", index),
+        spec["broken_client"] = dict(config.broken_client)
+    return alg1_task(
+        (config.seed, "chaos-run", index),
+        monotone=True,
+        max_rounds=config.max_rounds,
+        max_sim_time=config.max_sim_time,
+        check_spec_online=True,
+        **spec,
     )
 
 
@@ -324,6 +324,16 @@ def replay_repro(
     replay produced a spec violation again (simulations are pure
     functions of their task, so a genuine repro always reproduces).
     """
+    payload = execute_task(load_repro(source))
+    return payload.get("spec_violation") is not None, payload
+
+
+def load_repro(source: Union[str, Path, Dict[str, Any]]) -> RunTask:
+    """The minimal task of a repro document (a dict, or a path to one).
+
+    Raises OSError / ValueError on an unreadable or malformed document,
+    before anything is simulated.
+    """
     doc = (
         source
         if isinstance(source, dict)
@@ -331,10 +341,8 @@ def replay_repro(
     )
     try:
         spec = doc["task"]
-        task = RunTask(
+        return RunTask(
             kind=spec["kind"], params=spec["params"], seed=spec["seed"]
         )
     except (TypeError, KeyError) as error:
         raise ValueError(f"malformed repro document: {error}") from None
-    payload = execute_task(task)
-    return payload.get("spec_violation") is not None, payload

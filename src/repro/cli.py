@@ -3,15 +3,19 @@
 Usage::
 
     python -m repro.cli figure2 [--full] [--output DIR] [--jobs N]
-    python -m repro.cli survival | freshness | messages | load | ablations
-    python -m repro.cli pseudocycles | fault | latency | tuning | churn
+    python -m repro.cli ablations | churn | fault | freshness | latency | load
+    python -m repro.cli messages | pseudocycles | survival | tuning
     python -m repro.cli all [--full] [--output DIR] [--jobs N]
     python -m repro.cli chaos [--runs N] [--chaos-seed S] [--repro-out PATH]
     python -m repro.cli chaos --repro PATH        # replay a minimal repro
     python -m repro.cli serve [--rate R] [--arrivals KIND] [--duration T]
 
-Each subcommand prints the reproduced table(s) and, with ``--output``,
-also writes text and CSV copies.
+Every command is an entry of :data:`COMMANDS`.  The artifact commands are
+the registry :data:`repro.experiments.EXPERIMENTS` (``all`` runs every
+entry): each prints the reproduced table(s) and, with ``--output``, also
+writes text and CSV copies.  A command that cannot build its
+configuration (a quorum larger than the deployment, a missing repro
+file) prints ``repro: error: ...`` and exits 2.
 
 ``chaos`` runs a randomized adversarial campaign: every run executes
 under fault injection, an adversary strategy and the online spec monitor;
@@ -54,221 +58,131 @@ cross the worker-process boundary, so it forces ``--jobs 1`` and
 """
 
 import argparse
-import dataclasses
 import os
 import sys
-from typing import Callable, Dict, List, Optional
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, List, Optional
 
-from repro.experiments.ablations import (
-    AblationConfig,
-    delay_ablation,
-    monotone_ablation,
-    topology_ablation,
-)
+from repro.chaos import CampaignConfig, run_campaign
+from repro.chaos.campaign import load_repro, write_repro
 from repro.exec.cache import RunCache
 from repro.exec.engine import default_jobs, resolve_jobs
 from repro.exec.pool import shutdown_pool
-from repro.experiments.figure2 import Figure2Config, figure2_table, run_figure2
-from repro.experiments.freshness import FreshnessConfig, freshness_table
-from repro.experiments.load_availability import (
-    LoadAvailabilityConfig,
-    load_availability_experiment,
-    tradeoff_sweep,
-)
-from repro.experiments.message_complexity import (
-    MessageComplexityConfig,
-    analytic_tables,
-    measured_table,
-)
-from repro.experiments.churn import ChurnConfig, churn_table
-from repro.experiments.fault_tolerance import (
-    FaultToleranceConfig,
-    degradation_table,
-    fault_tolerance_table,
-)
-from repro.experiments.latency import LatencyConfig, latency_table
-from repro.experiments.pseudocycles import (
-    PseudocycleConfig,
-    pseudocycle_table,
-)
-from repro.experiments.quorum_tuning import TuningConfig, tuning_table
-from repro.experiments.results import ResultTable
-from repro.experiments.survival import SurvivalConfig, survival_table
+from repro.exec.task import execute_task
+from repro.experiments import EXPERIMENTS
 from repro.obs import runtime as obs_runtime
+from repro.obs.collect import collect_chaos
 from repro.obs.core import Observability
 from repro.obs.export import to_json, to_prometheus_text
 from repro.obs.spans import SpanRecorder
+from repro.service import ServiceConfig, run_service
 from repro.sim import kernel
 
 
-def _emit(tables: List[ResultTable], output: Optional[str], stem: str) -> None:
-    for index, table in enumerate(tables):
-        print(table.to_text())
-        print()
-        if output:
-            suffix = f"_{index}" if len(tables) > 1 else ""
-            base = os.path.join(output, f"{stem}{suffix}")
-            table.save(base + ".txt", fmt="text")
-            table.save(base + ".csv", fmt="csv")
+@dataclass(frozen=True)
+class Context:
+    """What ``main`` resolved for every command: fan-out, cache, session."""
+
+    jobs: int
+    cache: Optional[RunCache]
+    session: Optional[Observability]
+
+    @property
+    def metrics(self) -> Optional[Any]:
+        """The session's registry when ``--metrics-out`` asked for one."""
+        if self.session is not None and self.session.metrics.enabled:
+            return self.session.metrics
+        return None
 
 
-def _config(config_class, full: bool):
-    """``--full`` selects the paper-scale configuration — the one
-    ``REPRO_FULL=1`` gives the benchmarks — else the scaled-down one."""
-    return config_class.paper_scale() if full else config_class.scaled_down()
+@dataclass(frozen=True)
+class Command:
+    """One CLI command.
 
-
-def _cmd_figure2(full, output, jobs=None, cache=None, **overrides) -> None:
-    config = _config(Figure2Config, full)
-    points = run_figure2(config, jobs=jobs, cache=cache)
-    _emit([figure2_table(config, points)], output, "figure2")
-
-
-def _cmd_survival(full, output, jobs=None, cache=None, **overrides) -> None:
-    config = _config(SurvivalConfig, full)
-    _emit([survival_table(config, jobs=jobs, cache=cache)], output,
-          "survival")
-
-
-def _cmd_freshness(full, output, jobs=None, cache=None, **overrides) -> None:
-    config = _config(FreshnessConfig, full)
-    _emit([freshness_table(config, jobs=jobs, cache=cache)], output,
-          "freshness")
-
-
-def _cmd_messages(full, output, jobs=None, cache=None, **overrides) -> None:
-    config = _config(MessageComplexityConfig, full)
-    tables = analytic_tables(config.analytic_n_values, m=34, p=34)
-    tables.append(measured_table(config, jobs=jobs, cache=cache))
-    _emit(tables, output, "messages")
-
-
-def _cmd_load(full, output, jobs=None, cache=None, **overrides) -> None:
-    # Analytic + in-process Monte Carlo only; no engine fan-out.
-    config = _config(LoadAvailabilityConfig, full)
-    tables = [load_availability_experiment(config)]
-    tables.append(tradeoff_sweep(config.tradeoff_n_values))
-    _emit(tables, output, "load_availability")
-
-
-def _cmd_ablations(full, output, jobs=None, cache=None, **overrides) -> None:
-    config = _config(AblationConfig, full)
-    _emit(
-        [
-            monotone_ablation(config, jobs=jobs, cache=cache),
-            delay_ablation(config, jobs=jobs, cache=cache),
-            topology_ablation(config, jobs=jobs, cache=cache),
-        ],
-        output,
-        "ablations",
-    )
-
-
-def _cmd_pseudocycles(full, output, jobs=None, cache=None, **overrides) -> None:
-    config = _config(PseudocycleConfig, full)
-    _emit([pseudocycle_table(config, jobs=jobs, cache=cache)], output,
-          "pseudocycles")
-
-
-def _fault_overrides(overrides: dict) -> dict:
-    """Config overrides from the fault-model CLI flags (None = keep default)."""
-    mapped = {
-        "loss_rate": overrides.get("loss_rate"),
-        "operation_deadline": overrides.get("op_deadline"),
-    }
-    return {key: value for key, value in mapped.items() if value is not None}
-
-
-def _cmd_fault(full, output, jobs=None, cache=None, **overrides) -> None:
-    config = dataclasses.replace(
-        _config(FaultToleranceConfig, full), **_fault_overrides(overrides)
-    )
-    _emit([fault_tolerance_table(config, jobs=jobs, cache=cache)], output,
-          "fault_tolerance")
-    _emit([degradation_table(config, jobs=jobs, cache=cache)], output,
-          "fault_degradation")
-
-
-def _cmd_latency(full, output, jobs=None, cache=None, **overrides) -> None:
-    config = _config(LatencyConfig, full)
-    _emit([latency_table(config, jobs=jobs, cache=cache)], output,
-          "latency")
-
-
-def _cmd_tuning(full, output, jobs=None, cache=None, **overrides) -> None:
-    config = _config(TuningConfig, full)
-    _emit([tuning_table(config, jobs=jobs, cache=cache)], output,
-          "quorum_tuning")
-
-
-def _cmd_churn(full, output, jobs=None, cache=None, **overrides) -> None:
-    config = dataclasses.replace(
-        _config(ChurnConfig, full), **_fault_overrides(overrides)
-    )
-    _emit([churn_table(config, jobs=jobs, cache=cache)], output, "churn")
-
-
-COMMANDS: Dict[str, Callable[..., None]] = {
-    "figure2": _cmd_figure2,
-    "survival": _cmd_survival,
-    "freshness": _cmd_freshness,
-    "messages": _cmd_messages,
-    "load": _cmd_load,
-    "ablations": _cmd_ablations,
-    "pseudocycles": _cmd_pseudocycles,
-    "fault": _cmd_fault,
-    "latency": _cmd_latency,
-    "tuning": _cmd_tuning,
-    "churn": _cmd_churn,
-}
-
-
-def _run_chaos(args, jobs: int, session) -> int:
-    """The ``chaos`` subcommand: campaign mode or ``--repro`` replay mode.
-
-    Kept out of COMMANDS (and of ``all``): chaos is a robustness harness
-    with its own exit-code contract, not a paper artifact.
+    ``prepare(args, context)`` builds the command's configuration and
+    returns the thunk that runs it (returning the exit code).  Whatever
+    ``prepare`` raises as ValueError / OSError is a usage error, reported
+    on one line; nothing is simulated until the thunk runs.
     """
-    from repro.chaos import (
-        CampaignConfig,
-        replay_repro,
-        run_campaign,
-    )
-    from repro.chaos.campaign import write_repro
-    from repro.obs.collect import collect_chaos
 
-    if args.repro is not None:
-        reproduced, payload = replay_repro(args.repro)
-        violation = payload.get("spec_violation")
-        if reproduced:
-            print(f"repro {args.repro}: violation reproduced")
-            print(f"  condition: {violation.get('condition')}")
-            print(f"  register:  {violation.get('register')}")
-            print(f"  message:   {violation.get('message')}")
-            for op in violation.get("ops", []):
-                print(f"  op: {op}")
+    prepare: Callable[[argparse.Namespace, Context], Callable[[], int]]
+    #: Adds the command's own argument group to the parser.
+    add_arguments: Optional[Callable[[argparse.ArgumentParser], None]] = None
+
+
+def _artifacts(*names: str) -> Command:
+    """The command regenerating the named registry entries, in order."""
+
+    def prepare(args, context: Context) -> Callable[[], int]:
+        # Every flag is offered; an experiment takes the ones it declares.
+        configured = [
+            (EXPERIMENTS[name], EXPERIMENTS[name].config(**vars(args)))
+            for name in names
+        ]
+
+        def run() -> int:
+            for experiment, config in configured:
+                for stem, table in experiment.tables(
+                    config, jobs=context.jobs, cache=context.cache
+                ):
+                    print(table.to_text())
+                    print()
+                    if args.output:
+                        base = os.path.join(args.output, stem)
+                        table.save(base + ".txt", fmt="text")
+                        table.save(base + ".csv", fmt="csv")
             return 0
-        print(f"repro {args.repro}: violation did NOT reproduce")
-        return 2
 
-    broken = (
-        {"kind": "regressing", "after": args.broken_after}
-        if args.broken_after is not None
-        else None
-    )
+        return run
+
+    return Command(prepare)
+
+
+def _prepare_chaos(args, context: Context) -> Callable[[], int]:
+    """``chaos``: campaign mode, or ``--repro`` replay mode.
+
+    A robustness harness with its own exit-code contract, not a paper
+    artifact: 1 on a spec violation; replay exits 0 when the violation
+    reproduces and 2 when it does not.
+    """
+    if args.repro is not None:
+        task = load_repro(args.repro)
+        return lambda: _replay(args.repro, task)
     config = CampaignConfig(
         runs=args.runs,
         seed=args.chaos_seed,
-        jobs=jobs,
-        broken_client=broken,
+        jobs=context.jobs,
+        broken_client=(
+            {"kind": "regressing", "after": args.broken_after}
+            if args.broken_after is not None
+            else None
+        ),
     )
+    return lambda: _campaign(args, config, context)
+
+
+def _replay(path: str, task) -> int:
+    violation = execute_task(task).get("spec_violation")
+    if violation is None:
+        print(f"repro {path}: violation did NOT reproduce")
+        return 2
+    print(f"repro {path}: violation reproduced")
+    print(f"  condition: {violation.get('condition')}")
+    print(f"  register:  {violation.get('register')}")
+    print(f"  message:   {violation.get('message')}")
+    for op in violation.get("ops", []):
+        print(f"  op: {op}")
+    return 0
+
+
+def _campaign(args, config: CampaignConfig, context: Context) -> int:
     print(
         f"chaos campaign: {config.runs} runs, seed {config.seed}, "
-        f"{jobs} worker(s)"
+        f"{config.jobs} worker(s)"
     )
     result = run_campaign(config)
-    if session is not None and session.metrics.enabled:
-        collect_chaos(session.metrics, result)
+    if context.metrics is not None:
+        collect_chaos(context.metrics, result)
     retries = sum(r["retries"] for r in result.records)
     timeouts = sum(r["timeouts"] for r in result.records)
     dropped = sum(r["messages_dropped"] for r in result.records)
@@ -300,25 +214,61 @@ def _run_chaos(args, jobs: int, session) -> int:
     return 1
 
 
-def _run_serve(args, session) -> int:
-    """The ``serve`` subcommand: one service-mode run, SLO summary out.
+def _chaos_arguments(parser: argparse.ArgumentParser) -> None:
+    chaos = parser.add_argument_group(
+        "chaos only", "campaign knobs (ignored by other subcommands)"
+    )
+    chaos.add_argument(
+        "--runs",
+        type=int,
+        metavar="N",
+        default=20,
+        help="number of randomized campaign runs (default 20)",
+    )
+    chaos.add_argument(
+        "--chaos-seed",
+        type=int,
+        metavar="S",
+        default=0,
+        help="campaign seed (same seed => byte-identical "
+             "campaign, including any minimal repro file)",
+    )
+    chaos.add_argument(
+        "--repro",
+        metavar="PATH",
+        default=None,
+        help="replay a minimal-repro file instead of running "
+             "a campaign (exit 0 when the violation reproduces, 2 when not)",
+    )
+    chaos.add_argument(
+        "--repro-out",
+        metavar="PATH",
+        default=None,
+        help="where to write the shrunken minimal repro on "
+             "violation (default benchmarks/output/chaos_repro_seedS.json)",
+    )
+    chaos.add_argument(
+        "--broken-after",
+        type=int,
+        metavar="N",
+        default=None,
+        help="inject a deliberately broken client whose reads "
+             "regress after N correct ones (validates the violation "
+             "pipeline end to end)",
+    )
 
-    Kept out of COMMANDS (and of ``all``) like ``chaos``: service mode is
-    a systems harness over the reproduction, not a paper artifact.
-    """
-    from repro.service import ServiceConfig, run_service
 
+def _prepare_serve(args, context: Context) -> Callable[[], int]:
+    """``serve``: one service-mode run, SLO summary out (a systems harness
+    over the reproduction, not a paper artifact)."""
     spec = {"kind": args.arrivals, "rate": args.rate}
-    if args.arrivals == "bursty":
-        if args.mean_burst is not None:
-            spec["mean_burst"] = args.mean_burst
-        if args.peakedness is not None:
-            spec["peakedness"] = args.peakedness
-    elif args.arrivals == "diurnal":
-        if args.period is not None:
-            spec["period"] = args.period
-        if args.amplitude is not None:
-            spec["amplitude"] = args.amplitude
+    shape_knobs = {
+        "bursty": ("mean_burst", "peakedness"),
+        "diurnal": ("period", "amplitude"),
+    }
+    for knob in shape_knobs.get(args.arrivals, ()):
+        if getattr(args, knob) is not None:
+            spec[knob] = getattr(args, knob)
     config = ServiceConfig(
         seed=args.seed,
         num_servers=args.servers,
@@ -347,6 +297,10 @@ def _run_serve(args, session) -> int:
             }
         ),
     )
+    return lambda: _serve(args, config, context)
+
+
+def _serve(args, config: ServiceConfig, context: Context) -> int:
     print(
         f"serve: seed {config.seed}; {config.num_servers} servers "
         f"(quorum {config.quorum_size}), {config.num_clients} clients, "
@@ -370,129 +324,12 @@ def _run_serve(args, session) -> int:
         with open(args.snapshot_out, "wb") as fh:
             fh.write(result.snapshot_bytes)
         print(f"metrics snapshot written to {args.snapshot_out}")
-    if session is not None and session.metrics.enabled:
-        session.metrics.merge_snapshot(result.snapshot)
+    if context.metrics is not None:
+        context.metrics.merge_snapshot(result.snapshot)
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro",
-        description="Regenerate the paper's tables and figures.",
-    )
-    parser.add_argument(
-        "experiment",
-        choices=sorted(COMMANDS) + ["all", "chaos", "serve"],
-        help="which artifact to regenerate ('chaos' runs the randomized "
-             "adversarial campaign instead; 'serve' runs the open-loop "
-             "key-value service mode)",
-    )
-    parser.add_argument(
-        "--full",
-        action="store_true",
-        help="use the paper's full parameters (slow)",
-    )
-    parser.add_argument(
-        "--output",
-        metavar="DIR",
-        help="also save text and CSV copies into DIR",
-    )
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        metavar="N",
-        default=None,
-        help="worker processes for simulation fan-out "
-             "(default: CPU count capped at 8; env REPRO_JOBS)",
-    )
-    parser.add_argument(
-        "--kernel",
-        choices=["python", "native"],
-        default=None,
-        help="simulation kernel backend: the pure-python reference or the "
-             "compiled native extension (default: env REPRO_KERNEL, else "
-             "python; native falls back to python with a warning when the "
-             "extension is not built — results are byte-identical either "
-             "way)",
-    )
-    parser.add_argument(
-        "--loss-rate",
-        type=float,
-        metavar="P",
-        default=None,
-        help="drop each message with probability P "
-             "(fault/churn experiments only)",
-    )
-    parser.add_argument(
-        "--op-deadline",
-        type=float,
-        metavar="T",
-        default=None,
-        help="per-operation timeout before rejecting with OperationTimeout "
-             "(fault/churn experiments only)",
-    )
-    parser.add_argument(
-        "--profile",
-        action="store_true",
-        help="wrap the run in cProfile and print the top cumulative "
-             "entries (forces --jobs 1 and --no-cache so the simulation "
-             "kernel runs in-process and is actually measured)",
-    )
-    parser.add_argument(
-        "--metrics-out",
-        metavar="PATH",
-        default=None,
-        help="aggregate run metrics across all simulations (and worker "
-             "processes) and write them to PATH in Prometheus text "
-             "exposition format (JSON when PATH ends in .json)",
-    )
-    parser.add_argument(
-        "--trace-spans",
-        type=int,
-        metavar="N",
-        default=None,
-        help="record per-operation spans and print the N slowest "
-             "(forces --jobs 1 and --no-cache: spans cannot cross the "
-             "worker-process boundary)",
-    )
-    parser.add_argument(
-        "--runs",
-        type=int,
-        metavar="N",
-        default=20,
-        help="chaos only: number of randomized campaign runs (default 20)",
-    )
-    parser.add_argument(
-        "--chaos-seed",
-        type=int,
-        metavar="S",
-        default=0,
-        help="chaos only: campaign seed (same seed => byte-identical "
-             "campaign, including any minimal repro file)",
-    )
-    parser.add_argument(
-        "--repro",
-        metavar="PATH",
-        default=None,
-        help="chaos only: replay a minimal-repro file instead of running "
-             "a campaign (exit 0 when the violation reproduces, 2 when not)",
-    )
-    parser.add_argument(
-        "--repro-out",
-        metavar="PATH",
-        default=None,
-        help="chaos only: where to write the shrunken minimal repro on "
-             "violation (default benchmarks/output/chaos_repro_seedS.json)",
-    )
-    parser.add_argument(
-        "--broken-after",
-        type=int,
-        metavar="N",
-        default=None,
-        help="chaos only: inject a deliberately broken client whose reads "
-             "regress after N correct ones (validates the violation "
-             "pipeline end to end)",
-    )
+def _serve_arguments(parser: argparse.ArgumentParser) -> None:
     serve = parser.add_argument_group(
         "serve only", "service-mode knobs (ignored by other subcommands)"
     )
@@ -590,6 +427,99 @@ def build_parser() -> argparse.ArgumentParser:
         help="write the run's canonical metrics snapshot (JSON bytes); "
              "byte-identical across same-seed runs",
     )
+
+
+#: Every command of the CLI.  ``all`` is the whole experiment registry;
+#: ``serve`` and ``chaos`` stay out of it (they are harnesses with their
+#: own output and exit-code contracts, not paper artifacts).
+COMMANDS: Dict[str, Command] = {
+    **{name: _artifacts(name) for name in EXPERIMENTS},
+    "all": _artifacts(*EXPERIMENTS),
+    "chaos": Command(_prepare_chaos, _chaos_arguments),
+    "serve": Command(_prepare_serve, _serve_arguments),
+}
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="repro",
+        description="Regenerate the paper's tables and figures.",
+    )
+    parser.add_argument(
+        "experiment",
+        choices=sorted(COMMANDS),
+        help="which artifact to regenerate ('all': every one; 'chaos' runs "
+             "the randomized adversarial campaign instead; 'serve' runs the "
+             "open-loop key-value service mode)",
+    )
+    parser.add_argument(
+        "--full",
+        action="store_true",
+        help="use the paper's full parameters (slow)",
+    )
+    parser.add_argument(
+        "--output",
+        metavar="DIR",
+        help="also save text and CSV copies into DIR",
+    )
+    parser.add_argument(
+        "--jobs",
+        type=int,
+        metavar="N",
+        default=None,
+        help="worker processes for simulation fan-out "
+             "(default: CPU count capped at 8; env REPRO_JOBS)",
+    )
+    parser.add_argument(
+        "--kernel",
+        choices=["python", "native"],
+        default=None,
+        help="simulation kernel backend: the pure-python reference or the "
+             "compiled native extension (default: env REPRO_KERNEL, else "
+             "python; native falls back to python with a warning when the "
+             "extension is not built — results are byte-identical either "
+             "way)",
+    )
+    parser.add_argument(
+        "--loss-rate",
+        type=float,
+        metavar="P",
+        default=None,
+        help="drop each message with probability P "
+             "(fault/churn experiments only)",
+    )
+    parser.add_argument(
+        "--op-deadline",
+        type=float,
+        metavar="T",
+        default=None,
+        help="per-operation timeout before rejecting with OperationTimeout "
+             "(fault/churn experiments only)",
+    )
+    parser.add_argument(
+        "--profile",
+        action="store_true",
+        help="wrap the run in cProfile and print the top cumulative "
+             "entries (forces --jobs 1 and --no-cache so the simulation "
+             "kernel runs in-process and is actually measured)",
+    )
+    parser.add_argument(
+        "--metrics-out",
+        metavar="PATH",
+        default=None,
+        help="aggregate run metrics across all simulations (and worker "
+             "processes) and write them to PATH in Prometheus text "
+             "exposition format (JSON when PATH ends in .json)",
+    )
+    parser.add_argument(
+        "--trace-spans",
+        type=int,
+        metavar="N",
+        default=None,
+        help="record per-operation spans and print the N slowest "
+             "(forces --jobs 1 and --no-cache: spans cannot cross the "
+             "worker-process boundary)",
+    )
     parser.add_argument(
         "--no-cache",
         action="store_true",
@@ -600,39 +530,25 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="wipe the run cache before running",
     )
+    for name in sorted(COMMANDS):
+        if COMMANDS[name].add_arguments is not None:
+            COMMANDS[name].add_arguments(parser)
     return parser
 
 
-def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
-    if args.kernel is not None:
-        kernel.select_backend(args.kernel)
-    # Resolve eagerly: a native request that falls back should warn up
-    # front, not only when (if ever) the first scheduler is built — a
-    # fully cache-served run never builds one.
-    resolved = kernel.selected_backend()
-    if args.kernel is not None:
-        if args.kernel != resolved:
-            # selected_backend() already printed why; state the outcome.
-            print(
-                f"repro: --kernel {args.kernel} is unavailable; running "
-                f"with the pure-python kernel (results are identical)",
-                file=sys.stderr,
-            )
+def _context(args) -> Context:
+    """Resolve fan-out, cache and observability; ValueError on bad flags."""
+    jobs = resolve_jobs(args.jobs, default=default_jobs())
+    if args.trace_spans is not None and args.trace_spans < 1:
+        raise ValueError(
+            f"--trace-spans must be positive, got {args.trace_spans}"
+        )
+    if args.loss_rate is not None and not 0.0 <= args.loss_rate < 1.0:
+        raise ValueError(
+            f"--loss-rate must be in [0, 1), got {args.loss_rate}"
+        )
     if args.output:
         os.makedirs(args.output, exist_ok=True)
-    try:
-        jobs = resolve_jobs(args.jobs, default=default_jobs())
-    except ValueError as exc:
-        print(f"repro: error: {exc}", file=sys.stderr)
-        return 2
-    if args.trace_spans is not None and args.trace_spans < 1:
-        print(
-            f"repro: error: --trace-spans must be positive, "
-            f"got {args.trace_spans}",
-            file=sys.stderr,
-        )
-        return 2
     if args.profile or args.trace_spans is not None:
         # Profiling a worker-process fan-out (or a cache hit) would show
         # only IPC and pickling; run everything in this process, uncached.
@@ -644,67 +560,66 @@ def main(argv: Optional[List[str]] = None) -> int:
         cache = None if args.no_cache else RunCache()
         if args.clear_cache and cache is not None:
             cache.clear()
-    if args.loss_rate is not None and not 0.0 <= args.loss_rate < 1.0:
-        print(
-            f"repro: error: --loss-rate must be in [0, 1), "
-            f"got {args.loss_rate}",
-            file=sys.stderr,
-        )
-        return 2
-    names = sorted(COMMANDS) if args.experiment == "all" else [args.experiment]
-
-    observe = args.metrics_out is not None or args.trace_spans is not None
     session = None
-    if observe:
+    if args.metrics_out is not None or args.trace_spans is not None:
         session = Observability(
             spans=SpanRecorder() if args.trace_spans is not None else None,
         )
-        obs_runtime.activate(session)
+    return Context(jobs, cache, session)
 
-    exit_code = 0
 
-    def run_selected() -> None:
-        nonlocal exit_code
-        if args.experiment == "chaos":
-            exit_code = _run_chaos(args, jobs, session)
-            return
-        if args.experiment == "serve":
-            exit_code = _run_serve(args, session)
-            return
-        for name in names:
-            COMMANDS[name](
-                args.full,
-                args.output,
-                jobs=jobs,
-                cache=cache,
-                loss_rate=args.loss_rate,
-                op_deadline=args.op_deadline,
-            )
+def _profiled(run: Callable[[], int], args) -> int:
+    """Run under cProfile; print (and with ``--output`` save) the top
+    cumulative entries."""
+    import cProfile
+    import io
+    import pstats
 
+    profiler = cProfile.Profile()
+    profiler.enable()
+    exit_code = run()
+    profiler.disable()
+    buffer = io.StringIO()
+    stats = pstats.Stats(profiler, stream=buffer)
+    stats.sort_stats("cumulative").print_stats(30)
+    report = buffer.getvalue()
+    print(report)
+    if args.output:
+        profile_path = os.path.join(
+            args.output, f"profile_{args.experiment}.txt"
+        )
+        with open(profile_path, "w", encoding="utf-8") as fh:
+            fh.write(report)
+        print(f"profile saved to {profile_path}")
+    return exit_code
+
+
+def main(argv: Optional[List[str]] = None) -> int:
+    args = build_parser().parse_args(argv)
+    if args.kernel is not None:
+        kernel.select_backend(args.kernel)
+    # Resolve eagerly: a native request that falls back should warn up
+    # front, not only when (if ever) the first scheduler is built — a
+    # fully cache-served run never builds one.
+    resolved = kernel.selected_backend()
+    if args.kernel is not None and args.kernel != resolved:
+        # selected_backend() already printed why; state the outcome.
+        print(
+            f"repro: --kernel {args.kernel} is unavailable; running "
+            f"with the pure-python kernel (results are identical)",
+            file=sys.stderr,
+        )
     try:
-        if args.profile:
-            import cProfile
-            import io
-            import pstats
-
-            profiler = cProfile.Profile()
-            profiler.enable()
-            run_selected()
-            profiler.disable()
-            buffer = io.StringIO()
-            stats = pstats.Stats(profiler, stream=buffer)
-            stats.sort_stats("cumulative").print_stats(30)
-            report = buffer.getvalue()
-            print(report)
-            if args.output:
-                profile_path = os.path.join(
-                    args.output, f"profile_{args.experiment}.txt"
-                )
-                with open(profile_path, "w", encoding="utf-8") as fh:
-                    fh.write(report)
-                print(f"profile saved to {profile_path}")
-        else:
-            run_selected()
+        context = _context(args)
+        run = COMMANDS[args.experiment].prepare(args, context)
+    except (ValueError, OSError) as exc:
+        print(f"repro: error: {exc}", file=sys.stderr)
+        return 2
+    session = context.session
+    if session is not None:
+        obs_runtime.activate(session)
+    try:
+        exit_code = _profiled(run, args) if args.profile else run()
     finally:
         # Explicit warm-pool lifecycle exit: atexit would catch this too,
         # but a CLI invocation should not hold worker processes (or their
@@ -712,19 +627,18 @@ def main(argv: Optional[List[str]] = None) -> int:
         shutdown_pool()
         if session is not None:
             obs_runtime.deactivate()
-    if session is not None:
-        if args.metrics_out is not None:
-            snapshot = session.metrics.snapshot()
-            if args.metrics_out.endswith(".json"):
-                rendered = to_json(snapshot)
-            else:
-                rendered = to_prometheus_text(snapshot)
-            with open(args.metrics_out, "w", encoding="utf-8") as fh:
-                fh.write(rendered)
-            print(f"metrics written to {args.metrics_out}")
-        if args.trace_spans is not None:
-            print()
-            print(session.spans.render_slowest(args.trace_spans))
+    if args.metrics_out is not None:
+        snapshot = session.metrics.snapshot()
+        if args.metrics_out.endswith(".json"):
+            rendered = to_json(snapshot)
+        else:
+            rendered = to_prometheus_text(snapshot)
+        with open(args.metrics_out, "w", encoding="utf-8") as fh:
+            fh.write(rendered)
+        print(f"metrics written to {args.metrics_out}")
+    if args.trace_spans is not None:
+        print()
+        print(session.spans.render_slowest(args.trace_spans))
     return exit_code
 
 

@@ -35,9 +35,13 @@ them to network node ids at install time.
 
 Specs are plain data so tasks stay picklable and cache-keyable; workers
 return plain dicts for the same reason.
+
+The producer side lives here too: :func:`alg1_task` is the only place
+that spells the ``alg1`` params dict, and :func:`run_cells` the only fold
+from the engine's flat result list back to a cells × runs grid.
 """
 
-from typing import Any, Dict, Optional
+from typing import Any, Callable, Dict, Hashable, List, Optional, Sequence
 
 from repro.adversary import build_adversary
 from repro.apps.apsp import ApspACO
@@ -51,6 +55,8 @@ from repro.apps.graphs import (
 )
 from repro.core.monitor import OnlineSpecMonitor
 from repro.core.spec import SpecViolation
+from repro.exec.cache import RunCache
+from repro.exec.engine import run_many
 from repro.exec.task import RunTask
 from repro.iterative.runner import Alg1Runner
 from repro.obs import runtime as obs_runtime
@@ -68,11 +74,85 @@ from repro.sim.delays import (
     LogNormalDelay,
     UniformDelay,
 )
-from repro.sim.rng import RngRegistry
+from repro.sim.rng import RngRegistry, derive_seed
 
 
 class SpecError(ValueError):
     """Raised on a malformed or unknown spec dict."""
+
+
+#: The params :func:`run_alg1_task` reads beyond the five required ones.
+_OPTIONAL_PARAMS = frozenset({
+    "retry", "loss_rate", "max_sim_time", "faults", "membership",
+    "adversary", "check_spec_online", "broken_client",
+    "measure_pseudocycles",
+})
+
+
+def alg1_task(
+    seed_path: Sequence[Any],
+    *,
+    graph: Dict[str, Any],
+    quorum: Dict[str, Any],
+    delay: Dict[str, Any],
+    monotone: bool,
+    max_rounds: int,
+    **optional: Any,
+) -> RunTask:
+    """The one producer of ``alg1`` tasks (consumed by :func:`run_alg1_task`).
+
+    ``seed_path`` is ``(base seed, *cell coordinates)``, hashed by
+    :func:`repro.sim.rng.derive_seed`.  An optional param passed as None
+    stays *absent* from the params, so a task's cache key does not depend
+    on which knobs its experiment happens to know about.
+    """
+    unknown = set(optional) - _OPTIONAL_PARAMS
+    if unknown:
+        raise SpecError(f"unknown alg1 params: {sorted(unknown)}")
+    params = {
+        "graph": graph,
+        "quorum": quorum,
+        "delay": delay,
+        "monotone": monotone,
+        "max_rounds": max_rounds,
+    }
+    params.update(
+        (key, value) for key, value in optional.items() if value is not None
+    )
+    return RunTask(kind="alg1", params=params, seed=derive_seed(*seed_path))
+
+
+MakeTask = Callable[[Any, int], RunTask]
+
+
+def cell_tasks(
+    cells: Sequence[Hashable], runs: int, make_task: MakeTask
+) -> List[RunTask]:
+    """A sweep as a flat task list: ``make_task(cell, run)``, cell-major."""
+    return [make_task(cell, run) for cell in cells for run in range(runs)]
+
+
+def run_cells(
+    cells: Sequence[Hashable],
+    runs: int,
+    make_task: MakeTask,
+    jobs: Optional[int] = None,
+    cache: Optional[RunCache] = None,
+) -> Dict[Any, List[Any]]:
+    """Run a cells × runs sweep; returns ``{cell: [result per run]}``.
+
+    The one fold from the engine's flat, task-ordered result list back to
+    the grid; the dict iterates in ``cells`` order.
+    """
+    cells = list(cells)
+    results = run_many(cell_tasks(cells, runs, make_task), jobs=jobs, cache=cache)
+    by_cell = {
+        cell: results[index * runs:(index + 1) * runs]
+        for index, cell in enumerate(cells)
+    }
+    if len(by_cell) != len(cells):
+        raise ValueError(f"sweep cells must be distinct: {cells!r}")
+    return by_cell
 
 
 def _kind(spec: Dict[str, Any], what: str) -> str:
@@ -253,10 +333,7 @@ def install_membership(
         spec, deployment.num_servers, horizon
     )
     return deployment.install_membership(
-        schedule,
-        drain=spec.get("drain", 8.0),
-        transfer_retry=spec.get("transfer_retry", 4.0),
-        transfer_max_attempts=spec.get("transfer_max_attempts", 8),
+        schedule, **schedule.install_knobs(spec)
     )
 
 
@@ -338,41 +415,30 @@ def run_alg1_task(task: RunTask) -> Dict[str, Any]:
     install_faults(runner, params.get("faults"))
     membership = install_membership(runner, params.get("membership"))
     violation: Optional[SpecViolation] = None
+    result = None
     try:
         result = runner.run(check_spec=False)
     except SpecViolation as caught:
         violation = caught
     deployment = runner.deployment
-    if violation is not None:
-        # The run aborted at the violating event; report the state the
-        # simulation reached, so degradation stays comparable.
-        out: Dict[str, Any] = {
-            "converged": False,
-            "rounds": runner.tracker.rounds_completed,
-            "total_iterations": runner.tracker.total_iterations,
-            "sim_time": deployment.scheduler.now,
-            "messages": deployment.network.stats.sent,
-            "regressions": runner.monitor.regressions,
-            "cache_hits": sum(c.cache_hits for c in deployment.clients),
-            "retries": deployment.total_retries,
-            "timeouts": deployment.total_timeouts,
-            "messages_dropped": deployment.network.stats.dropped,
-            "ops_under_failure": deployment.total_ops_under_failure,
-        }
-    else:
-        out = {
-            "converged": result.converged,
-            "rounds": result.rounds,
-            "total_iterations": result.total_iterations,
-            "sim_time": result.sim_time,
-            "messages": result.messages,
-            "regressions": result.regressions,
-            "cache_hits": result.cache_hits,
-            "retries": result.retries,
-            "timeouts": result.timeouts,
-            "messages_dropped": result.messages_dropped,
-            "ops_under_failure": result.ops_under_failure,
-        }
+    # A run the monitor aborted reports the state the simulation reached
+    # at the violating event, so degradation stays comparable.
+    out: Dict[str, Any] = {
+        "converged": result.converged if result is not None else False,
+        "rounds": (
+            result.rounds if result is not None
+            else runner.tracker.rounds_completed
+        ),
+        "total_iterations": runner.tracker.total_iterations,
+        "sim_time": deployment.scheduler.now,
+        "messages": deployment.network.stats.sent,
+        "regressions": runner.monitor.regressions,
+        "cache_hits": sum(c.cache_hits for c in deployment.clients),
+        "retries": deployment.total_retries,
+        "timeouts": deployment.total_timeouts,
+        "messages_dropped": deployment.network.stats.dropped,
+        "ops_under_failure": deployment.total_ops_under_failure,
+    }
     out["hung_ops"] = deployment.hung_ops
     # Membership and give-up accounting appear only for tasks that asked
     # for them, so payloads of schedule-free tasks keep their exact

@@ -12,13 +12,13 @@
 """
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.apps.apsp import ApspACO
 from repro.exec.cache import RunCache
-from repro.exec.engine import run_many
 from repro.exec.task import RunTask
-from repro.exec.workers import build_graph
+from repro.exec.workers import alg1_task, build_graph, run_cells
+from repro.experiments.registry import Experiment, each, grid
 from repro.experiments.results import ResultTable
 from repro.sim.rng import derive_seed
 
@@ -43,50 +43,101 @@ class AblationConfig:
         return cls(num_vertices=10, num_servers=10, runs=2, max_rounds=150)
 
 
-def _ablation_tasks(
-    config: AblationConfig,
-    stream: str,
-    cells: List[Tuple[Any, Dict[str, Any], bool, int]],
-) -> List[RunTask]:
-    """Expand (cell_id, graph_spec, monotone, k) cells × delay × runs into
-    tasks for one ablation table.  ``cells`` entries may override the
-    delay spec via a 5th element."""
-    tasks: List[RunTask] = []
-    for cell in cells:
-        cell_id, graph_spec, monotone, k = cell[:4]
-        delay_spec = cell[4] if len(cell) > 4 else {"kind": "constant", "mean": 1.0}
-        for run in range(config.runs):
-            tasks.append(
-                RunTask(
-                    kind="alg1",
-                    params={
-                        "graph": graph_spec,
-                        "quorum": {
-                            "kind": "probabilistic",
-                            "n": config.num_servers,
-                            "k": k,
-                        },
-                        "delay": delay_spec,
-                        "monotone": monotone,
-                        "max_rounds": config.max_rounds,
-                    },
-                    seed=derive_seed(config.seed, stream, str(cell_id), run),
-                )
-            )
-    return tasks
+_SYNC_DELAY = {"kind": "constant", "mean": 1.0}
+
+#: One ablation table's grid: cell label -> (graph spec, monotone, k,
+#: delay spec), each run ``config.runs`` times.
+Cells = Dict[str, Tuple[Dict[str, Any], bool, int, Dict[str, Any]]]
 
 
-def _collect_means(
-    results: List[dict], runs: int
-) -> List[Tuple[float, bool]]:
-    """Fold a flat result list (runs-per-cell contiguous) into per-cell
-    (mean rounds, all converged) pairs."""
-    cells = []
-    for start in range(0, len(results), runs):
-        group = results[start : start + runs]
-        mean = sum(r["rounds"] for r in group) / len(group)
-        cells.append((mean, all(r["converged"] for r in group)))
+def _monotone_cells(config: AblationConfig) -> Cells:
+    chain = {"kind": "chain", "n": config.num_vertices}
+    sizes = {1, 2, config.quorum_size, config.num_servers // 2}
+    cells: Cells = {}
+    for k in sorted(k for k in sizes if k >= 1):
+        cells[f"mono-k{k}"] = (chain, True, k, _SYNC_DELAY)
+        cells[f"plain-k{k}"] = (chain, False, k, _SYNC_DELAY)
     return cells
+
+
+def _delay_cells(config: AblationConfig) -> Cells:
+    chain = {"kind": "chain", "n": config.num_vertices}
+    models = {
+        "constant (sync)": _SYNC_DELAY,
+        "exponential": {"kind": "exponential", "mean": 1.0},
+        "uniform [0.5, 1.5]": {"kind": "uniform", "low": 0.5, "high": 1.5},
+        "lognormal (heavy tail)": {
+            "kind": "lognormal", "mean": 1.0, "sigma": 1.2,
+        },
+    }
+    return {
+        label: (chain, True, config.quorum_size, delay)
+        for label, delay in models.items()
+    }
+
+
+def _topology_cells(config: AblationConfig) -> Cells:
+    n = config.num_vertices
+    graphs = {
+        "chain": {"kind": "chain", "n": n},
+        "ring": {"kind": "ring", "n": n},
+        "grid": {"kind": "grid", "rows": max(2, n // 4), "cols": 4},
+        "random p=0.2": {
+            "kind": "random",
+            "n": n,
+            "p": 0.2,
+            "seed": derive_seed(config.seed, "ablation-topology-graph"),
+        },
+        "complete": {"kind": "complete", "n": n},
+    }
+    return {
+        label: (graph, True, config.quorum_size, _SYNC_DELAY)
+        for label, graph in graphs.items()
+    }
+
+
+def _sweep(stream: str, cells_of: Callable[[AblationConfig], Cells]):
+    """The sweep(config) of one ablation table, seeded under ``stream``."""
+
+    def sweep(config: AblationConfig):
+        cells = cells_of(config)
+
+        def make_task(label: str, run: int) -> RunTask:
+            graph, monotone, k, delay = cells[label]
+            return alg1_task(
+                (config.seed, stream, label, run),
+                graph=graph,
+                quorum={
+                    "kind": "probabilistic", "n": config.num_servers, "k": k,
+                },
+                delay=delay,
+                monotone=monotone,
+                max_rounds=config.max_rounds,
+            )
+
+        return list(cells), config.runs, make_task
+
+    return sweep
+
+
+_monotone_sweep = _sweep("ablation-mono", _monotone_cells)
+_delay_sweep = _sweep("ablation-delay", _delay_cells)
+_topology_sweep = _sweep("ablation-topo", _topology_cells)
+
+
+def _mean_rounds(
+    sweep, config: AblationConfig, jobs: Optional[int], cache: Optional[RunCache]
+) -> Dict[str, Tuple[float, bool]]:
+    """Run one table's sweep; fold each cell into (mean rounds, all
+    converged)."""
+    by_cell = run_cells(*sweep(config), jobs=jobs, cache=cache)
+    return {
+        label: (
+            sum(r["rounds"] for r in group) / len(group),
+            all(r["converged"] for r in group),
+        )
+        for label, group in by_cell.items()
+    }
 
 
 def monotone_ablation(
@@ -95,28 +146,15 @@ def monotone_ablation(
     cache: Optional[RunCache] = None,
 ) -> ResultTable:
     """E-ABL-MONO: cache on vs off across quorum sizes."""
-    chain_spec = {"kind": "chain", "n": config.num_vertices}
-    sizes = [
-        k
-        for k in sorted({1, 2, config.quorum_size, config.num_servers // 2})
-        if k >= 1
-    ]
-    cells = []
-    for k in sizes:
-        cells.append((f"mono-k{k}", chain_spec, True, k))
-        cells.append((f"plain-k{k}", chain_spec, False, k))
-    results = run_many(
-        _ablation_tasks(config, "ablation-mono", cells), jobs=jobs, cache=cache
-    )
-    means = _collect_means(results, config.runs)
+    means = _mean_rounds(_monotone_sweep, config, jobs, cache)
     table = ResultTable(
         f"Ablation — monotone cache (chain {config.num_vertices}, "
         f"n={config.num_servers})",
         ["k", "monotone_rounds", "plain_rounds", "plain_over_monotone"],
     )
-    for index, k in enumerate(sizes):
-        mono, _ = means[2 * index]
-        plain, converged = means[2 * index + 1]
+    for k in sorted({cell[2] for cell in _monotone_cells(config).values()}):
+        mono, _ = means[f"mono-k{k}"]
+        plain, converged = means[f"plain-k{k}"]
         ratio = plain / mono if mono else float("nan")
         table.add_row(k, mono, f"{plain}" if converged else f">={plain}", ratio)
     return table
@@ -128,27 +166,13 @@ def delay_ablation(
     cache: Optional[RunCache] = None,
 ) -> ResultTable:
     """E-ABL-DELAY: delay distribution sweep (monotone registers)."""
-    chain_spec = {"kind": "chain", "n": config.num_vertices}
-    models: List[Tuple[str, Dict[str, Any]]] = [
-        ("constant (sync)", {"kind": "constant", "mean": 1.0}),
-        ("exponential", {"kind": "exponential", "mean": 1.0}),
-        ("uniform [0.5, 1.5]", {"kind": "uniform", "low": 0.5, "high": 1.5}),
-        ("lognormal (heavy tail)", {"kind": "lognormal", "mean": 1.0, "sigma": 1.2}),
-    ]
-    cells = [
-        (label, chain_spec, True, config.quorum_size, spec)
-        for label, spec in models
-    ]
-    results = run_many(
-        _ablation_tasks(config, "ablation-delay", cells), jobs=jobs, cache=cache
-    )
-    means = _collect_means(results, config.runs)
+    means = _mean_rounds(_delay_sweep, config, jobs, cache)
     table = ResultTable(
         f"Ablation — delay distribution (chain {config.num_vertices}, "
         f"n={config.num_servers}, k={config.quorum_size}, monotone)",
         ["delay_model", "mean_rounds", "all_converged"],
     )
-    for (label, _), (mean, converged) in zip(models, means):
+    for label, (mean, converged) in means.items():
         table.add_row(label, mean, converged)
     return table
 
@@ -159,36 +183,18 @@ def topology_ablation(
     cache: Optional[RunCache] = None,
 ) -> ResultTable:
     """E-ABL-TOPO: rounds vs the pseudocycle bound M = ⌈log₂ d⌉."""
-    n = config.num_vertices
-    topologies: List[Tuple[str, Dict[str, Any]]] = [
-        ("chain", {"kind": "chain", "n": n}),
-        ("ring", {"kind": "ring", "n": n}),
-        ("grid", {"kind": "grid", "rows": max(2, n // 4), "cols": 4}),
-        (
-            "random p=0.2",
-            {
-                "kind": "random",
-                "n": n,
-                "p": 0.2,
-                "seed": derive_seed(config.seed, "ablation-topology-graph"),
-            },
-        ),
-        ("complete", {"kind": "complete", "n": n}),
-    ]
-    cells = [
-        (label, spec, True, config.quorum_size) for label, spec in topologies
-    ]
-    results = run_many(
-        _ablation_tasks(config, "ablation-topo", cells), jobs=jobs, cache=cache
-    )
-    means = _collect_means(results, config.runs)
+    means = _mean_rounds(_topology_sweep, config, jobs, cache)
+    graphs = {
+        label: build_graph(cell[0])
+        for label, cell in _topology_cells(config).items()
+    }
     table = ResultTable(
-        f"Ablation — input topology (~{n} vertices, n={config.num_servers} "
-        f"servers, k={config.quorum_size}, monotone)",
+        f"Ablation — input topology (~{config.num_vertices} vertices, "
+        f"n={config.num_servers} servers, k={config.quorum_size}, monotone)",
         ["topology", "vertices", "diameter_d", "M_bound", "mean_rounds"],
     )
-    for (label, spec), (mean, converged) in zip(topologies, means):
-        graph = build_graph(spec)
+    for label, (mean, converged) in means.items():
+        graph = graphs[label]
         table.add_row(
             label,
             graph.n,
@@ -197,3 +203,11 @@ def topology_ablation(
             mean if converged else float("nan"),
         )
     return table
+
+
+EXPERIMENT = Experiment(
+    AblationConfig,
+    ("ablations_0", "ablations_1", "ablations_2"),
+    each(monotone_ablation, delay_ablation, topology_ablation),
+    grid(_monotone_sweep, _delay_sweep, _topology_sweep),
+)

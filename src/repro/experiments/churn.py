@@ -17,13 +17,14 @@ alongside the convergence cost.
 """
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Dict, Optional, Tuple
 
 from repro.exec.cache import RunCache
-from repro.exec.engine import run_many
 from repro.exec.task import RunTask, execute_task
+from repro.exec.workers import alg1_task, run_cells
+from repro.experiments.registry import FAULT_FLAGS, Experiment, each, grid
 from repro.experiments.results import ResultTable
-from repro.sim.rng import derive_seed
 
 
 @dataclass
@@ -67,32 +68,32 @@ def churn_task(config: ChurnConfig, period: float, run: int = 0) -> RunTask:
     retry: Dict[str, Any] = {"interval": config.retry_interval}
     if config.operation_deadline is not None:
         retry["deadline"] = config.operation_deadline
-    params: Dict[str, Any] = {
-        "graph": {"kind": "chain", "n": config.num_vertices},
-        "quorum": {
+    return alg1_task(
+        (config.seed, "churn", period, run),
+        graph={"kind": "chain", "n": config.num_vertices},
+        quorum={
             "kind": "probabilistic",
             "n": config.num_servers,
             "k": config.quorum_size,
         },
-        "delay": {"kind": "exponential", "mean": 1.0},
-        "monotone": True,
-        "max_rounds": config.max_rounds,
-        "retry": retry,
-        "max_sim_time": config.max_sim_time,
-        "faults": {
+        delay={"kind": "exponential", "mean": 1.0},
+        monotone=True,
+        max_rounds=config.max_rounds,
+        retry=retry,
+        max_sim_time=config.max_sim_time,
+        faults={
             "kind": "churn",
             "period": period,
             "batch": batch,
             "outage": config.outage_duration,
         },
-    }
-    if config.loss_rate > 0.0:
-        params["loss_rate"] = config.loss_rate
-    return RunTask(
-        kind="alg1",
-        params=params,
-        seed=derive_seed(config.seed, "churn", period, run),
+        loss_rate=config.loss_rate if config.loss_rate > 0.0 else None,
     )
+
+
+def churn_sweep(config: ChurnConfig):
+    """One cell per churn period, ``runs`` runs each."""
+    return config.churn_periods, config.runs, partial(churn_task, config)
 
 
 def run_under_churn(config: ChurnConfig, period: float, run: int = 0) -> dict:
@@ -134,14 +135,8 @@ def churn_table(
             "hung_ops",
         ],
     )
-    tasks = [
-        churn_task(config, period, run)
-        for period in config.churn_periods
-        for run in range(config.runs)
-    ]
-    results = run_many(tasks, jobs=jobs, cache=cache)
-    for index, period in enumerate(config.churn_periods):
-        group = results[index * config.runs : (index + 1) * config.runs]
+    by_period = run_cells(*churn_sweep(config), jobs=jobs, cache=cache)
+    for period, group in by_period.items():
         table.add_row(
             period if period > 0 else float("inf"),
             all(r["converged"] for r in group),
@@ -153,3 +148,8 @@ def churn_table(
             sum(r["hung_ops"] for r in group),
         )
     return table
+
+
+EXPERIMENT = Experiment(
+    ChurnConfig, ("churn",), each(churn_table), grid(churn_sweep), FAULT_FLAGS
+)

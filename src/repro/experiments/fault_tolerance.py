@@ -19,16 +19,16 @@ at the end of each run.
 """
 
 from dataclasses import dataclass
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Optional, Tuple
 
 from repro.exec.cache import RunCache
-from repro.exec.engine import run_many
 from repro.exec.task import RunTask, execute_task
+from repro.exec.workers import alg1_task, run_cells
+from repro.experiments.registry import FAULT_FLAGS, Experiment, each, grid
 from repro.experiments.results import ResultTable
 from repro.quorum.base import QuorumSystem
 from repro.quorum.grid import GridQuorumSystem
 from repro.quorum.probabilistic import ProbabilisticQuorumSystem
-from repro.sim.rng import derive_seed
 
 
 @dataclass
@@ -80,17 +80,39 @@ def _quorum_spec(system: QuorumSystem) -> Dict[str, Any]:
     raise TypeError(f"no spec mapping for {type(system).__name__}")
 
 
-def _retry_spec(
-    config: FaultToleranceConfig, deadline: Optional[float] = None
-) -> Dict[str, Any]:
-    spec: Dict[str, Any] = {
+def _task(
+    config: FaultToleranceConfig,
+    seed_path: Tuple[Any, ...],
+    quorum: Dict[str, Any],
+    faults: Dict[str, Any],
+    deadline: Optional[float] = None,
+    loss_rate: Optional[float] = None,
+) -> RunTask:
+    """The workload both tables share: a monotone APSP chain with capped
+    backoff retries, under ``faults``."""
+    retry: Dict[str, Any] = {
         "interval": config.retry_interval,
         "backoff": config.retry_backoff,
         "max_interval": config.retry_max_interval,
     }
     if deadline is not None:
-        spec["deadline"] = deadline
-    return spec
+        retry["deadline"] = deadline
+    return alg1_task(
+        (config.seed, *seed_path),
+        graph={"kind": "chain", "n": config.num_vertices},
+        quorum=quorum,
+        delay={"kind": "exponential", "mean": 1.0},
+        monotone=True,
+        max_rounds=config.max_rounds,
+        retry=retry,
+        max_sim_time=config.max_sim_time,
+        faults=faults,
+        loss_rate=loss_rate,
+    )
+
+
+def _grid_side(config: FaultToleranceConfig) -> int:
+    return max(1, int(config.num_servers ** 0.5))
 
 
 def crash_task(
@@ -104,25 +126,16 @@ def crash_task(
     Servers are crashed one-per-grid-row first (the strict grid's worst
     case) so the comparison is fair against its availability bound.
     """
-    side = max(1, int(config.num_servers ** 0.5))
-    return RunTask(
-        kind="alg1",
-        params={
-            "graph": {"kind": "chain", "n": config.num_vertices},
-            "quorum": _quorum_spec(system),
-            "delay": {"kind": "exponential", "mean": 1.0},
-            "monotone": True,
-            "max_rounds": config.max_rounds,
-            "retry": _retry_spec(config),
-            "max_sim_time": config.max_sim_time,
-            "faults": {
-                "kind": "crash_batch",
-                "time": config.crash_time,
-                "count": crashes,
-                "side": side,
-            },
+    return _task(
+        config,
+        ("fault", label, crashes),
+        _quorum_spec(system),
+        {
+            "kind": "crash_batch",
+            "time": config.crash_time,
+            "count": crashes,
+            "side": _grid_side(config),
         },
-        seed=derive_seed(config.seed, "fault", label, crashes),
     )
 
 
@@ -137,7 +150,7 @@ def degradation_task(
     deadline rejections when every quorum choice is dead, implicit repair
     after recovery.
     """
-    side = max(1, int(config.num_servers ** 0.5))
+    side = _grid_side(config)
     servers = [
         ((index % side) * side + index // side) % config.num_servers
         for index in range(crashes)
@@ -148,26 +161,47 @@ def degradation_task(
             {"time": config.recover_time, "action": "recover",
              "nodes": servers}
         )
-    params: Dict[str, Any] = {
-        "graph": {"kind": "chain", "n": config.num_vertices},
-        "quorum": {
+    return _task(
+        config,
+        ("degradation", label, crashes),
+        {
             "kind": "probabilistic",
             "n": config.num_servers,
             "k": config.quorum_size,
         },
-        "delay": {"kind": "exponential", "mean": 1.0},
-        "monotone": True,
-        "max_rounds": config.max_rounds,
-        "retry": _retry_spec(config, deadline=config.operation_deadline),
-        "max_sim_time": config.max_sim_time,
-        "faults": {"kind": "schedule", "events": events},
+        {"kind": "schedule", "events": events},
+        deadline=config.operation_deadline,
+        loss_rate=config.loss_rate if config.loss_rate > 0.0 else None,
+    )
+
+
+def _crash_sweep(config: FaultToleranceConfig):
+    """(quorum system label, crash count) cells of the comparison table."""
+    side = _grid_side(config)
+    systems = {
+        "prob": ProbabilisticQuorumSystem(
+            config.num_servers, config.quorum_size
+        ),
+        "grid": GridQuorumSystem(side, side),
     }
-    if config.loss_rate > 0.0:
-        params["loss_rate"] = config.loss_rate
-    return RunTask(
-        kind="alg1",
-        params=params,
-        seed=derive_seed(config.seed, "degradation", label, crashes),
+    cells = [
+        (label, crashes)
+        for crashes in config.crash_counts
+        for label in systems
+    ]
+
+    def make_task(cell, run: int) -> RunTask:
+        label, crashes = cell
+        return crash_task(config, systems[label], crashes, label=label)
+
+    return cells, 1, make_task
+
+
+def _degradation_sweep(config: FaultToleranceConfig):
+    return (
+        config.crash_counts,
+        1,
+        lambda crashes, run: degradation_task(config, crashes),
     )
 
 
@@ -195,7 +229,7 @@ def fault_tolerance_table(
     cache: Optional[RunCache] = None,
 ) -> ResultTable:
     """Probabilistic (with retry) vs strict grid under growing crash sets."""
-    side = max(1, int(config.num_servers ** 0.5))
+    side = _grid_side(config)
     table = ResultTable(
         f"Crashes mid-run — APSP chain {config.num_vertices}, "
         f"n={config.num_servers}, crash at t={config.crash_time} "
@@ -210,26 +244,9 @@ def fault_tolerance_table(
             "grid_rounds",
         ],
     )
-    tasks = []
+    results = run_cells(*_crash_sweep(config), jobs=jobs, cache=cache)
     for crashes in config.crash_counts:
-        tasks.append(
-            crash_task(
-                config,
-                ProbabilisticQuorumSystem(
-                    config.num_servers, config.quorum_size
-                ),
-                crashes,
-                label="prob",
-            )
-        )
-        tasks.append(
-            crash_task(
-                config, GridQuorumSystem(side, side), crashes, label="grid"
-            )
-        )
-    results = run_many(tasks, jobs=jobs, cache=cache)
-    for index, crashes in enumerate(config.crash_counts):
-        prob, grid = results[2 * index], results[2 * index + 1]
+        (prob,), (grid,) = results["prob", crashes], results["grid", crashes]
         table.add_row(
             crashes,
             prob["converged"],
@@ -270,11 +287,8 @@ def degradation_table(
             "hung_ops",
         ],
     )
-    tasks = [
-        degradation_task(config, crashes) for crashes in config.crash_counts
-    ]
-    results = run_many(tasks, jobs=jobs, cache=cache)
-    for crashes, result in zip(config.crash_counts, results):
+    results = run_cells(*_degradation_sweep(config), jobs=jobs, cache=cache)
+    for crashes, (result,) in results.items():
         table.add_row(
             crashes,
             result["converged"],
@@ -286,3 +300,12 @@ def degradation_table(
             result["hung_ops"],
         )
     return table
+
+
+EXPERIMENT = Experiment(
+    FaultToleranceConfig,
+    ("fault_tolerance", "fault_degradation"),
+    each(fault_tolerance_table, degradation_table),
+    grid(_crash_sweep, _degradation_sweep),
+    FAULT_FLAGS,
+)

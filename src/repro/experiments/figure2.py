@@ -20,10 +20,10 @@ from repro.analysis.theory import corollary6_rounds_bound, q_lower_bound
 from repro.apps.apsp import ApspACO
 from repro.apps.graphs import chain_graph
 from repro.exec.cache import RunCache
-from repro.exec.engine import run_many
 from repro.exec.task import RunTask
+from repro.exec.workers import alg1_task, cell_tasks, run_cells
+from repro.experiments.registry import Experiment
 from repro.experiments.results import ResultTable
-from repro.sim.rng import derive_seed
 
 VARIANTS: Tuple[Tuple[str, bool, bool], ...] = (
     # (label, monotone, synchronous)
@@ -98,41 +98,40 @@ def corollary7_curve(config: Figure2Config, pseudocycles: int) -> Dict[int, floa
     }
 
 
-def figure2_tasks(config: Figure2Config) -> List[RunTask]:
-    """The sweep as a flat task list: one task per (variant, k, run).
+def figure2_sweep(config: Figure2Config):
+    """The figure as a grid: one (label, monotone, synchronous, k) cell
+    per point, ``runs_per_point`` runs each.
 
     Seeds are hash-derived from the base seed and the cell's coordinates
-    (:func:`repro.sim.rng.derive_seed`), replacing the old prime-multiple
-    arithmetic, so every run's randomness is independent of execution
-    order and of the other cells.
+    (:func:`repro.sim.rng.derive_seed`), so every run's randomness is
+    independent of execution order and of the other cells.
     """
-    tasks: List[RunTask] = []
-    for label, monotone, synchronous in config.variants:
-        for k in config.quorum_sizes:
-            for run in range(config.runs_per_point):
-                tasks.append(
-                    RunTask(
-                        kind="alg1",
-                        params={
-                            "graph": {"kind": "chain", "n": config.num_vertices},
-                            "quorum": {
-                                "kind": "probabilistic",
-                                "n": config.num_servers,
-                                "k": k,
-                            },
-                            "delay": {
-                                "kind": "constant" if synchronous else "exponential",
-                                "mean": config.mean_delay,
-                            },
-                            "monotone": monotone,
-                            "max_rounds": config.max_rounds,
-                        },
-                        seed=derive_seed(
-                            config.base_seed, "figure2", label, k, run
-                        ),
-                    )
-                )
-    return tasks
+    cells = [
+        (label, monotone, synchronous, k)
+        for label, monotone, synchronous in config.variants
+        for k in config.quorum_sizes
+    ]
+
+    def make_task(cell, run: int) -> RunTask:
+        label, monotone, synchronous, k = cell
+        return alg1_task(
+            (config.base_seed, "figure2", label, k, run),
+            graph={"kind": "chain", "n": config.num_vertices},
+            quorum={"kind": "probabilistic", "n": config.num_servers, "k": k},
+            delay={
+                "kind": "constant" if synchronous else "exponential",
+                "mean": config.mean_delay,
+            },
+            monotone=monotone,
+            max_rounds=config.max_rounds,
+        )
+
+    return cells, config.runs_per_point, make_task
+
+
+def figure2_tasks(config: Figure2Config) -> List[RunTask]:
+    """The sweep as a flat task list: one task per (variant, k, run)."""
+    return cell_tasks(*figure2_sweep(config))
 
 
 def run_figure2(
@@ -146,21 +145,20 @@ def run_figure2(
     ``jobs``/``cache`` are forwarded to :func:`repro.exec.engine.run_many`;
     results are bit-identical for every job count.
     """
-    tasks = figure2_tasks(config)
-    results = run_many(tasks, jobs=jobs, cache=cache)
     points: List[Figure2Point] = []
-    index = 0
-    for label, _, _ in config.variants:
-        for k in config.quorum_sizes:
-            point = Figure2Point(label, k)
-            for run in range(config.runs_per_point):
-                result = results[index]
-                index += 1
-                point.rounds.append(result["rounds"])
-                point.converged.append(result["converged"])
-                if progress is not None:
-                    progress(label, k, run, result)
-            points.append(point)
+    by_cell = run_cells(*figure2_sweep(config), jobs=jobs, cache=cache)
+    for (label, _, _, k), results in by_cell.items():
+        points.append(
+            Figure2Point(
+                label,
+                k,
+                [result["rounds"] for result in results],
+                [result["converged"] for result in results],
+            )
+        )
+        if progress is not None:
+            for run, result in enumerate(results):
+                progress(label, k, run, result)
     return points
 
 
@@ -191,3 +189,13 @@ def figure2_table(
                 row.append(f">={mean:.2f}" if point.is_lower_bound else f"{mean:.2f}")
         table.add_row(*row)
     return table
+
+
+EXPERIMENT = Experiment(
+    Figure2Config,
+    ("figure2",),
+    lambda config, jobs, cache: [
+        figure2_table(config, run_figure2(config, jobs=jobs, cache=cache))
+    ],
+    figure2_tasks,
+)

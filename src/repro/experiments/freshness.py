@@ -25,6 +25,7 @@ from repro.core.spec import estimate_r5_geometric_parameter, freshness_wait_samp
 from repro.exec.cache import RunCache
 from repro.exec.engine import run_many
 from repro.exec.task import RunTask
+from repro.experiments.registry import Experiment, each
 from repro.experiments.results import ResultTable
 from repro.experiments.survival import _mc_shards
 from repro.quorum.probabilistic import ProbabilisticQuorumSystem
@@ -156,6 +157,11 @@ def register_level_wait_samples(
     return samples
 
 
+def freshness_tasks(config: FreshnessConfig) -> List[RunTask]:
+    """Everything the table submits: the MC shards, then the register run."""
+    return freshness_mc_tasks(config) + [freshness_register_task(config)]
+
+
 def freshness_table(
     config: FreshnessConfig,
     jobs: Optional[int] = None,
@@ -163,12 +169,10 @@ def freshness_table(
 ) -> ResultTable:
     """E-THM4 summary: analytic q vs the two empirical estimates."""
     q = q_exact(config.num_servers, config.quorum_size)
-    mc_tasks = freshness_mc_tasks(config)
-    results = run_many(
-        mc_tasks + [freshness_register_task(config)], jobs=jobs, cache=cache
+    *shards, reg_samples = run_many(
+        freshness_tasks(config), jobs=jobs, cache=cache
     )
-    mc_samples = [y for shard in results[: len(mc_tasks)] for y in shard]
-    reg_samples = results[-1]
+    mc_samples = [y for shard in shards for y in shard]
     table = ResultTable(
         f"Theorem 4 — freshness waits "
         f"(n={config.num_servers}, k={config.quorum_size})",
@@ -200,3 +204,8 @@ def empirical_tail(samples: List[int], r: int) -> float:
     if not samples:
         raise ValueError("no samples")
     return sum(1 for y in samples if y >= r) / len(samples)
+
+
+EXPERIMENT = Experiment(
+    FreshnessConfig, ("freshness",), each(freshness_table), freshness_tasks
+)

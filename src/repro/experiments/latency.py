@@ -9,7 +9,7 @@ even before the message-count argument of Section 6.4.
 """
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 from repro.analysis.latency import (
     expected_max_of_exponentials,
@@ -17,8 +17,9 @@ from repro.analysis.latency import (
     merged_latencies,
 )
 from repro.exec.cache import RunCache
-from repro.exec.engine import run_many
 from repro.exec.task import RunTask, execute_task
+from repro.exec.workers import run_cells
+from repro.experiments.registry import Experiment, each, grid
 from repro.experiments.results import ResultTable
 from repro.quorum.probabilistic import ProbabilisticQuorumSystem
 from repro.registers.deployment import RegisterDeployment
@@ -61,6 +62,11 @@ def latency_task(config: LatencyConfig, k: int) -> RunTask:
         },
         seed=derive_seed(config.seed, "latency", k),
     )
+
+
+def latency_sweep(config: LatencyConfig):
+    """One workload per quorum size."""
+    return config.quorum_sizes, 1, lambda k, run: latency_task(config, k)
 
 
 def run_latency_task(task: RunTask) -> dict:
@@ -145,7 +151,11 @@ def latency_table(
             "busiest_server_share",
         ],
     )
-    tasks = [latency_task(config, k) for k in config.quorum_sizes]
-    rows: List[dict] = run_many(tasks, jobs=jobs, cache=cache)
-    table.add_dict_rows(rows)
+    by_k = run_cells(*latency_sweep(config), jobs=jobs, cache=cache)
+    table.add_dict_rows([row for (row,) in by_k.values()])
     return table
+
+
+EXPERIMENT = Experiment(
+    LatencyConfig, ("latency",), each(latency_table), grid(latency_sweep)
+)

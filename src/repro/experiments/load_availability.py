@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.analysis.theory import naor_wool_load_lower_bound
+from repro.experiments.registry import Experiment
 from repro.experiments.results import ResultTable
 from repro.quorum.analysis import empirical_load, failure_probability
 from repro.quorum.base import QuorumSystem
@@ -149,3 +150,14 @@ def tradeoff_sweep(
             grid.availability(),
         )
     return table
+
+
+# Analytic plus in-process Monte Carlo: nothing goes to the engine.
+EXPERIMENT = Experiment(
+    LoadAvailabilityConfig,
+    ("load_availability_0", "load_availability_1"),
+    lambda config, jobs, cache: [
+        load_availability_experiment(config),
+        tradeoff_sweep(config.tradeoff_n_values),
+    ],
+)

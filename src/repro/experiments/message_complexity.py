@@ -13,7 +13,7 @@ Two regimes, each compared analytically (Eqns 1-3) *and* by measurement
 
 import math
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.analysis.messages import (
     high_availability_comparison,
@@ -22,13 +22,13 @@ from repro.analysis.messages import (
 from repro.apps.apsp import ApspACO
 from repro.apps.graphs import chain_graph
 from repro.exec.cache import RunCache
-from repro.exec.engine import run_many
 from repro.exec.task import RunTask
+from repro.exec.workers import alg1_task, run_cells
+from repro.experiments.registry import Experiment, grid
 from repro.experiments.results import ResultTable
 from repro.quorum.grid import GridQuorumSystem
 from repro.quorum.majority import MajorityQuorumSystem
 from repro.quorum.probabilistic import ProbabilisticQuorumSystem
-from repro.sim.rng import derive_seed
 
 
 @dataclass
@@ -52,23 +52,47 @@ class MessageComplexityConfig:
                    analytic_n_values=(16, 64, 256))
 
 
-def _measure_task(
-    config: MessageComplexityConfig,
-    label: str,
-    quorum_spec: Dict[str, Any],
-    monotone: bool,
-) -> RunTask:
-    return RunTask(
-        kind="alg1",
-        params={
-            "graph": {"kind": "chain", "n": config.num_vertices},
-            "quorum": quorum_spec,
-            "delay": {"kind": "constant", "mean": 1.0},
-            "monotone": monotone,
-            "max_rounds": config.max_rounds,
-        },
-        seed=derive_seed(config.seed, "messages", label),
-    )
+def _systems(config: MessageComplexityConfig):
+    """label -> (quorum system, its spec, monotone client?) for the three
+    implementations measured.
+
+    The monotone client for the probabilistic system (the paper's
+    recommended configuration), the plain client for strict systems
+    (monotonicity is automatic when all quorums intersect).
+    """
+    n = config.num_servers
+    k_prob = max(1, math.ceil(math.sqrt(n)))
+    return {
+        "probabilistic k=sqrt(n)": (
+            ProbabilisticQuorumSystem(n, k_prob),
+            {"kind": "probabilistic", "n": n, "k": k_prob},
+            True,
+        ),
+        "strict majority": (
+            MajorityQuorumSystem(n), {"kind": "majority", "n": n}, False,
+        ),
+        "strict grid": (
+            GridQuorumSystem.square(n), {"kind": "grid_square", "n": n}, False,
+        ),
+    }
+
+
+def measured_sweep(config: MessageComplexityConfig):
+    """One run per measured system."""
+    systems = _systems(config)
+
+    def make_task(label: str, run: int) -> RunTask:
+        _, quorum, monotone = systems[label]
+        return alg1_task(
+            (config.seed, "messages", label),
+            graph={"kind": "chain", "n": config.num_vertices},
+            quorum=quorum,
+            delay={"kind": "constant", "mean": 1.0},
+            monotone=monotone,
+            max_rounds=config.max_rounds,
+        )
+
+    return list(systems), 1, make_task
 
 
 def analytic_tables(n_values: List[int], m: int, p: int) -> List[ResultTable]:
@@ -127,34 +151,9 @@ def measured_table(
     jobs: Optional[int] = None,
     cache: Optional[RunCache] = None,
 ) -> ResultTable:
-    """Measured Alg. 1 message counts for the three implementations.
-
-    Uses the monotone client for the probabilistic system (the paper's
-    recommended configuration) and the plain client for strict systems
-    (monotonicity is automatic when all quorums intersect).
-    """
+    """Measured Alg. 1 message counts for the three implementations."""
     n = config.num_servers
-    k_prob = max(1, math.ceil(math.sqrt(n)))
-    systems = [
-        (
-            "probabilistic k=sqrt(n)",
-            ProbabilisticQuorumSystem(n, k_prob),
-            {"kind": "probabilistic", "n": n, "k": k_prob},
-            True,
-        ),
-        (
-            "strict majority",
-            MajorityQuorumSystem(n),
-            {"kind": "majority", "n": n},
-            False,
-        ),
-        (
-            "strict grid",
-            GridQuorumSystem.square(n),
-            {"kind": "grid_square", "n": n},
-            False,
-        ),
-    ]
+    systems = _systems(config)
     table = ResultTable(
         f"Section 6.4 (measured) — APSP chain m=p={config.num_vertices}, "
         f"n={n} servers",
@@ -169,13 +168,10 @@ def measured_table(
             "messages_per_pseudocycle",
         ],
     )
-    tasks = [
-        _measure_task(config, label, spec, monotone)
-        for label, _, spec, monotone in systems
-    ]
-    results = run_many(tasks, jobs=jobs, cache=cache)
+    results = run_cells(*measured_sweep(config), jobs=jobs, cache=cache)
     pseudocycles = ApspACO(chain_graph(config.num_vertices)).contraction_depth() or 1
-    for (label, system, _, _), result in zip(systems, results):
+    for label, (result,) in results.items():
+        system = systems[label][0]
         rounds = result["rounds"]
         table.add_row(
             label,
@@ -188,3 +184,14 @@ def measured_table(
             result["messages"] / pseudocycles,
         )
     return table
+
+
+EXPERIMENT = Experiment(
+    MessageComplexityConfig,
+    ("messages_0", "messages_1", "messages_2"),
+    lambda config, jobs, cache: [
+        *analytic_tables(config.analytic_n_values, m=34, p=34),
+        measured_table(config, jobs=jobs, cache=cache),
+    ],
+    grid(measured_sweep),
+)

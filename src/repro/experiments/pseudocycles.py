@@ -23,10 +23,10 @@ from repro.analysis.theory import (
     q_exact,
 )
 from repro.exec.cache import RunCache
-from repro.exec.engine import run_many
 from repro.exec.task import RunTask
+from repro.exec.workers import alg1_task, run_cells
+from repro.experiments.registry import Experiment, each, grid
 from repro.experiments.results import ResultTable
-from repro.sim.rng import derive_seed
 
 
 @dataclass
@@ -51,30 +51,23 @@ class PseudocycleConfig:
                    quorum_sizes=(1, 2, 4), runs=2)
 
 
-def pseudocycle_tasks(config: PseudocycleConfig) -> List[RunTask]:
-    """One task per (quorum size, run), with in-worker pseudocycle
-    measurement (the trace reconstruction needs the register histories,
-    so it must happen where the run executed)."""
-    return [
-        RunTask(
-            kind="alg1",
-            params={
-                "graph": {"kind": "chain", "n": config.num_vertices},
-                "quorum": {
-                    "kind": "probabilistic",
-                    "n": config.num_servers,
-                    "k": k,
-                },
-                "delay": {"kind": "constant", "mean": 1.0},
-                "monotone": True,
-                "max_rounds": config.max_rounds,
-                "measure_pseudocycles": True,
-            },
-            seed=derive_seed(config.seed, "pseudocycles", k, run),
+def pseudocycle_sweep(config: PseudocycleConfig):
+    """Quorum sizes × runs, with in-worker pseudocycle measurement (the
+    trace reconstruction needs the register histories, so it must happen
+    where the run executed)."""
+
+    def make_task(k: int, run: int) -> RunTask:
+        return alg1_task(
+            (config.seed, "pseudocycles", k, run),
+            graph={"kind": "chain", "n": config.num_vertices},
+            quorum={"kind": "probabilistic", "n": config.num_servers, "k": k},
+            delay={"kind": "constant", "mean": 1.0},
+            monotone=True,
+            max_rounds=config.max_rounds,
+            measure_pseudocycles=True,
         )
-        for k in config.quorum_sizes
-        for run in range(config.runs)
-    ]
+
+    return config.quorum_sizes, config.runs, make_task
 
 
 def measure(
@@ -83,15 +76,14 @@ def measure(
     cache: Optional[RunCache] = None,
 ) -> List[dict]:
     """One row per quorum size: measured ratio and the two bounds."""
-    results = run_many(pseudocycle_tasks(config), jobs=jobs, cache=cache)
     rows = []
-    for index, k in enumerate(config.quorum_sizes):
-        ratios = []
-        for result in results[index * config.runs : (index + 1) * config.runs]:
-            if not result["converged"]:
-                continue
-            if result["pseudocycles"] > 0:
-                ratios.append(result["rounds"] / result["pseudocycles"])
+    by_k = run_cells(*pseudocycle_sweep(config), jobs=jobs, cache=cache)
+    for k, results in by_k.items():
+        ratios = [
+            result["rounds"] / result["pseudocycles"]
+            for result in results
+            if result["converged"] and result["pseudocycles"] > 0
+        ]
         q = q_exact(config.num_servers, k)
         rows.append(
             {
@@ -121,3 +113,11 @@ def pseudocycle_table(
     )
     table.add_dict_rows(measure(config, jobs=jobs, cache=cache))
     return table
+
+
+EXPERIMENT = Experiment(
+    PseudocycleConfig,
+    ("pseudocycles",),
+    each(pseudocycle_table),
+    grid(pseudocycle_sweep),
+)

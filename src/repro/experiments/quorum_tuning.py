@@ -17,11 +17,11 @@ from repro.analysis.theory import (
     q_exact,
 )
 from repro.exec.cache import RunCache
-from repro.exec.engine import run_many
 from repro.exec.task import RunTask
+from repro.exec.workers import alg1_task, run_cells
+from repro.experiments.registry import Experiment, each, grid
 from repro.experiments.results import ResultTable
 from repro.quorum.probabilistic import ProbabilisticQuorumSystem
-from repro.sim.rng import derive_seed
 
 
 @dataclass
@@ -59,27 +59,20 @@ def _distinct_cells(config: TuningConfig) -> List[Tuple[float, int]]:
     return cells
 
 
-def tuning_tasks(config: TuningConfig) -> List[RunTask]:
-    """One task per (distinct k, run)."""
-    return [
-        RunTask(
-            kind="alg1",
-            params={
-                "graph": {"kind": "chain", "n": config.num_vertices},
-                "quorum": {
-                    "kind": "probabilistic",
-                    "n": config.num_servers,
-                    "k": k,
-                },
-                "delay": {"kind": "constant", "mean": 1.0},
-                "monotone": True,
-                "max_rounds": config.max_rounds,
-            },
-            seed=derive_seed(config.seed, "tuning", k, run),
+def tuning_sweep(config: TuningConfig):
+    """One cell per distinct quorum size, ``runs`` runs each."""
+
+    def make_task(k: int, run: int) -> RunTask:
+        return alg1_task(
+            (config.seed, "tuning", k, run),
+            graph={"kind": "chain", "n": config.num_vertices},
+            quorum={"kind": "probabilistic", "n": config.num_servers, "k": k},
+            delay={"kind": "constant", "mean": 1.0},
+            monotone=True,
+            max_rounds=config.max_rounds,
         )
-        for _, k in _distinct_cells(config)
-        for run in range(config.runs)
-    ]
+
+    return [k for _, k in _distinct_cells(config)], config.runs, make_task
 
 
 def tuning_rows(
@@ -89,12 +82,10 @@ def tuning_rows(
 ) -> List[dict]:
     """One row per c: analytic properties plus measured rounds."""
     n = config.num_servers
-    cells = _distinct_cells(config)
-    results = run_many(tuning_tasks(config), jobs=jobs, cache=cache)
+    by_k = run_cells(*tuning_sweep(config), jobs=jobs, cache=cache)
     rows = []
-    for index, (c, k) in enumerate(cells):
-        group = results[index * config.runs : (index + 1) * config.runs]
-        rounds = [r["rounds"] for r in group if r["converged"]]
+    for c, k in _distinct_cells(config):
+        rounds = [r["rounds"] for r in by_k[k] if r["converged"]]
         rows.append(
             {
                 "c": c,
@@ -126,3 +117,8 @@ def tuning_table(
     )
     table.add_dict_rows(tuning_rows(config, jobs=jobs, cache=cache))
     return table
+
+
+EXPERIMENT = Experiment(
+    TuningConfig, ("quorum_tuning",), each(tuning_table), grid(tuning_sweep)
+)

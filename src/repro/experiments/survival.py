@@ -20,6 +20,7 @@ from repro.core.spec import write_survival_counts
 from repro.exec.cache import RunCache
 from repro.exec.engine import run_many
 from repro.exec.task import RunTask
+from repro.experiments.registry import Experiment, each
 from repro.experiments.results import ResultTable
 from repro.quorum.probabilistic import ProbabilisticQuorumSystem
 from repro.registers.deployment import RegisterDeployment
@@ -109,10 +110,19 @@ def quorum_level_survival(
     cache: Optional[RunCache] = None,
 ) -> Dict[int, float]:
     """Monte Carlo Pr[some replica of W's quorum survives ℓ later writes]."""
-    shard_counts = run_many(survival_mc_tasks(config), jobs=jobs, cache=cache)
-    totals = [sum(shard[ell] for shard in shard_counts)
-              for ell in range(config.max_lag + 1)]
-    return {ell: count / config.trials for ell, count in enumerate(totals)}
+    return _survival_fractions(
+        config, run_many(survival_mc_tasks(config), jobs=jobs, cache=cache)
+    )
+
+
+def _survival_fractions(
+    config: SurvivalConfig, shard_counts: List[List[int]]
+) -> Dict[int, float]:
+    """Fold per-shard survival counts into a per-lag probability."""
+    return {
+        ell: sum(shard[ell] for shard in shard_counts) / config.trials
+        for ell in range(config.max_lag + 1)
+    }
 
 
 def survival_register_task(
@@ -182,6 +192,11 @@ def register_level_survival(
     return {ell: (s, t) for ell, s, t in rows}
 
 
+def survival_tasks(config: SurvivalConfig) -> List[RunTask]:
+    """Everything the table submits: the MC shards, then the register run."""
+    return survival_mc_tasks(config) + [survival_register_task(config)]
+
+
 def survival_table(
     config: SurvivalConfig,
     jobs: Optional[int] = None,
@@ -190,15 +205,11 @@ def survival_table(
     """The E-THM1 comparison table: measured vs bound per lag ℓ."""
     # One engine invocation for everything: the MC shards and the
     # register-level run execute side by side.
-    mc_tasks = survival_mc_tasks(config)
-    tasks = mc_tasks + [survival_register_task(config)]
-    results = run_many(tasks, jobs=jobs, cache=cache)
-    shard_counts = results[: len(mc_tasks)]
-    monte_carlo = {
-        ell: sum(shard[ell] for shard in shard_counts) / config.trials
-        for ell in range(config.max_lag + 1)
-    }
-    register = {ell: (s, t) for ell, s, t in results[-1]}
+    *shard_counts, register_rows = run_many(
+        survival_tasks(config), jobs=jobs, cache=cache
+    )
+    monte_carlo = _survival_fractions(config, shard_counts)
+    register = {ell: (s, t) for ell, s, t in register_rows}
     table = ResultTable(
         f"Theorem 1 — write survival probability "
         f"(n={config.num_servers}, k={config.quorum_size})",
@@ -228,3 +239,8 @@ def check_bound_holds(
         if probability > bound + slack:
             violations.append(ell)
     return violations
+
+
+EXPERIMENT = Experiment(
+    SurvivalConfig, ("survival",), each(survival_table), survival_tasks
+)

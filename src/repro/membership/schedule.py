@@ -18,7 +18,9 @@ lets ddmin shrink membership histories without re-validating them.
 """
 
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, Optional, Tuple
+
+from repro.sim.failures import Timeline
 
 
 class MembershipError(ValueError):
@@ -78,7 +80,7 @@ class MembershipEvent:
         }
 
 
-class MembershipSchedule:
+class MembershipSchedule(Timeline):
     """A scripted timeline of replica joins and retirements.
 
     Build one with the fluent helpers (:meth:`join`, :meth:`leave`,
@@ -90,18 +92,9 @@ class MembershipSchedule:
     join first.
     """
 
-    def __init__(self, events: Iterable[MembershipEvent] = ()) -> None:
-        self.events: List[MembershipEvent] = sorted(
-            events, key=lambda event: event.time
-        )
+    event_class = MembershipEvent
 
     # -- builders ------------------------------------------------------ #
-
-    def add(self, event: MembershipEvent) -> "MembershipSchedule":
-        """Insert one event, keeping the timeline time-sorted."""
-        self.events.append(event)
-        self.events.sort(key=lambda entry: entry.time)
-        return self
 
     def join(self, time: float, nodes: Iterable[int]) -> "MembershipSchedule":
         """Roster indices ``nodes`` join the view at ``time``."""
@@ -139,16 +132,12 @@ class MembershipSchedule:
         take consecutive fresh roster indices starting at
         ``num_initial``; leavers go in FIFO (join-order) sequence.
         """
-        if period <= 0:
-            return cls()
-        if not 1 <= batch <= num_initial:
+        if period > 0 and not 1 <= batch <= num_initial:
             raise MembershipError(
                 f"churn batch {batch} must be in [1, {num_initial}]"
             )
         schedule = cls()
-        cycle = 0
-        time = period if start is None else start
-        while time <= horizon:
+        for cycle, time in cls.cycles(period, horizon, start):
             joining = tuple(
                 num_initial + cycle * batch + offset for offset in range(batch)
             )
@@ -156,16 +145,7 @@ class MembershipSchedule:
                 cycle * batch + offset for offset in range(batch)
             )
             schedule.replace(time, joining, leaving)
-            cycle += 1
-            time += period
         return schedule
-
-    @classmethod
-    def from_specs(
-        cls, specs: Sequence[Dict[str, Any]]
-    ) -> "MembershipSchedule":
-        """Build a schedule from a list of plain-data event dicts."""
-        return cls(MembershipEvent.from_spec(spec) for spec in specs)
 
     @classmethod
     def build(
@@ -197,22 +177,17 @@ class MembershipSchedule:
             return cls.from_specs(spec["events"])
         raise MembershipError(f"unknown membership kind {kind!r}")
 
-    def to_specs(self) -> List[Dict[str, Any]]:
-        """The JSON-able form of this timeline (inverse of from_specs)."""
-        return [event.to_spec() for event in self.events]
+    @staticmethod
+    def install_knobs(spec: Dict[str, Any]) -> Dict[str, Any]:
+        """The ``install_membership`` keywords a top-level spec carries.
+
+        Absent keys keep the defaults stated on
+        :meth:`repro.registers.deployment.RegisterDeployment.install_membership`.
+        """
+        knobs = ("drain", "transfer_retry", "transfer_max_attempts")
+        return {knob: spec[knob] for knob in knobs if knob in spec}
 
     def max_roster_index(self, num_initial: int) -> int:
         """The largest roster index this timeline can touch."""
         indices = [node for event in self.events for node in event.nodes]
         return max(indices + [num_initial - 1])
-
-    def __len__(self) -> int:
-        return len(self.events)
-
-    def __repr__(self) -> str:
-        if not self.events:
-            return "MembershipSchedule(empty)"
-        return (
-            f"MembershipSchedule({len(self.events)} events, "
-            f"t={self.events[0].time:g}..{self.events[-1].time:g})"
-        )

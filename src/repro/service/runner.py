@@ -20,6 +20,7 @@ from typing import Any, Dict, Optional, Tuple
 
 from repro.adversary import build_adversary
 from repro.membership import MembershipSchedule
+from repro.obs import runtime as obs_runtime
 from repro.obs.collect import collect_deployment
 from repro.obs.core import Observability
 from repro.obs.quantiles import StreamingQuantiles
@@ -78,6 +79,17 @@ class ServiceConfig:
     #: Adversary strategy spec for
     #: :func:`repro.adversary.build_adversary` (None: no adversary).
     adversary: Optional[Dict[str, Any]] = None
+
+    def __post_init__(self) -> None:
+        # Reject a malformed knob here, as a ValueError a caller can
+        # report, not as a traceback out of a half-assembled deployment.
+        ProbabilisticQuorumSystem(self.num_servers, self.quorum_size)
+        self.build_delay_model()
+        build_arrivals(self.arrivals)
+        if self.membership is not None:
+            MembershipSchedule.build(
+                self.membership, self.num_servers, self.duration
+            )
 
     def build_delay_model(self):
         if self.delay_model == "constant":
@@ -178,7 +190,12 @@ class ServiceResult:
 def run_service(config: ServiceConfig) -> ServiceResult:
     """Run one service-mode simulation to quiescence."""
     started = time.perf_counter()
-    observability = Observability()
+    # Like an Alg. 1 task: a fresh registry per run, but the span
+    # recorder of the active session (``--trace-spans``), if any.
+    active = obs_runtime.active()
+    observability = Observability(
+        spans=active.spans if active is not None else None
+    )
     rng = RngRegistry(config.seed)
     retry_policy = RetryPolicy(
         interval=config.retry_interval,
@@ -228,12 +245,7 @@ def run_service(config: ServiceConfig) -> ServiceResult:
             horizon=config.duration,
         )
         manager = deployment.install_membership(
-            schedule,
-            drain=config.membership.get("drain", 8.0),
-            transfer_retry=config.membership.get("transfer_retry", 4.0),
-            transfer_max_attempts=config.membership.get(
-                "transfer_max_attempts", 8
-            ),
+            schedule, **schedule.install_knobs(config.membership)
         )
     frontend = KeyValueFrontend(
         deployment,

@@ -13,7 +13,9 @@ crash set fixed before the run.
 """
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import (
+    Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple,
+)
 
 from repro.sim.scheduler import Scheduler
 
@@ -190,8 +192,79 @@ class FailureEvent:
             every=float(spec.get("every", 0.0)),
         )
 
+    def to_spec(self) -> Dict[str, Any]:
+        """The JSON-able form of this event (inverse of from_spec)."""
+        spec: Dict[str, Any] = {"time": self.time, "action": self.action}
+        if self.nodes:
+            spec["nodes"] = list(self.nodes)
+        if self.groups:
+            spec["groups"] = [list(g) for g in self.groups]
+        if self.every:
+            spec["every"] = self.every
+        return spec
 
-class FailureSchedule:
+
+class Timeline:
+    """A time-sorted list of scripted events, plain data end to end.
+
+    The storage, spec round-trip and rotating-window clock shared by
+    :class:`FailureSchedule` and
+    :class:`repro.membership.MembershipSchedule`; a subclass names its
+    ``event_class`` (anything with ``time``, ``from_spec`` and
+    ``to_spec``) and adds its own fluent builders.  Events sharing a
+    timestamp keep insertion order (the sort is stable).
+    """
+
+    event_class: type
+
+    def __init__(self, events: Iterable[Any] = ()) -> None:
+        self.events: List[Any] = sorted(events, key=lambda event: event.time)
+
+    def add(self, event: Any) -> "Timeline":
+        """Insert one event, keeping the timeline time-sorted."""
+        self.events.append(event)
+        self.events.sort(key=lambda entry: entry.time)
+        return self
+
+    @staticmethod
+    def cycles(
+        period: float, horizon: float, start: Optional[float] = None
+    ) -> Iterator[Tuple[int, float]]:
+        """``(cycle, time)`` every ``period`` from ``start`` (default one
+        period) through ``horizon``; nothing when ``period`` is not
+        positive — the clock of a rotating-window churn timeline."""
+        if period <= 0:
+            return
+        cycle = 0
+        time = period if start is None else start
+        while time <= horizon:
+            yield cycle, time
+            cycle += 1
+            time += period
+
+    @classmethod
+    def from_specs(cls, specs: Sequence[Dict[str, Any]]) -> "Timeline":
+        """Build a timeline from a list of plain-data event dicts."""
+        return cls(cls.event_class.from_spec(spec) for spec in specs)
+
+    def to_specs(self) -> List[Dict[str, Any]]:
+        """The JSON-able form of this timeline (inverse of from_specs)."""
+        return [event.to_spec() for event in self.events]
+
+    def __len__(self) -> int:
+        return len(self.events)
+
+    def __repr__(self) -> str:
+        name = type(self).__name__
+        if not self.events:
+            return f"{name}(empty)"
+        return (
+            f"{name}({len(self.events)} events, "
+            f"t={self.events[0].time:g}..{self.events[-1].time:g})"
+        )
+
+
+class FailureSchedule(Timeline):
     """A scripted timeline of crash/recover/partition/heal events.
 
     Build one with the fluent helpers (:meth:`crash`, :meth:`recover`,
@@ -202,18 +275,9 @@ class FailureSchedule:
     independent data until then.
     """
 
-    def __init__(self, events: Iterable[FailureEvent] = ()) -> None:
-        self.events: List[FailureEvent] = sorted(
-            events, key=lambda event: event.time
-        )
+    event_class = FailureEvent
 
     # -- builders ------------------------------------------------------ #
-
-    def add(self, event: FailureEvent) -> "FailureSchedule":
-        """Insert one event, keeping the timeline time-sorted."""
-        self.events.append(event)
-        self.events.sort(key=lambda entry: entry.time)
-        return self
 
     def crash(
         self, time: float, nodes: Iterable[int], every: float = 0.0
@@ -273,41 +337,14 @@ class FailureSchedule:
         (mod ``num_nodes``) goes down for ``outage`` time units — the
         E-EXT-CHURN failure process, expressed as scripted data.
         """
-        if period <= 0:
-            return cls()
         schedule = cls()
-        cycle = 0
-        time = period if start is None else start
-        while time <= horizon:
+        for cycle, time in cls.cycles(period, horizon, start):
             first = (cycle * batch) % num_nodes
             window = tuple(
                 (first + offset) % num_nodes for offset in range(batch)
             )
             schedule.outage(time, window, outage)
-            cycle += 1
-            time += period
         return schedule
-
-    @classmethod
-    def from_specs(
-        cls, specs: Sequence[Dict[str, Any]]
-    ) -> "FailureSchedule":
-        """Build a schedule from a list of plain-data event dicts."""
-        return cls(FailureEvent.from_spec(spec) for spec in specs)
-
-    def to_specs(self) -> List[Dict[str, Any]]:
-        """The JSON-able form of this timeline (inverse of from_specs)."""
-        specs = []
-        for event in self.events:
-            spec: Dict[str, Any] = {"time": event.time, "action": event.action}
-            if event.nodes:
-                spec["nodes"] = list(event.nodes)
-            if event.groups:
-                spec["groups"] = [list(g) for g in event.groups]
-            if event.every:
-                spec["every"] = event.every
-            specs.append(spec)
-        return specs
 
     # -- installation -------------------------------------------------- #
 
@@ -357,14 +394,3 @@ class FailureSchedule:
             ]
             return lambda: injector.partition(groups)
         return injector.heal_partition  # "heal"
-
-    def __len__(self) -> int:
-        return len(self.events)
-
-    def __repr__(self) -> str:
-        if not self.events:
-            return "FailureSchedule(empty)"
-        return (
-            f"FailureSchedule({len(self.events)} events, "
-            f"t={self.events[0].time:g}..{self.events[-1].time:g})"
-        )

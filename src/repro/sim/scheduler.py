@@ -213,7 +213,9 @@ class Scheduler:
             )
         handle = RepeatingHandle()
         delay = interval if first_delay is None else first_delay
-        base = self._now + delay
+        # ``now``, not ``_now``: NativeScheduler borrows this function and
+        # its C core exposes the clock only under the public name.
+        base = self.now + delay
         tolerance = interval * 1e-9
         count = 0
 

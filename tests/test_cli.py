@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import dataclasses
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -144,36 +146,80 @@ def test_trace_spans_rejects_non_positive(capsys):
 
 def test_full_and_repro_full_select_the_same_configuration(monkeypatch):
     """``--full`` and the benchmarks' ``REPRO_FULL=1`` both resolve to the
-    config's own ``paper_scale()`` — the two used to carry separate
-    literals, and the churn and load pairs had drifted apart."""
-    import importlib.util
-    import pathlib
+    config's own ``paper_scale()`` through the one registry — the two used
+    to carry separate literals, and the churn and load pairs had drifted
+    apart."""
+    from repro.experiments import EXPERIMENTS
 
-    from repro import cli
-
-    spec = importlib.util.spec_from_file_location(
-        "bench_utils",
-        pathlib.Path(__file__).resolve().parent.parent
-        / "benchmarks" / "bench_utils.py",
-    )
-    bench_utils = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(bench_utils)
-    configs = [
-        getattr(cli, name) for name in dir(cli) if name.endswith("Config")
-    ]
-    assert len(configs) == 11
-    for config_class in configs:
+    assert len(EXPERIMENTS) == 11
+    for experiment in EXPERIMENTS.values():
+        config_class = experiment.config_class
         monkeypatch.setenv("REPRO_FULL", "1")
         assert (
-            bench_utils.scaled(config_class)
-            == cli._config(config_class, True)
+            experiment.config()
+            == experiment.config(True)
             == config_class.paper_scale()
         )
         monkeypatch.setenv("REPRO_FULL", "0")
         assert (
-            bench_utils.scaled(config_class)
-            == cli._config(config_class, False)
+            experiment.config()
+            == experiment.config(False)
             == config_class.scaled_down()
         )
-    assert cli.ChurnConfig.paper_scale().num_vertices == 16
-    assert cli.LoadAvailabilityConfig.paper_scale().tradeoff_n_values[-1] == 144
+    churn = EXPERIMENTS["churn"]
+    assert churn.config(True).num_vertices == 16
+    assert EXPERIMENTS["load"].config(True).tradeoff_n_values[-1] == 144
+    # The fault-model flags reach exactly the experiments declaring them.
+    assert churn.config(False, loss_rate=0.1, op_deadline=None) == (
+        dataclasses.replace(churn.config(False), loss_rate=0.1)
+    )
+    figure2 = EXPERIMENTS["figure2"]
+    assert figure2.config(False, loss_rate=0.1) == figure2.config(False)
+
+
+#: Every option string of the parser at the commit before the command
+#: table (PR 21): regrouping the flags per command must not add, drop or
+#: rename one.
+OPTION_STRINGS = {
+    "--amplitude", "--arrivals", "--broken-after", "--chaos-seed", "--churn",
+    "--churn-batch", "--clear-cache", "--clients", "--duration", "--full",
+    "--help", "--jobs", "--kernel", "--keys", "--loss-rate",
+    "--max-attempts", "--max-in-flight", "--mean-burst", "--metrics-out",
+    "--no-cache", "--op-deadline", "--output", "--peakedness", "--period",
+    "--profile", "--quorum-size", "--rate", "--read-fraction", "--registers",
+    "--repro", "--repro-out", "--runs", "--seed", "--servers",
+    "--snapshot-out", "--trace-spans", "--write-mode", "--zipf", "-h",
+}
+
+
+def test_parser_option_strings_unchanged():
+    options = [
+        option
+        for action in build_parser()._actions
+        for option in action.option_strings
+    ]
+    assert len(options) == len(set(options))
+    assert set(options) == OPTION_STRINGS
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["serve", "--servers", "4", "--quorum-size", "9"],
+        ["serve", "--rate", "-1"],
+        ["serve", "--churn", "5", "--churn-batch", "99"],
+        ["chaos", "--runs", "0"],
+        ["chaos", "--repro", "missing.json"],
+    ],
+    ids=lambda argv: " ".join(argv),
+)
+def test_bad_configuration_is_a_one_line_error(argv, capsys, tmp_path, monkeypatch):
+    """A command that cannot build its configuration reports like a bad
+    ``--loss-rate`` does: exit 2, one ``repro: error:`` line, no stack."""
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("repro: error: ")
+    assert captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err

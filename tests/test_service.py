@@ -14,6 +14,7 @@ Covers the PR's tentpole contracts:
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -437,6 +438,27 @@ def test_cli_serve_writes_deterministic_snapshot(tmp_path, capsys):
     assert "repro_service_offered_total" in names
     out = capsys.readouterr().out
     assert "service SLO summary" in out
+
+
+def test_cli_serve_trace_spans_records_operations(
+    tmp_path, capsys, kernel_backend
+):
+    """``--trace-spans`` covers ``serve`` like every other subcommand: the
+    service run records into the session's span recorder — and spans are
+    not metrics, so the snapshot is the span-less run's, byte for byte."""
+    base = ["serve", "--duration", "30", "--seed", "3"]
+    plain, traced = tmp_path / "plain.json", tmp_path / "traced.json"
+    assert cli_main(base + ["--snapshot-out", str(plain)]) == 0
+    capsys.readouterr()
+    assert cli_main(
+        base + ["--snapshot-out", str(traced), "--trace-spans", "2"]
+    ) == 0
+    out = capsys.readouterr().out
+    assert "slowest 2 of" in out
+    spans = out[out.index("slowest 2 of"):]
+    assert re.search(r"^ +[\d.]+ +(read|write) +ok ", spans, re.MULTILINE)
+    assert "quorum_round" in spans
+    assert traced.read_bytes() == plain.read_bytes()
 
 
 def test_cli_serve_arrival_knobs(tmp_path):
