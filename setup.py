@@ -8,8 +8,8 @@ pure-python kernel (see ``repro.sim.kernel``).
 Source checkouts (``PYTHONPATH=src``) build the same extension in place
 with ``python -m repro._native.build`` instead.  That module owns the
 one definition of what gets compiled in (numpy's C random library, when
-present); it is loaded by path here because the package is not
-importable before it is installed.
+present) and how floats are compiled; it is loaded by path here because
+the package is not importable before it is installed.
 """
 
 import importlib.util
@@ -30,7 +30,7 @@ setup(
         Extension(
             "repro._native._kernel",
             sources=["src/repro/_native/_kernelmodule.c"],
-            extra_compile_args=_compile_flags,
+            extra_compile_args=_build._EXACT_FP_FLAGS + _compile_flags,
             extra_link_args=_link_flags,
             optional=True,
         )

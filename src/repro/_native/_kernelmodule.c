@@ -143,7 +143,6 @@
     X(str_quorum_system, "quorum_system")                    \
     X(str_n, "n")                                            \
     X(str_k, "k")                                            \
-    X(str_validate_quorum, "validate_quorum")                \
     X(str_reads_performed, "reads_performed")                \
     X(str_writes_performed, "writes_performed")              \
     X(str_space, "space")                                    \
@@ -151,7 +150,26 @@
     X(str_server_ids, "server_ids")                          \
     X(str_op_ids, "_op_ids")                                 \
     X(str_write_seq, "_write_seq")                           \
-    X(str_client_id, "client_id")
+    X(str_client_id, "client_id")                            \
+    X(str_crashed_attr, "_crashed")                          \
+    X(str_partition_attr, "_partition")                      \
+    X(str_spec_monitor, "spec_monitor")                      \
+    X(str_on_read_complete, "on_read_complete")              \
+    X(str_on_write_complete, "on_write_complete")            \
+    X(str_on_retry, "on_retry")                              \
+    X(str_attempts, "attempts")                              \
+    X(str_retries, "retries")                                \
+    X(str_max_attempts, "max_attempts")                      \
+    X(str_give_up, "_give_up")                               \
+    X(str_stale_nacks, "stale_nacks")                        \
+    X(str_refresh_view, "_refresh_view")                     \
+    X(str_views, "views")                                    \
+    X(str_view_obj, "_view")                                 \
+    X(str_view_rng, "_view_rng")                             \
+    X(str_interval, "interval")                              \
+    X(str_backoff, "backoff")                                \
+    X(str_max_interval, "max_interval")                      \
+    X(str_jitter, "jitter")
 
 #define DECLARE_STRING(var, text) static PyObject *var;
 INTERNED_STRINGS(DECLARE_STRING)
@@ -178,6 +196,12 @@ static PyObject *future_type = NULL;       /* sim.futures.Future */
 static PyObject *null_history_type = NULL; /* history.NullRegisterHistory */
 static PyObject *null_record = NULL;       /* history._NULL_RECORD */
 static PyObject *prob_quorum_type = NULL;  /* ProbabilisticQuorumSystem */
+static PyObject *retry_policy_type = NULL; /* registers.client.RetryPolicy */
+
+/* The exact types whose per-message decisions the cores evaluate in C,
+ * resolved the first time a network or client core is built. */
+static PyObject *generator_type = NULL;        /* numpy.random.Generator */
+static PyObject *failure_injector_type = NULL; /* failures.FailureInjector */
 
 /* Delay-model classes, resolved lazily the first time a delay is
  * sampled natively.  Soft-resolved: when the import fails (stripped
@@ -248,6 +272,24 @@ attr_double(PyObject *obj, PyObject *name)
     double out = PyFloat_AsDouble(value);
     Py_DECREF(value);
     return out;
+}
+
+/* (obj.<names[0]>, ..., obj.<names[n-1]>) as a new tuple, or NULL. */
+static PyObject *
+attr_tuple(PyObject *obj, PyObject **names, Py_ssize_t n)
+{
+    PyObject *fields = PyTuple_New(n);
+    if (fields == NULL)
+        return NULL;
+    for (Py_ssize_t i = 0; i < n; i++) {
+        PyObject *value = PyObject_GetAttr(obj, names[i]);
+        if (value == NULL) {
+            Py_DECREF(fields);
+            return NULL;
+        }
+        PyTuple_SET_ITEM(fields, i, value);
+    }
+    return fields;
 }
 
 /* module.<attr>, imported by name; a new reference or NULL. */
@@ -1211,6 +1253,46 @@ bitgen_of(PyObject *rng, PyObject **holder)
 }
 #endif
 
+/* rng.random(): for an exact numpy Generator, its bit stream's
+ * next_double — the one draw Generator.random() makes, leaving the same
+ * stream state — else the method call.  The draw, or -1.0 with an
+ * exception set. */
+static double
+rng_random(PyObject *rng)
+{
+#ifdef REPRO_HAVE_NPYRANDOM
+    if ((PyObject *)Py_TYPE(rng) == generator_type) {
+        PyObject *holder;
+        bitgen_t *bg = bitgen_of(rng, &holder);
+        if (bg == NULL)
+            return -1.0;
+        double value = bg->next_double(bg->state);
+        Py_DECREF(holder);
+        return value;
+    }
+#endif
+    PyObject *draw = PyObject_CallMethodNoArgs(rng, str_random);
+    if (draw == NULL)
+        return -1.0;
+    double value = PyFloat_AsDouble(draw);
+    Py_DECREF(draw);
+    return value;
+}
+
+/* Resolve the network cores' exact types (see their declarations). */
+static int
+ensure_network_types(void)
+{
+    if (failure_injector_type != NULL)
+        return 0;
+    if ((generator_type = import_attr("numpy.random", "Generator")) != NULL
+        && (failure_injector_type = import_attr("repro.sim.failures",
+                                                "FailureInjector")) != NULL)
+        return 0;
+    Py_CLEAR(generator_type);
+    return -1;
+}
+
 /* One of the two built-in delay models with exactly transcribable
  * draws, resolved once for a run of draws between which no Python code
  * can run: the model's parameters and the Generator's bitgen_t are read
@@ -1307,7 +1389,9 @@ raise_nonpositive_delay(double delay)
  * per destination everywhere else — it never calls the Python
  * ``broadcast``.  ``_deliver`` is the delivery trampoline: fault check,
  * stats, then ``node.on_message`` — directly into a protocol core where
- * one is installed.
+ * one is installed.  The loss draw (an exact Generator) and the fault
+ * check (an exact FailureInjector) are C too; the adversary's
+ * ``intercept`` is the one per-message Python call left.
  *
  * Mutable knobs (loss_rate, _taps, _adversary, _loss_rng, _deliver,
  * delay_model, rng) are re-read from the Network per message so
@@ -1332,7 +1416,8 @@ networkcore_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
     if ((stats = PyObject_GetAttr(network, str_stats_attr)) == NULL
         || (failures = PyObject_GetAttr(network, str_failures_attr)) == NULL
         || (nodes = PyObject_GetAttr(network, str_nodes_attr)) == NULL
-        || (sched = PyObject_GetAttr(network, str_scheduler_attr)) == NULL)
+        || (sched = PyObject_GetAttr(network, str_scheduler_attr)) == NULL
+        || ensure_network_types() < 0)
         goto fail;
     if (!PyDict_Check(nodes)
         || !PyObject_TypeCheck(sched, &SchedulerCore_Type)) {
@@ -1439,20 +1524,49 @@ stats_record(PyObject *stats, PyObject *method, PyObject *src,
 
 /* ``failures.active and not failures.can_deliver(src, dst)``: 1 when a
  * crash or partition destroys the message, 0 when it passes, -1 on
- * error. */
+ * error.  For an exact FailureInjector, can_deliver is evaluated here
+ * over its ``_crashed`` set and ``_partition`` groups: blocked when an
+ * endpoint is down, or when both belong to groups yet share none. */
 static int
 fault_blocks(PyObject *failures, PyObject *src, PyObject *dst)
 {
     int active = attr_truth(failures, str_active);
     if (active <= 0)
         return active;
-    PyObject *ok = PyObject_CallMethodObjArgs(
-        failures, str_can_deliver, src, dst, NULL);
-    if (ok == NULL)
-        return -1;
-    int deliverable = PyObject_IsTrue(ok);
-    Py_DECREF(ok);
-    return deliverable < 0 ? -1 : !deliverable;
+    if ((PyObject *)Py_TYPE(failures) != failure_injector_type) {
+        PyObject *ok = PyObject_CallMethodObjArgs(
+            failures, str_can_deliver, src, dst, NULL);
+        if (ok == NULL)
+            return -1;
+        int deliverable = PyObject_IsTrue(ok);
+        Py_DECREF(ok);
+        return deliverable < 0 ? -1 : !deliverable;
+    }
+    PyObject *crashed = PyObject_GetAttr(failures, str_crashed_attr);
+    PyObject *groups = crashed
+        ? PyObject_GetAttr(failures, str_partition_attr) : NULL;
+    int blocked = groups ? PySequence_Contains(crashed, src) : -1;
+    if (blocked == 0)
+        blocked = PySequence_Contains(crashed, dst);
+    PyObject *iter = blocked == 0 && groups != Py_None
+        ? PyObject_GetIter(groups) : NULL;
+    int src_grouped = 0, dst_grouped = 0;
+    PyObject *group;
+    while (iter != NULL && (group = PyIter_Next(iter)) != NULL) {
+        int src_in = PySequence_Contains(group, src);
+        int dst_in = src_in < 0 ? -1 : PySequence_Contains(group, dst);
+        Py_DECREF(group);
+        if (dst_in < 0 || (src_in && dst_in)) {
+            dst_grouped = 0; /* an error, or a shared group: deliverable */
+            break;
+        }
+        src_grouped |= src_in;
+        dst_grouped |= dst_in;
+    }
+    Py_XDECREF(iter);
+    Py_XDECREF(groups);
+    Py_XDECREF(crashed);
+    return PyErr_Occurred() ? -1 : blocked || (src_grouped && dst_grouped);
 }
 
 /* ``delay_model.sample(rng, src, dst)`` plus send's positivity check: a
@@ -1542,12 +1656,8 @@ network_send_one(NetworkCore *self, PyObject *src, PyObject *dst,
         PyObject *loss_rng = PyObject_GetAttr(network, str_loss_rng_attr);
         if (loss_rng == NULL)
             return -1;
-        PyObject *draw = PyObject_CallMethodNoArgs(loss_rng, str_random);
+        double value = rng_random(loss_rng);
         Py_DECREF(loss_rng);
-        if (draw == NULL)
-            return -1;
-        double value = PyFloat_AsDouble(draw);
-        Py_DECREF(draw);
         if (value == -1.0 && PyErr_Occurred())
             return -1;
         lost = value < loss_rate;
@@ -1990,26 +2100,23 @@ kernel_quorum_sample(PyObject *module, PyObject *const *args,
 /* Native transcriptions of the two per-message protocol callbacks:
  * ``ReplicaServer.on_message`` (ServerCore) and the reply-aggregation
  * path of ``QuorumRegisterClient.on_message`` + ``_finish`` +
- * ``_teardown`` (ClientCore), plus the client's issue path (ClientCore's
- * read / write / _begin / _send_round methods, described where they are
- * defined).  Installed as instance attributes of the node — exactly
- * like the network core's entry points — so trace taps and monkeypatches
- * keep working, and the pure-python methods remain the reference
- * implementation.
+ * ``_teardown`` + ``_redispatch`` (ClientCore), plus the client's issue
+ * path and retry timer (ClientCore's read / write / _begin / _send_round
+ * / _retry methods, described where they are defined).  Installed as
+ * instance attributes of the node — exactly like the network core's
+ * entry points — so trace taps and monkeypatches keep working, and the
+ * pure-python methods remain the reference implementation.
  *
  * Soft fallback, re-checked on every delivery, is a guard on what the
- * handler itself reads — the complete list: an op-level span (tracing),
- * the online spec monitor, a reply stamped with a newer view than the
- * client's (it must refresh first), and any message that is not an
- * exact instance of one of the four Section-4 types (StaleViewNack,
- * State*, subclasses); subclassed nodes never get a core.  Those route
- * the message through the original Python handler.  Loss, faults, taps,
- * an adversary and detailed MessageStats are read by no handler — they
- * matter inside ``send``, which the network core handles — so chaos
- * campaigns run their handlers here.  The server's view gate runs here
- * too, and the live latency histogram is observed natively in
- * clientcore_finish.  No message handler draws from an RNG stream; the
- * issue path does, in the Python order (see there).
+ * handler itself reads — the complete list: an op-level span (tracing)
+ * and any message that is not an exact instance of one of the four
+ * Section-4 types or StaleViewNack (State*, subclasses); subclassed
+ * nodes never get a core.  Those route the message through the original
+ * Python handler.  Loss, faults, taps, an adversary and detailed
+ * MessageStats matter only inside ``send``, which the network core
+ * handles.  The server's view gate, the client's view refresh check, the
+ * live latency histogram and the online spec monitor's hooks run here
+ * too.  A nack's re-dispatch draws a view quorum, in the Python order.
  */
 
 /* Resolve the protocol classes lazily, on first core construction —
@@ -2073,11 +2180,14 @@ ensure_issue_types(void)
                                             "NullRegisterHistory")) != NULL
         && (null_record = import_attr("repro.core.history",
                                       "_NULL_RECORD")) != NULL
+        && (retry_policy_type = import_attr("repro.registers.client",
+                                            "RetryPolicy")) != NULL
         /* Assigned last: non-NULL prob_quorum_type marks full resolution. */
         && (prob_quorum_type = import_attr("repro.quorum.probabilistic",
                                            "ProbabilisticQuorumSystem"))
             != NULL)
         return 0;
+    Py_CLEAR(retry_policy_type);
     Py_CLEAR(pending_op_type);
     Py_CLEAR(future_type);
     Py_CLEAR(null_history_type);
@@ -2086,42 +2196,20 @@ ensure_issue_types(void)
 }
 
 /* a > b under Timestamp's lexicographic (seq, writer) order, without
- * the tuple-building Python __gt__ frame; non-exact operand types take
- * the generic comparison protocol.  Returns 1/0/-1 (error). */
+ * the Python __gt__ frame: the tuple comparison it makes; non-exact
+ * operand types take the generic comparison protocol.  1/0/-1 (error). */
 static int
 timestamp_gt(PyObject *a, PyObject *b)
 {
     if ((PyObject *)Py_TYPE(a) != timestamp_type
         || (PyObject *)Py_TYPE(b) != timestamp_type)
         return PyObject_RichCompareBool(a, b, Py_GT);
-    PyObject *a_seq = PyObject_GetAttr(a, str_seq_attr);
-    if (a_seq == NULL)
-        return -1;
-    PyObject *b_seq = PyObject_GetAttr(b, str_seq_attr);
-    if (b_seq == NULL) {
-        Py_DECREF(a_seq);
-        return -1;
-    }
-    int eq = PyObject_RichCompareBool(a_seq, b_seq, Py_EQ);
-    if (eq < 0 || !eq) {
-        int gt = eq < 0 ? -1 : PyObject_RichCompareBool(a_seq, b_seq, Py_GT);
-        Py_DECREF(a_seq);
-        Py_DECREF(b_seq);
-        return gt;
-    }
-    Py_DECREF(a_seq);
-    Py_DECREF(b_seq);
-    PyObject *a_writer = PyObject_GetAttr(a, str_writer_attr);
-    if (a_writer == NULL)
-        return -1;
-    PyObject *b_writer = PyObject_GetAttr(b, str_writer_attr);
-    if (b_writer == NULL) {
-        Py_DECREF(a_writer);
-        return -1;
-    }
-    int gt = PyObject_RichCompareBool(a_writer, b_writer, Py_GT);
-    Py_DECREF(a_writer);
-    Py_DECREF(b_writer);
+    PyObject *names[] = {str_seq_attr, str_writer_attr};
+    PyObject *key_a = attr_tuple(a, names, 2);
+    PyObject *key_b = key_a ? attr_tuple(b, names, 2) : NULL;
+    int gt = key_b ? PyObject_RichCompareBool(key_a, key_b, Py_GT) : -1;
+    Py_XDECREF(key_a);
+    Py_XDECREF(key_b);
     return gt;
 }
 
@@ -2181,6 +2269,17 @@ make_message(PyObject *cls, PyObject *fields)
     PyObject *message = PyTuple_Type.tp_new((PyTypeObject *)cls, args, NULL);
     Py_DECREF(args);
     return message;
+}
+
+/* fallback(node, src, message): a protocol core's Python handler. */
+static int
+run_fallback(PyObject *fallback, PyObject *node, PyObject *src,
+             PyObject *message)
+{
+    PyObject *res = PyObject_CallFunctionObjArgs(fallback, node, src,
+                                                 message, NULL);
+    Py_XDECREF(res);
+    return res == NULL ? -1 : 0;
 }
 
 /* ------------------------------ ServerCore ------------------------- */
@@ -2268,17 +2367,6 @@ servercore_dealloc(ServerCore *self)
     Py_TYPE(self)->tp_free((PyObject *)self);
 }
 
-static int
-servercore_run_fallback(ServerCore *self, PyObject *src, PyObject *message)
-{
-    PyObject *res = PyObject_CallFunctionObjArgs(
-        self->fallback, self->server, src, message, NULL);
-    if (res == NULL)
-        return -1;
-    Py_DECREF(res);
-    return 0;
-}
-
 /* The replica-dict probe: hot path is one C dict lookup; the cold path
  * (first message touching a register) takes the Python ``_replica``
  * method so space.info validation stays in one place.  Returns a strong
@@ -2353,7 +2441,7 @@ servercore_invoke(ServerCore *self, PyObject *src, PyObject *message)
     if (!is_read && msg_type != msg_write_update)
         /* Anything else — StateRequest/StateReply, unknown kinds,
          * message subclasses — takes the Python handler. */
-        return servercore_run_fallback(self, src, message);
+        return run_fallback(self->fallback, self->server, src, message);
     PyObject *view_id = servercore_gate(
         self, src, message, PyTuple_GET_ITEM(message, is_read ? 2 : 4));
     if (view_id == NULL)
@@ -2368,7 +2456,7 @@ servercore_invoke(ServerCore *self, PyObject *src, PyObject *message)
         /* Foreign replica layout: let Python unpack (and fail) it. */
         Py_DECREF(entry);
         Py_DECREF(view_id);
-        return servercore_run_fallback(self, src, message);
+        return run_fallback(self->fallback, self->server, src, message);
     }
     if (is_read) {
         if (bump_counter(self->server, str_reads_served) == 0)
@@ -2478,7 +2566,8 @@ clientcore_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
     PyObject *client;
     if (!PyArg_ParseTuple(args, "O", &client))
         return NULL;
-    if (ensure_protocol_types() < 0 || ensure_issue_types() < 0)
+    if (ensure_protocol_types() < 0 || ensure_issue_types() < 0
+        || ensure_network_types() < 0)
         return NULL;
     PyObject *fallback = NULL, *network = NULL, *failures = NULL;
     PyObject *pending = NULL, *server_index = NULL;
@@ -2624,17 +2713,6 @@ clientcore_dealloc(ClientCore *self)
     Py_TYPE(self)->tp_free((PyObject *)self);
 }
 
-static int
-clientcore_run_fallback(ClientCore *self, PyObject *src, PyObject *message)
-{
-    PyObject *res = PyObject_CallFunctionObjArgs(
-        self->fallback, self->client, src, message, NULL);
-    if (res == NULL)
-        return -1;
-    Py_DECREF(res);
-    return 0;
-}
-
 /* op.<attr>.cancel(), inlined for native handles. */
 static int
 cancel_op_handle(PyObject *op, PyObject *attr)
@@ -2688,11 +2766,65 @@ reply_value(PyObject *reply)
     return PyObject_GetAttr(reply, str_value_attr);
 }
 
+/* space.info(register): the registry dict probe, the method on a miss
+ * (which raises there).  A new reference, or NULL. */
+static PyObject *
+clientcore_info(ClientCore *self, PyObject *reg)
+{
+    PyObject *info = PyDict_GetItemWithError(self->registers, reg);
+    if (info != NULL || PyErr_Occurred()) {
+        Py_XINCREF(info);
+        return info;
+    }
+    PyObject *space = PyObject_GetAttr(self->client, str_space);
+    if (space == NULL)
+        return NULL;
+    info = PyObject_CallMethodOneArg(space, str_info, reg);
+    Py_DECREF(space);
+    return info;
+}
+
+/* client.spec_monitor while client._monitor_on (re-read per call, like
+ * the Python guard), as a new reference; else NULL, with an exception
+ * set only on error. */
+static PyObject *
+clientcore_monitor(ClientCore *self)
+{
+    int on = attr_truth(self->client, str_monitor_on);
+    return on > 0 ? PyObject_GetAttr(self->client, str_spec_monitor) : NULL;
+}
+
+/* _settle's monitor hook: spec_monitor.on_{read,write}_complete(
+ * client_id, op.record, space.info(op.register).history), between the
+ * record and the future — so a SpecViolation raised here leaves the
+ * state the Python definition leaves. */
+static int
+clientcore_check_spec(ClientCore *self, PyObject *op, PyObject *record,
+                      int is_read)
+{
+    PyObject *monitor = clientcore_monitor(self);
+    if (monitor == NULL)
+        return PyErr_Occurred() ? -1 : 0;
+    PyObject *history = NULL, *res = NULL;
+    PyObject *reg = PyObject_GetAttr(op, str_register_attr);
+    PyObject *info = reg == NULL ? NULL : clientcore_info(self, reg);
+    if (info != NULL && (history = PyObject_GetAttr(info, str_history)))
+        res = PyObject_CallMethodObjArgs(
+            monitor, is_read ? str_on_read_complete : str_on_write_complete,
+            self->client_id, record, history, NULL);
+    Py_XDECREF(res);
+    Py_XDECREF(history);
+    Py_XDECREF(info);
+    Py_XDECREF(reg);
+    Py_DECREF(monitor);
+    return res == NULL ? -1 : 0;
+}
+
 /* QuorumRegisterClient._finish — the read decision (_choose) and the
  * completion path (_settle, with its _teardown) — fused.  ``op`` is a
- * strong reference held by the caller; spans / monitor are guaranteed
- * off by the caller's fallback guards, while the latency histogram is
- * handled natively below. */
+ * strong reference held by the caller; spans are guaranteed off by the
+ * caller's fallback guards, while the latency histogram and the spec
+ * monitor are handled natively below. */
 static int
 clientcore_finish(ClientCore *self, PyObject *op, PyObject *op_id,
                   PyObject *quorum, PyObject *replies)
@@ -2773,6 +2905,8 @@ clientcore_finish(ClientCore *self, PyObject *op, PyObject *op_id,
                 goto fail_record;
             Py_DECREF(res);
         }
+        if (clientcore_check_spec(self, op, record, 0) < 0)
+            goto fail_record;
         Py_DECREF(record);
         PyObject *future = PyObject_GetAttr(op, str_future_attr);
         if (future == NULL)
@@ -2911,6 +3045,8 @@ clientcore_finish(ClientCore *self, PyObject *op, PyObject *op_id,
             goto fail_read;
         Py_DECREF(res);
     }
+    if (clientcore_check_spec(self, op, record, 1) < 0)
+        goto fail_read;
     Py_DECREF(record);
     Py_DECREF(ts);
 
@@ -2936,158 +3072,165 @@ fail_record:
     return -1;
 }
 
+/* op.complete_against_quorum(): quorum.issubset(replies) — a size
+ * prefilter (replies can't cover a larger quorum), then a C membership
+ * loop.  1/0, or -1 on error. */
+static int
+quorum_covered(PyObject *quorum, PyObject *replies)
+{
+    if (!PyDict_Check(replies)) {
+        PyErr_SetString(PyExc_TypeError, "op.replies must be a dict");
+        return -1;
+    }
+    if (PyAnySet_Check(quorum)
+        && PyDict_GET_SIZE(replies) < PySet_GET_SIZE(quorum))
+        return 0;
+    PyObject *iter = PyObject_GetIter(quorum);
+    if (iter == NULL)
+        return -1;
+    int covered = 1;
+    PyObject *member;
+    while (covered > 0 && (member = PyIter_Next(iter)) != NULL) {
+        covered = PyDict_Contains(replies, member);
+        Py_DECREF(member);
+    }
+    Py_DECREF(iter);
+    return covered < 0 || PyErr_Occurred() ? -1 : covered;
+}
+
+/* QuorumRegisterClient._refresh_view, called only when it has something
+ * to do: the manager's newest view (``membership.views[-1]``) is not the
+ * client's.  Adopting it (a fresh view stream) stays Python — it happens
+ * once per view per client. */
+static int
+clientcore_refresh_view(ClientCore *self)
+{
+    PyObject *membership = PyObject_GetAttr(self->client, str_membership);
+    if (membership == NULL)
+        return -1;
+    int stale = 0;
+    if (membership != Py_None) {
+        PyObject *views = PyObject_GetAttr(membership, str_views);
+        PyObject *view = views ? PySequence_GetItem(views, -1) : NULL;
+        PyObject *newest = view ? PyObject_GetAttr(view, str_view_id) : NULL;
+        PyObject *ours = newest
+            ? PyObject_GetAttr(self->client, str_view_id) : NULL;
+        stale = ours ? PyObject_RichCompareBool(newest, ours, Py_NE) : -1;
+        Py_XDECREF(ours);
+        Py_XDECREF(newest);
+        Py_XDECREF(view);
+        Py_XDECREF(views);
+    }
+    Py_DECREF(membership);
+    if (stale <= 0)
+        return stale;
+    PyObject *res = PyObject_CallMethodNoArgs(self->client, str_refresh_view);
+    Py_XDECREF(res);
+    return res == NULL ? -1 : 0;
+}
+
+static int clientcore_move(ClientCore *self, PyObject *op);
+
 static int
 clientcore_invoke(ClientCore *self, PyObject *src, PyObject *message)
 {
     PyObject *msg_type = (PyObject *)Py_TYPE(message);
-    if (msg_type != msg_read_reply && msg_type != msg_write_ack)
-        /* Subclassed replies take the Python isinstance path; foreign
+    int nack = msg_type == msg_stale_view_nack;
+    if (!nack && msg_type != msg_read_reply && msg_type != msg_write_ack)
+        /* Subclassed messages take the Python isinstance path; foreign
          * kinds are a Python no-op either way. */
-        return clientcore_run_fallback(self, src, message);
-
-    /* Re-checked per delivery: the online spec monitor or a newer view
-     * stamp force the Python handler for this message (an op span does
-     * too, below). */
-    int hooked = attr_truth(self->client, str_monitor_on);
-    if (hooked < 0)
-        return -1;
-    if (hooked)
-        return clientcore_run_fallback(self, src, message);
-    /* A reply stamped with a newer view than the client's own: the
-     * Python handler refreshes the view before recording the reply. */
-    PyObject *view_id = PyObject_GetAttr(self->client, str_view_id);
-    if (view_id == NULL)
-        return -1;
-    hooked = PyObject_RichCompareBool(
-        PyTuple_GET_ITEM(message, msg_type == msg_read_reply ? 4 : 2),
-        view_id, Py_GT);
-    Py_DECREF(view_id);
-    if (hooked < 0)
-        return -1;
-    if (hooked)
-        return clientcore_run_fallback(self, src, message);
+        return run_fallback(self->fallback, self->client, src, message);
 
     PyObject *op_id = PyTuple_GET_ITEM(message, 1);
     PyObject *op = PyDict_GetItemWithError(self->pending, op_id);
+    if (op == NULL && PyErr_Occurred())
+        return -1;
+    if (op != NULL) {
+        /* Span tracing is per-op: fall back before anything changes so
+         * the Python handler replays the whole step (the probe is
+         * read-only). */
+        PyObject *span = PyObject_GetAttr(op, str_span);
+        if (span == NULL)
+            return -1;
+        Py_DECREF(span);
+        if (span != Py_None)
+            return run_fallback(self->fallback, self->client, src, message);
+        Py_INCREF(op); /* survives the pending-dict delete in finish */
+    }
+    int rc = -1;
+    PyObject *replies = NULL, *quorum = NULL, *op_view = NULL;
+    PyObject *view_id = NULL;
+    if (nack) {
+        /* stale_nacks += 1; _refresh_view(); then _redispatch: the op
+         * moves to a quorum of the client's current view, unless an
+         * earlier nack of the same stale round already moved it. */
+        if (bump_counter(self->client, str_stale_nacks) < 0
+            || clientcore_refresh_view(self) < 0)
+            goto done;
+        int moved = 1;
+        if (op != NULL)
+            moved = (op_view = PyObject_GetAttr(op, str_view_attr))
+                && (view_id = PyObject_GetAttr(self->client, str_view_id))
+                ? PyObject_RichCompareBool(op_view, view_id, Py_EQ) : -1;
+        if (moved == 0)
+            moved = clientcore_move(self, op) < 0 ? -1 : 1;
+        rc = moved < 0 ? -1 : 0;
+        goto done;
+    }
+    if ((view_id = PyObject_GetAttr(self->client, str_view_id)) == NULL)
+        goto done;
+    /* A reply stamped with a newer view than the client's own refreshes
+     * the view before it is recorded. */
+    int newer = PyObject_RichCompareBool(
+        PyTuple_GET_ITEM(message, msg_type == msg_read_reply ? 4 : 2),
+        view_id, Py_GT);
+    if (newer < 0 || (newer && clientcore_refresh_view(self) < 0))
+        goto done;
+    rc = 0;
     if (op == NULL)
-        /* Late reply for a completed operation. */
-        return PyErr_Occurred() ? -1 : 0;
+        goto done; /* late reply for a completed operation */
     PyObject *server_idx = PyDict_GetItemWithError(self->server_index, src);
-    if (server_idx == NULL)
-        /* Reply from an unknown node. */
-        return PyErr_Occurred() ? -1 : 0;
-
-    /* Span tracing is per-op: fall back *before* recording the reply so
-     * the Python handler replays the whole step (the lookups above are
-     * read-only). */
-    PyObject *span = PyObject_GetAttr(op, str_span);
-    if (span == NULL)
-        return -1;
-    int traced = span != Py_None;
-    Py_DECREF(span);
-    if (traced)
-        return clientcore_run_fallback(self, src, message);
-
-    Py_INCREF(op); /* survives the pending-dict delete in finish */
-    PyObject *replies = PyObject_GetAttr(op, str_replies);
-    if (replies == NULL) {
-        Py_DECREF(op);
-        return -1;
+    if (server_idx == NULL) {
+        rc = PyErr_Occurred() ? -1 : 0; /* reply from an unknown node */
+        goto done;
     }
-    if (!PyDict_Check(replies)) {
-        Py_DECREF(replies);
-        Py_DECREF(op);
-        PyErr_SetString(PyExc_TypeError, "op.replies must be a dict");
-        return -1;
-    }
-    if (PyDict_SetItem(replies, server_idx, message) < 0) {
-        Py_DECREF(replies);
-        Py_DECREF(op);
-        return -1;
-    }
-    PyObject *quorum = PyObject_GetAttr(op, str_quorum);
-    if (quorum == NULL) {
-        Py_DECREF(replies);
-        Py_DECREF(op);
-        return -1;
-    }
-    /* quorum.issubset(replies): a size prefilter (replies can't cover a
-     * larger quorum) then a C membership loop. */
-    int complete = 1;
-    if (PyAnySet_Check(quorum)
-        && PyDict_GET_SIZE(replies) < PySet_GET_SIZE(quorum)) {
-        complete = 0;
-    }
-    else {
-        PyObject *iter = PyObject_GetIter(quorum);
-        if (iter == NULL)
-            goto fail;
-        PyObject *member;
-        while ((member = PyIter_Next(iter)) != NULL) {
-            int has = PyDict_Contains(replies, member);
-            Py_DECREF(member);
-            if (has < 0)
-                break;
-            if (!has) {
-                complete = 0;
-                break;
-            }
-        }
-        Py_DECREF(iter);
-        if (PyErr_Occurred())
-            goto fail;
-    }
-    int rc = 0;
-    if (complete)
-        rc = clientcore_finish(self, op, op_id, quorum, replies);
-    Py_DECREF(quorum);
-    Py_DECREF(replies);
-    Py_DECREF(op);
+    rc = -1;
+    /* op.replies[server_index] = message; a non-dict fails here. */
+    if ((replies = PyObject_GetAttr(op, str_replies)) == NULL
+        || PyDict_SetItem(replies, server_idx, message) < 0
+        || (quorum = PyObject_GetAttr(op, str_quorum)) == NULL)
+        goto done;
+    int covered = quorum_covered(quorum, replies);
+    if (covered >= 0)
+        rc = covered ? clientcore_finish(self, op, op_id, quorum, replies) : 0;
+done:
+    Py_XDECREF(op_view);
+    Py_XDECREF(view_id);
+    Py_XDECREF(quorum);
+    Py_XDECREF(replies);
+    Py_XDECREF(op);
     return rc;
-fail:
-    Py_DECREF(quorum);
-    Py_DECREF(replies);
-    Py_DECREF(op);
-    return -1;
 }
 
-/* -------- ClientCore issue path: read / write / _begin / _send_round ---- */
+/* ---- ClientCore issue path and retry timer: read / write / _begin /
+ * _send_round / _retry ---- */
 
-/* QuorumRegisterClient's issue path, transcribed statement for statement
- * from the Python definitions of the same names and installed beside
- * ``on_message`` as instance attributes of an exact-type client.  An
- * operation costs its message round, not its dispatch: register lookup,
- * history record, Future and _PendingOp, quorum draw, message build,
- * broadcast and retry/deadline timers run without an interpreter frame
- * of the client's.  Draw order is the Python order — quorum stream,
- * then delay stream (inside the broadcast), then the retry-jitter
- * stream, whose delay still comes from ``RetryPolicy.delay``.
+/* QuorumRegisterClient's issue path and retry timer, transcribed
+ * statement for statement from the Python definitions of the same names
+ * and installed beside ``on_message`` as instance attributes of an
+ * exact-type client.  An operation costs its message rounds, not its
+ * dispatch: register lookup, history record, Future and _PendingOp,
+ * quorum draw, message build, broadcast, retry/deadline timers and the
+ * resample of a stalled op run without an interpreter frame of the
+ * client's.  Draw order is the Python order — quorum (or view) stream,
+ * then delay stream (inside the broadcast), then the retry-jitter stream.
  *
  * Per-op guards: span tracing (``client._trace_on``, ``op.span``) and a
  * call shape other than the positional one take the Python method, which
- * stays the reference.  The network core handles loss, faults, an
- * adversary and taps per message, so they change nothing here.  Membership
- * views and every quorum system other than an exact
- * ``ProbabilisticQuorumSystem`` draw through one call to the Python
- * ``_sample_quorum`` — never a whole-op fallback. */
-
-/* (obj.<names[0]>, ..., obj.<names[n-1]>) as a new tuple, or NULL. */
-static PyObject *
-attr_tuple(PyObject *obj, PyObject **names, Py_ssize_t n)
-{
-    PyObject *fields = PyTuple_New(n);
-    if (fields == NULL)
-        return NULL;
-    for (Py_ssize_t i = 0; i < n; i++) {
-        PyObject *value = PyObject_GetAttr(obj, names[i]);
-        if (value == NULL) {
-            Py_DECREF(fields);
-            return NULL;
-        }
-        PyTuple_SET_ITEM(fields, i, value);
-    }
-    return fields;
-}
+ * stays the reference; so do _give_up and _expire.  Quorum systems other
+ * than an exact ``ProbabilisticQuorumSystem`` draw through one call to
+ * the Python ``_sample_quorum``, a retry policy other than an exact
+ * ``RetryPolicy`` through its ``delay`` — never a whole-op fallback. */
 
 /* type(client).<name>(client, *args, **kwargs): the Python definition. */
 static PyObject *
@@ -3120,76 +3263,91 @@ attr_ssize(PyObject *obj, PyObject *name)
     return out;
 }
 
-/* QuorumSystem.validate_quorum's check — non-empty, every member inside
- * {0..n-1} — in one pass; a violation is raised by the method itself. */
-static int
-validate_quorum(PyObject *system, PyObject *quorum, Py_ssize_t n)
+/* ProbabilisticQuorumSystem.quorum(rng) for an exact system: quorum_sample
+ * directly — the bits ``quorum()`` draws with or without the class-level
+ * sampler installed, under the same k cap.  Its k distinct members of
+ * {0..n-1} always pass ``validate_quorum``.  NULL with no exception set
+ * means the system is not in that shape. */
+static PyObject *
+prob_quorum(PyObject *system, PyObject *rng)
 {
-    int valid = PySet_GET_SIZE(quorum) > 0;
-    PyObject *iter = PyObject_GetIter(quorum);
-    if (iter == NULL)
-        return -1;
-    PyObject *member;
-    while (valid && (member = PyIter_Next(iter)) != NULL) {
-        Py_ssize_t index = PyLong_AsSsize_t(member);
-        Py_DECREF(member);
-        valid = index >= 0 && index < n && !PyErr_Occurred();
+    if ((PyObject *)Py_TYPE(system) != prob_quorum_type)
+        return NULL;
+    Py_ssize_t n = attr_ssize(system, str_n);
+    Py_ssize_t k = attr_ssize(system, str_k);
+    return PyErr_Occurred() || k > 4096 ? NULL : quorum_sample(rng, n, k);
+}
+#endif
+
+/* ``self._view.sample(self._view_rng)``: for a view over an exact
+ * ProbabilisticQuorumSystem, prob_quorum's positions mapped to roster
+ * indices in View.sample's iteration order; the method otherwise. */
+static PyObject *
+clientcore_view_quorum(ClientCore *self)
+{
+    PyObject *system = NULL, *members = NULL, *positions = NULL;
+    PyObject *quorum = NULL;
+    PyObject *view = PyObject_GetAttr(self->client, str_view_obj);
+    PyObject *rng = view ? PyObject_GetAttr(self->client, str_view_rng)
+                         : NULL;
+    if (rng == NULL)
+        goto done;
+#ifdef REPRO_HAVE_NPYRANDOM
+    if ((system = PyObject_GetAttr(view, str_quorum_system)) == NULL
+        || (members = PyObject_GetAttr(view, str_members)) == NULL)
+        goto done;
+    if ((positions = prob_quorum(system, rng)) != NULL) {
+        /* frozenset(members[p] for p in positions) */
+        PyObject *iter = PyObject_GetIter(positions);
+        quorum = iter ? PyFrozenSet_New(NULL) : NULL;
+        PyObject *position;
+        while (quorum != NULL && (position = PyIter_Next(iter)) != NULL) {
+            PyObject *member = PyObject_GetItem(members, position);
+            Py_DECREF(position);
+            if (member == NULL || PySet_Add(quorum, member) < 0)
+                Py_CLEAR(quorum);
+            Py_XDECREF(member);
+        }
+        Py_XDECREF(iter);
+        if (PyErr_Occurred())
+            Py_CLEAR(quorum);
     }
-    Py_DECREF(iter);
-    if (valid)
-        return PyErr_Occurred() ? -1 : 0;
-    PyErr_Clear();
-    PyObject *res = PyObject_CallMethodOneArg(system, str_validate_quorum,
-                                              quorum);
-    if (res == NULL)
-        return -1;
-    Py_DECREF(res);
-    return 0;
+    if (positions != NULL || PyErr_Occurred())
+        goto done;
+#endif
+    quorum = PyObject_CallMethodOneArg(view, str_sample, rng);
+done:
+    Py_XDECREF(positions);
+    Py_XDECREF(members);
+    Py_XDECREF(system);
+    Py_XDECREF(rng);
+    Py_XDECREF(view);
+    return quorum;
 }
 
-/* The static-deployment draw of ``_sample_quorum`` when the quorum system
- * is an exact ProbabilisticQuorumSystem: quorum_sample directly — the
- * bits ``quorum()`` produces with or without the class-level sampler
- * installed, under the same k cap — then the bounds check.  NULL with no
- * exception set means the client is not in that shape. */
+/* QuorumRegisterClient._sample_quorum: under membership views, the
+ * refresh check and the view draw above; on a static deployment
+ * prob_quorum on the client's system and stream, else one call to the
+ * Python method (every other quorum system). */
 static PyObject *
-clientcore_static_quorum(ClientCore *self)
+clientcore_sample_quorum(ClientCore *self, int is_read)
 {
     PyObject *membership = PyObject_GetAttr(self->client, str_membership);
     if (membership == NULL)
         return NULL;
     Py_DECREF(membership);
     if (membership != Py_None)
-        return NULL;
-    PyObject *system = PyObject_GetAttr(self->client, str_quorum_system);
-    if (system == NULL)
-        return NULL;
-    PyObject *quorum = NULL;
-    if ((PyObject *)Py_TYPE(system) == prob_quorum_type) {
-        Py_ssize_t n = attr_ssize(system, str_n);
-        Py_ssize_t k = attr_ssize(system, str_k);
-        PyObject *rng = PyErr_Occurred() || k > 4096
-            ? NULL : PyObject_GetAttr(self->client, str_rng_attr);
-        if (rng != NULL) {
-            quorum = quorum_sample(rng, n, k);
-            Py_DECREF(rng);
-            if (quorum != NULL && validate_quorum(system, quorum, n) < 0)
-                Py_CLEAR(quorum);
-        }
-    }
-    Py_DECREF(system);
-    return quorum;
-}
-#endif
-
-/* QuorumRegisterClient._sample_quorum: the static draw above, else one
- * call to the Python method (membership views, every other quorum
- * system). */
-static PyObject *
-clientcore_sample_quorum(ClientCore *self, int is_read)
-{
+        return clientcore_refresh_view(self) < 0
+            ? NULL : clientcore_view_quorum(self);
 #ifdef REPRO_HAVE_NPYRANDOM
-    PyObject *quorum = clientcore_static_quorum(self);
+    PyObject *quorum = NULL;
+    PyObject *system = PyObject_GetAttr(self->client, str_quorum_system);
+    PyObject *rng = system ? PyObject_GetAttr(self->client, str_rng_attr)
+                           : NULL;
+    if (rng != NULL)
+        quorum = prob_quorum(system, rng);
+    Py_XDECREF(rng);
+    Py_XDECREF(system);
     if (quorum != NULL || PyErr_Occurred())
         return quorum;
 #endif
@@ -3345,12 +3503,74 @@ clientcore_arm_timer(ClientCore *self, PyObject *op, PyObject *op_id,
     return rc;
 }
 
+/* policy.delay(attempt, rng) as a new reference.  RetryPolicy.delay is
+ * evaluated here for an exact RetryPolicy with float fields — the same
+ * double operations in the same order (the build disables fused
+ * multiply-adds), Python's min() against max_interval, the jitter from
+ * rng_random — and called otherwise, or when ``backoff ** attempt`` is
+ * not finite (where Python may raise). */
+static PyObject *
+retry_delay(PyObject *policy, PyObject *attempt, PyObject *rng)
+{
+    if ((PyObject *)Py_TYPE(policy) == retry_policy_type
+        && PyLong_CheckExact(attempt)) {
+        PyObject *names[] = {str_interval, str_backoff, str_jitter,
+                             str_max_interval};
+        PyObject *fields = attr_tuple(policy, names, 4);
+        if (fields == NULL)
+            return NULL;
+        double f[4] = {0.0, 0.0, 0.0, INFINITY}; /* max_interval None: no cap */
+        int exact = 1;
+        for (int i = 0; i < 4; i++) {
+            PyObject *item = PyTuple_GET_ITEM(fields, i);
+            if (PyFloat_CheckExact(item))
+                f[i] = PyFloat_AS_DOUBLE(item);
+            else
+                exact = exact && i == 3 && item == Py_None;
+        }
+        Py_DECREF(fields);
+        double power = exact ? pow(f[1], PyLong_AsDouble(attempt)) : NAN;
+        if (PyErr_Occurred())
+            return NULL;
+        if (isfinite(power)) {
+            double value = f[0] * power;
+            if (f[3] < value)
+                value = f[3];
+            if (f[2] > 0.0) {
+                double draw = rng_random(rng);
+                if (draw == -1.0 && PyErr_Occurred())
+                    return NULL;
+                value *= 1.0 + f[2] * (2.0 * draw - 1.0);
+            }
+            return PyFloat_FromDouble(value);
+        }
+    }
+    return PyObject_CallMethodObjArgs(policy, str_delay, attempt, rng, NULL);
+}
+
+/* op.retry_handle = scheduler.schedule(
+ *     policy.delay(attempt, client._retry_rng), client._retry, op_id) */
+static int
+clientcore_arm_retry(ClientCore *self, PyObject *op, PyObject *op_id,
+                     PyObject *policy, PyObject *attempt)
+{
+    PyObject *rng = PyObject_GetAttr(self->client, str_retry_rng);
+    PyObject *delay = rng ? retry_delay(policy, attempt, rng) : NULL;
+    Py_XDECREF(rng);
+    if (delay == NULL)
+        return -1;
+    int rc = clientcore_arm_timer(self, op, op_id, str_retry_handle, delay,
+                                  str_retry);
+    Py_DECREF(delay);
+    return rc;
+}
+
 /* QuorumRegisterClient._begin, spans off (the callers check). */
 static int
 clientcore_begin(ClientCore *self, PyObject *op)
 {
     int rc = -1;
-    PyObject *policy = NULL, *started = NULL;
+    PyObject *policy = NULL, *started = NULL, *deadline = NULL;
     PyObject *op_id = PyObject_GetAttr(op, str_op_id);
     if (op_id == NULL)
         return -1;
@@ -3359,42 +3579,131 @@ clientcore_begin(ClientCore *self, PyObject *op)
     started = PyFloat_FromDouble(self->sched->now);
     if (started == NULL || PyObject_SetAttr(op, str_started_attr, started) < 0)
         goto done;
-    if (clientcore_send_round(self, op) < 0)
+    if (clientcore_send_round(self, op) < 0
+        || (policy = PyObject_GetAttr(self->client, str_retry_policy)) == NULL)
         goto done;
-    policy = PyObject_GetAttr(self->client, str_retry_policy);
-    if (policy == NULL)
+    if (policy != Py_None
+        && (clientcore_arm_retry(self, op, op_id, policy, py_zero) < 0
+            || (deadline = PyObject_GetAttr(policy, str_deadline)) == NULL
+            || (deadline != Py_None && clientcore_arm_timer(
+                    self, op, op_id, str_deadline_handle, deadline,
+                    str_expire) < 0)))
         goto done;
-    if (policy != Py_None) {
-        /* The delay comes from RetryPolicy.delay, so jitter draws stay
-         * on _retry_rng in the Python order. */
-        PyObject *retry_rng = PyObject_GetAttr(self->client, str_retry_rng);
-        if (retry_rng == NULL)
-            goto done;
-        PyObject *delay = PyObject_CallMethodObjArgs(
-            policy, str_delay, py_zero, retry_rng, NULL);
-        Py_DECREF(retry_rng);
-        if (delay == NULL)
-            goto done;
-        int armed = clientcore_arm_timer(self, op, op_id, str_retry_handle,
-                                         delay, str_retry);
-        Py_DECREF(delay);
-        if (armed < 0)
-            goto done;
-        PyObject *deadline = PyObject_GetAttr(policy, str_deadline);
-        if (deadline == NULL)
-            goto done;
-        armed = deadline == Py_None ? 0 : clientcore_arm_timer(
-            self, op, op_id, str_deadline_handle, deadline, str_expire);
-        Py_DECREF(deadline);
-        if (armed < 0)
-            goto done;
-    }
     rc = 0;
 done:
+    Py_XDECREF(deadline);
     Py_XDECREF(policy);
     Py_XDECREF(started);
     Py_DECREF(op_id);
     return rc;
+}
+
+/* _resample(op), then _finish(op) when the fresh quorum is already
+ * covered by earlier replies, else _send_round(op): the tail _retry and
+ * _redispatch share.  1 when the op completed, 0 when a round went out,
+ * -1 on error. */
+static int
+clientcore_move(ClientCore *self, PyObject *op)
+{
+    int rc = -1, changed = 0;
+    PyObject *quorum = NULL, *op_view = NULL, *view = NULL;
+    PyObject *replies = NULL, *op_id = NULL;
+    int is_read = attr_truth(op, str_is_read);
+    if (is_read < 0
+        || (quorum = clientcore_sample_quorum(self, is_read)) == NULL
+        || PyObject_SetAttr(op, str_quorum, quorum) < 0
+        || PyObject_SetAttr(op, str_members, Py_None) < 0
+        || PyObject_SetAttr(op, str_member_ids, Py_None) < 0
+        || (op_view = PyObject_GetAttr(op, str_view_attr)) == NULL
+        || (view = PyObject_GetAttr(self->client, str_view_id)) == NULL
+        || (changed = PyObject_RichCompareBool(op_view, view, Py_NE)) < 0)
+        goto done;
+    /* The message is rebuilt only when its view stamp changed. */
+    if ((changed && (PyObject_SetAttr(op, str_view_attr, view) < 0
+                     || PyObject_SetAttr(op, str_message_attr, Py_None) < 0))
+        || (replies = PyObject_GetAttr(op, str_replies)) == NULL)
+        goto done;
+    int covered = quorum_covered(quorum, replies);
+    if (covered > 0 && (op_id = PyObject_GetAttr(op, str_op_id)) != NULL)
+        rc = clientcore_finish(self, op, op_id, quorum, replies) < 0 ? -1 : 1;
+    else if (covered == 0)
+        rc = clientcore_send_round(self, op);
+done:
+    Py_XDECREF(op_id);
+    Py_XDECREF(replies);
+    Py_XDECREF(view);
+    Py_XDECREF(op_view);
+    Py_XDECREF(quorum);
+    return rc;
+}
+
+/* QuorumRegisterClient._retry, the retry timer's callback: at the attempt
+ * budget the Python _give_up, else count the attempt, tell the monitor,
+ * move the op to a fresh quorum and re-arm.  An op with a span takes the
+ * Python definition. */
+static PyObject *
+clientcore_retry(ClientCore *self, PyObject *op_id)
+{
+    PyObject *op = PyDict_GetItemWithError(self->pending, op_id);
+    if (op == NULL) {
+        if (PyErr_Occurred())
+            return NULL;
+        Py_RETURN_NONE;
+    }
+    Py_INCREF(op);
+    PyObject *result = NULL, *attempts = NULL, *policy = NULL;
+    PyObject *limit = NULL, *monitor = NULL;
+    PyObject *span = PyObject_GetAttr(op, str_span);
+    if (span == NULL)
+        goto done;
+    Py_DECREF(span);
+    if (span != Py_None) {
+        result = clientcore_python(self, str_retry, &op_id, 1, NULL);
+        goto done;
+    }
+    PyObject *tried = PyObject_GetAttr(op, str_attempts);
+    attempts = tried ? PyNumber_Add(tried, py_one) : NULL;
+    Py_XDECREF(tried);
+    if (attempts == NULL
+        || (policy = PyObject_GetAttr(self->client, str_retry_policy)) == NULL
+        || (limit = PyObject_GetAttr(policy, str_max_attempts)) == NULL)
+        goto done;
+    int exhausted = limit == Py_None
+        ? 0 : PyObject_RichCompareBool(attempts, limit, Py_GE);
+    if (exhausted) {
+        if (exhausted > 0)
+            result = PyObject_CallMethodOneArg(self->client, str_give_up, op);
+        goto done;
+    }
+    if (PyObject_SetAttr(op, str_attempts, attempts) < 0
+        || bump_counter(self->client, str_retries) < 0)
+        goto done;
+    /* spec_monitor.on_retry(op.register, op.kind, op.attempts) */
+    if ((monitor = clientcore_monitor(self)) != NULL) {
+        int is_read = attr_truth(op, str_is_read);
+        PyObject *reg = is_read < 0
+            ? NULL : PyObject_GetAttr(op, str_register_attr);
+        PyObject *res = reg == NULL ? NULL : PyObject_CallMethodObjArgs(
+            monitor, str_on_retry, reg,
+            is_read ? str_read_kind : str_write_kind, attempts, NULL);
+        Py_XDECREF(reg);
+        if (res == NULL)
+            goto done;
+        Py_DECREF(res);
+    }
+    int moved = PyErr_Occurred() ? -1 : clientcore_move(self, op);
+    if (moved == 1 || (moved == 0 && clientcore_arm_retry(
+                           self, op, op_id, policy, attempts) == 0)) {
+        Py_INCREF(Py_None);
+        result = Py_None;
+    }
+done:
+    Py_XDECREF(monitor);
+    Py_XDECREF(limit);
+    Py_XDECREF(policy);
+    Py_XDECREF(attempts);
+    Py_DECREF(op);
+    return result;
 }
 
 /* QuorumRegisterClient.read (value == NULL) and .write, spans off. */
@@ -3406,21 +3715,9 @@ clientcore_issue(ClientCore *self, PyObject *reg, PyObject *value)
     PyObject *record = NULL, *label = NULL, *future = NULL, *quorum = NULL;
     PyObject *op_id = NULL, *op = NULL, *view = NULL, *result = NULL;
 
-    /* space.info(register): the dict probe; a miss raises there. */
-    PyObject *info = PyDict_GetItemWithError(self->registers, reg);
-    if (info != NULL)
-        Py_INCREF(info);
-    else if (PyErr_Occurred())
+    PyObject *info = clientcore_info(self, reg);
+    if (info == NULL)
         return NULL;
-    else {
-        PyObject *space = PyObject_GetAttr(self->client, str_space);
-        if (space == NULL)
-            return NULL;
-        info = PyObject_CallMethodOneArg(space, str_info, reg);
-        Py_DECREF(space);
-        if (info == NULL)
-            return NULL;
-    }
 
     if (!is_read) {
         PyObject *writer = PyObject_GetAttr(info, str_writer_attr);
@@ -3591,6 +3888,8 @@ static PyMethodDef clientcore_methods[] = {
      "QuorumRegisterClient._begin: register, first round, arm timers."},
     {"_send_round", (PyCFunction)clientcore_send_round_method, METH_O,
      "QuorumRegisterClient._send_round: (re)send to unanswered members."},
+    {"_retry", (PyCFunction)clientcore_retry, METH_O,
+     "QuorumRegisterClient._retry: resample a stalled op and re-arm."},
     {NULL}
 };
 
@@ -3626,7 +3925,7 @@ static PyTypeObject ClientCore_Type = {
     .tp_doc = "QuorumRegisterClient in C: called, it aggregates replies "
               "(count against the pending quorum, complete the op, tear "
               "down its timers); read/write/_begin/_send_round are the "
-              "issue path.",
+              "issue path, _retry the retry timer.",
     .tp_new = clientcore_new,
     .tp_dealloc = (destructor)clientcore_dealloc,
     .tp_traverse = (traverseproc)clientcore_traverse,
@@ -3705,7 +4004,7 @@ PyInit__kernel(void)
                                (PyObject *)types[i].type) < 0)
             goto fail;
     }
-    if (PyModule_AddIntConstant(module, "KERNEL_ABI", 5) < 0)
+    if (PyModule_AddIntConstant(module, "KERNEL_ABI", 6) < 0)
         goto fail;
 #ifdef REPRO_HAVE_NPYRANDOM
     if (PyModule_AddIntConstant(module, "HAVE_FAST_RNG", 1) < 0)

@@ -9,8 +9,9 @@ Compiles ``_kernelmodule.c`` with the active interpreter's configuration
 (via ``sysconfig``) straight into this package directory, so a
 ``PYTHONPATH=src`` checkout picks it up without installing.  ``pip
 install .`` builds the same extension through ``setup.py``, which loads
-this file by path and passes :func:`npyrandom_flags` to setuptools, so
-the two builds cannot drift apart in what they compile in.
+this file by path and passes :func:`npyrandom_flags` and the float flags
+to setuptools, so the two builds cannot drift apart in what they compile
+in.
 
 A missing toolchain is not an error for the package as a whole — the
 runtime falls back to the pure-python kernel — but this command reports
@@ -24,6 +25,12 @@ import sysconfig
 
 PACKAGE_DIR = pathlib.Path(__file__).resolve().parent
 SOURCE = PACKAGE_DIR / "_kernelmodule.c"
+
+
+#: Python rounds every float operation on its own; a fused multiply-add
+#: would round ``a * b + c`` once and change the bits of the C transcriptions
+#: (the retry jitter, a delay added to the clock), so no build contracts.
+_EXACT_FP_FLAGS = ["-ffp-contract=off"]
 
 
 def extension_path() -> pathlib.Path:
@@ -89,6 +96,7 @@ def build(verbose: bool = True) -> pathlib.Path:
         "-fPIC",
         "-shared",
         "-fno-strict-aliasing",
+        *_EXACT_FP_FLAGS,
         f"-I{include}",
         *compile_flags,
         str(SOURCE),

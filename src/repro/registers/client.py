@@ -444,15 +444,16 @@ class QuorumRegisterClient(Node):
             return
         self._teardown(op)
         self.timeouts += 1
+        kind = op.kind
         if self._monitor_on:
-            self.spec_monitor.on_timeout(op.register, op.kind)
+            self.spec_monitor.on_timeout(op.register, kind)
         if op.span is not None:
             self.observability.spans.finish(
                 op.span, self.network.scheduler.now, status="timeout"
             )
         op.future.fail(
             OperationTimeout(
-                f"{op.kind}({op.register}) by c{self.client_id} exceeded its "
+                f"{kind}({op.register}) by c{self.client_id} exceeded its "
                 f"deadline of {self.retry_policy.deadline} after "
                 f"{op.attempts + 1} attempt(s)"
             )
@@ -558,16 +559,18 @@ class QuorumRegisterClient(Node):
     # ------------------------------------------------------------------ #
     #
     # ``read``, ``write``, ``_begin`` and ``_send_round`` are the issue
-    # path.  On the native backend the deployment shadows them, on
-    # exact-type clients, with C transcriptions of these definitions
-    # (``repro.sim.kernel.make_client_core``); a change here must be
-    # made there too, and tests/test_kernel_fastpath.py compares the two
-    # draw for draw.  Completion is a decision, ``_choose`` (what a read
-    # returns), then ``_settle`` (counters, latency, span, history,
-    # monitor, future); ``clientcore_finish`` fuses the two for the
-    # exact type.  A flavour overrides the decision (masking, the chaos
-    # mutant) or follows the query round with an update round on the
-    # same op (``registers/atomic.py``) — never a second completion path.
+    # path, ``_retry`` the retry timer.  On the native backend the
+    # deployment shadows them, on exact-type clients, with C
+    # transcriptions of these definitions
+    # (``repro.sim.kernel.make_client_core``), as it does ``on_message``
+    # (with ``_redispatch`` inside); a change here must be made there
+    # too, and tests/test_kernel_fastpath.py compares the two draw for
+    # draw.  Completion is a decision, ``_choose`` (what a read returns),
+    # then ``_settle`` (counters, latency, span, history, monitor,
+    # future); ``clientcore_finish`` fuses the two for the exact type.  A
+    # flavour overrides the decision (masking, the chaos mutant) or
+    # follows the query round with an update round on the same op
+    # (``registers/atomic.py``) — never a second completion path.
 
     def read(self, register: str) -> Future:
         """Invoke a read; the future resolves with the returned value."""

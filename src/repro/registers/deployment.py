@@ -131,16 +131,16 @@ class RegisterDeployment:
             self.network.set_adversary(adversary)
 
         # Native protocol fast path: C transcriptions of the server
-        # handler, the client reply-aggregation path and the client
-        # issue path (read, write, _begin, _send_round), installed as
-        # instance attributes (the same pattern as the network core's
-        # send/broadcast/_deliver) so trace taps keep working.  The
-        # factories return None on the pure-python backend and for
-        # subclassed nodes; the cores themselves re-check what a handler
-        # reads — span tracing, the spec monitor, the view state, the
-        # exact message type — per delivery / per operation and fall
-        # back to the Python methods.  An adversary, loss, faults, taps
-        # and detailed stats are the network core's business, not theirs.
+        # handler, the client message handler and the client issue path
+        # and retry timer (read, write, _begin, _send_round, _retry),
+        # installed as instance attributes (the same pattern as the
+        # network core's send/broadcast/_deliver) so trace taps keep
+        # working.  The factories return None on the pure-python backend
+        # and for subclassed nodes; the cores themselves re-check what a
+        # handler reads — span tracing, the exact message type — per
+        # delivery / per operation and fall back to the Python methods.
+        # An adversary, loss, faults, taps and detailed stats are the
+        # network core's business, not theirs.
         for server in self.servers:
             core = kernel.make_server_core(server)
             if core is not None:

@@ -221,9 +221,15 @@ class Timeline:
         self.events: List[Any] = sorted(events, key=lambda event: event.time)
 
     def add(self, event: Any) -> "Timeline":
-        """Insert one event, keeping the timeline time-sorted."""
-        self.events.append(event)
-        self.events.sort(key=lambda entry: entry.time)
+        """Insert one event, keeping the timeline time-sorted: after every
+        event at the same or an earlier time, as a stable sort would.  The
+        builders add in (near) time order, so the scan back from the end
+        is short — not a re-sort of the whole list per event."""
+        events = self.events
+        index = len(events)
+        while index and events[index - 1].time > event.time:
+            index -= 1
+        events.insert(index, event)
         return self
 
     @staticmethod

@@ -154,7 +154,10 @@ def make_network_core(network):
     methods of the same names; the network installs them as instance
     attributes, so trace taps that wrap ``network._deliver`` keep working
     on both backends.  ``send`` is the one per-message pipeline (stats,
-    taps, loss draw, fault check, adversary, delay sample, heap push);
+    taps, loss draw, fault check, adversary, delay sample, heap push) —
+    the loss draw and the fault check evaluated in C for an exact
+    ``numpy.random.Generator`` and ``FailureInjector``, the adversary's
+    ``intercept`` the one Python call;
     ``broadcast`` runs a tight loop of native delay draws on a healthy
     network with a built-in delay model and that same pipeline per
     destination otherwise — it never calls back into the Python
@@ -223,7 +226,7 @@ def make_server_core(server):
 #: The client methods the native client core also provides; the
 #: deployment installs each as an instance attribute beside
 #: ``on_message``.
-CLIENT_ISSUE_METHODS = ("read", "write", "_begin", "_send_round")
+CLIENT_ISSUE_METHODS = ("read", "write", "_begin", "_send_round", "_retry")
 
 
 def make_client_core(client):
@@ -232,33 +235,38 @@ def make_client_core(client):
     One C object per client, exact-type gated like
     :func:`make_server_core`, covering both halves of an operation:
 
-    * **Reply aggregation** — called as ``on_message``: a transcription
+    * **Message handling** — called as ``on_message``: a transcription
       of ``QuorumRegisterClient.on_message`` plus ``_finish`` — the
       read decision (``_choose``) and the completion path (``_settle``,
-      ``_teardown``), fused.  The complete per-delivery
-      fallback list is what the handler itself reads: an op-level span,
-      the online spec monitor, a reply stamped with a newer view than
-      the client's (which must refresh first), and any message that is
-      not an exact ``ReadReply`` / ``WriteAck`` (``StaleViewNack``,
-      subclasses).  The live latency histogram is observed natively.
-    * **Issue** — the methods named in :data:`CLIENT_ISSUE_METHODS`:
-      register lookup, history record, ``Future`` and ``_PendingOp``
-      construction, quorum draw, message build, a direct call into the
-      network core's broadcast (which handles loss, faults, an adversary
-      and taps itself, per message) and retry/deadline timers pushed
-      straight into the C heap.  The quorum is drawn by the C
-      ``quorum_sample`` for a static ``ProbabilisticQuorumSystem`` and by
-      one call to the Python ``_sample_quorum`` under membership views
-      and for every other quorum system; the retry delay always comes
-      from ``RetryPolicy.delay``.  Every stream is therefore consumed
-      draw for draw as on the python backend.  Per-op guards: span
-      tracing (``_trace_on`` / ``op.span``) and keyword or malformed
-      calls take the Python methods, which remain the reference
-      definition.
+      ``_teardown``, the online spec monitor's completion hooks), fused —
+      and, for a ``StaleViewNack``, ``_redispatch``.  The complete
+      per-delivery fallback list is what the handler itself reads: an
+      op-level span, and any message that is not an exact ``ReadReply``
+      / ``WriteAck`` / ``StaleViewNack`` (subclasses).  The live latency
+      histogram is observed natively; a view refresh calls the Python
+      ``_refresh_view`` only when the manager's newest view is not the
+      client's.
+    * **Issue and retry** — the methods named in
+      :data:`CLIENT_ISSUE_METHODS`: register lookup, history record,
+      ``Future`` and ``_PendingOp`` construction, quorum draw, message
+      build, a direct call into the network core's broadcast (which
+      handles loss, faults, an adversary and taps itself, per message),
+      retry/deadline timers pushed straight into the C heap, and the
+      retry timer's resample.  The quorum is drawn by the C
+      ``quorum_sample`` for a static ``ProbabilisticQuorumSystem`` and for
+      every membership view, and by one call to the Python
+      ``_sample_quorum`` for every other quorum system; an exact
+      ``RetryPolicy``'s delay is computed in C, any other policy's by its
+      ``delay``.  Every stream is therefore consumed draw for draw as on
+      the python backend.  Per-op guards: span tracing (``_trace_on`` /
+      ``op.span``) and keyword or malformed calls take the Python
+      methods, which remain the reference definition; so do
+      ``_give_up`` and ``_expire``.
 
     The class-level ``ProbabilisticQuorumSystem._native_sampler`` install
-    (see :func:`native_quorum_sampler`) is separate and unchanged: view
-    draws, retries' resamples and the python backend still go through it.
+    (see :func:`native_quorum_sampler`) is separate and unchanged: the
+    membership manager's transfer draws and the python backend still go
+    through it.
     """
     if selected_backend() != "native":
         return None

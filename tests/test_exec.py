@@ -168,6 +168,32 @@ def test_cache_roundtrip(tmp_path):
     assert len(cache) == 2
 
 
+def test_cache_entries_keep_their_bytes(tmp_path):
+    """An entry is written with the one-shot C encoder but holds the bytes
+    the streaming ``json.dump`` wrote, so a cache populated before the
+    switch is served entirely as hits."""
+    tasks = [
+        RunTask(kind="alg1", params=params, seed=17)
+        for params in (TINY_PARAMS, CHURNED_PARAMS)
+    ]
+    results = [execute_task(task) for task in tasks]
+    fresh, legacy = tmp_path / "fresh", tmp_path / "legacy"
+    cache = RunCache(root=str(fresh))
+    for task, result in zip(tasks, results):
+        cache.put(task, result)
+        # What the streaming writer put in the same file.
+        path = legacy / task.kind / f"{task_key(task)}.json"
+        path.parent.mkdir(parents=True, exist_ok=True)
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump({"format": CACHE_FORMAT, "task": task.descriptor(),
+                       "result": result}, handle)
+        assert (fresh / task.kind / path.name).read_bytes() \
+            == path.read_bytes()
+    reader = RunCache(root=str(legacy))
+    assert [reader.get(task) for task in tasks] == results
+    assert (reader.hits, reader.misses) == (len(tasks), 0)
+
+
 def test_second_invocation_executes_zero_new_runs(tmp_path):
     config = tiny_figure2_config()
     first = RunCache(root=str(tmp_path))

@@ -3,8 +3,11 @@ failure schedules, message loss, and the zero-hung-futures invariant."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.exec.task import RunTask, execute_task
+from repro.membership import MembershipSchedule
 from repro.quorum.probabilistic import ProbabilisticQuorumSystem
 from repro.registers.client import OperationTimeout, RetryPolicy
 from repro.registers.deployment import RegisterDeployment
@@ -13,6 +16,7 @@ from repro.sim.failures import (
     FailureInjector,
     FailureSchedule,
     ScheduleError,
+    Timeline,
 )
 from repro.sim.coroutines import spawn
 from repro.sim.delays import ConstantDelay
@@ -258,6 +262,46 @@ class TestFailureSchedule:
 
     def test_churn_period_zero_is_empty(self):
         assert len(FailureSchedule.churn(6, 0.0, 2, 3.0, 100.0)) == 0
+
+    @settings(max_examples=80, deadline=None)
+    @given(times=st.lists(
+        st.sampled_from([0.0, 1.0, 2.5, 2.5, 4.0, 7.0]), max_size=30
+    ))
+    def test_add_keeps_ties_in_insertion_order(self, times):
+        """add-built == a stable sort by time of the same events: equal
+        times apply in the order they were added."""
+        events = [
+            FailureEvent(time, "crash", nodes=(index,))
+            for index, time in enumerate(times)
+        ]
+        schedule = FailureSchedule()
+        for event in events:
+            schedule.add(event)
+        assert schedule.events == sorted(events, key=lambda e: e.time)
+
+    @pytest.mark.parametrize("build", [
+        lambda: FailureSchedule.churn(7, 5.0, 2, 12.0, 200.0),
+        lambda: FailureSchedule.churn(6, 10.0, 2, 3.0, 100.0),
+        lambda: MembershipSchedule.churn(16, period=6.25, batch=2,
+                                         horizon=400.0),
+    ], ids=["overlapping-outages", "disjoint-outages", "membership"])
+    def test_churn_builders_match_a_stable_sort(self, monkeypatch, build):
+        """A builder's timeline is its events stable-sorted by time — the
+        specs appending and re-sorting on every add produced."""
+        added = []
+        insert = Timeline.add
+
+        def recording_add(timeline, event):
+            added.append(event)
+            return insert(timeline, event)
+
+        monkeypatch.setattr(Timeline, "add", recording_add)
+        schedule = build()
+        assert len(added) == len(schedule) > 10
+        assert schedule.to_specs() == [
+            event.to_spec()
+            for event in sorted(added, key=lambda event: event.time)
+        ]
 
     @pytest.mark.parametrize(
         "spec",

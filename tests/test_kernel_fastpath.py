@@ -13,21 +13,23 @@ tests pin the contract four ways:
   per-message fallback guard at once (retries + loss + adversary + span
   tracing) produces identical fingerprints on both backends,
 * **differential property** — random seeds, quorum shapes, membership
-  timelines, jittered retries, loss, crash/partition timelines,
-  adversaries and either stats mode leave both backends with the same
-  delivery trace, the same op ids, the same server, client, adversary
-  and view-manager state, the same message stats and every RNG stream
-  (quorum, view, retry, delay, loss) at the same position — the C paths
+  timelines, jittered retries, loss, crash/partition timelines (partial
+  and overlapping ones too), adversaries, the spec monitor and either
+  stats mode leave both backends with the same delivery trace, the same
+  op ids, the same server, client, adversary, monitor and view-manager
+  state, the same message stats and every RNG stream (quorum, every view
+  stream, retry, delay, loss) at the same position — the C paths
   consumed them draw for draw,
 * **gating** — the fast paths install only on the native backend,
   honour a hook that flips on mid-run from C (the network core) or fall
   back per message on what a handler reads (churned traffic stays in C;
-  a faulted, adversarial, tapped run with detailed stats executes no
-  Python network or handler frame), refuse an ABI-stale extension, and
-  the pure-python backend never sees them; the client issue path is absent
-  from a subclassed client, steps aside per op under span tracing, and
-  stays native over non-probabilistic quorum systems and with recorded
-  histories.
+  a faulted, adversarial, tapped, monitored, churned run with detailed
+  stats executes no Python network, handler, retry or view-draw frame,
+  and a monitor violation raised from C leaves the Python state), refuse
+  an ABI-stale extension, and the pure-python backend never sees them;
+  the client issue path is absent from a subclassed client, steps aside
+  per op under span tracing, and stays native over non-probabilistic
+  quorum systems and with recorded histories.
 """
 
 import numpy as np
@@ -40,7 +42,10 @@ from repro.adversary.strategies import (
     StaleFavoringAdversary,
 )
 from repro.chaos.broken import RegressingClient
+from repro.core.monitor import OnlineSpecMonitor
+from repro.core.spec import SpecViolation
 from repro.membership import MembershipSchedule
+from repro.membership.manager import View
 from repro.obs.core import Observability
 from repro.obs.spans import SpanRecorder
 from repro.quorum.grid import GridQuorumSystem
@@ -51,7 +56,7 @@ from repro.registers.deployment import RegisterDeployment
 from repro.registers.server import ReplicaServer
 from repro.sim import kernel
 from repro.sim.delays import ConstantDelay, ExponentialDelay
-from repro.sim.failures import FailureSchedule
+from repro.sim.failures import FailureInjector, FailureSchedule
 from repro.sim.network import Network
 from tests.conftest import needs_native, stats_state, stream_states
 
@@ -249,41 +254,60 @@ ADVERSARIES = {
 }
 
 
+#: The fault timelines the differential property draws from.
+FAULTS = (None, "crash", "partition", "partial_partition", "crash_partition")
+
+
 def _install_faults(deployment, faults):
-    """A crash outage of half the servers, or a partition that splits the
-    two clients (each with half the servers) — by network node id, so the
-    partition cuts client/server traffic, not just server/server."""
+    """A crash outage of half the servers; a partition that splits the two
+    clients (each with half the servers); a partial one that leaves the
+    second client and a third of the servers outside every group; or a
+    crash outage overlapping a partition window.  By network node id, so
+    a partition cuts client/server traffic, not just server/server."""
     servers = deployment.server_ids
     half = max(1, len(servers) // 2)
+    third = max(1, len(servers) // 3)
+    first, second = (client.node_id for client in deployment.clients)
     schedule = FailureSchedule()
-    if faults == "crash":
+    if faults in ("crash", "crash_partition"):
         schedule.outage(1.0, servers[:half], 5.0)
-    else:
-        first, second = (client.node_id for client in deployment.clients)
+    if faults == "partition":
         schedule.partition(
             0.5, [[first] + servers[:half], [second] + servers[half:]]
         ).heal(6.0)
+    elif faults == "partial_partition":
+        schedule.partition(
+            0.5, [[first] + servers[:third], servers[third:2 * third]]
+        ).heal(6.0)
+    elif faults == "crash_partition":
+        schedule.partition(
+            3.0, [[first] + servers[third:], [second] + servers[:third]]
+        ).heal(8.0)
     schedule.install(deployment.scheduler, deployment.failures)
 
 
 def _run_state(
     backend, seed, n, k, mean, timeline=None, loss_rate=0.0, retry=False,
-    detailed=True, faults=None, adversary=None,
+    detailed=True, faults=None, adversary=None, monitored=False,
 ):
     """Everything observable about a seeded two-client workload: the full
     delivery trace with op ids, the op ids in issue order, every server's,
     client's and manager's state, the message stats (with breakdowns when
-    detailed), the adversary's account and every RNG stream's position."""
+    detailed), the adversary's account, the spec monitor's counters and
+    every RNG stream's position — each view stream a client ever drew
+    from included."""
     with kernel.use_backend(backend):
         adversary = ADVERSARIES[adversary]()
+        monitor = OnlineSpecMonitor() if monitored else None
         deployment = RegisterDeployment(
             ProbabilisticQuorumSystem(n, k),
             num_clients=2,
             delay_model=ExponentialDelay(mean),
             seed=seed,
-            record_history=False,
+            record_history=monitored,
             detailed_stats=detailed,
             adversary=adversary,
+            spec_monitor=monitor,
             loss_rate=loss_rate,
             # Reconfiguration strands requests at retired servers (and
             # loss drops them), so those shapes need the jittered policy;
@@ -295,10 +319,20 @@ def _run_state(
         deployment.declare_register("x", writer=0)
         deployment.declare_register("y", writer=1)
         manager = None
+        view_streams = []
         if timeline is not None:
             manager = deployment.install_membership(
                 MembershipSchedule.from_specs(timeline), drain=3.0
             )
+            if manager is not None:
+                make_view_rng = manager.client_view_rng
+
+                def recording_view_rng(view_id, client_id, default):
+                    rng = make_view_rng(view_id, client_id, default)
+                    view_streams.append((view_id, client_id, rng))
+                    return rng
+
+                manager.client_view_rng = recording_view_rng
         if faults is not None:
             _install_faults(deployment, faults)
         trace = []
@@ -357,6 +391,15 @@ def _run_state(
             "manager": manager and (
                 manager.metric_counters(), manager.view_sizes()
             ),
+            "view_streams": [
+                (view_id, client_id, rng.bit_generator.state)
+                for view_id, client_id, rng in view_streams
+            ],
+            "monitor": monitor and (
+                monitor.reads_checked, monitor.writes_checked,
+                monitor.retries_seen, monitor.timeouts_seen,
+                monitor.views_seen,
+            ),
         }
 
 
@@ -369,25 +412,27 @@ def _run_state(
 )
 def test_backends_deliver_identical_traces_for_random_seeds(seed, n, data):
     """For arbitrary seeds, quorum shapes, membership timelines, jittered
-    retries, loss, crash or partition timelines, adversaries and either
-    stats mode, the native backend delivers the exact event sequence of
-    the python backend, assigns the same op ids and leaves every node, the
-    message stats and the adversary in the same state and every stream at
-    the same position — every C draw (delay sampling, quorum choice) and
-    every draw the C paths leave to Python (view quorums, retry jitter,
-    loss) consumes its stream identically, and the C handlers and view
-    checks take the decisions the Python handlers take."""
+    retries, loss, crash and (partial, overlapping) partition timelines,
+    adversaries, the spec monitor and either stats mode, the native
+    backend delivers the exact event sequence of the python backend,
+    assigns the same op ids and leaves every node, the message stats, the
+    adversary and the monitor in the same state and every stream at the
+    same position — every C draw (delay sampling, quorum and view quorum
+    choice, loss, retry jitter) consumes its stream identically, and the
+    C handlers, fault predicate and view checks take the decisions the
+    Python ones take."""
     k = data.draw(st.integers(min_value=1, max_value=n))
     mean = data.draw(st.sampled_from([0.5, 1.0, 2.0]))
     timeline = data.draw(membership_timelines(n))
     retry = timeline is not None or data.draw(st.booleans())
     loss_rate = data.draw(st.sampled_from([0.0, 0.05])) if retry else 0.0
     detailed = data.draw(st.booleans())
-    faults = data.draw(st.sampled_from([None, "crash", "partition"]))
+    faults = data.draw(st.sampled_from(FAULTS))
     adversary = data.draw(st.sampled_from(sorted(ADVERSARIES, key=str)))
+    monitored = data.draw(st.booleans())
     shape = (
         seed, n, k, mean, timeline, loss_rate, retry, detailed, faults,
-        adversary,
+        adversary, monitored,
     )
     state_py = _run_state("python", *shape)
     state_native = _run_state("native", *shape)
@@ -532,8 +577,9 @@ def test_churned_native_run_takes_python_handlers_only_on_view_state(
 ):
     """Fallback is a guard on state, not a property of the message type:
     under rotating churn (the ``serve --churn 6.25`` shape, short) the
-    Python handlers run only for ``StaleViewNack``, view-refreshing and
-    ``State*`` deliveries — everything else stays in the C cores."""
+    Python server handler runs only for ``State*`` deliveries and the
+    client's at most once per view refresh — nacks, their re-dispatch and
+    replies stamped with a newer view stay in the C cores."""
     calls = {ReplicaServer: 0, QuorumRegisterClient: 0}
     for cls in calls:
         def counted(self, src, message, _cls=cls, _handler=cls.on_message):
@@ -580,31 +626,38 @@ def test_churned_native_run_takes_python_handlers_only_on_view_state(
     assert calls[ReplicaServer] <= 2 * sum(
         c["state_requests_served"] for c in servers
     )
-    # Clients take Python for each nack and each reply that made them
-    # refresh their view.
-    assert calls[QuorumRegisterClient] <= (
-        deployment.total_stale_nacks + deployment.total_view_refreshes
-    )
+    # Clients handle nacks in C; only adopting a view is Python's.
+    assert deployment.total_stale_nacks > 0
+    assert calls[QuorumRegisterClient] <= deployment.total_view_refreshes
     assert sum(calls.values()) < 0.1 * deployment.network.stats.delivered
 
 
 @needs_native
 def test_faulted_native_run_never_enters_python_message_code(monkeypatch):
     """Loss, crashes, an adversary, a tap and detailed stats all act
-    inside ``send`` / ``_deliver``, which the network core runs in C — so
-    with the spec monitor and spans off, a run under all of them at once
-    executes not one Python frame of the network's three per-message
-    methods or of the two protocol handlers."""
+    inside ``send`` / ``_deliver``, which the network core runs in C; the
+    spec monitor's hooks, stale-view nacks, view quorums and retry timers
+    run in the client core — so a run under all of them at once executes
+    not one Python frame of the network's three per-message methods, of
+    the two protocol handlers, of the client's retry/resample/re-dispatch
+    methods, of the retry delay, the fault predicate or a client's view
+    draw."""
     calls = {
         cls.__name__: _count_calls(monkeypatch, cls, names)
         for cls, names in (
             (Network, NETWORK_ENTRY_POINTS),
             (ReplicaServer, ("on_message",)),
-            (QuorumRegisterClient, ("on_message",)),
+            (QuorumRegisterClient, (
+                "on_message", "_retry", "_sample_quorum", "_redispatch",
+            )),
+            (RetryPolicy, ("delay",)),
+            (FailureInjector, ("can_deliver",)),
+            (View, ("sample",)),
         )
     }
     with kernel.use_backend("native"):
         adversary = RandomHostileAdversary(drop_budget=40, drop_rate=0.2)
+        monitor = OnlineSpecMonitor()
         deployment = RegisterDeployment(
             ProbabilisticQuorumSystem(12, 4),
             num_clients=4,
@@ -614,9 +667,9 @@ def test_faulted_native_run_never_enters_python_message_code(monkeypatch):
                 interval=4.0, max_interval=16.0, jitter=0.1, deadline=60.0
             ),
             loss_rate=0.1,
-            record_history=False,
             detailed_stats=True,
             adversary=adversary,
+            spec_monitor=monitor,
         )
         for shard in range(8):
             deployment.declare_register(f"r{shard}", writer=shard % 4)
@@ -627,6 +680,10 @@ def test_faulted_native_run_never_enters_python_message_code(monkeypatch):
         deployment.install_schedule(
             FailureSchedule.churn(12, period=5.0, batch=2, outage=3.0,
                                   horizon=70.0)
+        )
+        manager = deployment.install_membership(
+            MembershipSchedule.churn(12, period=6.25, batch=1, horizon=70.0),
+            drain=0.5,
         )
 
         def issue(i):
@@ -643,12 +700,126 @@ def test_faulted_native_run_never_enters_python_message_code(monkeypatch):
     assert stats.sent == len(tapped) > 4000
     assert set(stats.dropped_by_reason) == {"loss", "fault", "adversary"}
     assert adversary.drops == stats.dropped_by_reason["adversary"] > 0
-    assert sum(c.ops_completed for c in deployment.clients) > 500
+    completed = sum(c.ops_completed for c in deployment.clients)
+    assert completed > 500
+    assert monitor.reads_checked + monitor.writes_checked == completed
+    assert monitor.retries_seen == deployment.total_retries > 0
+    assert deployment.total_stale_nacks > 0
+    assert manager.views_installed > 5
+    # The manager's own state-transfer draws are the only View.sample
+    # calls: one per transfer begun, one per transfer retry.
+    transfers = manager.metric_counters()
+    assert calls.pop("View") == {"sample": (
+        transfers["state_transfers_completed"]
+        + transfers["state_transfers_incomplete"]
+        + transfers["state_transfer_retries"]
+    )}
+    # Servers take Python only for the transfer protocol's State* pair.
+    served = sum(
+        server.metric_counters()["state_requests_served"]
+        for server in deployment.servers
+    )
+    assert calls.pop("ReplicaServer")["on_message"] <= 2 * served
     assert calls == {
         "Network": dict.fromkeys(NETWORK_ENTRY_POINTS, 0),
-        "ReplicaServer": {"on_message": 0},
-        "QuorumRegisterClient": {"on_message": 0},
+        "QuorumRegisterClient": dict.fromkeys(
+            ("on_message", "_retry", "_sample_quorum", "_redispatch"), 0
+        ),
+        "RetryPolicy": {"delay": 0},
+        "FailureInjector": {"can_deliver": 0},
     }
+
+
+class TrippingMonitor(OnlineSpecMonitor):
+    """The online monitor, raising a SpecViolation at its Nth completed
+    read — the control that the C completion path calls the hook at the
+    same point, with the same record, as the Python ``_settle``."""
+
+    __slots__ = ("trip_at",)
+
+    def __init__(self, trip_at):
+        super().__init__()
+        self.trip_at = trip_at
+
+    def on_read_complete(self, process, record, history):
+        super().on_read_complete(process, record, history)
+        if self.reads_checked == self.trip_at:
+            raise SpecViolation(
+                f"tripped at read {self.trip_at}", condition="R4",
+                register=history.name, ops=[record],
+            )
+
+
+def _tripped_run(backend, trip_at):
+    """A lossy, faulted, churned workload whose monitor trips mid-run;
+    returns what the violation left behind."""
+    with kernel.use_backend(backend):
+        monitor = TrippingMonitor(trip_at)
+        deployment = RegisterDeployment(
+            ProbabilisticQuorumSystem(9, 3),
+            num_clients=3,
+            delay_model=ExponentialDelay(1.0),
+            seed=13,
+            retry_policy=RetryPolicy(interval=2.0, deadline=30.0),
+            loss_rate=0.1,
+            spec_monitor=monitor,
+        )
+        deployment.declare_register("x", writer=0)
+        deployment.install_schedule(FailureSchedule().outage(2.0, [0, 1], 4.0))
+        deployment.install_membership(
+            MembershipSchedule.churn(9, period=3.0, batch=1, horizon=30.0)
+        )
+        futures = []
+        for i in range(40):
+            deployment.scheduler.schedule_at(
+                i / 2.0, lambda i=i: futures.append((
+                    deployment.clients[0].write("x", i),
+                    deployment.clients[1 + i % 2].read("x"),
+                ))
+            )
+        with pytest.raises(SpecViolation) as caught:
+            deployment.run()
+    (record,) = caught.value.ops
+    pending = [
+        (op.op_id, op.is_read, op.attempts, sorted(op.replies))
+        for client in deployment.clients for op in client._pending.values()
+    ]
+    return {
+        "payload": caught.value.payload(),
+        "record": (record.process, record.invoke_time, record.response_time,
+                   record.value, record.timestamp),
+        "now": deployment.scheduler.now,
+        "checked": (monitor.reads_checked, monitor.writes_checked,
+                    monitor.retries_seen),
+        "settled": [
+            (write.done, read.done) for write, read in futures
+        ],
+        "pending": pending,
+        "completed": [c.ops_completed for c in deployment.clients],
+        "streams": stream_states(deployment),
+    }
+
+
+@needs_native
+@pytest.mark.parametrize("trip_at", [1, 25])
+def test_monitor_violation_from_c_leaves_the_python_state(
+    monkeypatch, trip_at
+):
+    """Must-fail control for the C monitor hook: a violation raised from
+    ``clientcore_finish`` aborts the run at the same event, with the same
+    payload, record, clock, settled futures and pending table as from the
+    Python ``_settle`` — the record completed, its future not resolved —
+    and no Python client-handler frame runs on the way."""
+    python = _tripped_run("python", trip_at)
+    calls = _count_calls(monkeypatch, QuorumRegisterClient, (
+        "on_message", "_finish", "_settle", "_choose", "_retry",
+        "_redispatch", "_sample_quorum",
+    ))
+    native = _tripped_run("native", trip_at)
+    assert native == python
+    assert python["checked"][0] == trip_at
+    assert python["record"][2] == python["now"]  # responded at the event
+    assert calls == dict.fromkeys(calls, 0)
 
 
 @needs_native

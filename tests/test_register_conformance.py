@@ -89,9 +89,14 @@ class RecordingMonitor(OnlineSpecMonitor):
         self.timeout_kinds.append(op_kind)
 
 
-def run_flavour(flavour, system, condition, instrumented, client_class=None):
+def run_flavour(
+    flavour, system, condition, instrumented, client_class=None,
+    monitored=None,
+):
     """Drive a seeded 3-client workload; returns (deployment, ops, obs,
-    monitor) with ``ops`` the (kind, future) pairs in invocation order."""
+    monitor) with ``ops`` the (kind, future) pairs in invocation order.
+    ``instrumented`` records spans and, unless ``monitored`` says
+    otherwise, attaches the online spec monitor."""
     flavour_class, monotone, two_round = FLAVOURS[flavour]
     retry_policy, loss_rate = CONDITIONS[condition]
     obs = Observability(spans=SpanRecorder()) if instrumented else None
@@ -99,7 +104,7 @@ def run_flavour(flavour, system, condition, instrumented, client_class=None):
     # accepted pair.
     monitor = (
         RecordingMonitor(monotone or flavour == "masking")
-        if instrumented else None
+        if (instrumented if monitored is None else monitored) else None
     )
     deployment = RegisterDeployment(
         SYSTEMS[system](),
@@ -217,7 +222,7 @@ def test_the_faulted_conditions_do_time_operations_out():
         == {"read", "write"}
 
 
-def _observable_state(deployment):
+def _observable_state(deployment, monitor):
     history = deployment.space.history("X")
     return {
         "history": [repr(op) for op in history.operations()],
@@ -227,23 +232,37 @@ def _observable_state(deployment):
             for c in deployment.clients
         ],
         "now": deployment.scheduler.now,
+        "monitor": monitor and (
+            monitor.reads_checked, monitor.writes_checked,
+            monitor.retries_seen, monitor.timeouts_seen, monitor.views_seen,
+            monitor.timeout_kinds,
+            {
+                key: (timestamp, repr(record))
+                for key, (timestamp, record) in monitor._last_read.items()
+            },
+        ),
     }
 
 
 @needs_native
 @pytest.mark.parametrize("flavour, system, condition", CASES)
 def test_backends_agree(flavour, system, condition):
-    # Uninstrumented, so exact-type clients run their C cores on native;
-    # subclassed flavours keep their Python handlers over the C scheduler
-    # and network.  Same seed, same history, same stream positions.
-    states = {}
-    for backend in ("python", "native"):
-        with kernel.use_backend(backend):
-            deployment, _, _, _ = run_flavour(
-                flavour, system, condition, instrumented=False
-            )
-            states[backend] = _observable_state(deployment)
-    assert states["native"] == states["python"]
+    # Without spans, so exact-type clients run their C cores on native —
+    # unmonitored, and monitored with the spec monitor's hooks called from
+    # C; subclassed flavours keep their Python handlers over the C
+    # scheduler and network.  Same seed, same history, same stream
+    # positions, same monitor state.
+    for monitored in (False, True):
+        states = {}
+        for backend in ("python", "native"):
+            with kernel.use_backend(backend):
+                deployment, _, _, monitor = run_flavour(
+                    flavour, system, condition, instrumented=False,
+                    monitored=monitored,
+                )
+                states[backend] = _observable_state(deployment, monitor)
+        assert states["native"] == states["python"]
+        assert (states["python"]["monitor"] is not None) == monitored
 
 
 class TestMustFailControl:

@@ -181,6 +181,8 @@ def test_cross_backend_comparison_through_the_cli(tmp_path):
             "chaos --runs 3 --chaos-seed 1 --jobs 1 --metrics-out {out}",
             "serve --duration 40 --rate 4 --clients 2 --churn 15 --seed 7 "
             "--write-mode two_phase --loss-rate 0.2 --snapshot-out {out}",
+            "serve --churn 6.25 --loss-rate 0.1 --duration 40 --seed 7 "
+            "--snapshot-out {out}",
         ],
         str(tmp_path),
     ) == []

@@ -25,14 +25,18 @@ SRC = str(pathlib.Path(__file__).resolve().parent.parent / "src")
 
 #: What CI compares: a chaos campaign's metrics (loss, faults,
 #: adversaries, membership, the spec monitor; never cached, so each
-#: backend simulates every run), a churned and a lossy two-phase service
-#: snapshot (subclassed clients keep their Python handlers; the scheduler
-#: and network cores under them differ) and the closed-loop Figure 2
-#: sweep's metrics (Alg. 1 issues through the C client core on native).
+#: backend simulates every run), a churned service snapshot, a lossy
+#: churned one with plain clients (the C loss draw, retry jitter and
+#: stale-view re-dispatch), a lossy two-phase one (subclassed clients keep
+#: their Python handlers; the scheduler and network cores under them
+#: differ) and the closed-loop Figure 2 sweep's metrics (Alg. 1 issues
+#: through the C client core on native).
 DEFAULT_CASES = (
     "chaos --runs 10 --chaos-seed 1 --jobs 2 --metrics-out {out}",
     "serve --duration 120 --rate 4 --clients 2 --churn 40 --churn-batch 2 "
     "--seed 7 --snapshot-out {out}",
+    "serve --churn 6.25 --loss-rate 0.1 --duration 120 --seed 7 "
+    "--snapshot-out {out}",
     "serve --write-mode two_phase --loss-rate 0.2 --churn 40 --duration 150 "
     "--rate 4 --seed 7 --snapshot-out {out}",
     "figure2 --jobs 1 --no-cache --metrics-out {out}",
