@@ -169,7 +169,11 @@
     X(str_interval, "interval")                              \
     X(str_backoff, "backoff")                                \
     X(str_max_interval, "max_interval")                      \
-    X(str_jitter, "jitter")
+    X(str_jitter, "jitter")                                  \
+    X(str_stage, "stage")                                    \
+    X(str_read_plan, "READ_PLAN")                            \
+    X(str_write_plan, "WRITE_PLAN")                          \
+    X(str_vouched, "_vouched")
 
 #define DECLARE_STRING(var, text) static PyObject *var;
 INTERNED_STRINGS(DECLARE_STRING)
@@ -2098,25 +2102,22 @@ kernel_quorum_sample(PyObject *module, PyObject *const *args,
 /* ------------------------------------------------------------------ */
 
 /* Native transcriptions of the two per-message protocol callbacks:
- * ``ReplicaServer.on_message`` (ServerCore) and the reply-aggregation
- * path of ``QuorumRegisterClient.on_message`` + ``_finish`` +
- * ``_teardown`` + ``_redispatch`` (ClientCore), plus the client's issue
- * path and retry timer (ClientCore's read / write / _begin / _send_round
- * / _retry methods, described where they are defined).  Installed as
- * instance attributes of the node — exactly like the network core's
- * entry points — so trace taps and monkeypatches keep working, and the
- * pure-python methods remain the reference implementation.
+ * ``ReplicaServer.on_message`` (ServerCore) and the reply path of
+ * ``QuorumRegisterClient.on_message`` + ``_finish`` + ``_teardown`` +
+ * ``_redispatch`` (ClientCore, an interpreter of the client class's round
+ * plans), plus the client's issue path and retry timer (ClientCore's read
+ * / write / _begin / _send_round / _retry methods).  Installed as instance
+ * attributes of the node, like the network core's entry points, so trace
+ * taps and monkeypatches keep working; the Python methods remain the
+ * reference implementation.
  *
  * Soft fallback, re-checked on every delivery, is a guard on what the
  * handler itself reads — the complete list: an op-level span (tracing)
  * and any message that is not an exact instance of one of the four
- * Section-4 types or StaleViewNack (State*, subclasses); subclassed
- * nodes never get a core.  Those route the message through the original
+ * Section-4 types or StaleViewNack (State*, subclasses).  Those take the
  * Python handler.  Loss, faults, taps, an adversary and detailed
  * MessageStats matter only inside ``send``, which the network core
- * handles.  The server's view gate, the client's view refresh check, the
- * live latency histogram and the online spec monitor's hooks run here
- * too.  A nack's re-dispatch draws a view quorum, in the Python order.
+ * handles.  A nack's re-dispatch draws a view quorum, in the Python order.
  */
 
 /* Resolve the protocol classes lazily, on first core construction —
@@ -2537,6 +2538,30 @@ static PyTypeObject ServerCore_Type = {
 
 /* ------------------------------ ClientCore ------------------------- */
 
+/* A client class's round plan (``READ_PLAN`` / ``WRITE_PLAN``, see
+ * registers/client.py), decoded once, when the core is built: per round
+ * the request, the decision over its replies and what it carries.  The
+ * codes are the positions of the Python constants in plan_steps. */
+enum { DECIDE_NONE, DECIDE_MAX_TS, DECIDE_VOUCHED };
+enum { CARRY_NONE, CARRY_OWN_SEQ, CARRY_NEXT_SEQ, CARRY_CHOSEN };
+#define MAX_ROUNDS 4
+static const char *const plan_steps[3][4] = {
+    {"update", "query"},
+    {NULL, "max_ts", "vouched"},
+    {NULL, "own_seq", "next_seq", "chosen"},
+};
+static const int plan_codes[3] = {2, 3, 4};
+
+typedef struct {
+    int query, decision, carry;
+} Round;
+
+typedef struct {
+    PyObject *source;   /* the plan tuple, handed to every op built here */
+    int n;
+    Round rounds[MAX_ROUNDS];
+} Plan;
+
 typedef struct {
     PyObject_HEAD
     PyObject *client;       /* the QuorumRegisterClient */
@@ -2558,7 +2583,61 @@ typedef struct {
     PyObject *write_seq;    /* client._write_seq dict (shared) */
     PyObject *client_id;
     PyObject *node_id;
+    Plan plans[2];          /* [0] READ_PLAN, [1] WRITE_PLAN */
 } ClientCore;
+
+/* The code of ``step``: its position among plan_steps[field], or -1. */
+static int
+plan_code(int field, PyObject *step)
+{
+    for (int code = 0; code < plan_codes[field]; code++) {
+        const char *text = plan_steps[field][code];
+        if (text == NULL) {
+            if (step == Py_None)
+                return code;
+        }
+        else if (PyUnicode_Check(step)
+                 && PyUnicode_CompareWithASCIIString(step, text) == 0)
+            return code;
+    }
+    return -1;
+}
+
+/* client.<name> into ``plan``; ValueError for a plan this interpreter
+ * has no code for.  plan->source is set whenever the attribute exists,
+ * valid or not: the caller releases it. */
+static int
+read_plan(PyObject *client, PyObject *name, Plan *plan)
+{
+    PyObject *source = plan->source = PyObject_GetAttr(client, name);
+    if (source == NULL)
+        return -1;
+    Py_ssize_t n = PyTuple_Check(source) ? PyTuple_GET_SIZE(source) : 0;
+    int valid = n >= 1 && n <= MAX_ROUNDS;
+    for (Py_ssize_t i = 0; valid && i < n; i++) {
+        PyObject *round = PyTuple_GET_ITEM(source, i);
+        if (!PyTuple_Check(round) || PyTuple_GET_SIZE(round) != 3) {
+            valid = 0;
+            break;
+        }
+        int codes[3];
+        for (int j = 0; j < 3; j++) {
+            codes[j] = plan_code(j, PyTuple_GET_ITEM(round, j));
+            if (codes[j] < 0)
+                valid = 0;
+        }
+        plan->rounds[i] = (Round){codes[0], codes[1], codes[2]};
+    }
+    if (!valid) {
+        PyErr_Format(PyExc_ValueError,
+                     "%U must be a tuple of 1 to %d (request, decision, "
+                     "carry) rounds of registers.client's constants, got %R",
+                     name, MAX_ROUNDS, source);
+        return -1;
+    }
+    plan->n = (int)n;
+    return 0;
+}
 
 static PyObject *
 clientcore_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
@@ -2575,6 +2654,7 @@ clientcore_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
     PyObject *space = NULL, *registers = NULL, *server_ids = NULL;
     PyObject *op_ids = NULL, *write_seq = NULL, *client_id = NULL;
     PyObject *node_id = NULL;
+    Plan plans[2] = {{NULL}};
     fallback = PyObject_GetAttr((PyObject *)Py_TYPE(client), str_on_message);
     if (fallback == NULL)
         goto fail;
@@ -2626,6 +2706,9 @@ clientcore_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
                         "dicts, server_ids a list, _op_ids an iterator");
         goto fail;
     }
+    if (read_plan(client, str_read_plan, &plans[0]) < 0
+        || read_plan(client, str_write_plan, &plans[1]) < 0)
+        goto fail;
     ClientCore *self = (ClientCore *)type->tp_alloc(type, 0);
     if (self == NULL)
         goto fail;
@@ -2646,6 +2729,8 @@ clientcore_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
     self->write_seq = write_seq;
     self->client_id = client_id;
     self->node_id = node_id;
+    self->plans[0] = plans[0];
+    self->plans[1] = plans[1];
     return (PyObject *)self;
 fail:
     Py_XDECREF(fallback);
@@ -2662,6 +2747,8 @@ fail:
     Py_XDECREF(write_seq);
     Py_XDECREF(client_id);
     Py_XDECREF(node_id);
+    Py_XDECREF(plans[0].source);
+    Py_XDECREF(plans[1].source);
     return NULL;
 }
 
@@ -2682,6 +2769,8 @@ clientcore_traverse(ClientCore *self, visitproc visit, void *arg)
     Py_VISIT(self->write_seq);
     Py_VISIT(self->client_id);
     Py_VISIT(self->node_id);
+    Py_VISIT(self->plans[0].source);
+    Py_VISIT(self->plans[1].source);
     return 0;
 }
 
@@ -2702,6 +2791,8 @@ clientcore_clear(ClientCore *self)
     Py_CLEAR(self->write_seq);
     Py_CLEAR(self->client_id);
     Py_CLEAR(self->node_id);
+    Py_CLEAR(self->plans[0].source);
+    Py_CLEAR(self->plans[1].source);
     return 0;
 }
 
@@ -2820,14 +2911,267 @@ clientcore_check_spec(ClientCore *self, PyObject *op, PyObject *record,
     return res == NULL ? -1 : 0;
 }
 
-/* QuorumRegisterClient._finish — the read decision (_choose) and the
- * completion path (_settle, with its _teardown) — fused.  ``op`` is a
- * strong reference held by the caller; spans are guaranteed off by the
- * caller's fallback guards, while the latency histogram and the spec
- * monitor are handled natively below. */
+static int clientcore_move(ClientCore *self, PyObject *op);
+
+/* The plan of op.kind — READ_PLAN for "read", else WRITE_PLAN — with
+ * *is_read set to that choice and *stage to op.stage; NULL on error or a
+ * stage outside the plan. */
+static const Plan *
+clientcore_plan(ClientCore *self, PyObject *op, int *is_read, long *stage)
+{
+    PyObject *kind = PyObject_GetAttr(op, str_kind_attr);
+    if (kind == NULL)
+        return NULL;
+    if (kind == str_read_kind)
+        *is_read = 1;
+    else
+        *is_read = PyObject_RichCompareBool(kind, str_read_kind, Py_EQ);
+    Py_DECREF(kind);
+    if (*is_read < 0)
+        return NULL;
+    PyObject *at = PyObject_GetAttr(op, str_stage);
+    if (at == NULL)
+        return NULL;
+    *stage = PyLong_AsLong(at);
+    Py_DECREF(at);
+    if (*stage == -1 && PyErr_Occurred())
+        return NULL;
+    const Plan *plan = &self->plans[*is_read ? 0 : 1];
+    if (*stage < 0 || *stage >= plan->n) {
+        PyErr_SetString(PyExc_IndexError, "op.stage is outside its plan");
+        return NULL;
+    }
+    return plan;
+}
+
+/* space.info(reg).history.<begin>(client_id, *args) — the shared inert
+ * record for a NullRegisterHistory.  A new reference, or NULL. */
+static PyObject *
+clientcore_record(ClientCore *self, PyObject *reg, PyObject *begin,
+                  PyObject *a, PyObject *b, PyObject *c)
+{
+    PyObject *record = NULL, *history = NULL;
+    PyObject *info = clientcore_info(self, reg);
+    if (info != NULL && (history = PyObject_GetAttr(info, str_history))) {
+        record = (PyObject *)Py_TYPE(history) == null_history_type
+            ? Py_NewRef(null_record)
+            : PyObject_CallMethodObjArgs(history, begin, self->client_id,
+                                         a, b, c, NULL);
+    }
+    Py_XDECREF(history);
+    Py_XDECREF(info);
+    return record;
+}
+
+/* The first highest-timestamped ReadReply among the current quorum
+ * members' replies, in the quorum's iteration order (replace only on
+ * strictly greater).  Borrowed from ``replies``; NULL with an exception
+ * set on error. */
+static PyObject *
+quorum_max_reply(PyObject *quorum, PyObject *replies)
+{
+    PyObject *iter = PyObject_GetIter(quorum);
+    if (iter == NULL)
+        return NULL;
+    PyObject *best = NULL;
+    PyObject *member;
+    while ((member = PyIter_Next(iter)) != NULL) {
+        PyObject *reply = PyDict_GetItemWithError(replies, member);
+        Py_DECREF(member);
+        if (reply == NULL) {
+            if (PyErr_Occurred())
+                break;
+            continue; /* member answered for an earlier quorum only */
+        }
+        if (!PyObject_TypeCheck(reply, (PyTypeObject *)msg_read_reply))
+            continue;
+        if (best == NULL) {
+            best = reply;
+            continue;
+        }
+        PyObject *reply_ts = reply_timestamp(reply);
+        if (reply_ts == NULL)
+            break;
+        PyObject *best_ts = reply_timestamp(best);
+        if (best_ts == NULL) {
+            Py_DECREF(reply_ts);
+            break;
+        }
+        int gt = timestamp_gt(reply_ts, best_ts);
+        Py_DECREF(reply_ts);
+        Py_DECREF(best_ts);
+        if (gt < 0)
+            break;
+        if (gt)
+            best = reply;
+    }
+    Py_DECREF(iter);
+    if (PyErr_Occurred())
+        return NULL;
+    if (best == NULL) {
+        /* max() over an empty sequence — unreachable for a covered
+         * round, kept for parity with the Python reference. */
+        PyErr_SetString(PyExc_ValueError, "max() arg is an empty sequence");
+    }
+    return best;
+}
+
+/* The monotone cache of Section 6.2, for a read's final decision: a
+ * newer cached pair replaces (*ts, *value) and counts a cache hit;
+ * otherwise the decision is cached. */
 static int
-clientcore_finish(ClientCore *self, PyObject *op, PyObject *op_id,
-                  PyObject *quorum, PyObject *replies)
+clientcore_monotone(ClientCore *self, PyObject *op, PyObject **ts,
+                    PyObject **value)
+{
+    PyObject *reg = PyObject_GetAttr(op, str_register_attr);
+    if (reg == NULL)
+        return -1;
+    int rc = -1, serve_cached = 0;
+    PyObject *cached = PyDict_GetItemWithError(self->cache, reg);
+    Py_XINCREF(cached);
+    if (cached == NULL && PyErr_Occurred())
+        goto done;
+    if (cached != NULL) {
+        if (!PyTuple_Check(cached) || PyTuple_GET_SIZE(cached) != 2) {
+            PyErr_SetString(PyExc_TypeError,
+                            "monotone cache entries must be (timestamp, "
+                            "value) tuples");
+            goto done;
+        }
+        serve_cached = timestamp_gt(PyTuple_GET_ITEM(cached, 0), *ts);
+        if (serve_cached < 0)
+            goto done;
+    }
+    if (serve_cached) {
+        Py_SETREF(*ts, Py_NewRef(PyTuple_GET_ITEM(cached, 0)));
+        Py_SETREF(*value, Py_NewRef(PyTuple_GET_ITEM(cached, 1)));
+        rc = bump_counter(self->client, str_cache_hits);
+    }
+    else {
+        PyObject *fresh = PyTuple_Pack(2, *ts, *value);
+        if (fresh != NULL) {
+            rc = PyDict_SetItem(self->cache, reg, fresh);
+            Py_DECREF(fresh);
+        }
+    }
+done:
+    Py_XDECREF(cached);
+    Py_DECREF(reg);
+    return rc;
+}
+
+/* QuorumRegisterClient._choose for the round in flight: the highest
+ * timestamped quorum reply — through the monotone cache for a read's
+ * final decision — or, for a vouched decision, one call to the Python
+ * ``_vouched`` (masking reads: Byzantine runs only).  New references in
+ * *ts / *value, or -1. */
+static int
+clientcore_choose(ClientCore *self, PyObject *op, int decision, int final,
+                  PyObject *quorum, PyObject *replies, PyObject **ts,
+                  PyObject **value)
+{
+    if (decision == DECIDE_VOUCHED) {
+        PyObject *pair = PyObject_CallMethodOneArg(self->client, str_vouched,
+                                                   op);
+        if (pair == NULL)
+            return -1;
+        if (!PyTuple_Check(pair) || PyTuple_GET_SIZE(pair) != 2) {
+            Py_DECREF(pair);
+            PyErr_SetString(PyExc_TypeError,
+                            "_vouched must return a (timestamp, value) pair");
+            return -1;
+        }
+        *ts = Py_NewRef(PyTuple_GET_ITEM(pair, 0));
+        *value = Py_NewRef(PyTuple_GET_ITEM(pair, 1));
+        Py_DECREF(pair);
+        return 0;
+    }
+    PyObject *best = quorum_max_reply(quorum, replies);
+    if (best == NULL)
+        return -1;
+    *value = reply_value(best);
+    if (*value == NULL)
+        return -1;
+    *ts = reply_timestamp(best);
+    if (*ts == NULL) {
+        Py_CLEAR(*value);
+        return -1;
+    }
+    if (final && self->monotone
+        && clientcore_monotone(self, op, ts, value) < 0) {
+        Py_CLEAR(*ts);
+        Py_CLEAR(*value);
+        return -1;
+    }
+    return 0;
+}
+
+/* QuorumRegisterClient._carry: what the round entering flight carries —
+ * the chosen pair, or a fresh timestamp of this client's (above the
+ * chosen one too, for NEXT_SEQ) with the write's history record,
+ * back-dated to op.started.  ``ts`` / ``value`` are the previous round's
+ * decision, NULL before the first round. */
+static int
+clientcore_carry(ClientCore *self, PyObject *op, int carry, PyObject *ts,
+                 PyObject *value)
+{
+    if (carry == CARRY_NONE)
+        return 0;
+    if (carry != CARRY_OWN_SEQ && ts == NULL) {
+        PyErr_SetString(PyExc_TypeError, "a round carrying a decision must "
+                        "follow a deciding round");
+        return -1;
+    }
+    if (carry == CARRY_CHOSEN) {
+        if (PyObject_SetAttr(op, str_timestamp_attr, ts) < 0)
+            return -1;
+        return PyObject_SetAttr(op, str_value_attr, value);
+    }
+    int rc = -1;
+    PyObject *queried = NULL, *stamp = NULL, *started = NULL;
+    PyObject *op_value = NULL, *record = NULL;
+    PyObject *reg = PyObject_GetAttr(op, str_register_attr);
+    PyObject *seq = reg ? PyDict_GetItemWithError(self->write_seq, reg) : NULL;
+    if (seq == NULL && PyErr_Occurred())
+        goto done;
+    seq = Py_NewRef(seq ? seq : py_zero);
+    if (carry == CARRY_NEXT_SEQ) {
+        /* max(chosen.seq, own seq) */
+        queried = PyObject_GetAttr(ts, str_seq_attr);
+        int own = queried ? PyObject_RichCompareBool(seq, queried, Py_GT) : -1;
+        if (own < 0)
+            goto done;
+        if (!own)
+            Py_SETREF(seq, Py_NewRef(queried));
+    }
+    Py_SETREF(seq, PyNumber_Add(seq, py_one));
+    if (seq == NULL || PyDict_SetItem(self->write_seq, reg, seq) < 0
+        || (stamp = PyObject_CallFunctionObjArgs(
+                timestamp_type, seq, self->client_id, NULL)) == NULL
+        || PyObject_SetAttr(op, str_timestamp_attr, stamp) < 0
+        || (started = PyObject_GetAttr(op, str_started_attr)) == NULL
+        || (op_value = PyObject_GetAttr(op, str_value_attr)) == NULL
+        || (record = clientcore_record(self, reg, str_begin_write, started,
+                                       op_value, stamp)) == NULL)
+        goto done;
+    rc = PyObject_SetAttr(op, str_record, record);
+done:
+    Py_XDECREF(record);
+    Py_XDECREF(op_value);
+    Py_XDECREF(started);
+    Py_XDECREF(stamp);
+    Py_XDECREF(queried);
+    Py_XDECREF(seq);
+    Py_XDECREF(reg);
+    return rc;
+}
+
+/* QuorumRegisterClient._settle, spans off (the callers check): teardown,
+ * counters, the live latency histogram, the history record, the spec
+ * monitor's hook, then the future — named after the op's kind. */
+static int
+clientcore_settle(ClientCore *self, PyObject *op, PyObject *op_id,
+                  int is_read, PyObject *ts, PyObject *value)
 {
     if (PyDict_DelItem(self->pending, op_id) < 0)
         return -1;
@@ -2842,10 +3186,6 @@ clientcore_finish(ClientCore *self, PyObject *op, PyObject *op_id,
         return -1;
     if (under_failure
         && bump_counter(self->client, str_ops_under_failure) < 0)
-        return -1;
-
-    int is_read = attr_truth(op, str_is_read);
-    if (is_read < 0)
         return -1;
 
     /* Live latency histogram: observe(now - op.started) on the op's
@@ -2891,185 +3231,108 @@ clientcore_finish(ClientCore *self, PyObject *op, PyObject *op_id,
     PyObject *record = PyObject_GetAttr(op, str_record);
     if (record == NULL)
         return -1;
-    int null_record = (PyObject *)Py_TYPE(record) == nullrecord_type;
-
-    if (!is_read) {
-        if (!null_record) {
-            PyObject *now_obj = PyFloat_FromDouble(self->sched->now);
-            if (now_obj == NULL)
-                goto fail_record;
-            PyObject *res = PyObject_CallMethodObjArgs(
-                record, str_respond, now_obj, NULL);
-            Py_DECREF(now_obj);
-            if (res == NULL)
-                goto fail_record;
-            Py_DECREF(res);
-        }
-        if (clientcore_check_spec(self, op, record, 0) < 0)
-            goto fail_record;
-        Py_DECREF(record);
-        PyObject *future = PyObject_GetAttr(op, str_future_attr);
-        if (future == NULL)
-            return -1;
-        PyObject *res = PyObject_CallMethodObjArgs(
-            future, str_resolve, Py_None, NULL);
-        Py_DECREF(future);
-        if (res == NULL)
-            return -1;
-        Py_DECREF(res);
-        return 0;
-    }
-
-    /* Read: the highest-timestamped reply among current-quorum members,
-     * first-maximum semantics (replace only on strictly greater). */
-    PyObject *iter = PyObject_GetIter(quorum);
-    if (iter == NULL)
-        goto fail_record;
-    PyObject *best = NULL; /* borrowed from replies */
-    PyObject *member;
-    while ((member = PyIter_Next(iter)) != NULL) {
-        PyObject *reply = PyDict_GetItemWithError(replies, member);
-        Py_DECREF(member);
-        if (reply == NULL) {
-            if (PyErr_Occurred())
-                break;
-            continue; /* member answered for an earlier quorum only */
-        }
-        if (!PyObject_TypeCheck(reply, (PyTypeObject *)msg_read_reply))
-            continue;
-        if (best == NULL) {
-            best = reply;
-            continue;
-        }
-        PyObject *reply_ts = reply_timestamp(reply);
-        if (reply_ts == NULL)
-            break;
-        PyObject *best_ts = reply_timestamp(best);
-        if (best_ts == NULL) {
-            Py_DECREF(reply_ts);
-            break;
-        }
-        int gt = timestamp_gt(reply_ts, best_ts);
-        Py_DECREF(reply_ts);
-        Py_DECREF(best_ts);
-        if (gt < 0)
-            break;
-        if (gt)
-            best = reply;
-    }
-    Py_DECREF(iter);
-    if (PyErr_Occurred())
-        goto fail_record;
-    if (best == NULL) {
-        /* max() over an empty sequence — unreachable for a completed
-         * read, kept for parity with the Python reference. */
-        PyErr_SetString(PyExc_ValueError, "max() arg is an empty sequence");
-        goto fail_record;
-    }
-    PyObject *value = reply_value(best);
-    if (value == NULL)
-        goto fail_record;
-    PyObject *ts = reply_timestamp(best);
-    if (ts == NULL) {
-        Py_DECREF(value);
-        goto fail_record;
-    }
-
-    if (self->monotone) {
-        PyObject *reg = PyObject_GetAttr(op, str_register_attr);
-        if (reg == NULL)
-            goto fail_read;
-        PyObject *cached = PyDict_GetItemWithError(self->cache, reg);
-        if (cached == NULL && PyErr_Occurred()) {
-            Py_DECREF(reg);
-            goto fail_read;
-        }
-        int serve_cached = 0;
-        if (cached != NULL) {
-            Py_INCREF(cached);
-            PyObject *cached_ts = PyTuple_Check(cached)
-                ? PyTuple_GET_ITEM(cached, 0)
-                : NULL;
-            if (cached_ts == NULL) {
-                Py_DECREF(cached);
-                Py_DECREF(reg);
-                PyErr_SetString(PyExc_TypeError,
-                                "monotone cache entries must be tuples");
-                goto fail_read;
-            }
-            serve_cached = timestamp_gt(cached_ts, ts);
-            if (serve_cached < 0) {
-                Py_DECREF(cached);
-                Py_DECREF(reg);
-                goto fail_read;
-            }
-            if (serve_cached) {
-                Py_DECREF(ts);
-                Py_DECREF(value);
-                ts = PyTuple_GET_ITEM(cached, 0);
-                value = PyTuple_GET_ITEM(cached, 1);
-                Py_INCREF(ts);
-                Py_INCREF(value);
-                if (bump_counter(self->client, str_cache_hits) < 0) {
-                    Py_DECREF(cached);
-                    Py_DECREF(reg);
-                    goto fail_read;
-                }
-            }
-            Py_DECREF(cached);
-        }
-        if (!serve_cached) {
-            PyObject *fresh = PyTuple_Pack(2, ts, value);
-            if (fresh == NULL) {
-                Py_DECREF(reg);
-                goto fail_read;
-            }
-            int rc = PyDict_SetItem(self->cache, reg, fresh);
-            Py_DECREF(fresh);
-            if (rc < 0) {
-                Py_DECREF(reg);
-                goto fail_read;
-            }
-        }
-        Py_DECREF(reg);
-    }
-
-    if (!null_record) {
+    if ((PyObject *)Py_TYPE(record) != nullrecord_type) {
         PyObject *now_obj = PyFloat_FromDouble(self->sched->now);
-        if (now_obj == NULL)
-            goto fail_read;
-        PyObject *res = PyObject_CallMethodObjArgs(
-            record, str_complete, now_obj, value, ts, NULL);
+        if (now_obj == NULL) {
+            Py_DECREF(record);
+            return -1;
+        }
+        PyObject *res = is_read
+            ? PyObject_CallMethodObjArgs(record, str_complete, now_obj,
+                                         value, ts, NULL)
+            : PyObject_CallMethodObjArgs(record, str_respond, now_obj, NULL);
         Py_DECREF(now_obj);
-        if (res == NULL)
-            goto fail_read;
+        if (res == NULL) {
+            Py_DECREF(record);
+            return -1;
+        }
         Py_DECREF(res);
     }
-    if (clientcore_check_spec(self, op, record, 1) < 0)
-        goto fail_read;
+    int rc = clientcore_check_spec(self, op, record, is_read);
     Py_DECREF(record);
-    Py_DECREF(ts);
+    if (rc < 0)
+        return -1;
 
     PyObject *future = PyObject_GetAttr(op, str_future_attr);
-    if (future == NULL) {
-        Py_DECREF(value);
+    if (future == NULL)
         return -1;
-    }
     PyObject *res = PyObject_CallMethodObjArgs(
-        future, str_resolve, value, NULL);
+        future, str_resolve, is_read ? value : Py_None, NULL);
     Py_DECREF(future);
-    Py_DECREF(value);
     if (res == NULL)
         return -1;
     Py_DECREF(res);
     return 0;
+}
 
-fail_read:
-    Py_DECREF(value);
-    Py_DECREF(ts);
-fail_record:
-    Py_DECREF(record);
-    return -1;
+/* The plan's next round on the same op: its stage, request kind, fresh
+ * replies and message, its carry (from the decision ts / value), then a
+ * fresh quorum and its first send. */
+static int
+clientcore_next_round(ClientCore *self, PyObject *op, long stage,
+                      const Round *round, PyObject *ts, PyObject *value)
+{
+    PyObject *next = PyLong_FromLong(stage);
+    if (next == NULL)
+        return -1;
+    int rc = PyObject_SetAttr(op, str_stage, next);
+    Py_DECREF(next);
+    if (rc < 0)
+        return -1;
+    if (PyObject_SetAttr(op, str_is_read,
+                         round->query ? Py_True : Py_False) < 0)
+        return -1;
+    PyObject *fresh = PyDict_New();
+    if (fresh == NULL)
+        return -1;
+    rc = PyObject_SetAttr(op, str_replies, fresh);
+    Py_DECREF(fresh);
+    if (rc < 0)
+        return -1;
+    if (PyObject_SetAttr(op, str_message_attr, Py_None) < 0)
+        return -1;
+    if (clientcore_carry(self, op, round->carry, ts, value) < 0)
+        return -1;
+    return clientcore_move(self, op) < 0 ? -1 : 0;
+}
+
+/* QuorumRegisterClient._finish: the round's decision, then the plan's
+ * next round or the completion.  ``op`` is a strong reference held by
+ * the caller. */
+static int
+clientcore_finish(ClientCore *self, PyObject *op, PyObject *op_id,
+                  PyObject *quorum, PyObject *replies)
+{
+    int is_read;
+    long stage;
+    const Plan *plan = clientcore_plan(self, op, &is_read, &stage);
+    if (plan == NULL)
+        return -1;
+    int rc = -1, final = stage + 1 == plan->n;
+    PyObject *ts = NULL, *value = NULL;
+    int decision = plan->rounds[stage].decision;
+    if (decision != DECIDE_NONE
+        && clientcore_choose(self, op, decision, final, quorum, replies, &ts,
+                             &value) < 0)
+        return -1;
+    if (!final) {
+        rc = clientcore_next_round(self, op, stage + 1,
+                                   &plan->rounds[stage + 1], ts, value);
+    }
+    else {
+        /* A read whose final round decides nothing returns the pair the
+         * op carries (the ABD write-back installs what it returns). */
+        if (is_read && ts == NULL) {
+            ts = PyObject_GetAttr(op, str_timestamp_attr);
+            if (ts != NULL)
+                value = PyObject_GetAttr(op, str_value_attr);
+        }
+        if (!is_read || value != NULL)
+            rc = clientcore_settle(self, op, op_id, is_read, ts, value);
+    }
+    Py_XDECREF(value);
+    Py_XDECREF(ts);
+    return rc;
 }
 
 /* op.complete_against_quorum(): quorum.issubset(replies) — a size
@@ -3129,8 +3392,6 @@ clientcore_refresh_view(ClientCore *self)
     return res == NULL ? -1 : 0;
 }
 
-static int clientcore_move(ClientCore *self, PyObject *op);
-
 static int
 clientcore_invoke(ClientCore *self, PyObject *src, PyObject *message)
 {
@@ -3177,6 +3438,16 @@ clientcore_invoke(ClientCore *self, PyObject *src, PyObject *message)
         rc = moved < 0 ? -1 : 0;
         goto done;
     }
+    /* A reply is the answer of the round in flight only when its kind
+     * matches that round's request: a retried query round leaves
+     * ReadReplys in flight that may land in the update round. */
+    int round_read = op == NULL ? 0 : attr_truth(op, str_is_read);
+    if (round_read < 0)
+        goto done;
+    if (op != NULL && round_read != (msg_type == msg_read_reply)) {
+        rc = 0;
+        goto done;
+    }
     if ((view_id = PyObject_GetAttr(self->client, str_view_id)) == NULL)
         goto done;
     /* A reply stamped with a newer view than the client's own refreshes
@@ -3217,13 +3488,13 @@ done:
 
 /* QuorumRegisterClient's issue path and retry timer, transcribed
  * statement for statement from the Python definitions of the same names
- * and installed beside ``on_message`` as instance attributes of an
- * exact-type client.  An operation costs its message rounds, not its
- * dispatch: register lookup, history record, Future and _PendingOp,
- * quorum draw, message build, broadcast, retry/deadline timers and the
- * resample of a stalled op run without an interpreter frame of the
- * client's.  Draw order is the Python order — quorum (or view) stream,
- * then delay stream (inside the broadcast), then the retry-jitter stream.
+ * and installed beside ``on_message``.  An operation costs its message
+ * rounds, not its dispatch: register lookup, history record, Future and
+ * _PendingOp, quorum draw, message build, broadcast, retry/deadline
+ * timers and the resample of a stalled op run without an interpreter
+ * frame of the client's.  Draw order is the Python order — quorum (or
+ * view) stream, then delay stream (inside the broadcast), then the
+ * retry-jitter stream.
  *
  * Per-op guards: span tracing (``client._trace_on``, ``op.span``) and a
  * call shape other than the positional one take the Python method, which
@@ -3565,9 +3836,10 @@ clientcore_arm_retry(ClientCore *self, PyObject *op, PyObject *op_id,
     return rc;
 }
 
-/* QuorumRegisterClient._begin, spans off (the callers check). */
+/* QuorumRegisterClient._begin, spans off (the callers check); ``first``
+ * is the op's first round. */
 static int
-clientcore_begin(ClientCore *self, PyObject *op)
+clientcore_begin(ClientCore *self, PyObject *op, const Round *first)
 {
     int rc = -1;
     PyObject *policy = NULL, *started = NULL, *deadline = NULL;
@@ -3577,7 +3849,8 @@ clientcore_begin(ClientCore *self, PyObject *op)
     if (PyDict_SetItem(self->pending, op_id, op) < 0)
         goto done;
     started = PyFloat_FromDouble(self->sched->now);
-    if (started == NULL || PyObject_SetAttr(op, str_started_attr, started) < 0)
+    if (started == NULL || PyObject_SetAttr(op, str_started_attr, started) < 0
+        || clientcore_carry(self, op, first->carry, NULL, NULL) < 0)
         goto done;
     if (clientcore_send_round(self, op) < 0
         || (policy = PyObject_GetAttr(self->client, str_retry_policy)) == NULL)
@@ -3680,12 +3953,11 @@ clientcore_retry(ClientCore *self, PyObject *op_id)
         goto done;
     /* spec_monitor.on_retry(op.register, op.kind, op.attempts) */
     if ((monitor = clientcore_monitor(self)) != NULL) {
-        int is_read = attr_truth(op, str_is_read);
-        PyObject *reg = is_read < 0
-            ? NULL : PyObject_GetAttr(op, str_register_attr);
-        PyObject *res = reg == NULL ? NULL : PyObject_CallMethodObjArgs(
-            monitor, str_on_retry, reg,
-            is_read ? str_read_kind : str_write_kind, attempts, NULL);
+        PyObject *reg = PyObject_GetAttr(op, str_register_attr);
+        PyObject *kind = reg ? PyObject_GetAttr(op, str_kind_attr) : NULL;
+        PyObject *res = kind == NULL ? NULL : PyObject_CallMethodObjArgs(
+            monitor, str_on_retry, reg, kind, attempts, NULL);
+        Py_XDECREF(kind);
         Py_XDECREF(reg);
         if (res == NULL)
             goto done;
@@ -3706,78 +3978,47 @@ done:
     return result;
 }
 
-/* QuorumRegisterClient.read (value == NULL) and .write, spans off. */
+/* QuorumRegisterClient.read (value == NULL) and .write, with _issue,
+ * spans off. */
 static PyObject *
 clientcore_issue(ClientCore *self, PyObject *reg, PyObject *value)
 {
     const int is_read = value == NULL;
-    PyObject *timestamp = NULL, *now_obj = NULL, *history = NULL;
+    const Plan *plan = &self->plans[!is_read];
     PyObject *record = NULL, *label = NULL, *future = NULL, *quorum = NULL;
     PyObject *op_id = NULL, *op = NULL, *view = NULL, *result = NULL;
-
-    PyObject *info = clientcore_info(self, reg);
-    if (info == NULL)
-        return NULL;
-
-    if (!is_read) {
-        PyObject *writer = PyObject_GetAttr(info, str_writer_attr);
-        if (writer == NULL)
-            goto done;
-        int foreign = writer == Py_None ? 0 : PyObject_RichCompareBool(
-            writer, self->client_id, Py_NE);
-        Py_DECREF(writer);
-        if (foreign < 0)
-            goto done;
+    if (is_read) {
+        PyObject *now = PyFloat_FromDouble(self->sched->now);
+        record = now ? clientcore_record(self, reg, str_begin_read, now, NULL,
+                                         NULL) : NULL;
+        Py_XDECREF(now);
+        if (record == NULL)
+            return NULL;
+    }
+    else {
+        PyObject *info = clientcore_info(self, reg);
+        PyObject *writer = info ? PyObject_GetAttr(info, str_writer_attr)
+                                : NULL;
+        Py_XDECREF(info);
+        int foreign = writer == NULL ? -1 : writer == Py_None
+            ? 0 : PyObject_RichCompareBool(writer, self->client_id, Py_NE);
+        Py_XDECREF(writer);
         if (foreign) {
             /* SingleWriterViolation: raised by the Python definition. */
             PyObject *args[2] = {reg, value};
-            result = clientcore_python(self, str_write_kind, args, 2, NULL);
-            goto done;
+            return foreign < 0 ? NULL
+                : clientcore_python(self, str_write_kind, args, 2, NULL);
         }
-        PyObject *last = PyDict_GetItemWithError(self->write_seq, reg);
-        if (last == NULL && PyErr_Occurred())
-            goto done;
-        PyObject *seq = PyNumber_Add(last != NULL ? last : py_zero, py_one);
-        if (seq == NULL)
-            goto done;
-        if (PyDict_SetItem(self->write_seq, reg, seq) == 0)
-            timestamp = PyObject_CallFunctionObjArgs(
-                timestamp_type, seq, self->client_id, NULL);
-        Py_DECREF(seq);
-        if (timestamp == NULL)
-            goto done;
+        record = Py_NewRef(Py_None);
     }
-    history = PyObject_GetAttr(info, str_history);
-    if (history == NULL)
-        goto done;
-    if ((PyObject *)Py_TYPE(history) == null_history_type) {
-        /* NullRegisterHistory.begin_*: the shared inert record. */
-        record = null_record;
-        Py_INCREF(record);
-    }
-    else {
-        now_obj = PyFloat_FromDouble(self->sched->now);
-        if (now_obj == NULL)
-            goto done;
-        record = is_read
-            ? PyObject_CallMethodObjArgs(history, str_begin_read,
-                                         self->client_id, now_obj, NULL)
-            : PyObject_CallMethodObjArgs(history, str_begin_write,
-                                         self->client_id, now_obj, value,
-                                         timestamp, NULL);
-        if (record == NULL)
-            goto done;
-    }
-    label = PyUnicode_FromFormat(
-        is_read ? "read(%S) by c%S" : "write(%S) by c%S",
-        reg, self->client_id);
-    if (label == NULL)
-        goto done;
-    future = PyObject_CallOneArg(future_type, label);
-    if (future == NULL)
-        goto done;
-    quorum = clientcore_sample_quorum(self, is_read);
-    if (quorum == NULL)
+    if (bump_counter(self->client, is_read ? str_reads_performed
+                                           : str_writes_performed) < 0
+        || (label = PyUnicode_FromFormat(
+                is_read ? "read(%S) by c%S" : "write(%S) by c%S",
+                reg, self->client_id)) == NULL
+        || (future = PyObject_CallOneArg(future_type, label)) == NULL
+        || (quorum = clientcore_sample_quorum(
+                self, plan->rounds[0].query)) == NULL)
         goto done;
     op_id = PyIter_Next(self->op_ids);
     if (op_id == NULL) {
@@ -3785,26 +4026,15 @@ clientcore_issue(ClientCore *self, PyObject *reg, PyObject *value)
             PyErr_SetNone(PyExc_StopIteration);
         goto done;
     }
-    if (is_read)
-        op = PyObject_CallFunctionObjArgs(
-            pending_op_type, op_id, reg, Py_True, quorum, future, record,
-            NULL);
-    else
-        op = PyObject_CallFunctionObjArgs(
-            pending_op_type, op_id, reg, Py_False, quorum, future, record,
-            value, timestamp, NULL);
-    if (op == NULL)
+    op = PyObject_CallFunctionObjArgs(
+        pending_op_type, op_id, reg, is_read ? str_read_kind : str_write_kind,
+        plan->source, quorum, future, record, value, NULL);
+    if (op == NULL
+        || (view = PyObject_GetAttr(self->client, str_view_id)) == NULL
+        || PyObject_SetAttr(op, str_view_attr, view) < 0
+        || clientcore_begin(self, op, &plan->rounds[0]) < 0)
         goto done;
-    view = PyObject_GetAttr(self->client, str_view_id);
-    if (view == NULL || PyObject_SetAttr(op, str_view_attr, view) < 0)
-        goto done;
-    if (bump_counter(self->client, is_read ? str_reads_performed
-                                           : str_writes_performed) < 0)
-        goto done;
-    if (clientcore_begin(self, op) < 0)
-        goto done;
-    result = future;
-    Py_INCREF(result);
+    result = Py_NewRef(future);
 done:
     Py_XDECREF(view);
     Py_XDECREF(op);
@@ -3813,10 +4043,6 @@ done:
     Py_XDECREF(future);
     Py_XDECREF(label);
     Py_XDECREF(record);
-    Py_XDECREF(history);
-    Py_XDECREF(now_obj);
-    Py_XDECREF(timestamp);
-    Py_DECREF(info);
     return result;
 }
 
@@ -3864,7 +4090,10 @@ clientcore_begin_method(ClientCore *self, PyObject *op)
         return NULL;
     if (traced)
         return clientcore_python(self, str_begin, &op, 1, NULL);
-    if (clientcore_begin(self, op) < 0)
+    int is_read;
+    long stage;
+    const Plan *plan = clientcore_plan(self, op, &is_read, &stage);
+    if (plan == NULL || clientcore_begin(self, op, &plan->rounds[stage]) < 0)
         return NULL;
     Py_RETURN_NONE;
 }
@@ -4004,7 +4233,7 @@ PyInit__kernel(void)
                                (PyObject *)types[i].type) < 0)
             goto fail;
     }
-    if (PyModule_AddIntConstant(module, "KERNEL_ABI", 6) < 0)
+    if (PyModule_AddIntConstant(module, "KERNEL_ABI", 7) < 0)
         goto fail;
 #ifdef REPRO_HAVE_NPYRANDOM
     if (PyModule_AddIntConstant(module, "HAVE_FAST_RNG", 1) < 0)

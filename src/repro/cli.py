@@ -78,6 +78,11 @@ from repro.obs.spans import SpanRecorder
 from repro.service import ServiceConfig, run_service
 from repro.sim import kernel
 
+#: What ``serve`` prints on stderr, after ``repro: warning: N``, when
+#: operations are left with no settlement path; ``tools/cross_backend.py``
+#: fails a case whose stderr carries it.
+HUNG_OPS_WARNING = "hung operation(s) left with no settlement path"
+
 
 @dataclass(frozen=True)
 class Context:
@@ -320,6 +325,11 @@ def _serve(args, config: ServiceConfig, context: Context) -> int:
         f"  simulated {result.sim_time:.1f} time units "
         f"({result.events} events) in {result.wall_seconds:.2f}s wall"
     )
+    if result.hung_ops:
+        print(
+            f"repro: warning: {result.hung_ops} {HUNG_OPS_WARNING}",
+            file=sys.stderr,
+        )
     if args.snapshot_out is not None:
         with open(args.snapshot_out, "wb") as fh:
             fh.write(result.snapshot_bytes)

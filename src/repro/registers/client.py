@@ -21,7 +21,7 @@ from typing import Any, Dict, FrozenSet, List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.history import ReadRecord, WriteRecord
+from repro.core.history import ReadRecord
 from repro.core.register import AbstractRegister
 from repro.core.timestamps import Timestamp
 from repro.obs.core import DISABLED, Observability
@@ -131,12 +131,31 @@ class RetryPolicy:
         return value
 
 
+# Round plans.  An operation is a tuple of rounds run on one pending op,
+# each a (request, decision, carry) triple.  A client class declares one
+# plan per kind (``READ_PLAN``, ``WRITE_PLAN``) and both kernels interpret
+# it: the methods below, and the native client core, which reads the
+# plans once, when it is built.
+#: request: what the round sends its quorum.
+QUERY, UPDATE = "query", "update"
+#: decision over the round's quorum read replies, or None: the highest
+#: timestamp, or the highest vouched for by b+1 members (masking).
+MAX_TS, VOUCHED = "max_ts", "vouched"
+#: carry: what the round's request carries, or None — this client's next
+#: timestamp, one above both that and the previous round's chosen
+#: timestamp, or the (timestamp, value) pair the previous round chose.
+OWN_SEQ, NEXT_SEQ, CHOSEN = "own_seq", "next_seq", "chosen"
+
+
 class _PendingOp:
     """Book-keeping for one in-flight read or write."""
 
     __slots__ = (
         "op_id",
         "register",
+        "kind",
+        "plan",
+        "stage",
         "is_read",
         "quorum",
         "replies",
@@ -159,22 +178,29 @@ class _PendingOp:
         self,
         op_id: int,
         register: str,
-        is_read: bool,
+        kind: str,
+        plan: Tuple[Tuple[str, Optional[str], Optional[str]], ...],
         quorum: FrozenSet[int],
         future: Future,
         record,
         value: Any = None,
-        timestamp: Optional[Timestamp] = None,
     ) -> None:
         self.op_id = op_id
         self.register = register
-        self.is_read = is_read
+        # What the caller invoked ("read" / "write": the span, latency
+        # label, timeout and completion are named after it), the rounds
+        # that implement it, and the round in flight — whose request kind
+        # ``is_read`` caches for the message build and the quorum draw.
+        self.kind = kind
+        self.plan = plan
+        self.stage = 0
+        self.is_read = plan[0][0] == QUERY
         self.quorum = quorum
         self.replies: Dict[int, Any] = {}
         self.future = future
         self.record = record
         self.value = value
-        self.timestamp = timestamp
+        self.timestamp: Optional[Timestamp] = None
         self.retry_handle: Optional[EventHandle] = None
         self.deadline_handle: Optional[EventHandle] = None
         self.attempts = 0
@@ -192,24 +218,22 @@ class _PendingOp:
         # are stamped with); 0 for the life of a static deployment.
         self.view = 0
 
-    @property
-    def kind(self) -> str:
-        """The operation the caller invoked, as its span/metric label."""
-        return "read" if self.is_read else "write"
-
     def complete_against_quorum(self) -> bool:
         """True once every member of the current quorum has replied."""
         # frozenset.issubset over the replies dict runs the membership
         # loop in C; this is checked once per reply on the hot path.
         return self.quorum.issubset(self.replies)
 
-    def unanswered(self) -> List[int]:
-        """Current quorum members with no reply yet, in sorted order."""
-        return [m for m in sorted(self.quorum) if m not in self.replies]
-
 
 class QuorumRegisterClient(Node):
     """The shared register subsystem attached to one application process."""
+
+    #: The Section 4 protocol: a read is one query round deciding the
+    #: highest timestamp, a write one update round under this client's
+    #: next timestamp.  Flavours replace the plans, nothing else
+    #: (registers/atomic.py, registers/masking.py).
+    READ_PLAN = ((QUERY, MAX_TS, None),)
+    WRITE_PLAN = ((UPDATE, None, OWN_SEQ),)
 
     def __init__(
         self,
@@ -324,10 +348,6 @@ class QuorumRegisterClient(Node):
     # Quorum plumbing
     # ------------------------------------------------------------------ #
 
-    def _members(self, quorum: FrozenSet[int]) -> List[int]:
-        """Map abstract quorum indices {0..n-1} to actual server node ids."""
-        return [self.server_ids[i] for i in sorted(quorum)]
-
     def _send_round(self, op: _PendingOp) -> None:
         """(Re)send the operation to quorum members that have not replied.
 
@@ -387,6 +407,9 @@ class QuorumRegisterClient(Node):
                 register=op.register,
                 op_id=op.op_id,
             )
+        carry = op.plan[0][2]
+        if carry is not None:
+            self._carry(op, carry, None)
         self._send_round(op)
         scheduler = self.network.scheduler
         if self.retry_policy is not None:
@@ -560,32 +583,24 @@ class QuorumRegisterClient(Node):
     #
     # ``read``, ``write``, ``_begin`` and ``_send_round`` are the issue
     # path, ``_retry`` the retry timer.  On the native backend the
-    # deployment shadows them, on exact-type clients, with C
-    # transcriptions of these definitions
+    # deployment shadows them, on clients whose class overrides none of
+    # these methods, with C transcriptions of these definitions
     # (``repro.sim.kernel.make_client_core``), as it does ``on_message``
-    # (with ``_redispatch`` inside); a change here must be made there
-    # too, and tests/test_kernel_fastpath.py compares the two draw for
-    # draw.  Completion is a decision, ``_choose`` (what a read returns),
-    # then ``_settle`` (counters, latency, span, history, monitor,
-    # future); ``clientcore_finish`` fuses the two for the exact type.  A
-    # flavour overrides the decision (masking, the chaos mutant) or
-    # follows the query round with an update round on the same op
-    # (``registers/atomic.py``) — never a second completion path.
+    # (with ``_redispatch`` and ``_finish`` inside); a change here must be
+    # made there too, and tests/test_kernel_fastpath.py compares the two
+    # draw for draw.  What an operation does is its plan: a covered round
+    # is decided (``_choose``), then either the next round starts on the
+    # same op (``_carry``, ``_resample``, ``_send_round``) or the op
+    # settles (``_settle``: counters, latency, span, history, monitor,
+    # future) — one completion path for every flavour.
 
     def read(self, register: str) -> Future:
         """Invoke a read; the future resolves with the returned value."""
-        info = self.space.info(register)
-        now = self.network.scheduler.now
-        record: ReadRecord = info.history.begin_read(self.client_id, now)
-        future = Future(f"read({register}) by c{self.client_id}")
-        quorum = self._sample_quorum(True)
-        op = _PendingOp(
-            next(self._op_ids), register, True, quorum, future, record
+        record: ReadRecord = self.space.info(register).history.begin_read(
+            self.client_id, self.network.scheduler.now
         )
-        op.view = self.view_id
         self.reads_performed += 1
-        self._begin(op)
-        return future
+        return self._issue(register, "read", self.READ_PLAN, record)
 
     def write(self, register: str, value: Any) -> Future:
         """Invoke a write; the future resolves (with None) on the Ack."""
@@ -595,21 +610,18 @@ class QuorumRegisterClient(Node):
                 f"client {self.client_id} cannot write {register!r}; "
                 f"owner is client {info.writer}"
             )
-        seq = self._write_seq.get(register, 0) + 1
-        self._write_seq[register] = seq
-        timestamp = Timestamp(seq, self.client_id)
-        now = self.network.scheduler.now
-        record: WriteRecord = info.history.begin_write(
-            self.client_id, now, value, timestamp
-        )
-        future = Future(f"write({register}) by c{self.client_id}")
-        quorum = self._sample_quorum(False)
+        self.writes_performed += 1
+        return self._issue(register, "write", self.WRITE_PLAN, None, value)
+
+    def _issue(self, register: str, kind: str, plan, record, value=None):
+        """Build the op for ``plan``'s first round and begin it."""
+        future = Future(f"{kind}({register}) by c{self.client_id}")
+        quorum = self._sample_quorum(plan[0][0] == QUERY)
         op = _PendingOp(
-            next(self._op_ids), register, False, quorum, future, record,
-            value=value, timestamp=timestamp,
+            next(self._op_ids), register, kind, plan, quorum, future, record,
+            value,
         )
         op.view = self.view_id
-        self.writes_performed += 1
         self._begin(op)
         return future
 
@@ -619,12 +631,17 @@ class QuorumRegisterClient(Node):
 
     def on_message(self, src: int, message: Any) -> None:
         if isinstance(message, (ReadReply, WriteAck)):
+            op = self._pending.get(message.op_id)
+            if op is not None and op.is_read != isinstance(message, ReadReply):
+                # A retried query round leaves duplicate and late
+                # ReadReplys in flight under the op's id; one landing in
+                # the update round is not that server's ack.
+                return
             if message.view > self.view_id:
                 # A draining leaver (or newer member) answered an op we
                 # stamped with an old view; the reply is still a valid
                 # answer, and its stamp tells us to refresh.
                 self._refresh_view()
-            op = self._pending.get(message.op_id)
             if op is None:
                 return  # late reply for a completed operation
             server_index = self._server_index.get(src)
@@ -654,22 +671,60 @@ class QuorumRegisterClient(Node):
         ]
 
     def _finish(self, op: _PendingOp) -> None:
-        """The round's quorum is covered: decide, then settle."""
-        if op.is_read:
-            self._settle(op, *self._choose(op))
-        else:
-            self._settle(op)
+        """The round's quorum is covered: decide, then start the plan's
+        next round or settle the op with the decision (or, for a round
+        that decides nothing, with what the op carries)."""
+        plan, stage = op.plan, op.stage
+        chosen = self._choose(op) if plan[stage][1] is not None else None
+        if stage + 1 == len(plan):
+            self._settle(op, *(chosen or (op.timestamp, op.value)))
+            return
+        op.stage = stage = stage + 1
+        request, _, carry = plan[stage]
+        op.is_read = request == QUERY
+        op.replies = {}
+        op.message = None
+        if carry is not None:
+            self._carry(op, carry, chosen)
+        self._resample(op)
+        self._send_round(op)
+
+    def _carry(self, op: _PendingOp, carry: str, chosen) -> None:
+        """Load what the round in flight carries: the pair the previous
+        round chose, or a fresh timestamp of this client's with the
+        write's history record, back-dated to the op's start so real-time
+        ordering checks ([L1]) see the whole interval."""
+        if carry == CHOSEN:
+            op.timestamp, op.value = chosen
+            return
+        seq = self._write_seq.get(op.register, 0)
+        if carry == NEXT_SEQ:
+            # Above the queried timestamp and every one this client has
+            # issued: over a probabilistic system the query round can
+            # miss its own previous write, and a reused timestamp would
+            # be a correctness (and history-uniqueness) bug.
+            seq = max(chosen[0].seq, seq)
+        self._write_seq[op.register] = seq + 1
+        op.timestamp = Timestamp(seq + 1, self.client_id)
+        op.record = self.space.info(op.register).history.begin_write(
+            self.client_id, op.started, op.value, op.timestamp
+        )
 
     def _choose(self, op: _PendingOp) -> Tuple[Timestamp, Any]:
-        """The read decision: the highest-timestamped quorum reply or,
-        for the monotone variant of Section 6.2, the cached pair when
-        that is newer.  The one thing a flavour overrides to read
-        differently."""
+        """The decision of the round in flight: the highest-timestamped
+        quorum reply or, for a VOUCHED round, the class's ``_vouched``
+        (:meth:`~repro.registers.masking.MaskingClient._vouched`).  Only a
+        read's final decision — what it returns — goes through the
+        monotone cache of Section 6.2: the cached pair wins when newer.
+        A decision feeding a later round (the multi-writer query, the ABD
+        write-back) must come from the replicas."""
+        if op.plan[op.stage][1] == VOUCHED:
+            return self._vouched(op)
         best = max(
             self._quorum_read_replies(op), key=lambda reply: reply.timestamp
         )
         timestamp, value = best.timestamp, best.value
-        if self.monotone:
+        if self.monotone and op.stage + 1 == len(op.plan):
             cached = self._cache.get(op.register)
             if cached is not None and cached[0] > timestamp:
                 timestamp, value = cached

@@ -136,9 +136,11 @@ class RegisterDeployment:
         # installed as instance attributes (the same pattern as the
         # network core's send/broadcast/_deliver) so trace taps keep
         # working.  The factories return None on the pure-python backend
-        # and for subclassed nodes; the cores themselves re-check what a
-        # handler reads — span tracing, the exact message type — per
-        # delivery / per operation and fall back to the Python methods.
+        # and for node classes that override a handler (a client class
+        # that only declares round plans gets its core); the cores
+        # re-check what a handler reads — span tracing, the exact message
+        # type — per delivery / per operation and fall back to the Python
+        # methods.
         # An adversary, loss, faults, taps and detailed stats are the
         # network core's business, not theirs.
         for server in self.servers:

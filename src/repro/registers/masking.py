@@ -15,16 +15,18 @@ This module provides
   attack against a highest-timestamp-wins reader);
 * :class:`MaskingClient` — a client whose reads return the highest
   timestamp vouched by at least ``b + 1`` quorum members, falling back to
-  its last accepted value when no candidate qualifies.  That rule is the
-  client's *read decision* (``_choose``) and the whole of the flavour:
-  rounds, retries, deadlines, view stamps and the completion path
-  (counters, latency, span, history, monitor) are the base client's.
+  its last accepted value when no candidate qualifies.  The flavour is a
+  read plan — one query round with the ``VOUCHED`` decision
+  (:meth:`MaskingClient._vouched`) — plus
+  the state that decision keeps; rounds, retries, deadlines, view stamps
+  and the completion path (counters, latency, span, history, monitor)
+  are the base client's, on both kernels.
 """
 
 from typing import Any, Dict, Tuple
 
 from repro.core.timestamps import Timestamp
-from repro.registers.client import QuorumRegisterClient, _PendingOp
+from repro.registers.client import QUERY, VOUCHED, QuorumRegisterClient
 from repro.registers.messages import ReadQuery, ReadReply, WriteAck, WriteUpdate
 from repro.registers.server import ReplicaServer
 from repro.registers.space import RegisterSpace
@@ -79,6 +81,8 @@ class ByzantineReplicaServer(ReplicaServer):
 class MaskingClient(QuorumRegisterClient):
     """Reads accept only values vouched by at least b+1 quorum members."""
 
+    READ_PLAN = ((QUERY, VOUCHED, None),)
+
     def __init__(self, *args, byzantine_bound: int = 1, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         if byzantine_bound < 0:
@@ -92,8 +96,10 @@ class MaskingClient(QuorumRegisterClient):
         self.masked_reads = 0
         self.fallback_reads = 0
 
-    def _choose(self, op: _PendingOp) -> Tuple[Timestamp, Any]:
-        # Count vouchers per (timestamp, value) pair.
+    def _vouched(self, op) -> Tuple[Timestamp, Any]:
+        """The VOUCHED decision (the native core calls it too): the
+        highest (timestamp, value) pair vouched for by at least b+1 quorum
+        members, else the last accepted pair; never older than that."""
         vouch: Dict[Tuple[Timestamp, Any], int] = {}
         for reply in self._quorum_read_replies(op):
             key = (reply.timestamp, reply.value)

@@ -232,41 +232,36 @@ CLIENT_ISSUE_METHODS = ("read", "write", "_begin", "_send_round", "_retry")
 def make_client_core(client):
     """Build the native client fast path, or None.
 
-    One C object per client, exact-type gated like
-    :func:`make_server_core`, covering both halves of an operation:
+    One C object per client whose class overrides no method of
+    :class:`~repro.registers.client.QuorumRegisterClient` (a constructor
+    adding state is fine): such a class differs only in data — its round
+    plans, ``READ_PLAN`` / ``WRITE_PLAN``, which the core reads once, here,
+    and interprets as the Python methods do.  Every shipped flavour
+    (plain, monotone, masking, multi-writer, ABD) therefore runs in C; a
+    class that overrides a method (the chaos mutant's ``_choose``) keeps
+    its Python handlers.  The core covers both halves of an operation:
 
-    * **Message handling** — called as ``on_message``: a transcription
-      of ``QuorumRegisterClient.on_message`` plus ``_finish`` — the
-      read decision (``_choose``) and the completion path (``_settle``,
-      ``_teardown``, the online spec monitor's completion hooks), fused —
-      and, for a ``StaleViewNack``, ``_redispatch``.  The complete
-      per-delivery fallback list is what the handler itself reads: an
-      op-level span, and any message that is not an exact ``ReadReply``
-      / ``WriteAck`` / ``StaleViewNack`` (subclasses).  The live latency
-      histogram is observed natively; a view refresh calls the Python
+    * **Message handling** — called as ``on_message``: ``on_message``
+      plus ``_finish`` — the round's decision (``_choose``; a masking
+      round's ``_vouched`` is the one Python call), then the plan's next
+      round or the completion (``_settle``, the spec monitor's hooks, the
+      live latency histogram) — and, for a ``StaleViewNack``,
+      ``_redispatch``.  Per delivery, an op-level span or a message that
+      is not an exact ``ReadReply`` / ``WriteAck`` / ``StaleViewNack``
+      takes the Python handler; a view refresh calls the Python
       ``_refresh_view`` only when the manager's newest view is not the
       client's.
     * **Issue and retry** — the methods named in
-      :data:`CLIENT_ISSUE_METHODS`: register lookup, history record,
-      ``Future`` and ``_PendingOp`` construction, quorum draw, message
-      build, a direct call into the network core's broadcast (which
-      handles loss, faults, an adversary and taps itself, per message),
-      retry/deadline timers pushed straight into the C heap, and the
-      retry timer's resample.  The quorum is drawn by the C
-      ``quorum_sample`` for a static ``ProbabilisticQuorumSystem`` and for
-      every membership view, and by one call to the Python
-      ``_sample_quorum`` for every other quorum system; an exact
-      ``RetryPolicy``'s delay is computed in C, any other policy's by its
-      ``delay``.  Every stream is therefore consumed draw for draw as on
-      the python backend.  Per-op guards: span tracing (``_trace_on`` /
-      ``op.span``) and keyword or malformed calls take the Python
-      methods, which remain the reference definition; so do
+      :data:`CLIENT_ISSUE_METHODS`: history record, ``Future`` and
+      ``_PendingOp``, quorum draw, message build, the network core's
+      broadcast, retry/deadline timers in the C heap and the retry
+      timer's resample.  The C ``quorum_sample`` draws for a static
+      ``ProbabilisticQuorumSystem`` and every membership view, one call to
+      the Python ``_sample_quorum`` for any other system; an exact
+      ``RetryPolicy``'s delay is computed in C.  Every stream is consumed
+      draw for draw as on the python backend.  Span tracing and keyword
+      calls take the Python methods, the reference definition; so do
       ``_give_up`` and ``_expire``.
-
-    The class-level ``ProbabilisticQuorumSystem._native_sampler`` install
-    (see :func:`native_quorum_sampler`) is separate and unchanged: the
-    membership manager's transfer draws and the python backend still go
-    through it.
     """
     if selected_backend() != "native":
         return None
@@ -274,7 +269,12 @@ def make_client_core(client):
     from repro.registers.client import QuorumRegisterClient
 
     module = load_kernel()
-    if type(client) is not QuorumRegisterClient:
+    cls = type(client)
+    if not isinstance(client, QuorumRegisterClient) or any(
+        getattr(cls, name) is not method
+        for name, method in vars(QuorumRegisterClient).items()
+        if callable(method) and name != "__init__"
+    ):
         return None
     if not isinstance(client.network.scheduler, module.SchedulerCore):
         return None

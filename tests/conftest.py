@@ -63,6 +63,19 @@ def stream_states(deployment):
     }
 
 
+def count_calls(monkeypatch, cls, names):
+    """Wrap the class attributes ``cls.<name>`` so every call of the Python
+    definition is counted; returns the counters by name."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        def counted(self, *args, _name=name, _method=getattr(cls, name)):
+            calls[_name] += 1
+            return _method(self, *args)
+
+        monkeypatch.setattr(cls, name, counted)
+    return calls
+
+
 @pytest.fixture(params=[backend_param(b) for b in BACKENDS])
 def kernel_backend(request):
     """Run the test once per kernel backend (native skips if unbuilt)."""

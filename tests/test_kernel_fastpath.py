@@ -51,27 +51,21 @@ from repro.obs.spans import SpanRecorder
 from repro.quorum.grid import GridQuorumSystem
 from repro.quorum.majority import MajorityQuorumSystem
 from repro.quorum.probabilistic import ProbabilisticQuorumSystem
+from repro.registers.atomic import AtomicClient, MultiWriterClient
 from repro.registers.client import QuorumRegisterClient, RetryPolicy
 from repro.registers.deployment import RegisterDeployment
+from repro.registers.masking import MaskingClient, replace_with_byzantine
 from repro.registers.server import ReplicaServer
 from repro.sim import kernel
 from repro.sim.delays import ConstantDelay, ExponentialDelay
 from repro.sim.failures import FailureInjector, FailureSchedule
 from repro.sim.network import Network
-from tests.conftest import needs_native, stats_state, stream_states
-
-
-def _count_calls(monkeypatch, cls, names):
-    """Wrap the class attributes ``cls.<name>`` so every call of the Python
-    definition is counted; returns the counters by name."""
-    calls = dict.fromkeys(names, 0)
-    for name in names:
-        def counted(self, *args, _name=name, _method=getattr(cls, name)):
-            calls[_name] += 1
-            return _method(self, *args)
-
-        monkeypatch.setattr(cls, name, counted)
-    return calls
+from tests.conftest import (
+    count_calls,
+    needs_native,
+    stats_state,
+    stream_states,
+)
 
 
 def _fast_rng_available():
@@ -643,7 +637,7 @@ def test_faulted_native_run_never_enters_python_message_code(monkeypatch):
     methods, of the retry delay, the fault predicate or a client's view
     draw."""
     calls = {
-        cls.__name__: _count_calls(monkeypatch, cls, names)
+        cls.__name__: count_calls(monkeypatch, cls, names)
         for cls, names in (
             (Network, NETWORK_ENTRY_POINTS),
             (ReplicaServer, ("on_message",)),
@@ -811,7 +805,7 @@ def test_monitor_violation_from_c_leaves_the_python_state(
     Python ``_settle`` — the record completed, its future not resolved —
     and no Python client-handler frame runs on the way."""
     python = _tripped_run("python", trip_at)
-    calls = _count_calls(monkeypatch, QuorumRegisterClient, (
+    calls = count_calls(monkeypatch, QuorumRegisterClient, (
         "on_message", "_finish", "_settle", "_choose", "_retry",
         "_redispatch", "_sample_quorum",
     ))
@@ -889,7 +883,7 @@ def test_network_core_rejects_unknown_destination():
 def _count_python_client_methods(monkeypatch):
     """Wrap the Python definitions the C issue path stands in for (and
     ``_sample_quorum``, which it may call); returns the call counters."""
-    return _count_calls(
+    return count_calls(
         monkeypatch, QuorumRegisterClient,
         kernel.CLIENT_ISSUE_METHODS + ("_sample_quorum",),
     )
@@ -932,8 +926,11 @@ def test_native_backend_installs_client_issue_methods():
 
 @needs_native
 def test_issue_path_is_not_installed_for_a_subclassed_client():
-    """Exact-type gate: a subclass overrides protocol methods (here
-    ``_finish``), so it keeps every Python definition."""
+    """The gate is on methods, not on the type: a client class that
+    overrides one (the chaos mutant's ``_choose``) keeps every Python
+    definition, and so does a Byzantine replica, whose server class
+    overrides the handler; the flavours, which only declare plans (and
+    constructor state), get their cores."""
     with kernel.use_backend("native"):
         deployment = RegisterDeployment(
             ProbabilisticQuorumSystem(6, 2),
@@ -942,10 +939,46 @@ def test_issue_path_is_not_installed_for_a_subclassed_client():
             seed=1,
             client_class=RegressingClient,
         )
-    for client in deployment.clients:
-        assert type(client) is RegressingClient
-        for name in ("on_message",) + kernel.CLIENT_ISSUE_METHODS:
-            assert name not in vars(client)
+        (liar,) = replace_with_byzantine(deployment, [0])
+        assert kernel.make_server_core(liar) is None
+        assert "on_message" not in vars(liar)
+        for client in deployment.clients:
+            assert type(client) is RegressingClient
+            assert kernel.make_client_core(client) is None
+            for name in ("on_message",) + kernel.CLIENT_ISSUE_METHODS:
+                assert name not in vars(client)
+        for flavour in (MaskingClient, MultiWriterClient, AtomicClient):
+            flavoured = RegisterDeployment(
+                ProbabilisticQuorumSystem(6, 2), num_clients=1,
+                delay_model=ConstantDelay(1.0), seed=1, client_class=flavour,
+            )
+            assert "on_message" in vars(flavoured.clients[0])
+
+
+@needs_native
+@pytest.mark.parametrize("plan", [
+    (),
+    ("query", "max_ts", None),
+    (("query", "max_ts"),),
+    (("query", "newest", None),),
+    (("update", None, 1),),
+    (("query", "max_ts", None),) * 5,
+])
+def test_client_core_refuses_a_plan_it_has_no_code_for(plan):
+    """The C core decodes a client's plans once, when it is built: every
+    shipped plan decodes, and anything else is a ValueError there rather
+    than a wrong round later."""
+    with kernel.use_backend("native"):
+        deployment = RegisterDeployment(
+            ProbabilisticQuorumSystem(6, 2), num_clients=1,
+            delay_model=ConstantDelay(1.0), seed=1,
+            client_class=AtomicClient,
+        )
+        client = deployment.clients[0]
+        assert kernel.make_client_core(client) is not None
+        client.READ_PLAN = plan
+        with pytest.raises(ValueError, match="READ_PLAN"):
+            kernel.make_client_core(client)
 
 
 @needs_native

@@ -11,8 +11,10 @@ from repro.registers.masking import (
     MaskingClient,
     replace_with_byzantine,
 )
+from repro.sim import kernel
 from repro.sim.coroutines import Sleep, spawn
 from repro.sim.delays import ConstantDelay
+from tests.conftest import needs_native
 
 
 def make_deployment(client_class, n=12, k=6, byzantine=(), seed=0, **client_kw):
@@ -213,3 +215,27 @@ def test_byzantine_replies_traverse_normal_delivery_checks():
     assert byzantine.lies_told == 1  # it tried...
     assert deployment.network.stats.dropped == dropped_before + 1
     assert deployment.network.stats.dropped_by_reason["fault"] >= 1
+
+
+@needs_native
+def test_masking_reads_agree_across_backends():
+    # Liars exercise both branches of the vouched decision — masked reads
+    # and accepted-pair fallbacks — which the native client core reaches
+    # through the same plan as the python backend.
+    results = {}
+    for backend in ("python", "native"):
+        with kernel.use_backend(backend):
+            deployment = make_deployment(
+                MaskingClient, n=8, k=3, byzantine=(0, 1), seed=5,
+                byzantine_bound=1,
+            )
+            seen = write_then_read_loop(deployment)
+        reader = deployment.clients[1]
+        results[backend] = (
+            seen, reader.masked_reads, reader.fallback_reads,
+            reader._accepted,
+            [repr(op) for op in deployment.space.history("X").operations()],
+        )
+    assert results["native"] == results["python"]
+    _, masked, fallback, _, _ = results["native"]
+    assert masked > 0 and fallback > 0

@@ -1,8 +1,9 @@
 """One conformance suite over every register flavour.
 
-Every flavour — plain, monotone, masking, multi-writer, ABD — is a
-decision over the base client's quorum rounds, so every flavour owes the
-same operational contract under the same conditions, on both kernels:
+Every flavour — plain, monotone, masking, multi-writer, ABD — is a pair
+of round plans the base client (and, on native, its C core) interprets,
+so every flavour owes the same operational contract under the same
+conditions, on both kernels:
 every operation settles, the counters add up, each completed operation is
 observed exactly once in the latency series and as one finished span, all
 of them named after the operation the *caller* invoked, and the history
@@ -41,7 +42,7 @@ from repro.sim import kernel
 from repro.sim.coroutines import Sleep, spawn
 from repro.sim.delays import ConstantDelay, ExponentialDelay
 from repro.sim.failures import FailureSchedule
-from tests.conftest import needs_native, stream_states
+from tests.conftest import count_calls, needs_native, stream_states
 
 #: flavour -> (client class, monotone, kinds that take two quorum rounds)
 FLAVOURS = {
@@ -247,10 +248,9 @@ def _observable_state(deployment, monitor):
 @needs_native
 @pytest.mark.parametrize("flavour, system, condition", CASES)
 def test_backends_agree(flavour, system, condition):
-    # Without spans, so exact-type clients run their C cores on native —
-    # unmonitored, and monitored with the spec monitor's hooks called from
-    # C; subclassed flavours keep their Python handlers over the C
-    # scheduler and network.  Same seed, same history, same stream
+    # Without spans, so every flavour runs its plans in the C client
+    # core on native — unmonitored, and monitored with the spec monitor's
+    # hooks called from C.  Same seed, same history, same stream
     # positions, same monitor state.
     for monitored in (False, True):
         states = {}
@@ -265,6 +265,27 @@ def test_backends_agree(flavour, system, condition):
         assert (states["python"]["monitor"] is not None) == monitored
 
 
+@needs_native
+@pytest.mark.parametrize("flavour, system, condition", [
+    case for case in CASES if case.values[2] in ("calm", "loss")
+])
+def test_native_flavours_never_enter_python_client_code(
+    monkeypatch, flavour, system, condition
+):
+    # A flavour is its plans: on native, unspanned, every round, decision,
+    # retry and completion runs in the C client core.
+    calls = count_calls(monkeypatch, QuorumRegisterClient, (
+        "on_message", "_finish", "_choose", "_send_round", "_retry",
+    ))
+    with kernel.use_backend("native"):
+        deployment, ops, _, _ = run_flavour(
+            flavour, system, condition, instrumented=False
+        )
+    assert ops and all(future.done for _, future in ops)
+    assert sum(c.ops_completed for c in deployment.clients) > 0
+    assert calls == dict.fromkeys(calls, 0)
+
+
 class TestMustFailControl:
     def test_regressing_client_fails_the_suite(self, kernel_backend):
         # The same harness, a client whose read decision is broken: the
@@ -277,7 +298,11 @@ class TestMustFailControl:
 
 
 class TestLateQueryReply:
-    def test_read_reply_in_the_update_round_is_not_an_ack(self):
+    def test_read_reply_in_the_update_round_is_not_an_ack(
+        self, kernel_backend
+    ):
+        # On native the stray replies reach the C client core, whose
+        # round-kind rule refuses them as the Python handler does.
         deployment = RegisterDeployment(
             MajorityQuorumSystem(5), num_clients=1,
             delay_model=ConstantDelay(1.0), seed=1,

@@ -173,7 +173,7 @@ def _cross_backend():
 
 
 @needs_native
-def test_cross_backend_comparison_through_the_cli(tmp_path):
+def test_cross_backend_comparison_through_the_cli(tmp_path, monkeypatch):
     """CI's python-vs-native comparison, on a shortened list."""
     tool = _cross_backend()
     assert tool.compare(
@@ -191,3 +191,29 @@ def test_cross_backend_comparison_through_the_cli(tmp_path):
     assert [failure.split(":")[0] for failure in failures] == [
         "exit 2 on python", "exit 2 on native",
     ]
+    # So is a run whose stderr reports hung operations, even when both
+    # backends write the same artifact.
+    run = tool.subprocess.run
+
+    def hung(command, **kwargs):
+        proc = run(command, **kwargs)
+        proc.stderr += f"repro: warning: 1 {cli.HUNG_OPS_WARNING}\n"
+        return proc
+
+    monkeypatch.setattr(tool.subprocess, "run", hung)
+    failures = tool.compare(
+        ["serve --duration 20 --snapshot-out {out}"], str(tmp_path)
+    )
+    assert [failure.split(":")[0] for failure in failures] == [
+        "hung operations on python", "hung operations on native",
+    ]
+    # Only that warning counts: other stderr text mentioning "hung" does not.
+    def noisy(command, **kwargs):
+        proc = run(command, **kwargs)
+        proc.stderr += "warning: a hung-up socket was closed\n"
+        return proc
+
+    monkeypatch.setattr(tool.subprocess, "run", noisy)
+    assert tool.compare(
+        ["serve --duration 20 --snapshot-out {out}"], str(tmp_path)
+    ) == []

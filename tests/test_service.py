@@ -12,6 +12,7 @@ Covers the PR's tentpole contracts:
 * the `serve` CLI subcommand.
 """
 
+import dataclasses
 import json
 import math
 import re
@@ -19,6 +20,7 @@ import re
 import numpy as np
 import pytest
 
+from repro import cli
 from repro.cli import main as cli_main
 from repro.obs.core import Observability
 from repro.obs.quantiles import ALPHA, StreamingQuantiles
@@ -459,6 +461,19 @@ def test_cli_serve_trace_spans_records_operations(
     assert re.search(r"^ +[\d.]+ +(read|write) +ok ", spans, re.MULTILINE)
     assert "quorum_round" in spans
     assert traced.read_bytes() == plain.read_bytes()
+
+
+def test_cli_serve_reports_hung_operations_on_stderr(monkeypatch, capsys):
+    """A clean run says nothing about hung operations; a run that leaves
+    some says so on stderr, where ``tools/cross_backend.py`` looks."""
+    base = ["serve", "--duration", "20", "--servers", "8", "--quorum-size", "3"]
+    assert cli_main(base) == 0
+    assert "hung" not in capsys.readouterr().err
+    monkeypatch.setattr(cli, "run_service", lambda config: dataclasses.replace(
+        run_service(config), hung_ops=2
+    ))
+    assert cli_main(base) == 0
+    assert f"2 {cli.HUNG_OPS_WARNING}" in capsys.readouterr().err
 
 
 def test_cli_serve_arrival_knobs(tmp_path):

@@ -7,9 +7,9 @@ the command line names with the ``{out}`` placeholder::
     python tools/cross_backend.py            # the CI list below
     python tools/cross_backend.py "serve --duration 60 --snapshot-out {out}"
 
-Exit 0 when every pair is identical, 1 on a difference or a failed run,
-2 when the native extension is not built (python would be compared with
-python).
+Exit 0 when every pair is identical, 1 on a difference, a failed run or
+a run whose stderr reports hung operations, 2 when the native extension
+is not built (python would be compared with python).
 """
 
 import filecmp
@@ -27,10 +27,10 @@ SRC = str(pathlib.Path(__file__).resolve().parent.parent / "src")
 #: adversaries, membership, the spec monitor; never cached, so each
 #: backend simulates every run), a churned service snapshot, a lossy
 #: churned one with plain clients (the C loss draw, retry jitter and
-#: stale-view re-dispatch), a lossy two-phase one (subclassed clients keep
-#: their Python handlers; the scheduler and network cores under them
-#: differ) and the closed-loop Figure 2 sweep's metrics (Alg. 1 issues
-#: through the C client core on native).
+#: stale-view re-dispatch), a lossy churned two-phase one (the
+#: multi-writer plan's query and update rounds in the C client core; it
+#: must also leave nothing hung) and the closed-loop Figure 2 sweep's
+#: metrics (Alg. 1 issues through the C client core on native).
 DEFAULT_CASES = (
     "chaos --runs 10 --chaos-seed 1 --jobs 2 --metrics-out {out}",
     "serve --duration 120 --rate 4 --clients 2 --churn 40 --churn-batch 2 "
@@ -45,6 +45,8 @@ DEFAULT_CASES = (
 
 def compare(cases: Sequence[str], workdir: str) -> List[str]:
     """Run every case on both backends; returns one line per failure."""
+    from repro.cli import HUNG_OPS_WARNING
+
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [SRC, env.get("PYTHONPATH")])
@@ -66,6 +68,11 @@ def compare(cases: Sequence[str], workdir: str) -> List[str]:
                 failures.append(
                     f"exit {proc.returncode} on {backend}: {case}\n"
                     f"{proc.stdout}{proc.stderr}"
+                )
+            elif HUNG_OPS_WARNING in proc.stderr:
+                failed = True
+                failures.append(
+                    f"hung operations on {backend}: {case}\n{proc.stderr}"
                 )
         if failed:
             continue
