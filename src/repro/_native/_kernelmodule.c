@@ -4,10 +4,12 @@
  * event-heap scheduler (push/pop/cancel with (time, seq) ordering, the
  * run() drain loops, handle-free uncancellable delivery entries), a
  * scalar-totals MessageStats core, one network core (Network.send /
- * .broadcast / ._deliver) and the two register-protocol cores.  A message
- * travels drain loop -> deliver -> protocol handler -> send without an
- * interpreter frame; Python is re-entered only where a node, a hook or a
- * fallback guard asks for it.
+ * .broadcast / ._deliver), the two register-protocol cores and the
+ * operation objects the client core builds (Future, gather's countdown,
+ * PendingOp).  A message travels drain loop -> deliver -> protocol
+ * handler -> send, and an operation is built, settled and gathered,
+ * without an interpreter frame; Python is re-entered only where a node, a
+ * hook or a fallback guard asks for it.
  *
  * Contract: byte-identical behaviour to the pure-python reference in
  * ``repro.sim.scheduler`` / ``repro.sim.metrics`` / ``repro.sim.network``
@@ -74,18 +76,9 @@
     X(str_seq_attr, "seq")                                   \
     X(str_writer_attr, "writer")                             \
     X(str_cancel, "cancel")                                  \
-    X(str_replies, "replies")                                \
-    X(str_quorum, "quorum")                                  \
-    X(str_span, "span")                                      \
-    X(str_is_read, "is_read")                                \
-    X(str_register_attr, "register")                         \
-    X(str_record, "record")                                  \
-    X(str_future_attr, "future")                             \
     X(str_respond, "respond")                                \
     X(str_complete, "complete")                              \
     X(str_resolve, "resolve")                                \
-    X(str_retry_handle, "retry_handle")                      \
-    X(str_deadline_handle, "deadline_handle")                \
     X(str_timestamp_attr, "timestamp")                       \
     X(str_value_attr, "value")                               \
     X(str_monotone, "monotone")                              \
@@ -109,7 +102,6 @@
     X(str_mean_attr, "_mean")                                \
     X(str_floor_attr, "_floor")                              \
     X(str_cdelay_attr, "_delay")                             \
-    X(str_started_attr, "started")                           \
     X(str_observe, "observe")                                \
     X(str_read_kind, "read")                                 \
     X(str_write_kind, "write")                               \
@@ -121,18 +113,12 @@
     X(str_retired_ignored, "retired_messages_ignored")       \
     X(str_nacks_sent, "stale_nacks_sent")                    \
     X(str_trace_on, "_trace_on")                             \
-    X(str_begin, "_begin")                                   \
-    X(str_send_round, "_send_round")                         \
     X(str_sample_quorum, "_sample_quorum")                   \
     X(str_info, "info")                                      \
     X(str_history, "history")                                \
     X(str_begin_read, "begin_read")                          \
     X(str_begin_write, "begin_write")                        \
     X(str_members, "members")                                \
-    X(str_member_ids, "member_ids")                          \
-    X(str_message_attr, "message")                           \
-    X(str_view_attr, "view")                                 \
-    X(str_op_id, "op_id")                                    \
     X(str_retry_policy, "retry_policy")                      \
     X(str_retry_rng, "_retry_rng")                           \
     X(str_delay, "delay")                                    \
@@ -157,7 +143,6 @@
     X(str_on_read_complete, "on_read_complete")              \
     X(str_on_write_complete, "on_write_complete")            \
     X(str_on_retry, "on_retry")                              \
-    X(str_attempts, "attempts")                              \
     X(str_retries, "retries")                                \
     X(str_max_attempts, "max_attempts")                      \
     X(str_give_up, "_give_up")                               \
@@ -170,10 +155,11 @@
     X(str_backoff, "backoff")                                \
     X(str_max_interval, "max_interval")                      \
     X(str_jitter, "jitter")                                  \
-    X(str_stage, "stage")                                    \
     X(str_read_plan, "READ_PLAN")                            \
     X(str_write_plan, "WRITE_PLAN")                          \
-    X(str_vouched, "_vouched")
+    X(str_vouched, "_vouched")                               \
+    X(str_buckets, "_buckets")                               \
+    X(str_sum_attr, "sum")
 
 #define DECLARE_STRING(var, text) static PyObject *var;
 INTERNED_STRINGS(DECLARE_STRING)
@@ -195,12 +181,12 @@ static PyObject *nullrecord_type = NULL;  /* history._NullRecord  */
 
 /* What the client issue path constructs and tests against, resolved the
  * first time a ClientCore is built. */
-static PyObject *pending_op_type = NULL;   /* registers.client._PendingOp */
-static PyObject *future_type = NULL;       /* sim.futures.Future */
 static PyObject *null_history_type = NULL; /* history.NullRegisterHistory */
 static PyObject *null_record = NULL;       /* history._NULL_RECORD */
 static PyObject *prob_quorum_type = NULL;  /* ProbabilisticQuorumSystem */
 static PyObject *retry_policy_type = NULL; /* registers.client.RetryPolicy */
+static PyObject *quantiles_type = NULL;    /* obs.quantiles.StreamingQuantiles */
+static double per_log;                     /* obs.quantiles._PER_LOG */
 
 /* The exact types whose per-message decisions the cores evaluate in C,
  * resolved the first time a network or client core is built. */
@@ -2098,6 +2084,340 @@ kernel_quorum_sample(PyObject *module, PyObject *const *args,
 }
 
 /* ------------------------------------------------------------------ */
+/* Future and gather: an operation's result cell in C                  */
+/* ------------------------------------------------------------------ */
+
+/* ``repro.sim.futures.Future`` with the same API and semantics —
+ * callbacks run in registration order, a second settle raises
+ * FutureError, the first callback that raises stops the rest — plus
+ * ``gather``'s countdown.  A gather's combined future is a Future whose
+ * ``inputs`` is set: each input holds it as a callback, and settling the
+ * input steps its countdown without a call.  The client core settles the
+ * futures it builds in place; ``repro.sim.futures.gather`` hands a list
+ * made only of these futures to kernel_gather. */
+typedef struct {
+    PyObject_HEAD
+    PyObject *value;      /* NULL: None */
+    PyObject *exception;  /* NULL: none */
+    PyObject *label;
+    PyObject *callback;   /* the first callback, or NULL */
+    PyObject *more;       /* later callbacks, a list, or NULL */
+    PyObject *inputs;     /* a gather's input tuple; () once it settled */
+    Py_ssize_t remaining; /* a gather's inputs not yet resolved */
+    char done;
+} Future;
+
+static PyTypeObject Future_Type;
+static PyObject *future_error = NULL; /* repro.sim.futures.FutureError */
+
+/* FutureError(f"future {label!r} {what}"); always -1. */
+static int
+future_error_raise(Future *self, const char *what)
+{
+    if (future_error == NULL
+        && (future_error = import_attr("repro.sim.futures",
+                                       "FutureError")) == NULL)
+        return -1;
+    PyErr_Format(future_error, "future %R %s", self->label, what);
+    return -1;
+}
+
+/* A pending future labelled ``label``, or NULL. */
+static Future *
+future_create(PyObject *label)
+{
+    Future *self = (Future *)Future_Type.tp_alloc(&Future_Type, 0);
+    if (self != NULL)
+        self->label = Py_NewRef(label);
+    return self;
+}
+
+static int gather_step(Future *self, Future *settled);
+
+/* callback(future), or a gather's countdown step. */
+static int
+future_run(Future *self, PyObject *callback)
+{
+    if (Py_TYPE(callback) == &Future_Type
+        && ((Future *)callback)->inputs != NULL)
+        return gather_step((Future *)callback, self);
+    PyObject *res = PyObject_CallOneArg(callback, (PyObject *)self);
+    Py_XDECREF(res);
+    return res == NULL ? -1 : 0;
+}
+
+/* Future.resolve(value) (exception NULL) / Future.fail(exception). */
+static int
+future_settle(Future *self, PyObject *value, PyObject *exception)
+{
+    if (self->done)
+        return future_error_raise(self, "resolved twice");
+    if (exception != NULL)
+        self->exception = Py_NewRef(exception);
+    else
+        Py_XSETREF(self->value, Py_NewRef(value));
+    self->done = 1;
+    PyObject *first = self->callback, *more = self->more;
+    self->callback = self->more = NULL;
+    int rc = first == NULL ? 0 : future_run(self, first);
+    for (Py_ssize_t i = 0; more != NULL && rc == 0
+                           && i < PyList_GET_SIZE(more); i++)
+        rc = future_run(self, PyList_GET_ITEM(more, i));
+    Py_XDECREF(first);
+    Py_XDECREF(more);
+    return rc;
+}
+
+/* Future.add_callback: run now if settled, else keep for the settle. */
+static int
+future_add(Future *self, PyObject *callback)
+{
+    if (self->done)
+        return future_run(self, callback);
+    if (self->callback == NULL) {
+        self->callback = Py_NewRef(callback);
+        return 0;
+    }
+    if (self->more == NULL && (self->more = PyList_New(0)) == NULL)
+        return -1;
+    return PyList_Append(self->more, callback);
+}
+
+/* gather's on_done: input ``settled`` of the combined future ``self``
+ * settled.  The first failure wins; otherwise a countdown, and the last
+ * resolution resolves ``self`` with the inputs' values in input order.
+ * Once ``self`` settles it drops its inputs. */
+static int
+gather_step(Future *self, Future *settled)
+{
+    if (self->done)
+        return 0;
+    PyObject *result = NULL;
+    if (settled->exception == NULL) {
+        if (--self->remaining > 0)
+            return 0;
+        Py_ssize_t n = PyTuple_GET_SIZE(self->inputs);
+        if ((result = PyList_New(n)) == NULL)
+            return -1;
+        for (Py_ssize_t i = 0; i < n; i++) {
+            PyObject *value = ((Future *)PyTuple_GET_ITEM(
+                self->inputs, i))->value;
+            PyList_SET_ITEM(result, i, Py_NewRef(value ? value : Py_None));
+        }
+    }
+    Py_SETREF(self->inputs, PyTuple_New(0));
+    int rc = future_settle(self, result, settled->exception);
+    Py_XDECREF(result);
+    return rc;
+}
+
+/* gather(futures, label): the countdown for a non-empty list or tuple of
+ * native futures; None for anything else, which is the Python gather's. */
+static PyObject *
+kernel_gather(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
+{
+    if (nargs != 2) {
+        PyErr_SetString(PyExc_TypeError, "gather expects (futures, label)");
+        return NULL;
+    }
+    PyObject *futures = args[0];
+    if (!PyList_CheckExact(futures) && !PyTuple_CheckExact(futures))
+        Py_RETURN_NONE;
+    Py_ssize_t n = PySequence_Fast_GET_SIZE(futures);
+    for (Py_ssize_t i = 0; i < n; i++) {
+        if (Py_TYPE(PySequence_Fast_GET_ITEM(futures, i)) != &Future_Type)
+            n = 0;
+    }
+    if (n == 0)
+        Py_RETURN_NONE;
+    PyObject *inputs = PySequence_Tuple(futures);
+    Future *combined = inputs == NULL ? NULL : future_create(args[1]);
+    if (combined == NULL) {
+        Py_XDECREF(inputs);
+        return NULL;
+    }
+    combined->inputs = Py_NewRef(inputs); /* a step may drop it */
+    combined->remaining = n;
+    int rc = 0;
+    for (Py_ssize_t i = 0; rc == 0 && i < n; i++)
+        rc = future_add((Future *)PyTuple_GET_ITEM(inputs, i),
+                        (PyObject *)combined);
+    Py_DECREF(inputs);
+    if (rc < 0)
+        Py_CLEAR(combined);
+    return (PyObject *)combined;
+}
+
+static PyObject *
+future_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
+{
+    static char *kwlist[] = {"label", NULL};
+    PyObject *label = NULL;
+    if (!PyArg_ParseTupleAndKeywords(args, kwds, "|O:Future", kwlist, &label))
+        return NULL;
+    Future *self = (Future *)type->tp_alloc(type, 0);
+    if (self != NULL)
+        self->label = label ? Py_NewRef(label) : PyUnicode_FromString("");
+    return (PyObject *)self;
+}
+
+static int
+future_traverse(Future *self, visitproc visit, void *arg)
+{
+    Py_VISIT(self->value);
+    Py_VISIT(self->exception);
+    Py_VISIT(self->label);
+    Py_VISIT(self->callback);
+    Py_VISIT(self->more);
+    Py_VISIT(self->inputs);
+    return 0;
+}
+
+static int
+future_clear(Future *self)
+{
+    Py_CLEAR(self->value);
+    Py_CLEAR(self->exception);
+    Py_CLEAR(self->label);
+    Py_CLEAR(self->callback);
+    Py_CLEAR(self->more);
+    Py_CLEAR(self->inputs);
+    return 0;
+}
+
+static void
+future_dealloc(Future *self)
+{
+    PyObject_GC_UnTrack(self);
+    future_clear(self);
+    Py_TYPE(self)->tp_free((PyObject *)self);
+}
+
+static PyObject *
+future_resolve(Future *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    if (nargs > 1) {
+        PyErr_SetString(PyExc_TypeError, "resolve takes at most one value");
+        return NULL;
+    }
+    if (future_settle(self, nargs ? args[0] : Py_None, NULL) < 0)
+        return NULL;
+    Py_RETURN_NONE;
+}
+
+static PyObject *
+future_fail(Future *self, PyObject *exception)
+{
+    if (future_settle(self, NULL, exception) < 0)
+        return NULL;
+    Py_RETURN_NONE;
+}
+
+static PyObject *
+future_add_callback(Future *self, PyObject *callback)
+{
+    if (future_add(self, callback) < 0)
+        return NULL;
+    Py_RETURN_NONE;
+}
+
+/* Future.result: the value, else ``raise`` the stored exception. */
+static PyObject *
+future_result(Future *self, PyObject *unused)
+{
+    PyObject *exc = self->exception;
+    if (!self->done)
+        future_error_raise(self, "is not resolved yet");
+    else if (exc == NULL)
+        return Py_NewRef(self->value ? self->value : Py_None);
+    else if (PyExceptionInstance_Check(exc))
+        PyErr_SetObject((PyObject *)Py_TYPE(exc), exc);
+    else if (PyExceptionClass_Check(exc))
+        PyErr_SetNone(exc);
+    else
+        PyErr_SetString(PyExc_TypeError,
+                        "exceptions must derive from BaseException");
+    return NULL;
+}
+
+static PyObject *
+future_repr(Future *self)
+{
+    if (!self->done)
+        return PyUnicode_FromFormat("Future(%R, pending)", self->label);
+    if (self->exception != NULL)
+        return PyUnicode_FromFormat("Future(%R, failed(%R))", self->label,
+                                    self->exception);
+    return PyUnicode_FromFormat("Future(%R, done(%R))", self->label,
+                                self->value ? self->value : Py_None);
+}
+
+static PyObject *
+future_get_done(Future *self, void *closure)
+{
+    return PyBool_FromLong(self->done);
+}
+
+static PyObject *
+future_get_failed(Future *self, void *closure)
+{
+    return PyBool_FromLong(self->done && self->exception != NULL);
+}
+
+static PyObject *
+future_get_exception(Future *self, void *closure)
+{
+    return Py_NewRef(self->exception ? self->exception : Py_None);
+}
+
+static PyGetSetDef future_getset[] = {
+    {"done", (getter)future_get_done, NULL,
+     "True once the future has been resolved or failed.", NULL},
+    {"failed", (getter)future_get_failed, NULL,
+     "True if the future settled with an exception.", NULL},
+    {"exception", (getter)future_get_exception, NULL,
+     "The exception the future failed with, or None.", NULL},
+    {NULL}
+};
+
+static PyMemberDef future_members[] = {
+    {"label", T_OBJECT, offsetof(Future, label), 0, NULL},
+    /* What the Python gather reads of an input (a mixed list). */
+    {"_value", T_OBJECT, offsetof(Future, value), READONLY, NULL},
+    {"_exception", T_OBJECT, offsetof(Future, exception), READONLY, NULL},
+    {NULL}
+};
+
+static PyMethodDef future_methods[] = {
+    {"resolve", (PyCFunction)(void (*)(void))future_resolve, METH_FASTCALL,
+     "Settle the future with ``value`` and run callbacks."},
+    {"fail", (PyCFunction)future_fail, METH_O,
+     "Settle the future with an exception and run callbacks."},
+    {"add_callback", (PyCFunction)future_add_callback, METH_O,
+     "Register ``callback(self)``; runs immediately if already settled."},
+    {"result", (PyCFunction)future_result, METH_NOARGS,
+     "Return the value, raising the stored exception if it failed."},
+    {NULL}
+};
+
+static PyTypeObject Future_Type = {
+    PyVarObject_HEAD_INIT(NULL, 0)
+    .tp_name = "repro._native._kernel.Future",
+    .tp_basicsize = sizeof(Future),
+    .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC,
+    .tp_doc = "repro.sim.futures.Future in C: a single-assignment result "
+              "cell whose callbacks run in registration order.",
+    .tp_new = future_new,
+    .tp_dealloc = (destructor)future_dealloc,
+    .tp_traverse = (traverseproc)future_traverse,
+    .tp_clear = (inquiry)future_clear,
+    .tp_repr = (reprfunc)future_repr,
+    .tp_methods = future_methods,
+    .tp_members = future_members,
+    .tp_getset = future_getset,
+};
+
+/* ------------------------------------------------------------------ */
 /* ProtocolCore: the register protocol without Python frames           */
 /* ------------------------------------------------------------------ */
 
@@ -2106,16 +2426,16 @@ kernel_quorum_sample(PyObject *module, PyObject *const *args,
  * ``QuorumRegisterClient.on_message`` + ``_finish`` + ``_teardown`` +
  * ``_redispatch`` (ClientCore, an interpreter of the client class's round
  * plans), plus the client's issue path and retry timer (ClientCore's read
- * / write / _begin / _send_round / _retry methods).  Installed as instance
- * attributes of the node, like the network core's entry points, so trace
- * taps and monkeypatches keep working; the Python methods remain the
- * reference implementation.
+ * / write / _retry methods).  Installed as instance attributes of the
+ * node, like the network core's entry points, so trace taps and
+ * monkeypatches keep working; the Python methods remain the reference
+ * implementation.
  *
- * Soft fallback, re-checked on every delivery, is a guard on what the
- * handler itself reads — the complete list: an op-level span (tracing)
- * and any message that is not an exact instance of one of the four
- * Section-4 types or StaleViewNack (State*, subclasses).  Those take the
- * Python handler.  Loss, faults, taps, an adversary and detailed
+ * Soft fallback, re-checked on every delivery: a message that is not an
+ * exact instance of one of the four Section-4 types or StaleViewNack
+ * (State*, subclasses), or one for an op the Python definitions built
+ * (see the ownership rule above clientcore_python), takes the Python
+ * handler.  Loss, faults, taps, an adversary and detailed
  * MessageStats matter only inside ``send``, which the network core
  * handles.  A nack's re-dispatch draws a view quorum, in the Python order.
  */
@@ -2173,24 +2493,27 @@ ensure_issue_types(void)
 {
     if (prob_quorum_type != NULL)
         return 0;
-    if ((pending_op_type = import_attr("repro.registers.client",
-                                       "_PendingOp")) != NULL
-        && (future_type = import_attr("repro.sim.futures",
-                                      "Future")) != NULL
-        && (null_history_type = import_attr("repro.core.history",
-                                            "NullRegisterHistory")) != NULL
+    PyObject *gamma_log = NULL;
+    if ((null_history_type = import_attr("repro.core.history",
+                                         "NullRegisterHistory")) != NULL
         && (null_record = import_attr("repro.core.history",
                                       "_NULL_RECORD")) != NULL
         && (retry_policy_type = import_attr("repro.registers.client",
                                             "RetryPolicy")) != NULL
+        && (quantiles_type = import_attr("repro.obs.quantiles",
+                                         "StreamingQuantiles")) != NULL
+        && (gamma_log = import_attr("repro.obs.quantiles", "_PER_LOG"))
+        && (per_log = PyFloat_AsDouble(gamma_log), !PyErr_Occurred())
         /* Assigned last: non-NULL prob_quorum_type marks full resolution. */
         && (prob_quorum_type = import_attr("repro.quorum.probabilistic",
                                            "ProbabilisticQuorumSystem"))
-            != NULL)
+            != NULL) {
+        Py_DECREF(gamma_log);
         return 0;
+    }
+    Py_XDECREF(gamma_log);
     Py_CLEAR(retry_policy_type);
-    Py_CLEAR(pending_op_type);
-    Py_CLEAR(future_type);
+    Py_CLEAR(quantiles_type);
     Py_CLEAR(null_history_type);
     Py_CLEAR(null_record);
     return -1;
@@ -2586,6 +2909,131 @@ typedef struct {
     Plan plans[2];          /* [0] READ_PLAN, [1] WRITE_PLAN */
 } ClientCore;
 
+/* ``registers.client._PendingOp`` as a struct: the op the client core
+ * builds and reads and writes as members.  Its fields are the slots of
+ * ``_PendingOp``, exposed under the same names (so the Python _expire,
+ * _give_up, _teardown and MaskingClient._vouched work on it); each holds
+ * an object from construction on, and deleting one is refused. */
+#define PENDING_OP_FIELDS(X)                                           \
+    X(op_id, "op_id") X(reg, "register") X(kind, "kind")               \
+    X(plan, "plan") X(stage, "stage") X(is_read, "is_read")            \
+    X(quorum, "quorum") X(replies, "replies") X(future, "future")      \
+    X(record, "record") X(value, "value") X(timestamp, "timestamp")    \
+    X(retry_handle, "retry_handle") X(deadline_handle, "deadline_handle") \
+    X(attempts, "attempts") X(started, "started") X(span, "span")      \
+    X(members, "members") X(member_ids, "member_ids")                  \
+    X(message, "message") X(view, "view")
+
+typedef struct {
+    PyObject_HEAD
+#define OP_FIELD(field, name) PyObject *field;
+    PENDING_OP_FIELDS(OP_FIELD)
+#undef OP_FIELD
+} PendingOp;
+
+static PyObject *
+pendingop_get(PyObject *self, void *offset)
+{
+    PyObject *value = *(PyObject **)((char *)self + (size_t)offset);
+    if (value == NULL) /* cleared by the collector */
+        PyErr_SetString(PyExc_AttributeError, "PendingOp field cleared");
+    return Py_XNewRef(value);
+}
+
+static int
+pendingop_set(PyObject *self, PyObject *value, void *offset)
+{
+    if (value == NULL) {
+        PyErr_SetString(PyExc_AttributeError,
+                        "PendingOp fields cannot be deleted");
+        return -1;
+    }
+    Py_XSETREF(*(PyObject **)((char *)self + (size_t)offset),
+               Py_NewRef(value));
+    return 0;
+}
+
+static int
+pendingop_traverse(PendingOp *self, visitproc visit, void *arg)
+{
+#define OP_VISIT(field, name) Py_VISIT(self->field);
+    PENDING_OP_FIELDS(OP_VISIT)
+#undef OP_VISIT
+    return 0;
+}
+
+static int
+pendingop_clear(PendingOp *self)
+{
+#define OP_CLEAR(field, name) Py_CLEAR(self->field);
+    PENDING_OP_FIELDS(OP_CLEAR)
+#undef OP_CLEAR
+    return 0;
+}
+
+static void
+pendingop_dealloc(PendingOp *self)
+{
+    PyObject_GC_UnTrack(self);
+    pendingop_clear(self);
+    Py_TYPE(self)->tp_free((PyObject *)self);
+}
+
+static PyGetSetDef pendingop_getset[] = {
+#define OP_GETSET(field, name) {name, pendingop_get, pendingop_set, NULL, \
+                                (void *)offsetof(PendingOp, field)},
+    PENDING_OP_FIELDS(OP_GETSET)
+#undef OP_GETSET
+    {NULL}
+};
+
+static PyTypeObject PendingOp_Type = {
+    PyVarObject_HEAD_INIT(NULL, 0)
+    .tp_name = "repro._native._kernel.PendingOp",
+    .tp_basicsize = sizeof(PendingOp),
+    .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC,
+    .tp_doc = "registers.client._PendingOp in C: one in-flight operation "
+              "of a client core.",
+    .tp_dealloc = (destructor)pendingop_dealloc,
+    .tp_traverse = (traverseproc)pendingop_traverse,
+    .tp_clear = (inquiry)pendingop_clear,
+    .tp_getset = pendingop_getset,
+};
+
+/* _PendingOp(op_id, register, kind, plan, quorum, future, record, value)
+ * with op.view = view; the arguments are borrowed, the fields not given
+ * here None until _begin sets them. */
+static PendingOp *
+pendingop_create(PyObject *op_id, PyObject *reg, PyObject *kind,
+                 const Plan *plan, PyObject *quorum, Future *future,
+                 PyObject *record, PyObject *value, PyObject *view)
+{
+    PyObject *replies = PyDict_New();
+    PendingOp *op = replies == NULL ? NULL
+        : (PendingOp *)PendingOp_Type.tp_alloc(&PendingOp_Type, 0);
+    if (op == NULL) {
+        Py_XDECREF(replies);
+        return NULL;
+    }
+#define OP_NONE(field, name) op->field = Py_NewRef(Py_None);
+    PENDING_OP_FIELDS(OP_NONE)
+#undef OP_NONE
+    Py_SETREF(op->op_id, Py_NewRef(op_id));
+    Py_SETREF(op->reg, Py_NewRef(reg));
+    Py_SETREF(op->kind, Py_NewRef(kind));
+    Py_SETREF(op->plan, Py_NewRef(plan->source));
+    Py_SETREF(op->stage, Py_NewRef(py_zero));
+    Py_SETREF(op->is_read, PyBool_FromLong(plan->rounds[0].query));
+    Py_SETREF(op->quorum, Py_NewRef(quorum));
+    Py_SETREF(op->replies, replies);
+    Py_SETREF(op->future, Py_NewRef((PyObject *)future));
+    Py_SETREF(op->record, Py_NewRef(record));
+    Py_SETREF(op->value, Py_NewRef(value));
+    Py_SETREF(op->attempts, Py_NewRef(py_zero));
+    Py_SETREF(op->view, Py_NewRef(view));
+    return op;
+}
+
 /* The code of ``step``: its position among plan_steps[field], or -1. */
 static int
 plan_code(int field, PyObject *step)
@@ -2804,17 +3252,12 @@ clientcore_dealloc(ClientCore *self)
     Py_TYPE(self)->tp_free((PyObject *)self);
 }
 
-/* op.<attr>.cancel(), inlined for native handles. */
+/* handle.cancel() unless handle is None, inlined for native handles. */
 static int
-cancel_op_handle(PyObject *op, PyObject *attr)
+cancel_handle(PyObject *handle)
 {
-    PyObject *handle = PyObject_GetAttr(op, attr);
-    if (handle == NULL)
-        return -1;
-    if (handle == Py_None) {
-        Py_DECREF(handle);
+    if (handle == Py_None)
         return 0;
-    }
     if (PyObject_TypeCheck(handle, &KernelHandle_Type)) {
         KernelHandle *kh = (KernelHandle *)handle;
         if (!kh->cancelled) {
@@ -2822,15 +3265,11 @@ cancel_op_handle(PyObject *op, PyObject *attr)
             if (kh->owner != NULL && !kh->dequeued)
                 kh->owner->live -= 1;
         }
-        Py_DECREF(handle);
         return 0;
     }
     PyObject *res = PyObject_CallMethodObjArgs(handle, str_cancel, NULL);
-    Py_DECREF(handle);
-    if (res == NULL)
-        return -1;
-    Py_DECREF(res);
-    return 0;
+    Py_XDECREF(res);
+    return res == NULL ? -1 : 0;
 }
 
 /* reply.timestamp / reply.value: index access for exact message types,
@@ -2890,50 +3329,37 @@ clientcore_monitor(ClientCore *self)
  * record and the future — so a SpecViolation raised here leaves the
  * state the Python definition leaves. */
 static int
-clientcore_check_spec(ClientCore *self, PyObject *op, PyObject *record,
-                      int is_read)
+clientcore_check_spec(ClientCore *self, PendingOp *op, int is_read)
 {
     PyObject *monitor = clientcore_monitor(self);
     if (monitor == NULL)
         return PyErr_Occurred() ? -1 : 0;
     PyObject *history = NULL, *res = NULL;
-    PyObject *reg = PyObject_GetAttr(op, str_register_attr);
-    PyObject *info = reg == NULL ? NULL : clientcore_info(self, reg);
+    PyObject *info = clientcore_info(self, op->reg);
     if (info != NULL && (history = PyObject_GetAttr(info, str_history)))
         res = PyObject_CallMethodObjArgs(
             monitor, is_read ? str_on_read_complete : str_on_write_complete,
-            self->client_id, record, history, NULL);
+            self->client_id, op->record, history, NULL);
     Py_XDECREF(res);
     Py_XDECREF(history);
     Py_XDECREF(info);
-    Py_XDECREF(reg);
     Py_DECREF(monitor);
     return res == NULL ? -1 : 0;
 }
 
-static int clientcore_move(ClientCore *self, PyObject *op);
+static int clientcore_move(ClientCore *self, PendingOp *op);
 
 /* The plan of op.kind — READ_PLAN for "read", else WRITE_PLAN — with
  * *is_read set to that choice and *stage to op.stage; NULL on error or a
  * stage outside the plan. */
 static const Plan *
-clientcore_plan(ClientCore *self, PyObject *op, int *is_read, long *stage)
+clientcore_plan(ClientCore *self, PendingOp *op, int *is_read, long *stage)
 {
-    PyObject *kind = PyObject_GetAttr(op, str_kind_attr);
-    if (kind == NULL)
-        return NULL;
-    if (kind == str_read_kind)
-        *is_read = 1;
-    else
-        *is_read = PyObject_RichCompareBool(kind, str_read_kind, Py_EQ);
-    Py_DECREF(kind);
+    *is_read = op->kind == str_read_kind
+        ? 1 : PyObject_RichCompareBool(op->kind, str_read_kind, Py_EQ);
     if (*is_read < 0)
         return NULL;
-    PyObject *at = PyObject_GetAttr(op, str_stage);
-    if (at == NULL)
-        return NULL;
-    *stage = PyLong_AsLong(at);
-    Py_DECREF(at);
+    *stage = PyLong_AsLong(op->stage);
     if (*stage == -1 && PyErr_Occurred())
         return NULL;
     const Plan *plan = &self->plans[*is_read ? 0 : 1];
@@ -3020,12 +3446,10 @@ quorum_max_reply(PyObject *quorum, PyObject *replies)
  * newer cached pair replaces (*ts, *value) and counts a cache hit;
  * otherwise the decision is cached. */
 static int
-clientcore_monotone(ClientCore *self, PyObject *op, PyObject **ts,
+clientcore_monotone(ClientCore *self, PendingOp *op, PyObject **ts,
                     PyObject **value)
 {
-    PyObject *reg = PyObject_GetAttr(op, str_register_attr);
-    if (reg == NULL)
-        return -1;
+    PyObject *reg = op->reg;
     int rc = -1, serve_cached = 0;
     PyObject *cached = PyDict_GetItemWithError(self->cache, reg);
     Py_XINCREF(cached);
@@ -3056,7 +3480,6 @@ clientcore_monotone(ClientCore *self, PyObject *op, PyObject **ts,
     }
 done:
     Py_XDECREF(cached);
-    Py_DECREF(reg);
     return rc;
 }
 
@@ -3066,13 +3489,12 @@ done:
  * ``_vouched`` (masking reads: Byzantine runs only).  New references in
  * *ts / *value, or -1. */
 static int
-clientcore_choose(ClientCore *self, PyObject *op, int decision, int final,
-                  PyObject *quorum, PyObject *replies, PyObject **ts,
-                  PyObject **value)
+clientcore_choose(ClientCore *self, PendingOp *op, int decision, int final,
+                  PyObject **ts, PyObject **value)
 {
     if (decision == DECIDE_VOUCHED) {
         PyObject *pair = PyObject_CallMethodOneArg(self->client, str_vouched,
-                                                   op);
+                                                   (PyObject *)op);
         if (pair == NULL)
             return -1;
         if (!PyTuple_Check(pair) || PyTuple_GET_SIZE(pair) != 2) {
@@ -3086,7 +3508,7 @@ clientcore_choose(ClientCore *self, PyObject *op, int decision, int final,
         Py_DECREF(pair);
         return 0;
     }
-    PyObject *best = quorum_max_reply(quorum, replies);
+    PyObject *best = quorum_max_reply(op->quorum, op->replies);
     if (best == NULL)
         return -1;
     *value = reply_value(best);
@@ -3112,7 +3534,7 @@ clientcore_choose(ClientCore *self, PyObject *op, int decision, int final,
  * back-dated to op.started.  ``ts`` / ``value`` are the previous round's
  * decision, NULL before the first round. */
 static int
-clientcore_carry(ClientCore *self, PyObject *op, int carry, PyObject *ts,
+clientcore_carry(ClientCore *self, PendingOp *op, int carry, PyObject *ts,
                  PyObject *value)
 {
     if (carry == CARRY_NONE)
@@ -3123,17 +3545,14 @@ clientcore_carry(ClientCore *self, PyObject *op, int carry, PyObject *ts,
         return -1;
     }
     if (carry == CARRY_CHOSEN) {
-        if (PyObject_SetAttr(op, str_timestamp_attr, ts) < 0)
-            return -1;
-        return PyObject_SetAttr(op, str_value_attr, value);
+        Py_SETREF(op->timestamp, Py_NewRef(ts));
+        Py_SETREF(op->value, Py_NewRef(value));
+        return 0;
     }
-    int rc = -1;
-    PyObject *queried = NULL, *stamp = NULL, *started = NULL;
-    PyObject *op_value = NULL, *record = NULL;
-    PyObject *reg = PyObject_GetAttr(op, str_register_attr);
-    PyObject *seq = reg ? PyDict_GetItemWithError(self->write_seq, reg) : NULL;
+    PyObject *queried = NULL, *stamp = NULL, *record = NULL;
+    PyObject *seq = PyDict_GetItemWithError(self->write_seq, op->reg);
     if (seq == NULL && PyErr_Occurred())
-        goto done;
+        return -1;
     seq = Py_NewRef(seq ? seq : py_zero);
     if (carry == CARRY_NEXT_SEQ) {
         /* max(chosen.seq, own seq) */
@@ -3145,152 +3564,130 @@ clientcore_carry(ClientCore *self, PyObject *op, int carry, PyObject *ts,
             Py_SETREF(seq, Py_NewRef(queried));
     }
     Py_SETREF(seq, PyNumber_Add(seq, py_one));
-    if (seq == NULL || PyDict_SetItem(self->write_seq, reg, seq) < 0
+    if (seq == NULL || PyDict_SetItem(self->write_seq, op->reg, seq) < 0
         || (stamp = PyObject_CallFunctionObjArgs(
-                timestamp_type, seq, self->client_id, NULL)) == NULL
-        || PyObject_SetAttr(op, str_timestamp_attr, stamp) < 0
-        || (started = PyObject_GetAttr(op, str_started_attr)) == NULL
-        || (op_value = PyObject_GetAttr(op, str_value_attr)) == NULL
-        || (record = clientcore_record(self, reg, str_begin_write, started,
-                                       op_value, stamp)) == NULL)
+                timestamp_type, seq, self->client_id, NULL)) == NULL)
         goto done;
-    rc = PyObject_SetAttr(op, str_record, record);
+    Py_SETREF(op->timestamp, Py_NewRef(stamp));
+    record = clientcore_record(self, op->reg, str_begin_write, op->started,
+                               op->value, stamp);
+    if (record != NULL)
+        Py_SETREF(op->record, record);
 done:
-    Py_XDECREF(record);
-    Py_XDECREF(op_value);
-    Py_XDECREF(started);
     Py_XDECREF(stamp);
     Py_XDECREF(queried);
     Py_XDECREF(seq);
-    Py_XDECREF(reg);
-    return rc;
+    return record == NULL ? -1 : 0;
 }
 
-/* QuorumRegisterClient._settle, spans off (the callers check): teardown,
- * counters, the live latency histogram, the history record, the spec
+/* StreamingQuantiles.observe(elapsed) on latency[kind]: for an exact
+ * sketch and a positive finite value its bucket bump and sum update are
+ * made here, with its operations in its order; anything else calls it. */
+static int
+observe_latency(PyObject *latency, PyObject *kind, double elapsed)
+{
+    PyObject *buckets = NULL, *key = NULL, *count = NULL, *sum = NULL;
+    PyObject *res = NULL, *value = NULL;
+    PyObject *sketch = PyObject_GetItem(latency, kind);
+    if (sketch == NULL || (value = PyFloat_FromDouble(elapsed)) == NULL)
+        goto done;
+    if ((PyObject *)Py_TYPE(sketch) != quantiles_type || !(elapsed > 0.0)
+        || !(elapsed < INFINITY)
+        || (buckets = PyObject_GetAttr(sketch, str_buckets)) == NULL
+        || !PyDict_CheckExact(buckets)) {
+        if (!PyErr_Occurred())
+            res = PyObject_CallMethodOneArg(sketch, str_observe, value);
+        goto done;
+    }
+    /* self._buckets[ceil(log(value) * _PER_LOG)] += 1; self.sum += value */
+    if ((key = PyLong_FromDouble(ceil(log(elapsed) * per_log))) == NULL)
+        goto done;
+    PyObject *old = PyDict_GetItemWithError(buckets, key);
+    if (old == NULL && PyErr_Occurred())
+        goto done;
+    count = old ? PyNumber_Add(old, py_one) : Py_NewRef(py_one);
+    if (count != NULL && PyDict_SetItem(buckets, key, count) == 0
+        && (sum = PyObject_GetAttr(sketch, str_sum_attr)) != NULL)
+        Py_SETREF(sum, PyNumber_Add(sum, value));
+    if (sum != NULL && PyObject_SetAttr(sketch, str_sum_attr, sum) == 0)
+        res = Py_NewRef(Py_None);
+done:
+    Py_XDECREF(sum);
+    Py_XDECREF(count);
+    Py_XDECREF(key);
+    Py_XDECREF(buckets);
+    Py_XDECREF(value);
+    Py_XDECREF(sketch);
+    Py_XDECREF(res);
+    return res == NULL ? -1 : 0;
+}
+
+/* QuorumRegisterClient._settle for an op of this core's: teardown,
+ * counters, the live latency sketch, the history record, the spec
  * monitor's hook, then the future — named after the op's kind. */
 static int
-clientcore_settle(ClientCore *self, PyObject *op, PyObject *op_id,
-                  int is_read, PyObject *ts, PyObject *value)
+clientcore_settle(ClientCore *self, PendingOp *op, int is_read,
+                  PyObject *ts, PyObject *value)
 {
-    if (PyDict_DelItem(self->pending, op_id) < 0)
-        return -1;
-    if (cancel_op_handle(op, str_retry_handle) < 0)
-        return -1;
-    if (cancel_op_handle(op, str_deadline_handle) < 0)
-        return -1;
-    if (bump_counter(self->client, str_ops_completed) < 0)
+    if (PyDict_DelItem(self->pending, op->op_id) < 0
+        || cancel_handle(op->retry_handle) < 0
+        || cancel_handle(op->deadline_handle) < 0
+        || bump_counter(self->client, str_ops_completed) < 0)
         return -1;
     int under_failure = attr_truth(self->failures, str_active);
-    if (under_failure < 0)
+    if (under_failure < 0
+        || (under_failure
+            && bump_counter(self->client, str_ops_under_failure) < 0))
         return -1;
-    if (under_failure
-        && bump_counter(self->client, str_ops_under_failure) < 0)
-        return -1;
-
-    /* Live latency histogram: observe(now - op.started) on the op's
-     * kind, exactly where the Python _settle does it — after the
-     * completion counters, before span finish and future resolution. */
     PyObject *latency = PyObject_GetAttr(self->client, str_latency_attr);
     if (latency == NULL)
         return -1;
-    if (latency != Py_None) {
-        PyObject *started_obj = PyObject_GetAttr(op, str_started_attr);
-        if (started_obj == NULL) {
-            Py_DECREF(latency);
-            return -1;
-        }
-        double started = PyFloat_AsDouble(started_obj);
-        Py_DECREF(started_obj);
-        if (started == -1.0 && PyErr_Occurred()) {
-            Py_DECREF(latency);
-            return -1;
-        }
-        PyObject *hist = PyObject_GetItem(
-            latency, is_read ? str_read_kind : str_write_kind);
-        Py_DECREF(latency);
-        if (hist == NULL)
-            return -1;
-        PyObject *elapsed = PyFloat_FromDouble(self->sched->now - started);
-        if (elapsed == NULL) {
-            Py_DECREF(hist);
-            return -1;
-        }
-        PyObject *res = PyObject_CallMethodObjArgs(
-            hist, str_observe, elapsed, NULL);
-        Py_DECREF(elapsed);
-        Py_DECREF(hist);
+    double started = latency == Py_None ? 0.0 : PyFloat_AsDouble(op->started);
+    int rc = latency == Py_None || (started == -1.0 && PyErr_Occurred())
+        ? 0 : observe_latency(latency, is_read ? str_read_kind
+                                               : str_write_kind,
+                              self->sched->now - started);
+    Py_DECREF(latency);
+    if (rc < 0 || PyErr_Occurred())
+        return -1;
+    if ((PyObject *)Py_TYPE(op->record) != nullrecord_type) {
+        PyObject *now = PyFloat_FromDouble(self->sched->now);
+        PyObject *res = now == NULL ? NULL : is_read
+            ? PyObject_CallMethodObjArgs(op->record, str_complete, now,
+                                         value, ts, NULL)
+            : PyObject_CallMethodObjArgs(op->record, str_respond, now, NULL);
+        Py_XDECREF(now);
         if (res == NULL)
             return -1;
         Py_DECREF(res);
     }
-    else {
-        Py_DECREF(latency);
-    }
-
-    PyObject *record = PyObject_GetAttr(op, str_record);
-    if (record == NULL)
+    if (clientcore_check_spec(self, op, is_read) < 0)
         return -1;
-    if ((PyObject *)Py_TYPE(record) != nullrecord_type) {
-        PyObject *now_obj = PyFloat_FromDouble(self->sched->now);
-        if (now_obj == NULL) {
-            Py_DECREF(record);
-            return -1;
-        }
-        PyObject *res = is_read
-            ? PyObject_CallMethodObjArgs(record, str_complete, now_obj,
-                                         value, ts, NULL)
-            : PyObject_CallMethodObjArgs(record, str_respond, now_obj, NULL);
-        Py_DECREF(now_obj);
-        if (res == NULL) {
-            Py_DECREF(record);
-            return -1;
-        }
-        Py_DECREF(res);
-    }
-    int rc = clientcore_check_spec(self, op, record, is_read);
-    Py_DECREF(record);
-    if (rc < 0)
-        return -1;
-
-    PyObject *future = PyObject_GetAttr(op, str_future_attr);
-    if (future == NULL)
-        return -1;
-    PyObject *res = PyObject_CallMethodObjArgs(
-        future, str_resolve, is_read ? value : Py_None, NULL);
-    Py_DECREF(future);
-    if (res == NULL)
-        return -1;
-    Py_DECREF(res);
-    return 0;
+    PyObject *result = is_read ? value : Py_None;
+    if (Py_TYPE(op->future) == &Future_Type)
+        return future_settle((Future *)op->future, result, NULL);
+    PyObject *res = PyObject_CallMethodOneArg(op->future, str_resolve, result);
+    Py_XDECREF(res);
+    return res == NULL ? -1 : 0;
 }
 
 /* The plan's next round on the same op: its stage, request kind, fresh
  * replies and message, its carry (from the decision ts / value), then a
  * fresh quorum and its first send. */
 static int
-clientcore_next_round(ClientCore *self, PyObject *op, long stage,
+clientcore_next_round(ClientCore *self, PendingOp *op, long stage,
                       const Round *round, PyObject *ts, PyObject *value)
 {
     PyObject *next = PyLong_FromLong(stage);
-    if (next == NULL)
+    PyObject *fresh = next ? PyDict_New() : NULL;
+    if (fresh == NULL) {
+        Py_XDECREF(next);
         return -1;
-    int rc = PyObject_SetAttr(op, str_stage, next);
-    Py_DECREF(next);
-    if (rc < 0)
-        return -1;
-    if (PyObject_SetAttr(op, str_is_read,
-                         round->query ? Py_True : Py_False) < 0)
-        return -1;
-    PyObject *fresh = PyDict_New();
-    if (fresh == NULL)
-        return -1;
-    rc = PyObject_SetAttr(op, str_replies, fresh);
-    Py_DECREF(fresh);
-    if (rc < 0)
-        return -1;
-    if (PyObject_SetAttr(op, str_message_attr, Py_None) < 0)
-        return -1;
+    }
+    Py_SETREF(op->stage, next);
+    Py_SETREF(op->is_read, PyBool_FromLong(round->query));
+    Py_SETREF(op->replies, fresh);
+    Py_SETREF(op->message, Py_NewRef(Py_None));
     if (clientcore_carry(self, op, round->carry, ts, value) < 0)
         return -1;
     return clientcore_move(self, op) < 0 ? -1 : 0;
@@ -3300,8 +3697,7 @@ clientcore_next_round(ClientCore *self, PyObject *op, long stage,
  * next round or the completion.  ``op`` is a strong reference held by
  * the caller. */
 static int
-clientcore_finish(ClientCore *self, PyObject *op, PyObject *op_id,
-                  PyObject *quorum, PyObject *replies)
+clientcore_finish(ClientCore *self, PendingOp *op)
 {
     int is_read;
     long stage;
@@ -3312,23 +3708,19 @@ clientcore_finish(ClientCore *self, PyObject *op, PyObject *op_id,
     PyObject *ts = NULL, *value = NULL;
     int decision = plan->rounds[stage].decision;
     if (decision != DECIDE_NONE
-        && clientcore_choose(self, op, decision, final, quorum, replies, &ts,
-                             &value) < 0)
+        && clientcore_choose(self, op, decision, final, &ts, &value) < 0)
         return -1;
-    if (!final) {
+    if (!final)
         rc = clientcore_next_round(self, op, stage + 1,
                                    &plan->rounds[stage + 1], ts, value);
-    }
     else {
         /* A read whose final round decides nothing returns the pair the
          * op carries (the ABD write-back installs what it returns). */
         if (is_read && ts == NULL) {
-            ts = PyObject_GetAttr(op, str_timestamp_attr);
-            if (ts != NULL)
-                value = PyObject_GetAttr(op, str_value_attr);
+            ts = Py_NewRef(op->timestamp);
+            value = Py_NewRef(op->value);
         }
-        if (!is_read || value != NULL)
-            rc = clientcore_settle(self, op, op_id, is_read, ts, value);
+        rc = clientcore_settle(self, op, is_read, ts, value);
     }
     Py_XDECREF(value);
     Py_XDECREF(ts);
@@ -3402,24 +3794,15 @@ clientcore_invoke(ClientCore *self, PyObject *src, PyObject *message)
          * kinds are a Python no-op either way. */
         return run_fallback(self->fallback, self->client, src, message);
 
-    PyObject *op_id = PyTuple_GET_ITEM(message, 1);
-    PyObject *op = PyDict_GetItemWithError(self->pending, op_id);
-    if (op == NULL && PyErr_Occurred())
+    PyObject *found = PyDict_GetItemWithError(self->pending,
+                                              PyTuple_GET_ITEM(message, 1));
+    if (found == NULL && PyErr_Occurred())
         return -1;
-    if (op != NULL) {
-        /* Span tracing is per-op: fall back before anything changes so
-         * the Python handler replays the whole step (the probe is
-         * read-only). */
-        PyObject *span = PyObject_GetAttr(op, str_span);
-        if (span == NULL)
-            return -1;
-        Py_DECREF(span);
-        if (span != Py_None)
-            return run_fallback(self->fallback, self->client, src, message);
-        Py_INCREF(op); /* survives the pending-dict delete in finish */
-    }
+    if (found != NULL && Py_TYPE(found) != &PendingOp_Type)
+        /* An op built by the Python definitions stays with them. */
+        return run_fallback(self->fallback, self->client, src, message);
+    PendingOp *op = (PendingOp *)Py_XNewRef(found); /* survives finish */
     int rc = -1;
-    PyObject *replies = NULL, *quorum = NULL, *op_view = NULL;
     PyObject *view_id = NULL;
     if (nack) {
         /* stale_nacks += 1; _refresh_view(); then _redispatch: the op
@@ -3430,9 +3813,8 @@ clientcore_invoke(ClientCore *self, PyObject *src, PyObject *message)
             goto done;
         int moved = 1;
         if (op != NULL)
-            moved = (op_view = PyObject_GetAttr(op, str_view_attr))
-                && (view_id = PyObject_GetAttr(self->client, str_view_id))
-                ? PyObject_RichCompareBool(op_view, view_id, Py_EQ) : -1;
+            moved = (view_id = PyObject_GetAttr(self->client, str_view_id))
+                ? PyObject_RichCompareBool(op->view, view_id, Py_EQ) : -1;
         if (moved == 0)
             moved = clientcore_move(self, op) < 0 ? -1 : 1;
         rc = moved < 0 ? -1 : 0;
@@ -3441,7 +3823,7 @@ clientcore_invoke(ClientCore *self, PyObject *src, PyObject *message)
     /* A reply is the answer of the round in flight only when its kind
      * matches that round's request: a retried query round leaves
      * ReadReplys in flight that may land in the update round. */
-    int round_read = op == NULL ? 0 : attr_truth(op, str_is_read);
+    int round_read = op == NULL ? 0 : PyObject_IsTrue(op->is_read);
     if (round_read < 0)
         goto done;
     if (op != NULL && round_read != (msg_type == msg_read_reply)) {
@@ -3465,40 +3847,35 @@ clientcore_invoke(ClientCore *self, PyObject *src, PyObject *message)
         rc = PyErr_Occurred() ? -1 : 0; /* reply from an unknown node */
         goto done;
     }
-    rc = -1;
     /* op.replies[server_index] = message; a non-dict fails here. */
-    if ((replies = PyObject_GetAttr(op, str_replies)) == NULL
-        || PyDict_SetItem(replies, server_idx, message) < 0
-        || (quorum = PyObject_GetAttr(op, str_quorum)) == NULL)
-        goto done;
-    int covered = quorum_covered(quorum, replies);
-    if (covered >= 0)
-        rc = covered ? clientcore_finish(self, op, op_id, quorum, replies) : 0;
+    int covered = PyDict_SetItem(op->replies, server_idx, message);
+    if (covered == 0)
+        covered = quorum_covered(op->quorum, op->replies);
+    rc = covered <= 0 ? covered : clientcore_finish(self, op);
 done:
-    Py_XDECREF(op_view);
     Py_XDECREF(view_id);
-    Py_XDECREF(quorum);
-    Py_XDECREF(replies);
     Py_XDECREF(op);
     return rc;
 }
 
-/* ---- ClientCore issue path and retry timer: read / write / _begin /
- * _send_round / _retry ---- */
+/* ---- ClientCore issue path and retry timer: read / write / _retry ---- */
 
 /* QuorumRegisterClient's issue path and retry timer, transcribed
- * statement for statement from the Python definitions of the same names
- * and installed beside ``on_message``.  An operation costs its message
- * rounds, not its dispatch: register lookup, history record, Future and
- * _PendingOp, quorum draw, message build, broadcast, retry/deadline
- * timers and the resample of a stalled op run without an interpreter
- * frame of the client's.  Draw order is the Python order — quorum (or
- * view) stream, then delay stream (inside the broadcast), then the
- * retry-jitter stream.
+ * statement for statement from the Python definitions (read, write,
+ * _issue, _begin, _send_round, _retry) and installed beside
+ * ``on_message``.  An operation costs its message rounds, not its
+ * dispatch: register lookup, history record, Future and PendingOp,
+ * quorum draw, message build, broadcast, retry/deadline timers and the
+ * resample of a stalled op run without an interpreter frame.  Draw order
+ * is the Python order — quorum (or view) stream, then delay stream
+ * (inside the broadcast), then the retry-jitter stream.
  *
- * Per-op guards: span tracing (``client._trace_on``, ``op.span``) and a
- * call shape other than the positional one take the Python method, which
- * stays the reference; so do _give_up and _expire.  Quorum systems other
+ * Ownership: the core handles only the ops it built.  With span tracing
+ * on (``client._trace_on``) or a call shape other than the positional
+ * one, read / write take the Python definitions, and the op they build
+ * stays with them for its whole life — its replies, nacks and retry
+ * timer included.  _give_up and _expire are Python for every op.  Quorum
+ * systems other
  * than an exact ``ProbabilisticQuorumSystem`` draw through one call to
  * the Python ``_sample_quorum``, a retry policy other than an exact
  * ``RetryPolicy`` through its ``delay`` — never a whole-op fallback. */
@@ -3628,75 +4005,52 @@ clientcore_sample_quorum(ClientCore *self, int is_read)
 
 /* QuorumRegisterClient._send_round. */
 static int
-clientcore_send_round(ClientCore *self, PyObject *op)
+clientcore_send_round(ClientCore *self, PendingOp *op)
 {
-    PyObject *span = PyObject_GetAttr(op, str_span);
-    if (span == NULL)
-        return -1;
-    Py_DECREF(span);
-    if (span != Py_None) {
-        PyObject *res = clientcore_python(self, str_send_round, &op, 1, NULL);
-        Py_XDECREF(res);
-        return res == NULL ? -1 : 0;
-    }
-
     int rc = -1;
-    PyObject *member_ids = NULL, *replies = NULL, *servers = NULL;
-    PyObject *message = NULL, *broadcast = NULL;
-    PyObject *members = PyObject_GetAttr(op, str_members);
-    if (members == NULL)
-        return -1;
-    if (members == Py_None) {
+    PyObject *servers = NULL, *broadcast = NULL;
+    if (op->members == Py_None) {
         /* Sorted once per attempt: the quorum is fixed until the next
          * resample. */
-        PyObject *quorum = PyObject_GetAttr(op, str_quorum);
-        if (quorum == NULL)
-            goto done;
-        Py_SETREF(members, PySequence_List(quorum));
-        Py_DECREF(quorum);
-        if (members == NULL || PyList_Sort(members) < 0
-            || PyObject_SetAttr(op, str_members, members) < 0)
-            goto done;
+        PyObject *members = PySequence_List(op->quorum);
+        if (members == NULL || PyList_Sort(members) < 0) {
+            Py_XDECREF(members);
+            return -1;
+        }
+        Py_SETREF(op->members, members);
         Py_ssize_t n = PyList_GET_SIZE(members);
-        member_ids = PyList_New(n);
-        if (member_ids == NULL)
-            goto done;
-        for (Py_ssize_t i = 0; i < n; i++) {
+        PyObject *member_ids = PyList_New(n);
+        for (Py_ssize_t i = 0; member_ids != NULL && i < n; i++) {
             PyObject *node_id = PyObject_GetItem(
                 self->server_ids, PyList_GET_ITEM(members, i));
             if (node_id == NULL)
-                goto done;
-            PyList_SET_ITEM(member_ids, i, node_id);
+                Py_CLEAR(member_ids);
+            else
+                PyList_SET_ITEM(member_ids, i, node_id);
         }
-        if (PyObject_SetAttr(op, str_member_ids, member_ids) < 0)
-            goto done;
-    }
-    else {
-        member_ids = PyObject_GetAttr(op, str_member_ids);
         if (member_ids == NULL)
-            goto done;
-        if (!PyList_CheckExact(members) || !PyList_CheckExact(member_ids)) {
-            PyErr_SetString(PyExc_TypeError,
-                            "op.members and op.member_ids must be lists");
-            goto done;
-        }
+            return -1;
+        Py_SETREF(op->member_ids, member_ids);
     }
-    replies = PyObject_GetAttr(op, str_replies);
-    if (replies == NULL)
-        goto done;
-    int answered = PyObject_IsTrue(replies);
+    PyObject *members = op->members, *member_ids = op->member_ids;
+    if (!PyList_CheckExact(members) || !PyList_CheckExact(member_ids)) {
+        PyErr_SetString(PyExc_TypeError,
+                        "op.members and op.member_ids must be lists");
+        return -1;
+    }
+    int answered = PyObject_IsTrue(op->replies);
     if (answered < 0)
-        goto done;
+        return -1;
     if (answered) {
         /* Re-send only to members that have not replied. */
         servers = PyList_New(0);
         if (servers == NULL)
-            goto done;
+            return -1;
         Py_ssize_t n = PyList_GET_SIZE(members);
         if (PyList_GET_SIZE(member_ids) < n)
             n = PyList_GET_SIZE(member_ids);
         for (Py_ssize_t i = 0; i < n; i++) {
-            int has = PySequence_Contains(replies,
+            int has = PySequence_Contains(op->replies,
                                           PyList_GET_ITEM(members, i));
             if (has < 0
                 || (!has && PyList_Append(
@@ -3705,73 +4059,62 @@ clientcore_send_round(ClientCore *self, PyObject *op)
         }
     }
     else {
-        servers = member_ids;
-        Py_INCREF(servers);
+        servers = Py_NewRef(member_ids);
     }
     if (PyList_GET_SIZE(servers) == 0) {
         rc = 0;
         goto done;
     }
-    message = PyObject_GetAttr(op, str_message_attr);
-    if (message == NULL)
-        goto done;
-    if (message == Py_None) {
+    if (op->message == Py_None) {
         /* Built once per dispatch and shared by every round. */
-        PyObject *query[] = {str_register_attr, str_op_id, str_view_attr};
-        PyObject *update[] = {str_register_attr, str_op_id, str_value_attr,
-                              str_timestamp_attr, str_view_attr};
-        int is_read = attr_truth(op, str_is_read);
-        if (is_read < 0)
+        int is_read = PyObject_IsTrue(op->is_read);
+        PyObject *message = is_read < 0 ? NULL : is_read
+            ? make_message(msg_read_query,
+                           PyTuple_Pack(3, op->reg, op->op_id, op->view))
+            : make_message(msg_write_update,
+                           PyTuple_Pack(5, op->reg, op->op_id, op->value,
+                                        op->timestamp, op->view));
+        if (message == NULL)
             goto done;
-        Py_SETREF(message, is_read
-            ? make_message(msg_read_query, attr_tuple(op, query, 3))
-            : make_message(msg_write_update, attr_tuple(op, update, 5)));
-        if (message == NULL
-            || PyObject_SetAttr(op, str_message_attr, message) < 0)
-            goto done;
+        Py_SETREF(op->message, message);
     }
     /* network.broadcast(node_id, servers, message) — straight into the
      * network core's fan-out when it is the one installed. */
+    PyObject *message = Py_NewRef(op->message);
     broadcast = PyObject_GetAttr(self->network, str_broadcast_attr);
-    if (broadcast == NULL)
-        goto done;
-    NetworkCore *core = networkcore_behind(
+    NetworkCore *core = broadcast == NULL ? NULL : networkcore_behind(
         broadcast, NETWORK_ENTRY(networkcore_broadcast));
     if (core != NULL)
         rc = network_broadcast(core, self->node_id, servers, message);
-    else {
+    else if (broadcast != NULL) {
         PyObject *res = PyObject_CallFunctionObjArgs(
             broadcast, self->node_id, servers, message, NULL);
         rc = res == NULL ? -1 : 0;
         Py_XDECREF(res);
     }
+    Py_DECREF(message);
 done:
     Py_XDECREF(broadcast);
-    Py_XDECREF(message);
     Py_XDECREF(servers);
-    Py_XDECREF(replies);
-    Py_XDECREF(member_ids);
-    Py_XDECREF(members);
     return rc;
 }
 
-/* op.<attr> = scheduler.schedule(delay, client.<method>, op.op_id),
- * pushed straight into the C heap. */
+/* *slot = scheduler.schedule(delay, client.<method>, op.op_id), pushed
+ * straight into the C heap. */
 static int
-clientcore_arm_timer(ClientCore *self, PyObject *op, PyObject *op_id,
-                     PyObject *attr, PyObject *delay, PyObject *method)
+clientcore_arm_timer(ClientCore *self, PendingOp *op, PyObject **slot,
+                     PyObject *delay, PyObject *method)
 {
     PyObject *callback = PyObject_GetAttr(self->client, method);
     if (callback == NULL)
         return -1;
     PyObject *handle = schedule_after(self->sched, delay, callback,
-                                      PyTuple_Pack(1, op_id));
+                                      PyTuple_Pack(1, op->op_id));
     Py_DECREF(callback);
     if (handle == NULL)
         return -1;
-    int rc = PyObject_SetAttr(op, attr, handle);
-    Py_DECREF(handle);
-    return rc;
+    Py_SETREF(*slot, handle);
+    return 0;
 }
 
 /* policy.delay(attempt, rng) as a new reference.  RetryPolicy.delay is
@@ -3822,52 +4165,47 @@ retry_delay(PyObject *policy, PyObject *attempt, PyObject *rng)
 /* op.retry_handle = scheduler.schedule(
  *     policy.delay(attempt, client._retry_rng), client._retry, op_id) */
 static int
-clientcore_arm_retry(ClientCore *self, PyObject *op, PyObject *op_id,
-                     PyObject *policy, PyObject *attempt)
+clientcore_arm_retry(ClientCore *self, PendingOp *op, PyObject *policy,
+                     PyObject *attempt)
 {
     PyObject *rng = PyObject_GetAttr(self->client, str_retry_rng);
     PyObject *delay = rng ? retry_delay(policy, attempt, rng) : NULL;
     Py_XDECREF(rng);
     if (delay == NULL)
         return -1;
-    int rc = clientcore_arm_timer(self, op, op_id, str_retry_handle, delay,
+    int rc = clientcore_arm_timer(self, op, &op->retry_handle, delay,
                                   str_retry);
     Py_DECREF(delay);
     return rc;
 }
 
-/* QuorumRegisterClient._begin, spans off (the callers check); ``first``
- * is the op's first round. */
+/* QuorumRegisterClient._begin; ``first`` is the op's first round. */
 static int
-clientcore_begin(ClientCore *self, PyObject *op, const Round *first)
+clientcore_begin(ClientCore *self, PendingOp *op, const Round *first)
 {
-    int rc = -1;
-    PyObject *policy = NULL, *started = NULL, *deadline = NULL;
-    PyObject *op_id = PyObject_GetAttr(op, str_op_id);
-    if (op_id == NULL)
+    if (PyDict_SetItem(self->pending, op->op_id, (PyObject *)op) < 0)
         return -1;
-    if (PyDict_SetItem(self->pending, op_id, op) < 0)
-        goto done;
-    started = PyFloat_FromDouble(self->sched->now);
-    if (started == NULL || PyObject_SetAttr(op, str_started_attr, started) < 0
-        || clientcore_carry(self, op, first->carry, NULL, NULL) < 0)
-        goto done;
-    if (clientcore_send_round(self, op) < 0
+    PyObject *started = PyFloat_FromDouble(self->sched->now);
+    if (started == NULL)
+        return -1;
+    Py_SETREF(op->started, started);
+    PyObject *policy = NULL, *deadline = NULL;
+    int rc = -1;
+    if (clientcore_carry(self, op, first->carry, NULL, NULL) < 0
+        || clientcore_send_round(self, op) < 0
         || (policy = PyObject_GetAttr(self->client, str_retry_policy)) == NULL)
         goto done;
     if (policy != Py_None
-        && (clientcore_arm_retry(self, op, op_id, policy, py_zero) < 0
+        && (clientcore_arm_retry(self, op, policy, py_zero) < 0
             || (deadline = PyObject_GetAttr(policy, str_deadline)) == NULL
             || (deadline != Py_None && clientcore_arm_timer(
-                    self, op, op_id, str_deadline_handle, deadline,
+                    self, op, &op->deadline_handle, deadline,
                     str_expire) < 0)))
         goto done;
     rc = 0;
 done:
     Py_XDECREF(deadline);
     Py_XDECREF(policy);
-    Py_XDECREF(started);
-    Py_DECREF(op_id);
     return rc;
 }
 
@@ -3876,67 +4214,49 @@ done:
  * _redispatch share.  1 when the op completed, 0 when a round went out,
  * -1 on error. */
 static int
-clientcore_move(ClientCore *self, PyObject *op)
+clientcore_move(ClientCore *self, PendingOp *op)
 {
-    int rc = -1, changed = 0;
-    PyObject *quorum = NULL, *op_view = NULL, *view = NULL;
-    PyObject *replies = NULL, *op_id = NULL;
-    int is_read = attr_truth(op, str_is_read);
-    if (is_read < 0
-        || (quorum = clientcore_sample_quorum(self, is_read)) == NULL
-        || PyObject_SetAttr(op, str_quorum, quorum) < 0
-        || PyObject_SetAttr(op, str_members, Py_None) < 0
-        || PyObject_SetAttr(op, str_member_ids, Py_None) < 0
-        || (op_view = PyObject_GetAttr(op, str_view_attr)) == NULL
-        || (view = PyObject_GetAttr(self->client, str_view_id)) == NULL
-        || (changed = PyObject_RichCompareBool(op_view, view, Py_NE)) < 0)
-        goto done;
-    /* The message is rebuilt only when its view stamp changed. */
-    if ((changed && (PyObject_SetAttr(op, str_view_attr, view) < 0
-                     || PyObject_SetAttr(op, str_message_attr, Py_None) < 0))
-        || (replies = PyObject_GetAttr(op, str_replies)) == NULL)
-        goto done;
-    int covered = quorum_covered(quorum, replies);
-    if (covered > 0 && (op_id = PyObject_GetAttr(op, str_op_id)) != NULL)
-        rc = clientcore_finish(self, op, op_id, quorum, replies) < 0 ? -1 : 1;
-    else if (covered == 0)
-        rc = clientcore_send_round(self, op);
-done:
-    Py_XDECREF(op_id);
-    Py_XDECREF(replies);
+    int is_read = PyObject_IsTrue(op->is_read);
+    PyObject *quorum = is_read < 0
+        ? NULL : clientcore_sample_quorum(self, is_read);
+    if (quorum == NULL)
+        return -1;
+    Py_SETREF(op->quorum, quorum);
+    Py_SETREF(op->members, Py_NewRef(Py_None));
+    Py_SETREF(op->member_ids, Py_NewRef(Py_None));
+    PyObject *view = PyObject_GetAttr(self->client, str_view_id);
+    int changed = view == NULL
+        ? -1 : PyObject_RichCompareBool(op->view, view, Py_NE);
+    if (changed > 0) {
+        /* The message is rebuilt only when its view stamp changed. */
+        Py_SETREF(op->view, Py_NewRef(view));
+        Py_SETREF(op->message, Py_NewRef(Py_None));
+    }
     Py_XDECREF(view);
-    Py_XDECREF(op_view);
-    Py_XDECREF(quorum);
-    return rc;
+    int covered = changed < 0 ? -1 : quorum_covered(op->quorum, op->replies);
+    if (covered > 0)
+        return clientcore_finish(self, op) < 0 ? -1 : 1;
+    return covered < 0 ? -1 : clientcore_send_round(self, op);
 }
 
 /* QuorumRegisterClient._retry, the retry timer's callback: at the attempt
  * budget the Python _give_up, else count the attempt, tell the monitor,
- * move the op to a fresh quorum and re-arm.  An op with a span takes the
- * Python definition. */
+ * move the op to a fresh quorum and re-arm.  An op built by the Python
+ * definitions takes the Python _retry. */
 static PyObject *
 clientcore_retry(ClientCore *self, PyObject *op_id)
 {
-    PyObject *op = PyDict_GetItemWithError(self->pending, op_id);
-    if (op == NULL) {
+    PyObject *found = PyDict_GetItemWithError(self->pending, op_id);
+    if (found == NULL) {
         if (PyErr_Occurred())
             return NULL;
         Py_RETURN_NONE;
     }
-    Py_INCREF(op);
-    PyObject *result = NULL, *attempts = NULL, *policy = NULL;
-    PyObject *limit = NULL, *monitor = NULL;
-    PyObject *span = PyObject_GetAttr(op, str_span);
-    if (span == NULL)
-        goto done;
-    Py_DECREF(span);
-    if (span != Py_None) {
-        result = clientcore_python(self, str_retry, &op_id, 1, NULL);
-        goto done;
-    }
-    PyObject *tried = PyObject_GetAttr(op, str_attempts);
-    attempts = tried ? PyNumber_Add(tried, py_one) : NULL;
-    Py_XDECREF(tried);
+    if (Py_TYPE(found) != &PendingOp_Type)
+        return clientcore_python(self, str_retry, &op_id, 1, NULL);
+    PendingOp *op = (PendingOp *)Py_NewRef(found);
+    PyObject *result = NULL, *policy = NULL, *limit = NULL, *monitor = NULL;
+    PyObject *attempts = PyNumber_Add(op->attempts, py_one);
     if (attempts == NULL
         || (policy = PyObject_GetAttr(self->client, str_retry_policy)) == NULL
         || (limit = PyObject_GetAttr(policy, str_max_attempts)) == NULL)
@@ -3945,30 +4265,25 @@ clientcore_retry(ClientCore *self, PyObject *op_id)
         ? 0 : PyObject_RichCompareBool(attempts, limit, Py_GE);
     if (exhausted) {
         if (exhausted > 0)
-            result = PyObject_CallMethodOneArg(self->client, str_give_up, op);
+            result = PyObject_CallMethodOneArg(self->client, str_give_up,
+                                               (PyObject *)op);
         goto done;
     }
-    if (PyObject_SetAttr(op, str_attempts, attempts) < 0
-        || bump_counter(self->client, str_retries) < 0)
+    Py_SETREF(op->attempts, Py_NewRef(attempts));
+    if (bump_counter(self->client, str_retries) < 0)
         goto done;
     /* spec_monitor.on_retry(op.register, op.kind, op.attempts) */
     if ((monitor = clientcore_monitor(self)) != NULL) {
-        PyObject *reg = PyObject_GetAttr(op, str_register_attr);
-        PyObject *kind = reg ? PyObject_GetAttr(op, str_kind_attr) : NULL;
-        PyObject *res = kind == NULL ? NULL : PyObject_CallMethodObjArgs(
-            monitor, str_on_retry, reg, kind, attempts, NULL);
-        Py_XDECREF(kind);
-        Py_XDECREF(reg);
+        PyObject *res = PyObject_CallMethodObjArgs(
+            monitor, str_on_retry, op->reg, op->kind, attempts, NULL);
         if (res == NULL)
             goto done;
         Py_DECREF(res);
     }
     int moved = PyErr_Occurred() ? -1 : clientcore_move(self, op);
     if (moved == 1 || (moved == 0 && clientcore_arm_retry(
-                           self, op, op_id, policy, attempts) == 0)) {
-        Py_INCREF(Py_None);
-        result = Py_None;
-    }
+                           self, op, policy, attempts) == 0))
+        result = Py_NewRef(Py_None);
 done:
     Py_XDECREF(monitor);
     Py_XDECREF(limit);
@@ -3978,15 +4293,17 @@ done:
     return result;
 }
 
-/* QuorumRegisterClient.read (value == NULL) and .write, with _issue,
- * spans off. */
+/* QuorumRegisterClient.read (value == NULL) and .write, with _issue: the
+ * op, its future and its first round, built here. */
 static PyObject *
 clientcore_issue(ClientCore *self, PyObject *reg, PyObject *value)
 {
     const int is_read = value == NULL;
     const Plan *plan = &self->plans[!is_read];
-    PyObject *record = NULL, *label = NULL, *future = NULL, *quorum = NULL;
-    PyObject *op_id = NULL, *op = NULL, *view = NULL, *result = NULL;
+    PyObject *record = NULL, *label = NULL, *quorum = NULL;
+    PyObject *op_id = NULL, *view = NULL, *result = NULL;
+    Future *future = NULL;
+    PendingOp *op = NULL;
     if (is_read) {
         PyObject *now = PyFloat_FromDouble(self->sched->now);
         record = now ? clientcore_record(self, reg, str_begin_read, now, NULL,
@@ -4016,7 +4333,7 @@ clientcore_issue(ClientCore *self, PyObject *reg, PyObject *value)
         || (label = PyUnicode_FromFormat(
                 is_read ? "read(%S) by c%S" : "write(%S) by c%S",
                 reg, self->client_id)) == NULL
-        || (future = PyObject_CallOneArg(future_type, label)) == NULL
+        || (future = future_create(label)) == NULL
         || (quorum = clientcore_sample_quorum(
                 self, plan->rounds[0].query)) == NULL)
         goto done;
@@ -4026,18 +4343,17 @@ clientcore_issue(ClientCore *self, PyObject *reg, PyObject *value)
             PyErr_SetNone(PyExc_StopIteration);
         goto done;
     }
-    op = PyObject_CallFunctionObjArgs(
-        pending_op_type, op_id, reg, is_read ? str_read_kind : str_write_kind,
-        plan->source, quorum, future, record, value, NULL);
-    if (op == NULL
-        || (view = PyObject_GetAttr(self->client, str_view_id)) == NULL
-        || PyObject_SetAttr(op, str_view_attr, view) < 0
+    if ((view = PyObject_GetAttr(self->client, str_view_id)) == NULL
+        || (op = pendingop_create(
+                op_id, reg, is_read ? str_read_kind : str_write_kind, plan,
+                quorum, future, record, is_read ? Py_None : value,
+                view)) == NULL
         || clientcore_begin(self, op, &plan->rounds[0]) < 0)
         goto done;
-    result = Py_NewRef(future);
+    result = Py_NewRef((PyObject *)future);
 done:
-    Py_XDECREF(view);
     Py_XDECREF(op);
+    Py_XDECREF(view);
     Py_XDECREF(op_id);
     Py_XDECREF(quorum);
     Py_XDECREF(future);
@@ -4082,30 +4398,6 @@ clientcore_write(ClientCore *self, PyObject *const *args, Py_ssize_t nargs,
     return clientcore_issue(self, args[0], args[1]);
 }
 
-static PyObject *
-clientcore_begin_method(ClientCore *self, PyObject *op)
-{
-    int traced = attr_truth(self->client, str_trace_on);
-    if (traced < 0)
-        return NULL;
-    if (traced)
-        return clientcore_python(self, str_begin, &op, 1, NULL);
-    int is_read;
-    long stage;
-    const Plan *plan = clientcore_plan(self, op, &is_read, &stage);
-    if (plan == NULL || clientcore_begin(self, op, &plan->rounds[stage]) < 0)
-        return NULL;
-    Py_RETURN_NONE;
-}
-
-static PyObject *
-clientcore_send_round_method(ClientCore *self, PyObject *op)
-{
-    if (clientcore_send_round(self, op) < 0)
-        return NULL;
-    Py_RETURN_NONE;
-}
-
 static PyMethodDef clientcore_methods[] = {
     {"read", (PyCFunction)(void (*)(void))clientcore_read,
      METH_FASTCALL | METH_KEYWORDS,
@@ -4113,10 +4405,6 @@ static PyMethodDef clientcore_methods[] = {
     {"write", (PyCFunction)(void (*)(void))clientcore_write,
      METH_FASTCALL | METH_KEYWORDS,
      "QuorumRegisterClient.write: invoke a write, return its future."},
-    {"_begin", (PyCFunction)clientcore_begin_method, METH_O,
-     "QuorumRegisterClient._begin: register, first round, arm timers."},
-    {"_send_round", (PyCFunction)clientcore_send_round_method, METH_O,
-     "QuorumRegisterClient._send_round: (re)send to unanswered members."},
     {"_retry", (PyCFunction)clientcore_retry, METH_O,
      "QuorumRegisterClient._retry: resample a stalled op and re-arm."},
     {NULL}
@@ -4153,8 +4441,8 @@ static PyTypeObject ClientCore_Type = {
     .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC,
     .tp_doc = "QuorumRegisterClient in C: called, it aggregates replies "
               "(count against the pending quorum, complete the op, tear "
-              "down its timers); read/write/_begin/_send_round are the "
-              "issue path, _retry the retry timer.",
+              "down its timers); read/write are the issue path, _retry "
+              "the retry timer.",
     .tp_new = clientcore_new,
     .tp_dealloc = (destructor)clientcore_dealloc,
     .tp_traverse = (traverseproc)clientcore_traverse,
@@ -4178,6 +4466,10 @@ protocolcore_invoke(PyObject *core, PyObject *src, PyObject *message)
 /* ------------------------------------------------------------------ */
 
 static PyMethodDef kernel_methods[] = {
+    {"gather", (PyCFunction)(void (*)(void))kernel_gather, METH_FASTCALL,
+     "gather(futures, label) -> Future or None\n\n"
+     "repro.sim.futures.gather's countdown for a non-empty list or tuple\n"
+     "of native futures; None for any other input."},
     {"quorum_sample", (PyCFunction)(void (*)(void))kernel_quorum_sample,
      METH_FASTCALL,
      "quorum_sample(rng, n, k) -> frozenset\n\n"
@@ -4216,6 +4508,8 @@ PyInit__kernel(void)
         {"NetworkCore", &NetworkCore_Type},
         {"ServerCore", &ServerCore_Type},
         {"ClientCore", &ClientCore_Type},
+        {"Future", &Future_Type},
+        {"PendingOp", &PendingOp_Type},
     };
     const size_t ntypes = sizeof(types) / sizeof(types[0]);
     for (size_t i = 0; i < ntypes; i++) {
@@ -4233,7 +4527,7 @@ PyInit__kernel(void)
                                (PyObject *)types[i].type) < 0)
             goto fail;
     }
-    if (PyModule_AddIntConstant(module, "KERNEL_ABI", 7) < 0)
+    if (PyModule_AddIntConstant(module, "KERNEL_ABI", 8) < 0)
         goto fail;
 #ifdef REPRO_HAVE_NPYRANDOM
     if (PyModule_AddIntConstant(module, "HAVE_FAST_RNG", 1) < 0)

@@ -581,14 +581,20 @@ class QuorumRegisterClient(Node):
     # Operations
     # ------------------------------------------------------------------ #
     #
-    # ``read``, ``write``, ``_begin`` and ``_send_round`` are the issue
-    # path, ``_retry`` the retry timer.  On the native backend the
-    # deployment shadows them, on clients whose class overrides none of
-    # these methods, with C transcriptions of these definitions
-    # (``repro.sim.kernel.make_client_core``), as it does ``on_message``
-    # (with ``_redispatch`` and ``_finish`` inside); a change here must be
-    # made there too, and tests/test_kernel_fastpath.py compares the two
-    # draw for draw.  What an operation does is its plan: a covered round
+    # ``read``, ``write``, ``_issue``, ``_begin`` and ``_send_round`` are
+    # the issue path, ``_retry`` the retry timer.  On the native backend
+    # the deployment shadows ``read``, ``write``, ``_retry`` and
+    # ``on_message``, on clients whose class overrides none of these
+    # methods, with a C client core (``repro.sim.kernel.make_client_cores``)
+    # that transcribes these definitions — ``_redispatch``, ``_finish``
+    # and ``_settle`` inside; a change here must be made there too, and
+    # tests/test_kernel_fastpath.py compares the two draw for draw.  The
+    # core builds its operations as C types — a ``PendingOp`` with this
+    # ``_PendingOp``'s fields and a ``Future`` with the contract of
+    # ``repro.sim.futures.Future`` — and handles only those: an op built
+    # here (span tracing, a keyword call) is handled here for its whole
+    # life, and ``_expire`` / ``_give_up`` / ``_teardown`` / ``_vouched``
+    # serve both kinds.  What an operation does is its plan: a covered round
     # is decided (``_choose``), then either the next round starts on the
     # same op (``_carry``, ``_resample``, ``_send_round``) or the op
     # settles (``_settle``: counters, latency, span, history, monitor,

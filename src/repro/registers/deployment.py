@@ -132,23 +132,23 @@ class RegisterDeployment:
 
         # Native protocol fast path: C transcriptions of the server
         # handler, the client message handler and the client issue path
-        # and retry timer (read, write, _begin, _send_round, _retry),
-        # installed as instance attributes (the same pattern as the
-        # network core's send/broadcast/_deliver) so trace taps keep
-        # working.  The factories return None on the pure-python backend
-        # and for node classes that override a handler (a client class
-        # that only declares round plans gets its core); the cores
-        # re-check what a handler reads — span tracing, the exact message
-        # type — per delivery / per operation and fall back to the Python
-        # methods.
+        # and retry timer (read, write, _retry), installed as instance
+        # attributes (the same pattern as the network core's
+        # send/broadcast/_deliver) so trace taps keep working.  The
+        # factories return None on the pure-python backend and for node
+        # classes that override a handler (a client class that only
+        # declares round plans gets its core).  A client core handles the
+        # ops it builds; an op built by the Python methods (span tracing,
+        # a keyword call) and a message that is not an exact protocol type
+        # go back to the Python definitions.
         # An adversary, loss, faults, taps and detailed stats are the
         # network core's business, not theirs.
         for server in self.servers:
             core = kernel.make_server_core(server)
             if core is not None:
                 server.on_message = core
-        for client in self.clients:
-            core = kernel.make_client_core(client)
+        cores = kernel.make_client_cores(self.clients)
+        for client, core in zip(self.clients, cores):
             if core is not None:
                 client.on_message = core
                 for name in kernel.CLIENT_ISSUE_METHODS:

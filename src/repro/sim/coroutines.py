@@ -1,7 +1,9 @@
 """Generator-based coroutine processes over the scheduler.
 
-A process is a Python generator that yields either a :class:`~repro.sim.futures.Future`
-(suspend until it settles) or a :class:`Sleep` (suspend for a duration).
+A process is a Python generator that yields either a future — a
+:class:`~repro.sim.futures.Future` or the native kernel's, any of
+:data:`~repro.sim.futures.FUTURE_TYPES` — (suspend until it settles) or a
+:class:`Sleep` (suspend for a duration).
 The value sent back into the generator after yielding a future is the
 future's result, so protocol code reads naturally::
 
@@ -16,8 +18,12 @@ resolves with the generator's return value.
 
 from typing import Any, Generator, Optional
 
-from repro.sim.futures import Future
+from repro._native import load_kernel
+from repro.sim.futures import FUTURE_TYPES, Future
 from repro.sim.scheduler import Scheduler
+
+
+_kernel = load_kernel()
 
 
 class Sleep:
@@ -46,9 +52,15 @@ def spawn(
     """Run ``generator`` as a process on ``scheduler``.
 
     :returns: a future resolving to the generator's return value, or failing
-        with any exception the generator raises.
+        with any exception the generator raises — the native kernel's
+        future on its scheduler.
     """
-    done = Future(label or getattr(generator, "__name__", "coroutine"))
+    native = _kernel is not None and isinstance(
+        scheduler, _kernel.SchedulerCore
+    )
+    done = (_kernel.Future if native else Future)(
+        label or getattr(generator, "__name__", "coroutine")
+    )
 
     def resume(value: Any = None, exception: Optional[BaseException] = None) -> None:
         try:
@@ -65,7 +77,7 @@ def spawn(
         _wait_on(yielded)
 
     def _wait_on(yielded: Any) -> None:
-        if isinstance(yielded, Future):
+        if isinstance(yielded, FUTURE_TYPES):
             def on_settle(fut: Future) -> None:
                 if fut.failed:
                     # Defer to a fresh scheduler slot so callback chains stay flat.

@@ -3,9 +3,17 @@
 A :class:`Future` is a single-assignment cell that coroutine processes can
 suspend on.  Callbacks registered on a future run synchronously when it is
 resolved, in registration order; this keeps delivery deterministic.
+
+The definitions here are the reference.  The native kernel has the same
+future in C (``repro._native._kernel.Future``: the native client core's
+operations return it) and the same countdown behind :func:`gather`, which
+takes it for a list made only of native futures.  :data:`FUTURE_TYPES`
+names every future class a coroutine may yield.
 """
 
 from typing import Any, Callable, List, Optional
+
+from repro._native import load_kernel
 
 
 class FutureError(RuntimeError):
@@ -105,8 +113,14 @@ def gather(futures: List[Future], label: str = "gather") -> Future:
 
     Each settlement is decided from the future that just settled — its
     own exception plus a countdown — never by rescanning the inputs, so
-    settling m inputs costs O(m) in total.
+    settling m inputs costs O(m) in total.  A non-empty list or tuple of
+    native futures gets the native countdown (same contract, no Python
+    frame per settlement), over a snapshot of the inputs.
     """
+    if _native_gather is not None:
+        combined = _native_gather(futures, label)
+        if combined is not None:
+            return combined
     combined = Future(label)
     remaining = len(futures)
     if remaining == 0:
@@ -128,3 +142,10 @@ def gather(futures: List[Future], label: str = "gather") -> Future:
     for fut in futures:
         fut.add_callback(on_done)
     return combined
+
+
+_kernel = load_kernel()
+_native_gather = None if _kernel is None else _kernel.gather
+
+#: The future classes: this module's, and the native one when built.
+FUTURE_TYPES = (Future,) if _kernel is None else (Future, _kernel.Future)

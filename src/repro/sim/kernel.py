@@ -226,11 +226,18 @@ def make_server_core(server):
 #: The client methods the native client core also provides; the
 #: deployment installs each as an instance attribute beside
 #: ``on_message``.
-CLIENT_ISSUE_METHODS = ("read", "write", "_begin", "_send_round", "_retry")
+CLIENT_ISSUE_METHODS = ("read", "write", "_retry")
 
 
 def make_client_core(client):
-    """Build the native client fast path, or None.
+    """Build the native client fast path of one client, or None (see
+    :func:`make_client_cores`)."""
+    return make_client_cores([client])[0]
+
+
+def make_client_cores(clients):
+    """Build the native client fast path of each client (None for one
+    that gets none).
 
     One C object per client whose class overrides no method of
     :class:`~repro.registers.client.QuorumRegisterClient` (a constructor
@@ -239,46 +246,64 @@ def make_client_core(client):
     and interprets as the Python methods do.  Every shipped flavour
     (plain, monotone, masking, multi-writer, ABD) therefore runs in C; a
     class that overrides a method (the chaos mutant's ``_choose``) keeps
-    its Python handlers.  The core covers both halves of an operation:
+    its Python handlers.  Eligibility is a property of the class, so it is
+    decided once per class for the whole list, not per client.
+
+    **Ownership.**  The core handles only the operations it builds, and
+    builds them with the C types ``PendingOp`` (the fields of
+    ``_PendingOp``, as struct members) and ``Future`` (the contract of
+    :class:`repro.sim.futures.Future`; :func:`~repro.sim.futures.gather`
+    counts native futures down in C).  An operation issued with span
+    tracing on (``client._trace_on``) or through a keyword call is built
+    by the Python ``read`` / ``write`` with the Python types, and the
+    Python definitions handle it for its whole life — its replies, nacks
+    and retry timer reach the core and are handed back to them.  The
+    Python ``_expire`` and ``_give_up`` run for both kinds of op.
 
     * **Message handling** — called as ``on_message``: ``on_message``
       plus ``_finish`` — the round's decision (``_choose``; a masking
       round's ``_vouched`` is the one Python call), then the plan's next
-      round or the completion (``_settle``, the spec monitor's hooks, the
-      live latency histogram) — and, for a ``StaleViewNack``,
-      ``_redispatch``.  Per delivery, an op-level span or a message that
-      is not an exact ``ReadReply`` / ``WriteAck`` / ``StaleViewNack``
-      takes the Python handler; a view refresh calls the Python
-      ``_refresh_view`` only when the manager's newest view is not the
-      client's.
+      round or the completion (``_settle``: counters, the live latency
+      sketch's bucket bump, history, the spec monitor's hooks, the
+      future) — and, for a ``StaleViewNack``, ``_redispatch``.  A message
+      that is not an exact ``ReadReply`` / ``WriteAck`` /
+      ``StaleViewNack`` takes the Python handler; a view refresh calls
+      the Python ``_refresh_view`` only when the manager's newest view is
+      not the client's.
     * **Issue and retry** — the methods named in
-      :data:`CLIENT_ISSUE_METHODS`: history record, ``Future`` and
-      ``_PendingOp``, quorum draw, message build, the network core's
-      broadcast, retry/deadline timers in the C heap and the retry
-      timer's resample.  The C ``quorum_sample`` draws for a static
-      ``ProbabilisticQuorumSystem`` and every membership view, one call to
-      the Python ``_sample_quorum`` for any other system; an exact
-      ``RetryPolicy``'s delay is computed in C.  Every stream is consumed
-      draw for draw as on the python backend.  Span tracing and keyword
-      calls take the Python methods, the reference definition; so do
-      ``_give_up`` and ``_expire``.
+      :data:`CLIENT_ISSUE_METHODS`: history record, future and op, quorum
+      draw, message build, the network core's broadcast, retry/deadline
+      timers in the C heap and the retry timer's resample.  The C
+      ``quorum_sample`` draws for a static ``ProbabilisticQuorumSystem``
+      and every membership view, one call to the Python
+      ``_sample_quorum`` for any other system; an exact ``RetryPolicy``'s
+      delay is computed in C.  Every stream is consumed draw for draw as
+      on the python backend.
     """
+    clients = list(clients)
     if selected_backend() != "native":
-        return None
+        return [None] * len(clients)
     from repro._native import load_kernel
     from repro.registers.client import QuorumRegisterClient
 
     module = load_kernel()
-    cls = type(client)
-    if not isinstance(client, QuorumRegisterClient) or any(
-        getattr(cls, name) is not method
-        for name, method in vars(QuorumRegisterClient).items()
+    methods = [
+        (name, method) for name, method in vars(QuorumRegisterClient).items()
         if callable(method) and name != "__init__"
-    ):
-        return None
-    if not isinstance(client.network.scheduler, module.SchedulerCore):
-        return None
-    return module.ClientCore(client)
+    ]
+    eligible = {}
+    cores = []
+    for client in clients:
+        cls = type(client)
+        if cls not in eligible:
+            eligible[cls] = isinstance(client, QuorumRegisterClient) and all(
+                getattr(cls, name) is method for name, method in methods
+            )
+        native = eligible[cls] and isinstance(
+            client.network.scheduler, module.SchedulerCore
+        )
+        cores.append(module.ClientCore(client) if native else None)
+    return cores
 
 
 def _resolve(backend: str) -> str:

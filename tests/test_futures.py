@@ -1,69 +1,87 @@
-"""Tests for futures and gather."""
+"""Tests for futures and gather.
+
+Every test takes the future class under test from the ``impl`` fixture:
+the Python reference, :class:`repro.sim.futures.Future`, at module level;
+:class:`TestNative` re-runs them all with the native kernel's ``Future``,
+which :func:`~repro.sim.futures.gather` hands to the C countdown.
+"""
+
+import math
+import time
+import types
 
 import pytest
 
-from repro.sim.futures import Future, FutureError, gather
+from repro._native import load_kernel
+from repro.sim.futures import FUTURE_TYPES, Future, FutureError, gather
+from tests.conftest import needs_native
 
 
-def test_future_starts_pending():
-    fut = Future("f")
+@pytest.fixture
+def impl():
+    """The future class under test (the Python reference here)."""
+    return Future
+
+
+def test_future_starts_pending(impl):
+    fut = impl("f")
     assert not fut.done
     assert not fut.failed
 
 
-def test_resolve_sets_result():
-    fut = Future()
+def test_resolve_sets_result(impl):
+    fut = impl()
     fut.resolve(42)
     assert fut.done
     assert fut.result() == 42
 
 
-def test_result_before_resolve_raises():
-    fut = Future("pending")
-    with pytest.raises(FutureError):
+def test_result_before_resolve_raises(impl):
+    fut = impl("pending")
+    with pytest.raises(FutureError, match="future 'pending' is not resolved"):
         fut.result()
 
 
-def test_double_resolve_raises():
-    fut = Future()
+def test_double_resolve_raises(impl):
+    fut = impl("twice")
     fut.resolve(1)
-    with pytest.raises(FutureError):
+    with pytest.raises(FutureError, match="future 'twice' resolved twice"):
         fut.resolve(2)
 
 
-def test_fail_then_result_raises_original():
-    fut = Future()
+def test_fail_then_result_raises_original(impl):
+    fut = impl()
     fut.fail(ValueError("boom"))
     assert fut.failed
     with pytest.raises(ValueError, match="boom"):
         fut.result()
 
 
-def test_fail_after_resolve_raises():
-    fut = Future()
+def test_fail_after_resolve_raises(impl):
+    fut = impl()
     fut.resolve(1)
-    with pytest.raises(FutureError):
+    with pytest.raises(FutureError, match="resolved twice"):
         fut.fail(RuntimeError("late"))
 
 
-def test_callback_runs_on_resolve():
-    fut = Future()
+def test_callback_runs_on_resolve(impl):
+    fut = impl()
     seen = []
     fut.add_callback(lambda f: seen.append(f.result()))
     fut.resolve("value")
     assert seen == ["value"]
 
 
-def test_callback_on_already_resolved_runs_immediately():
-    fut = Future()
+def test_callback_on_already_resolved_runs_immediately(impl):
+    fut = impl()
     fut.resolve(7)
     seen = []
     fut.add_callback(lambda f: seen.append(f.result()))
     assert seen == [7]
 
 
-def test_callbacks_run_in_registration_order():
-    fut = Future()
+def test_callbacks_run_in_registration_order(impl):
+    fut = impl()
     order = []
     fut.add_callback(lambda f: order.append(1))
     fut.add_callback(lambda f: order.append(2))
@@ -72,8 +90,8 @@ def test_callbacks_run_in_registration_order():
     assert order == [1, 2, 3]
 
 
-def test_gather_collects_in_input_order():
-    futures = [Future(str(i)) for i in range(3)]
+def test_gather_collects_in_input_order(impl):
+    futures = [impl(str(i)) for i in range(3)]
     combined = gather(futures)
     futures[2].resolve("c")
     futures[0].resolve("a")
@@ -83,14 +101,14 @@ def test_gather_collects_in_input_order():
     assert combined.result() == ["a", "b", "c"]
 
 
-def test_gather_empty_resolves_immediately():
+def test_gather_empty_resolves_immediately(impl):
     combined = gather([])
     assert combined.done
     assert combined.result() == []
 
 
-def test_gather_propagates_failure():
-    futures = [Future(), Future()]
+def test_gather_propagates_failure(impl):
+    futures = [impl(), impl()]
     combined = gather(futures)
     futures[0].fail(RuntimeError("dead"))
     assert combined.done
@@ -101,10 +119,10 @@ def test_gather_propagates_failure():
     futures[1].resolve("ok")
 
 
-def test_gather_with_pre_resolved_inputs():
-    done = Future()
+def test_gather_with_pre_resolved_inputs(impl):
+    done = impl()
     done.resolve(1)
-    pending = Future()
+    pending = impl()
     combined = gather([done, pending])
     assert not combined.done
     pending.resolve(2)
@@ -116,8 +134,8 @@ def test_gather_with_pre_resolved_inputs():
 # --------------------------------------------------------------------- #
 
 
-def test_gather_fails_with_first_failure_observed():
-    futures = [Future(str(i)) for i in range(4)]
+def test_gather_fails_with_first_failure_observed(impl):
+    futures = [impl(str(i)) for i in range(4)]
     combined = gather(futures)
     futures[3].resolve("d")
     assert not combined.done
@@ -131,20 +149,20 @@ def test_gather_fails_with_first_failure_observed():
         combined.result()
 
 
-def test_gather_sees_inputs_that_failed_before_the_call():
-    resolved, failed_early, failed_late = Future(), Future(), Future()
+def test_gather_sees_inputs_that_failed_before_the_call(impl):
+    resolved, failed_early, failed_late = impl(), impl(), impl()
     resolved.resolve(1)
     failed_early.fail(ValueError("early"))
     failed_late.fail(ValueError("late"))
     # Callbacks run at registration, in input order: the first failed
     # input in the list wins, although a resolved one precedes it.
-    combined = gather([resolved, failed_early, failed_late, Future()])
+    combined = gather([resolved, failed_early, failed_late, impl()])
     assert combined.failed
     assert str(combined.exception) == "early"
 
 
-def test_gather_never_resolves_once_an_input_failed():
-    futures = [Future(), Future()]
+def test_gather_never_resolves_once_an_input_failed(impl):
+    futures = [impl(), impl()]
     combined = gather(futures)
     seen = []
     combined.add_callback(seen.append)
@@ -152,6 +170,36 @@ def test_gather_never_resolves_once_an_input_failed():
     futures[0].resolve("late")
     assert seen == [combined]  # settled exactly once, by the failure
     assert isinstance(combined.exception, KeyError)
+
+
+def test_gather_takes_the_inputs_future_class(impl):
+    """The inputs' class picks the countdown: the combined future is of
+    the inputs' class, and a mixed list takes the Python gather."""
+    futures = [impl("a"), impl("b")]
+    combined = gather(futures, label="both")
+    assert type(combined) is impl and combined.label == "both"
+    assert isinstance(combined, FUTURE_TYPES)
+    mixed = gather([futures[0], Future("python")])
+    assert type(mixed) is Future
+    futures[0].resolve(1)
+    futures[1].resolve(2)
+    assert combined.result() == [1, 2] and not mixed.done
+
+
+def test_a_raising_callback_stops_the_rest(impl):
+    fut = impl("f")
+    seen = []
+
+    def boom(settled):
+        raise KeyError("boom")
+
+    fut.add_callback(seen.append)
+    fut.add_callback(boom)
+    fut.add_callback(seen.append)
+    with pytest.raises(KeyError):
+        fut.resolve(1)
+    assert seen == [fut] and fut.done
+    assert repr(fut) == "Future('f', done(1))"
 
 
 class _CountingFuture(Future):
@@ -185,3 +233,53 @@ def test_gather_settling_m_inputs_is_linear_work(fail_last):
     # Settling a future reads a dozen of its own slots (resolve, the
     # callback hand-over, gather's verdict); none of that grows with m.
     assert _CountingFuture.reads - before <= 16 * m
+
+
+@needs_native
+class TestNative:
+    """Every module-level test above, against the native ``Future`` (and
+    so the native gather countdown), plus the native-only checks."""
+
+    @pytest.fixture
+    def impl(self):
+        return load_kernel().Future
+
+    @pytest.mark.parametrize("fail_last", [False, True])
+    def test_gather_settling_m_inputs_is_linear_work(self, impl, fail_last):
+        """The countdown's scaling guard, on time (C reads no Python
+        attributes to count): settling m inputs costs O(m) in total, so
+        the per-input cost at m = 20 000 stays within a small factor of
+        that at m = 200; a rescan of every input per settlement would
+        make it about 100 times larger."""
+
+        def per_input(m):
+            best = math.inf
+            for _ in range(5):
+                futures = [impl(str(i)) for i in range(m)]
+                combined = gather(futures)
+                start = time.perf_counter()
+                for fut in futures[:-1]:
+                    fut.resolve(None)
+                if fail_last:
+                    futures[-1].fail(RuntimeError("last"))
+                else:
+                    futures[-1].resolve(None)
+                best = min(best, (time.perf_counter() - start) / m)
+                assert combined.done and combined.failed == fail_last
+            return best
+
+        assert per_input(20_000) < 10 * per_input(200)
+
+    def test_pending_op_fields_are_the_python_slots(self):
+        from repro.registers.client import _PendingOp
+
+        fields = tuple(
+            name for name, attr in vars(load_kernel().PendingOp).items()
+            if isinstance(attr, types.GetSetDescriptorType)
+        )
+        assert fields == _PendingOp.__slots__
+
+
+for _name, _test in list(globals().items()):
+    if _name.startswith("test_") and not hasattr(TestNative, _name):
+        setattr(TestNative, _name, staticmethod(_test))

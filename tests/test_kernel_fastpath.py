@@ -29,7 +29,11 @@ tests pin the contract four ways:
   an ABI-stale extension, and the pure-python backend never sees them;
   the client issue path is absent from a subclassed client, steps aside
   per op under span tracing, and stays native over non-probabilistic
-  quorum systems and with recorded histories.
+  quorum systems and with recorded histories,
+* **the operation object** — a native Alg. 1 run builds, settles and
+  gathers its ops without a Python op, future or sketch frame; an op the
+  Python definitions built stays theirs; the Python deadline and attempt
+  budget reject a C op's future with the python backend's text.
 """
 
 import numpy as np
@@ -44,21 +48,31 @@ from repro.adversary.strategies import (
 from repro.chaos.broken import RegressingClient
 from repro.core.monitor import OnlineSpecMonitor
 from repro.core.spec import SpecViolation
+from repro.exec.workers import run_alg1_task
+from repro.experiments.figure2 import Figure2Config, figure2_tasks
 from repro.membership import MembershipSchedule
 from repro.membership.manager import View
 from repro.obs.core import Observability
+from repro.obs.quantiles import StreamingQuantiles
 from repro.obs.spans import SpanRecorder
 from repro.quorum.grid import GridQuorumSystem
 from repro.quorum.majority import MajorityQuorumSystem
 from repro.quorum.probabilistic import ProbabilisticQuorumSystem
 from repro.registers.atomic import AtomicClient, MultiWriterClient
-from repro.registers.client import QuorumRegisterClient, RetryPolicy
+from repro.registers.client import (
+    OperationTimeout,
+    QuorumRegisterClient,
+    QuorumUnreachable,
+    RetryPolicy,
+    _PendingOp,
+)
 from repro.registers.deployment import RegisterDeployment
 from repro.registers.masking import MaskingClient, replace_with_byzantine
 from repro.registers.server import ReplicaServer
 from repro.sim import kernel
 from repro.sim.delays import ConstantDelay, ExponentialDelay
 from repro.sim.failures import FailureInjector, FailureSchedule
+from repro.sim.futures import Future, gather
 from repro.sim.network import Network
 from tests.conftest import (
     count_calls,
@@ -834,7 +848,7 @@ def test_native_backend_installs_network_core():
     }
     assert exported == {
         "StatsCore", "EventHandle", "SchedulerCore", "NetworkCore",
-        "ServerCore", "ClientCore",
+        "ServerCore", "ClientCore", "Future", "PendingOp",
     }
 
 
@@ -885,7 +899,8 @@ def _count_python_client_methods(monkeypatch):
     ``_sample_quorum``, which it may call); returns the call counters."""
     return count_calls(
         monkeypatch, QuorumRegisterClient,
-        kernel.CLIENT_ISSUE_METHODS + ("_sample_quorum",),
+        kernel.CLIENT_ISSUE_METHODS
+        + ("_begin", "_send_round", "_sample_quorum"),
     )
 
 
@@ -993,9 +1008,10 @@ def test_issue_path_runs_natively_without_spans(monkeypatch):
 
 @needs_native
 def test_issue_path_steps_aside_per_op_when_spans_are_on(monkeypatch):
-    """Span tracing is a per-op guard: with it on every operation takes
-    the Python definitions (one span per op, same results); flipped off
-    on the same deployment, the next operations run in C again."""
+    """Span tracing picks the op's builder: with it on every operation is
+    built, and then handled, by the Python definitions (one span per op,
+    same results); flipped off on the same deployment, the next
+    operations are built and run in C again."""
     calls = _count_python_client_methods(monkeypatch)
     obs = Observability(spans=SpanRecorder())
     traced, traced_values = _issue_workload(
@@ -1066,3 +1082,159 @@ def test_issue_path_records_histories_like_the_python_backend(monkeypatch):
     records = _history_records(native)
     assert records == _history_records(python)
     assert [len(ops) for ops in records.values()] == [20, 20]
+
+
+# --------------------------------------------------------------------- #
+# The operation object: PendingOp, Future and gather in C
+# --------------------------------------------------------------------- #
+
+
+@needs_native
+def test_native_alg1_run_makes_no_python_op_future_or_sketch_call(
+    monkeypatch,
+):
+    """A Figure 2 run (Alg. 1: m concurrent reads, one gather, the
+    owner's writes) on native builds its ops and futures, settles them,
+    counts its gathers down and bumps the latency sketch in C: not one
+    Python ``_PendingOp`` / ``Future`` / ``observe`` frame — and the same
+    payload as the python backend."""
+    tasks = figure2_tasks(Figure2Config(
+        num_vertices=6, num_servers=6, quorum_sizes=(2,), runs_per_point=1,
+        max_rounds=150, base_seed=1,
+    ))
+    python = [run_alg1_task(task) for task in tasks]
+    calls = {
+        cls.__name__: count_calls(monkeypatch, cls, names)
+        for cls, names in (
+            (_PendingOp, ("__init__",)),
+            (Future, ("__init__", "resolve", "add_callback")),
+            (StreamingQuantiles, ("observe",)),
+        )
+    }
+    with kernel.use_backend("native"):
+        native = [run_alg1_task(task) for task in tasks]
+    assert native == python
+    assert all(payload["converged"] for payload in native)
+    assert calls == {
+        "_PendingOp": {"__init__": 0},
+        "Future": dict.fromkeys(("__init__", "resolve", "add_callback"), 0),
+        "StreamingQuantiles": {"observe": 0},
+    }
+
+
+def _owned_run(backend, how):
+    """Two clients' keyword-call (or span-traced) reads and writes; what
+    they leave behind, and the Python client calls made on the way."""
+    observability = (
+        Observability(spans=SpanRecorder()) if how == "spans" else None
+    )
+    with kernel.use_backend(backend):
+        deployment = RegisterDeployment(
+            ProbabilisticQuorumSystem(7, 3), num_clients=2,
+            delay_model=ExponentialDelay(1.0), seed=3,
+            retry_policy=RetryPolicy(interval=2.0, deadline=40.0),
+            loss_rate=0.2, observability=observability,
+        )
+        deployment.declare_register("x", writer=0, initial_value=0)
+        futures = []
+        for i in range(10):
+            writer, reader = deployment.clients
+            if how == "keyword":
+                futures.append(writer.write(register="x", value=i))
+                futures.append(reader.read(register="x"))
+            else:
+                futures.append(writer.write("x", i))
+                futures.append(reader.read("x"))
+        deployment.run()
+    return {
+        "types": {type(future).__name__ for future in futures},
+        "results": [
+            (future.done, repr(future.exception) if future.failed
+             else future.result())
+            for future in futures
+        ],
+        "retries": deployment.total_retries,
+        "completed": sum(c.ops_completed for c in deployment.clients),
+        "stats": stats_state(deployment.network.stats),
+        "streams": stream_states(deployment),
+        "history": [
+            (record.process, record.invoke_time, record.response_time,
+             record.value, record.timestamp)
+            for record in deployment.space.history("x").operations()
+        ],
+    }
+
+
+@needs_native
+@pytest.mark.parametrize("how", ["keyword", "spans"])
+def test_an_op_built_in_python_stays_python_for_its_whole_life(
+    monkeypatch, how
+):
+    """Ownership: a keyword call or span tracing builds the op with the
+    Python ``_PendingOp`` and ``Future``, and every later step of it —
+    its replies, its retry timer, its completion — runs the Python
+    definitions, under loss and retries; the result is the python
+    backend's, draw for draw."""
+    python = _owned_run("python", how)
+    calls = count_calls(monkeypatch, QuorumRegisterClient, (
+        "_issue", "_begin", "_finish", "_settle", "_retry",
+    ))
+    native = _owned_run("native", how)
+    assert native == python
+    assert native["types"] == {"Future"} and native["retries"] > 0
+    assert calls["_issue"] == calls["_begin"] == 20
+    assert calls["_finish"] >= calls["_settle"] == native["completed"] > 15
+    assert calls["_retry"] == native["retries"]
+
+
+def _rejected_run(backend, policy):
+    """Reads the C core builds, against a deployment with every replica
+    crashed: the Python ``_expire`` / ``_give_up`` rejects them.  Returns
+    each future's exception text and the gathers' verdicts."""
+    with kernel.use_backend(backend):
+        deployment = RegisterDeployment(
+            ProbabilisticQuorumSystem(5, 2), num_clients=1,
+            delay_model=ConstantDelay(1.0), seed=4, retry_policy=policy,
+        )
+        deployment.declare_register("x", writer=0)
+        for index in range(5):
+            deployment.crash_server(index)
+        client = deployment.clients[0]
+        first = client.read("x")
+        deployment.scheduler.schedule(0.5, lambda: None)
+        deployment.run(until=0.5)
+        second = client.read("x")
+        gathers = [gather([second, first]), gather([first, second])]
+        deployment.run()
+    return {
+        "type": type(first).__name__,
+        "failed": [repr(fut.exception) for fut in (first, second)],
+        "gathers": [repr(fut.exception) for fut in gathers],
+        "counters": (client.timeouts, client.unreachable, client.retries),
+        "pending": deployment.pending_ops,
+    }
+
+
+@needs_native
+@pytest.mark.parametrize("policy,error", [
+    (RetryPolicy(interval=2.0, deadline=9.0), OperationTimeout),
+    (RetryPolicy(interval=2.0, max_attempts=3), QuorumUnreachable),
+], ids=["deadline", "max_attempts"])
+def test_python_timers_reject_a_c_op_like_the_python_backend(
+    monkeypatch, policy, error
+):
+    """The Python ``_expire`` (deadline) and ``_give_up`` (attempt
+    budget) act on a C ``PendingOp`` and fail its native future with the
+    python backend's exception text; a gather over such futures fails
+    with the first failure, whatever the input order."""
+    python = _rejected_run("python", policy)
+    calls = count_calls(monkeypatch, QuorumRegisterClient, (
+        "_expire", "_give_up", "_teardown",
+    ))
+    native = _rejected_run("native", policy)
+    assert native == {**python, "type": "Future"}
+    assert python["type"] == "Future" and native["pending"] == 0
+    assert error.__name__ in native["failed"][0]
+    assert native["gathers"] == [native["failed"][0]] * 2
+    assert calls["_teardown"] == 2
+    assert calls["_expire" if error is OperationTimeout else "_give_up"] == 2

@@ -36,6 +36,7 @@ from repro.obs.registry import (
 )
 from repro.obs.spans import NULL_RECORDER, SpanRecorder
 from repro.quorum.probabilistic import ProbabilisticQuorumSystem
+from repro.sim import kernel
 from repro.sim.delays import ConstantDelay, ExponentialDelay
 
 
@@ -436,8 +437,10 @@ def test_cache_hits_replay_metrics(tmp_path):
 @pytest.fixture
 def observed(monkeypatch):
     """Every histogram observation made while the fixture is active, as
-    ``{(family name, *label values): [values]}`` — on either kernel
-    backend, since the native client core calls ``observe`` too."""
+    ``{(family name, *label values): [values]}``.  Runs on the python
+    backend: the native client core bumps an exact sketch without a call
+    to ``observe`` (its equality with the Python sketch is
+    test_kernel_fastpath's)."""
     seen = {}
     owner = {}  # id(sketch) -> (sketch kept alive, series key)
     labels, observe = Family.labels, StreamingQuantiles.observe
@@ -454,7 +457,8 @@ def observed(monkeypatch):
 
     monkeypatch.setattr(Family, "labels", recording_labels)
     monkeypatch.setattr(StreamingQuantiles, "observe", recording_observe)
-    return seen
+    with kernel.use_backend("python"):
+        yield seen
 
 
 def nearest_rank(values, q):

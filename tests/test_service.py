@@ -36,6 +36,7 @@ from repro.sim.arrivals import (
     PoissonArrivals,
     build_arrivals,
 )
+from repro.sim import kernel
 from repro.sim.futures import Future
 
 # --- sharding --------------------------------------------------------------
@@ -414,9 +415,11 @@ def test_frontend_records_each_settled_latency_once(monkeypatch):
     assert frontend.in_flight == 0
 
     # End to end: a completed serve op bumps two sketches — the client's
-    # repro_op_latency and the front end's repro_service_latency.
+    # repro_op_latency and the front end's repro_service_latency.  (On
+    # native the client core bumps its sketch in C, without ``observe``.)
     del observed[:]
-    result = run_service(ServiceConfig(**QUICK))
+    with kernel.use_backend("python"):
+        result = run_service(ServiceConfig(**QUICK))
     assert result.timeouts == 0 and result.counters["in_flight"] == 0
     assert len(observed) == 2 * result.completed
 

@@ -29,8 +29,11 @@ SRC = str(pathlib.Path(__file__).resolve().parent.parent / "src")
 #: churned one with plain clients (the C loss draw, retry jitter and
 #: stale-view re-dispatch), a lossy churned two-phase one (the
 #: multi-writer plan's query and update rounds in the C client core; it
-#: must also leave nothing hung) and the closed-loop Figure 2 sweep's
-#: metrics (Alg. 1 issues through the C client core on native).
+#: must also leave nothing hung), the closed-loop Figure 2 sweep's
+#: metrics (Alg. 1 issues through the C client core on native: C ops,
+#: C futures, the C gather) and the same sweep with span tracing on — the
+#: one case where native runs Python-built ops, each handled by the
+#: Python definitions for its whole life (the ownership rule).
 DEFAULT_CASES = (
     "chaos --runs 10 --chaos-seed 1 --jobs 2 --metrics-out {out}",
     "serve --duration 120 --rate 4 --clients 2 --churn 40 --churn-batch 2 "
@@ -40,6 +43,7 @@ DEFAULT_CASES = (
     "serve --write-mode two_phase --loss-rate 0.2 --churn 40 --duration 150 "
     "--rate 4 --seed 7 --snapshot-out {out}",
     "figure2 --jobs 1 --no-cache --metrics-out {out}",
+    "figure2 --jobs 1 --no-cache --trace-spans 3 --metrics-out {out}",
 )
 
 
