@@ -2,11 +2,13 @@
  *
  * A CPython extension housing the hot path of the simulator: the
  * event-heap scheduler (push/pop/cancel with (time, seq) ordering, the
- * run() drain loops, handle-free uncancellable delivery entries), a
- * scalar-totals MessageStats core, one network core (Network.send /
- * .broadcast / ._deliver), the two register-protocol cores and the
- * operation objects the client core builds (Future, gather's countdown,
- * PendingOp).  A message travels drain loop -> deliver -> protocol
+ * run() drain loops, handle-free uncancellable delivery entries), one
+ * network core (Network.send / .broadcast / ._deliver, which bumps a
+ * scalar-mode MessageStats' totals on its __slots__ directly), the two
+ * register-protocol cores and the operation objects the client core
+ * builds (Future, gather's countdown, PendingOp).  There is no stats
+ * type here: both backends count into the one Python MessageStats.  A
+ * message travels drain loop -> deliver -> protocol
  * handler -> send, and an operation is built, settled and gathered,
  * without an interpreter frame; Python is re-entered only where a node, a
  * hook or a fallback guard asks for it.
@@ -192,6 +194,10 @@ static double per_log;                     /* obs.quantiles._PER_LOG */
  * resolved the first time a network or client core is built. */
 static PyObject *generator_type = NULL;        /* numpy.random.Generator */
 static PyObject *failure_injector_type = NULL; /* failures.FailureInjector */
+static PyObject *message_stats_type = NULL;    /* metrics.MessageStats */
+/* MessageStats' detailed / sent / delivered / dropped __slots__ offsets. */
+enum { STAT_DETAILED, STAT_SENT, STAT_DELIVERED, STAT_DROPPED, NSTATS };
+static Py_ssize_t stat_offsets[NSTATS];
 
 /* Delay-model classes, resolved lazily the first time a delay is
  * sampled natively.  Soft-resolved: when the import fails (stripped
@@ -293,161 +299,6 @@ import_attr(const char *module_name, const char *attr)
     Py_DECREF(module);
     return value;
 }
-
-/* ------------------------------------------------------------------ */
-/* StatsCore: the MessageStats(detailed=False) scalar-totals fast path */
-/* ------------------------------------------------------------------ */
-
-typedef struct {
-    PyObject_HEAD
-    long long sent;
-    long long delivered;
-    long long dropped;
-} StatsCore;
-
-static PyTypeObject StatsCore_Type;
-
-#define StatsCore_Check(op) PyObject_TypeCheck((op), &StatsCore_Type)
-
-static PyObject *
-statscore_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
-{
-    StatsCore *self = (StatsCore *)type->tp_alloc(type, 0);
-    if (self != NULL) {
-        self->sent = 0;
-        self->delivered = 0;
-        self->dropped = 0;
-    }
-    return (PyObject *)self;
-}
-
-static int
-statscore_init(StatsCore *self, PyObject *args, PyObject *kwds)
-{
-    /* Accept and ignore a ``detailed`` keyword for signature parity with
-     * MessageStats; the core is always scalar-totals (detailed=False). */
-    static char *kwlist[] = {"detailed", NULL};
-    int detailed = 0;
-    if (!PyArg_ParseTupleAndKeywords(args, kwds, "|p", kwlist, &detailed))
-        return -1;
-    if (detailed) {
-        PyErr_SetString(PyExc_ValueError,
-                        "the native stats core is scalar-totals only; "
-                        "use repro.sim.metrics.MessageStats for "
-                        "detailed=True");
-        return -1;
-    }
-    return 0;
-}
-
-static PyObject *
-statscore_record_send(StatsCore *self, PyObject *const *args, Py_ssize_t nargs)
-{
-    if (nargs < 2 || nargs > 3) {
-        PyErr_SetString(PyExc_TypeError,
-                        "record_send expects (src, dst, kind)");
-        return NULL;
-    }
-    self->sent += 1;
-    Py_RETURN_NONE;
-}
-
-static PyObject *
-statscore_record_sends(StatsCore *self, PyObject *const *args, Py_ssize_t nargs)
-{
-    if (nargs < 2 || nargs > 3) {
-        PyErr_SetString(PyExc_TypeError,
-                        "record_sends expects (src, count, kind)");
-        return NULL;
-    }
-    long long count = PyLong_AsLongLong(args[1]);
-    if (count == -1 && PyErr_Occurred())
-        return NULL;
-    self->sent += count;
-    Py_RETURN_NONE;
-}
-
-static PyObject *
-statscore_record_delivery(StatsCore *self, PyObject *const *args,
-                          Py_ssize_t nargs)
-{
-    if (nargs < 2 || nargs > 3) {
-        PyErr_SetString(PyExc_TypeError,
-                        "record_delivery expects (src, dst[, kind])");
-        return NULL;
-    }
-    self->delivered += 1;
-    Py_RETURN_NONE;
-}
-
-static PyObject *
-statscore_record_drop(StatsCore *self, PyObject *args, PyObject *kwds)
-{
-    static char *kwlist[] = {"src", "dst", "kind", "reason", NULL};
-    PyObject *src, *dst, *kind = Py_None, *reason = Py_None;
-    if (!PyArg_ParseTupleAndKeywords(args, kwds, "OO|OO", kwlist,
-                                     &src, &dst, &kind, &reason))
-        return NULL;
-    self->dropped += 1;
-    Py_RETURN_NONE;
-}
-
-static PyObject *
-statscore_get_detailed(StatsCore *self, void *closure)
-{
-    Py_RETURN_FALSE;
-}
-
-static PyObject *
-statscore_repr(StatsCore *self)
-{
-    return PyUnicode_FromFormat(
-        "MessageStats(sent=%lld, delivered=%lld, dropped=%lld)",
-        self->sent, self->delivered, self->dropped);
-}
-
-static PyMemberDef statscore_members[] = {
-    {"sent", T_LONGLONG, offsetof(StatsCore, sent), 0,
-     "total messages sent"},
-    {"delivered", T_LONGLONG, offsetof(StatsCore, delivered), 0,
-     "total messages delivered"},
-    {"dropped", T_LONGLONG, offsetof(StatsCore, dropped), 0,
-     "total messages dropped"},
-    {NULL}
-};
-
-static PyGetSetDef statscore_getset[] = {
-    {"detailed", (getter)statscore_get_detailed, NULL,
-     "always False: the native core keeps scalar totals only", NULL},
-    {NULL}
-};
-
-static PyMethodDef statscore_methods[] = {
-    {"record_send", (PyCFunction)statscore_record_send, METH_FASTCALL,
-     "Record one message leaving src for dst."},
-    {"record_sends", (PyCFunction)statscore_record_sends, METH_FASTCALL,
-     "Record count messages leaving src in one update."},
-    {"record_delivery", (PyCFunction)statscore_record_delivery,
-     METH_FASTCALL, "Record one message arriving at dst."},
-    {"record_drop", (PyCFunction)statscore_record_drop,
-     METH_VARARGS | METH_KEYWORDS,
-     "Record a message lost to a crash, partition or lossy link."},
-    {NULL}
-};
-
-static PyTypeObject StatsCore_Type = {
-    PyVarObject_HEAD_INIT(NULL, 0)
-    .tp_name = "repro._native._kernel.StatsCore",
-    .tp_basicsize = sizeof(StatsCore),
-    .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_BASETYPE,
-    .tp_doc = "Scalar-totals message counters (the detailed=False fast path).",
-    .tp_new = statscore_new,
-    .tp_init = (initproc)statscore_init,
-    .tp_repr = (reprfunc)statscore_repr,
-    .tp_members = statscore_members,
-    .tp_getset = statscore_getset,
-    .tp_methods = statscore_methods,
-};
 
 /* ------------------------------------------------------------------ */
 /* EventHandle                                                         */
@@ -1269,17 +1120,41 @@ rng_random(PyObject *rng)
     return value;
 }
 
-/* Resolve the network cores' exact types (see their declarations). */
+/* Resolve the network cores' exact types (see their declarations), and
+ * the MessageStats slot offsets from its member descriptors. */
 static int
 ensure_network_types(void)
 {
-    if (failure_injector_type != NULL)
+    static const char *stat_names[NSTATS] = {
+        "detailed", "sent", "delivered", "dropped"};
+    if (message_stats_type != NULL)
         return 0;
-    if ((generator_type = import_attr("numpy.random", "Generator")) != NULL
-        && (failure_injector_type = import_attr("repro.sim.failures",
-                                                "FailureInjector")) != NULL)
-        return 0;
+    if ((generator_type = import_attr("numpy.random", "Generator")) == NULL
+        || (failure_injector_type = import_attr("repro.sim.failures",
+                                                "FailureInjector")) == NULL
+        || (message_stats_type = import_attr("repro.sim.metrics",
+                                             "MessageStats")) == NULL)
+        goto fail;
+    for (int i = 0; i < NSTATS; i++) {
+        PyObject *descr = PyObject_GetAttrString(message_stats_type,
+                                                 stat_names[i]);
+        int slot = descr != NULL && Py_IS_TYPE(descr, &PyMemberDescr_Type)
+            && ((PyMemberDescrObject *)descr)->d_member->type == T_OBJECT_EX;
+        if (slot)
+            stat_offsets[i] = ((PyMemberDescrObject *)descr)->d_member->offset;
+        Py_XDECREF(descr);
+        if (!slot) {
+            if (!PyErr_Occurred())
+                PyErr_Format(PyExc_TypeError, "MessageStats.%s is not a "
+                             "__slots__ member", stat_names[i]);
+            goto fail;
+        }
+    }
+    return 0;
+fail:
     Py_CLEAR(generator_type);
+    Py_CLEAR(failure_injector_type);
+    Py_CLEAR(message_stats_type);
     return -1;
 }
 
@@ -1390,7 +1265,7 @@ raise_nonpositive_delay(double delay)
 struct NetworkCore {
     PyObject_HEAD
     PyObject *network;    /* the owning Network (cycle; GC-tracked) */
-    PyObject *stats;      /* StatsCore or a python MessageStats */
+    PyObject *stats;      /* the Network's MessageStats */
     PyObject *failures;   /* FailureInjector */
     PyObject *nodes;      /* the Network's {node_id: Node} dict (shared) */
     SchedulerCore *sched; /* the network's scheduler, always native */
@@ -1488,22 +1363,29 @@ kind_of(PyObject *message)
 }
 
 /* stats.<method>(src, dst, kind[, reason]) for record_send,
- * record_delivery and record_drop (the only one with a reason) — one
- * scalar bump, no call, on the native stats core. */
+ * record_delivery, record_drop (the only one with a reason) and
+ * record_sends (dst is the count).  On an exact MessageStats whose
+ * ``detailed`` is False — re-read per message, as record_* does — that
+ * is ``total += 1`` (or += count) on the slot itself, with no call. */
 static int
 stats_record(PyObject *stats, PyObject *method, PyObject *src,
              PyObject *dst, PyObject *kind, PyObject *reason)
 {
-    if (StatsCore_Check(stats)) {
-        StatsCore *core = (StatsCore *)stats;
-        if (method == str_record_send)
-            core->sent += 1;
-        else if (method == str_record_delivery)
-            core->delivered += 1;
-        else
-            core->dropped += 1;
+#define STAT_SLOT(i) ((PyObject **)((char *)stats + stat_offsets[i]))
+    if ((PyObject *)Py_TYPE(stats) == message_stats_type
+        && *STAT_SLOT(STAT_DETAILED) == Py_False) {
+        PyObject **total = STAT_SLOT(
+            method == str_record_delivery ? STAT_DELIVERED
+            : method == str_record_drop ? STAT_DROPPED : STAT_SENT);
+        PyObject *sum = *total == NULL ? PyErr_Format(
+            PyExc_AttributeError, "MessageStats total is unset")
+            : PyNumber_Add(*total, method == str_record_sends ? dst : py_one);
+        if (sum == NULL)
+            return -1;
+        Py_SETREF(*total, sum);
         return 0;
     }
+#undef STAT_SLOT
     PyObject *res = PyObject_CallMethodObjArgs(
         stats, method, src, dst, kind, reason, NULL);
     if (res == NULL)
@@ -1813,18 +1695,12 @@ network_broadcast(NetworkCore *self, PyObject *src, PyObject *dsts,
         goto done;
     }
     /* stats.record_sends(src, len(dsts), kind) */
-    if (StatsCore_Check(self->stats))
-        ((StatsCore *)self->stats)->sent += n;
-    else {
-        PyObject *count = PyLong_FromSsize_t(n);
-        PyObject *res = count == NULL
-            ? NULL : PyObject_CallMethodObjArgs(
-                self->stats, str_record_sends, src, count, kind, NULL);
-        Py_XDECREF(count);
-        if (res == NULL)
-            goto done;
-        Py_DECREF(res);
-    }
+    PyObject *count = PyLong_FromSsize_t(n);
+    int recorded = count == NULL ? -1 : stats_record(
+        self->stats, str_record_sends, src, count, kind, NULL);
+    Py_XDECREF(count);
+    if (recorded < 0)
+        goto done;
     deliver = PyObject_GetAttr(self->network, str_deliver_attr);
     if (deliver == NULL)
         goto done;
@@ -4483,7 +4359,7 @@ static struct PyModuleDef kernelmodule = {
     PyModuleDef_HEAD_INIT,
     .m_name = "repro._native._kernel",
     .m_doc = "Native simulation-kernel hot path (scheduler heap, "
-             "scalar stats, network core, register-protocol cores).",
+             "network core, register-protocol cores).",
     .m_size = -1,
     .m_methods = kernel_methods,
 };
@@ -4502,7 +4378,6 @@ PyInit__kernel(void)
         return NULL;
 
     struct { const char *name; PyTypeObject *type; } types[] = {
-        {"StatsCore", &StatsCore_Type},
         {"EventHandle", &KernelHandle_Type},
         {"SchedulerCore", &SchedulerCore_Type},
         {"NetworkCore", &NetworkCore_Type},
@@ -4527,7 +4402,7 @@ PyInit__kernel(void)
                                (PyObject *)types[i].type) < 0)
             goto fail;
     }
-    if (PyModule_AddIntConstant(module, "KERNEL_ABI", 8) < 0)
+    if (PyModule_AddIntConstant(module, "KERNEL_ABI", 9) < 0)
         goto fail;
 #ifdef REPRO_HAVE_NPYRANDOM
     if (PyModule_AddIntConstant(module, "HAVE_FAST_RNG", 1) < 0)

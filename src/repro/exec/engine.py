@@ -14,10 +14,11 @@ mid-sweep loses nothing that already ran.  The engine then recycles the
 broken pool, warns on stderr, and finishes the remaining tasks serially
 in-process; the sweep's results are identical to an undisturbed run.
 
-Worker metrics snapshots travel through a per-task shared-memory slot
-(:mod:`repro.obs.shm`) instead of the result queue's pickle stream, and
-are folded into the active observability session **in task order** —
-which is what keeps pooled metrics output byte-identical to serial.
+Worker metrics snapshots travel home inside their task's payload, in the
+chunk's result pickle — the same payload a serial run or a cache hit
+returns — and are folded into the active observability session **in
+task order**, which is what keeps pooled metrics output byte-identical
+to serial.
 
 Job-count resolution, in priority order: the explicit ``jobs`` argument,
 the ``REPRO_JOBS`` environment variable, then the caller's default
@@ -35,8 +36,6 @@ from repro.exec import pool as exec_pool
 from repro.exec.cache import MISS, RunCache
 from repro.exec.task import RunTask, execute_task
 from repro.obs import runtime as obs_runtime
-from repro.obs import shm as obs_shm
-from repro.obs.registry import MetricsRegistry
 from repro.sim import kernel
 
 #: Ceiling for the automatic CLI default — beyond this, per-process
@@ -136,120 +135,79 @@ def _run_pooled(
     cache: Optional[RunCache],
     jobs: int,
 ) -> None:
-    """Warm-pool execution: chunked submit, streaming consumption,
-    shared-memory metrics, and crash recovery.
-
-    Shared-memory slots are addressed by *position* in the pending list
-    (slot ``p`` holds the metrics of ``pending_indices[p]``), so the
-    arena is sized to exactly the fresh work.
-    """
+    """Warm-pool execution: chunked submit, streaming consumption and
+    crash recovery.  Payloads come home whole, metrics snapshots inside."""
     workers = min(jobs, len(pending_indices))
     chunk = _chunksize(len(pending_indices), workers)
-    positions = list(range(len(pending_indices)))
     chunks = [
-        positions[start:start + chunk]
-        for start in range(0, len(positions), chunk)
+        pending_indices[start:start + chunk]
+        for start in range(0, len(pending_indices), chunk)
     ]
     backend = kernel.requested_backend()
-
-    try:
-        arena: Optional[obs_shm.SnapshotArena] = obs_shm.SnapshotArena.create(
-            len(pending_indices)
-        )
-    except OSError:
-        # No usable /dev/shm (e.g. an exotic container): the workers then
-        # ship snapshots inline, exactly the pre-arena protocol.
-        arena = None
-    arena_name = arena.name if arena is not None else None
-
-    done_positions: set = set()
+    done: set = set()
     absorbed: set = set()
 
-    def _absorb(future: Future, chunk_positions: Sequence[int],
+    def _absorb(future: Future, chunk_indices: Sequence[int],
                 chunk_results: List[Any]) -> None:
         if future in absorbed:
             return
         absorbed.add(future)
-        for position, result in zip(chunk_positions, chunk_results):
-            if arena is not None and isinstance(result, dict):
-                data = arena.read(position)
-                if data is not None and "metrics" not in result:
-                    result["metrics"] = MetricsRegistry.decode_snapshot(data)
-            index = pending_indices[position]
+        for index, result in zip(chunk_indices, chunk_results):
             results[index] = result
             if cache is not None:
                 cache.put(task_list[index], result)
-            done_positions.add(position)
+            done.add(index)
 
+    executor = exec_pool.get_pool(jobs)
+    futures: Dict[Future, List[int]] = {}
     try:
-        executor = exec_pool.get_pool(jobs)
-        futures: Dict[Future, List[int]] = {}
-        try:
-            for chunk_positions in chunks:
-                wires = [
-                    task_list[pending_indices[p]].to_wire()
-                    for p in chunk_positions
-                ]
-                futures[executor.submit(
-                    exec_pool.run_chunk, wires, chunk_positions,
-                    backend, arena_name,
-                )] = chunk_positions
-            not_done = set(futures)
-            while not_done:
-                finished, not_done = wait(
-                    not_done, return_when=FIRST_COMPLETED
-                )
-                for future in finished:
-                    _absorb(future, futures[future], future.result())
-        except BrokenProcessPool:
-            # A worker died (segfault, OOM kill, os._exit).  Everything
-            # already streamed in is safe; salvage any chunks that
-            # finished but were not yet consumed, then fall back to
-            # serial execution for the rest.
-            for future, chunk_positions in futures.items():
-                if (
-                    future.done()
-                    and not future.cancelled()
-                    and future.exception() is None
-                ):
-                    _absorb(future, chunk_positions, future.result())
-            exec_pool.reset_pool()
-            remaining = [
-                p for p in positions if p not in done_positions
-            ]
-            exec_pool.warn(
-                f"worker process died mid-sweep; {len(done_positions)} "
-                f"completed result(s) kept, re-running {len(remaining)} "
-                f"remaining task(s) serially"
-            )
-            _run_serial(
-                task_list,
-                [pending_indices[p] for p in remaining],
-                results,
-                cache,
-            )
-        except BaseException:
-            # A genuine task error (or KeyboardInterrupt): stop feeding
-            # the pool, keep it alive for the next sweep, propagate.
-            for future in futures:
-                future.cancel()
-            raise
-    finally:
-        if arena is not None:
-            arena.close()
-            arena.unlink()
+        for chunk_indices in chunks:
+            futures[executor.submit(
+                exec_pool.run_chunk,
+                [task_list[index] for index in chunk_indices],
+                backend,
+            )] = chunk_indices
+        not_done = set(futures)
+        while not_done:
+            finished, not_done = wait(not_done, return_when=FIRST_COMPLETED)
+            for future in finished:
+                _absorb(future, futures[future], future.result())
+    except BrokenProcessPool:
+        # A worker died (segfault, OOM kill, os._exit).  Everything
+        # already streamed in is safe; salvage any chunks that finished
+        # but were not yet consumed, then fall back to serial execution
+        # for the rest.
+        for future, chunk_indices in futures.items():
+            if (
+                future.done()
+                and not future.cancelled()
+                and future.exception() is None
+            ):
+                _absorb(future, chunk_indices, future.result())
+        exec_pool.reset_pool()
+        remaining = [index for index in pending_indices if index not in done]
+        exec_pool.warn(
+            f"worker process died mid-sweep; {len(done)} "
+            f"completed result(s) kept, re-running {len(remaining)} "
+            f"remaining task(s) serially"
+        )
+        _run_serial(task_list, remaining, results, cache)
+    except BaseException:
+        # A genuine task error (or KeyboardInterrupt): stop feeding the
+        # pool, keep it alive for the next sweep, propagate.
+        for future in futures:
+            future.cancel()
+        raise
 
 
 def _merge_metrics(results: Sequence[Any]) -> None:
     """Fold worker metric snapshots into the active observability session.
 
-    Snapshots travel through the shared-memory arena (pooled runs) or
-    inside result payloads (serial runs, cache hits, oversized
-    snapshots); by the time results reach this point every snapshot is
-    back under the ``"metrics"`` key.  Merging happens here, in **task
-    order**, which keeps the aggregate registry bit-deterministic
-    regardless of pool scheduling — float sums round identically only
-    when added in the same order.
+    Every snapshot arrives under its payload's ``"metrics"`` key, whether
+    the task ran serially, in a pool worker or came from the cache.
+    Merging happens here, in **task order**, which keeps the aggregate
+    registry bit-deterministic regardless of pool scheduling — float
+    sums round identically only when added in the same order.
     """
     session = obs_runtime.active()
     if session is None or not session.metrics.enabled:

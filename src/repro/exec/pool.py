@@ -8,36 +8,33 @@ keeps **one** pool alive for the life of the process:
 
 * ``get_pool(workers)`` returns the warm pool, creating it on first use
   and recycling it only when the requested worker count changes;
-* workers are initialised exactly once (kernel backend selection, a
-  hermetic observability state, the ``REPRO_POOL_WORKER`` marker) and
-  then reused across every subsequent ``run_many`` call;
-* a later kernel-backend change (``--kernel`` / ``select_backend`` /
-  ``REPRO_KERNEL``) does **not** silently leave warm workers on the old
-  backend: every chunk dispatched carries the parent's requested backend
-  and the worker re-syncs before executing (see :func:`run_chunk`), so
-  the pool stays warm across backend switches;
+* workers are initialised exactly once (a hermetic observability
+  state, the ``REPRO_POOL_WORKER`` marker) and then reused across every
+  subsequent ``run_many`` call;
+* the kernel backend is never fixed at pool creation: every chunk
+  dispatched carries the parent's requested backend and the worker
+  re-syncs before executing (see :func:`run_chunk`), so a later
+  ``--kernel`` / ``select_backend`` / ``REPRO_KERNEL`` change reaches
+  warm workers and the pool stays warm across backend switches;
 * ``shutdown_pool()`` is the explicit lifecycle exit, also registered
   with ``atexit`` so a CLI run or test session never leaks processes;
 * after a worker crash (``BrokenProcessPool``) the engine calls
   ``reset_pool()`` — the broken executor is discarded and the next sweep
   builds a fresh one.
 
-Chunk execution lives here too: :func:`run_chunk` runs a compact list of
-``(kind, params, seed)`` wire tuples, publishes each task's metrics
-snapshot into the sweep's shared-memory arena (:mod:`repro.obs.shm`)
-instead of pickling it back through the result queue, and returns the
-stripped result payloads.
+Chunk execution lives here too: :func:`run_chunk` runs a list of
+:class:`~repro.exec.task.RunTask` objects and returns their payloads
+whole — each task's metrics snapshot travels inside its payload, in the
+chunk's one result pickle.
 """
 
 import atexit
-import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from typing import Any, Dict, List, Optional, Sequence
 
-from repro.exec.task import RunTask, WireTask, execute_task
-from repro.obs import shm as obs_shm
+from repro.exec.task import RunTask, execute_task
 from repro.sim import kernel
 
 #: Environment marker present only inside pool worker processes.  The
@@ -55,17 +52,15 @@ def is_pool_worker() -> bool:
     return os.environ.get(POOL_WORKER_ENV) == "1"
 
 
-def _initialize_worker(backend: str) -> None:
+def _initialize_worker() -> None:
     """One-time per-worker setup, run at pool creation.
 
-    Marks the process as a pool worker, carries the parent's kernel
-    backend across (the choice may live only in parent-process state, so
-    env inheritance alone is not enough), and clears any observability
-    session inherited through fork — worker metrics travel through the
-    shared-memory arena, never through an inherited session object.
+    Marks the process as a pool worker and clears any observability
+    session inherited through fork — worker metrics travel home inside
+    the result payloads, never through an inherited session object.  The
+    kernel backend is left to :func:`run_chunk`'s per-chunk re-sync.
     """
     os.environ[POOL_WORKER_ENV] = "1"
-    kernel.select_backend(backend)
     from repro.obs import runtime as obs_runtime
 
     obs_runtime.deactivate()
@@ -87,7 +82,6 @@ def get_pool(workers: int) -> ProcessPoolExecutor:
         _pool = ProcessPoolExecutor(
             max_workers=workers,
             initializer=_initialize_worker,
-            initargs=(kernel.requested_backend(),),
         )
         _pool_workers = workers
         _pool_generation += 1
@@ -129,40 +123,17 @@ atexit.register(shutdown_pool)
 # --------------------------------------------------------------------- #
 
 
-def run_chunk(
-    wires: Sequence[WireTask],
-    slots: Sequence[int],
-    backend: str,
-    arena_name: Optional[str],
-) -> List[Any]:
-    """Execute one chunk of wire tasks; the pool's only entry point.
+def run_chunk(tasks: Sequence[RunTask], backend: str) -> List[Any]:
+    """Execute one chunk of tasks; the pool's only entry point.
 
-    ``slots[i]`` is the shared-memory slot for ``wires[i]``.  Each
-    result's metrics snapshot is published to its slot and stripped from
-    the returned payload (the parent restores it from the arena), unless
-    it does not fit — then it stays inline, the pre-arena behaviour.
-
-    ``backend`` re-syncs a warm worker whose kernel backend drifted from
+    Returns each task's payload whole, its ``"metrics"`` snapshot inside.
+    ``backend`` re-syncs a warm worker whose kernel backend differs from
     the parent's: ``select_backend`` is a cheap global write and the
     backend is consulted lazily per simulation, so syncing per chunk
     keeps the pool warm across ``--kernel`` changes.
     """
     kernel.sync_worker_backend(backend)
-    arena = obs_shm.attach_cached(arena_name)
-    out: List[Any] = []
-    for wire, slot in zip(wires, slots):
-        result = execute_task(RunTask.from_wire(wire))
-        if arena is not None and isinstance(result, dict):
-            snapshot = result.get("metrics")
-            if isinstance(snapshot, dict):
-                data = json.dumps(
-                    snapshot, sort_keys=True, separators=(",", ":")
-                ).encode("utf-8")
-                if arena.write(slot, data):
-                    result = dict(result)
-                    del result["metrics"]
-        out.append(result)
-    return out
+    return [execute_task(task) for task in tasks]
 
 
 def warn(message: str) -> None:

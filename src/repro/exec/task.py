@@ -12,13 +12,7 @@ import hashlib
 import importlib
 import json
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Mapping, Tuple
-
-#: The compact pickle form of a task: ``(kind, params, seed)``.  A plain
-#: tuple pickles to a fraction of a dataclass instance (no class ref, no
-#: attribute names), which matters when thousands of tasks cross the
-#: worker-pool pipe per sweep.
-WireTask = Tuple[str, Dict[str, Any], int]
+from typing import Any, Callable, Dict, Mapping
 
 #: kind -> "module.path:function" resolved lazily in the executing process.
 #: Lazy dotted paths keep this module import-light (workers import the sim
@@ -60,16 +54,6 @@ class RunTask:
     def descriptor(self) -> Dict[str, Any]:
         """The canonical JSON-ready form of this task."""
         return {"kind": self.kind, "params": dict(self.params), "seed": self.seed}
-
-    def to_wire(self) -> WireTask:
-        """The compact tuple form shipped to pool workers."""
-        return (self.kind, dict(self.params), self.seed)
-
-    @staticmethod
-    def from_wire(wire: WireTask) -> "RunTask":
-        """Rebuild a task from its :meth:`to_wire` tuple."""
-        kind, params, seed = wire
-        return RunTask(kind=kind, params=params, seed=seed)
 
     def canonical(self) -> str:
         """A canonical string encoding (sorted keys, no whitespace)."""

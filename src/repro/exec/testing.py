@@ -14,8 +14,9 @@ executor internals:
   where the same task completes normally and returns a payload — which
   is exactly what the crash-recovery tests and the CI smoke assert.
 
-Both also emit a one-counter metrics snapshot so the shared-memory
-metrics transport is exercised end to end by the pool tests.
+Both also emit a small metrics snapshot, so the pool tests exercise the
+metrics path end to end; ``exec_probe``'s ``params['series']`` pads it
+with that many labelled counter series.
 """
 
 import os
@@ -27,11 +28,18 @@ from repro.obs.registry import MetricsRegistry
 from repro.sim import kernel
 
 
-def _base_payload(task: RunTask) -> Dict[str, Any]:
+def _base_payload(task: RunTask, series: int = 0) -> Dict[str, Any]:
     metrics = MetricsRegistry()
     metrics.counter(
         "repro_exec_selftest_runs_total", "Engine self-test executions."
     ).inc()
+    if series:
+        padding = metrics.counter(
+            "repro_exec_selftest_series_total", "Snapshot padding series.",
+            labelnames=("series",),
+        )
+        for index in range(series):
+            padding.labels(f"s{index}").inc(task.seed + index)
     metrics.histogram(
         "repro_exec_selftest_seed", "Self-test seed distribution."
     ).observe(float(task.seed))
@@ -45,12 +53,13 @@ def _base_payload(task: RunTask) -> Dict[str, Any]:
 
 
 def run_probe_task(task: RunTask) -> Dict[str, Any]:
-    """Report execution placement; optionally burn ``params['spin']`` loops."""
+    """Report execution placement; optionally burn ``params['spin']`` loops
+    and pad the snapshot with ``params['series']`` series."""
     spin = int(task.params.get("spin", 0))
     acc = 0
     for i in range(spin):
         acc += i * i
-    payload = _base_payload(task)
+    payload = _base_payload(task, int(task.params.get("series", 0)))
     payload["spin"] = acc
     return payload
 

@@ -445,12 +445,7 @@ def run_alg1_task(task: RunTask) -> Dict[str, Any]:
     # pre-membership shape (cached payloads stay interchangeable with
     # fresh ones).
     if membership is not None:
-        out["membership"] = {
-            **membership.metric_counters(),
-            "views": membership.view_sizes(),
-            "stale_nacks": deployment.total_stale_nacks,
-            "view_refreshes": deployment.total_view_refreshes,
-        }
+        out["membership"] = membership.summary()
     if membership is not None or (
         (params.get("retry") or {}).get("max_attempts") is not None
     ):

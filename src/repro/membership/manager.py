@@ -399,6 +399,17 @@ class ViewManager:
             [v.view_id, len(v.members), v.quorum_system.k] for v in self.views
         ]
 
+    def summary(self) -> Dict[str, Any]:
+        """The run's membership record: the manager counters, the
+        per-view sizes and the clients' stale-view nacks and refreshes —
+        what a worker payload and ``ServiceResult.membership`` carry."""
+        return {
+            **self.metric_counters(),
+            "views": self.view_sizes(),
+            "stale_nacks": self.deployment.total_stale_nacks,
+            "view_refreshes": self.deployment.total_view_refreshes,
+        }
+
     def __repr__(self) -> str:
         return (
             f"ViewManager(view={self.current_view.view_id}, "

@@ -237,17 +237,11 @@ class MetricsRegistry:
 
         Canonical means sorted keys and no whitespace, on top of
         :meth:`snapshot`'s already-sorted series — equal registries
-        produce byte-identical encodings.  This is the wire format the
-        shared-memory transport (:mod:`repro.obs.shm`) stores per task.
+        produce byte-identical encodings.
         """
         return json.dumps(
             self.snapshot(), sort_keys=True, separators=(",", ":")
         ).encode("utf-8")
-
-    @staticmethod
-    def decode_snapshot(data: bytes) -> Dict[str, Any]:
-        """Decode :meth:`snapshot_bytes` output back into a snapshot dict."""
-        return json.loads(data.decode("utf-8"))
 
     def merge_snapshot(self, snapshot: Dict[str, Any]) -> None:
         """Aggregate a snapshot into this registry.

@@ -1,42 +1,25 @@
-"""Shared-memory metrics transport: mmap-backed per-task snapshot slots.
+"""Shared-memory snapshot arena: mmap-backed, seqlocked, fixed-size slots.
 
-The parallel engine used to ship every worker's metrics snapshot home
-inside the pickled result payload and fold the snapshots together after
-the whole sweep finished.  This module replaces that transport with an
-mmap-backed shared-memory arena (``multiprocessing.shared_memory``, the
-mpmetrics approach): the parent allocates one fixed-size slot per
-pending task, workers serialise their registry snapshot straight into
-their task's slot, and the parent reads slots back as each chunk of
-results streams in — no snapshot ever crosses the result queue's pickle
-path.
+Kept only for the performance ledger's ``probe.obs.shm.roundtrips_per_s``
+probe (``benchmarks/e2e/probes.py``); nothing on the sweep path uses it.
+The parallel engine ships every metrics snapshot home inside its task's
+result payload (:mod:`repro.exec.pool`).  This module and its tests go
+when that probe goes.
 
-Why per-task slots instead of one shared set of atomic counters
-(mpmetrics proper)?  Determinism.  The engine's contract is that pooled
-metrics output is **byte-identical** to serial output, and histogram
-sums are floats: float addition is commutative but not associative, so
-any accumulator updated in completion order can round differently from
-the serial task-order sum.  Giving each task its own single-writer slot
-and folding slots **in task order** keeps the guarantee exact while
-still eliminating the per-task pickle cost.  Integer-only metrics would
-not need this; the float histogram sums force it.
-
-Each slot is guarded by a seqlock (odd sequence = write in progress;
-the sequence must read the same, and even, on both sides of a read for
-the payload to be accepted).  The engine itself only reads a slot after
-the worker's future has resolved — a happens-after edge — so the
-seqlock is belt-and-braces there, but it makes *live* reads safe too
-(progress monitors, the stress tests in ``tests/test_obs_shm.py``) and
-it is what the torn-read property tests exercise.
+The arena is a ``multiprocessing.shared_memory`` block of per-slot,
+single-writer frames.  Each slot is guarded by a seqlock (odd sequence =
+write in progress; the sequence must read the same, and even, on both
+sides of a read for the payload to be accepted), which makes live reads
+from another process safe — what the torn-read tests in
+``tests/test_obs_shm.py`` exercise.
 
 Slot layout (all little-endian)::
 
     [0:8)    sequence   uint64  seqlock; 0 = never written
     [8:16)   length     uint64  payload byte length
-    [16:..)  payload    bytes   canonical snapshot JSON (UTF-8)
+    [16:..)  payload    bytes
 
-A payload larger than the slot is rejected (``write`` returns False)
-and the caller falls back to the in-payload pickle path, so undersized
-slots degrade to the old behaviour instead of failing.
+A payload larger than the slot is rejected (``write`` returns False).
 """
 
 import struct
@@ -53,16 +36,14 @@ _MAGIC = b"REPROSHM"
 #: with a stale length.
 SLOT_OVERHEAD = 2 * _WORD.size
 
-#: Sizing policy for the engine: generous enough for a typical alg1
-#: snapshot (~2-4 KiB of canonical JSON) with headroom for labelled
-#: families, capped so a many-thousand-task sweep cannot balloon the
-#: arena past ~64 MiB (oversized snapshots just fall back inline).
+#: Default sizing policy: 16 KiB slots, shrunk toward a 1 KiB floor so
+#: an arena of many thousand slots stays under ~64 MiB.
 DEFAULT_SLOT_BYTES = 16384
 MAX_ARENA_BYTES = 64 * 1024 * 1024
 
 
 def slot_bytes_for(num_slots: int) -> int:
-    """The engine's slot size for a sweep of ``num_slots`` tasks."""
+    """The default slot size for an arena of ``num_slots`` slots."""
     if num_slots <= 0:
         return DEFAULT_SLOT_BYTES
     budget = MAX_ARENA_BYTES // num_slots
@@ -74,9 +55,8 @@ class SnapshotArena:
 
     The creating process owns the segment (``owner=True``) and must
     eventually call :meth:`unlink`; attaching processes only
-    :meth:`close`.  One slot has exactly one writer at a time (the
-    worker executing that task), which is what makes the lock-free
-    seqlock protocol sufficient.
+    :meth:`close`.  One slot has exactly one writer at a time, which is
+    what makes the lock-free seqlock protocol sufficient.
     """
 
     def __init__(
@@ -95,7 +75,7 @@ class SnapshotArena:
     def create(
         cls, num_slots: int, slot_bytes: Optional[int] = None
     ) -> "SnapshotArena":
-        """Allocate a fresh arena sized for ``num_slots`` tasks."""
+        """Allocate a fresh arena of ``num_slots`` slots."""
         if num_slots < 1:
             raise ValueError(f"need at least one slot, got {num_slots}")
         per_slot = slot_bytes if slot_bytes is not None else slot_bytes_for(num_slots)
@@ -114,7 +94,7 @@ class SnapshotArena:
     @classmethod
     def attach(cls, name: str) -> "SnapshotArena":
         """Attach to an arena created by another process, by name."""
-        # Note on the resource tracker: pool workers (fork and spawn
+        # Note on the resource tracker: child processes (fork and spawn
         # alike) share the parent's tracker process, so the attach-time
         # registration this performs is an idempotent no-op — the parent
         # already registered the name at create() — and the parent's
@@ -175,10 +155,7 @@ class SnapshotArena:
         """The last payload published to ``slot``, or None.
 
         None means "never written" or "could not get a stable view in
-        ``retries`` attempts" (only possible while the writer is live —
-        the engine reads a slot only after its worker's result arrived,
-        a happens-after edge, so the first attempt always succeeds
-        there).
+        ``retries`` attempts" (only possible while the writer is live).
         """
         base = self._offset(slot)
         buf = self._shm.buf
@@ -203,33 +180,3 @@ class SnapshotArena:
             f"SnapshotArena({self.name!r}, slots={self.num_slots}, "
             f"slot_bytes={self.slot_bytes}, owner={self.owner})"
         )
-
-
-# --------------------------------------------------------------------- #
-# Worker-side attachment cache
-# --------------------------------------------------------------------- #
-
-#: The one arena this (worker) process is attached to.  Warm pool
-#: workers outlive many sweeps; each sweep brings a new arena name, so a
-#: one-element cache keyed by name is exactly right: same sweep → reuse
-#: the mapping, new sweep → drop the stale mapping and attach the new one.
-_attached: Optional[SnapshotArena] = None
-
-
-def attach_cached(name: Optional[str]) -> Optional[SnapshotArena]:
-    """Attach to ``name`` (None-safe), reusing the mapping within a sweep."""
-    global _attached
-    if name is None:
-        return None
-    if _attached is not None and _attached.name == name:
-        return _attached
-    if _attached is not None:
-        _attached.close()
-        _attached = None
-    try:
-        _attached = SnapshotArena.attach(name)
-    except (FileNotFoundError, ValueError):
-        # The parent already tore the arena down (e.g. it gave up on the
-        # sweep); fall back to in-payload snapshots rather than dying.
-        return None
-    return _attached

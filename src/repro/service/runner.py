@@ -290,16 +290,7 @@ def run_service(config: ServiceConfig) -> ServiceResult:
         snapshot_bytes=metrics.snapshot_bytes(),
         wall_seconds=time.perf_counter() - started,
         unreachable=deployment.total_unreachable,
-        membership=(
-            None
-            if manager is None
-            else {
-                **manager.metric_counters(),
-                "views": manager.view_sizes(),
-                "stale_nacks": deployment.total_stale_nacks,
-                "view_refreshes": deployment.total_view_refreshes,
-            }
-        ),
+        membership=None if manager is None else manager.summary(),
         adversary=adversary.summary() if adversary is not None else None,
     )
 

@@ -3,10 +3,12 @@
 The simulation hot path (event heap, drain loop, the per-message network
 path, the register protocol handlers) exists twice: the always-available
 pure-python reference in :mod:`repro.sim.scheduler` /
-:mod:`repro.sim.metrics` / :mod:`repro.sim.network` /
-:mod:`repro.registers`, and an optional C extension under
-:mod:`repro._native` — a scheduler core, a stats core, one network core
-and the two protocol cores.  Both produce **byte-identical**
+:mod:`repro.sim.network` / :mod:`repro.registers`, and an optional C
+extension under :mod:`repro._native` — a scheduler core, one network core
+and the two protocol cores.  Message accounting exists once: both
+backends count into the same :class:`~repro.sim.metrics.MessageStats`,
+whose scalar totals the native network core bumps on its slots without a
+call.  Both produce **byte-identical**
 traces — every RNG draw consumes the same stream in the same order (the
 draws made in C reproduce numpy's algorithms bit for bit), and the
 native heap preserves the exact ``(time, seq)`` total order — so the
@@ -29,7 +31,6 @@ import os
 import sys
 from typing import Optional
 
-from repro.sim.metrics import MessageStats
 from repro.sim.scheduler import Scheduler
 
 KERNEL_ENV = "REPRO_KERNEL"
@@ -130,22 +131,6 @@ def make_scheduler(backend: Optional[str] = None):
     return Scheduler()
 
 
-def make_message_stats(detailed: bool = True, backend: Optional[str] = None):
-    """Build message stats on the selected (or given) backend.
-
-    Detailed (per-kind/per-node) collection is a pure-python feature on
-    both backends — the native scalar counters only replace the
-    ``detailed=False`` totals path, which is the only mode the hot
-    benchmarks and large sweeps run in.
-    """
-    resolved = selected_backend() if backend is None else _resolve(backend)
-    if resolved == "native" and not detailed:
-        from repro._native.wrapper import NativeMessageStats
-
-        return NativeMessageStats(detailed=False)
-    return MessageStats(detailed=detailed)
-
-
 def make_network_core(network):
     """Build the native message path of ``network``, or None.
 
@@ -155,7 +140,9 @@ def make_network_core(network):
     attributes, so trace taps that wrap ``network._deliver`` keep working
     on both backends.  ``send`` is the one per-message pipeline (stats,
     taps, loss draw, fault check, adversary, delay sample, heap push) —
-    the loss draw and the fault check evaluated in C for an exact
+    a scalar-mode ``MessageStats``' totals bumped on its slots in C (a
+    detailed one gets its ``record_*`` calls), the loss draw and the fault
+    check evaluated in C for an exact
     ``numpy.random.Generator`` and ``FailureInjector``, the adversary's
     ``intercept`` the one Python call;
     ``broadcast`` runs a tight loop of native delay draws on a healthy

@@ -13,7 +13,11 @@ The experiments need three kinds of counters:
 The recorders sit on the per-message hot path, so a ``detailed=False``
 mode skips every per-kind/per-node ``Counter`` update and maintains only
 the three scalar totals — for benchmarks and throughput-bound runs that
-never read the breakdowns.
+never read the breakdowns.  This is the one stats class on both kernel
+backends: on ``native`` the C network core adds to a scalar-mode
+instance's ``sent`` / ``delivered`` / ``dropped`` slots itself (so those
+stay plain ``__slots__`` ints) and calls the ``record_*`` methods of a
+detailed one.
 
 Reading a breakdown that was never collected raises
 :class:`DetailNotCollected` instead of silently answering zero: a
@@ -22,7 +26,7 @@ numbers into the Section 6.4 / Section 4 tables as if they were measured.
 """
 
 from collections import Counter
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 
 class DetailNotCollected(RuntimeError):
@@ -50,7 +54,6 @@ class MessageStats:
         "_dropped_by_kind",
         "_dropped_by_receiver",
         "_dropped_by_reason",
-        "_marks",
     )
 
     def __init__(self, detailed: bool = True) -> None:
@@ -65,7 +68,6 @@ class MessageStats:
         self._dropped_by_kind: Counter = Counter()
         self._dropped_by_receiver: Counter = Counter()
         self._dropped_by_reason: Counter = Counter()
-        self._marks: Dict[str, int] = {}
 
     # ------------------------------------------------------------------ #
     # Guarded breakdown accessors
@@ -179,14 +181,6 @@ class MessageStats:
     # Derived readings
     # ------------------------------------------------------------------ #
 
-    def mark(self, name: str) -> None:
-        """Remember the current sent-count under ``name`` (for deltas)."""
-        self._marks[name] = self.sent
-
-    def since_mark(self, name: str) -> int:
-        """Messages sent since :meth:`mark` was called with ``name``."""
-        return self.sent - self._marks.get(name, 0)
-
     def busiest_receiver(self) -> Tuple[Optional[int], int]:
         """Return (node id, delivery count) of the most-accessed node.
 
@@ -217,13 +211,10 @@ class MessageStats:
         return self.dropped / self.sent
 
     def reset(self) -> None:
-        """Zero every counter — including the :meth:`mark` table.
+        """Zero every counter.
 
-        Marks record absolute sent-counts, so a stale mark against a
-        zeroed ``sent`` would make :meth:`since_mark` go negative; the
-        table is cleared along with everything else.  Fields are reset
-        explicitly (not via ``__init__``) so subclasses adding state keep
-        full control over their own reset behaviour.
+        Fields are reset explicitly (not via ``__init__``) so subclasses
+        adding state keep full control over their own reset behaviour.
         """
         self.sent = 0
         self.delivered = 0
@@ -235,7 +226,6 @@ class MessageStats:
         self._dropped_by_kind.clear()
         self._dropped_by_receiver.clear()
         self._dropped_by_reason.clear()
-        self._marks.clear()
 
     def __repr__(self) -> str:
         return (

@@ -35,6 +35,7 @@ import numpy as np
 from repro.sim import kernel
 from repro.sim.delays import DelayModel
 from repro.sim.failures import FailureInjector
+from repro.sim.metrics import MessageStats
 from repro.sim.rng import derive_seed
 from repro.sim.scheduler import Scheduler
 
@@ -112,7 +113,7 @@ class Network:
         self.delay_model = delay_model
         self.rng = rng
         self.failures = failures or FailureInjector()
-        self.stats = kernel.make_message_stats(detailed=detailed_stats)
+        self.stats = MessageStats(detailed=detailed_stats)
         self.loss_rate = loss_rate
         # Loss draws come from their own stream so that turning loss on
         # (or off) leaves the delay sequence bit-identical.  The default

@@ -68,9 +68,10 @@ def count_calls(monkeypatch, cls, names):
     definition is counted; returns the counters by name."""
     calls = dict.fromkeys(names, 0)
     for name in names:
-        def counted(self, *args, _name=name, _method=getattr(cls, name)):
+        def counted(self, *args, _name=name, _method=getattr(cls, name),
+                    **kwargs):
             calls[_name] += 1
-            return _method(self, *args)
+            return _method(self, *args, **kwargs)
 
         monkeypatch.setattr(cls, name, counted)
     return calls

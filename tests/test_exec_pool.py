@@ -15,6 +15,8 @@ from repro.exec import pool as exec_pool
 from repro.exec.cache import RunCache
 from repro.exec.engine import run_many
 from repro.exec.task import RunTask, execute_task
+from repro.obs import runtime as obs_runtime
+from repro.obs.core import Observability
 from repro.sim import kernel
 
 
@@ -215,16 +217,11 @@ def test_cache_prune_tmp(tmp_path):
     assert len(cache) == 1
 
 
-# --- payload compactness --------------------------------------------------- #
-
-
-def test_wire_roundtrip():
-    task = RunTask("exec_probe", {"spin": 3}, seed=42)
-    assert RunTask.from_wire(task.to_wire()) == task
+# --- metrics transport ----------------------------------------------------- #
 
 
 def test_pooled_results_keep_metrics_key(tmp_path):
-    """Metrics ride shared memory but reappear in results and cache."""
+    """Pooled payloads come home whole: metrics in results and cache."""
     cache = RunCache(root=str(tmp_path))
     results = run_many(probe_tasks(6), jobs=2, cache=cache)
     assert all("metrics" in r for r in results)
@@ -233,3 +230,70 @@ def test_pooled_results_keep_metrics_key(tmp_path):
     assert len(entry_files) == 6
     payload = json.loads(entry_files[0].read_text())
     assert "metrics" in payload["result"]
+
+
+ALG1_PARAMS = {
+    "graph": {"kind": "chain", "n": 5},
+    "quorum": {"kind": "probabilistic", "n": 6, "k": 2},
+    "delay": {"kind": "exponential", "mean": 1.0},
+    "monotone": True,
+    "max_rounds": 60,
+}
+
+
+def _aggregate(tasks, jobs):
+    """The sweep's results and its merged metrics registry, as bytes."""
+    session = Observability()
+    with obs_runtime.session(session):
+        results = run_many(tasks, jobs=jobs)
+    return results, session.metrics.snapshot_bytes()
+
+
+@pytest.mark.parametrize("kind,params", [
+    ("alg1", ALG1_PARAMS),
+    ("exec_probe", {"spin": 100}),
+])
+def test_pooled_metrics_byte_identical_to_serial(kind, params):
+    """The pool's metrics guarantee, asserted at the byte level.
+
+    Histogram float sums make this non-trivial: only task-order folding
+    reproduces serial rounding, which is what the engine does with the
+    snapshots the payloads bring home.
+    """
+    tasks = [RunTask(kind, dict(params), seed=seed) for seed in range(6)]
+    serial_results, serial_bytes = _aggregate(tasks, jobs=1)
+    pooled_results, pooled_bytes = _aggregate(tasks, jobs=3)
+    if kind == "alg1":
+        assert serial_results == pooled_results
+    assert serial_bytes == pooled_bytes
+    assert b"instruments" in serial_bytes
+
+
+def test_pooled_metrics_byte_identical_for_large_snapshots():
+    """Snapshots over 16 KiB (the old shared-memory slot) come home
+    whole and merge exactly as serial ones do."""
+    tasks = [
+        RunTask("exec_probe", {"series": 1200}, seed=seed) for seed in range(4)
+    ]
+    serial_results, serial_bytes = _aggregate(tasks, jobs=1)
+    pooled_results, pooled_bytes = _aggregate(tasks, jobs=2)
+    sizes = [
+        len(json.dumps(r["metrics"], separators=(",", ":")))
+        for r in pooled_results
+    ]
+    assert min(sizes) > 16 * 1024
+    assert [r["metrics"] for r in pooled_results] == \
+        [r["metrics"] for r in serial_results]
+    assert serial_bytes == pooled_bytes
+
+
+def test_crashed_sweep_merges_metrics_in_task_order(capsys):
+    """A sweep that loses a worker mid-way still folds every snapshot in
+    task order: its merged registry is byte-identical to serial."""
+    tasks = crash_sweep_tasks()
+    _, serial_bytes = _aggregate(tasks, jobs=1)
+    pooled, pooled_bytes = _aggregate(tasks, jobs=2)
+    assert "worker process died mid-sweep" in capsys.readouterr().err
+    assert pooled[3]["pool_worker"] is False
+    assert serial_bytes == pooled_bytes
+    assert b"repro_exec_selftest_seed" in pooled_bytes

@@ -847,7 +847,7 @@ def test_native_backend_installs_network_core():
         name for name, value in vars(module).items() if isinstance(value, type)
     }
     assert exported == {
-        "StatsCore", "EventHandle", "SchedulerCore", "NetworkCore",
+        "EventHandle", "SchedulerCore", "NetworkCore",
         "ServerCore", "ClientCore", "Future", "PendingOp",
     }
 

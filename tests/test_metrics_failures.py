@@ -33,15 +33,6 @@ class TestMessageStats:
         assert stats.receiver_load(0) == 0.0
         assert stats.busiest_receiver() == (None, 0)
 
-    def test_marks_measure_deltas(self):
-        stats = MessageStats()
-        stats.record_send(0, 1, None)
-        stats.mark("phase")
-        stats.record_send(0, 1, None)
-        stats.record_send(0, 1, None)
-        assert stats.since_mark("phase") == 2
-        assert stats.since_mark("unknown") == 3
-
     def test_drops_attributed_to_kind_receiver_and_reason(self):
         stats = MessageStats()
         stats.record_send(0, 1, "read_query")
@@ -72,7 +63,6 @@ class TestMessageStats:
         stats.record_send(0, 1, "x")
         stats.record_delivery(0, 1, kind="x")
         stats.record_drop(0, 1, kind="x", reason="loss")
-        stats.mark("phase")
         stats.reset()
         assert stats.sent == 0
         assert stats.delivered == 0
@@ -84,21 +74,9 @@ class TestMessageStats:
         assert not stats.dropped_by_kind
         assert not stats.dropped_by_receiver
         assert not stats.dropped_by_reason
-        assert stats.since_mark("phase") == 0
         # A reset instance behaves exactly like a fresh one.
         assert stats.busiest_receiver() == (None, 0)
         assert stats.drop_rate() == 0.0
-
-    def test_reset_clears_marks(self):
-        # Regression: a stale mark surviving reset() would make the delta
-        # against the zeroed sent-count go negative.
-        stats = MessageStats()
-        for _ in range(5):
-            stats.record_send(0, 1, None)
-        stats.mark("phase")
-        stats.reset()
-        stats.record_send(0, 1, None)
-        assert stats.since_mark("phase") == 1
 
     def test_scalar_mode_counts_totals_only(self):
         stats = MessageStats(detailed=False)
@@ -110,8 +88,6 @@ class TestMessageStats:
         assert stats.delivered == 1
         assert stats.dropped == 1
         assert stats.drop_rate() == 0.25
-        stats.mark("phase")
-        assert stats.since_mark("phase") == 0
 
     def test_scalar_mode_breakdowns_raise_not_lie(self):
         # detailed=False never collected the breakdowns; reading one must

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.registers.messages import ReadQuery
@@ -15,9 +15,13 @@ from repro.sim.delays import (
     UniformDelay,
 )
 from repro.sim.failures import FailureInjector
+from repro.sim.metrics import MessageStats
 from repro.sim.network import Network, Node
 from repro.sim.scheduler import Scheduler
-from tests.conftest import BACKENDS, backend_param, stats_state
+from tests.conftest import BACKENDS, backend_param, count_calls, stats_state
+
+#: The Python ``MessageStats`` recorders a network may call.
+RECORDERS = ("record_send", "record_sends", "record_delivery", "record_drop")
 
 
 class Recorder(Node):
@@ -246,7 +250,16 @@ class ScriptedAdversary:
         return verdict
 
 
-def _drive_fan_outs(
+def _drive_fan_outs(backend, use_broadcast, **shape):
+    """:func:`_fan_outs`'s observations, and the number of calls each
+    Python ``MessageStats`` recorder received meanwhile."""
+    with pytest.MonkeyPatch.context() as patch:
+        calls = count_calls(patch, MessageStats, RECORDERS)
+        observed = _fan_outs(backend, use_broadcast, **shape)
+    return observed, calls
+
+
+def _fan_outs(
     backend, use_broadcast, *, delay, seed, loss_rate, shared_stream,
     faulty, script, tapped, detailed, fan_outs,
 ):
@@ -291,6 +304,7 @@ def _drive_fan_outs(
         scheduler.schedule_at(0.5 * index, fan_out, index, dsts)
     scheduler.run()
     stats = network.stats
+    assert type(stats) is MessageStats  # one stats class on both kernels
     observed = {
         "trace": log,
         "taps": taps,
@@ -315,6 +329,11 @@ def _drive_fan_outs(
 
 @pytest.mark.parametrize("backend", [backend_param(b) for b in BACKENDS])
 @settings(max_examples=60, deadline=None)
+@example(  # lossy, faulted and adversarial, scalar stats
+    delay="exponential", seed=3, loss_rate=0.3, shared_stream=False,
+    faulty=True, script=[None, "drop", 0.75], tapped=False, detailed=False,
+    fan_outs=[[1, 2, 3, 4, 5], [2, 3], [4, 5, 1], [3]],
+)
 @given(
     delay=st.sampled_from(sorted(DELAY_MODELS)),
     seed=st.integers(min_value=0, max_value=2**32 - 2),
@@ -339,8 +358,20 @@ def test_broadcast_is_a_loop_of_send(backend, **shape):
     loop of ``send`` calls leaves: the same deliveries in the same order,
     the same counters, the same hook calls and both RNG streams at the
     same position.  On the native backend that also equals the python
-    backend's fan-out."""
-    fanned = _drive_fan_outs(backend, True, **shape)
-    assert fanned == _drive_fan_outs(backend, False, **shape)
-    if backend != "python":
-        assert fanned == _drive_fan_outs("python", True, **shape)
+    backend's fan-out — the same ``MessageStats`` with the same totals —
+    and a scalar-mode native run never calls a Python recorder: the C
+    network core adds to the totals' slots itself."""
+    fanned, fanned_calls = _drive_fan_outs(backend, True, **shape)
+    looped, looped_calls = _drive_fan_outs(backend, False, **shape)
+    assert fanned == looped
+    if backend == "python":
+        return
+    python, python_calls = _drive_fan_outs("python", True, **shape)
+    assert fanned == python
+    # The counters do see the python backend's recorders.
+    _, delivered, dropped = python["stats"]["totals"]
+    assert python_calls["record_delivery"] == delivered
+    assert python_calls["record_drop"] == dropped
+    if not shape["detailed"]:
+        silent = dict.fromkeys(RECORDERS, 0)
+        assert fanned_calls == looped_calls == silent

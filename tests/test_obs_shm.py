@@ -1,6 +1,8 @@
-"""Shared-memory metrics transport: slots, seqlock, and determinism.
+"""The shared-memory snapshot arena: slots and seqlock.
 
-Three layers, mpmetrics-style:
+The arena is kept only for the performance ledger's shm probe; the pool
+no longer uses it (its metrics tests live in ``tests/test_exec_pool.py``).
+Two layers, mpmetrics-style:
 
 1. **Layout properties** (hypothesis): arbitrary payloads round-trip
    bit-exactly through a slot, oversized payloads are rejected, slots
@@ -9,25 +11,19 @@ Three layers, mpmetrics-style:
    slots while the parent reads live; every accepted read must be a
    self-consistent frame (checksummed), i.e. the seqlock never lets a
    half-written payload through.
-3. **End-to-end determinism**: pooled metrics aggregation is
-   byte-identical to serial for the same task list — counter and
-   histogram instruments included — because snapshots are folded in
-   task order no matter which worker finished first.
+
+Plus the canonical snapshot encoding round trip.
 """
 
 import hashlib
+import json
 import multiprocessing
 import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.exec import pool as exec_pool
-from repro.exec.engine import run_many
-from repro.exec.task import RunTask
-from repro.obs import runtime as obs_runtime
 from repro.obs import shm as obs_shm
-from repro.obs.core import Observability
 from repro.obs.registry import MetricsRegistry
 from repro.obs.shm import SLOT_OVERHEAD, SnapshotArena
 
@@ -102,9 +98,8 @@ def test_attach_rejects_foreign_segment():
 
 
 def test_slot_sizing_policy():
-    # Small sweeps get the full default slot; huge sweeps shrink toward
-    # the arena cap but never below the 1 KiB floor (oversized snapshots
-    # then fall back inline rather than failing).
+    # Small arenas get the full default slot; huge ones shrink toward the
+    # arena cap but never below the 1 KiB floor.
     assert obs_shm.slot_bytes_for(1) == obs_shm.DEFAULT_SLOT_BYTES
     assert obs_shm.slot_bytes_for(100) == obs_shm.DEFAULT_SLOT_BYTES
     assert obs_shm.slot_bytes_for(8192) == \
@@ -204,46 +199,7 @@ def test_live_reads_never_tear():
         arena.unlink()
 
 
-# --- end-to-end determinism ------------------------------------------------ #
-
-
-ALG1_PARAMS = {
-    "graph": {"kind": "chain", "n": 5},
-    "quorum": {"kind": "probabilistic", "n": 6, "k": 2},
-    "delay": {"kind": "exponential", "mean": 1.0},
-    "monotone": True,
-    "max_rounds": 60,
-}
-
-
-def _aggregate(tasks, jobs):
-    session = Observability()
-    with obs_runtime.session(session):
-        results = run_many(tasks, jobs=jobs)
-    return results, session.metrics.snapshot_bytes()
-
-
-@pytest.mark.parametrize("kind,params", [
-    ("alg1", ALG1_PARAMS),
-    ("exec_probe", {"spin": 100}),
-])
-def test_pooled_metrics_byte_identical_to_serial(kind, params):
-    """The tentpole metrics guarantee, asserted at the byte level.
-
-    Histogram float sums make this non-trivial: only task-order folding
-    reproduces serial rounding, which is exactly what the engine does
-    with the shared-memory slots.
-    """
-    tasks = [RunTask(kind, dict(params), seed=seed) for seed in range(6)]
-    try:
-        serial_results, serial_bytes = _aggregate(tasks, jobs=1)
-        pooled_results, pooled_bytes = _aggregate(tasks, jobs=3)
-    finally:
-        exec_pool.shutdown_pool()
-    if kind == "alg1":
-        assert serial_results == pooled_results
-    assert serial_bytes == pooled_bytes
-    assert b"instruments" in serial_bytes
+# --- snapshot encoding ---------------------------------------------------- #
 
 
 def test_snapshot_bytes_roundtrip():
@@ -253,19 +209,5 @@ def test_snapshot_bytes_roundtrip():
     registry.gauge("g").set(2.5)
     data = registry.snapshot_bytes()
     clone = MetricsRegistry()
-    clone.merge_snapshot(MetricsRegistry.decode_snapshot(data))
+    clone.merge_snapshot(json.loads(data))
     assert clone.snapshot_bytes() == data
-
-
-def test_oversized_snapshot_falls_back_inline(monkeypatch):
-    """Snapshots too big for their slot still arrive (in the payload)."""
-    monkeypatch.setattr(obs_shm, "DEFAULT_SLOT_BYTES", 64)
-    monkeypatch.setattr(obs_shm, "slot_bytes_for", lambda n: 64)
-    tasks = [RunTask("exec_probe", {}, seed=seed) for seed in range(4)]
-    try:
-        serial_results, serial_bytes = _aggregate(tasks, jobs=1)
-        pooled_results, pooled_bytes = _aggregate(tasks, jobs=2)
-    finally:
-        exec_pool.shutdown_pool()
-    assert serial_bytes == pooled_bytes
-    assert all("metrics" in r for r in pooled_results)

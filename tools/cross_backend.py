@@ -31,9 +31,12 @@ SRC = str(pathlib.Path(__file__).resolve().parent.parent / "src")
 #: multi-writer plan's query and update rounds in the C client core; it
 #: must also leave nothing hung), the closed-loop Figure 2 sweep's
 #: metrics (Alg. 1 issues through the C client core on native: C ops,
-#: C futures, the C gather) and the same sweep with span tracing on — the
+#: C futures, the C gather), the same sweep with span tracing on — the
 #: one case where native runs Python-built ops, each handled by the
-#: Python definitions for its whole life (the ownership rule).
+#: Python definitions for its whole life (the ownership rule) — and the
+#: fault-tolerance sweep through the 2-worker pool (crashes and loss on
+#: the native network core's scalar stats, every snapshot brought home
+#: inside its payload and merged in task order).
 DEFAULT_CASES = (
     "chaos --runs 10 --chaos-seed 1 --jobs 2 --metrics-out {out}",
     "serve --duration 120 --rate 4 --clients 2 --churn 40 --churn-batch 2 "
@@ -44,6 +47,7 @@ DEFAULT_CASES = (
     "--rate 4 --seed 7 --snapshot-out {out}",
     "figure2 --jobs 1 --no-cache --metrics-out {out}",
     "figure2 --jobs 1 --no-cache --trace-spans 3 --metrics-out {out}",
+    "fault --jobs 2 --no-cache --loss-rate 0.1 --metrics-out {out}",
 )
 
 
