@@ -49,7 +49,6 @@ from repro.quorum import (
     ProbabilisticQuorumSystem,
     SingletonQuorumSystem,
     TreeQuorumSystem,
-    VotingQuorumSystem,
 )
 from repro.registers import RegisterDeployment
 
@@ -73,7 +72,6 @@ __all__ = [
     "SsspACO",
     "TransitiveClosureACO",
     "TreeQuorumSystem",
-    "VotingQuorumSystem",
     "chain_graph",
     "complete_graph",
     "grid_graph",

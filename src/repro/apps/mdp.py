@@ -66,10 +66,6 @@ class MarkovDecisionProcess:
             (probability, next_state, reward)
         )
 
-    def transitions(self, state: int, action: int) -> List[Transition]:
-        """All outcomes of (state, action)."""
-        return list(self._transitions[state][action])
-
     def validate(self) -> None:
         """Check every (s, a) with outcomes has probabilities summing to 1."""
         for s in range(self.num_states):

@@ -10,7 +10,6 @@ broken clients used to validate that the pipeline actually catches bugs.
 from repro.chaos.campaign import (
     CampaignConfig,
     CampaignResult,
-    replay_repro,
     run_campaign,
 )
 from repro.chaos.shrink import shrink_violation
@@ -18,7 +17,6 @@ from repro.chaos.shrink import shrink_violation
 __all__ = [
     "CampaignConfig",
     "CampaignResult",
-    "replay_repro",
     "run_campaign",
     "shrink_violation",
 ]

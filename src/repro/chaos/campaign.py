@@ -25,7 +25,7 @@ import numpy as np
 
 from repro.chaos.shrink import shrink_violation
 from repro.exec.engine import run_many
-from repro.exec.task import RunTask, execute_task
+from repro.exec.task import RunTask
 from repro.exec.workers import alg1_task
 from repro.sim.rng import derive_seed
 
@@ -313,19 +313,6 @@ def write_repro(doc: Dict[str, Any], path: Union[str, Path]) -> Path:
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_bytes(repro_to_bytes(doc))
     return path
-
-
-def replay_repro(
-    source: Union[str, Path, Dict[str, Any]]
-) -> Tuple[bool, Dict[str, Any]]:
-    """Re-execute a repro document's minimal task.
-
-    Returns ``(reproduced, payload)``: ``reproduced`` is True when the
-    replay produced a spec violation again (simulations are pure
-    functions of their task, so a genuine repro always reproduces).
-    """
-    payload = execute_task(load_repro(source))
-    return payload.get("spec_violation") is not None, payload
 
 
 def load_repro(source: Union[str, Path, Dict[str, Any]]) -> RunTask:

@@ -21,7 +21,7 @@ from functools import partial
 from typing import Any, Dict, Optional, Tuple
 
 from repro.exec.cache import RunCache
-from repro.exec.task import RunTask, execute_task
+from repro.exec.task import RunTask
 from repro.exec.workers import alg1_task, run_cells
 from repro.experiments.registry import FAULT_FLAGS, Experiment, each, grid
 from repro.experiments.results import ResultTable
@@ -94,22 +94,6 @@ def churn_task(config: ChurnConfig, period: float, run: int = 0) -> RunTask:
 def churn_sweep(config: ChurnConfig):
     """One cell per churn period, ``runs`` runs each."""
     return config.churn_periods, config.runs, partial(churn_task, config)
-
-
-def run_under_churn(config: ChurnConfig, period: float, run: int = 0) -> dict:
-    """Execute one churn run in-process and return its outcome dict."""
-    result = execute_task(churn_task(config, period, run))
-    return {
-        "churn_period": period,
-        "converged": result["converged"],
-        "rounds": result["rounds"],
-        "sim_time": result["sim_time"],
-        "messages": result["messages"],
-        "retries": result["retries"],
-        "timeouts": result["timeouts"],
-        "ops_under_failure": result["ops_under_failure"],
-        "hung_ops": result["hung_ops"],
-    }
 
 
 def churn_table(

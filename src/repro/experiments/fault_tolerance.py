@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, Optional, Tuple
 
 from repro.exec.cache import RunCache
-from repro.exec.task import RunTask, execute_task
+from repro.exec.task import RunTask
 from repro.exec.workers import alg1_task, run_cells
 from repro.experiments.registry import FAULT_FLAGS, Experiment, each, grid
 from repro.experiments.results import ResultTable
@@ -203,24 +203,6 @@ def _degradation_sweep(config: FaultToleranceConfig):
         1,
         lambda crashes, run: degradation_task(config, crashes),
     )
-
-
-def run_with_crashes(
-    config: FaultToleranceConfig,
-    system: QuorumSystem,
-    crashes: int,
-    label: str = "prob",
-) -> dict:
-    """Execute one crash run in-process and return its outcome dict."""
-    result = execute_task(crash_task(config, system, crashes, label))
-    return {
-        "crashes": crashes,
-        "converged": result["converged"],
-        "rounds": result["rounds"],
-        "messages": result["messages"],
-        "retries": result["retries"],
-        "timeouts": result["timeouts"],
-    }
 
 
 def fault_tolerance_table(

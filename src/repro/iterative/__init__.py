@@ -28,12 +28,6 @@ from repro.iterative.update_sequence import (
     synchronous_change,
 )
 from repro.iterative.rounds import RoundTracker
-from repro.iterative.schedules import (
-    block_cyclic_change,
-    bounded_delay_view,
-    process_local_view,
-    random_subset_change,
-)
 from repro.iterative.convergence import ConvergenceMonitor
 from repro.iterative.runner import Alg1Result, Alg1Runner
 from repro.iterative.trace import (
@@ -52,12 +46,8 @@ __all__ = [
     "RoundTracker",
     "TraceError",
     "UpdateSequenceError",
-    "block_cyclic_change",
     "block_partition",
-    "bounded_delay_view",
     "measure_pseudocycles",
-    "process_local_view",
-    "random_subset_change",
     "reconstruct_update_sequence",
     "rounds_per_pseudocycle",
     "check_a1_views_from_past",

@@ -13,7 +13,6 @@ Implemented systems:
 * :class:`FppQuorumSystem` — lines of a finite projective plane (Maekawa).
 * :class:`TreeQuorumSystem` — recursive tree quorums (Agrawal–El Abbadi).
 * :class:`SingletonQuorumSystem` — a single coordinator.
-* :class:`VotingQuorumSystem` — asymmetric read/write thresholds (Gifford).
 
 :mod:`repro.quorum.analysis` computes load, availability and intersection
 probability, analytically where known and by Monte Carlo otherwise.
@@ -26,7 +25,6 @@ from repro.quorum.grid import GridQuorumSystem
 from repro.quorum.fpp import FppQuorumSystem, is_prime
 from repro.quorum.tree import TreeQuorumSystem
 from repro.quorum.singleton import SingletonQuorumSystem
-from repro.quorum.voting import VotingQuorumSystem
 from repro.quorum import analysis
 
 __all__ = [
@@ -38,7 +36,6 @@ __all__ = [
     "QuorumSystemError",
     "SingletonQuorumSystem",
     "TreeQuorumSystem",
-    "VotingQuorumSystem",
     "analysis",
     "is_prime",
 ]

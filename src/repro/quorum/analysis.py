@@ -181,24 +181,3 @@ def minimum_masking_quorum_size(
             return k
     return None
 
-
-def load_availability_table(
-    systems: Dict[str, QuorumSystem],
-    rng: np.random.Generator,
-    trials: int = 2000,
-) -> List[Dict[str, object]]:
-    """Summary rows for the E-LOADAVAIL experiment: one per system."""
-    rows = []
-    for name, system in sorted(systems.items()):
-        rows.append(
-            {
-                "system": name,
-                "n": system.n,
-                "quorum_size": system.quorum_size,
-                "strict": system.is_strict,
-                "analytic_load": system.analytic_load(),
-                "empirical_load": empirical_load(system, rng, trials),
-                "availability": system.availability(),
-            }
-        )
-    return rows

@@ -15,7 +15,7 @@ therefore produce **byte-identical** ``snapshot_bytes``, which the
 """
 
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Any, Dict, Optional, Tuple
 
 from repro.adversary import build_adversary
@@ -354,8 +354,3 @@ def _collect_service(metrics: Any, driver: OpenLoopDriver,
             continue  # a NaN gauge tells a dashboard less than no gauge
         for label, q in SLO_QUANTILES:
             quantile_gauge.labels(kind, label).set(sketch.value(q))
-
-
-def config_as_dict(config: ServiceConfig) -> Dict[str, Any]:
-    """The config as JSON-able plain data (for benchmark records)."""
-    return asdict(config)

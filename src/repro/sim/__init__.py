@@ -24,7 +24,6 @@ from repro.sim.delays import (
     DelayModel,
     ExponentialDelay,
     LogNormalDelay,
-    PerLinkDelay,
     UniformDelay,
 )
 from repro.sim.network import Network, Node
@@ -50,7 +49,6 @@ __all__ = [
     "MessageStats",
     "Network",
     "Node",
-    "PerLinkDelay",
     "RepeatingHandle",
     "RngRegistry",
     "Scheduler",

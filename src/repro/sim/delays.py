@@ -2,12 +2,12 @@
 
 Section 7 of the paper uses two delay regimes: constant delays (the
 synchronous case) and exponentially distributed delays (the asynchronous
-case).  We implement both plus uniform, shifted-lognormal and per-link
-models for the ablation study E-ABL-DELAY.
+case).  We implement both plus uniform and shifted-lognormal models for
+the ablation study E-ABL-DELAY.
 """
 
 import math
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence
 
 import numpy as np
 
@@ -163,53 +163,3 @@ class LogNormalDelay(DelayModel):
     def __repr__(self) -> str:
         return f"LogNormalDelay(mean={self._mean}, sigma={self._sigma})"
 
-
-class PerLinkDelay(DelayModel):
-    """A fixed base delay per (src, dst) link plus an optional jitter model.
-
-    Models heterogeneous topologies (e.g. one distant replica).  Links not
-    listed fall back to ``default``.
-    """
-
-    def __init__(
-        self,
-        link_delays: Dict[Tuple[int, int], float],
-        default: float = 1.0,
-        jitter: DelayModel = None,
-    ) -> None:
-        for link, value in link_delays.items():
-            if value <= 0:
-                raise ValueError(f"delay for link {link} must be positive, got {value}")
-        if default <= 0:
-            raise ValueError(f"default delay must be positive, got {default}")
-        self._links = dict(link_delays)
-        self._default = default
-        self._jitter = jitter
-
-    def sample(self, rng: np.random.Generator, src: int, dst: int) -> float:
-        base = self._links.get((src, dst), self._default)
-        if self._jitter is not None:
-            base += self._jitter.sample(rng, src, dst)
-        return base
-
-    def sample_batch(
-        self, rng: np.random.Generator, src: int, dsts: Sequence[int]
-    ) -> List[float]:
-        links = self._links
-        default = self._default
-        bases = [links.get((src, dst), default) for dst in dsts]
-        if self._jitter is None:
-            return bases
-        jitters = self._jitter.sample_batch(rng, src, dsts)
-        return [base + jitter for base, jitter in zip(bases, jitters)]
-
-    @property
-    def mean(self) -> float:
-        values = list(self._links.values()) or [self._default]
-        base = sum(values) / len(values)
-        if self._jitter is not None:
-            base += self._jitter.mean
-        return base
-
-    def __repr__(self) -> str:
-        return f"PerLinkDelay({len(self._links)} links, default={self._default})"

@@ -49,11 +49,6 @@ class FailureInjector:
         return set(self._crashed)
 
     @property
-    def any_crashed(self) -> bool:
-        """True while at least one node is down (O(1), hot-path safe)."""
-        return bool(self._crashed)
-
-    @property
     def any_failures(self) -> bool:
         """True while any crash or partition is active (O(1))."""
         return self.active

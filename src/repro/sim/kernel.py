@@ -216,12 +216,6 @@ def make_server_core(server):
 CLIENT_ISSUE_METHODS = ("read", "write", "_retry")
 
 
-def make_client_core(client):
-    """Build the native client fast path of one client, or None (see
-    :func:`make_client_cores`)."""
-    return make_client_cores([client])[0]
-
-
 def make_client_cores(clients):
     """Build the native client fast path of each client (None for one
     that gets none).

@@ -1,8 +1,55 @@
 """Shared fixtures for the test suite."""
 
+import importlib.util
+import os
+import shutil
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+
+def _ready_native_kernel():
+    """Check the native extension and rebuild it in place when it is
+    missing or stale and the C compiler is on PATH; returns why it is
+    still unusable, or None.
+
+    Runs before anything imports ``repro``, whose import loads the
+    extension, and checks in a subprocess: a stale extension loaded into
+    this process could not be unloaded again.
+    """
+    package = importlib.util.find_spec("repro").submodule_search_locations[0]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [os.path.dirname(package), env.get("PYTHONPATH")])
+    )
+
+    def build(*flags):
+        return subprocess.run(
+            [sys.executable, "-m", "repro._native.build", *flags],
+            env=env, capture_output=True, text=True,
+        )
+
+    if build("--check").returncode == 0:
+        return None
+    spec = importlib.util.spec_from_file_location(
+        "_native_build", os.path.join(package, "_native", "build.py")
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    if shutil.which(module.compiler()) is None:
+        return f"no C compiler {module.compiler()!r} on PATH"
+    rebuilt = build()
+    if rebuilt.returncode != 0:
+        return rebuilt.stderr.strip().splitlines()[-1]
+    return None
+
+
+_NATIVE_PROBLEM = _ready_native_kernel()
+
+# Only now: importing repro loads the extension.
+from repro._native import KERNEL_ABI
 from repro.quorum.probabilistic import ProbabilisticQuorumSystem
 from repro.registers.deployment import RegisterDeployment
 from repro.sim import kernel
@@ -10,6 +57,15 @@ from repro.sim.delays import ConstantDelay, ExponentialDelay
 from repro.sim.rng import RngRegistry
 
 BACKENDS = ["python", "native"]
+
+
+def pytest_report_header(config):
+    if kernel.native_available():
+        return f"kernels: python + native (ABI {KERNEL_ABI})"
+    reason = "; ".join(
+        filter(None, [kernel.native_import_error(), _NATIVE_PROBLEM])
+    )
+    return f"kernels: python only ({reason})"
 
 
 def backend_param(backend):

@@ -4,13 +4,13 @@ import json
 
 import pytest
 
-from repro.chaos import (
-    CampaignConfig,
-    replay_repro,
-    run_campaign,
-    shrink_violation,
+from repro.chaos import CampaignConfig, run_campaign, shrink_violation
+from repro.chaos.campaign import (
+    generate_task,
+    load_repro,
+    repro_to_bytes,
+    write_repro,
 )
-from repro.chaos.campaign import generate_task, repro_to_bytes, write_repro
 from repro.cli import main
 from repro.exec.task import RunTask, execute_task
 
@@ -89,8 +89,7 @@ class TestViolationPipeline:
 
     def test_replay_from_file_reproduces(self, broken_result, tmp_path):
         path = write_repro(broken_result.repro, tmp_path / "repro.json")
-        reproduced, payload = replay_repro(path)
-        assert reproduced
+        payload = execute_task(load_repro(path))
         assert (
             payload["spec_violation"]["condition"]
             == broken_result.repro["violation"]["condition"]
@@ -124,11 +123,11 @@ class TestShrink:
 class TestReplayErrors:
     def test_malformed_document_rejected(self):
         with pytest.raises(ValueError, match="malformed"):
-            replay_repro({"format": 1})
+            load_repro({"format": 1})
 
     def test_inline_document_accepted(self, broken_result):
-        reproduced, _ = replay_repro(broken_result.repro)
-        assert reproduced
+        payload = execute_task(load_repro(broken_result.repro))
+        assert payload["spec_violation"] is not None
 
 
 class TestCLI:

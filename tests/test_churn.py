@@ -1,25 +1,28 @@
 """Tests for the churn experiment."""
 
-from repro.experiments.churn import ChurnConfig, churn_table, run_under_churn
+from repro.exec.task import execute_task
+from repro.experiments.churn import ChurnConfig, churn_table, churn_task
+
+
+def churn_run(period):
+    """One scaled-down churn run, as the experiment's sweep executes it."""
+    return execute_task(churn_task(ChurnConfig.scaled_down(), period))
 
 
 def test_no_churn_baseline_converges():
-    config = ChurnConfig.scaled_down()
-    outcome = run_under_churn(config, period=0.0)
+    outcome = churn_run(0.0)
     assert outcome["converged"]
-    assert outcome["churn_period"] == 0.0
+    assert outcome["ops_under_failure"] == 0
 
 
 def test_convergence_survives_churn():
-    config = ChurnConfig.scaled_down()
-    outcome = run_under_churn(config, period=20.0)
+    outcome = churn_run(20.0)
     assert outcome["converged"]
 
 
 def test_churn_costs_time():
-    config = ChurnConfig.scaled_down()
-    calm = run_under_churn(config, period=0.0)
-    churned = run_under_churn(config, period=15.0)
+    calm = churn_run(0.0)
+    churned = churn_run(15.0)
     assert churned["converged"]
     assert churned["sim_time"] >= calm["sim_time"]
 

@@ -7,7 +7,6 @@ from repro.sim.delays import (
     ConstantDelay,
     ExponentialDelay,
     LogNormalDelay,
-    PerLinkDelay,
     UniformDelay,
 )
 
@@ -76,26 +75,3 @@ def test_lognormal_rejects_bad_params():
     with pytest.raises(ValueError):
         LogNormalDelay(mean=1.0, sigma=0.0)
 
-
-def test_per_link_uses_link_specific_delay(gen):
-    model = PerLinkDelay({(0, 1): 5.0}, default=1.0)
-    assert model.sample(gen, 0, 1) == 5.0
-    assert model.sample(gen, 1, 0) == 1.0  # direction matters
-
-
-def test_per_link_with_jitter(gen):
-    model = PerLinkDelay({(0, 1): 5.0}, default=1.0, jitter=ConstantDelay(0.5))
-    assert model.sample(gen, 0, 1) == 5.5
-    assert model.sample(gen, 2, 3) == 1.5
-
-
-def test_per_link_rejects_non_positive():
-    with pytest.raises(ValueError):
-        PerLinkDelay({(0, 1): 0.0})
-    with pytest.raises(ValueError):
-        PerLinkDelay({}, default=-1.0)
-
-
-def test_per_link_mean(gen):
-    model = PerLinkDelay({(0, 1): 2.0, (1, 0): 4.0}, default=1.0)
-    assert model.mean == 3.0

@@ -215,6 +215,18 @@ class TestLoadAvailability:
         assert prob["availability"] > grid["availability"] * 2
         assert prob["failure_prob"] <= majority["failure_prob"] + 0.05
 
+    def test_table_rows(self):
+        table = load_availability_experiment(
+            LoadAvailabilityConfig(num_servers=9, trials=200, seed=1)
+        )
+        names = table.column("system")
+        assert names == sorted(names)
+        for row in table.rows:
+            row = dict(zip(table.columns, row))
+            assert row["strict"] is (row["system"] != "probabilistic (k=sqrt n)")
+            assert 0.0 < row["empirical_load"] <= 1.0
+            assert row["availability"] >= 1
+
     def test_tradeoff_sweep_columns(self):
         table = tradeoff_sweep([9, 16], seed=2, trials=300)
         assert len(table) == 2

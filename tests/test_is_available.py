@@ -6,15 +6,10 @@ import pytest
 
 from repro.quorum.fpp import FppQuorumSystem
 from repro.quorum.grid import GridQuorumSystem
-from repro.quorum.hierarchical import (
-    HierarchicalQuorumSystem,
-    WheelQuorumSystem,
-)
 from repro.quorum.majority import MajorityQuorumSystem
 from repro.quorum.probabilistic import ProbabilisticQuorumSystem
 from repro.quorum.singleton import SingletonQuorumSystem
 from repro.quorum.tree import TreeQuorumSystem
-from repro.quorum.voting import VotingQuorumSystem
 
 ENUMERABLE_SYSTEMS = [
     MajorityQuorumSystem(5),
@@ -22,8 +17,6 @@ ENUMERABLE_SYSTEMS = [
     FppQuorumSystem(2),
     TreeQuorumSystem(7),
     SingletonQuorumSystem(4, coordinator=2),
-    HierarchicalQuorumSystem(2, 3),
-    WheelQuorumSystem(5),
 ]
 
 
@@ -47,12 +40,6 @@ def test_probabilistic_threshold():
     system = ProbabilisticQuorumSystem(10, 4)
     assert system.is_available(frozenset(range(4)))
     assert not system.is_available(frozenset(range(3)))
-
-
-def test_voting_needs_max_threshold():
-    system = VotingQuorumSystem(9, read_size=4, write_size=6)
-    assert system.is_available(frozenset(range(6)))
-    assert not system.is_available(frozenset(range(5)))
 
 
 def test_availability_consistent_with_predicate():

@@ -33,7 +33,6 @@ from repro.sim.delays import (
     ConstantDelay,
     ExponentialDelay,
     LogNormalDelay,
-    PerLinkDelay,
     UniformDelay,
 )
 from repro.sim.network import Network, Node
@@ -252,9 +251,6 @@ DELAY_MODELS = [
     ExponentialDelay(0.5, floor=0.2),
     UniformDelay(0.4, 2.1),
     LogNormalDelay(1.0, sigma=0.8),
-    PerLinkDelay({(0, 1): 0.5, (0, 3): 2.0}, default=1.0),
-    PerLinkDelay({(0, 2): 0.25}, default=0.75, jitter=ExponentialDelay(0.1)),
-    PerLinkDelay({}, default=1.5, jitter=UniformDelay(0.1, 0.2)),
 ]
 
 

@@ -515,7 +515,7 @@ def test_python_backend_gets_no_cores():
         assert name not in vars(deployment.clients[0])
     with kernel.use_backend("python"):
         assert kernel.make_network_core(network) is None
-        assert kernel.make_client_core(deployment.clients[0]) is None
+        assert kernel.make_client_cores([deployment.clients[0]])[0] is None
         assert kernel.native_quorum_sampler() is None
 
 
@@ -959,7 +959,7 @@ def test_issue_path_is_not_installed_for_a_subclassed_client():
         assert "on_message" not in vars(liar)
         for client in deployment.clients:
             assert type(client) is RegressingClient
-            assert kernel.make_client_core(client) is None
+            assert kernel.make_client_cores([client])[0] is None
             for name in ("on_message",) + kernel.CLIENT_ISSUE_METHODS:
                 assert name not in vars(client)
         for flavour in (MaskingClient, MultiWriterClient, AtomicClient):
@@ -990,10 +990,10 @@ def test_client_core_refuses_a_plan_it_has_no_code_for(plan):
             client_class=AtomicClient,
         )
         client = deployment.clients[0]
-        assert kernel.make_client_core(client) is not None
+        assert kernel.make_client_cores([client])[0] is not None
         client.READ_PLAN = plan
         with pytest.raises(ValueError, match="READ_PLAN"):
-            kernel.make_client_core(client)
+            kernel.make_client_cores([client])[0]
 
 
 @needs_native

@@ -12,10 +12,11 @@ from repro.analysis.latency import (
 )
 from repro.core.history import RegisterHistory
 from repro.core.timestamps import Timestamp
+from repro.exec.task import execute_task
 from repro.experiments.fault_tolerance import (
     FaultToleranceConfig,
+    crash_task,
     fault_tolerance_table,
-    run_with_crashes,
 )
 from repro.experiments.latency import LatencyConfig, latency_table, measure_latency
 from repro.quorum.probabilistic import ProbabilisticQuorumSystem
@@ -138,15 +139,10 @@ class TestFaultToleranceExperiment:
 
     def test_crashes_slow_convergence_down(self):
         config = FaultToleranceConfig.scaled_down()
-        calm = run_with_crashes(
-            config,
-            ProbabilisticQuorumSystem(config.num_servers, config.quorum_size),
-            crashes=0,
+        system = ProbabilisticQuorumSystem(
+            config.num_servers, config.quorum_size
         )
-        stormy = run_with_crashes(
-            config,
-            ProbabilisticQuorumSystem(config.num_servers, config.quorum_size),
-            crashes=6,
-        )
+        calm = execute_task(crash_task(config, system, crashes=0))
+        stormy = execute_task(crash_task(config, system, crashes=6))
         assert calm["converged"] and stormy["converged"]
         assert stormy["rounds"] >= calm["rounds"]

@@ -9,9 +9,9 @@ from repro.registers.messages import ReadQuery
 from repro.sim import kernel
 from repro.sim.delays import (
     ConstantDelay,
+    DelayModel,
     ExponentialDelay,
     LogNormalDelay,
-    PerLinkDelay,
     UniformDelay,
 )
 from repro.sim.failures import FailureInjector
@@ -192,10 +192,15 @@ def test_tap_observes_every_send():
     assert taps == [(a.node_id, b.node_id, "observed")]
 
 
+class LinkDelay(DelayModel):
+    """10 on the link 0 -> 1, 1 everywhere else."""
+
+    def sample(self, rng, src, dst):
+        return 10.0 if (src, dst) == (0, 1) else 1.0
+
+
 def test_per_link_delay_routing():
-    scheduler, network = make_network(
-        PerLinkDelay({(0, 1): 10.0}, default=1.0)
-    )
+    scheduler, network = make_network(LinkDelay())
     a, b, c = Recorder(), Recorder(), Recorder()
     for node in (a, b, c):
         network.add_node(node)
@@ -213,13 +218,9 @@ def test_per_link_delay_routing():
 DELAY_MODELS = {
     "constant": lambda: ConstantDelay(1.5),
     "exponential": lambda: ExponentialDelay(1.0),
+    # No native transcription: C draws these through the generic .sample().
     "uniform": lambda: UniformDelay(0.5, 1.5),
     "lognormal": lambda: LogNormalDelay(1.0, sigma=0.8),
-    # No native transcription: C draws it through the generic .sample().
-    "per_link_jitter": lambda: PerLinkDelay(
-        {(0, 1): 3.0, (0, 3): 0.25}, default=1.0,
-        jitter=ExponentialDelay(0.2),
-    ),
 }
 
 

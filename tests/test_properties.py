@@ -24,7 +24,6 @@ from repro.iterative.update_sequence import (
 from repro.quorum.grid import GridQuorumSystem
 from repro.quorum.majority import MajorityQuorumSystem
 from repro.quorum.probabilistic import ProbabilisticQuorumSystem
-from repro.quorum.voting import VotingQuorumSystem
 
 # ----------------------------------------------------------------------- #
 # Timestamps
@@ -101,25 +100,6 @@ def test_grid_quorums_always_intersect(rows, cols, seed):
     system = GridQuorumSystem(rows, cols)
     rng = np.random.default_rng(seed)
     assert system.quorum(rng) & system.quorum(rng)
-
-
-@given(
-    st.integers(3, 25).flatmap(
-        lambda n: st.tuples(
-            st.just(n),
-            st.integers(1, n),
-            st.integers(1, n),
-            st.integers(0, 2**31 - 1),
-        )
-    )
-)
-def test_voting_read_write_intersection_whenever_legal(params):
-    n, r, w, seed = params
-    if r + w <= n or 2 * w <= n:
-        return  # constructor would reject; covered elsewhere
-    system = VotingQuorumSystem(n, r, w)
-    rng = np.random.default_rng(seed)
-    assert system.read_quorum(rng) & system.write_quorum(rng)
 
 
 @given(

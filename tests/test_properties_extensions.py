@@ -1,10 +1,9 @@
 """Property-based tests for the extension modules: atomicity checking,
-masking analysis, hierarchical quorums, latency percentiles and the
-approximate-agreement operator."""
+masking analysis, latency percentiles and the approximate-agreement
+operator."""
 
 import math
 
-import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -17,7 +16,6 @@ from repro.quorum.analysis import (
     intersection_size_pmf,
     masking_intersection_probability,
 )
-from repro.quorum.hierarchical import HierarchicalQuorumSystem
 
 
 # --------------------------------------------------------------------- #
@@ -97,24 +95,6 @@ def test_masking_probability_in_unit_interval(params):
     n, k, b = params
     p = masking_intersection_probability(n, k, b)
     assert 0.0 <= p <= 1.0 + 1e-12
-
-
-@given(st.integers(1, 3), st.integers(2, 4))
-@settings(max_examples=10, deadline=None)
-def test_hierarchical_quorums_intersect_for_any_shape(depth, branching):
-    system = HierarchicalQuorumSystem(depth, branching)
-    rng = np.random.default_rng(depth * 100 + branching)
-    for _ in range(10):
-        assert system.quorum(rng) & system.quorum(rng)
-
-
-@given(st.integers(1, 4))
-def test_hierarchical_load_times_availability_tradeoff(depth):
-    # load * n >= quorum_size always (each quorum member is hit), and
-    # availability * quorum_size <= ... sanity inequalities.
-    system = HierarchicalQuorumSystem(depth, 3)
-    assert system.analytic_load() * system.n >= system.quorum_size - 1e-9
-    assert 1 <= system.availability() <= system.n
 
 
 # --------------------------------------------------------------------- #

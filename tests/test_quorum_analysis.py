@@ -7,8 +7,8 @@ from repro.quorum.analysis import (
     empirical_intersection_probability,
     empirical_load,
     failure_probability,
-    load_availability_table,
 )
+from repro.quorum.base import QuorumSystem
 from repro.quorum.fpp import FppQuorumSystem
 from repro.quorum.grid import GridQuorumSystem
 from repro.quorum.majority import MajorityQuorumSystem
@@ -28,11 +28,19 @@ def test_empirical_load_singleton_is_one(rng):
     assert empirical_load(SingletonQuorumSystem(5), rng, trials=100) == 1.0
 
 
+class ReadOneWriteAll(QuorumSystem):
+    """An asymmetric system: a read asks one random server, a write all."""
+
+    def read_quorum(self, rng):
+        return frozenset([int(rng.integers(self.n))])
+
+    def write_quorum(self, rng):
+        return frozenset(range(self.n))
+
+
 def test_empirical_load_respects_read_fraction(rng):
     # All-write sampling on an asymmetric system loads servers at w/n.
-    from repro.quorum.voting import VotingQuorumSystem
-
-    system = VotingQuorumSystem(10, read_size=3, write_size=9)
+    system = ReadOneWriteAll(10)
     write_load = empirical_load(system, rng, trials=4000, read_fraction=0.0)
     read_load = empirical_load(system, rng, trials=4000, read_fraction=1.0)
     assert write_load > read_load
@@ -109,15 +117,3 @@ class TestFailureProbability:
         with pytest.raises(ValueError):
             failure_probability(SingletonQuorumSystem(3), 1.5, rng)
 
-
-def test_load_availability_table_rows(rng):
-    systems = {
-        "majority": MajorityQuorumSystem(9),
-        "grid": GridQuorumSystem(3, 3),
-    }
-    rows = load_availability_table(systems, rng, trials=200)
-    assert [row["system"] for row in rows] == ["grid", "majority"]
-    for row in rows:
-        assert row["strict"] is True
-        assert 0.0 < row["empirical_load"] <= 1.0
-        assert row["availability"] >= 1

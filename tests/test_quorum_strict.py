@@ -1,5 +1,5 @@
-"""Tests for the strict quorum systems: majority, grid, FPP, tree,
-singleton and voting."""
+"""Tests for the strict quorum systems: majority, grid, FPP, tree and
+singleton."""
 
 import itertools
 import math
@@ -12,7 +12,6 @@ from repro.quorum.grid import GridQuorumSystem
 from repro.quorum.majority import MajorityQuorumSystem
 from repro.quorum.singleton import SingletonQuorumSystem
 from repro.quorum.tree import TreeQuorumSystem
-from repro.quorum.voting import VotingQuorumSystem
 
 
 def assert_pairwise_intersecting(quorums):
@@ -194,34 +193,3 @@ class TestSingleton:
         with pytest.raises(QuorumSystemError):
             SingletonQuorumSystem(5, coordinator=5)
 
-
-class TestVoting:
-    def test_thresholds_enforced(self):
-        with pytest.raises(QuorumSystemError):
-            VotingQuorumSystem(10, read_size=4, write_size=6)  # r+w = n
-        with pytest.raises(QuorumSystemError):
-            VotingQuorumSystem(10, read_size=8, write_size=5)  # 2w = n
-        VotingQuorumSystem(10, read_size=5, write_size=6)
-
-    def test_read_write_sizes(self, rng):
-        system = VotingQuorumSystem(10, read_size=3, write_size=8)
-        assert len(system.read_quorum(rng)) == 3
-        assert len(system.write_quorum(rng)) == 8
-
-    def test_read_always_meets_write(self, rng):
-        system = VotingQuorumSystem(9, read_size=4, write_size=6)
-        for _ in range(200):
-            assert system.read_quorum(rng) & system.write_quorum(rng)
-
-    def test_writes_always_meet_writes(self, rng):
-        system = VotingQuorumSystem(9, read_size=4, write_size=6)
-        for _ in range(200):
-            assert system.write_quorum(rng) & system.write_quorum(rng)
-
-    def test_availability(self):
-        system = VotingQuorumSystem(10, read_size=5, write_size=6)
-        assert system.availability() == 5
-
-    def test_quorum_size_is_min(self):
-        system = VotingQuorumSystem(10, read_size=5, write_size=6)
-        assert system.quorum_size == 5
