@@ -8,7 +8,8 @@ pure-python kernel (see ``repro.sim.kernel``).
 Source checkouts (``PYTHONPATH=src``) build the same extension in place
 with ``python -m repro._native.build`` instead.  That module owns the
 one definition of what gets compiled in (numpy's C random library, when
-present) and how floats are compiled; it is loaded by path here because
+present, and the source hash the loader checks) and how floats are
+compiled; it is loaded by path here because
 the package is not importable before it is installed.
 """
 
@@ -30,7 +31,10 @@ setup(
         Extension(
             "repro._native._kernel",
             sources=["src/repro/_native/_kernelmodule.c"],
-            extra_compile_args=_build._EXACT_FP_FLAGS + _compile_flags,
+            extra_compile_args=(
+                _build._EXACT_FP_FLAGS + [_build.source_hash_flag()]
+                + _compile_flags
+            ),
             extra_link_args=_link_flags,
             optional=True,
         )

@@ -36,6 +36,13 @@
 #include <structmember.h>
 #include <stddef.h>
 
+/* The first 16 hex digits of this file's sha256, passed by the build
+ * (``build.source_hash()``) and exported as SOURCE_HASH: the loader
+ * counts an extension built from other C source as stale. */
+#ifndef REPRO_SOURCE_HASH
+#define REPRO_SOURCE_HASH ""
+#endif
+
 #ifdef REPRO_HAVE_NPYRANDOM
 #include <numpy/random/bitgen.h>
 #include <numpy/random/distributions.h>
@@ -86,7 +93,6 @@
     X(str_monotone, "monotone")                              \
     X(str_cache_attr, "_cache")                              \
     X(str_cache_hits, "cache_hits")                          \
-    X(str_monitor_on, "_monitor_on")                         \
     X(str_latency_attr, "_latency")                          \
     X(str_pending_attr, "_pending")                          \
     X(str_server_index, "_server_index")                     \
@@ -114,7 +120,7 @@
     X(str_retiring, "retiring")                              \
     X(str_retired_ignored, "retired_messages_ignored")       \
     X(str_nacks_sent, "stale_nacks_sent")                    \
-    X(str_trace_on, "_trace_on")                             \
+    X(str_spans_attr, "_spans")                              \
     X(str_sample_quorum, "_sample_quorum")                   \
     X(str_info, "info")                                      \
     X(str_history, "history")                                \
@@ -179,12 +185,9 @@ static PyObject *msg_write_update = NULL; /* messages.WriteUpdate */
 static PyObject *msg_write_ack = NULL;    /* messages.WriteAck    */
 static PyObject *msg_stale_view_nack = NULL; /* messages.StaleViewNack */
 static PyObject *timestamp_type = NULL;   /* timestamps.Timestamp */
-static PyObject *nullrecord_type = NULL;  /* history._NullRecord  */
 
 /* What the client issue path constructs and tests against, resolved the
  * first time a ClientCore is built. */
-static PyObject *null_history_type = NULL; /* history.NullRegisterHistory */
-static PyObject *null_record = NULL;       /* history._NULL_RECORD */
 static PyObject *prob_quorum_type = NULL;  /* ProbabilisticQuorumSystem */
 static PyObject *retry_policy_type = NULL; /* registers.client.RetryPolicy */
 static PyObject *quantiles_type = NULL;    /* obs.quantiles.StreamingQuantiles */
@@ -841,19 +844,6 @@ pop_and_dispatch(SchedulerCore *self)
 }
 
 static PyObject *
-schedulercore_step(SchedulerCore *self, PyObject *Py_UNUSED(ignored))
-{
-    while (self->len > 0) {
-        int ran = pop_and_dispatch(self);
-        if (ran < 0)
-            return NULL;
-        if (ran)
-            Py_RETURN_TRUE;
-    }
-    Py_RETURN_FALSE;
-}
-
-static PyObject *
 schedulercore_run(SchedulerCore *self, PyObject *args, PyObject *kwds)
 {
     static char *kwlist[] = {"until", "max_events", "stop_when", NULL};
@@ -1008,8 +998,6 @@ static PyMethodDef schedulercore_methods[] = {
     {"schedule_uncancellable",
      (PyCFunction)schedulercore_schedule_uncancellable, METH_FASTCALL,
      "Schedule an event that can never be cancelled; returns no handle."},
-    {"step", (PyCFunction)schedulercore_step, METH_NOARGS,
-     "Execute the next event.  Returns False when the queue is empty."},
     {"run", (PyCFunction)schedulercore_run,
      METH_VARARGS | METH_KEYWORDS,
      "Run events until the queue drains or a limit is reached."},
@@ -2345,11 +2333,9 @@ ensure_protocol_types(void)
             goto fail;
         }
     }
-    if ((nullrecord_type = import_attr("repro.core.history",
-                                       "_NullRecord")) == NULL
-        /* Assigned last: non-NULL timestamp_type marks full resolution. */
-        || (timestamp_type = import_attr("repro.core.timestamps",
-                                         "Timestamp")) == NULL)
+    /* Assigned last: non-NULL timestamp_type marks full resolution. */
+    if ((timestamp_type = import_attr("repro.core.timestamps",
+                                      "Timestamp")) == NULL)
         goto fail;
     return 0;
 fail:
@@ -2358,7 +2344,6 @@ fail:
     Py_CLEAR(msg_write_update);
     Py_CLEAR(msg_write_ack);
     Py_CLEAR(msg_stale_view_nack);
-    Py_CLEAR(nullrecord_type);
     Py_CLEAR(timestamp_type);
     return -1;
 }
@@ -2370,12 +2355,8 @@ ensure_issue_types(void)
     if (prob_quorum_type != NULL)
         return 0;
     PyObject *gamma_log = NULL;
-    if ((null_history_type = import_attr("repro.core.history",
-                                         "NullRegisterHistory")) != NULL
-        && (null_record = import_attr("repro.core.history",
-                                      "_NULL_RECORD")) != NULL
-        && (retry_policy_type = import_attr("repro.registers.client",
-                                            "RetryPolicy")) != NULL
+    if ((retry_policy_type = import_attr("repro.registers.client",
+                                         "RetryPolicy")) != NULL
         && (quantiles_type = import_attr("repro.obs.quantiles",
                                          "StreamingQuantiles")) != NULL
         && (gamma_log = import_attr("repro.obs.quantiles", "_PER_LOG"))
@@ -2390,8 +2371,6 @@ ensure_issue_types(void)
     Py_XDECREF(gamma_log);
     Py_CLEAR(retry_policy_type);
     Py_CLEAR(quantiles_type);
-    Py_CLEAR(null_history_type);
-    Py_CLEAR(null_record);
     return -1;
 }
 
@@ -3190,14 +3169,16 @@ clientcore_info(ClientCore *self, PyObject *reg)
     return info;
 }
 
-/* client.spec_monitor while client._monitor_on (re-read per call, like
- * the Python guard), as a new reference; else NULL, with an exception
- * set only on error. */
+/* client.spec_monitor unless None (re-read per call, like the Python
+ * guard), as a new reference; else NULL, with an exception set only on
+ * error. */
 static PyObject *
 clientcore_monitor(ClientCore *self)
 {
-    int on = attr_truth(self->client, str_monitor_on);
-    return on > 0 ? PyObject_GetAttr(self->client, str_spec_monitor) : NULL;
+    PyObject *monitor = PyObject_GetAttr(self->client, str_spec_monitor);
+    if (monitor == Py_None)
+        Py_CLEAR(monitor);
+    return monitor;
 }
 
 /* _settle's monitor hook: spec_monitor.on_{read,write}_complete(
@@ -3246,8 +3227,8 @@ clientcore_plan(ClientCore *self, PendingOp *op, int *is_read, long *stage)
     return plan;
 }
 
-/* space.info(reg).history.<begin>(client_id, *args) — the shared inert
- * record for a NullRegisterHistory.  A new reference, or NULL. */
+/* space.info(reg).history.<begin>(client_id, *args) — None when the
+ * history is None.  A new reference, or NULL. */
 static PyObject *
 clientcore_record(ClientCore *self, PyObject *reg, PyObject *begin,
                   PyObject *a, PyObject *b, PyObject *c)
@@ -3255,8 +3236,8 @@ clientcore_record(ClientCore *self, PyObject *reg, PyObject *begin,
     PyObject *record = NULL, *history = NULL;
     PyObject *info = clientcore_info(self, reg);
     if (info != NULL && (history = PyObject_GetAttr(info, str_history))) {
-        record = (PyObject *)Py_TYPE(history) == null_history_type
-            ? Py_NewRef(null_record)
+        record = history == Py_None
+            ? Py_NewRef(Py_None)
             : PyObject_CallMethodObjArgs(history, begin, self->client_id,
                                          a, b, c, NULL);
     }
@@ -3526,7 +3507,7 @@ clientcore_settle(ClientCore *self, PendingOp *op, int is_read,
     Py_DECREF(latency);
     if (rc < 0 || PyErr_Occurred())
         return -1;
-    if ((PyObject *)Py_TYPE(op->record) != nullrecord_type) {
+    if (op->record != Py_None) {
         PyObject *now = PyFloat_FromDouble(self->sched->now);
         PyObject *res = now == NULL ? NULL : is_read
             ? PyObject_CallMethodObjArgs(op->record, str_complete, now,
@@ -3747,7 +3728,7 @@ done:
  * (inside the broadcast), then the retry-jitter stream.
  *
  * Ownership: the core handles only the ops it built.  With span tracing
- * on (``client._trace_on``) or a call shape other than the positional
+ * on (``client._spans`` not None) or a call shape other than the positional
  * one, read / write take the Python definitions, and the op they build
  * stays with them for its whole life — its replies, nacks and retry
  * timer included.  _give_up and _expire are Python for every op.  Quorum
@@ -4247,7 +4228,11 @@ clientcore_wants_python(ClientCore *self, Py_ssize_t nargs,
     if (nargs != expected
         || (kwnames != NULL && PyTuple_GET_SIZE(kwnames) != 0))
         return 1;
-    return attr_truth(self->client, str_trace_on);
+    PyObject *spans = PyObject_GetAttr(self->client, str_spans_attr);
+    if (spans == NULL)
+        return -1;
+    Py_DECREF(spans);
+    return spans != Py_None;
 }
 
 static PyObject *
@@ -4402,7 +4387,9 @@ PyInit__kernel(void)
                                (PyObject *)types[i].type) < 0)
             goto fail;
     }
-    if (PyModule_AddIntConstant(module, "KERNEL_ABI", 9) < 0)
+    if (PyModule_AddIntConstant(module, "KERNEL_ABI", 10) < 0
+        || PyModule_AddStringConstant(module, "SOURCE_HASH",
+                                      REPRO_SOURCE_HASH) < 0)
         goto fail;
 #ifdef REPRO_HAVE_NPYRANDOM
     if (PyModule_AddIntConstant(module, "HAVE_FAST_RNG", 1) < 0)

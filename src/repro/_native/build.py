@@ -4,6 +4,7 @@ Usage::
 
     python -m repro._native.build            # compile into src/repro/_native/
     python -m repro._native.build --check    # exit 0 iff the extension imports
+                                             # and is not stale
 
 Compiles ``_kernelmodule.c`` with the active interpreter's configuration
 (via ``sysconfig``) straight into this package directory, so a
@@ -11,13 +12,15 @@ Compiles ``_kernelmodule.c`` with the active interpreter's configuration
 install .`` builds the same extension through ``setup.py``, which loads
 this file by path and passes :func:`npyrandom_flags` and the float flags
 to setuptools, so the two builds cannot drift apart in what they compile
-in.
+in.  Both compile in :func:`source_hash` as ``REPRO_SOURCE_HASH``, so an
+extension built from other C source reads as stale.
 
 A missing toolchain is not an error for the package as a whole — the
 runtime falls back to the pure-python kernel — but this command reports
 failure loudly so CI legs that *require* the native backend notice.
 """
 
+import hashlib
 import pathlib
 import subprocess
 import sys
@@ -31,6 +34,16 @@ SOURCE = PACKAGE_DIR / "_kernelmodule.c"
 #: would round ``a * b + c`` once and change the bits of the C transcriptions
 #: (the retry jitter, a delay added to the clock), so no build contracts.
 _EXACT_FP_FLAGS = ["-ffp-contract=off"]
+
+
+def source_hash() -> str:
+    """The first 16 hex digits of the sha256 of ``_kernelmodule.c``."""
+    return hashlib.sha256(SOURCE.read_bytes()).hexdigest()[:16]
+
+
+def source_hash_flag() -> str:
+    """The compiler flag that bakes :func:`source_hash` into the build."""
+    return f'-DREPRO_SOURCE_HASH="{source_hash()}"'
 
 
 def extension_path() -> pathlib.Path:
@@ -97,6 +110,7 @@ def build(verbose: bool = True) -> pathlib.Path:
         "-shared",
         "-fno-strict-aliasing",
         *_EXACT_FP_FLAGS,
+        source_hash_flag(),
         f"-I{include}",
         *compile_flags,
         str(SOURCE),
@@ -120,7 +134,8 @@ def main(argv=None) -> int:
             print(f"native kernel unavailable: {import_error()}",
                   file=sys.stderr)
             return 1
-        print(f"native kernel OK (ABI {module.KERNEL_ABI})")
+        print(f"native kernel OK (ABI {module.KERNEL_ABI}, "
+              f"source {module.SOURCE_HASH})")
         return 0
     try:
         target = build()

@@ -17,8 +17,8 @@ if _kernel is None:  # pragma: no cover - guarded by repro.sim.kernel
 class NativeScheduler(_kernel.SchedulerCore):
     """The native scheduler core plus the cold-path Python API.
 
-    ``schedule``/``call_soon``/``schedule_uncancellable``/``step``/``run``
-    are C methods on the core; repeating chains *are*
+    ``schedule``/``call_soon``/``schedule_uncancellable``/``run`` are C
+    methods on the core; repeating chains *are*
     :meth:`repro.sim.scheduler.Scheduler.schedule_repeating`, which only
     calls ``now``, ``schedule`` and ``schedule_at``.
     """

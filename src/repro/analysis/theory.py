@@ -6,6 +6,7 @@ verify against first principles.
 """
 
 import math
+from fractions import Fraction
 
 
 def _validate_nk(n: int, k: int) -> None:
@@ -46,6 +47,26 @@ def theorem1_survival_bound(n: int, k: int, ell: int) -> float:
     if ell < 0:
         raise ValueError(f"ell must be non-negative, got {ell}")
     return min(1.0, k * ((n - k) / n) ** ell)
+
+
+def theorem1_survival_exact(n: int, k: int, ell: int) -> float:
+    """The exact probability Theorem 1 bounds: some replica of a write's
+    uniform k-quorum is in none of ell subsequent independent uniform
+    k-quorums.  By inclusion-exclusion over the j replicas all missed,
+
+        sum_{j=1..k} (-1)^{j+1} C(k,j) (C(n-j,k)/C(n,k))^ell,
+
+    whose j=1 term is the (unclamped) bound k((n-k)/n)^ell.  Summed in
+    exact rationals: the alternating terms would cancel in floats."""
+    _validate_nk(n, k)
+    if ell < 0:
+        raise ValueError(f"ell must be non-negative, got {ell}")
+    total = sum(
+        (-1) ** (j + 1) * math.comb(k, j)
+        * Fraction(math.comb(n - j, k), math.comb(n, k)) ** ell
+        for j in range(1, k + 1)
+    )
+    return float(total)
 
 
 def geometric_pmf_bound(q: float, r: int) -> float:

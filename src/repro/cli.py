@@ -74,6 +74,7 @@ from repro.obs import runtime as obs_runtime
 from repro.obs.collect import collect_chaos
 from repro.obs.core import Observability
 from repro.obs.export import to_json, to_prometheus_text
+from repro.obs.registry import MetricsRegistry
 from repro.obs.spans import SpanRecorder
 from repro.service import ServiceConfig, run_service
 from repro.sim import kernel
@@ -95,9 +96,7 @@ class Context:
     @property
     def metrics(self) -> Optional[Any]:
         """The session's registry when ``--metrics-out`` asked for one."""
-        if self.session is not None and self.session.metrics.enabled:
-            return self.session.metrics
-        return None
+        return None if self.session is None else self.session.metrics
 
 
 @dataclass(frozen=True)
@@ -573,7 +572,8 @@ def _context(args) -> Context:
     session = None
     if args.metrics_out is not None or args.trace_spans is not None:
         session = Observability(
-            spans=SpanRecorder() if args.trace_spans is not None else None,
+            MetricsRegistry(),
+            SpanRecorder() if args.trace_spans is not None else None,
         )
     return Context(jobs, cache, session)
 

@@ -230,63 +230,8 @@ class RegisterHistory:
             key=lambda r: (r.invoke_time, r.op_id),
         )
 
-    def latest_write_before(self, time: float) -> WriteRecord:
-        """The completed write with the largest timestamp responding <= time."""
-        done = [
-            w
-            for w in self.writes
-            if w.response_time is not None and w.response_time <= time
-        ]
-        return max(done, key=lambda w: w.timestamp)
-
     def __repr__(self) -> str:
         return (
             f"RegisterHistory({self.name!r}, writes={len(self.writes) - 1}, "
             f"reads={len(self.reads)})"
         )
-
-
-class _NullRecord:
-    """Shared inert record returned by :class:`NullRegisterHistory`."""
-
-    __slots__ = ()
-
-    def respond(self, time: float) -> None:
-        pass
-
-    def complete(self, time: float, value: Any, timestamp: Timestamp) -> None:
-        pass
-
-    def __repr__(self) -> str:
-        return "NullRecord()"
-
-
-_NULL_RECORD = _NullRecord()
-
-
-class NullRegisterHistory:
-    """A drop-in history that records nothing.
-
-    Sweeps that never audit their histories (``check_spec=False`` and no
-    post-hoc trace analysis) otherwise pay one record allocation plus list
-    append per operation and hold every record alive for the whole run.
-    Deployments built with ``record_history=False`` use this instead; any
-    attempt to *query* such a history fails loudly via the missing
-    attribute rather than returning silently empty results.
-    """
-
-    __slots__ = ("name",)
-
-    def __init__(self, name: str = "X", initial_value: Any = None) -> None:
-        self.name = name
-
-    def begin_write(
-        self, process: int, time: float, value: Any, timestamp: Timestamp
-    ) -> _NullRecord:
-        return _NULL_RECORD
-
-    def begin_read(self, process: int, time: float) -> _NullRecord:
-        return _NULL_RECORD
-
-    def __repr__(self) -> str:
-        return f"NullRegisterHistory({self.name!r})"

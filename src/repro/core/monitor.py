@@ -17,10 +17,10 @@ each operation completes:
   never returns an older timestamp than an earlier read did.
 
 Every check is O(1) per completed operation (two dict probes and an
-integer compare), so monitoring adds no asymptotic cost; clients guard
-the call behind a prefetched boolean, so ``check_spec=False`` runs with
-no monitor attached pay nothing at all — pinned by the golden trace in
-``tests/test_kernel_determinism.py``.
+integer compare), so monitoring adds no asymptotic cost.  An unmonitored
+client holds ``spec_monitor = None`` and guards every hook with one
+``is None`` test, so ``check_spec=False`` runs pay nothing else — pinned
+by the golden trace in ``tests/test_kernel_determinism.py``.
 
 Violations raise :class:`~repro.core.spec.SpecViolation` carrying the
 offending operation records, which aborts the simulated run at the
@@ -35,8 +35,6 @@ from repro.core.timestamps import Timestamp
 
 class OnlineSpecMonitor:
     """Incremental [R1]/[R2]/[R4] + liveness checker for live runs."""
-
-    enabled = True
 
     __slots__ = (
         "monotone",

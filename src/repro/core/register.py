@@ -7,23 +7,19 @@ Section 3.  The history recorder is shared so the spec checkers in
 :mod:`repro.core.spec` can audit any implementation.
 """
 
-from typing import Any
+from typing import Optional
 
 from repro.core.history import RegisterHistory
-from repro.sim.futures import Future
 
 
 class AbstractRegister:
-    """A multi-reader single-writer shared register (client-side handle)."""
+    """A multi-reader single-writer shared register (client-side handle).
 
-    def __init__(self, name: str, history: RegisterHistory) -> None:
+    A subclass defines ``read()``, a future resolving with the value, and
+    ``write(value)``, a future resolving on the Ack.  ``history`` is the
+    register's shared history, or None when the deployment records none.
+    """
+
+    def __init__(self, name: str, history: Optional[RegisterHistory]) -> None:
         self.name = name
         self.history = history
-
-    def read(self) -> Future:
-        """Invoke a read; the returned future resolves with the value."""
-        raise NotImplementedError
-
-    def write(self, value: Any) -> Future:
-        """Invoke a write; the returned future resolves on the Ack."""
-        raise NotImplementedError

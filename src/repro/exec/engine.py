@@ -210,7 +210,7 @@ def _merge_metrics(results: Sequence[Any]) -> None:
     sums round identically only when added in the same order.
     """
     session = obs_runtime.active()
-    if session is None or not session.metrics.enabled:
+    if session is None or session.metrics is None:
         return
     for result in results:
         if isinstance(result, dict):

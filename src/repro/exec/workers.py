@@ -61,6 +61,7 @@ from repro.exec.task import RunTask
 from repro.iterative.runner import Alg1Runner
 from repro.obs import runtime as obs_runtime
 from repro.obs.core import Observability
+from repro.obs.registry import MetricsRegistry
 from repro.registers.client import RetryPolicy
 from repro.sim.failures import FailureSchedule
 from repro.quorum.base import QuorumSystem
@@ -395,7 +396,9 @@ def run_alg1_task(task: RunTask) -> Dict[str, Any]:
     # cross the process boundary, so a span recorder is only picked up
     # from the active session when the task runs in-process.
     active = obs_runtime.active()
-    obs = Observability(spans=active.spans if active is not None else None)
+    obs = Observability(
+        MetricsRegistry(), active.spans if active is not None else None
+    )
     runner = Alg1Runner(
         ApspACO(build_graph(params["graph"])),
         build_quorum(params["quorum"]),

@@ -5,7 +5,7 @@ Each module exposes a config dataclass with ``paper_scale()`` and
 task per point), a formatter producing the table/series the paper
 reports, and an ``EXPERIMENT`` declaration tying the three together.
 :data:`EXPERIMENTS` collects the declarations — the one list the CLI, the
-benchmarks and the docs (:func:`describe`) iterate.  ``REPRO_FULL=1`` in
+benchmarks and the docs iterate.  ``REPRO_FULL=1`` in
 the environment switches benchmark invocations to full paper scale.
 """
 
@@ -41,25 +41,4 @@ EXPERIMENTS = {
 }
 
 
-def describe() -> str:
-    """The registry as the markdown table README.md and EXPERIMENTS.md
-    carry (a test keeps the three in step)."""
-    lines = [
-        "| command | config | output stems | tasks (default / `--full`) |",
-        "|---|---|---|---|",
-    ]
-    for name, experiment in EXPERIMENTS.items():
-        sizes = " / ".join(
-            "in process" if experiment.tasks is None
-            else str(len(experiment.tasks(experiment.config(full))))
-            for full in (False, True)
-        )
-        stems = ", ".join(f"`{stem}`" for stem in experiment.stems)
-        lines.append(
-            f"| `{name}` | `{experiment.config_class.__name__}` | "
-            f"{stems} | {sizes} |"
-        )
-    return "\n".join(lines)
-
-
-__all__ = ["EXPERIMENTS", "Experiment", "ResultTable", "describe", "full_scale"]
+__all__ = ["EXPERIMENTS", "Experiment", "ResultTable", "full_scale"]

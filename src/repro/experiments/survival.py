@@ -15,7 +15,10 @@ at most k·((n-k)/n)^ℓ.  Two estimators:
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from repro.analysis.theory import theorem1_survival_bound
+from repro.analysis.theory import (
+    theorem1_survival_bound,
+    theorem1_survival_exact,
+)
 from repro.core.spec import write_survival_counts
 from repro.exec.cache import RunCache
 from repro.exec.engine import run_many
@@ -202,7 +205,8 @@ def survival_table(
     jobs: Optional[int] = None,
     cache: Optional[RunCache] = None,
 ) -> ResultTable:
-    """The E-THM1 comparison table: measured vs bound per lag ℓ."""
+    """The E-THM1 comparison table: measured vs bound and exact value per
+    lag ℓ."""
     # One engine invocation for everything: the MC shards and the
     # register-level run execute side by side.
     *shard_counts, register_rows = run_many(
@@ -213,7 +217,7 @@ def survival_table(
     table = ResultTable(
         f"Theorem 1 — write survival probability "
         f"(n={config.num_servers}, k={config.quorum_size})",
-        ["ell", "bound_k_frac", "quorum_mc", "register_measured"],
+        ["ell", "bound_k_frac", "exact", "quorum_mc", "register_measured"],
     )
     for ell in range(config.max_lag + 1):
         bound = theorem1_survival_bound(
@@ -221,7 +225,10 @@ def survival_table(
         )
         reg = register.get(ell)
         reg_value = reg[0] / reg[1] if reg and reg[1] else float("nan")
-        table.add_row(ell, bound, monte_carlo[ell], reg_value)
+        exact = theorem1_survival_exact(
+            config.num_servers, config.quorum_size, ell
+        )
+        table.add_row(ell, bound, exact, monte_carlo[ell], reg_value)
     return table
 
 

@@ -20,32 +20,19 @@ class ACOError(RuntimeError):
 class ACO:
     """An asynchronously contracting operator over m components.
 
-    A *component value* may be any hashable-or-comparable object: a number
-    (Jacobi), a tuple of distances (APSP rows), a frozenset (transitive
-    closure, constraint domains).  ``apply`` must be a pure function of the
-    full vector.
+    A subclass defines ``m`` (a property: the number of vector
+    components), ``initial()`` (the initial vector i ∈ D(0)),
+    ``apply(i, x)`` (the component function F_i on the full vector x, a
+    pure function) and ``fixed_point()`` (the reference fixed point,
+    computed by a direct algorithm).  A *component value* may be any
+    hashable-or-comparable object: a number (Jacobi), a tuple of
+    distances (APSP rows), a frozenset (transitive closure, constraint
+    domains).
     """
-
-    @property
-    def m(self) -> int:
-        """Number of vector components."""
-        raise NotImplementedError
-
-    def initial(self) -> List[Any]:
-        """The initial vector i ∈ D(0)."""
-        raise NotImplementedError
-
-    def apply(self, i: int, x: List[Any]) -> Any:
-        """Component function F_i evaluated on the full vector ``x``."""
-        raise NotImplementedError
 
     def apply_all(self, x: List[Any]) -> List[Any]:
         """The full operator F(x) (a synchronous update of every component)."""
         return [self.apply(i, x) for i in range(self.m)]
-
-    def fixed_point(self) -> List[Any]:
-        """The reference fixed point (computed by a direct algorithm)."""
-        raise NotImplementedError
 
     def component_converged(self, i: int, value: Any) -> bool:
         """Whether component ``i`` holding ``value`` counts as converged.

@@ -7,7 +7,7 @@ exactly one loop iteration per process; in an asynchronous execution fast
 processes may complete several iterations within one round.
 """
 
-from typing import Dict, List
+from typing import Dict
 
 
 class RoundTracker:
@@ -20,10 +20,9 @@ class RoundTracker:
         self.rounds_completed = 0
         self.iterations: Dict[int, int] = {p: 0 for p in range(num_processes)}
         self._seen_this_round: set = set()
-        self._round_end_times: List[float] = []
 
-    def report_iteration(self, process: int, time: float) -> bool:
-        """Record that ``process`` completed one loop iteration at ``time``.
+    def report_iteration(self, process: int) -> bool:
+        """Record that ``process`` completed one loop iteration.
 
         Returns True when this report closes a round.
         """
@@ -33,7 +32,6 @@ class RoundTracker:
         self._seen_this_round.add(process)
         if len(self._seen_this_round) == self.num_processes:
             self.rounds_completed += 1
-            self._round_end_times.append(time)
             self._seen_this_round = set()
             return True
         return False
@@ -42,17 +40,6 @@ class RoundTracker:
     def total_iterations(self) -> int:
         """Sum of loop iterations across all processes."""
         return sum(self.iterations.values())
-
-    @property
-    def round_end_times(self) -> List[float]:
-        """Simulated times at which each round closed."""
-        return list(self._round_end_times)
-
-    def iterations_per_round(self) -> float:
-        """Average loop iterations per completed round (>= num_processes)."""
-        if self.rounds_completed == 0:
-            return 0.0
-        return self.total_iterations / self.rounds_completed
 
     def __repr__(self) -> str:
         return (

@@ -19,7 +19,7 @@ from repro.iterative.convergence import ConvergenceMonitor
 from repro.iterative.partition import block_partition
 from repro.iterative.rounds import RoundTracker
 from repro.obs.collect import collect_alg1
-from repro.obs.core import DISABLED, Observability
+from repro.obs.core import Observability
 from repro.quorum.base import QuorumSystem
 from repro.registers.client import OperationTimeout, RetryPolicy
 from repro.registers.deployment import RegisterDeployment
@@ -123,7 +123,7 @@ class Alg1Runner:
             max_sim_time = 100.0 * max_rounds
         self.max_sim_time = max_sim_time
         self.observability = (
-            observability if observability is not None else DISABLED
+            observability if observability is not None else Observability()
         )
         self.spec_monitor = spec_monitor
         p = num_processes if num_processes is not None else aco.m
@@ -194,7 +194,7 @@ class Alg1Runner:
             # End of one loop iteration: report for round accounting and
             # convergence detection, exactly as in the paper's simulation.
             now = scheduler.now
-            closed_round = self.tracker.report_iteration(process, now)
+            closed_round = self.tracker.report_iteration(process)
             all_correct = self.monitor.report(process, new_values, now)
             if closed_round:
                 self.monitor.mark_round(self.tracker.rounds_completed)
@@ -263,6 +263,6 @@ class Alg1Runner:
             messages_dropped=self.deployment.network.stats.dropped,
             ops_under_failure=self.deployment.total_ops_under_failure,
         )
-        if self.observability.metrics.enabled:
+        if self.observability.metrics is not None:
             collect_alg1(self.observability.metrics, self, result)
         return result

@@ -7,8 +7,7 @@ Layers (bottom-up):
   one integer bump per observation, cheap enough for the service's
   per-operation path),
 * :mod:`repro.obs.registry` — counter, gauge and histogram (= sketch)
-  families with labels, snapshot/merge semantics and a no-op null
-  variant,
+  families with labels and snapshot/merge semantics,
 * :mod:`repro.obs.spans` — per-operation span tracing (invoke → quorum
   rounds → retries → response/timeout) with a bounded ring of spans,
 * :mod:`repro.obs.export` — Prometheus text exposition and JSON renderers
@@ -21,7 +20,7 @@ Layers (bottom-up):
   through ``RegisterDeployment`` → clients → ``Alg1Runner``.
 """
 
-from repro.obs.core import DISABLED, Observability
+from repro.obs.core import Observability
 from repro.obs.export import (
     to_json,
     to_prometheus_text,
@@ -37,29 +36,16 @@ from repro.obs.registry import (
     Family,
     Gauge,
     MetricsRegistry,
-    NULL_REGISTRY,
-    NullRegistry,
 )
-from repro.obs.spans import (
-    NULL_RECORDER,
-    NullSpanRecorder,
-    Span,
-    SpanEvent,
-    SpanRecorder,
-)
+from repro.obs.spans import Span, SpanEvent, SpanRecorder
 
 __all__ = [
     "DEFAULT_QUANTILES",
-    "DISABLED",
     "Counter",
     "Family",
     "Gauge",
     "MetricsError",
     "MetricsRegistry",
-    "NULL_RECORDER",
-    "NULL_REGISTRY",
-    "NullRegistry",
-    "NullSpanRecorder",
     "Observability",
     "Span",
     "SpanEvent",

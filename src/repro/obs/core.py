@@ -1,23 +1,25 @@
 """The Observability bundle: one handle for metrics + spans.
 
 Wiring code (deployment, clients, runner, workers) takes a single
-``observability`` object instead of separate registry/recorder arguments;
-:data:`DISABLED` is the shared all-off instance every constructor defaults
-to, so an un-instrumented run pays nothing but a few attribute loads.
+``observability`` object instead of separate registry/recorder arguments.
+Each facet is a live instrument or ``None``, and ``None`` is the only way
+to say off: ``Observability()`` is the all-off bundle every constructor
+defaults to, so an un-instrumented run pays nothing but a few ``is None``
+tests per operation.
 """
 
 from typing import Optional
 
-from repro.obs.registry import MetricsRegistry, NULL_REGISTRY, NullRegistry
-from repro.obs.spans import NULL_RECORDER, NullSpanRecorder, SpanRecorder
+from repro.obs.registry import MetricsRegistry
+from repro.obs.spans import SpanRecorder
 
 
 class Observability:
-    """Bundles a metrics registry and a span recorder.
+    """Bundles a metrics registry and a span recorder, either one None.
 
-    ``Observability()`` gives a live registry with span recording off —
-    the common "export metrics" configuration; pass a
-    :class:`~repro.obs.spans.SpanRecorder` to also trace operations.
+    ``Observability(MetricsRegistry())`` is the common "export metrics"
+    configuration; pass a :class:`~repro.obs.spans.SpanRecorder` as
+    ``spans`` to also trace operations.
     """
 
     __slots__ = ("metrics", "spans")
@@ -27,35 +29,8 @@ class Observability:
         metrics: Optional[MetricsRegistry] = None,
         spans: Optional[SpanRecorder] = None,
     ) -> None:
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self.spans = spans if spans is not None else NULL_RECORDER
-
-    @property
-    def enabled(self) -> bool:
-        """True when either facet records anything."""
-        return self.metrics.enabled or self.spans.enabled
+        self.metrics = metrics
+        self.spans = spans
 
     def __repr__(self) -> str:
         return f"Observability(metrics={self.metrics!r}, spans={self.spans!r})"
-
-
-class _Disabled(Observability):
-    """The all-off singleton's type (null registry, null recorder)."""
-
-    __slots__ = ()
-
-    def __init__(self) -> None:
-        # Bypass the parent default of a *live* registry.
-        object.__setattr__(self, "metrics", NULL_REGISTRY)
-        object.__setattr__(self, "spans", NULL_RECORDER)
-
-
-#: Shared disabled instance: the default for every wiring point.
-DISABLED = _Disabled()
-
-__all__ = [
-    "DISABLED",
-    "Observability",
-    "NullRegistry",
-    "NullSpanRecorder",
-]

@@ -18,15 +18,16 @@ values in that order — so merging the same snapshots in the same task
 order always produces the same floats, which keeps metrics output
 cache-stable across serial and parallel execution.
 
-The hot-path contract: a disabled deployment uses :data:`NULL_REGISTRY`
-(a :class:`NullRegistry`), whose instruments are shared no-op singletons.
-Everything per-message is collected *after* the run from the existing
-``MessageStats``/scheduler counters (see :mod:`repro.obs.collect`), so
+The hot-path contract: a deployment with metrics off holds ``None`` in
+place of a registry, and the one live instrument (the operation-latency
+histogram) is resolved once at construction.  Everything per-message is
+collected *after* the run from the existing ``MessageStats``/scheduler
+counters (see :mod:`repro.obs.collect`), so
 the simulation kernel itself never pays a per-event metrics call.
 """
 
 import json
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Sequence, Tuple
 
 from repro.obs.quantiles import MetricsError, StreamingQuantiles
 
@@ -137,8 +138,6 @@ class Family:
 class MetricsRegistry:
     """A named collection of instruments with snapshot/merge semantics."""
 
-    enabled = True
-
     def __init__(self) -> None:
         self._families: Dict[str, Family] = {}
 
@@ -187,22 +186,6 @@ class MetricsRegistry:
     def families(self) -> List[Family]:
         """All registered families, in name order."""
         return [self._families[name] for name in sorted(self._families)]
-
-    def get(self, name: str) -> Optional[Family]:
-        """The family registered under ``name``, or None."""
-        return self._families.get(name)
-
-    def sample(self, name: str, labels: Sequence[Any] = ()) -> Any:
-        """The scalar value (or sketch) of one series, for tests/CLI.
-
-        Raises :class:`MetricsError` for an unknown instrument; an
-        unpopulated label combination reads as a fresh child (0 / empty).
-        """
-        family = self._families.get(name)
-        if family is None:
-            raise MetricsError(f"no instrument named {name!r}")
-        child = family.labels(*labels)
-        return child if family.kind == "histogram" else child.value
 
     # Snapshot / merge --------------------------------------------------- #
 
@@ -272,73 +255,3 @@ class MetricsRegistry:
 
     def __repr__(self) -> str:
         return f"MetricsRegistry({len(self._families)} instruments)"
-
-
-# --------------------------------------------------------------------- #
-# Disabled variant
-# --------------------------------------------------------------------- #
-
-
-class _NullInstrument:
-    """A shared no-op standing in for every instrument when disabled."""
-
-    __slots__ = ()
-
-    def labels(self, *values: Any) -> "_NullInstrument":
-        return self
-
-    def inc(self, amount: float = 1) -> None:
-        pass
-
-    def dec(self, amount: float = 1) -> None:
-        pass
-
-    def set(self, value: float) -> None:
-        pass
-
-    def observe(self, value: float) -> None:
-        pass
-
-
-NULL_INSTRUMENT = _NullInstrument()
-
-
-class NullRegistry:
-    """A registry whose instruments do nothing; the disabled fast path.
-
-    Shares the :class:`MetricsRegistry` surface so wiring code never
-    branches on enablement except where it wants to skip work entirely
-    (guard with ``registry.enabled``).
-    """
-
-    enabled = False
-
-    def counter(self, name, help="", labelnames=()):  # noqa: A002
-        return NULL_INSTRUMENT
-
-    def gauge(self, name, help="", labelnames=()):  # noqa: A002
-        return NULL_INSTRUMENT
-
-    def histogram(self, name, help="", labelnames=()):  # noqa: A002
-        return NULL_INSTRUMENT
-
-    def families(self):
-        return []
-
-    def get(self, name):
-        return None
-
-    def snapshot(self):
-        return {"instruments": []}
-
-    def merge_snapshot(self, snapshot):
-        pass
-
-    def __len__(self) -> int:
-        return 0
-
-    def __repr__(self) -> str:
-        return "NullRegistry()"
-
-
-NULL_REGISTRY = NullRegistry()

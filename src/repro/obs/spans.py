@@ -12,12 +12,12 @@ RNG stream or schedules an event, so a traced run is event-for-event
 identical to an untraced one (pinned by tests/test_kernel_determinism.py).
 
 The recorder keeps a bounded ring of *finished* spans — newest kept,
-evictions counted — and offers the queries a debugging session actually
-needs: slowest-N, by kind, by status, arbitrary predicates.
+evictions counted — and renders the slowest of them, the table
+``--trace-spans N`` prints.
 """
 
 from collections import deque
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Dict, List, Optional
 
 
 class SpanEvent:
@@ -64,18 +64,6 @@ class Span:
                f"{len(self.events)} events)"
 
 
-class _NullSpan:
-    """Shared no-op span handed out by a disabled recorder."""
-
-    __slots__ = ()
-
-    def event(self, time: float, name: str, **attrs: Any) -> None:
-        pass
-
-
-NULL_SPAN = _NullSpan()
-
-
 class SpanRecorder:
     """A bounded log of finished operation spans.
 
@@ -83,8 +71,6 @@ class SpanRecorder:
     newest spans are kept (the interesting tail of a long run), evictions
     increment ``dropped_spans``.
     """
-
-    enabled = True
 
     def __init__(self, max_spans: int = 10_000) -> None:
         if max_spans < 1:
@@ -109,8 +95,6 @@ class SpanRecorder:
             self.dropped_spans += 1
         self.spans.append(span)
 
-    # Queries ------------------------------------------------------------ #
-
     def slowest(self, n: int) -> List[Span]:
         """The ``n`` longest finished spans, slowest first.
 
@@ -120,25 +104,6 @@ class SpanRecorder:
         return sorted(
             self.spans, key=lambda s: (-s.duration, s.start, s.kind)
         )[:n]
-
-    def of_kind(self, kind: str) -> List[Span]:
-        """Finished spans of one operation kind ("read" / "write")."""
-        return [span for span in self.spans if span.kind == kind]
-
-    def with_status(self, status: str) -> List[Span]:
-        """Finished spans that settled with ``status`` ("ok" / "timeout")."""
-        return [span for span in self.spans if span.status == status]
-
-    def matching(self, predicate: Callable[[Span], bool]) -> List[Span]:
-        """Finished spans satisfying an arbitrary predicate."""
-        return [span for span in self.spans if predicate(span)]
-
-    def durations(self, kind: Optional[str] = None) -> List[float]:
-        """Durations of finished spans, optionally for one kind."""
-        return [
-            span.duration for span in self.spans
-            if kind is None or span.kind == kind
-        ]
 
     # Rendering ---------------------------------------------------------- #
 
@@ -168,53 +133,8 @@ class SpanRecorder:
                 lines.append(f"      t={event.time:9.4f}  {event.name}{extra}")
         return "\n".join(lines)
 
-    def __len__(self) -> int:
-        return len(self.spans)
-
     def __repr__(self) -> str:
         return (
             f"SpanRecorder({len(self.spans)} spans, "
             f"dropped={self.dropped_spans})"
         )
-
-
-class NullSpanRecorder:
-    """The disabled recorder: hands out a shared no-op span."""
-
-    enabled = False
-    dropped_spans = 0
-    started = 0
-    finished = 0
-
-    def start(self, kind: str, time: float, **attrs: Any) -> _NullSpan:
-        return NULL_SPAN
-
-    def finish(self, span: Any, time: float, status: str = "ok") -> None:
-        pass
-
-    def slowest(self, n: int) -> List[Span]:
-        return []
-
-    def of_kind(self, kind: str) -> List[Span]:
-        return []
-
-    def with_status(self, status: str) -> List[Span]:
-        return []
-
-    def matching(self, predicate: Callable[[Span], bool]) -> List[Span]:
-        return []
-
-    def durations(self, kind: Optional[str] = None) -> List[float]:
-        return []
-
-    def render_slowest(self, n: int = 10) -> str:
-        return "span recording disabled"
-
-    def __len__(self) -> int:
-        return 0
-
-    def __repr__(self) -> str:
-        return "NullSpanRecorder()"
-
-
-NULL_RECORDER = NullSpanRecorder()

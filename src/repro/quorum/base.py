@@ -12,9 +12,17 @@ class QuorumSystemError(ValueError):
 class QuorumSystem:
     """A collection of quorums over the universe ``{0, ..., n-1}``.
 
-    Subclasses implement :meth:`read_quorum` and :meth:`write_quorum`
-    (symmetric systems implement just :meth:`quorum`).  Sampling takes an
-    explicit RNG so quorum choice is attributable to a named random stream.
+    A subclass implements :meth:`read_quorum` and :meth:`write_quorum`
+    (a symmetric system just ``quorum(rng)``, which both default to).
+    Sampling takes an explicit RNG so quorum choice is attributable to a
+    named random stream.  A subclass also defines ``is_strict`` and
+    ``quorum_size`` (properties: whether every read quorum meets every
+    write quorum; the smallest quorum's size, used in complexity
+    formulas), ``availability()`` (the fewest crashes that disable every
+    quorum: the Section 4 notion due to Peleg and Wool),
+    ``analytic_load()`` (the busiest server's access probability under
+    the system's sampling strategy) and ``is_available(alive)`` (whether
+    some quorum lies within ``alive``).
     """
 
     def __init__(self, n: int) -> None:
@@ -23,10 +31,6 @@ class QuorumSystem:
         self.n = n
 
     # -- sampling ------------------------------------------------------ #
-
-    def quorum(self, rng: np.random.Generator) -> FrozenSet[int]:
-        """Sample one quorum (symmetric systems)."""
-        raise NotImplementedError
 
     def read_quorum(self, rng: np.random.Generator) -> FrozenSet[int]:
         """Sample a quorum for a read.  Defaults to :meth:`quorum`."""
@@ -38,46 +42,12 @@ class QuorumSystem:
 
     # -- structure ------------------------------------------------------ #
 
-    @property
-    def is_strict(self) -> bool:
-        """True when every read quorum intersects every write quorum."""
-        raise NotImplementedError
-
-    @property
-    def quorum_size(self) -> int:
-        """Size of the (smallest) quorum; used in complexity formulas."""
-        raise NotImplementedError
-
     def enumerate_quorums(self) -> Optional[Iterator[FrozenSet[int]]]:
         """Enumerate all quorums, or None when infeasible.
 
         Used by brute-force availability cross-checks in the tests; systems
         with astronomically many quorums (probabilistic, majority at large
         n) return None.
-        """
-        return None
-
-    # -- analytic properties -------------------------------------------- #
-
-    def availability(self) -> int:
-        """Minimum number of server crashes that disables every quorum.
-
-        This is the paper's Section 4 notion (due to Peleg and Wool): the
-        size of a minimum "hitting set" of crashes.  Subclasses return the
-        known analytic value.
-        """
-        raise NotImplementedError
-
-    def analytic_load(self) -> float:
-        """The load (access probability of the busiest server) under the
-        system's natural sampling strategy."""
-        raise NotImplementedError
-
-    def is_available(self, alive: frozenset) -> Optional[bool]:
-        """Whether some quorum is fully contained in ``alive``.
-
-        Returns None when the system has no efficient structural test;
-        callers then fall back to enumeration or sampling.
         """
         return None
 

@@ -21,10 +21,9 @@ from typing import Any, Dict, FrozenSet, List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.history import ReadRecord
 from repro.core.register import AbstractRegister
 from repro.core.timestamps import Timestamp
-from repro.obs.core import DISABLED, Observability
+from repro.obs.core import Observability
 from repro.quorum.base import QuorumSystem
 from repro.registers.messages import (
     ReadQuery,
@@ -295,17 +294,17 @@ class QuorumRegisterClient(Node):
         self.view_refreshes = 0
         # Observability: per-op spans and the latency histogram are the
         # only *live* instrumentation in the register stack (everything
-        # else is collected post-run).  Both sides are prefetched to a
-        # cheap truthiness/None check so disabled runs pay nothing on the
-        # per-operation path — and nothing at all per message.
-        self.observability = observability if observability is not None else DISABLED
-        self._trace_on = self.observability.spans.enabled
-        # Online spec monitor (repro.core.monitor): same null-object idiom
-        # as observability — one prefetched boolean guards every hook, so
-        # unmonitored runs take no extra branches on the completion path.
+        # else is collected post-run).  Each is prefetched as the live
+        # instrument or None, so a run with them off pays one ``is None``
+        # test per operation — and nothing at all per message.
+        self.observability = (
+            observability if observability is not None else Observability()
+        )
+        self._spans = self.observability.spans
+        # Online spec monitor (repro.core.monitor), None when unmonitored:
+        # every hook is guarded by the same ``is None`` test.
         self.spec_monitor = spec_monitor
-        self._monitor_on = spec_monitor is not None and spec_monitor.enabled
-        if self.observability.metrics.enabled:
+        if self.observability.metrics is not None:
             latency = self.observability.metrics.histogram(
                 "repro_op_latency",
                 "Operation latency in simulated time units, by op kind.",
@@ -399,8 +398,8 @@ class QuorumRegisterClient(Node):
         """Register the op, send the first round, arm retry and deadline."""
         self._pending[op.op_id] = op
         op.started = self.network.scheduler.now
-        if self._trace_on:
-            op.span = self.observability.spans.start(
+        if self._spans is not None:
+            op.span = self._spans.start(
                 op.kind,
                 op.started,
                 client=self.client_id,
@@ -440,7 +439,7 @@ class QuorumRegisterClient(Node):
             return
         op.attempts += 1
         self.retries += 1
-        if self._monitor_on:
+        if self.spec_monitor is not None:
             self.spec_monitor.on_retry(op.register, op.kind, op.attempts)
         if op.span is not None:
             op.span.event(
@@ -468,10 +467,10 @@ class QuorumRegisterClient(Node):
         self._teardown(op)
         self.timeouts += 1
         kind = op.kind
-        if self._monitor_on:
+        if self.spec_monitor is not None:
             self.spec_monitor.on_timeout(op.register, kind)
         if op.span is not None:
-            self.observability.spans.finish(
+            self._spans.finish(
                 op.span, self.network.scheduler.now, status="timeout"
             )
         op.future.fail(
@@ -487,10 +486,10 @@ class QuorumRegisterClient(Node):
         self._teardown(op)
         self.unreachable += 1
         kind = op.kind
-        if self._monitor_on:
+        if self.spec_monitor is not None:
             self.spec_monitor.on_timeout(op.register, kind)
         if op.span is not None:
-            self.observability.spans.finish(
+            self._spans.finish(
                 op.span, self.network.scheduler.now, status="unreachable"
             )
         op.future.fail(QuorumUnreachable(op.register, kind, op.attempts + 1))
@@ -602,7 +601,8 @@ class QuorumRegisterClient(Node):
 
     def read(self, register: str) -> Future:
         """Invoke a read; the future resolves with the returned value."""
-        record: ReadRecord = self.space.info(register).history.begin_read(
+        history = self.space.info(register).history
+        record = None if history is None else history.begin_read(
             self.client_id, self.network.scheduler.now
         )
         self.reads_performed += 1
@@ -712,9 +712,11 @@ class QuorumRegisterClient(Node):
             seq = max(chosen[0].seq, seq)
         self._write_seq[op.register] = seq + 1
         op.timestamp = Timestamp(seq + 1, self.client_id)
-        op.record = self.space.info(op.register).history.begin_write(
-            self.client_id, op.started, op.value, op.timestamp
-        )
+        history = self.space.info(op.register).history
+        if history is not None:
+            op.record = history.begin_write(
+                self.client_id, op.started, op.value, op.timestamp
+            )
 
     def _choose(self, op: _PendingOp) -> Tuple[Timestamp, Any]:
         """The decision of the round in flight: the highest-timestamped
@@ -752,18 +754,20 @@ class QuorumRegisterClient(Node):
         if self._latency is not None:
             self._latency[kind].observe(now - op.started)
         if op.span is not None:
-            self.observability.spans.finish(op.span, now, status="ok")
+            self._spans.finish(op.span, now, status="ok")
         if kind == "read":
-            op.record.complete(now, value, timestamp)
-            if self._monitor_on:
+            if op.record is not None:
+                op.record.complete(now, value, timestamp)
+            if self.spec_monitor is not None:
                 self.spec_monitor.on_read_complete(
                     self.client_id, op.record,
                     self.space.info(op.register).history,
                 )
             op.future.resolve(value)
         else:
-            op.record.respond(now)
-            if self._monitor_on:
+            if op.record is not None:
+                op.record.respond(now)
+            if self.spec_monitor is not None:
                 self.spec_monitor.on_write_complete(
                     self.client_id, op.record,
                     self.space.info(op.register).history,

@@ -15,7 +15,7 @@ partition/heal events addressed by server index.
 
 from typing import Any, List, Optional
 
-from repro.obs.core import DISABLED, Observability
+from repro.obs.core import Observability
 from repro.quorum.base import QuorumSystem
 from repro.quorum.probabilistic import ProbabilisticQuorumSystem
 from repro.registers.client import (
@@ -66,7 +66,7 @@ class RegisterDeployment:
         self.record_history = record_history
         self.spec_monitor = spec_monitor
         self.observability = (
-            observability if observability is not None else DISABLED
+            observability if observability is not None else Observability()
         )
         self.scheduler = scheduler or kernel.make_scheduler()
         self.rng = rng_registry or RngRegistry(seed)
@@ -200,7 +200,7 @@ class RegisterDeployment:
 
     def recover_server(self, index: int) -> None:
         """Recover the index-th replica server."""
-        self.failures.recover(self.server_ids[index])
+        self.failures.recover_many((self.server_ids[index],))
 
     def install_schedule(self, schedule: FailureSchedule) -> list:
         """Install a failure timeline whose nodes are server *indices*.

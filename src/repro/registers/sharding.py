@@ -18,7 +18,7 @@ search over the precomputed CDF, deterministic per RNG stream.
 
 import zlib
 from bisect import bisect_left
-from typing import Any, List
+from typing import List
 
 import numpy as np
 
@@ -48,22 +48,6 @@ class ShardedKeyspace:
     def shard_of(self, key: str) -> int:
         """The shard index a key hashes to (stable across processes)."""
         return zlib.crc32(key.encode("utf-8")) % self.num_registers
-
-    def register_for(self, key: str) -> str:
-        """The register name holding ``key``."""
-        return self._names[self.shard_of(key)]
-
-    def declare(self, deployment: Any, initial_value: Any = None) -> None:
-        """Declare every backing register on a deployment.
-
-        Registers are multi-writer (``writer=None``): any service client
-        may write any key, which is what
-        :class:`~repro.registers.atomic.MultiWriterClient` implements.
-        """
-        for name in self._names:
-            deployment.declare_register(
-                name, writer=None, initial_value=initial_value
-            )
 
     def __repr__(self) -> str:
         return (
@@ -103,13 +87,6 @@ class ZipfKeys:
         width = len(str(num_keys - 1))
         self._names = [f"key-{index:0{width}d}" for index in range(num_keys)]
 
-    def probability(self, rank: int) -> float:
-        """The draw probability of the rank-th hottest key (0-based)."""
-        if not 0 <= rank < self.num_keys:
-            raise IndexError(f"rank {rank} out of [0, {self.num_keys})")
-        previous = self._cdf[rank - 1] if rank > 0 else 0.0
-        return float(self._cdf[rank] - previous)
-
     def sample_index(self, rng: np.random.Generator) -> int:
         """Draw a key index (0 = hottest)."""
         return bisect_left(self._cdf_list, rng.random())
@@ -117,20 +94,6 @@ class ZipfKeys:
     def sample(self, rng: np.random.Generator) -> str:
         """Draw a key name."""
         return self._names[self.sample_index(rng)]
-
-    def key(self, index: int) -> str:
-        """The name of the index-th hottest key."""
-        return self._names[index]
-
-    def sample_batch(
-        self, rng: np.random.Generator, size: int
-    ) -> List[str]:
-        """``size`` draws in one vectorized call (same stream consumption
-        as ``size`` successive :meth:`sample` calls)."""
-        draws = rng.random(size)
-        indices = np.searchsorted(self._cdf, draws, side="left")
-        names = self._names
-        return [names[int(index)] for index in indices]
 
     def __repr__(self) -> str:
         return f"ZipfKeys({self.num_keys} keys, s={self.exponent})"

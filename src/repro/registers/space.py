@@ -2,11 +2,12 @@
 
 from typing import Any, Dict, Optional
 
-from repro.core.history import NullRegisterHistory, RegisterHistory
+from repro.core.history import RegisterHistory
 
 
 class RegisterInfo:
-    """Metadata for one register: its history, writer and initial value."""
+    """Metadata for one register: its history (None when the deployment
+    records none), writer and initial value."""
 
     __slots__ = ("name", "history", "writer", "initial_value")
 
@@ -18,8 +19,9 @@ class RegisterInfo:
         record_history: bool = True,
     ) -> None:
         self.name = name
-        history_class = RegisterHistory if record_history else NullRegisterHistory
-        self.history = history_class(name, initial_value)
+        self.history: Optional[RegisterHistory] = (
+            RegisterHistory(name, initial_value) if record_history else None
+        )
         self.writer = writer
         self.initial_value = initial_value
 
@@ -56,8 +58,8 @@ class RegisterSpace:
             raise KeyError(f"unknown register {name!r}")
         return self._registers[name]
 
-    def history(self, name: str) -> RegisterHistory:
-        """The history of one register."""
+    def history(self, name: str) -> Optional[RegisterHistory]:
+        """The history of one register (None without ``record_history``)."""
         return self.info(name).history
 
     @property

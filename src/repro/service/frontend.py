@@ -40,7 +40,7 @@ sketches exist to surface.
 
 from typing import Any, Dict, Optional
 
-from repro.obs.core import DISABLED, Observability
+from repro.obs.core import Observability
 from repro.obs.quantiles import StreamingQuantiles
 from repro.registers.client import QuorumUnreachable
 from repro.registers.sharding import ShardedKeyspace
@@ -71,7 +71,7 @@ class KeyValueFrontend:
         self.max_in_flight = max_in_flight
         self.write_mode = write_mode
         self.observability = (
-            observability if observability is not None else DISABLED
+            observability if observability is not None else Observability()
         )
         self._clients = deployment.clients
         self._scheduler = deployment.scheduler
@@ -96,7 +96,7 @@ class KeyValueFrontend:
         #: metrics are on; the combined stream is their merge (the runner
         #: derives it at collection time).
         metrics = self.observability.metrics
-        if metrics.enabled:
+        if metrics is not None:
             latency = metrics.histogram(
                 "repro_service_latency",
                 "Service operation latency in simulated time units, by kind.",
@@ -111,26 +111,6 @@ class KeyValueFrontend:
                 "read": StreamingQuantiles(),
                 "write": StreamingQuantiles(),
             }
-
-    @property
-    def total_admitted(self) -> int:
-        return sum(self.admitted.values())
-
-    @property
-    def total_shed(self) -> int:
-        return sum(self.shed.values())
-
-    @property
-    def total_completed(self) -> int:
-        return sum(self.completed.values())
-
-    @property
-    def total_timed_out(self) -> int:
-        return sum(self.timed_out.values())
-
-    @property
-    def total_unreachable(self) -> int:
-        return sum(self.unreachable.values())
 
     # ------------------------------------------------------------------ #
 
@@ -197,5 +177,6 @@ class KeyValueFrontend:
         return (
             f"KeyValueFrontend({self.keyspace!r}, "
             f"in_flight={self.in_flight}/{self.max_in_flight}, "
-            f"admitted={self.total_admitted}, shed={self.total_shed})"
+            f"admitted={sum(self.admitted.values())}, "
+            f"shed={sum(self.shed.values())})"
         )

@@ -24,6 +24,7 @@ from repro.obs import runtime as obs_runtime
 from repro.obs.collect import collect_deployment
 from repro.obs.core import Observability
 from repro.obs.quantiles import StreamingQuantiles
+from repro.obs.registry import MetricsRegistry
 from repro.quorum.probabilistic import ProbabilisticQuorumSystem
 from repro.registers.atomic import MultiWriterClient
 from repro.registers.client import QuorumRegisterClient, RetryPolicy
@@ -194,7 +195,7 @@ def run_service(config: ServiceConfig) -> ServiceResult:
     # recorder of the active session (``--trace-spans``), if any.
     active = obs_runtime.active()
     observability = Observability(
-        spans=active.spans if active is not None else None
+        MetricsRegistry(), active.spans if active is not None else None
     )
     rng = RngRegistry(config.seed)
     retry_policy = RetryPolicy(

@@ -83,11 +83,6 @@ class OpenLoopDriver:
         if now + gap <= self.duration:
             self._scheduler.schedule(gap, self._arrive)
 
-    @property
-    def offered_rate(self) -> float:
-        """Measured offered load: arrivals per simulated time unit."""
-        return self.offered / self.duration
-
     def counters(self) -> Dict[str, Any]:
         return {"offered": self.offered, "duration": self.duration}
 

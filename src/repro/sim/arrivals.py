@@ -19,9 +19,9 @@ Three processes cover the classic traffic shapes:
   day/night cycle), sampled by Lewis–Shedler thinning.
 
 Every draw comes from the caller-supplied Generator, so a seeded stream
-makes the whole arrival timeline deterministic.  ``spec()``/
-:func:`build_arrivals` round-trip each process through plain data for
-the task/cache layer.
+makes the whole arrival timeline deterministic.  :func:`build_arrivals`
+builds each process from the plain-data spec the task/cache layer
+carries.
 """
 
 import math
@@ -31,20 +31,11 @@ import numpy as np
 
 
 class ArrivalProcess:
-    """Base class: draws the time until the next arrival."""
+    """Base class: draws the time until the next arrival.
 
-    def next_interarrival(self, rng: np.random.Generator, now: float) -> float:
-        """A strictly positive gap until the next arrival after ``now``."""
-        raise NotImplementedError
-
-    @property
-    def mean_rate(self) -> float:
-        """Long-run arrivals per simulated time unit."""
-        raise NotImplementedError
-
-    def spec(self) -> Dict[str, Any]:
-        """A plain-data description reconstructable by :func:`build_arrivals`."""
-        raise NotImplementedError
+    A subclass defines ``next_interarrival(rng, now)``, a strictly
+    positive gap until the next arrival after ``now``.
+    """
 
 
 #: Gap floor: a zero-length inter-arrival would schedule two arrivals at
@@ -63,13 +54,6 @@ class PoissonArrivals(ArrivalProcess):
 
     def next_interarrival(self, rng: np.random.Generator, now: float) -> float:
         return max(_FLOOR, rng.exponential(self._scale))
-
-    @property
-    def mean_rate(self) -> float:
-        return self._rate
-
-    def spec(self) -> Dict[str, Any]:
-        return {"kind": "poisson", "rate": self._rate}
 
     def __repr__(self) -> str:
         return f"PoissonArrivals(rate={self._rate})"
@@ -113,18 +97,6 @@ class BurstyArrivals(ArrivalProcess):
         self._remaining = int(rng.geometric(1.0 / self._mean_burst))
         self._remaining -= 1
         return max(_FLOOR, rng.exponential(self._gap_mean))
-
-    @property
-    def mean_rate(self) -> float:
-        return self._rate
-
-    def spec(self) -> Dict[str, Any]:
-        return {
-            "kind": "bursty",
-            "rate": self._rate,
-            "mean_burst": self._mean_burst,
-            "peakedness": self._peakedness,
-        }
 
     def __repr__(self) -> str:
         return (
@@ -171,19 +143,6 @@ class DiurnalArrivals(ArrivalProcess):
             if rng.random() * self._peak <= self.rate_at(time):
                 return max(_FLOOR, time - now)
 
-    @property
-    def mean_rate(self) -> float:
-        # The sinusoid integrates to zero over a period.
-        return self._rate
-
-    def spec(self) -> Dict[str, Any]:
-        return {
-            "kind": "diurnal",
-            "rate": self._rate,
-            "period": self._period,
-            "amplitude": self._amplitude,
-        }
-
     def __repr__(self) -> str:
         return (
             f"DiurnalArrivals(rate={self._rate}, period={self._period}, "
@@ -199,7 +158,7 @@ _ARRIVAL_KINDS = {
 
 
 def build_arrivals(spec: Dict[str, Any]) -> ArrivalProcess:
-    """Instantiate an arrival process from its plain-data ``spec()``.
+    """Instantiate an arrival process from its plain-data spec.
 
     The same factory idiom as ``repro.adversary.build_adversary``: specs
     travel through the picklable task layer and the run cache, processes

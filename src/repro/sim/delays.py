@@ -13,37 +13,19 @@ import numpy as np
 
 
 class DelayModel:
-    """Base class: draws a one-way message delay for a (src, dst) pair."""
+    """Base class: draws one-way message delays for (src, dst) pairs.
 
-    def sample(self, rng: np.random.Generator, src: int, dst: int) -> float:
-        """Return a strictly positive delay for a message from src to dst."""
-        raise NotImplementedError
-
-    def sample_batch(
-        self, rng: np.random.Generator, src: int, dsts: Sequence[int]
-    ) -> List[float]:
-        """Delays for a batch of messages from ``src``, one per destination.
-
-        Contract: consumes the RNG stream exactly as ``len(dsts)``
-        successive :meth:`sample` calls would, and returns the same values
-        in the same order — numpy's ``size=n`` draws produce the identical
-        variates as n scalar draws from the same Generator state, so the
-        vectorized overrides below keep seeded runs bit-for-bit identical
-        while paying for one Generator call per quorum round instead of
-        one per message.  Subclasses without a vectorized form inherit
-        this scalar loop, which is correct by construction.
-        """
-        return [self.sample(rng, src, dst) for dst in dsts]
-
-    @property
-    def mean(self) -> float:
-        """The mean one-way delay (used for round-length heuristics)."""
-        raise NotImplementedError
-
-    @property
-    def is_synchronous(self) -> bool:
-        """True when every delay is identical (the paper's synchronous case)."""
-        return False
+    A subclass defines ``sample(rng, src, dst)``, a strictly positive
+    delay for one message, and ``sample_batch(rng, src, dsts)``, the
+    delays of a quorum round's messages from ``src``, one per destination.
+    Contract: ``sample_batch`` consumes the RNG stream exactly as
+    ``len(dsts)`` successive ``sample`` calls would, and returns the same
+    values in the same order — numpy's ``size=n`` draws produce the
+    identical variates as n scalar draws from the same Generator state, so
+    the vectorized forms below keep seeded runs bit-for-bit identical
+    while paying for one Generator call per quorum round instead of one
+    per message.
+    """
 
 
 class ConstantDelay(DelayModel):
@@ -61,14 +43,6 @@ class ConstantDelay(DelayModel):
         self, rng: np.random.Generator, src: int, dsts: Sequence[int]
     ) -> List[float]:
         return [self._delay] * len(dsts)
-
-    @property
-    def mean(self) -> float:
-        return self._delay
-
-    @property
-    def is_synchronous(self) -> bool:
-        return True
 
     def __repr__(self) -> str:
         return f"ConstantDelay({self._delay})"
@@ -98,10 +72,6 @@ class ExponentialDelay(DelayModel):
         # inside heap tuples, where np.float64 comparisons are slower.
         return np.maximum(self._floor, draws).tolist()
 
-    @property
-    def mean(self) -> float:
-        return self._mean
-
     def __repr__(self) -> str:
         return f"ExponentialDelay(mean={self._mean})"
 
@@ -122,10 +92,6 @@ class UniformDelay(DelayModel):
         self, rng: np.random.Generator, src: int, dsts: Sequence[int]
     ) -> List[float]:
         return rng.uniform(self._low, self._high, size=len(dsts)).tolist()
-
-    @property
-    def mean(self) -> float:
-        return (self._low + self._high) / 2.0
 
     def __repr__(self) -> str:
         return f"UniformDelay({self._low}, {self._high})"
@@ -155,10 +121,6 @@ class LogNormalDelay(DelayModel):
         self, rng: np.random.Generator, src: int, dsts: Sequence[int]
     ) -> List[float]:
         return rng.lognormal(self._mu, self._sigma, size=len(dsts)).tolist()
-
-    @property
-    def mean(self) -> float:
-        return self._mean
 
     def __repr__(self) -> str:
         return f"LogNormalDelay(mean={self._mean}, sigma={self._sigma})"

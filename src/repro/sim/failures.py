@@ -44,11 +44,6 @@ class FailureInjector:
         self.active = bool(self._crashed) or self._partition is not None
 
     @property
-    def crashed(self) -> Set[int]:
-        """The set of currently crashed node ids."""
-        return set(self._crashed)
-
-    @property
     def any_failures(self) -> bool:
         """True while any crash or partition is active (O(1))."""
         return self.active
@@ -65,13 +60,6 @@ class FailureInjector:
         before = len(self._crashed)
         self._crashed.update(node_ids)
         self.crashes_injected += len(self._crashed) - before
-        self._refresh_active()
-
-    def recover(self, node_id: int) -> None:
-        """Recover a crashed node; no-op if it was up."""
-        if node_id in self._crashed:
-            self.recoveries += 1
-        self._crashed.discard(node_id)
         self._refresh_active()
 
     def recover_many(self, node_ids: Iterable[int]) -> None:
@@ -269,8 +257,9 @@ class FailureSchedule(Timeline):
     """A scripted timeline of crash/recover/partition/heal events.
 
     Build one with the fluent helpers (:meth:`crash`, :meth:`recover`,
-    :meth:`partition`, :meth:`heal`, :meth:`churn`) or from plain-data
-    specs (:meth:`from_specs`), then :meth:`install` it on a scheduler.
+    :meth:`outage`, :meth:`churn`) or from plain-data specs
+    (:meth:`from_specs`, the only way to script ``recover_all``,
+    ``partition`` and ``heal``), then :meth:`install` it on a scheduler.
     ``resolve`` maps scripted node labels (e.g. server *indices*) to
     network node ids at install time, so schedules stay deployment-
     independent data until then.
@@ -295,24 +284,6 @@ class FailureSchedule(Timeline):
         return self.add(
             FailureEvent(time, "recover", nodes=tuple(nodes), every=every)
         )
-
-    def recover_all(self, time: float) -> "FailureSchedule":
-        """Recover every crashed node at ``time``."""
-        return self.add(FailureEvent(time, "recover_all"))
-
-    def partition(
-        self, time: float, groups: Iterable[Iterable[int]]
-    ) -> "FailureSchedule":
-        """Install a partition at ``time``."""
-        return self.add(
-            FailureEvent(
-                time, "partition", groups=tuple(tuple(g) for g in groups)
-            )
-        )
-
-    def heal(self, time: float) -> "FailureSchedule":
-        """Heal any partition at ``time``."""
-        return self.add(FailureEvent(time, "heal"))
 
     def outage(
         self, time: float, nodes: Iterable[int], duration: float

@@ -121,10 +121,9 @@ def selected_backend() -> str:
     return requested
 
 
-def make_scheduler(backend: Optional[str] = None):
-    """Build a scheduler on the selected (or given) backend."""
-    resolved = selected_backend() if backend is None else _resolve(backend)
-    if resolved == "native":
+def make_scheduler():
+    """Build a scheduler on the selected backend."""
+    if selected_backend() == "native":
         from repro._native.wrapper import NativeScheduler
 
         return NativeScheduler()
@@ -235,8 +234,8 @@ def make_client_cores(clients):
     ``_PendingOp``, as struct members) and ``Future`` (the contract of
     :class:`repro.sim.futures.Future`; :func:`~repro.sim.futures.gather`
     counts native futures down in C).  An operation issued with span
-    tracing on (``client._trace_on``) or through a keyword call is built
-    by the Python ``read`` / ``write`` with the Python types, and the
+    tracing on (``client._spans`` not None) or through a keyword call is
+    built by the Python ``read`` / ``write`` with the Python types, and the
     Python definitions handle it for its whole life — its replies, nacks
     and retry timer reach the core and are handed back to them.  The
     Python ``_expire`` and ``_give_up`` run for both kinds of op.
@@ -285,16 +284,6 @@ def make_client_cores(clients):
         )
         cores.append(module.ClientCore(client) if native else None)
     return cores
-
-
-def _resolve(backend: str) -> str:
-    resolved = _normalize(backend)
-    if resolved == "native" and not native_available():
-        raise RuntimeError(
-            f"native kernel backend requested explicitly but unavailable: "
-            f"{native_import_error()}"
-        )
-    return resolved
 
 
 def kernel_info() -> dict:

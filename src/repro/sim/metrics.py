@@ -26,7 +26,7 @@ numbers into the Section 6.4 / Section 4 tables as if they were measured.
 """
 
 from collections import Counter
-from typing import Optional, Tuple
+from typing import Optional
 
 
 class DetailNotCollected(RuntimeError):
@@ -176,56 +176,6 @@ class MessageStats:
             self._dropped_by_reason[reason] += 1
             if kind is not None:
                 self._dropped_by_kind[kind] += 1
-
-    # ------------------------------------------------------------------ #
-    # Derived readings
-    # ------------------------------------------------------------------ #
-
-    def busiest_receiver(self) -> Tuple[Optional[int], int]:
-        """Return (node id, delivery count) of the most-accessed node.
-
-        Requires detailed mode; with ``detailed=False`` the per-receiver
-        breakdown was never collected and this raises
-        :class:`DetailNotCollected` rather than reporting ``(None, 0)``.
-        """
-        by_receiver = self._breakdown(self._by_receiver, "busiest_receiver")
-        if not by_receiver:
-            return None, 0
-        node, count = by_receiver.most_common(1)[0]
-        return node, count
-
-    def receiver_load(self, node: int) -> float:
-        """Fraction of all deliveries that went to ``node``.
-
-        Requires detailed mode (see :meth:`busiest_receiver`).
-        """
-        by_receiver = self._breakdown(self._by_receiver, "receiver_load")
-        if self.delivered == 0:
-            return 0.0
-        return by_receiver[node] / self.delivered
-
-    def drop_rate(self) -> float:
-        """Fraction of sent messages that were dropped."""
-        if self.sent == 0:
-            return 0.0
-        return self.dropped / self.sent
-
-    def reset(self) -> None:
-        """Zero every counter.
-
-        Fields are reset explicitly (not via ``__init__``) so subclasses
-        adding state keep full control over their own reset behaviour.
-        """
-        self.sent = 0
-        self.delivered = 0
-        self.dropped = 0
-        self._by_sender.clear()
-        self._by_receiver.clear()
-        self._by_kind.clear()
-        self._delivered_by_kind.clear()
-        self._dropped_by_kind.clear()
-        self._dropped_by_receiver.clear()
-        self._dropped_by_reason.clear()
 
     def __repr__(self) -> str:
         return (

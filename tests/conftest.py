@@ -10,10 +10,16 @@ import numpy as np
 import pytest
 
 
+#: Why the in-place rebuild failed, when it did: ends the session.
+_BUILD_FAILURE = None
+
+
 def _ready_native_kernel():
     """Check the native extension and rebuild it in place when it is
     missing or stale and the C compiler is on PATH; returns why it is
-    still unusable, or None.
+    still unusable (no compiler), or None.  A rebuild that fails ends the
+    session (:func:`pytest_sessionstart`): with a compiler at hand, a
+    broken C file is a failure, not a reason to skip the native half.
 
     Runs before anything imports ``repro``, whose import loads the
     extension, and checks in a subprocess: a stale extension loaded into
@@ -42,14 +48,17 @@ def _ready_native_kernel():
         return f"no C compiler {module.compiler()!r} on PATH"
     rebuilt = build()
     if rebuilt.returncode != 0:
-        return rebuilt.stderr.strip().splitlines()[-1]
+        global _BUILD_FAILURE
+        _BUILD_FAILURE = "native kernel rebuild failed: " + (
+            rebuilt.stderr.strip().splitlines() or ["no output"]
+        )[-1]
     return None
 
 
 _NATIVE_PROBLEM = _ready_native_kernel()
 
 # Only now: importing repro loads the extension.
-from repro._native import KERNEL_ABI
+from repro._native import KERNEL_ABI, load_kernel
 from repro.quorum.probabilistic import ProbabilisticQuorumSystem
 from repro.registers.deployment import RegisterDeployment
 from repro.sim import kernel
@@ -59,9 +68,15 @@ from repro.sim.rng import RngRegistry
 BACKENDS = ["python", "native"]
 
 
+def pytest_sessionstart(session):
+    if _BUILD_FAILURE is not None:
+        pytest.exit(_BUILD_FAILURE, returncode=1)
+
+
 def pytest_report_header(config):
     if kernel.native_available():
-        return f"kernels: python + native (ABI {KERNEL_ABI})"
+        return (f"kernels: python + native (ABI {KERNEL_ABI}, "
+                f"source {load_kernel().SOURCE_HASH})")
     reason = "; ".join(
         filter(None, [kernel.native_import_error(), _NATIVE_PROBLEM])
     )
@@ -119,6 +134,15 @@ def stream_states(deployment):
     }
 
 
+def sample(registry, name, labels=()):
+    """One series of a MetricsRegistry, as its snapshot would carry it: a
+    counter's or gauge's value, a histogram's sketch.  An unpopulated
+    label combination reads as a fresh child (0 / empty)."""
+    [family] = [f for f in registry.families() if f.name == name]
+    child = family.labels(*labels)
+    return child if family.kind == "histogram" else child.value
+
+
 def count_calls(monkeypatch, cls, names):
     """Wrap the class attributes ``cls.<name>`` so every call of the Python
     definition is counted; returns the counters by name."""
@@ -142,7 +166,7 @@ def kernel_backend(request):
 
 @pytest.fixture
 def scheduler(kernel_backend):
-    return kernel.make_scheduler(kernel_backend)
+    return kernel.make_scheduler()
 
 
 @pytest.fixture

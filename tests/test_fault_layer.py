@@ -192,14 +192,12 @@ class TestFailureSchedule:
         assert [event.time for event in schedule.events] == [5.0, 10.0]
 
     def test_spec_round_trip(self):
-        schedule = (
-            FailureSchedule()
-            .crash(5.0, [1, 2])
-            .partition(8.0, [[0, 1], [2, 3]])
-            .heal(12.0)
-            .recover_all(20.0)
-        )
-        specs = schedule.to_specs()
+        specs = [
+            {"time": 5.0, "action": "crash", "nodes": [1, 2]},
+            {"time": 8.0, "action": "partition", "groups": [[0, 1], [2, 3]]},
+            {"time": 12.0, "action": "heal"},
+            {"time": 20.0, "action": "recover_all"},
+        ]
         assert FailureSchedule.from_specs(specs).to_specs() == specs
 
     def test_install_applies_crash_and_recover(self, scheduler):
@@ -212,9 +210,10 @@ class TestFailureSchedule:
 
     def test_partition_and_heal(self, scheduler):
         injector = FailureInjector()
-        schedule = (
-            FailureSchedule().partition(2.0, [[0, 1], [2, 3]]).heal(8.0)
-        )
+        schedule = FailureSchedule.from_specs([
+            {"time": 2.0, "action": "partition", "groups": [[0, 1], [2, 3]]},
+            {"time": 8.0, "action": "heal"},
+        ])
         schedule.install(scheduler, injector)
         scheduler.run(until=3.0)
         assert not injector.can_deliver(0, 2)
@@ -337,7 +336,7 @@ class TestMessageLoss:
         stats = deployment.network.stats
         assert stats.dropped_by_reason["loss"] > 0
         assert stats.dropped_by_reason["fault"] == 0
-        assert 0.0 < stats.drop_rate() < 1.0
+        assert 0 < stats.dropped < stats.sent
 
     def test_loss_is_deterministic_per_seed(self):
         def run(seed):
@@ -407,7 +406,7 @@ class TestZeroHungFutures:
             FailureSchedule()
             .crash(10.0, range(6))
             .recover(35.0, [0, 1])
-            .recover_all(60.0)
+            .recover(60.0, range(6))
         )
         futures = []
 

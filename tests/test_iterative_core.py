@@ -116,33 +116,31 @@ class TestPartition:
 class TestRoundTracker:
     def test_round_closes_when_all_report(self):
         tracker = RoundTracker(3)
-        assert not tracker.report_iteration(0, 1.0)
-        assert not tracker.report_iteration(1, 1.5)
-        assert tracker.report_iteration(2, 2.0)
+        assert not tracker.report_iteration(0)
+        assert not tracker.report_iteration(1)
+        assert tracker.report_iteration(2)
         assert tracker.rounds_completed == 1
-        assert tracker.round_end_times == [2.0]
 
     def test_fast_process_multiple_iterations_one_round(self):
         tracker = RoundTracker(2)
-        tracker.report_iteration(0, 1.0)
-        tracker.report_iteration(0, 2.0)
-        tracker.report_iteration(0, 3.0)
+        tracker.report_iteration(0)
+        tracker.report_iteration(0)
+        tracker.report_iteration(0)
         assert tracker.rounds_completed == 0
-        tracker.report_iteration(1, 4.0)
+        tracker.report_iteration(1)
         assert tracker.rounds_completed == 1
         assert tracker.total_iterations == 4
-        assert tracker.iterations_per_round() == 4.0
 
     def test_multiple_rounds(self):
         tracker = RoundTracker(2)
-        for time in (1.0, 2.0):
-            tracker.report_iteration(0, time)
-            tracker.report_iteration(1, time + 0.5)
+        for _ in range(2):
+            tracker.report_iteration(0)
+            tracker.report_iteration(1)
         assert tracker.rounds_completed == 2
 
     def test_unknown_process_rejected(self):
         with pytest.raises(ValueError):
-            RoundTracker(2).report_iteration(5, 1.0)
+            RoundTracker(2).report_iteration(5)
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -38,7 +38,7 @@ from repro.sim.delays import (
 from repro.sim.network import Network, Node
 from repro.sim.rng import derive_seed
 from repro.sim.scheduler import Scheduler
-from tests.conftest import needs_native
+from tests.conftest import needs_native, sample
 
 # --------------------------------------------------------------------- #
 # Golden event trace
@@ -215,9 +215,10 @@ def test_observability_does_not_perturb_golden_run():
     """
     from repro.obs import runtime as obs_runtime
     from repro.obs.core import Observability
+    from repro.obs.registry import MetricsRegistry
     from repro.obs.spans import SpanRecorder
 
-    session = Observability(spans=SpanRecorder())
+    session = Observability(MetricsRegistry(), SpanRecorder())
     obs_runtime.activate(session)
     try:
         result = run_alg1_task(_golden_alg1_task())
@@ -227,16 +228,16 @@ def test_observability_does_not_perturb_golden_run():
     assert observed == GOLDEN_ALG1_FINGERPRINT
     # The instrumentation actually ran: the payload snapshot agrees with
     # the fingerprint, and the golden run's spans were recorded.
-    merged = Observability()
-    merged.metrics.merge_snapshot(result["metrics"])
-    assert merged.metrics.sample("repro_messages_sent_total") == (
+    merged = MetricsRegistry()
+    merged.merge_snapshot(result["metrics"])
+    assert sample(merged, "repro_messages_sent_total") == (
         GOLDEN_ALG1_FINGERPRINT["messages"]
     )
     assert session.spans.finished > 0
 
     # Same for the delivery trace, with spans wired into the deployment
     # itself: the instrumented workload delivers the exact golden events.
-    traced = Observability(spans=SpanRecorder())
+    traced = Observability(MetricsRegistry(), SpanRecorder())
     assert _capture_delivery_trace(observability=traced) == GOLDEN_TRACE
     assert traced.spans.finished > 0
 
@@ -387,7 +388,8 @@ def _churn_trace(backend):
     its own RNG identically for both backends, so the traces must match
     event for event.
     """
-    scheduler = kernel.make_scheduler(backend)
+    with kernel.use_backend(backend):
+        scheduler = kernel.make_scheduler()
     rand = random.Random(777)
     fired = []
     live_handles = []
@@ -421,7 +423,7 @@ def _churn_trace(backend):
         elif action < 0.75:
             scheduler.schedule_uncancellable(delay, note, f"u{step}")
         elif action < 0.85:
-            scheduler.step()
+            scheduler.run(max_events=1)
             live_handles = [h for h in live_handles if not h._dequeued]
         else:
             fired.append(("pending", scheduler.pending))

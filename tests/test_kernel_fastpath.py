@@ -53,6 +53,7 @@ from repro.experiments.figure2 import Figure2Config, figure2_tasks
 from repro.membership import MembershipSchedule
 from repro.membership.manager import View
 from repro.obs.core import Observability
+from repro.obs.registry import MetricsRegistry
 from repro.obs.quantiles import StreamingQuantiles
 from repro.obs.spans import SpanRecorder
 from repro.quorum.grid import GridQuorumSystem
@@ -77,6 +78,7 @@ from repro.sim.network import Network
 from tests.conftest import (
     count_calls,
     needs_native,
+    sample,
     stats_state,
     stream_states,
 )
@@ -171,7 +173,7 @@ def _hardened_fingerprint(backend, seed):
     loss (broadcast serialization), an adversary, span tracing, retries
     with jitter — and return everything countable about the run."""
     with kernel.use_backend(backend):
-        obs = Observability(spans=SpanRecorder())
+        obs = Observability(MetricsRegistry(), SpanRecorder())
         adversary = RandomHostileAdversary(drop_budget=10, drop_rate=0.2)
         deployment = RegisterDeployment(
             ProbabilisticQuorumSystem(12, 4),
@@ -276,22 +278,29 @@ def _install_faults(deployment, faults):
     half = max(1, len(servers) // 2)
     third = max(1, len(servers) // 3)
     first, second = (client.node_id for client in deployment.clients)
-    schedule = FailureSchedule()
+    events = []
     if faults in ("crash", "crash_partition"):
-        schedule.outage(1.0, servers[:half], 5.0)
-    if faults == "partition":
-        schedule.partition(
-            0.5, [[first] + servers[:half], [second] + servers[half:]]
-        ).heal(6.0)
-    elif faults == "partial_partition":
-        schedule.partition(
-            0.5, [[first] + servers[:third], servers[third:2 * third]]
-        ).heal(6.0)
-    elif faults == "crash_partition":
-        schedule.partition(
-            3.0, [[first] + servers[third:], [second] + servers[:third]]
-        ).heal(8.0)
-    schedule.install(deployment.scheduler, deployment.failures)
+        events += [
+            {"time": 1.0, "action": "crash", "nodes": servers[:half]},
+            {"time": 6.0, "action": "recover", "nodes": servers[:half]},
+        ]
+    window = {
+        "partition": (0.5, [[first] + servers[:half],
+                            [second] + servers[half:]], 6.0),
+        "partial_partition": (0.5, [[first] + servers[:third],
+                                    servers[third:2 * third]], 6.0),
+        "crash_partition": (3.0, [[first] + servers[third:],
+                                  [second] + servers[:third]], 8.0),
+    }.get(faults)
+    if window is not None:
+        start, groups, end = window
+        events += [
+            {"time": start, "action": "partition", "groups": groups},
+            {"time": end, "action": "heal"},
+        ]
+    FailureSchedule.from_specs(events).install(
+        deployment.scheduler, deployment.failures
+    )
 
 
 def _run_state(
@@ -456,7 +465,7 @@ def test_backends_deliver_identical_traces_for_random_seeds(seed, n, data):
 
 def _latency_snapshot(backend):
     with kernel.use_backend(backend):
-        obs = Observability()
+        obs = Observability(MetricsRegistry())
         deployment = RegisterDeployment(
             ProbabilisticQuorumSystem(10, 3),
             num_clients=2,
@@ -473,7 +482,7 @@ def _latency_snapshot(backend):
             reader.read()
         deployment.run()
         return {
-            kind: obs.metrics.sample("repro_op_latency", [kind]).snapshot()
+            kind: sample(obs.metrics, "repro_op_latency", [kind]).snapshot()
             for kind in ("read", "write")
         }
 
@@ -1013,7 +1022,7 @@ def test_issue_path_steps_aside_per_op_when_spans_are_on(monkeypatch):
     same results); flipped off on the same deployment, the next
     operations are built and run in C again."""
     calls = _count_python_client_methods(monkeypatch)
-    obs = Observability(spans=SpanRecorder())
+    obs = Observability(MetricsRegistry(), SpanRecorder())
     traced, traced_values = _issue_workload(
         "native", ProbabilisticQuorumSystem(9, 3), observability=obs
     )
@@ -1028,7 +1037,7 @@ def test_issue_path_steps_aside_per_op_when_spans_are_on(monkeypatch):
 
     before = dict(calls)
     client = traced.clients[0]
-    client._trace_on = False
+    client._spans = None
     future = client.read("x")
     traced.run()
     assert future.done and obs.spans.finished == 40
@@ -1071,17 +1080,31 @@ def _history_records(deployment):
 
 @needs_native
 def test_issue_path_records_histories_like_the_python_backend(monkeypatch):
+    """With histories the C issue path records what the Python one does;
+    without, each history is None and neither backend records anything —
+    and the C core never leaves the native path for it."""
     calls = _count_python_client_methods(monkeypatch)
-    native, _ = _issue_workload(
-        "native", ProbabilisticQuorumSystem(9, 3), record_history=True
-    )
-    assert calls == dict.fromkeys(calls, 0)
-    python, _ = _issue_workload(
-        "python", ProbabilisticQuorumSystem(9, 3), record_history=True
-    )
-    records = _history_records(native)
-    assert records == _history_records(python)
-    assert [len(ops) for ops in records.values()] == [20, 20]
+    for record_history in (True, False):
+        before = dict(calls)
+        native, native_values = _issue_workload(
+            "native", ProbabilisticQuorumSystem(9, 3),
+            record_history=record_history,
+        )
+        assert calls == before
+        python, python_values = _issue_workload(
+            "python", ProbabilisticQuorumSystem(9, 3),
+            record_history=record_history,
+        )
+        assert native_values == python_values
+        assert stream_states(native) == stream_states(python)
+        if record_history:
+            records = _history_records(native)
+            assert records == _history_records(python)
+            assert [len(ops) for ops in records.values()] == [20, 20]
+        else:
+            for deployment in (native, python):
+                assert {deployment.space.history(name)
+                        for name in deployment.space.names} == {None}
 
 
 # --------------------------------------------------------------------- #
@@ -1126,7 +1149,7 @@ def _owned_run(backend, how):
     """Two clients' keyword-call (or span-traced) reads and writes; what
     they leave behind, and the Python client calls made on the way."""
     observability = (
-        Observability(spans=SpanRecorder()) if how == "spans" else None
+        Observability(MetricsRegistry(), SpanRecorder()) if how == "spans" else None
     )
     with kernel.use_backend(backend):
         deployment = RegisterDeployment(

@@ -175,7 +175,7 @@ def test_recovered_node_receives_again():
     network.add_node(a)
     network.add_node(b)
     failures.crash(b.node_id)
-    failures.recover(b.node_id)
+    failures.recover_many([b.node_id])
     network.send(a.node_id, b.node_id, "back")
     scheduler.run()
     assert len(b.received) == 1

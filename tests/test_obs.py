@@ -19,7 +19,7 @@ from repro.iterative.runner import Alg1Runner
 from repro.apps.apsp import ApspACO
 from repro.apps.graphs import chain_graph
 from repro.obs import runtime as obs_runtime
-from repro.obs.core import DISABLED, Observability
+from repro.obs.core import Observability
 from repro.obs.export import (
     LE_STRIDE,
     PrometheusFormatError,
@@ -32,12 +32,12 @@ from repro.obs.registry import (
     Family,
     MetricsError,
     MetricsRegistry,
-    NULL_REGISTRY,
 )
-from repro.obs.spans import NULL_RECORDER, SpanRecorder
+from repro.obs.spans import SpanRecorder
 from repro.quorum.probabilistic import ProbabilisticQuorumSystem
 from repro.sim import kernel
 from repro.sim.delays import ConstantDelay, ExponentialDelay
+from tests.conftest import sample
 
 
 TINY_PARAMS = {
@@ -65,7 +65,7 @@ def test_counter_accumulates_and_rejects_negative():
     counter = registry.counter("hits_total", "Hits.")
     counter.inc()
     counter.inc(4)
-    assert registry.sample("hits_total") == 5
+    assert sample(registry, "hits_total") == 5
     with pytest.raises(MetricsError):
         counter.inc(-1)
 
@@ -76,7 +76,7 @@ def test_gauge_set_inc_dec():
     gauge.set(10)
     gauge.inc(3)
     gauge.dec()
-    assert registry.sample("depth") == 12
+    assert sample(registry, "depth") == 12
 
 
 def test_labels_create_independent_series():
@@ -84,13 +84,13 @@ def test_labels_create_independent_series():
     family = registry.counter("ops_total", "Ops.", labelnames=("kind",))
     family.labels("read").inc(2)
     family.labels("write").inc(5)
-    assert registry.sample("ops_total", ["read"]) == 2
-    assert registry.sample("ops_total", ["write"]) == 5
+    assert sample(registry, "ops_total", ["read"]) == 2
+    assert sample(registry, "ops_total", ["write"]) == 5
     # Label values coerce to strings; 1 and "1" are the same series.
     family2 = registry.counter("by_node", labelnames=("node",))
     family2.labels(1).inc()
     family2.labels("1").inc()
-    assert registry.sample("by_node", ["1"]) == 2
+    assert sample(registry, "by_node", ["1"]) == 2
 
 
 def test_label_arity_enforced():
@@ -110,11 +110,6 @@ def test_reregistration_is_get_or_create_but_kind_mismatch_raises():
         registry.gauge("x_total", labelnames=("a",))
     with pytest.raises(MetricsError):
         registry.counter("x_total", labelnames=("b",))
-
-
-def test_sample_unknown_instrument_raises():
-    with pytest.raises(MetricsError):
-        MetricsRegistry().sample("nope")
 
 
 def test_histogram_observe_and_quantiles():
@@ -174,12 +169,12 @@ def test_snapshot_is_json_roundtrippable_and_sorted():
 def test_merge_snapshot_adds_counters_gauges_histograms():
     parent = populated_registry(scale=1)
     parent.merge_snapshot(populated_registry(scale=2).snapshot())
-    assert parent.sample("msgs_total") == 30
-    assert parent.sample("ops_total", ["read"]) == 9
-    assert parent.sample("ops_total", ["write"]) == 3
+    assert sample(parent, "msgs_total") == 30
+    assert sample(parent, "ops_total", ["read"]) == 9
+    assert sample(parent, "ops_total", ["write"]) == 3
     # Gauges merge by sum (documented: "total across runs").
-    assert parent.sample("pending") == 6
-    merged = parent.sample("latency", ["read"])
+    assert sample(parent, "pending") == 6
+    merged = sample(parent, "latency", ["read"])
     assert merged.count == 4
     assert merged.sum == pytest.approx(0.5 + 5.0 + 1.0 + 5.0)
 
@@ -194,29 +189,16 @@ def test_merge_is_bit_deterministic():
     assert aggregate() == aggregate()
 
 
-# --- null objects ----------------------------------------------------------
-
-
-def test_null_registry_is_inert():
-    assert NULL_REGISTRY.enabled is False
-    instrument = NULL_REGISTRY.counter("anything", labelnames=("a", "b"))
-    instrument.labels("x", "y").inc(5)
-    instrument.observe(1.0)
-    instrument.set(3)
-    instrument.dec()
-    assert NULL_REGISTRY.snapshot() == {"instruments": []}
-    assert len(NULL_REGISTRY) == 0
+# --- off is None -----------------------------------------------------------
 
 
 def test_disabled_observability_bundle():
-    assert DISABLED.enabled is False
-    assert DISABLED.metrics is NULL_REGISTRY
-    assert DISABLED.spans is NULL_RECORDER
-    # Default bundle: live metrics, spans off.
-    default = Observability()
-    assert default.enabled is True
-    assert default.metrics.enabled is True
-    assert default.spans.enabled is False
+    # The default bundle is all off: None is the only way to say off.
+    off = Observability()
+    assert off.metrics is None and off.spans is None
+    registry, recorder = MetricsRegistry(), SpanRecorder()
+    live = Observability(registry, recorder)
+    assert live.metrics is registry and live.spans is recorder
 
 
 # --- exporters -------------------------------------------------------------
@@ -294,9 +276,9 @@ def test_span_lifecycle_and_queries():
     other = recorder.start("write", 0.0)
     recorder.finish(other, 10.0, status="timeout")
     assert recorder.started == 2 and recorder.finished == 2
-    assert [s.kind for s in recorder.of_kind("read")] == ["read"]
-    assert [s.status for s in recorder.with_status("timeout")] == ["timeout"]
-    assert recorder.durations("read") == [2.5]
+    assert [(s.kind, s.status, s.duration) for s in recorder.spans] == [
+        ("read", "ok", 2.5), ("write", "timeout", 10.0)
+    ]
     assert [s.kind for s in recorder.slowest(2)] == ["write", "read"]
     rendered = recorder.render_slowest(2)
     assert "write" in rendered and "reply" in rendered
@@ -307,20 +289,11 @@ def test_span_ring_keeps_newest():
     for index in range(10):
         span = recorder.start("read", float(index))
         recorder.finish(span, float(index) + 0.5)
-    assert len(recorder) == 3
+    assert len(recorder.spans) == 3
     assert recorder.dropped_spans == 7
     assert [span.start for span in recorder.spans] == [7.0, 8.0, 9.0]
     with pytest.raises(ValueError):
         SpanRecorder(max_spans=0)
-
-
-def test_null_recorder_is_inert():
-    span = NULL_RECORDER.start("read", 0.0, client=1)
-    span.event(1.0, "reply")
-    NULL_RECORDER.finish(span, 2.0)
-    assert NULL_RECORDER.enabled is False
-    assert len(NULL_RECORDER) == 0
-    assert NULL_RECORDER.slowest(5) == []
 
 
 # --- wired collection ------------------------------------------------------
@@ -340,42 +313,42 @@ def instrumented_run(observability, seed=7, delay_model=None):
 
 
 def test_runner_collects_metrics():
-    obs = Observability()
+    obs = Observability(MetricsRegistry())
     runner, result = instrumented_run(obs)
     metrics = obs.metrics
-    assert metrics.sample("repro_alg1_runs_total") == 1
-    assert metrics.sample("repro_alg1_runs_converged_total") == int(
+    assert sample(metrics, "repro_alg1_runs_total") == 1
+    assert sample(metrics, "repro_alg1_runs_converged_total") == int(
         result.converged
     )
-    assert metrics.sample("repro_messages_sent_total") == result.messages
-    assert metrics.sample("repro_alg1_rounds_total") == result.rounds_completed
-    assert metrics.sample("repro_alg1_iterations_total") == (
+    assert sample(metrics, "repro_messages_sent_total") == result.messages
+    assert sample(metrics, "repro_alg1_rounds_total") == result.rounds_completed
+    assert sample(metrics, "repro_alg1_iterations_total") == (
         result.total_iterations
     )
-    reads = metrics.sample("repro_ops_invoked_total", ["read"])
-    writes = metrics.sample("repro_ops_invoked_total", ["write"])
+    reads = sample(metrics, "repro_ops_invoked_total", ["read"])
+    writes = sample(metrics, "repro_ops_invoked_total", ["write"])
     assert reads == sum(c.reads_performed for c in runner.deployment.clients)
     assert writes == sum(c.writes_performed for c in runner.deployment.clients)
     # Per-server counters are labelled by stable server index.
     served = sum(
-        metrics.sample("repro_server_reads_served_total", [str(i)])
+        sample(metrics, "repro_server_reads_served_total", [str(i)])
         for i in range(runner.deployment.num_servers)
     )
     assert served == sum(s.reads_served for s in runner.deployment.servers)
     # The live latency histogram saw every completed operation.
-    latency = metrics.sample("repro_op_latency", ["read"])
+    latency = sample(metrics, "repro_op_latency", ["read"])
     assert latency.count > 0
     assert latency.value(0.95) >= latency.value(0.5) > 0.0
 
 
 def test_runner_records_spans():
-    obs = Observability(spans=SpanRecorder())
+    obs = Observability(MetricsRegistry(), SpanRecorder())
     runner, result = instrumented_run(obs)
     recorder = obs.spans
     assert recorder.finished == sum(
         c.ops_completed for c in runner.deployment.clients
     )
-    assert recorder.of_kind("read") and recorder.of_kind("write")
+    assert {s.kind for s in recorder.spans} == {"read", "write"}
     assert all(s.status == "ok" for s in recorder.spans)
     slowest = recorder.slowest(5)
     assert all(s.duration >= slowest[-1].duration for s in slowest)
@@ -385,8 +358,10 @@ def test_runner_records_spans():
 
 
 def test_disabled_observability_collects_nothing():
-    runner, result = instrumented_run(DISABLED)
-    assert DISABLED.metrics.snapshot() == {"instruments": []}
+    off = Observability()
+    runner, result = instrumented_run(off)
+    assert off.metrics is None and off.spans is None
+    assert all(c._latency is None for c in runner.deployment.clients)
     assert result.converged
 
 
@@ -405,14 +380,14 @@ def test_run_many_merges_into_active_session():
     tasks = [RunTask("alg1", TINY_PARAMS, seed=s) for s in (1, 2)]
     expected = sum(r["messages"] for r in run_many(tasks, jobs=1))
 
-    session = Observability()
+    session = Observability(MetricsRegistry())
     obs_runtime.activate(session)
     try:
         run_many(tasks, jobs=1)
     finally:
         obs_runtime.deactivate()
-    assert session.metrics.sample("repro_messages_sent_total") == expected
-    assert session.metrics.sample("repro_alg1_runs_total") == 2
+    assert sample(session.metrics, "repro_messages_sent_total") == expected
+    assert sample(session.metrics, "repro_alg1_runs_total") == 2
 
 
 def test_cache_hits_replay_metrics(tmp_path):
@@ -420,15 +395,15 @@ def test_cache_hits_replay_metrics(tmp_path):
     tasks = [RunTask("alg1", TINY_PARAMS, seed=s) for s in (1, 2)]
     run_many(tasks, jobs=1, cache=cache)  # populate, no session active
 
-    session = Observability()
+    session = Observability(MetricsRegistry())
     obs_runtime.activate(session)
     try:
         results = run_many(tasks, jobs=1, cache=cache)  # all hits
     finally:
         obs_runtime.deactivate()
     expected = sum(r["messages"] for r in results)
-    assert session.metrics.sample("repro_messages_sent_total") == expected
-    assert session.metrics.sample("repro_alg1_runs_total") == 2
+    assert sample(session.metrics, "repro_messages_sent_total") == expected
+    assert sample(session.metrics, "repro_alg1_runs_total") == 2
 
 
 # --- latency sketches survive aggregation ----------------------------------
@@ -486,7 +461,7 @@ def test_merged_op_latency_equals_one_registry_fed_everything(
 ):
     merged = MetricsRegistry()
     for seed in (7, 8):
-        obs = Observability()
+        obs = Observability(MetricsRegistry())
         instrumented_run(obs, seed=seed, delay_model=delay_model)
         merged.merge_snapshot(obs.metrics.snapshot())
     streams = {key: list(values) for key, values in observed.items()}
@@ -515,7 +490,7 @@ def test_merged_op_latency_equals_one_registry_fed_everything(
     # And what was merged still answers quantile queries within ALPHA.
     for kind in ("read", "write"):
         values = streams[("repro_op_latency", kind)]
-        sketch = merged.sample("repro_op_latency", [kind])
+        sketch = sample(merged, "repro_op_latency", [kind])
         assert sketch.count == len(values) > 20
         for q in (0.5, 0.99):
             assert sketch.value(q) == pytest.approx(
@@ -526,7 +501,7 @@ def test_merged_op_latency_equals_one_registry_fed_everything(
 def test_pooled_sweep_quantiles_within_alpha_of_exact_latencies(observed):
     params = dict(TINY_PARAMS, delay={"kind": "exponential", "mean": 1.0})
     tasks = [RunTask("alg1", params, seed=s) for s in (1, 2, 3, 4)]
-    session = Observability()
+    session = Observability(MetricsRegistry())
     obs_runtime.activate(session)
     try:
         run_many(tasks, jobs=2)
@@ -536,7 +511,7 @@ def test_pooled_sweep_quantiles_within_alpha_of_exact_latencies(observed):
 
     run_many(tasks, jobs=1)  # same seeds in process: the exact latencies
     reads = observed[("repro_op_latency", "read")]
-    sketch = session.metrics.sample("repro_op_latency", ["read"])
+    sketch = sample(session.metrics, "repro_op_latency", ["read"])
     assert sketch.count == len(reads) > 100
     for q in (0.5, 0.99):
         assert sketch.value(q) == pytest.approx(
@@ -548,7 +523,7 @@ def test_parallel_and_serial_merge_identically():
     tasks = [RunTask("alg1", TINY_PARAMS, seed=s) for s in (1, 2, 3)]
 
     def aggregate(jobs):
-        session = Observability()
+        session = Observability(MetricsRegistry())
         obs_runtime.activate(session)
         try:
             run_many(tasks, jobs=jobs)

@@ -26,6 +26,7 @@ from repro.core.spec import (
 from repro.core.timestamps import Timestamp
 from repro.membership import MembershipSchedule
 from repro.obs.core import Observability
+from repro.obs.registry import MetricsRegistry
 from repro.obs.spans import SpanRecorder
 from repro.quorum.majority import MajorityQuorumSystem
 from repro.quorum.probabilistic import ProbabilisticQuorumSystem
@@ -42,7 +43,7 @@ from repro.sim import kernel
 from repro.sim.coroutines import Sleep, spawn
 from repro.sim.delays import ConstantDelay, ExponentialDelay
 from repro.sim.failures import FailureSchedule
-from tests.conftest import count_calls, needs_native, stream_states
+from tests.conftest import count_calls, needs_native, sample, stream_states
 
 #: flavour -> (client class, monotone, kinds that take two quorum rounds)
 FLAVOURS = {
@@ -100,7 +101,7 @@ def run_flavour(
     otherwise, attaches the online spec monitor."""
     flavour_class, monotone, two_round = FLAVOURS[flavour]
     retry_policy, loss_rate = CONDITIONS[condition]
-    obs = Observability(spans=SpanRecorder()) if instrumented else None
+    obs = Observability(MetricsRegistry(), SpanRecorder()) if instrumented else None
     # Masking reads never regress either: a fallback returns the last
     # accepted pair.
     monitor = (
@@ -190,12 +191,14 @@ def test_flavour_conforms(flavour, system, condition, kernel_backend):
     # One latency observation and one finished span per operation, under
     # the caller's kind; the monitor hears the same kinds.
     for kind in ("read", "write"):
-        series = obs.metrics.sample("repro_op_latency", [kind])
+        series = sample(obs.metrics, "repro_op_latency", [kind])
         assert series.count == completed[kind]
     spans = obs.spans
     assert spans.started == spans.finished == len(ops)
-    assert Counter(s.kind for s in spans.with_status("ok")) == completed
-    assert Counter(s.kind for s in spans.with_status("timeout")) == failed
+    assert Counter(s.kind for s in spans.spans if s.status == "ok") \
+        == completed
+    assert Counter(s.kind for s in spans.spans if s.status == "timeout") \
+        == failed
     assert Counter(monitor.timeout_kinds) == failed
     assert monitor.reads_checked == completed["read"]
     assert monitor.writes_checked == completed["write"]

@@ -19,7 +19,7 @@ from repro import cli
 from repro.chaos.campaign import CampaignConfig, generate_task
 from repro.exec.cache import CACHE_FORMAT, MISS
 from repro.exec.task import task_key
-from repro.experiments import EXPERIMENTS, describe
+from repro.experiments import EXPERIMENTS
 from tests.conftest import needs_native
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -150,6 +150,27 @@ def test_all_runs_exactly_the_registry(monkeypatch, capsys, tmp_path):
     assert cli.main(["all", "--no-cache", "--jobs", "1"]) == 0
     assert ran == list(EXPERIMENTS.values())
     assert set(cli.COMMANDS) == set(EXPERIMENTS) | {"all", "chaos", "serve"}
+
+
+def describe() -> str:
+    """The registry as the markdown table README.md and EXPERIMENTS.md
+    carry."""
+    lines = [
+        "| command | config | output stems | tasks (default / `--full`) |",
+        "|---|---|---|---|",
+    ]
+    for name, experiment in EXPERIMENTS.items():
+        sizes = " / ".join(
+            "in process" if experiment.tasks is None
+            else str(len(experiment.tasks(experiment.config(full))))
+            for full in (False, True)
+        )
+        stems = ", ".join(f"`{stem}`" for stem in experiment.stems)
+        lines.append(
+            f"| `{name}` | `{experiment.config_class.__name__}` | "
+            f"{stems} | {sizes} |"
+        )
+    return "\n".join(lines)
 
 
 def test_docs_carry_the_registry_table():

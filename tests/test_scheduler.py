@@ -147,8 +147,9 @@ def test_pending_excludes_cancelled(scheduler):
     assert scheduler.pending == 1
 
 
-def test_step_returns_false_when_empty(scheduler):
-    assert scheduler.step() is False
+def test_run_on_empty_queue_runs_nothing(scheduler):
+    assert scheduler.run(max_events=1) == 0.0
+    assert scheduler.events_processed == 0
 
 
 def test_clock_never_goes_backwards(scheduler):
@@ -167,7 +168,7 @@ def test_pending_counts_down_as_events_run(scheduler):
     for i in range(5):
         scheduler.schedule(float(i + 1), lambda: None)
     assert scheduler.pending == 5
-    scheduler.step()
+    scheduler.run(max_events=1)
     assert scheduler.pending == 4
     scheduler.run()
     assert scheduler.pending == 0
@@ -184,7 +185,7 @@ def test_cancel_is_idempotent_for_pending(scheduler):
 def test_cancel_after_execution_does_not_corrupt_pending(scheduler):
     handle = scheduler.schedule(1.0, lambda: None)
     scheduler.schedule(2.0, lambda: None)
-    scheduler.step()  # executes the first event
+    scheduler.run(max_events=1)  # executes the first event
     handle.cancel()   # stale cancel of an already-run event: no-op
     assert scheduler.pending == 1
     scheduler.run()
@@ -239,7 +240,7 @@ def test_pending_under_cancel_requeue_churn(scheduler):
             victim.cancel()
             victim.cancel()  # idempotent double-cancel must not double-count
         else:
-            scheduler.step()
+            scheduler.run(max_events=1)
             live_handles = [h for h in live_handles if not h._dequeued]
         assert scheduler.pending == _queue_scan(scheduler)
     scheduler.run()
@@ -296,7 +297,7 @@ def test_pending_mass_cancel_then_requeue(scheduler):
               for i in range(25)]
     assert scheduler.pending == 25
     assert scheduler.pending == _queue_scan(scheduler)
-    scheduler.step()
+    scheduler.run(max_events=1)
     assert scheduler.pending == 24
     for handle in second:
         handle.cancel()  # includes a stale cancel of the popped event

@@ -211,7 +211,7 @@ class TestLiveDeployment:
         deployment.declare_register("X", writer=0, initial_value=0)
         client = deployment.clients[0]
         assert isinstance(client, QuorumRegisterClient)
-        assert client._monitor_on is False
+        assert client.spec_monitor is None
 
 
 class TestWorkerIntegration:

@@ -1,5 +1,6 @@
 """Tests for the paper's closed-form results (analysis.theory/messages)."""
 
+import itertools
 import math
 
 import pytest
@@ -22,6 +23,7 @@ from repro.analysis.theory import (
     q_exact,
     q_lower_bound,
     theorem1_survival_bound,
+    theorem1_survival_exact,
 )
 
 
@@ -87,6 +89,38 @@ class TestTheorem1:
     def test_ell_validation(self):
         with pytest.raises(ValueError):
             theorem1_survival_bound(34, 6, -1)
+        with pytest.raises(ValueError):
+            theorem1_survival_exact(34, 6, -1)
+
+    def test_exact_equals_brute_force_enumeration(self):
+        # Average over every write quorum and every ell-tuple of later
+        # quorums: survival = some replica is in none of the later ones.
+        n, k, ell = 6, 2, 2
+        quorums = [set(q) for q in itertools.combinations(range(n), k)]
+        survived = sum(
+            any(all(r not in later for later in rest) for r in first)
+            for first in quorums
+            for rest in itertools.product(quorums, repeat=ell)
+        )
+        brute = survived / len(quorums) ** (ell + 1)
+        assert theorem1_survival_exact(n, k, ell) == pytest.approx(brute)
+        assert brute == pytest.approx(0.728889, abs=1e-6)
+
+    @pytest.mark.parametrize("n,k,ell", [(6, 2, 2), (16, 4, 3), (34, 6, 9)])
+    def test_exact_first_term_is_the_unclamped_bound(self, n, k, ell):
+        # Inclusion-exclusion's j=1 term is k * (C(n-1,k)/C(n,k))^ell.
+        first = k * (math.comb(n - 1, k) / math.comb(n, k)) ** ell
+        assert min(1.0, first) == pytest.approx(
+            theorem1_survival_bound(n, k, ell)
+        )
+        assert theorem1_survival_exact(n, k, ell) <= first + 1e-12
+
+    def test_exact_where_the_bound_is_vacuous(self):
+        assert theorem1_survival_bound(34, 4, 10) == 1.0
+        assert theorem1_survival_exact(34, 4, 10) == pytest.approx(
+            0.7502, abs=5e-5
+        )
+        assert theorem1_survival_exact(34, 4, 0) == pytest.approx(1.0)
 
 
 class TestConvergenceBounds:

@@ -25,7 +25,8 @@ SRC = str(pathlib.Path(__file__).resolve().parent.parent / "src")
 
 #: What CI compares: a chaos campaign's metrics (loss, faults,
 #: adversaries, membership, the spec monitor; never cached, so each
-#: backend simulates every run), a churned service snapshot, a lossy
+#: backend simulates every run), a bursty open-loop service snapshot
+#: (the seeded ``serve`` identity, static membership), a churned one, a lossy
 #: churned one with plain clients (the C loss draw, retry jitter and
 #: stale-view re-dispatch), a lossy churned two-phase one (the
 #: multi-writer plan's query and update rounds in the C client core; it
@@ -39,6 +40,8 @@ SRC = str(pathlib.Path(__file__).resolve().parent.parent / "src")
 #: inside its payload and merged in task order).
 DEFAULT_CASES = (
     "chaos --runs 10 --chaos-seed 1 --jobs 2 --metrics-out {out}",
+    "serve --duration 150 --rate 4 --arrivals bursty --clients 2 --seed 7 "
+    "--snapshot-out {out}",
     "serve --duration 120 --rate 4 --clients 2 --churn 40 --churn-batch 2 "
     "--seed 7 --snapshot-out {out}",
     "serve --churn 6.25 --loss-rate 0.1 --duration 120 --seed 7 "
