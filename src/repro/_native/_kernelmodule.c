@@ -844,6 +844,19 @@ pop_and_dispatch(SchedulerCore *self)
 }
 
 static PyObject *
+schedulercore_step(SchedulerCore *self, PyObject *Py_UNUSED(ignored))
+{
+    while (self->len > 0) {
+        int ran = pop_and_dispatch(self);
+        if (ran < 0)
+            return NULL;
+        if (ran)
+            Py_RETURN_TRUE;
+    }
+    Py_RETURN_FALSE;
+}
+
+static PyObject *
 schedulercore_run(SchedulerCore *self, PyObject *args, PyObject *kwds)
 {
     static char *kwlist[] = {"until", "max_events", "stop_when", NULL};
@@ -998,6 +1011,8 @@ static PyMethodDef schedulercore_methods[] = {
     {"schedule_uncancellable",
      (PyCFunction)schedulercore_schedule_uncancellable, METH_FASTCALL,
      "Schedule an event that can never be cancelled; returns no handle."},
+    {"step", (PyCFunction)schedulercore_step, METH_NOARGS,
+     "Execute the next event.  Returns False when the queue is empty."},
     {"run", (PyCFunction)schedulercore_run,
      METH_VARARGS | METH_KEYWORDS,
      "Run events until the queue drains or a limit is reached."},

@@ -230,6 +230,15 @@ class RegisterHistory:
             key=lambda r: (r.invoke_time, r.op_id),
         )
 
+    def latest_write_before(self, time: float) -> WriteRecord:
+        """The completed write with the largest timestamp responding <= time."""
+        done = [
+            w
+            for w in self.writes
+            if w.response_time is not None and w.response_time <= time
+        ]
+        return max(done, key=lambda w: w.timestamp)
+
     def __repr__(self) -> str:
         return (
             f"RegisterHistory({self.name!r}, writes={len(self.writes) - 1}, "

@@ -16,6 +16,7 @@ import json
 import os
 import shutil
 import tempfile
+import time
 from pathlib import Path
 from typing import Any, Optional
 
@@ -112,6 +113,28 @@ class RunCache:
     def clear(self) -> None:
         """Delete every cached entry (and the cache directory itself)."""
         shutil.rmtree(self.root, ignore_errors=True)
+
+    def prune_tmp(self, max_age_seconds: float = 3600.0) -> int:
+        """Remove orphaned ``*.tmp`` files left by an interrupted write.
+
+        Entry writes are atomic (temp file + rename), so a killed sweep
+        can leave stale temp files beside valid entries but never a torn
+        entry.  Only files older than ``max_age_seconds`` are removed,
+        so a concurrently-running sweep's in-flight temp files are never
+        yanked out from under their writer.  Returns the removal count.
+        """
+        pruned = 0
+        if not self.root.is_dir():
+            return pruned
+        cutoff = time.time() - max_age_seconds
+        for tmp in self.root.glob("*/*.tmp"):
+            try:
+                if tmp.stat().st_mtime <= cutoff:
+                    tmp.unlink()
+                    pruned += 1
+            except OSError:
+                pass
+        return pruned
 
     def __len__(self) -> int:
         if not self.root.is_dir():

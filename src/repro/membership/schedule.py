@@ -186,3 +186,8 @@ class MembershipSchedule(Timeline):
         """
         knobs = ("drain", "transfer_retry", "transfer_max_attempts")
         return {knob: spec[knob] for knob in knobs if knob in spec}
+
+    def max_roster_index(self, num_initial: int) -> int:
+        """The largest roster index this timeline can touch."""
+        indices = [node for event in self.events for node in event.nodes]
+        return max(indices + [num_initial - 1])

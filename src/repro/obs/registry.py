@@ -187,6 +187,18 @@ class MetricsRegistry:
         """All registered families, in name order."""
         return [self._families[name] for name in sorted(self._families)]
 
+    def sample(self, name: str, labels: Sequence[Any] = ()) -> Any:
+        """The scalar value (or sketch) of one series, for tests/CLI.
+
+        Raises :class:`MetricsError` for an unknown instrument; an
+        unpopulated label combination reads as a fresh child (0 / empty).
+        """
+        family = self._families.get(name)
+        if family is None:
+            raise MetricsError(f"no instrument named {name!r}")
+        child = family.labels(*labels)
+        return child if family.kind == "histogram" else child.value
+
     # Snapshot / merge --------------------------------------------------- #
 
     def snapshot(self) -> Dict[str, Any]:

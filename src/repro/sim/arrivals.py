@@ -19,9 +19,9 @@ Three processes cover the classic traffic shapes:
   day/night cycle), sampled by Lewis–Shedler thinning.
 
 Every draw comes from the caller-supplied Generator, so a seeded stream
-makes the whole arrival timeline deterministic.  :func:`build_arrivals`
-builds each process from the plain-data spec the task/cache layer
-carries.
+makes the whole arrival timeline deterministic.  ``spec()``/
+:func:`build_arrivals` round-trip each process through plain data for
+the task/cache layer.
 """
 
 import math
@@ -34,7 +34,8 @@ class ArrivalProcess:
     """Base class: draws the time until the next arrival.
 
     A subclass defines ``next_interarrival(rng, now)``, a strictly
-    positive gap until the next arrival after ``now``.
+    positive gap until the next arrival after ``now``, and ``spec()``, a
+    plain-data description :func:`build_arrivals` reconstructs.
     """
 
 
@@ -54,6 +55,9 @@ class PoissonArrivals(ArrivalProcess):
 
     def next_interarrival(self, rng: np.random.Generator, now: float) -> float:
         return max(_FLOOR, rng.exponential(self._scale))
+
+    def spec(self) -> Dict[str, Any]:
+        return {"kind": "poisson", "rate": self._rate}
 
     def __repr__(self) -> str:
         return f"PoissonArrivals(rate={self._rate})"
@@ -97,6 +101,14 @@ class BurstyArrivals(ArrivalProcess):
         self._remaining = int(rng.geometric(1.0 / self._mean_burst))
         self._remaining -= 1
         return max(_FLOOR, rng.exponential(self._gap_mean))
+
+    def spec(self) -> Dict[str, Any]:
+        return {
+            "kind": "bursty",
+            "rate": self._rate,
+            "mean_burst": self._mean_burst,
+            "peakedness": self._peakedness,
+        }
 
     def __repr__(self) -> str:
         return (
@@ -143,6 +155,14 @@ class DiurnalArrivals(ArrivalProcess):
             if rng.random() * self._peak <= self.rate_at(time):
                 return max(_FLOOR, time - now)
 
+    def spec(self) -> Dict[str, Any]:
+        return {
+            "kind": "diurnal",
+            "rate": self._rate,
+            "period": self._period,
+            "amplitude": self._amplitude,
+        }
+
     def __repr__(self) -> str:
         return (
             f"DiurnalArrivals(rate={self._rate}, period={self._period}, "
@@ -158,7 +178,7 @@ _ARRIVAL_KINDS = {
 
 
 def build_arrivals(spec: Dict[str, Any]) -> ArrivalProcess:
-    """Instantiate an arrival process from its plain-data spec.
+    """Instantiate an arrival process from its plain-data ``spec()``.
 
     The same factory idiom as ``repro.adversary.build_adversary``: specs
     travel through the picklable task layer and the run cache, processes

@@ -177,6 +177,33 @@ class MessageStats:
             if kind is not None:
                 self._dropped_by_kind[kind] += 1
 
+    # ------------------------------------------------------------------ #
+    # Derived readings
+    # ------------------------------------------------------------------ #
+
+    def drop_rate(self) -> float:
+        """Fraction of sent messages that were dropped."""
+        if self.sent == 0:
+            return 0.0
+        return self.dropped / self.sent
+
+    def reset(self) -> None:
+        """Zero every counter.
+
+        Fields are reset explicitly (not via ``__init__``) so subclasses
+        adding state keep full control over their own reset behaviour.
+        """
+        self.sent = 0
+        self.delivered = 0
+        self.dropped = 0
+        self._by_sender.clear()
+        self._by_receiver.clear()
+        self._by_kind.clear()
+        self._delivered_by_kind.clear()
+        self._dropped_by_kind.clear()
+        self._dropped_by_receiver.clear()
+        self._dropped_by_reason.clear()
+
     def __repr__(self) -> str:
         return (
             f"MessageStats(sent={self.sent}, delivered={self.delivered}, "

@@ -252,6 +252,29 @@ class Scheduler:
         """Request that :meth:`run` return after the current event."""
         self._stopped = True
 
+    def step(self) -> bool:
+        """Execute the next event.  Returns False when the queue is empty."""
+        queue = self._queue
+        while queue:
+            entry = _heappop(queue)
+            if len(entry) == 4:
+                time, _seq, callback, args = entry
+                self._live -= 1
+                self._now = time
+                self._events_processed += 1
+                callback(*args)
+                return True
+            time, _seq, handle = entry
+            handle._dequeued = True
+            if handle.cancelled:
+                continue
+            self._live -= 1
+            self._now = time
+            self._events_processed += 1
+            handle.callback(*handle.args)
+            return True
+        return False
+
     def run(
         self,
         until: Optional[float] = None,
@@ -272,7 +295,7 @@ class Scheduler:
         if unbounded:
             # Fast drain loop: no limit checks, one pop per event, the
             # event body inlined (run() is the hot loop of every
-            # simulation; a method call per event is measurable).
+            # simulation; a step() call per event is measurable).
             while queue:
                 if self._stopped:
                     break

@@ -134,15 +134,6 @@ def stream_states(deployment):
     }
 
 
-def sample(registry, name, labels=()):
-    """One series of a MetricsRegistry, as its snapshot would carry it: a
-    counter's or gauge's value, a histogram's sketch.  An unpopulated
-    label combination reads as a fresh child (0 / empty)."""
-    [family] = [f for f in registry.families() if f.name == name]
-    child = family.labels(*labels)
-    return child if family.kind == "histogram" else child.value
-
-
 def count_calls(monkeypatch, cls, names):
     """Wrap the class attributes ``cls.<name>`` so every call of the Python
     definition is counted; returns the counters by name."""

@@ -201,6 +201,23 @@ def test_pooled_cache_writes_are_incremental(tmp_path, monkeypatch):
     assert len(order) == 8
 
 
+def test_cache_prune_tmp(tmp_path):
+    cache = RunCache(root=str(tmp_path))
+    cache.put(RunTask("exec_probe", {}, seed=1), {"ok": True})
+    kind_dir = next(tmp_path.iterdir())
+    stale = kind_dir / "deadbeef.tmp"
+    stale.write_text("{ torn")
+    old = os.stat(stale)
+    os.utime(stale, (old.st_atime - 7200, old.st_mtime - 7200))
+    fresh = kind_dir / "cafef00d.tmp"
+    fresh.write_text("{ in-flight")
+
+    assert cache.prune_tmp() == 1
+    assert not stale.exists()
+    assert fresh.exists()  # younger than the age guard: left alone
+    assert len(cache) == 1
+
+
 # --- metrics transport ----------------------------------------------------- #
 
 

@@ -128,6 +128,16 @@ def test_reads_by_process_filters_and_sorts(history):
     assert history.reads_by_process(9) == []
 
 
+def test_latest_write_before(history):
+    w1 = history.begin_write(0, 1.0, "a", Timestamp(1, 0))
+    w1.respond(2.0)
+    w2 = history.begin_write(0, 3.0, "b", Timestamp(2, 0))
+    w2.respond(4.0)
+    assert history.latest_write_before(1.5) is history.initial_write
+    assert history.latest_write_before(2.5) is w1
+    assert history.latest_write_before(10.0) is w2
+
+
 class TestPerHistoryOpIds:
     def test_op_ids_do_not_leak_across_histories(self):
         # Regression: op ids were once drawn from a module-level counter,

@@ -38,7 +38,7 @@ from repro.sim.delays import (
 from repro.sim.network import Network, Node
 from repro.sim.rng import derive_seed
 from repro.sim.scheduler import Scheduler
-from tests.conftest import needs_native, sample
+from tests.conftest import needs_native
 
 # --------------------------------------------------------------------- #
 # Golden event trace
@@ -230,7 +230,7 @@ def test_observability_does_not_perturb_golden_run():
     # the fingerprint, and the golden run's spans were recorded.
     merged = MetricsRegistry()
     merged.merge_snapshot(result["metrics"])
-    assert sample(merged, "repro_messages_sent_total") == (
+    assert merged.sample("repro_messages_sent_total") == (
         GOLDEN_ALG1_FINGERPRINT["messages"]
     )
     assert session.spans.finished > 0

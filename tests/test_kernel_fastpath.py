@@ -78,7 +78,6 @@ from repro.sim.network import Network
 from tests.conftest import (
     count_calls,
     needs_native,
-    sample,
     stats_state,
     stream_states,
 )
@@ -482,7 +481,7 @@ def _latency_snapshot(backend):
             reader.read()
         deployment.run()
         return {
-            kind: sample(obs.metrics, "repro_op_latency", [kind]).snapshot()
+            kind: obs.metrics.sample("repro_op_latency", [kind]).snapshot()
             for kind in ("read", "write")
         }
 

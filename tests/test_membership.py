@@ -110,6 +110,11 @@ class TestSchedule:
                 {"kind": "osmosis"}, num_initial=4, horizon=25.0
             )
 
+    def test_max_roster_index(self):
+        schedule = MembershipSchedule().join(5.0, [7])
+        assert schedule.max_roster_index(num_initial=4) == 7
+        assert MembershipSchedule().max_roster_index(num_initial=4) == 3
+
 
 class TestInstall:
     def test_empty_schedule_installs_nothing(self):

@@ -49,12 +49,36 @@ class TestMessageStats:
         assert stats.dropped_by_receiver[1] == 1
         assert stats.dropped_by_receiver[2] == 2
         assert stats.dropped_by_reason == {"fault": 1, "loss": 2}
+        assert stats.drop_rate() == 1.0
 
     def test_deliveries_attributed_to_kind(self):
         stats = MessageStats()
         stats.record_send(0, 1, "read_reply")
         stats.record_delivery(0, 1, kind="read_reply")
         assert stats.delivered_by_kind["read_reply"] == 1
+
+    def test_drop_rate_zero_when_nothing_sent(self):
+        assert MessageStats().drop_rate() == 0.0
+
+    def test_reset_clears_everything(self):
+        stats = MessageStats()
+        stats.record_send(0, 1, "x")
+        stats.record_delivery(0, 1, kind="x")
+        stats.record_drop(0, 1, kind="x", reason="loss")
+        stats.reset()
+        assert stats.sent == 0
+        assert stats.delivered == 0
+        assert stats.dropped == 0
+        assert not stats.by_sender
+        assert not stats.by_receiver
+        assert not stats.by_kind
+        assert not stats.delivered_by_kind
+        assert not stats.dropped_by_kind
+        assert not stats.dropped_by_receiver
+        assert not stats.dropped_by_reason
+        # A reset instance behaves exactly like a fresh one.
+        assert stats.by_receiver.most_common(1) == []
+        assert stats.drop_rate() == 0.0
 
     def test_scalar_mode_counts_totals_only(self):
         stats = MessageStats(detailed=False)
@@ -65,6 +89,7 @@ class TestMessageStats:
         assert stats.sent == 4
         assert stats.delivered == 1
         assert stats.dropped == 1
+        assert stats.drop_rate() == 0.25
 
     def test_scalar_mode_breakdowns_raise_not_lie(self):
         # detailed=False never collected the breakdowns; reading one must

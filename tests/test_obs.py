@@ -37,7 +37,6 @@ from repro.obs.spans import SpanRecorder
 from repro.quorum.probabilistic import ProbabilisticQuorumSystem
 from repro.sim import kernel
 from repro.sim.delays import ConstantDelay, ExponentialDelay
-from tests.conftest import sample
 
 
 TINY_PARAMS = {
@@ -65,7 +64,7 @@ def test_counter_accumulates_and_rejects_negative():
     counter = registry.counter("hits_total", "Hits.")
     counter.inc()
     counter.inc(4)
-    assert sample(registry, "hits_total") == 5
+    assert registry.sample("hits_total") == 5
     with pytest.raises(MetricsError):
         counter.inc(-1)
 
@@ -76,7 +75,7 @@ def test_gauge_set_inc_dec():
     gauge.set(10)
     gauge.inc(3)
     gauge.dec()
-    assert sample(registry, "depth") == 12
+    assert registry.sample("depth") == 12
 
 
 def test_labels_create_independent_series():
@@ -84,13 +83,13 @@ def test_labels_create_independent_series():
     family = registry.counter("ops_total", "Ops.", labelnames=("kind",))
     family.labels("read").inc(2)
     family.labels("write").inc(5)
-    assert sample(registry, "ops_total", ["read"]) == 2
-    assert sample(registry, "ops_total", ["write"]) == 5
+    assert registry.sample("ops_total", ["read"]) == 2
+    assert registry.sample("ops_total", ["write"]) == 5
     # Label values coerce to strings; 1 and "1" are the same series.
     family2 = registry.counter("by_node", labelnames=("node",))
     family2.labels(1).inc()
     family2.labels("1").inc()
-    assert sample(registry, "by_node", ["1"]) == 2
+    assert registry.sample("by_node", ["1"]) == 2
 
 
 def test_label_arity_enforced():
@@ -110,6 +109,11 @@ def test_reregistration_is_get_or_create_but_kind_mismatch_raises():
         registry.gauge("x_total", labelnames=("a",))
     with pytest.raises(MetricsError):
         registry.counter("x_total", labelnames=("b",))
+
+
+def test_sample_unknown_instrument_raises():
+    with pytest.raises(MetricsError):
+        MetricsRegistry().sample("nope")
 
 
 def test_histogram_observe_and_quantiles():
@@ -169,12 +173,12 @@ def test_snapshot_is_json_roundtrippable_and_sorted():
 def test_merge_snapshot_adds_counters_gauges_histograms():
     parent = populated_registry(scale=1)
     parent.merge_snapshot(populated_registry(scale=2).snapshot())
-    assert sample(parent, "msgs_total") == 30
-    assert sample(parent, "ops_total", ["read"]) == 9
-    assert sample(parent, "ops_total", ["write"]) == 3
+    assert parent.sample("msgs_total") == 30
+    assert parent.sample("ops_total", ["read"]) == 9
+    assert parent.sample("ops_total", ["write"]) == 3
     # Gauges merge by sum (documented: "total across runs").
-    assert sample(parent, "pending") == 6
-    merged = sample(parent, "latency", ["read"])
+    assert parent.sample("pending") == 6
+    merged = parent.sample("latency", ["read"])
     assert merged.count == 4
     assert merged.sum == pytest.approx(0.5 + 5.0 + 1.0 + 5.0)
 
@@ -316,27 +320,27 @@ def test_runner_collects_metrics():
     obs = Observability(MetricsRegistry())
     runner, result = instrumented_run(obs)
     metrics = obs.metrics
-    assert sample(metrics, "repro_alg1_runs_total") == 1
-    assert sample(metrics, "repro_alg1_runs_converged_total") == int(
+    assert metrics.sample("repro_alg1_runs_total") == 1
+    assert metrics.sample("repro_alg1_runs_converged_total") == int(
         result.converged
     )
-    assert sample(metrics, "repro_messages_sent_total") == result.messages
-    assert sample(metrics, "repro_alg1_rounds_total") == result.rounds_completed
-    assert sample(metrics, "repro_alg1_iterations_total") == (
+    assert metrics.sample("repro_messages_sent_total") == result.messages
+    assert metrics.sample("repro_alg1_rounds_total") == result.rounds_completed
+    assert metrics.sample("repro_alg1_iterations_total") == (
         result.total_iterations
     )
-    reads = sample(metrics, "repro_ops_invoked_total", ["read"])
-    writes = sample(metrics, "repro_ops_invoked_total", ["write"])
+    reads = metrics.sample("repro_ops_invoked_total", ["read"])
+    writes = metrics.sample("repro_ops_invoked_total", ["write"])
     assert reads == sum(c.reads_performed for c in runner.deployment.clients)
     assert writes == sum(c.writes_performed for c in runner.deployment.clients)
     # Per-server counters are labelled by stable server index.
     served = sum(
-        sample(metrics, "repro_server_reads_served_total", [str(i)])
+        metrics.sample("repro_server_reads_served_total", [str(i)])
         for i in range(runner.deployment.num_servers)
     )
     assert served == sum(s.reads_served for s in runner.deployment.servers)
     # The live latency histogram saw every completed operation.
-    latency = sample(metrics, "repro_op_latency", ["read"])
+    latency = metrics.sample("repro_op_latency", ["read"])
     assert latency.count > 0
     assert latency.value(0.95) >= latency.value(0.5) > 0.0
 
@@ -386,8 +390,8 @@ def test_run_many_merges_into_active_session():
         run_many(tasks, jobs=1)
     finally:
         obs_runtime.deactivate()
-    assert sample(session.metrics, "repro_messages_sent_total") == expected
-    assert sample(session.metrics, "repro_alg1_runs_total") == 2
+    assert session.metrics.sample("repro_messages_sent_total") == expected
+    assert session.metrics.sample("repro_alg1_runs_total") == 2
 
 
 def test_cache_hits_replay_metrics(tmp_path):
@@ -402,8 +406,8 @@ def test_cache_hits_replay_metrics(tmp_path):
     finally:
         obs_runtime.deactivate()
     expected = sum(r["messages"] for r in results)
-    assert sample(session.metrics, "repro_messages_sent_total") == expected
-    assert sample(session.metrics, "repro_alg1_runs_total") == 2
+    assert session.metrics.sample("repro_messages_sent_total") == expected
+    assert session.metrics.sample("repro_alg1_runs_total") == 2
 
 
 # --- latency sketches survive aggregation ----------------------------------
@@ -490,7 +494,7 @@ def test_merged_op_latency_equals_one_registry_fed_everything(
     # And what was merged still answers quantile queries within ALPHA.
     for kind in ("read", "write"):
         values = streams[("repro_op_latency", kind)]
-        sketch = sample(merged, "repro_op_latency", [kind])
+        sketch = merged.sample("repro_op_latency", [kind])
         assert sketch.count == len(values) > 20
         for q in (0.5, 0.99):
             assert sketch.value(q) == pytest.approx(
@@ -511,7 +515,7 @@ def test_pooled_sweep_quantiles_within_alpha_of_exact_latencies(observed):
 
     run_many(tasks, jobs=1)  # same seeds in process: the exact latencies
     reads = observed[("repro_op_latency", "read")]
-    sketch = sample(session.metrics, "repro_op_latency", ["read"])
+    sketch = session.metrics.sample("repro_op_latency", ["read"])
     assert sketch.count == len(reads) > 100
     for q in (0.5, 0.99):
         assert sketch.value(q) == pytest.approx(

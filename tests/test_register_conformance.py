@@ -43,7 +43,7 @@ from repro.sim import kernel
 from repro.sim.coroutines import Sleep, spawn
 from repro.sim.delays import ConstantDelay, ExponentialDelay
 from repro.sim.failures import FailureSchedule
-from tests.conftest import count_calls, needs_native, sample, stream_states
+from tests.conftest import count_calls, needs_native, stream_states
 
 #: flavour -> (client class, monotone, kinds that take two quorum rounds)
 FLAVOURS = {
@@ -191,7 +191,7 @@ def test_flavour_conforms(flavour, system, condition, kernel_backend):
     # One latency observation and one finished span per operation, under
     # the caller's kind; the monitor hears the same kinds.
     for kind in ("read", "write"):
-        series = sample(obs.metrics, "repro_op_latency", [kind])
+        series = obs.metrics.sample("repro_op_latency", [kind])
         assert series.count == completed[kind]
     spans = obs.spans
     assert spans.started == spans.finished == len(ops)

@@ -147,6 +147,10 @@ def test_pending_excludes_cancelled(scheduler):
     assert scheduler.pending == 1
 
 
+def test_step_returns_false_when_empty(scheduler):
+    assert scheduler.step() is False
+
+
 def test_run_on_empty_queue_runs_nothing(scheduler):
     assert scheduler.run(max_events=1) == 0.0
     assert scheduler.events_processed == 0

@@ -148,7 +148,7 @@ def test_arrival_processes_hit_their_mean_rate(process):
     assert measured == pytest.approx(4.0, rel=0.1)
 
 
-def test_build_arrivals_from_spec():
+def test_arrival_spec_roundtrip():
     for spec, process in (
         ({"kind": "poisson", "rate": 2.0}, PoissonArrivals(2.0)),
         (
@@ -164,6 +164,7 @@ def test_build_arrivals_from_spec():
     ):
         rebuilt = build_arrivals(spec)
         assert repr(rebuilt) == repr(process)
+        assert rebuilt.spec() == process.spec() == spec
         # Same spec + same seed => the same arrival timeline.
         gaps_a = [
             rebuilt.next_interarrival(np.random.default_rng(9), 0.0)
