@@ -11,7 +11,9 @@
  * message travels drain loop -> deliver -> protocol
  * handler -> send, and an operation is built, settled and gathered,
  * without an interpreter frame; Python is re-entered only where a node, a
- * hook or a fallback guard asks for it.
+ * hook or a fallback guard asks for it.  Each core is wired once: it binds
+ * its object's configuration when it is built and reads live only what
+ * changes during a run.
  *
  * Contract: byte-identical behaviour to the pure-python reference in
  * ``repro.sim.scheduler`` / ``repro.sim.metrics`` / ``repro.sim.network``
@@ -87,9 +89,6 @@
     X(str_cancel, "cancel")                                  \
     X(str_respond, "respond")                                \
     X(str_complete, "complete")                              \
-    X(str_resolve, "resolve")                                \
-    X(str_timestamp_attr, "timestamp")                       \
-    X(str_value_attr, "value")                               \
     X(str_monotone, "monotone")                              \
     X(str_cache_attr, "_cache")                              \
     X(str_cache_hits, "cache_hits")                          \
@@ -113,14 +112,12 @@
     X(str_observe, "observe")                                \
     X(str_read_kind, "read")                                 \
     X(str_write_kind, "write")                               \
-    X(str_broadcast_attr, "broadcast")                       \
     X(str_view_state, "view_state")                          \
     X(str_view_id, "view_id")                                \
     X(str_retired, "retired")                                \
     X(str_retiring, "retiring")                              \
     X(str_retired_ignored, "retired_messages_ignored")       \
     X(str_nacks_sent, "stale_nacks_sent")                    \
-    X(str_spans_attr, "_spans")                              \
     X(str_sample_quorum, "_sample_quorum")                   \
     X(str_info, "info")                                      \
     X(str_history, "history")                                \
@@ -193,21 +190,43 @@ static PyObject *retry_policy_type = NULL; /* registers.client.RetryPolicy */
 static PyObject *quantiles_type = NULL;    /* obs.quantiles.StreamingQuantiles */
 static double per_log;                     /* obs.quantiles._PER_LOG */
 
-/* The exact types whose per-message decisions the cores evaluate in C,
- * resolved the first time a network or client core is built. */
+/* The exact types whose decisions the cores make once, in their
+ * constructors, resolved the first time a network or client core is built. */
 static PyObject *generator_type = NULL;        /* numpy.random.Generator */
 static PyObject *failure_injector_type = NULL; /* failures.FailureInjector */
 static PyObject *message_stats_type = NULL;    /* metrics.MessageStats */
+static PyObject *exponential_delay_type = NULL; /* delays.ExponentialDelay */
+static PyObject *constant_delay_type = NULL;    /* delays.ConstantDelay    */
 /* MessageStats' detailed / sent / delivered / dropped __slots__ offsets. */
 enum { STAT_DETAILED, STAT_SENT, STAT_DELIVERED, STAT_DROPPED, NSTATS };
 static Py_ssize_t stat_offsets[NSTATS];
 
-/* Delay-model classes, resolved lazily the first time a delay is
- * sampled natively.  Soft-resolved: when the import fails (stripped
- * install), the generic .sample() path is used forever after. */
-static PyObject *exponential_delay_type = NULL; /* delays.ExponentialDelay */
-static PyObject *constant_delay_type = NULL;    /* delays.ConstantDelay    */
-static int delay_types_unavailable = 0;
+/* A core's object members, listed once as X(member, type) (the
+ * PendingOp's as X(member, python_name)): the struct members, traverse,
+ * clear and dealloc are generated from the list. */
+#define CORE_FIELD(name, type) type *name;
+#define CORE_VISIT(name, _) Py_VISIT(self->name);
+#define CORE_CLEAR(name, _) Py_CLEAR(self->name);
+#define CORE_GC(prefix, Core, FIELDS)                                    \
+    static int                                                           \
+    prefix##_traverse(Core *self, visitproc visit, void *arg)            \
+    {                                                                    \
+        FIELDS(CORE_VISIT)                                               \
+        return 0;                                                        \
+    }                                                                    \
+    static int                                                           \
+    prefix##_clear(Core *self)                                           \
+    {                                                                    \
+        FIELDS(CORE_CLEAR)                                               \
+        return 0;                                                        \
+    }                                                                    \
+    static void                                                          \
+    prefix##_dealloc(Core *self)                                         \
+    {                                                                    \
+        PyObject_GC_UnTrack(self);                                       \
+        prefix##_clear(self);                                            \
+        Py_TYPE(self)->tp_free((PyObject *)self);                        \
+    }
 
 /* Forward declarations: the scheduler's drain loop dispatches straight
  * into the network core's delivery, which dispatches straight into the
@@ -1040,80 +1059,47 @@ static PyTypeObject SchedulerCore_Type = {
 /* Native RNG draws: numpy's bit stream without a Python frame         */
 /* ------------------------------------------------------------------ */
 
-/* Resolve the two built-in delay-model classes, softly: a failed import
- * (stripped install, import cycle) flags them unavailable and every
- * sample goes through the generic .sample() call instead.  Mirrors the
- * soft-eligibility style of the protocol cores. */
-static int
-ensure_delay_types(void)
-{
-    if (delay_types_unavailable)
-        return 0;
-    if (exponential_delay_type != NULL)
-        return 1;
-    PyObject *mod = PyImport_ImportModule("repro.sim.delays");
-    if (mod == NULL) {
-        PyErr_Clear();
-        delay_types_unavailable = 1;
-        return 0;
-    }
-    exponential_delay_type = PyObject_GetAttrString(mod, "ExponentialDelay");
-    constant_delay_type = PyObject_GetAttrString(mod, "ConstantDelay");
-    Py_DECREF(mod);
-    if (exponential_delay_type == NULL || constant_delay_type == NULL) {
-        PyErr_Clear();
-        Py_CLEAR(exponential_delay_type);
-        Py_CLEAR(constant_delay_type);
-        delay_types_unavailable = 1;
-        return 0;
-    }
-    return 1;
-}
-
-#ifdef REPRO_HAVE_NPYRANDOM
-/* The bitgen_t behind a numpy Generator.  numpy's public contract:
- * ``generator.bit_generator.capsule`` is a PyCapsule named
- * "BitGenerator" wrapping the bitgen_t.  The caller must hold *holder
- * (a strong ref to the BitGenerator) for as long as it draws. */
-static bitgen_t *
-bitgen_of(PyObject *rng, PyObject **holder)
-{
-    PyObject *bg_obj = PyObject_GetAttr(rng, str_bit_generator);
-    if (bg_obj == NULL)
-        return NULL;
-    PyObject *capsule = PyObject_GetAttr(bg_obj, str_capsule_attr);
-    if (capsule == NULL) {
-        Py_DECREF(bg_obj);
-        return NULL;
-    }
-    bitgen_t *bg = (bitgen_t *)PyCapsule_GetPointer(capsule, "BitGenerator");
-    Py_DECREF(capsule);
-    if (bg == NULL) {
-        Py_DECREF(bg_obj);
-        return NULL;
-    }
-    *holder = bg_obj;
-    return bg;
-}
+#ifndef REPRO_HAVE_NPYRANDOM
+typedef struct bitgen bitgen_t; /* opaque: this build binds no stream */
 #endif
 
-/* rng.random(): for an exact numpy Generator, its bit stream's
- * next_double — the one draw Generator.random() makes, leaving the same
- * stream state — else the method call.  The draw, or -1.0 with an
- * exception set. */
+/* The bitgen_t of an exact numpy Generator, bound once by a core's
+ * constructor.  numpy's public contract: ``generator.bit_generator
+ * .capsule`` is a PyCapsule named "BitGenerator" wrapping the bitgen_t,
+ * which lives as long as the BitGenerator — returned in *holder for the
+ * caller to keep while it draws.  Any other object, or a build without
+ * numpy's random library, binds nothing (*bg NULL): its draws are method
+ * calls.  0, or -1 on error. */
+static int
+bind_bits(PyObject *rng, PyObject **holder, bitgen_t **bg)
+{
+    *holder = NULL;
+    *bg = NULL;
+#ifdef REPRO_HAVE_NPYRANDOM
+    if ((PyObject *)Py_TYPE(rng) != generator_type)
+        return 0;
+    PyObject *capsule = NULL;
+    if ((*holder = PyObject_GetAttr(rng, str_bit_generator)) == NULL
+        || (capsule = PyObject_GetAttr(*holder, str_capsule_attr)) == NULL
+        || (*bg = PyCapsule_GetPointer(capsule, "BitGenerator")) == NULL) {
+        Py_CLEAR(*holder);
+        Py_XDECREF(capsule);
+        return -1;
+    }
+    Py_DECREF(capsule);
+#endif
+    return 0;
+}
+
+/* rng.random(): the one draw Generator.random() makes, from the bound
+ * bitgen_t when there is one — leaving the same stream state — else the
+ * method call.  The draw, or -1.0 with an exception set. */
 static double
-rng_random(PyObject *rng)
+draw_random(PyObject *rng, bitgen_t *bg)
 {
 #ifdef REPRO_HAVE_NPYRANDOM
-    if ((PyObject *)Py_TYPE(rng) == generator_type) {
-        PyObject *holder;
-        bitgen_t *bg = bitgen_of(rng, &holder);
-        if (bg == NULL)
-            return -1.0;
-        double value = bg->next_double(bg->state);
-        Py_DECREF(holder);
-        return value;
-    }
+    if (bg != NULL)
+        return bg->next_double(bg->state);
 #endif
     PyObject *draw = PyObject_CallMethodNoArgs(rng, str_random);
     if (draw == NULL)
@@ -1135,6 +1121,10 @@ ensure_network_types(void)
     if ((generator_type = import_attr("numpy.random", "Generator")) == NULL
         || (failure_injector_type = import_attr("repro.sim.failures",
                                                 "FailureInjector")) == NULL
+        || (exponential_delay_type = import_attr("repro.sim.delays",
+                                                 "ExponentialDelay")) == NULL
+        || (constant_delay_type = import_attr("repro.sim.delays",
+                                              "ConstantDelay")) == NULL
         || (message_stats_type = import_attr("repro.sim.metrics",
                                              "MessageStats")) == NULL)
         goto fail;
@@ -1157,60 +1147,33 @@ ensure_network_types(void)
 fail:
     Py_CLEAR(generator_type);
     Py_CLEAR(failure_injector_type);
+    Py_CLEAR(exponential_delay_type);
+    Py_CLEAR(constant_delay_type);
     Py_CLEAR(message_stats_type);
     return -1;
 }
 
-/* One of the two built-in delay models with exactly transcribable
- * draws, resolved once for a run of draws between which no Python code
- * can run: the model's parameters and the Generator's bitgen_t are read
- * here, and every draw after that is plain C.  Exactness:
- * ``Generator.exponential(scale)`` is one ziggurat draw scaled — the
- * same bits ``random_standard_exponential`` produces — and Python's
- * ``max(floor, v)`` returns v only when strictly greater. */
+/* A network's delay model, bound by its constructor: one of the two
+ * built-in models with exactly transcribable draws, whose parameters (and
+ * for the exponential the delay Generator's bitgen_t) are read once, so
+ * that every draw is plain C; or any other model, whose ``sample`` is
+ * called per message.  Exactness: ``Generator.exponential(scale)`` is one
+ * ziggurat draw scaled — the same bits ``random_standard_exponential``
+ * produces — and Python's ``max(floor, v)`` returns v only when strictly
+ * greater. */
+enum { DELAY_CALL, DELAY_CONSTANT, DELAY_EXPONENTIAL };
 typedef struct {
+    int kind;
     double scale;     /* the constant delay, or the exponential's mean */
     double floor_v;
-    PyObject *holder; /* the BitGenerator kept alive; NULL = constant */
-#ifdef REPRO_HAVE_NPYRANDOM
     bitgen_t *bg;
-#endif
 } DelayDraws;
 
-/* Returns 1 with *draws ready (release with delay_draws_end), 0 when the
- * model isn't eligible (the caller takes the generic .sample() /
- * Python path), -1 on error. */
-static int
-delay_draws_begin(PyObject *delay_model, PyObject *rng, DelayDraws *draws)
-{
-    if (!ensure_delay_types())
-        return 0;
-    draws->holder = NULL;
-    draws->floor_v = 0.0;
-    if ((PyObject *)Py_TYPE(delay_model) == constant_delay_type) {
-        draws->scale = attr_double(delay_model, str_cdelay_attr);
-        return draws->scale == -1.0 && PyErr_Occurred() ? -1 : 1;
-    }
-#ifdef REPRO_HAVE_NPYRANDOM
-    if ((PyObject *)Py_TYPE(delay_model) == exponential_delay_type) {
-        draws->scale = attr_double(delay_model, str_mean_attr);
-        if (draws->scale == -1.0 && PyErr_Occurred())
-            return -1;
-        draws->floor_v = attr_double(delay_model, str_floor_attr);
-        if (draws->floor_v == -1.0 && PyErr_Occurred())
-            return -1;
-        draws->bg = bitgen_of(rng, &draws->holder);
-        return draws->bg == NULL ? -1 : 1;
-    }
-#endif
-    return 0;
-}
-
 static inline double
-delay_draws_next(DelayDraws *draws)
+delay_draws_next(const DelayDraws *draws)
 {
 #ifdef REPRO_HAVE_NPYRANDOM
-    if (draws->holder != NULL) {
+    if (draws->kind == DELAY_EXPONENTIAL) {
         double v = random_standard_exponential(draws->bg) * draws->scale;
         return v > draws->floor_v ? v : draws->floor_v;
     }
@@ -1218,22 +1181,13 @@ delay_draws_next(DelayDraws *draws)
     return draws->scale;
 }
 
-static inline void
-delay_draws_end(DelayDraws *draws)
+/* The ValueError both send paths raise for a delay <= 0; -1.0. */
+static double
+raise_nonpositive_delay(PyObject *delay_obj)
 {
-    Py_XDECREF(draws->holder);
-}
-
-/* The ValueError both send paths raise for a delay <= 0. */
-static void
-raise_nonpositive_delay(double delay)
-{
-    PyObject *delay_obj = PyFloat_FromDouble(delay);
-    if (delay_obj == NULL)
-        return;
     PyErr_Format(PyExc_ValueError,
                  "delay model produced non-positive delay %S", delay_obj);
-    Py_DECREF(delay_obj);
+    return -1.0;
 }
 
 /* ------------------------------------------------------------------ */
@@ -1242,8 +1196,7 @@ raise_nonpositive_delay(double delay)
 
 /* The message path of ``repro.sim.network`` without a Python frame: one
  * object per Network whose three methods are installed as the network's
- * ``send``, ``broadcast`` and ``_deliver`` instance attributes, so a
- * trace tap or monkeypatch that replaces an attribute keeps working.
+ * ``send``, ``broadcast`` and ``_deliver`` instance attributes.
  *
  * ``send`` is the one definition of what happens to a message,
  * transcribed statement for statement — including the operation order
@@ -1257,89 +1210,102 @@ raise_nonpositive_delay(double delay)
  * per destination everywhere else — it never calls the Python
  * ``broadcast``.  ``_deliver`` is the delivery trampoline: fault check,
  * stats, then ``node.on_message`` — directly into a protocol core where
- * one is installed.  The loss draw (an exact Generator) and the fault
- * check (an exact FailureInjector) are C too; the adversary's
- * ``intercept`` is the one per-message Python call left.
+ * one is installed.
  *
- * Mutable knobs (loss_rate, _taps, _adversary, _loss_rng, _deliver,
- * delay_model, rng) are re-read from the Network per message so
- * set_message_loss / set_adversary / trace monkeypatches keep working;
- * only the identity-stable collaborators are bound at construction. */
+ * Wired once: a Network's configuration is fixed by its constructor, so
+ * the core binds it when it is built — the delay draw, the loss rate and
+ * loss stream, the adversary, the stats mode, whether the injector is an
+ * exact FailureInjector, and the ``_taps`` list by identity (``add_tap``
+ * appends to it, so a tap added mid-run is seen).  Read live, because
+ * they change during a run: the clock, ``failures.active`` and the
+ * injector's ``_crashed`` / ``_partition``, each node's ``on_message``,
+ * and ``network._deliver``, which trace taps wrap. */
+#define NETWORK_CORE_FIELDS(X)                                           \
+    X(network, PyObject)     /* the owning Network (cycle; GC-tracked) */ \
+    X(stats, PyObject)       /* its MessageStats */                      \
+    X(failures, PyObject)    /* its failure injector */                  \
+    X(nodes, PyObject)       /* its {node_id: Node} dict (shared) */     \
+    X(sched, SchedulerCore)  /* its scheduler, always native */          \
+    X(taps, PyObject)        /* its _taps list (shared) */               \
+    X(adversary, PyObject)   /* its adversary, or None */                \
+    X(delay_model, PyObject)                                             \
+    X(rng, PyObject)         /* the delay stream */                      \
+    X(delay_bits, PyObject)  /* its BitGenerator, for native draws */    \
+    X(loss_rng, PyObject)                                                \
+    X(loss_bits, PyObject)
+
 struct NetworkCore {
     PyObject_HEAD
-    PyObject *network;    /* the owning Network (cycle; GC-tracked) */
-    PyObject *stats;      /* the Network's MessageStats */
-    PyObject *failures;   /* FailureInjector */
-    PyObject *nodes;      /* the Network's {node_id: Node} dict (shared) */
-    SchedulerCore *sched; /* the network's scheduler, always native */
+    NETWORK_CORE_FIELDS(CORE_FIELD)
+    DelayDraws delays;
+    double loss_rate;
+    bitgen_t *loss_bg;   /* NULL: loss_rng.random() is called */
+    int scalar_stats;    /* an exact MessageStats with detailed False */
+    int exact_failures;  /* an exact FailureInjector */
 };
+
+CORE_GC(networkcore, NetworkCore, NETWORK_CORE_FIELDS)
 
 static PyObject *
 networkcore_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
 {
     PyObject *network;
-    if (!PyArg_ParseTuple(args, "O", &network))
+    if (!PyArg_ParseTuple(args, "O", &network) || ensure_network_types() < 0)
         return NULL;
-    PyObject *stats = NULL, *failures = NULL, *nodes = NULL, *sched = NULL;
-    if ((stats = PyObject_GetAttr(network, str_stats_attr)) == NULL
-        || (failures = PyObject_GetAttr(network, str_failures_attr)) == NULL
-        || (nodes = PyObject_GetAttr(network, str_nodes_attr)) == NULL
-        || (sched = PyObject_GetAttr(network, str_scheduler_attr)) == NULL
-        || ensure_network_types() < 0)
-        goto fail;
-    if (!PyDict_Check(nodes)
-        || !PyObject_TypeCheck(sched, &SchedulerCore_Type)) {
-        PyErr_SetString(PyExc_TypeError,
-                        "NetworkCore needs network._nodes to be a dict and "
-                        "network.scheduler a native SchedulerCore");
-        goto fail;
-    }
     NetworkCore *self = (NetworkCore *)type->tp_alloc(type, 0);
     if (self == NULL)
+        return NULL;
+    self->network = Py_NewRef(network);
+    if ((self->stats = PyObject_GetAttr(network, str_stats_attr)) == NULL
+        || (self->failures = PyObject_GetAttr(network,
+                                              str_failures_attr)) == NULL
+        || (self->nodes = PyObject_GetAttr(network, str_nodes_attr)) == NULL
+        || (self->sched = (SchedulerCore *)PyObject_GetAttr(
+                network, str_scheduler_attr)) == NULL
+        || (self->taps = PyObject_GetAttr(network, str_taps_attr)) == NULL
+        || (self->adversary = PyObject_GetAttr(network,
+                                               str_adversary_attr)) == NULL
+        || (self->delay_model = PyObject_GetAttr(network,
+                                                 str_delay_model)) == NULL
+        || (self->rng = PyObject_GetAttr(network, str_rng_attr)) == NULL
+        || (self->loss_rng = PyObject_GetAttr(network,
+                                              str_loss_rng_attr)) == NULL)
         goto fail;
-    Py_INCREF(network);
-    self->network = network;
-    self->stats = stats;
-    self->failures = failures;
-    self->nodes = nodes;
-    self->sched = (SchedulerCore *)sched;
+    if (!PyDict_Check(self->nodes) || !PyList_Check(self->taps)
+        || !PyObject_TypeCheck(self->sched, &SchedulerCore_Type)) {
+        PyErr_SetString(PyExc_TypeError,
+                        "NetworkCore needs network._nodes to be a dict, "
+                        "_taps a list and scheduler a native SchedulerCore");
+        goto fail;
+    }
+    self->loss_rate = attr_double(network, str_loss_rate);
+    if (self->loss_rate == -1.0 && PyErr_Occurred())
+        goto fail;
+    self->scalar_stats = (PyObject *)Py_TYPE(self->stats) == message_stats_type
+        && *(PyObject **)((char *)self->stats + stat_offsets[STAT_DETAILED])
+               == Py_False;
+    self->exact_failures =
+        (PyObject *)Py_TYPE(self->failures) == failure_injector_type;
+    DelayDraws *delays = &self->delays;
+    PyObject *model = self->delay_model;
+    if ((PyObject *)Py_TYPE(model) == constant_delay_type) {
+        delays->kind = DELAY_CONSTANT;
+        delays->scale = attr_double(model, str_cdelay_attr);
+    }
+    else if ((PyObject *)Py_TYPE(model) == exponential_delay_type) {
+        if (bind_bits(self->rng, &self->delay_bits, &delays->bg) < 0)
+            goto fail;
+        delays->kind = delays->bg == NULL ? DELAY_CALL : DELAY_EXPONENTIAL;
+        delays->scale = attr_double(model, str_mean_attr);
+        delays->floor_v = attr_double(model, str_floor_attr);
+    }
+    if (PyErr_Occurred()
+        || bind_bits(self->loss_rng, &self->loss_bits, &self->loss_bg) < 0)
+        goto fail;
     return (PyObject *)self;
 fail:
-    Py_XDECREF(stats);
-    Py_XDECREF(failures);
-    Py_XDECREF(nodes);
-    Py_XDECREF(sched);
+    Py_DECREF(self);
     return NULL;
-}
-
-static int
-networkcore_traverse(NetworkCore *self, visitproc visit, void *arg)
-{
-    Py_VISIT(self->network);
-    Py_VISIT(self->stats);
-    Py_VISIT(self->failures);
-    Py_VISIT(self->nodes);
-    Py_VISIT((PyObject *)self->sched);
-    return 0;
-}
-
-static int
-networkcore_clear(NetworkCore *self)
-{
-    Py_CLEAR(self->network);
-    Py_CLEAR(self->stats);
-    Py_CLEAR(self->failures);
-    Py_CLEAR(self->nodes);
-    Py_CLEAR(self->sched);
-    return 0;
-}
-
-static void
-networkcore_dealloc(NetworkCore *self)
-{
-    PyObject_GC_UnTrack(self);
-    networkcore_clear(self);
-    Py_TYPE(self)->tp_free((PyObject *)self);
 }
 
 /* message.kind if truthy, else type(message).__name__ — _kind_of(). */
@@ -1367,19 +1333,16 @@ kind_of(PyObject *message)
 
 /* stats.<method>(src, dst, kind[, reason]) for record_send,
  * record_delivery, record_drop (the only one with a reason) and
- * record_sends (dst is the count).  On an exact MessageStats whose
- * ``detailed`` is False — re-read per message, as record_* does — that
- * is ``total += 1`` (or += count) on the slot itself, with no call. */
+ * record_sends (dst is the count).  In scalar mode that is ``total += 1``
+ * (or += count) on the slot itself, with no call. */
 static int
-stats_record(PyObject *stats, PyObject *method, PyObject *src,
+stats_record(NetworkCore *self, PyObject *method, PyObject *src,
              PyObject *dst, PyObject *kind, PyObject *reason)
 {
-#define STAT_SLOT(i) ((PyObject **)((char *)stats + stat_offsets[i]))
-    if ((PyObject *)Py_TYPE(stats) == message_stats_type
-        && *STAT_SLOT(STAT_DETAILED) == Py_False) {
-        PyObject **total = STAT_SLOT(
+    if (self->scalar_stats) {
+        PyObject **total = (PyObject **)((char *)self->stats + stat_offsets[
             method == str_record_delivery ? STAT_DELIVERED
-            : method == str_record_drop ? STAT_DROPPED : STAT_SENT);
+            : method == str_record_drop ? STAT_DROPPED : STAT_SENT]);
         PyObject *sum = *total == NULL ? PyErr_Format(
             PyExc_AttributeError, "MessageStats total is unset")
             : PyNumber_Add(*total, method == str_record_sends ? dst : py_one);
@@ -1388,13 +1351,10 @@ stats_record(PyObject *stats, PyObject *method, PyObject *src,
         Py_SETREF(*total, sum);
         return 0;
     }
-#undef STAT_SLOT
     PyObject *res = PyObject_CallMethodObjArgs(
-        stats, method, src, dst, kind, reason, NULL);
-    if (res == NULL)
-        return -1;
-    Py_DECREF(res);
-    return 0;
+        self->stats, method, src, dst, kind, reason, NULL);
+    Py_XDECREF(res);
+    return res == NULL ? -1 : 0;
 }
 
 /* ``failures.active and not failures.can_deliver(src, dst)``: 1 when a
@@ -1403,12 +1363,13 @@ stats_record(PyObject *stats, PyObject *method, PyObject *src,
  * over its ``_crashed`` set and ``_partition`` groups: blocked when an
  * endpoint is down, or when both belong to groups yet share none. */
 static int
-fault_blocks(PyObject *failures, PyObject *src, PyObject *dst)
+fault_blocks(NetworkCore *self, PyObject *src, PyObject *dst)
 {
+    PyObject *failures = self->failures;
     int active = attr_truth(failures, str_active);
     if (active <= 0)
         return active;
-    if ((PyObject *)Py_TYPE(failures) != failure_injector_type) {
+    if (!self->exact_failures) {
         PyObject *ok = PyObject_CallMethodObjArgs(
             failures, str_can_deliver, src, dst, NULL);
         if (ok == NULL)
@@ -1444,51 +1405,33 @@ fault_blocks(PyObject *failures, PyObject *src, PyObject *dst)
     return PyErr_Occurred() ? -1 : blocked || (src_grouped && dst_grouped);
 }
 
-/* ``delay_model.sample(rng, src, dst)`` plus send's positivity check: a
- * native draw for the transcribable models, the generic method call for
- * every other.  Returns the delay (> 0), or -1.0 with an exception set. */
+/* ``delay_model.sample(rng, src, dst)`` plus send's positivity check: the
+ * bound native draw, or the method call.  Returns the delay (> 0), or
+ * -1.0 with an exception set. */
 static double
-sample_delay(PyObject *network, PyObject *src, PyObject *dst)
+sample_delay(NetworkCore *self, PyObject *src, PyObject *dst)
 {
-    double delay = -1.0;
-    PyObject *delay_model = PyObject_GetAttr(network, str_delay_model);
-    if (delay_model == NULL)
-        return -1.0;
-    PyObject *rng = PyObject_GetAttr(network, str_rng_attr);
-    if (rng == NULL) {
-        Py_DECREF(delay_model);
-        return -1.0;
+    PyObject *delay_obj;
+    double delay;
+    if (self->delays.kind != DELAY_CALL) {
+        if (!((delay = delay_draws_next(&self->delays)) <= 0))
+            return delay;
+        delay_obj = PyFloat_FromDouble(delay);
     }
-    DelayDraws draws;
-    int native = delay_draws_begin(delay_model, rng, &draws);
-    if (native > 0) {
-        delay = delay_draws_next(&draws);
-        delay_draws_end(&draws);
-        if (delay <= 0) {
-            raise_nonpositive_delay(delay);
-            delay = -1.0;
+    else {
+        delay_obj = PyObject_CallMethodObjArgs(
+            self->delay_model, str_sample, self->rng, src, dst, NULL);
+        delay = delay_obj == NULL ? -1.0 : PyFloat_AsDouble(delay_obj);
+        if (!(delay <= 0) || PyErr_Occurred()) {
+            Py_XDECREF(delay_obj);
+            return PyErr_Occurred() ? -1.0 : delay;
         }
     }
-    else if (native == 0) {
-        PyObject *delay_obj = PyObject_CallMethodObjArgs(
-            delay_model, str_sample, rng, src, dst, NULL);
-        if (delay_obj != NULL) {
-            delay = PyFloat_AsDouble(delay_obj);
-            if (delay <= 0) {
-                /* Either a failed conversion (-1.0, error set) or a bad
-                 * sample. */
-                if (!PyErr_Occurred())
-                    PyErr_Format(PyExc_ValueError,
-                                 "delay model produced non-positive delay %S",
-                                 delay_obj);
-                delay = -1.0;
-            }
-            Py_DECREF(delay_obj);
-        }
+    if (delay_obj != NULL) {
+        raise_nonpositive_delay(delay_obj);
+        Py_DECREF(delay_obj);
     }
-    Py_DECREF(delay_model);
-    Py_DECREF(rng);
-    return delay;
+    return -1.0;
 }
 
 /* Network.send from the stats update on: the per-message pipeline.  The
@@ -1497,68 +1440,44 @@ static int
 network_send_one(NetworkCore *self, PyObject *src, PyObject *dst,
                  PyObject *message, PyObject *kind)
 {
-    PyObject *network = self->network;
-    if (stats_record(self->stats, str_record_send, src, dst, kind, NULL) < 0)
+    if (stats_record(self, str_record_send, src, dst, kind, NULL) < 0)
         return -1;
-
-    PyObject *taps = PyObject_GetAttr(network, str_taps_attr);
-    if (taps == NULL)
-        return -1;
-    if (PyList_Check(taps)) {
-        for (Py_ssize_t i = 0; i < PyList_GET_SIZE(taps); i++) {
-            PyObject *tap = PyList_GET_ITEM(taps, i);
-            Py_INCREF(tap);
-            PyObject *res = PyObject_CallFunctionObjArgs(
-                tap, src, dst, message, NULL);
-            Py_DECREF(tap);
-            if (res == NULL) {
-                Py_DECREF(taps);
-                return -1;
-            }
-            Py_DECREF(res);
-        }
+    for (Py_ssize_t i = 0; i < PyList_GET_SIZE(self->taps); i++) {
+        PyObject *tap = Py_NewRef(PyList_GET_ITEM(self->taps, i));
+        PyObject *res = PyObject_CallFunctionObjArgs(
+            tap, src, dst, message, NULL);
+        Py_DECREF(tap);
+        if (res == NULL)
+            return -1;
+        Py_DECREF(res);
     }
-    Py_DECREF(taps);
-
     /* One loss draw per send whenever loss is on, before any fault
      * check, so the loss stream advances identically however many
      * nodes happen to be crashed. */
-    double loss_rate = attr_double(network, str_loss_rate);
-    if (loss_rate == -1.0 && PyErr_Occurred())
-        return -1;
     int lost = 0;
-    if (loss_rate > 0.0) {
-        PyObject *loss_rng = PyObject_GetAttr(network, str_loss_rng_attr);
-        if (loss_rng == NULL)
-            return -1;
-        double value = rng_random(loss_rng);
-        Py_DECREF(loss_rng);
+    if (self->loss_rate > 0.0) {
+        double value = draw_random(self->loss_rng, self->loss_bg);
         if (value == -1.0 && PyErr_Occurred())
             return -1;
-        lost = value < loss_rate;
+        lost = value < self->loss_rate;
     }
-    int blocked = fault_blocks(self->failures, src, dst);
+    int blocked = fault_blocks(self, src, dst);
     if (blocked < 0)
         return -1;
     if (blocked || lost)
-        return stats_record(self->stats, str_record_drop, src, dst, kind,
+        return stats_record(self, str_record_drop, src, dst, kind,
                             blocked ? str_fault : str_loss);
 
     double extra = 0.0;
-    PyObject *adversary = PyObject_GetAttr(network, str_adversary_attr);
-    if (adversary == NULL)
-        return -1;
-    if (adversary != Py_None) {
+    if (self->adversary != Py_None) {
         PyObject *now_obj = PyFloat_FromDouble(self->sched->now);
         PyObject *action = now_obj == NULL
             ? NULL : PyObject_CallMethodObjArgs(
-                adversary, str_intercept, src, dst, message, kind, now_obj,
-                NULL);
+                self->adversary, str_intercept, src, dst, message, kind,
+                now_obj, NULL);
         Py_XDECREF(now_obj);
-        if (action == NULL) {
-            Py_DECREF(adversary);
+        if (action == NULL)
             return -1;
-        }
         int dropped = PyObject_RichCompareBool(action, str_drop_action,
                                                Py_EQ);
         if (dropped == 0 && action != Py_None) {
@@ -1567,18 +1486,14 @@ network_send_one(NetworkCore *self, PyObject *src, PyObject *dst,
                 dropped = -1;
         }
         Py_DECREF(action);
-        if (dropped != 0) {
-            Py_DECREF(adversary);
+        if (dropped != 0)
             return dropped < 0 ? -1 : stats_record(
-                self->stats, str_record_drop, src, dst, kind, str_adversary);
-        }
+                self, str_record_drop, src, dst, kind, str_adversary);
     }
-    Py_DECREF(adversary);
-
-    double delay = sample_delay(network, src, dst);
+    double delay = sample_delay(self, src, dst);
     if (delay <= 0)
         return -1;
-    PyObject *deliver = PyObject_GetAttr(network, str_deliver_attr);
+    PyObject *deliver = PyObject_GetAttr(self->network, str_deliver_attr);
     if (deliver == NULL)
         return -1;
     /* scheduler.schedule_uncancellable(delay + extra, self._deliver, src,
@@ -1616,38 +1531,12 @@ network_send(NetworkCore *self, PyObject *src, PyObject *dst,
     return rc;
 }
 
-/* The branch test of Network.broadcast: 1 on a healthy network (no
- * taps, no active fault, no loss, no adversary), 0 otherwise, -1 on
- * error.  Re-read per call, like every mutable knob. */
-static int
-network_is_healthy(NetworkCore *self)
-{
-    int tapped = attr_truth(self->network, str_taps_attr);
-    if (tapped != 0)
-        return tapped < 0 ? -1 : 0;
-    int faulty = attr_truth(self->failures, str_active);
-    if (faulty != 0)
-        return faulty < 0 ? -1 : 0;
-    double loss_rate = attr_double(self->network, str_loss_rate);
-    if (loss_rate == -1.0 && PyErr_Occurred())
-        return -1;
-    if (loss_rate > 0.0)
-        return 0;
-    PyObject *adversary = PyObject_GetAttr(self->network,
-                                           str_adversary_attr);
-    if (adversary == NULL)
-        return -1;
-    Py_DECREF(adversary);
-    return adversary == Py_None;
-}
-
-/* Network.broadcast.  The healthy branch skips the sample_batch list
- * round-trip: per-destination scalar draws consume the delay stream in
- * exactly the order sample_batch does (a size-n exponential fill is n
- * sequential ziggurat draws) and seq numbers are assigned in destination
- * order either way, so events sort identically.  The delay parameters
- * and the bitgen_t are resolved once: no Python code runs between the
- * draws of one healthy fan-out. */
+/* Network.broadcast.  The healthy branch (no taps, no active fault, no
+ * loss, no adversary) skips the sample_batch list round-trip:
+ * per-destination scalar draws consume the delay stream in exactly the
+ * order sample_batch does (a size-n exponential fill is n sequential
+ * ziggurat draws) and seq numbers are assigned in destination order
+ * either way, so events sort identically. */
 static int
 network_broadcast(NetworkCore *self, PyObject *src, PyObject *dsts,
                   PyObject *message)
@@ -1660,35 +1549,21 @@ network_broadcast(NetworkCore *self, PyObject *src, PyObject *dsts,
         return -1;
     int rc = -1;
     PyObject *kind = NULL, *deliver = NULL;
-    DelayDraws draws = {0};
     Py_ssize_t n = PySequence_Fast_GET_SIZE(fast);
     for (Py_ssize_t i = 0; i < n; i++) {
         if (check_destination(self, PySequence_Fast_GET_ITEM(fast, i)) < 0)
             goto done;
     }
     kind = kind_of(message);
-    if (kind == NULL)
+    int faulty = kind == NULL ? -1 : attr_truth(self->failures, str_active);
+    if (faulty < 0)
         goto done;
-    int batched = network_is_healthy(self);
-    if (batched > 0) {
-        PyObject *delay_model = PyObject_GetAttr(self->network,
-                                                 str_delay_model);
-        if (delay_model == NULL)
-            goto done;
-        PyObject *rng = PyObject_GetAttr(self->network, str_rng_attr);
-        batched = rng == NULL
-            ? -1 : delay_draws_begin(delay_model, rng, &draws);
-        Py_DECREF(delay_model);
-        Py_XDECREF(rng);
-    }
-    if (batched < 0)
-        goto done;
-    if (!batched) {
+    if (faulty || PyList_GET_SIZE(self->taps) || self->loss_rate > 0.0
+        || self->adversary != Py_None || self->delays.kind == DELAY_CALL) {
         /* for dst in dsts: self.send(src, dst, message) — taps and the
          * adversary run Python, so the list is re-measured per step. */
         for (Py_ssize_t i = 0; i < PySequence_Fast_GET_SIZE(fast); i++) {
-            PyObject *dst = PySequence_Fast_GET_ITEM(fast, i);
-            Py_INCREF(dst);
+            PyObject *dst = Py_NewRef(PySequence_Fast_GET_ITEM(fast, i));
             int sent = network_send_one(self, src, dst, message, kind);
             Py_DECREF(dst);
             if (sent < 0)
@@ -1700,17 +1575,20 @@ network_broadcast(NetworkCore *self, PyObject *src, PyObject *dsts,
     /* stats.record_sends(src, len(dsts), kind) */
     PyObject *count = PyLong_FromSsize_t(n);
     int recorded = count == NULL ? -1 : stats_record(
-        self->stats, str_record_sends, src, count, kind, NULL);
+        self, str_record_sends, src, count, kind, NULL);
     Py_XDECREF(count);
-    if (recorded < 0)
-        goto done;
-    deliver = PyObject_GetAttr(self->network, str_deliver_attr);
-    if (deliver == NULL)
+    if (recorded < 0
+        || (deliver = PyObject_GetAttr(self->network,
+                                       str_deliver_attr)) == NULL)
         goto done;
     for (Py_ssize_t i = 0; i < n; i++) {
-        double delay = delay_draws_next(&draws);
+        double delay = delay_draws_next(&self->delays);
         if (delay <= 0) {
-            raise_nonpositive_delay(delay);
+            PyObject *delay_obj = PyFloat_FromDouble(delay);
+            if (delay_obj != NULL) {
+                raise_nonpositive_delay(delay_obj);
+                Py_DECREF(delay_obj);
+            }
             goto done;
         }
         if (push_uncancellable(
@@ -1721,7 +1599,6 @@ network_broadcast(NetworkCore *self, PyObject *src, PyObject *dsts,
     }
     rc = 0;
 done:
-    delay_draws_end(&draws);
     Py_XDECREF(deliver);
     Py_XDECREF(kind);
     Py_DECREF(fast);
@@ -1742,14 +1619,13 @@ network_deliver(NetworkCore *self, PyObject *src, PyObject *dst,
                 PyObject *message, PyObject *kind)
 {
     /* A node that crashed while the message was in flight drops it. */
-    int blocked = fault_blocks(self->failures, src, dst);
+    int blocked = fault_blocks(self, src, dst);
     if (blocked < 0)
         return -1;
     if (blocked)
-        return stats_record(self->stats, str_record_drop, src, dst, kind,
+        return stats_record(self, str_record_drop, src, dst, kind,
                             str_fault);
-    if (stats_record(self->stats, str_record_delivery, src, dst, kind,
-                     NULL) < 0)
+    if (stats_record(self, str_record_delivery, src, dst, kind, NULL) < 0)
         return -1;
     PyObject *node = PyDict_GetItemWithError(self->nodes, dst);
     if (node == NULL) {
@@ -1770,7 +1646,7 @@ network_deliver(NetworkCore *self, PyObject *src, PyObject *dst,
         || Py_TYPE(handler) == &ClientCore_Type) {
         /* A protocol core installed as the node's instance attribute:
          * stay in C end to end (the core falls back to the Python
-         * handler itself when a guard demands it). */
+         * handler itself for a message it does not transcribe). */
         rc = protocolcore_invoke(handler, src, message);
     }
     else {
@@ -1826,6 +1702,23 @@ networkcore_deliver(NetworkCore *self, PyObject *const *args,
     Py_RETURN_NONE;
 }
 
+/* The NetworkCore installed as ``network.send``, as a new reference — a
+ * protocol core's route onto the wire, bound once.  TypeError when the
+ * network has none. */
+static NetworkCore *
+networkcore_of(PyObject *network)
+{
+    PyObject *send = PyObject_GetAttr(network, str_send_attr);
+    NetworkCore *core = send == NULL ? NULL
+        : networkcore_behind(send, NETWORK_ENTRY(networkcore_send));
+    Py_XINCREF(core);
+    Py_XDECREF(send);
+    if (core == NULL && !PyErr_Occurred())
+        PyErr_SetString(PyExc_TypeError,
+                        "a protocol core needs its network's native core");
+    return core;
+}
+
 static PyMethodDef networkcore_methods[] = {
     {"send", NETWORK_ENTRY(networkcore_send), METH_FASTCALL,
      "Network.send: stats, taps, loss draw, fault check, adversary, "
@@ -1858,17 +1751,18 @@ static PyTypeObject NetworkCore_Type = {
 /* quorum_sample: Generator.choice(n, size=k, replace=False) in C      */
 /* ------------------------------------------------------------------ */
 
-#ifdef REPRO_HAVE_NPYRANDOM
 /* numpy's choice(replace=False, shuffle=True) for 1-D integer ranges,
- * reproduced draw for draw: Floyd's algorithm (one bounded draw per
- * selection, duplicates remapped to the loop index) followed by a
- * descending Fisher-Yates shuffle — the exact draw sequence numpy
- * makes, so the Generator leaves this call in the same state as the
- * Python expression.  Bounded draws use Lemire rejection
- * (use_masked=0), matching Generator.integers. */
+ * reproduced draw for draw from a bound bitgen_t: Floyd's algorithm (one
+ * bounded draw per selection, duplicates remapped to the loop index)
+ * followed by a descending Fisher-Yates shuffle — the exact draw sequence
+ * numpy makes, so the Generator leaves this call in the same state as the
+ * Python expression.  Bounded draws use Lemire rejection (use_masked=0),
+ * matching Generator.integers.  Only called with a bitgen_t, which a
+ * build without numpy's random library never binds. */
 static PyObject *
-quorum_sample(PyObject *rng, Py_ssize_t n, Py_ssize_t k)
+quorum_sample(bitgen_t *bg, Py_ssize_t n, Py_ssize_t k)
 {
+#ifdef REPRO_HAVE_NPYRANDOM
     if (n < 1 || k < 1 || k > n) {
         PyErr_Format(PyExc_ValueError,
                      "quorum_sample needs 1 <= k <= n, got n=%zd k=%zd",
@@ -1886,13 +1780,6 @@ quorum_sample(PyObject *rng, Py_ssize_t n, Py_ssize_t k)
         idx = PyMem_Malloc((size_t)k * sizeof(int64_t));
         if (idx == NULL)
             return PyErr_NoMemory();
-    }
-    PyObject *holder;
-    bitgen_t *bg = bitgen_of(rng, &holder);
-    if (bg == NULL) {
-        if (idx != stack_buf)
-            PyMem_Free(idx);
-        return NULL;
     }
     Py_ssize_t cnt = 0;
     for (Py_ssize_t j = n - k; j < n; j++) {
@@ -1913,53 +1800,47 @@ quorum_sample(PyObject *rng, Py_ssize_t n, Py_ssize_t k)
         idx[i] = idx[j];
         idx[j] = tmp;
     }
-    Py_DECREF(holder);
     PyObject *result = PyFrozenSet_New(NULL);
-    if (result == NULL) {
-        if (idx != stack_buf)
-            PyMem_Free(idx);
-        return NULL;
-    }
-    for (Py_ssize_t i = 0; i < k; i++) {
+    for (Py_ssize_t i = 0; result != NULL && i < k; i++) {
         PyObject *member = PyLong_FromLongLong((long long)idx[i]);
-        if (member == NULL || PySet_Add(result, member) < 0) {
-            Py_XDECREF(member);
-            Py_DECREF(result);
-            if (idx != stack_buf)
-                PyMem_Free(idx);
-            return NULL;
-        }
-        Py_DECREF(member);
+        if (member == NULL || PySet_Add(result, member) < 0)
+            Py_CLEAR(result);
+        Py_XDECREF(member);
     }
     if (idx != stack_buf)
         PyMem_Free(idx);
     return result;
-}
+#else
+    Py_UNREACHABLE();
 #endif
+}
 
 static PyObject *
 kernel_quorum_sample(PyObject *module, PyObject *const *args,
                      Py_ssize_t nargs)
 {
-#ifdef REPRO_HAVE_NPYRANDOM
     if (nargs != 3) {
         PyErr_SetString(PyExc_TypeError,
                         "quorum_sample expects (rng, n, k)");
         return NULL;
     }
     Py_ssize_t n = PyLong_AsSsize_t(args[1]);
-    if (n == -1 && PyErr_Occurred())
+    Py_ssize_t k = n == -1 && PyErr_Occurred() ? -1
+        : PyLong_AsSsize_t(args[2]);
+    PyObject *holder;
+    bitgen_t *bg;
+    if ((k == -1 && PyErr_Occurred()) || ensure_network_types() < 0
+        || bind_bits(args[0], &holder, &bg) < 0)
         return NULL;
-    Py_ssize_t k = PyLong_AsSsize_t(args[2]);
-    if (k == -1 && PyErr_Occurred())
+    if (bg == NULL) {
+        PyErr_SetString(PyExc_TypeError,
+                        "quorum_sample needs a numpy Generator and a build "
+                        "linked against numpy's random library");
         return NULL;
-    return quorum_sample(args[0], n, k);
-#else
-    PyErr_SetString(PyExc_RuntimeError,
-                    "quorum_sample needs a build linked against numpy's "
-                    "random library (HAVE_FAST_RNG is 0)");
-    return NULL;
-#endif
+    }
+    PyObject *result = quorum_sample(bg, n, k);
+    Py_DECREF(holder);
+    return result;
 }
 
 /* ------------------------------------------------------------------ */
@@ -2306,17 +2187,16 @@ static PyTypeObject Future_Type = {
  * ``_redispatch`` (ClientCore, an interpreter of the client class's round
  * plans), plus the client's issue path and retry timer (ClientCore's read
  * / write / _retry methods).  Installed as instance attributes of the
- * node, like the network core's entry points, so trace taps and
- * monkeypatches keep working; the Python methods remain the reference
- * implementation.
+ * node, like the network core's entry points; the Python methods remain
+ * the reference implementation.  Each core is wired once, when it is
+ * built: it holds its network's NetworkCore and sends through it
+ * directly, and binds the node's configuration (see each core).
  *
- * Soft fallback, re-checked on every delivery: a message that is not an
- * exact instance of one of the four Section-4 types or StaleViewNack
- * (State*, subclasses), or one for an op the Python definitions built
- * (see the ownership rule above clientcore_python), takes the Python
- * handler.  Loss, faults, taps, an adversary and detailed
- * MessageStats matter only inside ``send``, which the network core
- * handles.  A nack's re-dispatch draws a view quorum, in the Python order.
+ * A message that is not an exact instance of one of the four Section-4
+ * types or StaleViewNack (State*, subclasses) takes the Python handler.
+ * Loss, faults, taps, an adversary and detailed MessageStats matter only
+ * inside ``send``, which the network core handles.  A nack's re-dispatch
+ * draws a view quorum, in the Python order.
  */
 
 /* Resolve the protocol classes lazily, on first core construction —
@@ -2423,31 +2303,6 @@ bump_counter(PyObject *obj, PyObject *name)
     return rc;
 }
 
-/* network.send(src, dst, message) — straight into the network core's
- * send when it is the one installed (the common case). */
-static int
-send_message(PyObject *network, PyObject *src, PyObject *dst,
-             PyObject *message)
-{
-    PyObject *send = PyObject_GetAttr(network, str_send_attr);
-    if (send == NULL)
-        return -1;
-    int rc;
-    NetworkCore *core = networkcore_behind(send,
-                                           NETWORK_ENTRY(networkcore_send));
-    if (core != NULL) {
-        rc = network_send(core, src, dst, message);
-    }
-    else {
-        PyObject *res = PyObject_CallFunctionObjArgs(
-            send, src, dst, message, NULL);
-        rc = res == NULL ? -1 : 0;
-        Py_XDECREF(res);
-    }
-    Py_DECREF(send);
-    return rc;
-}
-
 /* Instantiate a message NamedTuple via tuple.__new__(cls, fields) —
  * exactly what the generated __new__ does, minus its Python frame.
  * Steals the fields reference. */
@@ -2478,87 +2333,49 @@ run_fallback(PyObject *fallback, PyObject *node, PyObject *src,
 
 /* ------------------------------ ServerCore ------------------------- */
 
+/* ReplicaServer.on_message, wired once: the server's replica dict, node
+ * id and network core are bound when the core is built; its
+ * ``view_state``, which membership installs, is read per message. */
+#define SERVER_CORE_FIELDS(X)                                            \
+    X(server, PyObject)     /* the ReplicaServer */                      \
+    X(fallback, PyObject)   /* type(server).on_message, unbound */       \
+    X(net, NetworkCore)     /* its network's core */                     \
+    X(replicas, PyObject)   /* server._replicas dict (shared) */         \
+    X(node_id, PyObject)
+
 typedef struct {
     PyObject_HEAD
-    PyObject *server;   /* the ReplicaServer */
-    PyObject *fallback; /* type(server).on_message, unbound */
-    PyObject *network;
-    PyObject *replicas; /* server._replicas dict (shared) */
-    PyObject *node_id;  /* server.node_id */
+    SERVER_CORE_FIELDS(CORE_FIELD)
 } ServerCore;
+
+CORE_GC(servercore, ServerCore, SERVER_CORE_FIELDS)
 
 static PyObject *
 servercore_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
 {
-    PyObject *server;
-    if (!PyArg_ParseTuple(args, "O", &server))
+    PyObject *server, *network = NULL;
+    if (!PyArg_ParseTuple(args, "O", &server) || ensure_protocol_types() < 0)
         return NULL;
-    if (ensure_protocol_types() < 0)
-        return NULL;
-    PyObject *fallback = NULL, *network = NULL;
-    PyObject *replicas = NULL, *node_id = NULL;
-    fallback = PyObject_GetAttr((PyObject *)Py_TYPE(server), str_on_message);
-    if (fallback == NULL)
-        goto fail;
-    network = PyObject_GetAttr(server, str_network_attr);
-    if (network == NULL)
-        goto fail;
-    replicas = PyObject_GetAttr(server, str_replicas_attr);
-    if (replicas == NULL)
-        goto fail;
-    if (!PyDict_Check(replicas)) {
-        PyErr_SetString(PyExc_TypeError, "server._replicas must be a dict");
-        goto fail;
-    }
-    node_id = PyObject_GetAttr(server, str_node_id);
-    if (node_id == NULL)
-        goto fail;
     ServerCore *self = (ServerCore *)type->tp_alloc(type, 0);
     if (self == NULL)
+        return NULL;
+    self->server = Py_NewRef(server);
+    if ((self->fallback = PyObject_GetAttr((PyObject *)Py_TYPE(server),
+                                           str_on_message)) == NULL
+        || (network = PyObject_GetAttr(server, str_network_attr)) == NULL
+        || (self->net = networkcore_of(network)) == NULL
+        || (self->replicas = PyObject_GetAttr(server,
+                                              str_replicas_attr)) == NULL
+        || (self->node_id = PyObject_GetAttr(server, str_node_id)) == NULL)
         goto fail;
-    Py_INCREF(server);
-    self->server = server;
-    self->fallback = fallback;
-    self->network = network;
-    self->replicas = replicas;
-    self->node_id = node_id;
-    return (PyObject *)self;
+    Py_CLEAR(network);
+    if (PyDict_Check(self->replicas))
+        return (PyObject *)self;
+    PyErr_SetString(PyExc_TypeError, "server._replicas must be a dict");
 fail:
-    Py_XDECREF(fallback);
     Py_XDECREF(network);
-    Py_XDECREF(replicas);
-    Py_XDECREF(node_id);
+    Py_DECREF(self);
     return NULL;
-}
-
-static int
-servercore_traverse(ServerCore *self, visitproc visit, void *arg)
-{
-    Py_VISIT(self->server);
-    Py_VISIT(self->fallback);
-    Py_VISIT(self->network);
-    Py_VISIT(self->replicas);
-    Py_VISIT(self->node_id);
-    return 0;
-}
-
-static int
-servercore_clear(ServerCore *self)
-{
-    Py_CLEAR(self->server);
-    Py_CLEAR(self->fallback);
-    Py_CLEAR(self->network);
-    Py_CLEAR(self->replicas);
-    Py_CLEAR(self->node_id);
-    return 0;
-}
-
-static void
-servercore_dealloc(ServerCore *self)
-{
-    PyObject_GC_UnTrack(self);
-    servercore_clear(self);
-    Py_TYPE(self)->tp_free((PyObject *)self);
 }
 
 /* The replica-dict probe: hot path is one C dict lookup; the cold path
@@ -2569,14 +2386,16 @@ static PyObject *
 servercore_replica(ServerCore *self, PyObject *reg)
 {
     PyObject *entry = PyDict_GetItemWithError(self->replicas, reg);
-    if (entry != NULL) {
-        Py_INCREF(entry);
-        return entry;
+    entry = entry != NULL ? Py_NewRef(entry) : PyErr_Occurred() ? NULL
+        : PyObject_CallMethodObjArgs(self->server, str_replica_method, reg,
+                                     NULL);
+    if (entry != NULL
+        && (!PyTuple_CheckExact(entry) || PyTuple_GET_SIZE(entry) != 2)) {
+        PyErr_SetString(PyExc_TypeError,
+                        "replicas must be (timestamp, value) tuples");
+        Py_CLEAR(entry);
     }
-    if (PyErr_Occurred())
-        return NULL;
-    return PyObject_CallMethodObjArgs(self->server, str_replica_method,
-                                      reg, NULL);
+    return entry;
 }
 
 /* ``ReplicaServer._gate`` plus the reply stamp.  Returns a new
@@ -2618,7 +2437,7 @@ servercore_gate(ServerCore *self, PyObject *src, PyObject *message,
             PyTuple_Pack(3, PyTuple_GET_ITEM(message, 0),
                          PyTuple_GET_ITEM(message, 1), view_id));
         if (nack != NULL) {
-            send_message(self->network, self->node_id, src, nack);
+            network_send(self->net, self->node_id, src, nack);
             Py_DECREF(nack);
         }
     }
@@ -2646,12 +2465,6 @@ servercore_invoke(ServerCore *self, PyObject *src, PyObject *message)
     PyObject *entry = servercore_replica(self, reg);
     if (entry == NULL)
         goto done;
-    if (!PyTuple_Check(entry) || PyTuple_GET_SIZE(entry) != 2) {
-        /* Foreign replica layout: let Python unpack (and fail) it. */
-        Py_DECREF(entry);
-        Py_DECREF(view_id);
-        return run_fallback(self->fallback, self->server, src, message);
-    }
     if (is_read) {
         if (bump_counter(self->server, str_reads_served) == 0)
             reply = make_message(
@@ -2685,7 +2498,7 @@ done:
     Py_DECREF(view_id);
     if (reply == NULL)
         return -1;
-    int rc = send_message(self->network, self->node_id, src, reply);
+    int rc = network_send(self->net, self->node_id, src, reply);
     Py_DECREF(reply);
     return rc;
 }
@@ -2706,14 +2519,6 @@ servercore_call(ServerCore *self, PyObject *args, PyObject *kwds)
     Py_RETURN_NONE;
 }
 
-static PyMemberDef servercore_members[] = {
-    {"server", T_OBJECT_EX, offsetof(ServerCore, server), READONLY,
-     "the ReplicaServer this core handles messages for"},
-    {"fallback", T_OBJECT_EX, offsetof(ServerCore, fallback), READONLY,
-     "the unbound Python handler used when a hook forces fallback"},
-    {NULL}
-};
-
 static PyTypeObject ServerCore_Type = {
     PyVarObject_HEAD_INIT(NULL, 0)
     .tp_name = "repro._native._kernel.ServerCore",
@@ -2726,7 +2531,6 @@ static PyTypeObject ServerCore_Type = {
     .tp_traverse = (traverseproc)servercore_traverse,
     .tp_clear = (inquiry)servercore_clear,
     .tp_call = (ternaryfunc)servercore_call,
-    .tp_members = servercore_members,
 };
 
 /* ------------------------------ ClientCore ------------------------- */
@@ -2750,33 +2554,55 @@ typedef struct {
 } Round;
 
 typedef struct {
-    PyObject *source;   /* the plan tuple, handed to every op built here */
     int n;
     Round rounds[MAX_ROUNDS];
 } Plan;
 
+/* QuorumRegisterClient, wired once.  Besides the client's shared tables
+ * the core binds its configuration when it is built: the round plans,
+ * the retry policy (for an exact RetryPolicy, a frozen dataclass, its four
+ * doubles) and jitter stream, the static quorum system (n and k of an
+ * exact ProbabilisticQuorumSystem) and quorum stream, the two live latency
+ * sketches and the spec monitor.  Read per call, because they change
+ * during a run: the clock, the pending ops, ``failures.active`` and the
+ * membership state (``_membership``, ``_view``, ``_view_rng``,
+ * ``view_id``).  No core is built for a client with span tracing on, so
+ * every op a core sees is one it built. */
+#define CLIENT_CORE_FIELDS(X)                                            \
+    X(client, PyObject)       /* the QuorumRegisterClient */             \
+    X(fallback, PyObject)     /* type(client).on_message, unbound */     \
+    X(net, NetworkCore)       /* its network's core */                   \
+    X(pending, PyObject)      /* client._pending dict (shared) */        \
+    X(server_index, PyObject) /* client._server_index dict (shared) */   \
+    X(cache, PyObject)        /* client._cache dict (shared) */          \
+    X(registers, PyObject)    /* client.space._registers dict (shared) */ \
+    X(server_ids, PyObject)   /* client.server_ids list (shared) */      \
+    X(op_ids, PyObject)       /* client._op_ids iterator */              \
+    X(write_seq, PyObject)    /* client._write_seq dict (shared) */      \
+    X(client_id, PyObject)                                               \
+    X(node_id, PyObject)                                                 \
+    X(read_plan, PyObject)    /* READ_PLAN, handed to every read op */   \
+    X(write_plan, PyObject)                                              \
+    X(policy, PyObject)       /* retry_policy, or None */                \
+    X(deadline, PyObject)     /* its deadline, None without one */       \
+    X(max_attempts, PyObject) /* its max_attempts, None without one */   \
+    X(retry_rng, PyObject)    /* the jitter stream */                    \
+    X(retry_bits, PyObject)                                              \
+    X(quorum_bits, PyObject)  /* the quorum stream's, for native draws */ \
+    X(read_latency, PyObject) /* the live latency sketches, or NULL */   \
+    X(write_latency, PyObject)                                           \
+    X(monitor, PyObject)      /* spec_monitor, or NULL */
+
 typedef struct {
     PyObject_HEAD
-    PyObject *client;       /* the QuorumRegisterClient */
-    PyObject *fallback;     /* type(client).on_message, unbound */
-    PyObject *network;
-    PyObject *failures;
-    PyObject *pending;      /* client._pending dict (shared) */
-    PyObject *server_index; /* client._server_index dict (shared) */
-    PyObject *cache;        /* client._cache dict (shared) */
-    SchedulerCore *sched;   /* native scheduler (``now``, timer pushes) */
+    CLIENT_CORE_FIELDS(CORE_FIELD)
+    Plan plans[2];       /* [0] READ_PLAN, [1] WRITE_PLAN */
+    double retry[4];     /* interval, backoff, jitter, max_interval */
+    int retry_exact;     /* retry[] holds the policy: delays are C */
+    bitgen_t *retry_bg;
+    bitgen_t *quorum_bg; /* NULL: the static quorum is _sample_quorum's */
+    Py_ssize_t n, k;     /* the static system's shape, with quorum_bg */
     int monotone;
-    /* Issue path (identity-stable collaborators; the mutable knobs —
-     * retry policy, view, quorum system, rng, tracing — are re-read per
-     * op). */
-    PyObject *registers;    /* client.space._registers dict (shared) */
-    PyObject *server_ids;   /* client.server_ids list (shared; the roster
-                               grows in place under membership) */
-    PyObject *op_ids;       /* client._op_ids iterator */
-    PyObject *write_seq;    /* client._write_seq dict (shared) */
-    PyObject *client_id;
-    PyObject *node_id;
-    Plan plans[2];          /* [0] READ_PLAN, [1] WRITE_PLAN */
 } ClientCore;
 
 /* ``registers.client._PendingOp`` as a struct: the op the client core
@@ -2801,6 +2627,8 @@ typedef struct {
 #undef OP_FIELD
 } PendingOp;
 
+CORE_GC(pendingop, PendingOp, PENDING_OP_FIELDS)
+
 static PyObject *
 pendingop_get(PyObject *self, void *offset)
 {
@@ -2821,32 +2649,6 @@ pendingop_set(PyObject *self, PyObject *value, void *offset)
     Py_XSETREF(*(PyObject **)((char *)self + (size_t)offset),
                Py_NewRef(value));
     return 0;
-}
-
-static int
-pendingop_traverse(PendingOp *self, visitproc visit, void *arg)
-{
-#define OP_VISIT(field, name) Py_VISIT(self->field);
-    PENDING_OP_FIELDS(OP_VISIT)
-#undef OP_VISIT
-    return 0;
-}
-
-static int
-pendingop_clear(PendingOp *self)
-{
-#define OP_CLEAR(field, name) Py_CLEAR(self->field);
-    PENDING_OP_FIELDS(OP_CLEAR)
-#undef OP_CLEAR
-    return 0;
-}
-
-static void
-pendingop_dealloc(PendingOp *self)
-{
-    PyObject_GC_UnTrack(self);
-    pendingop_clear(self);
-    Py_TYPE(self)->tp_free((PyObject *)self);
 }
 
 static PyGetSetDef pendingop_getset[] = {
@@ -2871,11 +2673,12 @@ static PyTypeObject PendingOp_Type = {
 };
 
 /* _PendingOp(op_id, register, kind, plan, quorum, future, record, value)
- * with op.view = view; the arguments are borrowed, the fields not given
- * here None until _begin sets them. */
+ * with op.view = view, for a read (is_read) or a write of this core's;
+ * the arguments are borrowed, the fields not given here None until
+ * _begin sets them. */
 static PendingOp *
-pendingop_create(PyObject *op_id, PyObject *reg, PyObject *kind,
-                 const Plan *plan, PyObject *quorum, Future *future,
+pendingop_create(ClientCore *core, int is_read, PyObject *op_id,
+                 PyObject *reg, PyObject *quorum, Future *future,
                  PyObject *record, PyObject *value, PyObject *view)
 {
     PyObject *replies = PyDict_New();
@@ -2890,10 +2693,12 @@ pendingop_create(PyObject *op_id, PyObject *reg, PyObject *kind,
 #undef OP_NONE
     Py_SETREF(op->op_id, Py_NewRef(op_id));
     Py_SETREF(op->reg, Py_NewRef(reg));
-    Py_SETREF(op->kind, Py_NewRef(kind));
-    Py_SETREF(op->plan, Py_NewRef(plan->source));
+    Py_SETREF(op->kind, Py_NewRef(is_read ? str_read_kind : str_write_kind));
+    Py_SETREF(op->plan, Py_NewRef(is_read ? core->read_plan
+                                          : core->write_plan));
     Py_SETREF(op->stage, Py_NewRef(py_zero));
-    Py_SETREF(op->is_read, PyBool_FromLong(plan->rounds[0].query));
+    Py_SETREF(op->is_read,
+              PyBool_FromLong(core->plans[!is_read].rounds[0].query));
     Py_SETREF(op->quorum, Py_NewRef(quorum));
     Py_SETREF(op->replies, replies);
     Py_SETREF(op->future, Py_NewRef((PyObject *)future));
@@ -2921,15 +2726,11 @@ plan_code(int field, PyObject *step)
     return -1;
 }
 
-/* client.<name> into ``plan``; ValueError for a plan this interpreter
- * has no code for.  plan->source is set whenever the attribute exists,
- * valid or not: the caller releases it. */
+/* The plan ``source`` (the client's ``name``) into ``plan``; ValueError
+ * for a plan this interpreter has no code for. */
 static int
-read_plan(PyObject *client, PyObject *name, Plan *plan)
+read_plan(PyObject *source, PyObject *name, Plan *plan)
 {
-    PyObject *source = plan->source = PyObject_GetAttr(client, name);
-    if (source == NULL)
-        return -1;
     Py_ssize_t n = PyTuple_Check(source) ? PyTuple_GET_SIZE(source) : 0;
     int valid = n >= 1 && n <= MAX_ROUNDS;
     for (Py_ssize_t i = 0; valid && i < n; i++) {
@@ -2957,170 +2758,140 @@ read_plan(PyObject *client, PyObject *name, Plan *plan)
     return 0;
 }
 
+/* The shape of an exact ProbabilisticQuorumSystem, whose quorum()
+ * quorum_sample reproduces — the bits ``quorum()`` draws with or without
+ * the class-level sampler installed, under the same k cap; its k distinct
+ * members of {0..n-1} always pass ``validate_quorum``.  1 with *n and *k
+ * set, 0 for any other system (drawn by its Python method), -1 on
+ * error. */
+static int
+prob_quorum_shape(PyObject *system, Py_ssize_t *n, Py_ssize_t *k)
+{
+    if ((PyObject *)Py_TYPE(system) != prob_quorum_type)
+        return 0;
+    PyObject *n_obj = PyObject_GetAttr(system, str_n);
+    PyObject *k_obj = n_obj ? PyObject_GetAttr(system, str_k) : NULL;
+    *n = k_obj ? PyLong_AsSsize_t(n_obj) : -1;
+    *k = k_obj && !PyErr_Occurred() ? PyLong_AsSsize_t(k_obj) : -1;
+    Py_XDECREF(n_obj);
+    Py_XDECREF(k_obj);
+    return PyErr_Occurred() ? -1 : *k <= 4096;
+}
+
+/* The retry policy's fields: None for both without a policy; for an
+ * exact RetryPolicy with float fields (max_interval may be None: no cap)
+ * also retry[], which makes its delays C. */
+static int
+clientcore_bind_retry(ClientCore *self)
+{
+    PyObject *policy = self->policy;
+    if (policy == Py_None) {
+        self->deadline = Py_NewRef(Py_None);
+        self->max_attempts = Py_NewRef(Py_None);
+        return 0;
+    }
+    if ((self->deadline = PyObject_GetAttr(policy, str_deadline)) == NULL
+        || (self->max_attempts = PyObject_GetAttr(
+                policy, str_max_attempts)) == NULL)
+        return -1;
+    PyObject *names[] = {str_interval, str_backoff, str_jitter,
+                         str_max_interval};
+    self->retry[3] = INFINITY;
+    self->retry_exact = (PyObject *)Py_TYPE(policy) == retry_policy_type;
+    for (int i = 0; self->retry_exact && i < 4; i++) {
+        PyObject *item = PyObject_GetAttr(policy, names[i]);
+        if (item == NULL)
+            return -1;
+        if (PyFloat_CheckExact(item))
+            self->retry[i] = PyFloat_AS_DOUBLE(item);
+        else
+            self->retry_exact = i == 3 && item == Py_None;
+        Py_DECREF(item);
+    }
+    return 0;
+}
+
 static PyObject *
 clientcore_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
 {
-    PyObject *client;
-    if (!PyArg_ParseTuple(args, "O", &client))
-        return NULL;
-    if (ensure_protocol_types() < 0 || ensure_issue_types() < 0
+    PyObject *client, *network = NULL, *space = NULL, *system = NULL;
+    PyObject *rng = NULL, *latency = NULL;
+    if (!PyArg_ParseTuple(args, "O", &client)
+        || ensure_protocol_types() < 0 || ensure_issue_types() < 0
         || ensure_network_types() < 0)
         return NULL;
-    PyObject *fallback = NULL, *network = NULL, *failures = NULL;
-    PyObject *pending = NULL, *server_index = NULL;
-    PyObject *cache = NULL, *sched = NULL;
-    PyObject *space = NULL, *registers = NULL, *server_ids = NULL;
-    PyObject *op_ids = NULL, *write_seq = NULL, *client_id = NULL;
-    PyObject *node_id = NULL;
-    Plan plans[2] = {{NULL}};
-    fallback = PyObject_GetAttr((PyObject *)Py_TYPE(client), str_on_message);
-    if (fallback == NULL)
-        goto fail;
-    network = PyObject_GetAttr(client, str_network_attr);
-    if (network == NULL)
-        goto fail;
-    failures = PyObject_GetAttr(network, str_failures_attr);
-    if (failures == NULL)
-        goto fail;
-    pending = PyObject_GetAttr(client, str_pending_attr);
-    if (pending == NULL)
-        goto fail;
-    server_index = PyObject_GetAttr(client, str_server_index);
-    if (server_index == NULL)
-        goto fail;
-    cache = PyObject_GetAttr(client, str_cache_attr);
-    if (cache == NULL)
-        goto fail;
-    if (!PyDict_Check(pending) || !PyDict_Check(server_index)
-        || !PyDict_Check(cache)) {
-        PyErr_SetString(PyExc_TypeError,
-                        "client._pending, _server_index and _cache must "
-                        "be dicts");
-        goto fail;
-    }
-    sched = PyObject_GetAttr(network, str_scheduler_attr);
-    if (sched == NULL)
-        goto fail;
-    if (!PyObject_TypeCheck(sched, &SchedulerCore_Type)) {
-        PyErr_SetString(PyExc_TypeError,
-                        "ClientCore needs a native SchedulerCore");
-        goto fail;
-    }
-    int monotone = attr_truth(client, str_monotone);
-    if (monotone < 0)
-        goto fail;
-    if ((space = PyObject_GetAttr(client, str_space)) == NULL
-        || (registers = PyObject_GetAttr(space, str_registers_attr)) == NULL
-        || (server_ids = PyObject_GetAttr(client, str_server_ids)) == NULL
-        || (op_ids = PyObject_GetAttr(client, str_op_ids)) == NULL
-        || (write_seq = PyObject_GetAttr(client, str_write_seq)) == NULL
-        || (client_id = PyObject_GetAttr(client, str_client_id)) == NULL
-        || (node_id = PyObject_GetAttr(client, str_node_id)) == NULL)
-        goto fail;
-    if (!PyDict_Check(registers) || !PyDict_Check(write_seq)
-        || !PyList_Check(server_ids) || !PyIter_Check(op_ids)) {
-        PyErr_SetString(PyExc_TypeError,
-                        "client.space._registers and _write_seq must be "
-                        "dicts, server_ids a list, _op_ids an iterator");
-        goto fail;
-    }
-    if (read_plan(client, str_read_plan, &plans[0]) < 0
-        || read_plan(client, str_write_plan, &plans[1]) < 0)
-        goto fail;
     ClientCore *self = (ClientCore *)type->tp_alloc(type, 0);
     if (self == NULL)
+        return NULL;
+    self->client = Py_NewRef(client);
+    if ((self->fallback = PyObject_GetAttr((PyObject *)Py_TYPE(client),
+                                           str_on_message)) == NULL
+        || (network = PyObject_GetAttr(client, str_network_attr)) == NULL
+        || (self->net = networkcore_of(network)) == NULL
+        || (self->pending = PyObject_GetAttr(client, str_pending_attr)) == NULL
+        || (self->server_index = PyObject_GetAttr(client,
+                                                  str_server_index)) == NULL
+        || (self->cache = PyObject_GetAttr(client, str_cache_attr)) == NULL
+        || (space = PyObject_GetAttr(client, str_space)) == NULL
+        || (self->registers = PyObject_GetAttr(space,
+                                               str_registers_attr)) == NULL
+        || (self->server_ids = PyObject_GetAttr(client, str_server_ids)) == NULL
+        || (self->op_ids = PyObject_GetAttr(client, str_op_ids)) == NULL
+        || (self->write_seq = PyObject_GetAttr(client, str_write_seq)) == NULL
+        || (self->client_id = PyObject_GetAttr(client, str_client_id)) == NULL
+        || (self->node_id = PyObject_GetAttr(client, str_node_id)) == NULL
+        || (self->read_plan = PyObject_GetAttr(client, str_read_plan)) == NULL
+        || (self->write_plan = PyObject_GetAttr(client,
+                                                str_write_plan)) == NULL
+        || (self->policy = PyObject_GetAttr(client, str_retry_policy)) == NULL
+        || (self->retry_rng = PyObject_GetAttr(client, str_retry_rng)) == NULL
+        || (system = PyObject_GetAttr(client, str_quorum_system)) == NULL
+        || (rng = PyObject_GetAttr(client, str_rng_attr)) == NULL
+        || (latency = PyObject_GetAttr(client, str_latency_attr)) == NULL
+        || (self->monitor = PyObject_GetAttr(client,
+                                             str_spec_monitor)) == NULL
+        || (self->monotone = attr_truth(client, str_monotone)) < 0)
         goto fail;
-    Py_INCREF(client);
-    self->client = client;
-    self->fallback = fallback;
-    self->network = network;
-    self->failures = failures;
-    self->pending = pending;
-    self->server_index = server_index;
-    self->cache = cache;
-    self->sched = (SchedulerCore *)sched;
-    self->monotone = monotone;
-    Py_DECREF(space);
-    self->registers = registers;
-    self->server_ids = server_ids;
-    self->op_ids = op_ids;
-    self->write_seq = write_seq;
-    self->client_id = client_id;
-    self->node_id = node_id;
-    self->plans[0] = plans[0];
-    self->plans[1] = plans[1];
-    return (PyObject *)self;
+    if (!PyDict_Check(self->pending) || !PyDict_Check(self->server_index)
+        || !PyDict_Check(self->cache) || !PyDict_Check(self->registers)
+        || !PyDict_Check(self->write_seq) || !PyList_Check(self->server_ids)
+        || !PyIter_Check(self->op_ids)) {
+        PyErr_SetString(PyExc_TypeError,
+                        "client._pending, _server_index, _cache, _write_seq "
+                        "and space._registers must be dicts, server_ids a "
+                        "list, _op_ids an iterator");
+        goto fail;
+    }
+    int native_quorum = prob_quorum_shape(system, &self->n, &self->k);
+    if (read_plan(self->read_plan, str_read_plan, &self->plans[0]) < 0
+        || read_plan(self->write_plan, str_write_plan, &self->plans[1]) < 0
+        || clientcore_bind_retry(self) < 0
+        || bind_bits(self->retry_rng, &self->retry_bits, &self->retry_bg) < 0
+        || native_quorum < 0
+        || (native_quorum && bind_bits(rng, &self->quorum_bits,
+                                       &self->quorum_bg) < 0))
+        goto fail;
+    if (latency != Py_None
+        && ((self->read_latency = PyObject_GetItem(latency,
+                                                   str_read_kind)) == NULL
+            || (self->write_latency = PyObject_GetItem(
+                    latency, str_write_kind)) == NULL))
+        goto fail;
+    if (self->monitor == Py_None)
+        Py_CLEAR(self->monitor);
+    goto done;
 fail:
-    Py_XDECREF(fallback);
-    Py_XDECREF(network);
-    Py_XDECREF(failures);
-    Py_XDECREF(pending);
-    Py_XDECREF(server_index);
-    Py_XDECREF(cache);
-    Py_XDECREF(sched);
+    Py_CLEAR(self);
+done:
+    Py_XDECREF(latency);
+    Py_XDECREF(rng);
+    Py_XDECREF(system);
     Py_XDECREF(space);
-    Py_XDECREF(registers);
-    Py_XDECREF(server_ids);
-    Py_XDECREF(op_ids);
-    Py_XDECREF(write_seq);
-    Py_XDECREF(client_id);
-    Py_XDECREF(node_id);
-    Py_XDECREF(plans[0].source);
-    Py_XDECREF(plans[1].source);
-    return NULL;
+    Py_XDECREF(network);
+    return (PyObject *)self;
 }
 
-static int
-clientcore_traverse(ClientCore *self, visitproc visit, void *arg)
-{
-    Py_VISIT(self->client);
-    Py_VISIT(self->fallback);
-    Py_VISIT(self->network);
-    Py_VISIT(self->failures);
-    Py_VISIT(self->pending);
-    Py_VISIT(self->server_index);
-    Py_VISIT(self->cache);
-    Py_VISIT((PyObject *)self->sched);
-    Py_VISIT(self->registers);
-    Py_VISIT(self->server_ids);
-    Py_VISIT(self->op_ids);
-    Py_VISIT(self->write_seq);
-    Py_VISIT(self->client_id);
-    Py_VISIT(self->node_id);
-    Py_VISIT(self->plans[0].source);
-    Py_VISIT(self->plans[1].source);
-    return 0;
-}
-
-static int
-clientcore_clear(ClientCore *self)
-{
-    Py_CLEAR(self->client);
-    Py_CLEAR(self->fallback);
-    Py_CLEAR(self->network);
-    Py_CLEAR(self->failures);
-    Py_CLEAR(self->pending);
-    Py_CLEAR(self->server_index);
-    Py_CLEAR(self->cache);
-    Py_CLEAR(self->sched);
-    Py_CLEAR(self->registers);
-    Py_CLEAR(self->server_ids);
-    Py_CLEAR(self->op_ids);
-    Py_CLEAR(self->write_seq);
-    Py_CLEAR(self->client_id);
-    Py_CLEAR(self->node_id);
-    Py_CLEAR(self->plans[0].source);
-    Py_CLEAR(self->plans[1].source);
-    return 0;
-}
-
-static void
-clientcore_dealloc(ClientCore *self)
-{
-    PyObject_GC_UnTrack(self);
-    clientcore_clear(self);
-    Py_TYPE(self)->tp_free((PyObject *)self);
-}
+CORE_GC(clientcore, ClientCore, CLIENT_CORE_FIELDS)
 
 /* handle.cancel() unless handle is None, inlined for native handles. */
 static int
@@ -3142,30 +2913,6 @@ cancel_handle(PyObject *handle)
     return res == NULL ? -1 : 0;
 }
 
-/* reply.timestamp / reply.value: index access for exact message types,
- * attribute access for subclasses (mirroring the NamedTuple property). */
-static PyObject *
-reply_timestamp(PyObject *reply)
-{
-    if ((PyObject *)Py_TYPE(reply) == msg_read_reply) {
-        PyObject *ts = PyTuple_GET_ITEM(reply, 3);
-        Py_INCREF(ts);
-        return ts;
-    }
-    return PyObject_GetAttr(reply, str_timestamp_attr);
-}
-
-static PyObject *
-reply_value(PyObject *reply)
-{
-    if ((PyObject *)Py_TYPE(reply) == msg_read_reply) {
-        PyObject *value = PyTuple_GET_ITEM(reply, 2);
-        Py_INCREF(value);
-        return value;
-    }
-    return PyObject_GetAttr(reply, str_value_attr);
-}
-
 /* space.info(register): the registry dict probe, the method on a miss
  * (which raises there).  A new reference, or NULL. */
 static PyObject *
@@ -3184,18 +2931,6 @@ clientcore_info(ClientCore *self, PyObject *reg)
     return info;
 }
 
-/* client.spec_monitor unless None (re-read per call, like the Python
- * guard), as a new reference; else NULL, with an exception set only on
- * error. */
-static PyObject *
-clientcore_monitor(ClientCore *self)
-{
-    PyObject *monitor = PyObject_GetAttr(self->client, str_spec_monitor);
-    if (monitor == Py_None)
-        Py_CLEAR(monitor);
-    return monitor;
-}
-
 /* _settle's monitor hook: spec_monitor.on_{read,write}_complete(
  * client_id, op.record, space.info(op.register).history), between the
  * record and the future — so a SpecViolation raised here leaves the
@@ -3203,9 +2938,9 @@ clientcore_monitor(ClientCore *self)
 static int
 clientcore_check_spec(ClientCore *self, PendingOp *op, int is_read)
 {
-    PyObject *monitor = clientcore_monitor(self);
+    PyObject *monitor = self->monitor;
     if (monitor == NULL)
-        return PyErr_Occurred() ? -1 : 0;
+        return 0;
     PyObject *history = NULL, *res = NULL;
     PyObject *info = clientcore_info(self, op->reg);
     if (info != NULL && (history = PyObject_GetAttr(info, str_history)))
@@ -3215,7 +2950,6 @@ clientcore_check_spec(ClientCore *self, PendingOp *op, int is_read)
     Py_XDECREF(res);
     Py_XDECREF(history);
     Py_XDECREF(info);
-    Py_DECREF(monitor);
     return res == NULL ? -1 : 0;
 }
 
@@ -3281,23 +3015,14 @@ quorum_max_reply(PyObject *quorum, PyObject *replies)
                 break;
             continue; /* member answered for an earlier quorum only */
         }
-        if (!PyObject_TypeCheck(reply, (PyTypeObject *)msg_read_reply))
+        if ((PyObject *)Py_TYPE(reply) != msg_read_reply)
             continue;
         if (best == NULL) {
             best = reply;
             continue;
         }
-        PyObject *reply_ts = reply_timestamp(reply);
-        if (reply_ts == NULL)
-            break;
-        PyObject *best_ts = reply_timestamp(best);
-        if (best_ts == NULL) {
-            Py_DECREF(reply_ts);
-            break;
-        }
-        int gt = timestamp_gt(reply_ts, best_ts);
-        Py_DECREF(reply_ts);
-        Py_DECREF(best_ts);
+        int gt = timestamp_gt(PyTuple_GET_ITEM(reply, 3),
+                              PyTuple_GET_ITEM(best, 3));
         if (gt < 0)
             break;
         if (gt)
@@ -3383,14 +3108,8 @@ clientcore_choose(ClientCore *self, PendingOp *op, int decision, int final,
     PyObject *best = quorum_max_reply(op->quorum, op->replies);
     if (best == NULL)
         return -1;
-    *value = reply_value(best);
-    if (*value == NULL)
-        return -1;
-    *ts = reply_timestamp(best);
-    if (*ts == NULL) {
-        Py_CLEAR(*value);
-        return -1;
-    }
+    *value = Py_NewRef(PyTuple_GET_ITEM(best, 2));
+    *ts = Py_NewRef(PyTuple_GET_ITEM(best, 3));
     if (final && self->monotone
         && clientcore_monotone(self, op, ts, value) < 0) {
         Py_CLEAR(*ts);
@@ -3452,16 +3171,16 @@ done:
     return record == NULL ? -1 : 0;
 }
 
-/* StreamingQuantiles.observe(elapsed) on latency[kind]: for an exact
- * sketch and a positive finite value its bucket bump and sum update are
- * made here, with its operations in its order; anything else calls it. */
+/* sketch.observe(elapsed): for an exact StreamingQuantiles and a
+ * positive finite value its bucket bump and sum update are made here,
+ * with its operations in its order; anything else calls it. */
 static int
-observe_latency(PyObject *latency, PyObject *kind, double elapsed)
+observe_latency(PyObject *sketch, double elapsed)
 {
     PyObject *buckets = NULL, *key = NULL, *count = NULL, *sum = NULL;
-    PyObject *res = NULL, *value = NULL;
-    PyObject *sketch = PyObject_GetItem(latency, kind);
-    if (sketch == NULL || (value = PyFloat_FromDouble(elapsed)) == NULL)
+    PyObject *res = NULL;
+    PyObject *value = PyFloat_FromDouble(elapsed);
+    if (value == NULL)
         goto done;
     if ((PyObject *)Py_TYPE(sketch) != quantiles_type || !(elapsed > 0.0)
         || !(elapsed < INFINITY)
@@ -3489,7 +3208,6 @@ done:
     Py_XDECREF(key);
     Py_XDECREF(buckets);
     Py_XDECREF(value);
-    Py_XDECREF(sketch);
     Py_XDECREF(res);
     return res == NULL ? -1 : 0;
 }
@@ -3506,24 +3224,19 @@ clientcore_settle(ClientCore *self, PendingOp *op, int is_read,
         || cancel_handle(op->deadline_handle) < 0
         || bump_counter(self->client, str_ops_completed) < 0)
         return -1;
-    int under_failure = attr_truth(self->failures, str_active);
+    double now_t = self->net->sched->now;
+    int under_failure = attr_truth(self->net->failures, str_active);
     if (under_failure < 0
         || (under_failure
             && bump_counter(self->client, str_ops_under_failure) < 0))
         return -1;
-    PyObject *latency = PyObject_GetAttr(self->client, str_latency_attr);
-    if (latency == NULL)
-        return -1;
-    double started = latency == Py_None ? 0.0 : PyFloat_AsDouble(op->started);
-    int rc = latency == Py_None || (started == -1.0 && PyErr_Occurred())
-        ? 0 : observe_latency(latency, is_read ? str_read_kind
-                                               : str_write_kind,
-                              self->sched->now - started);
-    Py_DECREF(latency);
-    if (rc < 0 || PyErr_Occurred())
+    PyObject *sketch = is_read ? self->read_latency : self->write_latency;
+    double started = sketch == NULL ? 0.0 : PyFloat_AsDouble(op->started);
+    if ((started == -1.0 && PyErr_Occurred())
+        || (sketch != NULL && observe_latency(sketch, now_t - started) < 0))
         return -1;
     if (op->record != Py_None) {
-        PyObject *now = PyFloat_FromDouble(self->sched->now);
+        PyObject *now = PyFloat_FromDouble(now_t);
         PyObject *res = now == NULL ? NULL : is_read
             ? PyObject_CallMethodObjArgs(op->record, str_complete, now,
                                          value, ts, NULL)
@@ -3535,12 +3248,8 @@ clientcore_settle(ClientCore *self, PendingOp *op, int is_read,
     }
     if (clientcore_check_spec(self, op, is_read) < 0)
         return -1;
-    PyObject *result = is_read ? value : Py_None;
-    if (Py_TYPE(op->future) == &Future_Type)
-        return future_settle((Future *)op->future, result, NULL);
-    PyObject *res = PyObject_CallMethodOneArg(op->future, str_resolve, result);
-    Py_XDECREF(res);
-    return res == NULL ? -1 : 0;
+    return future_settle((Future *)op->future, is_read ? value : Py_None,
+                         NULL);
 }
 
 /* The plan's next round on the same op: its stage, request kind, fresh
@@ -3656,6 +3365,20 @@ clientcore_refresh_view(ClientCore *self)
     return res == NULL ? -1 : 0;
 }
 
+/* client._pending.get(op_id) as a new reference, or NULL (with an
+ * exception set only on error).  A client with a core has every op built
+ * by it, so anything else found there is an error. */
+static PendingOp *
+clientcore_op(ClientCore *self, PyObject *op_id)
+{
+    PyObject *found = PyDict_GetItemWithError(self->pending, op_id);
+    if (found == NULL || Py_IS_TYPE(found, &PendingOp_Type))
+        return (PendingOp *)Py_XNewRef(found);
+    PyErr_Format(PyExc_TypeError, "op %R of client %R was not built by its "
+                 "core", op_id, self->client_id);
+    return NULL;
+}
+
 static int
 clientcore_invoke(ClientCore *self, PyObject *src, PyObject *message)
 {
@@ -3666,14 +3389,9 @@ clientcore_invoke(ClientCore *self, PyObject *src, PyObject *message)
          * kinds are a Python no-op either way. */
         return run_fallback(self->fallback, self->client, src, message);
 
-    PyObject *found = PyDict_GetItemWithError(self->pending,
-                                              PyTuple_GET_ITEM(message, 1));
-    if (found == NULL && PyErr_Occurred())
+    PendingOp *op = clientcore_op(self, PyTuple_GET_ITEM(message, 1));
+    if (op == NULL && PyErr_Occurred())
         return -1;
-    if (found != NULL && Py_TYPE(found) != &PendingOp_Type)
-        /* An op built by the Python definitions stays with them. */
-        return run_fallback(self->fallback, self->client, src, message);
-    PendingOp *op = (PendingOp *)Py_XNewRef(found); /* survives finish */
     int rc = -1;
     PyObject *view_id = NULL;
     if (nack) {
@@ -3740,83 +3458,36 @@ done:
  * quorum draw, message build, broadcast, retry/deadline timers and the
  * resample of a stalled op run without an interpreter frame.  Draw order
  * is the Python order — quorum (or view) stream, then delay stream
- * (inside the broadcast), then the retry-jitter stream.
- *
- * Ownership: the core handles only the ops it built.  With span tracing
- * on (``client._spans`` not None) or a call shape other than the positional
- * one, read / write take the Python definitions, and the op they build
- * stays with them for its whole life — its replies, nacks and retry
- * timer included.  _give_up and _expire are Python for every op.  Quorum
- * systems other
- * than an exact ``ProbabilisticQuorumSystem`` draw through one call to
- * the Python ``_sample_quorum``, a retry policy other than an exact
- * ``RetryPolicy`` through its ``delay`` — never a whole-op fallback. */
-
-/* type(client).<name>(client, *args, **kwargs): the Python definition. */
-static PyObject *
-clientcore_python(ClientCore *self, PyObject *name, PyObject *const *args,
-                  Py_ssize_t nargs, PyObject *kwnames)
-{
-    PyObject *function = PyObject_GetAttr(
-        (PyObject *)Py_TYPE(self->client), name);
-    if (function == NULL)
-        return NULL;
-    PyObject *bound = PyMethod_New(function, self->client);
-    Py_DECREF(function);
-    if (bound == NULL)
-        return NULL;
-    PyObject *res = PyObject_Vectorcall(bound, args, (size_t)nargs, kwnames);
-    Py_DECREF(bound);
-    return res;
-}
-
-#ifdef REPRO_HAVE_NPYRANDOM
-/* obj.<name> as a Py_ssize_t; -1 with an exception set on error. */
-static Py_ssize_t
-attr_ssize(PyObject *obj, PyObject *name)
-{
-    PyObject *value = PyObject_GetAttr(obj, name);
-    if (value == NULL)
-        return -1;
-    Py_ssize_t out = PyLong_AsSsize_t(value);
-    Py_DECREF(value);
-    return out;
-}
-
-/* ProbabilisticQuorumSystem.quorum(rng) for an exact system: quorum_sample
- * directly — the bits ``quorum()`` draws with or without the class-level
- * sampler installed, under the same k cap.  Its k distinct members of
- * {0..n-1} always pass ``validate_quorum``.  NULL with no exception set
- * means the system is not in that shape. */
-static PyObject *
-prob_quorum(PyObject *system, PyObject *rng)
-{
-    if ((PyObject *)Py_TYPE(system) != prob_quorum_type)
-        return NULL;
-    Py_ssize_t n = attr_ssize(system, str_n);
-    Py_ssize_t k = attr_ssize(system, str_k);
-    return PyErr_Occurred() || k > 4096 ? NULL : quorum_sample(rng, n, k);
-}
-#endif
+ * (inside the broadcast), then the retry-jitter stream.  _give_up and
+ * _expire are Python.  A static quorum system other than an exact
+ * ``ProbabilisticQuorumSystem`` draws through one call to the Python
+ * ``_sample_quorum``, a retry policy other than an exact ``RetryPolicy``
+ * through its ``delay`` — never a whole-op fallback. */
 
 /* ``self._view.sample(self._view_rng)``: for a view over an exact
- * ProbabilisticQuorumSystem, prob_quorum's positions mapped to roster
- * indices in View.sample's iteration order; the method otherwise. */
+ * ProbabilisticQuorumSystem, quorum_sample's positions mapped to roster
+ * indices in View.sample's iteration order; the method otherwise.  Views
+ * change during a run, so their shape and stream are read per draw. */
 static PyObject *
 clientcore_view_quorum(ClientCore *self)
 {
     PyObject *system = NULL, *members = NULL, *positions = NULL;
-    PyObject *quorum = NULL;
+    PyObject *quorum = NULL, *bits = NULL;
+    bitgen_t *bg = NULL;
+    Py_ssize_t n, k;
     PyObject *view = PyObject_GetAttr(self->client, str_view_obj);
     PyObject *rng = view ? PyObject_GetAttr(self->client, str_view_rng)
                          : NULL;
-    if (rng == NULL)
-        goto done;
-#ifdef REPRO_HAVE_NPYRANDOM
-    if ((system = PyObject_GetAttr(view, str_quorum_system)) == NULL
-        || (members = PyObject_GetAttr(view, str_members)) == NULL)
-        goto done;
-    if ((positions = prob_quorum(system, rng)) != NULL) {
+    int native = rng == NULL
+        || (system = PyObject_GetAttr(view, str_quorum_system)) == NULL
+        ? -1 : prob_quorum_shape(system, &n, &k);
+    if (native > 0)
+        native = bind_bits(rng, &bits, &bg) < 0 ? -1 : bg != NULL;
+    if (native == 0)
+        quorum = PyObject_CallMethodOneArg(view, str_sample, rng);
+    else if (native > 0
+             && (members = PyObject_GetAttr(view, str_members)) != NULL
+             && (positions = quorum_sample(bg, n, k)) != NULL) {
         /* frozenset(members[p] for p in positions) */
         PyObject *iter = PyObject_GetIter(positions);
         quorum = iter ? PyFrozenSet_New(NULL) : NULL;
@@ -3832,13 +3503,9 @@ clientcore_view_quorum(ClientCore *self)
         if (PyErr_Occurred())
             Py_CLEAR(quorum);
     }
-    if (positions != NULL || PyErr_Occurred())
-        goto done;
-#endif
-    quorum = PyObject_CallMethodOneArg(view, str_sample, rng);
-done:
     Py_XDECREF(positions);
     Py_XDECREF(members);
+    Py_XDECREF(bits);
     Py_XDECREF(system);
     Py_XDECREF(rng);
     Py_XDECREF(view);
@@ -3846,9 +3513,9 @@ done:
 }
 
 /* QuorumRegisterClient._sample_quorum: under membership views, the
- * refresh check and the view draw above; on a static deployment
- * prob_quorum on the client's system and stream, else one call to the
- * Python method (every other quorum system). */
+ * refresh check and the view draw above; on a static deployment the
+ * bound native draw, else one call to the Python method (every other
+ * quorum system). */
 static PyObject *
 clientcore_sample_quorum(ClientCore *self, int is_read)
 {
@@ -3859,18 +3526,8 @@ clientcore_sample_quorum(ClientCore *self, int is_read)
     if (membership != Py_None)
         return clientcore_refresh_view(self) < 0
             ? NULL : clientcore_view_quorum(self);
-#ifdef REPRO_HAVE_NPYRANDOM
-    PyObject *quorum = NULL;
-    PyObject *system = PyObject_GetAttr(self->client, str_quorum_system);
-    PyObject *rng = system ? PyObject_GetAttr(self->client, str_rng_attr)
-                           : NULL;
-    if (rng != NULL)
-        quorum = prob_quorum(system, rng);
-    Py_XDECREF(rng);
-    Py_XDECREF(system);
-    if (quorum != NULL || PyErr_Occurred())
-        return quorum;
-#endif
+    if (self->quorum_bg != NULL)
+        return quorum_sample(self->quorum_bg, self->n, self->k);
     return PyObject_CallMethodOneArg(self->client, str_sample_quorum,
                                      is_read ? Py_True : Py_False);
 }
@@ -3880,7 +3537,7 @@ static int
 clientcore_send_round(ClientCore *self, PendingOp *op)
 {
     int rc = -1;
-    PyObject *servers = NULL, *broadcast = NULL;
+    PyObject *servers = NULL;
     if (op->members == Py_None) {
         /* Sorted once per attempt: the quorum is fixed until the next
          * resample. */
@@ -3950,23 +3607,11 @@ clientcore_send_round(ClientCore *self, PendingOp *op)
             goto done;
         Py_SETREF(op->message, message);
     }
-    /* network.broadcast(node_id, servers, message) — straight into the
-     * network core's fan-out when it is the one installed. */
+    /* network.broadcast(node_id, servers, message) */
     PyObject *message = Py_NewRef(op->message);
-    broadcast = PyObject_GetAttr(self->network, str_broadcast_attr);
-    NetworkCore *core = broadcast == NULL ? NULL : networkcore_behind(
-        broadcast, NETWORK_ENTRY(networkcore_broadcast));
-    if (core != NULL)
-        rc = network_broadcast(core, self->node_id, servers, message);
-    else if (broadcast != NULL) {
-        PyObject *res = PyObject_CallFunctionObjArgs(
-            broadcast, self->node_id, servers, message, NULL);
-        rc = res == NULL ? -1 : 0;
-        Py_XDECREF(res);
-    }
+    rc = network_broadcast(self->net, self->node_id, servers, message);
     Py_DECREF(message);
 done:
-    Py_XDECREF(broadcast);
     Py_XDECREF(servers);
     return rc;
 }
@@ -3980,7 +3625,7 @@ clientcore_arm_timer(ClientCore *self, PendingOp *op, PyObject **slot,
     PyObject *callback = PyObject_GetAttr(self->client, method);
     if (callback == NULL)
         return -1;
-    PyObject *handle = schedule_after(self->sched, delay, callback,
+    PyObject *handle = schedule_after(self->net->sched, delay, callback,
                                       PyTuple_Pack(1, op->op_id));
     Py_DECREF(callback);
     if (handle == NULL)
@@ -3989,33 +3634,18 @@ clientcore_arm_timer(ClientCore *self, PendingOp *op, PyObject **slot,
     return 0;
 }
 
-/* policy.delay(attempt, rng) as a new reference.  RetryPolicy.delay is
- * evaluated here for an exact RetryPolicy with float fields — the same
- * double operations in the same order (the build disables fused
+/* policy.delay(attempt, client._retry_rng) as a new reference.  For an
+ * exact RetryPolicy (retry_exact) RetryPolicy.delay is evaluated here —
+ * the same double operations in the same order (the build disables fused
  * multiply-adds), Python's min() against max_interval, the jitter from
- * rng_random — and called otherwise, or when ``backoff ** attempt`` is
- * not finite (where Python may raise). */
+ * the bound stream — and called otherwise, or when ``backoff ** attempt``
+ * is not finite (where Python may raise). */
 static PyObject *
-retry_delay(PyObject *policy, PyObject *attempt, PyObject *rng)
+clientcore_retry_delay(ClientCore *self, PyObject *attempt)
 {
-    if ((PyObject *)Py_TYPE(policy) == retry_policy_type
-        && PyLong_CheckExact(attempt)) {
-        PyObject *names[] = {str_interval, str_backoff, str_jitter,
-                             str_max_interval};
-        PyObject *fields = attr_tuple(policy, names, 4);
-        if (fields == NULL)
-            return NULL;
-        double f[4] = {0.0, 0.0, 0.0, INFINITY}; /* max_interval None: no cap */
-        int exact = 1;
-        for (int i = 0; i < 4; i++) {
-            PyObject *item = PyTuple_GET_ITEM(fields, i);
-            if (PyFloat_CheckExact(item))
-                f[i] = PyFloat_AS_DOUBLE(item);
-            else
-                exact = exact && i == 3 && item == Py_None;
-        }
-        Py_DECREF(fields);
-        double power = exact ? pow(f[1], PyLong_AsDouble(attempt)) : NAN;
+    const double *f = self->retry;
+    if (self->retry_exact && PyLong_CheckExact(attempt)) {
+        double power = pow(f[1], PyLong_AsDouble(attempt));
         if (PyErr_Occurred())
             return NULL;
         if (isfinite(power)) {
@@ -4023,7 +3653,7 @@ retry_delay(PyObject *policy, PyObject *attempt, PyObject *rng)
             if (f[3] < value)
                 value = f[3];
             if (f[2] > 0.0) {
-                double draw = rng_random(rng);
+                double draw = draw_random(self->retry_rng, self->retry_bg);
                 if (draw == -1.0 && PyErr_Occurred())
                     return NULL;
                 value *= 1.0 + f[2] * (2.0 * draw - 1.0);
@@ -4031,18 +3661,16 @@ retry_delay(PyObject *policy, PyObject *attempt, PyObject *rng)
             return PyFloat_FromDouble(value);
         }
     }
-    return PyObject_CallMethodObjArgs(policy, str_delay, attempt, rng, NULL);
+    return PyObject_CallMethodObjArgs(self->policy, str_delay, attempt,
+                                      self->retry_rng, NULL);
 }
 
 /* op.retry_handle = scheduler.schedule(
  *     policy.delay(attempt, client._retry_rng), client._retry, op_id) */
 static int
-clientcore_arm_retry(ClientCore *self, PendingOp *op, PyObject *policy,
-                     PyObject *attempt)
+clientcore_arm_retry(ClientCore *self, PendingOp *op, PyObject *attempt)
 {
-    PyObject *rng = PyObject_GetAttr(self->client, str_retry_rng);
-    PyObject *delay = rng ? retry_delay(policy, attempt, rng) : NULL;
-    Py_XDECREF(rng);
+    PyObject *delay = clientcore_retry_delay(self, attempt);
     if (delay == NULL)
         return -1;
     int rc = clientcore_arm_timer(self, op, &op->retry_handle, delay,
@@ -4057,28 +3685,21 @@ clientcore_begin(ClientCore *self, PendingOp *op, const Round *first)
 {
     if (PyDict_SetItem(self->pending, op->op_id, (PyObject *)op) < 0)
         return -1;
-    PyObject *started = PyFloat_FromDouble(self->sched->now);
+    PyObject *started = PyFloat_FromDouble(self->net->sched->now);
     if (started == NULL)
         return -1;
     Py_SETREF(op->started, started);
-    PyObject *policy = NULL, *deadline = NULL;
-    int rc = -1;
     if (clientcore_carry(self, op, first->carry, NULL, NULL) < 0
-        || clientcore_send_round(self, op) < 0
-        || (policy = PyObject_GetAttr(self->client, str_retry_policy)) == NULL)
-        goto done;
-    if (policy != Py_None
-        && (clientcore_arm_retry(self, op, policy, py_zero) < 0
-            || (deadline = PyObject_GetAttr(policy, str_deadline)) == NULL
-            || (deadline != Py_None && clientcore_arm_timer(
-                    self, op, &op->deadline_handle, deadline,
-                    str_expire) < 0)))
-        goto done;
-    rc = 0;
-done:
-    Py_XDECREF(deadline);
-    Py_XDECREF(policy);
-    return rc;
+        || clientcore_send_round(self, op) < 0)
+        return -1;
+    if (self->policy == Py_None)
+        return 0;
+    if (clientcore_arm_retry(self, op, py_zero) < 0
+        || (self->deadline != Py_None
+            && clientcore_arm_timer(self, op, &op->deadline_handle,
+                                    self->deadline, str_expire) < 0))
+        return -1;
+    return 0;
 }
 
 /* _resample(op), then _finish(op) when the fresh quorum is already
@@ -4113,28 +3734,19 @@ clientcore_move(ClientCore *self, PendingOp *op)
 
 /* QuorumRegisterClient._retry, the retry timer's callback: at the attempt
  * budget the Python _give_up, else count the attempt, tell the monitor,
- * move the op to a fresh quorum and re-arm.  An op built by the Python
- * definitions takes the Python _retry. */
+ * move the op to a fresh quorum and re-arm. */
 static PyObject *
 clientcore_retry(ClientCore *self, PyObject *op_id)
 {
-    PyObject *found = PyDict_GetItemWithError(self->pending, op_id);
-    if (found == NULL) {
-        if (PyErr_Occurred())
-            return NULL;
-        Py_RETURN_NONE;
-    }
-    if (Py_TYPE(found) != &PendingOp_Type)
-        return clientcore_python(self, str_retry, &op_id, 1, NULL);
-    PendingOp *op = (PendingOp *)Py_NewRef(found);
-    PyObject *result = NULL, *policy = NULL, *limit = NULL, *monitor = NULL;
+    PendingOp *op = clientcore_op(self, op_id);
+    if (op == NULL)
+        return PyErr_Occurred() ? NULL : Py_NewRef(Py_None);
+    PyObject *result = NULL;
     PyObject *attempts = PyNumber_Add(op->attempts, py_one);
-    if (attempts == NULL
-        || (policy = PyObject_GetAttr(self->client, str_retry_policy)) == NULL
-        || (limit = PyObject_GetAttr(policy, str_max_attempts)) == NULL)
+    if (attempts == NULL)
         goto done;
-    int exhausted = limit == Py_None
-        ? 0 : PyObject_RichCompareBool(attempts, limit, Py_GE);
+    int exhausted = self->max_attempts == Py_None ? 0
+        : PyObject_RichCompareBool(attempts, self->max_attempts, Py_GE);
     if (exhausted) {
         if (exhausted > 0)
             result = PyObject_CallMethodOneArg(self->client, str_give_up,
@@ -4145,21 +3757,18 @@ clientcore_retry(ClientCore *self, PyObject *op_id)
     if (bump_counter(self->client, str_retries) < 0)
         goto done;
     /* spec_monitor.on_retry(op.register, op.kind, op.attempts) */
-    if ((monitor = clientcore_monitor(self)) != NULL) {
+    if (self->monitor != NULL) {
         PyObject *res = PyObject_CallMethodObjArgs(
-            monitor, str_on_retry, op->reg, op->kind, attempts, NULL);
+            self->monitor, str_on_retry, op->reg, op->kind, attempts, NULL);
         if (res == NULL)
             goto done;
         Py_DECREF(res);
     }
-    int moved = PyErr_Occurred() ? -1 : clientcore_move(self, op);
-    if (moved == 1 || (moved == 0 && clientcore_arm_retry(
-                           self, op, policy, attempts) == 0))
+    int moved = clientcore_move(self, op);
+    if (moved == 1
+        || (moved == 0 && clientcore_arm_retry(self, op, attempts) == 0))
         result = Py_NewRef(Py_None);
 done:
-    Py_XDECREF(monitor);
-    Py_XDECREF(limit);
-    Py_XDECREF(policy);
     Py_XDECREF(attempts);
     Py_DECREF(op);
     return result;
@@ -4177,7 +3786,7 @@ clientcore_issue(ClientCore *self, PyObject *reg, PyObject *value)
     Future *future = NULL;
     PendingOp *op = NULL;
     if (is_read) {
-        PyObject *now = PyFloat_FromDouble(self->sched->now);
+        PyObject *now = PyFloat_FromDouble(self->net->sched->now);
         record = now ? clientcore_record(self, reg, str_begin_read, now, NULL,
                                          NULL) : NULL;
         Py_XDECREF(now);
@@ -4194,9 +3803,12 @@ clientcore_issue(ClientCore *self, PyObject *reg, PyObject *value)
         Py_XDECREF(writer);
         if (foreign) {
             /* SingleWriterViolation: raised by the Python definition. */
-            PyObject *args[2] = {reg, value};
-            return foreign < 0 ? NULL
-                : clientcore_python(self, str_write_kind, args, 2, NULL);
+            PyObject *write = foreign < 0 ? NULL : PyObject_GetAttr(
+                (PyObject *)Py_TYPE(self->client), str_write_kind);
+            result = write == NULL ? NULL : PyObject_CallFunctionObjArgs(
+                write, self->client, reg, value, NULL);
+            Py_XDECREF(write);
+            return result;
         }
         record = Py_NewRef(Py_None);
     }
@@ -4216,10 +3828,9 @@ clientcore_issue(ClientCore *self, PyObject *reg, PyObject *value)
         goto done;
     }
     if ((view = PyObject_GetAttr(self->client, str_view_id)) == NULL
-        || (op = pendingop_create(
-                op_id, reg, is_read ? str_read_kind : str_write_kind, plan,
-                quorum, future, record, is_read ? Py_None : value,
-                view)) == NULL
+        || (op = pendingop_create(self, is_read, op_id, reg, quorum, future,
+                                  record, is_read ? Py_None : value,
+                                  view)) == NULL
         || clientcore_begin(self, op, &plan->rounds[0]) < 0)
         goto done;
     result = Py_NewRef((PyObject *)future);
@@ -4234,52 +3845,32 @@ done:
     return result;
 }
 
-/* 1 when the call must take the Python definition: span tracing is on,
- * or the call is not the plain positional one.  -1 on error. */
-static int
-clientcore_wants_python(ClientCore *self, Py_ssize_t nargs,
-                        Py_ssize_t expected, PyObject *kwnames)
-{
-    if (nargs != expected
-        || (kwnames != NULL && PyTuple_GET_SIZE(kwnames) != 0))
-        return 1;
-    PyObject *spans = PyObject_GetAttr(self->client, str_spans_attr);
-    if (spans == NULL)
-        return -1;
-    Py_DECREF(spans);
-    return spans != Py_None;
-}
-
+/* read(register, /) and write(register, value, /): positional only, as
+ * the Python definitions are. */
 static PyObject *
-clientcore_read(ClientCore *self, PyObject *const *args, Py_ssize_t nargs,
-                PyObject *kwnames)
+clientcore_read(ClientCore *self, PyObject *const *args, Py_ssize_t nargs)
 {
-    int python = clientcore_wants_python(self, nargs, 1, kwnames);
-    if (python < 0)
-        return NULL;
-    if (python)
-        return clientcore_python(self, str_read_kind, args, nargs, kwnames);
+    if (nargs != 1)
+        return PyErr_Format(PyExc_TypeError,
+                            "read expects (register), got %zd arguments",
+                            nargs);
     return clientcore_issue(self, args[0], NULL);
 }
 
 static PyObject *
-clientcore_write(ClientCore *self, PyObject *const *args, Py_ssize_t nargs,
-                 PyObject *kwnames)
+clientcore_write(ClientCore *self, PyObject *const *args, Py_ssize_t nargs)
 {
-    int python = clientcore_wants_python(self, nargs, 2, kwnames);
-    if (python < 0)
-        return NULL;
-    if (python)
-        return clientcore_python(self, str_write_kind, args, nargs, kwnames);
+    if (nargs != 2)
+        return PyErr_Format(PyExc_TypeError,
+                            "write expects (register, value), got %zd "
+                            "arguments", nargs);
     return clientcore_issue(self, args[0], args[1]);
 }
 
 static PyMethodDef clientcore_methods[] = {
-    {"read", (PyCFunction)(void (*)(void))clientcore_read,
-     METH_FASTCALL | METH_KEYWORDS,
+    {"read", (PyCFunction)(void (*)(void))clientcore_read, METH_FASTCALL,
      "QuorumRegisterClient.read: invoke a read, return its future."},
-    {"write", (PyCFunction)(void (*)(void))clientcore_write,
-     METH_FASTCALL | METH_KEYWORDS,
+    {"write", (PyCFunction)(void (*)(void))clientcore_write, METH_FASTCALL,
      "QuorumRegisterClient.write: invoke a write, return its future."},
     {"_retry", (PyCFunction)clientcore_retry, METH_O,
      "QuorumRegisterClient._retry: resample a stalled op and re-arm."},
@@ -4302,14 +3893,6 @@ clientcore_call(ClientCore *self, PyObject *args, PyObject *kwds)
     Py_RETURN_NONE;
 }
 
-static PyMemberDef clientcore_members[] = {
-    {"client", T_OBJECT_EX, offsetof(ClientCore, client), READONLY,
-     "the QuorumRegisterClient this core aggregates replies for"},
-    {"fallback", T_OBJECT_EX, offsetof(ClientCore, fallback), READONLY,
-     "the unbound Python handler used when a hook forces fallback"},
-    {NULL}
-};
-
 static PyTypeObject ClientCore_Type = {
     PyVarObject_HEAD_INIT(NULL, 0)
     .tp_name = "repro._native._kernel.ClientCore",
@@ -4325,7 +3908,6 @@ static PyTypeObject ClientCore_Type = {
     .tp_clear = (inquiry)clientcore_clear,
     .tp_call = (ternaryfunc)clientcore_call,
     .tp_methods = clientcore_methods,
-    .tp_members = clientcore_members,
 };
 
 /* Dispatch from the delivery trampoline (both cores, no tp_call). */
@@ -4402,7 +3984,7 @@ PyInit__kernel(void)
                                (PyObject *)types[i].type) < 0)
             goto fail;
     }
-    if (PyModule_AddIntConstant(module, "KERNEL_ABI", 10) < 0
+    if (PyModule_AddIntConstant(module, "KERNEL_ABI", 11) < 0
         || PyModule_AddStringConstant(module, "SOURCE_HASH",
                                       REPRO_SOURCE_HASH) < 0)
         goto fail;

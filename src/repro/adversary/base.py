@@ -4,7 +4,8 @@ Random loss and scripted failure timelines exercise the *average* case;
 the paper's probabilistic guarantees (Theorem 1's write-survival bound,
 the monotone register's [R4]/[R5]) are claims about what an adversary
 *cannot* do better than.  An :class:`Adversary` closes that gap: it sits
-on the network's delivery path (:meth:`repro.sim.network.Network.set_adversary`),
+on the network's delivery path (the ``adversary`` of
+:class:`repro.sim.network.Network`, fixed when the network is built),
 observes every in-flight protocol message, and adaptively chooses drops,
 extra delays, crash targets and partition timing based on the protocol
 state it has seen — e.g. which servers hold the freshest write.

@@ -287,12 +287,9 @@ def install_faults(runner: Alg1Runner, spec: Optional[Dict[str, Any]]) -> None:
     if spec is None:
         return
     deployment = runner.deployment
-    horizon = runner.max_sim_time
-    if horizon is None:
-        # No explicit cap: bound periodic timelines by the round budget's
-        # generous default so schedule expansion stays finite.
-        horizon = 100.0 * runner.max_rounds
-    schedule = build_failure_schedule(spec, deployment.num_servers, horizon)
+    schedule = build_failure_schedule(
+        spec, deployment.num_servers, runner.horizon
+    )
     deployment.install_schedule(schedule)
 
 
@@ -327,11 +324,8 @@ def install_membership(
     if spec is None:
         return None
     deployment = runner.deployment
-    horizon = runner.max_sim_time
-    if horizon is None:
-        horizon = 100.0 * runner.max_rounds
     schedule = build_membership_schedule(
-        spec, deployment.num_servers, horizon
+        spec, deployment.num_servers, runner.horizon
     )
     return deployment.install_membership(
         schedule, **schedule.install_knobs(spec)
@@ -380,10 +374,11 @@ def run_alg1_task(task: RunTask) -> Dict[str, Any]:
         OnlineSpecMonitor(monotone=params["monotone"]) if check_online else None
     )
     # The adversary's time-driven strategies bound their repeating chains
-    # by the run's horizon, mirroring the Alg1Runner max_sim_time default.
-    horizon = params.get("max_sim_time")
-    if horizon is None and params.get("retry") is not None:
-        horizon = 100.0 * params["max_rounds"]
+    # by the run's horizon; the network binds the adversary when it is
+    # built, so it exists before the runner does.
+    horizon = Alg1Runner.run_horizon(
+        params["max_rounds"], params.get("max_sim_time")
+    )
     adversary = (
         build_adversary(params["adversary"], horizon)
         if params.get("adversary") is not None

@@ -117,10 +117,11 @@ class Alg1Runner:
         # With failure injection and retries a stalled process stops rounds
         # from closing, so the max_rounds cap alone cannot guarantee
         # termination; max_sim_time is the hard stop for such runs.  With
-        # retries enabled and no explicit cap, a generous default is
-        # derived from the round budget so simulations always terminate.
+        # retries enabled and no explicit cap, the run horizon is the cap,
+        # so simulations always terminate.
+        self.horizon = self.run_horizon(max_rounds, max_sim_time)
         if max_sim_time is None and retry_policy is not None:
-            max_sim_time = 100.0 * max_rounds
+            max_sim_time = self.horizon
         self.max_sim_time = max_sim_time
         self.observability = (
             observability if observability is not None else Observability()
@@ -211,6 +212,15 @@ class Alg1Runner:
         self.deployment.scheduler.stop()
 
     # ------------------------------------------------------------------ #
+
+    @staticmethod
+    def run_horizon(max_rounds: int, max_sim_time: Optional[float]) -> float:
+        """The simulated time a run's timelines are bounded by: the
+        ``max_sim_time`` cap, else a generous default derived from the
+        round budget.  Fault, membership and adversary timelines are
+        expanded up to it (``runner.horizon``); an adversary is built
+        before its runner, from the same two parameters."""
+        return max_sim_time if max_sim_time is not None else 100.0 * max_rounds
 
     def run(self, check_spec: bool = True) -> Alg1Result:
         """Execute until convergence or ``max_rounds``; return the result.

@@ -46,6 +46,8 @@ def _format_value(value: float) -> str:
         return str(value)
     if math.isinf(value):
         return "+Inf" if value > 0 else "-Inf"
+    if math.isnan(value):
+        return "NaN"
     if value == int(value) and abs(value) < 1e15:
         return str(int(value))
     return repr(value)

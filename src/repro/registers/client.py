@@ -584,22 +584,22 @@ class QuorumRegisterClient(Node):
     # the issue path, ``_retry`` the retry timer.  On the native backend
     # the deployment shadows ``read``, ``write``, ``_retry`` and
     # ``on_message``, on clients whose class overrides none of these
-    # methods, with a C client core (``repro.sim.kernel.make_client_cores``)
-    # that transcribes these definitions — ``_redispatch``, ``_finish``
-    # and ``_settle`` inside; a change here must be made there too, and
-    # tests/test_kernel_fastpath.py compares the two draw for draw.  The
-    # core builds its operations as C types — a ``PendingOp`` with this
-    # ``_PendingOp``'s fields and a ``Future`` with the contract of
-    # ``repro.sim.futures.Future`` — and handles only those: an op built
-    # here (span tracing, a keyword call) is handled here for its whole
-    # life, and ``_expire`` / ``_give_up`` / ``_teardown`` / ``_vouched``
-    # serve both kinds.  What an operation does is its plan: a covered round
+    # methods and whose span tracing is off, with a C client core
+    # (``repro.sim.kernel.make_client_cores``) that transcribes these
+    # definitions — ``_redispatch``, ``_finish`` and ``_settle`` inside; a
+    # change here must be made there too, and tests/test_kernel_fastpath.py
+    # compares the two draw for draw.  The core is wired once, when it is
+    # built, and builds every op of its client as C types — a
+    # ``PendingOp`` with this ``_PendingOp``'s fields and a ``Future`` with
+    # the contract of ``repro.sim.futures.Future``; ``_expire`` /
+    # ``_give_up`` / ``_teardown`` / ``_vouched`` act on those too.  What
+    # an operation does is its plan: a covered round
     # is decided (``_choose``), then either the next round starts on the
     # same op (``_carry``, ``_resample``, ``_send_round``) or the op
     # settles (``_settle``: counters, latency, span, history, monitor,
     # future) — one completion path for every flavour.
 
-    def read(self, register: str) -> Future:
+    def read(self, register: str, /) -> Future:
         """Invoke a read; the future resolves with the returned value."""
         history = self.space.info(register).history
         record = None if history is None else history.begin_read(
@@ -608,7 +608,7 @@ class QuorumRegisterClient(Node):
         self.reads_performed += 1
         return self._issue(register, "read", self.READ_PLAN, record)
 
-    def write(self, register: str, value: Any) -> Future:
+    def write(self, register: str, value: Any, /) -> Future:
         """Invoke a write; the future resolves (with None) on the Ack."""
         info = self.space.info(register)
         if info.writer is not None and info.writer != self.client_id:

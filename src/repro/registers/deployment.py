@@ -80,6 +80,7 @@ class RegisterDeployment:
             loss_rate=loss_rate,
             loss_rng=self.rng.stream("loss") if loss_rate > 0.0 else None,
             detailed_stats=detailed_stats,
+            adversary=adversary,
         )
         self.space = RegisterSpace(record_history=record_history)
         self.retry_policy = retry_policy
@@ -122,27 +123,26 @@ class RegisterDeployment:
             self.network.add_node(client)
             self.clients.append(client)
 
-        # The adversary attaches last: it observes a fully-built topology
-        # (server ids, injector, scheduler) and starts intercepting from
-        # the first message.  None keeps broadcast's batched branch.
+        # The network holds the adversary from its construction (None
+        # keeps broadcast's batched branch); it attaches last, observing a
+        # fully-built topology (server ids, injector, scheduler), before
+        # the first message is sent.
         self.adversary = adversary
         if adversary is not None:
             adversary.attach(self)
-            self.network.set_adversary(adversary)
 
         # Native protocol fast path: C transcriptions of the server
         # handler, the client message handler and the client issue path
         # and retry timer (read, write, _retry), installed as instance
         # attributes (the same pattern as the network core's
-        # send/broadcast/_deliver) so trace taps keep working.  The
-        # factories return None on the pure-python backend and for node
-        # classes that override a handler (a client class that only
-        # declares round plans gets its core).  A client core handles the
-        # ops it builds; an op built by the Python methods (span tracing,
-        # a keyword call) and a message that is not an exact protocol type
-        # go back to the Python definitions.
-        # An adversary, loss, faults, taps and detailed stats are the
-        # network core's business, not theirs.
+        # send/broadcast/_deliver), each wired once, here.  The factories
+        # return None on the pure-python backend, for node classes that
+        # override a handler (a client class that only declares round
+        # plans gets its core) and for a client with span tracing on: a
+        # client runs wholly in C or wholly in Python.  A message that is
+        # not an exact protocol type goes to the Python handler; an
+        # adversary, loss, faults, taps and detailed stats are the network
+        # core's business, not theirs.
         for server in self.servers:
             core = kernel.make_server_core(server)
             if core is not None:

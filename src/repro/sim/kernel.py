@@ -25,6 +25,14 @@ Selection, in priority order:
 Requesting ``native`` when the extension is not built falls back to
 pure python with a one-line warning on stderr (once per process) — a
 toolchain-less machine must keep working.
+
+Wired once: a native core binds the configuration of the object it
+stands in for when it is built — the factories below run as the
+deployment is assembled, after which nothing reassigns that
+configuration — and reads live only what changes during a run (the
+clock, fault and partition state, membership views, pending
+operations).  A client runs wholly in C or wholly in Python for its
+whole life: with span tracing on it gets no core.
 """
 
 import os
@@ -147,8 +155,13 @@ def make_network_core(network):
     ``broadcast`` runs a tight loop of native delay draws on a healthy
     network with a built-in delay model and that same pipeline per
     destination otherwise — it never calls back into the Python
-    ``broadcast``.  Only built when the network's scheduler is itself
-    native, so delivery events are pushed straight into the C heap.
+    ``broadcast``.  Built from the network's constructor, it binds the
+    delay draw, loss rate and stream, adversary, stats mode and the
+    ``_taps`` list (by identity: ``add_tap`` still takes effect mid-run)
+    once; ``failures.active``, the crashed set, the partition and
+    ``network._deliver`` stay live.  Only built when the network's
+    scheduler is itself native, so delivery events are pushed straight
+    into the C heap.
     """
     if selected_backend() != "native":
         return None
@@ -188,7 +201,8 @@ def make_server_core(server):
     server's ``on_message`` instance attribute.  Gated on the *exact*
     ``ReplicaServer`` type — subclasses (Byzantine replicas, chaos
     mutants) override the handler and must keep their Python semantics —
-    and on a native scheduler, so replies push straight into the C heap.
+    and on a native network core, which the server core holds and sends
+    its replies through.
     Loss, faults, taps, an adversary and detailed stats are the network
     core's business (the reply goes through its ``send``), never a reason
     to leave C here.  The view gate (retired-ignore, stale-view nack)
@@ -204,7 +218,8 @@ def make_server_core(server):
     module = load_kernel()
     if type(server) is not ReplicaServer:
         return None
-    if not isinstance(server.network.scheduler, module.SchedulerCore):
+    network_core = getattr(server.network.send, "__self__", None)
+    if not isinstance(network_core, module.NetworkCore):
         return None
     return module.ServerCore(server)
 
@@ -227,18 +242,22 @@ def make_client_cores(clients):
     (plain, monotone, masking, multi-writer, ABD) therefore runs in C; a
     class that overrides a method (the chaos mutant's ``_choose``) keeps
     its Python handlers.  Eligibility is a property of the class, so it is
-    decided once per class for the whole list, not per client.
+    decided once per class for the whole list, not per client.  A client
+    with span tracing on (``client._spans`` not None, fixed when the
+    client is built) gets no core either: a client runs wholly in C or
+    wholly in Python for its whole life.
 
-    **Ownership.**  The core handles only the operations it builds, and
-    builds them with the C types ``PendingOp`` (the fields of
-    ``_PendingOp``, as struct members) and ``Future`` (the contract of
-    :class:`repro.sim.futures.Future`; :func:`~repro.sim.futures.gather`
-    counts native futures down in C).  An operation issued with span
-    tracing on (``client._spans`` not None) or through a keyword call is
-    built by the Python ``read`` / ``write`` with the Python types, and the
-    Python definitions handle it for its whole life — its replies, nacks
-    and retry timer reach the core and are handed back to them.  The
-    Python ``_expire`` and ``_give_up`` run for both kinds of op.
+    **Wired once.**  The core binds the client's configuration when it is
+    built: the round plans, the retry policy (an exact ``RetryPolicy``'s
+    fields) and jitter stream, the static quorum system (an exact
+    ``ProbabilisticQuorumSystem``'s n and k) and quorum stream, the
+    latency sketches and the spec monitor.  The clock, the pending ops,
+    the fault state and the membership view are read live.  Every op of
+    the client is built by the core, with the C types ``PendingOp`` (the
+    fields of ``_PendingOp``, as struct members) and ``Future`` (the
+    contract of :class:`repro.sim.futures.Future`;
+    :func:`~repro.sim.futures.gather` counts native futures down in C);
+    the Python ``_expire`` and ``_give_up`` act on them.
 
     * **Message handling** — called as ``on_message``: ``on_message``
       plus ``_finish`` — the round's decision (``_choose``; a masking
@@ -279,8 +298,10 @@ def make_client_cores(clients):
             eligible[cls] = isinstance(client, QuorumRegisterClient) and all(
                 getattr(cls, name) is method for name, method in methods
             )
-        native = eligible[cls] and isinstance(
-            client.network.scheduler, module.SchedulerCore
+        native = (
+            eligible[cls] and client._spans is None
+            and isinstance(getattr(client.network.send, "__self__", None),
+                           module.NetworkCore)
         )
         cores.append(module.ClientCore(client) if native else None)
     return cores

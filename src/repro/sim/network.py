@@ -106,7 +106,19 @@ class Network:
         loss_rate: float = 0.0,
         loss_rng: Optional[np.random.Generator] = None,
         detailed_stats: bool = True,
+        adversary: Optional[Any] = None,
     ) -> None:
+        """A network's configuration is fixed here, for its whole life.
+
+        ``adversary`` (repro.adversary), when given, is consulted per
+        message *after* the loss draw and fault check, so it never
+        perturbs the loss or delay streams of messages it passes through,
+        and its drop budget is spent only on otherwise-deliverable
+        traffic: its ``intercept(src, dst, message, kind, now)`` returns
+        None to pass a message through, the string ``"drop"`` to destroy
+        it (recorded with drop reason ``"adversary"``), or a non-negative
+        float of *extra* delay added on top of the sampled one.
+        """
         if not 0.0 <= loss_rate < 1.0:
             raise ValueError(f"loss_rate must be in [0, 1), got {loss_rate}")
         self.scheduler = scheduler
@@ -122,43 +134,17 @@ class Network:
         self._nodes: Dict[int, Node] = {}
         self._next_id = 0
         self._taps: list = []
-        # Adversary hook (repro.adversary): consulted per message *after*
-        # the loss draw and fault check, so attaching one never perturbs
-        # the loss or delay streams of messages it passes through, and its
-        # drop budget is spent only on otherwise-deliverable traffic.
-        self._adversary: Optional[Any] = None
+        self._adversary = adversary
         # Native kernel backend: one C core stands in for the three
         # per-message methods below (same semantics, no interpreter frame
-        # per message).  Its entry points are installed as *instance
-        # attributes*, so trace taps that wrap ``network._deliver`` keep
-        # working unchanged, and each re-reads the mutable knobs (loss,
-        # taps, adversary, delay model) from this Network on every call.
+        # per message).  It binds the configuration above once, here; its
+        # entry points are installed as *instance attributes*, so trace
+        # taps that wrap ``network._deliver`` keep working unchanged.
         core = kernel.make_network_core(self)
         if core is not None:
             self.send = core.send
             self.broadcast = core.broadcast
             self._deliver = core._deliver
-
-    def set_adversary(self, adversary: Optional[Any]) -> None:
-        """Install (or with None remove) a message-level adversary.
-
-        The adversary's ``intercept(src, dst, message, kind, now)`` is
-        called for every otherwise-deliverable message and returns None to
-        pass it through, the string ``"drop"`` to destroy it (recorded
-        with drop reason ``"adversary"``), or a non-negative float of
-        *extra* delay added on top of the sampled one.
-        """
-        self._adversary = adversary
-
-    def set_message_loss(
-        self, loss_rate: float, rng: Optional[np.random.Generator] = None
-    ) -> None:
-        """Enable (or disable, with 0.0) probabilistic message loss."""
-        if not 0.0 <= loss_rate < 1.0:
-            raise ValueError(f"loss_rate must be in [0, 1), got {loss_rate}")
-        self.loss_rate = loss_rate
-        if rng is not None:
-            self._loss_rng = rng
 
     def add_node(self, node: Node, node_id: Optional[int] = None) -> int:
         """Register ``node`` and return its id.

@@ -118,14 +118,17 @@ class TestMultiWriter:
     @pytest.mark.parametrize("client_class", [MultiWriterClient, AtomicClient])
     def test_two_phase_ops_count_as_pending_and_hung(self, client_class):
         # A two-phase operation is an ordinary pending op: without a
-        # retry policy a lossy network never settles it, and the base
-        # client's accounting says so.
+        # retry policy a network that destroys its messages (every
+        # replica crashed) never settles it, and the base client's
+        # accounting says so.
         deployment = RegisterDeployment(
             MajorityQuorumSystem(5), num_clients=2,
             delay_model=ConstantDelay(1.0), seed=3,
-            client_class=client_class, loss_rate=0.999999,
+            client_class=client_class,
         )
         deployment.declare_register("X", writer=None, initial_value=0)
+        for index in range(5):
+            deployment.crash_server(index)
         client = deployment.clients[0]
         future = client.write("X", "lost")
         assert client.pending_ops == client.hung_ops == 1
@@ -133,8 +136,10 @@ class TestMultiWriter:
         assert not future.done
         assert client.pending_ops == client.hung_ops == 1
         assert deployment.pending_ops == deployment.hung_ops == 1
-        # Loss off: the next write completes and leaves the count alone.
-        deployment.network.set_message_loss(0.0)
+        # Replicas back: the next write completes and leaves the count
+        # alone.
+        for index in range(5):
+            deployment.recover_server(index)
         done = client.write("X", "kept")
         assert client.pending_ops == 2
         deployment.run()

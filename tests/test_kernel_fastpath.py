@@ -862,8 +862,9 @@ def test_native_backend_installs_network_core():
 
 @needs_native
 def test_network_core_honours_hooks_that_flip_on(monkeypatch):
-    """Mid-run mutations (a tap, loss, an adversary) are honoured per
-    message by the C fan-out itself: the tap runs from C, and the Python
+    """A tap added mid-run is honoured per message by the C fan-out
+    itself (the core holds the ``_taps`` list by identity), and so is the
+    loss the network was built with: the tap runs from C, and the Python
     ``broadcast`` / ``send`` are never called."""
     for name in ("send", "broadcast"):
         def forbidden(self, *args, _name=name):
@@ -872,16 +873,23 @@ def test_network_core_honours_hooks_that_flip_on(monkeypatch):
         monkeypatch.setattr(Network, name, forbidden)
     deployment = _build_network("native")
     network = deployment.network
-    seen = []
-    network.add_tap(lambda src, dst, message: seen.append((src, dst)))
     dsts = deployment.server_ids[:4]
     src = deployment.clients[0].node_id
     network.broadcast(src, dsts, "probe")
-    assert seen == [(src, dst) for dst in dsts]
-    network.set_message_loss(0.999999)
+    seen = []
+    network.add_tap(lambda src, dst, message: seen.append((src, dst)))
     network.broadcast(src, dsts, "probe")
+    assert seen == [(src, dst) for dst in dsts]
+    assert network.stats.sent == 2 * len(dsts)
+    with kernel.use_backend("native"):
+        lossy = RegisterDeployment(
+            ProbabilisticQuorumSystem(6, 2), num_clients=1,
+            delay_model=ConstantDelay(1.0), seed=1, loss_rate=0.999999,
+        ).network
+    lossy.add_tap(lambda src, dst, message: seen.append((src, dst)))
+    lossy.broadcast(src, dsts, "probe")
     assert len(seen) == 2 * len(dsts)
-    assert network.stats.dropped_by_reason == {"loss": len(dsts)}
+    assert lossy.stats.dropped_by_reason == {"loss": len(dsts)}
     sent_before = network.stats.sent
     network.broadcast(deployment.clients[0].node_id, [], "probe")
     assert network.stats.sent == sent_before  # empty fan-out is a no-op
@@ -1016,15 +1024,19 @@ def test_issue_path_runs_natively_without_spans(monkeypatch):
 
 @needs_native
 def test_issue_path_steps_aside_per_op_when_spans_are_on(monkeypatch):
-    """Span tracing picks the op's builder: with it on every operation is
-    built, and then handled, by the Python definitions (one span per op,
-    same results); flipped off on the same deployment, the next
-    operations are built and run in C again."""
+    """Span tracing picks the client's kernel when it is built: with it
+    on the client gets no core, and every operation is built, and then
+    handled, by the Python definitions (one span per op, same results)."""
     calls = _count_python_client_methods(monkeypatch)
     obs = Observability(MetricsRegistry(), SpanRecorder())
     traced, traced_values = _issue_workload(
         "native", ProbabilisticQuorumSystem(9, 3), observability=obs
     )
+    with kernel.use_backend("native"):
+        assert kernel.make_client_cores(traced.clients) == [None, None]
+    for client in traced.clients:
+        for name in ("on_message",) + kernel.CLIENT_ISSUE_METHODS:
+            assert name not in vars(client)
     assert obs.spans.finished == 40
     assert calls["read"] == calls["write"] == 20
     assert calls["_begin"] == calls["_send_round"] == 40
@@ -1033,14 +1045,6 @@ def test_issue_path_steps_aside_per_op_when_spans_are_on(monkeypatch):
     )
     assert traced_values == plain_values
     assert stream_states(traced) == stream_states(plain)
-
-    before = dict(calls)
-    client = traced.clients[0]
-    client._spans = None
-    future = client.read("x")
-    traced.run()
-    assert future.done and obs.spans.finished == 40
-    assert calls == before
 
 
 @needs_native
@@ -1145,8 +1149,9 @@ def test_native_alg1_run_makes_no_python_op_future_or_sketch_call(
 
 
 def _owned_run(backend, how):
-    """Two clients' keyword-call (or span-traced) reads and writes; what
-    they leave behind, and the Python client calls made on the way."""
+    """Two clients' span-traced reads and writes (or, for ``keyword``,
+    the keyword calls, which both kernels refuse); what they leave
+    behind."""
     observability = (
         Observability(MetricsRegistry(), SpanRecorder()) if how == "spans" else None
     )
@@ -1192,11 +1197,17 @@ def _owned_run(backend, how):
 def test_an_op_built_in_python_stays_python_for_its_whole_life(
     monkeypatch, how
 ):
-    """Ownership: a keyword call or span tracing builds the op with the
-    Python ``_PendingOp`` and ``Future``, and every later step of it —
+    """A client with span tracing on has no core: every op is built with
+    the Python ``_PendingOp`` and ``Future``, and every later step of it —
     its replies, its retry timer, its completion — runs the Python
     definitions, under loss and retries; the result is the python
-    backend's, draw for draw."""
+    backend's, draw for draw.  ``read`` and ``write`` are positional-only,
+    so a keyword call is a TypeError on both kernels."""
+    if how == "keyword":
+        for backend in kernel.BACKENDS:
+            with pytest.raises(TypeError):
+                _owned_run(backend, how)
+        return
     python = _owned_run("python", how)
     calls = count_calls(monkeypatch, QuorumRegisterClient, (
         "_issue", "_begin", "_finish", "_settle", "_retry",

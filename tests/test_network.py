@@ -268,6 +268,7 @@ def _fan_outs(
     while a crash/partition timeline runs.  Returns everything observable:
     delivery trace, stats, tap and adversary logs, both streams' states,
     and what an unknown destination does afterwards."""
+    adversary = ScriptedAdversary(script) if script else None
     with kernel.use_backend(backend):
         scheduler = kernel.make_scheduler()
         rng = np.random.default_rng(seed)
@@ -277,14 +278,13 @@ def _fan_outs(
             loss_rate=loss_rate,
             loss_rng=rng if shared_stream else np.random.default_rng(seed + 1),
             detailed_stats=detailed,
+            adversary=adversary,
         )
     log, taps = [], []
     for _ in range(6):
         network.add_node(LoggingNode(log))
     if tapped:
         network.add_tap(lambda src, dst, message: taps.append((dst, message)))
-    adversary = ScriptedAdversary(script) if script else None
-    network.set_adversary(adversary)
     if faulty:
         failures.crash(2)
         failures.partition([[0, 1, 2, 3], [4]])

@@ -245,10 +245,13 @@ def test_prometheus_label_escaping():
     registry.counter("weird_total", labelnames=("tag",)).labels(
         'a"b\\c\nd'
     ).inc()
+    registry.gauge("undefined").set(math.nan)  # exposition format's NaN
     text = to_prometheus_text(registry.snapshot())
     assert '\\"' in text and "\\\\" in text and "\\n" in text
     parsed = validate_prometheus_text(text)
     assert parsed["weird_total"]["samples"][0][1] == 1.0
+    assert "undefined NaN" in text
+    assert math.isnan(parsed["undefined"]["samples"][0][1])
 
 
 def test_validator_rejects_malformed_lines():

@@ -33,8 +33,8 @@ SRC = str(pathlib.Path(__file__).resolve().parent.parent / "src")
 #: must also leave nothing hung), the closed-loop Figure 2 sweep's
 #: metrics (Alg. 1 issues through the C client core on native: C ops,
 #: C futures, the C gather), the same sweep with span tracing on — the
-#: one case where native runs Python-built ops, each handled by the
-#: Python definitions for its whole life (the ownership rule) — and the
+#: one case where native runs its clients wholly in Python (a client
+#: with span tracing on gets no core) — and the
 #: fault-tolerance sweep through the 2-worker pool (crashes and loss on
 #: the native network core's scalar stats, every snapshot brought home
 #: inside its payload and merged in task order).

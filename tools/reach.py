@@ -15,7 +15,8 @@ EXEMPT among them::
 
     python tools/reach.py            # the table
     python tools/reach.py --check    # exit 1 when the unreached lines
-                                     # outside EXEMPT exceed LIMIT
+                                     # outside EXEMPT exceed LIMIT, or
+                                     # the C kernel exceeds C_LINES
 
 Counting.  A function's own lines run from its ``def`` (its first
 decorator, when decorated) to its last line, minus the lines of the
@@ -110,7 +111,13 @@ EXEMPT = {
 #: The ratchet: ``--check`` fails when more function lines than this,
 #: outside EXEMPT, go unreached.  Lower it when code goes; never raise it
 #: to admit code no command runs.
-LIMIT = 678
+LIMIT = 669
+
+#: The C ratchet: ``--check`` also fails when the native kernel's source
+#: is longer than this.  Lower it when C goes; raising it, like raising
+#: LIMIT, is a deliberate edit.
+C_LINES = 4002
+C_SOURCE = PACKAGE / "_native" / "_kernelmodule.c"
 
 #: Installed as ``sitecustomize`` in every interpreter a drive command
 #: starts; forked pool workers inherit the trace function and reopen the
@@ -363,11 +370,34 @@ def report(rows: Sequence[Row]) -> int:
     return outside
 
 
+def c_lines(path: pathlib.Path = C_SOURCE) -> int:
+    """The number of lines of a C source file."""
+    with open(path, encoding="utf-8") as handle:
+        return sum(1 for _ in handle)
+
+
+def ratchet(outside: int, c_count: int) -> List[str]:
+    """Why ``--check`` fails: one message per limit exceeded."""
+    failures = []
+    if outside > LIMIT:
+        failures.append(
+            f"{outside} unreached function lines outside EXEMPT exceed the "
+            f"limit {LIMIT}: drive the new code from a shipped command, or "
+            "delete it"
+        )
+    if c_count > C_LINES:
+        failures.append(
+            f"{C_SOURCE.name} has {c_count} lines, over C_LINES {C_LINES}: "
+            "shrink it, or raise C_LINES on purpose"
+        )
+    return failures
+
+
 def main(argv: Sequence[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--check", action="store_true",
                         help="exit 1 when unreached lines outside EXEMPT "
-                             "exceed LIMIT")
+                             "exceed LIMIT or the C kernel's lines C_LINES")
     args = parser.parse_args(argv)
     try:
         reached = record(drive_set())
@@ -375,12 +405,12 @@ def main(argv: Sequence[str]) -> int:
         print(f"reach: {error}", file=sys.stderr)
         return 2
     outside = report(tabulate(package_functions(PACKAGE), reached))
-    if args.check and outside > LIMIT:
-        print(f"reach: {outside} unreached function lines outside EXEMPT "
-              f"exceed the limit {LIMIT}: drive the new code from a shipped "
-              "command, or delete it", file=sys.stderr)
-        return 1
-    return 0
+    count = c_lines()
+    print(f"{C_SOURCE.relative_to(ROOT)}: {count} lines, limit {C_LINES}")
+    failures = ratchet(outside, count) if args.check else []
+    for failure in failures:
+        print(f"reach: {failure}", file=sys.stderr)
+    return 1 if failures else 0
 
 
 if __name__ == "__main__":
