@@ -28,7 +28,8 @@ import pathlib
 import sys
 from typing import Any, Dict, Optional
 
-from repro.adversary import build_adversary
+from repro import specs
+from repro.adversary import KINDS as ADVERSARY_KINDS
 from repro.core.spec import staleness_distribution, write_survival_counts
 from repro.quorum.probabilistic import ProbabilisticQuorumSystem
 from repro.registers.client import RetryPolicy
@@ -60,7 +61,8 @@ def survival_run(
     plain data.  Deterministic per (spec, seed).
     """
     adversary = (
-        build_adversary(adversary_spec) if adversary_spec is not None
+        specs.build("adversary", ADVERSARY_KINDS, adversary_spec)
+        if adversary_spec is not None
         else None
     )
     deployment = RegisterDeployment(

@@ -16,6 +16,8 @@ to Iterative Algorithms* (ICDCS 2001), as a production-quality library:
   Jacobi as ACOs;
 * :mod:`repro.analysis` — the paper's closed-form bounds;
 * :mod:`repro.experiments` — harnesses regenerating every table/figure.
+* :mod:`repro.specs` — the one codec from plain-data ``{"kind": ...}``
+  specs to the objects they describe.
 
 Quickstart::
 

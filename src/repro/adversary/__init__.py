@@ -6,21 +6,21 @@ See :mod:`repro.adversary.base` for the interception model and
 
 from repro.adversary.base import DROP, Adversary
 from repro.adversary.strategies import (
+    KINDS,
     CrashTargeterAdversary,
     PartitionOscillatorAdversary,
     RandomHostileAdversary,
     StaleFavoringAdversary,
     ViewChangeRacerAdversary,
-    build_adversary,
 )
 
 __all__ = [
     "DROP",
     "Adversary",
     "CrashTargeterAdversary",
+    "KINDS",
     "PartitionOscillatorAdversary",
     "RandomHostileAdversary",
     "StaleFavoringAdversary",
     "ViewChangeRacerAdversary",
-    "build_adversary",
 ]

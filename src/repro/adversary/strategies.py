@@ -321,40 +321,12 @@ class ViewChangeRacerAdversary(Adversary):
         return data
 
 
-_STRATEGIES = {
+#: Adversary spec kinds, built by :func:`repro.specs.build`; the run's
+#: ``horizon`` reaches the two time-driven strategies, which take one.
+KINDS = {
     "stale_favoring": StaleFavoringAdversary,
     "random_hostile": RandomHostileAdversary,
     "partition_oscillator": PartitionOscillatorAdversary,
     "crash_targeter": CrashTargeterAdversary,
     "view_change_racer": ViewChangeRacerAdversary,
 }
-
-
-def build_adversary(
-    spec: Dict[str, Any], horizon: Optional[float] = None
-) -> Adversary:
-    """Build a strategy from its plain-data (JSON-able) spec.
-
-    ``spec`` is ``{"kind": <strategy name>, ...constructor kwargs}``;
-    ``horizon`` is injected into time-driven strategies that did not pin
-    one themselves, so worker processes can bound repeating chains by the
-    run's simulated-time budget.
-    """
-    try:
-        kind = spec["kind"]
-    except (TypeError, KeyError):
-        raise ValueError(
-            f"adversary spec needs a 'kind' key: {spec!r}"
-        ) from None
-    try:
-        cls = _STRATEGIES[kind]
-    except KeyError:
-        raise ValueError(
-            f"unknown adversary kind {kind!r}; known: {sorted(_STRATEGIES)}"
-        ) from None
-    kwargs = {key: value for key, value in spec.items() if key != "kind"}
-    if horizon is not None and "horizon" not in kwargs and (
-        kind in ("partition_oscillator", "crash_targeter")
-    ):
-        kwargs["horizon"] = horizon
-    return cls(**kwargs)

@@ -13,6 +13,8 @@ from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
+from repro.sim.rng import RngRegistry
+
 INF = math.inf
 
 
@@ -222,6 +224,22 @@ def random_graph(
             if rng.random() < edge_probability:
                 graph.add_edge(u, v, draw_weight())
     return graph
+
+
+def seeded_random_graph(n: int, p: float, seed: int) -> Graph:
+    """:func:`random_graph` from plain data (the ``random`` graph spec):
+    edge probability ``p``, drawn from ``seed``'s ``random-graph`` stream."""
+    return random_graph(n, p, RngRegistry(seed).stream("random-graph"))
+
+
+#: Graph spec kinds, built by :func:`repro.specs.build`.
+KINDS = {
+    "chain": chain_graph,
+    "ring": ring_graph,
+    "complete": complete_graph,
+    "grid": grid_graph,
+    "random": seeded_random_graph,
+}
 
 
 def apsp_pseudocycle_bound(graph: Graph) -> Optional[int]:

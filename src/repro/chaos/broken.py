@@ -30,7 +30,7 @@ class RegressingClient(QuorumRegisterClient):
     regress_after = 3
 
     @classmethod
-    def configured(cls, after: int) -> type:
+    def configured(cls, after: int = 3) -> type:
         """A subclass with the warm-up threshold baked in (deployments
         instantiate client classes with a fixed signature, so per-run
         configuration travels as a class attribute)."""
@@ -49,3 +49,8 @@ class RegressingClient(QuorumRegisterClient):
             self._quorum_read_replies(op), key=lambda reply: reply.timestamp
         )
         return worst.timestamp, worst.value
+
+
+#: Broken-client spec kinds, built by :func:`repro.specs.build`:
+#: ``{"kind": "regressing", "after": N}`` reads regress after N correct ones.
+KINDS = {"regressing": RegressingClient.configured}

@@ -26,7 +26,7 @@ import numpy as np
 from repro.chaos.shrink import shrink_violation
 from repro.exec.engine import run_many
 from repro.exec.task import RunTask
-from repro.exec.workers import alg1_task
+from repro.exec.workers import alg1_task, build_alg1
 from repro.sim.rng import derive_seed
 
 #: Bump when the repro document layout changes.
@@ -318,8 +318,9 @@ def write_repro(doc: Dict[str, Any], path: Union[str, Path]) -> Path:
 def load_repro(source: Union[str, Path, Dict[str, Any]]) -> RunTask:
     """The minimal task of a repro document (a dict, or a path to one).
 
-    Raises OSError / ValueError on an unreadable or malformed document,
-    before anything is simulated.
+    Raises OSError / ValueError on an unreadable or malformed document —
+    a bad spec in the task's params included — before anything is
+    simulated.
     """
     doc = (
         source
@@ -328,8 +329,12 @@ def load_repro(source: Union[str, Path, Dict[str, Any]]) -> RunTask:
     )
     try:
         spec = doc["task"]
-        return RunTask(
+        task = RunTask(
             kind=spec["kind"], params=spec["params"], seed=spec["seed"]
         )
+        if task.kind != "alg1":
+            raise ValueError(f"repro task kind must be 'alg1', got {task.kind!r}")
+        build_alg1(task.params)
     except (TypeError, KeyError) as error:
         raise ValueError(f"malformed repro document: {error}") from None
+    return task

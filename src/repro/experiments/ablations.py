@@ -14,10 +14,12 @@
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Optional, Tuple
 
+from repro import specs
 from repro.apps.apsp import ApspACO
+from repro.apps.graphs import KINDS as GRAPH_KINDS
 from repro.exec.cache import RunCache
 from repro.exec.task import RunTask
-from repro.exec.workers import alg1_task, build_graph, run_cells
+from repro.exec.workers import alg1_task, run_cells
 from repro.experiments.registry import Experiment, each, grid
 from repro.experiments.results import ResultTable
 from repro.sim.rng import derive_seed
@@ -185,7 +187,7 @@ def topology_ablation(
     """E-ABL-TOPO: rounds vs the pseudocycle bound M = ⌈log₂ d⌉."""
     means = _mean_rounds(_topology_sweep, config, jobs, cache)
     graphs = {
-        label: build_graph(cell[0])
+        label: specs.build("graph", GRAPH_KINDS, cell[0])
         for label, cell in _topology_cells(config).items()
     }
     table = ResultTable(

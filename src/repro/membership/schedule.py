@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, Iterable, Optional, Tuple
 
 from repro.sim.failures import Timeline
+from repro.specs import arguments
 
 
 class MembershipError(ValueError):
@@ -58,17 +59,11 @@ class MembershipEvent:
     @classmethod
     def from_spec(cls, spec: Dict[str, Any]) -> "MembershipEvent":
         """Build an event from its plain-data (JSON-able) spec dict."""
-        try:
-            time = spec["time"]
-            action = spec["action"]
-        except (TypeError, KeyError):
-            raise MembershipError(
-                f"event spec needs 'time' and 'action': {spec!r}"
-            ) from None
+        args = arguments("membership event", cls, spec)
         return cls(
-            time=float(time),
-            action=action,
-            nodes=tuple(int(node) for node in spec.get("nodes", ())),
+            time=float(args["time"]),
+            action=args["action"],
+            nodes=tuple(int(node) for node in args.get("nodes", ())),
         )
 
     def to_spec(self) -> Dict[str, Any]:
@@ -117,29 +112,29 @@ class MembershipSchedule(Timeline):
     @classmethod
     def churn(
         cls,
-        num_initial: int,
+        num_servers: int,
         period: float,
-        batch: int,
         horizon: float,
+        batch: int = 1,
         start: Optional[float] = None,
     ) -> "MembershipSchedule":
         """A rotating-membership timeline up to ``horizon``.
 
         Every ``period``, ``batch`` fresh replicas join and the ``batch``
         oldest current members retire, keeping the view size constant at
-        ``num_initial`` while the membership itself rotates — the
+        ``num_servers`` while the membership itself rotates — the
         membership analogue of :meth:`FailureSchedule.churn`.  Joiners
         take consecutive fresh roster indices starting at
-        ``num_initial``; leavers go in FIFO (join-order) sequence.
+        ``num_servers``; leavers go in FIFO (join-order) sequence.
         """
-        if period > 0 and not 1 <= batch <= num_initial:
+        if period > 0 and not 1 <= batch <= num_servers:
             raise MembershipError(
-                f"churn batch {batch} must be in [1, {num_initial}]"
+                f"churn batch {batch} must be in [1, {num_servers}]"
             )
         schedule = cls()
         for cycle, time in cls.cycles(period, horizon, start):
             joining = tuple(
-                num_initial + cycle * batch + offset for offset in range(batch)
+                num_servers + cycle * batch + offset for offset in range(batch)
             )
             leaving = tuple(
                 cycle * batch + offset for offset in range(batch)
@@ -147,47 +142,16 @@ class MembershipSchedule(Timeline):
             schedule.replace(time, joining, leaving)
         return schedule
 
-    @classmethod
-    def build(
-        cls, spec: Dict[str, Any], num_initial: int, horizon: float
-    ) -> "MembershipSchedule":
-        """Build a schedule from a top-level membership spec dict.
-
-        The shared entry point for every spec-driven caller (the worker
-        vocabulary, service mode, benchmarks): ``{"kind": "churn",
-        "period": p, "batch": b, "start": s}`` expands a rotating
-        timeline up to ``horizon``; ``{"kind": "schedule", "events":
-        [...]}`` passes an explicit event list through.
-        """
-        try:
-            kind = spec["kind"]
-        except (TypeError, KeyError):
-            raise MembershipError(
-                f"membership spec must be a dict with a 'kind': {spec!r}"
-            ) from None
-        if kind == "churn":
-            return cls.churn(
-                num_initial=num_initial,
-                period=spec["period"],
-                batch=spec.get("batch", 1),
-                horizon=horizon,
-                start=spec.get("start"),
-            )
-        if kind == "schedule":
-            return cls.from_specs(spec["events"])
-        raise MembershipError(f"unknown membership kind {kind!r}")
-
-    @staticmethod
-    def install_knobs(spec: Dict[str, Any]) -> Dict[str, Any]:
-        """The ``install_membership`` keywords a top-level spec carries.
-
-        Absent keys keep the defaults stated on
-        :meth:`repro.registers.deployment.RegisterDeployment.install_membership`.
-        """
-        knobs = ("drain", "transfer_retry", "transfer_max_attempts")
-        return {knob: spec[knob] for knob in knobs if knob in spec}
-
     def max_roster_index(self, num_initial: int) -> int:
         """The largest roster index this timeline can touch."""
         indices = [node for event in self.events for node in event.nodes]
         return max(indices + [num_initial - 1])
+
+
+#: Membership spec kinds, built by :func:`repro.specs.build`: ``churn``
+#: expands a rotating timeline up to the run's horizon, ``schedule``
+#: passes an explicit event list through.
+KINDS = {
+    "churn": MembershipSchedule.churn,
+    "schedule": MembershipSchedule.from_specs,
+}

@@ -27,9 +27,18 @@ from repro.quorum.tree import TreeQuorumSystem
 from repro.quorum.singleton import SingletonQuorumSystem
 from repro.quorum import analysis
 
+#: Quorum spec kinds, built by :func:`repro.specs.build`.
+KINDS = {
+    "probabilistic": ProbabilisticQuorumSystem,
+    "majority": MajorityQuorumSystem,
+    "grid": GridQuorumSystem,
+    "grid_square": GridQuorumSystem.square,
+}
+
 __all__ = [
     "FppQuorumSystem",
     "GridQuorumSystem",
+    "KINDS",
     "MajorityQuorumSystem",
     "ProbabilisticQuorumSystem",
     "QuorumSystem",

@@ -36,9 +36,6 @@ class ReadQuery(NamedTuple):
 
     kind = "read_query"
 
-    def __repr__(self) -> str:
-        return f"ReadQuery({self.register!r}, op={self.op_id}, view={self.view})"
-
 
 class ReadReply(NamedTuple):
     """Server -> client: the replica's current value and timestamp."""
@@ -50,12 +47,6 @@ class ReadReply(NamedTuple):
     view: int = 0
 
     kind = "read_reply"
-
-    def __repr__(self) -> str:
-        return (
-            f"ReadReply({self.register!r}, op={self.op_id}, v={self.value!r}, "
-            f"ts={self.timestamp.seq}, view={self.view})"
-        )
 
 
 class WriteUpdate(NamedTuple):
@@ -69,12 +60,6 @@ class WriteUpdate(NamedTuple):
 
     kind = "write_update"
 
-    def __repr__(self) -> str:
-        return (
-            f"WriteUpdate({self.register!r}, op={self.op_id}, v={self.value!r}, "
-            f"ts={self.timestamp.seq}, view={self.view})"
-        )
-
 
 class WriteAck(NamedTuple):
     """Server -> client: acknowledge a WriteUpdate."""
@@ -84,9 +69,6 @@ class WriteAck(NamedTuple):
     view: int = 0
 
     kind = "write_ack"
-
-    def __repr__(self) -> str:
-        return f"WriteAck({self.register!r}, op={self.op_id}, view={self.view})"
 
 
 class StaleViewNack(NamedTuple):
@@ -102,9 +84,6 @@ class StaleViewNack(NamedTuple):
 
     kind = "stale_view_nack"
 
-    def __repr__(self) -> str:
-        return f"StaleViewNack({self.register!r}, op={self.op_id}, view={self.view})"
-
 
 class StateRequest(NamedTuple):
     """Joiner -> old-view member: request the member's replica state."""
@@ -113,9 +92,6 @@ class StateRequest(NamedTuple):
     view: int
 
     kind = "state_request"
-
-    def __repr__(self) -> str:
-        return f"StateRequest(transfer={self.transfer_id}, view={self.view})"
 
 
 class StateReply(NamedTuple):
@@ -132,8 +108,3 @@ class StateReply(NamedTuple):
 
     kind = "state_reply"
 
-    def __repr__(self) -> str:
-        return (
-            f"StateReply(transfer={self.transfer_id}, view={self.view}, "
-            f"entries={len(self.entries)})"
-        )

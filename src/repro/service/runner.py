@@ -18,8 +18,9 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional, Tuple
 
-from repro.adversary import build_adversary
-from repro.membership import MembershipSchedule
+from repro import specs
+from repro.adversary import strategies
+from repro.membership import schedule as membership_schedule
 from repro.obs import runtime as obs_runtime
 from repro.obs.collect import collect_deployment
 from repro.obs.core import Observability
@@ -32,8 +33,7 @@ from repro.registers.deployment import RegisterDeployment
 from repro.registers.sharding import ShardedKeyspace, ZipfKeys
 from repro.service.frontend import KeyValueFrontend
 from repro.service.traffic import OpenLoopDriver
-from repro.sim.arrivals import build_arrivals
-from repro.sim.delays import ConstantDelay, ExponentialDelay
+from repro.sim import arrivals, delays
 from repro.sim.rng import RngRegistry
 
 #: The quantiles reported in the SLO table, as (label, q) pairs.
@@ -54,13 +54,14 @@ class ServiceConfig:
     num_keys: int = 1000
     zipf_exponent: float = 1.1
     read_fraction: float = 0.9
-    #: Arrival process spec for :func:`repro.sim.arrivals.build_arrivals`.
+    #: Arrival process spec (:data:`repro.sim.arrivals.KINDS`).
     arrivals: Dict[str, Any] = field(
         default_factory=lambda: {"kind": "poisson", "rate": 2.0}
     )
     duration: float = 500.0
     max_in_flight: int = 64
     write_mode: str = "owner"
+    #: A delay kind (:data:`repro.sim.delays.KINDS`) that takes a ``mean``.
     delay_model: str = "exponential"
     delay_mean: float = 1.0
     loss_rate: float = 0.0
@@ -70,36 +71,44 @@ class ServiceConfig:
     #: fails with :class:`~repro.registers.client.QuorumUnreachable`
     #: (None keeps retrying until the deadline).
     max_attempts: Optional[int] = None
-    #: Membership timeline spec for
-    #: :meth:`repro.membership.MembershipSchedule.build` — e.g.
-    #: ``{"kind": "churn", "period": 60.0, "batch": 1}``.  None (the
-    #: default) keeps the deployment on the static fast path, and the
-    #: run's metrics snapshot stays byte-identical to pre-membership
-    #: builds.
+    #: Membership timeline spec (:data:`repro.membership.schedule.KINDS`),
+    #: expanded up to ``duration`` — e.g. ``{"kind": "churn", "period":
+    #: 60.0, "batch": 1}``.  None (the default) keeps the deployment on
+    #: the static fast path, and the run's metrics snapshot stays
+    #: byte-identical to pre-membership builds.
     membership: Optional[Dict[str, Any]] = None
-    #: Adversary strategy spec for
-    #: :func:`repro.adversary.build_adversary` (None: no adversary).
+    #: Adversary strategy spec (:data:`repro.adversary.strategies.KINDS`;
+    #: None: no adversary).
     adversary: Optional[Dict[str, Any]] = None
 
     def __post_init__(self) -> None:
-        # Reject a malformed knob here, as a ValueError a caller can
-        # report, not as a traceback out of a half-assembled deployment.
+        # Reject a malformed knob or spec here, as a ValueError a caller
+        # can report, not as a traceback out of a half-assembled
+        # deployment.  Arrival processes carry state, so each run builds
+        # its own.
         ProbabilisticQuorumSystem(self.num_servers, self.quorum_size)
-        self.build_delay_model()
-        build_arrivals(self.arrivals)
-        if self.membership is not None:
-            MembershipSchedule.build(
-                self.membership, self.num_servers, self.duration
-            )
+        self.build("delay")
+        self.build("arrivals")
+        self.build("membership")
+        self.build("adversary")
 
-    def build_delay_model(self):
-        if self.delay_model == "constant":
-            return ConstantDelay(self.delay_mean)
-        if self.delay_model == "exponential":
-            return ExponentialDelay(self.delay_mean)
-        raise ValueError(
-            f"delay_model must be 'constant' or 'exponential', "
-            f"got {self.delay_model!r}"
+    def build(self, family: str) -> Any:
+        """The object this config's ``family`` spec describes (None when
+        the optional membership or adversary spec is unset)."""
+        spec, kinds = {
+            "delay": (
+                {"kind": self.delay_model, "mean": self.delay_mean},
+                delays.KINDS,
+            ),
+            "arrivals": (self.arrivals, arrivals.KINDS),
+            "membership": (self.membership, membership_schedule.KINDS),
+            "adversary": (self.adversary, strategies.KINDS),
+        }[family]
+        if spec is None:
+            return None
+        return specs.build(
+            family, kinds, spec,
+            num_servers=self.num_servers, horizon=self.duration,
         )
 
 
@@ -207,15 +216,11 @@ def run_service(config: ServiceConfig) -> ServiceResult:
         max_attempts=config.max_attempts,
     )
     two_phase = config.write_mode == "two_phase"
-    adversary = (
-        build_adversary(config.adversary, horizon=config.duration)
-        if config.adversary is not None
-        else None
-    )
+    adversary = config.build("adversary")
     deployment = RegisterDeployment(
         ProbabilisticQuorumSystem(config.num_servers, config.quorum_size),
         num_clients=config.num_clients,
-        delay_model=config.build_delay_model(),
+        delay_model=config.build("delay"),
         seed=config.seed,
         rng_registry=rng,
         retry_policy=retry_policy,
@@ -236,18 +241,14 @@ def run_service(config: ServiceConfig) -> ServiceResult:
             writer=None if two_phase else shard % config.num_clients,
             initial_value=0,
         )
-    manager = None
-    if config.membership is not None:
-        # Expand churn up to the arrival horizon: reconfiguring after the
-        # last arrival would only churn an idle deployment.
-        schedule = MembershipSchedule.build(
-            config.membership,
-            num_initial=config.num_servers,
-            horizon=config.duration,
-        )
-        manager = deployment.install_membership(
-            schedule, **schedule.install_knobs(config.membership)
-        )
+    # Churn expands up to the arrival horizon: reconfiguring after the
+    # last arrival would only churn an idle deployment.
+    schedule = config.build("membership")
+    manager = (
+        deployment.install_membership(schedule)
+        if schedule is not None
+        else None
+    )
     frontend = KeyValueFrontend(
         deployment,
         keyspace,
@@ -257,7 +258,7 @@ def run_service(config: ServiceConfig) -> ServiceResult:
     )
     driver = OpenLoopDriver(
         frontend,
-        build_arrivals(config.arrivals),
+        config.build("arrivals"),
         ZipfKeys(config.num_keys, config.zipf_exponent),
         arrival_rng=rng.stream("service-arrivals"),
         key_rng=rng.stream("service-keys"),

@@ -15,7 +15,6 @@ from repro.sim.arrivals import (
     BurstyArrivals,
     DiurnalArrivals,
     PoissonArrivals,
-    build_arrivals,
 )
 from repro.sim.futures import Future, FutureError, gather
 from repro.sim.coroutines import Sleep, spawn
@@ -54,7 +53,6 @@ __all__ = [
     "Scheduler",
     "Sleep",
     "UniformDelay",
-    "build_arrivals",
     "gather",
     "spawn",
 ]

@@ -19,13 +19,12 @@ Three processes cover the classic traffic shapes:
   day/night cycle), sampled by Lewis–Shedler thinning.
 
 Every draw comes from the caller-supplied Generator, so a seeded stream
-makes the whole arrival timeline deterministic.  ``spec()``/
-:func:`build_arrivals` round-trip each process through plain data for
-the task/cache layer.
+makes the whole arrival timeline deterministic.  A process travels
+through configs as a plain-data spec, built from :data:`KINDS` by
+:func:`repro.specs.build`.
 """
 
 import math
-from typing import Any, Dict
 
 import numpy as np
 
@@ -34,8 +33,7 @@ class ArrivalProcess:
     """Base class: draws the time until the next arrival.
 
     A subclass defines ``next_interarrival(rng, now)``, a strictly
-    positive gap until the next arrival after ``now``, and ``spec()``, a
-    plain-data description :func:`build_arrivals` reconstructs.
+    positive gap until the next arrival after ``now``.
     """
 
 
@@ -55,9 +53,6 @@ class PoissonArrivals(ArrivalProcess):
 
     def next_interarrival(self, rng: np.random.Generator, now: float) -> float:
         return max(_FLOOR, rng.exponential(self._scale))
-
-    def spec(self) -> Dict[str, Any]:
-        return {"kind": "poisson", "rate": self._rate}
 
     def __repr__(self) -> str:
         return f"PoissonArrivals(rate={self._rate})"
@@ -101,14 +96,6 @@ class BurstyArrivals(ArrivalProcess):
         self._remaining = int(rng.geometric(1.0 / self._mean_burst))
         self._remaining -= 1
         return max(_FLOOR, rng.exponential(self._gap_mean))
-
-    def spec(self) -> Dict[str, Any]:
-        return {
-            "kind": "bursty",
-            "rate": self._rate,
-            "mean_burst": self._mean_burst,
-            "peakedness": self._peakedness,
-        }
 
     def __repr__(self) -> str:
         return (
@@ -155,14 +142,6 @@ class DiurnalArrivals(ArrivalProcess):
             if rng.random() * self._peak <= self.rate_at(time):
                 return max(_FLOOR, time - now)
 
-    def spec(self) -> Dict[str, Any]:
-        return {
-            "kind": "diurnal",
-            "rate": self._rate,
-            "period": self._period,
-            "amplitude": self._amplitude,
-        }
-
     def __repr__(self) -> str:
         return (
             f"DiurnalArrivals(rate={self._rate}, period={self._period}, "
@@ -170,28 +149,9 @@ class DiurnalArrivals(ArrivalProcess):
         )
 
 
-_ARRIVAL_KINDS = {
+#: Arrival spec kinds, built by :func:`repro.specs.build`.
+KINDS = {
     "poisson": PoissonArrivals,
     "bursty": BurstyArrivals,
     "diurnal": DiurnalArrivals,
 }
-
-
-def build_arrivals(spec: Dict[str, Any]) -> ArrivalProcess:
-    """Instantiate an arrival process from its plain-data ``spec()``.
-
-    The same factory idiom as ``repro.adversary.build_adversary``: specs
-    travel through the picklable task layer and the run cache, processes
-    do not.
-    """
-    if not isinstance(spec, dict) or "kind" not in spec:
-        raise ValueError(f"arrival spec needs a 'kind' key, got {spec!r}")
-    kwargs = {key: value for key, value in spec.items() if key != "kind"}
-    try:
-        factory = _ARRIVAL_KINDS[spec["kind"]]
-    except KeyError:
-        raise ValueError(
-            f"unknown arrival kind {spec['kind']!r} "
-            f"(have {sorted(_ARRIVAL_KINDS)})"
-        ) from None
-    return factory(**kwargs)

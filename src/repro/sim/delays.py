@@ -29,12 +29,12 @@ class DelayModel:
 
 
 class ConstantDelay(DelayModel):
-    """All messages take exactly ``delay`` time units (synchronous model)."""
+    """All messages take exactly ``mean`` time units (synchronous model)."""
 
-    def __init__(self, delay: float = 1.0) -> None:
-        if delay <= 0:
-            raise ValueError(f"delay must be positive, got {delay}")
-        self._delay = delay
+    def __init__(self, mean: float = 1.0) -> None:
+        if mean <= 0:
+            raise ValueError(f"delay must be positive, got {mean}")
+        self._delay = mean
 
     def sample(self, rng: np.random.Generator, src: int, dst: int) -> float:
         return self._delay
@@ -125,3 +125,11 @@ class LogNormalDelay(DelayModel):
     def __repr__(self) -> str:
         return f"LogNormalDelay(mean={self._mean}, sigma={self._sigma})"
 
+
+#: Delay spec kinds, built by :func:`repro.specs.build`.
+KINDS = {
+    "constant": ConstantDelay,
+    "exponential": ExponentialDelay,
+    "uniform": UniformDelay,
+    "lognormal": LogNormalDelay,
+}

@@ -18,6 +18,7 @@ from typing import (
 )
 
 from repro.sim.scheduler import Scheduler
+from repro.specs import arguments
 
 
 class FailureInjector:
@@ -160,19 +161,13 @@ class FailureEvent:
     @classmethod
     def from_spec(cls, spec: Dict[str, Any]) -> "FailureEvent":
         """Build an event from its plain-data (JSON-able) spec dict."""
-        try:
-            time = spec["time"]
-            action = spec["action"]
-        except (TypeError, KeyError):
-            raise ScheduleError(
-                f"event spec needs 'time' and 'action': {spec!r}"
-            ) from None
+        args = arguments("failure event", cls, spec)
         return cls(
-            time=float(time),
-            action=action,
-            nodes=tuple(spec.get("nodes", ())),
-            groups=tuple(tuple(g) for g in spec.get("groups", ())),
-            every=float(spec.get("every", 0.0)),
+            time=float(args["time"]),
+            action=args["action"],
+            nodes=tuple(args.get("nodes", ())),
+            groups=tuple(tuple(g) for g in args.get("groups", ())),
+            every=float(args.get("every", 0.0)),
         )
 
     def to_spec(self) -> Dict[str, Any]:
@@ -232,9 +227,9 @@ class Timeline:
             time += period
 
     @classmethod
-    def from_specs(cls, specs: Sequence[Dict[str, Any]]) -> "Timeline":
+    def from_specs(cls, events: Sequence[Dict[str, Any]]) -> "Timeline":
         """Build a timeline from a list of plain-data event dicts."""
-        return cls(cls.event_class.from_spec(spec) for spec in specs)
+        return cls(cls.event_class.from_spec(spec) for spec in events)
 
     def to_specs(self) -> List[Dict[str, Any]]:
         """The JSON-able form of this timeline (inverse of from_specs)."""
@@ -294,9 +289,30 @@ class FailureSchedule(Timeline):
         return self.recover(time + duration, nodes)
 
     @classmethod
+    def crash_batch(
+        cls,
+        num_servers: int,
+        time: float,
+        count: int,
+        side: int,
+        recover_time: Optional[float] = None,
+    ) -> "FailureSchedule":
+        """``count`` servers crash at ``time``, one per grid row (of
+        ``side``) first — the strict grid's worst case, the E-FAULT
+        schedule; a ``recover_time`` brings the batch back up."""
+        servers = [
+            ((index % side) * side + index // side) % num_servers
+            for index in range(count)
+        ]
+        schedule = cls().crash(time, servers)
+        if recover_time is not None:
+            schedule.recover(recover_time, servers)
+        return schedule
+
+    @classmethod
     def churn(
         cls,
-        num_nodes: int,
+        num_servers: int,
         period: float,
         batch: int,
         outage: float,
@@ -305,15 +321,15 @@ class FailureSchedule(Timeline):
     ) -> "FailureSchedule":
         """A rotating-window churn timeline up to ``horizon``.
 
-        Every ``period``, the next window of ``batch`` node indices
-        (mod ``num_nodes``) goes down for ``outage`` time units — the
+        Every ``period``, the next window of ``batch`` server indices
+        (mod ``num_servers``) goes down for ``outage`` time units — the
         E-EXT-CHURN failure process, expressed as scripted data.
         """
         schedule = cls()
         for cycle, time in cls.cycles(period, horizon, start):
-            first = (cycle * batch) % num_nodes
+            first = (cycle * batch) % num_servers
             window = tuple(
-                (first + offset) % num_nodes for offset in range(batch)
+                (first + offset) % num_servers for offset in range(batch)
             )
             schedule.outage(time, window, outage)
         return schedule
@@ -366,3 +382,13 @@ class FailureSchedule(Timeline):
             ]
             return lambda: injector.partition(groups)
         return injector.heal_partition  # "heal"
+
+
+#: Fault spec kinds, built by :func:`repro.specs.build`: ``crash_batch``
+#: and ``churn`` are canned timelines, ``schedule`` an explicit event list
+#: (any crash/recover/partition/heal script).
+KINDS = {
+    "crash_batch": FailureSchedule.crash_batch,
+    "churn": FailureSchedule.churn,
+    "schedule": FailureSchedule.from_specs,
+}

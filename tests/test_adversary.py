@@ -2,13 +2,14 @@
 
 import pytest
 
+from repro import specs
 from repro.adversary import (
     Adversary,
     CrashTargeterAdversary,
     PartitionOscillatorAdversary,
     RandomHostileAdversary,
+    KINDS,
     StaleFavoringAdversary,
-    build_adversary,
 )
 from repro.core.monitor import OnlineSpecMonitor
 from repro.core.spec import (
@@ -70,32 +71,34 @@ def run_workload(deployment, writes=40, horizon=None):
 
 class TestFactory:
     def test_builds_every_strategy(self):
-        specs = [
+        cases = [
             {"kind": "stale_favoring", "drop_budget": 5},
             {"kind": "random_hostile", "drop_budget": 5, "drop_rate": 0.1},
             {"kind": "partition_oscillator", "duty": 0.4},
             {"kind": "crash_targeter", "k": 2, "period": 3.0},
         ]
-        kinds = [type(build_adversary(spec)).name for spec in specs]
+        kinds = [
+            type(specs.build("adversary", KINDS, spec)).name for spec in cases
+        ]
         assert kinds == [
             "stale_favoring", "random_hostile",
             "partition_oscillator", "crash_targeter",
         ]
 
     def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError, match="unknown adversary kind"):
-            build_adversary({"kind": "nope"})
+        with pytest.raises(ValueError, match="adversary spec: unknown kind 'nope'"):
+            specs.build("adversary", KINDS, {"kind": "nope"})
 
     def test_missing_kind_rejected(self):
         with pytest.raises(ValueError, match="'kind'"):
-            build_adversary({"drop_budget": 5})
+            specs.build("adversary", KINDS, {"drop_budget": 5})
 
     def test_horizon_injected_into_time_driven_strategies(self):
-        oscillator = build_adversary(
+        oscillator = specs.build("adversary", KINDS, 
             {"kind": "partition_oscillator"}, horizon=50.0
         )
-        targeter = build_adversary({"kind": "crash_targeter"}, horizon=50.0)
-        dropper = build_adversary(
+        targeter = specs.build("adversary", KINDS, {"kind": "crash_targeter"}, horizon=50.0)
+        dropper = specs.build("adversary", KINDS, 
             {"kind": "stale_favoring"}, horizon=50.0
         )
         assert oscillator.horizon == 50.0
@@ -103,7 +106,7 @@ class TestFactory:
         assert not hasattr(dropper, "horizon")
 
     def test_explicit_horizon_wins(self):
-        targeter = build_adversary(
+        targeter = specs.build("adversary", KINDS, 
             {"kind": "crash_targeter", "horizon": 10.0}, horizon=50.0
         )
         assert targeter.horizon == 10.0
@@ -120,7 +123,7 @@ class TestFactory:
     )
     def test_bad_knobs_rejected(self, spec):
         with pytest.raises(ValueError):
-            build_adversary(spec)
+            specs.build("adversary", KINDS, spec)
 
 
 class TestStaleFavoring:
@@ -231,7 +234,7 @@ class TestSpecUnderAdversaries:
         # online (monitor aborts the run on regression) and post hoc.
         monitor = OnlineSpecMonitor(monotone=True, max_attempts=200)
         deployment = make_deployment(
-            build_adversary(spec), monotone=True, spec_monitor=monitor,
+            specs.build("adversary", KINDS, spec), monotone=True, spec_monitor=monitor,
         )
         run_workload(deployment, writes=30, horizon=300.0)
         check_r4_monotone_reads(deployment.space.history("X"))

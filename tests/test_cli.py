@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import dataclasses
+import json
 
 import pytest
 
@@ -223,3 +224,24 @@ def test_bad_configuration_is_a_one_line_error(argv, capsys, tmp_path, monkeypat
     assert captured.err.startswith("repro: error: ")
     assert captured.err.count("\n") == 1
     assert "Traceback" not in captured.err
+
+
+def test_chaos_repro_with_a_bad_spec_is_a_one_line_error(capsys, tmp_path):
+    """A repro document whose task carries a malformed spec is rejected
+    while the command is prepared, naming the bad key, like any other
+    unbuildable configuration."""
+    params = {
+        "graph": {"kind": "chain"},
+        "quorum": {"kind": "probabilistic", "n": 5, "k": 2},
+        "delay": {"kind": "constant", "mean": 1.0},
+        "monotone": True,
+        "max_rounds": 5,
+    }
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(
+        {"task": {"kind": "alg1", "params": params, "seed": 1}}
+    ))
+    assert main(["chaos", "--repro", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "repro: error: graph spec 'chain': missing key 'n'\n"

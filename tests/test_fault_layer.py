@@ -20,6 +20,7 @@ from repro.sim.failures import (
 )
 from repro.sim.coroutines import spawn
 from repro.sim.delays import ConstantDelay
+from repro.specs import SpecError
 
 
 def make_deployment(n, k, retry_policy, num_clients=1, seed=2, **kwargs):
@@ -250,7 +251,7 @@ class TestFailureSchedule:
 
     def test_churn_builder_rotates_windows(self):
         schedule = FailureSchedule.churn(
-            num_nodes=6, period=10.0, batch=2, outage=3.0, horizon=35.0
+            num_servers=6, period=10.0, batch=2, outage=3.0, horizon=35.0
         )
         crashes = [e for e in schedule.events if e.action == "crash"]
         recovers = [e for e in schedule.events if e.action == "recover"]
@@ -313,7 +314,8 @@ class TestFailureSchedule:
         ],
     )
     def test_bad_specs_raise(self, spec):
-        with pytest.raises(ScheduleError):
+        missing_key = not {"time", "action"} <= set(spec)
+        with pytest.raises(SpecError if missing_key else ScheduleError):
             FailureEvent.from_spec(spec)
 
 
@@ -371,7 +373,7 @@ class TestChurnSurvival:
         )
         deployment.install_schedule(
             FailureSchedule.churn(
-                num_nodes=6, period=8.0, batch=2, outage=4.0, horizon=400.0
+                num_servers=6, period=8.0, batch=2, outage=4.0, horizon=400.0
             )
         )
 

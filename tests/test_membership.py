@@ -10,7 +10,8 @@ shrinking of membership timelines, and service-mode churn.
 
 import pytest
 
-from repro.adversary import build_adversary
+from repro import specs
+from repro.adversary import KINDS as ADVERSARY_KINDS
 from repro.chaos.shrink import shrink_violation
 from repro.exec.task import RunTask, execute_task
 from repro.membership import (
@@ -18,6 +19,7 @@ from repro.membership import (
     MembershipEvent,
     MembershipSchedule,
 )
+from repro.membership.schedule import KINDS as MEMBERSHIP_KINDS
 from repro.quorum.probabilistic import ProbabilisticQuorumSystem
 from repro.registers.client import (
     OperationTimeout,
@@ -74,7 +76,7 @@ class TestSchedule:
 
     def test_churn_rotates_constant_view_size(self):
         schedule = MembershipSchedule.churn(
-            num_initial=4, period=10.0, batch=2, horizon=35.0
+            num_servers=4, period=10.0, batch=2, horizon=35.0
         )
         # Cycles at t=10, 20, 30: each a join+leave pair.
         assert len(schedule) == 6
@@ -86,29 +88,30 @@ class TestSchedule:
     def test_churn_bad_batch_rejected(self):
         with pytest.raises(MembershipError, match="batch"):
             MembershipSchedule.churn(
-                num_initial=4, period=10.0, batch=5, horizon=50.0
+                num_servers=4, period=10.0, batch=5, horizon=50.0
             )
 
     def test_churn_zero_period_is_empty(self):
-        assert len(MembershipSchedule.churn(4, 0.0, 1, 100.0)) == 0
+        assert len(MembershipSchedule.churn(4, 0.0, batch=1, horizon=100.0)) == 0
 
     def test_build_dispatches_on_kind(self):
-        churned = MembershipSchedule.build(
-            {"kind": "churn", "period": 10.0}, num_initial=4, horizon=25.0
-        )
+        def build(spec):
+            return specs.build(
+                "membership", MEMBERSHIP_KINDS, spec,
+                num_servers=4, horizon=25.0,
+            )
+
+        churned = build({"kind": "churn", "period": 10.0})
         assert len(churned) == 4
-        explicit = MembershipSchedule.build(
+        explicit = build(
             {"kind": "schedule",
-             "events": [{"time": 3.0, "action": "join", "nodes": [4]}]},
-            num_initial=4, horizon=25.0,
+             "events": [{"time": 3.0, "action": "join", "nodes": [4]}]}
         )
         assert len(explicit) == 1
-        with pytest.raises(MembershipError, match="kind"):
-            MembershipSchedule.build({}, num_initial=4, horizon=25.0)
-        with pytest.raises(MembershipError, match="unknown"):
-            MembershipSchedule.build(
-                {"kind": "osmosis"}, num_initial=4, horizon=25.0
-            )
+        with pytest.raises(specs.SpecError, match="kind"):
+            build({})
+        with pytest.raises(specs.SpecError, match="unknown"):
+            build({"kind": "osmosis"})
 
     def test_max_roster_index(self):
         schedule = MembershipSchedule().join(5.0, [7])
@@ -329,7 +332,7 @@ class TestQuorumUnreachable:
 
 class TestViewChangeRacer:
     def test_inert_on_static_deployment(self):
-        adversary = build_adversary(
+        adversary = specs.build("adversary", ADVERSARY_KINDS, 
             {"kind": "view_change_racer", "drop_budget": 20, "window": 5.0}
         )
         deployment = make_deployment(adversary=adversary)
@@ -340,7 +343,7 @@ class TestViewChangeRacer:
         assert adversary.messages_seen > 0
 
     def test_races_installs_under_membership(self):
-        adversary = build_adversary(
+        adversary = specs.build("adversary", ADVERSARY_KINDS, 
             {"kind": "view_change_racer", "drop_budget": 20, "window": 5.0}
         )
         deployment = make_deployment(

@@ -129,7 +129,7 @@ def run_flavour(
         )
     elif condition == "churn":
         deployment.install_membership(MembershipSchedule.churn(
-            num_initial=deployment.num_servers, period=4.0, batch=1,
+            num_servers=deployment.num_servers, period=4.0, batch=1,
             horizon=24.0,
         ))
     ops = []

@@ -3,8 +3,8 @@
 Covers the PR's tentpole contracts:
 
 * stable key→shard hashing and Zipf key popularity,
-* arrival processes hit their configured mean rates and round-trip
-  through their specs,
+* arrival processes hit their configured mean rates and build from
+  their specs,
 * admission control: bounded in-flight, shed counters, the
   admitted = completed + timed_out + in_flight identity,
 * byte-identical metrics snapshots across same-seed runs (the
@@ -20,7 +20,7 @@ import re
 import numpy as np
 import pytest
 
-from repro import cli
+from repro import cli, specs
 from repro.cli import main as cli_main
 from repro.obs.core import Observability
 from repro.obs.registry import MetricsRegistry
@@ -32,10 +32,10 @@ from repro.registers.sharding import ShardedKeyspace, ZipfKeys
 from repro.service import ServiceConfig, run_service
 from repro.service.frontend import KeyValueFrontend
 from repro.sim.arrivals import (
+    KINDS as ARRIVAL_KINDS,
     BurstyArrivals,
     DiurnalArrivals,
     PoissonArrivals,
-    build_arrivals,
 )
 from repro.sim import kernel
 from repro.sim.futures import Future
@@ -162,9 +162,8 @@ def test_arrival_spec_roundtrip():
             DiurnalArrivals(1.5, period=100.0, amplitude=0.4),
         ),
     ):
-        rebuilt = build_arrivals(spec)
+        rebuilt = specs.build("arrivals", ARRIVAL_KINDS, spec)
         assert repr(rebuilt) == repr(process)
-        assert rebuilt.spec() == process.spec() == spec
         # Same spec + same seed => the same arrival timeline.
         gaps_a = [
             rebuilt.next_interarrival(np.random.default_rng(9), 0.0)
@@ -177,7 +176,7 @@ def test_arrival_spec_roundtrip():
 
 def test_build_arrivals_rejects_unknown_kind():
     with pytest.raises(ValueError):
-        build_arrivals({"kind": "tidal", "rate": 1.0})
+        specs.build("arrivals", ARRIVAL_KINDS, {"kind": "tidal", "rate": 1.0})
     with pytest.raises(ValueError):
         PoissonArrivals(0.0)
 
@@ -212,7 +211,26 @@ def _deployment_for():
 
 def test_service_config_rejects_bad_delay_model():
     with pytest.raises(ValueError):
-        ServiceConfig(delay_model="warp").build_delay_model()
+        ServiceConfig(delay_model="warp")
+
+
+@pytest.mark.parametrize(
+    "field, spec, message",
+    [
+        ("arrivals", {"kind": "poisson"}, "arrivals spec 'poisson': missing key 'rate'"),
+        ("adversary", {"kind": "nope"}, "adversary spec: unknown kind 'nope'"),
+        (
+            "membership",
+            {"kind": "churn", "period": 5, "dran": 1.0},
+            "membership spec 'churn': unknown key 'dran'",
+        ),
+    ],
+    ids=["arrivals", "adversary", "membership"],
+)
+def test_service_config_checks_every_spec(field, spec, message):
+    with pytest.raises(specs.SpecError) as caught:
+        ServiceConfig(**{field: spec})
+    assert str(caught.value).startswith(message)
 
 
 # --- end-to-end service runs ----------------------------------------------

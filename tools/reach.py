@@ -111,7 +111,7 @@ EXEMPT = {
 #: The ratchet: ``--check`` fails when more function lines than this,
 #: outside EXEMPT, go unreached.  Lower it when code goes; never raise it
 #: to admit code no command runs.
-LIMIT = 669
+LIMIT = 630
 
 #: The C ratchet: ``--check`` also fails when the native kernel's source
 #: is longer than this.  Lower it when C goes; raising it, like raising
