@@ -242,32 +242,6 @@ static PyTypeObject ClientCore_Type;
 static int protocolcore_invoke(PyObject *core, PyObject *src,
                                PyObject *message);
 
-/* Lazily resolve SchedulerError so importing this module never requires
- * the Python package to be importable first (and vice versa). */
-static PyObject *
-get_scheduler_error(void)
-{
-    if (scheduler_error == NULL) {
-        PyObject *mod = PyImport_ImportModule("repro.sim.scheduler");
-        if (mod == NULL) {
-            /* Fall back to RuntimeError (SchedulerError's base) rather
-             * than failing to report the real usage error. */
-            PyErr_Clear();
-            scheduler_error = PyExc_RuntimeError;
-            Py_INCREF(scheduler_error);
-            return scheduler_error;
-        }
-        scheduler_error = PyObject_GetAttrString(mod, "SchedulerError");
-        Py_DECREF(mod);
-        if (scheduler_error == NULL) {
-            PyErr_Clear();
-            scheduler_error = PyExc_RuntimeError;
-            Py_INCREF(scheduler_error);
-        }
-    }
-    return scheduler_error;
-}
-
 /* bool(obj.<name>): 1/0, or -1 with an exception set. */
 static int
 attr_truth(PyObject *obj, PyObject *name)
@@ -320,6 +294,20 @@ import_attr(const char *module_name, const char *attr)
     PyObject *value = PyObject_GetAttrString(module, attr);
     Py_DECREF(module);
     return value;
+}
+
+/* SchedulerError, resolved lazily: this module imports without the
+ * package.  RuntimeError, its base, when the package cannot give it. */
+static PyObject *
+get_scheduler_error(void)
+{
+    if (scheduler_error == NULL
+        && (scheduler_error = import_attr("repro.sim.scheduler",
+                                          "SchedulerError")) == NULL) {
+        PyErr_Clear();
+        scheduler_error = Py_NewRef(PyExc_RuntimeError);
+    }
+    return scheduler_error;
 }
 
 /* ------------------------------------------------------------------ */
@@ -604,16 +592,34 @@ schedulercore_traverse(SchedulerCore *self, visitproc visit, void *arg)
     return 0;
 }
 
+/* tp_clear and Scheduler.clear: drop every queued event unrun, its
+ * handle counted as dequeued and emptied.  The heap is detached first,
+ * so a reference dropped here that schedules an event starts a fresh
+ * one. */
 static int
 schedulercore_clear(SchedulerCore *self)
 {
+    KEvent *heap = self->heap;
     Py_ssize_t n = self->len;
-    self->len = 0;
+    self->heap = NULL;
+    self->len = self->cap = self->live = 0;
     for (Py_ssize_t i = 0; i < n; i++) {
-        Py_CLEAR(self->heap[i].obj);
-        Py_CLEAR(self->heap[i].args);
+        if (heap[i].args == NULL) {
+            ((KernelHandle *)heap[i].obj)->dequeued = 1;
+            kernelhandle_clear((KernelHandle *)heap[i].obj);
+        }
+        Py_DECREF(heap[i].obj);
+        Py_XDECREF(heap[i].args);
     }
+    PyMem_Free(heap);
     return 0;
+}
+
+static PyObject *
+schedulercore_drop(SchedulerCore *self, PyObject *Py_UNUSED(ignored))
+{
+    schedulercore_clear(self);
+    Py_RETURN_NONE;
 }
 
 static void
@@ -621,8 +627,6 @@ schedulercore_dealloc(SchedulerCore *self)
 {
     PyObject_GC_UnTrack(self);
     schedulercore_clear(self);
-    PyMem_Free(self->heap);
-    self->heap = NULL;
     Py_TYPE(self)->tp_free((PyObject *)self);
 }
 
@@ -705,11 +709,9 @@ static PyObject *
 schedulercore_schedule(SchedulerCore *self, PyObject *const *args,
                        Py_ssize_t nargs)
 {
-    if (nargs < 2) {
-        PyErr_SetString(PyExc_TypeError,
-                        "schedule expects (delay, callback, *args)");
-        return NULL;
-    }
+    if (nargs < 2)
+        return PyErr_Format(PyExc_TypeError,
+                            "schedule expects (delay, callback, *args)");
     return schedule_after(self, args[0], args[1], pack_args(args, 2, nargs));
 }
 
@@ -717,11 +719,9 @@ static PyObject *
 schedulercore_schedule_at(SchedulerCore *self, PyObject *const *args,
                           Py_ssize_t nargs)
 {
-    if (nargs < 2) {
-        PyErr_SetString(PyExc_TypeError,
-                        "schedule_at expects (time, callback, *args)");
-        return NULL;
-    }
+    if (nargs < 2)
+        return PyErr_Format(PyExc_TypeError,
+                            "schedule_at expects (time, callback, *args)");
     double time = PyFloat_AsDouble(args[0]);
     if (time == -1.0 && PyErr_Occurred())
         return NULL;
@@ -745,11 +745,9 @@ static PyObject *
 schedulercore_call_soon(SchedulerCore *self, PyObject *const *args,
                         Py_ssize_t nargs)
 {
-    if (nargs < 1) {
-        PyErr_SetString(PyExc_TypeError,
-                        "call_soon expects (callback, *args)");
-        return NULL;
-    }
+    if (nargs < 1)
+        return PyErr_Format(PyExc_TypeError,
+                            "call_soon expects (callback, *args)");
     PyObject *argtuple = pack_args(args, 1, nargs);
     if (argtuple == NULL)
         return NULL;
@@ -780,20 +778,17 @@ schedulercore_schedule_uncancellable(SchedulerCore *self,
                                      PyObject *const *args,
                                      Py_ssize_t nargs)
 {
-    if (nargs < 2) {
-        PyErr_SetString(
+    if (nargs < 2)
+        return PyErr_Format(
             PyExc_TypeError,
             "schedule_uncancellable expects (delay, callback, *args)");
-        return NULL;
-    }
     double delay = PyFloat_AsDouble(args[0]);
     if (delay == -1.0 && PyErr_Occurred())
         return NULL;
-    if (delay < 0) {
-        PyErr_Format(get_scheduler_error(),
-                     "cannot schedule into the past (delay=%R)", args[0]);
-        return NULL;
-    }
+    if (delay < 0)
+        return PyErr_Format(get_scheduler_error(),
+                            "cannot schedule into the past (delay=%R)",
+                            args[0]);
     if (push_uncancellable(self, self->now + delay, args[1],
                            pack_args(args, 2, nargs)) < 0)
         return NULL;
@@ -1037,6 +1032,8 @@ static PyMethodDef schedulercore_methods[] = {
      "Run events until the queue drains or a limit is reached."},
     {"stop", (PyCFunction)schedulercore_stop, METH_NOARGS,
      "Request that run() return after the current event."},
+    {"clear", (PyCFunction)schedulercore_drop, METH_NOARGS,
+     "Drop every queued event without running it."},
     {NULL}
 };
 
@@ -1179,15 +1176,6 @@ delay_draws_next(const DelayDraws *draws)
     }
 #endif
     return draws->scale;
-}
-
-/* The ValueError both send paths raise for a delay <= 0; -1.0. */
-static double
-raise_nonpositive_delay(PyObject *delay_obj)
-{
-    PyErr_Format(PyExc_ValueError,
-                 "delay model produced non-positive delay %S", delay_obj);
-    return -1.0;
 }
 
 /* ------------------------------------------------------------------ */
@@ -1428,7 +1416,8 @@ sample_delay(NetworkCore *self, PyObject *src, PyObject *dst)
         }
     }
     if (delay_obj != NULL) {
-        raise_nonpositive_delay(delay_obj);
+        PyErr_Format(PyExc_ValueError,
+                     "delay model produced non-positive delay %S", delay_obj);
         Py_DECREF(delay_obj);
     }
     return -1.0;
@@ -1582,19 +1571,12 @@ network_broadcast(NetworkCore *self, PyObject *src, PyObject *dsts,
                                        str_deliver_attr)) == NULL)
         goto done;
     for (Py_ssize_t i = 0; i < n; i++) {
-        double delay = delay_draws_next(&self->delays);
-        if (delay <= 0) {
-            PyObject *delay_obj = PyFloat_FromDouble(delay);
-            if (delay_obj != NULL) {
-                raise_nonpositive_delay(delay_obj);
-                Py_DECREF(delay_obj);
-            }
-            goto done;
-        }
-        if (push_uncancellable(
-                self->sched, self->sched->now + delay, deliver,
-                PyTuple_Pack(4, src, PySequence_Fast_GET_ITEM(fast, i),
-                             message, kind)) < 0)
+        PyObject *dst = PySequence_Fast_GET_ITEM(fast, i);
+        double delay = sample_delay(self, src, dst);
+        if (delay <= 0
+            || push_uncancellable(self->sched, self->sched->now + delay,
+                                  deliver, PyTuple_Pack(4, src, dst, message,
+                                                        kind)) < 0)
             goto done;
     }
     rc = 0;
@@ -1664,11 +1646,9 @@ network_deliver(NetworkCore *self, PyObject *src, PyObject *dst,
 static PyObject *
 networkcore_send(NetworkCore *self, PyObject *const *args, Py_ssize_t nargs)
 {
-    if (nargs != 3) {
-        PyErr_SetString(PyExc_TypeError,
-                        "send expects (src, dst, message)");
-        return NULL;
-    }
+    if (nargs != 3)
+        return PyErr_Format(PyExc_TypeError,
+                            "send expects (src, dst, message)");
     if (network_send(self, args[0], args[1], args[2]) < 0)
         return NULL;
     Py_RETURN_NONE;
@@ -1678,11 +1658,9 @@ static PyObject *
 networkcore_broadcast(NetworkCore *self, PyObject *const *args,
                       Py_ssize_t nargs)
 {
-    if (nargs != 3) {
-        PyErr_SetString(PyExc_TypeError,
-                        "broadcast expects (src, dsts, message)");
-        return NULL;
-    }
+    if (nargs != 3)
+        return PyErr_Format(PyExc_TypeError,
+                            "broadcast expects (src, dsts, message)");
     if (network_broadcast(self, args[0], args[1], args[2]) < 0)
         return NULL;
     Py_RETURN_NONE;
@@ -1692,11 +1670,9 @@ static PyObject *
 networkcore_deliver(NetworkCore *self, PyObject *const *args,
                     Py_ssize_t nargs)
 {
-    if (nargs != 4) {
-        PyErr_SetString(PyExc_TypeError,
-                        "_deliver expects (src, dst, message, kind)");
-        return NULL;
-    }
+    if (nargs != 4)
+        return PyErr_Format(PyExc_TypeError,
+                            "_deliver expects (src, dst, message, kind)");
     if (network_deliver(self, args[0], args[1], args[2], args[3]) < 0)
         return NULL;
     Py_RETURN_NONE;
@@ -1763,17 +1739,13 @@ static PyObject *
 quorum_sample(bitgen_t *bg, Py_ssize_t n, Py_ssize_t k)
 {
 #ifdef REPRO_HAVE_NPYRANDOM
-    if (n < 1 || k < 1 || k > n) {
-        PyErr_Format(PyExc_ValueError,
-                     "quorum_sample needs 1 <= k <= n, got n=%zd k=%zd",
-                     n, k);
-        return NULL;
-    }
-    if (k > 65536) {
-        PyErr_SetString(PyExc_ValueError,
-                        "quorum_sample caps k at 65536");
-        return NULL;
-    }
+    if (n < 1 || k < 1 || k > n)
+        return PyErr_Format(
+            PyExc_ValueError,
+            "quorum_sample needs 1 <= k <= n, got n=%zd k=%zd", n, k);
+    if (k > 65536)
+        return PyErr_Format(PyExc_ValueError,
+                            "quorum_sample caps k at 65536");
     int64_t stack_buf[128];
     int64_t *idx = stack_buf;
     if (k > 128) {
@@ -1819,11 +1791,9 @@ static PyObject *
 kernel_quorum_sample(PyObject *module, PyObject *const *args,
                      Py_ssize_t nargs)
 {
-    if (nargs != 3) {
-        PyErr_SetString(PyExc_TypeError,
-                        "quorum_sample expects (rng, n, k)");
-        return NULL;
-    }
+    if (nargs != 3)
+        return PyErr_Format(PyExc_TypeError,
+                            "quorum_sample expects (rng, n, k)");
     Py_ssize_t n = PyLong_AsSsize_t(args[1]);
     Py_ssize_t k = n == -1 && PyErr_Occurred() ? -1
         : PyLong_AsSsize_t(args[2]);
@@ -1832,12 +1802,10 @@ kernel_quorum_sample(PyObject *module, PyObject *const *args,
     if ((k == -1 && PyErr_Occurred()) || ensure_network_types() < 0
         || bind_bits(args[0], &holder, &bg) < 0)
         return NULL;
-    if (bg == NULL) {
-        PyErr_SetString(PyExc_TypeError,
-                        "quorum_sample needs a numpy Generator and a build "
-                        "linked against numpy's random library");
-        return NULL;
-    }
+    if (bg == NULL)
+        return PyErr_Format(PyExc_TypeError,
+                            "quorum_sample needs a numpy Generator and a "
+                            "build linked against numpy's random library");
     PyObject *result = quorum_sample(bg, n, k);
     Py_DECREF(holder);
     return result;
@@ -1870,10 +1838,29 @@ typedef struct {
 static PyTypeObject Future_Type;
 static PyObject *future_error = NULL; /* repro.sim.futures.FutureError */
 
+/* An operation's future is labelled (kind, register, client id) until
+ * its label is read: formatted here, "kind(register) by cN".  -1 on error. */
+static int
+future_named(Future *self)
+{
+    PyObject *op = self->label, *name;
+    if (op == NULL || !PyTuple_CheckExact(op) || PyTuple_GET_SIZE(op) != 3)
+        return 0;
+    name = PyUnicode_FromFormat("%S(%S) by c%S", PyTuple_GET_ITEM(op, 0),
+                                PyTuple_GET_ITEM(op, 1),
+                                PyTuple_GET_ITEM(op, 2));
+    if (name == NULL)
+        return -1;
+    Py_SETREF(self->label, name);
+    return 0;
+}
+
 /* FutureError(f"future {label!r} {what}"); always -1. */
 static int
 future_error_raise(Future *self, const char *what)
 {
+    if (future_named(self) < 0)
+        return -1;
     if (future_error == NULL
         && (future_error = import_attr("repro.sim.futures",
                                        "FutureError")) == NULL)
@@ -1976,10 +1963,9 @@ gather_step(Future *self, Future *settled)
 static PyObject *
 kernel_gather(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
 {
-    if (nargs != 2) {
-        PyErr_SetString(PyExc_TypeError, "gather expects (futures, label)");
-        return NULL;
-    }
+    if (nargs != 2)
+        return PyErr_Format(PyExc_TypeError,
+                            "gather expects (futures, label)");
     PyObject *futures = args[0];
     if (!PyList_CheckExact(futures) && !PyTuple_CheckExact(futures))
         Py_RETURN_NONE;
@@ -2056,10 +2042,9 @@ future_dealloc(Future *self)
 static PyObject *
 future_resolve(Future *self, PyObject *const *args, Py_ssize_t nargs)
 {
-    if (nargs > 1) {
-        PyErr_SetString(PyExc_TypeError, "resolve takes at most one value");
-        return NULL;
-    }
+    if (nargs > 1)
+        return PyErr_Format(PyExc_TypeError,
+                            "resolve takes at most one value");
     if (future_settle(self, nargs ? args[0] : Py_None, NULL) < 0)
         return NULL;
     Py_RETURN_NONE;
@@ -2070,6 +2055,14 @@ future_fail(Future *self, PyObject *exception)
 {
     if (future_settle(self, NULL, exception) < 0)
         return NULL;
+    Py_RETURN_NONE;
+}
+
+static PyObject *
+future_discard(Future *self, PyObject *Py_UNUSED(ignored))
+{
+    Py_CLEAR(self->callback);
+    Py_CLEAR(self->more);
     Py_RETURN_NONE;
 }
 
@@ -2103,6 +2096,8 @@ future_result(Future *self, PyObject *unused)
 static PyObject *
 future_repr(Future *self)
 {
+    if (future_named(self) < 0)
+        return NULL;
     if (!self->done)
         return PyUnicode_FromFormat("Future(%R, pending)", self->label);
     if (self->exception != NULL)
@@ -2110,6 +2105,14 @@ future_repr(Future *self)
                                     self->exception);
     return PyUnicode_FromFormat("Future(%R, done(%R))", self->label,
                                 self->value ? self->value : Py_None);
+}
+
+static PyObject *
+future_get_label(Future *self, void *closure)
+{
+    if (future_named(self) < 0)
+        return NULL;
+    return Py_NewRef(self->label ? self->label : Py_None);
 }
 
 static PyObject *
@@ -2131,6 +2134,7 @@ future_get_exception(Future *self, void *closure)
 }
 
 static PyGetSetDef future_getset[] = {
+    {"label", (getter)future_get_label, NULL, "The future's name.", NULL},
     {"done", (getter)future_get_done, NULL,
      "True once the future has been resolved or failed.", NULL},
     {"failed", (getter)future_get_failed, NULL,
@@ -2141,7 +2145,6 @@ static PyGetSetDef future_getset[] = {
 };
 
 static PyMemberDef future_members[] = {
-    {"label", T_OBJECT, offsetof(Future, label), 0, NULL},
     /* What the Python gather reads of an input (a mixed list). */
     {"_value", T_OBJECT, offsetof(Future, value), READONLY, NULL},
     {"_exception", T_OBJECT, offsetof(Future, exception), READONLY, NULL},
@@ -2157,6 +2160,8 @@ static PyMethodDef future_methods[] = {
      "Register ``callback(self)``; runs immediately if already settled."},
     {"result", (PyCFunction)future_result, METH_NOARGS,
      "Return the value, raising the stored exception if it failed."},
+    {"discard", (PyCFunction)future_discard, METH_NOARGS,
+     "Drop the callbacks of a future that will never settle."},
     {NULL}
 };
 
@@ -2214,9 +2219,8 @@ ensure_protocol_types(void)
         || (msg_stale_view_nack = import_attr(messages,
                                               "StaleViewNack")) == NULL)
         goto fail;
-    /* Messages are built through tuple.__new__ directly (skipping the
-     * generated NamedTuple __new__ frame), which is only valid for
-     * tuple subtypes. */
+    /* make_message allocates messages as tuples (skipping the generated
+     * NamedTuple __new__ frame), which is only valid for tuple subtypes. */
     PyObject *built[] = {msg_read_query, msg_read_reply, msg_write_update,
                          msg_write_ack, msg_stale_view_nack};
     for (size_t i = 0; i < sizeof(built) / sizeof(built[0]); i++) {
@@ -2303,20 +2307,19 @@ bump_counter(PyObject *obj, PyObject *name)
     return rc;
 }
 
-/* Instantiate a message NamedTuple via tuple.__new__(cls, fields) —
- * exactly what the generated __new__ does, minus its Python frame.
- * Steals the fields reference. */
+/* The message NamedTuple cls(*fields) of its n borrowed fields, in one
+ * allocation: what tuple.__new__ builds for the generated __new__, minus
+ * its Python frame and the argument tuples. */
 static PyObject *
-make_message(PyObject *cls, PyObject *fields)
+make_message(PyObject *cls, Py_ssize_t n, ...)
 {
-    if (fields == NULL)
-        return NULL;
-    PyObject *args = PyTuple_Pack(1, fields);
-    Py_DECREF(fields);
-    if (args == NULL)
-        return NULL;
-    PyObject *message = PyTuple_Type.tp_new((PyTypeObject *)cls, args, NULL);
-    Py_DECREF(args);
+    PyTypeObject *type = (PyTypeObject *)cls;
+    PyObject *message = type->tp_alloc(type, n);
+    va_list fields;
+    va_start(fields, n);
+    for (Py_ssize_t i = 0; message != NULL && i < n; i++)
+        PyTuple_SET_ITEM(message, i, Py_NewRef(va_arg(fields, PyObject *)));
+    va_end(fields);
     return message;
 }
 
@@ -2433,9 +2436,8 @@ servercore_gate(ServerCore *self, PyObject *src, PyObject *message,
         bump_counter(self->server, str_retired_ignored);
     else if (stale > 0 && bump_counter(self->server, str_nacks_sent) == 0) {
         PyObject *nack = make_message(
-            msg_stale_view_nack,
-            PyTuple_Pack(3, PyTuple_GET_ITEM(message, 0),
-                         PyTuple_GET_ITEM(message, 1), view_id));
+            msg_stale_view_nack, 3, PyTuple_GET_ITEM(message, 0),
+            PyTuple_GET_ITEM(message, 1), view_id);
         if (nack != NULL) {
             network_send(self->net, self->node_id, src, nack);
             Py_DECREF(nack);
@@ -2467,10 +2469,9 @@ servercore_invoke(ServerCore *self, PyObject *src, PyObject *message)
         goto done;
     if (is_read) {
         if (bump_counter(self->server, str_reads_served) == 0)
-            reply = make_message(
-                msg_read_reply,
-                PyTuple_Pack(5, reg, op_id, PyTuple_GET_ITEM(entry, 1),
-                             PyTuple_GET_ITEM(entry, 0), view_id));
+            reply = make_message(msg_read_reply, 5, reg, op_id,
+                                 PyTuple_GET_ITEM(entry, 1),
+                                 PyTuple_GET_ITEM(entry, 0), view_id);
         Py_DECREF(entry);
     }
     else {
@@ -2491,8 +2492,7 @@ servercore_invoke(ServerCore *self, PyObject *src, PyObject *message)
         }
         if (bump_counter(self->server, newer ? str_writes_applied
                                              : str_stale_updates) == 0)
-            reply = make_message(msg_write_ack,
-                                 PyTuple_Pack(3, reg, op_id, view_id));
+            reply = make_message(msg_write_ack, 3, reg, op_id, view_id);
     }
 done:
     Py_DECREF(view_id);
@@ -2507,11 +2507,9 @@ static PyObject *
 servercore_call(ServerCore *self, PyObject *args, PyObject *kwds)
 {
     PyObject *src, *message;
-    if (kwds != NULL && PyDict_GET_SIZE(kwds) != 0) {
-        PyErr_SetString(PyExc_TypeError,
-                        "on_message takes no keyword arguments");
-        return NULL;
-    }
+    if (kwds != NULL && PyDict_GET_SIZE(kwds) != 0)
+        return PyErr_Format(PyExc_TypeError,
+                            "on_message takes no keyword arguments");
     if (!PyArg_UnpackTuple(args, "on_message", 2, 2, &src, &message))
         return NULL;
     if (servercore_invoke(self, src, message) < 0)
@@ -3598,11 +3596,9 @@ clientcore_send_round(ClientCore *self, PendingOp *op)
         /* Built once per dispatch and shared by every round. */
         int is_read = PyObject_IsTrue(op->is_read);
         PyObject *message = is_read < 0 ? NULL : is_read
-            ? make_message(msg_read_query,
-                           PyTuple_Pack(3, op->reg, op->op_id, op->view))
-            : make_message(msg_write_update,
-                           PyTuple_Pack(5, op->reg, op->op_id, op->value,
-                                        op->timestamp, op->view));
+            ? make_message(msg_read_query, 3, op->reg, op->op_id, op->view)
+            : make_message(msg_write_update, 5, op->reg, op->op_id,
+                           op->value, op->timestamp, op->view);
         if (message == NULL)
             goto done;
         Py_SETREF(op->message, message);
@@ -3814,9 +3810,8 @@ clientcore_issue(ClientCore *self, PyObject *reg, PyObject *value)
     }
     if (bump_counter(self->client, is_read ? str_reads_performed
                                            : str_writes_performed) < 0
-        || (label = PyUnicode_FromFormat(
-                is_read ? "read(%S) by c%S" : "write(%S) by c%S",
-                reg, self->client_id)) == NULL
+        || (label = PyTuple_Pack(3, is_read ? str_read_kind : str_write_kind,
+                                 reg, self->client_id)) == NULL
         || (future = future_create(label)) == NULL
         || (quorum = clientcore_sample_quorum(
                 self, plan->rounds[0].query)) == NULL)
@@ -3881,11 +3876,9 @@ static PyObject *
 clientcore_call(ClientCore *self, PyObject *args, PyObject *kwds)
 {
     PyObject *src, *message;
-    if (kwds != NULL && PyDict_GET_SIZE(kwds) != 0) {
-        PyErr_SetString(PyExc_TypeError,
-                        "on_message takes no keyword arguments");
-        return NULL;
-    }
+    if (kwds != NULL && PyDict_GET_SIZE(kwds) != 0)
+        return PyErr_Format(PyExc_TypeError,
+                            "on_message takes no keyword arguments");
     if (!PyArg_UnpackTuple(args, "on_message", 2, 2, &src, &message))
         return NULL;
     if (clientcore_invoke(self, src, message) < 0)
@@ -3984,7 +3977,7 @@ PyInit__kernel(void)
                                (PyObject *)types[i].type) < 0)
             goto fail;
     }
-    if (PyModule_AddIntConstant(module, "KERNEL_ABI", 11) < 0
+    if (PyModule_AddIntConstant(module, "KERNEL_ABI", 12) < 0
         || PyModule_AddStringConstant(module, "SOURCE_HASH",
                                       REPRO_SOURCE_HASH) < 0)
         goto fail;

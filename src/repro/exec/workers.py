@@ -213,12 +213,13 @@ def run_alg1_task(task: RunTask) -> Dict[str, Any]:
         if built["membership"] is not None
         else None
     )
-    violation: Optional[SpecViolation] = None
+    violation: Optional[Dict[str, Any]] = None
     result = None
     try:
         result = runner.run(check_spec=False)
     except SpecViolation as caught:
-        violation = caught
+        # The payload only: the exception's traceback holds this frame.
+        violation = caught.payload()
     # A run the monitor aborted reports the state the simulation reached
     # at the violating event, so degradation stays comparable.
     out: Dict[str, Any] = {
@@ -248,9 +249,7 @@ def run_alg1_task(task: RunTask) -> Dict[str, Any]:
         (params.get("retry") or {}).get("max_attempts") is not None
     ):
         out["unreachable"] = deployment.total_unreachable
-    out["spec_violation"] = (
-        violation.payload() if violation is not None else None
-    )
+    out["spec_violation"] = violation
     if built["adversary"] is not None:
         out["adversary"] = built["adversary"].summary()
     if check_online:
@@ -273,4 +272,5 @@ def run_alg1_task(task: RunTask) -> Dict[str, Any]:
         from repro.iterative.trace import measure_pseudocycles
 
         out["pseudocycles"] = measure_pseudocycles(runner)
+    deployment.close()
     return out

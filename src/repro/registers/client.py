@@ -475,9 +475,9 @@ class QuorumRegisterClient(Node):
             )
         op.future.fail(
             OperationTimeout(
-                f"{kind}({op.register}) by c{self.client_id} exceeded its "
-                f"deadline of {self.retry_policy.deadline} after "
-                f"{op.attempts + 1} attempt(s)"
+                f"{op.future.label} exceeded its deadline of "
+                f"{self.retry_policy.deadline} after {op.attempts + 1} "
+                "attempt(s)"
             )
         )
 
@@ -621,7 +621,7 @@ class QuorumRegisterClient(Node):
 
     def _issue(self, register: str, kind: str, plan, record, value=None):
         """Build the op for ``plan``'s first round and begin it."""
-        future = Future(f"{kind}({register}) by c{self.client_id}")
+        future = Future((kind, register, self.client_id))
         quorum = self._sample_quorum(plan[0][0] == QUERY)
         op = _PendingOp(
             next(self._op_ids), register, kind, plan, quorum, future, record,

@@ -13,7 +13,8 @@ loss, and :meth:`install_schedule` scripts a
 partition/heal events addressed by server index.
 """
 
-from typing import Any, List, Optional
+import gc
+from typing import Any, Generator, List, Optional
 
 from repro.obs.core import Observability
 from repro.quorum.base import QuorumSystem
@@ -26,11 +27,20 @@ from repro.registers.client import (
 from repro.registers.server import ReplicaServer
 from repro.registers.space import RegisterSpace
 from repro.sim import kernel
+from repro.sim.coroutines import spawn
 from repro.sim.delays import ConstantDelay, DelayModel
 from repro.sim.failures import FailureInjector, FailureSchedule
 from repro.sim.network import Network
 from repro.sim.rng import RngRegistry
 from repro.sim.scheduler import Scheduler
+
+
+#: The instance attributes through which a node or the network reaches
+#: its C core, which holds the node or network in turn; deleting them
+#: leaves the class's Python methods.
+_CORE_ATTRIBUTES = (
+    "on_message", "send", "broadcast", "_deliver", *kernel.CLIENT_ISSUE_METHODS
+)
 
 
 class RegisterDeployment:
@@ -69,6 +79,7 @@ class RegisterDeployment:
             observability if observability is not None else Observability()
         )
         self.scheduler = scheduler or kernel.make_scheduler()
+        self._processes: List[Generator[Any, Any, Any]] = []
         self.rng = rng_registry or RngRegistry(seed)
         self.delay_model = delay_model or ConstantDelay(1.0)
         self.failures = FailureInjector()
@@ -327,9 +338,61 @@ class RegisterDeployment:
         """Operations with no settlement path left (see client.hung_ops)."""
         return sum(client.hung_ops for client in self.clients)
 
+    # -- the run's lifecycle -------------------------------------------- #
+
+    def spawn(self, generator: Generator[Any, Any, Any], label: str = "") -> Any:
+        """Start ``generator`` as a process on the scheduler (see
+        :func:`repro.sim.coroutines.spawn`); :meth:`close` closes it."""
+        self._processes.append(generator)
+        return spawn(self.scheduler, generator, label)
+
     def run(self, **kwargs) -> float:
-        """Run the underlying scheduler; see :meth:`Scheduler.run`."""
-        return self.scheduler.run(**kwargs)
+        """Run the underlying scheduler; see :meth:`Scheduler.run`.
+
+        Automatic cyclic garbage collection is off while it runs and the
+        caller's setting is restored on exit, also when an event raises:
+        events create no cyclic garbage, and a collection pass would only
+        traverse and promote the operations in flight, round after round.
+        """
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return self.scheduler.run(**kwargs)
+        finally:
+            if enabled:
+                gc.enable()
+
+    def close(self) -> None:
+        """Hand the finished run to reference counting.  Idempotent.
+
+        Closes the processes :meth:`spawn` started, drops the queued
+        events, abandons the operations still in flight (and what waits
+        on them), deletes the attributes that tie the nodes, the network
+        and their C cores into reference cycles and empties the
+        deployment itself, so that everything the run built is freed as
+        soon as its owner lets go of it, with no pass of the cyclic
+        garbage collector.  Call it once the results are read: a closed
+        deployment holds nothing.
+        """
+        if not vars(self):
+            return
+        for generator in self._processes:
+            generator.close()
+        self.scheduler.clear()
+        for client in self.clients:
+            for op in client._pending.values():
+                op.future.discard()
+            client._pending.clear()
+        network = self.network
+        for node in network._nodes.values():
+            for name in _CORE_ATTRIBUTES:
+                node.__dict__.pop(name, None)
+        network._nodes.clear()
+        for name in _CORE_ATTRIBUTES:
+            network.__dict__.pop(name, None)
+        # The adversary and the view manager hold this deployment, which
+        # holds them: it lets go of everything it holds.
+        vars(self).clear()
 
     def __repr__(self) -> str:
         mode = "monotone" if self.monotone else "plain"

@@ -278,7 +278,7 @@ def run_service(config: ServiceConfig) -> ServiceResult:
     _collect_service(metrics, driver, frontend, sketches)
 
     snapshot = metrics.snapshot()
-    return ServiceResult(
+    result = ServiceResult(
         config=config,
         offered=driver.offered,
         counters=frontend.counters(),
@@ -295,6 +295,8 @@ def run_service(config: ServiceConfig) -> ServiceResult:
         membership=None if manager is None else manager.summary(),
         adversary=adversary.summary() if adversary is not None else None,
     )
+    deployment.close()
+    return result
 
 
 def _collect_service(metrics: Any, driver: OpenLoopDriver,

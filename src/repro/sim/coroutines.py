@@ -44,6 +44,68 @@ class CoroutineError(RuntimeError):
     """Raised when a coroutine yields an unsupported object."""
 
 
+class _Process:
+    """One spawned generator and the future its return value settles.
+
+    The scheduler events and future callbacks that drive the generator
+    are this object's bound methods, so a process holds no reference to
+    itself: it lives exactly as long as an event or a future still
+    refers to it, and reference counting frees it after that.
+    """
+
+    __slots__ = ("scheduler", "generator", "done")
+
+    def __init__(self, scheduler: Scheduler, generator, done) -> None:
+        self.scheduler = scheduler
+        self.generator = generator
+        self.done = done
+
+    def resume(self, value: Any = None,
+               exception: Optional[BaseException] = None) -> None:
+        try:
+            if exception is None:
+                yielded = self.generator.send(value)
+            else:
+                yielded = self.generator.throw(exception)
+        except StopIteration as stop:
+            self.done.resolve(stop.value)
+            return
+        except BaseException as exc:  # noqa: BLE001 - propagate via future
+            # The traceback's first entry is this frame, which holds the
+            # process and so the future: keep the generator's entries.
+            self.done.fail(exc.with_traceback(exc.__traceback__.tb_next))
+            return
+        finally:
+            if isinstance(exception, BaseException):
+                # Thrown in, the exception gained a traceback through the
+                # generator's frame, whose locals may hold it again (the
+                # future that failed with it): dropped, they form no cycle.
+                exception.__traceback__ = None
+        self.wait_on(yielded)
+
+    def settled(self, future: Any) -> None:
+        # Defer to a fresh scheduler slot so callback chains stay flat.
+        if future.failed:
+            self.scheduler.call_soon(self.resume, None, future.exception)
+        else:
+            self.scheduler.call_soon(self.resume, future.result())
+
+    def wait_on(self, yielded: Any) -> None:
+        if isinstance(yielded, FUTURE_TYPES):
+            yielded.add_callback(self.settled)
+        elif isinstance(yielded, Sleep):
+            self.scheduler.schedule(yielded.duration, self.resume)
+        else:
+            self.scheduler.call_soon(
+                self.resume,
+                None,
+                CoroutineError(
+                    f"coroutine {self.done.label!r} yielded unsupported "
+                    f"{yielded!r}; yield a Future or Sleep"
+                ),
+            )
+
+
 def spawn(
     scheduler: Scheduler,
     generator: Generator[Any, Any, Any],
@@ -61,41 +123,5 @@ def spawn(
     done = (_kernel.Future if native else Future)(
         label or getattr(generator, "__name__", "coroutine")
     )
-
-    def resume(value: Any = None, exception: Optional[BaseException] = None) -> None:
-        try:
-            if exception is not None:
-                yielded = generator.throw(exception)
-            else:
-                yielded = generator.send(value)
-        except StopIteration as stop:
-            done.resolve(stop.value)
-            return
-        except BaseException as exc:  # noqa: BLE001 - propagate via future
-            done.fail(exc)
-            return
-        _wait_on(yielded)
-
-    def _wait_on(yielded: Any) -> None:
-        if isinstance(yielded, FUTURE_TYPES):
-            def on_settle(fut: Future) -> None:
-                if fut.failed:
-                    # Defer to a fresh scheduler slot so callback chains stay flat.
-                    scheduler.call_soon(resume, None, fut.exception)
-                else:
-                    scheduler.call_soon(resume, fut.result())
-            yielded.add_callback(on_settle)
-        elif isinstance(yielded, Sleep):
-            scheduler.schedule(yielded.duration, resume)
-        else:
-            scheduler.call_soon(
-                resume,
-                None,
-                CoroutineError(
-                    f"coroutine {done.label!r} yielded unsupported {yielded!r}; "
-                    "yield a Future or Sleep"
-                ),
-            )
-
-    scheduler.call_soon(resume)
+    scheduler.call_soon(_Process(scheduler, generator, done).resume)
     return done

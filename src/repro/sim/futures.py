@@ -11,7 +11,7 @@ takes it for a list made only of native futures.  :data:`FUTURE_TYPES`
 names every future class a coroutine may yield.
 """
 
-from typing import Any, Callable, List, Optional
+from typing import Any, Callable, List, Optional, Tuple, Union
 
 from repro._native import load_kernel
 
@@ -27,14 +27,24 @@ class Future:
     Coroutines yield a future to suspend until it settles.
     """
 
-    __slots__ = ("_value", "_exception", "_done", "_callbacks", "label")
+    __slots__ = ("_value", "_exception", "_done", "_callbacks", "_label")
 
-    def __init__(self, label: str = "") -> None:
+    def __init__(self, label: Union[str, Tuple[str, str, int]] = "") -> None:
         self._value: Any = None
         self._exception: Optional[BaseException] = None
         self._done = False
         self._callbacks: List[Callable[["Future"], None]] = []
-        self.label = label
+        self._label = label
+
+    @property
+    def label(self) -> str:
+        """The future's name.  An operation's future is given its ``(kind,
+        register, client id)``, formatted ``kind(register) by cN`` when
+        first read: by an error message or a repr, so rarely."""
+        label = self._label
+        if type(label) is tuple:
+            label = self._label = "%s(%s) by c%s" % label
+        return label
 
     @property
     def done(self) -> bool:
@@ -86,6 +96,15 @@ class Future:
             callback(self)
         else:
             self._callbacks.append(callback)
+
+    def discard(self) -> None:
+        """Drop the callbacks of a future that will never settle.
+
+        What waits on an operation abandoned with its finished run (a
+        ``gather`` over it, a service front end) is referenced from here;
+        a pending ``gather`` and its inputs reference each other.
+        """
+        self._callbacks = []
 
     def _run_callbacks(self) -> None:
         callbacks, self._callbacks = self._callbacks, []

@@ -74,19 +74,54 @@ class RepeatingHandle:
 
     Each firing schedules the next occurrence, so cancellation must go
     through this wrapper rather than any single :class:`EventHandle`.
+    The chain's events call the handle's :meth:`_fire`, and the handle
+    holds only the next of them: a stopped chain is no reference cycle.
     """
 
-    __slots__ = ("_current", "cancelled")
+    __slots__ = (
+        "_current", "cancelled", "_scheduler", "_callback", "_args",
+        "_base", "_interval", "_until", "_count",
+    )
 
-    def __init__(self) -> None:
+    def __init__(self, scheduler: "Scheduler", callback: Callable, args: tuple,
+                 base: float, interval: float, until: Optional[float]) -> None:
         self._current: Optional[EventHandle] = None
         self.cancelled = False
+        self._scheduler = scheduler
+        self._callback = callback
+        self._args = args
+        self._base = base
+        self._interval = interval
+        self._until = until
+        self._count = 0
 
     def cancel(self) -> None:
         """Stop the chain: no further occurrences fire.  Idempotent."""
         self.cancelled = True
         if self._current is not None:
             self._current.cancel()
+            self._current = None
+
+    def _occurrence(self, index: int) -> Optional[float]:
+        """Time of occurrence ``index``, None once past the horizon."""
+        time = self._base + index * self._interval
+        until = self._until
+        if until is not None and time > until:
+            # Float drift past the horizon fires on it (schedule_repeating).
+            return until if time - until <= self._interval * 1e-9 else None
+        return time
+
+    def _fire(self) -> None:
+        if self.cancelled:
+            return
+        self._count += 1
+        next_time = self._occurrence(self._count)
+        if next_time is not None:
+            self._current = self._scheduler.schedule_at(next_time, self._fire)
+        else:
+            self.cancelled = True
+            self._current = None
+        self._callback(*self._args)
 
     def __repr__(self) -> str:
         state = "cancelled" if self.cancelled else "active"
@@ -211,46 +246,40 @@ class Scheduler:
             raise SchedulerError(
                 f"repeating interval must be positive, got {interval}"
             )
-        handle = RepeatingHandle()
         delay = interval if first_delay is None else first_delay
         # ``now``, not ``_now``: NativeScheduler borrows this function and
         # its C core exposes the clock only under the public name.
         base = self.now + delay
-        tolerance = interval * 1e-9
-        count = 0
-
-        def occurrence(index: int) -> Optional[float]:
-            """Time of occurrence ``index``, None once past the horizon."""
-            time = base + index * interval
-            if until is not None and time > until:
-                return until if time - until <= tolerance else None
-            return time
-
-        def fire() -> None:
-            nonlocal count
-            if handle.cancelled:
-                return
-            count += 1
-            next_time = occurrence(count)
-            if next_time is not None:
-                handle._current = self.schedule_at(next_time, fire)
-            else:
-                handle.cancelled = True
-            callback(*args)
-
-        first_time = occurrence(0)
+        handle = RepeatingHandle(self, callback, args, base, interval, until)
+        first_time = handle._occurrence(0)
         if first_time is None:
             handle.cancelled = True
-            return handle
-        if first_time != base:
-            handle._current = self.schedule_at(first_time, fire)
+        elif first_time != base:
+            handle._current = self.schedule_at(first_time, handle._fire)
         else:
-            handle._current = self.schedule(delay, fire)
+            handle._current = self.schedule(delay, handle._fire)
         return handle
 
     def stop(self) -> None:
         """Request that :meth:`run` return after the current event."""
         self._stopped = True
+
+    def clear(self) -> None:
+        """Drop every queued event without running it.
+
+        ``pending`` reads 0 afterwards.  A dropped handle counts as
+        dequeued, so cancelling it later changes nothing, and lets go of
+        its callback, arguments and scheduler: whoever still holds it
+        (an operation's retry timer, a repeating chain) is no longer tied
+        by it into a reference cycle.
+        """
+        queue, self._queue = self._queue, []
+        self._live = 0
+        for entry in queue:
+            if len(entry) == 3:
+                handle = entry[2]
+                handle._dequeued = True
+                handle.callback, handle.args, handle._owner = None, (), None
 
     def step(self) -> bool:
         """Execute the next event.  Returns False when the queue is empty."""
@@ -259,19 +288,16 @@ class Scheduler:
             entry = _heappop(queue)
             if len(entry) == 4:
                 time, _seq, callback, args = entry
-                self._live -= 1
-                self._now = time
-                self._events_processed += 1
-                callback(*args)
-                return True
-            time, _seq, handle = entry
-            handle._dequeued = True
-            if handle.cancelled:
-                continue
+            else:
+                time, _seq, handle = entry
+                handle._dequeued = True
+                if handle.cancelled:
+                    continue
+                callback, args = handle.callback, handle.args
             self._live -= 1
             self._now = time
             self._events_processed += 1
-            handle.callback(*handle.args)
+            callback(*args)
             return True
         return False
 

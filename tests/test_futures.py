@@ -202,6 +202,25 @@ def test_a_raising_callback_stops_the_rest(impl):
     assert repr(fut) == "Future('f', done(1))"
 
 
+def test_an_operation_label_is_formatted_when_read(impl):
+    fut = impl(("write", "X3", 2))
+    assert repr(fut) == "Future('write(X3) by c2', pending)"
+    assert fut.label == "write(X3) by c2"
+    fut.resolve(None)
+    with pytest.raises(FutureError,
+                       match=r"^future 'write\(X3\) by c2' resolved twice$"):
+        fut.resolve(None)
+
+
+def test_discard_drops_the_callbacks(impl):
+    fut = impl("f")
+    seen = []
+    fut.add_callback(seen.append)
+    fut.discard()
+    fut.resolve(1)
+    assert seen == [] and fut.result() == 1
+
+
 class _CountingFuture(Future):
     """A future that counts every attribute read made on it."""
 

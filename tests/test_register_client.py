@@ -40,6 +40,18 @@ def test_write_then_read_full_quorum_sees_value():
     assert run_ops(deployment, proc()).result() == "new"
 
 
+def test_operation_labels_name_kind_register_and_client(kernel_backend):
+    deployment = RegisterDeployment(
+        ProbabilisticQuorumSystem(4, 2), num_clients=2, seed=3
+    )
+    deployment.declare_register("X", writer=1, initial_value=0)
+    read = deployment.clients[0].read("X")
+    write = deployment.clients[1].write("X", 5)
+    deployment.run()
+    assert (read.label, write.label) == ("read(X) by c0", "write(X) by c1")
+    assert repr(read) == "Future('read(X) by c0', done(0))"
+
+
 def test_write_updates_quorum_replicas_only(small_deployment):
     def proc():
         yield small_deployment.handle(0, "X").write("v")
