@@ -301,11 +301,13 @@ import_attr(const char *module_name, const char *attr)
 static PyObject *
 get_scheduler_error(void)
 {
-    if (scheduler_error == NULL
-        && (scheduler_error = import_attr("repro.sim.scheduler",
-                                          "SchedulerError")) == NULL) {
-        PyErr_Clear();
-        scheduler_error = Py_NewRef(PyExc_RuntimeError);
+    if (scheduler_error == NULL) {
+        scheduler_error = import_attr("repro.sim.scheduler",
+                                      "SchedulerError");
+        if (scheduler_error == NULL) {
+            PyErr_Clear();
+            scheduler_error = Py_NewRef(PyExc_RuntimeError);
+        }
     }
     return scheduler_error;
 }
@@ -709,9 +711,11 @@ static PyObject *
 schedulercore_schedule(SchedulerCore *self, PyObject *const *args,
                        Py_ssize_t nargs)
 {
-    if (nargs < 2)
-        return PyErr_Format(PyExc_TypeError,
-                            "schedule expects (delay, callback, *args)");
+    if (nargs < 2) {
+        PyErr_SetString(PyExc_TypeError,
+                        "schedule expects (delay, callback, *args)");
+        return NULL;
+    }
     return schedule_after(self, args[0], args[1], pack_args(args, 2, nargs));
 }
 
@@ -719,9 +723,11 @@ static PyObject *
 schedulercore_schedule_at(SchedulerCore *self, PyObject *const *args,
                           Py_ssize_t nargs)
 {
-    if (nargs < 2)
-        return PyErr_Format(PyExc_TypeError,
-                            "schedule_at expects (time, callback, *args)");
+    if (nargs < 2) {
+        PyErr_SetString(PyExc_TypeError,
+                        "schedule_at expects (time, callback, *args)");
+        return NULL;
+    }
     double time = PyFloat_AsDouble(args[0]);
     if (time == -1.0 && PyErr_Occurred())
         return NULL;
@@ -745,9 +751,11 @@ static PyObject *
 schedulercore_call_soon(SchedulerCore *self, PyObject *const *args,
                         Py_ssize_t nargs)
 {
-    if (nargs < 1)
-        return PyErr_Format(PyExc_TypeError,
-                            "call_soon expects (callback, *args)");
+    if (nargs < 1) {
+        PyErr_SetString(PyExc_TypeError,
+                        "call_soon expects (callback, *args)");
+        return NULL;
+    }
     PyObject *argtuple = pack_args(args, 1, nargs);
     if (argtuple == NULL)
         return NULL;
@@ -778,17 +786,20 @@ schedulercore_schedule_uncancellable(SchedulerCore *self,
                                      PyObject *const *args,
                                      Py_ssize_t nargs)
 {
-    if (nargs < 2)
-        return PyErr_Format(
+    if (nargs < 2) {
+        PyErr_SetString(
             PyExc_TypeError,
             "schedule_uncancellable expects (delay, callback, *args)");
+        return NULL;
+    }
     double delay = PyFloat_AsDouble(args[0]);
     if (delay == -1.0 && PyErr_Occurred())
         return NULL;
-    if (delay < 0)
-        return PyErr_Format(get_scheduler_error(),
-                            "cannot schedule into the past (delay=%R)",
-                            args[0]);
+    if (delay < 0) {
+        PyErr_Format(get_scheduler_error(),
+                     "cannot schedule into the past (delay=%R)", args[0]);
+        return NULL;
+    }
     if (push_uncancellable(self, self->now + delay, args[1],
                            pack_args(args, 2, nargs)) < 0)
         return NULL;
@@ -952,24 +963,6 @@ schedulercore_stop(SchedulerCore *self, PyObject *Py_UNUSED(ignored))
     Py_RETURN_NONE;
 }
 
-static PyObject *
-schedulercore_get_now(SchedulerCore *self, void *closure)
-{
-    return PyFloat_FromDouble(self->now);
-}
-
-static PyObject *
-schedulercore_get_events_processed(SchedulerCore *self, void *closure)
-{
-    return PyLong_FromLongLong(self->processed);
-}
-
-static PyObject *
-schedulercore_get_pending(SchedulerCore *self, void *closure)
-{
-    return PyLong_FromLongLong(self->live);
-}
-
 /* Debug/introspection snapshot mirroring the pure-python Scheduler's
  * ``_queue`` list: (time, seq, handle) for cancellable entries and
  * (time, seq, callback, args) for uncancellable ones, in heap (not
@@ -1002,14 +995,17 @@ schedulercore_get_queue(SchedulerCore *self, void *closure)
     return out;
 }
 
+static PyMemberDef schedulercore_members[] = {
+    {"now", T_DOUBLE, offsetof(SchedulerCore, now), READONLY,
+     "Current simulated time."},
+    {"events_processed", T_LONGLONG, offsetof(SchedulerCore, processed),
+     READONLY, "Number of events executed so far."},
+    {"pending", T_LONGLONG, offsetof(SchedulerCore, live), READONLY,
+     "Number of non-cancelled events still queued (O(1) live counter)."},
+    {NULL}
+};
+
 static PyGetSetDef schedulercore_getset[] = {
-    {"now", (getter)schedulercore_get_now, NULL,
-     "Current simulated time.", NULL},
-    {"events_processed", (getter)schedulercore_get_events_processed, NULL,
-     "Number of events executed so far.", NULL},
-    {"pending", (getter)schedulercore_get_pending, NULL,
-     "Number of non-cancelled events still queued (O(1) live counter).",
-     NULL},
     {"_queue", (getter)schedulercore_get_queue, NULL,
      "Debug snapshot of the heap entries (tests only).", NULL},
     {NULL}
@@ -1048,6 +1044,7 @@ static PyTypeObject SchedulerCore_Type = {
     .tp_dealloc = (destructor)schedulercore_dealloc,
     .tp_traverse = (traverseproc)schedulercore_traverse,
     .tp_clear = (inquiry)schedulercore_clear,
+    .tp_members = schedulercore_members,
     .tp_getset = schedulercore_getset,
     .tp_methods = schedulercore_methods,
 };
@@ -1646,9 +1643,11 @@ network_deliver(NetworkCore *self, PyObject *src, PyObject *dst,
 static PyObject *
 networkcore_send(NetworkCore *self, PyObject *const *args, Py_ssize_t nargs)
 {
-    if (nargs != 3)
-        return PyErr_Format(PyExc_TypeError,
-                            "send expects (src, dst, message)");
+    if (nargs != 3) {
+        PyErr_SetString(PyExc_TypeError,
+                        "send expects (src, dst, message)");
+        return NULL;
+    }
     if (network_send(self, args[0], args[1], args[2]) < 0)
         return NULL;
     Py_RETURN_NONE;
@@ -1658,9 +1657,11 @@ static PyObject *
 networkcore_broadcast(NetworkCore *self, PyObject *const *args,
                       Py_ssize_t nargs)
 {
-    if (nargs != 3)
-        return PyErr_Format(PyExc_TypeError,
-                            "broadcast expects (src, dsts, message)");
+    if (nargs != 3) {
+        PyErr_SetString(PyExc_TypeError,
+                        "broadcast expects (src, dsts, message)");
+        return NULL;
+    }
     if (network_broadcast(self, args[0], args[1], args[2]) < 0)
         return NULL;
     Py_RETURN_NONE;
@@ -1670,9 +1671,11 @@ static PyObject *
 networkcore_deliver(NetworkCore *self, PyObject *const *args,
                     Py_ssize_t nargs)
 {
-    if (nargs != 4)
-        return PyErr_Format(PyExc_TypeError,
-                            "_deliver expects (src, dst, message, kind)");
+    if (nargs != 4) {
+        PyErr_SetString(PyExc_TypeError,
+                        "_deliver expects (src, dst, message, kind)");
+        return NULL;
+    }
     if (network_deliver(self, args[0], args[1], args[2], args[3]) < 0)
         return NULL;
     Py_RETURN_NONE;
@@ -1739,13 +1742,17 @@ static PyObject *
 quorum_sample(bitgen_t *bg, Py_ssize_t n, Py_ssize_t k)
 {
 #ifdef REPRO_HAVE_NPYRANDOM
-    if (n < 1 || k < 1 || k > n)
-        return PyErr_Format(
-            PyExc_ValueError,
-            "quorum_sample needs 1 <= k <= n, got n=%zd k=%zd", n, k);
-    if (k > 65536)
-        return PyErr_Format(PyExc_ValueError,
-                            "quorum_sample caps k at 65536");
+    if (n < 1 || k < 1 || k > n) {
+        PyErr_Format(PyExc_ValueError,
+                     "quorum_sample needs 1 <= k <= n, got n=%zd k=%zd",
+                     n, k);
+        return NULL;
+    }
+    if (k > 65536) {
+        PyErr_SetString(PyExc_ValueError,
+                        "quorum_sample caps k at 65536");
+        return NULL;
+    }
     int64_t stack_buf[128];
     int64_t *idx = stack_buf;
     if (k > 128) {
@@ -1791,9 +1798,11 @@ static PyObject *
 kernel_quorum_sample(PyObject *module, PyObject *const *args,
                      Py_ssize_t nargs)
 {
-    if (nargs != 3)
-        return PyErr_Format(PyExc_TypeError,
-                            "quorum_sample expects (rng, n, k)");
+    if (nargs != 3) {
+        PyErr_SetString(PyExc_TypeError,
+                        "quorum_sample expects (rng, n, k)");
+        return NULL;
+    }
     Py_ssize_t n = PyLong_AsSsize_t(args[1]);
     Py_ssize_t k = n == -1 && PyErr_Occurred() ? -1
         : PyLong_AsSsize_t(args[2]);
@@ -1802,10 +1811,12 @@ kernel_quorum_sample(PyObject *module, PyObject *const *args,
     if ((k == -1 && PyErr_Occurred()) || ensure_network_types() < 0
         || bind_bits(args[0], &holder, &bg) < 0)
         return NULL;
-    if (bg == NULL)
-        return PyErr_Format(PyExc_TypeError,
-                            "quorum_sample needs a numpy Generator and a "
-                            "build linked against numpy's random library");
+    if (bg == NULL) {
+        PyErr_SetString(PyExc_TypeError,
+                        "quorum_sample needs a numpy Generator and a build "
+                        "linked against numpy's random library");
+        return NULL;
+    }
     PyObject *result = quorum_sample(bg, n, k);
     Py_DECREF(holder);
     return result;
@@ -1963,9 +1974,10 @@ gather_step(Future *self, Future *settled)
 static PyObject *
 kernel_gather(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
 {
-    if (nargs != 2)
-        return PyErr_Format(PyExc_TypeError,
-                            "gather expects (futures, label)");
+    if (nargs != 2) {
+        PyErr_SetString(PyExc_TypeError, "gather expects (futures, label)");
+        return NULL;
+    }
     PyObject *futures = args[0];
     if (!PyList_CheckExact(futures) && !PyTuple_CheckExact(futures))
         Py_RETURN_NONE;
@@ -2042,9 +2054,10 @@ future_dealloc(Future *self)
 static PyObject *
 future_resolve(Future *self, PyObject *const *args, Py_ssize_t nargs)
 {
-    if (nargs > 1)
-        return PyErr_Format(PyExc_TypeError,
-                            "resolve takes at most one value");
+    if (nargs > 1) {
+        PyErr_SetString(PyExc_TypeError, "resolve takes at most one value");
+        return NULL;
+    }
     if (future_settle(self, nargs ? args[0] : Py_None, NULL) < 0)
         return NULL;
     Py_RETURN_NONE;
@@ -2503,16 +2516,19 @@ done:
     return rc;
 }
 
+/* A server or client core called as on_message(src, message). */
 static PyObject *
-servercore_call(ServerCore *self, PyObject *args, PyObject *kwds)
+protocolcore_call(PyObject *core, PyObject *args, PyObject *kwds)
 {
     PyObject *src, *message;
-    if (kwds != NULL && PyDict_GET_SIZE(kwds) != 0)
-        return PyErr_Format(PyExc_TypeError,
-                            "on_message takes no keyword arguments");
+    if (kwds != NULL && PyDict_GET_SIZE(kwds) != 0) {
+        PyErr_SetString(PyExc_TypeError,
+                        "on_message takes no keyword arguments");
+        return NULL;
+    }
     if (!PyArg_UnpackTuple(args, "on_message", 2, 2, &src, &message))
         return NULL;
-    if (servercore_invoke(self, src, message) < 0)
+    if (protocolcore_invoke(core, src, message) < 0)
         return NULL;
     Py_RETURN_NONE;
 }
@@ -2528,7 +2544,7 @@ static PyTypeObject ServerCore_Type = {
     .tp_dealloc = (destructor)servercore_dealloc,
     .tp_traverse = (traverseproc)servercore_traverse,
     .tp_clear = (inquiry)servercore_clear,
-    .tp_call = (ternaryfunc)servercore_call,
+    .tp_call = protocolcore_call,
 };
 
 /* ------------------------------ ClientCore ------------------------- */
@@ -3872,20 +3888,6 @@ static PyMethodDef clientcore_methods[] = {
     {NULL}
 };
 
-static PyObject *
-clientcore_call(ClientCore *self, PyObject *args, PyObject *kwds)
-{
-    PyObject *src, *message;
-    if (kwds != NULL && PyDict_GET_SIZE(kwds) != 0)
-        return PyErr_Format(PyExc_TypeError,
-                            "on_message takes no keyword arguments");
-    if (!PyArg_UnpackTuple(args, "on_message", 2, 2, &src, &message))
-        return NULL;
-    if (clientcore_invoke(self, src, message) < 0)
-        return NULL;
-    Py_RETURN_NONE;
-}
-
 static PyTypeObject ClientCore_Type = {
     PyVarObject_HEAD_INIT(NULL, 0)
     .tp_name = "repro._native._kernel.ClientCore",
@@ -3899,11 +3901,11 @@ static PyTypeObject ClientCore_Type = {
     .tp_dealloc = (destructor)clientcore_dealloc,
     .tp_traverse = (traverseproc)clientcore_traverse,
     .tp_clear = (inquiry)clientcore_clear,
-    .tp_call = (ternaryfunc)clientcore_call,
+    .tp_call = protocolcore_call,
     .tp_methods = clientcore_methods,
 };
 
-/* Dispatch from the delivery trampoline (both cores, no tp_call). */
+/* Dispatch from the delivery trampoline and tp_call (both cores). */
 static int
 protocolcore_invoke(PyObject *core, PyObject *src, PyObject *message)
 {

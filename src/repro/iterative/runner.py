@@ -23,6 +23,7 @@ from repro.obs.core import Observability
 from repro.quorum.base import QuorumSystem
 from repro.registers.client import OperationTimeout, RetryPolicy
 from repro.registers.deployment import RegisterDeployment
+from repro.sim.coroutines import spawn
 from repro.sim.delays import DelayModel
 from repro.sim.futures import gather
 
@@ -233,13 +234,10 @@ class Alg1Runner:
                 "check_spec=True requires record_history=True: the spec "
                 "audit reads the register histories after the run"
             )
-        deployment = self.deployment
-        scheduler = deployment.scheduler
+        scheduler = self.deployment.scheduler
         for process in range(len(self.blocks)):
-            deployment.spawn(
-                self._process_loop(process), label=f"proc-{process}"
-            )
-        deployment.run(until=self.max_sim_time)
+            spawn(scheduler, self._process_loop(process), label=f"proc-{process}")
+        self.deployment.run(until=self.max_sim_time)
         if not self._stop:
             # Hit the simulated-time cap (e.g. stalled by crashes): tear
             # the process loops down so the run reports honestly.

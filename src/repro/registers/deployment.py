@@ -14,7 +14,7 @@ partition/heal events addressed by server index.
 """
 
 import gc
-from typing import Any, Generator, List, Optional
+from typing import Any, List, Optional
 
 from repro.obs.core import Observability
 from repro.quorum.base import QuorumSystem
@@ -27,7 +27,6 @@ from repro.registers.client import (
 from repro.registers.server import ReplicaServer
 from repro.registers.space import RegisterSpace
 from repro.sim import kernel
-from repro.sim.coroutines import spawn
 from repro.sim.delays import ConstantDelay, DelayModel
 from repro.sim.failures import FailureInjector, FailureSchedule
 from repro.sim.network import Network
@@ -79,7 +78,6 @@ class RegisterDeployment:
             observability if observability is not None else Observability()
         )
         self.scheduler = scheduler or kernel.make_scheduler()
-        self._processes: List[Generator[Any, Any, Any]] = []
         self.rng = rng_registry or RngRegistry(seed)
         self.delay_model = delay_model or ConstantDelay(1.0)
         self.failures = FailureInjector()
@@ -340,12 +338,6 @@ class RegisterDeployment:
 
     # -- the run's lifecycle -------------------------------------------- #
 
-    def spawn(self, generator: Generator[Any, Any, Any], label: str = "") -> Any:
-        """Start ``generator`` as a process on the scheduler (see
-        :func:`repro.sim.coroutines.spawn`); :meth:`close` closes it."""
-        self._processes.append(generator)
-        return spawn(self.scheduler, generator, label)
-
     def run(self, **kwargs) -> float:
         """Run the underlying scheduler; see :meth:`Scheduler.run`.
 
@@ -365,9 +357,8 @@ class RegisterDeployment:
     def close(self) -> None:
         """Hand the finished run to reference counting.  Idempotent.
 
-        Closes the processes :meth:`spawn` started, drops the queued
-        events, abandons the operations still in flight (and what waits
-        on them), deletes the attributes that tie the nodes, the network
+        Drops the queued events, abandons the operations still in flight
+        (and what waits on them), deletes the attributes that tie the nodes, the network
         and their C cores into reference cycles and empties the
         deployment itself, so that everything the run built is freed as
         soon as its owner lets go of it, with no pass of the cyclic
@@ -376,8 +367,6 @@ class RegisterDeployment:
         """
         if not vars(self):
             return
-        for generator in self._processes:
-            generator.close()
         self.scheduler.clear()
         for client in self.clients:
             for op in client._pending.values():

@@ -16,6 +16,7 @@ future's result, so protocol code reads naturally::
 resolves with the generator's return value.
 """
 
+import traceback
 from typing import Any, Generator, Optional
 
 from repro._native import load_kernel
@@ -67,20 +68,23 @@ class _Process:
                 yielded = self.generator.send(value)
             else:
                 yielded = self.generator.throw(exception)
+                # Caught, the exception keeps the traceback it gained
+                # through the generator's frame, whose locals may hold it
+                # again (the future that failed with it): drop it.
+                exception.__traceback__ = None
         except StopIteration as stop:
+            if exception is not None:
+                exception.__traceback__ = None
             self.done.resolve(stop.value)
             return
         except BaseException as exc:  # noqa: BLE001 - propagate via future
             # The traceback's first entry is this frame, which holds the
-            # process and so the future: keep the generator's entries.
-            self.done.fail(exc.with_traceback(exc.__traceback__.tb_next))
+            # process and so the future: keep the generator's entries,
+            # without the locals of their finished frames.
+            entries = exc.__traceback__.tb_next
+            traceback.clear_frames(entries)
+            self.done.fail(exc.with_traceback(entries))
             return
-        finally:
-            if isinstance(exception, BaseException):
-                # Thrown in, the exception gained a traceback through the
-                # generator's frame, whose locals may hold it again (the
-                # future that failed with it): dropped, they form no cycle.
-                exception.__traceback__ = None
         self.wait_on(yielded)
 
     def settled(self, future: Any) -> None:

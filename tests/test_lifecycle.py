@@ -10,6 +10,7 @@ type, and must not grow with the length of the run.
 """
 
 import gc
+from traceback import extract_tb
 
 import pytest
 
@@ -18,7 +19,7 @@ from repro.exec.workers import run_alg1_task
 from repro.quorum.probabilistic import ProbabilisticQuorumSystem
 from repro.registers.deployment import RegisterDeployment
 from repro.service.runner import ServiceConfig, run_service
-from repro.sim.coroutines import Sleep
+from repro.sim.coroutines import Sleep, spawn
 from repro.sim.futures import Future
 
 
@@ -155,16 +156,29 @@ def test_an_exception_in_a_process_leaves_no_cycle(kernel_backend):
         yield Sleep(1.0)
         raise ValueError("own")
 
-    def run():
-        gate = Future("gate")
-        deployment.spawn(catching(gate), label="catching")
-        deployment.scheduler.schedule(1.0, gate.fail, RuntimeError("late"))
-        failed = deployment.spawn(raising(), label="raising")
-        deployment.run()
-        return type(failed.exception)
+    def uncaught(gate):
+        # Thrown in and escaping: the frame holds the future again.
+        waiting = [gate]
+        yield waiting[0]
 
-    raised, garbage = cyclic_garbage(run)
-    assert caught == ["late"] and raised is ValueError
+    def run():
+        gate, lost = Future("gate"), Future("lost")
+        spawn(deployment.scheduler, catching(gate), label="catching")
+        deployment.scheduler.schedule(1.0, gate.fail, RuntimeError("late"))
+        failed = spawn(deployment.scheduler, raising(), label="raising")
+        thrown = spawn(deployment.scheduler, uncaught(lost), label="uncaught")
+        deployment.scheduler.schedule(1.0, lost.fail, KeyError("lost"))
+        deployment.run()
+        return [
+            (type(future.exception),
+             [entry.name for entry in extract_tb(future.exception.__traceback__)])
+            for future in (failed, thrown)
+        ]
+
+    escaped, garbage = cyclic_garbage(run)
+    assert caught == ["late"]
+    # An escaping exception keeps the generator's traceback entries.
+    assert escaped == [(ValueError, ["raising"]), (KeyError, ["uncaught"])]
     assert garbage == []
 
 

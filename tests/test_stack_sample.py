@@ -23,7 +23,7 @@ def test_samples_the_command_and_names_its_functions():
            "while time.process_time() < end: sum(range(1000))"
     done = subprocess.run(
         [sys.executable, str(ROOT / "tools" / "stack_sample.py"),
-         "--top", "50", "--", sys.executable, "-c", busy],
+         "--", sys.executable, "-c", busy],
         capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 0, done.stderr
@@ -35,6 +35,6 @@ def test_samples_the_command_and_names_its_functions():
     inclusive = lines[lines.index("inclusive share (function anywhere "
                                   "on the stack)") + 1:]
     assert any(line.split()[-1] == "_PyEval_EvalFrameDefault"
-               for line in inclusive[:50])
+               for line in inclusive)
     # The command loads no kernel: every sample is charged to no frame.
     assert lines[-1].split() == ["100.0%", "(no", "kernel", "frame)"]

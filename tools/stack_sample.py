@@ -2,13 +2,13 @@
 
 Compiles a small ``LD_PRELOAD`` shim with the native build's compiler,
 starts the command with it and samples the command's own process: every
-``1/--hz`` s of CPU time a SIGPROF handler records the C call stack
+millisecond of CPU time a SIGPROF handler records the C call stack
 (``backtrace``).  The shim switches itself off for anything the process
 starts (a pool worker, a compiler), so only that one process is sampled
 (at most once per kernel tick: 250 Hz on a 250 Hz kernel).
 At exit the stacks are resolved against the ELF symbol tables (``nm``)
 of the interpreter, ``libpython`` and every extension, the native kernel
-included, and two tables are printed:
+included, and two tables of the top ``TOP`` rows are printed:
 
 * **inclusive**: the share of samples with the function anywhere on the
   stack (``gc_collect_main`` is the cyclic collector; ``PyObject_GetAttr``
@@ -20,7 +20,7 @@ included, and two tables are printed:
 ::
 
     python tools/stack_sample.py                  # figure2 on native
-    python tools/stack_sample.py --hz 2000 --top 40 -- \\
+    python tools/stack_sample.py -- \\
         python -m repro.cli chaos --runs 20 --jobs 1 --kernel native
 
 The default command runs the scaled-down Figure 2 sweep serially on the
@@ -43,6 +43,9 @@ from typing import Dict, List, Optional, Tuple
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
+
+#: Rows printed per table.
+TOP = 30
 
 #: The shim.  Its constructor arms an ITIMER_PROF timer when
 #: STACK_SAMPLE_OUT names an output file, and unsets the variable so that
@@ -77,7 +80,6 @@ static void on_prof(int sig)
 __attribute__((constructor)) static void start(void)
 {
     const char *path = getenv("STACK_SAMPLE_OUT");
-    const char *hz = getenv("STACK_SAMPLE_HZ");
     if (path == NULL || (buf = malloc(cap * sizeof(void *))) == NULL)
         return;
     snprintf(out, sizeof out, "%s", path);
@@ -89,8 +91,7 @@ __attribute__((constructor)) static void start(void)
     action.sa_handler = on_prof;
     action.sa_flags = SA_RESTART;
     sigaction(SIGPROF, &action, NULL);
-    long usec = 1000000L / (hz ? atol(hz) : 1000);
-    struct itimerval timer = {{0, usec}, {0, usec}};
+    struct itimerval timer = {{0, 1000}, {0, 1000}}; /* 1000 Hz */
     setitimer(ITIMER_PROF, &timer, NULL);
 }
 
@@ -227,7 +228,7 @@ def resolve(samples, maps) -> List[List[Tuple[str, str]]]:
     return resolved
 
 
-def report(stacks, top: int) -> None:
+def report(stacks) -> None:
     total = len(stacks)
     if total == 0:
         print("no samples")
@@ -242,24 +243,18 @@ def report(stacks, top: int) -> None:
         )
         kernel[inner] += 1
     print(f"{total} samples\n\ninclusive share (function anywhere on the stack)")
-    for name, count in inclusive.most_common(top):
+    for name, count in inclusive.most_common(TOP):
         print(f"  {count / total:6.1%}  {name}")
     print("\nshare by innermost native kernel function")
-    for name, count in kernel.most_common(top):
+    for name, count in kernel.most_common(TOP):
         print(f"  {count / total:6.1%}  {name}")
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--hz", type=int, default=1000,
-                        help="samples per CPU second (default 1000)")
-    parser.add_argument("--top", type=int, default=30,
-                        help="rows per table (default 30)")
     parser.add_argument("command", nargs="*",
                         help="the command to sample (after --)")
     args = parser.parse_args(argv)
-    if not 1 <= args.hz <= 1_000_000:
-        parser.error("--hz must be between 1 and 1000000")
     if not sys.platform.startswith("linux"):
         print("stack_sample: Linux only", file=sys.stderr)
         return 2
@@ -275,7 +270,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             filter(None, [str(library), env.get("LD_PRELOAD")])
         )
         env["STACK_SAMPLE_OUT"] = str(samples_path)
-        env["STACK_SAMPLE_HZ"] = str(args.hz)
         env["PYTHONPATH"] = os.pathsep.join(
             filter(None, [str(SRC), env.get("PYTHONPATH")])
         )
@@ -285,7 +279,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             print("stack_sample: the command wrote no samples",
                   file=sys.stderr)
             return done.returncode or 1
-        report(resolve(*read_samples(samples_path)), args.top)
+        report(resolve(*read_samples(samples_path)))
     return done.returncode
 
 
