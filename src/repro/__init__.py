@@ -29,6 +29,19 @@ Quickstart::
     assert result.converged
 """
 
+import os as _os
+import sys as _sys
+
+# ``python -m repro.cli``: no shipped path calls BLAS, so numpy's OpenBLAS
+# and OpenMP worker threads, one per core by default, would only spin idle
+# beside the simulation and its pool workers (which inherit the setting).
+# Python sets sys.argv[0] to "-m" while it imports this package on the way
+# to the module it runs, which is before numpy's first import, below.  A
+# setting of the user's own wins.
+if _sys.argv[:1] == ["-m"]:
+    for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        _os.environ.setdefault(_name, "1")
+
 from repro.apps import (
     ApspACO,
     ArcConsistencyACO,

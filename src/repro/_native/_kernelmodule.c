@@ -13,7 +13,8 @@
  * without an interpreter frame; Python is re-entered only where a node, a
  * hook or a fallback guard asks for it.  Each core is wired once: it binds
  * its object's configuration when it is built and reads live only what
- * changes during a run.
+ * changes during a run — at __slots__ offsets, not by name (the bind-once
+ * rule, below).
  *
  * Contract: byte-identical behaviour to the pure-python reference in
  * ``repro.sim.scheduler`` / ``repro.sim.metrics`` / ``repro.sim.network``
@@ -56,7 +57,6 @@
 
 /* Attribute and method names, interned once at module init. */
 #define INTERNED_STRINGS(X)                                   \
-    X(str_active, "active")                                  \
     X(str_can_deliver, "can_deliver")                        \
     X(str_on_message, "on_message")                          \
     X(str_record_drop, "record_drop")                        \
@@ -84,23 +84,15 @@
     X(str_send_attr, "send")                                 \
     X(str_node_id, "node_id")                                \
     X(str_network_attr, "network")                           \
-    X(str_seq_attr, "seq")                                   \
-    X(str_writer_attr, "writer")                             \
     X(str_cancel, "cancel")                                  \
     X(str_respond, "respond")                                \
     X(str_complete, "complete")                              \
     X(str_monotone, "monotone")                              \
     X(str_cache_attr, "_cache")                              \
-    X(str_cache_hits, "cache_hits")                          \
     X(str_latency_attr, "_latency")                          \
     X(str_pending_attr, "_pending")                          \
     X(str_server_index, "_server_index")                     \
     X(str_replicas_attr, "_replicas")                        \
-    X(str_reads_served, "reads_served")                      \
-    X(str_writes_applied, "writes_applied")                  \
-    X(str_stale_updates, "stale_updates_ignored")            \
-    X(str_ops_completed, "ops_completed")                    \
-    X(str_ops_under_failure, "ops_completed_under_failure")  \
     X(str_failures_attr, "failures")                         \
     X(str_scheduler_attr, "scheduler")                       \
     X(str_replica_method, "_replica")                        \
@@ -112,15 +104,9 @@
     X(str_observe, "observe")                                \
     X(str_read_kind, "read")                                 \
     X(str_write_kind, "write")                               \
-    X(str_view_state, "view_state")                          \
     X(str_view_id, "view_id")                                \
-    X(str_retired, "retired")                                \
-    X(str_retiring, "retiring")                              \
-    X(str_retired_ignored, "retired_messages_ignored")       \
-    X(str_nacks_sent, "stale_nacks_sent")                    \
     X(str_sample_quorum, "_sample_quorum")                   \
     X(str_info, "info")                                      \
-    X(str_history, "history")                                \
     X(str_begin_read, "begin_read")                          \
     X(str_begin_write, "begin_write")                        \
     X(str_members, "members")                                \
@@ -130,41 +116,30 @@
     X(str_deadline, "deadline")                              \
     X(str_retry, "_retry")                                   \
     X(str_expire, "_expire")                                 \
-    X(str_membership, "_membership")                         \
     X(str_quorum_system, "quorum_system")                    \
     X(str_n, "n")                                            \
     X(str_k, "k")                                            \
-    X(str_reads_performed, "reads_performed")                \
-    X(str_writes_performed, "writes_performed")              \
     X(str_space, "space")                                    \
     X(str_registers_attr, "_registers")                      \
     X(str_server_ids, "server_ids")                          \
     X(str_op_ids, "_op_ids")                                 \
     X(str_write_seq, "_write_seq")                           \
     X(str_client_id, "client_id")                            \
-    X(str_crashed_attr, "_crashed")                          \
-    X(str_partition_attr, "_partition")                      \
     X(str_spec_monitor, "spec_monitor")                      \
     X(str_on_read_complete, "on_read_complete")              \
     X(str_on_write_complete, "on_write_complete")            \
     X(str_on_retry, "on_retry")                              \
-    X(str_retries, "retries")                                \
     X(str_max_attempts, "max_attempts")                      \
     X(str_give_up, "_give_up")                               \
-    X(str_stale_nacks, "stale_nacks")                        \
     X(str_refresh_view, "_refresh_view")                     \
     X(str_views, "views")                                    \
-    X(str_view_obj, "_view")                                 \
-    X(str_view_rng, "_view_rng")                             \
     X(str_interval, "interval")                              \
     X(str_backoff, "backoff")                                \
     X(str_max_interval, "max_interval")                      \
     X(str_jitter, "jitter")                                  \
     X(str_read_plan, "READ_PLAN")                            \
     X(str_write_plan, "WRITE_PLAN")                          \
-    X(str_vouched, "_vouched")                               \
-    X(str_buckets, "_buckets")                               \
-    X(str_sum_attr, "sum")
+    X(str_vouched, "_vouched")
 
 #define DECLARE_STRING(var, text) static PyObject *var;
 INTERNED_STRINGS(DECLARE_STRING)
@@ -181,6 +156,11 @@ static PyObject *msg_read_reply = NULL;   /* messages.ReadReply   */
 static PyObject *msg_write_update = NULL; /* messages.WriteUpdate */
 static PyObject *msg_write_ack = NULL;    /* messages.WriteAck    */
 static PyObject *msg_stale_view_nack = NULL; /* messages.StaleViewNack */
+/* The five in one table, and their class-level ``kind`` labels. */
+static PyObject **const msg_types[] = {&msg_read_query, &msg_read_reply,
+    &msg_write_update, &msg_write_ack, &msg_stale_view_nack};
+#define NMSG ((int)(sizeof(msg_types) / sizeof(msg_types[0])))
+static PyObject *msg_kinds[NMSG];
 static PyObject *timestamp_type = NULL;   /* timestamps.Timestamp */
 
 /* What the client issue path constructs and tests against, resolved the
@@ -188,6 +168,8 @@ static PyObject *timestamp_type = NULL;   /* timestamps.Timestamp */
 static PyObject *prob_quorum_type = NULL;  /* ProbabilisticQuorumSystem */
 static PyObject *retry_policy_type = NULL; /* registers.client.RetryPolicy */
 static PyObject *quantiles_type = NULL;    /* obs.quantiles.StreamingQuantiles */
+static PyObject *register_info_type = NULL; /* registers.space.RegisterInfo */
+static PyObject *view_state_type = NULL;   /* membership's ServerViewState */
 static double per_log;                     /* obs.quantiles._PER_LOG */
 
 /* The exact types whose decisions the cores make once, in their
@@ -197,11 +179,32 @@ static PyObject *failure_injector_type = NULL; /* failures.FailureInjector */
 static PyObject *message_stats_type = NULL;    /* metrics.MessageStats */
 static PyObject *exponential_delay_type = NULL; /* delays.ExponentialDelay */
 static PyObject *constant_delay_type = NULL;    /* delays.ConstantDelay    */
-/* MessageStats' detailed / sent / delivered / dropped __slots__ offsets. */
-enum { STAT_DETAILED, STAT_SENT, STAT_DELIVERED, STAT_DROPPED, NSTATS };
-static Py_ssize_t stat_offsets[NSTATS];
 
-/* A core's object members, listed once as X(member, type) (the
+/* The bind-once rule.  Every attribute a core reads or bumps per message
+ * or per operation is a ``__slots__`` member of its Python class, read at
+ * the offset its member descriptor gives, resolved once (slot_offsets):
+ * those of a core's own objects when the core is built (the cores'
+ * ``slots``), those of the exact types below when the type is resolved.
+ * A name that is not an object slot is a TypeError there, so there is no
+ * by-name path to keep in step.  By name stay only ``network._deliver``
+ * and ``node.on_message``, which tests replace mid-run, and the
+ * constructors and cold paths. */
+enum {
+    STAT_DETAILED, STAT_SENT, STAT_DELIVERED, STAT_DROPPED, /* MessageStats */
+    FI_CRASHED, FI_PARTITION,            /* FailureInjector */
+    TS_SEQ, TS_WRITER,                   /* Timestamp */
+    RI_HISTORY, RI_WRITER,               /* RegisterInfo */
+    SQ_BUCKETS, SQ_SUM,                  /* StreamingQuantiles */
+    VS_RETIRED, VS_RETIRING, VS_VIEW_ID, /* ServerViewState */
+    NOFFSETS
+};
+static const char *const offset_names[NOFFSETS] = {
+    "detailed", "sent", "delivered", "dropped", "_crashed", "_partition",
+    "seq", "writer", "history", "writer", "_buckets", "sum", "retired",
+    "retiring", "view_id"};
+static Py_ssize_t offsets[NOFFSETS];
+
+/* A type's object members, listed once as X(member, type) (the
  * PendingOp's as X(member, python_name)): the struct members, traverse,
  * clear and dealloc are generated from the list. */
 #define CORE_FIELD(name, type) type *name;
@@ -242,16 +245,89 @@ static PyTypeObject ClientCore_Type;
 static int protocolcore_invoke(PyObject *core, PyObject *src,
                                PyObject *message);
 
-/* bool(obj.<name>): 1/0, or -1 with an exception set. */
+/* The offsets of the ``n`` __slots__ members of ``type`` named by
+ * ``names``, into ``out``: 0, or -1 with TypeError when one is not a
+ * writable object slot of the type (a property, a class attribute, an
+ * instance-dict entry, a subclass's shadowing descriptor). */
 static int
-attr_truth(PyObject *obj, PyObject *name)
+slot_offsets(PyObject *type, const char *const *names, Py_ssize_t *out,
+             int n)
 {
-    PyObject *value = PyObject_GetAttr(obj, name);
-    if (value == NULL)
-        return -1;
-    int truth = PyObject_IsTrue(value);
-    Py_DECREF(value);
+    for (int i = 0; i < n; i++) {
+        PyObject *name = PyUnicode_InternFromString(names[i]);
+        PyObject *descr = name ? _PyType_Lookup((PyTypeObject *)type, name)
+                               : NULL;
+        Py_XDECREF(name);
+        PyMemberDef *member = descr && Py_IS_TYPE(descr, &PyMemberDescr_Type)
+            && PyType_IsSubtype((PyTypeObject *)type, PyDescr_TYPE(descr))
+            ? ((PyMemberDescrObject *)descr)->d_member : NULL;
+        if (member == NULL || member->type != T_OBJECT_EX
+            || member->flags & READONLY) {
+            if (!PyErr_Occurred())
+                PyErr_Format(PyExc_TypeError, "%s.%s is not a __slots__ "
+                             "member", ((PyTypeObject *)type)->tp_name,
+                             names[i]);
+            return -1;
+        }
+        out[i] = member->offset;
+    }
+    return 0;
+}
+
+/* offsets[first:first + n], of ``type``. */
+static int
+bind_offsets(PyObject *type, int first, int n)
+{
+    return slot_offsets(type, offset_names + first, offsets + first, n);
+}
+
+/* The AttributeError a by-name read of an unset slot raises, for the
+ * slot at ``off`` of ``obj``; NULL. */
+static PyObject *
+slot_unset(PyObject *obj, Py_ssize_t off)
+{
+    PyObject *mro = Py_TYPE(obj)->tp_mro;
+    const char *name = "?";
+    for (Py_ssize_t i = 0; i < PyTuple_GET_SIZE(mro); i++) {
+        PyMemberDef *member = ((PyTypeObject *)PyTuple_GET_ITEM(mro, i))
+                                  ->tp_members;
+        for (; member != NULL && member->name != NULL; member++)
+            if (member->offset == off)
+                name = member->name;
+    }
+    return PyErr_Format(PyExc_AttributeError, "'%s' object has no "
+                        "attribute '%s'", Py_TYPE(obj)->tp_name, name);
+}
+
+/* The object in the slot at ``off`` of ``obj``, borrowed, or NULL. */
+static inline PyObject *
+slot_peek(PyObject *obj, Py_ssize_t off)
+{
+    PyObject *value = *(PyObject **)((char *)obj + off);
+    return value != NULL ? value : slot_unset(obj, off);
+}
+
+/* bool(the slot at ``off`` of ``obj``): 1/0, or -1 with an exception. */
+static int
+slot_truth(PyObject *obj, Py_ssize_t off)
+{
+    PyObject *value = Py_XNewRef(slot_peek(obj, off));
+    int truth = value == NULL ? -1 : PyObject_IsTrue(value);
+    Py_XDECREF(value);
     return truth;
+}
+
+/* ``+= amount`` on the slot at ``off`` of ``obj``: 0, or -1. */
+static int
+slot_add(PyObject *obj, Py_ssize_t off, PyObject *amount)
+{
+    PyObject *old = Py_XNewRef(slot_peek(obj, off));
+    PyObject *sum = old == NULL ? NULL : PyNumber_Add(old, amount);
+    Py_XDECREF(old);
+    if (sum == NULL)
+        return -1;
+    Py_SETREF(*(PyObject **)((char *)obj + off), sum);
+    return 0;
 }
 
 /* obj.<name> as a C double; -1.0 with an exception set on error. */
@@ -264,24 +340,6 @@ attr_double(PyObject *obj, PyObject *name)
     double out = PyFloat_AsDouble(value);
     Py_DECREF(value);
     return out;
-}
-
-/* (obj.<names[0]>, ..., obj.<names[n-1]>) as a new tuple, or NULL. */
-static PyObject *
-attr_tuple(PyObject *obj, PyObject **names, Py_ssize_t n)
-{
-    PyObject *fields = PyTuple_New(n);
-    if (fields == NULL)
-        return NULL;
-    for (Py_ssize_t i = 0; i < n; i++) {
-        PyObject *value = PyObject_GetAttr(obj, names[i]);
-        if (value == NULL) {
-            Py_DECREF(fields);
-            return NULL;
-        }
-        PyTuple_SET_ITEM(fields, i, value);
-    }
-    return fields;
 }
 
 /* module.<attr>, imported by name; a new reference or NULL. */
@@ -318,44 +376,23 @@ get_scheduler_error(void)
 
 struct SchedulerCore;
 
+#define HANDLE_FIELDS(X)                                                 \
+    X(callback, PyObject)                                                \
+    X(args, PyObject)          /* always a tuple */                      \
+    X(owner, struct SchedulerCore) /* strong reference (cycle) */
+
 typedef struct {
     PyObject_HEAD
     double time;
     long long seq;
-    PyObject *callback;
-    PyObject *args;             /* always a tuple */
-    struct SchedulerCore *owner; /* strong reference (cycle: GC-tracked) */
+    HANDLE_FIELDS(CORE_FIELD)
     char cancelled;
     char dequeued;
 } KernelHandle;
 
 static PyTypeObject KernelHandle_Type;
 
-static int
-kernelhandle_traverse(KernelHandle *self, visitproc visit, void *arg)
-{
-    Py_VISIT(self->callback);
-    Py_VISIT(self->args);
-    Py_VISIT((PyObject *)self->owner);
-    return 0;
-}
-
-static int
-kernelhandle_clear(KernelHandle *self)
-{
-    Py_CLEAR(self->callback);
-    Py_CLEAR(self->args);
-    Py_CLEAR(self->owner);
-    return 0;
-}
-
-static void
-kernelhandle_dealloc(KernelHandle *self)
-{
-    PyObject_GC_UnTrack(self);
-    kernelhandle_clear(self);
-    Py_TYPE(self)->tp_free((PyObject *)self);
-}
+CORE_GC(kernelhandle, KernelHandle, HANDLE_FIELDS)
 
 /* forward declaration: cancel touches the owner's live counter */
 static PyObject *kernelhandle_cancel(KernelHandle *self,
@@ -388,18 +425,6 @@ kernelhandle_repr(KernelHandle *self)
 }
 
 static PyObject *
-kernelhandle_get_cancelled(KernelHandle *self, void *closure)
-{
-    return PyBool_FromLong(self->cancelled);
-}
-
-static PyObject *
-kernelhandle_get_dequeued(KernelHandle *self, void *closure)
-{
-    return PyBool_FromLong(self->dequeued);
-}
-
-static PyObject *
 kernelhandle_richcompare(PyObject *a, PyObject *b, int op)
 {
     if (op != Py_LT || !PyObject_TypeCheck(a, &KernelHandle_Type)
@@ -420,14 +445,10 @@ static PyMemberDef kernelhandle_members[] = {
      "the scheduled callable"},
     {"args", T_OBJECT_EX, offsetof(KernelHandle, args), READONLY,
      "the callable's argument tuple"},
-    {NULL}
-};
-
-static PyGetSetDef kernelhandle_getset[] = {
-    {"cancelled", (getter)kernelhandle_get_cancelled, NULL,
-     "True once cancel() was called", NULL},
-    {"_dequeued", (getter)kernelhandle_get_dequeued, NULL,
-     "True once the heap entry was popped", NULL},
+    {"cancelled", T_BOOL, offsetof(KernelHandle, cancelled), READONLY,
+     "True once cancel() was called"},
+    {"_dequeued", T_BOOL, offsetof(KernelHandle, dequeued), READONLY,
+     "True once the heap entry was popped"},
     {NULL}
 };
 
@@ -449,7 +470,6 @@ static PyTypeObject KernelHandle_Type = {
     .tp_repr = (reprfunc)kernelhandle_repr,
     .tp_richcompare = kernelhandle_richcompare,
     .tp_members = kernelhandle_members,
-    .tp_getset = kernelhandle_getset,
     .tp_methods = kernelhandle_methods,
 };
 
@@ -565,23 +585,6 @@ kernelhandle_cancel(KernelHandle *self, PyObject *Py_UNUSED(ignored))
     if (self->owner != NULL && !self->dequeued)
         self->owner->live -= 1;
     Py_RETURN_NONE;
-}
-
-static PyObject *
-schedulercore_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
-{
-    SchedulerCore *self = (SchedulerCore *)type->tp_alloc(type, 0);
-    if (self == NULL)
-        return NULL;
-    self->heap = NULL;
-    self->len = 0;
-    self->cap = 0;
-    self->now = 0.0;
-    self->seq = 0;
-    self->processed = 0;
-    self->live = 0;
-    self->stopped = 0;
-    return (PyObject *)self;
 }
 
 static int
@@ -1040,7 +1043,7 @@ static PyTypeObject SchedulerCore_Type = {
     .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_BASETYPE
                 | Py_TPFLAGS_HAVE_GC,
     .tp_doc = "Native discrete-event scheduler core (C event heap).",
-    .tp_new = schedulercore_new,
+    .tp_new = PyType_GenericNew, /* an empty heap at time 0: all zero */
     .tp_dealloc = (destructor)schedulercore_dealloc,
     .tp_traverse = (traverseproc)schedulercore_traverse,
     .tp_clear = (inquiry)schedulercore_clear,
@@ -1104,12 +1107,10 @@ draw_random(PyObject *rng, bitgen_t *bg)
 }
 
 /* Resolve the network cores' exact types (see their declarations), and
- * the MessageStats slot offsets from its member descriptors. */
+ * the MessageStats and FailureInjector slot offsets. */
 static int
 ensure_network_types(void)
 {
-    static const char *stat_names[NSTATS] = {
-        "detailed", "sent", "delivered", "dropped"};
     if (message_stats_type != NULL)
         return 0;
     if ((generator_type = import_attr("numpy.random", "Generator")) == NULL
@@ -1120,23 +1121,10 @@ ensure_network_types(void)
         || (constant_delay_type = import_attr("repro.sim.delays",
                                               "ConstantDelay")) == NULL
         || (message_stats_type = import_attr("repro.sim.metrics",
-                                             "MessageStats")) == NULL)
+                                             "MessageStats")) == NULL
+        || bind_offsets(message_stats_type, STAT_DETAILED, 4) < 0
+        || bind_offsets(failure_injector_type, FI_CRASHED, 2) < 0)
         goto fail;
-    for (int i = 0; i < NSTATS; i++) {
-        PyObject *descr = PyObject_GetAttrString(message_stats_type,
-                                                 stat_names[i]);
-        int slot = descr != NULL && Py_IS_TYPE(descr, &PyMemberDescr_Type)
-            && ((PyMemberDescrObject *)descr)->d_member->type == T_OBJECT_EX;
-        if (slot)
-            stat_offsets[i] = ((PyMemberDescrObject *)descr)->d_member->offset;
-        Py_XDECREF(descr);
-        if (!slot) {
-            if (!PyErr_Occurred())
-                PyErr_Format(PyExc_TypeError, "MessageStats.%s is not a "
-                             "__slots__ member", stat_names[i]);
-            goto fail;
-        }
-    }
     return 0;
 fail:
     Py_CLEAR(generator_type);
@@ -1202,9 +1190,9 @@ delay_draws_next(const DelayDraws *draws)
  * loss stream, the adversary, the stats mode, whether the injector is an
  * exact FailureInjector, and the ``_taps`` list by identity (``add_tap``
  * appends to it, so a tap added mid-run is seen).  Read live, because
- * they change during a run: the clock, ``failures.active`` and the
- * injector's ``_crashed`` / ``_partition``, each node's ``on_message``,
- * and ``network._deliver``, which trace taps wrap. */
+ * they change during a run: the clock; by slot, ``failures.active`` and
+ * the injector's ``_crashed`` / ``_partition``; and by name, each node's
+ * ``on_message`` and ``network._deliver``, which trace taps wrap. */
 #define NETWORK_CORE_FIELDS(X)                                           \
     X(network, PyObject)     /* the owning Network (cycle; GC-tracked) */ \
     X(stats, PyObject)       /* its MessageStats */                      \
@@ -1227,6 +1215,7 @@ struct NetworkCore {
     bitgen_t *loss_bg;   /* NULL: loss_rng.random() is called */
     int scalar_stats;    /* an exact MessageStats with detailed False */
     int exact_failures;  /* an exact FailureInjector */
+    Py_ssize_t active;   /* the offset of failures.active */
 };
 
 CORE_GC(networkcore, NetworkCore, NETWORK_CORE_FIELDS)
@@ -1267,10 +1256,13 @@ networkcore_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
     if (self->loss_rate == -1.0 && PyErr_Occurred())
         goto fail;
     self->scalar_stats = (PyObject *)Py_TYPE(self->stats) == message_stats_type
-        && *(PyObject **)((char *)self->stats + stat_offsets[STAT_DETAILED])
+        && *(PyObject **)((char *)self->stats + offsets[STAT_DETAILED])
                == Py_False;
     self->exact_failures =
         (PyObject *)Py_TYPE(self->failures) == failure_injector_type;
+    if (slot_offsets((PyObject *)Py_TYPE(self->failures),
+                     (const char *const[]){"active"}, &self->active, 1) < 0)
+        goto fail;
     DelayDraws *delays = &self->delays;
     PyObject *model = self->delay_model;
     if ((PyObject *)Py_TYPE(model) == constant_delay_type) {
@@ -1293,10 +1285,14 @@ fail:
     return NULL;
 }
 
-/* message.kind if truthy, else type(message).__name__ — _kind_of(). */
+/* message.kind if truthy, else type(message).__name__ — _kind_of().  An
+ * exact protocol message's is its class's, taken once. */
 static PyObject *
 kind_of(PyObject *message)
 {
+    for (int i = 0; i < NMSG; i++)
+        if ((PyObject *)Py_TYPE(message) == *msg_types[i])
+            return Py_NewRef(msg_kinds[i]);
     PyObject *kind = PyObject_GetAttr(message, str_kind_attr);
     if (kind == NULL) {
         if (!PyErr_ExceptionMatches(PyExc_AttributeError))
@@ -1324,18 +1320,11 @@ static int
 stats_record(NetworkCore *self, PyObject *method, PyObject *src,
              PyObject *dst, PyObject *kind, PyObject *reason)
 {
-    if (self->scalar_stats) {
-        PyObject **total = (PyObject **)((char *)self->stats + stat_offsets[
+    if (self->scalar_stats)
+        return slot_add(self->stats, offsets[
             method == str_record_delivery ? STAT_DELIVERED
-            : method == str_record_drop ? STAT_DROPPED : STAT_SENT]);
-        PyObject *sum = *total == NULL ? PyErr_Format(
-            PyExc_AttributeError, "MessageStats total is unset")
-            : PyNumber_Add(*total, method == str_record_sends ? dst : py_one);
-        if (sum == NULL)
-            return -1;
-        Py_SETREF(*total, sum);
-        return 0;
-    }
+            : method == str_record_drop ? STAT_DROPPED : STAT_SENT],
+            method == str_record_sends ? dst : py_one);
     PyObject *res = PyObject_CallMethodObjArgs(
         self->stats, method, src, dst, kind, reason, NULL);
     Py_XDECREF(res);
@@ -1351,7 +1340,7 @@ static int
 fault_blocks(NetworkCore *self, PyObject *src, PyObject *dst)
 {
     PyObject *failures = self->failures;
-    int active = attr_truth(failures, str_active);
+    int active = slot_truth(failures, self->active);
     if (active <= 0)
         return active;
     if (!self->exact_failures) {
@@ -1363,9 +1352,9 @@ fault_blocks(NetworkCore *self, PyObject *src, PyObject *dst)
         Py_DECREF(ok);
         return deliverable < 0 ? -1 : !deliverable;
     }
-    PyObject *crashed = PyObject_GetAttr(failures, str_crashed_attr);
+    PyObject *crashed = Py_XNewRef(slot_peek(failures, offsets[FI_CRASHED]));
     PyObject *groups = crashed
-        ? PyObject_GetAttr(failures, str_partition_attr) : NULL;
+        ? Py_XNewRef(slot_peek(failures, offsets[FI_PARTITION])) : NULL;
     int blocked = groups ? PySequence_Contains(crashed, src) : -1;
     if (blocked == 0)
         blocked = PySequence_Contains(crashed, dst);
@@ -1541,7 +1530,7 @@ network_broadcast(NetworkCore *self, PyObject *src, PyObject *dsts,
             goto done;
     }
     kind = kind_of(message);
-    int faulty = kind == NULL ? -1 : attr_truth(self->failures, str_active);
+    int faulty = kind == NULL ? -1 : slot_truth(self->failures, self->active);
     if (faulty < 0)
         goto done;
     if (faulty || PyList_GET_SIZE(self->taps) || self->loss_rate > 0.0
@@ -1834,19 +1823,23 @@ kernel_quorum_sample(PyObject *module, PyObject *const *args,
  * input steps its countdown without a call.  The client core settles the
  * futures it builds in place; ``repro.sim.futures.gather`` hands a list
  * made only of these futures to kernel_gather. */
+#define FUTURE_FIELDS(X)                                                 \
+    X(value, PyObject)     /* NULL: None */                              \
+    X(exception, PyObject) /* NULL: none */                              \
+    X(label, PyObject)                                                   \
+    X(callback, PyObject)  /* the first callback, or NULL */             \
+    X(more, PyObject)      /* later callbacks, a list, or NULL */        \
+    X(inputs, PyObject)    /* a gather's input tuple; () once settled */
+
 typedef struct {
     PyObject_HEAD
-    PyObject *value;      /* NULL: None */
-    PyObject *exception;  /* NULL: none */
-    PyObject *label;
-    PyObject *callback;   /* the first callback, or NULL */
-    PyObject *more;       /* later callbacks, a list, or NULL */
-    PyObject *inputs;     /* a gather's input tuple; () once it settled */
+    FUTURE_FIELDS(CORE_FIELD)
     Py_ssize_t remaining; /* a gather's inputs not yet resolved */
     char done;
 } Future;
 
 static PyTypeObject Future_Type;
+CORE_GC(future, Future, FUTURE_FIELDS)
 static PyObject *future_error = NULL; /* repro.sim.futures.FutureError */
 
 /* An operation's future is labelled (kind, register, client id) until
@@ -2019,38 +2012,6 @@ future_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
     return (PyObject *)self;
 }
 
-static int
-future_traverse(Future *self, visitproc visit, void *arg)
-{
-    Py_VISIT(self->value);
-    Py_VISIT(self->exception);
-    Py_VISIT(self->label);
-    Py_VISIT(self->callback);
-    Py_VISIT(self->more);
-    Py_VISIT(self->inputs);
-    return 0;
-}
-
-static int
-future_clear(Future *self)
-{
-    Py_CLEAR(self->value);
-    Py_CLEAR(self->exception);
-    Py_CLEAR(self->label);
-    Py_CLEAR(self->callback);
-    Py_CLEAR(self->more);
-    Py_CLEAR(self->inputs);
-    return 0;
-}
-
-static void
-future_dealloc(Future *self)
-{
-    PyObject_GC_UnTrack(self);
-    future_clear(self);
-    Py_TYPE(self)->tp_free((PyObject *)self);
-}
-
 static PyObject *
 future_resolve(Future *self, PyObject *const *args, Py_ssize_t nargs)
 {
@@ -2129,35 +2090,23 @@ future_get_label(Future *self, void *closure)
 }
 
 static PyObject *
-future_get_done(Future *self, void *closure)
-{
-    return PyBool_FromLong(self->done);
-}
-
-static PyObject *
 future_get_failed(Future *self, void *closure)
 {
     return PyBool_FromLong(self->done && self->exception != NULL);
 }
 
-static PyObject *
-future_get_exception(Future *self, void *closure)
-{
-    return Py_NewRef(self->exception ? self->exception : Py_None);
-}
-
 static PyGetSetDef future_getset[] = {
     {"label", (getter)future_get_label, NULL, "The future's name.", NULL},
-    {"done", (getter)future_get_done, NULL,
-     "True once the future has been resolved or failed.", NULL},
     {"failed", (getter)future_get_failed, NULL,
      "True if the future settled with an exception.", NULL},
-    {"exception", (getter)future_get_exception, NULL,
-     "The exception the future failed with, or None.", NULL},
     {NULL}
 };
 
 static PyMemberDef future_members[] = {
+    {"done", T_BOOL, offsetof(Future, done), READONLY,
+     "True once the future has been resolved or failed."},
+    {"exception", T_OBJECT, offsetof(Future, exception), READONLY,
+     "The exception the future failed with, or None."},
     /* What the Python gather reads of an input (a mixed list). */
     {"_value", T_OBJECT, offsetof(Future, value), READONLY, NULL},
     {"_exception", T_OBJECT, offsetof(Future, exception), READONLY, NULL},
@@ -2222,40 +2171,41 @@ static PyTypeObject Future_Type = {
 static int
 ensure_protocol_types(void)
 {
+    static const char *const names[NMSG] = {
+        "ReadQuery", "ReadReply", "WriteUpdate", "WriteAck", "StaleViewNack"};
     if (timestamp_type != NULL)
         return 0;
-    const char *messages = "repro.registers.messages";
-    if ((msg_read_query = import_attr(messages, "ReadQuery")) == NULL
-        || (msg_read_reply = import_attr(messages, "ReadReply")) == NULL
-        || (msg_write_update = import_attr(messages, "WriteUpdate")) == NULL
-        || (msg_write_ack = import_attr(messages, "WriteAck")) == NULL
-        || (msg_stale_view_nack = import_attr(messages,
-                                              "StaleViewNack")) == NULL)
-        goto fail;
-    /* make_message allocates messages as tuples (skipping the generated
-     * NamedTuple __new__ frame), which is only valid for tuple subtypes. */
-    PyObject *built[] = {msg_read_query, msg_read_reply, msg_write_update,
-                         msg_write_ack, msg_stale_view_nack};
-    for (size_t i = 0; i < sizeof(built) / sizeof(built[0]); i++) {
-        if (!PyType_Check(built[i])
-            || !PyType_IsSubtype((PyTypeObject *)built[i], &PyTuple_Type)) {
-            PyErr_SetString(PyExc_TypeError,
-                            "register protocol messages must be tuple "
-                            "subclasses (typing.NamedTuple)");
+    for (int i = 0; i < NMSG; i++) {
+        PyObject *type = *msg_types[i] = import_attr(
+            "repro.registers.messages", names[i]);
+        /* make_message allocates messages as tuples (skipping the
+         * generated NamedTuple __new__ frame): only valid for tuple
+         * subtypes.  Each labels its messages with a class-level kind. */
+        if (type != NULL && (!PyType_Check(type)
+            || !PyType_IsSubtype((PyTypeObject *)type, &PyTuple_Type)))
+            PyErr_SetString(PyExc_TypeError, "register protocol messages "
+                            "must be tuple subclasses (typing.NamedTuple)");
+        if (PyErr_Occurred()
+            || (msg_kinds[i] = PyObject_GetAttr(type, str_kind_attr)) == NULL
+            || !PyUnicode_Check(msg_kinds[i])
+            || PyUnicode_GET_LENGTH(msg_kinds[i]) == 0) {
+            if (!PyErr_Occurred())
+                PyErr_Format(PyExc_TypeError, "%s.kind must be a non-empty "
+                             "str", names[i]);
             goto fail;
         }
     }
     /* Assigned last: non-NULL timestamp_type marks full resolution. */
     if ((timestamp_type = import_attr("repro.core.timestamps",
-                                      "Timestamp")) == NULL)
+                                      "Timestamp")) == NULL
+        || bind_offsets(timestamp_type, TS_SEQ, 2) < 0)
         goto fail;
     return 0;
 fail:
-    Py_CLEAR(msg_read_query);
-    Py_CLEAR(msg_read_reply);
-    Py_CLEAR(msg_write_update);
-    Py_CLEAR(msg_write_ack);
-    Py_CLEAR(msg_stale_view_nack);
+    for (int i = 0; i < NMSG; i++) {
+        Py_CLEAR(*msg_types[i]);
+        Py_CLEAR(msg_kinds[i]);
+    }
     Py_CLEAR(timestamp_type);
     return -1;
 }
@@ -2271,6 +2221,10 @@ ensure_issue_types(void)
                                          "RetryPolicy")) != NULL
         && (quantiles_type = import_attr("repro.obs.quantiles",
                                          "StreamingQuantiles")) != NULL
+        && (register_info_type = import_attr("repro.registers.space",
+                                             "RegisterInfo")) != NULL
+        && bind_offsets(quantiles_type, SQ_BUCKETS, 2) == 0
+        && bind_offsets(register_info_type, RI_HISTORY, 2) == 0
         && (gamma_log = import_attr("repro.obs.quantiles", "_PER_LOG"))
         && (per_log = PyFloat_AsDouble(gamma_log), !PyErr_Occurred())
         /* Assigned last: non-NULL prob_quorum_type marks full resolution. */
@@ -2283,11 +2237,13 @@ ensure_issue_types(void)
     Py_XDECREF(gamma_log);
     Py_CLEAR(retry_policy_type);
     Py_CLEAR(quantiles_type);
+    Py_CLEAR(register_info_type);
     return -1;
 }
 
 /* a > b under Timestamp's lexicographic (seq, writer) order, without
- * the Python __gt__ frame: the tuple comparison it makes; non-exact
+ * the Python __gt__ frame or its tuples: the comparison the tuples make,
+ * on the slots — the first fields that are not == decide by >.  Non-exact
  * operand types take the generic comparison protocol.  1/0/-1 (error). */
 static int
 timestamp_gt(PyObject *a, PyObject *b)
@@ -2295,29 +2251,17 @@ timestamp_gt(PyObject *a, PyObject *b)
     if ((PyObject *)Py_TYPE(a) != timestamp_type
         || (PyObject *)Py_TYPE(b) != timestamp_type)
         return PyObject_RichCompareBool(a, b, Py_GT);
-    PyObject *names[] = {str_seq_attr, str_writer_attr};
-    PyObject *key_a = attr_tuple(a, names, 2);
-    PyObject *key_b = key_a ? attr_tuple(b, names, 2) : NULL;
-    int gt = key_b ? PyObject_RichCompareBool(key_a, key_b, Py_GT) : -1;
-    Py_XDECREF(key_a);
-    Py_XDECREF(key_b);
-    return gt;
-}
-
-/* obj.<name> += 1 for the plain-int instance counters. */
-static int
-bump_counter(PyObject *obj, PyObject *name)
-{
-    PyObject *old = PyObject_GetAttr(obj, name);
-    if (old == NULL)
-        return -1;
-    PyObject *fresh = PyNumber_Add(old, py_one);
-    Py_DECREF(old);
-    if (fresh == NULL)
-        return -1;
-    int rc = PyObject_SetAttr(obj, name, fresh);
-    Py_DECREF(fresh);
-    return rc;
+    for (int i = TS_SEQ; i <= TS_WRITER; i++) {
+        PyObject *x = Py_XNewRef(slot_peek(a, offsets[i]));
+        PyObject *y = x ? Py_XNewRef(slot_peek(b, offsets[i])) : NULL;
+        int eq = y ? PyObject_RichCompareBool(x, y, Py_EQ) : -1;
+        int gt = eq ? -(eq < 0) : PyObject_RichCompareBool(x, y, Py_GT);
+        Py_XDECREF(x);
+        Py_XDECREF(y);
+        if (eq != 1)
+            return gt;
+    }
+    return 0;
 }
 
 /* The message NamedTuple cls(*fields) of its n borrowed fields, in one
@@ -2351,7 +2295,8 @@ run_fallback(PyObject *fallback, PyObject *node, PyObject *src,
 
 /* ReplicaServer.on_message, wired once: the server's replica dict, node
  * id and network core are bound when the core is built; its
- * ``view_state``, which membership installs, is read per message. */
+ * ``view_state``, which membership installs, is read per message, and
+ * it and the counters are bound by slot (``server_slots``). */
 #define SERVER_CORE_FIELDS(X)                                            \
     X(server, PyObject)     /* the ReplicaServer */                      \
     X(fallback, PyObject)   /* type(server).on_message, unbound */       \
@@ -2359,9 +2304,16 @@ run_fallback(PyObject *fallback, PyObject *node, PyObject *src,
     X(replicas, PyObject)   /* server._replicas dict (shared) */         \
     X(node_id, PyObject)
 
+enum { SV_READS, SV_WRITES, SV_STALE, SV_NACKS, SV_RETIRED, SV_VIEW_STATE,
+       NSERVER_SLOTS };
+static const char *const server_slots[NSERVER_SLOTS] = {
+    "reads_served", "writes_applied", "stale_updates_ignored",
+    "stale_nacks_sent", "retired_messages_ignored", "view_state"};
+
 typedef struct {
     PyObject_HEAD
     SERVER_CORE_FIELDS(CORE_FIELD)
+    Py_ssize_t slots[NSERVER_SLOTS];
 } ServerCore;
 
 CORE_GC(servercore, ServerCore, SERVER_CORE_FIELDS)
@@ -2382,7 +2334,9 @@ servercore_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
         || (self->net = networkcore_of(network)) == NULL
         || (self->replicas = PyObject_GetAttr(server,
                                               str_replicas_attr)) == NULL
-        || (self->node_id = PyObject_GetAttr(server, str_node_id)) == NULL)
+        || (self->node_id = PyObject_GetAttr(server, str_node_id)) == NULL
+        || slot_offsets((PyObject *)Py_TYPE(server), server_slots,
+                        self->slots, NSERVER_SLOTS) < 0)
         goto fail;
     Py_CLEAR(network);
     if (PyDict_Check(self->replicas))
@@ -2419,35 +2373,45 @@ servercore_replica(ServerCore *self, PyObject *reg)
  * (no view_state), else state.view_id — or NULL.  NULL with no exception
  * set means no reply is due, counted here as in Python: a retired server
  * ignored the request, or an active member nacked an older stamp (a
- * draining leaver keeps answering those). */
+ * draining leaver keeps answering those).  The state, a ServerViewState,
+ * is read by slot; its class is resolved from the first one seen (the
+ * deployment has imported it by then). */
 static PyObject *
 servercore_gate(ServerCore *self, PyObject *src, PyObject *message,
                 PyObject *request_view)
 {
-    PyObject *state = PyObject_GetAttr(self->server, str_view_state);
-    if (state == NULL)
+    PyObject *state = slot_peek(self->server, self->slots[SV_VIEW_STATE]);
+    if (state == NULL || state == Py_None)
+        return state ? Py_NewRef(py_zero) : NULL;
+    if (view_state_type == NULL
+        && ((view_state_type = import_attr("repro.membership.manager",
+                                           "ServerViewState")) == NULL
+            || bind_offsets(view_state_type, VS_RETIRED, 3) < 0)) {
+        Py_CLEAR(view_state_type);
         return NULL;
-    if (state == Py_None) {
-        Py_DECREF(state);
-        Py_INCREF(py_zero);
-        return py_zero;
     }
+    if ((PyObject *)Py_TYPE(state) != view_state_type)
+        return PyErr_Format(PyExc_TypeError, "server.view_state must be None "
+                            "or a ServerViewState, not %.100s",
+                            Py_TYPE(state)->tp_name);
+    Py_INCREF(state);
     PyObject *view_id = NULL;
     int stale = 0;
-    int retired = attr_truth(state, str_retired);
+    int retired = slot_truth(state, offsets[VS_RETIRED]);
     if (retired == 0) {
-        view_id = PyObject_GetAttr(state, str_view_id);
+        view_id = Py_XNewRef(slot_peek(state, offsets[VS_VIEW_ID]));
         stale = view_id == NULL
             ? -1 : PyObject_RichCompareBool(request_view, view_id, Py_LT);
         if (stale > 0) {
-            int retiring = attr_truth(state, str_retiring);
+            int retiring = slot_truth(state, offsets[VS_RETIRING]);
             stale = retiring < 0 ? -1 : !retiring;
         }
     }
     Py_DECREF(state);
     if (retired > 0)
-        bump_counter(self->server, str_retired_ignored);
-    else if (stale > 0 && bump_counter(self->server, str_nacks_sent) == 0) {
+        slot_add(self->server, self->slots[SV_RETIRED], py_one);
+    else if (stale > 0
+             && slot_add(self->server, self->slots[SV_NACKS], py_one) == 0) {
         PyObject *nack = make_message(
             msg_stale_view_nack, 3, PyTuple_GET_ITEM(message, 0),
             PyTuple_GET_ITEM(message, 1), view_id);
@@ -2481,7 +2445,7 @@ servercore_invoke(ServerCore *self, PyObject *src, PyObject *message)
     if (entry == NULL)
         goto done;
     if (is_read) {
-        if (bump_counter(self->server, str_reads_served) == 0)
+        if (slot_add(self->server, self->slots[SV_READS], py_one) == 0)
             reply = make_message(msg_read_reply, 5, reg, op_id,
                                  PyTuple_GET_ITEM(entry, 1),
                                  PyTuple_GET_ITEM(entry, 0), view_id);
@@ -2503,8 +2467,8 @@ servercore_invoke(ServerCore *self, PyObject *src, PyObject *message)
             if (rc < 0)
                 goto done;
         }
-        if (bump_counter(self->server, newer ? str_writes_applied
-                                             : str_stale_updates) == 0)
+        if (slot_add(self->server, self->slots[newer ? SV_WRITES : SV_STALE],
+                     py_one) == 0)
             reply = make_message(msg_write_ack, 3, reg, op_id, view_id);
     }
 done:
@@ -2580,8 +2544,9 @@ typedef struct {
  * sketches and the spec monitor.  Read per call, because they change
  * during a run: the clock, the pending ops, ``failures.active`` and the
  * membership state (``_membership``, ``_view``, ``_view_rng``,
- * ``view_id``).  No core is built for a client with span tracing on, so
- * every op a core sees is one it built. */
+ * ``view_id``), the last four and the counters by slot
+ * (``client_slots``).  No core is built for a client with span tracing
+ * on, so every op a core sees is one it built. */
 #define CLIENT_CORE_FIELDS(X)                                            \
     X(client, PyObject)       /* the QuorumRegisterClient */             \
     X(fallback, PyObject)     /* type(client).on_message, unbound */     \
@@ -2607,9 +2572,18 @@ typedef struct {
     X(write_latency, PyObject)                                           \
     X(monitor, PyObject)      /* spec_monitor, or NULL */
 
+enum { CL_READS, CL_WRITES, CL_CACHE_HITS, CL_COMPLETED, CL_UNDER_FAILURE,
+       CL_RETRIES, CL_STALE_NACKS, CL_VIEW_ID, CL_MEMBERSHIP, CL_VIEW,
+       CL_VIEW_RNG, NCLIENT_SLOTS };
+static const char *const client_slots[NCLIENT_SLOTS] = {
+    "reads_performed", "writes_performed", "cache_hits", "ops_completed",
+    "ops_completed_under_failure", "retries", "stale_nacks", "view_id",
+    "_membership", "_view", "_view_rng"};
+
 typedef struct {
     PyObject_HEAD
     CLIENT_CORE_FIELDS(CORE_FIELD)
+    Py_ssize_t slots[NCLIENT_SLOTS];
     Plan plans[2];       /* [0] READ_PLAN, [1] WRITE_PLAN */
     double retry[4];     /* interval, backoff, jitter, max_interval */
     int retry_exact;     /* retry[] holds the policy: delays are C */
@@ -2829,7 +2803,7 @@ static PyObject *
 clientcore_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
 {
     PyObject *client, *network = NULL, *space = NULL, *system = NULL;
-    PyObject *rng = NULL, *latency = NULL;
+    PyObject *rng = NULL, *latency = NULL, *monotone = NULL;
     if (!PyArg_ParseTuple(args, "O", &client)
         || ensure_protocol_types() < 0 || ensure_issue_types() < 0
         || ensure_network_types() < 0)
@@ -2864,7 +2838,10 @@ clientcore_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
         || (latency = PyObject_GetAttr(client, str_latency_attr)) == NULL
         || (self->monitor = PyObject_GetAttr(client,
                                              str_spec_monitor)) == NULL
-        || (self->monotone = attr_truth(client, str_monotone)) < 0)
+        || (monotone = PyObject_GetAttr(client, str_monotone)) == NULL
+        || (self->monotone = PyObject_IsTrue(monotone)) < 0
+        || slot_offsets((PyObject *)Py_TYPE(client), client_slots,
+                        self->slots, NCLIENT_SLOTS) < 0)
         goto fail;
     if (!PyDict_Check(self->pending) || !PyDict_Check(self->server_index)
         || !PyDict_Check(self->cache) || !PyDict_Check(self->registers)
@@ -2897,6 +2874,7 @@ clientcore_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
 fail:
     Py_CLEAR(self);
 done:
+    Py_XDECREF(monotone);
     Py_XDECREF(latency);
     Py_XDECREF(rng);
     Py_XDECREF(system);
@@ -2928,20 +2906,24 @@ cancel_handle(PyObject *handle)
 }
 
 /* space.info(register): the registry dict probe, the method on a miss
- * (which raises there).  A new reference, or NULL. */
+ * (which raises there).  A new reference to a RegisterInfo, whose
+ * ``history`` and ``writer`` are read by slot, or NULL. */
 static PyObject *
 clientcore_info(ClientCore *self, PyObject *reg)
 {
-    PyObject *info = PyDict_GetItemWithError(self->registers, reg);
-    if (info != NULL || PyErr_Occurred()) {
-        Py_XINCREF(info);
-        return info;
+    PyObject *info = Py_XNewRef(PyDict_GetItemWithError(self->registers,
+                                                        reg));
+    PyObject *space = info || PyErr_Occurred()
+        ? NULL : PyObject_GetAttr(self->client, str_space);
+    if (space != NULL) {
+        info = PyObject_CallMethodOneArg(space, str_info, reg);
+        Py_DECREF(space);
     }
-    PyObject *space = PyObject_GetAttr(self->client, str_space);
-    if (space == NULL)
-        return NULL;
-    info = PyObject_CallMethodOneArg(space, str_info, reg);
-    Py_DECREF(space);
+    if (info != NULL && (PyObject *)Py_TYPE(info) != register_info_type) {
+        PyErr_Format(PyExc_TypeError, "register %R's info is not a "
+                     "RegisterInfo", reg);
+        Py_CLEAR(info);
+    }
     return info;
 }
 
@@ -2957,7 +2939,8 @@ clientcore_check_spec(ClientCore *self, PendingOp *op, int is_read)
         return 0;
     PyObject *history = NULL, *res = NULL;
     PyObject *info = clientcore_info(self, op->reg);
-    if (info != NULL && (history = PyObject_GetAttr(info, str_history)))
+    if (info != NULL
+        && (history = Py_XNewRef(slot_peek(info, offsets[RI_HISTORY]))))
         res = PyObject_CallMethodObjArgs(
             monitor, is_read ? str_on_read_complete : str_on_write_complete,
             self->client_id, op->record, history, NULL);
@@ -2998,7 +2981,8 @@ clientcore_record(ClientCore *self, PyObject *reg, PyObject *begin,
 {
     PyObject *record = NULL, *history = NULL;
     PyObject *info = clientcore_info(self, reg);
-    if (info != NULL && (history = PyObject_GetAttr(info, str_history))) {
+    if (info != NULL
+        && (history = Py_XNewRef(slot_peek(info, offsets[RI_HISTORY])))) {
         record = history == Py_None
             ? Py_NewRef(Py_None)
             : PyObject_CallMethodObjArgs(history, begin, self->client_id,
@@ -3080,7 +3064,7 @@ clientcore_monotone(ClientCore *self, PendingOp *op, PyObject **ts,
     if (serve_cached) {
         Py_SETREF(*ts, Py_NewRef(PyTuple_GET_ITEM(cached, 0)));
         Py_SETREF(*value, Py_NewRef(PyTuple_GET_ITEM(cached, 1)));
-        rc = bump_counter(self->client, str_cache_hits);
+        rc = slot_add(self->client, self->slots[CL_CACHE_HITS], py_one);
     }
     else {
         PyObject *fresh = PyTuple_Pack(2, *ts, *value);
@@ -3160,8 +3144,11 @@ clientcore_carry(ClientCore *self, PendingOp *op, int carry, PyObject *ts,
         return -1;
     seq = Py_NewRef(seq ? seq : py_zero);
     if (carry == CARRY_NEXT_SEQ) {
-        /* max(chosen.seq, own seq) */
-        queried = PyObject_GetAttr(ts, str_seq_attr);
+        /* max(chosen.seq, own seq), read from a Timestamp's slot */
+        queried = (PyObject *)Py_TYPE(ts) == timestamp_type
+            ? Py_XNewRef(slot_peek(ts, offsets[TS_SEQ]))
+            : PyErr_Format(PyExc_TypeError, "the chosen timestamp %R is "
+                           "not a Timestamp", ts);
         int own = queried ? PyObject_RichCompareBool(seq, queried, Py_GT) : -1;
         if (own < 0)
             goto done;
@@ -3191,14 +3178,15 @@ done:
 static int
 observe_latency(PyObject *sketch, double elapsed)
 {
-    PyObject *buckets = NULL, *key = NULL, *count = NULL, *sum = NULL;
+    PyObject *buckets = NULL, *key = NULL, *count = NULL;
     PyObject *res = NULL;
     PyObject *value = PyFloat_FromDouble(elapsed);
     if (value == NULL)
         goto done;
     if ((PyObject *)Py_TYPE(sketch) != quantiles_type || !(elapsed > 0.0)
         || !(elapsed < INFINITY)
-        || (buckets = PyObject_GetAttr(sketch, str_buckets)) == NULL
+        || (buckets = Py_XNewRef(slot_peek(sketch, offsets[SQ_BUCKETS])))
+            == NULL
         || !PyDict_CheckExact(buckets)) {
         if (!PyErr_Occurred())
             res = PyObject_CallMethodOneArg(sketch, str_observe, value);
@@ -3212,12 +3200,9 @@ observe_latency(PyObject *sketch, double elapsed)
         goto done;
     count = old ? PyNumber_Add(old, py_one) : Py_NewRef(py_one);
     if (count != NULL && PyDict_SetItem(buckets, key, count) == 0
-        && (sum = PyObject_GetAttr(sketch, str_sum_attr)) != NULL)
-        Py_SETREF(sum, PyNumber_Add(sum, value));
-    if (sum != NULL && PyObject_SetAttr(sketch, str_sum_attr, sum) == 0)
+        && slot_add(sketch, offsets[SQ_SUM], value) == 0)
         res = Py_NewRef(Py_None);
 done:
-    Py_XDECREF(sum);
     Py_XDECREF(count);
     Py_XDECREF(key);
     Py_XDECREF(buckets);
@@ -3236,13 +3221,14 @@ clientcore_settle(ClientCore *self, PendingOp *op, int is_read,
     if (PyDict_DelItem(self->pending, op->op_id) < 0
         || cancel_handle(op->retry_handle) < 0
         || cancel_handle(op->deadline_handle) < 0
-        || bump_counter(self->client, str_ops_completed) < 0)
+        || slot_add(self->client, self->slots[CL_COMPLETED], py_one) < 0)
         return -1;
     double now_t = self->net->sched->now;
-    int under_failure = attr_truth(self->net->failures, str_active);
+    int under_failure = slot_truth(self->net->failures, self->net->active);
     if (under_failure < 0
-        || (under_failure
-            && bump_counter(self->client, str_ops_under_failure) < 0))
+        || (under_failure && slot_add(self->client,
+                                      self->slots[CL_UNDER_FAILURE],
+                                      py_one) < 0))
         return -1;
     PyObject *sketch = is_read ? self->read_latency : self->write_latency;
     double started = sketch == NULL ? 0.0 : PyFloat_AsDouble(op->started);
@@ -3355,7 +3341,8 @@ quorum_covered(PyObject *quorum, PyObject *replies)
 static int
 clientcore_refresh_view(ClientCore *self)
 {
-    PyObject *membership = PyObject_GetAttr(self->client, str_membership);
+    PyObject *membership = Py_XNewRef(
+        slot_peek(self->client, self->slots[CL_MEMBERSHIP]));
     if (membership == NULL)
         return -1;
     int stale = 0;
@@ -3363,8 +3350,8 @@ clientcore_refresh_view(ClientCore *self)
         PyObject *views = PyObject_GetAttr(membership, str_views);
         PyObject *view = views ? PySequence_GetItem(views, -1) : NULL;
         PyObject *newest = view ? PyObject_GetAttr(view, str_view_id) : NULL;
-        PyObject *ours = newest
-            ? PyObject_GetAttr(self->client, str_view_id) : NULL;
+        PyObject *ours = newest ? Py_XNewRef(slot_peek(
+            self->client, self->slots[CL_VIEW_ID])) : NULL;
         stale = ours ? PyObject_RichCompareBool(newest, ours, Py_NE) : -1;
         Py_XDECREF(ours);
         Py_XDECREF(newest);
@@ -3412,12 +3399,13 @@ clientcore_invoke(ClientCore *self, PyObject *src, PyObject *message)
         /* stale_nacks += 1; _refresh_view(); then _redispatch: the op
          * moves to a quorum of the client's current view, unless an
          * earlier nack of the same stale round already moved it. */
-        if (bump_counter(self->client, str_stale_nacks) < 0
+        if (slot_add(self->client, self->slots[CL_STALE_NACKS], py_one) < 0
             || clientcore_refresh_view(self) < 0)
             goto done;
         int moved = 1;
         if (op != NULL)
-            moved = (view_id = PyObject_GetAttr(self->client, str_view_id))
+            moved = (view_id = Py_XNewRef(slot_peek(
+                         self->client, self->slots[CL_VIEW_ID])))
                 ? PyObject_RichCompareBool(op->view, view_id, Py_EQ) : -1;
         if (moved == 0)
             moved = clientcore_move(self, op) < 0 ? -1 : 1;
@@ -3434,7 +3422,8 @@ clientcore_invoke(ClientCore *self, PyObject *src, PyObject *message)
         rc = 0;
         goto done;
     }
-    if ((view_id = PyObject_GetAttr(self->client, str_view_id)) == NULL)
+    view_id = Py_XNewRef(slot_peek(self->client, self->slots[CL_VIEW_ID]));
+    if (view_id == NULL)
         goto done;
     /* A reply stamped with a newer view than the client's own refreshes
      * the view before it is recorded. */
@@ -3489,9 +3478,10 @@ clientcore_view_quorum(ClientCore *self)
     PyObject *quorum = NULL, *bits = NULL;
     bitgen_t *bg = NULL;
     Py_ssize_t n, k;
-    PyObject *view = PyObject_GetAttr(self->client, str_view_obj);
-    PyObject *rng = view ? PyObject_GetAttr(self->client, str_view_rng)
-                         : NULL;
+    PyObject *view = Py_XNewRef(slot_peek(self->client,
+                                          self->slots[CL_VIEW]));
+    PyObject *rng = view ? Py_XNewRef(slot_peek(
+        self->client, self->slots[CL_VIEW_RNG])) : NULL;
     int native = rng == NULL
         || (system = PyObject_GetAttr(view, str_quorum_system)) == NULL
         ? -1 : prob_quorum_shape(system, &n, &k);
@@ -3533,10 +3523,10 @@ clientcore_view_quorum(ClientCore *self)
 static PyObject *
 clientcore_sample_quorum(ClientCore *self, int is_read)
 {
-    PyObject *membership = PyObject_GetAttr(self->client, str_membership);
+    PyObject *membership = slot_peek(self->client,
+                                     self->slots[CL_MEMBERSHIP]);
     if (membership == NULL)
         return NULL;
-    Py_DECREF(membership);
     if (membership != Py_None)
         return clientcore_refresh_view(self) < 0
             ? NULL : clientcore_view_quorum(self);
@@ -3729,7 +3719,8 @@ clientcore_move(ClientCore *self, PendingOp *op)
     Py_SETREF(op->quorum, quorum);
     Py_SETREF(op->members, Py_NewRef(Py_None));
     Py_SETREF(op->member_ids, Py_NewRef(Py_None));
-    PyObject *view = PyObject_GetAttr(self->client, str_view_id);
+    PyObject *view = Py_XNewRef(slot_peek(self->client,
+                                          self->slots[CL_VIEW_ID]));
     int changed = view == NULL
         ? -1 : PyObject_RichCompareBool(op->view, view, Py_NE);
     if (changed > 0) {
@@ -3766,7 +3757,7 @@ clientcore_retry(ClientCore *self, PyObject *op_id)
         goto done;
     }
     Py_SETREF(op->attempts, Py_NewRef(attempts));
-    if (bump_counter(self->client, str_retries) < 0)
+    if (slot_add(self->client, self->slots[CL_RETRIES], py_one) < 0)
         goto done;
     /* spec_monitor.on_retry(op.register, op.kind, op.attempts) */
     if (self->monitor != NULL) {
@@ -3807,8 +3798,8 @@ clientcore_issue(ClientCore *self, PyObject *reg, PyObject *value)
     }
     else {
         PyObject *info = clientcore_info(self, reg);
-        PyObject *writer = info ? PyObject_GetAttr(info, str_writer_attr)
-                                : NULL;
+        PyObject *writer = info
+            ? Py_XNewRef(slot_peek(info, offsets[RI_WRITER])) : NULL;
         Py_XDECREF(info);
         int foreign = writer == NULL ? -1 : writer == Py_None
             ? 0 : PyObject_RichCompareBool(writer, self->client_id, Py_NE);
@@ -3824,8 +3815,8 @@ clientcore_issue(ClientCore *self, PyObject *reg, PyObject *value)
         }
         record = Py_NewRef(Py_None);
     }
-    if (bump_counter(self->client, is_read ? str_reads_performed
-                                           : str_writes_performed) < 0
+    if (slot_add(self->client, self->slots[is_read ? CL_READS : CL_WRITES],
+                 py_one) < 0
         || (label = PyTuple_Pack(3, is_read ? str_read_kind : str_write_kind,
                                  reg, self->client_id)) == NULL
         || (future = future_create(label)) == NULL
@@ -3838,7 +3829,8 @@ clientcore_issue(ClientCore *self, PyObject *reg, PyObject *value)
             PyErr_SetNone(PyExc_StopIteration);
         goto done;
     }
-    if ((view = PyObject_GetAttr(self->client, str_view_id)) == NULL
+    if ((view = Py_XNewRef(slot_peek(self->client,
+                                     self->slots[CL_VIEW_ID]))) == NULL
         || (op = pendingop_create(self, is_read, op_id, reg, quorum, future,
                                   record, is_read ? Py_None : value,
                                   view)) == NULL
@@ -3979,7 +3971,7 @@ PyInit__kernel(void)
                                (PyObject *)types[i].type) < 0)
             goto fail;
     }
-    if (PyModule_AddIntConstant(module, "KERNEL_ABI", 12) < 0
+    if (PyModule_AddIntConstant(module, "KERNEL_ABI", 13) < 0
         || PyModule_AddStringConstant(module, "SOURCE_HASH",
                                       REPRO_SOURCE_HASH) < 0)
         goto fail;

@@ -42,20 +42,16 @@ class ApspACO(ACO):
         return list(self._initial)
 
     def apply(self, i: int, x: List[Row]) -> Row:
-        n = self.graph.n
+        # Row-wise min-plus: row k shifted by d_ik for every finite d_ik,
+        # then one min per column.  min() returns the first of equal
+        # items, so row_i[j] wins ties and each value is the very object
+        # (int or float) a double loop keeping the strictly smaller one
+        # picks.
         row_i = x[i]
-        result = []
-        for j in range(n):
-            best = row_i[j]
-            for k in range(n):
-                d_ik = row_i[k]
-                if d_ik == math.inf:
-                    continue
-                candidate = d_ik + x[k][j]
-                if candidate < best:
-                    best = candidate
-            result.append(best)
-        return tuple(result)
+        shifted = [
+            [d + v for v in x[k]] for k, d in enumerate(row_i) if d != math.inf
+        ]
+        return tuple(map(min, row_i, *shifted))
 
     def fixed_point(self) -> List[Row]:
         return list(self._fixed_point)

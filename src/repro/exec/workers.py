@@ -37,6 +37,7 @@ from repro.obs import runtime as obs_runtime
 from repro.obs.core import Observability
 from repro.obs.registry import MetricsRegistry
 from repro.registers.client import RetryPolicy
+from repro.registers.deployment import collector_held
 from repro.sim import delays, failures
 from repro.sim.rng import derive_seed
 
@@ -167,7 +168,16 @@ def run_alg1_task(task: RunTask) -> Dict[str, Any]:
     The payload always carries a ``spec_violation`` key: None on a clean
     run, the violation's structured :meth:`~repro.core.spec.SpecViolation.payload`
     when online monitoring aborted the run.
+
+    The cyclic collector is held off for the whole task — build, run,
+    payload and ``close`` — and the caller's setting restored on exit
+    (:func:`~repro.registers.deployment.collector_held`).
     """
+    with collector_held():
+        return _alg1_payload(task)
+
+
+def _alg1_payload(task: RunTask) -> Dict[str, Any]:
     params = task.params
     measure_pcs = bool(params.get("measure_pseudocycles", False))
     check_online = bool(params.get("check_spec_online", False))

@@ -234,6 +234,15 @@ class QuorumRegisterClient(Node):
     READ_PLAN = ((QUERY, MAX_TS, None),)
     WRITE_PLAN = ((UPDATE, None, OWN_SEQ),)
 
+    # The state the native client core reads or bumps per operation or
+    # per reply, which it binds by slot offset when it is built (the rest
+    # of a node's state stays in its __dict__).
+    __slots__ = (
+        "reads_performed", "writes_performed", "cache_hits", "ops_completed",
+        "ops_completed_under_failure", "retries", "stale_nacks", "view_id",
+        "_membership", "_view", "_view_rng",
+    )
+
     def __init__(
         self,
         client_id: int,

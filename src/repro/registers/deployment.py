@@ -14,7 +14,8 @@ partition/heal events addressed by server index.
 """
 
 import gc
-from typing import Any, List, Optional
+from contextlib import contextmanager
+from typing import Any, Iterator, List, Optional
 
 from repro.obs.core import Observability
 from repro.quorum.base import QuorumSystem
@@ -40,6 +41,21 @@ from repro.sim.scheduler import Scheduler
 _CORE_ATTRIBUTES = (
     "on_message", "send", "broadcast", "_deliver", *kernel.CLIENT_ISSUE_METHODS
 )
+
+
+@contextmanager
+def collector_held() -> Iterator[None]:
+    """Automatic cyclic garbage collection off inside the block, and the
+    caller's setting restored on exit, also when the block raises: the
+    objects of a run are freed by reference counting (DESIGN §7), so a
+    pass would only traverse and promote the ones still in use."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
 
 
 class RegisterDeployment:
@@ -341,18 +357,13 @@ class RegisterDeployment:
     def run(self, **kwargs) -> float:
         """Run the underlying scheduler; see :meth:`Scheduler.run`.
 
-        Automatic cyclic garbage collection is off while it runs and the
-        caller's setting is restored on exit, also when an event raises:
-        events create no cyclic garbage, and a collection pass would only
-        traverse and promote the operations in flight, round after round.
+        The cyclic collector is held off while it runs
+        (:func:`collector_held`): events create no cyclic garbage, and a
+        collection pass would only traverse and promote the operations in
+        flight, round after round.
         """
-        enabled = gc.isenabled()
-        gc.disable()
-        try:
+        with collector_held():
             return self.scheduler.run(**kwargs)
-        finally:
-            if enabled:
-                gc.enable()
 
     def close(self) -> None:
         """Hand the finished run to reference counting.  Idempotent.

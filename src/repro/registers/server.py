@@ -36,6 +36,14 @@ from repro.sim.network import Node
 class ReplicaServer(Node):
     """One replica server hosting a replica of every register in the space."""
 
+    # The state the native server core reads or bumps per message, which
+    # it binds by slot offset when it is built (the rest of a node's state
+    # stays in its __dict__).
+    __slots__ = (
+        "reads_served", "writes_applied", "stale_updates_ignored",
+        "stale_nacks_sent", "retired_messages_ignored", "view_state",
+    )
+
     def __init__(self, space: RegisterSpace) -> None:
         super().__init__()
         self.space = space

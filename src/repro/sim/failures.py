@@ -24,6 +24,13 @@ from repro.specs import arguments
 class FailureInjector:
     """Tracks crashed nodes and network partitions for a simulation."""
 
+    # The native network core reads ``active``, ``_crashed`` and
+    # ``_partition`` per message by slot offset.
+    __slots__ = (
+        "_crashed", "_partition", "active", "crashes_injected", "recoveries",
+        "partitions_installed", "heals",
+    )
+
     def __init__(self) -> None:
         self._crashed: Set[int] = set()
         self._partition: Optional[list] = None  # list of frozensets or None

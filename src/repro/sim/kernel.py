@@ -33,6 +33,14 @@ configuration — and reads live only what changes during a run (the
 clock, fault and partition state, membership views, pending
 operations).  A client runs wholly in C or wholly in Python for its
 whole life: with span tracing on it gets no core.
+
+Bound by slot: every attribute a core reads or bumps per message or per
+operation is a ``__slots__`` member of its Python class, whose offset the
+core resolves once, when it is built, and reads or bumps directly after
+that — no by-name lookup.  A class that shadows such a slot (a property,
+say) is refused with a TypeError when the core is built.  Only
+``network._deliver`` and each node's ``on_message`` stay by name, because
+trace taps and tests replace them mid-run.
 """
 
 import os
@@ -158,10 +166,12 @@ def make_network_core(network):
     ``broadcast``.  Built from the network's constructor, it binds the
     delay draw, loss rate and stream, adversary, stats mode and the
     ``_taps`` list (by identity: ``add_tap`` still takes effect mid-run)
-    once; ``failures.active``, the crashed set, the partition and
-    ``network._deliver`` stay live.  Only built when the network's
-    scheduler is itself native, so delivery events are pushed straight
-    into the C heap.
+    once.  Read live: ``failures.active`` and an exact
+    ``FailureInjector``'s crashed set and partition, by slot offset (the
+    injector's ``active`` must be a slot, on any injector class), and by
+    name ``network._deliver`` and each node's ``on_message``.  Only built
+    when the network's scheduler is itself native, so delivery events are
+    pushed straight into the C heap.
     """
     if selected_backend() != "native":
         return None
@@ -209,6 +219,11 @@ def make_server_core(server):
     runs in C against the server's current ``view_state``; what takes the
     Python handler is any message that is not an exact ``ReadQuery`` /
     ``WriteUpdate`` — the ``State*`` transfer messages, subclasses.
+    The server's counters (``reads_served``, ``writes_applied``,
+    ``stale_updates_ignored``, ``stale_nacks_sent``,
+    ``retired_messages_ignored``) and its ``view_state`` — and that
+    ``ServerViewState``'s ``retired``, ``retiring`` and ``view_id`` — are
+    read and bumped by slot offset.
     """
     if selected_backend() != "native":
         return None
@@ -252,10 +267,17 @@ def make_client_cores(clients):
     fields) and jitter stream, the static quorum system (an exact
     ``ProbabilisticQuorumSystem``'s n and k) and quorum stream, the
     latency sketches and the spec monitor.  The clock, the pending ops,
-    the fault state and the membership view are read live.  Every op of
-    the client is built by the core, with the C types ``PendingOp`` (the
-    fields of ``_PendingOp``, as struct members) and ``Future`` (the
-    contract of :class:`repro.sim.futures.Future`;
+    the fault state and the membership view are read live.  By slot
+    offset, not by name, the core reads or bumps the client's counters
+    (``reads_performed``, ``writes_performed``, ``cache_hits``,
+    ``ops_completed``, ``ops_completed_under_failure``, ``retries``,
+    ``stale_nacks``) and membership state (``view_id``, ``_membership``,
+    ``_view``, ``_view_rng``), a ``RegisterInfo``'s ``history`` and
+    ``writer``, a ``Timestamp``'s ``seq`` and ``writer`` (compared
+    without building tuples) and a latency sketch's ``_buckets`` and
+    ``sum``.  Every op of the client is built by the core, with the C
+    types ``PendingOp`` (the fields of ``_PendingOp``, as struct members)
+    and ``Future`` (the contract of :class:`repro.sim.futures.Future`;
     :func:`~repro.sim.futures.gather` counts native futures down in C);
     the Python ``_expire`` and ``_give_up`` act on them.
 

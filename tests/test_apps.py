@@ -60,6 +60,34 @@ class TestApsp:
                 for j in range(aco.m):
                     assert x[i][j] >= fp[i][j] - 1e-12
 
+    @pytest.mark.parametrize("graph", [
+        chain_graph(7),
+        chain_graph(6, weight=2),  # int weights beside the 0.0 diagonal
+        random_graph(9, 0.3, np.random.default_rng(4), max_weight=4.0),
+        random_graph(8, 0.2, np.random.default_rng(5), ensure_connected=False),
+    ], ids=["chain", "chain-int", "random", "random-disconnected"])
+    def test_apply_equals_the_triple_loop(self, graph):
+        def reference(i, x):
+            row = []
+            for j in range(len(x)):
+                best = x[i][j]
+                for k in range(len(x)):
+                    if x[i][k] != math.inf and x[i][k] + x[k][j] < best:
+                        best = x[i][k] + x[k][j]
+                row.append(best)
+            return tuple(row)
+
+        aco = ApspACO(graph)
+        once = aco.apply_all(aco.initial())
+        # Mid-run: a reader's vector mixes fresher and staler components.
+        mixed = [once[i] if i % 2 else row for i, row in enumerate(aco.initial())]
+        for x in (aco.initial(), once, mixed, aco.fixed_point()):
+            for i in range(aco.m):
+                expected = reference(i, x)
+                got = aco.apply(i, x)
+                assert got == expected
+                assert [type(v) for v in got] == [type(v) for v in expected]
+
     def test_in_domain_chain(self):
         aco = ApspACO(chain_graph(5))
         assert aco.in_domain(aco.initial(), level=0)

@@ -2,6 +2,10 @@
 
 import dataclasses
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -245,3 +249,29 @@ def test_chaos_repro_with_a_bad_spec_is_a_one_line_error(capsys, tmp_path):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "repro: error: graph spec 'chain': missing key 'n'\n"
+
+
+@pytest.mark.parametrize("preset", [None, "3"])
+def test_cli_leaves_blas_one_thread_unless_the_user_set_it(preset):
+    """``python -m repro.cli`` sets ``OPENBLAS_NUM_THREADS`` and
+    ``OMP_NUM_THREADS`` to 1 before numpy loads, keeping a value of the
+    user's own.  ``-i`` runs the probe in the CLI's own process once the
+    command has exited."""
+    env = {
+        name: value for name, value in os.environ.items()
+        if name not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+    }
+    env["PYTHONPATH"] = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    probe = (
+        "import os; print('threads', os.environ['OPENBLAS_NUM_THREADS'], "
+        "os.environ['OMP_NUM_THREADS'])\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-i", "-m", "repro.cli", "--help"], input=probe,
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    printed = [line for line in done.stdout.splitlines()
+               if line.startswith("threads")]
+    assert printed == [f"threads {preset or 1} 1"], done.stderr

@@ -33,8 +33,15 @@ tests pin the contract four ways:
 * **the operation object** — a native Alg. 1 run builds, settles and
   gathers its ops without a Python op, future or sketch frame; an op the
   Python definitions built stays theirs; the Python deadline and attempt
-  budget reject a C op's future with the python backend's text.
+  budget reject a C op's future with the python backend's text,
+* **the slot contract** — every attribute a core reads or bumps per
+  message is a ``__slots__`` member of its class, read at its offset: a
+  subclass that shadows one gets a TypeError or no core, an unset slot
+  raises the by-name AttributeError, the C timestamp comparison is
+  ``Timestamp.__gt__``, and the counters agree across kernels.
 """
+
+import types
 
 import numpy as np
 import pytest
@@ -47,11 +54,12 @@ from repro.adversary.strategies import (
 )
 from repro.chaos.broken import RegressingClient
 from repro.core.monitor import OnlineSpecMonitor
+from repro.core.timestamps import Timestamp
 from repro.core.spec import SpecViolation
 from repro.exec.workers import run_alg1_task
 from repro.experiments.figure2 import Figure2Config, figure2_tasks
 from repro.membership import MembershipSchedule
-from repro.membership.manager import View
+from repro.membership.manager import ServerViewState, View
 from repro.obs.core import Observability
 from repro.obs.registry import MetricsRegistry
 from repro.obs.quantiles import StreamingQuantiles
@@ -69,11 +77,14 @@ from repro.registers.client import (
 )
 from repro.registers.deployment import RegisterDeployment
 from repro.registers.masking import MaskingClient, replace_with_byzantine
+from repro.registers.messages import WriteUpdate
 from repro.registers.server import ReplicaServer
+from repro.registers.space import RegisterInfo
 from repro.sim import kernel
 from repro.sim.delays import ConstantDelay, ExponentialDelay
 from repro.sim.failures import FailureInjector, FailureSchedule
 from repro.sim.futures import Future, gather
+from repro.sim.metrics import MessageStats
 from repro.sim.network import Network
 from tests.conftest import (
     count_calls,
@@ -1271,3 +1282,213 @@ def test_python_timers_reject_a_c_op_like_the_python_backend(
     assert native["gathers"] == [native["failed"][0]] * 2
     assert calls["_teardown"] == 2
     assert calls["_expire" if error is OperationTimeout else "_give_up"] == 2
+
+
+# --------------------------------------------------------------------- #
+# The slot contract: per-message state is read at its slot offset
+# --------------------------------------------------------------------- #
+
+#: Every attribute a native core reads or bumps per message or per
+#: operation, by class: each a __slots__ member, bound by offset.
+BOUND_SLOTS = {
+    FailureInjector: ("active", "_crashed", "_partition"),
+    MessageStats: ("detailed", "sent", "delivered", "dropped"),
+    ReplicaServer: (
+        "reads_served", "writes_applied", "stale_updates_ignored",
+        "stale_nacks_sent", "retired_messages_ignored", "view_state",
+    ),
+    QuorumRegisterClient: (
+        "reads_performed", "writes_performed", "cache_hits", "ops_completed",
+        "ops_completed_under_failure", "retries", "stale_nacks", "view_id",
+        "_membership", "_view", "_view_rng",
+    ),
+    Timestamp: ("seq", "writer"),
+    RegisterInfo: ("history", "writer"),
+    StreamingQuantiles: ("_buckets", "sum"),
+    ServerViewState: ("retired", "retiring", "view_id"),
+}
+
+
+@pytest.mark.parametrize("cls", list(BOUND_SLOTS), ids=lambda c: c.__name__)
+def test_every_bound_attribute_is_a_slot(cls):
+    for name in BOUND_SLOTS[cls]:
+        assert isinstance(vars(cls)[name], types.MemberDescriptorType), name
+
+
+def _counted(name):
+    """A property over the instance dict standing in for slot ``name``."""
+    return property(
+        lambda self: self.__dict__.get(name, 0),
+        lambda self, value: self.__dict__.__setitem__(name, value),
+    )
+
+
+@needs_native
+def test_a_shadowed_slot_gets_a_type_error_or_no_core():
+    """A subclass that puts a property over a bound slot is never read at
+    the slot's offset: building the core refuses it by name, and the
+    server factory, which wants the exact class, builds none."""
+    from repro._native import load_kernel
+
+    module = load_kernel()
+
+    class ShadowingClient(QuorumRegisterClient):
+        retries = _counted("retries")
+
+    class ShadowingServer(ReplicaServer):
+        reads_served = _counted("reads_served")
+
+    class ShadowingInjector(FailureInjector):
+        active = _counted("active")
+
+    with kernel.use_backend("native"):
+        with pytest.raises(TypeError, match="ShadowingClient.retries"):
+            RegisterDeployment(
+                ProbabilisticQuorumSystem(6, 2), num_clients=1,
+                delay_model=ConstantDelay(1.0), seed=1,
+                client_class=ShadowingClient,
+            )
+        deployment = _build_network("native")
+        server = ShadowingServer(deployment.space)
+        deployment.network.add_node(server)
+        assert kernel.make_server_core(server) is None
+        with pytest.raises(TypeError, match="ShadowingServer.reads_served"):
+            module.ServerCore(server)
+        with pytest.raises(TypeError, match="ShadowingInjector.active"):
+            Network(kernel.make_scheduler(), ConstantDelay(1.0),
+                    np.random.default_rng(1), failures=ShadowingInjector())
+    # The python backend reads the property, by name, as before.
+    with kernel.use_backend("python"):
+        plain = RegisterDeployment(
+            ProbabilisticQuorumSystem(6, 2), num_clients=1,
+            delay_model=ConstantDelay(1.0), seed=1,
+            client_class=ShadowingClient,
+        )
+    assert plain.clients[0].retries == 0
+
+
+@pytest.mark.parametrize("backend", [
+    "python", pytest.param("native", marks=needs_native),
+])
+def test_an_unset_slot_raises_the_by_name_attribute_error(backend):
+    deployment = _build_network(backend)
+    deployment.declare_register("x", writer=0)
+    client = deployment.clients[0]
+    del client.view_id
+    with pytest.raises(AttributeError, match=(
+        "'QuorumRegisterClient' object has no attribute 'view_id'"
+    )):
+        client.read("x")
+
+
+@needs_native
+def test_native_timestamp_compare_is_timestamp_gt():
+    """The server core installs a WriteUpdate exactly when its timestamp
+    is greater under ``Timestamp.__gt__``: equal seq with a higher or
+    lower writer, equal pairs, and a lower seq with a higher writer."""
+    deployment = _build_network("native")
+    deployment.declare_register("x", writer=None)
+    server = deployment.servers[0]
+    assert type(vars(server)["on_message"]).__name__ == "ServerCore"
+    src = deployment.clients[0].node_id
+    stamps = [(1, 0), (1, 1), (1, 1), (1, 0), (2, 0), (1, 5), (2, 0),
+              (2, 3), (3, -1), (3, 2), (3, 2)]
+    applied = stale = 0
+    for op_id, (seq, writer) in enumerate(stamps):
+        stamp = Timestamp(seq, writer)
+        newer = stamp > server.replica_timestamp("x")
+        applied += newer
+        stale += not newer
+        server.on_message(src, WriteUpdate("x", op_id, op_id, stamp))
+        assert server.writes_applied == applied
+        assert server.stale_updates_ignored == stale
+    assert server.replica_timestamp("x") == Timestamp(3, 2)
+    assert server.replica_value("x") == 9
+
+
+def _multi_writer_state(backend):
+    """Three multi-writer clients writing one register concurrently — the
+    first three writes all carry seq 1, each its own writer — then
+    reading it."""
+    with kernel.use_backend(backend):
+        deployment = RegisterDeployment(
+            ProbabilisticQuorumSystem(9, 3), num_clients=3,
+            delay_model=ExponentialDelay(1.0), seed=8,
+            client_class=MultiWriterClient,
+        )
+        deployment.declare_register("x", writer=None)
+        reads = []
+        for i in range(12):
+            for client in deployment.clients:
+                client.write("x", (i, client.client_id))
+            reads.extend(c.read("x") for c in deployment.clients)
+        deployment.run()
+    return (
+        [(s.replica_timestamp("x"), s.replica_value("x"))
+         for s in deployment.servers],
+        [s.metric_counters() for s in deployment.servers],
+        [future.result() for future in reads],
+    )
+
+
+@needs_native
+def test_multi_writer_installs_are_identical_across_backends():
+    python = _multi_writer_state("python")
+    assert sum(c["stale_updates_ignored"] for c in python[1]) > 0
+    assert _multi_writer_state("native") == python
+
+
+#: The client counters the native client core bumps or reads by slot.
+CLIENT_COUNTERS = BOUND_SLOTS[QuorumRegisterClient][:8]
+
+
+def _faulty_counters(backend):
+    """Loss, a crash timeline, retries with jitter and deadlines, rotating
+    membership and the monotone cache, then every counter the cores
+    bump."""
+    with kernel.use_backend(backend):
+        deployment = RegisterDeployment(
+            ProbabilisticQuorumSystem(10, 3), num_clients=3,
+            delay_model=ExponentialDelay(1.0), seed=21, monotone=True,
+            retry_policy=RetryPolicy(
+                interval=3.0, max_interval=12.0, jitter=0.1, deadline=50.0
+            ),
+            loss_rate=0.08, detailed_stats=False,
+        )
+        for shard in range(6):
+            deployment.declare_register(f"r{shard}", writer=shard % 3)
+        deployment.install_schedule(FailureSchedule.churn(
+            10, period=5.0, batch=2, outage=3.0, horizon=80.0
+        ))
+        deployment.install_membership(
+            MembershipSchedule.churn(10, period=9.0, batch=1, horizon=80.0),
+        )
+
+        def issue(i):
+            client = deployment.clients[i % 3]
+            if i % 4 == 0:
+                client.write(f"r{i % 3}", i)
+            else:
+                client.read(f"r{i % 6}")
+
+        for i in range(400):
+            deployment.scheduler.schedule_at(i / 5.0, issue, i)
+        deployment.run()
+    stats = deployment.network.stats
+    return (
+        [server.metric_counters() for server in deployment.servers],
+        [{name: getattr(client, name) for name in CLIENT_COUNTERS}
+         for client in deployment.clients],
+        (stats.sent, stats.delivered, stats.dropped),
+    )
+
+
+@needs_native
+def test_counters_bumped_by_slot_are_equal_across_backends():
+    python = _faulty_counters("python")
+    clients = python[1]
+    for name in ("cache_hits", "retries", "stale_nacks",
+                 "ops_completed_under_failure"):
+        assert sum(counters[name] for counters in clients) > 0, name
+    assert sum(c.get("stale_nacks_sent", 0) for c in python[0]) > 0
+    assert _faulty_counters("native") == python

@@ -10,6 +10,7 @@ type, and must not grow with the length of the run.
 """
 
 import gc
+import sys
 from traceback import extract_tb
 
 import pytest
@@ -85,6 +86,28 @@ def chaos_task(max_sim_time):
             {"time": 44.815, "action": "join", "nodes": [6, 7]},
         ]},
     }, 8748526479584655099)
+
+
+def collection_passes(run, inside):
+    """``run()``'s result and the generations of the collection passes
+    that started, from empty generations, while a function named
+    ``inside`` was on the stack."""
+    passes = []
+
+    def count(phase, info):
+        frame = sys._getframe()
+        while frame is not None and frame.f_code.co_name != inside:
+            frame = frame.f_back
+        if phase == "start" and frame is not None:
+            passes.append(info["generation"])
+
+    gc.collect()
+    gc.callbacks.append(count)
+    try:
+        result = run()
+    finally:
+        gc.callbacks.remove(count)
+    return result, passes
 
 
 def churned_service(duration):
@@ -237,3 +260,30 @@ def test_clear_drops_every_event_unrun(scheduler):
     assert scheduler.pending == 1
     scheduler.run()
     assert fired == ["after"]
+
+
+def test_no_collection_pass_runs_inside_a_task(kernel_backend):
+    """``run_alg1_task`` holds the cyclic collector off from building the
+    run to closing it, and gives the caller back its own setting, also
+    when the task raises."""
+    task = chaos_task(80.0)
+    run_alg1_task(task)
+    assert gc.isenabled()
+    # The payload's metrics snapshot outlives the task, so a pass may
+    # start once the setting is restored; none runs inside the body.
+    payload, passes = collection_passes(
+        lambda: run_alg1_task(task), inside="_alg1_payload"
+    )
+    assert payload["spec_violation"] is None
+    assert passes == []
+    assert gc.isenabled()
+    gc.disable()
+    try:
+        run_alg1_task(task)
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
+    broken = RunTask("alg1", dict(task.params, graph={"kind": "nope"}), 1)
+    with pytest.raises(ValueError):
+        run_alg1_task(broken)
+    assert gc.isenabled()

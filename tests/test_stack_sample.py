@@ -32,6 +32,10 @@ def test_samples_the_command_and_names_its_functions():
     assert samples >= 20
     assert "inclusive share (function anywhere on the stack)" in lines
     assert "share by innermost native kernel function" in lines
+    by_name = lines.index("by-name attribute access, by innermost kernel "
+                          "caller")
+    # No kernel frame calls anything by name in this command.
+    assert lines[by_name + 1].split() == ["0.0%", "(in", "all)"]
     inclusive = lines[lines.index("inclusive share (function anywhere "
                                   "on the stack)") + 1:]
     assert any(line.split()[-1] == "_PyEval_EvalFrameDefault"

@@ -116,7 +116,7 @@ LIMIT = 628
 #: The C ratchet: ``--check`` also fails when the native kernel's source
 #: is longer than this.  Lower it when C goes; raising it, like raising
 #: LIMIT, is a deliberate edit.
-C_LINES = 3997
+C_LINES = 3989
 C_SOURCE = PACKAGE / "_native" / "_kernelmodule.c"
 
 #: Installed as ``sitecustomize`` in every interpreter a drive command

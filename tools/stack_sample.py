@@ -8,12 +8,16 @@ starts (a pool worker, a compiler), so only that one process is sampled
 (at most once per kernel tick: 250 Hz on a 250 Hz kernel).
 At exit the stacks are resolved against the ELF symbol tables (``nm``)
 of the interpreter, ``libpython`` and every extension, the native kernel
-included, and two tables of the top ``TOP`` rows are printed:
+included, and three tables of the top ``TOP`` rows are printed:
 
 * **inclusive**: the share of samples with the function anywhere on the
   stack (``gc_collect_main`` is the cyclic collector; ``PyObject_GetAttr``
   is by-name attribute access; ``_PyEval_EvalFrameDefault`` is Python
   code);
+* **by-name attribute access, by innermost kernel caller**: the samples
+  inside a by-name attribute call (:data:`BY_NAME`) made straight from a
+  ``_kernel*.so`` frame, charged to that kernel function, and their
+  total;
 * **innermost kernel function**: each sample charged to the innermost
   frame in ``_kernel*.so``, or to ``(no kernel frame)``.
 
@@ -46,6 +50,12 @@ SRC = ROOT / "src"
 
 #: Rows printed per table.
 TOP = 30
+
+#: The C API functions that look an attribute up by its name.
+BY_NAME = frozenset({
+    "PyObject_GetAttr", "PyObject_SetAttr",
+    "PyObject_GetAttrString", "PyObject_SetAttrString",
+})
 
 #: The shim.  Its constructor arms an ITIMER_PROF timer when
 #: STACK_SAMPLE_OUT names an output file, and unsets the variable so that
@@ -234,9 +244,18 @@ def report(stacks) -> None:
         print("no samples")
         return
     inclusive: collections.Counter = collections.Counter()
+    by_name: collections.Counter = collections.Counter()
     kernel: collections.Counter = collections.Counter()
     for frames in stacks:
         inclusive.update({name for _, name in frames})
+        caller = next(
+            (frames[i + 1][1] for i in range(len(frames) - 1)
+             if frames[i][1] in BY_NAME
+             and frames[i + 1][0].startswith("_kernel")),
+            None,
+        )
+        if caller is not None:
+            by_name[caller] += 1
         inner = next(
             (name for where, name in frames if where.startswith("_kernel")),
             "(no kernel frame)",
@@ -245,6 +264,10 @@ def report(stacks) -> None:
     print(f"{total} samples\n\ninclusive share (function anywhere on the stack)")
     for name, count in inclusive.most_common(TOP):
         print(f"  {count / total:6.1%}  {name}")
+    print("\nby-name attribute access, by innermost kernel caller")
+    for name, count in by_name.most_common(TOP):
+        print(f"  {count / total:6.1%}  {name}")
+    print(f"  {sum(by_name.values()) / total:6.1%}  (in all)")
     print("\nshare by innermost native kernel function")
     for name, count in kernel.most_common(TOP):
         print(f"  {count / total:6.1%}  {name}")
