@@ -1,10 +1,11 @@
-"""Shared benchmark fixtures.
+"""The fixture of the ``bench_*.py`` modules' pytest entry points.
 
-Every benchmark regenerates one paper artifact (table or figure series),
-prints it, saves it under ``benchmarks/output/`` and asserts the paper's
-qualitative claims about it.  By default the experiments run at a
-scaled-down size finishing in minutes; set ``REPRO_FULL=1`` to use the
-paper's exact parameters.
+``bench_adversary``, ``bench_kernel``, ``bench_membership``,
+``bench_service`` and ``bench_speedup`` each write one ``BENCH_*.json``
+record under ``benchmarks/output/``; ``output_dir`` is that directory.
+The paper's claims are tier-1 tests in ``tests/test_experiments.py``,
+and the paper-scale tables in ``benchmarks/output/full/`` come from
+``python -m repro.cli all --full``.
 """
 
 import pathlib

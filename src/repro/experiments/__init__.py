@@ -5,8 +5,9 @@ Each module exposes a config dataclass with ``paper_scale()`` and
 task per point), a formatter producing the table/series the paper
 reports, and an ``EXPERIMENT`` declaration tying the three together.
 :data:`EXPERIMENTS` collects the declarations — the one list the CLI, the
-benchmarks and the docs iterate.  ``REPRO_FULL=1`` in
-the environment switches benchmark invocations to full paper scale.
+claim tests and the docs iterate.  ``REPRO_FULL=1`` in the environment
+switches ``Experiment.config()`` (and so the claim tests) to full paper
+scale.
 """
 
 from repro.experiments import (

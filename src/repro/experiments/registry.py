@@ -2,8 +2,9 @@
 
 Every artifact module ends in an ``EXPERIMENT = Experiment(...)``
 declaration; :data:`repro.experiments.EXPERIMENTS` collects them, and the
-CLI's artifact commands and ``all``, the ``benchmarks/bench_*.py``
-modules and the documentation tables all iterate that one mapping.
+CLI's artifact commands and ``all``, the paper's claim tests in
+``tests/test_experiments.py`` and the documentation tables all iterate
+that one mapping.
 """
 
 import dataclasses

@@ -236,7 +236,7 @@ def check_bound_holds(
     config: SurvivalConfig, slack: float = 0.02
 ) -> List[int]:
     """Lags at which the Monte Carlo estimate exceeds the bound + slack
-    (should be empty — used by tests and the benchmark's assertion)."""
+    (should be empty — used by the tests)."""
     measured = quorum_level_survival(config)
     violations = []
     for ell, probability in measured.items():

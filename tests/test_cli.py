@@ -150,7 +150,7 @@ def test_trace_spans_rejects_non_positive(capsys):
 
 
 def test_full_and_repro_full_select_the_same_configuration(monkeypatch):
-    """``--full`` and the benchmarks' ``REPRO_FULL=1`` both resolve to the
+    """``--full`` and the claim tests' ``REPRO_FULL=1`` both resolve to the
     config's own ``paper_scale()`` through the one registry — the two used
     to carry separate literals, and the churn and load pairs had drifted
     apart."""

@@ -1,7 +1,7 @@
 """The experiment registry: task identity, completeness, docs in step.
 
 The registry (:data:`repro.experiments.EXPERIMENTS`) is what the CLI,
-the benchmark modules and the docs iterate; these tests pin what moving
+the claim tests and the docs iterate; these tests pin what moving
 the eleven artifacts onto it must not move — every task's cache key —
 and that nothing is registered twice or not at all.
 """
