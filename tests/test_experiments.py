@@ -16,7 +16,11 @@ import pytest
 from repro.analysis.latency import expected_max_of_exponentials
 from repro.analysis.theory import q_exact, theorem1_survival_bound
 from repro.experiments import EXPERIMENTS
-from repro.experiments.ablations import AblationConfig, monotone_ablation
+from repro.experiments.ablations import (
+    AblationConfig,
+    delay_ablation,
+    monotone_ablation,
+)
 from repro.experiments.figure2 import (
     Figure2Config,
     Figure2Point,
@@ -244,6 +248,10 @@ class TestAblations:
         table = monotone_ablation(config)
         for ratio in table.column("plain_over_monotone"):
             assert ratio >= 0.8  # noise floor; typically >= 1
+
+    def test_delay_ablation_all_converge(self, config):
+        table = delay_ablation(config)
+        assert all(table.column("all_converged"))
 
 
 # ---------------------------------------------------------------------------
