@@ -1,11 +1,11 @@
-"""The fixture of the ``bench_*.py`` modules' pytest entry points.
+"""The fixture of ``bench_speedup.py``'s pytest entry point.
 
-``bench_adversary``, ``bench_kernel``, ``bench_membership``,
-``bench_service`` and ``bench_speedup`` each write one ``BENCH_*.json``
-record under ``benchmarks/output/``; ``output_dir`` is that directory.
-The paper's claims are tier-1 tests in ``tests/test_experiments.py``,
-and the paper-scale tables in ``benchmarks/output/full/`` come from
-``python -m repro.cli all --full``.
+``bench_speedup`` writes the ``BENCH_parallel.json`` record under
+``benchmarks/output/``; ``output_dir`` is that directory.  The repo's
+one benchmark is ``benchmarks/e2e`` (declared in ``BENCHMARK.json``).
+The paper's and the subsystems' claims are tier-1 tests under
+``tests/``, and the paper-scale tables in ``benchmarks/output/full/``
+come from ``python -m repro.cli all --full``.
 """
 
 import pathlib

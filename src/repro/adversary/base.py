@@ -21,7 +21,7 @@ Budget discipline: adversaries act only on otherwise-deliverable messages
 (the network consults them *after* its loss draw and fault check), so an
 adversary's ``drops`` counter is comparable across strategies — the basis
 for the stale-favoring vs random-hostile effectiveness comparison in
-``benchmarks/bench_adversary.py``.
+``tests/test_adversary.py``.
 """
 
 from typing import Any, Dict, Optional

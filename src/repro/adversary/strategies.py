@@ -22,7 +22,7 @@ implicitly quantified over:
   same message class (read replies) with the same budget as the
   stale-favoring strategy, but chooses victims by coin flip.  The
   effectiveness gap between the two, at equal budgets, is what
-  ``benchmarks/bench_adversary.py`` measures.
+  ``tests/test_adversary.py`` measures.
 
 All state updates happen inside :meth:`intercept` (every strategy sees
 every deliverable message) or in scheduler callbacks on the deployment's

@@ -18,8 +18,8 @@ production service — the ROADMAP's "millions of simulated clients" axis:
   backpressure counters and a byte-deterministic metrics snapshot.
 
 Everything is seeded and deterministic: two runs of the same config
-produce byte-identical metrics snapshots, which the `service-smoke` CI
-job asserts.
+produce byte-identical metrics snapshots, which ``tests/test_service.py``
+asserts.
 """
 
 from repro.service.frontend import KeyValueFrontend

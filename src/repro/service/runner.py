@@ -11,7 +11,7 @@ function of the config alone — simulated time, seeded RNG streams and
 event order; wall-clock only ever appears in ``wall_seconds`` on the
 result object, never in the registry.  Two runs of the same config
 therefore produce **byte-identical** ``snapshot_bytes``, which the
-``service-smoke`` CI job and the regression tests assert.
+regression tests assert.
 """
 
 import time

@@ -59,6 +59,16 @@ class TestCleanCampaign:
         # The campaign exercised real degradation, not a quiet network.
         assert sum(rec["retries"] for rec in result.records) > 0
 
+    def test_membership_timelines_stay_clean_across_view_boundaries(self):
+        # Campaign seed chosen so several runs draw join/leave schedules
+        # (often racing a view_change_racer adversary) on 2 workers;
+        # every run stays spec-clean with zero hung operations.
+        result = run_campaign(CampaignConfig(runs=10, seed=2, jobs=2))
+        assert result.failed == 0, result.violations
+        churned = [r for r in result.records if r.get("views_installed")]
+        assert churned, "no campaign run drew a membership timeline"
+        assert all(r["hung_ops"] == 0 for r in result.records)
+
 
 class TestViolationPipeline:
     def test_broken_client_caught_and_shrunk(self, broken_result):

@@ -5,15 +5,21 @@ Covers the reconfiguration stack end to end — the plain-data
 join/leave/state-transfer machinery, view-aware client dispatch with
 stale-view nacks, the bounded :class:`QuorumUnreachable` give-up, the
 worker payload shape (membership keys appear only when asked for), ddmin
-shrinking of membership timelines, and service-mode churn.
+shrinking of membership timelines, service-mode churn, and the churn
+sweep's claims (every operation settles, the monitor stays clean across
+view boundaries, [R3] holds in every grown view), quick by default and
+at their recorded scale under ``REPRO_FULL=1``.
 """
 
 import pytest
 
 from repro import specs
 from repro.adversary import KINDS as ADVERSARY_KINDS
+from repro.analysis.theory import theorem1_survival_bound
 from repro.chaos.shrink import shrink_violation
 from repro.exec.task import RunTask, execute_task
+from repro.exec.workers import alg1_task
+from repro.experiments.results import full_scale
 from repro.membership import (
     MembershipError,
     MembershipEvent,
@@ -28,7 +34,9 @@ from repro.registers.client import (
 )
 from repro.registers.deployment import RegisterDeployment
 from repro.service import ServiceConfig, run_service
+from repro.sim.coroutines import Sleep, spawn
 from repro.sim.delays import ExponentialDelay
+from repro.sim.rng import RngRegistry, derive_seed
 
 TINY_PARAMS = {
     "graph": {"kind": "chain", "n": 5},
@@ -490,3 +498,169 @@ class TestServiceChurn:
         result = run_service(self._config(membership=None, duration=40.0))
         assert result.membership is None
         assert "membership:" not in result.slo_table()
+
+
+# --- the SLO degradation curve under churn, at the recorded scale ----------
+
+#: Churn periods swept (None = static baseline), at the recorded scale
+#: (REPRO_FULL=1, 300 t per point) and the quick one (120 t).  Batch 1
+#: throughout, so the churn rate is simply 1/period replacements per t.
+CHURN_PERIODS = (None, 100.0, 50.0, 25.0, 12.5, 6.25, 3.125)
+QUICK_PERIODS = (None, 30.0, 15.0, 7.5, 3.75)
+
+#: Offered load for the sweep: high enough that churn-induced retries
+#: and stale-view round trips eat real headroom.
+ARRIVAL_RATE = 8.0
+
+#: The monitored Alg. 1 companion run lives ~25 simulated time units (it
+#: stops at convergence), so its churn periods are the service periods
+#: scaled by this factor — same sweep shape, matched to its lifetime.
+CORRECTNESS_TIMESCALE = 0.25
+
+#: Per-view [R3] Monte Carlo: trials per view and tolerated estimator
+#: noise above the bound (3 sigma at p=0.5 with 3000 trials is ~0.027).
+R3_TRIALS = 3_000
+QUICK_R3_TRIALS = 1_200
+R3_MAX_LAG = 8
+R3_SLACK = 0.03
+#: View-growth ladder: joins grow the view through these sizes (the
+#: paper's n=10 up to the hundreds).
+R3_SIZES = (10, 40, 120, 320)
+R3_QUORUM = 8
+
+
+def churn_periods():
+    return CHURN_PERIODS if full_scale() else QUICK_PERIODS
+
+
+def churn_service_config(period):
+    return ServiceConfig(
+        seed=0,
+        duration=300.0 if full_scale() else 120.0,
+        arrivals={"kind": "poisson", "rate": ARRIVAL_RATE},
+        membership=(
+            None if period is None
+            else {"kind": "churn", "period": period, "batch": 1}
+        ),
+    )
+
+
+class TestChurnCurve:
+    def test_every_churn_rate_settles_every_operation(self):
+        periods = churn_periods()
+        assert sum(period is not None for period in periods) >= 4
+        for period in periods:
+            result = run_service(churn_service_config(period))
+            membership = result.membership or {}
+            assert result.hung_ops == 0, (
+                f"churn period {period}: {result.hung_ops} hung ops — every "
+                f"operation must settle (complete, timeout or unreachable)"
+            )
+            if period is None:
+                assert membership.get("views_installed", 0) == 0
+            else:
+                assert membership["views_installed"] > 0, (
+                    f"churn period {period} installed no views"
+                )
+                assert membership["state_transfers_incomplete"] == 0, (
+                    f"churn period {period} left transfers incomplete"
+                )
+        # The heaviest churn point, re-run, is byte-identical.
+        again = run_service(churn_service_config(periods[-1]))
+        assert again.snapshot_bytes == result.snapshot_bytes, (
+            "same-seed churn runs must produce byte-identical snapshots"
+        )
+
+    def test_monitor_stays_clean_across_view_boundaries(self):
+        # Service mode records no history, so the same sweep runs Alg. 1
+        # on a monitored deployment: every read is checked against the
+        # write history across view boundaries (the monitor does not
+        # reset its per-process watermarks on a view change).
+        for period in churn_periods():
+            membership = None
+            if period is not None:
+                membership = {
+                    "kind": "churn",
+                    "period": round(period * CORRECTNESS_TIMESCALE, 3),
+                    "batch": 1,
+                    "start": 3.0,
+                }
+            # The seed labels here and in the [R3] sweep are those the
+            # recorded numbers were drawn under.
+            payload = execute_task(alg1_task(
+                (0, "bench-membership-correctness"),
+                graph={"kind": "chain", "n": 5},
+                quorum={"kind": "probabilistic", "n": 8, "k": 3},
+                delay={"kind": "exponential", "mean": 1.0},
+                monotone=True,
+                max_rounds=15,
+                max_sim_time=120.0,
+                retry={"interval": 1.0, "backoff": 2.0, "jitter": 0.1,
+                       "deadline": 30.0},
+                check_spec_online=True,
+                membership=membership,
+            ))
+            assert payload.get("spec_violation") is None, (
+                f"[R2]/[R4] violation under churn period {period}"
+            )
+            assert payload.get("hung_ops", 0) == 0
+            if period is not None:
+                assert (payload.get("monitor") or {}).get("views_seen", 0) > 0, (
+                    "monitor never observed a view change — the cross-view "
+                    "check did not actually run"
+                )
+
+    def test_r3_bound_holds_in_every_grown_view(self):
+        """Grow a real deployment 10 -> 320 members; check [R3] per view.
+
+        The views come from an actual reconfiguration (joins with state
+        transfers), so the bound is checked for exactly the (n, k) pairs
+        the deployment installed: per view, a write quorum and
+        ``R3_MAX_LAG`` overwrite quorums from that view's own quorum
+        system, against k*((n-k)/n)^ell.
+        """
+        trials = R3_TRIALS if full_scale() else QUICK_R3_TRIALS
+        schedule = MembershipSchedule()
+        time, lower = 5.0, R3_SIZES[0]
+        for size in R3_SIZES[1:]:
+            schedule.join(time, range(lower, size))
+            time, lower = time + 5.0, size
+        deployment = make_deployment(
+            R3_SIZES[0], R3_QUORUM, seed=0, record_history=True
+        )
+        deployment.declare_register("X", writer=0, initial_value=0)
+        deployment.install_membership(schedule)
+
+        def writer():
+            for value in range(1, 2 * len(R3_SIZES) + 1):
+                yield deployment.handle(0, "X").write(value)
+                yield Sleep(2.5)
+
+        spawn(deployment.scheduler, writer(), label="writer")
+        deployment.run()
+        manager = deployment.membership
+        assert manager is not None
+        views = manager.view_sizes()
+        assert len(views) >= len(R3_SIZES), "view-growth ladder too short"
+        assert manager.state_transfers_incomplete == 0
+        for view_id, n, k in views:
+            system = ProbabilisticQuorumSystem(n, k)
+            rng = RngRegistry(
+                derive_seed(0, "bench-membership-r3", view_id)
+            ).stream("survival")
+            survivals = [0] * (R3_MAX_LAG + 1)
+            for _ in range(trials):
+                write_quorum = system.quorum(rng)
+                overwritten = set()
+                for ell in range(R3_MAX_LAG + 1):
+                    if write_quorum - overwritten:
+                        survivals[ell] += 1
+                    overwritten |= system.quorum(rng)
+            worst_excess = max(
+                survivals[ell] / trials - theorem1_survival_bound(n, k, ell)
+                for ell in range(R3_MAX_LAG + 1)
+            )
+            assert worst_excess <= R3_SLACK, (
+                f"[R3] bound violated in view {view_id} (n={n}, k={k}): "
+                f"excess {worst_excess:.5f}"
+            )
