@@ -12,12 +12,13 @@ coordination state.
 traffic is heavily skewed, and a Zipf(s) draw over a finite key universe
 is the standard way to model it (hot keys concentrate load on a few
 registers, which is exactly the contention regime probabilistic quorums
-are supposed to absorb).  Sampling is one uniform draw plus a binary
-search over the precomputed CDF, deterministic per RNG stream.
+are supposed to absorb).  A draw is one uniform searched in the
+precomputed CDF; :meth:`ZipfKeys.indices` draws a whole block with one
+vector draw and one ``searchsorted``, the same keys as drawing them one
+by one, deterministic per RNG stream.
 """
 
 import zlib
-from bisect import bisect_left
 from typing import List
 
 import numpy as np
@@ -66,7 +67,7 @@ class ZipfKeys:
     draw names a real key.
     """
 
-    __slots__ = ("num_keys", "exponent", "_cdf", "_cdf_list", "_names")
+    __slots__ = ("num_keys", "exponent", "_cdf", "names")
 
     def __init__(self, num_keys: int, exponent: float = 1.1) -> None:
         if num_keys < 1:
@@ -81,19 +82,13 @@ class ZipfKeys:
         # Guard against float round-off leaving the last CDF entry a hair
         # under 1.0, which would make searchsorted fall off the end.
         self._cdf[-1] = 1.0
-        # The same doubles as a list: one draw bisects it without the
-        # array-call overhead of np.searchsorted (same index, draw for draw).
-        self._cdf_list = self._cdf.tolist()
         width = len(str(num_keys - 1))
-        self._names = [f"key-{index:0{width}d}" for index in range(num_keys)]
+        #: Key names by index (0 = hottest).
+        self.names = [f"key-{index:0{width}d}" for index in range(num_keys)]
 
-    def sample_index(self, rng: np.random.Generator) -> int:
-        """Draw a key index (0 = hottest)."""
-        return bisect_left(self._cdf_list, rng.random())
-
-    def sample(self, rng: np.random.Generator) -> str:
-        """Draw a key name."""
-        return self._names[self.sample_index(rng)]
+    def indices(self, rng: np.random.Generator, size: int) -> List[int]:
+        """Draw ``size`` key indices (0 = hottest), one uniform each."""
+        return np.searchsorted(self._cdf, rng.random(size), side="left").tolist()
 
     def __repr__(self) -> str:
         return f"ZipfKeys({self.num_keys} keys, s={self.exponent})"

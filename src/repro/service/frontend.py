@@ -1,18 +1,24 @@
-"""The key-value front end: sharded registers behind get/put.
+"""The key-value front end: sharded registers behind one submit path.
 
 :class:`KeyValueFrontend` is the service's request path.  Each operation:
 
-1. maps the key to its backing register via the sharded keyspace,
+1. names its key by index into the key universe; the key's backing
+   register (and, for owner writes, its owning client) comes from a
+   route table the front end builds once, hashing each key through the
+   sharded keyspace at construction,
 2. passes admission control — at most ``max_in_flight`` operations may
    be outstanding at once; beyond that the request is *shed* (counted,
    never issued), which is the backpressure that keeps an overloaded
    open-loop run from accumulating unbounded in-flight state,
 3. routes to one of the deployment's clients — reads round-robin; writes
    according to ``write_mode`` (see below),
-4. on settlement, records the operation's simulated latency once, into
-   that kind's log-bucket sketch (see :mod:`repro.obs.quantiles` for its
-   accuracy contract) — the ``repro_service_latency`` histogram series
-   when metrics are on — and bumps the outcome counters.
+4. on settlement, bumps the outcome counters.  Its latency is recorded
+   once, by the register client that ran it, into the client's
+   ``repro_op_latency`` sketch: every front-end operation is exactly one
+   client operation started at the same instant, so
+   :func:`~repro.service.runner.run_service` copies those sketches into
+   the ``repro_service_latency`` series at collection time (see
+   :mod:`repro.obs.quantiles` for their accuracy contract).
 
 Write routing.  Any client accepts a put for any key (the front end is
 multi-writer); what differs is which register subsystem executes it:
@@ -33,15 +39,15 @@ deployment rejects writes with ``OperationTimeout`` instead of hanging
 them, and no admission slot stays pinned past the deadline.
 
 Timed-out operations count separately and do **not** feed the latency
-distributions: a timeout's "latency" is just the deadline, and folding a
-constant into the tail would mask exactly the overload signal the
-sketches exist to surface.
+distributions (the client records completions only): a timeout's
+"latency" is just the deadline, and folding a constant into the tail
+would mask exactly the overload signal the sketches exist to surface.
 """
 
-from typing import Any, Dict, Optional
+from functools import partial
+from itertools import cycle
+from typing import Any, Dict, Optional, Sequence
 
-from repro.obs.core import Observability
-from repro.obs.quantiles import StreamingQuantiles
 from repro.registers.client import QuorumUnreachable
 from repro.registers.sharding import ShardedKeyspace
 from repro.sim.futures import Future
@@ -54,8 +60,8 @@ class KeyValueFrontend:
         self,
         deployment: Any,
         keyspace: ShardedKeyspace,
+        keys: Sequence[str],
         max_in_flight: int,
-        observability: Optional[Observability] = None,
         write_mode: str = "owner",
     ) -> None:
         if max_in_flight < 1:
@@ -70,13 +76,18 @@ class KeyValueFrontend:
         self.keyspace = keyspace
         self.max_in_flight = max_in_flight
         self.write_mode = write_mode
-        self.observability = (
-            observability if observability is not None else Observability()
-        )
-        self._clients = deployment.clients
         self._scheduler = deployment.scheduler
-        self._register_names = keyspace.register_names
-        self._next_client = 0
+        clients = deployment.clients
+        #: Reads, and two-phase writes, go to the next client in turn.
+        self._round_robin = cycle(clients)
+        #: Key index -> (register name, owning client; None when writes
+        #: round-robin too).
+        names = keyspace.register_names
+        owned = write_mode == "owner"
+        self._routes = [
+            (names[shard], clients[shard % len(clients)] if owned else None)
+            for shard in map(keyspace.shard_of, keys)
+        ]
 
         self.in_flight = 0
         #: Peak concurrent in-flight operations (queue-depth high-water).
@@ -92,74 +103,36 @@ class KeyValueFrontend:
         #: timeouts so a churn run can tell "slow" from "gave up".
         self.unreachable: Dict[str, int] = {"read": 0, "write": 0}
 
-        #: Latency sketch per kind — the registry's own series when
-        #: metrics are on; the combined stream is their merge (the runner
-        #: derives it at collection time).
-        metrics = self.observability.metrics
-        if metrics is not None:
-            latency = metrics.histogram(
-                "repro_service_latency",
-                "Service operation latency in simulated time units, by kind.",
-                labelnames=("kind",),
-            )
-            self.stream_quantiles: Dict[str, StreamingQuantiles] = {
-                "read": latency.labels("read"),
-                "write": latency.labels("write"),
-            }
-        else:
-            self.stream_quantiles = {
-                "read": StreamingQuantiles(),
-                "write": StreamingQuantiles(),
-            }
-
     # ------------------------------------------------------------------ #
 
-    def get(self, key: str) -> Optional[Future]:
-        """Read ``key``; returns None when admission control sheds it."""
-        return self._submit("read", key, None)
-
-    def put(self, key: str, value: Any) -> Optional[Future]:
-        """Write ``key``; returns None when admission control sheds it."""
-        return self._submit("write", key, value)
-
-    def _submit(self, kind: str, key: str, value: Any) -> Optional[Future]:
+    def submit(self, kind: str, key: int, value: Any) -> Optional[Future]:
+        """Issue a ``"read"`` or a ``"write"`` of ``value`` to key index
+        ``key``; returns None when admission control sheds it."""
         if self.in_flight >= self.max_in_flight:
             self.shed[kind] += 1
             return None
-        shard = self.keyspace.shard_of(key)
-        register = self._register_names[shard]
-        if kind == "write" and self.write_mode == "owner":
-            client = self._clients[shard % len(self._clients)]
-        else:
-            client = self._clients[self._next_client]
-            self._next_client = (self._next_client + 1) % len(self._clients)
         self.admitted[kind] += 1
         self.in_flight += 1
         if self.in_flight > self.peak_in_flight:
             self.peak_in_flight = self.in_flight
-        started = self._scheduler.now
+        register, owner = self._routes[key]
         if kind == "read":
-            future = client.read(register)
+            future = next(self._round_robin).read(register)
         else:
-            future = client.write(register, value)
-        future.add_callback(
-            lambda fut, kind=kind, started=started: self._settled(
-                kind, started, fut
-            )
-        )
+            if owner is None:
+                owner = next(self._round_robin)
+            future = owner.write(register, value)
+        future.add_callback(partial(self._settled, kind))
         return future
 
-    def _settled(self, kind: str, started: float, future: Future) -> None:
+    def _settled(self, kind: str, future: Future) -> None:
         self.in_flight -= 1
-        if future.failed:
-            if isinstance(future.exception, QuorumUnreachable):
-                self.unreachable[kind] += 1
-            else:
-                self.timed_out[kind] += 1
-            return
-        elapsed = self._scheduler.now - started
-        self.completed[kind] += 1
-        self.stream_quantiles[kind].observe(elapsed)
+        if not future.failed:
+            self.completed[kind] += 1
+        elif isinstance(future.exception, QuorumUnreachable):
+            self.unreachable[kind] += 1
+        else:
+            self.timed_out[kind] += 1
 
     def counters(self) -> Dict[str, Any]:
         """All backpressure/outcome counters as plain data."""

@@ -249,17 +249,18 @@ def run_service(config: ServiceConfig) -> ServiceResult:
         if schedule is not None
         else None
     )
+    keys = ZipfKeys(config.num_keys, config.zipf_exponent)
     frontend = KeyValueFrontend(
         deployment,
         keyspace,
+        keys.names,
         max_in_flight=config.max_in_flight,
-        observability=observability,
         write_mode=config.write_mode,
     )
     driver = OpenLoopDriver(
         frontend,
         config.build("arrivals"),
-        ZipfKeys(config.num_keys, config.zipf_exponent),
+        keys,
         arrival_rng=rng.stream("service-arrivals"),
         key_rng=rng.stream("service-keys"),
         op_rng=rng.stream("service-ops"),
@@ -271,9 +272,22 @@ def run_service(config: ServiceConfig) -> ServiceResult:
 
     metrics = observability.metrics
     collect_deployment(metrics, deployment)
-    # The combined stream is the merge of the per-kind sketches: counts
-    # add, so this equals a third sketch fed every settled operation.
-    sketches = dict(frontend.stream_quantiles)
+    # Every front-end operation is one register-client operation started
+    # at the same instant, so the clients' per-kind sketch is the service
+    # latency, bucket for bucket and in ``sum``.  The combined stream is
+    # the merge of the per-kind sketches: counts add, so this equals a
+    # third sketch fed every settled operation.
+    latency = metrics.histogram(
+        "repro_service_latency",
+        "Service operation latency in simulated time units, by kind.",
+        labelnames=("kind",),
+    )
+    sketches = {}
+    for kind in ("read", "write"):
+        sketches[kind] = latency.labels(kind)
+        sketches[kind].merge_snapshot(
+            metrics.sample("repro_op_latency", (kind,)).snapshot()
+        )
     sketches["all"] = sketches["read"].merged(sketches["write"])
     _collect_service(metrics, driver, frontend, sketches)
 

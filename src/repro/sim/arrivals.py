@@ -19,21 +19,39 @@ Three processes cover the classic traffic shapes:
   day/night cycle), sampled by Lewis–Shedler thinning.
 
 Every draw comes from the caller-supplied Generator, so a seeded stream
-makes the whole arrival timeline deterministic.  A process travels
-through configs as a plain-data spec, built from :data:`KINDS` by
-:func:`repro.specs.build`.
+makes the whole arrival timeline deterministic.  A process hands out its
+timeline as one iterator of gaps (:meth:`ArrivalProcess.gaps`); Poisson
+gaps are drawn :data:`BLOCK` at a time, which reads the stream exactly
+as one draw per gap would.  A process travels through configs as a
+plain-data spec, built from :data:`KINDS` by :func:`repro.specs.build`.
 """
 
 import math
+from itertools import chain
+from typing import Callable, Iterator, List
 
 import numpy as np
 
+#: Draws per block for a stream read in blocks.  numpy's vector draws
+#: consume the bit generator exactly as the same number of scalar draws
+#: do, so the block size changes no value, only how often Python asks.
+BLOCK = 256
+
+
+def blocks(draw: Callable[[], List]) -> Iterator:
+    """The items of the lists ``draw()`` returns, calling it once per list
+    (once per :data:`BLOCK` items for the streams here)."""
+    return chain.from_iterable(iter(draw, None))
+
 
 class ArrivalProcess:
-    """Base class: draws the time until the next arrival.
+    """Base class: the gaps between consecutive arrivals.
 
-    A subclass defines ``next_interarrival(rng, now)``, a strictly
-    positive gap until the next arrival after ``now``.
+    A subclass defines ``gaps(rng, start)``: an endless iterator of
+    strictly positive gaps, the first from ``start`` to the first arrival
+    and each next one from the arrival before.  The consumer schedules
+    arrival ``i + 1`` at ``now + gap`` after arrival ``i``, as the
+    scheduler adds them.
     """
 
 
@@ -51,8 +69,12 @@ class PoissonArrivals(ArrivalProcess):
         self._rate = rate
         self._scale = 1.0 / rate
 
-    def next_interarrival(self, rng: np.random.Generator, now: float) -> float:
-        return max(_FLOOR, rng.exponential(self._scale))
+    def gaps(self, rng: np.random.Generator, start: float) -> Iterator[float]:
+        return blocks(
+            lambda: np.maximum(
+                _FLOOR, rng.exponential(self._scale, BLOCK)
+            ).tolist()
+        )
 
     def __repr__(self) -> str:
         return f"PoissonArrivals(rate={self._rate})"
@@ -66,7 +88,9 @@ class BurstyArrivals(ArrivalProcess):
     The idle gap before each burst is sized so the long-run mean rate is
     exactly ``rate`` — raising ``peakedness`` squeezes the same traffic
     into sharper spikes without changing the offered load, which is what
-    makes the comparison against :class:`PoissonArrivals` honest.
+    makes the comparison against :class:`PoissonArrivals` honest.  The
+    size and gap draws interleave on one stream, so they stay one draw
+    per gap.
     """
 
     def __init__(
@@ -85,17 +109,15 @@ class BurstyArrivals(ArrivalProcess):
         # Per burst of mean size m: one gap + (m - 1) intra-burst waits.
         # Solving m / (gap + (m - 1) * intra) = rate for the gap's mean:
         self._gap_mean = mean_burst / rate - (mean_burst - 1.0) * self._intra_scale
-        self._remaining = 0
 
-    def next_interarrival(self, rng: np.random.Generator, now: float) -> float:
-        if self._remaining > 0:
-            self._remaining -= 1
-            return max(_FLOOR, rng.exponential(self._intra_scale))
-        # New burst: draw its size, then wait out the idle gap to its
-        # first arrival.
-        self._remaining = int(rng.geometric(1.0 / self._mean_burst))
-        self._remaining -= 1
-        return max(_FLOOR, rng.exponential(self._gap_mean))
+    def gaps(self, rng: np.random.Generator, start: float) -> Iterator[float]:
+        while True:
+            # New burst: draw its size, then wait out the idle gap to its
+            # first arrival; the rest of the burst follows tightly.
+            remaining = int(rng.geometric(1.0 / self._mean_burst)) - 1
+            yield max(_FLOOR, rng.exponential(self._gap_mean))
+            for _ in range(remaining):
+                yield max(_FLOOR, rng.exponential(self._intra_scale))
 
     def __repr__(self) -> str:
         return (
@@ -110,7 +132,8 @@ class DiurnalArrivals(ArrivalProcess):
     Sampled by Lewis–Shedler thinning against the peak rate, which is
     exact for a non-homogeneous Poisson process (no stepwise
     approximation) and consumes the RNG stream deterministically: one
-    exponential plus one uniform per candidate arrival.
+    exponential plus one uniform per candidate arrival.  Thinning reads
+    the clock, so the draws stay one candidate at a time.
     """
 
     def __init__(
@@ -135,12 +158,20 @@ class DiurnalArrivals(ArrivalProcess):
             1.0 + self._amplitude * math.sin(self._omega * time)
         )
 
-    def next_interarrival(self, rng: np.random.Generator, now: float) -> float:
-        time = now
+    def gaps(self, rng: np.random.Generator, start: float) -> Iterator[float]:
+        now = start
         while True:
-            time += rng.exponential(self._peak_scale)
-            if rng.random() * self._peak <= self.rate_at(time):
-                return max(_FLOOR, time - now)
+            time = now
+            while True:
+                time += rng.exponential(self._peak_scale)
+                if rng.random() * self._peak <= self.rate_at(time):
+                    break
+            gap = max(_FLOOR, time - now)
+            yield gap
+            # The consumer's clock, not ``time``: the next arrival is
+            # scheduled ``gap`` after this one, and thinning must see the
+            # instant the scheduler will.
+            now += gap
 
     def __repr__(self) -> str:
         return (

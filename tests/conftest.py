@@ -134,6 +134,15 @@ def stream_states(deployment):
     }
 
 
+def assert_as_printed(value, printed, what=""):
+    """``value`` rounds to the figure a document prints as ``printed``
+    (a decimal string): within half a unit of its last printed digit."""
+    digits = len(printed.partition(".")[2])
+    assert abs(value - float(printed)) <= 0.5 * 10.0 ** -digits + 1e-12, (
+        f"{what}: measured {value!r}, printed {printed}"
+    )
+
+
 def count_calls(monkeypatch, cls, names):
     """Wrap the class attributes ``cls.<name>`` so every call of the Python
     definition is counted; returns the counters by name."""

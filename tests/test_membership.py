@@ -37,6 +37,7 @@ from repro.service import ServiceConfig, run_service
 from repro.sim.coroutines import Sleep, spawn
 from repro.sim.delays import ExponentialDelay
 from repro.sim.rng import RngRegistry, derive_seed
+from tests.conftest import assert_as_printed
 
 TINY_PARAMS = {
     "graph": {"kind": "chain", "n": 5},
@@ -529,6 +530,23 @@ R3_SIZES = (10, 40, 120, 320)
 R3_QUORUM = 8
 
 
+#: EXPERIMENTS.md's "Measured SLO degradation curve" at the recorded
+#: scale, as printed: period -> (churn rate, p50, p99, shed %, stale
+#: nacks, views installed), latencies over all operations.
+RECORDED_CURVE = {
+    None: ("0.00", "3.58", "11.30", "0", 0, 0),
+    100.0: ("0.01", "3.58", "11.19", "0", 90, 6),
+    50.0: ("0.02", "3.54", "11.76", "0", 203, 12),
+    25.0: ("0.04", "3.61", "13.53", "0", 479, 24),
+    12.5: ("0.08", "3.80", "14.37", "0", 1074, 48),
+    6.25: ("0.16", "5.03", "16.36", "0.2", 2703, 96),
+    3.125: ("0.32", "5.78", "16.36", "2.0", 3999, 192),
+}
+#: The knee the record reads off that table: the first churn rate whose
+#: p99 exceeds 1.4x the static one, or that sheds more than 1%.
+RECORDED_KNEE = "0.16"
+
+
 def churn_periods():
     return CHURN_PERIODS if full_scale() else QUICK_PERIODS
 
@@ -549,9 +567,19 @@ class TestChurnCurve:
     def test_every_churn_rate_settles_every_operation(self):
         periods = churn_periods()
         assert sum(period is not None for period in periods) >= 4
+        knee = None
         for period in periods:
             result = run_service(churn_service_config(period))
             membership = result.membership or {}
+            if full_scale():
+                self.assert_recorded(period, result, membership)
+                if period is None:
+                    static_p99 = result.quantile("all", 0.99)
+                elif knee is None and (
+                    result.quantile("all", 0.99) > 1.4 * static_p99
+                    or result.shed_fraction > 0.01
+                ):
+                    knee = 1.0 / period
             assert result.hung_ops == 0, (
                 f"churn period {period}: {result.hung_ops} hung ops — every "
                 f"operation must settle (complete, timeout or unreachable)"
@@ -570,6 +598,25 @@ class TestChurnCurve:
         assert again.snapshot_bytes == result.snapshot_bytes, (
             "same-seed churn runs must produce byte-identical snapshots"
         )
+        if full_scale():
+            assert knee is not None
+            assert_as_printed(knee, RECORDED_KNEE, "knee")
+
+    @staticmethod
+    def assert_recorded(period, result, membership):
+        """One row of the recorded curve, figure for figure."""
+        rate, p50, p99, shed, nacks, views = RECORDED_CURVE[period]
+        assert_as_printed(
+            0.0 if period is None else 1.0 / period, rate, f"{period} rate"
+        )
+        assert_as_printed(result.quantile("all", 0.5), p50, f"{period} p50")
+        assert_as_printed(result.quantile("all", 0.99), p99, f"{period} p99")
+        assert_as_printed(
+            100.0 * result.shed_fraction, shed, f"{period} shed %"
+        )
+        assert membership.get("stale_nacks", 0) == nacks
+        assert membership.get("views_installed", 0) == views
+        assert result.timeouts == result.unreachable == 0
 
     def test_monitor_stays_clean_across_view_boundaries(self):
         # Service mode records no history, so the same sweep runs Alg. 1

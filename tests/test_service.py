@@ -13,7 +13,10 @@ Covers the PR's tentpole contracts:
 * the `serve` CLI subcommand and its Prometheus SLO series.
 """
 
+import bisect
+import collections
 import dataclasses
+import hashlib
 import json
 import math
 import re
@@ -24,9 +27,7 @@ import pytest
 from repro import cli, specs
 from repro.cli import main as cli_main
 from repro.experiments.results import full_scale
-from repro.obs.core import Observability
 from repro.obs.export import validate_prometheus_text
-from repro.obs.registry import MetricsRegistry
 from repro.obs.quantiles import ALPHA, StreamingQuantiles
 from repro.quorum.probabilistic import ProbabilisticQuorumSystem
 from repro.registers.client import OperationTimeout, QuorumUnreachable
@@ -35,6 +36,7 @@ from repro.registers.sharding import ShardedKeyspace, ZipfKeys
 from repro.service import ServiceConfig, run_service
 from repro.service.frontend import KeyValueFrontend
 from repro.sim.arrivals import (
+    BLOCK,
     KINDS as ARRIVAL_KINDS,
     BurstyArrivals,
     DiurnalArrivals,
@@ -42,6 +44,7 @@ from repro.sim.arrivals import (
 )
 from repro.sim import kernel
 from repro.sim.futures import Future
+from tests.conftest import assert_as_printed
 
 # --- sharding --------------------------------------------------------------
 
@@ -76,25 +79,20 @@ def test_sharded_keyspace_rejects_empty():
 # --- zipf keys -------------------------------------------------------------
 
 
+def _sequential_indices(keys, seed, n):
+    """The per-draw oracle: one uniform per key, bisected into the CDF."""
+    rng = np.random.default_rng(seed)
+    cdf = keys._cdf.tolist()
+    return [bisect.bisect_left(cdf, rng.random()) for _ in range(n)]
+
+
 def test_zipf_rank_one_is_hottest_and_deterministic():
     keys = ZipfKeys(100, exponent=1.2)
-    rng = np.random.default_rng(3)
-    counts: dict = {}
-    for _ in range(5000):
-        name = keys.sample(rng)
-        counts[name] = counts.get(name, 0) + 1
-    hottest = max(counts, key=counts.get)
-    assert hottest == "key-00"
+    indices = keys.indices(np.random.default_rng(3), 5000)
+    counts = collections.Counter(keys.names[index] for index in indices)
+    assert counts.most_common(1)[0][0] == "key-00"
     # Determinism: a fresh generator with the same seed replays the draws.
-    replay = np.random.default_rng(3)
-    assert [keys.sample(replay) for _ in range(50)] == [
-        name for name in _first_draws(keys, 3, 50)
-    ]
-
-
-def _first_draws(keys, seed, n):
-    rng = np.random.default_rng(seed)
-    return [keys.sample(rng) for _ in range(n)]
+    assert keys.indices(np.random.default_rng(3), 50) == indices[:50]
 
 
 def test_zipf_probabilities_sum_to_one_and_decrease():
@@ -112,43 +110,83 @@ def test_zipf_probabilities_sum_to_one_and_decrease():
 def test_zipf_batch_matches_sequential_sampling():
     keys = ZipfKeys(200, exponent=1.1)
     draws = 10_000
-    sequential = _first_draws(keys, 11, draws)
-    # Vectorized: one searchsorted over the whole batch of uniforms.
-    indices = np.searchsorted(
-        keys._cdf, np.random.default_rng(11).random(draws), side="left"
-    )
-    assert [keys._names[int(index)] for index in indices] == sequential
-    # The scalar path bisects a list copy of the CDF; np.searchsorted
-    # over the array is the reference it must match draw for draw.
-    rng, reference_rng = np.random.default_rng(11), np.random.default_rng(11)
-    for _ in range(draws):
-        assert keys.sample_index(rng) == int(
-            np.searchsorted(keys._cdf, reference_rng.random(), side="left")
-        )
+    sequential = _sequential_indices(keys, 11, draws)
+    # One searchsorted over the whole batch of uniforms.
+    assert keys.indices(np.random.default_rng(11), draws) == sequential
+    # In the driver's blocks, across block boundaries.
+    rng = np.random.default_rng(11)
+    blocked = []
+    while len(blocked) < draws:
+        blocked += keys.indices(rng, BLOCK)
+    assert blocked[:draws] == sequential
 
 
 # --- arrivals --------------------------------------------------------------
 
 
+def _oracle_gaps(process, rng, now, count):
+    """Each kind's per-draw formula, one gap per call, with the consumer's
+    clock advancing as the scheduler's does: what ``gaps`` must equal."""
+    floor = 1e-9
+    remaining = 0
+    gaps = []
+    for _ in range(count):
+        if isinstance(process, PoissonArrivals):
+            gap = max(floor, rng.exponential(process._scale))
+        elif isinstance(process, BurstyArrivals):
+            if remaining > 0:
+                remaining -= 1
+                gap = max(floor, rng.exponential(process._intra_scale))
+            else:
+                remaining = int(rng.geometric(1.0 / process._mean_burst)) - 1
+                gap = max(floor, rng.exponential(process._gap_mean))
+        else:
+            time = now
+            while True:
+                time += rng.exponential(process._peak_scale)
+                if rng.random() * process._peak <= process.rate_at(time):
+                    break
+            gap = max(floor, time - now)
+        gaps.append(gap)
+        now = now + gap
+    return gaps
+
+
+ARRIVAL_PROCESSES = [
+    PoissonArrivals(4.0),
+    BurstyArrivals(4.0, mean_burst=6.0, peakedness=8.0),
+    DiurnalArrivals(4.0, period=50.0, amplitude=0.6),
+]
+
+
 @pytest.mark.parametrize(
-    "process",
-    [
-        PoissonArrivals(4.0),
-        BurstyArrivals(4.0, mean_burst=6.0, peakedness=8.0),
-        DiurnalArrivals(4.0, period=50.0, amplitude=0.6),
-    ],
-    ids=["poisson", "bursty", "diurnal"],
+    "process", ARRIVAL_PROCESSES, ids=["poisson", "bursty", "diurnal"]
 )
 def test_arrival_processes_hit_their_mean_rate(process):
-    rng = np.random.default_rng(5)
+    gaps = process.gaps(np.random.default_rng(5), 0.0)
     now, count = 0.0, 0
     while now < 2000.0:
-        gap = process.next_interarrival(rng, now)
+        gap = next(gaps)
         assert gap > 0.0
         now += gap
         count += 1
     measured = count / now
     assert measured == pytest.approx(4.0, rel=0.1)
+
+
+@pytest.mark.parametrize(
+    "process", ARRIVAL_PROCESSES, ids=["poisson", "bursty", "diurnal"]
+)
+@pytest.mark.parametrize("start", [0.0, 17.25])
+def test_arrival_gaps_equal_the_per_draw_formulas(process, start):
+    """Block draws read the stream as per-draw draws would: three blocks'
+    worth of gaps, from two start times (diurnal thins against the
+    clock), equal the one-gap-at-a-time formulas."""
+    count = 3 * BLOCK + 5
+    gaps = process.gaps(np.random.default_rng(9), start)
+    assert [next(gaps) for _ in range(count)] == _oracle_gaps(
+        process, np.random.default_rng(9), start, count
+    )
 
 
 def test_arrival_spec_roundtrip():
@@ -167,14 +205,15 @@ def test_arrival_spec_roundtrip():
     ):
         rebuilt = specs.build("arrivals", ARRIVAL_KINDS, spec)
         assert repr(rebuilt) == repr(process)
-        # Same spec + same seed => the same arrival timeline.
-        gaps_a = [
-            rebuilt.next_interarrival(np.random.default_rng(9), 0.0)
-        ]
-        gaps_b = [
-            process.next_interarrival(np.random.default_rng(9), 0.0)
-        ]
-        assert gaps_a == gaps_b
+        # Same spec + same seed => the same arrival timeline, long enough
+        # to run through bursts and the diurnal swing.
+        gaps_a = rebuilt.gaps(np.random.default_rng(9), 0.0)
+        gaps_b = process.gaps(np.random.default_rng(9), 0.0)
+        timeline_a = [next(gaps_a) for _ in range(200)]
+        assert timeline_a == [next(gaps_b) for _ in range(200)]
+        assert timeline_a == _oracle_gaps(
+            process, np.random.default_rng(9), 0.0, 200
+        )
 
 
 def test_build_arrivals_rejects_unknown_kind():
@@ -193,11 +232,11 @@ def test_frontend_rejects_bad_config():
     # (run_service already drained it; we only need its deployment shape)
     with pytest.raises(ValueError):
         KeyValueFrontend(
-            _deployment_for(), ShardedKeyspace(4), max_in_flight=0
+            _deployment_for(), ShardedKeyspace(4), ["a"], max_in_flight=0
         )
     with pytest.raises(ValueError):
         KeyValueFrontend(
-            _deployment_for(), ShardedKeyspace(4), max_in_flight=8,
+            _deployment_for(), ShardedKeyspace(4), ["a"], max_in_flight=8,
             write_mode="quorumless",
         )
     assert result.offered >= 0
@@ -355,6 +394,72 @@ def test_service_slo_table_renders():
     assert str(result.offered) in table
 
 
+# --- byte-identity pins ------------------------------------------------------
+
+#: SHA-256 of ``snapshot_bytes`` per config, recorded before the request
+#: path drew its traffic in blocks, routed keys through a precomputed
+#: table and took its latency from the client's sketch; equal on both
+#: kernels.  Each run is at most 150 t on 8 servers, quorum 3.  Every
+#: settlement path is in some pinned run: ``loss_deadline`` times out
+#: 111 operations, ``churn_unreachable`` gives up on 4 and ``shed``
+#: sheds 1 086 of 1 157.
+PIN_BASE = dict(num_servers=8, quorum_size=3, num_registers=8, seed=7)
+PINNED_SNAPSHOTS = {
+    "poisson": (
+        dict(duration=120.0, arrivals={"kind": "poisson", "rate": 6.0}),
+        "e2240975f77763b5fd0b43a43e1e8abb7f939e8ef0ae376781f69b1bfbbb579f",
+    ),
+    "bursty": (
+        dict(duration=120.0, num_clients=2,
+             arrivals={"kind": "bursty", "rate": 4.0, "mean_burst": 6.0,
+                       "peakedness": 8.0}),
+        "052144e37246e4e247ed53780b6458971270fe75b12ec084070de9dea7492006",
+    ),
+    "diurnal": (
+        dict(duration=150.0,
+             arrivals={"kind": "diurnal", "rate": 6.0, "period": 50.0,
+                       "amplitude": 0.6}),
+        "a782ebd5b47a4987526794beb515a96e7ac045c9aff1f1e9cdb2695149d2ce76",
+    ),
+    "two_phase": (
+        dict(duration=100.0, write_mode="two_phase", read_fraction=0.6),
+        "bc3e6f6e5dfbcea4ecca646d652ce0c3d2015142ed1cf8be11ad64150709aa5e",
+    ),
+    "churn": (
+        dict(duration=120.0, arrivals={"kind": "poisson", "rate": 4.0},
+             membership={"kind": "churn", "period": 10.0, "batch": 1}),
+        "7491e2981983588601adbd9f066aff69188010b19b5a360b2cb34040a35699e6",
+    ),
+    "loss_deadline": (
+        dict(duration=100.0, loss_rate=0.3, operation_deadline=15.0),
+        "28b9387f0629591e435210c36c5caefd9fee07163301b5a9ba1377681776c51b",
+    ),
+    "churn_unreachable": (
+        dict(duration=100.0, max_attempts=2,
+             membership={"kind": "churn", "period": 6.25, "batch": 1}),
+        "152ebe396226b4b61dde310a9197b79789746258857321b6448672e97443d494",
+    ),
+    "shed": (
+        dict(duration=60.0, max_in_flight=4,
+             arrivals={"kind": "poisson", "rate": 20.0}),
+        "e6d3a95080f2dcd472983d3e327bb0f0d6a486d7a3cd4394e654d0d52ccac1c0",
+    ),
+    "adversary": (
+        dict(duration=100.0, arrivals={"kind": "bursty", "rate": 4.0},
+             adversary={"kind": "stale_favoring", "drop_budget": 40}),
+        "967f09ee35b22216032c671dbb0e324cef78670dc6fb8352185f9f63e8b6b7d9",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_SNAPSHOTS))
+def test_serve_snapshot_matches_its_pin(case, kernel_backend):
+    knobs, digest = PINNED_SNAPSHOTS[case]
+    result = run_service(ServiceConfig(**PIN_BASE, **knobs))
+    assert result.hung_ops == 0
+    assert hashlib.sha256(result.snapshot_bytes).hexdigest() == digest
+
+
 # --- sustained throughput at a fixed p99 SLO -------------------------------
 
 #: The SLO: sketch p99 over all operations, in simulated time units.
@@ -370,6 +475,19 @@ SHED_LIMIT = 0.01
 #: 300 t per rung) and at the quick one (120 t per rung).
 RATE_LADDER = (2.0, 4.0, 8.0, 12.0, 16.0, 20.0, 24.0)
 QUICK_LADDER = (2.0, 8.0, 16.0)
+
+#: EXPERIMENTS.md's "Measured SLO ladder" at the recorded scale, as
+#: printed: rate -> (p99, shed %); the rate-20 rung's p99 is not printed.
+RECORDED_LADDER = {
+    2.0: ("10.33", "0.0"),
+    4.0: ("11.08", "0.0"),
+    8.0: ("11.30", "0.0"),
+    12.0: ("11.30", "4.3"),
+    16.0: ("11.08", "19.3"),
+    20.0: (None, "32.7"),
+    24.0: ("10.86", "42.9"),
+}
+RECORDED_SUSTAINED_RATE = 8.0
 
 
 def test_slo_ladder_sustains_a_rate_and_reaches_saturation():
@@ -419,6 +537,17 @@ def test_slo_ladder_sustains_a_rate_and_reaches_saturation():
     )
     for rung in rungs:
         assert rung["hung_ops"] == 0, f"rung {rung['rate']} hung ops"
+    if full_scale():
+        # The recorded table, figure for figure.
+        for rung in rungs:
+            p99, shed = RECORDED_LADDER[rung["rate"]]
+            if p99 is not None:
+                assert_as_printed(rung["p99"], p99, f"rate {rung['rate']} p99")
+            assert_as_printed(
+                100.0 * rung["shed_fraction"], shed,
+                f"rate {rung['rate']} shed %",
+            )
+        assert sustained["rate"] == RECORDED_SUSTAINED_RATE
     # Same-seed runs of the sustained rung are byte-identical.
     again = run_service(config(sustained["rate"]))
     assert again.snapshot_bytes == sustained["snapshot"], (
@@ -442,14 +571,21 @@ def test_service_quantiles_within_alpha_of_exact_latencies(
     marker-interpolating estimator read 7-12% low.  The sketch's bound
     holds for any shape."""
     exact = {"read": [], "write": []}
-    settled = KeyValueFrontend._settled
+    submit = KeyValueFrontend.submit
 
-    def recording(self, kind, started, future):
-        if not future.failed:
-            exact[kind].append(self._scheduler.now - started)
-        settled(self, kind, started, future)
+    def recording(self, kind, key, value):
+        started = self._scheduler.now
+        future = submit(self, kind, key, value)
 
-    monkeypatch.setattr(KeyValueFrontend, "_settled", recording)
+        def settled(fut):
+            if not fut.failed:
+                exact[kind].append(self._scheduler.now - started)
+
+        if future is not None:
+            future.add_callback(settled)
+        return future
+
+    monkeypatch.setattr(KeyValueFrontend, "submit", recording)
     result = run_service(ServiceConfig(
         seed=7, duration=300.0, membership=membership,
         arrivals={"kind": "poisson", "rate": 8.0},
@@ -498,32 +634,36 @@ def test_frontend_records_each_settled_latency_once(monkeypatch):
         ProbabilisticQuorumSystem(4, 2), num_clients=1
     )
     frontend = KeyValueFrontend(
-        deployment, ShardedKeyspace(2), max_in_flight=8,
-        observability=Observability(MetricsRegistry()),
+        deployment, ShardedKeyspace(2), ["a"], max_in_flight=8
     )
     frontend.in_flight = 3
-    deployment.scheduler.schedule(2.5, lambda: None)
-    deployment.run()
-    frontend._settled("read", 1.0, _future())
-    assert observed == [1.5]
-    frontend._settled("read", 1.0, _future(OperationTimeout("late")))
+    frontend._settled("read", _future())
+    frontend._settled("read", _future(OperationTimeout("late")))
     frontend._settled(
-        "write", 1.0, _future(QuorumUnreachable("kv/0", "write", 3))
+        "write", _future(QuorumUnreachable("kv/0", "write", 3))
     )
-    assert observed == [1.5]
+    # Settling only counts: the latency is the register client's record.
+    assert observed == []
     assert frontend.completed == {"read": 1, "write": 0}
     assert frontend.timed_out == {"read": 1, "write": 0}
     assert frontend.unreachable == {"read": 0, "write": 1}
     assert frontend.in_flight == 0
 
-    # End to end: a completed serve op bumps two sketches — the client's
-    # repro_op_latency and the front end's repro_service_latency.  (On
-    # native the client core bumps its sketch in C, without ``observe``.)
-    del observed[:]
+    # End to end: a completed serve op bumps one sketch, the client's
+    # repro_op_latency, and the service series is a copy of it taken at
+    # collection time.  (On native the client core bumps its sketch in
+    # C, without ``observe``.)
     with kernel.use_backend("python"):
         result = run_service(ServiceConfig(**QUICK))
     assert result.timeouts == 0 and result.counters["in_flight"] == 0
-    assert len(observed) == 2 * result.completed
+    assert len(observed) == result.completed
+    by_name = {
+        item["name"]: item for item in result.snapshot["instruments"]
+    }
+    assert (
+        by_name["repro_service_latency"]["series"]
+        == by_name["repro_op_latency"]["series"]
+    )
 
 
 # --- the serve CLI ---------------------------------------------------------

@@ -26,22 +26,25 @@ SRC = str(pathlib.Path(__file__).resolve().parent.parent / "src")
 #: What CI compares: a chaos campaign's metrics (loss, faults,
 #: adversaries, membership, the spec monitor; never cached, so each
 #: backend simulates every run), a bursty open-loop service snapshot
-#: (the seeded ``serve`` identity, static membership), a churned one, a lossy
-#: churned one with plain clients (the C loss draw, retry jitter and
-#: stale-view re-dispatch), a lossy churned two-phase one (the
-#: multi-writer plan's query and update rounds in the C client core; it
-#: must also leave nothing hung), the closed-loop Figure 2 sweep's
-#: metrics (Alg. 1 issues through the C client core on native: C ops,
-#: C futures, the C gather), the same sweep with span tracing on — the
-#: one case where native runs its clients wholly in Python (a client
-#: with span tracing on gets no core) — and the
-#: fault-tolerance sweep through the 2-worker pool (crashes and loss on
-#: the native network core's scalar stats, every snapshot brought home
-#: inside its payload and merged in task order).
+#: (the seeded ``serve`` identity, static membership), a diurnal one
+#: offered more than its admission cap holds (the thinning gap iterator
+#: and shedding), a churned one, a lossy churned one with plain clients
+#: (the C loss draw, retry jitter and stale-view re-dispatch), a lossy
+#: churned two-phase one (the multi-writer plan's query and update rounds
+#: in the C client core; it must also leave nothing hung), the
+#: closed-loop Figure 2 sweep's metrics (Alg. 1 issues through the C
+#: client core on native: C ops, C futures, the C gather), the same sweep
+#: with span tracing on — the one case where native runs its clients
+#: wholly in Python (a client with span tracing on gets no core) — and
+#: the fault-tolerance sweep through the 2-worker pool (crashes and loss
+#: on the native network core's scalar stats, every snapshot brought
+#: home inside its payload and merged in task order).
 DEFAULT_CASES = (
     "chaos --runs 10 --chaos-seed 1 --jobs 2 --metrics-out {out}",
     "serve --duration 150 --rate 4 --arrivals bursty --clients 2 --seed 7 "
     "--snapshot-out {out}",
+    "serve --arrivals diurnal --rate 12 --max-in-flight 8 --duration 150 "
+    "--seed 7 --snapshot-out {out}",
     "serve --duration 120 --rate 4 --clients 2 --churn 40 --churn-batch 2 "
     "--seed 7 --snapshot-out {out}",
     "serve --churn 6.25 --loss-rate 0.1 --duration 120 --seed 7 "

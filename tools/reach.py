@@ -111,7 +111,7 @@ EXEMPT = {
 #: The ratchet: ``--check`` fails when more function lines than this,
 #: outside EXEMPT, go unreached.  Lower it when code goes; never raise it
 #: to admit code no command runs.
-LIMIT = 628
+LIMIT = 615
 
 #: The C ratchet: ``--check`` also fails when the native kernel's source
 #: is longer than this.  Lower it when C goes; raising it, like raising
