@@ -4,7 +4,7 @@
  * event-heap scheduler (push/pop/cancel with (time, seq) ordering, the
  * run() drain loops, handle-free uncancellable delivery entries), one
  * network core (Network.send / .broadcast / ._deliver, which bumps a
- * scalar-mode MessageStats' totals on its __slots__ directly), the two
+ * scalar-mode MessageStats' int64 totals in place), the two
  * register-protocol cores and the operation objects the client core
  * builds (Future, gather's countdown, PendingOp).  There is no stats
  * type here: both backends count into the one Python MessageStats.  A
@@ -181,16 +181,17 @@ static PyObject *exponential_delay_type = NULL; /* delays.ExponentialDelay */
 static PyObject *constant_delay_type = NULL;    /* delays.ConstantDelay    */
 
 /* The bind-once rule.  Every attribute a core reads or bumps per message
- * or per operation is a ``__slots__`` member of its Python class, read at
- * the offset its member descriptor gives, resolved once (slot_offsets):
- * those of a core's own objects when the core is built (the cores'
- * ``slots``), those of the exact types below when the type is resolved.
- * A name that is not an object slot is a TypeError there, so there is no
- * by-name path to keep in step.  By name stay only ``network._deliver``
- * and ``node.on_message``, which tests replace mid-run, and the
- * constructors and cold paths. */
+ * or per operation is a ``__slots__`` member of its Python class, or an
+ * int64 field of its counter_type base, read at the offset its member
+ * descriptor gives, resolved once (slot_offsets): those of a core's own
+ * objects when the core is built (the cores' ``slots``), those of the
+ * exact types below when the type is resolved.  A name that is not such a
+ * member is a TypeError there, so there is no by-name path to keep in
+ * step.  By name stay only ``network._deliver`` and ``node.on_message``,
+ * which tests and trace taps replace mid-run, and the constructors and
+ * cold paths. */
 enum {
-    STAT_DETAILED, STAT_SENT, STAT_DELIVERED, STAT_DROPPED, /* MessageStats */
+    STAT_SENT, STAT_DELIVERED, STAT_DROPPED, STAT_DETAILED, /* MessageStats */
     FI_CRASHED, FI_PARTITION,            /* FailureInjector */
     TS_SEQ, TS_WRITER,                   /* Timestamp */
     RI_HISTORY, RI_WRITER,               /* RegisterInfo */
@@ -199,7 +200,7 @@ enum {
     NOFFSETS
 };
 static const char *const offset_names[NOFFSETS] = {
-    "detailed", "sent", "delivered", "dropped", "_crashed", "_partition",
+    "sent", "delivered", "dropped", "detailed", "_crashed", "_partition",
     "seq", "writer", "history", "writer", "_buckets", "sum", "retired",
     "retiring", "view_id"};
 static Py_ssize_t offsets[NOFFSETS];
@@ -245,40 +246,51 @@ static PyTypeObject ClientCore_Type;
 static int protocolcore_invoke(PyObject *core, PyObject *src,
                                PyObject *message);
 
-/* The offsets of the ``n`` __slots__ members of ``type`` named by
- * ``names``, into ``out``: 0, or -1 with TypeError when one is not a
- * writable object slot of the type (a property, a class attribute, an
- * instance-dict entry, a subclass's shadowing descriptor). */
+/* The offset of the member ``name`` of ``type``, an int64 counter field
+ * when ``counter`` is set, else an object slot: > 0, or -1 with TypeError
+ * when it is not a writable member of that kind of the type (a property,
+ * a class attribute, an instance-dict entry, a subclass's shadowing
+ * descriptor, another type's member). */
+static Py_ssize_t
+member_offset(PyTypeObject *type, PyObject *name, int counter)
+{
+    PyObject *descr = _PyType_Lookup(type, name);
+    PyMemberDef *member = descr && Py_IS_TYPE(descr, &PyMemberDescr_Type)
+        && PyType_IsSubtype(type, PyDescr_TYPE(descr))
+        ? ((PyMemberDescrObject *)descr)->d_member : NULL;
+    if (member != NULL && !(member->flags & READONLY)
+        && member->type == (counter ? T_LONGLONG : T_OBJECT_EX))
+        return member->offset;
+    PyErr_Format(PyExc_TypeError, "%s.%U is not %s", type->tp_name, name,
+                 counter ? "an int64 counter field" : "a __slots__ member");
+    return -1;
+}
+
+/* The offsets of the ``n`` members of ``type`` named by ``names``, into
+ * ``out`` (member_offset): the first ``counters`` int64 counter fields,
+ * the rest object slots.  0, or -1 with an exception. */
 static int
 slot_offsets(PyObject *type, const char *const *names, Py_ssize_t *out,
-             int n)
+             int n, int counters)
 {
     for (int i = 0; i < n; i++) {
         PyObject *name = PyUnicode_InternFromString(names[i]);
-        PyObject *descr = name ? _PyType_Lookup((PyTypeObject *)type, name)
-                               : NULL;
+        out[i] = name == NULL ? -1
+            : member_offset((PyTypeObject *)type, name, i < counters);
         Py_XDECREF(name);
-        PyMemberDef *member = descr && Py_IS_TYPE(descr, &PyMemberDescr_Type)
-            && PyType_IsSubtype((PyTypeObject *)type, PyDescr_TYPE(descr))
-            ? ((PyMemberDescrObject *)descr)->d_member : NULL;
-        if (member == NULL || member->type != T_OBJECT_EX
-            || member->flags & READONLY) {
-            if (!PyErr_Occurred())
-                PyErr_Format(PyExc_TypeError, "%s.%s is not a __slots__ "
-                             "member", ((PyTypeObject *)type)->tp_name,
-                             names[i]);
+        if (out[i] < 0)
             return -1;
-        }
-        out[i] = member->offset;
     }
     return 0;
 }
 
-/* offsets[first:first + n], of ``type``. */
+/* offsets[first:first + n], of ``type``: its first ``counters`` are
+ * counter fields. */
 static int
-bind_offsets(PyObject *type, int first, int n)
+bind_offsets(PyObject *type, int first, int n, int counters)
 {
-    return slot_offsets(type, offset_names + first, offsets + first, n);
+    return slot_offsets(type, offset_names + first, offsets + first, n,
+                        counters);
 }
 
 /* The AttributeError a by-name read of an unset slot raises, for the
@@ -317,18 +329,9 @@ slot_truth(PyObject *obj, Py_ssize_t off)
     return truth;
 }
 
-/* ``+= amount`` on the slot at ``off`` of ``obj``: 0, or -1. */
-static int
-slot_add(PyObject *obj, Py_ssize_t off, PyObject *amount)
-{
-    PyObject *old = Py_XNewRef(slot_peek(obj, off));
-    PyObject *sum = old == NULL ? NULL : PyNumber_Add(old, amount);
-    Py_XDECREF(old);
-    if (sum == NULL)
-        return -1;
-    Py_SETREF(*(PyObject **)((char *)obj + off), sum);
-    return 0;
-}
+/* The int64 counter field at ``off`` of ``obj``, an lvalue: a core bumps
+ * it in place, allocating nothing (counter_type, below). */
+#define COUNTER(obj, off) (*(long long *)((char *)(obj) + (off)))
 
 /* obj.<name> as a C double; -1.0 with an exception set on error. */
 static double
@@ -1122,8 +1125,8 @@ ensure_network_types(void)
                                               "ConstantDelay")) == NULL
         || (message_stats_type = import_attr("repro.sim.metrics",
                                              "MessageStats")) == NULL
-        || bind_offsets(message_stats_type, STAT_DETAILED, 4) < 0
-        || bind_offsets(failure_injector_type, FI_CRASHED, 2) < 0)
+        || bind_offsets(message_stats_type, STAT_SENT, 4, 3) < 0
+        || bind_offsets(failure_injector_type, FI_CRASHED, 2, 0) < 0)
         goto fail;
     return 0;
 fail:
@@ -1261,7 +1264,7 @@ networkcore_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
     self->exact_failures =
         (PyObject *)Py_TYPE(self->failures) == failure_injector_type;
     if (slot_offsets((PyObject *)Py_TYPE(self->failures),
-                     (const char *const[]){"active"}, &self->active, 1) < 0)
+                     (const char *const[]){"active"}, &self->active, 1, 0) < 0)
         goto fail;
     DelayDraws *delays = &self->delays;
     PyObject *model = self->delay_model;
@@ -1314,17 +1317,19 @@ kind_of(PyObject *message)
 
 /* stats.<method>(src, dst, kind[, reason]) for record_send,
  * record_delivery, record_drop (the only one with a reason) and
- * record_sends (dst is the count).  In scalar mode that is ``total += 1``
- * (or += count) on the slot itself, with no call. */
+ * record_sends (dst is the count; network_broadcast adds it itself in
+ * scalar mode).  In scalar mode that is ``total += 1`` on the counter
+ * field itself, with no call. */
 static int
 stats_record(NetworkCore *self, PyObject *method, PyObject *src,
              PyObject *dst, PyObject *kind, PyObject *reason)
 {
-    if (self->scalar_stats)
-        return slot_add(self->stats, offsets[
-            method == str_record_delivery ? STAT_DELIVERED
-            : method == str_record_drop ? STAT_DROPPED : STAT_SENT],
-            method == str_record_sends ? dst : py_one);
+    if (self->scalar_stats) {
+        COUNTER(self->stats, offsets[method == str_record_delivery
+            ? STAT_DELIVERED : method == str_record_drop ? STAT_DROPPED
+            : STAT_SENT]) += 1;
+        return 0;
+    }
     PyObject *res = PyObject_CallMethodObjArgs(
         self->stats, method, src, dst, kind, reason, NULL);
     Py_XDECREF(res);
@@ -1547,11 +1552,16 @@ network_broadcast(NetworkCore *self, PyObject *src, PyObject *dsts,
         rc = 0;
         goto done;
     }
-    /* stats.record_sends(src, len(dsts), kind) */
-    PyObject *count = PyLong_FromSsize_t(n);
-    int recorded = count == NULL ? -1 : stats_record(
-        self, str_record_sends, src, count, kind, NULL);
-    Py_XDECREF(count);
+    /* stats.record_sends(src, len(dsts), kind); sent += n in scalar mode */
+    int recorded = 0;
+    if (self->scalar_stats)
+        COUNTER(self->stats, offsets[STAT_SENT]) += n;
+    else {
+        PyObject *count = PyLong_FromSsize_t(n);
+        recorded = count == NULL ? -1 : stats_record(
+            self, str_record_sends, src, count, kind, NULL);
+        Py_XDECREF(count);
+    }
     if (recorded < 0
         || (deliver = PyObject_GetAttr(self->network,
                                        str_deliver_attr)) == NULL)
@@ -2198,7 +2208,7 @@ ensure_protocol_types(void)
     /* Assigned last: non-NULL timestamp_type marks full resolution. */
     if ((timestamp_type = import_attr("repro.core.timestamps",
                                       "Timestamp")) == NULL
-        || bind_offsets(timestamp_type, TS_SEQ, 2) < 0)
+        || bind_offsets(timestamp_type, TS_SEQ, 2, 0) < 0)
         goto fail;
     return 0;
 fail:
@@ -2223,8 +2233,8 @@ ensure_issue_types(void)
                                          "StreamingQuantiles")) != NULL
         && (register_info_type = import_attr("repro.registers.space",
                                              "RegisterInfo")) != NULL
-        && bind_offsets(quantiles_type, SQ_BUCKETS, 2) == 0
-        && bind_offsets(register_info_type, RI_HISTORY, 2) == 0
+        && bind_offsets(quantiles_type, SQ_BUCKETS, 2, 0) == 0
+        && bind_offsets(register_info_type, RI_HISTORY, 2, 0) == 0
         && (gamma_log = import_attr("repro.obs.quantiles", "_PER_LOG"))
         && (per_log = PyFloat_AsDouble(gamma_log), !PyErr_Occurred())
         /* Assigned last: non-NULL prob_quorum_type marks full resolution. */
@@ -2336,7 +2346,7 @@ servercore_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
                                               str_replicas_attr)) == NULL
         || (self->node_id = PyObject_GetAttr(server, str_node_id)) == NULL
         || slot_offsets((PyObject *)Py_TYPE(server), server_slots,
-                        self->slots, NSERVER_SLOTS) < 0)
+                        self->slots, NSERVER_SLOTS, SV_VIEW_STATE) < 0)
         goto fail;
     Py_CLEAR(network);
     if (PyDict_Check(self->replicas))
@@ -2386,7 +2396,7 @@ servercore_gate(ServerCore *self, PyObject *src, PyObject *message,
     if (view_state_type == NULL
         && ((view_state_type = import_attr("repro.membership.manager",
                                            "ServerViewState")) == NULL
-            || bind_offsets(view_state_type, VS_RETIRED, 3) < 0)) {
+            || bind_offsets(view_state_type, VS_RETIRED, 3, 0) < 0)) {
         Py_CLEAR(view_state_type);
         return NULL;
     }
@@ -2409,9 +2419,9 @@ servercore_gate(ServerCore *self, PyObject *src, PyObject *message,
     }
     Py_DECREF(state);
     if (retired > 0)
-        slot_add(self->server, self->slots[SV_RETIRED], py_one);
-    else if (stale > 0
-             && slot_add(self->server, self->slots[SV_NACKS], py_one) == 0) {
+        COUNTER(self->server, self->slots[SV_RETIRED]) += 1;
+    else if (stale > 0) {
+        COUNTER(self->server, self->slots[SV_NACKS]) += 1;
         PyObject *nack = make_message(
             msg_stale_view_nack, 3, PyTuple_GET_ITEM(message, 0),
             PyTuple_GET_ITEM(message, 1), view_id);
@@ -2445,10 +2455,10 @@ servercore_invoke(ServerCore *self, PyObject *src, PyObject *message)
     if (entry == NULL)
         goto done;
     if (is_read) {
-        if (slot_add(self->server, self->slots[SV_READS], py_one) == 0)
-            reply = make_message(msg_read_reply, 5, reg, op_id,
-                                 PyTuple_GET_ITEM(entry, 1),
-                                 PyTuple_GET_ITEM(entry, 0), view_id);
+        COUNTER(self->server, self->slots[SV_READS]) += 1;
+        reply = make_message(msg_read_reply, 5, reg, op_id,
+                             PyTuple_GET_ITEM(entry, 1),
+                             PyTuple_GET_ITEM(entry, 0), view_id);
         Py_DECREF(entry);
     }
     else {
@@ -2467,9 +2477,8 @@ servercore_invoke(ServerCore *self, PyObject *src, PyObject *message)
             if (rc < 0)
                 goto done;
         }
-        if (slot_add(self->server, self->slots[newer ? SV_WRITES : SV_STALE],
-                     py_one) == 0)
-            reply = make_message(msg_write_ack, 3, reg, op_id, view_id);
+        COUNTER(self->server, self->slots[newer ? SV_WRITES : SV_STALE]) += 1;
+        reply = make_message(msg_write_ack, 3, reg, op_id, view_id);
     }
 done:
     Py_DECREF(view_id);
@@ -2841,7 +2850,7 @@ clientcore_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
         || (monotone = PyObject_GetAttr(client, str_monotone)) == NULL
         || (self->monotone = PyObject_IsTrue(monotone)) < 0
         || slot_offsets((PyObject *)Py_TYPE(client), client_slots,
-                        self->slots, NCLIENT_SLOTS) < 0)
+                        self->slots, NCLIENT_SLOTS, CL_VIEW_ID) < 0)
         goto fail;
     if (!PyDict_Check(self->pending) || !PyDict_Check(self->server_index)
         || !PyDict_Check(self->cache) || !PyDict_Check(self->registers)
@@ -3064,7 +3073,8 @@ clientcore_monotone(ClientCore *self, PendingOp *op, PyObject **ts,
     if (serve_cached) {
         Py_SETREF(*ts, Py_NewRef(PyTuple_GET_ITEM(cached, 0)));
         Py_SETREF(*value, Py_NewRef(PyTuple_GET_ITEM(cached, 1)));
-        rc = slot_add(self->client, self->slots[CL_CACHE_HITS], py_one);
+        COUNTER(self->client, self->slots[CL_CACHE_HITS]) += 1;
+        rc = 0;
     }
     else {
         PyObject *fresh = PyTuple_Pack(2, *ts, *value);
@@ -3178,8 +3188,8 @@ done:
 static int
 observe_latency(PyObject *sketch, double elapsed)
 {
-    PyObject *buckets = NULL, *key = NULL, *count = NULL;
-    PyObject *res = NULL;
+    PyObject *buckets = NULL, *key = NULL, *count = NULL, *sum = NULL;
+    PyObject *res = NULL, *total;
     PyObject *value = PyFloat_FromDouble(elapsed);
     if (value == NULL)
         goto done;
@@ -3200,9 +3210,13 @@ observe_latency(PyObject *sketch, double elapsed)
         goto done;
     count = old ? PyNumber_Add(old, py_one) : Py_NewRef(py_one);
     if (count != NULL && PyDict_SetItem(buckets, key, count) == 0
-        && slot_add(sketch, offsets[SQ_SUM], value) == 0)
+        && (sum = Py_XNewRef(slot_peek(sketch, offsets[SQ_SUM]))) != NULL
+        && (total = PyNumber_Add(sum, value)) != NULL) {
+        Py_SETREF(*(PyObject **)((char *)sketch + offsets[SQ_SUM]), total);
         res = Py_NewRef(Py_None);
+    }
 done:
+    Py_XDECREF(sum);
     Py_XDECREF(count);
     Py_XDECREF(key);
     Py_XDECREF(buckets);
@@ -3220,16 +3234,14 @@ clientcore_settle(ClientCore *self, PendingOp *op, int is_read,
 {
     if (PyDict_DelItem(self->pending, op->op_id) < 0
         || cancel_handle(op->retry_handle) < 0
-        || cancel_handle(op->deadline_handle) < 0
-        || slot_add(self->client, self->slots[CL_COMPLETED], py_one) < 0)
+        || cancel_handle(op->deadline_handle) < 0)
         return -1;
+    COUNTER(self->client, self->slots[CL_COMPLETED]) += 1;
     double now_t = self->net->sched->now;
     int under_failure = slot_truth(self->net->failures, self->net->active);
-    if (under_failure < 0
-        || (under_failure && slot_add(self->client,
-                                      self->slots[CL_UNDER_FAILURE],
-                                      py_one) < 0))
+    if (under_failure < 0)
         return -1;
+    COUNTER(self->client, self->slots[CL_UNDER_FAILURE]) += under_failure;
     PyObject *sketch = is_read ? self->read_latency : self->write_latency;
     double started = sketch == NULL ? 0.0 : PyFloat_AsDouble(op->started);
     if ((started == -1.0 && PyErr_Occurred())
@@ -3399,8 +3411,8 @@ clientcore_invoke(ClientCore *self, PyObject *src, PyObject *message)
         /* stale_nacks += 1; _refresh_view(); then _redispatch: the op
          * moves to a quorum of the client's current view, unless an
          * earlier nack of the same stale round already moved it. */
-        if (slot_add(self->client, self->slots[CL_STALE_NACKS], py_one) < 0
-            || clientcore_refresh_view(self) < 0)
+        COUNTER(self->client, self->slots[CL_STALE_NACKS]) += 1;
+        if (clientcore_refresh_view(self) < 0)
             goto done;
         int moved = 1;
         if (op != NULL)
@@ -3757,8 +3769,7 @@ clientcore_retry(ClientCore *self, PyObject *op_id)
         goto done;
     }
     Py_SETREF(op->attempts, Py_NewRef(attempts));
-    if (slot_add(self->client, self->slots[CL_RETRIES], py_one) < 0)
-        goto done;
+    COUNTER(self->client, self->slots[CL_RETRIES]) += 1;
     /* spec_monitor.on_retry(op.register, op.kind, op.attempts) */
     if (self->monitor != NULL) {
         PyObject *res = PyObject_CallMethodObjArgs(
@@ -3815,10 +3826,9 @@ clientcore_issue(ClientCore *self, PyObject *reg, PyObject *value)
         }
         record = Py_NewRef(Py_None);
     }
-    if (slot_add(self->client, self->slots[is_read ? CL_READS : CL_WRITES],
-                 py_one) < 0
-        || (label = PyTuple_Pack(3, is_read ? str_read_kind : str_write_kind,
-                                 reg, self->client_id)) == NULL
+    COUNTER(self->client, self->slots[is_read ? CL_READS : CL_WRITES]) += 1;
+    if ((label = PyTuple_Pack(3, is_read ? str_read_kind : str_write_kind,
+                              reg, self->client_id)) == NULL
         || (future = future_create(label)) == NULL
         || (quorum = clientcore_sample_quorum(
                 self, plan->rounds[0].query)) == NULL)
@@ -3907,10 +3917,95 @@ protocolcore_invoke(PyObject *core, PyObject *src, PyObject *message)
 }
 
 /* ------------------------------------------------------------------ */
+/* Counter fields                                                      */
+/* ------------------------------------------------------------------ */
+
+/* A counter_type instance frees itself and drops its heap type. */
+static void
+counters_dealloc(PyObject *self)
+{
+    PyTypeObject *type = Py_TYPE(self);
+    type->tp_free(self);
+    Py_DECREF(type);
+}
+
+/* counter.add(field, amount=1): ``+= amount`` on the int64 counter field
+ * named ``field`` (member_offset's checks), in place; OverflowError, the
+ * field kept, past int64.  Python code bumps counters with it: CPython
+ * specializes a method call, but ``+=`` on a member only when the member
+ * is an object slot. */
+static PyObject *
+counters_add(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    if (nargs < 1 || nargs > 2 || !PyUnicode_Check(args[0]))
+        return PyErr_Format(PyExc_TypeError,
+                            "add expects (field, amount=1)");
+    Py_ssize_t off = member_offset(Py_TYPE(self), args[0], 1);
+    long long amount = off < 0 ? -1
+        : nargs == 2 ? PyLong_AsLongLong(args[1]) : 1;
+    if (amount == -1 && PyErr_Occurred())
+        return NULL;
+    long long *field = &COUNTER(self, off);
+    if (amount > 0 ? *field > LLONG_MAX - amount
+                   : *field < LLONG_MIN - amount)
+        return PyErr_Format(PyExc_OverflowError, "%U overflows int64",
+                            args[0]);
+    *field += amount;
+    Py_RETURN_NONE;
+}
+
+static PyMethodDef counters_methods[] = {
+    {"add", (PyCFunction)(void (*)(void))counters_add, METH_FASTCALL, NULL},
+    {NULL}
+};
+
+/* counter_type(name, fields): a base class whose instances hold one int64
+ * per field, a T_LONGLONG member of that name (repro.sim.metrics).  The
+ * member table and the type name live as long as the process; the field
+ * names must live as long as the type (the caller keeps them on it). */
+static PyObject *
+kernel_counter_type(PyObject *module, PyObject *args)
+{
+    const char *name;
+    PyObject *fields;
+    if (!PyArg_ParseTuple(args, "sO!:counter_type", &name, &PyTuple_Type,
+                          &fields))
+        return NULL;
+    Py_ssize_t n = PyTuple_GET_SIZE(fields);
+    size_t table = (size_t)(n + 1) * sizeof(PyMemberDef);
+    PyMemberDef *members = PyMem_Calloc(1, table + strlen(name) + 1);
+    if (members == NULL)
+        return PyErr_NoMemory();
+    for (Py_ssize_t i = 0; i < n; i++) {
+        members[i] = (PyMemberDef){PyUnicode_AsUTF8(PyTuple_GET_ITEM(
+            fields, i)), T_LONGLONG, sizeof(PyObject) + i * 8, 0, NULL};
+        if (members[i].name == NULL)
+            goto fail;
+    }
+    /* tp_new is object's: it lays out a subclass's managed dict, which
+     * the interpreter's specialized attribute reads need. */
+    PyType_Slot slots[] = {{Py_tp_members, members},
+        {Py_tp_methods, counters_methods},
+        {Py_tp_dealloc, counters_dealloc}, {0, NULL}};
+    PyType_Spec spec = {strcpy((char *)members + table, name),
+        (int)(sizeof(PyObject) + n * 8), 0,
+        Py_TPFLAGS_DEFAULT | Py_TPFLAGS_BASETYPE, slots};
+    PyObject *type = PyType_FromSpec(&spec);
+    if (type != NULL)
+        return type;
+fail:
+    PyMem_Free(members);
+    return NULL;
+}
+
+/* ------------------------------------------------------------------ */
 /* Module                                                              */
 /* ------------------------------------------------------------------ */
 
 static PyMethodDef kernel_methods[] = {
+    {"counter_type", kernel_counter_type, METH_VARARGS,
+     "counter_type(name, fields) -> type\n\n"
+     "A base class with one int64 counter field per name in ``fields``."},
     {"gather", (PyCFunction)(void (*)(void))kernel_gather, METH_FASTCALL,
      "gather(futures, label) -> Future or None\n\n"
      "repro.sim.futures.gather's countdown for a non-empty list or tuple\n"
@@ -3971,7 +4066,7 @@ PyInit__kernel(void)
                                (PyObject *)types[i].type) < 0)
             goto fail;
     }
-    if (PyModule_AddIntConstant(module, "KERNEL_ABI", 13) < 0
+    if (PyModule_AddIntConstant(module, "KERNEL_ABI", 14) < 0
         || PyModule_AddStringConstant(module, "SOURCE_HASH",
                                       REPRO_SOURCE_HASH) < 0)
         goto fail;

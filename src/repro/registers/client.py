@@ -34,6 +34,7 @@ from repro.registers.messages import (
 )
 from repro.registers.space import RegisterSpace
 from repro.sim.futures import Future
+from repro.sim.metrics import counter_type
 from repro.sim.network import Node
 from repro.sim.scheduler import EventHandle
 
@@ -224,7 +225,15 @@ class _PendingOp:
         return self.quorum.issubset(self.replies)
 
 
-class QuorumRegisterClient(Node):
+#: The counters the native client core bumps per operation or per reply.
+ClientCounters = counter_type(
+    "repro.registers.client.ClientCounters",
+    ("reads_performed", "writes_performed", "cache_hits", "ops_completed",
+     "ops_completed_under_failure", "retries", "stale_nacks"),
+)
+
+
+class QuorumRegisterClient(Node, ClientCounters):
     """The shared register subsystem attached to one application process."""
 
     #: The Section 4 protocol: a read is one query round deciding the
@@ -234,14 +243,10 @@ class QuorumRegisterClient(Node):
     READ_PLAN = ((QUERY, MAX_TS, None),)
     WRITE_PLAN = ((UPDATE, None, OWN_SEQ),)
 
-    # The state the native client core reads or bumps per operation or
-    # per reply, which it binds by slot offset when it is built (the rest
-    # of a node's state stays in its __dict__).
-    __slots__ = (
-        "reads_performed", "writes_performed", "cache_hits", "ops_completed",
-        "ops_completed_under_failure", "retries", "stale_nacks", "view_id",
-        "_membership", "_view", "_view_rng",
-    )
+    # The state the native client core reads per operation or per reply,
+    # which it binds by slot offset when it is built, as it does the
+    # counter fields (the rest of a node's state stays in its __dict__).
+    __slots__ = ("view_id", "_membership", "_view", "_view_rng")
 
     def __init__(
         self,
@@ -447,7 +452,7 @@ class QuorumRegisterClient(Node):
             self._give_up(op)
             return
         op.attempts += 1
-        self.retries += 1
+        self.add("retries")
         if self.spec_monitor is not None:
             self.spec_monitor.on_retry(op.register, op.kind, op.attempts)
         if op.span is not None:
@@ -614,7 +619,7 @@ class QuorumRegisterClient(Node):
         record = None if history is None else history.begin_read(
             self.client_id, self.network.scheduler.now
         )
-        self.reads_performed += 1
+        self.add("reads_performed")
         return self._issue(register, "read", self.READ_PLAN, record)
 
     def write(self, register: str, value: Any, /) -> Future:
@@ -625,7 +630,7 @@ class QuorumRegisterClient(Node):
                 f"client {self.client_id} cannot write {register!r}; "
                 f"owner is client {info.writer}"
             )
-        self.writes_performed += 1
+        self.add("writes_performed")
         return self._issue(register, "write", self.WRITE_PLAN, None, value)
 
     def _issue(self, register: str, kind: str, plan, record, value=None):
@@ -670,7 +675,7 @@ class QuorumRegisterClient(Node):
             if op.complete_against_quorum():
                 self._finish(op)
         elif isinstance(message, StaleViewNack):
-            self.stale_nacks += 1
+            self.add("stale_nacks")
             self._refresh_view()
             op = self._pending.get(message.op_id)
             if op is None:
@@ -745,7 +750,7 @@ class QuorumRegisterClient(Node):
             cached = self._cache.get(op.register)
             if cached is not None and cached[0] > timestamp:
                 timestamp, value = cached
-                self.cache_hits += 1
+                self.add("cache_hits")
             else:
                 self._cache[op.register] = (timestamp, value)
         return timestamp, value
@@ -755,9 +760,9 @@ class QuorumRegisterClient(Node):
         invoked — a read returning ``value`` at ``timestamp``, or a write
         (which ignores both)."""
         self._teardown(op)
-        self.ops_completed += 1
+        self.add("ops_completed")
         if self.network.failures.any_failures:
-            self.ops_completed_under_failure += 1
+            self.add("ops_completed_under_failure")
         now = self.network.scheduler.now
         kind = op.kind
         if self._latency is not None:

@@ -30,19 +30,24 @@ from repro.registers.messages import (
     WriteUpdate,
 )
 from repro.registers.space import RegisterSpace
+from repro.sim.metrics import counter_type
 from repro.sim.network import Node
 
+#: The counters the native server core bumps per message.
+ServerCounters = counter_type(
+    "repro.registers.server.ServerCounters",
+    ("reads_served", "writes_applied", "stale_updates_ignored",
+     "stale_nacks_sent", "retired_messages_ignored"),
+)
 
-class ReplicaServer(Node):
+
+class ReplicaServer(Node, ServerCounters):
     """One replica server hosting a replica of every register in the space."""
 
-    # The state the native server core reads or bumps per message, which
-    # it binds by slot offset when it is built (the rest of a node's state
-    # stays in its __dict__).
-    __slots__ = (
-        "reads_served", "writes_applied", "stale_updates_ignored",
-        "stale_nacks_sent", "retired_messages_ignored", "view_state",
-    )
+    # The state the native server core reads per message, which it binds
+    # by slot offset when it is built, as it does the counter fields (the
+    # rest of a node's state stays in its __dict__).
+    __slots__ = ("view_state",)
 
     def __init__(self, space: RegisterSpace) -> None:
         super().__init__()
@@ -119,16 +124,16 @@ class ReplicaServer(Node):
             register = message.register
             current_ts, value = self._replica(register)
             if isinstance(message, ReadQuery):
-                self.reads_served += 1
+                self.add("reads_served")
                 reply = ReadReply(
                     register, message.op_id, value, current_ts, view_id
                 )
             else:
                 if message.timestamp > current_ts:
                     self._replicas[register] = (message.timestamp, message.value)
-                    self.writes_applied += 1
+                    self.add("writes_applied")
                 else:
-                    self.stale_updates_ignored += 1
+                    self.add("stale_updates_ignored")
                 reply = WriteAck(register, message.op_id, view_id)
             self.network.send(self.node_id, src, reply)
         elif isinstance(message, StateRequest):
@@ -155,10 +160,10 @@ class ReplicaServer(Node):
         so in-flight old-view operations complete during the drain.
         """
         if state.retired:
-            self.retired_messages_ignored += 1
+            self.add("retired_messages_ignored")
             return False
         if message.view < state.view_id and not state.retiring:
-            self.stale_nacks_sent += 1
+            self.add("stale_nacks_sent")
             self.network.send(
                 self.node_id,
                 src,
@@ -173,7 +178,7 @@ class ReplicaServer(Node):
             self.unknown_messages_ignored += 1
             return
         if state.retired:
-            self.retired_messages_ignored += 1
+            self.add("retired_messages_ignored")
             return
         # Every materialised replica, in sorted register order so the
         # reply payload is deterministic.  Untouched registers stay at

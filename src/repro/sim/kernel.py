@@ -7,7 +7,7 @@ pure-python reference in :mod:`repro.sim.scheduler` /
 extension under :mod:`repro._native` — a scheduler core, one network core
 and the two protocol cores.  Message accounting exists once: both
 backends count into the same :class:`~repro.sim.metrics.MessageStats`,
-whose scalar totals the native network core bumps on its slots without a
+whose scalar totals the native network core bumps in place without a
 call.  Both produce **byte-identical**
 traces — every RNG draw consumes the same stream in the same order (the
 draws made in C reproduce numpy's algorithms bit for bit), and the
@@ -34,13 +34,17 @@ clock, fault and partition state, membership views, pending
 operations).  A client runs wholly in C or wholly in Python for its
 whole life: with span tracing on it gets no core.
 
-Bound by slot: every attribute a core reads or bumps per message or per
-operation is a ``__slots__`` member of its Python class, whose offset the
-core resolves once, when it is built, and reads or bumps directly after
-that — no by-name lookup.  A class that shadows such a slot (a property,
-say) is refused with a TypeError when the core is built.  Only
-``network._deliver`` and each node's ``on_message`` stay by name, because
-trace taps and tests replace them mid-run.
+Bound by slot: every object attribute a core reads per message or per
+operation is a ``__slots__`` member of its Python class, and every counter
+it bumps an int64 field of the class's counter base
+(:func:`repro.sim.metrics.counter_type`), whose offset the core resolves
+once, when it is built, and reads or bumps directly after that — no
+by-name lookup, and a bump allocates nothing.  A class that shadows such a
+slot or field (a property, an object slot of the same name) is refused
+with a TypeError when the core is built.  Only ``network._deliver`` and
+each node's ``on_message`` stay by name, because trace taps and tests
+replace them mid-run.  Python code bumps those counters with the base's
+C ``add`` method, which the interpreter specializes.
 """
 
 import os
@@ -155,7 +159,7 @@ def make_network_core(network):
     attributes, so trace taps that wrap ``network._deliver`` keep working
     on both backends.  ``send`` is the one per-message pipeline (stats,
     taps, loss draw, fault check, adversary, delay sample, heap push) —
-    a scalar-mode ``MessageStats``' totals bumped on its slots in C (a
+    a scalar-mode ``MessageStats``' totals bumped in place in C (a
     detailed one gets its ``record_*`` calls), the loss draw and the fault
     check evaluated in C for an exact
     ``numpy.random.Generator`` and ``FailureInjector``, the adversary's
@@ -221,9 +225,10 @@ def make_server_core(server):
     ``WriteUpdate`` — the ``State*`` transfer messages, subclasses.
     The server's counters (``reads_served``, ``writes_applied``,
     ``stale_updates_ignored``, ``stale_nacks_sent``,
-    ``retired_messages_ignored``) and its ``view_state`` — and that
-    ``ServerViewState``'s ``retired``, ``retiring`` and ``view_id`` — are
-    read and bumped by slot offset.
+    ``retired_messages_ignored``, int64 fields of its counter base) are
+    bumped in place, and its ``view_state`` — and that
+    ``ServerViewState``'s ``retired``, ``retiring`` and ``view_id`` — read
+    by slot offset.
     """
     if selected_backend() != "native":
         return None
@@ -267,11 +272,12 @@ def make_client_cores(clients):
     fields) and jitter stream, the static quorum system (an exact
     ``ProbabilisticQuorumSystem``'s n and k) and quorum stream, the
     latency sketches and the spec monitor.  The clock, the pending ops,
-    the fault state and the membership view are read live.  By slot
-    offset, not by name, the core reads or bumps the client's counters
+    the fault state and the membership view are read live.  By offset,
+    not by name, the core bumps the client's counters in place
     (``reads_performed``, ``writes_performed``, ``cache_hits``,
     ``ops_completed``, ``ops_completed_under_failure``, ``retries``,
-    ``stale_nacks``) and membership state (``view_id``, ``_membership``,
+    ``stale_nacks``: int64 fields of its counter base) and reads its
+    membership state (``view_id``, ``_membership``,
     ``_view``, ``_view_rng``), a ``RegisterInfo``'s ``history`` and
     ``writer``, a ``Timestamp``'s ``seq`` and ``writer`` (compared
     without building tuples) and a latency sketch's ``_buckets`` and

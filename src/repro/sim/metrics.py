@@ -15,9 +15,13 @@ mode skips every per-kind/per-node ``Counter`` update and maintains only
 the three scalar totals — for benchmarks and throughput-bound runs that
 never read the breakdowns.  This is the one stats class on both kernel
 backends: on ``native`` the C network core adds to a scalar-mode
-instance's ``sent`` / ``delivered`` / ``dropped`` slots itself (so those
-stay plain ``__slots__`` ints) and calls the ``record_*`` methods of a
-detailed one.
+instance's ``sent`` / ``delivered`` / ``dropped`` itself and calls the
+``record_*`` methods of a detailed one.
+
+Those totals, like the per-operation counters of the replica servers and
+register clients, are int64 counter fields (:func:`counter_type`): a C
+core bumps one in place, allocating nothing, and every reader gets a
+plain int.
 
 Reading a breakdown that was never collected raises
 :class:`DetailNotCollected` instead of silently answering zero: a
@@ -25,8 +29,79 @@ Reading a breakdown that was never collected raises
 numbers into the Section 6.4 / Section 4 tables as if they were measured.
 """
 
+import functools
+import operator
 from collections import Counter
-from typing import Optional
+from typing import Any, Optional, Tuple
+
+from repro._native import load_kernel
+
+#: The range of an int64 counter field.
+INT64_MIN, INT64_MAX = -(1 << 63), (1 << 63) - 1
+
+
+def _set_int64(slot: str, obj: Any, value: Any) -> None:
+    value = operator.index(value)
+    if not INT64_MIN <= value <= INT64_MAX:
+        raise OverflowError(f"{value} does not fit an int64 counter field")
+    setattr(obj, slot, value)
+
+
+def _add(obj: Any, field: str, amount: int = 1) -> None:
+    if field not in type(obj)._counter_fields:
+        raise TypeError(f"{type(obj).__name__}.{field} is not an int64 "
+                        "counter field")
+    _set_int64(f"_{field}", obj, getattr(obj, field) + amount)
+
+
+def counter_type(name: str, fields: Tuple[str, ...]) -> type:
+    """A base class with one int64 counter field per name in ``fields``.
+
+    ``name`` is the class's dotted path.  With the native extension built
+    this is the C ``counter_type``: each field is a ``T_LONGLONG`` member,
+    zero when the object is made, that a native core binds by offset once
+    and bumps in place (``+= 1`` on a C ``long long``: no int object is
+    made, where a Python int past 256 is a fresh allocation per bump).
+    Otherwise it is the pure-Python twin (:func:`_twin_counter_type`)
+    with the same field names.  On both, reading a field gives a plain
+    int, and assigning a value outside ``[INT64_MIN, INT64_MAX]`` raises
+    ``OverflowError`` (what the field holds afterwards is unspecified).
+    Python code bumps a field with ``obj.add(field, amount=1)``, which
+    raises ``OverflowError`` and leaves the field as it was when the sum
+    leaves int64, and ``TypeError`` when ``field`` is not one of the
+    base's counter fields: CPython specializes that method call, while
+    ``obj.field += 1`` on a C member takes the generic attribute path (it
+    works, at about twice the cost).  A core's own bump is unchecked: no
+    run comes near 2**63 events.  The field names are the class's
+    ``_counter_fields``.
+    """
+    kernel = load_kernel()
+    if kernel is None:
+        return _twin_counter_type(name, fields)
+    base = kernel.counter_type(name, fields)
+    base._counter_fields = fields  # keeps the members' names alive
+    return base
+
+
+def _twin_counter_type(name: str, fields: Tuple[str, ...]) -> type:
+    """:func:`counter_type` without the extension: each field a property
+    over a ``__slots__`` member (the subclass's ``__init__`` sets it)."""
+    module, _, short = name.rpartition(".")
+    namespace = {
+        "__module__": module, "__slots__": tuple(f"_{f}" for f in fields),
+        "_counter_fields": fields, "add": _add,
+    }
+    for field in fields:
+        namespace[field] = property(
+            operator.attrgetter(f"_{field}"),
+            functools.partial(_set_int64, f"_{field}"),
+        )
+    return type(short, (), namespace)
+
+
+MessageCounters = counter_type(
+    "repro.sim.metrics.MessageCounters", ("sent", "delivered", "dropped")
+)
 
 
 class DetailNotCollected(RuntimeError):
@@ -39,14 +114,11 @@ class DetailNotCollected(RuntimeError):
     """
 
 
-class MessageStats:
+class MessageStats(MessageCounters):
     """Counters for messages flowing through a :class:`~repro.sim.network.Network`."""
 
     __slots__ = (
         "detailed",
-        "sent",
-        "delivered",
-        "dropped",
         "_by_sender",
         "_by_receiver",
         "_by_kind",
@@ -126,7 +198,7 @@ class MessageStats:
 
     def record_send(self, src: int, dst: int, kind: Optional[str]) -> None:
         """Record one message leaving ``src`` for ``dst``."""
-        self.sent += 1
+        self.add("sent")
         if self.detailed:
             self._by_sender[src] += 1
             if kind is not None:
@@ -139,7 +211,7 @@ class MessageStats:
         fast path: one counter update per quorum round instead of one per
         member.  Equivalent to ``count`` individual calls.
         """
-        self.sent += count
+        self.add("sent", count)
         if self.detailed:
             self._by_sender[src] += count
             if kind is not None:
@@ -149,7 +221,7 @@ class MessageStats:
         self, src: int, dst: int, kind: Optional[str] = None
     ) -> None:
         """Record one message arriving at ``dst``."""
-        self.delivered += 1
+        self.add("delivered")
         if self.detailed:
             self._by_receiver[dst] += 1
             if kind is not None:
@@ -170,7 +242,7 @@ class MessageStats:
         ``reason`` ("fault" for crash/partition, "loss" for probabilistic
         message loss).
         """
-        self.dropped += 1
+        self.add("dropped")
         if self.detailed:
             self._dropped_by_receiver[dst] += 1
             self._dropped_by_reason[reason] += 1

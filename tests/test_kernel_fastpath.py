@@ -1288,20 +1288,13 @@ def test_python_timers_reject_a_c_op_like_the_python_backend(
 # The slot contract: per-message state is read at its slot offset
 # --------------------------------------------------------------------- #
 
-#: Every attribute a native core reads or bumps per message or per
+#: Every object attribute a native core reads per message or per
 #: operation, by class: each a __slots__ member, bound by offset.
 BOUND_SLOTS = {
     FailureInjector: ("active", "_crashed", "_partition"),
-    MessageStats: ("detailed", "sent", "delivered", "dropped"),
-    ReplicaServer: (
-        "reads_served", "writes_applied", "stale_updates_ignored",
-        "stale_nacks_sent", "retired_messages_ignored", "view_state",
-    ),
-    QuorumRegisterClient: (
-        "reads_performed", "writes_performed", "cache_hits", "ops_completed",
-        "ops_completed_under_failure", "retries", "stale_nacks", "view_id",
-        "_membership", "_view", "_view_rng",
-    ),
+    MessageStats: ("detailed",),
+    ReplicaServer: ("view_state",),
+    QuorumRegisterClient: ("view_id", "_membership", "_view", "_view_rng"),
     Timestamp: ("seq", "writer"),
     RegisterInfo: ("history", "writer"),
     StreamingQuantiles: ("_buckets", "sum"),
@@ -1309,10 +1302,40 @@ BOUND_SLOTS = {
 }
 
 
+#: Every counter a native core bumps, by class: each an int64 field of
+#: the class's counter_type base, bound by offset.
+BOUND_COUNTERS = {
+    MessageStats: ("sent", "delivered", "dropped"),
+    ReplicaServer: (
+        "reads_served", "writes_applied", "stale_updates_ignored",
+        "stale_nacks_sent", "retired_messages_ignored",
+    ),
+    QuorumRegisterClient: (
+        "reads_performed", "writes_performed", "cache_hits", "ops_completed",
+        "ops_completed_under_failure", "retries", "stale_nacks",
+    ),
+}
+
+
 @pytest.mark.parametrize("cls", list(BOUND_SLOTS), ids=lambda c: c.__name__)
 def test_every_bound_attribute_is_a_slot(cls):
     for name in BOUND_SLOTS[cls]:
         assert isinstance(vars(cls)[name], types.MemberDescriptorType), name
+
+
+@pytest.mark.parametrize("cls", list(BOUND_COUNTERS),
+                         ids=lambda c: c.__name__)
+def test_every_bound_counter_is_an_int64_field(cls):
+    """The class's counter base holds exactly its bound counters; with the
+    extension built each is a member descriptor (T_LONGLONG), which the
+    core binds, and no class on the way down redefines one."""
+    base = next(k for k in cls.__mro__ if "_counter_fields" in vars(k))
+    assert base._counter_fields == BOUND_COUNTERS[cls]
+    for name in BOUND_COUNTERS[cls]:
+        assert all(name not in vars(k)
+                   for k in cls.__mro__[:cls.__mro__.index(base)]), name
+        if kernel.native_available():
+            assert isinstance(vars(base)[name], types.MemberDescriptorType)
 
 
 def _counted(name):
@@ -1341,6 +1364,14 @@ def test_a_shadowed_slot_gets_a_type_error_or_no_core():
     class ShadowingInjector(FailureInjector):
         active = _counted("active")
 
+    # An object slot under a counter's name sits at another offset and
+    # holds a pointer: binding it as an int64 field would corrupt it.
+    class SlotShadowingClient(QuorumRegisterClient):
+        __slots__ = ("stale_nacks",)
+
+    class SlotShadowingServer(ReplicaServer):
+        __slots__ = ("writes_applied",)
+
     with kernel.use_backend("native"):
         with pytest.raises(TypeError, match="ShadowingClient.retries"):
             RegisterDeployment(
@@ -1357,6 +1388,18 @@ def test_a_shadowed_slot_gets_a_type_error_or_no_core():
         with pytest.raises(TypeError, match="ShadowingInjector.active"):
             Network(kernel.make_scheduler(), ConstantDelay(1.0),
                     np.random.default_rng(1), failures=ShadowingInjector())
+        with pytest.raises(TypeError, match="SlotShadowingClient.stale_nacks "
+                                            "is not an int64 counter field"):
+            RegisterDeployment(
+                ProbabilisticQuorumSystem(6, 2), num_clients=1,
+                delay_model=ConstantDelay(1.0), seed=1,
+                client_class=SlotShadowingClient,
+            )
+        server = SlotShadowingServer(deployment.space)
+        deployment.network.add_node(server)
+        with pytest.raises(TypeError, match="SlotShadowingServer."
+                                            "writes_applied is not an int64"):
+            module.ServerCore(server)
     # The python backend reads the property, by name, as before.
     with kernel.use_backend("python"):
         plain = RegisterDeployment(
@@ -1365,6 +1408,45 @@ def test_a_shadowed_slot_gets_a_type_error_or_no_core():
             client_class=ShadowingClient,
         )
     assert plain.clients[0].retries == 0
+
+
+@pytest.mark.parametrize("backend", [
+    "python", pytest.param("native", marks=needs_native),
+])
+def test_a_handler_replaced_mid_run_is_the_one_called(backend):
+    """Delivery reads ``node.on_message`` afresh per message: a handler
+    assigned to a wired node between two events takes every later
+    delivery to that node (it forwards, so the run completes), and once
+    the server's is deleted the class's handler takes its messages."""
+    deployment = _build_network(backend)
+    deployment.declare_register("x", writer=0)
+    client, server = deployment.clients[0], deployment.servers[0]
+    installed = {node: node.on_message for node in (client, server)}
+    calls = {client: [], server: []}
+
+    def replace(node):
+        def handler(src, message):
+            calls[node].append(type(message).__name__)
+            installed[node](src, message)
+        node.on_message = handler
+
+    futures = [client.write("x", 1)]
+    deployment.run(until=0.5)
+    assert calls == {client: [], server: []}
+    for node in (client, server):
+        replace(node)
+    futures += [client.read("x") for _ in range(3)]
+    deployment.run(until=10.0)
+    assert all(future.done for future in futures)
+    assert set(calls[client]) == {"WriteAck", "ReadReply"}
+    assert "ReadQuery" in calls[server]
+    # A client runs wholly in C or wholly in Python: its core goes back.
+    client.on_message = installed[client]
+    del server.on_message
+    seen = len(calls[server])
+    futures.append(client.read("x"))
+    deployment.run()
+    assert futures[-1].done and len(calls[server]) == seen
 
 
 @pytest.mark.parametrize("backend", [
@@ -1439,7 +1521,7 @@ def test_multi_writer_installs_are_identical_across_backends():
 
 
 #: The client counters the native client core bumps or reads by slot.
-CLIENT_COUNTERS = BOUND_SLOTS[QuorumRegisterClient][:8]
+CLIENT_COUNTERS = BOUND_COUNTERS[QuorumRegisterClient] + ("view_id",)
 
 
 def _faulty_counters(backend):

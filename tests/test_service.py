@@ -227,9 +227,6 @@ def test_build_arrivals_rejects_unknown_kind():
 
 
 def test_frontend_rejects_bad_config():
-    config = ServiceConfig(duration=10.0)
-    result = run_service(config)  # a live deployment to borrow
-    # (run_service already drained it; we only need its deployment shape)
     with pytest.raises(ValueError):
         KeyValueFrontend(
             _deployment_for(), ShardedKeyspace(4), ["a"], max_in_flight=0
@@ -239,7 +236,6 @@ def test_frontend_rejects_bad_config():
             _deployment_for(), ShardedKeyspace(4), ["a"], max_in_flight=8,
             write_mode="quorumless",
         )
-    assert result.offered >= 0
 
 
 def _deployment_for():
@@ -477,14 +473,14 @@ RATE_LADDER = (2.0, 4.0, 8.0, 12.0, 16.0, 20.0, 24.0)
 QUICK_LADDER = (2.0, 8.0, 16.0)
 
 #: EXPERIMENTS.md's "Measured SLO ladder" at the recorded scale, as
-#: printed: rate -> (p99, shed %); the rate-20 rung's p99 is not printed.
+#: printed: rate -> (p99, shed %).
 RECORDED_LADDER = {
     2.0: ("10.33", "0.0"),
     4.0: ("11.08", "0.0"),
     8.0: ("11.30", "0.0"),
     12.0: ("11.30", "4.3"),
     16.0: ("11.08", "19.3"),
-    20.0: (None, "32.7"),
+    20.0: ("10.97", "32.7"),
     24.0: ("10.86", "42.9"),
 }
 RECORDED_SUSTAINED_RATE = 8.0
@@ -541,8 +537,7 @@ def test_slo_ladder_sustains_a_rate_and_reaches_saturation():
         # The recorded table, figure for figure.
         for rung in rungs:
             p99, shed = RECORDED_LADDER[rung["rate"]]
-            if p99 is not None:
-                assert_as_printed(rung["p99"], p99, f"rate {rung['rate']} p99")
+            assert_as_printed(rung["p99"], p99, f"rate {rung['rate']} p99")
             assert_as_printed(
                 100.0 * rung["shed_fraction"], shed,
                 f"rate {rung['rate']} shed %",

@@ -1,5 +1,6 @@
 """Smoke test for tools/stack_sample.py (Linux, C compiler and nm)."""
 
+import importlib.util
 import pathlib
 import shutil
 import subprocess
@@ -42,3 +43,21 @@ def test_samples_the_command_and_names_its_functions():
                for line in inclusive)
     # The command loads no kernel: every sample is charged to no frame.
     assert lines[-1].split() == ["100.0%", "(no", "kernel", "frame)"]
+
+
+def test_innermost_kernel_rows_split_c_work_from_python_callbacks():
+    spec = importlib.util.spec_from_file_location(
+        "stack_sample", ROOT / "tools" / "stack_sample.py"
+    )
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    kernel = ("_kernel.cpython-311.so", "pop_and_dispatch")
+    heap = ("_kernel.cpython-311.so", "heap_push")
+    python = ("libpython3.11.so", "_PyEval_EvalFrameDefault")
+    leaf = ("libpython3.11.so", "PyDict_GetItem")
+    assert tool.innermost_kernel([leaf, kernel]) == "pop_and_dispatch"
+    assert tool.innermost_kernel([leaf, python, kernel]) == \
+        "pop_and_dispatch → python"
+    # The innermost kernel frame decides, and only frames inside it count.
+    assert tool.innermost_kernel([heap, python, kernel]) == "heap_push"
+    assert tool.innermost_kernel([leaf, python]) == "(no kernel frame)"

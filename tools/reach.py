@@ -2,7 +2,8 @@
 
 Runs the drive set on the python backend — the in-place native build
 and its ``--check``, a pooled ``figure2`` twice
-(the second run served from the run cache), the registry's ``all``, every
+(the second run served from the run cache), a ``serve`` with the
+extension hidden (CI's soft-fallback step), the registry's ``all``, every
 ``tools/cross_backend.py`` case, ``chaos`` with ``--broken-after`` /
 ``--repro-out`` and then ``--repro``, a 40-run campaign, one run for the
 flags those leave out and every example with its flags — each command a
@@ -116,7 +117,7 @@ LIMIT = 615
 #: The C ratchet: ``--check`` also fails when the native kernel's source
 #: is longer than this.  Lower it when C goes; raising it, like raising
 #: LIMIT, is a deliberate edit.
-C_LINES = 3989
+C_LINES = 4084
 C_SOURCE = PACKAGE / "_native" / "_kernelmodule.c"
 
 #: Installed as ``sitecustomize`` in every interpreter a drive command
@@ -240,6 +241,12 @@ def drive_set() -> List[Tuple[List[str], int]]:
         (["-m", "repro._native.build", "--check"], 0),
         (cli + ["figure2", "--jobs", "2"], 0),
         (cli + ["figure2", "--jobs", "2"], 0),
+        # CI's soft-fallback step: the CLI with the extension missing,
+        # which falls back to python and counts into the pure-Python twin
+        # of the counter type.
+        (["-c", "import sys; sys.modules['repro._native._kernel'] = None; "
+                "from repro.cli import main; sys.exit(main(['--kernel', "
+                "'native', 'serve', '--duration', '60', '--seed', '7']))"], 0),
         (cli + ["all", "--jobs", "1", "--output", "tables"], 0),
     ]
     commands += [

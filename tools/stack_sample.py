@@ -19,7 +19,10 @@ included, and three tables of the top ``TOP`` rows are printed:
   ``_kernel*.so`` frame, charged to that kernel function, and their
   total;
 * **innermost kernel function**: each sample charged to the innermost
-  frame in ``_kernel*.so``, or to ``(no kernel frame)``.
+  frame in ``_kernel*.so`` — as ``<function> → python`` when a Python
+  frame (``_PyEval_EvalFrameDefault``) lies between it and the leaf, so
+  a kernel function's own C work and the Python callbacks it runs are
+  two rows — or to ``(no kernel frame)``.
 
 ::
 
@@ -28,9 +31,11 @@ included, and three tables of the top ``TOP`` rows are printed:
         python -m repro.cli chaos --runs 20 --jobs 1 --kernel native
 
 The default command runs the scaled-down Figure 2 sweep serially on the
-native kernel, uncached.  It does not run as part of any other command
-or check.  Exit status: the command's, or 2 when the platform, the
-compiler or ``nm`` is missing.
+native kernel, uncached, in one process, again and again until the shim
+has taken at least :data:`MIN_SAMPLES` samples (it asks the shim's
+``stack_sample_count``), so imports are a small share.  It does not run
+as part of any other command or check.  Exit status: the command's, or 2
+when the platform, the compiler or ``nm`` is missing.
 """
 
 import argparse
@@ -50,6 +55,12 @@ SRC = ROOT / "src"
 
 #: Rows printed per table.
 TOP = 30
+
+#: The samples the default command repeats its sweep to reach.
+MIN_SAMPLES = 1000
+
+#: The frame of a running Python function.
+PYTHON_FRAME = "_PyEval_EvalFrameDefault"
 
 #: The C API functions that look an attribute up by its name.
 BY_NAME = frozenset({
@@ -75,6 +86,7 @@ SHIM = r"""
 #define DEPTH 128
 static void **buf;
 static size_t used, cap = (size_t)1 << 21;
+static volatile size_t taken;
 static char out[4096];
 
 static void on_prof(int sig)
@@ -85,6 +97,14 @@ static void on_prof(int sig)
     int n = backtrace(buf + used + 1, DEPTH);
     buf[used] = (void *)(intptr_t)n;
     used += (size_t)n + 1;
+    taken++;
+}
+
+/* The samples taken so far, for a command that samples until it has
+ * enough. */
+size_t stack_sample_count(void)
+{
+    return taken;
 }
 
 __attribute__((constructor)) static void start(void)
@@ -133,10 +153,21 @@ __attribute__((destructor)) static void stop(void)
 
 
 def default_command(output: str) -> List[str]:
-    return [
-        sys.executable, "-m", "repro.cli", "figure2", "--jobs", "1",
-        "--no-cache", "--kernel", "native", "--output", output,
-    ]
+    """The scaled-down Figure 2 sweep on native, repeated in one process
+    until the shim has taken :data:`MIN_SAMPLES` samples."""
+    args = ["figure2", "--jobs", "1", "--no-cache", "--kernel", "native",
+            "--output", output]
+    loop = (
+        "import ctypes, sys\n"
+        "from repro.cli import main\n"
+        "count = ctypes.CDLL(None).stack_sample_count\n"
+        "count.restype = ctypes.c_size_t\n"
+        "while True:\n"
+        f"    code = main({args!r})\n"
+        f"    if code or count() >= {MIN_SAMPLES}:\n"
+        "        sys.exit(code)\n"
+    )
+    return [sys.executable, "-c", loop]
 
 
 def compiler() -> str:
@@ -238,6 +269,15 @@ def resolve(samples, maps) -> List[List[Tuple[str, str]]]:
     return resolved
 
 
+def innermost_kernel(frames) -> str:
+    """The row a sample is charged to in the innermost-kernel table."""
+    for at, (where, name) in enumerate(frames):
+        if where.startswith("_kernel"):
+            python = any(inner == PYTHON_FRAME for _, inner in frames[:at])
+            return f"{name} → python" if python else name
+    return "(no kernel frame)"
+
+
 def report(stacks) -> None:
     total = len(stacks)
     if total == 0:
@@ -256,11 +296,7 @@ def report(stacks) -> None:
         )
         if caller is not None:
             by_name[caller] += 1
-        inner = next(
-            (name for where, name in frames if where.startswith("_kernel")),
-            "(no kernel frame)",
-        )
-        kernel[inner] += 1
+        kernel[innermost_kernel(frames)] += 1
     print(f"{total} samples\n\ninclusive share (function anywhere on the stack)")
     for name, count in inclusive.most_common(TOP):
         print(f"  {count / total:6.1%}  {name}")
