@@ -393,8 +393,6 @@ typedef struct {
     char dequeued;
 } KernelHandle;
 
-static PyTypeObject KernelHandle_Type;
-
 CORE_GC(kernelhandle, KernelHandle, HANDLE_FIELDS)
 
 /* forward declaration: cancel touches the owner's live counter */
@@ -425,18 +423,6 @@ kernelhandle_repr(KernelHandle *self)
     Py_DECREF(time);
     Py_DECREF(name);
     return out;
-}
-
-static PyObject *
-kernelhandle_richcompare(PyObject *a, PyObject *b, int op)
-{
-    if (op != Py_LT || !PyObject_TypeCheck(a, &KernelHandle_Type)
-        || !PyObject_TypeCheck(b, &KernelHandle_Type))
-        Py_RETURN_NOTIMPLEMENTED;
-    KernelHandle *ha = (KernelHandle *)a, *hb = (KernelHandle *)b;
-    int lt = (ha->time < hb->time)
-             || (ha->time == hb->time && ha->seq < hb->seq);
-    return PyBool_FromLong(lt);
 }
 
 static PyMemberDef kernelhandle_members[] = {
@@ -471,7 +457,6 @@ static PyTypeObject KernelHandle_Type = {
     .tp_traverse = (traverseproc)kernelhandle_traverse,
     .tp_clear = (inquiry)kernelhandle_clear,
     .tp_repr = (reprfunc)kernelhandle_repr,
-    .tp_richcompare = kernelhandle_richcompare,
     .tp_members = kernelhandle_members,
     .tp_methods = kernelhandle_methods,
 };
@@ -3861,13 +3846,9 @@ done:
 /* read(register, /) and write(register, value, /): positional only, as
  * the Python definitions are. */
 static PyObject *
-clientcore_read(ClientCore *self, PyObject *const *args, Py_ssize_t nargs)
+clientcore_read(ClientCore *self, PyObject *reg)
 {
-    if (nargs != 1)
-        return PyErr_Format(PyExc_TypeError,
-                            "read expects (register), got %zd arguments",
-                            nargs);
-    return clientcore_issue(self, args[0], NULL);
+    return clientcore_issue(self, reg, NULL);
 }
 
 static PyObject *
@@ -3881,7 +3862,7 @@ clientcore_write(ClientCore *self, PyObject *const *args, Py_ssize_t nargs)
 }
 
 static PyMethodDef clientcore_methods[] = {
-    {"read", (PyCFunction)(void (*)(void))clientcore_read, METH_FASTCALL,
+    {"read", (PyCFunction)clientcore_read, METH_O,
      "QuorumRegisterClient.read: invoke a read, return its future."},
     {"write", (PyCFunction)(void (*)(void))clientcore_write, METH_FASTCALL,
      "QuorumRegisterClient.write: invoke a write, return its future."},

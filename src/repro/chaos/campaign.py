@@ -73,6 +73,14 @@ class CampaignResult:
     def failed(self) -> int:
         return len(self.violations)
 
+    @property
+    def degradation(self) -> Dict[str, int]:
+        """Campaign totals of the per-run degradation counts, by kind."""
+        return {
+            kind: sum(record[kind] for record in self.records)
+            for kind in ("retries", "timeouts", "messages_dropped", "hung_ops")
+        }
+
     def __repr__(self) -> str:
         return (
             f"CampaignResult(runs={len(self.records)}, "
@@ -258,10 +266,8 @@ def generate_task(config: CampaignConfig, index: int) -> RunTask:
 # --------------------------------------------------------------------- #
 
 
-def run_campaign(
-    config: CampaignConfig, shrink: bool = True
-) -> CampaignResult:
-    """Execute the campaign; shrink the first violation when asked."""
+def run_campaign(config: CampaignConfig) -> CampaignResult:
+    """Execute the campaign; shrink the first violation."""
     tasks = [generate_task(config, index) for index in range(config.runs)]
     payloads = run_many(tasks, jobs=config.jobs)
     result = CampaignResult(config=config)
@@ -283,7 +289,7 @@ def run_campaign(
         result.records.append(record)
         if payload.get("spec_violation") is not None:
             result.violations.append((index, payload["spec_violation"]))
-    if shrink and result.violations:
+    if result.violations:
         index, _ = result.violations[0]
         shrunk = shrink_violation(
             tasks[index], max_runs=config.shrink_budget

@@ -187,12 +187,11 @@ def _campaign(args, config: CampaignConfig, context: Context) -> int:
     result = run_campaign(config)
     if context.metrics is not None:
         collect_chaos(context.metrics, result)
-    retries = sum(r["retries"] for r in result.records)
-    timeouts = sum(r["timeouts"] for r in result.records)
-    dropped = sum(r["messages_dropped"] for r in result.records)
+    totals = result.degradation
     print(
         f"passed {result.passed}/{len(result.records)}; degradation: "
-        f"{retries} retries, {timeouts} timeouts, {dropped} drops"
+        f"{totals['retries']} retries, {totals['timeouts']} timeouts, "
+        f"{totals['messages_dropped']} drops"
     )
     if not result.violations:
         return 0

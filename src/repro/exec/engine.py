@@ -184,7 +184,7 @@ def _run_pooled(
                 and future.exception() is None
             ):
                 _absorb(future, chunk_indices, future.result())
-        exec_pool.reset_pool()
+        exec_pool.shutdown_pool(wait=True)  # no live workers to join
         remaining = [index for index in pending_indices if index not in done]
         exec_pool.warn(
             f"worker process died mid-sweep; {len(done)} "

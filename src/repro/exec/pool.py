@@ -19,8 +19,8 @@ keeps **one** pool alive for the life of the process:
 * ``shutdown_pool()`` is the explicit lifecycle exit, also registered
   with ``atexit`` so a CLI run or test session never leaks processes;
 * after a worker crash (``BrokenProcessPool``) the engine calls
-  ``reset_pool()`` — the broken executor is discarded and the next sweep
-  builds a fresh one.
+  ``shutdown_pool()`` — the broken executor is discarded and the next
+  sweep builds a fresh one.
 
 Chunk execution lives here too: :func:`run_chunk` runs a list of
 :class:`~repro.exec.task.RunTask` objects and returns their payloads
@@ -95,15 +95,6 @@ def shutdown_pool(wait: bool = True) -> None:
         _pool.shutdown(wait=wait)
         _pool = None
         _pool_workers = 0
-
-
-def reset_pool() -> None:
-    """Discard a broken pool so the next ``get_pool`` starts fresh.
-
-    A ``BrokenProcessPool`` executor has no live workers left to join;
-    ``shutdown(wait=True)`` on it returns immediately.
-    """
-    shutdown_pool(wait=True)
 
 
 def pool_info() -> Dict[str, Any]:

@@ -224,29 +224,18 @@ def _alg1_payload(task: RunTask) -> Dict[str, Any]:
         else None
     )
     violation: Optional[Dict[str, Any]] = None
-    result = None
     try:
         result = runner.run(check_spec=False)
     except SpecViolation as caught:
         # The payload only: the exception's traceback holds this frame.
         violation = caught.payload()
-    # A run the monitor aborted reports the state the simulation reached
-    # at the violating event, so degradation stays comparable.
+        # An aborted run reports the state the simulation reached at the
+        # violating event, so degradation stays comparable.
+        result = runner.result()
+    # The 11 counts, in field order, without the per-process breakdown.
     out: Dict[str, Any] = {
-        "converged": result.converged if result is not None else False,
-        "rounds": (
-            result.rounds if result is not None
-            else runner.tracker.rounds_completed
-        ),
-        "total_iterations": runner.tracker.total_iterations,
-        "sim_time": deployment.scheduler.now,
-        "messages": deployment.network.stats.sent,
-        "regressions": runner.monitor.regressions,
-        "cache_hits": sum(c.cache_hits for c in deployment.clients),
-        "retries": deployment.total_retries,
-        "timeouts": deployment.total_timeouts,
-        "messages_dropped": deployment.network.stats.dropped,
-        "ops_under_failure": deployment.total_ops_under_failure,
+        key: value for key, value in vars(result).items()
+        if key not in ("iterations_by_process", "rounds_completed")
     }
     out["hung_ops"] = deployment.hung_ops
     # Membership and give-up accounting appear only for tasks that asked

@@ -59,12 +59,12 @@ class SurvivalConfig:
         return cls(num_servers=16, quorum_size=4, max_lag=10, trials=2_000)
 
 
-def _mc_shards(trials: int, shard_trials: int = MC_SHARD_TRIALS) -> List[int]:
+def _mc_shards(trials: int) -> List[int]:
     """Split a trial budget into fixed-size shards (last one may be short)."""
     shards = []
     remaining = trials
     while remaining > 0:
-        take = min(shard_trials, remaining)
+        take = min(MC_SHARD_TRIALS, remaining)
         shards.append(take)
         remaining -= take
     return shards

@@ -8,9 +8,11 @@ write the X_j it owns.  The runner executes this over a simulated
 accounting and convergence detection of the paper's Section 7 simulation.
 """
 
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
 
 from repro.core.spec import (
+    SpecViolation,
     check_r2_reads_from_some_write,
     check_r4_monotone_reads,
 )
@@ -28,6 +30,7 @@ from repro.sim.delays import DelayModel
 from repro.sim.futures import gather
 
 
+@dataclass
 class Alg1Result:
     """Outcome of one Alg. 1 execution.
 
@@ -36,51 +39,28 @@ class Alg1Result:
     resamples (``retries``), deadline rejections (``timeouts``), messages
     destroyed by crashes/partitions/loss (``messages_dropped``) and
     operations that completed while failures were active
-    (``ops_under_failure``).
+    (``ops_under_failure``).  The per-process breakdown comes last.
     """
 
-    def __init__(
-        self,
-        converged: bool,
-        rounds: int,
-        total_iterations: int,
-        sim_time: float,
-        messages: int,
-        regressions: int,
-        cache_hits: int,
-        iterations_by_process: Dict[int, int],
-        rounds_completed: int,
-        retries: int = 0,
-        timeouts: int = 0,
-        messages_dropped: int = 0,
-        ops_under_failure: int = 0,
-    ) -> None:
-        self.converged = converged
-        self.rounds = rounds
-        self.total_iterations = total_iterations
-        self.sim_time = sim_time
-        self.messages = messages
-        self.regressions = regressions
-        self.cache_hits = cache_hits
-        self.iterations_by_process = iterations_by_process
-        self.rounds_completed = rounds_completed
-        self.retries = retries
-        self.timeouts = timeouts
-        self.messages_dropped = messages_dropped
-        self.ops_under_failure = ops_under_failure
+    converged: bool
+    rounds: int
+    total_iterations: int
+    sim_time: float
+    messages: int
+    regressions: int
+    cache_hits: int
+    retries: int
+    timeouts: int
+    messages_dropped: int
+    ops_under_failure: int
+    iterations_by_process: Dict[int, int]
+    rounds_completed: int
 
     def messages_per_round(self) -> float:
         """Average messages sent per round (compare with Eqns 1-2)."""
         if self.rounds == 0:
             return 0.0
         return self.messages / self.rounds
-
-    def __repr__(self) -> str:
-        state = "converged" if self.converged else "NOT converged"
-        return (
-            f"Alg1Result({state}, rounds={self.rounds}, "
-            f"iterations={self.total_iterations}, messages={self.messages})"
-        )
 
 
 class Alg1Runner:
@@ -95,7 +75,6 @@ class Alg1Runner:
         delay_model: Optional[DelayModel] = None,
         seed: int = 0,
         max_rounds: int = 1000,
-        register_prefix: str = "X",
         retry_policy: Optional[RetryPolicy] = None,
         loss_rate: float = 0.0,
         max_sim_time: Optional[float] = None,
@@ -147,7 +126,7 @@ class Alg1Runner:
             adversary=adversary,
             **deployment_kwargs,
         )
-        self.register_names = [f"{register_prefix}{j}" for j in range(aco.m)]
+        self.register_names = [f"X{j}" for j in range(aco.m)]
         initial = aco.initial()
         owners = {
             j: proc for proc, block in enumerate(self.blocks) for j in block
@@ -244,35 +223,45 @@ class Alg1Runner:
             self._halt()
         if self.spec_monitor is not None:
             # Online monitoring raised at the violating event during the
-            # run; finalize adds the end-of-run liveness check ([R1]).
-            self.spec_monitor.finalize(self.deployment)
+            # run; finalize adds the end-of-run liveness check ([R1]).  A
+            # run that fails it is reported as not converged.
+            try:
+                self.spec_monitor.finalize(self.deployment)
+            except SpecViolation:
+                self._result_converged = False
+                raise
         if check_spec:
             for name in self.register_names:
                 history = self.deployment.space.history(name)
                 check_r2_reads_from_some_write(history)
                 if self.deployment.monotone:
                     check_r4_monotone_reads(history)
+        result = self.result()
+        if self.observability.metrics is not None:
+            collect_alg1(self.observability.metrics, self, result)
+        return result
+
+    def result(self) -> Alg1Result:
+        """The run's counts as the simulation left them; also after a
+        :class:`SpecViolation` aborted :meth:`run`, at the violating event."""
+        deployment = self.deployment
         rounds = self.tracker.rounds_completed
         # A detection that happens mid-round counts the partial round, per
         # the paper's "rounds until every process computes the APSP".
         if self._result_converged and self.tracker._seen_this_round:  # noqa: SLF001
             rounds += 1
-        cache_hits = sum(c.cache_hits for c in self.deployment.clients)
-        result = Alg1Result(
+        return Alg1Result(
             converged=self._result_converged,
             rounds=rounds,
             total_iterations=self.tracker.total_iterations,
-            sim_time=scheduler.now,
-            messages=self.deployment.network.stats.sent,
+            sim_time=deployment.scheduler.now,
+            messages=deployment.network.stats.sent,
             regressions=self.monitor.regressions,
-            cache_hits=cache_hits,
+            cache_hits=sum(c.cache_hits for c in deployment.clients),
+            retries=deployment.total_retries,
+            timeouts=deployment.total_timeouts,
+            messages_dropped=deployment.network.stats.dropped,
+            ops_under_failure=deployment.total_ops_under_failure,
             iterations_by_process=dict(self.tracker.iterations),
             rounds_completed=self.tracker.rounds_completed,
-            retries=self.deployment.total_retries,
-            timeouts=self.deployment.total_timeouts,
-            messages_dropped=self.deployment.network.stats.dropped,
-            ops_under_failure=self.deployment.total_ops_under_failure,
         )
-        if self.observability.metrics is not None:
-            collect_alg1(self.observability.metrics, self, result)
-        return result

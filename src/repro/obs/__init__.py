@@ -14,6 +14,8 @@ Layers (bottom-up):
   (plus the validator the CI smoke uses),
 * :mod:`repro.obs.collect` — post-run collection of the simulator's
   existing counters into a registry (the hot path is never instrumented),
+  each count read from its one record: the deployment's counters, the
+  runner's ``Alg1Result``, the campaign's ``degradation`` tally,
 * :mod:`repro.obs.runtime` — the process-global session the CLI activates
   and the run engine merges worker snapshots into,
 * :mod:`repro.obs.core` — the :class:`Observability` bundle that wires

@@ -6,7 +6,9 @@ scheduler, per-server and per-client counters on the register layer.
 These collectors read those counters *after* a run and populate a
 :class:`~repro.obs.registry.MetricsRegistry`, which keeps the per-message
 hot path free of any metrics call: enabling observability costs one pass
-over already-maintained integers.
+over already-maintained integers.  Each count is read from its one
+record: the network's scalar ``MessageStats`` totals, the runner's
+``Alg1Result``, the campaign's ``degradation`` tally.
 
 Everything here is duck-typed on the objects' public counters, so this
 module imports nothing from the simulation stack and can never create an
@@ -16,16 +18,15 @@ import cycle.
 from typing import Any
 
 
-def collect_network(metrics: Any, network: Any) -> None:
-    """Message totals (and, when collected, per-kind/per-node breakdowns).
+def collect_deployment(metrics: Any, deployment: Any) -> None:
+    """Everything a :class:`RegisterDeployment` counts, in one pass.
 
-    Sends/deliveries/drops come from the existing
-    :class:`~repro.sim.metrics.MessageStats` hooks; the detailed
-    breakdowns are read only when the stats object actually collected
-    them (``detailed=True``), so a scalar-totals deployment exports
-    totals without tripping the detail guard.
+    Message totals (the :class:`~repro.sim.metrics.MessageStats` scalars),
+    scheduler throughput and end-of-run queue state, per-server replica
+    counters (indexed by server *position*, stable across runs), and
+    client-side operation / fault-tolerance aggregates.
     """
-    stats = network.stats
+    stats = deployment.network.stats
     metrics.counter(
         "repro_messages_sent_total", "Messages sent on the simulated network."
     ).inc(stats.sent)
@@ -36,47 +37,7 @@ def collect_network(metrics: Any, network: Any) -> None:
         "repro_messages_dropped_total",
         "Messages destroyed by crashes, partitions or lossy links.",
     ).inc(stats.dropped)
-    if not stats.detailed:
-        return
-    sent_by_kind = metrics.counter(
-        "repro_messages_sent_by_kind_total",
-        "Messages sent, by protocol message kind.",
-        labelnames=("kind",),
-    )
-    for kind, count in sorted(stats.by_kind.items()):
-        sent_by_kind.labels(kind).inc(count)
-    delivered_by_kind = metrics.counter(
-        "repro_messages_delivered_by_kind_total",
-        "Messages delivered, by protocol message kind.",
-        labelnames=("kind",),
-    )
-    for kind, count in sorted(stats.delivered_by_kind.items()):
-        delivered_by_kind.labels(kind).inc(count)
-    dropped_by_kind = metrics.counter(
-        "repro_messages_dropped_by_kind_total",
-        "Messages dropped, by protocol message kind.",
-        labelnames=("kind",),
-    )
-    for kind, count in sorted(stats.dropped_by_kind.items()):
-        dropped_by_kind.labels(kind).inc(count)
-    dropped_by_reason = metrics.counter(
-        "repro_messages_dropped_by_reason_total",
-        "Messages dropped, by cause (fault = crash/partition, loss = lossy link).",
-        labelnames=("reason",),
-    )
-    for reason, count in sorted(stats.dropped_by_reason.items()):
-        dropped_by_reason.labels(reason).inc(count)
-    deliveries_by_node = metrics.counter(
-        "repro_deliveries_by_node_total",
-        "Deliveries per node id — the quorum-load measure of Section 4.",
-        labelnames=("node",),
-    )
-    for node, count in sorted(stats.by_receiver.items()):
-        deliveries_by_node.labels(node).inc(count)
-
-
-def collect_scheduler(metrics: Any, scheduler: Any) -> None:
-    """Event throughput and end-of-run queue state."""
+    scheduler = deployment.scheduler
     metrics.counter(
         "repro_scheduler_events_total",
         "Events executed by the discrete-event scheduler.",
@@ -88,17 +49,6 @@ def collect_scheduler(metrics: Any, scheduler: Any) -> None:
     metrics.gauge(
         "repro_sim_time", "Simulated clock at collection time."
     ).set(scheduler.now)
-
-
-def collect_deployment(metrics: Any, deployment: Any) -> None:
-    """Everything a :class:`RegisterDeployment` counts, in one pass.
-
-    Network and scheduler totals, per-server replica counters (indexed by
-    server *position*, stable across runs), and client-side operation /
-    fault-tolerance aggregates.
-    """
-    collect_network(metrics, deployment.network)
-    collect_scheduler(metrics, deployment.scheduler)
 
     reads_served = metrics.counter(
         "repro_server_reads_served_total",
@@ -125,9 +75,7 @@ def collect_deployment(metrics: Any, deployment: Any) -> None:
         reads_served.labels(index).inc(counters["reads_served"])
         writes_applied.labels(index).inc(counters["writes_applied"])
         stale_updates.labels(index).inc(counters["stale_updates_ignored"])
-        unknown_messages.labels(index).inc(
-            counters.get("unknown_messages_ignored", 0)
-        )
+        unknown_messages.labels(index).inc(counters["unknown_messages_ignored"])
 
     ops = metrics.counter(
         "repro_ops_invoked_total",
@@ -195,10 +143,10 @@ def collect_chaos(metrics: Any, result: Any) -> None:
     """Campaign-level accounting for a chaos run (repro.chaos.campaign).
 
     Duck-typed on :class:`~repro.chaos.campaign.CampaignResult`: per-run
-    pass/fail totals plus aggregate degradation (retries, timeouts,
-    message drops) and the fault dose actually injected, so a chaos
-    campaign exports through the same ``--metrics-out`` pipeline as every
-    other experiment.
+    pass/fail totals plus its ``degradation`` tally (retries, timeouts,
+    message drops, hung operations) and the fault dose actually injected,
+    so a chaos campaign exports through the same ``--metrics-out``
+    pipeline as every other experiment.
     """
     metrics.counter(
         "repro_chaos_runs_total", "Chaos campaign runs executed."
@@ -212,10 +160,8 @@ def collect_chaos(metrics: Any, result: Any) -> None:
         "Aggregate degradation observed across the campaign, by kind.",
         labelnames=("kind",),
     )
-    for kind in ("retries", "timeouts", "messages_dropped", "hung_ops"):
-        degradation.labels(kind).inc(
-            sum(int(record.get(kind, 0)) for record in result.records)
-        )
+    for kind, total in result.degradation.items():
+        degradation.labels(kind).inc(total)
     dose = metrics.counter(
         "repro_chaos_faults_injected_total",
         "Faults actually injected across the campaign, by kind.",

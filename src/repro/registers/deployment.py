@@ -32,7 +32,6 @@ from repro.sim.delays import ConstantDelay, DelayModel
 from repro.sim.failures import FailureInjector, FailureSchedule
 from repro.sim.network import Network
 from repro.sim.rng import RngRegistry
-from repro.sim.scheduler import Scheduler
 
 
 #: The instance attributes through which a node or the network reaches
@@ -70,7 +69,6 @@ class RegisterDeployment:
         seed: int = 0,
         retry_policy: Optional[RetryPolicy] = None,
         loss_rate: float = 0.0,
-        scheduler: Optional[Scheduler] = None,
         rng_registry: Optional[RngRegistry] = None,
         client_class: type = QuorumRegisterClient,
         record_history: bool = True,
@@ -93,7 +91,7 @@ class RegisterDeployment:
         self.observability = (
             observability if observability is not None else Observability()
         )
-        self.scheduler = scheduler or kernel.make_scheduler()
+        self.scheduler = kernel.make_scheduler()
         self.rng = rng_registry or RngRegistry(seed)
         self.delay_model = delay_model or ConstantDelay(1.0)
         self.failures = FailureInjector()

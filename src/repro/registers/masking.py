@@ -36,15 +36,15 @@ class ByzantineReplicaServer(ReplicaServer):
     """A lying replica: fabricates values with sky-high timestamps.
 
     Writes are acknowledged but silently dropped, and every read query is
-    answered with ``poison_value`` at a timestamp far above any honest
+    answered with ``POISON_VALUE`` at a timestamp far above any honest
     one — the worst case for a reader that trusts the maximum timestamp.
     """
 
     POISON_SEQ = 10**12
+    POISON_VALUE = "POISON"
 
-    def __init__(self, space: RegisterSpace, poison_value: Any = "POISON") -> None:
+    def __init__(self, space: RegisterSpace) -> None:
         super().__init__(space)
-        self.poison_value = poison_value
         self.lies_told = 0
 
     def on_message(self, src: int, message: Any) -> None:
@@ -66,7 +66,7 @@ class ByzantineReplicaServer(ReplicaServer):
                 ReadReply(
                     message.register,
                     message.op_id,
-                    self.poison_value,
+                    self.POISON_VALUE,
                     Timestamp(self.POISON_SEQ + self.lies_told, 999),
                 ),
             )
@@ -125,7 +125,7 @@ class MaskingClient(QuorumRegisterClient):
         return timestamp, value
 
 
-def replace_with_byzantine(deployment, indices, poison_value: Any = "POISON"):
+def replace_with_byzantine(deployment, indices):
     """Swap the given replica servers of a deployment for Byzantine ones.
 
     Must be called before any traffic flows.  Returns the new servers.
@@ -134,7 +134,7 @@ def replace_with_byzantine(deployment, indices, poison_value: Any = "POISON"):
     for index in indices:
         old = deployment.servers[index]
         node_id = old.node_id
-        bad = ByzantineReplicaServer(deployment.space, poison_value)
+        bad = ByzantineReplicaServer(deployment.space)
         bad.node_id = node_id
         bad.network = deployment.network
         deployment.network._nodes[node_id] = bad  # noqa: SLF001 - test/deploy hook

@@ -302,19 +302,15 @@ class FailureSchedule(Timeline):
         time: float,
         count: int,
         side: int,
-        recover_time: Optional[float] = None,
     ) -> "FailureSchedule":
         """``count`` servers crash at ``time``, one per grid row (of
         ``side``) first — the strict grid's worst case, the E-FAULT
-        schedule; a ``recover_time`` brings the batch back up."""
+        schedule."""
         servers = [
             ((index % side) * side + index // side) % num_servers
             for index in range(count)
         ]
-        schedule = cls().crash(time, servers)
-        if recover_time is not None:
-            schedule.recover(recover_time, servers)
-        return schedule
+        return cls().crash(time, servers)
 
     @classmethod
     def churn(

@@ -14,13 +14,13 @@ draws made in C reproduce numpy's algorithms bit for bit), and the
 native heap preserves the exact ``(time, seq)`` total order — so the
 backend is a pure speed knob, never a semantics knob.
 
-Selection, in priority order:
+Selection, in priority order (the factories below take no backend
+argument; they all follow this one choice):
 
-1. an explicit ``backend=`` argument to the factories below,
-2. a process-wide override installed by :func:`select_backend`
+1. a process-wide override installed by :func:`select_backend`
    (the CLI's ``--kernel`` flag lands here),
-3. the ``REPRO_KERNEL`` environment variable,
-4. default: ``python``.
+2. the ``REPRO_KERNEL`` environment variable,
+3. default: ``python``.
 
 Requesting ``native`` when the extension is not built falls back to
 pure python with a one-line warning on stderr (once per process) — a

@@ -8,10 +8,9 @@ run exactly reproducible from its root seed.
 
 Heap entries are plain ``(time, seq, handle)`` tuples rather than bare
 :class:`EventHandle` objects: heap sift comparisons then use C-level tuple
-ordering instead of calling ``EventHandle.__lt__`` per comparison, which is
-the single hottest operation in a simulation (every message is one push and
-one pop).  The ``seq`` tiebreaker guarantees the comparison never reaches
-the third element, so handles themselves are never compared.
+ordering, the single hottest operation in a simulation (every message is
+one push and one pop).  The ``seq`` tiebreaker guarantees the comparison
+never reaches the third element, so handles define no ordering at all.
 """
 
 import heapq
@@ -59,9 +58,6 @@ class EventHandle:
         # live count exactly once — here, or when it is popped and run.
         if self._owner is not None and not self._dequeued:
             self._owner._live -= 1
-
-    def __lt__(self, other: "EventHandle") -> bool:
-        return (self.time, self.seq) < (other.time, other.seq)
 
     def __repr__(self) -> str:
         state = "cancelled" if self.cancelled else "pending"

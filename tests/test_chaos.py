@@ -13,6 +13,8 @@ from repro.chaos.campaign import (
 )
 from repro.cli import main
 from repro.exec.task import RunTask, execute_task
+from repro.exec.workers import alg1_task, run_alg1_task
+from repro.iterative.runner import Alg1Runner
 
 BROKEN = {"kind": "regressing", "after": 2}
 
@@ -58,6 +60,7 @@ class TestCleanCampaign:
         assert all(rec["hung_ops"] == 0 for rec in result.records)
         # The campaign exercised real degradation, not a quiet network.
         assert sum(rec["retries"] for rec in result.records) > 0
+        assert_tally_is_record_sums(result)
 
     def test_membership_timelines_stay_clean_across_view_boundaries(self):
         # Campaign seed chosen so several runs draw join/leave schedules
@@ -68,6 +71,84 @@ class TestCleanCampaign:
         churned = [r for r in result.records if r.get("views_installed")]
         assert churned, "no campaign run drew a membership timeline"
         assert all(r["hung_ops"] == 0 for r in result.records)
+
+
+def assert_tally_is_record_sums(result):
+    assert result.degradation == {
+        kind: sum(record[kind] for record in result.records)
+        for kind in ("retries", "timeouts", "messages_dropped", "hung_ops")
+    }
+
+
+#: A monitored run without retries converges and then fails the liveness
+#: check at finalize: the processes' in-flight reads are never settled.
+UNSETTLED = alg1_task(
+    (2, "unsettled"),
+    graph={"kind": "chain", "n": 5},
+    quorum={"kind": "probabilistic", "n": 6, "k": 2},
+    delay={"kind": "exponential", "mean": 1.0},
+    monotone=True,
+    max_rounds=30,
+    check_spec_online=True,
+)
+
+
+class TestAlg1Payload:
+    """The payload's counts are the runner's one ``Alg1Result``."""
+
+    @pytest.mark.parametrize("task, condition", [
+        (generate_task(CampaignConfig(runs=1, seed=0), 0), None),
+        (generate_task(broken_config(), 0), "R4"),
+        (UNSETTLED, "liveness"),
+    ], ids=["clean", "aborted", "aborted-at-finalize"])
+    def test_counts_are_the_result_fields(
+        self, kernel_backend, monkeypatch, task, condition
+    ):
+        seen = []
+        result = Alg1Runner.result
+
+        def recording(runner):
+            # The counts as the deployment and tracker hold them, read
+            # at the moment the record is built.
+            deployment = runner.deployment
+            record = result(runner)
+            seen.append((record, {
+                "total_iterations": runner.tracker.total_iterations,
+                "sim_time": deployment.scheduler.now,
+                "messages": deployment.network.stats.sent,
+                "regressions": runner.monitor.regressions,
+                "cache_hits": sum(c.cache_hits for c in deployment.clients),
+                "retries": deployment.total_retries,
+                "timeouts": deployment.total_timeouts,
+                "messages_dropped": deployment.network.stats.dropped,
+                "ops_under_failure": deployment.total_ops_under_failure,
+                "rounds_completed": runner.tracker.rounds_completed,
+            }))
+            return record
+
+        monkeypatch.setattr(Alg1Runner, "result", recording)
+        payload = run_alg1_task(task)
+        assert (payload["spec_violation"] or {}).get("condition") == condition
+        (record, state), = seen
+        counts = {
+            key: getattr(record, key)
+            for key in (
+                "converged", "rounds", "total_iterations", "sim_time",
+                "messages", "regressions", "cache_hits", "retries",
+                "timeouts", "messages_dropped", "ops_under_failure",
+            )
+        }
+        assert list(payload)[:11] == list(counts)
+        assert {key: payload[key] for key in counts} == counts
+        for key, value in state.items():
+            assert getattr(record, key) == value, key
+        assert record.messages > 0
+        if condition is not None:
+            # An aborted run is not converged and counts no partial round.
+            assert not record.converged
+            assert record.rounds == record.rounds_completed
+        else:
+            assert record.converged
 
 
 class TestViolationPipeline:
@@ -82,6 +163,7 @@ class TestViolationPipeline:
         assert repro["run_index"] == index
         assert repro["shrink"]["reductions"]
         assert repro["violation"]["condition"] == "R4"
+        assert_tally_is_record_sums(broken_result)
 
     def test_shrinking_is_deterministic_byte_identical(self, broken_result):
         again = run_campaign(broken_config())

@@ -249,7 +249,7 @@ def test_cache_clear(tmp_path):
 def test_mc_shards_cover_all_trials():
     for trials in (1, 100, MC_SHARD_TRIALS, MC_SHARD_TRIALS + 1,
                    3 * MC_SHARD_TRIALS + 7):
-        shards = _mc_shards(trials, MC_SHARD_TRIALS)
+        shards = _mc_shards(trials)
         assert sum(shards) == trials
         assert all(s > 0 for s in shards)
 

@@ -509,9 +509,9 @@ def test_rounds_per_pseudocycle(built):
     ks = table.column("k")
     for k, m, bound in zip(ks, measured, cor7):
         assert m == m, f"no converged runs at k={k}"  # not NaN
-        # The measured ratio carries ~1-2 rounds of fixed overhead
-        # (startup, convergence observation, the final partial
-        # pseudocycle) that the steady-state bound does not model.
+        # For every k >= 4 the measured rate is above 1/q (2.67 vs 2.45
+        # at k=4, 1.44 vs 1.00 at k=12 in full/pseudocycles.txt); the
+        # excess grows with the horizon and its cause is open.
         assert m <= bound + 2.0, (k, m, bound)
     # Ratio shrinks with k.
     assert measured[-1] <= measured[0]
