@@ -112,7 +112,7 @@
     X(str_members, "members")                                \
     X(str_retry_policy, "retry_policy")                      \
     X(str_retry_rng, "_retry_rng")                           \
-    X(str_delay, "delay")                                    \
+    X(str_retry_delay, "_retry_delay")                       \
     X(str_deadline, "deadline")                              \
     X(str_retry, "_retry")                                   \
     X(str_expire, "_expire")                                 \
@@ -311,11 +311,14 @@ slot_unset(PyObject *obj, Py_ssize_t off)
                         "attribute '%s'", Py_TYPE(obj)->tp_name, name);
 }
 
+/* The object slot at ``off`` of ``obj``, an lvalue (NULL when unset). */
+#define SLOT(obj, off) (*(PyObject **)((char *)(obj) + (off)))
+
 /* The object in the slot at ``off`` of ``obj``, borrowed, or NULL. */
 static inline PyObject *
 slot_peek(PyObject *obj, Py_ssize_t off)
 {
-    PyObject *value = *(PyObject **)((char *)obj + off);
+    PyObject *value = SLOT(obj, off);
     return value != NULL ? value : slot_unset(obj, off);
 }
 
@@ -1244,7 +1247,7 @@ networkcore_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
     if (self->loss_rate == -1.0 && PyErr_Occurred())
         goto fail;
     self->scalar_stats = (PyObject *)Py_TYPE(self->stats) == message_stats_type
-        && *(PyObject **)((char *)self->stats + offsets[STAT_DETAILED])
+        && SLOT(self->stats, offsets[STAT_DETAILED])
                == Py_False;
     self->exact_failures =
         (PyObject *)Py_TYPE(self->failures) == failure_injector_type;
@@ -2535,11 +2538,13 @@ typedef struct {
  * the retry policy (for an exact RetryPolicy, a frozen dataclass, its four
  * doubles) and jitter stream, the static quorum system (n and k of an
  * exact ProbabilisticQuorumSystem) and quorum stream, the two live latency
- * sketches and the spec monitor.  Read per call, because they change
- * during a run: the clock, the pending ops, ``failures.active`` and the
- * membership state (``_membership``, ``_view``, ``_view_rng``,
- * ``view_id``), the last four and the counters by slot
- * (``client_slots``).  No core is built for a client with span tracing
+ * sketches, the spec monitor and the two timer callbacks.  Read per call,
+ * because they change during a run: the clock, the pending ops,
+ * ``failures.active``, the membership state (``_membership``, ``_view``,
+ * ``_view_rng``, ``view_id``) and the round-trip estimator (``_srtt``,
+ * ``_rttvar``), the last six and the counters by slot (``client_slots``).
+ * The retry callback is the unbound method, so the core holds no
+ * reference to itself.  No core is built for a client with span tracing
  * on, so every op a core sees is one it built. */
 #define CLIENT_CORE_FIELDS(X)                                            \
     X(client, PyObject)       /* the QuorumRegisterClient */             \
@@ -2564,15 +2569,17 @@ typedef struct {
     X(quorum_bits, PyObject)  /* the quorum stream's, for native draws */ \
     X(read_latency, PyObject) /* the live latency sketches, or NULL */   \
     X(write_latency, PyObject)                                           \
-    X(monitor, PyObject)      /* spec_monitor, or NULL */
+    X(monitor, PyObject)      /* spec_monitor, or NULL */                \
+    X(retry_cb, PyObject)     /* ClientCore._retry, called (core, op_id) */\
+    X(expire_cb, PyObject)    /* client._expire */
 
 enum { CL_READS, CL_WRITES, CL_CACHE_HITS, CL_COMPLETED, CL_UNDER_FAILURE,
        CL_RETRIES, CL_STALE_NACKS, CL_VIEW_ID, CL_MEMBERSHIP, CL_VIEW,
-       CL_VIEW_RNG, NCLIENT_SLOTS };
+       CL_VIEW_RNG, CL_SRTT, CL_RTTVAR, NCLIENT_SLOTS };
 static const char *const client_slots[NCLIENT_SLOTS] = {
     "reads_performed", "writes_performed", "cache_hits", "ops_completed",
     "ops_completed_under_failure", "retries", "stale_nacks", "view_id",
-    "_membership", "_view", "_view_rng"};
+    "_membership", "_view", "_view_rng", "_srtt", "_rttvar"};
 
 typedef struct {
     PyObject_HEAD
@@ -2599,7 +2606,6 @@ typedef struct {
     X(record, "record") X(value, "value") X(timestamp, "timestamp")    \
     X(retry_handle, "retry_handle") X(deadline_handle, "deadline_handle") \
     X(attempts, "attempts") X(started, "started") X(span, "span")      \
-    X(members, "members") X(member_ids, "member_ids")                  \
     X(message, "message") X(view, "view")
 
 typedef struct {
@@ -2832,6 +2838,9 @@ clientcore_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
         || (latency = PyObject_GetAttr(client, str_latency_attr)) == NULL
         || (self->monitor = PyObject_GetAttr(client,
                                              str_spec_monitor)) == NULL
+        || (self->retry_cb = PyObject_GetAttr((PyObject *)type,
+                                              str_retry)) == NULL
+        || (self->expire_cb = PyObject_GetAttr(client, str_expire)) == NULL
         || (monotone = PyObject_GetAttr(client, str_monotone)) == NULL
         || (self->monotone = PyObject_IsTrue(monotone)) < 0
         || slot_offsets((PyObject *)Py_TYPE(client), client_slots,
@@ -3197,7 +3206,7 @@ observe_latency(PyObject *sketch, double elapsed)
     if (count != NULL && PyDict_SetItem(buckets, key, count) == 0
         && (sum = Py_XNewRef(slot_peek(sketch, offsets[SQ_SUM]))) != NULL
         && (total = PyNumber_Add(sum, value)) != NULL) {
-        Py_SETREF(*(PyObject **)((char *)sketch + offsets[SQ_SUM]), total);
+        Py_SETREF(SLOT(sketch, offsets[SQ_SUM]), total);
         res = Py_NewRef(Py_None);
     }
 done:
@@ -3208,6 +3217,31 @@ done:
     Py_XDECREF(value);
     Py_XDECREF(res);
     return res == NULL ? -1 : 0;
+}
+
+/* QuorumRegisterClient._sample_rtt(sample): the RFC 6298 update of the
+ * client's ``_srtt`` and ``_rttvar``, the Python double operations in
+ * their order. */
+static int
+clientcore_sample_rtt(ClientCore *self, double sample)
+{
+    PyObject **srtt = &SLOT(self->client, self->slots[CL_SRTT]);
+    PyObject **rttvar = &SLOT(self->client, self->slots[CL_RTTVAR]);
+    double mean = sample, var = sample / 2.0;
+    if (*srtt != Py_None) {
+        double old = PyFloat_AsDouble(*srtt);
+        var = 0.75 * PyFloat_AsDouble(*rttvar) + 0.25 * fabs(old - sample);
+        mean = 0.875 * old + 0.125 * sample;
+    }
+    PyObject *mean_obj = PyErr_Occurred() ? NULL : PyFloat_FromDouble(mean);
+    PyObject *var_obj = mean_obj ? PyFloat_FromDouble(var) : NULL;
+    if (var_obj == NULL) {
+        Py_XDECREF(mean_obj);
+        return -1;
+    }
+    Py_XSETREF(*srtt, mean_obj);
+    Py_XSETREF(*rttvar, var_obj);
+    return 0;
 }
 
 /* QuorumRegisterClient._settle for an op of this core's: teardown,
@@ -3228,8 +3262,12 @@ clientcore_settle(ClientCore *self, PendingOp *op, int is_read,
         return -1;
     COUNTER(self->client, self->slots[CL_UNDER_FAILURE]) += under_failure;
     PyObject *sketch = is_read ? self->read_latency : self->write_latency;
-    double started = sketch == NULL ? 0.0 : PyFloat_AsDouble(op->started);
-    if ((started == -1.0 && PyErr_Occurred())
+    double started = PyFloat_AsDouble(op->started);
+    /* Only an op settled on its first attempt is a sample (Karn's rule). */
+    int retried = PyObject_IsTrue(op->attempts);
+    if ((started == -1.0 && PyErr_Occurred()) || retried < 0
+        || (!retried && self->policy != Py_None
+            && clientcore_sample_rtt(self, now_t - started) < 0)
         || (sketch != NULL && observe_latency(sketch, now_t - started) < 0))
         return -1;
     if (op->record != Py_None) {
@@ -3538,58 +3576,21 @@ static int
 clientcore_send_round(ClientCore *self, PendingOp *op)
 {
     int rc = -1;
-    PyObject *servers = NULL;
-    if (op->members == Py_None) {
-        /* Sorted once per attempt: the quorum is fixed until the next
-         * resample. */
-        PyObject *members = PySequence_List(op->quorum);
-        if (members == NULL || PyList_Sort(members) < 0) {
-            Py_XDECREF(members);
-            return -1;
+    PyObject *members = PySequence_List(op->quorum);
+    PyObject *servers = members ? PyList_New(0) : NULL;
+    if (servers == NULL || PyList_Sort(members) < 0)
+        goto done;
+    /* The members that have not replied, in member order, as node ids. */
+    for (Py_ssize_t i = 0; i < PyList_GET_SIZE(members); i++) {
+        PyObject *member = PyList_GET_ITEM(members, i), *node_id = NULL;
+        int has = PySequence_Contains(op->replies, member);
+        if (has < 0 || (!has && ((node_id = PyObject_GetItem(
+                self->server_ids, member)) == NULL
+                || PyList_Append(servers, node_id) < 0))) {
+            Py_XDECREF(node_id);
+            goto done;
         }
-        Py_SETREF(op->members, members);
-        Py_ssize_t n = PyList_GET_SIZE(members);
-        PyObject *member_ids = PyList_New(n);
-        for (Py_ssize_t i = 0; member_ids != NULL && i < n; i++) {
-            PyObject *node_id = PyObject_GetItem(
-                self->server_ids, PyList_GET_ITEM(members, i));
-            if (node_id == NULL)
-                Py_CLEAR(member_ids);
-            else
-                PyList_SET_ITEM(member_ids, i, node_id);
-        }
-        if (member_ids == NULL)
-            return -1;
-        Py_SETREF(op->member_ids, member_ids);
-    }
-    PyObject *members = op->members, *member_ids = op->member_ids;
-    if (!PyList_CheckExact(members) || !PyList_CheckExact(member_ids)) {
-        PyErr_SetString(PyExc_TypeError,
-                        "op.members and op.member_ids must be lists");
-        return -1;
-    }
-    int answered = PyObject_IsTrue(op->replies);
-    if (answered < 0)
-        return -1;
-    if (answered) {
-        /* Re-send only to members that have not replied. */
-        servers = PyList_New(0);
-        if (servers == NULL)
-            return -1;
-        Py_ssize_t n = PyList_GET_SIZE(members);
-        if (PyList_GET_SIZE(member_ids) < n)
-            n = PyList_GET_SIZE(member_ids);
-        for (Py_ssize_t i = 0; i < n; i++) {
-            int has = PySequence_Contains(op->replies,
-                                          PyList_GET_ITEM(members, i));
-            if (has < 0
-                || (!has && PyList_Append(
-                        servers, PyList_GET_ITEM(member_ids, i)) < 0))
-                goto done;
-        }
-    }
-    else {
-        servers = Py_NewRef(member_ids);
+        Py_XDECREF(node_id);
     }
     if (PyList_GET_SIZE(servers) == 0) {
         rc = 0;
@@ -3612,33 +3613,17 @@ clientcore_send_round(ClientCore *self, PendingOp *op)
     Py_DECREF(message);
 done:
     Py_XDECREF(servers);
+    Py_XDECREF(members);
     return rc;
 }
 
-/* *slot = scheduler.schedule(delay, client.<method>, op.op_id), pushed
- * straight into the C heap. */
-static int
-clientcore_arm_timer(ClientCore *self, PendingOp *op, PyObject **slot,
-                     PyObject *delay, PyObject *method)
-{
-    PyObject *callback = PyObject_GetAttr(self->client, method);
-    if (callback == NULL)
-        return -1;
-    PyObject *handle = schedule_after(self->net->sched, delay, callback,
-                                      PyTuple_Pack(1, op->op_id));
-    Py_DECREF(callback);
-    if (handle == NULL)
-        return -1;
-    Py_SETREF(*slot, handle);
-    return 0;
-}
-
-/* policy.delay(attempt, client._retry_rng) as a new reference.  For an
- * exact RetryPolicy (retry_exact) RetryPolicy.delay is evaluated here —
- * the same double operations in the same order (the build disables fused
- * multiply-adds), Python's min() against max_interval, the jitter from
- * the bound stream — and called otherwise, or when ``backoff ** attempt``
- * is not finite (where Python may raise). */
+/* QuorumRegisterClient._retry_delay(attempt) as a new reference: the
+ * policy's delay, floored at SRTT + 4 RTTVAR once ``_srtt`` is set.  For
+ * an exact RetryPolicy (retry_exact) it is evaluated here — the same
+ * double operations in the same order (the build disables fused
+ * multiply-adds), Python's min() and max(), the jitter from the bound
+ * stream — and the Python method is called otherwise, or when
+ * ``backoff ** attempt`` is not finite (where Python may raise). */
 static PyObject *
 clientcore_retry_delay(ClientCore *self, PyObject *attempt)
 {
@@ -3657,25 +3642,37 @@ clientcore_retry_delay(ClientCore *self, PyObject *attempt)
                     return NULL;
                 value *= 1.0 + f[2] * (2.0 * draw - 1.0);
             }
-            return PyFloat_FromDouble(value);
+            /* max(value, SRTT + 4 RTTVAR) once there is a sample */
+            PyObject *srtt = SLOT(self->client, self->slots[CL_SRTT]);
+            double rto = srtt == Py_None ? -INFINITY : PyFloat_AsDouble(srtt)
+                + 4.0 * PyFloat_AsDouble(
+                    SLOT(self->client, self->slots[CL_RTTVAR]));
+            return PyErr_Occurred()
+                ? NULL : PyFloat_FromDouble(rto > value ? rto : value);
         }
     }
-    return PyObject_CallMethodObjArgs(self->policy, str_delay, attempt,
-                                      self->retry_rng, NULL);
+    return PyObject_CallMethodOneArg(self->client, str_retry_delay, attempt);
 }
 
-/* op.retry_handle = scheduler.schedule(
- *     policy.delay(attempt, client._retry_rng), client._retry, op_id) */
+/* op.retry_handle = scheduler.schedule(client._retry_delay(attempt),
+ * client._retry, op_id) or, with ``attempt`` NULL, op.deadline_handle =
+ * scheduler.schedule(policy.deadline, client._expire, op_id): pushed
+ * straight into the C heap, with the callbacks bound when the core was. */
 static int
-clientcore_arm_retry(ClientCore *self, PendingOp *op, PyObject *attempt)
+clientcore_arm(ClientCore *self, PendingOp *op, PyObject *attempt)
 {
-    PyObject *delay = clientcore_retry_delay(self, attempt);
-    if (delay == NULL)
+    PyObject *delay = attempt ? clientcore_retry_delay(self, attempt)
+                              : Py_NewRef(self->deadline);
+    PyObject *handle = delay == NULL ? NULL : attempt
+        ? schedule_after(self->net->sched, delay, self->retry_cb,
+                         PyTuple_Pack(2, (PyObject *)self, op->op_id))
+        : schedule_after(self->net->sched, delay, self->expire_cb,
+                         PyTuple_Pack(1, op->op_id));
+    Py_XDECREF(delay);
+    if (handle == NULL)
         return -1;
-    int rc = clientcore_arm_timer(self, op, &op->retry_handle, delay,
-                                  str_retry);
-    Py_DECREF(delay);
-    return rc;
+    Py_SETREF(*(attempt ? &op->retry_handle : &op->deadline_handle), handle);
+    return 0;
 }
 
 /* QuorumRegisterClient._begin; ``first`` is the op's first round. */
@@ -3693,10 +3690,8 @@ clientcore_begin(ClientCore *self, PendingOp *op, const Round *first)
         return -1;
     if (self->policy == Py_None)
         return 0;
-    if (clientcore_arm_retry(self, op, py_zero) < 0
-        || (self->deadline != Py_None
-            && clientcore_arm_timer(self, op, &op->deadline_handle,
-                                    self->deadline, str_expire) < 0))
+    if (clientcore_arm(self, op, py_zero) < 0
+        || (self->deadline != Py_None && clientcore_arm(self, op, NULL) < 0))
         return -1;
     return 0;
 }
@@ -3714,8 +3709,6 @@ clientcore_move(ClientCore *self, PendingOp *op)
     if (quorum == NULL)
         return -1;
     Py_SETREF(op->quorum, quorum);
-    Py_SETREF(op->members, Py_NewRef(Py_None));
-    Py_SETREF(op->member_ids, Py_NewRef(Py_None));
     PyObject *view = Py_XNewRef(slot_peek(self->client,
                                           self->slots[CL_VIEW_ID]));
     int changed = view == NULL
@@ -3765,7 +3758,7 @@ clientcore_retry(ClientCore *self, PyObject *op_id)
     }
     int moved = clientcore_move(self, op);
     if (moved == 1
-        || (moved == 0 && clientcore_arm_retry(self, op, attempts) == 0))
+        || (moved == 0 && clientcore_arm(self, op, attempts) == 0))
         result = Py_NewRef(Py_None);
 done:
     Py_XDECREF(attempts);
@@ -4047,7 +4040,7 @@ PyInit__kernel(void)
                                (PyObject *)types[i].type) < 0)
             goto fail;
     }
-    if (PyModule_AddIntConstant(module, "KERNEL_ABI", 14) < 0
+    if (PyModule_AddIntConstant(module, "KERNEL_ABI", 15) < 0
         || PyModule_AddStringConstant(module, "SOURCE_HASH",
                                       REPRO_SOURCE_HASH) < 0)
         goto fail;

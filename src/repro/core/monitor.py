@@ -7,7 +7,8 @@ runs one) notices.  :class:`OnlineSpecMonitor` checks incrementally, as
 each operation completes:
 
 * **[R1]/liveness** — every operation resolves or times out: at
-  :meth:`finalize` the deployment must report zero hung operations, and
+  :meth:`finalize` no operation may be past its deadline or left pending
+  once nothing is scheduled, and
   no operation may retry more than ``max_attempts`` times (a retry storm
   is a liveness failure even if the op eventually settles);
 * **[R2] (online)** — a completed read must return a (value, timestamp)
@@ -142,13 +143,18 @@ class OnlineSpecMonitor:
     def finalize(self, deployment: Any) -> None:
         """[R1]/liveness at end of run: no operation may be left hung.
 
-        ``deployment.hung_ops`` is deadline-aware: with a deadline armed it
-        counts pending ops older than the deadline (which the deadline
-        event should have rejected — so any count is a real bug); without
-        one, every still-pending op counts, since nothing guarantees it
-        ever settles.
+        Two cases count.  An operation past its armed deadline
+        (``deployment.overdue_ops``), which the deadline event should have
+        rejected, so any count is a real bug.  And, once the scheduler
+        has drained its heap, every operation still pending: no event is
+        left that could settle it.  An operation cut off because the run
+        was stopped with events still queued (Alg. 1 halts at convergence
+        or at its round budget; a time cap ends a stalled run) is neither.
         """
-        hung = deployment.hung_ops
+        if deployment.scheduler.pending == 0:
+            hung = deployment.pending_ops
+        else:
+            hung = deployment.overdue_ops
         if hung:
             raise SpecViolation(
                 f"[R1]/liveness violated: {hung} operation(s) left with no "

@@ -40,8 +40,10 @@ from repro.exec.task import RunTask, task_key
 #: invalidated.  Format 7: a ``broken_client`` run's broken reads go
 #: through the one completion path like every other operation, so its
 #: ``ops_under_failure`` (and latency series) can differ from a format 6
-#: payload of the same task.
-CACHE_FORMAT = 7
+#: payload of the same task.  Format 8: a retry timer is floored at the
+#: client's round-trip estimate (RFC 6298), so every payload of a task
+#: with a retry policy can differ from a format 7 one.
+CACHE_FORMAT = 8
 
 #: Default location, relative to the current working directory (the repo
 #: root in normal use).

@@ -168,8 +168,6 @@ class _PendingOp:
         "attempts",
         "started",
         "span",
-        "members",
-        "member_ids",
         "message",
         "view",
     )
@@ -206,13 +204,9 @@ class _PendingOp:
         self.attempts = 0
         self.started = 0.0
         self.span = None
-        # Per-attempt caches, built lazily by _send_round: the sorted
-        # member indices of the current quorum, their server node ids
-        # (same order), and the round's immutable query/update message.
-        # The member caches are invalidated on resample (_retry); the
-        # message never is — its fields are constant for the op's life.
-        self.members: Optional[List[int]] = None
-        self.member_ids: Optional[List[int]] = None
+        # The round's immutable query/update message, built lazily by
+        # _send_round and re-sent by every retry: its fields are constant
+        # for the round's life unless a view refresh re-stamps it.
         self.message: Any = None
         # View id this op is currently dispatched under (and its requests
         # are stamped with); 0 for the life of a static deployment.
@@ -246,7 +240,9 @@ class QuorumRegisterClient(Node, ClientCounters):
     # The state the native client core reads per operation or per reply,
     # which it binds by slot offset when it is built, as it does the
     # counter fields (the rest of a node's state stays in its __dict__).
-    __slots__ = ("view_id", "_membership", "_view", "_view_rng")
+    __slots__ = (
+        "view_id", "_membership", "_view", "_view_rng", "_srtt", "_rttvar",
+    )
 
     def __init__(
         self,
@@ -282,6 +278,11 @@ class QuorumRegisterClient(Node, ClientCounters):
         # Jitter draws get their own stream (falling back to the quorum
         # stream) so backoff randomisation never perturbs quorum choice.
         self._retry_rng = retry_rng if retry_rng is not None else rng
+        # The round-trip estimator the retry timer waits for (RFC 6298):
+        # smoothed latency and its mean deviation, None before the first
+        # sample (see _sample_rtt and _retry_delay).
+        self._srtt: Optional[float] = None
+        self._rttvar: Optional[float] = None
         self._pending: Dict[int, _PendingOp] = {}
         # Monotone cache: register name -> (timestamp, value) of the most
         # recent value this client has returned (Section 6.2).
@@ -337,25 +338,34 @@ class QuorumRegisterClient(Node, ClientCounters):
         return len(self._pending)
 
     @property
-    def hung_ops(self) -> int:
-        """Operations with no settlement path left.
+    def _deadline(self) -> Optional[float]:
+        policy = self.retry_policy
+        return None if policy is None else policy.deadline
 
-        With a deadline armed this counts pending operations older than
-        the deadline — always zero, since the deadline event rejects them
-        first; the counter is the run-level assertion of that invariant.
-        Without a deadline every still-pending operation counts: nothing
-        guarantees it ever settles.
+    @property
+    def overdue_ops(self) -> int:
+        """Pending operations older than the armed deadline (0 without one).
+
+        Always zero, since the deadline event rejects them first; the
+        counter is the run-level assertion of that invariant.
         """
-        deadline = (
-            self.retry_policy.deadline if self.retry_policy is not None
-            else None
-        )
+        deadline = self._deadline
         if deadline is None:
-            return len(self._pending)
+            return 0
         now = self.network.scheduler.now
         return sum(
             1 for op in self._pending.values() if now - op.started > deadline
         )
+
+    @property
+    def hung_ops(self) -> int:
+        """Operations with no settlement path left: with a deadline armed
+        the overdue ones (:attr:`overdue_ops`); without one every
+        still-pending operation, since nothing guarantees it ever
+        settles."""
+        if self._deadline is None:
+            return len(self._pending)
+        return self.overdue_ops
 
     # ------------------------------------------------------------------ #
     # Quorum plumbing
@@ -369,20 +379,13 @@ class QuorumRegisterClient(Node, ClientCounters):
         resampled quorum would double-count traffic the servers already
         answered.
         """
-        if op.members is None:
-            # Sorted once per attempt: the quorum is fixed until the next
-            # resample, so re-running sorted() + the index->id list-comp
-            # on every round (the pre-existing behaviour) was pure waste.
-            op.members = sorted(op.quorum)
-            op.member_ids = [self.server_ids[m] for m in op.members]
-        if op.replies:
-            servers = [
-                node_id
-                for member, node_id in zip(op.members, op.member_ids)
-                if member not in op.replies
-            ]
-        else:
-            servers = op.member_ids
+        # Every call follows a fresh quorum (_begin, _resample), so the
+        # member list is built here, once per quorum.
+        replies = op.replies
+        servers = [
+            self.server_ids[member] for member in sorted(op.quorum)
+            if member not in replies
+        ]
         if not servers:
             return
         if op.span is not None:
@@ -427,9 +430,7 @@ class QuorumRegisterClient(Node, ClientCounters):
         scheduler = self.network.scheduler
         if self.retry_policy is not None:
             op.retry_handle = scheduler.schedule(
-                self.retry_policy.delay(0, self._retry_rng),
-                self._retry,
-                op.op_id,
+                self._retry_delay(0), self._retry, op.op_id
             )
             if self.retry_policy.deadline is not None:
                 op.deadline_handle = scheduler.schedule(
@@ -468,10 +469,32 @@ class QuorumRegisterClient(Node, ClientCounters):
             return
         self._send_round(op)
         op.retry_handle = self.network.scheduler.schedule(
-            self.retry_policy.delay(op.attempts, self._retry_rng),
-            self._retry,
-            op.op_id,
+            self._retry_delay(op.attempts), self._retry, op.op_id
         )
+
+    def _retry_delay(self, attempt: int) -> float:
+        """The policy's delay before retry ``attempt``, floored at the
+        retransmission timeout RTO = SRTT + 4 RTTVAR once a sample exists:
+        a timer that fires inside the client's own round-trip tail only
+        resamples an op that was about to complete.  The jitter is drawn
+        on every arm, floored or not."""
+        delay = self.retry_policy.delay(attempt, self._retry_rng)
+        if self._srtt is not None:
+            delay = max(delay, self._srtt + 4.0 * self._rttvar)
+        return delay
+
+    def _sample_rtt(self, sample: float) -> None:
+        """Fold one operation's latency into the estimator (RFC 6298,
+        Jacobson/Karels: alpha = 1/8, beta = 1/4; the first sample sets
+        SRTT = R, RTTVAR = R/2).  Only ops settled on their first attempt
+        are samples (Karn's rule): a retried op's latency does not say
+        which send was answered."""
+        srtt = self._srtt
+        if srtt is None:
+            self._srtt, self._rttvar = sample, sample / 2.0
+            return
+        self._rttvar = 0.75 * self._rttvar + 0.25 * abs(srtt - sample)
+        self._srtt = 0.875 * srtt + 0.125 * sample
 
     def _expire(self, op_id: int) -> None:
         """Deadline hit: reject the operation's future with OperationTimeout."""
@@ -562,10 +585,8 @@ class QuorumRegisterClient(Node, ClientCounters):
     def _resample(self, op: _PendingOp) -> None:
         """Move ``op`` to a fresh quorum under the client's current view."""
         op.quorum = self._sample_quorum(op.is_read)
-        # The member caches follow the quorum; the message is rebuilt
-        # only when its stamp changed (its other fields are op-constant).
-        op.members = None
-        op.member_ids = None
+        # The message is rebuilt only when its stamp changed (its other
+        # fields are op-constant).
         if op.view != self.view_id:
             op.view = self.view_id
             op.message = None
@@ -595,12 +616,14 @@ class QuorumRegisterClient(Node, ClientCounters):
     # ------------------------------------------------------------------ #
     #
     # ``read``, ``write``, ``_issue``, ``_begin`` and ``_send_round`` are
-    # the issue path, ``_retry`` the retry timer.  On the native backend
-    # the deployment shadows ``read``, ``write``, ``_retry`` and
-    # ``on_message``, on clients whose class overrides none of these
+    # the issue path, ``_retry`` the retry timer (``_retry_delay`` and,
+    # from ``_settle``, ``_sample_rtt`` its round-trip floor).  On the
+    # native backend the deployment shadows ``read``, ``write``, ``_retry``
+    # and ``on_message``, on clients whose class overrides none of these
     # methods and whose span tracing is off, with a C client core
     # (``repro.sim.kernel.make_client_cores``) that transcribes these
-    # definitions — ``_redispatch``, ``_finish`` and ``_settle`` inside; a
+    # definitions — ``_redispatch``, ``_finish``, ``_settle``,
+    # ``_retry_delay`` and ``_sample_rtt`` inside; a
     # change here must be made there too, and tests/test_kernel_fastpath.py
     # compares the two draw for draw.  The core is wired once, when it is
     # built, and builds every op of its client as C types — a
@@ -765,6 +788,8 @@ class QuorumRegisterClient(Node, ClientCounters):
             self.add("ops_completed_under_failure")
         now = self.network.scheduler.now
         kind = op.kind
+        if self.retry_policy is not None and op.attempts == 0:
+            self._sample_rtt(now - op.started)
         if self._latency is not None:
             self._latency[kind].observe(now - op.started)
         if op.span is not None:

@@ -350,6 +350,11 @@ class RegisterDeployment:
         """Operations with no settlement path left (see client.hung_ops)."""
         return sum(client.hung_ops for client in self.clients)
 
+    @property
+    def overdue_ops(self) -> int:
+        """Operations past an armed deadline (see client.overdue_ops)."""
+        return sum(client.overdue_ops for client in self.clients)
+
     # -- the run's lifecycle -------------------------------------------- #
 
     def run(self, **kwargs) -> float:

@@ -276,9 +276,11 @@ def make_client_cores(clients):
     not by name, the core bumps the client's counters in place
     (``reads_performed``, ``writes_performed``, ``cache_hits``,
     ``ops_completed``, ``ops_completed_under_failure``, ``retries``,
-    ``stale_nacks``: int64 fields of its counter base) and reads its
+    ``stale_nacks``: int64 fields of its counter base), reads its
     membership state (``view_id``, ``_membership``,
-    ``_view``, ``_view_rng``), a ``RegisterInfo``'s ``history`` and
+    ``_view``, ``_view_rng``) and reads and updates its round-trip
+    estimator (``_srtt``, ``_rttvar``, which the Python ``_settle``
+    updates too when it settles one of the core's ops), a ``RegisterInfo``'s ``history`` and
     ``writer``, a ``Timestamp``'s ``seq`` and ``writer`` (compared
     without building tuples) and a latency sketch's ``_buckets`` and
     ``sum``.  Every op of the client is built by the core, with the C
@@ -300,11 +302,13 @@ def make_client_cores(clients):
     * **Issue and retry** — the methods named in
       :data:`CLIENT_ISSUE_METHODS`: history record, future and op, quorum
       draw, message build, the network core's broadcast, retry/deadline
-      timers in the C heap and the retry timer's resample.  The C
+      timers in the C heap (callbacks bound once, when the core is
+      built) and the retry timer's resample.  The C
       ``quorum_sample`` draws for a static ``ProbabilisticQuorumSystem``
       and every membership view, one call to the Python
       ``_sample_quorum`` for any other system; an exact ``RetryPolicy``'s
-      delay is computed in C.  Every stream is consumed draw for draw as
+      delay, floored at the client's RTO, is computed in C, any other
+      policy's by the Python ``_retry_delay``.  Every stream is consumed draw for draw as
       on the python backend.
     """
     clients = list(clients)

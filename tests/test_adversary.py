@@ -80,8 +80,8 @@ DROP_BUDGET = 200
 #: (120 at the recorded scale, 80 in tier-1): none, random_hostile,
 #: stale_favoring.
 RECORDED_STALENESS = {
-    120: ("0.050", "0.0563", "0.0813"),
-    80: ("0.050", "0.0625", "0.0688"),
+    120: ("0.200", "0.2333", "0.2646"),
+    80: ("0.172", "0.2562", "0.2656"),
 }
 
 

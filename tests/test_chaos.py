@@ -80,8 +80,8 @@ def assert_tally_is_record_sums(result):
     }
 
 
-#: A monitored run without retries converges and then fails the liveness
-#: check at finalize: the processes' in-flight reads are never settled.
+#: A monitored run without retries converges and halts with the
+#: processes' reads still in flight: cut off on purpose, not hung.
 UNSETTLED = alg1_task(
     (2, "unsettled"),
     graph={"kind": "chain", "n": 5},
@@ -92,6 +92,34 @@ UNSETTLED = alg1_task(
     check_spec_online=True,
 )
 
+#: The same run under loss: a dropped message with no retry policy leaves
+#: its op pending until the scheduler drains, and finalize fails the
+#: liveness check.
+HANGS = alg1_task(
+    (2, "hangs"),
+    graph={"kind": "chain", "n": 5},
+    quorum={"kind": "probabilistic", "n": 6, "k": 2},
+    delay={"kind": "exponential", "mean": 1.0},
+    monotone=True,
+    max_rounds=30,
+    check_spec_online=True,
+    loss_rate=0.2,
+)
+
+
+def test_a_run_halted_with_reads_in_flight_is_not_hung(kernel_backend):
+    payload = run_alg1_task(UNSETTLED)
+    assert payload["spec_violation"] is None
+    assert payload["converged"]
+    assert payload["hung_ops"] > 0  # cut off by the halt, still pending
+
+
+def test_an_op_pending_at_quiescence_is_hung(kernel_backend):
+    payload = run_alg1_task(HANGS)
+    assert payload["spec_violation"]["condition"] == "liveness"
+    assert not payload["converged"]
+    assert payload["hung_ops"] > 0
+
 
 class TestAlg1Payload:
     """The payload's counts are the runner's one ``Alg1Result``."""
@@ -99,7 +127,7 @@ class TestAlg1Payload:
     @pytest.mark.parametrize("task, condition", [
         (generate_task(CampaignConfig(runs=1, seed=0), 0), None),
         (generate_task(broken_config(), 0), "R4"),
-        (UNSETTLED, "liveness"),
+        (HANGS, "liveness"),
     ], ids=["clean", "aborted", "aborted-at-finalize"])
     def test_counts_are_the_result_fields(
         self, kernel_backend, monkeypatch, task, condition

@@ -1294,7 +1294,9 @@ BOUND_SLOTS = {
     FailureInjector: ("active", "_crashed", "_partition"),
     MessageStats: ("detailed",),
     ReplicaServer: ("view_state",),
-    QuorumRegisterClient: ("view_id", "_membership", "_view", "_view_rng"),
+    QuorumRegisterClient: (
+        "view_id", "_membership", "_view", "_view_rng", "_srtt", "_rttvar",
+    ),
     Timestamp: ("seq", "writer"),
     RegisterInfo: ("history", "writer"),
     StreamingQuantiles: ("_buckets", "sum"),

@@ -534,17 +534,17 @@ R3_QUORUM = 8
 #: scale, as printed: period -> (churn rate, p50, p99, shed %, stale
 #: nacks, views installed), latencies over all operations.
 RECORDED_CURVE = {
-    None: ("0.00", "3.58", "11.30", "0", 0, 0),
-    100.0: ("0.01", "3.58", "11.19", "0", 90, 6),
-    50.0: ("0.02", "3.54", "11.76", "0", 203, 12),
-    25.0: ("0.04", "3.61", "13.53", "0", 479, 24),
-    12.5: ("0.08", "3.80", "14.37", "0", 1074, 48),
-    6.25: ("0.16", "5.03", "16.36", "0.2", 2703, 96),
-    3.125: ("0.32", "5.78", "16.36", "2.0", 3999, 192),
+    None: ("0.00", "3.58", "11.08", "0", 0, 0),
+    100.0: ("0.01", "3.61", "11.53", "0", 66, 6),
+    50.0: ("0.02", "3.61", "11.08", "0", 154, 12),
+    25.0: ("0.04", "3.65", "11.53", "0", 391, 24),
+    12.5: ("0.08", "3.76", "12.24", "0", 829, 48),
+    6.25: ("0.16", "4.03", "13.53", "0", 1986, 96),
+    3.125: ("0.32", "4.28", "16.04", "0.3", 3087, 192),
 }
 #: The knee the record reads off that table: the first churn rate whose
 #: p99 exceeds 1.4x the static one, or that sheds more than 1%.
-RECORDED_KNEE = "0.16"
+RECORDED_KNEE = "0.32"
 
 
 def churn_periods():

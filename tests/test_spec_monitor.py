@@ -119,21 +119,47 @@ class TestLiveness:
         with pytest.raises(ValueError):
             OnlineSpecMonitor(max_attempts=0)
 
-    def test_finalize_flags_hung_ops(self):
-        class FakeDeployment:
-            hung_ops = 2
-            pending_ops = 2
+    @staticmethod
+    def fake_deployment(queued, pending, overdue):
+        class Scheduler:
+            pass
 
+        class FakeDeployment:
+            scheduler = Scheduler()
+
+        deployment = FakeDeployment()
+        deployment.scheduler.pending = queued
+        deployment.pending_ops = pending
+        deployment.overdue_ops = overdue
+        return deployment
+
+    def test_finalize_flags_hung_ops(self):
+        # Past an armed deadline: hung whether or not events are queued.
+        for queued in (0, 5):
+            with pytest.raises(SpecViolation) as excinfo:
+                OnlineSpecMonitor().finalize(
+                    self.fake_deployment(queued, pending=2, overdue=2)
+                )
+            assert excinfo.value.condition == "liveness"
+
+    def test_finalize_flags_ops_pending_once_nothing_is_scheduled(self):
         with pytest.raises(SpecViolation) as excinfo:
-            OnlineSpecMonitor().finalize(FakeDeployment())
-        assert excinfo.value.condition == "liveness"
+            OnlineSpecMonitor().finalize(
+                self.fake_deployment(0, pending=2, overdue=0)
+            )
+        assert "2 operation(s)" in str(excinfo.value)
+
+    def test_finalize_ignores_ops_cut_off_with_events_queued(self):
+        # A run stopped on purpose (a halt, a time cap) with messages
+        # still in flight: its pending ops are not hung.
+        OnlineSpecMonitor().finalize(
+            self.fake_deployment(5, pending=2, overdue=0)
+        )
 
     def test_finalize_passes_clean_deployment(self):
-        class FakeDeployment:
-            hung_ops = 0
-            pending_ops = 0
-
-        OnlineSpecMonitor().finalize(FakeDeployment())
+        OnlineSpecMonitor().finalize(
+            self.fake_deployment(0, pending=0, overdue=0)
+        )
 
 
 def monitored_deployment(client_class, monitor, n=8, k=4, seed=3):

@@ -117,7 +117,7 @@ LIMIT = 600
 #: The C ratchet: ``--check`` also fails when the native kernel's source
 #: is longer than this.  Lower it when C goes; raising it, like raising
 #: LIMIT, is a deliberate edit.
-C_LINES = 4065
+C_LINES = 4058
 C_SOURCE = PACKAGE / "_native" / "_kernelmodule.c"
 
 #: Installed as ``sitecustomize`` in every interpreter a drive command
