@@ -10,8 +10,11 @@
  * type here: both backends count into the one Python MessageStats.  A
  * message travels drain loop -> deliver -> protocol
  * handler -> send, and an operation is built, settled and gathered,
- * without an interpreter frame; Python is re-entered only where a node, a
- * hook or a fallback guard asks for it.  Each core is wired once: it binds
+ * without an interpreter frame; Python is re-entered only where a node or
+ * a hook asks for it.  A core is built only for what it transcribes (an
+ * exact scalar-mode MessageStats, FailureInjector and RetryPolicy, a
+ * client class that overrides no method): anything else runs the Python
+ * reference whole.  Each core is wired once: it binds
  * its object's configuration when it is built and reads live only what
  * changes during a run — at __slots__ offsets, not by name (the bind-once
  * rule, below).
@@ -57,15 +60,7 @@
 
 /* Attribute and method names, interned once at module init. */
 #define INTERNED_STRINGS(X)                                   \
-    X(str_can_deliver, "can_deliver")                        \
     X(str_on_message, "on_message")                          \
-    X(str_record_drop, "record_drop")                        \
-    X(str_record_delivery, "record_delivery")                \
-    X(str_record_send, "record_send")                        \
-    X(str_record_sends, "record_sends")                      \
-    X(str_fault, "fault")                                    \
-    X(str_loss, "loss")                                      \
-    X(str_adversary, "adversary")                            \
     X(str_drop_action, "drop")                               \
     X(str_kind_attr, "kind")                                 \
     X(str_dunder_name, "__name__")                           \
@@ -166,7 +161,6 @@ static PyObject *timestamp_type = NULL;   /* timestamps.Timestamp */
 /* What the client issue path constructs and tests against, resolved the
  * first time a ClientCore is built. */
 static PyObject *prob_quorum_type = NULL;  /* ProbabilisticQuorumSystem */
-static PyObject *retry_policy_type = NULL; /* registers.client.RetryPolicy */
 static PyObject *quantiles_type = NULL;    /* obs.quantiles.StreamingQuantiles */
 static PyObject *register_info_type = NULL; /* registers.space.RegisterInfo */
 static PyObject *view_state_type = NULL;   /* membership's ServerViewState */
@@ -191,8 +185,8 @@ static PyObject *constant_delay_type = NULL;    /* delays.ConstantDelay    */
  * which tests and trace taps replace mid-run, and the constructors and
  * cold paths. */
 enum {
-    STAT_SENT, STAT_DELIVERED, STAT_DROPPED, STAT_DETAILED, /* MessageStats */
-    FI_CRASHED, FI_PARTITION,            /* FailureInjector */
+    STAT_SENT, STAT_DELIVERED, STAT_DROPPED, /* MessageStats */
+    FI_ACTIVE, FI_CRASHED, FI_PARTITION, /* FailureInjector */
     TS_SEQ, TS_WRITER,                   /* Timestamp */
     RI_HISTORY, RI_WRITER,               /* RegisterInfo */
     SQ_BUCKETS, SQ_SUM,                  /* StreamingQuantiles */
@@ -200,7 +194,7 @@ enum {
     NOFFSETS
 };
 static const char *const offset_names[NOFFSETS] = {
-    "sent", "delivered", "dropped", "detailed", "_crashed", "_partition",
+    "sent", "delivered", "dropped", "active", "_crashed", "_partition",
     "seq", "writer", "history", "writer", "_buckets", "sum", "retired",
     "retiring", "view_id"};
 static Py_ssize_t offsets[NOFFSETS];
@@ -1113,8 +1107,8 @@ ensure_network_types(void)
                                               "ConstantDelay")) == NULL
         || (message_stats_type = import_attr("repro.sim.metrics",
                                              "MessageStats")) == NULL
-        || bind_offsets(message_stats_type, STAT_SENT, 4, 3) < 0
-        || bind_offsets(failure_injector_type, FI_CRASHED, 2, 0) < 0)
+        || bind_offsets(message_stats_type, STAT_SENT, 3, 3) < 0
+        || bind_offsets(failure_injector_type, FI_ACTIVE, 3, 0) < 0)
         goto fail;
     return 0;
 fail:
@@ -1178,16 +1172,18 @@ delay_draws_next(const DelayDraws *draws)
  *
  * Wired once: a Network's configuration is fixed by its constructor, so
  * the core binds it when it is built — the delay draw, the loss rate and
- * loss stream, the adversary, the stats mode, whether the injector is an
- * exact FailureInjector, and the ``_taps`` list by identity (``add_tap``
- * appends to it, so a tap added mid-run is seen).  Read live, because
- * they change during a run: the clock; by slot, ``failures.active`` and
- * the injector's ``_crashed`` / ``_partition``; and by name, each node's
+ * loss stream, the adversary, and the ``_taps`` list by identity
+ * (``add_tap`` appends to it, so a tap added mid-run is seen).  It is
+ * built only for an exact scalar-mode MessageStats, whose totals it bumps
+ * in place, and an exact FailureInjector, whose verdict it evaluates;
+ * anything else runs the Python Network.  Read live, because they change
+ * during a run: the clock; by slot, the injector's ``active``,
+ * ``_crashed`` and ``_partition``; and by name, each node's
  * ``on_message`` and ``network._deliver``, which trace taps wrap. */
 #define NETWORK_CORE_FIELDS(X)                                           \
     X(network, PyObject)     /* the owning Network (cycle; GC-tracked) */ \
-    X(stats, PyObject)       /* its MessageStats */                      \
-    X(failures, PyObject)    /* its failure injector */                  \
+    X(stats, PyObject)       /* its MessageStats, scalar mode */         \
+    X(failures, PyObject)    /* its FailureInjector */                   \
     X(nodes, PyObject)       /* its {node_id: Node} dict (shared) */     \
     X(sched, SchedulerCore)  /* its scheduler, always native */          \
     X(taps, PyObject)        /* its _taps list (shared) */               \
@@ -1204,9 +1200,6 @@ struct NetworkCore {
     DelayDraws delays;
     double loss_rate;
     bitgen_t *loss_bg;   /* NULL: loss_rng.random() is called */
-    int scalar_stats;    /* an exact MessageStats with detailed False */
-    int exact_failures;  /* an exact FailureInjector */
-    Py_ssize_t active;   /* the offset of failures.active */
 };
 
 CORE_GC(networkcore, NetworkCore, NETWORK_CORE_FIELDS)
@@ -1237,22 +1230,18 @@ networkcore_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
                                               str_loss_rng_attr)) == NULL)
         goto fail;
     if (!PyDict_Check(self->nodes) || !PyList_Check(self->taps)
-        || !PyObject_TypeCheck(self->sched, &SchedulerCore_Type)) {
+        || !PyObject_TypeCheck(self->sched, &SchedulerCore_Type)
+        || (PyObject *)Py_TYPE(self->stats) != message_stats_type
+        || (PyObject *)Py_TYPE(self->failures) != failure_injector_type) {
         PyErr_SetString(PyExc_TypeError,
                         "NetworkCore needs network._nodes to be a dict, "
-                        "_taps a list and scheduler a native SchedulerCore");
+                        "_taps a list, scheduler a native SchedulerCore, "
+                        "stats a MessageStats and failures a "
+                        "FailureInjector");
         goto fail;
     }
     self->loss_rate = attr_double(network, str_loss_rate);
     if (self->loss_rate == -1.0 && PyErr_Occurred())
-        goto fail;
-    self->scalar_stats = (PyObject *)Py_TYPE(self->stats) == message_stats_type
-        && SLOT(self->stats, offsets[STAT_DETAILED])
-               == Py_False;
-    self->exact_failures =
-        (PyObject *)Py_TYPE(self->failures) == failure_injector_type;
-    if (slot_offsets((PyObject *)Py_TYPE(self->failures),
-                     (const char *const[]){"active"}, &self->active, 1, 0) < 0)
         goto fail;
     DelayDraws *delays = &self->delays;
     PyObject *model = self->delay_model;
@@ -1303,48 +1292,28 @@ kind_of(PyObject *message)
     return PyObject_GetAttr((PyObject *)Py_TYPE(message), str_dunder_name);
 }
 
-/* stats.<method>(src, dst, kind[, reason]) for record_send,
- * record_delivery, record_drop (the only one with a reason) and
- * record_sends (dst is the count; network_broadcast adds it itself in
- * scalar mode).  In scalar mode that is ``total += 1`` on the counter
- * field itself, with no call. */
-static int
-stats_record(NetworkCore *self, PyObject *method, PyObject *src,
-             PyObject *dst, PyObject *kind, PyObject *reason)
+/* One message sent, delivered or dropped: ``total += 1`` on the
+ * MessageStats counter field itself, with no call.  Returns 0, for the
+ * call sites' ``return``. */
+static inline int
+stats_bump(NetworkCore *self, int field)
 {
-    if (self->scalar_stats) {
-        COUNTER(self->stats, offsets[method == str_record_delivery
-            ? STAT_DELIVERED : method == str_record_drop ? STAT_DROPPED
-            : STAT_SENT]) += 1;
-        return 0;
-    }
-    PyObject *res = PyObject_CallMethodObjArgs(
-        self->stats, method, src, dst, kind, reason, NULL);
-    Py_XDECREF(res);
-    return res == NULL ? -1 : 0;
+    COUNTER(self->stats, offsets[field]) += 1;
+    return 0;
 }
 
-/* ``failures.active and not failures.can_deliver(src, dst)``: 1 when a
- * crash or partition destroys the message, 0 when it passes, -1 on
- * error.  For an exact FailureInjector, can_deliver is evaluated here
- * over its ``_crashed`` set and ``_partition`` groups: blocked when an
- * endpoint is down, or when both belong to groups yet share none. */
+/* The injector's fault verdict on a message from src to dst: 1 when an
+ * active crash or partition destroys it, 0 when it passes, -1 on error.
+ * Evaluated over the FailureInjector's ``_crashed`` set and
+ * ``_partition`` groups: blocked when an endpoint is down, or when both
+ * belong to groups yet share none. */
 static int
 fault_blocks(NetworkCore *self, PyObject *src, PyObject *dst)
 {
     PyObject *failures = self->failures;
-    int active = slot_truth(failures, self->active);
+    int active = slot_truth(failures, offsets[FI_ACTIVE]);
     if (active <= 0)
         return active;
-    if (!self->exact_failures) {
-        PyObject *ok = PyObject_CallMethodObjArgs(
-            failures, str_can_deliver, src, dst, NULL);
-        if (ok == NULL)
-            return -1;
-        int deliverable = PyObject_IsTrue(ok);
-        Py_DECREF(ok);
-        return deliverable < 0 ? -1 : !deliverable;
-    }
     PyObject *crashed = Py_XNewRef(slot_peek(failures, offsets[FI_CRASHED]));
     PyObject *groups = crashed
         ? Py_XNewRef(slot_peek(failures, offsets[FI_PARTITION])) : NULL;
@@ -1408,8 +1377,7 @@ static int
 network_send_one(NetworkCore *self, PyObject *src, PyObject *dst,
                  PyObject *message, PyObject *kind)
 {
-    if (stats_record(self, str_record_send, src, dst, kind, NULL) < 0)
-        return -1;
+    stats_bump(self, STAT_SENT);
     for (Py_ssize_t i = 0; i < PyList_GET_SIZE(self->taps); i++) {
         PyObject *tap = Py_NewRef(PyList_GET_ITEM(self->taps, i));
         PyObject *res = PyObject_CallFunctionObjArgs(
@@ -1433,8 +1401,7 @@ network_send_one(NetworkCore *self, PyObject *src, PyObject *dst,
     if (blocked < 0)
         return -1;
     if (blocked || lost)
-        return stats_record(self, str_record_drop, src, dst, kind,
-                            blocked ? str_fault : str_loss);
+        return stats_bump(self, STAT_DROPPED);
 
     double extra = 0.0;
     if (self->adversary != Py_None) {
@@ -1455,8 +1422,7 @@ network_send_one(NetworkCore *self, PyObject *src, PyObject *dst,
         }
         Py_DECREF(action);
         if (dropped != 0)
-            return dropped < 0 ? -1 : stats_record(
-                self, str_record_drop, src, dst, kind, str_adversary);
+            return dropped < 0 ? -1 : stats_bump(self, STAT_DROPPED);
     }
     double delay = sample_delay(self, src, dst);
     if (delay <= 0)
@@ -1523,7 +1489,8 @@ network_broadcast(NetworkCore *self, PyObject *src, PyObject *dsts,
             goto done;
     }
     kind = kind_of(message);
-    int faulty = kind == NULL ? -1 : slot_truth(self->failures, self->active);
+    int faulty = kind == NULL
+        ? -1 : slot_truth(self->failures, offsets[FI_ACTIVE]);
     if (faulty < 0)
         goto done;
     if (faulty || PyList_GET_SIZE(self->taps) || self->loss_rate > 0.0
@@ -1540,19 +1507,9 @@ network_broadcast(NetworkCore *self, PyObject *src, PyObject *dsts,
         rc = 0;
         goto done;
     }
-    /* stats.record_sends(src, len(dsts), kind); sent += n in scalar mode */
-    int recorded = 0;
-    if (self->scalar_stats)
-        COUNTER(self->stats, offsets[STAT_SENT]) += n;
-    else {
-        PyObject *count = PyLong_FromSsize_t(n);
-        recorded = count == NULL ? -1 : stats_record(
-            self, str_record_sends, src, count, kind, NULL);
-        Py_XDECREF(count);
-    }
-    if (recorded < 0
-        || (deliver = PyObject_GetAttr(self->network,
-                                       str_deliver_attr)) == NULL)
+    /* sent += len(dsts) */
+    COUNTER(self->stats, offsets[STAT_SENT]) += n;
+    if ((deliver = PyObject_GetAttr(self->network, str_deliver_attr)) == NULL)
         goto done;
     for (Py_ssize_t i = 0; i < n; i++) {
         PyObject *dst = PySequence_Fast_GET_ITEM(fast, i);
@@ -1571,15 +1528,9 @@ done:
     return rc;
 }
 
-/* Network._deliver, mirrored exactly:
- *
- *     failures = self.failures
- *     if failures.active and not failures.can_deliver(src, dst):
- *         self.stats.record_drop(src, dst, kind, reason="fault")
- *         return
- *     self.stats.record_delivery(src, dst, kind)
- *     self._nodes[dst].on_message(src, message)
- */
+/* Network._deliver, mirrored exactly: a message the fault verdict
+ * blocks is counted dropped; any other is counted delivered and handed
+ * to ``self._nodes[dst].on_message(src, message)``. */
 static int
 network_deliver(NetworkCore *self, PyObject *src, PyObject *dst,
                 PyObject *message, PyObject *kind)
@@ -1589,10 +1540,8 @@ network_deliver(NetworkCore *self, PyObject *src, PyObject *dst,
     if (blocked < 0)
         return -1;
     if (blocked)
-        return stats_record(self, str_record_drop, src, dst, kind,
-                            str_fault);
-    if (stats_record(self, str_record_delivery, src, dst, kind, NULL) < 0)
-        return -1;
+        return stats_bump(self, STAT_DROPPED);
+    stats_bump(self, STAT_DELIVERED);
     PyObject *node = PyDict_GetItemWithError(self->nodes, dst);
     if (node == NULL) {
         if (!PyErr_Occurred())
@@ -2159,8 +2108,7 @@ static PyTypeObject Future_Type = {
  *
  * A message that is not an exact instance of one of the four Section-4
  * types or StaleViewNack (State*, subclasses) takes the Python handler.
- * Loss, faults, taps, an adversary and detailed MessageStats matter only
- * inside ``send``, which the network core handles.  A nack's re-dispatch
+ * Loss, faults, taps and an adversary matter only inside ``send``, which the network core handles.  A nack's re-dispatch
  * draws a view quorum, in the Python order.
  */
 
@@ -2215,10 +2163,8 @@ ensure_issue_types(void)
     if (prob_quorum_type != NULL)
         return 0;
     PyObject *gamma_log = NULL;
-    if ((retry_policy_type = import_attr("repro.registers.client",
-                                         "RetryPolicy")) != NULL
-        && (quantiles_type = import_attr("repro.obs.quantiles",
-                                         "StreamingQuantiles")) != NULL
+    if ((quantiles_type = import_attr("repro.obs.quantiles",
+                                      "StreamingQuantiles")) != NULL
         && (register_info_type = import_attr("repro.registers.space",
                                              "RegisterInfo")) != NULL
         && bind_offsets(quantiles_type, SQ_BUCKETS, 2, 0) == 0
@@ -2233,7 +2179,6 @@ ensure_issue_types(void)
         return 0;
     }
     Py_XDECREF(gamma_log);
-    Py_CLEAR(retry_policy_type);
     Py_CLEAR(quantiles_type);
     Py_CLEAR(register_info_type);
     return -1;
@@ -2535,7 +2480,7 @@ typedef struct {
 
 /* QuorumRegisterClient, wired once.  Besides the client's shared tables
  * the core binds its configuration when it is built: the round plans,
- * the retry policy (for an exact RetryPolicy, a frozen dataclass, its four
+ * the retry policy (an exact RetryPolicy, a frozen dataclass: its four
  * doubles) and jitter stream, the static quorum system (n and k of an
  * exact ProbabilisticQuorumSystem) and quorum stream, the two live latency
  * sketches, the spec monitor and the two timer callbacks.  Read per call,
@@ -2587,7 +2532,6 @@ typedef struct {
     Py_ssize_t slots[NCLIENT_SLOTS];
     Plan plans[2];       /* [0] READ_PLAN, [1] WRITE_PLAN */
     double retry[4];     /* interval, backoff, jitter, max_interval */
-    int retry_exact;     /* retry[] holds the policy: delays are C */
     bitgen_t *retry_bg;
     bitgen_t *quorum_bg; /* NULL: the static quorum is _sample_quorum's */
     Py_ssize_t n, k;     /* the static system's shape, with quorum_bg */
@@ -2766,9 +2710,8 @@ prob_quorum_shape(PyObject *system, Py_ssize_t *n, Py_ssize_t *k)
     return PyErr_Occurred() ? -1 : *k <= 4096;
 }
 
-/* The retry policy's fields: None for both without a policy; for an
- * exact RetryPolicy with float fields (max_interval may be None: no cap)
- * also retry[], which makes its delays C. */
+/* The retry policy's fields: None for both without a policy; else also
+ * retry[], the RetryPolicy's float fields (max_interval None: no cap). */
 static int
 clientcore_bind_retry(ClientCore *self)
 {
@@ -2784,19 +2727,14 @@ clientcore_bind_retry(ClientCore *self)
         return -1;
     PyObject *names[] = {str_interval, str_backoff, str_jitter,
                          str_max_interval};
-    self->retry[3] = INFINITY;
-    self->retry_exact = (PyObject *)Py_TYPE(policy) == retry_policy_type;
-    for (int i = 0; self->retry_exact && i < 4; i++) {
+    for (int i = 0; i < 4; i++) {
         PyObject *item = PyObject_GetAttr(policy, names[i]);
         if (item == NULL)
             return -1;
-        if (PyFloat_CheckExact(item))
-            self->retry[i] = PyFloat_AS_DOUBLE(item);
-        else
-            self->retry_exact = i == 3 && item == Py_None;
+        self->retry[i] = item == Py_None ? INFINITY : PyFloat_AsDouble(item);
         Py_DECREF(item);
     }
-    return 0;
+    return PyErr_Occurred() ? -1 : 0;
 }
 
 static PyObject *
@@ -3257,7 +3195,8 @@ clientcore_settle(ClientCore *self, PendingOp *op, int is_read,
         return -1;
     COUNTER(self->client, self->slots[CL_COMPLETED]) += 1;
     double now_t = self->net->sched->now;
-    int under_failure = slot_truth(self->net->failures, self->net->active);
+    int under_failure = slot_truth(self->net->failures,
+                                   offsets[FI_ACTIVE]);
     if (under_failure < 0)
         return -1;
     COUNTER(self->client, self->slots[CL_UNDER_FAILURE]) += under_failure;
@@ -3499,8 +3438,7 @@ done:
  * (inside the broadcast), then the retry-jitter stream.  _give_up and
  * _expire are Python.  A static quorum system other than an exact
  * ``ProbabilisticQuorumSystem`` draws through one call to the Python
- * ``_sample_quorum``, a retry policy other than an exact ``RetryPolicy``
- * through its ``delay`` — never a whole-op fallback. */
+ * ``_sample_quorum`` — never a whole-op fallback. */
 
 /* ``self._view.sample(self._view_rng)``: for a view over an exact
  * ProbabilisticQuorumSystem, quorum_sample's positions mapped to roster
@@ -3618,40 +3556,36 @@ done:
 }
 
 /* QuorumRegisterClient._retry_delay(attempt) as a new reference: the
- * policy's delay, floored at SRTT + 4 RTTVAR once ``_srtt`` is set.  For
- * an exact RetryPolicy (retry_exact) it is evaluated here — the same
- * double operations in the same order (the build disables fused
- * multiply-adds), Python's min() and max(), the jitter from the bound
- * stream — and the Python method is called otherwise, or when
+ * policy's delay, floored at SRTT + 4 RTTVAR once ``_srtt`` is set,
+ * evaluated here — the same double operations in the same order (the
+ * build disables fused multiply-adds), Python's min() and max(), the
+ * jitter from the bound stream.  The Python method is called only when
  * ``backoff ** attempt`` is not finite (where Python may raise). */
 static PyObject *
 clientcore_retry_delay(ClientCore *self, PyObject *attempt)
 {
     const double *f = self->retry;
-    if (self->retry_exact && PyLong_CheckExact(attempt)) {
-        double power = pow(f[1], PyLong_AsDouble(attempt));
-        if (PyErr_Occurred())
+    double power = pow(f[1], PyLong_AsDouble(attempt));
+    if (PyErr_Occurred())
+        return NULL;
+    if (!isfinite(power))
+        return PyObject_CallMethodOneArg(self->client, str_retry_delay,
+                                         attempt);
+    double value = f[0] * power;
+    if (f[3] < value)
+        value = f[3];
+    if (f[2] > 0.0) {
+        double draw = draw_random(self->retry_rng, self->retry_bg);
+        if (draw == -1.0 && PyErr_Occurred())
             return NULL;
-        if (isfinite(power)) {
-            double value = f[0] * power;
-            if (f[3] < value)
-                value = f[3];
-            if (f[2] > 0.0) {
-                double draw = draw_random(self->retry_rng, self->retry_bg);
-                if (draw == -1.0 && PyErr_Occurred())
-                    return NULL;
-                value *= 1.0 + f[2] * (2.0 * draw - 1.0);
-            }
-            /* max(value, SRTT + 4 RTTVAR) once there is a sample */
-            PyObject *srtt = SLOT(self->client, self->slots[CL_SRTT]);
-            double rto = srtt == Py_None ? -INFINITY : PyFloat_AsDouble(srtt)
-                + 4.0 * PyFloat_AsDouble(
-                    SLOT(self->client, self->slots[CL_RTTVAR]));
-            return PyErr_Occurred()
-                ? NULL : PyFloat_FromDouble(rto > value ? rto : value);
-        }
+        value *= 1.0 + f[2] * (2.0 * draw - 1.0);
     }
-    return PyObject_CallMethodOneArg(self->client, str_retry_delay, attempt);
+    /* max(value, SRTT + 4 RTTVAR) once there is a sample */
+    PyObject *srtt = SLOT(self->client, self->slots[CL_SRTT]);
+    double rto = srtt == Py_None ? -INFINITY : PyFloat_AsDouble(srtt)
+        + 4.0 * PyFloat_AsDouble(SLOT(self->client, self->slots[CL_RTTVAR]));
+    return PyErr_Occurred()
+        ? NULL : PyFloat_FromDouble(rto > value ? rto : value);
 }
 
 /* op.retry_handle = scheduler.schedule(client._retry_delay(attempt),
@@ -4040,7 +3974,7 @@ PyInit__kernel(void)
                                (PyObject *)types[i].type) < 0)
             goto fail;
     }
-    if (PyModule_AddIntConstant(module, "KERNEL_ABI", 15) < 0
+    if (PyModule_AddIntConstant(module, "KERNEL_ABI", 16) < 0
         || PyModule_AddStringConstant(module, "SOURCE_HASH",
                                       REPRO_SOURCE_HASH) < 0)
         goto fail;

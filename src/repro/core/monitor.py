@@ -141,20 +141,10 @@ class OnlineSpecMonitor:
     # ------------------------------------------------------------------ #
 
     def finalize(self, deployment: Any) -> None:
-        """[R1]/liveness at end of run: no operation may be left hung.
-
-        Two cases count.  An operation past its armed deadline
-        (``deployment.overdue_ops``), which the deadline event should have
-        rejected, so any count is a real bug.  And, once the scheduler
-        has drained its heap, every operation still pending: no event is
-        left that could settle it.  An operation cut off because the run
-        was stopped with events still queued (Alg. 1 halts at convergence
-        or at its round budget; a time cap ends a stalled run) is neither.
-        """
-        if deployment.scheduler.pending == 0:
-            hung = deployment.pending_ops
-        else:
-            hung = deployment.overdue_ops
+        """[R1]/liveness at end of run: no operation may be left hung
+        (``deployment.hung_ops``: pending once the scheduler drained its
+        heap, or past an armed deadline)."""
+        hung = deployment.hung_ops
         if hung:
             raise SpecViolation(
                 f"[R1]/liveness violated: {hung} operation(s) left with no "

@@ -43,7 +43,7 @@ from repro.exec.task import RunTask, task_key
 #: payload of the same task.  Format 8: a retry timer is floored at the
 #: client's round-trip estimate (RFC 6298), so every payload of a task
 #: with a retry policy can differ from a format 7 one.
-CACHE_FORMAT = 8
+CACHE_FORMAT = 9
 
 #: Default location, relative to the current working directory (the repo
 #: root in normal use).

@@ -103,17 +103,13 @@ def run_latency_task(task: RunTask) -> dict:
     reads, writes = merged_latencies([deployment.space.history("X")])
     read_stats = latency_summary(reads)
     write_stats = latency_summary(writes)
-    stats = deployment.network.stats
-    server_ids = set(deployment.server_ids)
-    busiest = max(
-        (count for node, count in stats.by_receiver.items()
-         if node in server_ids),
-        default=0,
-    )
-    server_deliveries = sum(
-        count for node, count in stats.by_receiver.items()
-        if node in server_ids
-    )
+    # Each server's load: the requests it answered (Section 4).
+    served = [
+        server.reads_served + server.writes_applied
+        + server.stale_updates_ignored
+        for server in deployment.servers
+    ]
+    total = sum(served)
     return {
         "k": k,
         "read_mean": read_stats["mean"],
@@ -121,9 +117,7 @@ def run_latency_task(task: RunTask) -> dict:
         "write_mean": write_stats["mean"],
         "analytic_floor": 2.0 * mean_delay if k == 1
         else expected_max_of_exponentials(mean_delay, k),
-        "busiest_server_share": (
-            busiest / server_deliveries if server_deliveries else 0.0
-        ),
+        "busiest_server_share": max(served) / total if total else 0.0,
     }
 
 

@@ -83,7 +83,6 @@ class Alg1Runner:
         spec_monitor: Optional[Any] = None,
         adversary: Optional[Any] = None,
         client_class: Optional[type] = None,
-        detailed_stats: bool = False,
     ) -> None:
         if max_rounds < 1:
             raise ValueError(f"max_rounds must be positive, got {max_rounds}")
@@ -120,7 +119,6 @@ class Alg1Runner:
             retry_policy=retry_policy,
             loss_rate=loss_rate,
             record_history=record_history,
-            detailed_stats=detailed_stats,
             observability=self.observability,
             spec_monitor=spec_monitor,
             adversary=adversary,

@@ -95,6 +95,12 @@ class RetryPolicy:
     max_attempts: Optional[int] = None
 
     def __post_init__(self) -> None:
+        # Stored as floats, whatever number was passed: the native client
+        # core reads these four as C doubles.
+        for name in ("interval", "backoff", "jitter", "max_interval"):
+            value = getattr(self, name)
+            if value is not None:
+                object.__setattr__(self, name, float(value))
         if self.interval <= 0:
             raise ValueError(f"retry interval must be positive: {self.interval}")
         if self.backoff < 1.0:
@@ -338,34 +344,20 @@ class QuorumRegisterClient(Node, ClientCounters):
         return len(self._pending)
 
     @property
-    def _deadline(self) -> Optional[float]:
-        policy = self.retry_policy
-        return None if policy is None else policy.deadline
-
-    @property
     def overdue_ops(self) -> int:
         """Pending operations older than the armed deadline (0 without one).
 
         Always zero, since the deadline event rejects them first; the
         counter is the run-level assertion of that invariant.
         """
-        deadline = self._deadline
-        if deadline is None:
+        policy = self.retry_policy
+        if policy is None or policy.deadline is None:
             return 0
         now = self.network.scheduler.now
         return sum(
-            1 for op in self._pending.values() if now - op.started > deadline
+            1 for op in self._pending.values()
+            if now - op.started > policy.deadline
         )
-
-    @property
-    def hung_ops(self) -> int:
-        """Operations with no settlement path left: with a deadline armed
-        the overdue ones (:attr:`overdue_ops`); without one every
-        still-pending operation, since nothing guarantees it ever
-        settles."""
-        if self._deadline is None:
-            return len(self._pending)
-        return self.overdue_ops
 
     # ------------------------------------------------------------------ #
     # Quorum plumbing

@@ -69,10 +69,9 @@ class RegisterDeployment:
         seed: int = 0,
         retry_policy: Optional[RetryPolicy] = None,
         loss_rate: float = 0.0,
-        rng_registry: Optional[RngRegistry] = None,
         client_class: type = QuorumRegisterClient,
         record_history: bool = True,
-        detailed_stats: bool = True,
+        detailed_stats: bool = False,
         observability: Optional[Observability] = None,
         spec_monitor: Optional[Any] = None,
         adversary: Optional[Any] = None,
@@ -92,7 +91,7 @@ class RegisterDeployment:
             observability if observability is not None else Observability()
         )
         self.scheduler = kernel.make_scheduler()
-        self.rng = rng_registry or RngRegistry(seed)
+        self.rng = RngRegistry(seed)
         self.delay_model = delay_model or ConstantDelay(1.0)
         self.failures = FailureInjector()
         self.network = Network(
@@ -161,10 +160,12 @@ class RegisterDeployment:
         # send/broadcast/_deliver), each wired once, here.  The factories
         # return None on the pure-python backend, for node classes that
         # override a handler (a client class that only declares round
-        # plans gets its core) and for a client with span tracing on: a
-        # client runs wholly in C or wholly in Python.  A message that is
-        # not an exact protocol type goes to the Python handler; an
-        # adversary, loss, faults, taps and detailed stats are the network
+        # plans gets its core), for a client with span tracing on or a
+        # retry policy that is not an exact RetryPolicy, and for every
+        # node of a network that got no core (detailed stats, a derived
+        # injector): an object runs wholly in C or wholly in Python.  A
+        # message that is not an exact protocol type goes to the Python
+        # handler; an adversary, loss, faults and taps are the network
         # core's business, not theirs.
         for server in self.servers:
             core = kernel.make_server_core(server)
@@ -347,8 +348,19 @@ class RegisterDeployment:
 
     @property
     def hung_ops(self) -> int:
-        """Operations with no settlement path left (see client.hung_ops)."""
-        return sum(client.hung_ops for client in self.clients)
+        """Operations with no settlement path left.
+
+        Once the scheduler has drained its heap, every operation still
+        pending: no event is left that could settle it.  Otherwise only
+        the operations past an armed deadline (:attr:`overdue_ops`), which
+        the deadline event should have rejected.  An operation cut off
+        because the run was stopped with events still queued (Alg. 1
+        halts at convergence or at its round budget; a time cap ends a
+        stalled run) is neither.
+        """
+        if self.scheduler.pending == 0:
+            return self.pending_ops
+        return self.overdue_ops
 
     @property
     def overdue_ops(self) -> int:

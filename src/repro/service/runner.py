@@ -34,7 +34,6 @@ from repro.registers.sharding import ShardedKeyspace, ZipfKeys
 from repro.service.frontend import KeyValueFrontend
 from repro.service.traffic import OpenLoopDriver
 from repro.sim import arrivals, delays
-from repro.sim.rng import RngRegistry
 
 #: The quantiles reported in the SLO table, as (label, q) pairs.
 SLO_QUANTILES: Tuple[Tuple[str, float], ...] = (
@@ -206,7 +205,6 @@ def run_service(config: ServiceConfig) -> ServiceResult:
     observability = Observability(
         MetricsRegistry(), active.spans if active is not None else None
     )
-    rng = RngRegistry(config.seed)
     retry_policy = RetryPolicy(
         interval=config.retry_interval,
         backoff=2.0,
@@ -222,15 +220,11 @@ def run_service(config: ServiceConfig) -> ServiceResult:
         num_clients=config.num_clients,
         delay_model=config.build("delay"),
         seed=config.seed,
-        rng_registry=rng,
         retry_policy=retry_policy,
         loss_rate=config.loss_rate,
         client_class=MultiWriterClient if two_phase else QuorumRegisterClient,
-        # Heavy traffic: a history record per op would dominate memory,
-        # and the per-kind/per-node stats breakdowns the scalar fast path
-        # skips are re-derivable from the service counters.
+        # Heavy traffic: a history record per op would dominate memory.
         record_history=False,
-        detailed_stats=False,
         observability=observability,
         adversary=adversary,
     )
@@ -261,9 +255,9 @@ def run_service(config: ServiceConfig) -> ServiceResult:
         frontend,
         config.build("arrivals"),
         keys,
-        arrival_rng=rng.stream("service-arrivals"),
-        key_rng=rng.stream("service-keys"),
-        op_rng=rng.stream("service-ops"),
+        arrival_rng=deployment.rng.stream("service-arrivals"),
+        key_rng=deployment.rng.stream("service-keys"),
+        op_rng=deployment.rng.stream("service-ops"),
         duration=config.duration,
         read_fraction=config.read_fraction,
     )

@@ -145,15 +145,14 @@ class FailureEvent:
     ``action`` is one of ``crash``, ``recover``, ``recover_all``,
     ``partition`` and ``heal``.  ``nodes`` names the affected nodes for
     crash/recover; ``groups`` the partition groups for ``partition``.
-    A positive ``every`` makes the event repeat with that period, starting
-    at ``time``.
+    An event fires once: a periodic fault process is a timeline of
+    events (:meth:`FailureSchedule.churn`).
     """
 
     time: float
     action: str
     nodes: Tuple[int, ...] = ()
     groups: Tuple[Tuple[int, ...], ...] = ()
-    every: float = 0.0
 
     def __post_init__(self) -> None:
         if self.time < 0:
@@ -162,8 +161,6 @@ class FailureEvent:
             raise ScheduleError(
                 f"unknown action {self.action!r}; known: {_ACTIONS}"
             )
-        if self.every < 0:
-            raise ScheduleError(f"repeat period must be non-negative: {self}")
 
     @classmethod
     def from_spec(cls, spec: Dict[str, Any]) -> "FailureEvent":
@@ -174,7 +171,6 @@ class FailureEvent:
             action=args["action"],
             nodes=tuple(args.get("nodes", ())),
             groups=tuple(tuple(g) for g in args.get("groups", ())),
-            every=float(args.get("every", 0.0)),
         )
 
     def to_spec(self) -> Dict[str, Any]:
@@ -184,8 +180,6 @@ class FailureEvent:
             spec["nodes"] = list(self.nodes)
         if self.groups:
             spec["groups"] = [list(g) for g in self.groups]
-        if self.every:
-            spec["every"] = self.every
         return spec
 
 
@@ -271,21 +265,13 @@ class FailureSchedule(Timeline):
 
     # -- builders ------------------------------------------------------ #
 
-    def crash(
-        self, time: float, nodes: Iterable[int], every: float = 0.0
-    ) -> "FailureSchedule":
-        """Crash ``nodes`` at ``time`` (repeating every ``every`` if > 0)."""
-        return self.add(
-            FailureEvent(time, "crash", nodes=tuple(nodes), every=every)
-        )
+    def crash(self, time: float, nodes: Iterable[int]) -> "FailureSchedule":
+        """Crash ``nodes`` at ``time``."""
+        return self.add(FailureEvent(time, "crash", nodes=tuple(nodes)))
 
-    def recover(
-        self, time: float, nodes: Iterable[int], every: float = 0.0
-    ) -> "FailureSchedule":
+    def recover(self, time: float, nodes: Iterable[int]) -> "FailureSchedule":
         """Recover ``nodes`` at ``time``."""
-        return self.add(
-            FailureEvent(time, "recover", nodes=tuple(nodes), every=every)
-        )
+        return self.add(FailureEvent(time, "recover", nodes=tuple(nodes)))
 
     def outage(
         self, time: float, nodes: Iterable[int], duration: float
@@ -351,18 +337,12 @@ class FailureSchedule(Timeline):
         (e.g. replica index -> network node id); identity by default.
         """
         mapper = resolve if resolve is not None else (lambda node: node)
-        handles: List[Any] = []
-        for event in self.events:
-            apply_event = self._applier(event, injector, mapper)
-            if event.every > 0:
-                handles.append(
-                    scheduler.schedule_repeating(
-                        event.every, apply_event, first_delay=event.time
-                    )
-                )
-            else:
-                handles.append(scheduler.schedule_at(event.time, apply_event))
-        return handles
+        return [
+            scheduler.schedule_at(
+                event.time, self._applier(event, injector, mapper)
+            )
+            for event in self.events
+        ]
 
     @staticmethod
     def _applier(

@@ -31,8 +31,13 @@ stands in for when it is built — the factories below run as the
 deployment is assembled, after which nothing reassigns that
 configuration — and reads live only what changes during a run (the
 clock, fault and partition state, membership views, pending
-operations).  A client runs wholly in C or wholly in Python for its
-whole life: with span tracing on it gets no core.
+operations).  One rule decides which objects get a core: an exact
+scalar configuration gets one, and anything else runs the Python
+reference whole, for its whole life.  The network gets a core only for
+an exact scalar-mode ``MessageStats`` and an exact ``FailureInjector``;
+a client only with an exact ``RetryPolicy`` (or none), no span tracing
+and a class that overrides no method.  No core calls back into Python
+per message to stand in for a configuration it does not transcribe.
 
 Bound by slot: every object attribute a core reads per message or per
 operation is a ``__slots__`` member of its Python class, and every counter
@@ -51,6 +56,8 @@ import os
 import sys
 from typing import Optional
 
+from repro.sim.failures import FailureInjector
+from repro.sim.metrics import MessageStats
 from repro.sim.scheduler import Scheduler
 
 KERNEL_ENV = "REPRO_KERNEL"
@@ -159,30 +166,35 @@ def make_network_core(network):
     attributes, so trace taps that wrap ``network._deliver`` keep working
     on both backends.  ``send`` is the one per-message pipeline (stats,
     taps, loss draw, fault check, adversary, delay sample, heap push) —
-    a scalar-mode ``MessageStats``' totals bumped in place in C (a
-    detailed one gets its ``record_*`` calls), the loss draw and the fault
-    check evaluated in C for an exact
-    ``numpy.random.Generator`` and ``FailureInjector``, the adversary's
-    ``intercept`` the one Python call;
+    the ``MessageStats`` totals bumped in place in C, the fault check
+    evaluated in C, the loss draw too for an exact
+    ``numpy.random.Generator``, the adversary's ``intercept`` the one
+    Python call;
     ``broadcast`` runs a tight loop of native delay draws on a healthy
     network with a built-in delay model and that same pipeline per
     destination otherwise — it never calls back into the Python
     ``broadcast``.  Built from the network's constructor, it binds the
-    delay draw, loss rate and stream, adversary, stats mode and the
-    ``_taps`` list (by identity: ``add_tap`` still takes effect mid-run)
-    once.  Read live: ``failures.active`` and an exact
-    ``FailureInjector``'s crashed set and partition, by slot offset (the
-    injector's ``active`` must be a slot, on any injector class), and by
-    name ``network._deliver`` and each node's ``on_message``.  Only built
-    when the network's scheduler is itself native, so delivery events are
-    pushed straight into the C heap.
+    delay draw, loss rate and stream, adversary and the ``_taps`` list
+    (by identity: ``add_tap`` still takes effect mid-run) once.  Read
+    live: the injector's ``active``, crashed set and partition, by slot
+    offset, and by name ``network._deliver`` and each node's
+    ``on_message``.  Built only for an exact scalar-mode ``MessageStats``
+    (a detailed one's breakdowns are Python's to collect) and an exact
+    ``FailureInjector`` (a subclass may decide delivery otherwise), and
+    only when the network's scheduler is itself native, so delivery
+    events are pushed straight into the C heap.
     """
     if selected_backend() != "native":
         return None
     from repro._native import load_kernel
 
     module = load_kernel()
-    if not isinstance(network.scheduler, module.SchedulerCore):
+    if (
+        not isinstance(network.scheduler, module.SchedulerCore)
+        or type(network.stats) is not MessageStats
+        or network.stats.detailed
+        or type(network.failures) is not FailureInjector
+    ):
         return None
     return module.NetworkCore(network)
 
@@ -217,9 +229,9 @@ def make_server_core(server):
     mutants) override the handler and must keep their Python semantics —
     and on a native network core, which the server core holds and sends
     its replies through.
-    Loss, faults, taps, an adversary and detailed stats are the network
-    core's business (the reply goes through its ``send``), never a reason
-    to leave C here.  The view gate (retired-ignore, stale-view nack)
+    Loss, faults, taps and an adversary are the network core's business
+    (the reply goes through its ``send``), never a reason to leave C
+    here.  The view gate (retired-ignore, stale-view nack)
     runs in C against the server's current ``view_state``; what takes the
     Python handler is any message that is not an exact ``ReadQuery`` /
     ``WriteUpdate`` — the ``State*`` transfer messages, subclasses.
@@ -264,12 +276,14 @@ def make_client_cores(clients):
     its Python handlers.  Eligibility is a property of the class, so it is
     decided once per class for the whole list, not per client.  A client
     with span tracing on (``client._spans`` not None, fixed when the
-    client is built) gets no core either: a client runs wholly in C or
-    wholly in Python for its whole life.
+    client is built) gets no core either, nor one whose retry policy is
+    not an exact ``RetryPolicy`` (a subclass may compute its delays
+    otherwise): a client runs wholly in C or wholly in Python for its
+    whole life.
 
     **Wired once.**  The core binds the client's configuration when it is
-    built: the round plans, the retry policy (an exact ``RetryPolicy``'s
-    fields) and jitter stream, the static quorum system (an exact
+    built: the round plans, the retry policy (its four float fields) and
+    jitter stream, the static quorum system (an exact
     ``ProbabilisticQuorumSystem``'s n and k) and quorum stream, the
     latency sketches and the spec monitor.  The clock, the pending ops,
     the fault state and the membership view are read live.  By offset,
@@ -306,16 +320,16 @@ def make_client_cores(clients):
       built) and the retry timer's resample.  The C
       ``quorum_sample`` draws for a static ``ProbabilisticQuorumSystem``
       and every membership view, one call to the Python
-      ``_sample_quorum`` for any other system; an exact ``RetryPolicy``'s
-      delay, floored at the client's RTO, is computed in C, any other
-      policy's by the Python ``_retry_delay``.  Every stream is consumed draw for draw as
-      on the python backend.
+      ``_sample_quorum`` for any other system; the policy's delay,
+      floored at the client's RTO, is computed in C (the Python
+      ``_retry_delay`` only once ``backoff ** attempt`` overflows).  Every
+      stream is consumed draw for draw as on the python backend.
     """
     clients = list(clients)
     if selected_backend() != "native":
         return [None] * len(clients)
     from repro._native import load_kernel
-    from repro.registers.client import QuorumRegisterClient
+    from repro.registers.client import QuorumRegisterClient, RetryPolicy
 
     module = load_kernel()
     methods = [
@@ -332,6 +346,7 @@ def make_client_cores(clients):
             )
         native = (
             eligible[cls] and client._spans is None
+            and type(client.retry_policy) in (RetryPolicy, type(None))
             and isinstance(getattr(client.network.send, "__self__", None),
                            module.NetworkCore)
         )

@@ -1,22 +1,19 @@
 """Message and load accounting.
 
-The experiments need three kinds of counters:
+Every run counts messages sent, delivered and dropped: the Section 6.4
+message-complexity comparison (Eqns 1-3) reads the totals.  Three
+breakdowns are collected only on request (``detailed=True``): deliveries
+per receiver, sends per kind and drops per reason ("fault", "loss",
+"adversary").  Quorum-system *load* (the access frequency of the busiest
+replica server, Section 4) is read from the servers' own counters, not
+from these.
 
-* total messages sent, to reproduce the Section 6.4 message-complexity
-  comparison (Eqns 1-3),
-* per-node delivery counts, to measure quorum-system *load* (the access
-  frequency of the busiest replica server, Section 4), and
-* drop accounting by kind, receiver and reason, so fault-injection
-  experiments can report exactly what traffic a crash, partition or
-  lossy link destroyed.
-
-The recorders sit on the per-message hot path, so a ``detailed=False``
-mode skips every per-kind/per-node ``Counter`` update and maintains only
-the three scalar totals — for benchmarks and throughput-bound runs that
-never read the breakdowns.  This is the one stats class on both kernel
-backends: on ``native`` the C network core adds to a scalar-mode
-instance's ``sent`` / ``delivered`` / ``dropped`` itself and calls the
-``record_*`` methods of a detailed one.
+The recorders sit on the per-message hot path, so the default scalar
+mode skips every ``Counter`` update and maintains only the three totals.
+This is the one stats class on both kernel backends: on ``native`` the C
+network core adds to a scalar-mode instance's ``sent`` / ``delivered`` /
+``dropped`` itself, and a network with detailed stats gets no C core —
+its messages take the Python path, which collects the breakdowns.
 
 Those totals, like the per-operation counters of the replica servers and
 register clients, are int64 counter fields (:func:`counter_type`): a C
@@ -25,8 +22,8 @@ plain int.
 
 Reading a breakdown that was never collected raises
 :class:`DetailNotCollected` instead of silently answering zero: a
-``detailed=False`` deployment must never feed empty load or per-kind
-numbers into the Section 6.4 / Section 4 tables as if they were measured.
+scalar-mode deployment must never feed empty per-kind numbers into a
+table as if they were measured.
 """
 
 import functools
@@ -107,90 +104,65 @@ MessageCounters = counter_type(
 class DetailNotCollected(RuntimeError):
     """A per-kind/per-node breakdown was read from scalar-totals stats.
 
-    Raised by :class:`MessageStats` accessors when ``detailed=False``:
-    the breakdown was never collected, so any answer would be a lie, not
-    a zero.  Construct the stats (or the deployment, via
+    Raised by :class:`MessageStats` accessors when ``detailed=False``
+    (the default): the breakdown was never collected, so any answer
+    would be a lie, not a zero.  Construct the stats (or the deployment, via
     ``detailed_stats=True``) in detailed mode to measure breakdowns.
     """
 
 
+_NOT_COLLECTED = (
+    "MessageStats.{} was never collected: this instance was built with "
+    "detailed=False (scalar totals only).  Use detailed=True / "
+    "RegisterDeployment(detailed_stats=True) to measure the breakdowns."
+)
+
+
 class MessageStats(MessageCounters):
-    """Counters for messages flowing through a :class:`~repro.sim.network.Network`."""
+    """Counters for messages flowing through a :class:`~repro.sim.network.Network`.
 
-    __slots__ = (
-        "detailed",
-        "_by_sender",
-        "_by_receiver",
-        "_by_kind",
-        "_delivered_by_kind",
-        "_dropped_by_kind",
-        "_dropped_by_receiver",
-        "_dropped_by_reason",
-    )
+    Scalar totals by default, which the native network core bumps in
+    place; ``detailed=True`` also collects the breakdowns, and a network
+    counting into such stats gets no native core: it and every node on
+    it run the Python reference.
+    """
 
-    def __init__(self, detailed: bool = True) -> None:
+    __slots__ = ("detailed", "_by_receiver", "_by_kind", "_dropped_by_reason")
+
+    def __init__(self, detailed: bool = False) -> None:
         self.detailed = detailed
         self.sent: int = 0
         self.delivered: int = 0
         self.dropped: int = 0
-        self._by_sender: Counter = Counter()
         self._by_receiver: Counter = Counter()
         self._by_kind: Counter = Counter()
-        self._delivered_by_kind: Counter = Counter()
-        self._dropped_by_kind: Counter = Counter()
-        self._dropped_by_receiver: Counter = Counter()
         self._dropped_by_reason: Counter = Counter()
 
     # ------------------------------------------------------------------ #
     # Guarded breakdown accessors
     # ------------------------------------------------------------------ #
 
-    def _breakdown(self, counter: Counter, name: str) -> Counter:
-        if not self.detailed:
-            raise DetailNotCollected(
-                f"MessageStats.{name} was never collected: this instance "
-                f"was built with detailed=False (scalar totals only). "
-                f"Use detailed=True / RegisterDeployment(detailed_stats="
-                f"True) to measure per-kind/per-node breakdowns."
-            )
-        return counter
-
-    @property
-    def by_sender(self) -> Counter:
-        """Sends per source node (detailed mode only)."""
-        return self._breakdown(self._by_sender, "by_sender")
-
     @property
     def by_receiver(self) -> Counter:
         """Deliveries per destination node (detailed mode only)."""
-        return self._breakdown(self._by_receiver, "by_receiver")
+        if not self.detailed:
+            raise DetailNotCollected(_NOT_COLLECTED.format("by_receiver"))
+        return self._by_receiver
 
     @property
     def by_kind(self) -> Counter:
         """Sends per message kind (detailed mode only)."""
-        return self._breakdown(self._by_kind, "by_kind")
-
-    @property
-    def delivered_by_kind(self) -> Counter:
-        """Deliveries per message kind (detailed mode only)."""
-        return self._breakdown(self._delivered_by_kind, "delivered_by_kind")
-
-    @property
-    def dropped_by_kind(self) -> Counter:
-        """Drops per message kind (detailed mode only)."""
-        return self._breakdown(self._dropped_by_kind, "dropped_by_kind")
-
-    @property
-    def dropped_by_receiver(self) -> Counter:
-        """Drops per would-be receiver (detailed mode only)."""
-        return self._breakdown(
-            self._dropped_by_receiver, "dropped_by_receiver"
-        )
+        if not self.detailed:
+            raise DetailNotCollected(_NOT_COLLECTED.format("by_kind"))
+        return self._by_kind
 
     @property
     def dropped_by_reason(self) -> Counter:
-        """Drops per cause, "fault" or "loss" (detailed mode only)."""
-        return self._breakdown(self._dropped_by_reason, "dropped_by_reason")
+        """Drops per cause, "fault", "loss" or "adversary" (detailed mode
+        only)."""
+        if not self.detailed:
+            raise DetailNotCollected(_NOT_COLLECTED.format("dropped_by_reason"))
+        return self._dropped_by_reason
 
     # ------------------------------------------------------------------ #
     # Recording (hot path)
@@ -199,10 +171,8 @@ class MessageStats(MessageCounters):
     def record_send(self, src: int, dst: int, kind: Optional[str]) -> None:
         """Record one message leaving ``src`` for ``dst``."""
         self.add("sent")
-        if self.detailed:
-            self._by_sender[src] += 1
-            if kind is not None:
-                self._by_kind[kind] += 1
+        if self.detailed and kind is not None:
+            self._by_kind[kind] += 1
 
     def record_sends(self, src: int, count: int, kind: Optional[str]) -> None:
         """Record ``count`` messages leaving ``src`` in one update.
@@ -212,10 +182,8 @@ class MessageStats(MessageCounters):
         member.  Equivalent to ``count`` individual calls.
         """
         self.add("sent", count)
-        if self.detailed:
-            self._by_sender[src] += count
-            if kind is not None:
-                self._by_kind[kind] += count
+        if self.detailed and kind is not None:
+            self._by_kind[kind] += count
 
     def record_delivery(
         self, src: int, dst: int, kind: Optional[str] = None
@@ -224,8 +192,6 @@ class MessageStats(MessageCounters):
         self.add("delivered")
         if self.detailed:
             self._by_receiver[dst] += 1
-            if kind is not None:
-                self._delivered_by_kind[kind] += 1
 
     def record_drop(
         self,
@@ -234,20 +200,13 @@ class MessageStats(MessageCounters):
         kind: Optional[str] = None,
         reason: str = "fault",
     ) -> None:
-        """Record a message lost to a crash, partition or lossy link.
-
-        Drops are attributed to the would-be receiver and the message
-        kind, so per-sender/per-kind accounting stays honest under fault
-        injection (a bare total hides *what* was lost), and to a
-        ``reason`` ("fault" for crash/partition, "loss" for probabilistic
-        message loss).
-        """
+        """Record a message lost to a crash, partition, lossy link or
+        adversary, attributed to a ``reason`` ("fault" for
+        crash/partition, "loss" for probabilistic message loss,
+        "adversary")."""
         self.add("dropped")
         if self.detailed:
-            self._dropped_by_receiver[dst] += 1
             self._dropped_by_reason[reason] += 1
-            if kind is not None:
-                self._dropped_by_kind[kind] += 1
 
     # ------------------------------------------------------------------ #
     # Derived readings
@@ -268,12 +227,8 @@ class MessageStats(MessageCounters):
         self.sent = 0
         self.delivered = 0
         self.dropped = 0
-        self._by_sender.clear()
         self._by_receiver.clear()
         self._by_kind.clear()
-        self._delivered_by_kind.clear()
-        self._dropped_by_kind.clear()
-        self._dropped_by_receiver.clear()
         self._dropped_by_reason.clear()
 
     def __repr__(self) -> str:

@@ -105,7 +105,7 @@ class Network:
         failures: Optional[FailureInjector] = None,
         loss_rate: float = 0.0,
         loss_rng: Optional[np.random.Generator] = None,
-        detailed_stats: bool = True,
+        detailed_stats: bool = False,
         adversary: Optional[Any] = None,
     ) -> None:
         """A network's configuration is fixed here, for its whole life.

@@ -100,10 +100,7 @@ needs_native = pytest.mark.skipif(
 )
 
 
-STATS_BREAKDOWNS = (
-    "by_sender", "by_receiver", "by_kind", "delivered_by_kind",
-    "dropped_by_kind", "dropped_by_receiver", "dropped_by_reason",
-)
+STATS_BREAKDOWNS = ("by_receiver", "by_kind", "dropped_by_reason")
 
 
 def stats_state(stats):

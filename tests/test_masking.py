@@ -140,13 +140,13 @@ def test_lies_told_counter():
 # --------------------------------------------------------------------- #
 
 
-def make_retrying_deployment(byzantine=(0,), seed=1):
+def make_retrying_deployment(byzantine=(0,), seed=1, detailed_stats=False):
     from repro.registers.client import RetryPolicy
 
     deployment = RegisterDeployment(
         ProbabilisticQuorumSystem(12, 6), num_clients=2,
         delay_model=ConstantDelay(1.0), seed=seed,
-        retry_policy=RetryPolicy.fixed(3.0),
+        retry_policy=RetryPolicy.fixed(3.0), detailed_stats=detailed_stats,
     )
     deployment.declare_register("X", writer=0, initial_value=0)
     replace_with_byzantine(deployment, byzantine)
@@ -206,7 +206,7 @@ def test_byzantine_replies_traverse_normal_delivery_checks():
     # like any honest reply.
     from repro.registers.messages import ReadQuery
 
-    deployment = make_retrying_deployment()
+    deployment = make_retrying_deployment(detailed_stats=True)
     byzantine = deployment.servers[0]
     client_node = deployment.clients[0].node_id
     deployment.failures.partition([[byzantine.node_id], [client_node]])

@@ -8,17 +8,16 @@ from repro.sim.metrics import DetailNotCollected, MessageStats
 
 class TestMessageStats:
     def test_record_send_updates_counters(self):
-        stats = MessageStats()
+        stats = MessageStats(detailed=True)
         stats.record_send(1, 2, "read_query")
         stats.record_send(1, 3, "read_query")
         stats.record_send(2, 3, "write_update")
         assert stats.sent == 3
-        assert stats.by_sender[1] == 2
         assert stats.by_kind["read_query"] == 2
         assert stats.by_kind["write_update"] == 1
 
     def test_record_delivery_and_receiver_load(self):
-        stats = MessageStats()
+        stats = MessageStats(detailed=True)
         for _ in range(3):
             stats.record_send(0, 1, None)
             stats.record_delivery(0, 1)
@@ -30,13 +29,13 @@ class TestMessageStats:
         assert stats.by_receiver.most_common(1) == [(1, 3)]
 
     def test_receiver_load_zero_when_no_deliveries(self):
-        stats = MessageStats()
+        stats = MessageStats(detailed=True)
         assert stats.delivered == 0
         assert stats.by_receiver[0] == 0
         assert stats.by_receiver.most_common(1) == []
 
-    def test_drops_attributed_to_kind_receiver_and_reason(self):
-        stats = MessageStats()
+    def test_drops_attributed_to_reason(self):
+        stats = MessageStats(detailed=True)
         stats.record_send(0, 1, "read_query")
         stats.record_drop(0, 1, kind="read_query", reason="fault")
         stats.record_send(0, 2, "write_update")
@@ -44,24 +43,14 @@ class TestMessageStats:
         stats.record_send(0, 2, "write_update")
         stats.record_drop(0, 2, kind="write_update", reason="loss")
         assert stats.dropped == 3
-        assert stats.dropped_by_kind["read_query"] == 1
-        assert stats.dropped_by_kind["write_update"] == 2
-        assert stats.dropped_by_receiver[1] == 1
-        assert stats.dropped_by_receiver[2] == 2
         assert stats.dropped_by_reason == {"fault": 1, "loss": 2}
         assert stats.drop_rate() == 1.0
-
-    def test_deliveries_attributed_to_kind(self):
-        stats = MessageStats()
-        stats.record_send(0, 1, "read_reply")
-        stats.record_delivery(0, 1, kind="read_reply")
-        assert stats.delivered_by_kind["read_reply"] == 1
 
     def test_drop_rate_zero_when_nothing_sent(self):
         assert MessageStats().drop_rate() == 0.0
 
     def test_reset_clears_everything(self):
-        stats = MessageStats()
+        stats = MessageStats(detailed=True)
         stats.record_send(0, 1, "x")
         stats.record_delivery(0, 1, kind="x")
         stats.record_drop(0, 1, kind="x", reason="loss")
@@ -69,19 +58,15 @@ class TestMessageStats:
         assert stats.sent == 0
         assert stats.delivered == 0
         assert stats.dropped == 0
-        assert not stats.by_sender
         assert not stats.by_receiver
         assert not stats.by_kind
-        assert not stats.delivered_by_kind
-        assert not stats.dropped_by_kind
-        assert not stats.dropped_by_receiver
         assert not stats.dropped_by_reason
         # A reset instance behaves exactly like a fresh one.
         assert stats.by_receiver.most_common(1) == []
         assert stats.drop_rate() == 0.0
 
     def test_scalar_mode_counts_totals_only(self):
-        stats = MessageStats(detailed=False)
+        stats = MessageStats()
         stats.record_send(0, 1, "read_query")
         stats.record_sends(0, 3, "read_query")
         stats.record_delivery(0, 1, kind="read_query")
@@ -92,18 +77,15 @@ class TestMessageStats:
         assert stats.drop_rate() == 0.25
 
     def test_scalar_mode_breakdowns_raise_not_lie(self):
-        # detailed=False never collected the breakdowns; reading one must
-        # raise, not silently answer (None, 0) / 0.0 / empty.
-        stats = MessageStats(detailed=False)
+        # The default, detailed=False, never collected the breakdowns;
+        # reading one must raise, not silently answer (None, 0) / 0.0 /
+        # empty.
+        stats = MessageStats()
         stats.record_send(0, 1, "read_query")
         stats.record_delivery(0, 1, kind="read_query")
         for accessor in (
-            lambda: stats.by_sender,
             lambda: stats.by_receiver,
             lambda: stats.by_kind,
-            lambda: stats.delivered_by_kind,
-            lambda: stats.dropped_by_kind,
-            lambda: stats.dropped_by_receiver,
             lambda: stats.dropped_by_reason,
         ):
             with pytest.raises(DetailNotCollected, match="detailed=False"):

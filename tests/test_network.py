@@ -361,7 +361,8 @@ def test_broadcast_is_a_loop_of_send(backend, **shape):
     same position.  On the native backend that also equals the python
     backend's fan-out — the same ``MessageStats`` with the same totals —
     and a scalar-mode native run never calls a Python recorder: the C
-    network core adds to the totals' slots itself."""
+    network core adds to the totals' slots itself (a detailed one gets no
+    core, and its Python recorders collect the breakdowns)."""
     fanned, fanned_calls = _drive_fan_outs(backend, True, **shape)
     looped, looped_calls = _drive_fan_outs(backend, False, **shape)
     assert fanned == looped

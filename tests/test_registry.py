@@ -65,7 +65,7 @@ def _digest(tasks):
 
 
 def test_cache_format_unchanged():
-    assert CACHE_FORMAT == 8
+    assert CACHE_FORMAT == 9
 
 
 @pytest.mark.parametrize("name, scale", sorted(TASK_DIGESTS))

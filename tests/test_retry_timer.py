@@ -74,8 +74,8 @@ def sequential_reads(policy, delay_model, reads, n=1):
 
 
 class DerivedPolicy(RetryPolicy):
-    """Not exactly a RetryPolicy: the native core calls the Python
-    ``_retry_delay`` for its delays instead of computing them."""
+    """Not exactly a RetryPolicy: its client gets no native core and runs
+    the Python reference on both kernels."""
 
 
 @pytest.mark.parametrize("policy_type", [RetryPolicy, DerivedPolicy])

@@ -126,6 +126,8 @@ class TestLiveness:
 
         class FakeDeployment:
             scheduler = Scheduler()
+            # The rule under test is the deployment's own.
+            hung_ops = RegisterDeployment.hung_ops
 
         deployment = FakeDeployment()
         deployment.scheduler.pending = queued

@@ -88,10 +88,7 @@ EXEMPT = {
     "obs/export.py::_parse_value": "oracle",
     **{
         f"sim/metrics.py::MessageStats.{name}": "oracle"
-        for name in (
-            "by_sender", "by_receiver", "by_kind", "delivered_by_kind",
-            "dropped_by_kind", "dropped_by_receiver", "dropped_by_reason",
-        )
+        for name in ("by_receiver", "by_kind", "dropped_by_reason")
     },
     "obs/shm.py": "pinned",
     "exec/testing.py": "pinned",
@@ -112,12 +109,12 @@ EXEMPT = {
 #: The ratchet: ``--check`` fails when more function lines than this,
 #: outside EXEMPT, go unreached.  Lower it when code goes; never raise it
 #: to admit code no command runs.
-LIMIT = 600
+LIMIT = 594
 
 #: The C ratchet: ``--check`` also fails when the native kernel's source
 #: is longer than this.  Lower it when C goes; raising it, like raising
 #: LIMIT, is a deliberate edit.
-C_LINES = 4058
+C_LINES = 3992
 C_SOURCE = PACKAGE / "_native" / "_kernelmodule.c"
 
 #: Installed as ``sitecustomize`` in every interpreter a drive command
