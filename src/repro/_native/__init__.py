@@ -20,7 +20,7 @@ from typing import Optional
 #: The ``KERNEL_ABI`` this checkout's Python side is written against: the
 #: protocol cores pack and index message tuples by position, so an
 #: extension compiled from another revision's source must not be used.
-KERNEL_ABI = 16
+KERNEL_ABI = 17
 
 _kernel_module = None
 _import_error: Optional[str] = None

@@ -99,7 +99,6 @@
     X(str_observe, "observe")                                \
     X(str_read_kind, "read")                                 \
     X(str_write_kind, "write")                               \
-    X(str_view_id, "view_id")                                \
     X(str_sample_quorum, "_sample_quorum")                   \
     X(str_info, "info")                                      \
     X(str_begin_read, "begin_read")                          \
@@ -127,6 +126,7 @@
     X(str_max_attempts, "max_attempts")                      \
     X(str_give_up, "_give_up")                               \
     X(str_refresh_view, "_refresh_view")                     \
+    X(str_on_transfer_reply, "on_transfer_reply")            \
     X(str_views, "views")                                    \
     X(str_interval, "interval")                              \
     X(str_backoff, "backoff")                                \
@@ -151,12 +151,16 @@ static PyObject *msg_read_reply = NULL;   /* messages.ReadReply   */
 static PyObject *msg_write_update = NULL; /* messages.WriteUpdate */
 static PyObject *msg_write_ack = NULL;    /* messages.WriteAck    */
 static PyObject *msg_stale_view_nack = NULL; /* messages.StaleViewNack */
-/* The five in one table, and their class-level ``kind`` labels. */
+static PyObject *msg_state_request = NULL; /* messages.StateRequest */
+static PyObject *msg_state_reply = NULL;   /* messages.StateReply   */
+/* The seven in one table, and their class-level ``kind`` labels. */
 static PyObject **const msg_types[] = {&msg_read_query, &msg_read_reply,
-    &msg_write_update, &msg_write_ack, &msg_stale_view_nack};
+    &msg_write_update, &msg_write_ack, &msg_stale_view_nack,
+    &msg_state_request, &msg_state_reply};
 #define NMSG ((int)(sizeof(msg_types) / sizeof(msg_types[0])))
 static PyObject *msg_kinds[NMSG];
 static PyObject *timestamp_type = NULL;   /* timestamps.Timestamp */
+static PyObject *timestamp_zero = NULL;   /* Timestamp.ZERO */
 
 /* What the client issue path constructs and tests against, resolved the
  * first time a ClientCore is built. */
@@ -191,12 +195,13 @@ enum {
     RI_HISTORY, RI_WRITER,               /* RegisterInfo */
     SQ_BUCKETS, SQ_SUM,                  /* StreamingQuantiles */
     VS_RETIRED, VS_RETIRING, VS_VIEW_ID, /* ServerViewState */
+    VS_TRANSFER_ID, VS_MANAGER, VS_INDEX,
     NOFFSETS
 };
 static const char *const offset_names[NOFFSETS] = {
     "sent", "delivered", "dropped", "active", "_crashed", "_partition",
     "seq", "writer", "history", "writer", "_buckets", "sum", "retired",
-    "retiring", "view_id"};
+    "retiring", "view_id", "transfer_id", "manager", "index"};
 static Py_ssize_t offsets[NOFFSETS];
 
 /* A type's object members, listed once as X(member, type) (the
@@ -2106,11 +2111,10 @@ static PyTypeObject Future_Type = {
  * built: it holds its network's NetworkCore and sends through it
  * directly, and binds the node's configuration (see each core).
  *
- * A message that is not an exact instance of one of the four Section-4
- * types or StaleViewNack (State*, subclasses) takes the Python handler.
- * Loss, faults, taps and an adversary matter only inside ``send``, which the network core handles.  A nack's re-dispatch
- * draws a view quorum, in the Python order.
- */
+ * A message that is not an exact instance of one of the seven message
+ * types (a subclass, an unknown kind) takes the Python handler.  Loss,
+ * faults, taps and an adversary matter only inside ``send``, which the
+ * network core handles. */
 
 /* Resolve the protocol classes lazily, on first core construction —
  * never at module import, so the extension stays importable alone. */
@@ -2118,7 +2122,8 @@ static int
 ensure_protocol_types(void)
 {
     static const char *const names[NMSG] = {
-        "ReadQuery", "ReadReply", "WriteUpdate", "WriteAck", "StaleViewNack"};
+        "ReadQuery", "ReadReply", "WriteUpdate", "WriteAck", "StaleViewNack",
+        "StateRequest", "StateReply"};
     if (timestamp_type != NULL)
         return 0;
     for (int i = 0; i < NMSG; i++) {
@@ -2144,7 +2149,9 @@ ensure_protocol_types(void)
     /* Assigned last: non-NULL timestamp_type marks full resolution. */
     if ((timestamp_type = import_attr("repro.core.timestamps",
                                       "Timestamp")) == NULL
-        || bind_offsets(timestamp_type, TS_SEQ, 2, 0) < 0)
+        || bind_offsets(timestamp_type, TS_SEQ, 2, 0) < 0
+        || (timestamp_zero = PyObject_GetAttrString(timestamp_type,
+                                                    "ZERO")) == NULL)
         goto fail;
     return 0;
 fail:
@@ -2153,6 +2160,7 @@ fail:
         Py_CLEAR(msg_kinds[i]);
     }
     Py_CLEAR(timestamp_type);
+    Py_CLEAR(timestamp_zero);
     return -1;
 }
 
@@ -2247,11 +2255,13 @@ run_fallback(PyObject *fallback, PyObject *node, PyObject *src,
     X(replicas, PyObject)   /* server._replicas dict (shared) */         \
     X(node_id, PyObject)
 
-enum { SV_READS, SV_WRITES, SV_STALE, SV_NACKS, SV_RETIRED, SV_VIEW_STATE,
-       NSERVER_SLOTS };
+enum { SV_READS, SV_WRITES, SV_STALE, SV_NACKS, SV_RETIRED, SV_UNKNOWN,
+       SV_SERVED, SV_APPLIED, SV_VIEW_STATE, NSERVER_SLOTS };
 static const char *const server_slots[NSERVER_SLOTS] = {
     "reads_served", "writes_applied", "stale_updates_ignored",
-    "stale_nacks_sent", "retired_messages_ignored", "view_state"};
+    "stale_nacks_sent", "retired_messages_ignored",
+    "unknown_messages_ignored", "state_requests_served",
+    "state_entries_applied", "view_state"};
 
 typedef struct {
     PyObject_HEAD
@@ -2291,6 +2301,9 @@ fail:
     return NULL;
 }
 
+/* An exact 2-tuple: a replica entry, or a StateReply item. */
+#define IS_PAIR(obj) (PyTuple_CheckExact(obj) && PyTuple_GET_SIZE(obj) == 2)
+
 /* The replica-dict probe: hot path is one C dict lookup; the cold path
  * (first message touching a register) takes the Python ``_replica``
  * method so space.info validation stays in one place.  Returns a strong
@@ -2302,8 +2315,7 @@ servercore_replica(ServerCore *self, PyObject *reg)
     entry = entry != NULL ? Py_NewRef(entry) : PyErr_Occurred() ? NULL
         : PyObject_CallMethodObjArgs(self->server, str_replica_method, reg,
                                      NULL);
-    if (entry != NULL
-        && (!PyTuple_CheckExact(entry) || PyTuple_GET_SIZE(entry) != 2)) {
+    if (entry != NULL && !IS_PAIR(entry)) {
         PyErr_SetString(PyExc_TypeError,
                         "replicas must be (timestamp, value) tuples");
         Py_CLEAR(entry);
@@ -2311,25 +2323,18 @@ servercore_replica(ServerCore *self, PyObject *reg)
     return entry;
 }
 
-/* ``ReplicaServer._gate`` plus the reply stamp.  Returns a new
- * reference to the view id the reply carries — 0 on a static deployment
- * (no view_state), else state.view_id — or NULL.  NULL with no exception
- * set means no reply is due, counted here as in Python: a retired server
- * ignored the request, or an active member nacked an older stamp (a
- * draining leaver keeps answering those).  The state, a ServerViewState,
- * is read by slot; its class is resolved from the first one seen (the
- * deployment has imported it by then). */
+/* The server's ``view_state``, borrowed: None, or a ServerViewState (its
+ * class resolved from the first one seen); NULL with an exception. */
 static PyObject *
-servercore_gate(ServerCore *self, PyObject *src, PyObject *message,
-                PyObject *request_view)
+servercore_view_state(ServerCore *self)
 {
     PyObject *state = slot_peek(self->server, self->slots[SV_VIEW_STATE]);
     if (state == NULL || state == Py_None)
-        return state ? Py_NewRef(py_zero) : NULL;
+        return state;
     if (view_state_type == NULL
         && ((view_state_type = import_attr("repro.membership.manager",
                                            "ServerViewState")) == NULL
-            || bind_offsets(view_state_type, VS_RETIRED, 3, 0) < 0)) {
+            || bind_offsets(view_state_type, VS_RETIRED, 6, 0) < 0)) {
         Py_CLEAR(view_state_type);
         return NULL;
     }
@@ -2337,6 +2342,22 @@ servercore_gate(ServerCore *self, PyObject *src, PyObject *message,
         return PyErr_Format(PyExc_TypeError, "server.view_state must be None "
                             "or a ServerViewState, not %.100s",
                             Py_TYPE(state)->tp_name);
+    return state;
+}
+
+/* ``ReplicaServer._gate`` plus the reply stamp.  Returns a new
+ * reference to the view id the reply carries — 0 on a static deployment
+ * (no view_state), else state.view_id — or NULL.  NULL with no exception
+ * set means no reply is due, counted here as in Python: a retired server
+ * ignored the request, or an active member nacked an older stamp (a
+ * draining leaver keeps answering those). */
+static PyObject *
+servercore_gate(ServerCore *self, PyObject *src, PyObject *message,
+                PyObject *request_view)
+{
+    PyObject *state = servercore_view_state(self);
+    if (state == NULL || state == Py_None)
+        return state ? Py_NewRef(py_zero) : NULL;
     Py_INCREF(state);
     PyObject *view_id = NULL;
     int stale = 0;
@@ -2368,14 +2389,98 @@ servercore_gate(ServerCore *self, PyObject *src, PyObject *message,
     return view_id;
 }
 
+/* ``ReplicaServer._on_state_request``: a member's sorted replica items;
+ * unknown without a view state, ignored when retired (both counted). */
+static int
+servercore_state_request(ServerCore *self, PyObject *src, PyObject *message)
+{
+    PyObject *state = servercore_view_state(self);
+    int retired = state == NULL ? -1
+        : state == Py_None ? 0 : slot_truth(state, offsets[VS_RETIRED]);
+    PyObject *items = NULL, *entries = NULL, *view_id, *reply = NULL;
+    if (retired > 0 || state == Py_None)
+        COUNTER(self->server,
+                self->slots[retired ? SV_RETIRED : SV_UNKNOWN]) += 1;
+    else if (retired == 0 && (items = PyDict_Items(self->replicas)) != NULL
+             && PyList_Sort(items) == 0
+             && (entries = PyList_AsTuple(items)) != NULL
+             && (view_id = slot_peek(state, offsets[VS_VIEW_ID])) != NULL) {
+        COUNTER(self->server, self->slots[SV_SERVED]) += 1;
+        reply = make_message(msg_state_reply, 3,
+                             PyTuple_GET_ITEM(message, 0), view_id, entries);
+    }
+    int rc = reply != NULL ? network_send(self->net, self->node_id, src, reply)
+        : PyErr_Occurred() ? -1 : 0;
+    Py_XDECREF(reply);
+    Py_XDECREF(entries);
+    Py_XDECREF(items);
+    return rc;
+}
+
+/* One (register, entry) item of a StateReply, merged into the joiner's
+ * replicas: installed, and counted, when it is newer than the replica (an
+ * untouched register's is at Timestamp.ZERO). */
+static int
+servercore_merge_entry(ServerCore *self, PyObject *item)
+{
+    PyObject *entry = IS_PAIR(item) ? PyTuple_GET_ITEM(item, 1) : NULL;
+    PyObject *reg = entry && IS_PAIR(entry) ? PyTuple_GET_ITEM(item, 0) : NULL;
+    PyObject *current = reg == NULL ? NULL
+        : Py_XNewRef(PyDict_GetItemWithError(self->replicas, reg));
+    int newer = -1;
+    if (reg == NULL || (current != NULL && !IS_PAIR(current)))
+        PyErr_SetString(PyExc_TypeError, "state entries and replicas must "
+                        "be (timestamp, value) tuples");
+    else if (!PyErr_Occurred()
+             && (newer = timestamp_gt(PyTuple_GET_ITEM(entry, 0), current
+                                      ? PyTuple_GET_ITEM(current, 0)
+                                      : timestamp_zero)) > 0) {
+        COUNTER(self->server, self->slots[SV_APPLIED]) += 1;
+        newer = PyDict_SetItem(self->replicas, reg, entry);
+    }
+    Py_XDECREF(current);
+    return newer < 0 ? -1 : 0;
+}
+
+/* ``ReplicaServer._on_state_reply``: a reply of the joiner's open
+ * transfer is merged, then reported to the manager (the one Python call);
+ * any other is unknown, counted. */
+static int
+servercore_state_reply(ServerCore *self, PyObject *src, PyObject *message)
+{
+    PyObject *state = Py_XNewRef(servercore_view_state(self));
+    PyObject *open = state == NULL || state == Py_None ? NULL
+        : Py_XNewRef(slot_peek(state, offsets[VS_TRANSFER_ID]));
+    int rc = state == Py_None ? 1 : open == NULL ? -1
+        : PyObject_RichCompareBool(PyTuple_GET_ITEM(message, 0), open, Py_NE);
+    PyObject *entries = PyTuple_GET_ITEM(message, 2);
+    if (rc > 0)
+        COUNTER(self->server, self->slots[SV_UNKNOWN]) += 1;
+    for (Py_ssize_t i = 0; rc == 0 && i < PyTuple_GET_SIZE(entries); i++)
+        rc = servercore_merge_entry(self, PyTuple_GET_ITEM(entries, i));
+    PyObject *manager = rc == 0 ? slot_peek(state, offsets[VS_MANAGER]) : NULL;
+    PyObject *index = manager ? slot_peek(state, offsets[VS_INDEX]) : NULL;
+    PyObject *res = index == NULL ? NULL : PyObject_CallMethodObjArgs(
+        manager, str_on_transfer_reply, index, src, NULL);
+    Py_XDECREF(res);
+    Py_XDECREF(open);
+    Py_XDECREF(state);
+    return rc > 0 || res != NULL ? 0 : -1;
+}
+
 static int
 servercore_invoke(ServerCore *self, PyObject *src, PyObject *message)
 {
     PyObject *msg_type = (PyObject *)Py_TYPE(message);
     int is_read = msg_type == msg_read_query;
+    if (msg_type == msg_state_request)
+        return servercore_state_request(self, src, message);
+    if (msg_type == msg_state_reply
+        && PyTuple_Check(PyTuple_GET_ITEM(message, 2)))
+        return servercore_state_reply(self, src, message);
     if (!is_read && msg_type != msg_write_update)
-        /* Anything else — StateRequest/StateReply, unknown kinds,
-         * message subclasses — takes the Python handler. */
+        /* Anything else — unknown kinds, message subclasses, entries that
+         * are not a tuple — takes the Python handler. */
         return run_fallback(self->fallback, self->server, src, message);
     PyObject *view_id = servercore_gate(
         self, src, message, PyTuple_GET_ITEM(message, is_read ? 2 : 4));
@@ -2483,8 +2588,9 @@ typedef struct {
  * the retry policy (an exact RetryPolicy, a frozen dataclass: its four
  * doubles) and jitter stream, the static quorum system (n and k of an
  * exact ProbabilisticQuorumSystem) and quorum stream, the two live latency
- * sketches, the spec monitor and the two timer callbacks.  Read per call,
- * because they change during a run: the clock, the pending ops,
+ * sketches, the spec monitor and the two timer callbacks; under
+ * membership, each view's draw when the client adopts the view.  Read per
+ * call, because they change during a run: the clock, the pending ops,
  * ``failures.active``, the membership state (``_membership``, ``_view``,
  * ``_view_rng``, ``view_id``) and the round-trip estimator (``_srtt``,
  * ``_rttvar``), the last six and the counters by slot (``client_slots``).
@@ -2516,7 +2622,11 @@ typedef struct {
     X(write_latency, PyObject)                                           \
     X(monitor, PyObject)      /* spec_monitor, or NULL */                \
     X(retry_cb, PyObject)     /* ClientCore._retry, called (core, op_id) */\
-    X(expire_cb, PyObject)    /* client._expire */
+    X(expire_cb, PyObject)    /* client._expire */                       \
+    X(view, PyObject)         /* the _view the view draw is bound to */  \
+    X(view_rng, PyObject)     /* the _view_rng it is bound to */         \
+    X(view_members, PyObject) /* that view's members tuple */            \
+    X(views, PyObject)        /* the manager's views list */
 
 enum { CL_READS, CL_WRITES, CL_CACHE_HITS, CL_COMPLETED, CL_UNDER_FAILURE,
        CL_RETRIES, CL_STALE_NACKS, CL_VIEW_ID, CL_MEMBERSHIP, CL_VIEW,
@@ -2533,8 +2643,8 @@ typedef struct {
     Plan plans[2];       /* [0] READ_PLAN, [1] WRITE_PLAN */
     double retry[4];     /* interval, backoff, jitter, max_interval */
     bitgen_t *retry_bg;
-    bitgen_t *quorum_bg; /* NULL: the static quorum is _sample_quorum's */
-    Py_ssize_t n, k;     /* the static system's shape, with quorum_bg */
+    bitgen_t *quorum_bg; /* NULL: the quorum is a method's draw */
+    Py_ssize_t n, k;     /* the shape of the static system or bound view */
     int monotone;
 } ClientCore;
 
@@ -3308,36 +3418,60 @@ quorum_covered(PyObject *quorum, PyObject *replies)
     return covered < 0 || PyErr_Occurred() ? -1 : covered;
 }
 
-/* QuorumRegisterClient._refresh_view, called only when it has something
- * to do: the manager's newest view (``membership.views[-1]``) is not the
- * client's.  Adopting it (a fresh view stream) stays Python — it happens
- * once per view per client. */
+/* Bind the view draw in place of the static one (1; 0 without
+ * membership; -1 on error): the view's (n, k) for an exact
+ * ProbabilisticQuorumSystem, members tuple, ``_view_rng``'s bitgen and the
+ * manager's ``views`` list, once per adoption — when the ``_view`` or
+ * ``_view_rng`` slot changes identity (the core holds both, so neither
+ * address is reused).  Any other view draws by its ``sample`` method. */
+static int
+clientcore_bind_view(ClientCore *self)
+{
+    PyObject *membership = slot_peek(self->client,
+                                     self->slots[CL_MEMBERSHIP]);
+    PyObject *view = membership == NULL || membership == Py_None ? NULL
+        : slot_peek(self->client, self->slots[CL_VIEW]);
+    PyObject *rng = view ? slot_peek(self->client, self->slots[CL_VIEW_RNG])
+        : NULL;
+    if (rng == NULL || (view == self->view && rng == self->view_rng))
+        return rng != NULL ? 1 : membership == Py_None ? 0 : -1;
+    Py_XSETREF(self->view, Py_NewRef(view));
+    Py_XSETREF(self->view_rng, Py_NewRef(rng));
+    Py_CLEAR(self->quorum_bits);
+    self->quorum_bg = NULL;
+    Py_XSETREF(self->views, PyObject_GetAttr(membership, str_views));
+    Py_XSETREF(self->view_members, self->views == NULL ? NULL
+               : PyObject_GetAttr(view, str_members));
+    PyObject *system = self->view_members == NULL ? NULL
+        : PyObject_GetAttr(view, str_quorum_system);
+    int native = system == NULL ? -1
+        : prob_quorum_shape(system, &self->n, &self->k);
+    Py_XDECREF(system);
+    if (native > 0 && PyTuple_CheckExact(self->view_members)
+        && self->n <= PyTuple_GET_SIZE(self->view_members))
+        native = bind_bits(rng, &self->quorum_bits, &self->quorum_bg);
+    if (native < 0)
+        Py_CLEAR(self->view); /* bound again by the next call */
+    return native < 0 ? -1 : 1;
+}
+
+/* QuorumRegisterClient._refresh_view (1; 0 without membership; -1 on
+ * error): the Python method, which adopts a view once per view per
+ * client, only when the manager's newest view (the last of a ``views``
+ * list) is not the client's own ``_view`` object. */
 static int
 clientcore_refresh_view(ClientCore *self)
 {
-    PyObject *membership = Py_XNewRef(
-        slot_peek(self->client, self->slots[CL_MEMBERSHIP]));
-    if (membership == NULL)
-        return -1;
-    int stale = 0;
-    if (membership != Py_None) {
-        PyObject *views = PyObject_GetAttr(membership, str_views);
-        PyObject *view = views ? PySequence_GetItem(views, -1) : NULL;
-        PyObject *newest = view ? PyObject_GetAttr(view, str_view_id) : NULL;
-        PyObject *ours = newest ? Py_XNewRef(slot_peek(
-            self->client, self->slots[CL_VIEW_ID])) : NULL;
-        stale = ours ? PyObject_RichCompareBool(newest, ours, Py_NE) : -1;
-        Py_XDECREF(ours);
-        Py_XDECREF(newest);
-        Py_XDECREF(view);
-        Py_XDECREF(views);
-    }
-    Py_DECREF(membership);
-    if (stale <= 0)
-        return stale;
+    int bound = clientcore_bind_view(self);
+    if (bound <= 0)
+        return bound;
+    PyObject *views = self->views;
+    Py_ssize_t size = PyList_Check(views) ? PyList_GET_SIZE(views) : 0;
+    if (size > 0 && PyList_GET_ITEM(views, size - 1) == self->view)
+        return 1;
     PyObject *res = PyObject_CallMethodNoArgs(self->client, str_refresh_view);
     Py_XDECREF(res);
-    return res == NULL ? -1 : 0;
+    return res == NULL ? -1 : 1;
 }
 
 /* client._pending.get(op_id) as a new reference, or NULL (with an
@@ -3440,73 +3574,39 @@ done:
  * ``ProbabilisticQuorumSystem`` draws through one call to the Python
  * ``_sample_quorum`` — never a whole-op fallback. */
 
-/* ``self._view.sample(self._view_rng)``: for a view over an exact
- * ProbabilisticQuorumSystem, quorum_sample's positions mapped to roster
- * indices in View.sample's iteration order; the method otherwise.  Views
- * change during a run, so their shape and stream are read per draw. */
-static PyObject *
-clientcore_view_quorum(ClientCore *self)
-{
-    PyObject *system = NULL, *members = NULL, *positions = NULL;
-    PyObject *quorum = NULL, *bits = NULL;
-    bitgen_t *bg = NULL;
-    Py_ssize_t n, k;
-    PyObject *view = Py_XNewRef(slot_peek(self->client,
-                                          self->slots[CL_VIEW]));
-    PyObject *rng = view ? Py_XNewRef(slot_peek(
-        self->client, self->slots[CL_VIEW_RNG])) : NULL;
-    int native = rng == NULL
-        || (system = PyObject_GetAttr(view, str_quorum_system)) == NULL
-        ? -1 : prob_quorum_shape(system, &n, &k);
-    if (native > 0)
-        native = bind_bits(rng, &bits, &bg) < 0 ? -1 : bg != NULL;
-    if (native == 0)
-        quorum = PyObject_CallMethodOneArg(view, str_sample, rng);
-    else if (native > 0
-             && (members = PyObject_GetAttr(view, str_members)) != NULL
-             && (positions = quorum_sample(bg, n, k)) != NULL) {
-        /* frozenset(members[p] for p in positions) */
-        PyObject *iter = PyObject_GetIter(positions);
-        quorum = iter ? PyFrozenSet_New(NULL) : NULL;
-        PyObject *position;
-        while (quorum != NULL && (position = PyIter_Next(iter)) != NULL) {
-            PyObject *member = PyObject_GetItem(members, position);
-            Py_DECREF(position);
-            if (member == NULL || PySet_Add(quorum, member) < 0)
-                Py_CLEAR(quorum);
-            Py_XDECREF(member);
-        }
-        Py_XDECREF(iter);
-        if (PyErr_Occurred())
-            Py_CLEAR(quorum);
-    }
-    Py_XDECREF(positions);
-    Py_XDECREF(members);
-    Py_XDECREF(bits);
-    Py_XDECREF(system);
-    Py_XDECREF(rng);
-    Py_XDECREF(view);
-    return quorum;
-}
-
-/* QuorumRegisterClient._sample_quorum: under membership views, the
- * refresh check and the view draw above; on a static deployment the
- * bound native draw, else one call to the Python method (every other
- * quorum system). */
+/* QuorumRegisterClient._sample_quorum: the bound native draw (under
+ * membership after the refresh check, its positions mapped to members in
+ * View.sample's iteration order), else one call to the Python method. */
 static PyObject *
 clientcore_sample_quorum(ClientCore *self, int is_read)
 {
-    PyObject *membership = slot_peek(self->client,
-                                     self->slots[CL_MEMBERSHIP]);
-    if (membership == NULL)
+    int views = clientcore_refresh_view(self);
+    if (views < 0 || (views && clientcore_bind_view(self) < 0))
         return NULL;
-    if (membership != Py_None)
-        return clientcore_refresh_view(self) < 0
-            ? NULL : clientcore_view_quorum(self);
-    if (self->quorum_bg != NULL)
-        return quorum_sample(self->quorum_bg, self->n, self->k);
-    return PyObject_CallMethodOneArg(self->client, str_sample_quorum,
-                                     is_read ? Py_True : Py_False);
+    if (self->quorum_bg == NULL)
+        return views ? PyObject_CallMethodOneArg(self->view, str_sample,
+                                                 self->view_rng)
+            : PyObject_CallMethodOneArg(self->client, str_sample_quorum,
+                                        is_read ? Py_True : Py_False);
+    PyObject *positions = quorum_sample(self->quorum_bg, self->n, self->k);
+    if (!views || positions == NULL)
+        return positions;
+    /* frozenset(members[p] for p in positions) */
+    PyObject *iter = PyObject_GetIter(positions);
+    PyObject *quorum = iter ? PyFrozenSet_New(NULL) : NULL;
+    PyObject *position;
+    while (quorum != NULL && (position = PyIter_Next(iter)) != NULL) {
+        Py_ssize_t p = PyLong_AsSsize_t(position);
+        Py_DECREF(position);
+        if (p < 0 || PySet_Add(quorum, PyTuple_GET_ITEM(
+                                   self->view_members, p)) < 0)
+            Py_CLEAR(quorum);
+    }
+    if (PyErr_Occurred())
+        Py_CLEAR(quorum);
+    Py_XDECREF(iter);
+    Py_DECREF(positions);
+    return quorum;
 }
 
 /* QuorumRegisterClient._send_round. */
@@ -3974,7 +4074,7 @@ PyInit__kernel(void)
                                (PyObject *)types[i].type) < 0)
             goto fail;
     }
-    if (PyModule_AddIntConstant(module, "KERNEL_ABI", 16) < 0
+    if (PyModule_AddIntConstant(module, "KERNEL_ABI", 17) < 0
         || PyModule_AddStringConstant(module, "SOURCE_HASH",
                                       REPRO_SOURCE_HASH) < 0)
         goto fail;

@@ -86,7 +86,7 @@ class ServerViewState:
 
     __slots__ = (
         "manager", "index", "view_id", "retiring", "retired", "retire_view",
-        "transfer",
+        "transfer_id",
     )
 
     def __init__(self, manager: "ViewManager", index: int, view_id: int) -> None:
@@ -96,7 +96,9 @@ class ServerViewState:
         self.retiring = False
         self.retired = False
         self.retire_view: Optional[int] = None
-        self.transfer: Optional["_Transfer"] = None
+        # The id of this joiner's open state transfer, None when none is
+        # open: a StateReply carrying another id is ignored, counted.
+        self.transfer_id: Optional[int] = None
 
     def __repr__(self) -> str:
         phase = (
@@ -271,7 +273,7 @@ class ViewManager:
         transfer = _Transfer(
             self._transfer_ids, view.view_id, joiner, old_view.sample(rng), rng
         )
-        state.transfer = transfer
+        state.transfer_id = transfer.transfer_id
         self._pending_transfers[joiner] = transfer
         self._send_transfer_round(transfer)
         transfer.retry_handle = self.deployment.scheduler.schedule(
@@ -314,14 +316,11 @@ class ViewManager:
             self.transfer_retry, self._transfer_tick, joiner, transfer_id
         )
 
-    def on_transfer_reply(
-        self, joiner: int, src_index: int, transfer_id: int
-    ) -> None:
-        """Called by the joiner server when a StateReply lands."""
-        transfer = self._pending_transfers.get(joiner)
-        if transfer is None or transfer.transfer_id != transfer_id:
-            return
-        transfer.replies.add(src_index)
+    def on_transfer_reply(self, joiner: int, src: int) -> None:
+        """Called by the joiner server (roster index ``joiner``) when a
+        StateReply of its open transfer lands from node ``src``."""
+        transfer = self._pending_transfers[joiner]
+        transfer.replies.add(self.deployment.server_index[src])
         if transfer.complete:
             self.state_transfers_completed += 1
             self._finish_transfer(transfer)
@@ -330,7 +329,7 @@ class ViewManager:
         if transfer.retry_handle is not None:
             transfer.retry_handle.cancel()
         server = self.deployment.servers[transfer.joiner]
-        server.view_state.transfer = None
+        server.view_state.transfer_id = None
         del self._pending_transfers[transfer.joiner]
         if not self._pending_transfers and self.pending_view is not None:
             view = self.pending_view

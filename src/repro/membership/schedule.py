@@ -142,11 +142,6 @@ class MembershipSchedule(Timeline):
             schedule.replace(time, joining, leaving)
         return schedule
 
-    def max_roster_index(self, num_initial: int) -> int:
-        """The largest roster index this timeline can touch."""
-        indices = [node for event in self.events for node in event.nodes]
-        return max(indices + [num_initial - 1])
-
 
 #: Membership spec kinds, built by :func:`repro.specs.build`: ``churn``
 #: expands a rotating timeline up to the run's horizon, ``schedule``

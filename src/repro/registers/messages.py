@@ -9,10 +9,10 @@ Every one of the four ends in a ``view`` field: requests carry the view
 id the client dispatched under, replies the server's current view id.
 A static deployment is simply view 0 everywhere — the default, so
 positional construction (``ReadQuery("r0", 1)``) needs no stamp — and
-dynamic membership (:mod:`repro.membership`) raises it.  Both kernel
-backends handle this one family; the control messages below
-(:class:`StaleViewNack`, :class:`StateRequest`, :class:`StateReply`) are
-genuinely different exchanges, handled in Python on receipt.
+dynamic membership (:mod:`repro.membership`) raises it.  The control
+messages below (:class:`StaleViewNack`, :class:`StateRequest`,
+:class:`StateReply`) are genuinely different exchanges; both kernel
+backends handle them too.
 
 Messages are frozen tuples (:class:`typing.NamedTuple`): construction is
 a single C-level ``tuple.__new__`` — these are allocated on every quorum
@@ -97,8 +97,10 @@ class StateRequest(NamedTuple):
 class StateReply(NamedTuple):
     """Old-view member -> joiner: every materialised replica entry.
 
-    ``entries`` is a tuple of ``(register, timestamp, value)`` triples;
-    registers the member never touched stay at their declared initial
+    ``entries`` is the member's replica items, sorted by register: a tuple
+    of ``(register, (timestamp, value))`` pairs, each entry the member's
+    own tuple, which the joiner installs as is when it is newer.
+    Registers the member never touched stay at their declared initial
     values, which the joiner's lazy replica probe supplies on demand.
     """
 

@@ -37,7 +37,9 @@ from repro.sim.network import Node
 ServerCounters = counter_type(
     "repro.registers.server.ServerCounters",
     ("reads_served", "writes_applied", "stale_updates_ignored",
-     "stale_nacks_sent", "retired_messages_ignored"),
+     "stale_nacks_sent", "retired_messages_ignored",
+     "unknown_messages_ignored", "state_requests_served",
+     "state_entries_applied"),
 )
 
 
@@ -144,7 +146,7 @@ class ReplicaServer(Node, ServerCounters):
             # Unknown message kinds are ignored, matching Node's default —
             # but counted, so a misrouted or malformed stream leaves a
             # trace instead of vanishing.
-            self.unknown_messages_ignored += 1
+            self.add("unknown_messages_ignored")
 
     # ------------------------------------------------------------------ #
     # Dynamic membership
@@ -175,20 +177,17 @@ class ReplicaServer(Node, ServerCounters):
     def _on_state_request(self, src: int, message: StateRequest) -> None:
         state = self.view_state
         if state is None:
-            self.unknown_messages_ignored += 1
+            self.add("unknown_messages_ignored")
             return
         if state.retired:
             self.add("retired_messages_ignored")
             return
-        # Every materialised replica, in sorted register order so the
-        # reply payload is deterministic.  Untouched registers stay at
-        # their declared initial values, which the joiner's lazy replica
-        # probe supplies on first access.
-        entries = tuple(
-            (name, timestamp, value)
-            for name, (timestamp, value) in sorted(self._replicas.items())
-        )
-        self.state_requests_served += 1
+        # Every materialised replica item, sorted by register so the reply
+        # payload is deterministic.  Untouched registers stay at their
+        # declared initial values, which the joiner's lazy replica probe
+        # supplies on first access.
+        entries = tuple(sorted(self._replicas.items()))
+        self.add("state_requests_served")
         self.network.send(
             self.node_id,
             src,
@@ -197,21 +196,21 @@ class ReplicaServer(Node, ServerCounters):
 
     def _on_state_reply(self, src: int, message: StateReply) -> None:
         state = self.view_state
-        if (
-            state is None
-            or state.transfer is None
-            or message.transfer_id != state.transfer.transfer_id
-        ):
-            self.unknown_messages_ignored += 1
+        if state is None or message.transfer_id != state.transfer_id:
+            self.add("unknown_messages_ignored")
             return
-        for name, timestamp, value in message.entries:
-            current_ts, _ = self._replica(name)
-            if timestamp > current_ts:
-                self._replicas[name] = (timestamp, value)
-                self.state_entries_applied += 1
-        manager = state.manager
-        src_index = manager.deployment.server_index[src]
-        manager.on_transfer_reply(state.index, src_index, message.transfer_id)
+        # Section 4's rule per register: keep the entry with the larger
+        # timestamp (a register this replica never touched is at ZERO).
+        # The member's entry tuple is installed as it is.
+        replicas = self._replicas
+        for name, entry in message.entries:
+            current = replicas.get(name)
+            ts = entry[0]
+            mine = Timestamp.ZERO if current is None else current[0]
+            if (ts.seq, ts.writer) > (mine.seq, mine.writer):
+                replicas[name] = entry
+                self.add("state_entries_applied")
+        state.manager.on_transfer_reply(state.index, src)
 
     def __repr__(self) -> str:
         return (

@@ -232,15 +232,21 @@ def make_server_core(server):
     Loss, faults, taps and an adversary are the network core's business
     (the reply goes through its ``send``), never a reason to leave C
     here.  The view gate (retired-ignore, stale-view nack)
-    runs in C against the server's current ``view_state``; what takes the
-    Python handler is any message that is not an exact ``ReadQuery`` /
-    ``WriteUpdate`` — the ``State*`` transfer messages, subclasses.
+    runs in C against the server's current ``view_state``, and so does a
+    joiner's state transfer: a member answers a ``StateRequest`` with its
+    sorted replica items, and the joiner merges a ``StateReply`` of its
+    open transfer entry by entry (the newer timestamp wins), then calls
+    ``ViewManager.on_transfer_reply`` — the one Python call per reply.
+    What takes the Python handler is a message that is not an exact
+    instance of one of the four kinds a server handles (a subclass, an
+    unknown kind) or a ``StateReply`` whose entries are not a tuple.
     The server's counters (``reads_served``, ``writes_applied``,
     ``stale_updates_ignored``, ``stale_nacks_sent``,
-    ``retired_messages_ignored``, int64 fields of its counter base) are
-    bumped in place, and its ``view_state`` — and that
-    ``ServerViewState``'s ``retired``, ``retiring`` and ``view_id`` — read
-    by slot offset.
+    ``retired_messages_ignored``, ``unknown_messages_ignored``,
+    ``state_requests_served``, ``state_entries_applied``: int64 fields of
+    its counter base) are bumped in place, and its ``view_state`` — and
+    that ``ServerViewState``'s ``retired``, ``retiring``, ``view_id``,
+    ``transfer_id``, ``manager`` and ``index`` — read by slot offset.
     """
     if selected_backend() != "native":
         return None
@@ -285,8 +291,12 @@ def make_client_cores(clients):
     built: the round plans, the retry policy (its four float fields) and
     jitter stream, the static quorum system (an exact
     ``ProbabilisticQuorumSystem``'s n and k) and quorum stream, the
-    latency sketches and the spec monitor.  The clock, the pending ops,
-    the fault state and the membership view are read live.  By offset,
+    latency sketches and the spec monitor; under membership, each view's
+    draw — its ``(n, k)``, ``members`` tuple and the bitgen of the
+    client's view stream — once, when the client adopts the view (the
+    ``_view`` / ``_view_rng`` slots change identity).  The clock, the
+    pending ops, the fault state and the membership view are read live.
+    By offset,
     not by name, the core bumps the client's counters in place
     (``reads_performed``, ``writes_performed``, ``cache_hits``,
     ``ops_completed``, ``ops_completed_under_failure``, ``retries``,
@@ -311,8 +321,9 @@ def make_client_cores(clients):
       future) — and, for a ``StaleViewNack``, ``_redispatch``.  A message
       that is not an exact ``ReadReply`` / ``WriteAck`` /
       ``StaleViewNack`` takes the Python handler; a view refresh calls
-      the Python ``_refresh_view`` only when the manager's newest view is
-      not the client's.
+      the Python ``_refresh_view`` only when the manager's newest view —
+      the last of its ``views`` list, bound with the view — is not the
+      client's ``_view`` object.
     * **Issue and retry** — the methods named in
       :data:`CLIENT_ISSUE_METHODS`: history record, future and op, quorum
       draw, message build, the network core's broadcast, retry/deadline

@@ -84,7 +84,7 @@ from repro.registers.client import (
 )
 from repro.registers.deployment import RegisterDeployment
 from repro.registers.masking import MaskingClient, replace_with_byzantine
-from repro.registers.messages import WriteUpdate
+from repro.registers.messages import StateReply, StateRequest, WriteUpdate
 from repro.registers.server import ReplicaServer
 from repro.registers.space import RegisterInfo
 from repro.sim import kernel
@@ -632,9 +632,10 @@ def test_churned_native_run_takes_python_handlers_only_on_view_state(
 ):
     """Fallback is a guard on state, not a property of the message type:
     under rotating churn (the ``serve --churn 6.25`` shape, short) the
-    Python server handler runs only for ``State*`` deliveries and the
-    client's at most once per view refresh — nacks, their re-dispatch and
-    replies stamped with a newer view stay in the C cores."""
+    Python server handler never runs — the view gate and the ``State*``
+    transfer stay in the server core — and the client's at most once per
+    view refresh — nacks, their re-dispatch and replies stamped with a
+    newer view stay in the C cores."""
     calls = {ReplicaServer: 0, QuorumRegisterClient: 0}
     for cls in calls:
         def counted(self, src, message, _cls=cls, _handler=cls.on_message):
@@ -674,16 +675,120 @@ def test_churned_native_run_takes_python_handlers_only_on_view_state(
     assert manager.views_installed > 20
     assert sum(c["stale_nacks_sent"] for c in servers) > 0
     assert sum(c["retired_messages_ignored"] for c in servers) > 0
-    # Servers run the view gate (nack, retired-ignore) in C; only the
-    # transfer protocol takes Python — one call at the member serving a
-    # StateRequest, one at the joiner receiving its StateReply.
-    assert calls[ReplicaServer] <= 2 * sum(
-        c["state_requests_served"] for c in servers
-    )
+    # Servers run the view gate (nack, retired-ignore) and the state
+    # transfer in C: the only Python left per StateReply is the manager's
+    # on_transfer_reply.
+    assert sum(c["state_requests_served"] for c in servers) > 0
+    assert sum(c["state_entries_applied"] for c in servers) > 0
+    assert calls[ReplicaServer] == 0
     # Clients handle nacks in C; only adopting a view is Python's.
     assert deployment.total_stale_nacks > 0
     assert calls[QuorumRegisterClient] <= deployment.total_view_refreshes
     assert sum(calls.values()) < 0.1 * deployment.network.stats.delivered
+
+
+def _state_transfer(backend):
+    """One joiner's state transfer driven by hand: ``StateRequest`` to a
+    server with no view state, to a member, a draining member and a
+    retired member; ``StateReply`` to a server with no view state, with a
+    mismatched transfer id, and with entries older than, equal to and
+    newer than the joiner's, plus registers the joiner never touched (one
+    at ``Timestamp.ZERO``).  Returns everything it leaves."""
+    with kernel.use_backend(backend):
+        deployment = RegisterDeployment(
+            ProbabilisticQuorumSystem(4, 2), num_clients=1,
+            delay_model=ConstantDelay(1.0), seed=2,
+        )
+        for name in ("r0", "r1", "r2", "r3", "r4"):
+            deployment.declare_register(name, writer=0, initial_value=name)
+        servers = deployment.servers
+        replies = []
+
+        def tap(src, dst, message):
+            if isinstance(message, StateReply):
+                replies.append((src, dst, message))
+
+        deployment.network.add_tap(tap)
+        old = {  # the member's replicas, materialised out of order
+            "r3": (Timestamp(1), "v3"), "r0": (Timestamp(2), "v0"),
+            "r4": (Timestamp.ZERO, "r4"), "r1": (Timestamp(2), "v1"),
+            "r2": (Timestamp(4), "v2"),
+        }
+        for server in servers[:3]:
+            server._replicas.update(old)
+        servers[0].on_message(servers[1].node_id, StateRequest(1, 1))
+        servers[0].on_message(servers[1].node_id, StateReply(1, 1, ()))
+        deployment.install_membership(
+            MembershipSchedule().join(1.0, [4]), drain=5.0,
+        )
+        deployment.run(until=1.5)  # the join is open, its requests in flight
+        manager = deployment.membership
+        joiner = servers[4]
+        transfer_id = joiner.view_state.transfer_id
+        joiner._replicas.update({
+            "r0": (Timestamp(3), "j0"), "r1": (Timestamp(2), "j1"),
+            "r2": (Timestamp(1), "j2"),
+        })
+        servers[1].view_state.retiring = True
+        servers[2].view_state.retired = True
+        for member in servers[:3]:
+            member.on_message(joiner.node_id, StateRequest(transfer_id, 1))
+        entries = tuple(sorted(old.items()))
+        joiner.on_message(
+            servers[0].node_id, StateReply(transfer_id + 1, 0, entries)
+        )
+        joiner.on_message(
+            servers[0].node_id, StateReply(transfer_id, 0, entries)
+        )
+        transfer = manager._pending_transfers.get(4)
+        state = {
+            "replicas": [dict(server._replicas) for server in servers],
+            "counters": [server.metric_counters() for server in servers],
+            "replies": [
+                (src, dst, tuple(message)) for src, dst, message in replies
+            ],
+            "transfer": transfer and (
+                transfer.transfer_id, sorted(transfer.targets),
+                sorted(transfer.replies),
+            ),
+            "transfer_ids": [
+                server.view_state.transfer_id for server in servers
+            ],
+            "manager": manager.metric_counters(),
+        }
+        deployment.run()
+        state["after"] = (
+            [dict(server._replicas) for server in servers],
+            [server.metric_counters() for server in servers],
+            manager.metric_counters(), manager.view_sizes(),
+        )
+        return deployment, state
+
+
+@needs_native
+def test_state_transfer_runs_in_the_server_core_as_in_python(monkeypatch):
+    """The server core serves ``StateRequest`` and merges ``StateReply``
+    as ``ReplicaServer`` does, without its Python handler: the same
+    replicas, counters, reply entries and transfer state."""
+    python = _state_transfer("python")[1]
+    handled = count_calls(monkeypatch, ReplicaServer, ("on_message",))
+    deployment, native = _state_transfer("native")
+    assert native_cores(deployment) == ALL_CORES
+    assert handled == {"on_message": 0}
+    assert native == python
+    # The cases are all there: each ignore counted once, one reply per
+    # serving member, and the merge applied only the newer entries.
+    counters, joiner = python["counters"], python["counters"][4]
+    assert counters[0]["unknown_messages_ignored"] == 2
+    assert [c["state_requests_served"] for c in counters[:3]] == [1, 1, 0]
+    assert counters[2]["retired_messages_ignored"] == 1
+    assert joiner["unknown_messages_ignored"] == 1
+    assert joiner["state_entries_applied"] == 2  # r2 newer, r3 untouched
+    assert python["replicas"][4] == {
+        "r0": (Timestamp(3), "j0"), "r1": (Timestamp(2), "j1"),
+        "r2": (Timestamp(4), "v2"), "r3": (Timestamp(1), "v3"),
+    }
+    assert [len(message[2]) for _, _, message in python["replies"]] == [5, 5]
 
 
 @needs_native
@@ -768,12 +873,13 @@ def test_faulted_native_run_never_enters_python_message_code(monkeypatch):
         + transfers["state_transfers_incomplete"]
         + transfers["state_transfer_retries"]
     )}
-    # Servers take Python only for the transfer protocol's State* pair.
+    # Servers serve and merge the state transfer in C too.
     served = sum(
         server.metric_counters()["state_requests_served"]
         for server in deployment.servers
     )
-    assert calls.pop("ReplicaServer")["on_message"] <= 2 * served
+    assert served > 0
+    assert calls.pop("ReplicaServer") == {"on_message": 0}
     assert calls == {
         "Network": dict.fromkeys(NETWORK_ENTRY_POINTS, 0),
         "QuorumRegisterClient": dict.fromkeys(
@@ -1384,7 +1490,9 @@ BOUND_SLOTS = {
     Timestamp: ("seq", "writer"),
     RegisterInfo: ("history", "writer"),
     StreamingQuantiles: ("_buckets", "sum"),
-    ServerViewState: ("retired", "retiring", "view_id"),
+    ServerViewState: (
+        "retired", "retiring", "view_id", "transfer_id", "manager", "index",
+    ),
 }
 
 
@@ -1395,6 +1503,8 @@ BOUND_COUNTERS = {
     ReplicaServer: (
         "reads_served", "writes_applied", "stale_updates_ignored",
         "stale_nacks_sent", "retired_messages_ignored",
+        "unknown_messages_ignored", "state_requests_served",
+        "state_entries_applied",
     ),
     QuorumRegisterClient: (
         "reads_performed", "writes_performed", "cache_hits", "ops_completed",

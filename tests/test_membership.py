@@ -122,11 +122,6 @@ class TestSchedule:
         with pytest.raises(specs.SpecError, match="unknown"):
             build({"kind": "osmosis"})
 
-    def test_max_roster_index(self):
-        schedule = MembershipSchedule().join(5.0, [7])
-        assert schedule.max_roster_index(num_initial=4) == 7
-        assert MembershipSchedule().max_roster_index(num_initial=4) == 3
-
 
 class TestInstall:
     def test_empty_schedule_installs_nothing(self):

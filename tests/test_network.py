@@ -18,7 +18,9 @@ from repro.sim.failures import FailureInjector
 from repro.sim.metrics import MessageStats
 from repro.sim.network import Network, Node
 from repro.sim.scheduler import Scheduler
-from tests.conftest import BACKENDS, backend_param, count_calls, stats_state
+from tests.conftest import (
+    BACKENDS, backend_param, count_calls, needs_native, stats_state,
+)
 
 #: The Python ``MessageStats`` recorders a network may call.
 RECORDERS = ("record_send", "record_sends", "record_delivery", "record_drop")
@@ -280,6 +282,9 @@ def _fan_outs(
             detailed_stats=detailed,
             adversary=adversary,
         )
+    # A native network runs the C core exactly when its stats are scalar.
+    has_core = getattr(network.send, "__func__", None) is not Network.send
+    assert has_core == (backend == "native" and not detailed)
     log, taps = [], []
     for _ in range(6):
         network.add_node(LoggingNode(log))
@@ -332,8 +337,8 @@ def _fan_outs(
 @settings(max_examples=60, deadline=None)
 @example(  # lossy, faulted and adversarial, scalar stats
     delay="exponential", seed=3, loss_rate=0.3, shared_stream=False,
-    faulty=True, script=[None, "drop", 0.75], tapped=False, detailed=False,
-    fan_outs=[[1, 2, 3, 4, 5], [2, 3], [4, 5, 1], [3]],
+    faulty=True, script=[None, "drop", 0.75], tapped=False,
+    fan_outs=[[1, 2, 3, 4, 5], [2, 3], [4, 5, 1], [3]], data=None,
 )
 @given(
     delay=st.sampled_from(sorted(DELAY_MODELS)),
@@ -345,35 +350,63 @@ def _fan_outs(
         st.sampled_from([None, "drop", 0.0, 0.75]), max_size=4
     ),
     tapped=st.booleans(),
-    detailed=st.booleans(),
     fan_outs=st.lists(
         st.lists(st.integers(min_value=1, max_value=5), max_size=5),
         min_size=1, max_size=6,
     ),
+    data=st.data(),
 )
-def test_broadcast_is_a_loop_of_send(backend, **shape):
+def test_broadcast_is_a_loop_of_send(backend, data, **shape):
     """The one contract ``broadcast`` has: in every configuration — each
     delay model, loss on or off (also drawn from the delay stream itself),
     crashes and a partition, an adversary that passes, drops and delays,
     taps, scalar or detailed stats — a fan-out leaves exactly what the
     loop of ``send`` calls leaves: the same deliveries in the same order,
     the same counters, the same hook calls and both RNG streams at the
-    same position.  On the native backend that also equals the python
-    backend's fan-out — the same ``MessageStats`` with the same totals —
-    and a scalar-mode native run never calls a Python recorder: the C
-    network core adds to the totals' slots itself (a detailed one gets no
-    core, and its Python recorders collect the breakdowns)."""
-    fanned, fanned_calls = _drive_fan_outs(backend, True, **shape)
-    looped, looped_calls = _drive_fan_outs(backend, False, **shape)
+    same position.  On the native backend, where every example runs the C
+    network core on scalar stats, that also equals the python backend's
+    fan-out — the same ``MessageStats`` with the same totals — and never
+    calls a Python recorder: the core adds to the totals' slots itself.
+    Detailed stats are drawn on the python backend only: a detailed
+    network gets no core (:func:`test_a_detailed_network_gets_no_core`),
+    so a native example with them would compare the Python network with
+    itself.  The explicit example (``data`` None) runs scalar stats."""
+    detailed = backend == "python" and data is not None and data.draw(
+        st.booleans(), label="detailed"
+    )
+    fanned, fanned_calls = _drive_fan_outs(
+        backend, True, detailed=detailed, **shape
+    )
+    looped, looped_calls = _drive_fan_outs(
+        backend, False, detailed=detailed, **shape
+    )
     assert fanned == looped
     if backend == "python":
         return
-    python, python_calls = _drive_fan_outs("python", True, **shape)
+    python, python_calls = _drive_fan_outs(
+        "python", True, detailed=False, **shape
+    )
     assert fanned == python
     # The counters do see the python backend's recorders.
     _, delivered, dropped = python["stats"]["totals"]
     assert python_calls["record_delivery"] == delivered
     assert python_calls["record_drop"] == dropped
-    if not shape["detailed"]:
-        silent = dict.fromkeys(RECORDERS, 0)
-        assert fanned_calls == looped_calls == silent
+    silent = dict.fromkeys(RECORDERS, 0)
+    assert fanned_calls == looped_calls == silent
+
+
+@needs_native
+def test_a_detailed_network_gets_no_core():
+    """A native network with detailed stats runs the Python reference
+    whole (``_fan_outs`` asserts it has no core): its Python recorders
+    collect the breakdowns, and it leaves what the python backend leaves."""
+    shape = dict(
+        delay="exponential", seed=3, loss_rate=0.3, shared_stream=False,
+        faulty=True, script=[None, "drop", 0.75], tapped=True,
+        detailed=True, fan_outs=[[1, 2, 3, 4, 5], [2, 3], [4, 5, 1], [3]],
+    )
+    native, native_calls = _drive_fan_outs("native", True, **shape)
+    python, python_calls = _drive_fan_outs("python", True, **shape)
+    assert native == python
+    assert native_calls == python_calls
+    assert native_calls["record_delivery"] == native["stats"]["totals"][1]

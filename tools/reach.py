@@ -109,12 +109,12 @@ EXEMPT = {
 #: The ratchet: ``--check`` fails when more function lines than this,
 #: outside EXEMPT, go unreached.  Lower it when code goes; never raise it
 #: to admit code no command runs.
-LIMIT = 594
+LIMIT = 590
 
 #: The C ratchet: ``--check`` also fails when the native kernel's source
 #: is longer than this.  Lower it when C goes; raising it, like raising
 #: LIMIT, is a deliberate edit.
-C_LINES = 3992
+C_LINES = 4092
 C_SOURCE = PACKAGE / "_native" / "_kernelmodule.c"
 
 #: Installed as ``sitecustomize`` in every interpreter a drive command
